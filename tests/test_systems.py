@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import permutations
 
 import pytest
@@ -13,7 +15,6 @@ from matpot import (
     UniformMatroid,
     all_good_decompositions,
     descent_move,
-    enumerate_strong_decompositions,
     equivalence_report,
     find_strong_decomposition,
     is_base,
@@ -27,7 +28,11 @@ from matpot import (
 )
 from matpot.systems import _bounded_compositions
 
-from oracles import brute_good_decompositions, brute_strong_decompositions
+from oracles import (
+    brute_good_decompositions,
+    brute_locally_related,
+    brute_strong_decompositions,
+)
 
 
 def test_is_base_examples(u13, linear_pairs):
@@ -98,18 +103,24 @@ def test_arity_errors(ctx_u13_m2):
         all_good_decompositions(ctx_u13_m2.system((1, 1, 0)))
 
 
-def test_enumerate_matches_bruteforce(ctx_u13_m2, u24):
+def test_strong_outcome_matches_bruteforce(ctx_u13_m2, u24):
+    parallel = Context(LinearMatroid([(1, 0), (2, 0), (0, 1)]), 2)
     cases = [
         (ctx_u13_m2.system((2, 1, 0)), 1),
         (ctx_u13_m2.system((2, 2, 1)), 3),
         (Context(u24, 2).system((2, 1, 1, 1)), 1),
+        (parallel.system((3, 1, 1)), 1),  # not strong: labels 1, 2 are parallel
     ]
+    strong = 0
     for T, l in cases:
-        mine = {
-            (tuple(sorted(p.mult for p in d.parts)), d.remainder.mult)
-            for d in enumerate_strong_decompositions(T, l)
-        }
-        assert mine == brute_strong_decompositions(T, l)
+        brute = brute_strong_decompositions(T, l)
+        dec = find_strong_decomposition(T, l)
+        assert (dec is not None) == bool(brute)
+        if dec is not None:
+            strong += 1
+            assert (tuple(sorted(p.mult for p in dec.parts)), dec.remainder.mult) in brute
+        assert (strong_deficiency_witness(T, l) is None) == bool(brute)
+    assert strong == len(cases) - 1
 
 
 def test_all_good_decompositions_u12():
@@ -178,17 +189,21 @@ def test_locally_related_rejects_mismatched_totals(ctx_u13_m2):
         locally_related(goods_a[0], goods_b[0])
 
 
-def test_ordered_matching_agrees_with_unordered(ctx_u13_m2, u24):
-    contexts = [ctx_u13_m2, Context(u24, 2)]
+def test_locally_related_matches_bruteforce(ctx_u13_m2, u24):
+    contexts = [
+        ctx_u13_m2,
+        Context(u24, 2),
+        Context(LinearMatroid([(1, 0), (2, 0), (0, 1)]), 2),  # a parallel class
+        Context(UniformMatroid(1, 3), 3),
+    ]
     for ctx in contexts:
         caps = (ctx.m * ctx.k + 2,) * ctx.n
         for mult in _bounded_compositions(ctx.m * ctx.k + 2, caps):
-            T = ctx.system(mult)
-            goods = all_good_decompositions(T)
+            goods = all_good_decompositions(ctx.system(mult))
             for i in range(len(goods)):
                 for j in range(i, len(goods)):
-                    assert locally_related(goods[i], goods[j]) == locally_related(
-                        goods[i], goods[j], ordered=True
+                    assert locally_related(goods[i], goods[j]) == brute_locally_related(
+                        goods[i], goods[j]
                     )
 
 
@@ -205,6 +220,25 @@ def test_equivalence_example(ctx_u13_m2):
     assert report.component_count == 1
     for i, j in report.edges:
         assert locally_related(report.nodes[i], report.nodes[j])
+
+
+def test_equivalence_beyond_sixteen_labels():
+    ctx = Context(UniformMatroid(1, 17), 1)
+    report = equivalence_report(ctx.system((1, 1, 1) + (0,) * 14))
+    assert len(report.nodes) == 3
+    assert len(report.edges) == 3
+    assert report.component_count == 1
+
+
+def test_context_memo_releases_matroid():
+    M = LinearMatroid([(1, 0), (0, 1), (1, 1)])
+    ctx = Context(M, 2)
+    assert find_strong_decomposition(ctx.system((2, 1, 1)), 0) is not None
+    assert equivalence_report(ctx.system((2, 2, 1))).component_count == 1
+    ref = weakref.ref(M)
+    del ctx, M
+    gc.collect()
+    assert ref() is None
 
 
 def test_equivalence_sweep_small(linear_pairs):
