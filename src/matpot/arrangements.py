@@ -234,10 +234,17 @@ def critical_points(
     refined = []
     for t0 in candidates:
         try:
-            t, res = _newton_refine(data, z, t0)
+            # a diverging seed may overflow; the finite check below rejects it
+            with np.errstate(all="ignore"):
+                t, res = _newton_refine(data, z, t0)
         except DiscriminantError:
             if strict:
                 raise
+            continue
+        # NaN fails every comparison, so it must be caught before the filters
+        if not (np.isfinite(res) and np.isfinite(t).all()):
+            if strict:
+                raise DiscriminantError("Newton refinement reached a non-finite point")
             continue
         if not strict:
             # spurious fixed points at infinity have tiny gradients too

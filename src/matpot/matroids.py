@@ -1,19 +1,22 @@
 """Ground sets, independence oracles, and the concrete matroid classes.
 
-All independence decisions for linear matroids are made over exact rationals
-(fractions.Fraction); floating point never enters this module.  Rank queries
-are memoized per subset because the partition search re-queries the same sets
-heavily.  The caches rely on the atomicity of single dict operations, so
-concurrent use at worst recomputes a value.
+Linear matroids are read as exact rationals; each row is then scaled by the
+lcm of its denominators, and every independence decision is made by exact
+integer (Bareiss fraction-free) elimination of those rows.  Floating point
+never enters this module.  Rank queries are memoized per subset because the
+partition search re-queries the same sets heavily.  The caches rely on the
+atomicity of single dict operations, so concurrent use at worst recomputes a
+value.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GroundSetError, SizeLimitError
+from .errors import GroundSetError, InvalidMatroidError, PreconditionError, SizeLimitError
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,11 @@ class Matroid:
     axiom for maximal independent subsets is exactly what makes the greedy
     answers correct.  Greedy ties are broken by smallest label, so results
     are deterministic.
+
+    ``circuit(clazz, y)`` returns None when ``clazz | {y}`` is independent and
+    otherwise the unique circuit inside ``clazz | {y}``; it requires
+    ``clazz`` to be independent.  Subclasses may override it with a faster
+    exact computation of the same set.
     """
 
     def __init__(self, ground: GroundSet):
@@ -80,6 +88,19 @@ class Matroid:
             hit = self._rank_cache[A] = len(self.max_independent_subset(A))
         return hit
 
+    def circuit(self, clazz, y) -> frozenset | None:
+        """Unique circuit inside clazz + y, or None if that set is independent."""
+        D = self.ground.check_subset([*clazz, y])
+        if self.is_independent(D):
+            return None
+        found = frozenset(z for z in D if self.is_independent(D - {z}))
+        if not found:
+            raise InvalidMatroidError(
+                "independence oracle is inconsistent: a dependent set became "
+                "independent by removing nothing (hereditary axiom violated)"
+            )
+        return found
+
     @property
     def full_rank(self) -> int:
         return self.rank(self.ground.labels)
@@ -98,33 +119,43 @@ class Matroid:
         return tuple(sorted(found, key=sorted))
 
 
-def rational_rank(rows) -> int:
-    """Rank of a list of equal-length Fraction rows by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                piv = r
+def _eliminate(rows, width: int):
+    """Fraction-free (Bareiss) row echelon form of integer rows.
+
+    Pivots only on the first ``width`` columns; any further columns are
+    carried along.  Returns ``(rank, rows)``; the rows from index ``rank`` on
+    are zero in the first ``width`` columns.  After each pivot step every
+    entry is a minor of the input, so each division by the previous pivot is
+    exact and entries grow only polynomially (Bareiss, Math. Comp. 22, 1968).
+    """
+    m = list(rows)
+    n = len(m)
+    rank, prev = 0, 1
+    for col in range(width):
+        if rank == n:
+            break
+        for piv in range(rank, n):
+            if m[piv][col]:
                 break
-        if piv is None:
+        else:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        lead = m[rank][col]
-        for r in range(rank + 1, len(m)):
+        prow = m[rank]
+        lead = prow[col]
+        for r in range(rank + 1, n):
             f = m[r][col]
-            if f:
-                q = f / lead
-                for c in range(col, cols):
-                    m[r][c] -= q * m[rank][c]
+            # rows with f == 0 are updated too: each entry must become the
+            # next larger minor, or later divisions stop being exact
+            m[r] = [(lead * a - f * b) // prev for a, b in zip(m[r], prow)]
+        prev = lead
         rank += 1
-        if rank == len(m):
-            break
-    return rank
+    return rank, m
+
+
+def rational_rank(rows) -> int:
+    """Rank of equal-length integer rows (a rational matrix with each row's
+    denominators cleared) by exact fraction-free elimination."""
+    return _eliminate(rows, len(rows[0]))[0] if rows else 0
 
 
 def _to_fraction(value) -> Fraction:
@@ -135,11 +166,17 @@ def _to_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def _clear_denominators(row) -> tuple[int, ...]:
+    scale = math.lcm(*(v.denominator for v in row))
+    return tuple(v.numerator * (scale // v.denominator) for v in row)
+
+
 class LinearMatroid(Matroid):
     """Row-vector matroid: label i carries row i of an exact rational matrix.
 
     A subset is independent iff its rows are linearly independent; decided by
-    exact elimination, never floating point.
+    exact integer elimination of the rows with their denominators cleared
+    (the same matroid), never floating point.
     """
 
     def __init__(self, rows):
@@ -152,9 +189,10 @@ class LinearMatroid(Matroid):
         super().__init__(GroundSet(len(rows)))
         self.rows = rows
         self.width = width
+        self._int_rows = tuple(_clear_denominators(row) for row in rows)
 
     def _subrows(self, A: frozenset):
-        return [self.rows[i - 1] for i in sorted(A)]
+        return [self._int_rows[i - 1] for i in sorted(A)]
 
     def _independent(self, A: frozenset) -> bool:
         return rational_rank(self._subrows(A)) == len(A)
@@ -167,6 +205,24 @@ class LinearMatroid(Matroid):
         if hit is None:
             hit = self._rank_cache[A] = rational_rank(self._subrows(A))
         return hit
+
+    def circuit(self, clazz, y) -> frozenset | None:
+        # One elimination of the rows of clazz + y, each tagged with a unit
+        # vector.  Row operations keep the tags independent, so a row that
+        # reduces to zero carries a nonzero tag: the coefficients of a linear
+        # dependence, whose support is the circuit.
+        D = sorted(self.ground.check_subset([*clazz, y]))
+        n = len(D)
+        tagged = [
+            self._int_rows[e - 1] + (0,) * i + (1,) + (0,) * (n - 1 - i)
+            for i, e in enumerate(D)
+        ]
+        rank, m = _eliminate(tagged, self.width)
+        if rank == n:
+            return None
+        if rank < n - 1:
+            raise PreconditionError("circuit(clazz, y) needs an independent clazz")
+        return frozenset(e for e, t in zip(D, m[rank][self.width :]) if t)
 
     def __eq__(self, other):
         return isinstance(other, LinearMatroid) and self.rows == other.rows
@@ -243,6 +299,16 @@ class LiftedMatroid(Matroid):
         if hit is None:
             hit = self._rank_cache[A] = self.base.rank(self.image(A))
         return hit
+
+    def circuit(self, clazz, y) -> frozenset | None:
+        D = self.ground.check_subset([*clazz, y])
+        label = self.fmap[y - 1]
+        back = {self.fmap[z - 1]: z for z in D if z != y}
+        if label in back:
+            return frozenset({y, back[label]})
+        found = self.base.circuit(back.keys(), label)
+        back[label] = y
+        return None if found is None else frozenset(back[b] for b in found)
 
     def __eq__(self, other):
         return (

@@ -5,9 +5,11 @@ set per matroid.  It grows a partial partition element by element; to place a
 new element it runs a breadth-first search over single-element exchanges: an
 element y can enter class i directly if the class stays independent, and
 otherwise every member of the unique circuit of (class i) + y could be
-evicted to make room.  Following a shortest chain of such exchanges either
-places the element or, when the search is exhausted, the set of reached
-elements is a certified violation of the counting bound
+evicted to make room.  Both answers come from one ``Matroid.circuit`` call,
+which linear matroids answer with a single elimination.  Following a
+shortest chain of such exchanges either places the element or, when the
+search is exhausted, the set of reached elements is a certified violation of
+the counting bound
 
     |A| <= sum_i r_i(A),
 
@@ -81,18 +83,6 @@ class DeficiencyWitness:
         return self.size == len(self.A) and self.bound == bound and self.size > bound
 
 
-def _fundamental_circuit(M: Matroid, clazz: frozenset, y: int) -> frozenset:
-    """Unique circuit inside clazz + y, given clazz independent and the union not."""
-    D = clazz | {y}
-    circuit = frozenset(z for z in D if M.is_independent(D - {z}))
-    if not circuit:
-        raise InvalidMatroidError(
-            "independence oracle is inconsistent: a dependent set became "
-            "independent by removing nothing (hereditary axiom violated)"
-        )
-    return circuit
-
-
 def _augment(matroids, classes, color, e):
     """Try to place e; returns None on success, else the reached element set."""
     parent: dict[int, tuple[int, int]] = {}
@@ -104,10 +94,10 @@ def _augment(matroids, classes, color, e):
         for i, M in enumerate(matroids):
             if i == ycls:
                 continue
-            if M.is_independent(classes[i] | {y}):
+            circuit = M.circuit(classes[i], y)
+            if circuit is None:
                 _apply_chain(matroids, classes, color, parent, y, i)
                 return None
-            circuit = _fundamental_circuit(M, classes[i], y)
             for z in sorted(circuit - {y}):
                 if z not in visited:
                     visited.add(z)

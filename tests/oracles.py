@@ -7,6 +7,7 @@ fixture, so library results can be checked against an unrelated code path.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -19,6 +20,35 @@ def subsets(elems):
     for r in range(len(elems) + 1):
         for combo in combinations(elems, r):
             yield frozenset(combo)
+
+
+def fraction_rank(rows):
+    """Rank of equal-length rational rows by Gaussian elimination over Fraction."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    if not m:
+        return 0
+    cols = len(m[0])
+    rank = 0
+    for col in range(cols):
+        piv = None
+        for r in range(rank, len(m)):
+            if m[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        lead = m[rank][col]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            if f:
+                q = f / lead
+                for c in range(col, cols):
+                    m[r][c] -= q * m[rank][c]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 def brute_rank(M, A):

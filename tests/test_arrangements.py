@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import matpot.arrangements
 from matpot import (
     ArrangementData,
+    DiscriminantError,
     GroundSetError,
     PreconditionError,
     RankError,
@@ -47,6 +51,28 @@ def test_critical_point_closed_form(fixture_data):
         assert abs(frame.points[0, 0] - fix2_point(z)) < 1e-12
         assert abs(frame.det_hess[0] - fix2_hess(np.asarray(z, dtype=complex))) < 1e-10
         assert frame.residuals.max() <= 1e-12
+
+
+def test_k_ge_2_drops_non_finite_newton_results():
+    data = ArrangementData(
+        [(-1, -1), (0, 1), (0, 1), (2, 3), (1, 2), (-3, -3)],
+        [2, 3, 3, 3, 3, 1],
+        [-0.1 + 0.2j, 1.8 + 0.1j, 0.3 - 0.2j, -1.6 + 0.2j, 1.6 + 0.2j, 0.8],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a diverging seed must not warn either
+        frame = critical_points(data, data.basepoint)
+    assert frame.mu == 8
+    assert np.isfinite(frame.points).all() and np.isfinite(frame.residuals).all()
+
+
+def test_strict_mode_rejects_non_finite_newton_result(fixture_data, monkeypatch):
+    def diverged(data, z, t0):
+        return np.array([complex("nan")]), float("nan")
+
+    monkeypatch.setattr(matpot.arrangements, "_newton_refine", diverged)
+    with pytest.raises(DiscriminantError):
+        critical_points(fixture_data, (1, -1))
 
 
 def test_generic_count_is_n_minus_one(random_k1_instances):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -249,3 +251,80 @@ def test_output_to_file(tmp_path, capsys):
     data = json.loads(out_path.read_text())
     assert data["result"]["witness"]["A"] == [1, 2]
     assert data["version"] == __version__
+
+
+def _planted_rows(rng, n, width, sub_rank, share):
+    """Rational rows: about ``share`` of them in a random rank-``sub_rank``
+    subspace, some parallel to an earlier row, the rest generic."""
+    basis = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(sub_rank)]
+    rows = []
+    for _ in range(n):
+        u = rng.random()
+        if u < share:
+            cs = [rng.randint(-3, 3) for _ in basis]
+            v = [sum(c * b[j] for c, b in zip(cs, basis)) for j in range(width)]
+        elif u < share + 0.15 and rows:
+            q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5))
+            v = [x * q for x in rng.choice(rows)]
+        else:
+            v = [rng.randint(-9, 9) for _ in range(width)]
+        d = rng.randint(1, 7)
+        rows.append([Fraction(x) / d for x in v])
+    return [[str(x) for x in row] for row in rows]
+
+
+def _copies_with_tail(rows, copies, tail):
+    n = len(rows)
+    linear = {"type": "linear", "matrix": rows}
+    tail = {"type": "uniform", "l": tail, "n": n}
+    return {"ground": n, "matroids": [linear] * copies + [tail]}
+
+
+def _result_digest(out):
+    return hashlib.sha256(dumps_canonical(json.loads(out)["result"]).encode()).hexdigest()
+
+
+def test_partition_golden_large(capsys, tmp_path):
+    # 64 rows of rank 6 with a planted rank-2 flat, ten copies plus a
+    # uniform tail: the search needs long exchange chains to finish.
+    payload = _copies_with_tail(_planted_rows(random.Random(5), 64, 6, 2, 0.3), 10, 4)
+    code, out = run_cli(capsys, ["partition"], payload, tmp_path)
+    assert code == 0
+    assert "certificate" in json.loads(out)["result"]
+    assert _result_digest(out) == "1c3014f99a6f693f1c34e72c7109b5a61bd156695fbbafbadff830c3b4013472"
+
+
+def test_amin_golden_planted_plane(capsys, tmp_path):
+    # nine of twelve rows span a plane, so with three copies and a rank-3
+    # tail the plane is the minimal tight set
+    rng = random.Random(1)
+    plane = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(2)]
+    rows = []
+    for i in range(12):
+        if i < 9:
+            c0, c1 = rng.randint(1, 4), rng.randint(-4, 4)
+            v = [c0 * p + c1 * q for p, q in zip(*plane)]
+        else:
+            v = [rng.randint(-9, 9) for _ in range(3)]
+        d = rng.randint(1, 7)
+        rows.append([str(Fraction(x, d)) for x in v])
+    rng.shuffle(rows)
+    code, out = run_cli(capsys, ["amin"], _copies_with_tail(rows, 3, 3), tmp_path)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert len(result["min_tight_set"]) == 9 and result["agree"]
+    assert _result_digest(out) == "19c186673cf3a026d3c9c72517d3a74d4de8a535fef4784d07bf27f5601d9560"
+
+
+def test_verify_arrangement_k2_drops_diverged_seed(capsys, tmp_path):
+    # one seed of the rank-2 cloud diverges; it used to enter the frame as a
+    # NaN row and break the SVD with an internal error
+    payload = {
+        "B": [[-1, -1], [0, 1], [0, 1], [2, 3], [1, 2], [-3, -3]],
+        "a": [2, 3, 3, 3, 3, 1],
+        "x": [[-0.1, 0.2], [1.8, 0.1], [0.3, -0.2], [-1.6, 0.2], [1.6, 0.2], 0.8],
+        "m": 1,
+    }
+    code, out = run_cli(capsys, ["verify-arrangement", "--allow-k-ge-2"], payload, tmp_path)
+    assert code == 0
+    assert json.loads(out)["result"]["mu"] == 8

@@ -8,12 +8,13 @@ from matpot import (
     GroundSetError,
     LiftedMatroid,
     LinearMatroid,
+    PreconditionError,
     SizeLimitError,
     UniformMatroid,
 )
 from matpot.jsonio import matroid_from_json, matroid_to_json
 
-from oracles import brute_rank, circuits_within, subsets
+from oracles import brute_rank, circuits_within, fraction_rank, subsets
 
 
 def test_linear_independence_examples():
@@ -183,3 +184,95 @@ def test_memoization_is_consistent():
     M = LinearMatroid([(1, 0), (0, 1), (1, 1)])
     assert M.rank({1, 2, 3}) == M.rank({1, 2, 3})
     assert M.is_independent({1, 2}) is M.is_independent({1, 2})
+
+
+def _sweep_rows(rng, n, width):
+    """Rational rows mixing small fractions (denominators up to 7), negative
+    entries, zero rows, entries near 10**30 and rows that are rational
+    combinations of earlier rows."""
+    rows = []
+    for _ in range(n):
+        u = rng.random()
+        if u < 0.1:
+            row = [Fraction(0)] * width
+        elif u < 0.35 and rows:
+            p, q = rng.choice(rows), rng.choice(rows)
+            a, b = (Fraction(rng.randint(-7, 7), rng.randint(1, 7)) for _ in range(2))
+            row = [a * x + b * y for x, y in zip(p, q)]
+        elif u < 0.5:
+            row = [
+                Fraction(rng.choice([-1, 1]) * 10**30 + rng.randint(-9, 9), rng.randint(1, 7))
+                for _ in range(width)
+            ]
+        else:
+            row = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(width)]
+        rows.append(row)
+    return rows
+
+
+def test_integer_elimination_matches_fraction_reference():
+    # the third row has no entry in the first two pivot columns; after the
+    # second pivot it must become lead * row / prev = (0, 0, 1), and scaling
+    # it by lead // prev = 1 // 2 would erase it
+    assert LinearMatroid([(2, 1, 0), (1, 1, 0), (0, 0, 1)]).rank({1, 2, 3}) == 3
+    rng = random.Random(2024)
+    for width in range(1, 13):
+        for _ in range(6):
+            rows = _sweep_rows(rng, rng.randint(1, 14), width)
+            M = LinearMatroid(rows)
+            full = frozenset(M.ground.labels)
+            assert M.rank(full) == fraction_rank(rows)
+            for _ in range(8):
+                A = frozenset(e for e in full if rng.random() < 0.5)
+                r = fraction_rank([rows[e - 1] for e in sorted(A)])
+                assert M.rank(A) == r
+                assert M.is_independent(A) == (r == len(A))
+
+
+def test_integer_elimination_24x24():
+    # without exact division by the previous pivot, entry sizes double per
+    # pivot and this case does not finish
+    rng = random.Random(24)
+    rows = [
+        [Fraction(rng.randint(-99, 99), rng.randint(1, 7)) for _ in range(24)] for _ in range(24)
+    ]
+    M = LinearMatroid(rows)
+    assert M.rank(M.ground.labels) == fraction_rank(rows) == 24
+    rows[-1] = [
+        sum(Fraction(k + 1, 3) * r[j] for k, r in enumerate(rows[:-1])) for j in range(24)
+    ]
+    M = LinearMatroid(rows)
+    assert M.rank(M.ground.labels) == fraction_rank(rows) == 23
+    assert not M.is_independent(M.ground.labels)
+
+
+def test_circuit_oracle_matches_enumeration():
+    rng = random.Random(5)
+    mats = [
+        UniformMatroid(2, 5),
+        # {1, 2, 7} is a parallel class and 5 is a loop
+        LinearMatroid(
+            [(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 0), (1, 2, 3), ("-1/2", 0, 0)]
+        ),
+        _random_linear(rng, 6, 3),
+        # lift elements 1, 2 share label 1, 6 and 7 share label 4; label 5 is a loop
+        LiftedMatroid(
+            LinearMatroid([(1, 0), (0, 1), (1, 1), (2, 2), (0, 0)]), 7, (1, 1, 2, 3, 4, 5, 4)
+        ),
+        LiftedMatroid(UniformMatroid(2, 3), 5, (1, 1, 2, 3, 3)),
+    ]
+    for M in mats:
+        elems = list(M.ground.labels)
+        for C in subsets(elems):
+            if not M.is_independent(C):
+                continue
+            for y in elems:
+                if y in C:
+                    continue
+                found = M.circuit(C, y)
+                if M.is_independent(C | {y}):
+                    assert found is None
+                else:
+                    assert circuits_within(M, C | {y}) == {found}
+    with pytest.raises(PreconditionError):
+        LinearMatroid([(1, 0), (2, 0), (3, 0)]).circuit({1, 2}, 3)
