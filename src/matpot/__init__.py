@@ -54,7 +54,6 @@ from .partition import (
     min_tight_set,
     slack_elements,
     solve_partition,
-    tight_sets,
 )
 from .systems import (
     Context,
@@ -76,5 +75,4 @@ from .systems import (
     remainder_alternative,
     remainder_support,
     strong_deficiency_witness,
-    tight_subsets,
 )

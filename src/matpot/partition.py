@@ -16,15 +16,24 @@ the counting bound
 because every reached element lies in the span of (class i) intersected with
 the reached set, for every i.
 
-``tight_sets`` / ``min_tight_set`` / ``slack_elements`` expose the lattice of
-subsets where the bound is tight when the last matroid is uniform.
+When the last matroid is uniform of rank l, call A *tight* if
+|A| = l + sum_i r_i(A) over the other matroids.  ``min_tight_set`` finds the
+least tight set from one partition (I_1, ..., I_k, U) of a tight ground set:
+such a partition has |U| = l and every I_i a basis, and since
+
+    |A| = |A & U| + sum_i |A & I_i| <= l + sum_i r_i(A),
+
+A is tight exactly when U is inside A and every A & I_i spans A in M_i, that
+is, A contains the fundamental circuit of I_i + y for every y in A outside
+I_i.  So the closure of U under these circuits lies in every tight set; it
+is checked to be tight, hence it is the minimum.  ``slack_elements`` answers
+the same question by n + 1 independent partitions, as a cross-check.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import InternalError, InvalidMatroidError, PreconditionError, SizeLimitError
 from .matroids import Matroid, UniformMatroid
@@ -173,43 +182,47 @@ def _last_uniform(problem: PartitionProblem) -> UniformMatroid:
     return last
 
 
-def tight_sets(problem: PartitionProblem, max_size: int = 20) -> frozenset:
-    """All subsets where |A| equals l plus the rank sum of the other matroids.
+def min_tight_set(problem: PartitionProblem, max_size: int = 64) -> frozenset:
+    """The least tight set: the closure of the uniform part of one partition.
 
-    Requires the problem to be partitionable and the full ground set itself to
-    be tight; under those hypotheses the family is closed under union and
-    intersection.
+    Solves the partition once, then adds, breadth-first from the elements in
+    the uniform part U, every member of ``M_i.circuit(I_i, y)`` for each
+    reached y and each other class I_i not holding y.  Every tight set
+    contains this closure (see the module docstring); the closure is checked
+    to be tight before it is returned, so it is the minimum.
+
+    Requires the last matroid to be uniform, a partition to exist and the
+    full ground set to be tight.  ``max_size`` bounds the ground set, as in
+    ``solve_partition``.
     """
     last = _last_uniform(problem)
     others = problem.matroids[:-1]
-    elems = sorted(problem.ground.labels)
-    if len(elems) > max_size:
-        raise SizeLimitError(f"tight-set enumeration limited to {max_size} elements")
-    if isinstance(solve_partition(problem), DeficiencyWitness):
-        raise PreconditionError("no partition exists; tight-set family is undefined")
 
     def is_tight(A: frozenset) -> bool:
         return len(A) == last.l + sum(M.rank(A) for M in others)
 
-    if not is_tight(frozenset(elems)):
+    cert = solve_partition(problem, max_size=max_size)
+    if isinstance(cert, DeficiencyWitness):
+        raise PreconditionError("no partition exists; tight-set family is undefined")
+    if not is_tight(frozenset(problem.ground.labels)):
         raise PreconditionError("the full ground set is not tight")
-    out = []
-    for r in range(0, len(elems) + 1):
-        for combo in combinations(elems, r):
-            A = frozenset(combo)
-            if is_tight(A):
-                out.append(A)
-    return frozenset(out)
-
-
-def min_tight_set(problem: PartitionProblem, max_size: int = 20) -> frozenset:
-    """Intersection of all tight sets; verified to be tight itself."""
-    family = tight_sets(problem, max_size=max_size)
-    result = frozenset(problem.ground.labels)
-    for A in family:
-        result &= A
-    if result not in family:
-        raise InternalError("tight-set family is not closed under intersection")
+    classes = cert.parts[:-1]
+    reached = set(cert.parts[-1])
+    queue = deque(reached)
+    while queue:
+        y = queue.popleft()
+        for M, clazz in zip(others, classes):
+            if y in clazz:
+                continue
+            circuit = M.circuit(clazz, y)
+            if circuit is None:
+                raise InternalError("a class of a tight partition does not span the ground set")
+            for z in circuit - reached:
+                reached.add(z)
+                queue.append(z)
+    result = frozenset(reached)
+    if not is_tight(result):
+        raise InternalError("the circuit closure of the uniform part is not tight")
     return result
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 from .errors import (
     ArityError,
@@ -39,7 +38,7 @@ from .errors import (
     SizeLimitError,
 )
 from .matroids import LiftedMatroid, Matroid, UniformMatroid
-from .partition import DeficiencyWitness, PartitionProblem, solve_partition
+from .partition import DeficiencyWitness, PartitionProblem, min_tight_set, solve_partition
 
 
 @dataclass(frozen=True)
@@ -386,31 +385,18 @@ def remainder_support(T: System, l: int) -> frozenset:
     return frozenset(out)
 
 
-def tight_subsets(T: System, l: int) -> frozenset:
-    """Subsets B of supp T whose T-mass equals l + m * r(B)."""
-    _check_arity(T, l)
-    _require_strong(T, l)
-    ctx = T.ctx
-    supp = sorted(T.support)
-    out = []
-    for size in range(0, len(supp) + 1):
-        for combo in combinations(supp, size):
-            B = frozenset(combo)
-            mass = sum(T(j) for j in B)
-            if mass == l + ctx.m * ctx.matroid.rank(B):
-                out.append(B)
-    return frozenset(out)
-
-
 def min_tight_subset(T: System, l: int) -> frozenset:
-    """Intersection of all tight subsets; verified to be tight itself."""
-    family = tight_subsets(T, l)
-    result = T.support
-    for B in family:
-        result &= B
-    if result not in family:
-        raise InternalError("tight subsets are not closed under intersection")
-    return result
+    """The least subset B of supp T whose T-mass equals l + m * r(B).
+
+    The minimal tight set of the lifted partition problem, mapped back to
+    labels.  Lift copies of a label are parallel, so adding a missing copy to
+    a tight lifted set would break the counting bound of the partitionable
+    lift: tight lifted sets are unions of whole fibres.  Raises
+    ``PreconditionError`` when T is not strong.
+    """
+    _check_arity(T, l)
+    problem, fmap = _lift_problem(T, l)
+    return frozenset(fmap[e - 1] for e in min_tight_set(problem))
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,35 @@ def rank_bound_holds(problem, subset=None, max_size=20):
     return True if best is None else best
 
 
+def tight_sets(problem, max_size=20):
+    """Every subset A with |A| = l + sum_i r_i(A), where l is the rank of the
+    last (uniform) matroid and the sum runs over the others.
+
+    Plain enumeration of all subsets; refuses ground sets larger than
+    ``max_size``.  When the problem partitions and the full ground set is
+    tight, the family is closed under union and intersection.
+    """
+    elems = problem.ground.labels
+    if len(elems) > max_size:
+        raise SizeLimitError(
+            f"tight-set enumeration limited to {max_size} elements, got {len(elems)}"
+        )
+    last, others = problem.matroids[-1], problem.matroids[:-1]
+    return frozenset(
+        A for A in subsets(elems) if len(A) == last.l + sum(M.rank(A) for M in others)
+    )
+
+
+def tight_subsets(T, l):
+    """Every subset B of supp T whose T-mass equals l + m * r(B), by enumeration."""
+    ctx = T.ctx
+    return frozenset(
+        B
+        for B in subsets(T.support)
+        if sum(T(j) for j in B) == l + ctx.m * ctx.matroid.rank(B)
+    )
+
+
 def brute_partition(matroids, elements):
     """First class assignment (in lexicographic order) that partitions
     ``elements`` into independent sets, or None."""

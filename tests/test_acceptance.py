@@ -33,12 +33,11 @@ from matpot import (
     second_kind_truncation,
     slack_elements,
     solve_partition,
-    tight_subsets,
     verify_axioms,
 )
 from matpot.systems import _bounded_compositions
 
-from oracles import circuits_within, fix2_pair_unit, rank_bound_holds, subsets
+from oracles import circuits_within, fix2_pair_unit, rank_bound_holds, subsets, tight_subsets
 
 
 def _report(name, elapsed, detail=""):

@@ -294,14 +294,13 @@ def test_partition_golden_large(capsys, tmp_path):
     assert _result_digest(out) == "1c3014f99a6f693f1c34e72c7109b5a61bd156695fbbafbadff830c3b4013472"
 
 
-def test_amin_golden_planted_plane(capsys, tmp_path):
-    # nine of twelve rows span a plane, so with three copies and a rank-3
-    # tail the plane is the minimal tight set
-    rng = random.Random(1)
+def _plane_rows(rng, n, on_plane):
+    """n rational rows of width 3, the first ``on_plane`` of them (before the
+    shuffle) on a random plane."""
     plane = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(2)]
     rows = []
-    for i in range(12):
-        if i < 9:
+    for i in range(n):
+        if i < on_plane:
             c0, c1 = rng.randint(1, 4), rng.randint(-4, 4)
             v = [c0 * p + c1 * q for p, q in zip(*plane)]
         else:
@@ -309,11 +308,28 @@ def test_amin_golden_planted_plane(capsys, tmp_path):
         d = rng.randint(1, 7)
         rows.append([str(Fraction(x, d)) for x in v])
     rng.shuffle(rows)
+    return rows
+
+
+def test_amin_golden_planted_plane(capsys, tmp_path):
+    # nine of twelve rows span a plane, so with three copies and a rank-3
+    # tail the plane is the minimal tight set
+    rows = _plane_rows(random.Random(1), 12, 9)
     code, out = run_cli(capsys, ["amin"], _copies_with_tail(rows, 3, 3), tmp_path)
     assert code == 0
     result = json.loads(out)["result"]
     assert len(result["min_tight_set"]) == 9 and result["agree"]
     assert _result_digest(out) == "19c186673cf3a026d3c9c72517d3a74d4de8a535fef4784d07bf27f5601d9560"
+
+
+def test_amin_beyond_twenty_labels(capsys, tmp_path):
+    # 18 of 24 rows on a plane; six copies and a rank-6 tail make the plane
+    # tight (18 = 6 + 6 * 2), so it is the minimal tight set
+    rows = _plane_rows(random.Random(2), 24, 18)
+    code, out = run_cli(capsys, ["amin"], _copies_with_tail(rows, 6, 6), tmp_path)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert len(result["min_tight_set"]) == 18 and result["agree"]
 
 
 def test_verify_arrangement_k2_drops_diverged_seed(capsys, tmp_path):

@@ -17,10 +17,9 @@ from matpot import (
     min_tight_set,
     slack_elements,
     solve_partition,
-    tight_sets,
 )
 
-from oracles import brute_partition, rank_bound_holds
+from oracles import brute_partition, rank_bound_holds, tight_sets
 
 
 def test_certificate_example():
@@ -159,13 +158,13 @@ def test_slack_requires_positive_rank():
 def test_tight_sets_preconditions():
     P = PartitionProblem((UniformMatroid(1, 2), LinearMatroid([(1,), (1,)])))
     with pytest.raises(PreconditionError):
-        tight_sets(P)  # last matroid not uniform
+        min_tight_set(P)  # last matroid not uniform
     P2 = PartitionProblem((UniformMatroid(1, 3), UniformMatroid(1, 3)))
     with pytest.raises(PreconditionError):
-        tight_sets(P2)  # no partition of three elements into two rank-1 parts
+        min_tight_set(P2)  # no partition of three elements into two rank-1 parts
     P3 = PartitionProblem((UniformMatroid(2, 2), UniformMatroid(1, 2)))
     with pytest.raises(PreconditionError):
-        tight_sets(P3)  # partition exists but the full set is not tight
+        min_tight_set(P3)  # partition exists but the full set is not tight
 
 
 def test_min_tight_equals_slack_on_random_instances():
@@ -184,3 +183,86 @@ def test_min_tight_equals_slack_on_random_instances():
         assert min_tight_set(P) == slack_elements(P)
         seen += 1
     assert seen >= 20
+
+
+def _linear_with_repeats(rng, n):
+    """Random rational rows with loops (zero rows) and parallel classes."""
+    width = rng.randint(1, 4)
+    rows = []
+    for _ in range(n):
+        u = rng.random()
+        if u < 0.1:
+            rows.append((0,) * width)
+        elif u < 0.4 and rows:
+            q = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+            rows.append(tuple(x * q for x in rng.choice(rows)))
+        else:
+            rows.append(tuple(Fraction(rng.randint(-3, 3)) for _ in range(width)))
+    return LinearMatroid(rows)
+
+
+def test_min_tight_set_is_intersection_of_tight_sets():
+    # the circuit closure against the brute-force lattice; tails of rank l0
+    # make the full set tight, l0 - 1 and l0 + 1 exercise the preconditions
+    rng = random.Random(8128)
+    cases = [
+        (UniformMatroid(3, 3),),
+        (UniformMatroid(2, 2), UniformMatroid(0, 2)),
+        (LinearMatroid([(1, 0), (2, 0), (0, 0), (0, 1)]), UniformMatroid(2, 4)),
+    ]
+    for _ in range(90):
+        n = rng.randint(1, 12)
+        kind = rng.choice(["repeats", "repeats", "uniform", "mixed"])
+        if kind == "repeats":
+            others = (_linear_with_repeats(rng, n),) * rng.randint(1, 3)
+        elif kind == "uniform":
+            others = tuple(UniformMatroid(rng.randint(0, n // 2), n) for _ in range(rng.randint(1, 2)))
+        else:
+            others = (_linear_with_repeats(rng, n), UniformMatroid(rng.randint(0, n // 2), n))
+        l0 = n - sum(M.full_rank for M in others)
+        for l in (l0 - 1, l0, l0 + 1):
+            if 0 <= l <= n:
+                cases.append(others + (UniformMatroid(l, n),))
+    minima = []
+    for matroids in cases:
+        P = PartitionProblem(matroids)
+        family = tight_sets(P)
+        ground = frozenset(P.ground.labels)
+        if rank_bound_holds(P) is not True or ground not in family:
+            with pytest.raises(PreconditionError):
+                min_tight_set(P)
+            continue
+        expected = ground
+        for A in family:
+            expected &= A
+        assert min_tight_set(P) == expected
+        minima.append((len(expected), len(ground)))
+    # empty, proper and full minima all occur
+    assert any(a == 0 for a, _ in minima)
+    assert sum(0 < a < n for a, n in minima) >= 8
+    assert any(a == n > 0 for a, n in minima)
+
+
+def test_min_tight_set_forty_elements():
+    # 40 rational rows of rank 4, 24 of them on a planted plane; with eight
+    # copies and a rank-8 tail the plane is tight (24 = 8 + 8 * 2) and is the
+    # minimal tight set, far beyond any subset enumeration
+    rng = random.Random(3)
+    plane = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(2)]
+    rows = []
+    for i in range(40):
+        if i < 24:
+            c0, c1 = rng.randint(1, 4), rng.randint(-4, 4)
+            v = [c0 * p + c1 * q for p, q in zip(*plane)]
+        else:
+            v = [rng.randint(-9, 9) for _ in range(4)]
+        d = rng.randint(1, 7)
+        rows.append([Fraction(x, d) for x in v])
+    rng.shuffle(rows)
+    M = LinearMatroid(rows)
+    assert M.full_rank == 4
+    P = PartitionProblem((M,) * 8 + (UniformMatroid(8, 40),))
+    minimal = min_tight_set(P)
+    assert len(minimal) == 8 + 8 * M.rank(minimal)
+    assert len(minimal) == 24 and M.rank(minimal) == 2
+    assert minimal == slack_elements(P)

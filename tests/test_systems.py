@@ -24,7 +24,6 @@ from matpot import (
     remainder_alternative,
     remainder_support,
     strong_deficiency_witness,
-    tight_subsets,
 )
 from matpot.systems import _bounded_compositions
 
@@ -32,6 +31,7 @@ from oracles import (
     brute_good_decompositions,
     brute_locally_related,
     brute_strong_decompositions,
+    tight_subsets,
 )
 
 
@@ -287,6 +287,39 @@ def test_tight_subsets_contain_support_and_are_lattice(ctx_u13_m2, u24):
                 assert min_tight_subset(T, l) == remainder_support(T, l)
             else:
                 assert min_tight_subset(T, l) == frozenset()
+
+
+def test_min_tight_subset_is_intersection_of_tight_subsets(u24):
+    # the lifted closure against the brute-force lattice, on matroids with
+    # parallel classes and a loop as well as uniform ones
+    matroids = [
+        UniformMatroid(1, 3),
+        u24,
+        LinearMatroid([(1, 0), (2, 0), (0, 1), (0, 0), (1, 1)]),
+        LinearMatroid([(1, 0, 0), (0, 1, 0), (2, 0, 0), (1, 1, 0), (0, 0, 1)]),
+    ]
+    rng = random.Random(1729)
+    strong = 0
+    for M in matroids:
+        for m in (1, 2, 3):
+            ctx = Context(M, m)
+            for _ in range(30):
+                l = rng.randint(0, 2)
+                mult = [0] * ctx.n
+                for _ in range(m * ctx.k + l):
+                    mult[rng.randrange(ctx.n)] += 1
+                T = ctx.system(mult)
+                if find_strong_decomposition(T, l) is None:
+                    with pytest.raises(PreconditionError):
+                        min_tight_subset(T, l)
+                    continue
+                family = tight_subsets(T, l)
+                expected = T.support
+                for B in family:
+                    expected &= B
+                assert min_tight_subset(T, l) == expected
+                strong += 1
+    assert strong >= 100
 
 
 def test_remainder_support_preconditions(ctx_u13_m2):
