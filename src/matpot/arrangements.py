@@ -306,8 +306,8 @@ def discriminant_probe(data: ArrangementData, z) -> bool:
 def _match_points(reference: np.ndarray, fresh: np.ndarray):
     """Assign each reference point its nearest fresh point, injectively.
 
-    Returns the permuted fresh array, or None when the nearest-point
-    assignment is ambiguous (collision or non-injective match).
+    Returns the index of each reference point's match in ``fresh``, or None
+    when the assignment is ambiguous (collision or non-injective match).
     """
     mu = len(reference)
     if len(fresh) != mu:
@@ -321,7 +321,7 @@ def _match_points(reference: np.ndarray, fresh: np.ndarray):
         row = np.sort(dist[s])
         if len(row) > 1 and row[0] > 0.49 * row[1]:
             return None
-    return fresh[choice]
+    return choice
 
 
 def continue_fiber(
@@ -334,25 +334,22 @@ def continue_fiber(
 
     Nearest-point matching against a freshly computed fiber, with recursive
     path bisection (predictor-corrector with step halving) when the matching
-    is ambiguous; raises ContinuationError when the budget runs out.
+    is ambiguous; raises ContinuationError when the budget runs out.  Each
+    fresh fiber is seeded with the tracked points (used by k >= 2 Newton).
     """
     z_target = np.asarray(z_target, dtype=complex)
     if np.array_equal(frame.z, z_target):
         return frame
 
     def step(current: CriticalPointFrame, target, depth: int) -> CriticalPointFrame:
-        fresh = critical_points(data, target)
-        matched = _match_points(current.points, fresh.points)
-        if matched is None:
+        fresh = critical_points(data, target, seeds=current.points)
+        perm = _match_points(current.points, fresh.points)
+        if perm is None:
             if depth >= max_depth:
                 raise ContinuationError("point tracking lost between fibers")
             mid = (current.z + target) / 2.0
             halfway = step(current, mid, depth + 1)
             return step(halfway, target, depth + 1)
-        perm = []
-        for p in matched:
-            idx = int(np.argmin(np.linalg.norm(fresh.points - p[None, :], axis=1)))
-            perm.append(idx)
         return CriticalPointFrame(
             z=np.asarray(target, dtype=complex),
             points=fresh.points[perm],
@@ -367,11 +364,11 @@ def continue_fiber(
 class ArrangementBackend:
     """Caches fibers and per-z frame data for one arrangement structure."""
 
-    def __init__(self, data: ArrangementData, m: int, flat_basis):
+    def __init__(self, data: ArrangementData, m: int, flat_basis, base_frame: CriticalPointFrame):
         self.data = data
         self.m = m
         self.flat_basis = tuple(tuple(sorted(I)) for I in flat_basis)
-        self.base_frame = critical_points(data, data.basepoint)
+        self.base_frame = base_frame
         self._fibers: dict = {tuple(data.basepoint.tolist()): self.base_frame}
         self._derived: dict = {}
 
@@ -502,7 +499,7 @@ def structure_from_arrangement(
         raise PreconditionError("need m >= 1")
     base_frame = critical_points(data, data.basepoint)
     flat_basis = _choose_flat_basis(data, base_frame)
-    backend = ArrangementBackend(data, m, flat_basis)
+    backend = ArrangementBackend(data, m, flat_basis, base_frame)
     return FlatFrameStructure(
         matroid=data.matroid,
         m=m,
@@ -511,6 +508,5 @@ def structure_from_arrangement(
         higgs=backend.higgs,
         unit=backend.unit,
         form=backend.form,
-        frame_flat=True,
         backend=backend,
     )

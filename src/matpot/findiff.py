@@ -1,10 +1,11 @@
-"""Central finite differences with optional two-step Richardson extrapolation.
+"""Central finite differences with two-step Richardson extrapolation.
 
 Steps are chosen per derivative order to balance truncation against roundoff:
 h = scale * EPS**(1/(order+2)), which is the usual 1e-5 * scale for first
 derivatives and grows for higher orders.  All target functions here are
 holomorphic in the parameters, so differencing along the real axis yields the
-complex derivative.
+complex derivative.  f may return a scalar or an array; an object array of
+Python complex is differenced entrywise in exactly the scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -36,10 +37,8 @@ def multi_partial_fd(f, z, alpha, h: float):
     return partial_fd(lambda w: multi_partial_fd(f, w, rest, h), z, idx, h)
 
 
-def multi_partial(f, z, alpha, h: float, use_richardson: bool = True):
-    """Mixed partial derivative of f at z, optionally Richardson-extrapolated."""
+def multi_partial(f, z, alpha, h: float):
+    """Mixed partial derivative of f at z, Richardson-extrapolated from h and h/2."""
     coarse = multi_partial_fd(f, z, alpha, h)
-    if not use_richardson:
-        return coarse
     fine = multi_partial_fd(f, z, alpha, h / 2.0)
     return (4.0 * fine - coarse) / 3.0

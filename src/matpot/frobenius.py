@@ -15,7 +15,10 @@ from every good decomposition T = T1 + T2 as
     a_T(T1, T2) = (1/T!) * (d^T1 S(C_T2 unit, unit, ..., unit))(x),
 
 the spread across decompositions is recorded (it vanishes for a genuine
-structure), and the mean is stored.
+structure), and the mean is stored.  The good decompositions of T are the
+splits T = alpha + T2 over the strong (mk+1)-systems T2 <= T, so the table is
+read off the pairing vector g(z) = (S(C_T2 unit, unit, ..., unit)(z)) over
+these strong second members, one mixed difference of g per multi-index alpha.
 """
 
 from __future__ import annotations
@@ -27,16 +30,18 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import FlatnessError, PreconditionError, StructureError, WellDefinednessError
+from .errors import (
+    FlatnessError,
+    PreconditionError,
+    SizeLimitError,
+    StructureError,
+    WellDefinednessError,
+)
 from .findiff import default_step, multi_partial
 from .matroids import Matroid
-from .systems import (
-    Context,
-    System,
-    _bounded_compositions,
-    all_good_decompositions,
-    find_strong_decomposition,
-)
+from .systems import Context, System, _bounded_compositions, find_strong_decomposition
+
+MAX_TOTAL = 24  # largest total degree |T| of a second-kind coefficient
 
 
 @dataclass
@@ -45,10 +50,7 @@ class FlatFrameStructure:
 
     higgs(i, z) returns the mu x mu matrix of C_i at z (labels are 1-based),
     unit(z) the coordinates of the unit section, form(z) the m-linear form as
-    an array of shape (mu,) * m; all in the working frame.  frame_flat states
-    that the provider promises the working frame consists of flat sections
-    (then the form and all flat-section coordinates are z-independent, which
-    is exactly what verify_axioms tests).
+    an array of shape (mu,) * m; all in the working frame.
     """
 
     matroid: Matroid
@@ -58,7 +60,6 @@ class FlatFrameStructure:
     higgs: Callable[[int, np.ndarray], np.ndarray]
     unit: Callable[[np.ndarray], np.ndarray]
     form: Callable[[np.ndarray], np.ndarray]
-    frame_flat: bool = True
     backend: Any = None
 
     def __post_init__(self):
@@ -89,11 +90,14 @@ class FlatFrameStructure:
 
 
 class _EvalCache:
-    """Memoizes higgs/unit/form evaluations per base point z."""
+    """Memoizes, per base point z, the higgs/unit/form evaluations or, once it
+    is asked for, the pairing vector over ``members`` (multiplicity tuples T2)."""
 
-    def __init__(self, structure: FlatFrameStructure):
+    def __init__(self, structure: FlatFrameStructure, members=()):
         self.structure = structure
+        self.members = tuple(members)
         self._data: dict = {}
+        self._pairings: dict = {}
 
     def at(self, z):
         zz = np.asarray(z, dtype=complex)
@@ -105,6 +109,19 @@ class _EvalCache:
             u = np.asarray(F.unit(zz), dtype=complex)
             W = np.asarray(F.form(zz), dtype=complex)
             hit = self._data[key] = (H, u, W)
+        return hit
+
+    def pairings(self, z) -> np.ndarray:
+        """g(z) = (S(C_T2 unit, unit, ..., unit)(z)) over the members T2, as an
+        object array of Python complex: differences of g are then entrywise
+        exactly the scalar differences of each pairing."""
+        key = tuple(np.asarray(z, dtype=complex).tolist())
+        hit = self._pairings.get(key)
+        if hit is None:
+            hit = np.empty(len(self.members), dtype=object)
+            hit[:] = [pairing_with_unit(self, t2, z) for t2 in self.members]
+            self._pairings[key] = hit
+            self._data.pop(key, None)  # g is all the table reads at z from now on
         return hit
 
 
@@ -184,7 +201,6 @@ def verify_axioms(
     structure: FlatFrameStructure,
     samples,
     h: float | None = None,
-    use_richardson: bool = True,
     hard_threshold: float | None = 1e-3,
 ) -> AxiomReport:
     """Measure the worst violation of the structure axioms at the samples.
@@ -201,19 +217,7 @@ def verify_axioms(
         h = default_step(F.scale(), order=1)
     n, m = F.n, F.m
     max_inds = F.maximal_independent_sets()
-
-    def fd(fun, z, i):
-        def g(step):
-            zp = np.array(z, dtype=complex)
-            zm = zp.copy()
-            zp[i] += step
-            zm[i] -= step
-            return (fun(zp) - fun(zm)) / (2.0 * step)
-
-        coarse = g(h)
-        if not use_richardson:
-            return coarse
-        return (4.0 * g(h / 2.0) - coarse) / 3.0
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
 
     comm = integ = invari = sect = formflat = 0.0
     count = 0
@@ -229,18 +233,19 @@ def verify_axioms(
                 invari = max(
                     invari, _maxabs(_apply_slot(W, H[a], 0) - _apply_slot(W, H[a], q))
                 )
-        dmat = [[fd(lambda w, jj=jj: cache.at(w)[0][jj], z, i) for jj in range(n)] for i in range(n)]
+        dmat = [[multi_partial(lambda w, jj=jj: cache.at(w)[0][jj], z, e, h) for jj in range(n)]
+                for e in units]
         for i in range(n):
             for j in range(i + 1, n):
                 integ = max(integ, _maxabs(dmat[i][j] - dmat[j][i]))
         for I in max_inds:
-            for i in range(n):
-                dv = fd(
-                    lambda w, I=I: _apply_subset(cache.at(w)[0], I, cache.at(w)[1]), z, i
+            for e in units:
+                dv = multi_partial(
+                    lambda w, I=I: _apply_subset(cache.at(w)[0], I, cache.at(w)[1]), z, e, h
                 )
                 sect = max(sect, _maxabs(dv))
-        for i in range(n):
-            formflat = max(formflat, _maxabs(fd(lambda w: cache.at(w)[2], z, i)))
+        for e in units:
+            formflat = max(formflat, _maxabs(multi_partial(lambda w: cache.at(w)[2], z, e, h)))
     report = AxiomReport(
         commutativity=comm,
         integrability=integ,
@@ -411,19 +416,17 @@ def second_kind_truncation(
     F: FlatFrameStructure,
     n_max: int,
     h: float | None = None,
-    use_richardson: bool = True,
     spread_tol: float = 1e-6,
-    max_total: int = 24,
 ) -> TruncatedPotential:
     """Taylor table of the second-kind potential to total degree n_max.
 
     Coefficients with |T| <= mk, and those whose T has no good decomposition,
     are unconstrained and set to zero.  Every other coefficient is computed
-    once per good decomposition by mixed central differences and averaged;
-    a spread above ``spread_tol`` (relative to the coefficient size) raises
-    WellDefinednessError.
+    once per good decomposition T = alpha + T2 as d^alpha g[T2] / T! and
+    averaged (d^alpha g is taken when the first T needs it); a spread above
+    ``spread_tol`` (relative to the coefficient size) raises
+    WellDefinednessError, and reaching a degree above MAX_TOTAL SizeLimitError.
     """
-    cache = _EvalCache(F)
     ctx = F.context()
     mk = ctx.m * ctx.k
     if n_max < mk + 1:
@@ -432,35 +435,40 @@ def second_kind_truncation(
     scale = F.scale()
     coefficients: dict[tuple[int, ...], complex] = {}
     provenance: dict[tuple[int, ...], CoefficientProvenance] = {}
-    for t in range(0, n_max + 1):
+    for t in range(mk + 1):
         for T in _bounded_compositions(t, (t,) * F.n):
-            if t <= mk:
-                coefficients[T] = 0.0 + 0.0j
-                provenance[T] = CoefficientProvenance("gauge-zero", (), 0.0, 0.0 + 0.0j)
-                continue
-            goods = all_good_decompositions(ctx.system(T), max_total)
-            if not goods:
+            coefficients[T] = 0.0 + 0.0j
+            provenance[T] = CoefficientProvenance("gauge-zero", (), 0.0, 0.0 + 0.0j)
+    for t in range(mk + 1, n_max + 1):
+        if t > MAX_TOTAL:
+            raise SizeLimitError(f"good-decomposition enumeration limited to |T| <= {MAX_TOTAL}")
+        if t == mk + 1:
+            # the strong second members T2, lexicographically; after the size check
+            members = [
+                T2
+                for T2 in _bounded_compositions(t, (t,) * F.n)
+                if find_strong_decomposition(ctx.system(T2), 1) is not None
+            ]
+            cache = _EvalCache(F, members)
+        order = t - mk - 1
+        step = default_step(scale, order) if h is None else h
+        derivatives: dict[tuple[int, ...], np.ndarray] = {}  # d^alpha g for |alpha| = order
+        for T in _bounded_compositions(t, (t,) * F.n):
+            fact = _factorial_multi(T)
+            candidates = []
+            for j, t2 in enumerate(cache.members):
+                if any(a > b for a, b in zip(t2, T)):
+                    continue
+                alpha = tuple(b - a for a, b in zip(t2, T))
+                if alpha not in derivatives:
+                    derivatives[alpha] = (
+                        multi_partial(cache.pairings, x, alpha, step) if order else cache.pairings(x)
+                    )
+                candidates.append((alpha, t2, derivatives[alpha][j] / fact))
+            if not candidates:
                 coefficients[T] = 0.0 + 0.0j
                 provenance[T] = CoefficientProvenance("free-zero", (), 0.0, 0.0 + 0.0j)
                 continue
-            fact = _factorial_multi(T)
-            candidates = []
-            for good in goods:
-                alpha = good.T1.mult
-                order = sum(alpha)
-                t2 = good.T2.mult
-                if order == 0:
-                    raw = pairing_with_unit(cache, t2, x)
-                else:
-                    step = default_step(scale, order) if h is None else h
-                    raw = multi_partial(
-                        lambda z, t2=t2: pairing_with_unit(cache, t2, z),
-                        x,
-                        alpha,
-                        step,
-                        use_richardson=use_richardson,
-                    )
-                candidates.append((alpha, t2, raw / fact))
             values = [c[2] for c in candidates]
             spread = max(
                 (abs(a - b) for a in values for b in values), default=0.0
@@ -509,7 +517,6 @@ def remainder_swap_residual(
     a: int,
     b: int,
     h: float | None = None,
-    use_richardson: bool = True,
 ) -> float:
     """|d_b S(C_{T2} unit, ...) - d_a S(C_{S2} unit, ...)| at the basepoint,
     where S2 swaps one unit of a for one of b in T2.
@@ -532,10 +539,6 @@ def remainder_swap_residual(
     step = default_step(F.scale(), 1) if h is None else h
     alpha_b = tuple(1 if j == b else 0 for j in ctx.matroid.ground.labels)
     alpha_a = tuple(1 if j == a else 0 for j in ctx.matroid.ground.labels)
-    d1 = multi_partial(
-        lambda z: pairing_with_unit(cache, T2.mult, z), x, alpha_b, step, use_richardson
-    )
-    d2 = multi_partial(
-        lambda z: pairing_with_unit(cache, S2.mult, z), x, alpha_a, step, use_richardson
-    )
+    d1 = multi_partial(lambda z: pairing_with_unit(cache, T2.mult, z), x, alpha_b, step)
+    d2 = multi_partial(lambda z: pairing_with_unit(cache, S2.mult, z), x, alpha_a, step)
     return abs(d1 - d2)

@@ -200,6 +200,40 @@ def brute_good_decompositions(T):
     return found
 
 
+def brute_second_kind_candidates(F, n_max):
+    """Second-kind candidates {T: ((T1, T2, value), ...)} for mk < |T| <= n_max,
+    one scalar mixed difference per brute-force good decomposition, T2 in
+    lexicographic order (the per-decomposition loop the table replaces)."""
+    from matpot.findiff import default_step, multi_partial
+    from matpot.frobenius import _EvalCache, _factorial_multi, pairing_with_unit
+
+    ctx = F.context()
+    mk = ctx.m * ctx.k
+    cache = _EvalCache(F)
+    x = F.basepoint
+    out = {}
+    for total in range(mk + 1, n_max + 1):
+        for T in product(range(total + 1), repeat=ctx.n):
+            if sum(T) != total:
+                continue
+            fact = _factorial_multi(T)
+            candidates = []
+            for t1, t2 in sorted(brute_good_decompositions(ctx.system(T)), key=lambda d: d[1]):
+                order = sum(t1)
+                if order == 0:
+                    raw = pairing_with_unit(cache, t2, x)
+                else:
+                    raw = multi_partial(
+                        lambda z, t2=t2: pairing_with_unit(cache, t2, z),
+                        x,
+                        t1,
+                        default_step(F.scale(), order),
+                    )
+                candidates.append((t1, t2, raw / fact))
+            out[T] = tuple(candidates)
+    return out
+
+
 # Closed forms for the two-hyperplane fixture: f_1 = t + z1, f_2 = t + z2,
 # unit weights.  The single critical point is t = -(z1+z2)/2.
 

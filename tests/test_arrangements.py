@@ -53,12 +53,17 @@ def test_critical_point_closed_form(fixture_data):
         assert frame.residuals.max() <= 1e-12
 
 
-def test_k_ge_2_drops_non_finite_newton_results():
-    data = ArrangementData(
+def _rank2_data():
+    """Rank-2 instance with mu = 8 on which one seed of the vertex cloud diverges."""
+    return ArrangementData(
         [(-1, -1), (0, 1), (0, 1), (2, 3), (1, 2), (-3, -3)],
         [2, 3, 3, 3, 3, 1],
         [-0.1 + 0.2j, 1.8 + 0.1j, 0.3 - 0.2j, -1.6 + 0.2j, 1.6 + 0.2j, 0.8],
     )
+
+
+def test_k_ge_2_drops_non_finite_newton_results():
+    data = _rank2_data()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a diverging seed must not warn either
         frame = critical_points(data, data.basepoint)
@@ -98,6 +103,29 @@ def test_continuation_tracks_points(random_k1_instances):
     # same fiber as a set, labels consistent with nearest-point tracking
     dist = np.abs(moved.points[:, 0][:, None] - fresh.points[:, 0][None, :])
     assert dist.min(axis=1).max() < 1e-9
+    assert len(set(dist.argmin(axis=1).tolist())) == moved.mu
+
+
+def test_continuation_seeds_with_tracked_points(monkeypatch):
+    # the vertex cloud is built once, for the basepoint fiber; the structure
+    # reuses that fiber and continuation starts Newton at the tracked points
+    real = matpot.arrangements._vertex_seed_cloud
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", counting)
+    data = _rank2_data()
+    F = structure_from_arrangement(data, 1, allow_k_ge_2=True)
+    z = data.basepoint + np.array([0.011, -0.007j, 0.004, 0.009j, -0.013, 0.006])
+    moved = F.backend.fiber(z)
+    assert len(calls) == 1
+    fresh = critical_points(data, z)
+    assert moved.mu == fresh.mu == 8
+    dist = np.linalg.norm(moved.points[:, None, :] - fresh.points[None, :, :], axis=2)
+    assert dist.min(axis=1).max() < 1e-8
     assert len(set(dist.argmin(axis=1).tolist())) == moved.mu
 
 

@@ -1,13 +1,16 @@
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
+import matpot.frobenius
 from matpot import (
     FlatFrameStructure,
     LinearMatroid,
     PreconditionError,
+    SizeLimitError,
     StructureError,
     UniformMatroid,
     check_first_kind,
@@ -19,6 +22,8 @@ from matpot import (
     verify_axioms,
 )
 from matpot.frobenius import HomogeneousPolynomial
+
+from oracles import brute_second_kind_candidates
 
 
 def _constant_structure(matroid, m, mu, higgs_mats, weights):
@@ -148,6 +153,58 @@ def test_second_kind_defining_property(all_structures):
         assert check_second_kind(F, L) <= 1e-6
 
 
+def test_second_kind_matches_per_decomposition_oracle(all_structures):
+    # reading the table off the pairing vector gives, bit for bit, the
+    # candidates of one scalar difference per brute-force good decomposition
+    for F in all_structures:
+        mk = F.m * F.k
+        L = second_kind_truncation(F, mk + 3)
+        want = brute_second_kind_candidates(F, mk + 3)
+        assert {T for T in L.provenance if sum(T) > mk} == set(want)
+        for T, prov in L.provenance.items():
+            if sum(T) <= mk:
+                assert prov.kind == "gauge-zero"
+                continue
+            assert prov.candidates == want[T]
+            assert prov.kind == ("averaged" if want[T] else "free-zero")
+
+
+def test_second_kind_one_difference_per_multi_index(random_k1_structures, monkeypatch):
+    real = matpot.frobenius.multi_partial
+    alphas = []
+
+    def counting(f, z, alpha, *args, **kwargs):
+        alphas.append(tuple(alpha))
+        return real(f, z, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(matpot.frobenius, "multi_partial", counting)
+    F = random_k1_structures[1]
+    assert F.n == 4
+    mk = F.m * F.k
+    second_kind_truncation(F, mk + 3)
+    expected = [a for a in product(range(3), repeat=F.n) if 1 <= sum(a) <= 2]
+    assert sorted(alphas) == sorted(expected)
+
+
+def test_second_kind_size_limit():
+    # mk = 23: degree 24 needs no difference, degree 25 exceeds the bound
+    m = 23
+    F = FlatFrameStructure(
+        matroid=UniformMatroid(1, 2),
+        m=m,
+        basepoint=np.zeros(2),
+        mu=1,
+        higgs=lambda i, z: np.array([[float(i)]]),
+        unit=lambda z: np.ones(1, dtype=complex),
+        form=lambda z: np.ones((1,) * m, dtype=complex),
+    )
+    L = second_kind_truncation(F, 24)
+    expected = 2**4 / (math.factorial(20) * math.factorial(4))
+    assert L.coefficient((20, 4)) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(SizeLimitError, match=r"\|T\| <= 24"):
+        second_kind_truncation(F, 25)
+
+
 def test_locally_related_candidates_agree_before_averaging(random_k1_structures):
     from matpot import all_good_decompositions, locally_related
 
@@ -173,7 +230,7 @@ def test_locally_related_candidates_agree_before_averaging(random_k1_structures)
 def test_fd_convergence_second_order(fixture_structure):
     # halving the step shrinks the plain central-difference error about
     # fourfold; reference is the closed form d/dz1 of 1/(z1 - z2)
-    from matpot.findiff import multi_partial
+    from matpot.findiff import multi_partial_fd
     from matpot.frobenius import _EvalCache, pairing_with_unit
 
     F = fixture_structure
@@ -182,10 +239,7 @@ def test_fd_convergence_second_order(fixture_structure):
     exact = -1.0 / (x[0] - x[1]) ** 2
 
     def err(h):
-        fd = multi_partial(
-            lambda z: pairing_with_unit(cache, (2, 1), z), x, (1, 0), h,
-            use_richardson=False,
-        )
+        fd = multi_partial_fd(lambda z: pairing_with_unit(cache, (2, 1), z), x, (1, 0), h)
         return abs(fd - exact)
 
     assert err(2e-2) / err(1e-2) == pytest.approx(4.0, rel=0.3)
@@ -257,7 +311,6 @@ def test_verify_axioms_flags_nonflat_frame():
         higgs=higgs,
         unit=lambda z: np.ones(1, dtype=complex),
         form=lambda z: np.ones((1, 1), dtype=complex),
-        frame_flat=False,
     )
     report = verify_axioms(F, [F.basepoint], hard_threshold=None)
     assert report.section_flatness > 1e-3
