@@ -9,9 +9,11 @@ and nonzero weights a_i.  The master function
 has, for z off the discriminant, finitely many nondegenerate fiberwise
 critical points t^1, ..., t^mu; functions on those points form the fiber
 algebra.  In that diagonal picture the Higgs matrices are diag(a_i / f_i),
-the unit is the all-ones vector, and the residue pairing is
+the unit is the all-ones vector, and the residue pairing is the bilinear form
 
-    S(h_1, ..., h_m) = sum_s h_1(t^s) ... h_m(t^s) / det Hess_t Phi(t^s).
+    S(h_1, h_2) = sum_s h_1(t^s) h_2(t^s) / det Hess_t Phi(t^s),
+
+so the structures built here have order (n, k, 2); other m are refused.
 
 To present this as a FlatFrameStructure the working frame is changed to mu
 of the sections C_I (unit) for maximal independent index sets I: those
@@ -361,12 +363,26 @@ def continue_fiber(
     return step(frame, z_target, 0)
 
 
+def _p_values(data: ArrangementData, z, frame: CriticalPointFrame) -> np.ndarray:
+    """Matrix P[i, s] = a_i / f_i(t^s, z) of Higgs eigenvalues."""
+    fvals = data.hyperplane_values(z, frame.points)  # (mu, n)
+    return (data.a[None, :] / fvals).T
+
+
+def _sections(P: np.ndarray, sets) -> np.ndarray:
+    """Columns: diagonal-frame values of C_I (unit) for each index set I."""
+    U = np.ones((P.shape[1], len(sets)), dtype=complex)
+    for c, I in enumerate(sets):
+        for i in I:
+            U[:, c] *= P[i - 1]
+    return U
+
+
 class ArrangementBackend:
     """Caches fibers and per-z frame data for one arrangement structure."""
 
-    def __init__(self, data: ArrangementData, m: int, flat_basis, base_frame: CriticalPointFrame):
+    def __init__(self, data: ArrangementData, flat_basis, base_frame: CriticalPointFrame):
         self.data = data
-        self.m = m
         self.flat_basis = tuple(tuple(sorted(I)) for I in flat_basis)
         self.base_frame = base_frame
         self._fibers: dict = {tuple(data.basepoint.tolist()): self.base_frame}
@@ -382,25 +398,16 @@ class ArrangementBackend:
 
     def p_values(self, z) -> np.ndarray:
         """Matrix P[i, s] = a_i / f_i(t^s, z) of Higgs eigenvalues."""
-        frame = self.fiber(z)
-        fvals = self.data.hyperplane_values(z, frame.points)  # (mu, n)
-        return (self.data.a[None, :] / fvals).T
-
-    def residue_weights(self, z) -> np.ndarray:
-        return 1.0 / self.fiber(z).det_hess
+        return _p_values(self.data, z, self.fiber(z))
 
     def _frame_data(self, z):
+        """(P, flat-frame columns U, residue weights 1 / det Hess) at z."""
         key = tuple(np.asarray(z, dtype=complex).tolist())
         hit = self._derived.get(key)
         if hit is None:
-            P = self.p_values(z)
-            mu = P.shape[1]
-            U = np.ones((mu, len(self.flat_basis)), dtype=complex)
-            for c, I in enumerate(self.flat_basis):
-                for i in I:
-                    U[:, c] *= P[i - 1]
-            w = self.residue_weights(z)
-            hit = self._derived[key] = (P, U, w)
+            frame = self.fiber(z)
+            P = _p_values(self.data, z, frame)
+            hit = self._derived[key] = (P, _sections(P, self.flat_basis), 1.0 / frame.det_hess)
         return hit
 
     def higgs(self, label, z):
@@ -413,14 +420,11 @@ class ArrangementBackend:
 
     def form(self, z):
         _, U, w = self._frame_data(z)
-        letters = "abcdefghij"[: self.m]
-        subs = ",".join(f"s{c}" for c in letters) + ",s->" + letters
-        return np.einsum(subs, *([U] * self.m), w)
+        return np.einsum("sa,sb,s->ab", U, U, w)
 
     def diagonal_form(self, z, vectors):
         """Residue pairing of value vectors in the critical-point frame."""
-        w = self.residue_weights(z)
-        out = w.copy()
+        out = self._frame_data(z)[2]
         for v in vectors:
             out = out * np.asarray(v, dtype=complex)
         return complex(np.sum(out))
@@ -434,72 +438,59 @@ class ArrangementBackend:
     def section_matrix(self, z) -> np.ndarray:
         """Columns: diagonal-frame values of C_I (unit) for every maximal
         independent I, in lexicographic order of I."""
-        P = self.p_values(z)
-        sets = [tuple(sorted(B)) for B in self.data.matroid.bases()]
-        mu = P.shape[1]
-        V = np.ones((mu, len(sets)), dtype=complex)
-        for c, I in enumerate(sets):
-            for i in I:
-                V[:, c] *= P[i - 1]
-        return V
+        return _sections(self.p_values(z), [tuple(sorted(B)) for B in self.data.matroid.bases()])
 
     def generation_rank(self, z) -> int:
         V = self.section_matrix(z)
         return int(np.linalg.matrix_rank(V, tol=1e-9 * max(1.0, float(np.max(np.abs(V))))))
 
     def pairing_condition(self, z) -> float:
-        """Condition number of the flat-frame pairing matrix (m = 2 only)."""
-        if self.m != 2:
-            raise PreconditionError("pairing condition is defined for m = 2")
+        """Condition number of the flat-frame pairing matrix."""
         return float(np.linalg.cond(self.form(z)))
 
 
 def _choose_flat_basis(data: ArrangementData, frame: CriticalPointFrame):
     """Greedily pick mu maximal independent sets whose sections span the fiber."""
-    fvals = data.hyperplane_values(data.basepoint, frame.points)
-    P = (data.a[None, :] / fvals).T
-    mu = frame.mu
     sets = [tuple(sorted(B)) for B in data.matroid.bases()]
+    V = _sections(_p_values(data, data.basepoint, frame), sets)
     chosen = []
-    basis_cols = []
-    for I in sets:
-        col = np.ones(mu, dtype=complex)
-        for i in I:
-            col *= P[i - 1]
-        trial = basis_cols + [col]
-        M = np.array(trial).T
-        if np.linalg.matrix_rank(M, tol=1e-9 * max(1.0, float(np.max(np.abs(M))))) == len(trial):
-            chosen.append(I)
-            basis_cols.append(col)
-        if len(chosen) == mu:
+    for c in range(len(sets)):
+        M = V[:, chosen + [c]]
+        if np.linalg.matrix_rank(M, tol=1e-9 * max(1.0, float(np.max(np.abs(M))))) == M.shape[1]:
+            chosen.append(c)
+        if len(chosen) == frame.mu:
             break
-    if len(chosen) < mu:
+    if len(chosen) < frame.mu:
         raise StructureError(
             "the flat sections do not span the fiber (generation condition fails); "
             "no flat frame can be assembled"
         )
-    return chosen
+    return [sets[c] for c in chosen]
 
 
 def structure_from_arrangement(
     data: ArrangementData, m: int, allow_k_ge_2: bool = False
 ) -> FlatFrameStructure:
-    """FlatFrameStructure of order (n, k, m) backed by the arrangement family.
+    """FlatFrameStructure of order (n, k, 2) backed by the arrangement family.
 
-    The working frame consists of mu flat sections C_I (unit) chosen at the
-    basepoint; Higgs matrices, unit, and form are conjugated into it, and the
-    critical points entering every evaluation are tracked by continuation so
-    frames are consistent across z.
+    The residue pairing of an arrangement family is bilinear, so ``m`` must
+    be 2; every other order raises PreconditionError.  The working frame
+    consists of mu flat sections C_I (unit) chosen at the basepoint; Higgs
+    matrices, unit, and form are conjugated into it, and the critical points
+    entering every evaluation are tracked by continuation so frames are
+    consistent across z.
     """
     if data.k >= 2 and not allow_k_ge_2:
         raise PreconditionError(
             "k >= 2 critical-point solving is experimental; pass allow_k_ge_2=True"
         )
-    if m < 1:
-        raise PreconditionError("need m >= 1")
+    if m != 2:
+        raise PreconditionError(
+            f"arrangement families give structures of order (n, k, 2) only, got m={m}"
+        )
     base_frame = critical_points(data, data.basepoint)
     flat_basis = _choose_flat_basis(data, base_frame)
-    backend = ArrangementBackend(data, m, flat_basis, base_frame)
+    backend = ArrangementBackend(data, flat_basis, base_frame)
     return FlatFrameStructure(
         matroid=data.matroid,
         m=m,

@@ -210,17 +210,15 @@ def _cmd_verify_arrangement(args) -> dict:
     )
     x = structure.basepoint
     ones = np.ones(structure.mu, dtype=complex)
-    result = {
+    return {
         "mu": structure.mu,
         "bases": [subset_to_json(B) for B in structure.matroid.bases()],
         "report": report.as_dict(),
         "x_field_residual": backend.x_field_residual(x),
         "generation_rank": backend.generation_rank(x),
-        "pairing_unit": complex_to_json(backend.diagonal_form(x, [ones] * m)),
+        "pairing_unit": complex_to_json(backend.diagonal_form(x, [ones, ones])),
+        "pairing_condition": backend.pairing_condition(x),
     }
-    if m == 2:
-        result["pairing_condition"] = backend.pairing_condition(x)
-    return result
 
 
 def build_parser() -> argparse.ArgumentParser:

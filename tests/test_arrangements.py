@@ -118,7 +118,7 @@ def test_continuation_seeds_with_tracked_points(monkeypatch):
 
     monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", counting)
     data = _rank2_data()
-    F = structure_from_arrangement(data, 1, allow_k_ge_2=True)
+    F = structure_from_arrangement(data, 2, allow_k_ge_2=True)
     z = data.basepoint + np.array([0.011, -0.007j, 0.004, 0.009j, -0.013, 0.006])
     moved = F.backend.fiber(z)
     assert len(calls) == 1
@@ -223,6 +223,15 @@ def test_k_ge_2_requires_flag():
     )
     with pytest.raises(PreconditionError):
         structure_from_arrangement(data, 2)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_structure_refuses_orders_other_than_two(fixture_data, m):
+    # the residue pairing is bilinear: only m = 2 gives a flat form
+    with pytest.raises(PreconditionError):
+        structure_from_arrangement(fixture_data, m)
+    with pytest.raises(PreconditionError):
+        structure_from_arrangement(_rank2_data(), m, allow_k_ge_2=True)
 
 
 def test_k_ge_2_experimental_solver_finds_critical_points():

@@ -190,6 +190,15 @@ def test_verify_arrangement(capsys, tmp_path):
     assert result["bases"] == [[1], [2]]
 
 
+@pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_arrangement_order_other_than_two_is_refused(capsys, tmp_path, command, m):
+    payload = {"B": [[1], [1]], "a": [1, 1], "x": [1, -1], "m": m}
+    code, out = run_cli(capsys, [command], payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
 def test_output_is_byte_identical(capsys, tmp_path):
     payload = {"matroid": {"type": "uniform", "l": 1, "n": 3}, "m": 2, "T": [2, 1, 1]}
     _, first = run_cli(capsys, ["equivalence"], payload, tmp_path)
@@ -339,8 +348,10 @@ def test_verify_arrangement_k2_drops_diverged_seed(capsys, tmp_path):
         "B": [[-1, -1], [0, 1], [0, 1], [2, 3], [1, 2], [-3, -3]],
         "a": [2, 3, 3, 3, 3, 1],
         "x": [[-0.1, 0.2], [1.8, 0.1], [0.3, -0.2], [-1.6, 0.2], [1.6, 0.2], 0.8],
-        "m": 1,
+        "m": 2,
     }
     code, out = run_cli(capsys, ["verify-arrangement", "--allow-k-ge-2"], payload, tmp_path)
     assert code == 0
-    assert json.loads(out)["result"]["mu"] == 8
+    result = json.loads(out)["result"]
+    assert result["mu"] == 8
+    assert result["report"]["max_violation"] <= 1e-6
