@@ -16,18 +16,21 @@ integer vector.  Relative to a matroid of rank k and a number of blocks m:
 
 Sharing all m bases means the second members are T2 = U + [r] and
 T2' = U + [r'] for one sum U of m bases.  So distinct T2, T2' are locally
-related exactly when l1(T2, T2') == 2 and min(T2, T2') (componentwise) is
-strong with l = 0: one partition call per candidate edge, no search over
+related exactly when T2' = T2 - [a] + [b] for labels a != b and
+T2 - [a] = min(T2, T2') (componentwise) is strong with l = 0: no search over
 bases.  Strong-decomposition outcomes are memoized per ``Context``.
 
 ``equivalence_report`` materializes the graph of good decompositions with
-local relations as edges; ``descent_move`` constructs, from two distinct good
+local relations as edges.  It looks up each node's l1 neighbours instead of
+testing every pair, and makes one partition call per shared system T2 - [a]
+that has a neighbour.  ``descent_move`` constructs, from two distinct good
 decompositions, the explicit exchange that brings their second members
 strictly closer in the l1 metric while staying inside one equivalence class.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -63,7 +66,7 @@ class Context:
         return self.matroid.full_rank
 
     def system(self, mult) -> "System":
-        return System(self, tuple(int(v) for v in mult))
+        return System(self, tuple(_multiplicity(v) for v in mult))
 
     def unit(self, j: int) -> "System":
         self.matroid.ground.check_subset([j])
@@ -86,6 +89,17 @@ class Context:
         return {}
 
 
+def _multiplicity(v):
+    """v as an int when it is an integer (numpy integers included) other than a
+    bool; anything else unchanged, for ``System`` to refuse."""
+    if type(v) is int or isinstance(v, bool):
+        return v
+    try:
+        return operator.index(v)
+    except TypeError:
+        return v
+
+
 @dataclass(frozen=True)
 class System:
     """A multiset of labels as a dense multiplicity vector."""
@@ -98,7 +112,7 @@ class System:
             raise ArityError(
                 f"multiplicity vector has length {len(self.mult)}, ground set has {self.ctx.n}"
             )
-        if any(not isinstance(v, int) or v < 0 for v in self.mult):
+        if any(type(v) is not int or v < 0 for v in self.mult):
             raise ArityError("multiplicities must be nonnegative integers")
 
     @property
@@ -314,7 +328,9 @@ def locally_related(d1: GoodDecomposition, d2: GoodDecomposition) -> bool:
 
     Decided by the l1 rule: equal second members are related; distinct ones
     are related iff l1(d1.T2, d2.T2) == 2 and their componentwise minimum is
-    strong with l = 0.
+    strong with l = 0.  This is the pairwise definition; ``equivalence_report``
+    finds the same relations by neighbour lookup, and the tests keep this
+    function as its reference.
     """
     if d1.whole != d2.whole:
         raise PreconditionError("good decompositions do not decompose the same system")
@@ -340,7 +356,19 @@ class EquivalenceReport:
 
 
 def equivalence_report(T: System, max_total: int = 24) -> EquivalenceReport:
+    """The good decompositions of T, their local relations and equivalence classes.
+
+    Nodes are ordered lexicographically by T2.  Distinct nodes i, j are
+    related iff T2_j = T2_i - [a] + [b] and T2_i - [a] is strong with l = 0
+    (the l1 rule of ``locally_related``).  So instead of testing all N^2
+    pairs, each node looks up its at most |supp T2| * (n - 1) neighbours in an
+    index of second members, and makes one memoized strong-decomposition
+    call per label a that has a neighbour j > i: O(N * n^2) lookups in all.
+    Edges (i, j) have i < j and are listed by i, then j, ascending.
+    """
     nodes = all_good_decompositions(T, max_total)
+    ctx = T.ctx
+    index = {d.T2.mult: i for i, d in enumerate(nodes)}
     edges = []
     parent = list(range(len(nodes)))
 
@@ -350,11 +378,26 @@ def equivalence_report(T: System, max_total: int = 24) -> EquivalenceReport:
             i = parent[i]
         return i
 
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            if locally_related(nodes[i], nodes[j]):
-                edges.append((i, j))
-                parent[find(i)] = find(j)
+    for i, d in enumerate(nodes):
+        related = []
+        for a, va in enumerate(d.T2.mult):
+            if not va:
+                continue
+            shared = list(d.T2.mult)
+            shared[a] -= 1
+            hits = []
+            for b in range(ctx.n):
+                if b != a:
+                    shared[b] += 1
+                    j = index.get(tuple(shared))
+                    shared[b] -= 1
+                    if j is not None and j > i:
+                        hits.append(j)
+            if hits and find_strong_decomposition(ctx.system(shared), 0) is not None:
+                related.extend(hits)
+        for j in sorted(related):
+            edges.append((i, j))
+            parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(len(nodes)):
         groups.setdefault(find(i), []).append(i)

@@ -1,8 +1,11 @@
 """Brute-force oracles, independent of the library's algorithms.
 
 Everything here enumerates exhaustively (colorings, token assignments,
-subsets) or evaluates hand-derived closed forms for the two-hyperplane
+subsets, pairs) or evaluates hand-derived closed forms for the two-hyperplane
 fixture, so library results can be checked against an unrelated code path.
+``pairwise_edges`` is the one exception: it applies the library's pairwise
+``locally_related`` to every pair, as the reference for the neighbour lookup
+of ``equivalence_report``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from matpot import DeficiencyWitness, SizeLimitError
+from matpot import DeficiencyWitness, SizeLimitError, locally_related
 
 
 def subsets(elems):
@@ -177,6 +180,39 @@ def brute_locally_related(d1, d2):
     parts1 = {parts for parts, _ in brute_strong_decompositions(d1.T2, 1)}
     parts2 = {parts for parts, _ in brute_strong_decompositions(d2.T2, 1)}
     return bool(parts1 & parts2)
+
+
+def pairwise_edges(nodes):
+    """Every pair i < j of good decompositions with ``locally_related`` true,
+    found by testing all N(N-1)/2 pairs, in lexicographic order."""
+    return tuple(
+        (i, j)
+        for i, j in combinations(range(len(nodes)), 2)
+        if locally_related(nodes[i], nodes[j])
+    )
+
+
+def edge_components(count, edges):
+    """Connected components of the graph on range(count), each sorted, ordered
+    by least member; found by depth-first search."""
+    adjacent = {i: set() for i in range(count)}
+    for i, j in edges:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    seen, out = set(), []
+    for start in range(count):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, comp = [start], []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adjacent[v] - seen:
+                seen.add(w)
+                stack.append(w)
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
 
 
 def brute_good_decompositions(T):

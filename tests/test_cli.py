@@ -86,6 +86,20 @@ def test_equivalence_roadmap_system_golden(capsys, tmp_path):
     assert digest == "50668fc1aff27c29198b0010e5b4b307e627306b062c28d00e4cddf1765d2c1d"
 
 
+@pytest.mark.parametrize("bad", [2.7, "2", True])
+@pytest.mark.parametrize("command", ["equivalence", "strong-decompose"])
+def test_non_integer_multiplicity_is_refused(capsys, tmp_path, command, bad):
+    payload = {"matroid": {"type": "uniform", "l": 1, "n": 3}, "m": 2, "T": [bad, 1, 1]}
+    if command == "strong-decompose":
+        payload["l"] = 2
+    code, out = run_cli(capsys, [command], payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "arity",
+        "message": "multiplicities must be nonnegative integers",
+    }
+
+
 def test_amin_output(capsys, tmp_path):
     payload = {
         "ground": 3,

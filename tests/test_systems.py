@@ -3,6 +3,7 @@ import random
 import weakref
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from matpot import (
@@ -12,6 +13,7 @@ from matpot import (
     LinearMatroid,
     PreconditionError,
     StrongDecomposition,
+    System,
     UniformMatroid,
     all_good_decompositions,
     descent_move,
@@ -31,8 +33,14 @@ from oracles import (
     brute_good_decompositions,
     brute_locally_related,
     brute_strong_decompositions,
+    edge_components,
+    pairwise_edges,
     tight_subsets,
 )
+
+ROADMAP_MATROID = LinearMatroid([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (3, 1)])
+# labels 1 and 2 are parallel, label 4 is a loop
+PARALLEL_LOOP = LinearMatroid([(1, 0), (2, 0), (0, 1), (0, 0), (1, 1)])
 
 
 def test_is_base_examples(u13, linear_pairs):
@@ -101,6 +109,20 @@ def test_arity_errors(ctx_u13_m2):
         find_strong_decomposition(ctx_u13_m2.system((1, 0, 0)), 1)
     with pytest.raises(ArityError):
         all_good_decompositions(ctx_u13_m2.system((1, 1, 0)))
+
+
+@pytest.mark.parametrize("bad", [2.7, "2", True, np.True_])
+def test_system_rejects_non_integer_multiplicities(ctx_u13_m2, bad):
+    with pytest.raises(ArityError, match="nonnegative integers"):
+        ctx_u13_m2.system((bad, 1, 1))
+    with pytest.raises(ArityError, match="nonnegative integers"):
+        System(ctx_u13_m2, (bad, 1, 1))
+
+
+def test_system_accepts_numpy_integers(ctx_u13_m2):
+    T = ctx_u13_m2.system(np.array([2, 1, 1], dtype=np.int64))
+    assert T.mult == (2, 1, 1)
+    assert all(type(v) is int for v in T.mult)
 
 
 def test_strong_outcome_matches_bruteforce(ctx_u13_m2, u24):
@@ -250,6 +272,65 @@ def test_equivalence_sweep_small(linear_pairs):
                 report = equivalence_report(ctx.system(mult))
                 if report.nodes:
                     assert report.component_count == 1
+
+
+def _check_against_pairwise(T):
+    report = equivalence_report(T)
+    edges = pairwise_edges(report.nodes)
+    assert report.edges == edges
+    assert report.components == edge_components(len(report.nodes), edges)
+    return report
+
+
+def test_equivalence_edges_match_pairwise_definition(u13, u24):
+    rng = random.Random(7)
+    nodes = near_misses = 0
+    for M in (u13, u24, UniformMatroid(2, 5), PARALLEL_LOOP):
+        for m in (1, 2, 3):
+            ctx = Context(M, m)
+            for _ in range(4):
+                T = ctx.zero()
+                for _ in range(m):
+                    T = T + rng.choice(ctx.base_systems)
+                for _ in range(rng.randint(1, 4)):
+                    T = T + ctx.unit(rng.randint(1, ctx.n))
+                report = _check_against_pairwise(T)
+                nodes += len(report.nodes)
+                edges = set(report.edges)
+                near_misses += sum(
+                    1
+                    for i in range(len(report.nodes))
+                    for j in range(i + 1, len(report.nodes))
+                    if (i, j) not in edges
+                    and l1_distance(report.nodes[i].T2, report.nodes[j].T2) == 2
+                )
+    assert nodes > 0
+    # some pairs at l1 distance 2 are not related, so the strong test decides edges
+    assert near_misses > 0
+
+
+def test_equivalence_roadmap_491_nodes_match_pairwise_definition():
+    report = _check_against_pairwise(Context(ROADMAP_MATROID, 3).system((4, 3, 3, 3, 3, 3)))
+    assert len(report.nodes) == 491
+    assert report.component_count == 1
+
+
+@pytest.mark.parametrize(
+    "matroid, m, mult",
+    [
+        # at T2 = (2, 1, 0) the shared system (1, 1, 0) has no neighbour
+        (UniformMatroid(1, 3), 2, (3, 1, 0)),
+        (UniformMatroid(2, 4), 2, (2, 2, 1, 2)),
+        (PARALLEL_LOOP, 2, (2, 1, 2, 1, 2)),
+        (ROADMAP_MATROID, 3, (3, 2, 2, 2, 2, 2)),
+    ],
+)
+def test_equivalence_lookup_makes_the_pairwise_strong_queries(matroid, m, mult):
+    lookup, pairwise = Context(matroid, m), Context(matroid, m)
+    equivalence_report(lookup.system(mult))
+    pairwise_edges(all_good_decompositions(pairwise.system(mult)))
+    assert set(lookup._strong_memo) == set(pairwise._strong_memo)
+    assert any(l == 0 for _, l in lookup._strong_memo)
 
 
 def test_tight_subsets_examples(ctx_u13_m2):
