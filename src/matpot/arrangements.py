@@ -208,22 +208,18 @@ def critical_points(
     data: ArrangementData,
     z,
     seeds=None,
-    hyper_margin: float | None = None,
-    dist_margin: float | None = None,
-    hess_margin: float = 1e-12,
 ) -> CriticalPointFrame:
     """All fiberwise critical points over z, Newton-refined and validated.
 
-    Raises DiscriminantError when points coincide, land on a hyperplane, or
-    have (nearly) singular Hessians.  For k >= 2 pass explicit ``seeds`` or
-    rely on the deterministic random cloud (experimental).
+    Raises DiscriminantError when points coincide or land on a hyperplane
+    (within 1e-8 * (1 + max |z_i|)), or have (nearly) singular Hessians
+    (|det| < 1e-12).  For k >= 2 pass explicit ``seeds`` or rely on the
+    deterministic random cloud (experimental).
     """
     z = np.asarray(z, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(z)))
-    if hyper_margin is None:
-        hyper_margin = 1e-8 * scale
-    if dist_margin is None:
-        dist_margin = 1e-8 * scale
+    hyper_margin = dist_margin = 1e-8 * scale
+    hess_margin = 1e-12
     if data.k == 1:
         raw, expected = _k1_candidate_roots(data, z)
         candidates = [np.array([r]) for r in raw]
@@ -330,15 +326,15 @@ def continue_fiber(
     data: ArrangementData,
     frame: CriticalPointFrame,
     z_target,
-    max_depth: int = 40,
 ) -> CriticalPointFrame:
     """Track the critical points of ``frame`` to the fiber over z_target.
 
     Nearest-point matching against a freshly computed fiber, with recursive
     path bisection (predictor-corrector with step halving) when the matching
-    is ambiguous; raises ContinuationError when the budget runs out.  Each
-    fresh fiber is seeded with the tracked points (used by k >= 2 Newton).
+    is ambiguous; raises ContinuationError after 40 halvings.  Each fresh
+    fiber is seeded with the tracked points (used by k >= 2 Newton).
     """
+    max_depth = 40
     z_target = np.asarray(z_target, dtype=complex)
     if np.array_equal(frame.z, z_target):
         return frame

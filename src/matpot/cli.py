@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -41,14 +42,16 @@ from .partition import (
 from .systems import Context, equivalence_report, find_strong_decomposition, strong_deficiency_witness
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("MATPOT_TOL")
-    if raw is None:
-        return 1e-6
+def _spread_tol(flag: float | None) -> float:
+    """``--tol``, else MATPOT_TOL, else 1e-6; finite and >= 0 or a schema error."""
+    raw = os.environ.get("MATPOT_TOL", 1e-6) if flag is None else flag
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise SchemaError(f"MATPOT_TOL is not a number: {raw!r}") from exc
+    if not (math.isfinite(tol) and tol >= 0):
+        raise SchemaError(f"the spread tolerance must be a finite number >= 0, got {raw!r}")
+    return tol
 
 
 def _load_input(args) -> dict:
@@ -176,7 +179,7 @@ def _cmd_potentials(args) -> dict:
     n_max = args.n_max
     if n_max is None:
         n_max = obj.get("N_max", ctx.m * ctx.k + 3)
-    if not isinstance(n_max, int):
+    if not isinstance(n_max, int) or isinstance(n_max, bool):
         raise SchemaError("N_max must be an integer")
     Q = first_kind_polynomial(structure)
     L = second_kind_truncation(
@@ -291,8 +294,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     envelope = {"version": __version__, "command": args.command}
     try:
-        if getattr(args, "tol", None) is None and hasattr(args, "tol"):
-            args.tol = _default_tol()
+        if hasattr(args, "tol"):
+            args.tol = _spread_tol(args.tol)
         envelope["result"] = args.handler(args)
     except InternalError as exc:
         envelope["error"] = {"code": exc.code, "message": str(exc)}

@@ -171,13 +171,9 @@ class AxiomReport:
 
     @property
     def max_violation(self) -> float:
-        return max(
-            self.commutativity,
-            self.integrability,
-            self.higgs_invariance,
-            self.section_flatness,
-            self.form_flatness,
-        )
+        """The worst of the five measures, NaN if one of them is NaN."""
+        return float(np.max([self.commutativity, self.integrability, self.higgs_invariance,
+                             self.section_flatness, self.form_flatness]))
 
     def as_dict(self) -> dict:
         return {
@@ -192,9 +188,15 @@ class AxiomReport:
         }
 
 
-def _maxabs(arr) -> float:
+def _worst(current: float, arr) -> float:
+    """max(current, max |arr|), keeping a NaN: a 0/0 difference is no pass."""
     arr = np.asarray(arr)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.maximum(current, np.max(np.abs(arr)))) if arr.size else current
+
+
+def _check_step(h) -> None:
+    if h is not None and not (math.isfinite(h) and h > 0):
+        raise PreconditionError(f"the difference step h must be finite and > 0, got {h!r}")
 
 
 def verify_axioms(
@@ -209,8 +211,11 @@ def verify_axioms(
     d_i C_j - d_j C_i from central differences, (c) the form's Higgs
     invariance across slots, (d) flatness of the sections C_I(unit) for all
     maximal independent I, and (e) flatness of the form itself.  Raises
-    StructureError when the worst violation exceeds ``hard_threshold``.
+    StructureError when the worst violation exceeds ``hard_threshold`` and,
+    whatever the threshold, when a violation is not finite; PreconditionError
+    unless ``h`` is None or finite and > 0.
     """
+    _check_step(h)
     F = structure
     cache = _EvalCache(F)
     if h is None:
@@ -227,25 +232,23 @@ def verify_axioms(
         H, u, W = cache.at(z)
         for a in range(n):
             for b in range(a + 1, n):
-                comm = max(comm, _maxabs(H[a] @ H[b] - H[b] @ H[a]))
+                comm = _worst(comm, H[a] @ H[b] - H[b] @ H[a])
         for a in range(n):
             for q in range(1, m):
-                invari = max(
-                    invari, _maxabs(_apply_slot(W, H[a], 0) - _apply_slot(W, H[a], q))
-                )
+                invari = _worst(invari, _apply_slot(W, H[a], 0) - _apply_slot(W, H[a], q))
         dmat = [[multi_partial(lambda w, jj=jj: cache.at(w)[0][jj], z, e, h) for jj in range(n)]
                 for e in units]
         for i in range(n):
             for j in range(i + 1, n):
-                integ = max(integ, _maxabs(dmat[i][j] - dmat[j][i]))
+                integ = _worst(integ, dmat[i][j] - dmat[j][i])
         for I in max_inds:
             for e in units:
                 dv = multi_partial(
                     lambda w, I=I: _apply_subset(cache.at(w)[0], I, cache.at(w)[1]), z, e, h
                 )
-                sect = max(sect, _maxabs(dv))
+                sect = _worst(sect, dv)
         for e in units:
-            formflat = max(formflat, _maxabs(multi_partial(lambda w: cache.at(w)[2], z, e, h)))
+            formflat = _worst(formflat, multi_partial(lambda w: cache.at(w)[2], z, e, h))
     report = AxiomReport(
         commutativity=comm,
         integrability=integ,
@@ -255,13 +258,16 @@ def verify_axioms(
         samples=count,
         h=h,
     )
-    if hard_threshold is not None and report.max_violation > hard_threshold:
+    if not math.isfinite(report.max_violation):
+        err = StructureError("an axiom violation is not finite")
+    elif hard_threshold is not None and report.max_violation > hard_threshold:
         err = StructureError(
             f"axiom violation {report.max_violation:.3e} exceeds hard threshold {hard_threshold:.3e}"
         )
-        err.report = report
-        raise err
-    return report
+    else:
+        return report
+    err.report = report
+    raise err
 
 
 def _factorial_multi(mult) -> int:
@@ -301,7 +307,15 @@ class HomogeneousPolynomial:
         return self.partial_derivative_value((0,) * self.n, z)
 
 
-def _default_resample_points(F: FlatFrameStructure):
+def first_kind_polynomial(F: FlatFrameStructure) -> HomogeneousPolynomial:
+    """Homogeneous degree-mk polynomial with coefficients S(C_T unit, ...)/T!.
+
+    Coefficients live exactly on the strong mk-systems (sums of m bases); all
+    other monomials stay at zero, the gauge in which nothing unconstrained is
+    invented.  Values are taken at the basepoint and re-sampled at two nearby
+    points to confirm they are constants; a relative disagreement above 1e-7
+    raises FlatnessError.
+    """
     x = F.basepoint
     s = 0.05 * (1.0 + F.scale())
     first = x.copy()
@@ -309,21 +323,6 @@ def _default_resample_points(F: FlatFrameStructure):
     second = x + s * 0.6 * np.array(
         [1.0 if i % 2 == 0 else -1.0 for i in range(F.n)], dtype=complex
     )
-    return [first, second]
-
-
-def first_kind_polynomial(
-    F: FlatFrameStructure,
-    resample=None,
-    flat_tol: float = 1e-7,
-) -> HomogeneousPolynomial:
-    """Homogeneous degree-mk polynomial with coefficients S(C_T unit, ...)/T!.
-
-    Coefficients live exactly on the strong mk-systems (sums of m bases); all
-    other monomials stay at zero, the gauge in which nothing unconstrained is
-    invented.  Values are taken at the basepoint and re-sampled nearby to
-    confirm they are constants; disagreement raises FlatnessError.
-    """
     cache = _EvalCache(F)
     ctx = F.context()
     mk = ctx.m * ctx.k
@@ -333,14 +332,13 @@ def first_kind_polynomial(
         for b in combo:
             total = total + b
         strong.add(total.mult)
-    points = _default_resample_points(F) if resample is None else list(resample)
     coeffs: dict[tuple[int, ...], complex] = {}
     for T in sorted(strong):
         fact = _factorial_multi(T)
-        base_val = pairing_with_unit(cache, T, F.basepoint) / fact
-        for z in points:
+        base_val = pairing_with_unit(cache, T, x) / fact
+        for z in (first, second):
             other = pairing_with_unit(cache, T, z) / fact
-            if abs(other - base_val) > flat_tol * (1.0 + abs(base_val)):
+            if abs(other - base_val) > 1e-7 * (1.0 + abs(base_val)):
                 raise FlatnessError(
                     f"coefficient of {T} varies with z: {base_val} vs {other}"
                 )
@@ -425,12 +423,20 @@ def second_kind_truncation(
     once per good decomposition T = alpha + T2 as d^alpha g[T2] / T! and
     averaged (d^alpha g is taken when the first T needs it); a spread above
     ``spread_tol`` (relative to the coefficient size) raises
-    WellDefinednessError, and reaching a degree above MAX_TOTAL SizeLimitError.
+    WellDefinednessError.  Before any evaluation, an n_max above MAX_TOTAL
+    raises SizeLimitError, and PreconditionError is raised for a
+    ``spread_tol`` that is negative or not finite and for an ``h`` that is
+    neither None nor finite and > 0.
     """
     ctx = F.context()
     mk = ctx.m * ctx.k
     if n_max < mk + 1:
         raise PreconditionError(f"n_max must be at least m*k + 1 = {mk + 1}")
+    if n_max > MAX_TOTAL:
+        raise SizeLimitError(f"good-decomposition enumeration limited to |T| <= {MAX_TOTAL}")
+    if not (math.isfinite(spread_tol) and spread_tol >= 0):
+        raise PreconditionError(f"spread_tol must be finite and >= 0, got {spread_tol!r}")
+    _check_step(h)
     x = F.basepoint
     scale = F.scale()
     coefficients: dict[tuple[int, ...], complex] = {}
@@ -440,10 +446,8 @@ def second_kind_truncation(
             coefficients[T] = 0.0 + 0.0j
             provenance[T] = CoefficientProvenance("gauge-zero", (), 0.0, 0.0 + 0.0j)
     for t in range(mk + 1, n_max + 1):
-        if t > MAX_TOTAL:
-            raise SizeLimitError(f"good-decomposition enumeration limited to |T| <= {MAX_TOTAL}")
         if t == mk + 1:
-            # the strong second members T2, lexicographically; after the size check
+            # the strong second members T2, lexicographically
             members = [
                 T2
                 for T2 in _bounded_compositions(t, (t,) * F.n)
@@ -516,7 +520,6 @@ def remainder_swap_residual(
     T2: System,
     a: int,
     b: int,
-    h: float | None = None,
 ) -> float:
     """|d_b S(C_{T2} unit, ...) - d_a S(C_{S2} unit, ...)| at the basepoint,
     where S2 swaps one unit of a for one of b in T2.
@@ -536,7 +539,7 @@ def remainder_swap_residual(
     S2 = rest + ctx.unit(b)
     cache = _EvalCache(F)
     x = F.basepoint
-    step = default_step(F.scale(), 1) if h is None else h
+    step = default_step(F.scale(), 1)
     alpha_b = tuple(1 if j == b else 0 for j in ctx.matroid.ground.labels)
     alpha_a = tuple(1 if j == a else 0 for j in ctx.matroid.ground.labels)
     d1 = multi_partial(lambda z: pairing_with_unit(cache, T2.mult, z), x, alpha_b, step)

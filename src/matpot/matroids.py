@@ -105,11 +105,10 @@ class Matroid:
     def full_rank(self) -> int:
         return self.rank(self.ground.labels)
 
-    def bases(self, max_ground: int = 16) -> tuple[frozenset, ...]:
-        """All maximal independent subsets of the full ground set, sorted."""
-        n = self.ground.n
-        if n > max_ground:
-            raise SizeLimitError(f"base enumeration limited to n <= {max_ground}")
+    def bases(self) -> tuple[frozenset, ...]:
+        """All maximal independent subsets of the full ground set (n <= 16), sorted."""
+        if self.ground.n > 16:
+            raise SizeLimitError("base enumeration limited to n <= 16")
         k = self.full_rank
         found = [
             frozenset(c)

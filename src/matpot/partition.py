@@ -26,8 +26,12 @@ such a partition has |U| = l and every I_i a basis, and since
 A is tight exactly when U is inside A and every A & I_i spans A in M_i, that
 is, A contains the fundamental circuit of I_i + y for every y in A outside
 I_i.  So the closure of U under these circuits lies in every tight set; it
-is checked to be tight, hence it is the minimum.  ``slack_elements`` answers
-the same question by n + 1 independent partitions, as a cross-check.
+is checked to be tight, hence it is the minimum.
+
+The same closure R gives ``slack_elements`` (the elements some partition puts
+in U) on any ground set: its exchange chains move each member into U.  If U
+has a free slot, or a reached y fits a class as it stands, any element can
+enter U; otherwise R is tight, and the inequality puts every U inside R.
 """
 
 from __future__ import annotations
@@ -63,12 +67,7 @@ class PartitionProblem:
 class PartitionCertificate:
     parts: tuple[frozenset, ...]
 
-    def validate(self, problem: PartitionProblem, subset=None) -> bool:
-        target = (
-            frozenset(problem.ground.labels)
-            if subset is None
-            else problem.ground.check_subset(subset)
-        )
+    def validate(self, problem: PartitionProblem) -> bool:
         if len(self.parts) != problem.m:
             return False
         seen: set = set()
@@ -78,7 +77,7 @@ class PartitionCertificate:
             seen |= part
             if not M.is_independent(part):
                 return False
-        return seen == target
+        return seen == frozenset(problem.ground.labels)
 
 
 @dataclass(frozen=True)
@@ -143,17 +142,13 @@ def _apply_chain(matroids, classes, color, parent, terminal, dest):
             )
 
 
-def solve_partition(problem: PartitionProblem, subset=None, max_size: int = 64):
-    """Partition ``subset`` (default: the full ground set) across the matroids.
+def solve_partition(problem: PartitionProblem, max_size: int = 64):
+    """Partition the ground set across the matroids.
 
     Returns a PartitionCertificate, or a DeficiencyWitness violating the
     counting bound.  Both are re-validated before they are returned.
     """
-    S = (
-        frozenset(problem.ground.labels)
-        if subset is None
-        else problem.ground.check_subset(subset)
-    )
+    S = frozenset(problem.ground.labels)
     if len(S) > max_size:
         raise SizeLimitError(f"partition limited to {max_size} elements, got {len(S)}")
     classes = [set() for _ in problem.matroids]
@@ -170,7 +165,7 @@ def solve_partition(problem: PartitionProblem, subset=None, max_size: int = 64):
                 )
             return witness
     cert = PartitionCertificate(parts=tuple(frozenset(c) for c in classes))
-    if not cert.validate(problem, S):
+    if not cert.validate(problem):
         raise InvalidMatroidError("constructed partition failed self-validation")
     return cert
 
@@ -182,70 +177,69 @@ def _last_uniform(problem: PartitionProblem) -> UniformMatroid:
     return last
 
 
-def min_tight_set(problem: PartitionProblem, max_size: int = 64) -> frozenset:
-    """The least tight set: the closure of the uniform part of one partition.
+def _uniform_closure(problem: PartitionProblem, no_partition: str) -> frozenset | None:
+    """Solve the partition once and close its uniform part U under the
+    fundamental circuits ``M_i.circuit(I_i, y)`` of the other classes.
 
-    Solves the partition once, then adds, breadth-first from the elements in
-    the uniform part U, every member of ``M_i.circuit(I_i, y)`` for each
-    reached y and each other class I_i not holding y.  Every tight set
-    contains this closure (see the module docstring); the closure is checked
-    to be tight before it is returned, so it is the minimum.
-
-    Requires the last matroid to be uniform, a partition to exist and the
-    full ground set to be tight.  ``max_size`` bounds the ground set, as in
-    ``solve_partition``.
+    Returns None when U has a free slot: |U| < l, or some reached y fits a
+    class as it stands.  Raises PreconditionError(no_partition) when no
+    partition exists.
     """
     last = _last_uniform(problem)
-    others = problem.matroids[:-1]
-
-    def is_tight(A: frozenset) -> bool:
-        return len(A) == last.l + sum(M.rank(A) for M in others)
-
-    cert = solve_partition(problem, max_size=max_size)
+    cert = solve_partition(problem)
     if isinstance(cert, DeficiencyWitness):
-        raise PreconditionError("no partition exists; tight-set family is undefined")
-    if not is_tight(frozenset(problem.ground.labels)):
-        raise PreconditionError("the full ground set is not tight")
-    classes = cert.parts[:-1]
-    reached = set(cert.parts[-1])
+        raise PreconditionError(no_partition)
+    *classes, uniform = cert.parts
+    if len(uniform) < last.l:
+        return None
+    reached = set(uniform)
     queue = deque(reached)
     while queue:
         y = queue.popleft()
-        for M, clazz in zip(others, classes):
+        for M, clazz in zip(problem.matroids[:-1], classes):
             if y in clazz:
                 continue
             circuit = M.circuit(clazz, y)
             if circuit is None:
-                raise InternalError("a class of a tight partition does not span the ground set")
+                return None
             for z in circuit - reached:
                 reached.add(z)
                 queue.append(z)
-    result = frozenset(reached)
-    if not is_tight(result):
+    return frozenset(reached)
+
+
+def min_tight_set(problem: PartitionProblem) -> frozenset:
+    """The least tight set: the closure of the uniform part of one partition.
+
+    Every tight set contains this closure (see the module docstring); the
+    closure is checked to be tight before it is returned, so it is the
+    minimum.  Requires the last matroid to be uniform, a partition to exist
+    and the full ground set to be tight.
+    """
+    closure = _uniform_closure(problem, "no partition exists; tight-set family is undefined")
+    l = problem.matroids[-1].l
+    others = problem.matroids[:-1]
+
+    def is_tight(A: frozenset) -> bool:
+        return len(A) == l + sum(M.rank(A) for M in others)
+
+    if not is_tight(frozenset(problem.ground.labels)):
+        raise PreconditionError("the full ground set is not tight")
+    if closure is None:
+        raise InternalError("a class of a tight partition does not span the ground set")
+    if not is_tight(closure):
         raise InternalError("the circuit closure of the uniform part is not tight")
-    return result
+    return closure
 
 
-def slack_elements(problem: PartitionProblem, max_size: int = 64) -> frozenset:
+def slack_elements(problem: PartitionProblem) -> frozenset:
     """Elements that some valid partition places in the last (uniform) part.
 
-    Decided per element b by deleting b and lowering the uniform rank by one:
-    the reduced problem partitions exactly when b can occupy a uniform slot.
+    This is the closure of ``min_tight_set`` on any ground set, or the whole
+    ground set when the uniform part has a free slot (see the module
+    docstring).
     """
-    last = _last_uniform(problem)
-    if last.l < 1:
+    if _last_uniform(problem).l < 1:
         raise PreconditionError("slack elements need a uniform part of rank >= 1")
-    full = solve_partition(problem, max_size=max_size)
-    if isinstance(full, DeficiencyWitness):
-        raise PreconditionError("no partition of the full ground set exists")
-    n = problem.ground.n
-    reduced = PartitionProblem(
-        matroids=problem.matroids[:-1] + (UniformMatroid(last.l - 1, n),)
-    )
-    ground = frozenset(problem.ground.labels)
-    members = []
-    for b in sorted(ground):
-        res = solve_partition(reduced, subset=ground - {b}, max_size=max_size)
-        if isinstance(res, PartitionCertificate):
-            members.append(b)
-    return frozenset(members)
+    closure = _uniform_closure(problem, "no partition of the full ground set exists")
+    return frozenset(problem.ground.labels) if closure is None else closure

@@ -130,9 +130,9 @@ def tight_subsets(T, l):
     )
 
 
-def brute_partition(matroids, elements):
-    """First class assignment (in lexicographic order) that partitions
-    ``elements`` into independent sets, or None."""
+def _valid_partitions(matroids, elements):
+    """Every split of ``elements`` into one independent set per matroid, by
+    enumerating class assignments in lexicographic order."""
     elements = sorted(elements)
     m = len(matroids)
     for assignment in product(range(m), repeat=len(elements)):
@@ -140,8 +140,21 @@ def brute_partition(matroids, elements):
         for e, c in zip(elements, assignment):
             parts[c].add(e)
         if all(M.is_independent(P) for M, P in zip(matroids, parts)):
-            return tuple(frozenset(P) for P in parts)
-    return None
+            yield tuple(frozenset(P) for P in parts)
+
+
+def brute_partition(matroids, elements):
+    """First class assignment (in lexicographic order) that partitions
+    ``elements`` into independent sets, or None."""
+    return next(_valid_partitions(matroids, elements), None)
+
+
+def brute_slack_elements(problem):
+    """Union of the last parts over every valid partition of the ground set."""
+    found = frozenset()
+    for parts in _valid_partitions(problem.matroids, problem.ground.labels):
+        found |= parts[-1]
+    return found
 
 
 def brute_strong_decompositions(T, l):

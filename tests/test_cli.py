@@ -263,6 +263,63 @@ def test_tolerance_env_override(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+# the ROADMAP item-5 reproducer: at the default tolerance it fails with
+# well-definedness, so a tolerance that lets it through is a false pass
+_SPREAD_REPRODUCER = {
+    "B": [[1], [1], [2], [2], [1]],
+    "a": [2, 4, 1, 3, 1],
+    "x": [0.688, -1.435, -1.47, 0.752, -0.422],
+    "m": 2,
+    "N_max": 6,
+}
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tolerance_flag_must_be_finite_and_nonnegative(capsys, tmp_path, tol):
+    code, out = run_cli(capsys, ["potentials", "--tol", tol], _SPREAD_REPRODUCER, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "schema"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
+def test_tolerance_env_must_be_finite_and_nonnegative(capsys, tmp_path, monkeypatch, tol):
+    monkeypatch.setenv("MATPOT_TOL", tol)
+    code, out = run_cli(capsys, ["potentials"], _SPREAD_REPRODUCER, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "schema"
+    monkeypatch.delenv("MATPOT_TOL")
+    code, out = run_cli(capsys, ["potentials"], _SPREAD_REPRODUCER, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "well-definedness"
+
+
+def test_bool_n_max_is_a_schema_error(capsys, tmp_path):
+    payload = {"B": [[1], [1]], "a": [1, 1], "x": [1, -1], "m": 2, "N_max": True}
+    code, out = run_cli(capsys, ["potentials"], payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "schema"
+
+
+def test_n_max_above_the_size_limit_fails_at_once(capsys, tmp_path):
+    payload = {"B": [[1], [1]], "a": [1, 1], "x": [1, -1], "m": 2, "N_max": 25}
+    code, out = run_cli(capsys, ["potentials"], payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "size-limit"
+
+
+@pytest.mark.parametrize(
+    "command,step",
+    [("verify-arrangement", "0"), ("verify-arrangement", "nan"), ("potentials", "0")],
+)
+def test_h_step_must_be_finite_and_positive(capsys, tmp_path, command, step):
+    # at --h-step 0 the 0/0 differences used to report integrability,
+    # section_flatness and form_flatness as 0 on this instance
+    payload = {"B": [[1], [1], [2], [-1]], "a": [1, 2, 3, 5], "x": [1, -1, 3, 2], "m": 2}
+    code, out = run_cli(capsys, [command, "--h-step", step], payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
 def test_output_to_file(tmp_path, capsys):
     payload = {"ground": 2, "matroids": [{"type": "uniform", "l": 1, "n": 2}]}
     in_path = tmp_path / "in.json"

@@ -205,6 +205,78 @@ def test_second_kind_size_limit():
         second_kind_truncation(F, 25)
 
 
+def _counting(F, calls):
+    """F with every evaluator call appended to ``calls``."""
+
+    def wrap(name, fn):
+        def inner(*args):
+            calls.append(name)
+            return fn(*args)
+        return inner
+
+    return FlatFrameStructure(
+        matroid=F.matroid,
+        m=F.m,
+        basepoint=F.basepoint,
+        mu=F.mu,
+        higgs=wrap("higgs", F.higgs),
+        unit=wrap("unit", F.unit),
+        form=wrap("form", F.form),
+    )
+
+
+def test_second_kind_size_limit_before_any_evaluation(fixture_structure):
+    calls = []
+    F = _counting(fixture_structure, calls)
+    with pytest.raises(SizeLimitError, match=r"\|T\| <= 24"):
+        second_kind_truncation(F, 25)
+    assert calls == []
+    second_kind_truncation(F, 4)
+    assert calls
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+def test_second_kind_rejects_bad_spread_tol(fixture_structure, tol):
+    calls = []
+    with pytest.raises(PreconditionError, match="spread_tol"):
+        second_kind_truncation(_counting(fixture_structure, calls), 4, spread_tol=tol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf])
+def test_difference_step_must_be_finite_and_positive(fixture_structure, h):
+    calls = []
+    F = _counting(fixture_structure, calls)
+    with pytest.raises(PreconditionError, match="step h"):
+        second_kind_truncation(F, 4, h=h)
+    with pytest.raises(PreconditionError, match="step h"):
+        verify_axioms(F, [F.basepoint], h=h, hard_threshold=None)
+    assert calls == []
+
+
+def test_verify_axioms_rejects_nonfinite_violation():
+    # finite data at the first sample and NaN at the second: a running
+    # max(x, nan) keeps x, so the NaN used to read as a pass
+    def higgs(i, z):
+        return np.array([[math.nan if z[0].real > 0.5 else float(i)]])
+
+    F = FlatFrameStructure(
+        matroid=UniformMatroid(1, 2),
+        m=2,
+        basepoint=np.zeros(2),
+        mu=1,
+        higgs=higgs,
+        unit=lambda z: np.ones(1, dtype=complex),
+        form=lambda z: np.ones((1, 1), dtype=complex),
+    )
+    samples = [np.zeros(2), np.ones(2)]
+    assert verify_axioms(F, samples[:1]).max_violation == 0.0
+    for threshold in (None, 1e-3, math.inf):
+        with pytest.raises(StructureError, match="not finite") as info:
+            verify_axioms(F, samples, hard_threshold=threshold)
+        assert math.isnan(info.value.report.max_violation)
+
+
 def test_locally_related_candidates_agree_before_averaging(random_k1_structures):
     from matpot import all_good_decompositions, locally_related
 

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import matpot.partition
 from matpot import (
     DeficiencyWitness,
     InvalidMatroidError,
@@ -19,7 +21,7 @@ from matpot import (
     solve_partition,
 )
 
-from oracles import brute_partition, rank_bound_holds, tight_sets
+from oracles import brute_partition, brute_slack_elements, rank_bound_holds, tight_sets
 
 
 def test_certificate_example():
@@ -183,6 +185,67 @@ def test_min_tight_equals_slack_on_random_instances():
         assert min_tight_set(P) == slack_elements(P)
         seen += 1
     assert seen >= 20
+
+
+def test_slack_elements_match_brute_force():
+    # every valid assignment of n <= 8 elements; the closure's outcomes all
+    # occur: a tight ground set, a free uniform slot (|U| < l), a full U whose
+    # closure reaches an element that fits another class as it stands (then
+    # every element is slack although the ground set is not tight), and a
+    # proper closure of a ground set that is not tight
+    rng = random.Random(2)
+    kinds = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        gen = rng.choice([_random_matroid, _linear_with_repeats, _linear_with_repeats])
+        others = tuple(gen(rng, n) for _ in range(1 if n > 7 else 2))
+        l0 = n - sum(M.full_rank for M in others)
+        l = max(1, l0 + rng.randint(0, 2))
+        if l > n:
+            continue
+        P = PartitionProblem(others + (UniformMatroid(l, n),))
+        expected = brute_slack_elements(P)
+        cert = solve_partition(P)
+        if isinstance(cert, DeficiencyWitness):
+            assert expected == frozenset()
+            with pytest.raises(PreconditionError):
+                slack_elements(P)
+            continue
+        slack = slack_elements(P)
+        assert slack == expected
+        if len(cert.parts[-1]) < l:
+            kinds["free slot"] += 1
+        elif l == l0:
+            kinds["tight"] += 1
+            assert slack == min_tight_set(P)
+        elif slack == frozenset(P.ground.labels):
+            kinds["reached element fits"] += 1
+        else:
+            kinds["proper closure"] += 1
+    assert min(kinds[k] for k in ("free slot", "tight", "reached element fits", "proper closure")) >= 3, kinds
+
+
+def test_slack_elements_solve_one_partition(monkeypatch):
+    calls = []
+    solve = matpot.partition.solve_partition
+
+    def counting(problem, *args, **kwargs):
+        calls.append(problem)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(matpot.partition, "solve_partition", counting)
+    rng = random.Random(3)
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4)] for _ in range(40)]
+    problems = [
+        PartitionProblem((UniformMatroid(1, 3),) * 3),  # tight ground set
+        PartitionProblem((UniformMatroid(2, 3), UniformMatroid(2, 3))),  # free uniform slot
+        # forty elements: the per-element sweep took 41 partitions here
+        PartitionProblem((LinearMatroid(rows),) * 8 + (UniformMatroid(8, 40),)),
+    ]
+    for P in problems:
+        calls.clear()
+        slack_elements(P)
+        assert calls == [P]
 
 
 def _linear_with_repeats(rng, n):
