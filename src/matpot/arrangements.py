@@ -24,8 +24,10 @@ available on the backend for exactness checks.
 
 Only k = 1 is a fully supported path (critical points come from the roots of
 an explicit degree n-1 polynomial plus Newton refinement).  For k >= 2 the
-solver falls back to multivariate Newton from a deterministic random cloud of
-seeds; that path is experimental and makes no completeness claim.
+solver runs multivariate Newton from the vertex seed cloud (hyperplane
+intersection vertices, their midpoints and centroids, lightly jittered);
+that path is experimental and makes no completeness claim.  Either way all
+candidates of a fiber are refined in one batched Newton solve.
 """
 
 from __future__ import annotations
@@ -106,36 +108,76 @@ class CriticalPointFrame:
         return len(self.points)
 
 
-def _hyperplane_values_at(data: ArrangementData, z, t):
-    return data.B @ t + z
+def _values(data: ArrangementData, z, t):
+    """f_i(z, t^s) for the rows t^s of t (S, k); shape (S, n).
+
+    Each row is the one-point product B t^s + z bit for bit (the stacked
+    ``t @ B.T`` sums in another order)."""
+    return np.matmul(data.B[None], t[:, :, None])[:, :, 0] + z
 
 
-def _gradient(data: ArrangementData, z, t):
-    f = _hyperplane_values_at(data, z, t)
-    if np.min(np.abs(f)) < 1e-300:
-        raise DiscriminantError("critical point collided with a hyperplane")
-    return data.B.T @ (data.a / f), f
+def _hessians(data: ArrangementData, f):
+    """Hess_t Phi = -B^T diag(a / f^2) B for the rows of f (S, n); (S, k, k)."""
+    return np.matmul(-(data.B.T[None] * (data.a / f**2)[:, None, :]), data.B[None])
 
 
-def _hessian(data: ArrangementData, f):
-    w = data.a / f**2
-    return -(data.B.T * w[None, :]) @ data.B
+def _newton_refine(data: ArrangementData, z, seeds, max_iter: int = 50):
+    """Newton on grad_t Phi = 0 from every row of ``seeds`` (S, k) at once.
 
+    Returns (points (S, k), residuals max |grad| (S,), failures), where
+    failures[s] is None or the DiscriminantError message that stopped seed
+    s: |f_i| < 1e-300 at an iterate, or a singular Hessian.  A seed leaves
+    the active set when it fails or its step satisfies
+    max |delta| <= 1e-15 (1 + max |t|); at most ``max_iter`` steps.
 
-def _newton_refine(data: ArrangementData, z, t, max_iter: int = 50):
-    t = np.array(t, dtype=complex)
-    for _ in range(max_iter):
-        g, f = _gradient(data, z, t)
-        H = _hessian(data, f)
-        try:
-            delta = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError as exc:
-            raise DiscriminantError("degenerate Hessian during Newton refinement") from exc
-        t = t - delta
-        if np.max(np.abs(delta)) <= 1e-15 * (1.0 + np.max(np.abs(t))):
-            break
-    g, _ = _gradient(data, z, t)
-    return t, float(np.max(np.abs(g)))
+    Each seed sees the arithmetic of a one-seed solve bit for bit: the
+    stacked products keep the per-seed matrix shapes, and a stacked solve
+    runs the same LU per matrix.  A diverging seed may overflow; callers
+    reject non-finite results.
+    """
+    t = np.array(seeds, dtype=complex).reshape(len(seeds), data.k)
+    failures: list = [None] * len(t)
+
+    def values(idx):
+        f = _values(data, z, t[idx])
+        hit = np.abs(f).min(axis=1) < 1e-300
+        for s in idx[hit]:
+            failures[s] = "critical point collided with a hyperplane"
+        return idx[~hit], f[~hit]
+
+    def gradients(f):
+        return np.matmul(data.B.T[None], (data.a / f)[:, :, None])
+
+    with np.errstate(all="ignore"):
+        active = np.arange(len(t))
+        for _ in range(max_iter):
+            if not active.size:
+                break
+            active, f = values(active)
+            g = gradients(f)
+            H = _hessians(data, f)
+            # a stacked solve raises for the whole stack on one singular
+            # matrix; det runs the same LU and reads exactly 0 on those
+            singular = np.linalg.det(H) == 0
+            delta = np.empty_like(g)
+            regular = ~singular
+            if regular.any():
+                delta[regular] = np.linalg.solve(H[regular], g[regular])
+            failed = np.zeros(len(active), dtype=bool)
+            for j in np.flatnonzero(singular):
+                try:
+                    delta[j] = np.linalg.solve(H[j], g[j])
+                except np.linalg.LinAlgError:
+                    failures[active[j]] = "degenerate Hessian during Newton refinement"
+                    failed[j] = True
+            active, delta = active[~failed], delta[~failed, :, 0]
+            t[active] = t[active] - delta
+            done = np.abs(delta).max(axis=1) <= 1e-15 * (1.0 + np.abs(t[active]).max(axis=1))
+            active = active[~done]
+        residuals = np.full(len(t), np.nan)
+        idx, f = values(np.array([s for s, why in enumerate(failures) if why is None], dtype=int))
+        residuals[idx] = np.abs(gradients(f)[:, :, 0]).max(axis=1)
+    return t, residuals, failures
 
 
 def _poly_from_factors(pairs):
@@ -213,8 +255,9 @@ def critical_points(
 
     Raises DiscriminantError when points coincide or land on a hyperplane
     (within 1e-8 * (1 + max |z_i|)), or have (nearly) singular Hessians
-    (|det| < 1e-12).  For k >= 2 pass explicit ``seeds`` or rely on the
-    deterministic random cloud (experimental).
+    (|det| < 1e-12).  For k >= 2 pass explicit ``seeds`` (S x k) or rely
+    on the vertex seed cloud (experimental).  All candidates are refined in one
+    batched Newton solve, then filtered in candidate order.
     """
     z = np.asarray(z, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(z)))
@@ -222,52 +265,49 @@ def critical_points(
     hess_margin = 1e-12
     if data.k == 1:
         raw, expected = _k1_candidate_roots(data, z)
-        candidates = [np.array([r]) for r in raw]
+        candidates = raw[:, None]
     else:
         expected = None
         if seeds is None:
             seeds = _vertex_seed_cloud(data, z)
-        candidates = [np.asarray(s, dtype=complex) for s in seeds]
+        candidates = seeds
     strict = data.k == 1
-    refined = []
-    for t0 in candidates:
-        try:
-            # a diverging seed may overflow; the finite check below rejects it
-            with np.errstate(all="ignore"):
-                t, res = _newton_refine(data, z, t0)
-        except DiscriminantError:
-            if strict:
-                raise
-            continue
-        # NaN fails every comparison, so it must be caught before the filters
-        if not (np.isfinite(res) and np.isfinite(t).all()):
-            if strict:
-                raise DiscriminantError("Newton refinement reached a non-finite point")
-            continue
-        if not strict:
-            # spurious fixed points at infinity have tiny gradients too
-            if res > 1e-9 * scale or np.max(np.abs(t)) > 1e6 * scale:
-                continue
-        refined.append((t, res))
+    t, res, failures = _newton_refine(data, z, candidates)
+    # NaN fails every comparison, so it must be caught before the filters
+    clean = np.isfinite(res) & np.isfinite(t).all(axis=1)
+    if strict:
+        for failure, finite in zip(failures, clean):
+            if failure is not None or not finite:
+                raise DiscriminantError(failure or "Newton refinement reached a non-finite point")
+    else:
+        # spurious fixed points at infinity have tiny gradients too
+        with np.errstate(over="ignore"):
+            clean &= (res <= 1e-9 * scale) & (np.max(np.abs(t), axis=1) <= 1e6 * scale)
+    kept = np.flatnonzero(clean)
+    fvals = _values(data, z, t[kept])
+    near = np.min(np.abs(fvals), axis=1) < hyper_margin
+    # a point too near a hyperplane may overflow here; it is dropped as near
+    with np.errstate(all="ignore"):
+        flat = np.abs(np.linalg.det(_hessians(data, fvals))) < hess_margin
     points: list = []
     residuals: list = []
-    for t, res in refined:
-        if any(np.max(np.abs(t - p)) < dist_margin for p in points):
+    accepted = np.empty((0, data.k), dtype=complex)
+    for s, near_s, flat_s in zip(kept, near, flat):
+        if np.any(np.max(np.abs(t[s] - accepted), axis=1) < dist_margin):
             if strict:
                 raise DiscriminantError("critical points collide")
             continue
-        fvals = _hyperplane_values_at(data, z, t)
-        if np.min(np.abs(fvals)) < hyper_margin:
+        if near_s:
             if strict:
                 raise DiscriminantError("a critical point lies on (or too near) a hyperplane")
             continue
-        det = np.linalg.det(_hessian(data, fvals))
-        if abs(det) < hess_margin:
+        if flat_s:
             if strict:
                 raise DiscriminantError("degenerate critical point (vanishing Hessian)")
             continue
-        points.append(t)
-        residuals.append(res)
+        points.append(t[s])
+        residuals.append(float(res[s]))
+        accepted = np.array(points)
     if strict and len(points) != expected:
         raise DiscriminantError(
             f"found {len(points)} critical points, expected {expected}"
@@ -281,8 +321,8 @@ def critical_points(
     residuals = [residuals[i] for i in order]
     pts = np.array(points)
     fvals = data.hyperplane_values(z, pts)
-    hessians = np.array([_hessian(data, fv) for fv in fvals])
-    dets = np.array([np.linalg.det(Hs) for Hs in hessians])
+    hessians = _hessians(data, fvals)
+    dets = np.linalg.det(hessians)
     return CriticalPointFrame(
         z=z,
         points=pts,

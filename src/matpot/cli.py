@@ -35,9 +35,8 @@ from .jsonio import (
 from .partition import (
     DeficiencyWitness,
     PartitionProblem,
-    min_tight_set,
-    slack_elements,
     solve_partition,
+    tight_set_and_slack,
 )
 from .systems import Context, equivalence_report, find_strong_decomposition, strong_deficiency_witness
 
@@ -110,8 +109,7 @@ def _cmd_partition(args) -> dict:
 
 def _cmd_amin(args) -> dict:
     problem = _problem_from_json(_load_input(args))
-    minimal = min_tight_set(problem)
-    slack = slack_elements(problem)
+    minimal, slack = tight_set_and_slack(problem)
     return {
         "min_tight_set": subset_to_json(minimal),
         "slack_elements": subset_to_json(slack),

@@ -239,7 +239,23 @@ def slack_elements(problem: PartitionProblem) -> frozenset:
     ground set when the uniform part has a free slot (see the module
     docstring).
     """
-    if _last_uniform(problem).l < 1:
-        raise PreconditionError("slack elements need a uniform part of rank >= 1")
+    _require_slack_rank(problem)
     closure = _uniform_closure(problem, "no partition of the full ground set exists")
     return frozenset(problem.ground.labels) if closure is None else closure
+
+
+def _require_slack_rank(problem: PartitionProblem) -> None:
+    if _last_uniform(problem).l < 1:
+        raise PreconditionError("slack elements need a uniform part of rank >= 1")
+
+
+def tight_set_and_slack(problem: PartitionProblem) -> tuple[frozenset, frozenset]:
+    """``(min_tight_set(problem), slack_elements(problem))`` from one partition.
+
+    Where ``min_tight_set`` succeeds the ground set is tight and the closure
+    has no free slot, so the slack elements are that same closure.  Raises
+    what the two calls raise, in that order.
+    """
+    minimal = min_tight_set(problem)
+    _require_slack_rank(problem)
+    return minimal, minimal

@@ -3,9 +3,10 @@
 Everything here enumerates exhaustively (colorings, token assignments,
 subsets, pairs) or evaluates hand-derived closed forms for the two-hyperplane
 fixture, so library results can be checked against an unrelated code path.
-``pairwise_edges`` is the one exception: it applies the library's pairwise
+``pairwise_edges`` is one exception: it applies the library's pairwise
 ``locally_related`` to every pair, as the reference for the neighbour lookup
-of ``equivalence_report``.
+of ``equivalence_report``.  ``scalar_newton_refine`` is the other: the
+one-seed Newton loop, as the bit-for-bit reference for the batched solve.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from matpot import DeficiencyWitness, SizeLimitError, locally_related
+from matpot import DeficiencyWitness, DiscriminantError, SizeLimitError, locally_related
 
 
 def subsets(elems):
@@ -281,6 +282,51 @@ def brute_second_kind_candidates(F, n_max):
                 candidates.append((t1, t2, raw / fact))
             out[T] = tuple(candidates)
     return out
+
+
+def scalar_newton_refine(data, z, t, max_iter: int = 50):
+    """Newton on grad_t Phi = 0 from one seed, one solve per step.
+
+    The reference for the batched ``arrangements._newton_refine``: the same
+    stopping rule and DiscriminantError causes, seed by seed.  Call it under
+    ``np.errstate(all="ignore")``; a diverging seed may overflow.
+    """
+
+    def gradient(t):
+        f = data.B @ t + z
+        if np.min(np.abs(f)) < 1e-300:
+            raise DiscriminantError("critical point collided with a hyperplane")
+        return data.B.T @ (data.a / f), f
+
+    def hessian(f):
+        w = data.a / f**2
+        return -(data.B.T * w[None, :]) @ data.B
+
+    t = np.array(t, dtype=complex)
+    for _ in range(max_iter):
+        g, f = gradient(t)
+        H = hessian(f)
+        try:
+            delta = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError as exc:
+            raise DiscriminantError("degenerate Hessian during Newton refinement") from exc
+        t = t - delta
+        if np.max(np.abs(delta)) <= 1e-15 * (1.0 + np.max(np.abs(t))):
+            break
+    g, _ = gradient(t)
+    return t, float(np.max(np.abs(g)))
+
+
+def euler_count(matroid, k):
+    """|sum over independent S with |S| <= k of (-1)^|S||: the number of
+    critical points of a generic-weight master function over a generic
+    fiber (the Euler characteristic of the complement)."""
+    total = 0
+    for size in range(k + 1):
+        for S in combinations(sorted(matroid.ground.labels), size):
+            if matroid.is_independent(frozenset(S)):
+                total += (-1) ** size
+    return abs(total)
 
 
 # Closed forms for the two-hyperplane fixture: f_1 = t + z1, f_2 = t + z2,

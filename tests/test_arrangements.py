@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import numpy as np
@@ -18,7 +19,15 @@ from matpot import (
     vector_matroid,
 )
 
-from oracles import fix2_hess, fix2_p, fix2_pair_unit, fix2_point
+from matpot.arrangements import _k1_candidate_roots, _newton_refine, _vertex_seed_cloud
+from oracles import (
+    euler_count,
+    fix2_hess,
+    fix2_p,
+    fix2_pair_unit,
+    fix2_point,
+    scalar_newton_refine,
+)
 
 
 def test_vector_matroid_examples():
@@ -72,12 +81,101 @@ def test_k_ge_2_drops_non_finite_newton_results():
 
 
 def test_strict_mode_rejects_non_finite_newton_result(fixture_data, monkeypatch):
-    def diverged(data, z, t0):
-        return np.array([complex("nan")]), float("nan")
+    def diverged(data, z, seeds):
+        S = len(seeds)
+        return np.full((S, 1), complex("nan")), np.full(S, np.nan), [None] * S
 
     monkeypatch.setattr(matpot.arrangements, "_newton_refine", diverged)
     with pytest.raises(DiscriminantError):
         critical_points(fixture_data, (1, -1))
+
+
+def _draw_k2_instance(rng, n):
+    """Rank-2 family shaped like the benchmark's: integer B in [-3, 3] with
+    no zero row, weights 1-4, complex basepoint."""
+    while True:
+        B = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+        if all(any(r) for r in B) and any(p * s != q * r for (p, q), (r, s) in zip(B, B[1:])):
+            break
+    a = [rng.randint(1, 4) for _ in range(n)]
+    x = [complex(round(rng.uniform(-2, 2), 3), round(rng.uniform(-0.3, 0.3), 3)) for _ in range(n)]
+    return ArrangementData(B, a, x)
+
+
+def _scalar_outcomes(data, z, seeds):
+    """(t, residual, failure message) of the one-seed reference per seed."""
+    out = []
+    for seed in seeds:
+        try:
+            with np.errstate(all="ignore"):
+                t, res = scalar_newton_refine(data, z, seed)
+        except DiscriminantError as exc:
+            out.append((None, None, str(exc)))
+        else:
+            out.append((t, res, None))
+    return out
+
+
+def test_batched_newton_matches_scalar_reference(random_k1_instances):
+    rng = random.Random(4711)
+    item4 = _rank2_data()
+    cases = [
+        (item4, item4.basepoint + offset)
+        for offset in (0, np.array([0.011, -0.007j, 0.004, 0.009j, -0.013, 0.006]))
+    ]
+    for n in (4, 4, 5, 5, 6, 6):
+        data = _draw_k2_instance(rng, n)
+        cases.append((data, data.basepoint))
+    cases = [(data, z, _vertex_seed_cloud(data, z)) for data, z in cases]
+    for data in random_k1_instances:
+        roots, _ = _k1_candidate_roots(data, data.basepoint)
+        cases.append((data, data.basepoint, roots[:, None]))
+    # f = (t + 1, t - 1) with weights (1, -1): the Hessian 4t / (t^2 - 1)^2
+    # vanishes exactly at t = 0, and t = -1 lies on a hyperplane
+    odd = ArrangementData([(1,), (1,)], (1, -1), (1, -1))
+    odd_seeds = np.array([[0.0], [-1.0], [complex("nan")], [0.5], [2.0 + 1j]])
+    # on f_2 = t_2 + z_2 = 0 exactly; a far seed whose iterates overflow
+    item4_seeds = np.array([[0.3, -item4.basepoint[1]], [1e42, 1j], [0.1, 0.2]])
+    cases += [(odd, odd.basepoint, odd_seeds), (item4, item4.basepoint, item4_seeds)]
+
+    singular = "degenerate Hessian during Newton refinement"
+    collided = "critical point collided with a hyperplane"
+    for data, z, seeds in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, res, failures = _newton_refine(data, z, seeds)
+        assert t.shape == (len(seeds), data.k) and res.shape == (len(seeds),)
+        for s, (t0, res0, why) in enumerate(_scalar_outcomes(data, z, seeds)):
+            assert failures[s] == why
+            if why is None:
+                assert np.array_equal(t[s], t0, equal_nan=True)
+                assert res[s] == res0 or (np.isnan(res[s]) and np.isnan(res0))
+        if seeds is odd_seeds:
+            assert failures[:3] == [singular, collided, None] and np.isnan(t[2]).all()
+        if seeds is item4_seeds:
+            assert failures[:2] == [collided, None] and not np.isfinite(t[1]).all()
+
+
+def test_critical_point_count_matches_euler_characteristic():
+    # for positive weights and a generic fiber the master function has
+    # |chi(complement)| nondegenerate critical points; the vertex seed cloud
+    # makes no completeness claim and misses one of 8 on instance 35, where
+    # continuation from the real fiber over Re z finds all 8
+    rng = random.Random(2718)
+    short = {}
+    for idx in range(42):
+        data = _draw_k2_instance(rng, 4 + idx % 3)
+        count = euler_count(data.matroid, 2)
+        frame = critical_points(data, data.basepoint)
+        scale = 1.0 + float(np.max(np.abs(data.basepoint)))
+        f = frame.points @ data.B.T + data.basepoint[None, :]
+        gradient = (data.a[None, :] / f) @ data.B
+        assert np.max(np.abs(gradient)) <= 1e-9 * scale
+        if frame.mu != count:
+            short[idx] = (frame.mu, count)
+            tracked = continue_fiber(data, critical_points(data, data.basepoint.real), data.basepoint)
+            assert tracked.mu == count
+    assert short == {35: (7, 8)}
 
 
 def test_generic_count_is_n_minus_one(random_k1_instances):

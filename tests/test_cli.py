@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import matpot.partition
 import matpot.systems
 from matpot import Context, LinearMatroid, __version__, equivalence_report
 from matpot.cli import main
@@ -117,6 +118,48 @@ def test_amin_output(capsys, tmp_path):
         "min_tight_set": [1, 2, 3],
         "slack_elements": [1, 2, 3],
     }
+
+
+def test_amin_solves_one_partition(capsys, tmp_path, monkeypatch):
+    calls = []
+    solve = matpot.partition.solve_partition
+
+    def counting(problem, *args, **kwargs):
+        calls.append(problem)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(matpot.partition, "solve_partition", counting)
+    u13 = {"type": "uniform", "l": 1, "n": 3}
+    payloads = [
+        {"ground": 3, "matroids": [u13, u13, u13]},
+        _copies_with_tail(_plane_rows(random.Random(1), 12, 9), 3, 3),
+    ]
+    for payload in payloads:
+        calls.clear()
+        code, out = run_cli(capsys, ["amin"], payload, tmp_path)
+        assert code == 0 and json.loads(out)["result"]["agree"]
+        assert len(calls) == 1
+
+
+def test_amin_refusals(capsys, tmp_path):
+    def uniform(l, n):
+        return {"type": "uniform", "l": l, "n": n}
+
+    cases = [
+        # a tight ground set, but a rank-0 uniform part has no slack elements
+        ([uniform(1, 2), uniform(1, 2), uniform(0, 2)], "slack elements need a uniform part of rank >= 1"),
+        ([uniform(1, 2), {"type": "linear", "matrix": [[1], [1]]}], "the last matroid must be uniform for tight-set queries"),
+        ([uniform(1, 3)], "no partition exists; tight-set family is undefined"),
+        ([uniform(2, 2), uniform(1, 2)], "the full ground set is not tight"),
+    ]
+    for matroids, message in cases:
+        payload = {"ground": matroids[0]["n"], "matroids": matroids}
+        code, out = run_cli(capsys, ["amin"], payload, tmp_path)
+        assert code == 2
+        assert out == (
+            '{"command":"amin","error":{"code":"precondition","message":"%s"},"version":"%s"}\n'
+            % (message, __version__)
+        )
 
 
 def test_strong_decompose_both_outcomes(capsys, tmp_path):
