@@ -47,6 +47,7 @@ from .errors import (
 )
 from .frobenius import FlatFrameStructure
 from .matroids import LinearMatroid
+from .series import SeriesSpace
 
 
 def vector_matroid(matrix) -> LinearMatroid:
@@ -484,6 +485,49 @@ class ArrangementBackend:
         """Condition number of the flat-frame pairing matrix."""
         return float(np.linalg.cond(self.form(z)))
 
+    def pairing_jets(self, space: SeriesSpace, members) -> np.ndarray:
+        """Taylor coefficients at the basepoint, in delta = z - x up to degree
+        space.q, of the pairings g_T2(z) = S(C_T2 unit, unit) for every
+        multiplicity tuple T2 in ``members``; shape (len(members), space.size).
+
+        In the critical-point frame g_T2 = sum_s w_s prod_i p_i^{T2_i} with
+        p_i = a_i / f_i and w = 1 / det Hess.  The critical points t^s(z) are
+        series from Newton's method on grad_t Phi = 0, started at the base
+        frame (each step doubles the number of correct degrees); p and w
+        follow.  The products run over the members' label words in
+        lexicographic order, so a shared prefix is multiplied once.  No fiber
+        is continued and no flat frame is solved.
+        """
+        B, a = self.data.B, self.data.a
+        z = space.constant(self.data.basepoint) + space.variables()
+
+        def eigenvalues_and_hessians(t):
+            f = np.einsum("ij,sjm->sim", B, t) + z
+            r = space.reciprocal(f)
+            p = a[:, None] * r
+            return p, -np.einsum("ij,il,sim->sjlm", B, B, space.mul(p, r))
+
+        t = space.constant(self.base_frame.points)
+        for _ in range(space.q.bit_length()):
+            p, hess = eigenvalues_and_hessians(t)
+            grad = np.einsum("ij,sim->sjm", B, p)
+            t = t - space.solve(hess, grad[:, :, None, :])[:, :, 0, :]
+        p, hess = eigenvalues_and_hessians(t)
+        words = [tuple(i for i, e in enumerate(T2) for _ in range(e)) for T2 in members]
+        out = np.empty((len(words), space.size), dtype=complex)
+        products, previous = [space.reciprocal(space.det(hess))], ()
+        for j in sorted(range(len(words)), key=words.__getitem__):
+            word = words[j]
+            shared = 0
+            while shared < min(len(word), len(previous)) and word[shared] == previous[shared]:
+                shared += 1
+            del products[shared + 1:]
+            for i in word[shared:]:
+                products.append(space.mul(products[-1], p[:, i]))
+            out[j] = products[-1].sum(axis=0)
+            previous = word
+        return out
+
 
 def _choose_flat_basis(data: ArrangementData, frame: CriticalPointFrame):
     """Greedily pick mu maximal independent sets whose sections span the fiber."""
@@ -536,4 +580,5 @@ def structure_from_arrangement(
         unit=backend.unit,
         form=backend.form,
         backend=backend,
+        jet=backend.pairing_jets,
     )

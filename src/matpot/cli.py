@@ -180,9 +180,7 @@ def _cmd_potentials(args) -> dict:
     if not isinstance(n_max, int) or isinstance(n_max, bool):
         raise SchemaError("N_max must be an integer")
     Q = first_kind_polynomial(structure)
-    L = second_kind_truncation(
-        structure, n_max, h=args.h_step, spread_tol=args.tol
-    )
+    L = second_kind_truncation(structure, n_max, spread_tol=args.tol)
     return {
         "mu": structure.mu,
         "Q": {mult_key(T): complex_to_json(c) for T, c in sorted(Q.coefficients.items())},
@@ -264,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("potentials", help="first- and second-kind potential tables")
     common(p)
     p.add_argument("--n-max", type=int, default=None, help="truncation order (default mk+3)")
-    p.add_argument("--h-step", type=float, default=None, help="finite-difference step override")
     p.add_argument("--tol", type=float, default=None, help="spread tolerance (default MATPOT_TOL or 1e-6)")
     p.add_argument("--allow-k-ge-2", action="store_true", help="enable the experimental k >= 2 solver")
     p.set_defaults(handler=_cmd_potentials)

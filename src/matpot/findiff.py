@@ -1,5 +1,8 @@
 """Central finite differences with two-step Richardson extrapolation.
 
+They serve ``verify_axioms``, ``remainder_swap_residual`` and the
+second-kind table of a structure without a Taylor jet; arrangement
+structures take their second-kind coefficients from jets (``series``).
 Steps are chosen per derivative order to balance truncation against roundoff:
 h = scale * EPS**(1/(order+2)), which is the usual 1e-5 * scale for first
 derivatives and grows for higher orders.  All target functions here are

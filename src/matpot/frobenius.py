@@ -18,7 +18,10 @@ the spread across decompositions is recorded (it vanishes for a genuine
 structure), and the mean is stored.  The good decompositions of T are the
 splits T = alpha + T2 over the strong (mk+1)-systems T2 <= T, so the table is
 read off the pairing vector g(z) = (S(C_T2 unit, unit, ..., unit)(z)) over
-these strong second members, one mixed difference of g per multi-index alpha.
+these strong second members.  A structure with a ``jet`` (every arrangement
+structure) gives the Taylor coefficients of g at x in one pass, so
+d^alpha g = alpha! [delta^alpha] g; a structure without one gets one mixed
+finite difference of g per multi-index alpha (``findiff``).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .errors import (
 )
 from .findiff import default_step, multi_partial
 from .matroids import Matroid
+from .series import SeriesSpace
 from .systems import Context, System, _bounded_compositions, find_strong_decomposition
 
 MAX_TOTAL = 24  # largest total degree |T| of a second-kind coefficient
@@ -50,7 +54,11 @@ class FlatFrameStructure:
 
     higgs(i, z) returns the mu x mu matrix of C_i at z (labels are 1-based),
     unit(z) the coordinates of the unit section, form(z) the m-linear form as
-    an array of shape (mu,) * m; all in the working frame.
+    an array of shape (mu,) * m; all in the working frame.  jet(space,
+    members), when given, returns the Taylor coefficients at the basepoint of
+    the pairings S(C_T2 unit, unit, ..., unit) for the multiplicity tuples T2
+    in members, as an array (len(members), space.size) over the monomials of
+    the SeriesSpace in z - basepoint.
     """
 
     matroid: Matroid
@@ -61,6 +69,7 @@ class FlatFrameStructure:
     unit: Callable[[np.ndarray], np.ndarray]
     form: Callable[[np.ndarray], np.ndarray]
     backend: Any = None
+    jet: Callable[[SeriesSpace, list], np.ndarray] | None = None
 
     def __post_init__(self):
         self.basepoint = np.asarray(self.basepoint, dtype=complex)
@@ -423,7 +432,10 @@ def second_kind_truncation(
     once per good decomposition T = alpha + T2 as d^alpha g[T2] / T! and
     averaged (d^alpha g is taken when the first T needs it); a spread above
     ``spread_tol`` (relative to the coefficient size) raises
-    WellDefinednessError.  Before any evaluation, an n_max above MAX_TOTAL
+    WellDefinednessError.  A structure with a ``jet`` gives every d^alpha g
+    from one jet of degree n_max - mk - 1; otherwise d^alpha g is a mixed
+    difference with step ``h`` (default per order).  Before any evaluation,
+    an n_max above MAX_TOTAL, or a jet whose product table is too large,
     raises SizeLimitError, and PreconditionError is raised for a
     ``spread_tol`` that is negative or not finite and for an ``h`` that is
     neither None nor finite and > 0.
@@ -437,6 +449,7 @@ def second_kind_truncation(
     if not (math.isfinite(spread_tol) and spread_tol >= 0):
         raise PreconditionError(f"spread_tol must be finite and >= 0, got {spread_tol!r}")
     _check_step(h)
+    space = SeriesSpace(F.n, n_max - mk - 1) if F.jet is not None else None
     x = F.basepoint
     scale = F.scale()
     coefficients: dict[tuple[int, ...], complex] = {}
@@ -453,22 +466,33 @@ def second_kind_truncation(
                 for T2 in _bounded_compositions(t, (t,) * F.n)
                 if find_strong_decomposition(ctx.system(T2), 1) is not None
             ]
-            cache = _EvalCache(F, members)
+            lattice = np.array(members, dtype=np.int64).reshape(len(members), F.n)
+            if space is None:
+                cache = _EvalCache(F, members)
+            else:
+                jets = F.jet(space, members)
         order = t - mk - 1
         step = default_step(scale, order) if h is None else h
-        derivatives: dict[tuple[int, ...], np.ndarray] = {}  # d^alpha g for |alpha| = order
+
+        def derivative(alpha):
+            """d^alpha g over the members, as Python complex."""
+            if space is not None:
+                return (jets[:, space.index[alpha]] * float(_factorial_multi(alpha))).tolist()
+            return multi_partial(cache.pairings, x, alpha, step) if order else cache.pairings(x)
+
+        # alpha -> (alpha, d^alpha g) for |alpha| = order; the candidates of
+        # every T share the stored alpha tuple
+        derivatives: dict[tuple[int, ...], tuple] = {}
         for T in _bounded_compositions(t, (t,) * F.n):
             fact = _factorial_multi(T)
             candidates = []
-            for j, t2 in enumerate(cache.members):
-                if any(a > b for a, b in zip(t2, T)):
-                    continue
+            for j in np.flatnonzero((lattice <= T).all(axis=1)).tolist():
+                t2 = members[j]
                 alpha = tuple(b - a for a, b in zip(t2, T))
-                if alpha not in derivatives:
-                    derivatives[alpha] = (
-                        multi_partial(cache.pairings, x, alpha, step) if order else cache.pairings(x)
-                    )
-                candidates.append((alpha, t2, derivatives[alpha][j] / fact))
+                hit = derivatives.get(alpha)
+                if hit is None:
+                    hit = derivatives[alpha] = (alpha, derivative(alpha))
+                candidates.append((hit[0], t2, hit[1][j] / fact))
             if not candidates:
                 coefficients[T] = 0.0 + 0.0j
                 provenance[T] = CoefficientProvenance("free-zero", (), 0.0, 0.0 + 0.0j)

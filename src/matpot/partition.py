@@ -237,16 +237,11 @@ def slack_elements(problem: PartitionProblem) -> frozenset:
 
     This is the closure of ``min_tight_set`` on any ground set, or the whole
     ground set when the uniform part has a free slot (see the module
-    docstring).
+    docstring).  A uniform part of rank 0 gets the empty set, the closure of
+    an empty U.
     """
-    _require_slack_rank(problem)
     closure = _uniform_closure(problem, "no partition of the full ground set exists")
     return frozenset(problem.ground.labels) if closure is None else closure
-
-
-def _require_slack_rank(problem: PartitionProblem) -> None:
-    if _last_uniform(problem).l < 1:
-        raise PreconditionError("slack elements need a uniform part of rank >= 1")
 
 
 def tight_set_and_slack(problem: PartitionProblem) -> tuple[frozenset, frozenset]:
@@ -257,5 +252,4 @@ def tight_set_and_slack(problem: PartitionProblem) -> tuple[frozenset, frozenset
     what the two calls raise, in that order.
     """
     minimal = min_tight_set(problem)
-    _require_slack_rank(problem)
     return minimal, minimal

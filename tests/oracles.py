@@ -1,8 +1,10 @@
 """Brute-force oracles, independent of the library's algorithms.
 
 Everything here enumerates exhaustively (colorings, token assignments,
-subsets, pairs) or evaluates hand-derived closed forms for the two-hyperplane
-fixture, so library results can be checked against an unrelated code path.
+subsets, pairs), computes exactly over Q (the Euler-Jacobi pairing jets of
+rank-1 arrangements) or evaluates hand-derived closed forms for the
+two-hyperplane fixture, so library results can be checked against an
+unrelated code path.
 ``pairwise_edges`` is one exception: it applies the library's pairwise
 ``locally_related`` to every pair, as the reference for the neighbour lookup
 of ``equivalence_report``.  ``scalar_newton_refine`` is the other: the
@@ -355,3 +357,113 @@ def fix2_pair_c11(z):
     """Residue pairing of C_1 C_1 (unit) with the unit; constant -1/2."""
     p = fix2_p(z)
     return p[0] * p[0] * (1.0 / fix2_hess(z))
+
+
+def exact_k1_pairing_jet(b, a, x, T2, q):
+    """Exact Taylor coefficients {alpha: Fraction}, |alpha| <= q, of the rank-1
+    pairing g_T2(z) = sum_s prod_i p_i(t_s)^{T2_i} / Phi''(t_s) in delta = z - x,
+    for rational b_i != 0, weights a_i and basepoint x (a float is read as
+    its shortest decimal repr).
+
+    Euler-Jacobi: with f_i = b_i t + z_i, F = prod_i f_i and the fiber
+    polynomial P = F Phi' = sum_i a_i b_i prod_{j != i} f_j of degree
+    d = n - 1, Phi'' = P' / F at the roots of P, so
+
+        g = [t^(d-1)] (h F mod P) / lc(P),   h = prod_i p_i^(T2_i),
+
+    where lc(P) = prod_j b_j sum_i a_i is constant in z and p_i = a_i / f_i
+    mod P comes from synthetic division of P by t + z_i / b_i (no Euclid over
+    series).  Every coefficient of a polynomial in t lies in Q[delta]
+    truncated after degree q; the arithmetic is stdlib Fraction only.
+    """
+    n = len(b)
+    b, a = [Fraction(v) for v in b], [Fraction(v) for v in a]
+    if any(v == 0 for v in b):
+        raise ValueError("every hyperplane must involve the fiber variable")
+    unit = tuple([0] * n)
+
+    def mul(u, v):
+        out = {}
+        terms = sorted((sum(g), g, d) for g, d in v.items() if d)
+        for e, c in u.items():
+            room = q - sum(e)
+            for degree, g, d in terms:
+                if degree > room:
+                    break
+                key = tuple(i + j for i, j in zip(e, g))
+                out[key] = out.get(key, 0) + c * d
+        return out
+
+    def add(u, v, scale=1):
+        out = dict(u)
+        for e, c in v.items():
+            out[e] = out.get(e, 0) + scale * c
+        return out
+
+    def reciprocal(u):
+        # 1/u = (1/u0) sum_j (-e)^j with e = u/u0 - 1, which has no constant term
+        u0 = u[unit]
+        e = {g: c / u0 for g, c in u.items() if g != unit}
+        out, power = {unit: Fraction(1)}, {unit: Fraction(1)}
+        for _ in range(q):
+            power = mul(power, {g: -c for g, c in e.items()})
+            out = add(out, power)
+        return {g: c / u0 for g, c in out.items()}
+
+    def poly_mul(A, C):
+        out = [{} for _ in range(len(A) + len(C) - 1)]
+        for i, u in enumerate(A):
+            for j, v in enumerate(C):
+                out[i + j] = add(out[i + j], mul(u, v))
+        return out
+
+    z = [
+        {unit: Fraction(str(v)), tuple(int(j == i) for j in range(n)): Fraction(1)}
+        for i, v in enumerate(x)
+    ]
+    f = [[z[i], {unit: b[i]}] for i in range(n)]  # ascending powers of t
+    P = [{} for _ in range(n)]
+    for i in range(n):
+        term = [{unit: a[i] * b[i]}]
+        for j in range(n):
+            if j != i:
+                term = poly_mul(term, f[j])
+        P = [add(u, v) for u, v in zip(P, term)]
+    d = n - 1
+    lead = P[d][unit]
+    monic = [{g: c / lead for g, c in u.items()} for u in P]
+
+    def reduce(R):
+        R = list(R)
+        for top in range(len(R) - 1, d - 1, -1):
+            c = R.pop()
+            for j in range(d):
+                R[top - d + j] = add(R[top - d + j], mul(c, monic[j]), -1)
+        return R + [{} for _ in range(d - len(R))]
+
+    def p(i):
+        # P = (t - r) Q + P(r) with r = -z_i / b_i, so 1/(t - r) = -Q / P(r) mod P
+        r = {g: -c / b[i] for g, c in z[i].items()}
+        Q = [None] * d
+        acc = P[d]
+        for j in range(d - 1, -1, -1):
+            Q[j] = acc
+            acc = add(P[j], mul(r, acc))
+        scale = {g: -c * a[i] / b[i] for g, c in reciprocal(acc).items()}
+        return [mul(scale, u) for u in Q]
+
+    F = [{unit: Fraction(1)}]
+    for i in range(n):
+        F = poly_mul(F, f[i])
+    R = reduce(F)
+    for i, e in enumerate(T2):
+        if e:
+            p_i = p(i)
+            for _ in range(e):
+                R = reduce(poly_mul(R, p_i))
+    top = R[d - 1]
+    return {
+        alpha: top.get(alpha, Fraction(0)) / lead
+        for alpha in product(range(q + 1), repeat=n)
+        if sum(alpha) <= q
+    }

@@ -146,8 +146,6 @@ def test_amin_refusals(capsys, tmp_path):
         return {"type": "uniform", "l": l, "n": n}
 
     cases = [
-        # a tight ground set, but a rank-0 uniform part has no slack elements
-        ([uniform(1, 2), uniform(1, 2), uniform(0, 2)], "slack elements need a uniform part of rank >= 1"),
         ([uniform(1, 2), {"type": "linear", "matrix": [[1], [1]]}], "the last matroid must be uniform for tight-set queries"),
         ([uniform(1, 3)], "no partition exists; tight-set family is undefined"),
         ([uniform(2, 2), uniform(1, 2)], "the full ground set is not tight"),
@@ -160,6 +158,16 @@ def test_amin_refusals(capsys, tmp_path):
             '{"command":"amin","error":{"code":"precondition","message":"%s"},"version":"%s"}\n'
             % (message, __version__)
         )
+
+
+def test_amin_rank_zero_uniform_part(capsys, tmp_path):
+    # a tight ground set whose rank-0 uniform part takes nothing: both sets are empty
+    for matroids in ([(2, 2), (0, 2)], [(1, 2), (1, 2), (0, 2)]):
+        uniforms = [{"type": "uniform", "l": l, "n": n} for l, n in matroids]
+        payload = {"ground": 2, "matroids": uniforms}
+        code, out = run_cli(capsys, ["amin"], payload, tmp_path)
+        assert code == 0
+        assert json.loads(out)["result"] == {"agree": True, "min_tight_set": [], "slack_elements": []}
 
 
 def test_strong_decompose_both_outcomes(capsys, tmp_path):
@@ -306,8 +314,8 @@ def test_tolerance_env_override(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
-# the ROADMAP item-5 reproducer: at the default tolerance it fails with
-# well-definedness, so a tolerance that lets it through is a false pass
+# the ROADMAP item-5 reproducer: its candidates agree to about 1e-13, so it
+# passes at the default tolerance and fails with well-definedness at 0
 _SPREAD_REPRODUCER = {
     "B": [[1], [1], [2], [2], [1]],
     "a": [2, 4, 1, 3, 1],
@@ -332,6 +340,9 @@ def test_tolerance_env_must_be_finite_and_nonnegative(capsys, tmp_path, monkeypa
     assert json.loads(out)["error"]["code"] == "schema"
     monkeypatch.delenv("MATPOT_TOL")
     code, out = run_cli(capsys, ["potentials"], _SPREAD_REPRODUCER, tmp_path)
+    assert code == 0
+    assert 0 < json.loads(out)["result"]["spread_max"] <= 1e-10
+    code, out = run_cli(capsys, ["potentials", "--tol", "0"], _SPREAD_REPRODUCER, tmp_path)
     assert code == 2
     assert json.loads(out)["error"]["code"] == "well-definedness"
 
@@ -356,8 +367,15 @@ def test_n_max_above_the_size_limit_fails_at_once(capsys, tmp_path):
 )
 def test_h_step_must_be_finite_and_positive(capsys, tmp_path, command, step):
     # at --h-step 0 the 0/0 differences used to report integrability,
-    # section_flatness and form_flatness as 0 on this instance
+    # section_flatness and form_flatness as 0 on this instance; potentials
+    # takes its coefficients from Taylor jets and has no --h-step
     payload = {"B": [[1], [1], [2], [-1]], "a": [1, 2, 3, 5], "x": [1, -1, 3, 2], "m": 2}
+    if command == "potentials":
+        with pytest.raises(SystemExit) as info:
+            run_cli(capsys, [command, "--h-step", step], payload, tmp_path)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --h-step" in capsys.readouterr().err
+        return
     code, out = run_cli(capsys, [command, "--h-step", step], payload, tmp_path)
     assert code == 2
     assert json.loads(out)["error"]["code"] == "precondition"

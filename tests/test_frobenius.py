@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 import matpot.frobenius
 from matpot import (
+    ArrangementData,
     FlatFrameStructure,
     LinearMatroid,
     PreconditionError,
@@ -19,11 +22,18 @@ from matpot import (
     first_kind_polynomial,
     remainder_swap_residual,
     second_kind_truncation,
+    structure_from_arrangement,
     verify_axioms,
 )
-from matpot.frobenius import HomogeneousPolynomial
+from matpot.frobenius import HomogeneousPolynomial, _EvalCache, pairing_with_unit
+from matpot.series import SeriesSpace
 
-from oracles import brute_second_kind_candidates
+from oracles import (
+    brute_good_decompositions,
+    brute_second_kind_candidates,
+    brute_strong_decompositions,
+    exact_k1_pairing_jet,
+)
 
 
 def _constant_structure(matroid, m, mu, higgs_mats, weights):
@@ -154,11 +164,12 @@ def test_second_kind_defining_property(all_structures):
 
 
 def test_second_kind_matches_per_decomposition_oracle(all_structures):
-    # reading the table off the pairing vector gives, bit for bit, the
-    # candidates of one scalar difference per brute-force good decomposition
+    # without a jet, reading the table off the pairing vector gives, bit for
+    # bit, the candidates of one scalar difference per brute-force good
+    # decomposition
     for F in all_structures:
         mk = F.m * F.k
-        L = second_kind_truncation(F, mk + 3)
+        L = second_kind_truncation(_counting(F, []), mk + 3)
         want = brute_second_kind_candidates(F, mk + 3)
         assert {T for T in L.provenance if sum(T) > mk} == set(want)
         for T, prov in L.provenance.items():
@@ -167,6 +178,23 @@ def test_second_kind_matches_per_decomposition_oracle(all_structures):
                 continue
             assert prov.candidates == want[T]
             assert prov.kind == ("averaged" if want[T] else "free-zero")
+
+
+def test_second_kind_jet_candidates_follow_the_good_decompositions(all_structures):
+    # the jet path lists exactly the brute-force (T1, T2) pairs, T2 in
+    # lexicographic order
+    for F in all_structures:
+        assert F.jet is not None
+        ctx = F.context()
+        mk = ctx.m * ctx.k
+        L = second_kind_truncation(F, mk + 3)
+        for T, prov in L.provenance.items():
+            if sum(T) <= mk:
+                assert prov.kind == "gauge-zero"
+                continue
+            want = sorted(brute_good_decompositions(ctx.system(T)), key=lambda d: d[1])
+            assert [(alpha, t2) for alpha, t2, _ in prov.candidates] == want
+            assert prov.kind == ("averaged" if want else "free-zero")
 
 
 def test_second_kind_one_difference_per_multi_index(random_k1_structures, monkeypatch):
@@ -181,9 +209,30 @@ def test_second_kind_one_difference_per_multi_index(random_k1_structures, monkey
     F = random_k1_structures[1]
     assert F.n == 4
     mk = F.m * F.k
-    second_kind_truncation(F, mk + 3)
+    second_kind_truncation(_counting(F, []), mk + 3)
     expected = [a for a in product(range(3), repeat=F.n) if 1 <= sum(a) <= 2]
     assert sorted(alphas) == sorted(expected)
+
+
+def test_second_kind_one_jet_per_table(random_k1_structures, monkeypatch):
+    alphas, jets = [], []
+    monkeypatch.setattr(matpot.frobenius, "multi_partial", lambda f, z, alpha, *a, **k: alphas.append(alpha))
+
+    def counting_jet(space, members):
+        jets.append((space.n, space.q, list(members)))
+        return F.jet(space, members)
+
+    F = random_k1_structures[1]
+    ctx = F.context()
+    mk = ctx.m * ctx.k
+    second_kind_truncation(dataclasses.replace(F, jet=counting_jet), mk + 3)
+    assert alphas == []
+    strong = [
+        t2
+        for t2 in product(range(mk + 2), repeat=F.n)
+        if sum(t2) == mk + 1 and brute_strong_decompositions(ctx.system(t2), 1)
+    ]
+    assert jets == [(F.n, 2, strong)]
 
 
 def test_second_kind_size_limit():
@@ -387,3 +436,84 @@ def test_verify_axioms_flags_nonflat_frame():
     report = verify_axioms(F, [F.basepoint], hard_threshold=None)
     assert report.section_flatness > 1e-3
     assert report.integrability > 1e-3
+
+
+# the ROADMAP item-5 reproducer: nested differences gave a spread of 1.0e-6
+_REPRODUCER = ArrangementData([[1], [1], [2], [2], [1]], [2, 4, 1, 3, 1], [0.688, -1.435, -1.47, 0.752, -0.422])
+
+
+def _strong_members(F):
+    ctx = F.context()
+    mk = ctx.m * ctx.k
+    return [
+        t2
+        for t2 in product(range(mk + 2), repeat=F.n)
+        if sum(t2) == mk + 1 and find_strong_decomposition(ctx.system(t2), 1) is not None
+    ]
+
+
+def _exact_jet(F, t2, q):
+    data = F.backend.data
+    return exact_k1_pairing_jet(
+        [row[0] for row in data.matrix], data.weights, [v.real for v in F.basepoint], t2, q
+    )
+
+
+def test_pairing_jets_match_exact_oracle(all_structures):
+    # q = 3; tolerance relative to the largest coefficient of the
+    # structure's jets, which every jet is computed alongside
+    for F in all_structures:
+        members = _strong_members(F)
+        space = SeriesSpace(F.n, 3)
+        jets = F.jet(space, members)
+        scale = max(1.0, float(np.max(np.abs(jets))))
+        picks = range(len(members)) if F.n == 2 else (0, len(members) // 2, len(members) - 1)
+        for j in picks:
+            for alpha, value in _exact_jet(F, members[j], 3).items():
+                assert abs(jets[j, space.index[alpha]] - float(value)) <= 1e-12 * scale
+        # every member's constant term is the flat-frame pairing at x
+        cache = _EvalCache(F)
+        for j, t2 in enumerate(members):
+            assert abs(jets[j, 0] - pairing_with_unit(cache, t2, F.basepoint)) <= 1e-12 * scale
+
+
+def test_reproducer_coefficient_is_exactly_zero():
+    F = structure_from_arrangement(_REPRODUCER, 2)
+    T = (1, 3, 0, 1, 1)
+    L = second_kind_truncation(F, 6)
+    assert L.spread_max <= 1e-10
+    assert abs(L.coefficient(T)) <= 1e-12
+    members = _strong_members(F)
+    space = SeriesSpace(F.n, 3)
+    jets = F.jet(space, members)
+    scale = max(1.0, float(np.max(np.abs(jets))))
+    for t2 in [(0, 1, 0, 1, 1), (1, 2, 0, 0, 0)]:
+        exact = _exact_jet(F, t2, 3)
+        alpha = tuple(a - b for a, b in zip(T, t2))
+        assert exact[alpha] == 0
+        j = members.index(t2)
+        for beta, value in exact.items():
+            assert abs(jets[j, space.index[beta]] - float(value)) <= 1e-12 * scale
+
+
+def test_second_kind_spread_at_order_mk_plus_5(random_k1_structures):
+    for F in random_k1_structures + [structure_from_arrangement(_REPRODUCER, 2)]:
+        L = second_kind_truncation(F, F.m * F.k + 5)
+        assert L.spread_max <= 1e-10
+        assert check_second_kind(F, L) <= 1e-10
+
+
+def test_jet_size_limit_before_any_evaluation(random_k1_structures):
+    calls = []
+    F = random_k1_structures[1]
+    assert F.n == 4
+    counted = dataclasses.replace(_counting(F, calls), jet=lambda space, members: calls.append("jet"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="product table"):
+            second_kind_truncation(counted, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 64 * 1024

@@ -151,10 +151,11 @@ def test_slack_single_element():
     assert slack_elements(P) == {1}
 
 
-def test_slack_requires_positive_rank():
+def test_slack_of_rank_zero_part_is_empty():
+    # no partition puts anything in a rank-0 uniform part
     P = PartitionProblem((UniformMatroid(2, 2), UniformMatroid(0, 2)))
-    with pytest.raises(PreconditionError):
-        slack_elements(P)
+    assert slack_elements(P) == brute_slack_elements(P) == frozenset()
+    assert matpot.partition.tight_set_and_slack(P) == (frozenset(), frozenset())
 
 
 def test_tight_sets_preconditions():
