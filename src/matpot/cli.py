@@ -38,7 +38,13 @@ from .partition import (
     solve_partition,
     tight_set_and_slack,
 )
-from .systems import Context, equivalence_report, find_strong_decomposition, strong_deficiency_witness
+from .systems import (
+    MAX_TOTAL,
+    Context,
+    equivalence_report,
+    find_strong_decomposition,
+    strong_deficiency_witness,
+)
 
 
 def _spread_tol(flag: float | None) -> float:
@@ -204,9 +210,7 @@ def _cmd_verify_arrangement(args) -> dict:
     data, m = _arrangement_from_json(obj)
     structure = structure_from_arrangement(data, m, allow_k_ge_2=args.allow_k_ge_2)
     backend = structure.backend
-    report = verify_axioms(
-        structure, _sample_points(structure), h=args.h_step, hard_threshold=None
-    )
+    report = verify_axioms(structure, _sample_points(structure), hard_threshold=None)
     x = structure.basepoint
     ones = np.ones(structure.mu, dtype=complex)
     return {
@@ -252,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strict-order", action="store_true", help="accepted for compatibility; output is identical"
     )
-    p.add_argument("--bound", type=int, default=24, help="max system size for enumeration")
+    p.add_argument("--bound", type=int, default=MAX_TOTAL, help="max system size for enumeration")
     p.set_defaults(handler=_cmd_equivalence)
 
     p = sub.add_parser("strong-decompose", help="strong decomposition of a system")
@@ -268,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-arrangement", help="axiom report for an arrangement structure")
     common(p)
-    p.add_argument("--h-step", type=float, default=None, help="finite-difference step override")
     p.add_argument("--allow-k-ge-2", action="store_true", help="enable the experimental k >= 2 solver")
     p.set_defaults(handler=_cmd_verify_arrangement)
 

@@ -1,11 +1,10 @@
 """Central finite differences with two-step Richardson extrapolation.
 
-They serve ``verify_axioms``, ``remainder_swap_residual`` and the
-second-kind table of a structure without a Taylor jet; arrangement
-structures take their second-kind coefficients from jets (``series``).
-Steps are chosen per derivative order to balance truncation against roundoff:
-h = scale * EPS**(1/(order+2)), which is the usual 1e-5 * scale for first
-derivatives and grows for higher orders.  All target functions here are
+They serve only the checks ``verify_axioms`` and ``remainder_swap_residual``,
+which stay independent of the Taylor jets (``series``) that every
+second-kind coefficient comes from.  Steps are chosen per derivative order
+to balance truncation against roundoff: h = scale * EPS**(1/(order+2)),
+which is the usual 1e-5 * scale for first derivatives.  All target functions here are
 holomorphic in the parameters, so differencing along the real axis yields the
 complex derivative.  f may return a scalar or an array; an object array of
 Python complex is differenced entrywise in exactly the scalar arithmetic.

@@ -18,16 +18,19 @@ the spread across decompositions is recorded (it vanishes for a genuine
 structure), and the mean is stored.  The good decompositions of T are the
 splits T = alpha + T2 over the strong (mk+1)-systems T2 <= T, so the table is
 read off the pairing vector g(z) = (S(C_T2 unit, unit, ..., unit)(z)) over
-these strong second members.  A structure with a ``jet`` (every arrangement
-structure) gives the Taylor coefficients of g at x in one pass, so
-d^alpha g = alpha! [delta^alpha] g; a structure without one gets one mixed
-finite difference of g per multi-index alpha (``findiff``).
+these strong second members, which by definition are the sums of m bases
+plus one label.  The structure's ``jet`` gives the Taylor coefficients of g
+at x in one pass, so d^alpha g = alpha! [delta^alpha] g; this is the only
+source of second-kind derivatives.  Finite differences (``findiff``) serve
+only the checks ``verify_axioms`` and ``remainder_swap_residual``, which stay
+independent of the jets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Any, Callable
 
@@ -43,9 +46,7 @@ from .errors import (
 from .findiff import default_step, multi_partial
 from .matroids import Matroid
 from .series import SeriesSpace
-from .systems import Context, System, _bounded_compositions, find_strong_decomposition
-
-MAX_TOTAL = 24  # largest total degree |T| of a second-kind coefficient
+from .systems import MAX_TOTAL, Context, System, _bounded_compositions
 
 
 @dataclass
@@ -55,10 +56,11 @@ class FlatFrameStructure:
     higgs(i, z) returns the mu x mu matrix of C_i at z (labels are 1-based),
     unit(z) the coordinates of the unit section, form(z) the m-linear form as
     an array of shape (mu,) * m; all in the working frame.  jet(space,
-    members), when given, returns the Taylor coefficients at the basepoint of
-    the pairings S(C_T2 unit, unit, ..., unit) for the multiplicity tuples T2
-    in members, as an array (len(members), space.size) over the monomials of
-    the SeriesSpace in z - basepoint.
+    members) returns the Taylor coefficients at the basepoint of the pairings
+    S(C_T2 unit, unit, ..., unit) for the multiplicity tuples T2 in members,
+    as an array (len(members), space.size) over the monomials of the
+    SeriesSpace in z - basepoint; ``second_kind_truncation`` needs it, the
+    axiom checks do not.
     """
 
     matroid: Matroid
@@ -89,6 +91,12 @@ class FlatFrameStructure:
         return (self.n, self.k, self.m)
 
     def context(self) -> Context:
+        """The structure's one Context, so its bases, base sums and
+        strong-decomposition memo are built once."""
+        return self._context
+
+    @cached_property
+    def _context(self) -> Context:
         return Context(self.matroid, self.m)
 
     def maximal_independent_sets(self) -> tuple[tuple[int, ...], ...]:
@@ -99,14 +107,11 @@ class FlatFrameStructure:
 
 
 class _EvalCache:
-    """Memoizes, per base point z, the higgs/unit/form evaluations or, once it
-    is asked for, the pairing vector over ``members`` (multiplicity tuples T2)."""
+    """Memoizes, per base point z, the higgs/unit/form evaluations."""
 
-    def __init__(self, structure: FlatFrameStructure, members=()):
+    def __init__(self, structure: FlatFrameStructure):
         self.structure = structure
-        self.members = tuple(members)
         self._data: dict = {}
-        self._pairings: dict = {}
 
     def at(self, z):
         zz = np.asarray(z, dtype=complex)
@@ -118,19 +123,6 @@ class _EvalCache:
             u = np.asarray(F.unit(zz), dtype=complex)
             W = np.asarray(F.form(zz), dtype=complex)
             hit = self._data[key] = (H, u, W)
-        return hit
-
-    def pairings(self, z) -> np.ndarray:
-        """g(z) = (S(C_T2 unit, unit, ..., unit)(z)) over the members T2, as an
-        object array of Python complex: differences of g are then entrywise
-        exactly the scalar differences of each pairing."""
-        key = tuple(np.asarray(z, dtype=complex).tolist())
-        hit = self._pairings.get(key)
-        if hit is None:
-            hit = np.empty(len(self.members), dtype=object)
-            hit[:] = [pairing_with_unit(self, t2, z) for t2 in self.members]
-            self._pairings[key] = hit
-            self._data.pop(key, None)  # g is all the table reads at z from now on
         return hit
 
 
@@ -203,41 +195,36 @@ def _worst(current: float, arr) -> float:
     return float(np.maximum(current, np.max(np.abs(arr)))) if arr.size else current
 
 
-def _check_step(h) -> None:
-    if h is not None and not (math.isfinite(h) and h > 0):
-        raise PreconditionError(f"the difference step h must be finite and > 0, got {h!r}")
-
-
 def verify_axioms(
     structure: FlatFrameStructure,
     samples,
-    h: float | None = None,
     hard_threshold: float | None = 1e-3,
 ) -> AxiomReport:
     """Measure the worst violation of the structure axioms at the samples.
 
     Reports maxima of (a) Higgs commutators, (b) the integrability defect
-    d_i C_j - d_j C_i from central differences, (c) the form's Higgs
-    invariance across slots, (d) flatness of the sections C_I(unit) for all
-    maximal independent I, and (e) flatness of the form itself.  Raises
-    StructureError when the worst violation exceeds ``hard_threshold`` and,
-    whatever the threshold, when a violation is not finite; PreconditionError
-    unless ``h`` is None or finite and > 0.
+    d_i C_j - d_j C_i, (c) the form's Higgs invariance across slots, (d)
+    flatness of the sections C_I(unit) for all maximal independent I, and
+    (e) flatness of the form itself.  Derivatives are Richardson-extrapolated
+    central differences from direct evaluations, with the step
+    h = default_step(scale, 1) that the report records, so the check stays
+    independent of the jets.  Raises PreconditionError for an empty sample
+    list, and StructureError when the worst violation exceeds
+    ``hard_threshold`` and, whatever the threshold, when a violation is not
+    finite.
     """
-    _check_step(h)
+    samples = [np.asarray(z, dtype=complex) for z in samples]
+    if not samples:
+        raise PreconditionError("verify_axioms needs at least one sample point")
     F = structure
     cache = _EvalCache(F)
-    if h is None:
-        h = default_step(F.scale(), order=1)
+    h = default_step(F.scale(), order=1)
     n, m = F.n, F.m
     max_inds = F.maximal_independent_sets()
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
 
     comm = integ = invari = sect = formflat = 0.0
-    count = 0
     for z in samples:
-        z = np.asarray(z, dtype=complex)
-        count += 1
         H, u, W = cache.at(z)
         for a in range(n):
             for b in range(a + 1, n):
@@ -264,7 +251,7 @@ def verify_axioms(
         higgs_invariance=invari,
         section_flatness=sect,
         form_flatness=formflat,
-        samples=count,
+        samples=len(samples),
         h=h,
     )
     if not math.isfinite(report.max_violation):
@@ -286,6 +273,24 @@ def _factorial_multi(mult) -> int:
     return out
 
 
+def _multi_index(alpha, n: int) -> tuple[int, ...]:
+    """alpha as a tuple of n nonnegative ints, else PreconditionError."""
+    alpha = tuple(alpha)
+    if len(alpha) != n or any(
+        isinstance(a, bool) or not isinstance(a, (int, np.integer)) or a < 0 for a in alpha
+    ):
+        raise PreconditionError(f"need a multi-index of {n} nonnegative integers, got {alpha!r}")
+    return tuple(int(a) for a in alpha)
+
+
+def _point(z, n: int) -> np.ndarray:
+    """z as a complex vector of length n, else PreconditionError."""
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (n,):
+        raise PreconditionError(f"need a point with {n} coordinates, got shape {z.shape}")
+    return z
+
+
 @dataclass
 class HomogeneousPolynomial:
     """Polynomial sum of c_T z^T with all |T| equal to the degree."""
@@ -295,12 +300,12 @@ class HomogeneousPolynomial:
     coefficients: dict[tuple[int, ...], complex]
 
     def coefficient(self, mult) -> complex:
-        return self.coefficients.get(tuple(mult), 0.0 + 0.0j)
+        return self.coefficients.get(_multi_index(mult, self.n), 0.0 + 0.0j)
 
     def partial_derivative_value(self, alpha, z) -> complex:
         """Exact evaluation of the alpha-th mixed derivative at z."""
-        alpha = tuple(alpha)
-        z = np.asarray(z, dtype=complex)
+        alpha = _multi_index(alpha, self.n)
+        z = _point(z, self.n)
         total = 0.0 + 0.0j
         for T, c in self.coefficients.items():
             if any(t < a for t, a in zip(T, alpha)):
@@ -334,15 +339,8 @@ def first_kind_polynomial(F: FlatFrameStructure) -> HomogeneousPolynomial:
     )
     cache = _EvalCache(F)
     ctx = F.context()
-    mk = ctx.m * ctx.k
-    strong: set[tuple[int, ...]] = set()
-    for combo in combinations_with_replacement(ctx.base_systems, ctx.m):
-        total = ctx.zero()
-        for b in combo:
-            total = total + b
-        strong.add(total.mult)
     coeffs: dict[tuple[int, ...], complex] = {}
-    for T in sorted(strong):
+    for T in ctx.base_sums:
         fact = _factorial_multi(T)
         base_val = pairing_with_unit(cache, T, x) / fact
         for z in (first, second):
@@ -352,7 +350,7 @@ def first_kind_polynomial(F: FlatFrameStructure) -> HomogeneousPolynomial:
                     f"coefficient of {T} varies with z: {base_val} vs {other}"
                 )
         coeffs[T] = base_val
-    return HomogeneousPolynomial(n=F.n, degree=mk, coefficients=coeffs)
+    return HomogeneousPolynomial(n=F.n, degree=ctx.m * ctx.k, coefficients=coeffs)
 
 
 def check_first_kind(F: FlatFrameStructure, Q: HomogeneousPolynomial) -> float:
@@ -399,17 +397,16 @@ class TruncatedPotential:
         return max(spreads) if spreads else 0.0
 
     def coefficient(self, mult) -> complex:
-        return self.coefficients.get(tuple(mult), 0.0 + 0.0j)
+        return self.coefficients.get(_multi_index(mult, len(self.basepoint)), 0.0 + 0.0j)
 
     def derivative_at_basepoint(self, alpha) -> complex:
-        alpha = tuple(alpha)
+        alpha = _multi_index(alpha, len(self.basepoint))
         if sum(alpha) > self.n_max:
             raise PreconditionError("derivative order exceeds the truncation order")
         return self.coefficient(alpha) * _factorial_multi(alpha)
 
     def evaluate(self, z) -> complex:
-        z = np.asarray(z, dtype=complex)
-        shifted = z - np.asarray(self.basepoint, dtype=complex)
+        shifted = _point(z, len(self.basepoint)) - np.asarray(self.basepoint, dtype=complex)
         total = 0.0 + 0.0j
         for T, c in self.coefficients.items():
             term = c
@@ -422,7 +419,6 @@ class TruncatedPotential:
 def second_kind_truncation(
     F: FlatFrameStructure,
     n_max: int,
-    h: float | None = None,
     spread_tol: float = 1e-6,
 ) -> TruncatedPotential:
     """Taylor table of the second-kind potential to total degree n_max.
@@ -430,59 +426,42 @@ def second_kind_truncation(
     Coefficients with |T| <= mk, and those whose T has no good decomposition,
     are unconstrained and set to zero.  Every other coefficient is computed
     once per good decomposition T = alpha + T2 as d^alpha g[T2] / T! and
-    averaged (d^alpha g is taken when the first T needs it); a spread above
-    ``spread_tol`` (relative to the coefficient size) raises
-    WellDefinednessError.  A structure with a ``jet`` gives every d^alpha g
-    from one jet of degree n_max - mk - 1; otherwise d^alpha g is a mixed
-    difference with step ``h`` (default per order).  Before any evaluation,
-    an n_max above MAX_TOTAL, or a jet whose product table is too large,
-    raises SizeLimitError, and PreconditionError is raised for a
-    ``spread_tol`` that is negative or not finite and for an ``h`` that is
-    neither None nor finite and > 0.
+    averaged; a spread above ``spread_tol`` (relative to the coefficient
+    size) raises WellDefinednessError.  The second members T2 are the sums
+    of m bases plus one label (``Context.base_sums``), and every d^alpha g
+    comes from one jet of degree n_max - mk - 1 at the basepoint.  Before
+    any evaluation, PreconditionError is raised for an n_max that is not an
+    integer or below mk + 1, for a ``spread_tol`` that is negative or not
+    finite and for a structure without a ``jet``; an n_max above MAX_TOTAL,
+    or a jet whose product table is too large, raises SizeLimitError.
     """
     ctx = F.context()
     mk = ctx.m * ctx.k
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise PreconditionError(f"n_max must be an integer, got {n_max!r}")
     if n_max < mk + 1:
         raise PreconditionError(f"n_max must be at least m*k + 1 = {mk + 1}")
     if n_max > MAX_TOTAL:
         raise SizeLimitError(f"good-decomposition enumeration limited to |T| <= {MAX_TOTAL}")
     if not (math.isfinite(spread_tol) and spread_tol >= 0):
         raise PreconditionError(f"spread_tol must be finite and >= 0, got {spread_tol!r}")
-    _check_step(h)
-    space = SeriesSpace(F.n, n_max - mk - 1) if F.jet is not None else None
-    x = F.basepoint
-    scale = F.scale()
+    if F.jet is None:
+        raise PreconditionError("the second-kind table needs a structure with a jet")
+    space = SeriesSpace(F.n, n_max - mk - 1)
+    # the strong second members T2, lexicographically
+    members = sorted({S[:j] + (S[j] + 1,) + S[j + 1:] for S in ctx.base_sums for j in range(F.n)})
+    lattice = np.array(members, dtype=np.int64)
+    jets = F.jet(space, members)
     coefficients: dict[tuple[int, ...], complex] = {}
     provenance: dict[tuple[int, ...], CoefficientProvenance] = {}
     for t in range(mk + 1):
         for T in _bounded_compositions(t, (t,) * F.n):
             coefficients[T] = 0.0 + 0.0j
             provenance[T] = CoefficientProvenance("gauge-zero", (), 0.0, 0.0 + 0.0j)
+    # alpha -> (alpha, d^alpha g over the members, as Python complex); the
+    # candidates of every T share the stored alpha tuple
+    derivatives: dict[tuple[int, ...], tuple] = {}
     for t in range(mk + 1, n_max + 1):
-        if t == mk + 1:
-            # the strong second members T2, lexicographically
-            members = [
-                T2
-                for T2 in _bounded_compositions(t, (t,) * F.n)
-                if find_strong_decomposition(ctx.system(T2), 1) is not None
-            ]
-            lattice = np.array(members, dtype=np.int64).reshape(len(members), F.n)
-            if space is None:
-                cache = _EvalCache(F, members)
-            else:
-                jets = F.jet(space, members)
-        order = t - mk - 1
-        step = default_step(scale, order) if h is None else h
-
-        def derivative(alpha):
-            """d^alpha g over the members, as Python complex."""
-            if space is not None:
-                return (jets[:, space.index[alpha]] * float(_factorial_multi(alpha))).tolist()
-            return multi_partial(cache.pairings, x, alpha, step) if order else cache.pairings(x)
-
-        # alpha -> (alpha, d^alpha g) for |alpha| = order; the candidates of
-        # every T share the stored alpha tuple
-        derivatives: dict[tuple[int, ...], tuple] = {}
         for T in _bounded_compositions(t, (t,) * F.n):
             fact = _factorial_multi(T)
             candidates = []
@@ -491,7 +470,8 @@ def second_kind_truncation(
                 alpha = tuple(b - a for a, b in zip(t2, T))
                 hit = derivatives.get(alpha)
                 if hit is None:
-                    hit = derivatives[alpha] = (alpha, derivative(alpha))
+                    d_alpha = jets[:, space.index[alpha]] * float(_factorial_multi(alpha))
+                    hit = derivatives[alpha] = (alpha, d_alpha.tolist())
                 candidates.append((hit[0], t2, hit[1][j] / fact))
             if not candidates:
                 coefficients[T] = 0.0 + 0.0j
@@ -511,7 +491,7 @@ def second_kind_truncation(
                 "averaged", tuple(candidates), spread, coefficients[T]
             )
     return TruncatedPotential(
-        basepoint=np.asarray(x, dtype=complex),
+        basepoint=np.asarray(F.basepoint, dtype=complex),
         n_max=n_max,
         coefficients=coefficients,
         provenance=provenance,
@@ -558,7 +538,7 @@ def remainder_swap_residual(
         raise PreconditionError(f"label {a} does not occur in T2")
     if T2.total != ctx.m * ctx.k + 1:
         raise PreconditionError("T2 must be a strong (mk+1)-system")
-    if find_strong_decomposition(rest, 0) is None:
+    if rest.mult not in ctx.base_sums:
         raise PreconditionError(f"T2 minus [{a}] is not a strong mk-system")
     S2 = rest + ctx.unit(b)
     cache = _EvalCache(F)

@@ -43,6 +43,8 @@ from .errors import (
 from .matroids import LiftedMatroid, Matroid, UniformMatroid
 from .partition import DeficiencyWitness, PartitionProblem, min_tight_set, solve_partition
 
+MAX_TOTAL = 24  # largest |T| whose good decompositions are enumerated
+
 
 @dataclass(frozen=True)
 class Context:
@@ -82,6 +84,15 @@ class Context:
         for B in self.matroid.bases():
             out.append(System(self, tuple(1 if j in B else 0 for j in self.matroid.ground.labels)))
         return tuple(sorted(out, key=lambda s: s.mult))
+
+    @cached_property
+    def base_sums(self) -> tuple[tuple[int, ...], ...]:
+        """The sums of m bases, i.e. the strong mk-systems, as sorted
+        multiplicity tuples."""
+        sums = {self.zero().mult}
+        for _ in range(self.m):
+            sums = {tuple(map(operator.add, S, B.mult)) for S in sums for B in self.base_systems}
+        return tuple(sorted(sums))
 
     @cached_property
     def _strong_memo(self) -> dict:
@@ -306,7 +317,7 @@ def _bounded_compositions(total: int, caps):
         yield from rec(0, total, ())
 
 
-def all_good_decompositions(T: System, max_total: int = 24) -> tuple[GoodDecomposition, ...]:
+def all_good_decompositions(T: System, max_total: int = MAX_TOTAL) -> tuple[GoodDecomposition, ...]:
     """Every good decomposition of T, ordered lexicographically by T2."""
     ctx = T.ctx
     need = ctx.m * ctx.k + 1
@@ -355,7 +366,7 @@ class EquivalenceReport:
         return len(self.components)
 
 
-def equivalence_report(T: System, max_total: int = 24) -> EquivalenceReport:
+def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceReport:
     """The good decompositions of T, their local relations and equivalence classes.
 
     Nodes are ordered lexicographically by T2.  Distinct nodes i, j are

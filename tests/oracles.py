@@ -162,31 +162,43 @@ def brute_slack_elements(problem):
 
 def brute_strong_decompositions(T, l):
     """All strong decompositions of T by token assignment, canonicalized to
-    (sorted part multiplicity tuples, remainder tuple)."""
+    (sorted part multiplicity tuples, remainder tuple).
+
+    Each token goes to one of the m parts or to the remainder, in every way;
+    a partial assignment is dropped as soon as a part holds more than k
+    tokens or one label twice, or the remainder more than l tokens.
+    """
     ctx = T.ctx
     m, k, n = ctx.m, ctx.k, ctx.n
     matroid = ctx.matroid
     tokens = []
     for j in range(1, n + 1):
         tokens.extend([j] * T(j))
+    caps = [k] * m + [l]
+    mults = [[0] * n for _ in range(m + 1)]
+    sizes = [0] * (m + 1)
     found = set()
-    for assignment in product(range(m + 1), repeat=len(tokens)):
-        mults = [[0] * n for _ in range(m + 1)]
-        for tok, c in zip(tokens, assignment):
-            mults[c][tok - 1] += 1
-        ok = True
-        for i in range(m):
-            part = mults[i]
-            if sum(part) != k or any(v > 1 for v in part):
-                ok = False
-                break
-            supp = frozenset(j for j in range(1, n + 1) if part[j - 1])
-            if not matroid.is_independent(supp):
-                ok = False
-                break
-        if ok and sum(mults[m]) == l:
+
+    def assign(pos):
+        if pos == len(tokens):
+            if sizes != caps:
+                return
+            for part in mults[:m]:
+                if not matroid.is_independent(frozenset(j for j in range(1, n + 1) if part[j - 1])):
+                    return
             parts = tuple(sorted(tuple(p) for p in mults[:m]))
             found.add((parts, tuple(mults[m])))
+            return
+        j = tokens[pos] - 1
+        for c in range(m + 1):
+            if sizes[c] < caps[c] and (c == m or not mults[c][j]):
+                mults[c][j] += 1
+                sizes[c] += 1
+                assign(pos + 1)
+                mults[c][j] -= 1
+                sizes[c] -= 1
+
+    assign(0)
     return found
 
 

@@ -367,18 +367,13 @@ def test_n_max_above_the_size_limit_fails_at_once(capsys, tmp_path):
 )
 def test_h_step_must_be_finite_and_positive(capsys, tmp_path, command, step):
     # at --h-step 0 the 0/0 differences used to report integrability,
-    # section_flatness and form_flatness as 0 on this instance; potentials
-    # takes its coefficients from Taylor jets and has no --h-step
+    # section_flatness and form_flatness as 0 on this instance; the step is
+    # now always the default one, so neither subcommand takes --h-step
     payload = {"B": [[1], [1], [2], [-1]], "a": [1, 2, 3, 5], "x": [1, -1, 3, 2], "m": 2}
-    if command == "potentials":
-        with pytest.raises(SystemExit) as info:
-            run_cli(capsys, [command, "--h-step", step], payload, tmp_path)
-        assert info.value.code == 2
-        assert "unrecognized arguments: --h-step" in capsys.readouterr().err
-        return
-    code, out = run_cli(capsys, [command, "--h-step", step], payload, tmp_path)
-    assert code == 2
-    assert json.loads(out)["error"]["code"] == "precondition"
+    with pytest.raises(SystemExit) as info:
+        run_cli(capsys, [command, "--h-step", step], payload, tmp_path)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --h-step" in capsys.readouterr().err
 
 
 def test_output_to_file(tmp_path, capsys):

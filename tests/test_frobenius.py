@@ -36,6 +36,19 @@ from oracles import (
 )
 
 
+def _with_constant_jet(F):
+    """F with the jet of z-independent data: each pairing's value at the
+    basepoint, and no higher terms."""
+    cache = _EvalCache(F)
+
+    def jet(space, members):
+        out = np.zeros((len(members), space.size), dtype=complex)
+        out[:, 0] = [pairing_with_unit(cache, t2, F.basepoint) for t2 in members]
+        return out
+
+    return dataclasses.replace(F, jet=jet)
+
+
 def _constant_structure(matroid, m, mu, higgs_mats, weights):
     """Structure with z-independent data: diagonal commuting Higgs matrices
     and the weighted evaluation form, which is Higgs-invariant by symmetry."""
@@ -46,7 +59,7 @@ def _constant_structure(matroid, m, mu, higgs_mats, weights):
     eye = np.eye(mu, dtype=complex)
     form = np.einsum(subs, *([eye] * m), w)
 
-    return FlatFrameStructure(
+    return _with_constant_jet(FlatFrameStructure(
         matroid=matroid,
         m=m,
         basepoint=np.zeros(matroid.ground.n, dtype=complex),
@@ -54,7 +67,7 @@ def _constant_structure(matroid, m, mu, higgs_mats, weights):
         higgs=lambda i, z: mats[i - 1],
         unit=lambda z: np.ones(mu, dtype=complex),
         form=lambda z: form,
-    )
+    ))
 
 
 @pytest.fixture
@@ -164,19 +177,21 @@ def test_second_kind_defining_property(all_structures):
 
 
 def test_second_kind_matches_per_decomposition_oracle(all_structures):
-    # without a jet, reading the table off the pairing vector gives, bit for
-    # bit, the candidates of one scalar difference per brute-force good
-    # decomposition
+    # the jet table lists exactly the (alpha, T2) pairs of the brute-force
+    # good decompositions, and each value agrees with one Richardson
+    # difference of the scalar pairing per decomposition
     for F in all_structures:
         mk = F.m * F.k
-        L = second_kind_truncation(_counting(F, []), mk + 3)
+        L = second_kind_truncation(F, mk + 3)
         want = brute_second_kind_candidates(F, mk + 3)
         assert {T for T in L.provenance if sum(T) > mk} == set(want)
         for T, prov in L.provenance.items():
             if sum(T) <= mk:
                 assert prov.kind == "gauge-zero"
                 continue
-            assert prov.candidates == want[T]
+            assert [c[:2] for c in prov.candidates] == [w[:2] for w in want[T]]
+            for (_, _, got), (_, _, ref) in zip(prov.candidates, want[T]):
+                assert abs(got - ref) <= 1e-6 * max(1.0, abs(ref))
             assert prov.kind == ("averaged" if want[T] else "free-zero")
 
 
@@ -197,21 +212,22 @@ def test_second_kind_jet_candidates_follow_the_good_decompositions(all_structure
             assert prov.kind == ("averaged" if want else "free-zero")
 
 
-def test_second_kind_one_difference_per_multi_index(random_k1_structures, monkeypatch):
-    real = matpot.frobenius.multi_partial
-    alphas = []
+def test_potentials_make_no_partition_solves(monkeypatch):
+    # both tables read the sums of m bases off the structure's one Context
+    # instead of asking the partition solver which systems are strong
+    solves = []
+    real = matpot.systems.solve_partition
 
-    def counting(f, z, alpha, *args, **kwargs):
-        alphas.append(tuple(alpha))
-        return real(f, z, alpha, *args, **kwargs)
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(matpot.frobenius, "multi_partial", counting)
-    F = random_k1_structures[1]
-    assert F.n == 4
-    mk = F.m * F.k
-    second_kind_truncation(_counting(F, []), mk + 3)
-    expected = [a for a in product(range(3), repeat=F.n) if 1 <= sum(a) <= 2]
-    assert sorted(alphas) == sorted(expected)
+    monkeypatch.setattr(matpot.systems, "solve_partition", counting)
+    F = structure_from_arrangement(_REPRODUCER, 2)
+    assert F.context() is F.context()
+    first_kind_polynomial(F)
+    second_kind_truncation(F, F.m * F.k + 3)
+    assert solves == []
 
 
 def test_second_kind_one_jet_per_table(random_k1_structures, monkeypatch):
@@ -236,9 +252,10 @@ def test_second_kind_one_jet_per_table(random_k1_structures, monkeypatch):
 
 
 def test_second_kind_size_limit():
-    # mk = 23: degree 24 needs no difference, degree 25 exceeds the bound
+    # mk = 23: degree 24 reads only the constant term of the jet, degree 25
+    # exceeds the bound
     m = 23
-    F = FlatFrameStructure(
+    F = _with_constant_jet(FlatFrameStructure(
         matroid=UniformMatroid(1, 2),
         m=m,
         basepoint=np.zeros(2),
@@ -246,7 +263,7 @@ def test_second_kind_size_limit():
         higgs=lambda i, z: np.array([[float(i)]]),
         unit=lambda z: np.ones(1, dtype=complex),
         form=lambda z: np.ones((1,) * m, dtype=complex),
-    )
+    ))
     L = second_kind_truncation(F, 24)
     expected = 2**4 / (math.factorial(20) * math.factorial(4))
     assert L.coefficient((20, 4)) == pytest.approx(expected, rel=1e-12)
@@ -255,7 +272,7 @@ def test_second_kind_size_limit():
 
 
 def _counting(F, calls):
-    """F with every evaluator call appended to ``calls``."""
+    """F with every evaluator and jet call appended to ``calls``."""
 
     def wrap(name, fn):
         def inner(*args):
@@ -271,6 +288,7 @@ def _counting(F, calls):
         higgs=wrap("higgs", F.higgs),
         unit=wrap("unit", F.unit),
         form=wrap("form", F.form),
+        jet=None if F.jet is None else wrap("jet", F.jet),
     )
 
 
@@ -292,14 +310,26 @@ def test_second_kind_rejects_bad_spread_tol(fixture_structure, tol):
     assert calls == []
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf])
-def test_difference_step_must_be_finite_and_positive(fixture_structure, h):
+@pytest.mark.parametrize("n_max", [4.0, True, "4"])
+def test_second_kind_rejects_non_integer_n_max(fixture_structure, n_max):
     calls = []
-    F = _counting(fixture_structure, calls)
-    with pytest.raises(PreconditionError, match="step h"):
-        second_kind_truncation(F, 4, h=h)
-    with pytest.raises(PreconditionError, match="step h"):
-        verify_axioms(F, [F.basepoint], h=h, hard_threshold=None)
+    with pytest.raises(PreconditionError, match="n_max must be an integer"):
+        second_kind_truncation(_counting(fixture_structure, calls), n_max)
+    assert calls == []
+
+
+def test_second_kind_needs_a_jet(fixture_structure):
+    calls = []
+    F = dataclasses.replace(_counting(fixture_structure, calls), jet=None)
+    with pytest.raises(PreconditionError, match="jet"):
+        second_kind_truncation(F, 4)
+    assert calls == []
+
+
+def test_verify_axioms_rejects_empty_samples(fixture_structure):
+    calls = []
+    with pytest.raises(PreconditionError, match="at least one sample"):
+        verify_axioms(_counting(fixture_structure, calls), [], hard_threshold=None)
     assert calls == []
 
 
@@ -403,6 +433,30 @@ def test_truncated_potential_interface(fixture_structure):
     assert L.evaluate(fixture_structure.basepoint) == 0
     with pytest.raises(PreconditionError):
         L.derivative_at_basepoint((5, 0))
+
+
+@pytest.mark.parametrize(
+    "owner,method,args",
+    [
+        ("Q", "partial_derivative_value", ((1,), (1, -1))),
+        ("Q", "partial_derivative_value", ((1, -1), (1, -1))),
+        ("Q", "partial_derivative_value", ((1.0, 0), (1, -1))),
+        ("Q", "partial_derivative_value", ((1, 0), (1, -1, 0))),
+        ("Q", "evaluate", ([2.0],)),
+        ("Q", "coefficient", ((2,),)),
+        ("L", "coefficient", ((3,),)),
+        ("L", "coefficient", ((3, 0, 0),)),
+        ("L", "derivative_at_basepoint", ((4, -1),)),
+        ("L", "derivative_at_basepoint", ((2.5, 0),)),
+        ("L", "evaluate", ([2.0],)),
+        ("L", "evaluate", ([[1.0, -1.0]],)),
+    ],
+)
+def test_malformed_multi_index_or_point(fixture_structure, owner, method, args):
+    # n = 2: a short multi-index or point used to be zipped away silently
+    potential = {"Q": first_kind_polynomial, "L": lambda F: second_kind_truncation(F, 4)}[owner]
+    with pytest.raises(PreconditionError, match="need a"):
+        getattr(potential(fixture_structure), method)(*args)
 
 
 def test_homogeneous_polynomial_exact_derivatives():

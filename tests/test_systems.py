@@ -145,6 +145,22 @@ def test_strong_outcome_matches_bruteforce(ctx_u13_m2, u24):
     assert strong == len(cases) - 1
 
 
+def test_base_sums_plus_one_label_are_the_strong_members(u13, u24, linear_pairs):
+    # a strong (mk+1)-system is by definition m bases plus one label
+    for matroid in (u13, u24, linear_pairs):
+        for m in (1, 2, 3):
+            ctx = Context(matroid, m)
+            need = m * ctx.k + 1
+            brute = {
+                t
+                for t in _bounded_compositions(need, (need,) * ctx.n)
+                if brute_strong_decompositions(ctx.system(t), 1)
+            }
+            sums = {S[:j] + (S[j] + 1,) + S[j + 1:] for S in ctx.base_sums for j in range(ctx.n)}
+            assert sums == brute
+            assert list(ctx.base_sums) == sorted(set(ctx.base_sums))
+
+
 def test_all_good_decompositions_u12():
     ctx = Context(UniformMatroid(1, 2), 2)
     T = ctx.system((2, 2))
