@@ -2,8 +2,8 @@
 flat-frame structures backed by weighted hyperplane arrangements.
 
 The combinatorial layer (matroids, partition, systems) is exact; the analytic
-layer (frobenius, arrangements) is numerical with finite-difference
-verification of every structural claim.
+layer (frobenius, arrangements, series) is numerical, and every structural
+claim is verified from Taylor jets (truncated power series) of the frame.
 """
 
 __version__ = "0.1.0"
@@ -34,6 +34,9 @@ from .errors import (
     StructureError,
     WellDefinednessError,
 )
+# no package module uses findiff; it is imported because bench/tracer.py::install
+# reads sys.modules["matpot.findiff"] without a default
+from . import findiff  # noqa: F401
 from .frobenius import (
     AxiomReport,
     FlatFrameStructure,

@@ -485,21 +485,17 @@ class ArrangementBackend:
         """Condition number of the flat-frame pairing matrix."""
         return float(np.linalg.cond(self.form(z)))
 
-    def pairing_jets(self, space: SeriesSpace, members) -> np.ndarray:
-        """Taylor coefficients at the basepoint, in delta = z - x up to degree
-        space.q, of the pairings g_T2(z) = S(C_T2 unit, unit) for every
-        multiplicity tuple T2 in ``members``; shape (len(members), space.size).
+    def _series_fiber(self, space: SeriesSpace, z, frame: CriticalPointFrame):
+        """Series at z, in delta up to degree space.q, of the Higgs
+        eigenvalues p_i = a_i / f_i, shape (mu, n, size), and of the residue
+        weights w = 1 / det Hess, shape (mu, size).
 
-        In the critical-point frame g_T2 = sum_s w_s prod_i p_i^{T2_i} with
-        p_i = a_i / f_i and w = 1 / det Hess.  The critical points t^s(z) are
-        series from Newton's method on grad_t Phi = 0, started at the base
-        frame (each step doubles the number of correct degrees); p and w
-        follow.  The products run over the members' label words in
-        lexicographic order, so a shared prefix is multiplied once.  No fiber
-        is continued and no flat frame is solved.
+        The critical points t^s(z + delta) are series from Newton's method on
+        grad_t Phi = 0, started at the points of ``frame`` (the fiber over z);
+        each step doubles the number of correct degrees.
         """
         B, a = self.data.B, self.data.a
-        z = space.constant(self.data.basepoint) + space.variables()
+        z = space.constant(z) + space.variables()
 
         def eigenvalues_and_hessians(t):
             f = np.einsum("ij,sjm->sim", B, t) + z
@@ -507,15 +503,28 @@ class ArrangementBackend:
             p = a[:, None] * r
             return p, -np.einsum("ij,il,sim->sjlm", B, B, space.mul(p, r))
 
-        t = space.constant(self.base_frame.points)
+        t = space.constant(frame.points)
         for _ in range(space.q.bit_length()):
             p, hess = eigenvalues_and_hessians(t)
             grad = np.einsum("ij,sim->sjm", B, p)
             t = t - space.solve(hess, grad[:, :, None, :])[:, :, 0, :]
         p, hess = eigenvalues_and_hessians(t)
+        return p, space.reciprocal(space.det(hess))
+
+    def pairing_jets(self, space: SeriesSpace, members) -> np.ndarray:
+        """Taylor coefficients at the basepoint, in delta = z - x up to degree
+        space.q, of the pairings g_T2(z) = S(C_T2 unit, unit) for every
+        multiplicity tuple T2 in ``members``; shape (len(members), space.size).
+
+        In the critical-point frame g_T2 = sum_s w_s prod_i p_i^{T2_i}, with p
+        and w the series of the base frame.  The products run over the
+        members' label words in lexicographic order, so a shared prefix is
+        multiplied once.  No fiber is continued and no flat frame is solved.
+        """
+        p, w = self._series_fiber(space, self.data.basepoint, self.base_frame)
         words = [tuple(i for i, e in enumerate(T2) for _ in range(e)) for T2 in members]
         out = np.empty((len(words), space.size), dtype=complex)
-        products, previous = [space.reciprocal(space.det(hess))], ()
+        products, previous = [w], ()
         for j in sorted(range(len(words)), key=words.__getitem__):
             word = words[j]
             shared = 0
@@ -527,6 +536,33 @@ class ArrangementBackend:
             out[j] = products[-1].sum(axis=0)
             previous = word
         return out
+
+    def frame_jet(self, z, space: SeriesSpace):
+        """Taylor series at z, in delta up to degree space.q, of the
+        flat-frame data: (H, unit, form) with shapes (n, mu, mu, size),
+        (mu, size) and (mu, mu, size).
+
+        The flat frame U holds the diagonal-frame sections C_I (unit) of the
+        flat basis, products of the eigenvalue series p; then H_i =
+        U^-1 diag(p_i) U and the unit U^-1 (1, ..., 1) come from one series
+        solve with all n mu + 1 right-hand columns, and the form is
+        sum_s U_sa U_sb w_s.  Takes the fiber over z (one continuation from
+        the base frame, cached) and no other fiber.
+        """
+        z = np.asarray(z, dtype=complex)
+        p, w = self._series_fiber(space, z, self.fiber(z))
+        mu, n = p.shape[:2]
+        labels = np.array(self.flat_basis, dtype=np.intp) - 1  # (mu, k)
+        U = p[:, labels[:, 0]]
+        for col in labels.T[1:]:
+            U = space.mul(U, p[:, col])
+        rhs = space.mul(p[:, :, None, :], U[:, None, :, :]).reshape(mu, n * mu, space.size)
+        ones = space.constant(np.ones((mu, 1)))
+        X = space.solve(U, np.concatenate([rhs, ones], axis=1))
+        H = X[:, : n * mu].reshape(mu, n, mu, space.size).transpose(1, 0, 2, 3)
+        weighted = space.mul(U, w[:, None, :])
+        form = space.mul(weighted[:, :, None, :], U[:, None, :, :]).sum(axis=0)
+        return H, X[:, n * mu], form
 
 
 def _choose_flat_basis(data: ArrangementData, frame: CriticalPointFrame):
@@ -581,4 +617,5 @@ def structure_from_arrangement(
         form=backend.form,
         backend=backend,
         jet=backend.pairing_jets,
+        frame_jet=backend.frame_jet,
     )

@@ -1,8 +1,8 @@
 """Central finite differences with two-step Richardson extrapolation.
 
-They serve only the checks ``verify_axioms`` and ``remainder_swap_residual``,
-which stay independent of the Taylor jets (``series``) that every
-second-kind coefficient comes from.  Steps are chosen per derivative order
+No package module uses them: every derivative in matpot is a Taylor
+coefficient (``series``).  They stay as the independent reference that the
+tests check the jets against.  Steps are chosen per derivative order
 to balance truncation against roundoff: h = scale * EPS**(1/(order+2)),
 which is the usual 1e-5 * scale for first derivatives.  All target functions here are
 holomorphic in the parameters, so differencing along the real axis yields the

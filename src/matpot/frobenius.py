@@ -20,10 +20,12 @@ splits T = alpha + T2 over the strong (mk+1)-systems T2 <= T, so the table is
 read off the pairing vector g(z) = (S(C_T2 unit, unit, ..., unit)(z)) over
 these strong second members, which by definition are the sums of m bases
 plus one label.  The structure's ``jet`` gives the Taylor coefficients of g
-at x in one pass, so d^alpha g = alpha! [delta^alpha] g; this is the only
-source of second-kind derivatives.  Finite differences (``findiff``) serve
-only the checks ``verify_axioms`` and ``remainder_swap_residual``, which stay
-independent of the jets.
+at x in one pass, so d^alpha g = alpha! [delta^alpha] g.
+
+Every derivative here is a Taylor coefficient: the second-kind table and
+``remainder_swap_residual`` read pairing jets, and ``verify_axioms`` reads
+the degree-1 jets of the frame (H, unit, form) that the structure's
+``frame_jet`` gives at each sample point.  No function takes differences.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .errors import (
     StructureError,
     WellDefinednessError,
 )
-from .findiff import default_step, multi_partial
 from .matroids import Matroid
 from .series import SeriesSpace
 from .systems import MAX_TOTAL, Context, System, _bounded_compositions
@@ -55,12 +56,17 @@ class FlatFrameStructure:
 
     higgs(i, z) returns the mu x mu matrix of C_i at z (labels are 1-based),
     unit(z) the coordinates of the unit section, form(z) the m-linear form as
-    an array of shape (mu,) * m; all in the working frame.  jet(space,
-    members) returns the Taylor coefficients at the basepoint of the pairings
-    S(C_T2 unit, unit, ..., unit) for the multiplicity tuples T2 in members,
-    as an array (len(members), space.size) over the monomials of the
-    SeriesSpace in z - basepoint; ``second_kind_truncation`` needs it, the
-    axiom checks do not.
+    an array of shape (mu,) * m; all in the working frame.  Derivatives come
+    from two series evaluators over the monomials of a SeriesSpace:
+
+    * jet(space, members) gives the Taylor coefficients at the basepoint, in
+      z - basepoint, of the pairings S(C_T2 unit, unit, ..., unit) for the
+      multiplicity tuples T2 in members, as an array (len(members),
+      space.size); ``second_kind_truncation`` and ``remainder_swap_residual``
+      need it;
+    * frame_jet(z, space) gives the series at z, in the shift from z, of
+      (H, unit, form) with shapes (n, mu, mu, size), (mu, size) and
+      (mu,) * m + (size,); ``verify_axioms`` needs it.
     """
 
     matroid: Matroid
@@ -72,6 +78,7 @@ class FlatFrameStructure:
     form: Callable[[np.ndarray], np.ndarray]
     backend: Any = None
     jet: Callable[[SeriesSpace, list], np.ndarray] | None = None
+    frame_jet: Callable[[np.ndarray, SeriesSpace], tuple] | None = None
 
     def __post_init__(self):
         self.basepoint = np.asarray(self.basepoint, dtype=complex)
@@ -168,7 +175,6 @@ class AxiomReport:
     section_flatness: float
     form_flatness: float
     samples: int
-    h: float
 
     @property
     def max_violation(self) -> float:
@@ -185,7 +191,6 @@ class AxiomReport:
             "form_flatness": self.form_flatness,
             "max_violation": self.max_violation,
             "samples": self.samples,
-            "h": self.h,
         }
 
 
@@ -205,46 +210,44 @@ def verify_axioms(
     Reports maxima of (a) Higgs commutators, (b) the integrability defect
     d_i C_j - d_j C_i, (c) the form's Higgs invariance across slots, (d)
     flatness of the sections C_I(unit) for all maximal independent I, and
-    (e) flatness of the form itself.  Derivatives are Richardson-extrapolated
-    central differences from direct evaluations, with the step
-    h = default_step(scale, 1) that the report records, so the check stays
-    independent of the jets.  Raises PreconditionError for an empty sample
-    list, and StructureError when the worst violation exceeds
-    ``hard_threshold`` and, whatever the threshold, when a violation is not
-    finite.
+    (e) flatness of the form itself.  Each sample takes one degree-1
+    ``frame_jet``: (a) and (c) read its constant terms, (b) its first-order
+    coefficients of H, and (d) and (e) the first-order coefficients of
+    C_I(unit), multiplied out in series, and of the form.  Raises
+    PreconditionError for an empty sample list and for a structure without
+    a ``frame_jet``, both before any evaluation; raises StructureError when
+    the worst violation exceeds ``hard_threshold`` and, whatever the
+    threshold, when a violation is not finite.
     """
     samples = [np.asarray(z, dtype=complex) for z in samples]
     if not samples:
         raise PreconditionError("verify_axioms needs at least one sample point")
     F = structure
-    cache = _EvalCache(F)
-    h = default_step(F.scale(), order=1)
+    if F.frame_jet is None:
+        raise PreconditionError("verify_axioms needs a structure with a frame_jet")
     n, m = F.n, F.m
-    max_inds = F.maximal_independent_sets()
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    space = SeriesSpace(n, 1)
+    # labels of every maximal independent set, one row each (all have size k)
+    sets = np.array(F.maximal_independent_sets(), dtype=np.intp) - 1
 
     comm = integ = invari = sect = formflat = 0.0
     for z in samples:
-        H, u, W = cache.at(z)
+        H, u, W = (np.asarray(v, dtype=complex) for v in F.frame_jet(z, space))
+        H0, W0 = H[..., 0], W[..., 0]
         for a in range(n):
             for b in range(a + 1, n):
-                comm = _worst(comm, H[a] @ H[b] - H[b] @ H[a])
+                comm = _worst(comm, H0[a] @ H0[b] - H0[b] @ H0[a])
         for a in range(n):
             for q in range(1, m):
-                invari = _worst(invari, _apply_slot(W, H[a], 0) - _apply_slot(W, H[a], q))
-        dmat = [[multi_partial(lambda w, jj=jj: cache.at(w)[0][jj], z, e, h) for jj in range(n)]
-                for e in units]
-        for i in range(n):
-            for j in range(i + 1, n):
-                integ = _worst(integ, dmat[i][j] - dmat[j][i])
-        for I in max_inds:
-            for e in units:
-                dv = multi_partial(
-                    lambda w, I=I: _apply_subset(cache.at(w)[0], I, cache.at(w)[1]), z, e, h
-                )
-                sect = _worst(sect, dv)
-        for e in units:
-            formflat = _worst(formflat, multi_partial(lambda w: cache.at(w)[2], z, e, h))
+                invari = _worst(invari, _apply_slot(W0, H0[a], 0) - _apply_slot(W0, H0[a], q))
+        # dH[j, :, :, i] = d_i H_j
+        dH = H[..., space.degree_one]
+        integ = _worst(integ, dH - np.swapaxes(dH, 0, 3))
+        sections = np.broadcast_to(u, (len(sets),) + u.shape)
+        for col in sets.T:
+            sections = space.mul(H[col], sections[:, None, :, :]).sum(axis=2)
+        sect = _worst(sect, sections[..., 1:])
+        formflat = _worst(formflat, W[..., 1:])
     report = AxiomReport(
         commutativity=comm,
         integrability=integ,
@@ -252,7 +255,6 @@ def verify_axioms(
         section_flatness=sect,
         form_flatness=formflat,
         samples=len(samples),
-        h=h,
     )
     if not math.isfinite(report.max_violation):
         err = StructureError("an axiom violation is not finite")
@@ -541,11 +543,8 @@ def remainder_swap_residual(
     if rest.mult not in ctx.base_sums:
         raise PreconditionError(f"T2 minus [{a}] is not a strong mk-system")
     S2 = rest + ctx.unit(b)
-    cache = _EvalCache(F)
-    x = F.basepoint
-    step = default_step(F.scale(), 1)
-    alpha_b = tuple(1 if j == b else 0 for j in ctx.matroid.ground.labels)
-    alpha_a = tuple(1 if j == a else 0 for j in ctx.matroid.ground.labels)
-    d1 = multi_partial(lambda z: pairing_with_unit(cache, T2.mult, z), x, alpha_b, step)
-    d2 = multi_partial(lambda z: pairing_with_unit(cache, S2.mult, z), x, alpha_a, step)
-    return abs(d1 - d2)
+    if F.jet is None:
+        raise PreconditionError("remainder_swap_residual needs a structure with a jet")
+    space = SeriesSpace(F.n, 1)
+    jets = F.jet(space, [T2.mult, S2.mult])
+    return float(abs(jets[0, space.degree_one[b - 1]] - jets[1, space.degree_one[a - 1]]))

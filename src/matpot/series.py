@@ -6,7 +6,7 @@ in graded lexicographic order (by total degree, then by the exponent tuples
 in lexicographic order); the leading axes are a batch.  A ``SeriesSpace``
 owns the product table: every pair of monomials whose product survives the
 truncation, sorted by the product's position, so that a multiply is one
-gather and one segmented sum per batch row.  On top of it sit a Newton
+gather and one segmented sum per chunk of batch rows.  On top of it sit a Newton
 reciprocal and, for batches of small k x k matrices of series, a linear
 solve and a determinant by Gauss-Jordan elimination.
 
@@ -25,6 +25,7 @@ from .errors import SizeLimitError
 from .systems import _bounded_compositions
 
 MAX_TABLE_ENTRIES = 1 << 22  # pairs x variables of the largest product table
+MUL_CHUNK_ELEMENTS = 1 << 12  # product-table entries per chunk of batch rows in ``mul``
 
 
 class SeriesSpace:
@@ -43,6 +44,10 @@ class SeriesSpace:
         )
         self.size = len(self.monomials)
         self.index = {alpha: c for c, alpha in enumerate(self.monomials)}
+        # positions of the monomials delta_1, ..., delta_n (none when q = 0)
+        self.degree_one = tuple(
+            self.index[tuple(int(j == i) for j in range(n))] for i in range(n)
+        ) if q else ()
         exps = np.array(self.monomials, dtype=np.int64).reshape(self.size, n)
         degree = exps.sum(axis=1)
         binom = np.array(
@@ -78,21 +83,26 @@ class SeriesSpace:
     def variables(self) -> np.ndarray:
         """The series delta_1, ..., delta_n (zero when q = 0); shape (n, size)."""
         out = np.zeros((self.n, self.size), dtype=complex)
-        if self.q:
-            for i in range(self.n):
-                out[i, self.index[tuple(int(j == i) for j in range(self.n))]] = 1.0
+        for i, c in enumerate(self.degree_one):
+            out[i, c] = 1.0
         return out
 
     def mul(self, a, b) -> np.ndarray:
-        """Truncated product of broadcastable batches of series, one batch row
-        at a time so that the temporaries stay one row long."""
+        """Truncated product of broadcastable batches of series, in chunks of
+        batch rows whose temporaries hold about MUL_CHUNK_ELEMENTS entries
+        (at least one row); each row's segmented sums are those of a
+        one-row product bit for bit."""
         a, b = np.broadcast_arrays(a, b)
         out = np.empty(a.shape, dtype=complex)
         rows_a, rows_b = a.reshape(-1, self.size), b.reshape(-1, self.size)
         rows_out = out.reshape(-1, self.size)
         left, right, starts = self._left, self._right, self._starts
-        for r in range(len(rows_out)):
-            rows_out[r] = np.add.reduceat(rows_a[r, left] * rows_b[r, right], starts)
+        step = max(1, MUL_CHUNK_ELEMENTS // len(left))
+        for r in range(0, len(rows_out), step):
+            chunk = slice(r, r + step)
+            rows_out[chunk] = np.add.reduceat(
+                rows_a[chunk, left] * rows_b[chunk, right], starts, axis=1
+            )
         return out
 
     def reciprocal(self, a) -> np.ndarray:

@@ -298,6 +298,27 @@ def brute_second_kind_candidates(F, n_max):
     return out
 
 
+def richardson_frame_derivatives(F, z):
+    """First derivatives at z of the plain evaluators higgs, unit and form:
+    Richardson-extrapolated central differences (``matpot.findiff``) with
+    the step default_step(scale, 1), independent of the jets.  Returns
+    (dH, du, dW) with the direction last: dH[j, :, :, i] = d_i C_{j+1}, the
+    layout of the degree-1 coefficients of ``frame_jet``."""
+    from matpot.findiff import default_step, multi_partial
+
+    h = default_step(F.scale(), 1)
+    labels = F.matroid.ground.labels
+    evaluators = (
+        lambda w: np.array([F.higgs(j, w) for j in labels]),
+        F.unit,
+        F.form,
+    )
+    directions = [tuple(int(j == i) for j in range(F.n)) for i in range(F.n)]
+    return tuple(
+        np.stack([multi_partial(f, z, e, h) for e in directions], axis=-1) for f in evaluators
+    )
+
+
 def scalar_newton_refine(data, z, t, max_iter: int = 50):
     """Newton on grad_t Phi = 0 from one seed, one solve per step.
 

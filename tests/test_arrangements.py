@@ -20,12 +20,14 @@ from matpot import (
 )
 
 from matpot.arrangements import _k1_candidate_roots, _newton_refine, _vertex_seed_cloud
+from matpot.series import SeriesSpace
 from oracles import (
     euler_count,
     fix2_hess,
     fix2_p,
     fix2_pair_unit,
     fix2_point,
+    richardson_frame_derivatives,
     scalar_newton_refine,
 )
 
@@ -225,6 +227,25 @@ def test_continuation_seeds_with_tracked_points(monkeypatch):
     dist = np.linalg.norm(moved.points[:, None, :] - fresh.points[None, :, :], axis=2)
     assert dist.min(axis=1).max() < 1e-8
     assert len(set(dist.argmin(axis=1).tolist())) == moved.mu
+
+
+def test_frame_jet_matches_richardson_reference(all_structures):
+    # degree 1 against differences of the plain evaluators, degree 0
+    # against their values, at the basepoint and at one continued fiber
+    item4 = structure_from_arrangement(_rank2_data(), 2, allow_k_ge_2=True)
+    item4_offset = np.array([0.011, -0.007j, 0.004, 0.009j, -0.013, 0.006])
+    rng = np.random.default_rng(4242)
+    for F in all_structures + [item4]:
+        space = SeriesSpace(F.n, 1)
+        x = F.basepoint
+        offset = item4_offset if F is item4 else 0.05 * (rng.random(F.n) - 0.5)
+        for z in (x, x + offset):
+            jets = F.frame_jet(z, space)
+            values = (np.array([F.higgs(j, z) for j in F.matroid.ground.labels]), F.unit(z), F.form(z))
+            for jet, value, ref in zip(jets, values, richardson_frame_derivatives(F, z)):
+                assert jet.shape == value.shape + (space.size,)
+                assert np.max(np.abs(jet[..., 0] - value)) <= 1e-9 * max(1.0, np.max(np.abs(value)))
+                assert np.max(np.abs(jet[..., space.degree_one] - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_structure_golden_values(fixture_structure):

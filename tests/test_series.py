@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from matpot import SizeLimitError
-from matpot.series import MAX_TABLE_ENTRIES, SeriesSpace
+from matpot.series import MAX_TABLE_ENTRIES, MUL_CHUNK_ELEMENTS, SeriesSpace
 
 
 def _random_series(rng, space, shape):
@@ -41,6 +41,36 @@ def test_mul_matches_pairwise_product(n, q):
     a = _random_series(rng, space, (3,))
     b = _random_series(rng, space, (2, 1))
     assert np.allclose(space.mul(a, b), _brute_mul(space, a, b), rtol=0, atol=1e-12)
+
+
+def _row_by_row_mul(space, a, b):
+    """One segmented sum per batch row."""
+    a, b = np.broadcast_arrays(a, b)
+    rows_a, rows_b = a.reshape(-1, space.size), b.reshape(-1, space.size)
+    out = [
+        np.add.reduceat(ra[space._left] * rb[space._right], space._starts)
+        for ra, rb in zip(rows_a, rows_b)
+    ]
+    return np.array(out).reshape(a.shape)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (4, 1), (5, 6)])
+def test_chunked_mul_is_bit_identical_to_row_by_row(n, q):
+    # (2, 3) and (4, 1) put many rows in each chunk and the batch spans
+    # several chunks; a (5, 6) row is longer than the whole budget, so every
+    # chunk is one row
+    rng = np.random.default_rng(n * 100 + q)
+    space = SeriesSpace(n, q)
+    pairs = len(space._left)
+    rows = 3 * max(1, MUL_CHUNK_ELEMENTS // pairs) + 2
+    assert (pairs > MUL_CHUNK_ELEMENTS) == (n == 5)
+    a = _random_series(rng, space, (rows,))
+    b = _random_series(rng, space, (rows,))
+    assert np.array_equal(space.mul(a, b), _row_by_row_mul(space, a, b))
+    # broadcast operands, as in a product of a matrix with a vector
+    c = _random_series(rng, space, (rows, 1))
+    d = _random_series(rng, space, (1, 3))
+    assert np.array_equal(space.mul(c, d), _row_by_row_mul(space, c, d))
 
 
 def test_variables_and_constants():
