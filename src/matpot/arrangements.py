@@ -416,14 +416,13 @@ def _sections(P: np.ndarray, sets) -> np.ndarray:
 
 
 class ArrangementBackend:
-    """Caches fibers and per-z frame data for one arrangement structure."""
+    """Caches the fibers of one arrangement structure and evaluates its jets."""
 
     def __init__(self, data: ArrangementData, flat_basis, base_frame: CriticalPointFrame):
         self.data = data
         self.flat_basis = tuple(tuple(sorted(I)) for I in flat_basis)
         self.base_frame = base_frame
         self._fibers: dict = {tuple(data.basepoint.tolist()): self.base_frame}
-        self._derived: dict = {}
 
     def fiber(self, z) -> CriticalPointFrame:
         z = np.asarray(z, dtype=complex)
@@ -437,31 +436,9 @@ class ArrangementBackend:
         """Matrix P[i, s] = a_i / f_i(t^s, z) of Higgs eigenvalues."""
         return _p_values(self.data, z, self.fiber(z))
 
-    def _frame_data(self, z):
-        """(P, flat-frame columns U, residue weights 1 / det Hess) at z."""
-        key = tuple(np.asarray(z, dtype=complex).tolist())
-        hit = self._derived.get(key)
-        if hit is None:
-            frame = self.fiber(z)
-            P = _p_values(self.data, z, frame)
-            hit = self._derived[key] = (P, _sections(P, self.flat_basis), 1.0 / frame.det_hess)
-        return hit
-
-    def higgs(self, label, z):
-        P, U, _ = self._frame_data(z)
-        return np.linalg.solve(U, P[label - 1][:, None] * U)
-
-    def unit(self, z):
-        _, U, _ = self._frame_data(z)
-        return np.linalg.solve(U, np.ones(U.shape[0], dtype=complex))
-
-    def form(self, z):
-        _, U, w = self._frame_data(z)
-        return np.einsum("sa,sb,s->ab", U, U, w)
-
     def diagonal_form(self, z, vectors):
         """Residue pairing of value vectors in the critical-point frame."""
-        out = self._frame_data(z)[2]
+        out = 1.0 / self.fiber(z).det_hess
         for v in vectors:
             out = out * np.asarray(v, dtype=complex)
         return complex(np.sum(out))
@@ -482,8 +459,9 @@ class ArrangementBackend:
         return int(np.linalg.matrix_rank(V, tol=1e-9 * max(1.0, float(np.max(np.abs(V))))))
 
     def pairing_condition(self, z) -> float:
-        """Condition number of the flat-frame pairing matrix."""
-        return float(np.linalg.cond(self.form(z)))
+        """Condition number of the flat-frame pairing matrix, the constant
+        term of the form's ``frame_jet``."""
+        return float(np.linalg.cond(self.frame_jet(z, SeriesSpace(self.data.n, 0))[2][..., 0]))
 
     def _series_fiber(self, space: SeriesSpace, z, frame: CriticalPointFrame):
         """Series at z, in delta up to degree space.q, of the Higgs
@@ -591,10 +569,12 @@ def structure_from_arrangement(
 
     The residue pairing of an arrangement family is bilinear, so ``m`` must
     be 2; every other order raises PreconditionError.  The working frame
-    consists of mu flat sections C_I (unit) chosen at the basepoint; Higgs
-    matrices, unit, and form are conjugated into it, and the critical points
-    entering every evaluation are tracked by continuation so frames are
-    consistent across z.
+    consists of mu flat sections C_I (unit) chosen at the basepoint.  The
+    structure's ``jet`` is the backend's ``pairing_jets`` and its
+    ``frame_jet`` the backend's ``frame_jet``, which conjugates Higgs
+    matrices, unit and form into that frame; the critical points entering a
+    frame jet away from the basepoint are tracked by continuation so frames
+    are consistent across z.
     """
     if data.k >= 2 and not allow_k_ge_2:
         raise PreconditionError(
@@ -612,9 +592,6 @@ def structure_from_arrangement(
         m=m,
         basepoint=data.basepoint,
         mu=base_frame.mu,
-        higgs=backend.higgs,
-        unit=backend.unit,
-        form=backend.form,
         backend=backend,
         jet=backend.pairing_jets,
         frame_jet=backend.frame_jet,

@@ -253,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equivalence", help="good-decomposition equivalence graph")
     common(p)
-    p.add_argument(
-        "--strict-order", action="store_true", help="accepted for compatibility; output is identical"
-    )
     p.add_argument("--bound", type=int, default=MAX_TOTAL, help="max system size for enumeration")
     p.set_defaults(handler=_cmd_equivalence)
 

@@ -2,15 +2,20 @@
 
 A FlatFrameStructure gives numerical access to a bundle with commuting Higgs
 endomorphisms C_i, a flat m-linear form S, and a unit section, expressed in a
-frame of flat sections; all evaluators are plain functions of the base point
-z.  The matroid singles out the index sets I for which the iterated sections
-C_I (unit) are flat, i.e. have z-constant coordinates in the working frame.
+frame of flat sections, through two series evaluators: the Taylor jet of the
+pairings S(C_T unit, unit, ..., unit) at the basepoint, and the Taylor jet of
+the frame (H, unit, form) at a point z.  A plain value is always the constant
+term of one of these jets.  The matroid singles out the index sets I for
+which the iterated sections C_I (unit) are flat, i.e. have z-constant
+coordinates in the working frame.
 
 ``first_kind_polynomial`` builds the homogeneous degree-mk polynomial whose
 mixed derivatives along m maximal independent sets reproduce S on the
-corresponding flat sections.  ``second_kind_truncation`` builds the Taylor
-table of the second-kind potential: the coefficient of (z-x)^T is computed
-from every good decomposition T = T1 + T2 as
+corresponding flat sections; its coefficients are the constant terms of one
+degree-1 pairing jet over the strong mk-systems, and the degree-1 terms
+confirm that they are z-constant.  ``second_kind_truncation`` builds the
+Taylor table of the second-kind potential: the coefficient of (z-x)^T is
+computed from every good decomposition T = T1 + T2 as
 
     a_T(T1, T2) = (1/T!) * (d^T1 S(C_T2 unit, unit, ..., unit))(x),
 
@@ -22,10 +27,11 @@ these strong second members, which by definition are the sums of m bases
 plus one label.  The structure's ``jet`` gives the Taylor coefficients of g
 at x in one pass, so d^alpha g = alpha! [delta^alpha] g.
 
-Every derivative here is a Taylor coefficient: the second-kind table and
-``remainder_swap_residual`` read pairing jets, and ``verify_axioms`` reads
-the degree-1 jets of the frame (H, unit, form) that the structure's
-``frame_jet`` gives at each sample point.  No function takes differences.
+Every value and derivative here is a Taylor coefficient: both potentials and
+``remainder_swap_residual`` read pairing jets, ``verify_axioms`` reads the
+degree-1 frame jet at each sample point, and ``check_first_kind`` and
+``check_second_kind`` read the constant terms of the frame jet at the
+basepoint.  No function takes differences.
 """
 
 from __future__ import annotations
@@ -54,28 +60,24 @@ from .systems import MAX_TOTAL, Context, System, _bounded_compositions
 class FlatFrameStructure:
     """Evaluator bundle for a structure of order (n, k, m) with mu-dim fibers.
 
-    higgs(i, z) returns the mu x mu matrix of C_i at z (labels are 1-based),
-    unit(z) the coordinates of the unit section, form(z) the m-linear form as
-    an array of shape (mu,) * m; all in the working frame.  Derivatives come
-    from two series evaluators over the monomials of a SeriesSpace:
+    Two series evaluators over the monomials of a SeriesSpace give every
+    value and every derivative; a plain value is the constant term of a jet
+    (a degree-0 space gives just that):
 
     * jet(space, members) gives the Taylor coefficients at the basepoint, in
       z - basepoint, of the pairings S(C_T2 unit, unit, ..., unit) for the
       multiplicity tuples T2 in members, as an array (len(members),
-      space.size); ``second_kind_truncation`` and ``remainder_swap_residual``
-      need it;
+      space.size); both potentials and ``remainder_swap_residual`` need it;
     * frame_jet(z, space) gives the series at z, in the shift from z, of
-      (H, unit, form) with shapes (n, mu, mu, size), (mu, size) and
-      (mu,) * m + (size,); ``verify_axioms`` needs it.
+      (H, unit, form) in the working frame, with shapes (n, mu, mu, size),
+      (mu, size) and (mu,) * m + (size,), H[i - 1] holding C_i;
+      ``verify_axioms`` and both checks need it.
     """
 
     matroid: Matroid
     m: int
     basepoint: np.ndarray
     mu: int
-    higgs: Callable[[int, np.ndarray], np.ndarray]
-    unit: Callable[[np.ndarray], np.ndarray]
-    form: Callable[[np.ndarray], np.ndarray]
     backend: Any = None
     jet: Callable[[SeriesSpace, list], np.ndarray] | None = None
     frame_jet: Callable[[np.ndarray, SeriesSpace], tuple] | None = None
@@ -113,24 +115,11 @@ class FlatFrameStructure:
         return float(np.max(np.abs(self.basepoint))) if self.basepoint.size else 0.0
 
 
-class _EvalCache:
-    """Memoizes, per base point z, the higgs/unit/form evaluations."""
-
-    def __init__(self, structure: FlatFrameStructure):
-        self.structure = structure
-        self._data: dict = {}
-
-    def at(self, z):
-        zz = np.asarray(z, dtype=complex)
-        key = tuple(zz.tolist())
-        hit = self._data.get(key)
-        if hit is None:
-            F = self.structure
-            H = [np.asarray(F.higgs(i, zz), dtype=complex) for i in F.matroid.ground.labels]
-            u = np.asarray(F.unit(zz), dtype=complex)
-            W = np.asarray(F.form(zz), dtype=complex)
-            hit = self._data[key] = (H, u, W)
-        return hit
+def _frame_values(F: FlatFrameStructure, z):
+    """(H, unit, form) at z: the constant terms of a degree-0 ``frame_jet``."""
+    if F.frame_jet is None:
+        raise PreconditionError("the checks need a structure with a frame_jet")
+    return tuple(np.asarray(v, dtype=complex)[..., 0] for v in F.frame_jet(z, SeriesSpace(F.n, 0)))
 
 
 def _contract(form_tensor, vectors):
@@ -138,14 +127,6 @@ def _contract(form_tensor, vectors):
     for v in vectors:
         out = np.tensordot(out, v, axes=([0], [0]))
     return complex(out)
-
-
-def _apply_powers(H, mult, vec):
-    v = vec
-    for j, e in enumerate(mult):
-        for _ in range(e):
-            v = H[j] @ v
-    return v
 
 
 def _apply_subset(H, labels, vec):
@@ -158,13 +139,6 @@ def _apply_subset(H, labels, vec):
 def _apply_slot(W, M, slot):
     out = np.tensordot(W, M, axes=([slot], [0]))
     return np.moveaxis(out, -1, slot)
-
-
-def pairing_with_unit(cache: _EvalCache, t2_mult, z) -> complex:
-    """S(C_{T2} unit, unit, ..., unit) evaluated at z."""
-    H, u, W = cache.at(z)
-    v = _apply_powers(H, t2_mult, u)
-    return _contract(W, [v] + [u] * (cache.structure.m - 1))
 
 
 @dataclass
@@ -214,11 +188,14 @@ def verify_axioms(
     ``frame_jet``: (a) and (c) read its constant terms, (b) its first-order
     coefficients of H, and (d) and (e) the first-order coefficients of
     C_I(unit), multiplied out in series, and of the form.  Raises
-    PreconditionError for an empty sample list and for a structure without
-    a ``frame_jet``, both before any evaluation; raises StructureError when
+    PreconditionError for a NaN or negative ``hard_threshold``, an empty
+    sample list and a structure without a ``frame_jet``, each before any
+    evaluation (None and inf disable the threshold); raises StructureError when
     the worst violation exceeds ``hard_threshold`` and, whatever the
     threshold, when a violation is not finite.
     """
+    if hard_threshold is not None and not hard_threshold >= 0:
+        raise PreconditionError(f"hard_threshold must be None or >= 0, got {hard_threshold!r}")
     samples = [np.asarray(z, dtype=complex) for z in samples]
     if not samples:
         raise PreconditionError("verify_axioms needs at least one sample point")
@@ -328,30 +305,25 @@ def first_kind_polynomial(F: FlatFrameStructure) -> HomogeneousPolynomial:
 
     Coefficients live exactly on the strong mk-systems (sums of m bases); all
     other monomials stay at zero, the gauge in which nothing unconstrained is
-    invented.  Values are taken at the basepoint and re-sampled at two nearby
-    points to confirm they are constants; a relative disagreement above 1e-7
-    raises FlatnessError.
+    invented.  One degree-1 ``jet`` over those systems gives each coefficient
+    as its constant term divided by T!; the sections C_T unit are flat, so
+    the degree-1 terms vanish, and one that is not within 1e-7 (1 +
+    |coefficient|) after the same division raises FlatnessError.  A structure without a ``jet``
+    raises PreconditionError before any evaluation.
     """
-    x = F.basepoint
-    s = 0.05 * (1.0 + F.scale())
-    first = x.copy()
-    first[0] += s
-    second = x + s * 0.6 * np.array(
-        [1.0 if i % 2 == 0 else -1.0 for i in range(F.n)], dtype=complex
-    )
-    cache = _EvalCache(F)
+    if F.jet is None:
+        raise PreconditionError("the first-kind polynomial needs a structure with a jet")
     ctx = F.context()
+    space = SeriesSpace(F.n, 1)
+    jets = F.jet(space, ctx.base_sums)
     coeffs: dict[tuple[int, ...], complex] = {}
-    for T in ctx.base_sums:
+    for T, jet in zip(ctx.base_sums, jets):
         fact = _factorial_multi(T)
-        base_val = pairing_with_unit(cache, T, x) / fact
-        for z in (first, second):
-            other = pairing_with_unit(cache, T, z) / fact
-            if abs(other - base_val) > 1e-7 * (1.0 + abs(base_val)):
-                raise FlatnessError(
-                    f"coefficient of {T} varies with z: {base_val} vs {other}"
-                )
-        coeffs[T] = base_val
+        value = complex(jet[0]) / fact
+        drift = float(np.max(np.abs(jet[..., space.degree_one]))) / fact
+        if not drift <= 1e-7 * (1.0 + abs(value)):
+            raise FlatnessError(f"coefficient of {T} varies with z: first-order term {drift:.3e}")
+        coeffs[T] = value
     return HomogeneousPolynomial(n=F.n, degree=ctx.m * ctx.k, coefficients=coeffs)
 
 
@@ -359,10 +331,10 @@ def check_first_kind(F: FlatFrameStructure, Q: HomogeneousPolynomial) -> float:
     """Worst |d_{I_1}...d_{I_m} Q - S(C_{I_1} unit, ..., C_{I_m} unit)|.
 
     The left side is evaluated by exact differentiation of the polynomial,
-    the right by direct evaluation at the basepoint.
+    the right in the flat frame at the basepoint, from the constant terms of
+    the ``frame_jet`` there.
     """
-    cache = _EvalCache(F)
-    H, u, W = cache.at(F.basepoint)
+    H, u, W = _frame_values(F, F.basepoint)
     worst = 0.0
     for tup in combinations_with_replacement(F.maximal_independent_sets(), F.m):
         alpha = [0] * F.n
@@ -501,10 +473,10 @@ def second_kind_truncation(
 
 
 def check_second_kind(F: FlatFrameStructure, L: TruncatedPotential) -> float:
-    """Worst defect of d_i d_{I_1} ... d_{I_m} L against the direct evaluation
-    S(C_i C_{I_1} unit, C_{I_2} unit, ...) at the basepoint."""
-    cache = _EvalCache(F)
-    H, u, W = cache.at(F.basepoint)
+    """Worst defect of d_i d_{I_1} ... d_{I_m} L against the evaluation of
+    S(C_i C_{I_1} unit, C_{I_2} unit, ...) in the flat frame at the
+    basepoint, from the constant terms of the ``frame_jet`` there."""
+    H, u, W = _frame_values(F, F.basepoint)
     worst = 0.0
     for i in F.matroid.ground.labels:
         for tup in combinations_with_replacement(F.maximal_independent_sets(), F.m):

@@ -5,6 +5,8 @@ subsets, pairs), computes exactly over Q (the Euler-Jacobi pairing jets of
 rank-1 arrangements) or evaluates hand-derived closed forms for the
 two-hyperplane fixture, so library results can be checked against an
 unrelated code path.
+``plain_frame`` evaluates an arrangement structure's flat frame with plain
+numpy solves, the reference for the constant terms of its jets.
 ``pairwise_edges`` is one exception: it applies the library's pairwise
 ``locally_related`` to every pair, as the reference for the neighbour lookup
 of ``equivalence_report``.  ``scalar_newton_refine`` is the other: the
@@ -264,16 +266,60 @@ def brute_good_decompositions(T):
     return found
 
 
+def plain_frame(F, z):
+    """(H, unit, form) of an arrangement structure at z, computed plainly:
+    the Higgs eigenvalues P[i, s] = a_i / f_i(t^s) on the backend's fiber
+    over z, the flat-basis sections U[s, c] = prod_{i in I_c} P[i, s], then
+    H_i = U^-1 diag(P_i) U and the unit U^-1 (1, ..., 1) by
+    ``np.linalg.solve`` and the form sum_s U_sa U_sb / det Hess(t^s).  No
+    series and no jet: the reference for the constant terms of the jets."""
+    backend = F.backend
+    data = backend.data
+    frame = backend.fiber(z)
+    P = (data.a[None, :] / data.hyperplane_values(z, frame.points)).T
+    U = np.ones((frame.mu, len(backend.flat_basis)), dtype=complex)
+    for c, I in enumerate(backend.flat_basis):
+        for i in I:
+            U[:, c] *= P[i - 1]
+    H = np.array([np.linalg.solve(U, P[i][:, None] * U) for i in range(data.n)])
+    unit = np.linalg.solve(U, np.ones(frame.mu, dtype=complex))
+    form = np.einsum("sa,sb,s->ab", U, U, 1.0 / frame.det_hess)
+    return H, unit, form
+
+
+def plain_pairing(frame, t2) -> complex:
+    """S(C_T2 unit, unit, ..., unit) from frame = (H, unit, form): the powers
+    of the Higgs matrices applied to the unit, then the form contracted with
+    that vector and m - 1 copies of the unit (m = form.ndim)."""
+    H, unit, form = frame
+    v = unit
+    for j, e in enumerate(t2):
+        for _ in range(e):
+            v = H[j] @ v
+    out = form
+    for w in [v] + [unit] * (form.ndim - 1):
+        out = np.tensordot(out, w, axes=([0], [0]))
+    return complex(out)
+
+
 def brute_second_kind_candidates(F, n_max):
     """Second-kind candidates {T: ((T1, T2, value), ...)} for mk < |T| <= n_max,
-    one scalar mixed difference per brute-force good decomposition, T2 in
-    lexicographic order (the per-decomposition loop the table replaces)."""
+    one scalar mixed difference of the plain-frame pairing per brute-force
+    good decomposition, T2 in lexicographic order (the per-decomposition
+    loop the table replaces)."""
     from matpot.findiff import default_step, multi_partial
-    from matpot.frobenius import _EvalCache, _factorial_multi, pairing_with_unit
+    from matpot.frobenius import _factorial_multi
 
     ctx = F.context()
     mk = ctx.m * ctx.k
-    cache = _EvalCache(F)
+    frames = {}
+
+    def pairing(t2, z):
+        key = tuple(z.tolist())
+        if key not in frames:
+            frames[key] = plain_frame(F, z)
+        return plain_pairing(frames[key], t2)
+
     x = F.basepoint
     out = {}
     for total in range(mk + 1, n_max + 1):
@@ -285,10 +331,10 @@ def brute_second_kind_candidates(F, n_max):
             for t1, t2 in sorted(brute_good_decompositions(ctx.system(T)), key=lambda d: d[1]):
                 order = sum(t1)
                 if order == 0:
-                    raw = pairing_with_unit(cache, t2, x)
+                    raw = pairing(t2, x)
                 else:
                     raw = multi_partial(
-                        lambda z, t2=t2: pairing_with_unit(cache, t2, z),
+                        lambda z, t2=t2: pairing(t2, z),
                         x,
                         t1,
                         default_step(F.scale(), order),
@@ -299,7 +345,7 @@ def brute_second_kind_candidates(F, n_max):
 
 
 def richardson_frame_derivatives(F, z):
-    """First derivatives at z of the plain evaluators higgs, unit and form:
+    """First derivatives at z of ``plain_frame`` (H, unit, form):
     Richardson-extrapolated central differences (``matpot.findiff``) with
     the step default_step(scale, 1), independent of the jets.  Returns
     (dH, du, dW) with the direction last: dH[j, :, :, i] = d_i C_{j+1}, the
@@ -307,15 +353,10 @@ def richardson_frame_derivatives(F, z):
     from matpot.findiff import default_step, multi_partial
 
     h = default_step(F.scale(), 1)
-    labels = F.matroid.ground.labels
-    evaluators = (
-        lambda w: np.array([F.higgs(j, w) for j in labels]),
-        F.unit,
-        F.form,
-    )
     directions = [tuple(int(j == i) for j in range(F.n)) for i in range(F.n)]
     return tuple(
-        np.stack([multi_partial(f, z, e, h) for e in directions], axis=-1) for f in evaluators
+        np.stack([multi_partial(lambda w: plain_frame(F, w)[c], z, e, h) for e in directions], axis=-1)
+        for c in range(3)
     )
 
 

@@ -20,6 +20,7 @@ from matpot import (
 )
 
 from matpot.arrangements import _k1_candidate_roots, _newton_refine, _vertex_seed_cloud
+from matpot.frobenius import _frame_values
 from matpot.series import SeriesSpace
 from oracles import (
     euler_count,
@@ -27,6 +28,7 @@ from oracles import (
     fix2_p,
     fix2_pair_unit,
     fix2_point,
+    plain_frame,
     richardson_frame_derivatives,
     scalar_newton_refine,
 )
@@ -230,8 +232,8 @@ def test_continuation_seeds_with_tracked_points(monkeypatch):
 
 
 def test_frame_jet_matches_richardson_reference(all_structures):
-    # degree 1 against differences of the plain evaluators, degree 0
-    # against their values, at the basepoint and at one continued fiber
+    # degree 1 against differences of the plain frame, degree 0 against its
+    # values, at the basepoint and at one continued fiber
     item4 = structure_from_arrangement(_rank2_data(), 2, allow_k_ge_2=True)
     item4_offset = np.array([0.011, -0.007j, 0.004, 0.009j, -0.013, 0.006])
     rng = np.random.default_rng(4242)
@@ -241,7 +243,7 @@ def test_frame_jet_matches_richardson_reference(all_structures):
         offset = item4_offset if F is item4 else 0.05 * (rng.random(F.n) - 0.5)
         for z in (x, x + offset):
             jets = F.frame_jet(z, space)
-            values = (np.array([F.higgs(j, z) for j in F.matroid.ground.labels]), F.unit(z), F.form(z))
+            values = plain_frame(F, z)
             for jet, value, ref in zip(jets, values, richardson_frame_derivatives(F, z)):
                 assert jet.shape == value.shape + (space.size,)
                 assert np.max(np.abs(jet[..., 0] - value)) <= 1e-9 * max(1.0, np.max(np.abs(value)))
@@ -271,10 +273,8 @@ def test_higgs_vanishes_on_column_fields(all_structures):
         for z in [F.basepoint, F.basepoint + 0.11]:
             assert backend.x_field_residual(z) <= 1e-10
             # in the flat frame: sum_i b_i C_i = 0 as matrices
-            combo = sum(
-                complex(backend.data.B[i - 1, 0]) * F.higgs(i, z)
-                for i in F.matroid.ground.labels
-            )
+            H = _frame_values(F, z)[0]
+            combo = sum(complex(backend.data.B[i - 1, 0]) * H[i - 1] for i in F.matroid.ground.labels)
             assert np.max(np.abs(combo)) <= 1e-9
 
 
@@ -285,8 +285,7 @@ def test_flat_sections_have_constant_coordinates(all_structures):
         for I in F.maximal_independent_sets():
             coords = []
             for z in samples:
-                H, = [[F.higgs(i, z) for i in range(1, F.n + 1)]]
-                v = F.unit(z)
+                H, v, _ = _frame_values(F, z)
                 for i in I:
                     v = H[i - 1] @ v
                 coords.append(v)
@@ -306,8 +305,9 @@ def test_diagonal_frame_exactness(random_k1_structures):
         left = backend.diagonal_form(z, [P[i] * h1, h2])
         right = backend.diagonal_form(z, [h1, P[i] * h2])
         assert abs(left - right) <= 1e-12 * max(1.0, abs(left))
-    # the flat-frame form tensor is symmetric by construction
-    W = F.form(z)
+    # the flat-frame form, the constant term of the form jet, is symmetric
+    # (bit for bit on this instance)
+    W = _frame_values(F, z)[2]
     assert np.max(np.abs(W - W.T)) == 0.0
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import matpot.arrangements
 import matpot.partition
 import matpot.systems
 from matpot import Context, LinearMatroid, __version__, equivalence_report
@@ -54,9 +55,11 @@ def test_equivalence_component_count(capsys, tmp_path):
     result = json.loads(out)["result"]
     assert result["component_count"] == 1
     assert len(result["nodes"]) == 3
-    code2, out2 = run_cli(capsys, ["equivalence", "--strict-order"], payload, tmp_path)
-    assert code2 == 0
-    assert json.loads(out2)["result"] == result
+    # the no-op --strict-order flag is gone: argparse refuses it
+    with pytest.raises(SystemExit) as info:
+        run_cli(capsys, ["equivalence", "--strict-order"], payload, tmp_path)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --strict-order" in capsys.readouterr().err
 
 
 def test_equivalence_beyond_sixteen_labels(capsys, tmp_path):
@@ -345,6 +348,25 @@ def test_tolerance_env_must_be_finite_and_nonnegative(capsys, tmp_path, monkeypa
     code, out = run_cli(capsys, ["potentials", "--tol", "0"], _SPREAD_REPRODUCER, tmp_path)
     assert code == 2
     assert json.loads(out)["error"]["code"] == "well-definedness"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"B": [[1], [1]], "a": [1, 1], "x": [1, -1], "m": 2, "N_max": 5}, _SPREAD_REPRODUCER],
+)
+def test_potentials_continue_no_fiber(capsys, tmp_path, monkeypatch, payload):
+    # both tables read jets at the basepoint, whose fiber the structure owns
+    continuations = []
+    real = matpot.arrangements.continue_fiber
+
+    def counting(data, frame, z):
+        continuations.append(z)
+        return real(data, frame, z)
+
+    monkeypatch.setattr(matpot.arrangements, "continue_fiber", counting)
+    code, _ = run_cli(capsys, ["potentials"], payload, tmp_path)
+    assert code == 0
+    assert continuations == []
 
 
 def test_bool_n_max_is_a_schema_error(capsys, tmp_path):

@@ -15,6 +15,7 @@ import matpot.frobenius
 from matpot import (
     ArrangementData,
     FlatFrameStructure,
+    FlatnessError,
     LinearMatroid,
     PreconditionError,
     SizeLimitError,
@@ -29,7 +30,7 @@ from matpot import (
     structure_from_arrangement,
     verify_axioms,
 )
-from matpot.frobenius import HomogeneousPolynomial, _EvalCache, pairing_with_unit
+from matpot.frobenius import HomogeneousPolynomial, _factorial_multi
 from matpot.series import SeriesSpace
 
 from oracles import (
@@ -37,25 +38,29 @@ from oracles import (
     brute_second_kind_candidates,
     brute_strong_decompositions,
     exact_k1_pairing_jet,
+    plain_frame,
+    plain_pairing,
 )
 
 
-def _with_constant_jet(F):
-    """F with the jets of z-independent data: each pairing's value at the
-    basepoint, and the frame (H, unit, form) at each sample point, with no
-    higher terms."""
-    cache = _EvalCache(F)
+def _frame_structure(matroid, m, mu, frame):
+    """Structure at basepoint 0 whose jets are those of z-independent data:
+    frame(z) gives (H, unit, form) at z; the pairing jet holds each
+    pairing's value at the basepoint and the frame jet the frame at each
+    sample point, with no higher terms."""
+    basepoint = np.zeros(matroid.ground.n, dtype=complex)
 
     def jet(space, members):
         out = np.zeros((len(members), space.size), dtype=complex)
-        out[:, 0] = [pairing_with_unit(cache, t2, F.basepoint) for t2 in members]
+        out[:, 0] = [plain_pairing(frame(basepoint), t2) for t2 in members]
         return out
 
     def frame_jet(z, space):
-        H, u, W = cache.at(z)
-        return space.constant(np.array(H)), space.constant(u), space.constant(W)
+        return tuple(space.constant(v) for v in frame(z))
 
-    return dataclasses.replace(F, jet=jet, frame_jet=frame_jet)
+    return FlatFrameStructure(
+        matroid=matroid, m=m, basepoint=basepoint, mu=mu, jet=jet, frame_jet=frame_jet
+    )
 
 
 def _constant_structure(matroid, m, mu, higgs_mats, weights):
@@ -68,15 +73,7 @@ def _constant_structure(matroid, m, mu, higgs_mats, weights):
     eye = np.eye(mu, dtype=complex)
     form = np.einsum(subs, *([eye] * m), w)
 
-    return _with_constant_jet(FlatFrameStructure(
-        matroid=matroid,
-        m=m,
-        basepoint=np.zeros(matroid.ground.n, dtype=complex),
-        mu=mu,
-        higgs=lambda i, z: mats[i - 1],
-        unit=lambda z: np.ones(mu, dtype=complex),
-        form=lambda z: form,
-    ))
+    return _frame_structure(matroid, m, mu, lambda z: (np.array(mats), np.ones(mu), form))
 
 
 @pytest.fixture
@@ -86,8 +83,7 @@ def constant_structure():
 
 
 def _corrupted(F):
-    """F with the Higgs fields of labels 1 and 2 swapped, in the evaluators
-    and in both jets."""
+    """F with the Higgs fields of labels 1 and 2 swapped in both jets."""
     swap = {1: 2, 2: 1}
     order = [swap.get(i, i) - 1 for i in F.matroid.ground.labels]
 
@@ -103,9 +99,6 @@ def _corrupted(F):
         m=F.m,
         basepoint=F.basepoint,
         mu=F.mu,
-        higgs=lambda i, z: F.higgs(swap.get(i, i), z),
-        unit=F.unit,
-        form=F.form,
         jet=jet,
         frame_jet=frame_jet,
     )
@@ -150,6 +143,53 @@ def test_first_kind_defining_property(all_structures):
     for F in all_structures:
         Q = first_kind_polynomial(F)
         assert check_first_kind(F, Q) <= 1e-9
+
+
+@pytest.mark.parametrize("drift", [1e-5, 1e-12])
+def test_first_kind_flags_a_drifting_coefficient(constant_structure, drift):
+    # the sections C_T unit of a base sum T are flat, so the pairing jet has
+    # no degree-1 terms; one of 1e-5 is a non-flat structure, one of 1e-12
+    # is rounding
+    F = constant_structure
+
+    def jet(space, members):
+        out = F.jet(space, members)
+        out[:, space.degree_one[0]] += drift
+        return out
+
+    drifting = dataclasses.replace(F, jet=jet)
+    if drift > 1e-7:
+        with pytest.raises(FlatnessError, match="varies with z"):
+            first_kind_polynomial(drifting)
+    else:
+        assert first_kind_polynomial(drifting).coefficients == first_kind_polynomial(F).coefficients
+
+
+def test_first_kind_reads_one_pairing_jet(monkeypatch):
+    # one degree-1 jet at the basepoint: no frame jet, no fiber continuation
+    continuations, calls = [], []
+    real = matpot.arrangements.continue_fiber
+
+    def counting(data, frame, z):
+        continuations.append(z)
+        return real(data, frame, z)
+
+    monkeypatch.setattr(matpot.arrangements, "continue_fiber", counting)
+    F = structure_from_arrangement(_REPRODUCER, 2)
+    Q = first_kind_polynomial(_counting(F, calls))
+    assert calls == ["jet"]
+    assert continuations == []
+    assert set(Q.coefficients) == set(F.context().base_sums)
+
+
+def test_first_kind_matches_exact_oracle(all_structures):
+    # every coefficient is the exact Euler-Jacobi pairing of its base sum T
+    # at the basepoint, divided by T!
+    for F in all_structures:
+        Q = first_kind_polynomial(F)
+        for T, value in Q.coefficients.items():
+            exact = float(_exact_jet(F, T, 0)[(0,) * F.n]) / _factorial_multi(T)
+            assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
 def test_first_kind_coefficients_live_on_strong_systems():
@@ -277,15 +317,9 @@ def test_second_kind_size_limit():
     # mk = 23: degree 24 reads only the constant term of the jet, degree 25
     # exceeds the bound
     m = 23
-    F = _with_constant_jet(FlatFrameStructure(
-        matroid=UniformMatroid(1, 2),
-        m=m,
-        basepoint=np.zeros(2),
-        mu=1,
-        higgs=lambda i, z: np.array([[float(i)]]),
-        unit=lambda z: np.ones(1, dtype=complex),
-        form=lambda z: np.ones((1,) * m, dtype=complex),
-    ))
+    F = _frame_structure(
+        UniformMatroid(1, 2), m, 1, lambda z: (np.array([[[1.0]], [[2.0]]]), np.ones(1), np.ones((1,) * m))
+    )
     L = second_kind_truncation(F, 24)
     expected = 2**4 / (math.factorial(20) * math.factorial(4))
     assert L.coefficient((20, 4)) == pytest.approx(expected, rel=1e-12)
@@ -294,7 +328,7 @@ def test_second_kind_size_limit():
 
 
 def _counting(F, calls):
-    """F with every evaluator and jet call appended to ``calls``."""
+    """F with every jet call appended to ``calls``."""
 
     def wrap(name, fn):
         def inner(*args):
@@ -307,9 +341,6 @@ def _counting(F, calls):
         m=F.m,
         basepoint=F.basepoint,
         mu=F.mu,
-        higgs=wrap("higgs", F.higgs),
-        unit=wrap("unit", F.unit),
-        form=wrap("form", F.form),
         jet=None if F.jet is None else wrap("jet", F.jet),
         frame_jet=None if F.frame_jet is None else wrap("frame_jet", F.frame_jet),
     )
@@ -346,6 +377,9 @@ def test_second_kind_needs_a_jet(fixture_structure):
     F = dataclasses.replace(_counting(fixture_structure, calls), jet=None)
     with pytest.raises(PreconditionError, match="jet"):
         second_kind_truncation(F, 4)
+    # the first-kind coefficients read the same pairing jet
+    with pytest.raises(PreconditionError, match="jet"):
+        first_kind_polynomial(F)
     assert calls == []
 
 
@@ -356,11 +390,31 @@ def test_verify_axioms_rejects_empty_samples(fixture_structure):
     assert calls == []
 
 
+@pytest.mark.parametrize("threshold", [math.nan, -1.0])
+def test_verify_axioms_rejects_bad_hard_threshold(fixture_structure, threshold):
+    # a NaN threshold used to disable the check and a negative one to blame
+    # a perfect structure with StructureError
+    calls = []
+    F = _counting(fixture_structure, calls)
+    with pytest.raises(PreconditionError, match="hard_threshold"):
+        verify_axioms(F, [F.basepoint], hard_threshold=threshold)
+    assert calls == []
+    for valid in (None, math.inf):
+        assert verify_axioms(F, [F.basepoint], hard_threshold=valid).max_violation <= 1e-10
+
+
 def test_verify_axioms_needs_a_frame_jet(fixture_structure):
     calls = []
     F = dataclasses.replace(_counting(fixture_structure, calls), frame_jet=None)
     with pytest.raises(PreconditionError, match="frame_jet"):
         verify_axioms(F, [F.basepoint], hard_threshold=None)
+    assert calls == []
+    # both checks read the flat frame from the constant terms of a frame jet
+    Q, L = first_kind_polynomial(fixture_structure), second_kind_truncation(fixture_structure, 4)
+    with pytest.raises(PreconditionError, match="frame_jet"):
+        check_first_kind(F, Q)
+    with pytest.raises(PreconditionError, match="frame_jet"):
+        check_second_kind(F, L)
     assert calls == []
 
 
@@ -427,18 +481,11 @@ def test_checks_take_no_differences_and_one_fiber_per_sample(monkeypatch):
 def test_verify_axioms_rejects_nonfinite_violation():
     # finite data at the first sample and NaN at the second: a running
     # max(x, nan) keeps x, so the NaN used to read as a pass
-    def higgs(i, z):
-        return np.array([[math.nan if z[0].real > 0.5 else float(i)]])
+    def frame(z):
+        H = np.array([[[math.nan if z[0].real > 0.5 else float(i)]] for i in (1, 2)])
+        return H, np.ones(1), np.ones((1, 1))
 
-    F = _with_constant_jet(FlatFrameStructure(
-        matroid=UniformMatroid(1, 2),
-        m=2,
-        basepoint=np.zeros(2),
-        mu=1,
-        higgs=higgs,
-        unit=lambda z: np.ones(1, dtype=complex),
-        form=lambda z: np.ones((1, 1), dtype=complex),
-    ))
+    F = _frame_structure(UniformMatroid(1, 2), 2, 1, frame)
     samples = [np.zeros(2), np.ones(2)]
     assert verify_axioms(F, samples[:1]).max_violation == 0.0
     for threshold in (None, 1e-3, math.inf):
@@ -473,15 +520,13 @@ def test_fd_convergence_second_order(fixture_structure):
     # halving the step shrinks the plain central-difference error about
     # fourfold; reference is the closed form d/dz1 of 1/(z1 - z2)
     from matpot.findiff import multi_partial_fd
-    from matpot.frobenius import _EvalCache, pairing_with_unit
 
     F = fixture_structure
-    cache = _EvalCache(F)
     x = F.basepoint
     exact = -1.0 / (x[0] - x[1]) ** 2
 
     def err(h):
-        fd = multi_partial_fd(lambda z: pairing_with_unit(cache, (2, 1), z), x, (1, 0), h)
+        fd = multi_partial_fd(lambda z: plain_pairing(plain_frame(F, z), (2, 1)), x, (1, 0), h)
         return abs(fd - exact)
 
     assert err(2e-2) / err(1e-2) == pytest.approx(4.0, rel=0.3)
@@ -580,9 +625,6 @@ def test_verify_axioms_flags_nonflat_frame():
         m=2,
         basepoint=np.array([1.0, -1.0]),
         mu=1,
-        higgs=higgs,
-        unit=lambda z: np.ones(1, dtype=complex),
-        form=lambda z: np.ones((1, 1), dtype=complex),
         frame_jet=frame_jet,
     )
     report = verify_axioms(F, [F.basepoint], hard_threshold=None)
@@ -623,10 +665,10 @@ def test_pairing_jets_match_exact_oracle(all_structures):
         for j in picks:
             for alpha, value in _exact_jet(F, members[j], 3).items():
                 assert abs(jets[j, space.index[alpha]] - float(value)) <= 1e-12 * scale
-        # every member's constant term is the flat-frame pairing at x
-        cache = _EvalCache(F)
+        # every member's constant term is the plain flat-frame pairing at x
+        frame = plain_frame(F, F.basepoint)
         for j, t2 in enumerate(members):
-            assert abs(jets[j, 0] - pairing_with_unit(cache, t2, F.basepoint)) <= 1e-12 * scale
+            assert abs(jets[j, 0] - plain_pairing(frame, t2)) <= 1e-12 * scale
 
 
 def test_reproducer_coefficient_is_exactly_zero():
