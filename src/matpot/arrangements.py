@@ -524,7 +524,7 @@ class ArrangementBackend:
         flat basis, products of the eigenvalue series p; then H_i =
         U^-1 diag(p_i) U and the unit U^-1 (1, ..., 1) come from one series
         solve with all n mu + 1 right-hand columns, and the form is
-        sum_s U_sa U_sb w_s.  Takes the fiber over z (one continuation from
+        sum_s (U_sa U_sb) w_s.  Takes the fiber over z (one continuation from
         the base frame, cached) and no other fiber.
         """
         z = np.asarray(z, dtype=complex)
@@ -538,8 +538,10 @@ class ArrangementBackend:
         ones = space.constant(np.ones((mu, 1)))
         X = space.solve(U, np.concatenate([rhs, ones], axis=1))
         H = X[:, : n * mu].reshape(mu, n, mu, space.size).transpose(1, 0, 2, 3)
-        weighted = space.mul(U, w[:, None, :])
-        form = space.mul(weighted[:, :, None, :], U[:, None, :, :]).sum(axis=0)
+        # U_sa U_sb first, factors in one order (complex products need not commute
+        # bit for bit), so form = form^T exactly
+        lo, hi = np.minimum.outer(range(mu), range(mu)), np.maximum.outer(range(mu), range(mu))
+        form = space.mul(space.mul(U[:, lo], U[:, hi]), w[:, None, None, :]).sum(axis=0)
         return H, X[:, n * mu], form
 
 

@@ -19,13 +19,13 @@ computed from every good decomposition T = T1 + T2 as
 
     a_T(T1, T2) = (1/T!) * (d^T1 S(C_T2 unit, unit, ..., unit))(x),
 
-the spread across decompositions is recorded (it vanishes for a genuine
-structure), and the mean is stored.  The good decompositions of T are the
-splits T = alpha + T2 over the strong (mk+1)-systems T2 <= T, so the table is
-read off the pairing vector g(z) = (S(C_T2 unit, unit, ..., unit)(z)) over
-these strong second members, which by definition are the sums of m bases
-plus one label.  The structure's ``jet`` gives the Taylor coefficients of g
-at x in one pass, so d^alpha g = alpha! [delta^alpha] g.
+the spread, the exact diameter max |a - b| of these candidates, is recorded
+(it vanishes for a genuine structure) and their mean, summed left to right,
+is stored.  The good decompositions are the splits T = alpha + T2 over the
+strong (mk+1)-systems T2, the sums of m bases plus one label, and |alpha| <=
+n_max - mk - 1; so the candidates of all T form one grid, member times
+monomial of the ``jet`` of g(z) = (S(C_T2 unit, unit, ..., unit)(z)) at x,
+which gives every d^alpha g = alpha! [delta^alpha] g in one pass.
 
 Every value and derivative here is a Taylor coefficient: both potentials and
 ``remainder_swap_residual`` read pairing jets, ``verify_axioms`` reads the
@@ -52,8 +52,8 @@ from .errors import (
     WellDefinednessError,
 )
 from .matroids import Matroid
-from .series import SeriesSpace
-from .systems import MAX_TOTAL, Context, System, _bounded_compositions
+from .series import SeriesSpace, graded_lex_exponents, graded_lex_position
+from .systems import MAX_TOTAL, Context, System
 
 
 @dataclass
@@ -120,20 +120,6 @@ def _frame_values(F: FlatFrameStructure, z):
     if F.frame_jet is None:
         raise PreconditionError("the checks need a structure with a frame_jet")
     return tuple(np.asarray(v, dtype=complex)[..., 0] for v in F.frame_jet(z, SeriesSpace(F.n, 0)))
-
-
-def _contract(form_tensor, vectors):
-    out = form_tensor
-    for v in vectors:
-        out = np.tensordot(out, v, axes=([0], [0]))
-    return complex(out)
-
-
-def _apply_subset(H, labels, vec):
-    v = vec
-    for i in labels:
-        v = H[i - 1] @ v
-    return v
 
 
 def _apply_slot(W, M, slot):
@@ -270,6 +256,16 @@ def _point(z, n: int) -> np.ndarray:
     return z
 
 
+def _python_quotient(values: np.ndarray, divisors) -> np.ndarray:
+    """values / divisors elementwise, bit for bit as Python's ``complex /
+    int`` (Smith's division by the complex (d, 0)), signed zeros included."""
+    d = np.asarray(divisors, dtype=float)
+    out = np.empty(values.shape, dtype=complex)
+    out.real = (values.real + values.imag * 0.0) / d
+    out.imag = (values.imag - values.real * 0.0) / d
+    return out
+
+
 @dataclass
 class HomogeneousPolynomial:
     """Polynomial sum of c_T z^T with all |T| equal to the degree."""
@@ -327,25 +323,37 @@ def first_kind_polynomial(F: FlatFrameStructure) -> HomogeneousPolynomial:
     return HomogeneousPolynomial(n=F.n, degree=ctx.m * ctx.k, coefficients=coeffs)
 
 
-def check_first_kind(F: FlatFrameStructure, Q: HomogeneousPolynomial) -> float:
-    """Worst |d_{I_1}...d_{I_m} Q - S(C_{I_1} unit, ..., C_{I_m} unit)|.
-
-    The left side is evaluated by exact differentiation of the polynomial,
-    the right in the flat frame at the basepoint, from the constant terms of
-    the ``frame_jet`` there.
-    """
+def _section_defect(F: FlatFrameStructure, coefficients: dict, higgs: bool) -> float:
+    """Worst |alpha! c_alpha - S(C_{I_1} unit, ..., C_{I_m} unit)| over the
+    tuples of bases with replacement, alpha their multi-index sum; with
+    ``higgs``, alpha + e_i against S(C_i C_{I_1} unit, ...) for every label i.
+    The form at the basepoint (constant terms of the ``frame_jet``) is
+    contracted once with V = [C_I unit] in every slot, H_i V in the first."""
     H, u, W = _frame_values(F, F.basepoint)
-    worst = 0.0
-    for tup in combinations_with_replacement(F.maximal_independent_sets(), F.m):
-        alpha = [0] * F.n
-        for I in tup:
-            for i in I:
-                alpha[i - 1] += 1
-        lhs = Q.partial_derivative_value(alpha, F.basepoint)
-        vectors = [_apply_subset(H, I, u) for I in tup]
-        rhs = _contract(W, vectors)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    sets = np.array(F.maximal_independent_sets(), dtype=np.intp) - 1
+    V = np.repeat(u[:, None], len(sets), axis=1)
+    for col in sets.T:
+        V = np.einsum("bij,jb->ib", H[col], V)
+    rhs = np.tensordot(W, H @ V if higgs else V, axes=([0], [1 if higgs else 0]))
+    for _ in range(F.m - 1):
+        rhs = np.tensordot(rhs, V, axes=([0], [0]))
+    tuples = np.array(list(combinations_with_replacement(range(len(sets)), F.m))).T
+    alphas = np.eye(F.n, dtype=np.intp)[sets].sum(axis=1)[tuples].sum(axis=0)
+    if higgs:
+        alphas = alphas + np.eye(F.n, dtype=np.intp)[:, None, :]
+    lhs = [coefficients.get(T, 0.0) * _factorial_multi(T) for T in map(tuple, alphas.reshape(-1, F.n).tolist())]
+    rhs = rhs[(Ellipsis,) + tuple(tuples)]
+    return float(np.max(np.abs(np.array(lhs, dtype=complex).reshape(rhs.shape) - rhs), initial=0.0))
+
+
+def check_first_kind(F: FlatFrameStructure, Q: HomogeneousPolynomial) -> float:
+    """Worst |d_{I_1}...d_{I_m} Q - S(C_{I_1} unit, ..., C_{I_m} unit)| at
+    the basepoint.  Q and d^alpha = d_{I_1}...d_{I_m} both have degree mk, so
+    the left side is alpha! c_alpha exactly (``_section_defect``); a Q of
+    another degree or number of variables raises PreconditionError."""
+    if (Q.n, Q.degree) != (F.n, F.m * F.k):
+        raise PreconditionError(f"need a polynomial in {F.n} variables of degree {F.m * F.k}")
+    return _section_defect(F, Q.coefficients, higgs=False)
 
 
 @dataclass(frozen=True)
@@ -398,12 +406,14 @@ def second_kind_truncation(
     """Taylor table of the second-kind potential to total degree n_max.
 
     Coefficients with |T| <= mk, and those whose T has no good decomposition,
-    are unconstrained and set to zero.  Every other coefficient is computed
-    once per good decomposition T = alpha + T2 as d^alpha g[T2] / T! and
-    averaged; a spread above ``spread_tol`` (relative to the coefficient
-    size) raises WellDefinednessError.  The second members T2 are the sums
-    of m bases plus one label (``Context.base_sums``), and every d^alpha g
-    comes from one jet of degree n_max - mk - 1 at the basepoint.  Before
+    are unconstrained and set to zero.  The members T2 (sums of m bases plus
+    one label) times the monomials alpha of one jet of degree n_max - mk - 1
+    form the candidate grid: cell (T2, alpha) is d^alpha g[T2] / T! for T =
+    alpha + T2, and every good decomposition is one cell.  Per T, the spread
+    is the exact diameter and the coefficient the mean summed left to right,
+    bit for bit as a per-T loop; a spread above ``spread_tol`` (relative to
+    the coefficient size), or NaN, raises WellDefinednessError for the first
+    such T in graded lexicographic order.  Before
     any evaluation, PreconditionError is raised for an n_max that is not an
     integer or below mk + 1, for a ``spread_tol`` that is negative or not
     finite and for a structure without a ``jet``; an n_max above MAX_TOTAL,
@@ -421,76 +431,73 @@ def second_kind_truncation(
         raise PreconditionError(f"spread_tol must be finite and >= 0, got {spread_tol!r}")
     if F.jet is None:
         raise PreconditionError("the second-kind table needs a structure with a jet")
-    space = SeriesSpace(F.n, n_max - mk - 1)
+    n, space = F.n, SeriesSpace(F.n, n_max - mk - 1)
     # the strong second members T2, lexicographically
-    members = sorted({S[:j] + (S[j] + 1,) + S[j + 1:] for S in ctx.base_sums for j in range(F.n)})
-    lattice = np.array(members, dtype=np.int64)
-    jets = F.jet(space, members)
-    coefficients: dict[tuple[int, ...], complex] = {}
-    provenance: dict[tuple[int, ...], CoefficientProvenance] = {}
-    for t in range(mk + 1):
-        for T in _bounded_compositions(t, (t,) * F.n):
-            coefficients[T] = 0.0 + 0.0j
-            provenance[T] = CoefficientProvenance("gauge-zero", (), 0.0, 0.0 + 0.0j)
-    # alpha -> (alpha, d^alpha g over the members, as Python complex); the
-    # candidates of every T share the stored alpha tuple
-    derivatives: dict[tuple[int, ...], tuple] = {}
-    for t in range(mk + 1, n_max + 1):
-        for T in _bounded_compositions(t, (t,) * F.n):
-            fact = _factorial_multi(T)
-            candidates = []
-            for j in np.flatnonzero((lattice <= T).all(axis=1)).tolist():
-                t2 = members[j]
-                alpha = tuple(b - a for a, b in zip(t2, T))
-                hit = derivatives.get(alpha)
-                if hit is None:
-                    d_alpha = jets[:, space.index[alpha]] * float(_factorial_multi(alpha))
-                    hit = derivatives[alpha] = (alpha, d_alpha.tolist())
-                candidates.append((hit[0], t2, hit[1][j] / fact))
-            if not candidates:
-                coefficients[T] = 0.0 + 0.0j
-                provenance[T] = CoefficientProvenance("free-zero", (), 0.0, 0.0 + 0.0j)
-                continue
-            values = [c[2] for c in candidates]
-            spread = max(
-                (abs(a - b) for a in values for b in values), default=0.0
-            )
-            top = max(abs(v) for v in values)
-            if spread > spread_tol * max(1.0, top):
-                raise WellDefinednessError(
-                    f"coefficient candidates for {T} disagree by {spread:.3e}"
-                )
-            coefficients[T] = sum(values) / len(values)
-            provenance[T] = CoefficientProvenance(
-                "averaged", tuple(candidates), spread, coefficients[T]
-            )
+    members = sorted({S[:j] + (S[j] + 1,) + S[j + 1:] for S in ctx.base_sums for j in range(n)})
+    # every T of degree <= n_max in graded lexicographic order, and T! as a
+    # float rounded once, as Python's complex / int rounds it; the monomials
+    # of the jet are the first space.size of them
+    exps = graded_lex_exponents(n, n_max)
+    table = list(map(tuple, exps.tolist()))
+    factorials = np.array([math.factorial(t) for t in range(n_max + 1)], dtype=object)
+    fact = np.prod(factorials[exps], axis=1).astype(float)
+    # the candidate grid: cell (j, a) is the decomposition T = alpha_a + T2_j,
+    # grouped by the position of T in ``table``; a stable sort keeps the
+    # members of each T in lexicographic order
+    alphas, lattice = exps[: space.size], np.array(members, dtype=np.intp)
+    key = graded_lex_position(
+        n, mk + 1 + alphas.sum(axis=1), (lattice[:, v, None] + alphas[:, v] for v in range(n - 1))
+    ).ravel()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    sizes = np.diff(starts, append=len(key))
+    j, a = np.divmod(order, space.size)
+    values = _python_quotient(F.jet(space, members)[j, a] * fact[a], fact[key])
+    # the exact diameter: pass d compares every candidate with the one d
+    # places later in its group (d = 0 makes a NaN candidate's spread NaN);
+    # the mean adds each group left to right, as Python's sum does
+    group = np.repeat(np.arange(len(starts)), sizes)
+    spread = np.zeros(len(starts))
+    total = np.zeros(len(starts), dtype=complex)
+    with np.errstate(invalid="ignore"):  # a NaN is caught by the check below
+        for d in range(int(sizes.max())):
+            live = sizes > d
+            total[live] += values[starts[live] + d]
+            same = np.flatnonzero(group[d:] == group[: len(group) - d])
+            diff = values[same + d] - values[same]
+            np.maximum.at(spread, group[same], np.hypot(diff.real, diff.imag))
+        top = np.maximum.reduceat(np.hypot(values.real, values.imag), starts)
+        bad = np.flatnonzero(~(spread <= spread_tol * np.maximum(1.0, top)))
+    del order, group  # before the candidate tuples are built, to keep the peak low
+    if bad.size:
+        T, width = table[key[starts[bad[0]]]], spread[bad[0]]
+        raise WellDefinednessError(f"coefficient candidates for {T} disagree by {width:.3e}")
+    mean = _python_quotient(total, sizes).tolist()
+    bounds = np.append(starts, len(key)).tolist()
+    alpha_of = np.fromiter(space.monomials, dtype=object, count=space.size)[a]
+    member_of = np.fromiter(members, dtype=object, count=len(members))[j]
+    candidates = tuple(zip(alpha_of, member_of, values.tolist()))
+    # the T with |T| <= mk come first; a later T without candidates is a free zero
+    gauge, coefficients = math.comb(n + mk, n), [0.0 + 0.0j] * len(table)
+    provenance = [CoefficientProvenance("gauge-zero", (), 0.0, 0.0 + 0.0j)] * gauge
+    provenance += [CoefficientProvenance("free-zero", (), 0.0, 0.0 + 0.0j)] * (len(table) - gauge)
+    for p, s, e, width, value in zip(key[starts].tolist(), bounds, bounds[1:], spread.tolist(), mean):
+        coefficients[p] = value
+        provenance[p] = CoefficientProvenance("averaged", candidates[s:e], width, value)
     return TruncatedPotential(
         basepoint=np.asarray(F.basepoint, dtype=complex),
         n_max=n_max,
-        coefficients=coefficients,
-        provenance=provenance,
+        coefficients=dict(zip(table, coefficients)),
+        provenance=dict(zip(table, provenance)),
     )
 
 
 def check_second_kind(F: FlatFrameStructure, L: TruncatedPotential) -> float:
-    """Worst defect of d_i d_{I_1} ... d_{I_m} L against the evaluation of
-    S(C_i C_{I_1} unit, C_{I_2} unit, ...) in the flat frame at the
-    basepoint, from the constant terms of the ``frame_jet`` there."""
-    H, u, W = _frame_values(F, F.basepoint)
-    worst = 0.0
-    for i in F.matroid.ground.labels:
-        for tup in combinations_with_replacement(F.maximal_independent_sets(), F.m):
-            alpha = [0] * F.n
-            alpha[i - 1] += 1
-            for I in tup:
-                for j in I:
-                    alpha[j - 1] += 1
-            lhs = L.derivative_at_basepoint(alpha)
-            vectors = [_apply_subset(H, I, u) for I in tup]
-            vectors[0] = H[i - 1] @ vectors[0]
-            rhs = _contract(W, vectors)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    """Worst defect of d_i d_{I_1} ... d_{I_m} L, the coefficient of
+    alpha + e_i times (alpha + e_i)!, against S(C_i C_{I_1} unit, C_{I_2}
+    unit, ...) in the flat frame at the basepoint (``_section_defect``)."""
+    return _section_defect(F, L.coefficients, higgs=True)
 
 
 def remainder_swap_residual(

@@ -22,10 +22,40 @@ import math
 import numpy as np
 
 from .errors import SizeLimitError
-from .systems import _bounded_compositions
 
 MAX_TABLE_ENTRIES = 1 << 22  # pairs x variables of the largest product table
 MUL_CHUNK_ELEMENTS = 1 << 12  # product-table entries per chunk of batch rows in ``mul``
+
+
+def graded_lex_exponents(n: int, q: int) -> np.ndarray:
+    """Exponent rows of all monomials of degree <= q in n variables, in
+    graded lexicographic order; shape (C(n + q, q), n)."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    # prepend one variable at a time: every row takes each first exponent its
+    # degree leaves room for; a stable sort on it keeps the rows lexicographic
+    for _ in range(n):
+        counts = q - rows.sum(axis=1) + 1
+        old = np.repeat(np.arange(len(rows)), counts)
+        first = np.arange(len(old)) - np.repeat(np.cumsum(counts) - counts, counts)
+        order = np.argsort(first, kind="stable")
+        rows = np.column_stack([first[order], rows[old[order]]])
+    return rows[np.argsort(rows.sum(axis=1), kind="stable")]
+
+
+def graded_lex_position(n: int, degree, columns) -> np.ndarray:
+    """Position of monomials among all monomials in n variables, graded
+    lexicographically: those of lower degree, then for each variable v the
+    compositions of the remaining degree that put less on v.  ``degree`` and
+    the exponents of v = 0, ..., n - 2 that ``columns`` yields broadcast."""
+    rem = np.asarray(degree)
+    rows = range(int(rem.max(initial=0)) + n + 1)
+    binom = np.array([[math.comb(a, b) for b in range(n + 1)] for a in rows], dtype=np.int64)
+    position = binom[rem + n - 1, n]
+    for v, e in enumerate(columns):
+        r = n - 1 - v
+        position = position + binom[rem + r, r] - binom[rem - e + r, r]
+        rem = rem - e
+    return position
 
 
 class SeriesSpace:
@@ -39,35 +69,23 @@ class SeriesSpace:
                 f"of {n} exponents, more than {MAX_TABLE_ENTRIES} entries"
             )
         self.n, self.q = n, q
-        self.monomials = tuple(
-            alpha for d in range(q + 1) for alpha in _bounded_compositions(d, (d,) * n)
-        )
+        exps = graded_lex_exponents(n, q)
+        self.monomials = tuple(map(tuple, exps.tolist()))
         self.size = len(self.monomials)
         self.index = {alpha: c for c, alpha in enumerate(self.monomials)}
         # positions of the monomials delta_1, ..., delta_n (none when q = 0)
         self.degree_one = tuple(
             self.index[tuple(int(j == i) for j in range(n))] for i in range(n)
         ) if q else ()
-        exps = np.array(self.monomials, dtype=np.int64).reshape(self.size, n)
         degree = exps.sum(axis=1)
-        binom = np.array(
-            [[math.comb(a, b) for b in range(n + 1)] for a in range(q + n + 1)], dtype=np.int64
-        )
         # monomial c pairs with the first C(q - |c| + n, n) monomials, those of
         # degree <= q - |c|
-        counts = binom[q - degree + n, n]
+        counts = np.array([math.comb(q - d + n, n) for d in range(q + 1)])[degree]
         left = np.repeat(np.arange(self.size), counts)
         right = np.arange(pairs) - np.repeat(np.cumsum(counts) - counts, counts)
-        # graded lexicographic position of each product exps[left] + exps[right]:
-        # the monomials of lower degree, then for each variable v the
-        # compositions of the remaining degree that put less on v
-        rem = degree[left] + degree[right]
-        target = binom[rem + n - 1, n]
-        for v in range(n - 1):
-            r = n - 1 - v
-            e = exps[left, v] + exps[right, v]
-            target += binom[rem + r, r] - binom[rem - e + r, r]
-            rem -= e
+        target = graded_lex_position(
+            n, degree[left] + degree[right], (exps[left, v] + exps[right, v] for v in range(n - 1))
+        )
         order = np.argsort(target, kind="stable")
         self._left, self._right = left[order], right[order]
         # every monomial c is the product of the pair (c, 1), so each segment is nonempty
@@ -92,7 +110,11 @@ class SeriesSpace:
         batch rows whose temporaries hold about MUL_CHUNK_ELEMENTS entries
         (at least one row); each row's segmented sums are those of a
         one-row product bit for bit."""
-        a, b = np.broadcast_arrays(a, b)
+        a, b = np.asarray(a), np.asarray(b)
+        if a.shape != b.shape:
+            shape = np.broadcast_shapes(a.shape, b.shape)
+            a = a if a.shape == shape else np.broadcast_to(a, shape)
+            b = b if b.shape == shape else np.broadcast_to(b, shape)
         out = np.empty(a.shape, dtype=complex)
         rows_a, rows_b = a.reshape(-1, self.size), b.reshape(-1, self.size)
         rows_out = out.reshape(-1, self.size)
@@ -134,14 +156,13 @@ class SeriesSpace:
         X = np.einsum("...ij,...jlm->...ilm", lead, rhs)
         k = A.shape[-2]
         for c in range(k):
+            others = [r for r in range(k) if r != c]
             pivot = A[..., c, c, :]
             det = self.mul(det, pivot)
             inv = self.reciprocal(pivot)[..., None, :]
             A[..., c, :, :] = self.mul(A[..., c, :, :], inv)
             X[..., c, :, :] = self.mul(X[..., c, :, :], inv)
-            for r in range(k):
-                if r != c:
-                    factor = A[..., r, c, None, :].copy()
-                    A[..., r, :, :] -= self.mul(factor, A[..., c, :, :])
-                    X[..., r, :, :] -= self.mul(factor, X[..., c, :, :])
+            factor = A[..., others, c, None, :]
+            A[..., others, :, :] -= self.mul(factor, A[..., c, None, :, :])
+            X[..., others, :, :] -= self.mul(factor, X[..., c, None, :, :])
         return X, det

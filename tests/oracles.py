@@ -11,12 +11,17 @@ numpy solves, the reference for the constant terms of its jets.
 ``locally_related`` to every pair, as the reference for the neighbour lookup
 of ``equivalence_report``.  ``scalar_newton_refine`` is the other: the
 one-seed Newton loop, as the bit-for-bit reference for the batched solve.
+The same holds for the loop references of the whole-array code:
+``loop_second_kind_table`` (the per-T candidate loop of the second-kind
+table), ``row_by_row_eliminate`` (Gauss-Jordan updating one row per
+multiply) and ``tuple_check_first_kind`` / ``tuple_check_second_kind`` (one
+contraction per tuple of bases).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -391,6 +396,118 @@ def scalar_newton_refine(data, z, t, max_iter: int = 50):
             break
     g, _ = gradient(t)
     return t, float(np.max(np.abs(g)))
+
+
+def loop_second_kind_table(F, n_max, spread_tol=1e-6):
+    """(coefficients, provenance) of ``second_kind_truncation(F, n_max,
+    spread_tol)`` by the per-T loop: for every T, the members T2 <= T, one
+    candidate tuple each, the all-pairs spread and Python's left-to-right
+    ``sum``.  The bit-for-bit reference for the candidate grid; raises the
+    same WellDefinednessError on the first failing T."""
+    from matpot import WellDefinednessError
+    from matpot.frobenius import CoefficientProvenance, _factorial_multi
+    from matpot.series import SeriesSpace
+    from matpot.systems import _bounded_compositions
+
+    ctx = F.context()
+    mk = ctx.m * ctx.k
+    space = SeriesSpace(F.n, n_max - mk - 1)
+    members = sorted({S[:j] + (S[j] + 1,) + S[j + 1:] for S in ctx.base_sums for j in range(F.n)})
+    lattice = np.array(members, dtype=np.int64)
+    jets = F.jet(space, members)
+    coefficients, provenance = {}, {}
+    for t in range(mk + 1):
+        for T in _bounded_compositions(t, (t,) * F.n):
+            coefficients[T] = 0.0 + 0.0j
+            provenance[T] = CoefficientProvenance("gauge-zero", (), 0.0, 0.0 + 0.0j)
+    derivatives = {}
+    for t in range(mk + 1, n_max + 1):
+        for T in _bounded_compositions(t, (t,) * F.n):
+            fact = _factorial_multi(T)
+            candidates = []
+            for j in np.flatnonzero((lattice <= T).all(axis=1)).tolist():
+                t2 = members[j]
+                alpha = tuple(b - a for a, b in zip(t2, T))
+                hit = derivatives.get(alpha)
+                if hit is None:
+                    d_alpha = jets[:, space.index[alpha]] * float(_factorial_multi(alpha))
+                    hit = derivatives[alpha] = (alpha, d_alpha.tolist())
+                candidates.append((hit[0], t2, hit[1][j] / fact))
+            if not candidates:
+                coefficients[T] = 0.0 + 0.0j
+                provenance[T] = CoefficientProvenance("free-zero", (), 0.0, 0.0 + 0.0j)
+                continue
+            values = [c[2] for c in candidates]
+            spread = max((abs(a - b) for a in values for b in values), default=0.0)
+            top = max(abs(v) for v in values)
+            if spread > spread_tol * max(1.0, top):
+                raise WellDefinednessError(f"coefficient candidates for {T} disagree by {spread:.3e}")
+            coefficients[T] = sum(values) / len(values)
+            provenance[T] = CoefficientProvenance("averaged", tuple(candidates), spread, coefficients[T])
+    return coefficients, provenance
+
+
+def row_by_row_eliminate(space, A, rhs):
+    """(A^-1 rhs, det A) by ``SeriesSpace``'s Gauss-Jordan elimination with
+    one multiply per matrix row and side: the bit-for-bit reference for the
+    batched row update."""
+    lead = np.linalg.inv(A[..., 0])
+    det = space.constant(np.linalg.det(A[..., 0]))
+    A = np.einsum("...ij,...jlm->...ilm", lead, A)
+    X = np.einsum("...ij,...jlm->...ilm", lead, rhs)
+    k = A.shape[-2]
+    for c in range(k):
+        pivot = A[..., c, c, :]
+        det = space.mul(det, pivot)
+        inv = space.reciprocal(pivot)[..., None, :]
+        A[..., c, :, :] = space.mul(A[..., c, :, :], inv)
+        X[..., c, :, :] = space.mul(X[..., c, :, :], inv)
+        for r in range(k):
+            if r != c:
+                factor = A[..., r, c, None, :].copy()
+                A[..., r, :, :] -= space.mul(factor, A[..., c, :, :])
+                X[..., r, :, :] -= space.mul(factor, X[..., c, :, :])
+    return X, det
+
+
+def _tuple_check(F, derivative, higgs_labels):
+    """Worst |derivative(alpha + e_i) - S(C_i C_{I_1} unit, C_{I_2} unit,
+    ...)| over the tuples of bases and the labels i (label None: alpha and
+    S(C_{I_1} unit, ...)), one contraction of the constant-term frame per
+    tuple, as the checks did before they contracted all tuples at once."""
+    from matpot.frobenius import _frame_values
+
+    H, u, W = _frame_values(F, F.basepoint)
+    worst = 0.0
+    for i in higgs_labels:
+        for tup in combinations_with_replacement(F.maximal_independent_sets(), F.m):
+            alpha = [0] * F.n
+            if i is not None:
+                alpha[i - 1] += 1
+            vectors = []
+            for I in tup:
+                v = u
+                for j in I:
+                    alpha[j - 1] += 1
+                    v = H[j - 1] @ v
+                vectors.append(v)
+            if i is not None:
+                vectors[0] = H[i - 1] @ vectors[0]
+            out = W
+            for v in vectors:
+                out = np.tensordot(out, v, axes=([0], [0]))
+            worst = max(worst, abs(derivative(alpha) - complex(out)))
+    return worst
+
+
+def tuple_check_first_kind(F, Q):
+    """``check_first_kind`` one tuple of bases at a time."""
+    return _tuple_check(F, lambda alpha: Q.partial_derivative_value(alpha, F.basepoint), [None])
+
+
+def tuple_check_second_kind(F, L):
+    """``check_second_kind`` one tuple of bases and label at a time."""
+    return _tuple_check(F, L.derivative_at_basepoint, F.matroid.ground.labels)
 
 
 def euler_count(matroid, k):

@@ -293,7 +293,7 @@ def test_flat_sections_have_constant_coordinates(all_structures):
                 assert np.max(np.abs(v - coords[0])) < 1e-8
 
 
-def test_diagonal_frame_exactness(random_k1_structures):
+def test_diagonal_frame_exactness(random_k1_structures, all_structures):
     F = random_k1_structures[0]
     backend = F.backend
     z = F.basepoint
@@ -305,10 +305,16 @@ def test_diagonal_frame_exactness(random_k1_structures):
         left = backend.diagonal_form(z, [P[i] * h1, h2])
         right = backend.diagonal_form(z, [h1, P[i] * h2])
         assert abs(left - right) <= 1e-12 * max(1.0, abs(left))
-    # the flat-frame form, the constant term of the form jet, is symmetric
-    # (bit for bit on this instance)
-    W = _frame_values(F, z)[2]
-    assert np.max(np.abs(W - W.T)) == 0.0
+    # the flat-frame form is symmetric bit for bit, in every coefficient of
+    # its jet, at the basepoint and at a continued fiber, on every
+    # arrangement structure of the tests
+    item4 = structure_from_arrangement(_rank2_data(), 2, allow_k_ge_2=True)
+    for F in all_structures + [item4]:
+        for z in (F.basepoint, F.basepoint + 0.01):
+            W = _frame_values(F, z)[2]
+            assert np.max(np.abs(W - W.T)) == 0.0
+            W = F.frame_jet(z, SeriesSpace(F.n, 2))[2]
+            assert np.max(np.abs(W - W.swapaxes(0, 1))) == 0.0
 
 
 def test_generation_condition_and_kernel(random_k1_structures):

@@ -21,6 +21,7 @@ from matpot import (
     SizeLimitError,
     StructureError,
     UniformMatroid,
+    WellDefinednessError,
     check_first_kind,
     check_second_kind,
     find_strong_decomposition,
@@ -38,8 +39,11 @@ from oracles import (
     brute_second_kind_candidates,
     brute_strong_decompositions,
     exact_k1_pairing_jet,
+    loop_second_kind_table,
     plain_frame,
     plain_pairing,
+    tuple_check_first_kind,
+    tuple_check_second_kind,
 )
 
 
@@ -711,3 +715,108 @@ def test_jet_size_limit_before_any_evaluation(random_k1_structures):
         tracemalloc.stop()
     assert calls == []
     assert peak < 64 * 1024
+
+
+def _noise_structure(matroid, m, seed):
+    """Structure whose pairing jet is seeded noise, with exact zeros of both
+    signs in both parts, so candidates disagree and signed zeros meet every
+    division and sum of the table."""
+
+    def jet(space, members):
+        rng = np.random.default_rng(seed)
+        out = rng.standard_normal((len(members), space.size)) + 1j * rng.standard_normal((len(members), space.size))
+        out.real[::3, ::2] = -0.0
+        out.real[1::4] = 0.0
+        out.imag[1::3] = 0.0
+        out.imag[2::3, ::2] = -0.0
+        return out
+
+    return FlatFrameStructure(
+        matroid=matroid, m=m, basepoint=np.zeros(matroid.ground.n), mu=1, jet=jet
+    )
+
+
+def test_second_kind_table_equals_the_per_T_loop(all_structures):
+    # bit for bit (repr round-trips every float): coefficients, spreads,
+    # kinds and candidates in order, on the arrangement structures and on a
+    # noise jet over a rank-2 matroid with a parallel class, whose T with
+    # no member below them are free zeros
+    cases = [(F, F.m * F.k + 3, 1e-6) for F in all_structures]
+    cases.append((structure_from_arrangement(_REPRODUCER, 2), 7, 1e-6))
+    parallel = LinearMatroid([(1, 0), (1, 0), (0, 1)])
+    cases.append((_noise_structure(parallel, 2, 5), 7, 1e300))
+    kinds = set()
+    for F, n_max, tol in cases:
+        L = second_kind_truncation(F, n_max, tol)
+        coefficients, provenance = loop_second_kind_table(F, n_max, tol)
+        assert repr(list(L.coefficients.items())) == repr(list(coefficients.items()))
+        assert repr(list(L.provenance.items())) == repr(list(provenance.items()))
+        kinds |= {p.kind for p in provenance.values()}
+    assert kinds == {"gauge-zero", "free-zero", "averaged"}
+
+
+def test_second_kind_error_equals_the_per_T_loop(random_k1_structures):
+    F = random_k1_structures[1]
+
+    def jet(space, members):
+        out = F.jet(space, members)
+        out[len(members) // 2] *= 1.001
+        return out
+
+    corrupted = dataclasses.replace(F, jet=jet)
+    n_max = F.m * F.k + 3
+    with pytest.raises(WellDefinednessError) as want:
+        loop_second_kind_table(corrupted, n_max)
+    with pytest.raises(WellDefinednessError) as got:
+        second_kind_truncation(corrupted, n_max)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("row", [0, -1])
+def test_second_kind_refuses_a_nan_candidate(fixture_structure, row):
+    # a NaN candidate makes its spread NaN, which fails the check instead of
+    # averaging into a NaN coefficient (the fixture's T have one or two
+    # candidates)
+    def jet(space, members):
+        out = fixture_structure.jet(space, members)
+        out[row, -1] = np.nan
+        return out
+
+    with pytest.raises(WellDefinednessError, match="disagree by nan"):
+        second_kind_truncation(dataclasses.replace(fixture_structure, jet=jet), 5)
+
+
+def test_checks_match_the_per_tuple_reference(all_structures):
+    for F in all_structures:
+        Q = first_kind_polynomial(F)
+        L = second_kind_truncation(F, F.m * F.k + 3)
+        scale = max(
+            1.0,
+            max(abs(c) * _factorial_multi(T) for T, c in Q.coefficients.items()),
+            max(abs(c) * _factorial_multi(T) for T, c in L.coefficients.items() if sum(T) == F.m * F.k + 1),
+        )
+        assert abs(check_first_kind(F, Q) - tuple_check_first_kind(F, Q)) <= 1e-13 * scale
+        assert abs(check_second_kind(F, L) - tuple_check_second_kind(F, L)) <= 1e-13 * scale
+
+
+def test_checks_see_a_perturbed_coefficient(random_k1_structures):
+    # mutation guard: a 1e-6 change of one coefficient with T! >= 2 moves
+    # the reported defect to at least 1e-6
+    F = random_k1_structures[1]
+    mk = F.m * F.k
+    Q = first_kind_polynomial(F)
+    L = second_kind_truncation(F, mk + 1)
+    assert check_first_kind(F, Q) < 1e-10 and check_second_kind(F, L) < 1e-10
+    T = max(Q.coefficients, key=_factorial_multi)
+    Q.coefficients[T] += 1e-6
+    assert check_first_kind(F, Q) >= 1e-6
+    T = max((T for T in L.coefficients if sum(T) == mk + 1), key=_factorial_multi)
+    L.coefficients[T] += 1e-6
+    assert check_second_kind(F, L) >= 1e-6
+
+
+def test_check_first_kind_needs_degree_mk(fixture_structure):
+    F = fixture_structure
+    for n, degree in [(F.n, F.m * F.k + 1), (F.n + 1, F.m * F.k)]:
+        with pytest.raises(PreconditionError):
+            check_first_kind(F, HomogeneousPolynomial(n=n, degree=degree, coefficients={}))

@@ -7,6 +7,8 @@ import pytest
 from matpot import SizeLimitError
 from matpot.series import MAX_TABLE_ENTRIES, MUL_CHUNK_ELEMENTS, SeriesSpace
 
+from oracles import row_by_row_eliminate
+
 
 def _random_series(rng, space, shape):
     size = shape + (space.size,)
@@ -112,6 +114,21 @@ def test_solve_and_det_of_series_matrices(k):
             term = space.mul(term, A[:, row, col])
         det = det + sign * term
     assert np.allclose(space.det(A), det, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_solve_and_det_equal_row_by_row_elimination(k, q):
+    # one multiply per pivot and side updates every other row; the bytes
+    # equal those of one multiply per row
+    rng = np.random.default_rng(10 * k + q)
+    space = SeriesSpace(2, q)
+    A = _random_series(rng, space, (3, k, k))
+    A[..., 0] += 2.0 * np.eye(k)
+    rhs = _random_series(rng, space, (3, k, 2))
+    X, det = row_by_row_eliminate(space, A, rhs)
+    assert space.solve(A, rhs).tobytes() == X.tobytes()
+    assert space.det(A).tobytes() == det.tobytes()
 
 
 def test_table_size_limit():
