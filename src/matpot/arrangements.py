@@ -468,25 +468,24 @@ class ArrangementBackend:
         eigenvalues p_i = a_i / f_i, shape (mu, n, size), and of the residue
         weights w = 1 / det Hess, shape (mu, size).
 
-        The critical points t^s(z + delta) are series from Newton's method on
-        grad_t Phi = 0, started at the points of ``frame`` (the fiber over z);
-        each step doubles the number of correct degrees.
+        The critical points t^s(z + delta) of ``frame`` (the fiber over z),
+        f = B t + z + delta and r = 1 / f are built one degree at a time:
+        known = -r_0 [f r]_d, summed while f_d holds only delta's part and r_d
+        is 0, is r_d but for -r_0^2 B t_d, so grad_t Phi = B^T (a r) vanishes
+        at degree d when H_0 t_d = -B^T (a known), H_0 the fiber's Hessians.
         """
         B, a = self.data.B, self.data.a
-        z = space.constant(z) + space.variables()
-
-        def eigenvalues_and_hessians(t):
-            f = np.einsum("ij,sjm->sim", B, t) + z
-            r = space.reciprocal(f)
-            p = a[:, None] * r
-            return p, -np.einsum("ij,il,sim->sjlm", B, B, space.mul(p, r))
-
-        t = space.constant(frame.points)
-        for _ in range(space.q.bit_length()):
-            p, hess = eigenvalues_and_hessians(t)
-            grad = np.einsum("ij,sim->sjm", B, p)
-            t = t - space.solve(hess, grad[:, :, None, :])[:, :, 0, :]
-        p, hess = eigenvalues_and_hessians(t)
+        f = space.constant(frame.points @ B.T + z) + space.variables()
+        r = space.constant(1.0 / f[..., 0])
+        # B t_d = gain known, gain = -B H_0^-1 B^T diag(a) per point
+        gain = -(B @ np.linalg.inv(frame.hessians) @ B.T) * a
+        for d, block in enumerate(space.degrees[1:], 1):
+            known = -r[..., :1] * space.mul_degree(f, r, d)
+            step = gain @ known
+            f[..., block] += step
+            r[..., block] = known - r[..., :1] ** 2 * step
+        p = a[:, None] * r
+        hess = -np.einsum("ij,il,sim->sjlm", B, B, space.mul(p, r))
         return p, space.reciprocal(space.det(hess))
 
     def pairing_jets(self, space: SeriesSpace, members) -> np.ndarray:

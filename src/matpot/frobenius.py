@@ -108,6 +108,11 @@ class FlatFrameStructure:
     def _context(self) -> Context:
         return Context(self.matroid, self.m)
 
+    @cached_property
+    def basepoint_frame(self) -> tuple:
+        """(H, unit, form) at the basepoint, evaluated once for both checks."""
+        return _frame_values(self, self.basepoint)
+
     def maximal_independent_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(sorted(B)) for B in self.matroid.bases())
 
@@ -327,9 +332,9 @@ def _section_defect(F: FlatFrameStructure, coefficients: dict, higgs: bool) -> f
     """Worst |alpha! c_alpha - S(C_{I_1} unit, ..., C_{I_m} unit)| over the
     tuples of bases with replacement, alpha their multi-index sum; with
     ``higgs``, alpha + e_i against S(C_i C_{I_1} unit, ...) for every label i.
-    The form at the basepoint (constant terms of the ``frame_jet``) is
+    The form at the basepoint (the structure's ``basepoint_frame``) is
     contracted once with V = [C_I unit] in every slot, H_i V in the first."""
-    H, u, W = _frame_values(F, F.basepoint)
+    H, u, W = F.basepoint_frame
     sets = np.array(F.maximal_independent_sets(), dtype=np.intp) - 1
     V = np.repeat(u[:, None], len(sets), axis=1)
     for col in sets.T:

@@ -6,9 +6,12 @@ in graded lexicographic order (by total degree, then by the exponent tuples
 in lexicographic order); the leading axes are a batch.  A ``SeriesSpace``
 owns the product table: every pair of monomials whose product survives the
 truncation, sorted by the product's position, so that a multiply is one
-gather and one segmented sum per chunk of batch rows.  On top of it sit a Newton
-reciprocal and, for batches of small k x k matrices of series, a linear
-solve and a determinant by Gauss-Jordan elimination.
+gather and one segmented sum per chunk of batch rows, and the degree-d block
+of a product is the contiguous slice of the table whose products have
+degree d.  On top of it sit the reciprocal and, for batches of small k x k
+matrices of series, a linear solve and a determinant, each built one total
+degree at a time: degree d reads the lower degrees and the inverse of a
+constant term, so no step iterates.
 
 The table has C(2n + q, q) pairs, one exponent vector each; a space whose
 table would exceed MAX_TABLE_ENTRIES raises SizeLimitError before anything
@@ -88,8 +91,12 @@ class SeriesSpace:
         )
         order = np.argsort(target, kind="stable")
         self._left, self._right = left[order], right[order]
-        # every monomial c is the product of the pair (c, 1), so each segment is nonempty
-        self._starts = np.searchsorted(target[order], np.arange(self.size))
+        # the products of monomial c are the pairs _starts[c]:_starts[c + 1], never
+        # none since c is the product of the pair (c, 1)
+        self._starts = np.searchsorted(target[order], np.arange(self.size + 1))
+        # degrees[d] holds the positions of the monomials of degree d
+        bounds = np.searchsorted(degree, np.arange(q + 2)).tolist()
+        self.degrees = tuple(map(slice, bounds, bounds[1:]))
 
     def constant(self, values) -> np.ndarray:
         """Series with constant terms ``values`` (any shape) and nothing else."""
@@ -110,15 +117,24 @@ class SeriesSpace:
         batch rows whose temporaries hold about MUL_CHUNK_ELEMENTS entries
         (at least one row); each row's segmented sums are those of a
         one-row product bit for bit."""
-        a, b = np.asarray(a), np.asarray(b)
+        return self._product(a, b, slice(0, self.size))
+
+    def mul_degree(self, a, b, d: int) -> np.ndarray:
+        """The degree-d block of ``mul(a, b)``, from that block's table entries only."""
+        return self._product(a, b, self.degrees[d])
+
+    def _product(self, a, b, block: slice) -> np.ndarray:
+        a, b = np.asarray(a)[..., : block.stop], np.asarray(b)[..., : block.stop]
         if a.shape != b.shape:
             shape = np.broadcast_shapes(a.shape, b.shape)
             a = a if a.shape == shape else np.broadcast_to(a, shape)
             b = b if b.shape == shape else np.broadcast_to(b, shape)
-        out = np.empty(a.shape, dtype=complex)
-        rows_a, rows_b = a.reshape(-1, self.size), b.reshape(-1, self.size)
-        rows_out = out.reshape(-1, self.size)
-        left, right, starts = self._left, self._right, self._starts
+        out = np.empty(a.shape[:-1] + (block.stop - block.start,), dtype=complex)
+        rows_a, rows_b = a.reshape(-1, block.stop), b.reshape(-1, block.stop)
+        rows_out = out.reshape(-1, out.shape[-1])
+        first, last = self._starts[block.start], self._starts[block.stop]
+        left, right = self._left[first:last], self._right[first:last]
+        starts = self._starts[block] - first
         step = max(1, MUL_CHUNK_ELEMENTS // len(left))
         for r in range(0, len(rows_out), step):
             chunk = slice(r, r + step)
@@ -128,41 +144,36 @@ class SeriesSpace:
         return out
 
     def reciprocal(self, a) -> np.ndarray:
-        """1 / a by Newton's iteration r <- r (2 - a r) from the reciprocal of
-        the constant term; each step doubles the number of correct degrees."""
+        """1 / a, one degree at a time: r_0 = 1 / a_0 and r_d = -r_0 [a r]_d,
+        summed while r's degree-d coefficients are still 0."""
         r = self.constant(1.0 / np.asarray(a)[..., 0])
-        for _ in range(self.q.bit_length()):
-            r = 2.0 * r - self.mul(r, self.mul(a, r))
+        for d in range(1, self.q + 1):
+            r[..., self.degrees[d]] = -r[..., :1] * self.mul_degree(a, r, d)
         return r
 
     def solve(self, A, rhs) -> np.ndarray:
-        """A^-1 rhs for series matrices A (..., k, k, size), rhs (..., k, c, size)."""
-        return self._eliminate(A, rhs)[0]
+        """A^-1 rhs for series matrices A (..., k, k, size), rhs (..., k, c,
+        size), one degree at a time: X_0 = A_0^-1 rhs_0 and X_d = A_0^-1
+        (rhs_d - [A X]_d), summed while X's degree-d coefficients are still
+        0.  A singular constant term raises numpy's LinAlgError."""
+        lead = np.linalg.inv(A[..., 0])
+        X = np.zeros(np.broadcast_shapes(A.shape[:-3], rhs.shape[:-3]) + rhs.shape[-3:], dtype=complex)
+        X[..., 0] = lead @ rhs[..., 0]
+        for d in range(1, self.q + 1):
+            AX = self.mul_degree(A[..., :, :, None, :], X[..., None, :, :, :], d).sum(axis=-3)
+            X[..., self.degrees[d]] = np.einsum("...ij,...jcm->...icm", lead, rhs[..., self.degrees[d]] - AX)
+        return X
 
     def det(self, A) -> np.ndarray:
-        """det A for series matrices A (..., k, k, size); shape (..., size)."""
-        return self._eliminate(A, np.zeros(A.shape[:-2] + (0, self.size), dtype=complex))[1]
+        """det A for series matrices A (..., k, k, size); shape (..., size).
 
-    def _eliminate(self, A, rhs):
-        """Gauss-Jordan on [A | rhs]; returns (A^-1 rhs, det A).
-
-        Both sides are first multiplied by the inverse of A's constant term,
-        so every pivot has constant term 1 up to rounding and no pivoting is
-        needed.  A singular constant term raises numpy's LinAlgError.
+        By Jacobi's formula with the Euler operator E, which multiplies
+        degree d by d, E det A = det A G with G = tr(A^-1 E A), and G_0 = 0,
+        so det_d = [det G]_d / d.  A singular A_0 raises numpy's LinAlgError.
         """
-        lead = np.linalg.inv(A[..., 0])
-        det = self.constant(np.linalg.det(A[..., 0]))
-        A = np.einsum("...ij,...jlm->...ilm", lead, A)
-        X = np.einsum("...ij,...jlm->...ilm", lead, rhs)
-        k = A.shape[-2]
-        for c in range(k):
-            others = [r for r in range(k) if r != c]
-            pivot = A[..., c, c, :]
-            det = self.mul(det, pivot)
-            inv = self.reciprocal(pivot)[..., None, :]
-            A[..., c, :, :] = self.mul(A[..., c, :, :], inv)
-            X[..., c, :, :] = self.mul(X[..., c, :, :], inv)
-            factor = A[..., others, c, None, :]
-            A[..., others, :, :] -= self.mul(factor, A[..., c, None, :, :])
-            X[..., others, :, :] -= self.mul(factor, X[..., c, None, :, :])
-        return X, det
+        EA = np.concatenate([d * A[..., block] for d, block in enumerate(self.degrees)], axis=-1)
+        G = np.trace(self.solve(A, EA), axis1=-3, axis2=-2)
+        D = self.constant(np.linalg.det(A[..., 0]))
+        for d in range(1, self.q + 1):
+            D[..., self.degrees[d]] = self.mul_degree(D, G, d) / d
+        return D

@@ -13,9 +13,11 @@ of ``equivalence_report``.  ``scalar_newton_refine`` is the other: the
 one-seed Newton loop, as the bit-for-bit reference for the batched solve.
 The same holds for the loop references of the whole-array code:
 ``loop_second_kind_table`` (the per-T candidate loop of the second-kind
-table), ``row_by_row_eliminate`` (Gauss-Jordan updating one row per
-multiply) and ``tuple_check_first_kind`` / ``tuple_check_second_kind`` (one
-contraction per tuple of bases).
+table) and ``tuple_check_first_kind`` / ``tuple_check_second_kind`` (one
+contraction per tuple of bases).  ``row_by_row_eliminate`` (Gauss-Jordan
+over series, with its own ``newton_reciprocal``) uses only
+``SeriesSpace.mul`` and is the reference for the degree recurrences of
+``solve``, ``det`` and ``reciprocal``.
 """
 
 from __future__ import annotations
@@ -447,10 +449,21 @@ def loop_second_kind_table(F, n_max, spread_tol=1e-6):
     return coefficients, provenance
 
 
+def newton_reciprocal(space, a):
+    """1 / a by Newton's iteration r <- r (2 - a r) from the reciprocal of
+    the constant term; each step doubles the number of correct degrees."""
+    r = space.constant(1.0 / np.asarray(a)[..., 0])
+    for _ in range(space.q.bit_length()):
+        r = 2.0 * r - space.mul(r, space.mul(a, r))
+    return r
+
+
 def row_by_row_eliminate(space, A, rhs):
-    """(A^-1 rhs, det A) by ``SeriesSpace``'s Gauss-Jordan elimination with
-    one multiply per matrix row and side: the bit-for-bit reference for the
-    batched row update."""
+    """(A^-1 rhs, det A) by Gauss-Jordan elimination over series, one
+    multiply per matrix row and side and a Newton reciprocal per pivot: the
+    reference for the degree recurrences of ``SeriesSpace.solve`` and
+    ``det``.  Both sides are first multiplied by the inverse of A's constant
+    term, so every pivot has constant term 1 up to rounding."""
     lead = np.linalg.inv(A[..., 0])
     det = space.constant(np.linalg.det(A[..., 0]))
     A = np.einsum("...ij,...jlm->...ilm", lead, A)
@@ -459,7 +472,7 @@ def row_by_row_eliminate(space, A, rhs):
     for c in range(k):
         pivot = A[..., c, c, :]
         det = space.mul(det, pivot)
-        inv = space.reciprocal(pivot)[..., None, :]
+        inv = newton_reciprocal(space, pivot)[..., None, :]
         A[..., c, :, :] = space.mul(A[..., c, :, :], inv)
         X[..., c, :, :] = space.mul(X[..., c, :, :], inv)
         for r in range(k):

@@ -695,10 +695,38 @@ def test_reproducer_coefficient_is_exactly_zero():
 
 
 def test_second_kind_spread_at_order_mk_plus_5(random_k1_structures):
-    for F in random_k1_structures + [structure_from_arrangement(_REPRODUCER, 2)]:
+    # series Newton nested in Newton reciprocals read 2.3e-12 and 2.1e-13
+    for F, bound in [(F, 1e-12) for F in random_k1_structures] + [
+        (structure_from_arrangement(_REPRODUCER, 2), 1.5e-13)
+    ]:
         L = second_kind_truncation(F, F.m * F.k + 5)
-        assert L.spread_max <= 1e-10
+        assert L.spread_max <= bound
         assert check_second_kind(F, L) <= 1e-10
+
+
+# the ROADMAP item-2 n = 4 instance, whose jets lost accuracy with the order
+_N4 = ArrangementData([[1], [2], [1], [3]], [1, 2, 3, 1], [0.3, -1.1, 0.9, -0.2])
+
+
+def test_jet_top_degree_matches_exact_oracle_at_order_6():
+    # relative to the largest exact coefficient of degree 6; series Newton
+    # nested in Newton reciprocals read 4.2e-12
+    F = structure_from_arrangement(_N4, 2)
+    T2 = (0, 0, 1, 2)
+    space = SeriesSpace(F.n, 6)
+    jet = F.jet(space, [T2])[0]
+    exact = {alpha: float(v) for alpha, v in _exact_jet(F, T2, 6).items() if sum(alpha) == 6}
+    want = np.array(list(exact.values()))
+    got = jet[[space.index[alpha] for alpha in exact]]
+    assert np.abs(got - want).max() <= 1.5e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("data,n_max", [(_N4, 18), (_REPRODUCER, 14)])
+def test_second_kind_holds_at_high_orders(data, n_max):
+    # series Newton nested in Newton reciprocals raised WellDefinednessError
+    # here (spreads 2.4e-6 and 1.1e-6), from roundoff, not from the structure
+    L = second_kind_truncation(structure_from_arrangement(data, 2), n_max)
+    assert L.spread_max <= 1e-6
 
 
 def test_jet_size_limit_before_any_evaluation(random_k1_structures):
@@ -813,6 +841,23 @@ def test_checks_see_a_perturbed_coefficient(random_k1_structures):
     T = max((T for T in L.coefficients if sum(T) == mk + 1), key=_factorial_multi)
     L.coefficients[T] += 1e-6
     assert check_second_kind(F, L) >= 1e-6
+
+
+def test_checks_share_one_basepoint_frame(fixture_structure, random_k1_structures):
+    # both checks read the structure's one degree-0 frame jet at the
+    # basepoint, and get the bytes of a frame evaluated for each check alone
+    calls = []
+    F = _counting(fixture_structure, calls)
+    Q, L = first_kind_polynomial(F), second_kind_truncation(F, 5)
+    del calls[:]
+    check_first_kind(F, Q)
+    check_second_kind(F, L)
+    assert calls == ["frame_jet"]
+    for F in (fixture_structure, random_k1_structures[1]):
+        Q, L = first_kind_polynomial(F), second_kind_truncation(F, F.m * F.k + 2)
+        shared = (check_first_kind(F, Q), check_second_kind(F, L))
+        alone = (check_first_kind(_counting(F, []), Q), check_second_kind(_counting(F, []), L))
+        assert repr(shared) == repr(alone)
 
 
 def test_check_first_kind_needs_degree_mk(fixture_structure):

@@ -7,7 +7,7 @@ import pytest
 from matpot import SizeLimitError
 from matpot.series import MAX_TABLE_ENTRIES, MUL_CHUNK_ELEMENTS, SeriesSpace
 
-from oracles import row_by_row_eliminate
+from oracles import newton_reciprocal, row_by_row_eliminate
 
 
 def _random_series(rng, space, shape):
@@ -50,7 +50,7 @@ def _row_by_row_mul(space, a, b):
     a, b = np.broadcast_arrays(a, b)
     rows_a, rows_b = a.reshape(-1, space.size), b.reshape(-1, space.size)
     out = [
-        np.add.reduceat(ra[space._left] * rb[space._right], space._starts)
+        np.add.reduceat(ra[space._left] * rb[space._right], space._starts[:-1])
         for ra, rb in zip(rows_a, rows_b)
     ]
     return np.array(out).reshape(a.shape)
@@ -116,19 +116,53 @@ def test_solve_and_det_of_series_matrices(k):
     assert np.allclose(space.det(A), det, rtol=0, atol=1e-11)
 
 
-@pytest.mark.parametrize("q", [0, 1, 2, 3])
+@pytest.mark.parametrize("q", range(7))
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_solve_and_det_equal_row_by_row_elimination(k, q):
-    # one multiply per pivot and side updates every other row; the bytes
-    # equal those of one multiply per row
+    # the degree recurrences against Gauss-Jordan over series with Newton
+    # reciprocals (the oracle shares only ``mul`` with them)
     rng = np.random.default_rng(10 * k + q)
     space = SeriesSpace(2, q)
     A = _random_series(rng, space, (3, k, k))
     A[..., 0] += 2.0 * np.eye(k)
     rhs = _random_series(rng, space, (3, k, 2))
-    X, det = row_by_row_eliminate(space, A, rhs)
-    assert space.solve(A, rhs).tobytes() == X.tobytes()
-    assert space.det(A).tobytes() == det.tobytes()
+    X, det = space.solve(A, rhs), space.det(A)
+    back = sum(space.mul(A[:, :, j, None, :], X[:, j, None, :, :]) for j in range(k))
+    assert np.abs(back - rhs).max() <= 1e-13 * np.abs(A).max() * np.abs(X).max()
+    X_ref, det_ref = row_by_row_eliminate(space, A, rhs)
+    assert np.abs(X - X_ref).max() <= 1e-12 * np.abs(X_ref).max()
+    assert np.abs(det - det_ref).max() <= 1e-12 * np.abs(det_ref).max()
+    if k == 2:
+        ad_bc = space.mul(A[:, 0, 0], A[:, 1, 1]) - space.mul(A[:, 0, 1], A[:, 1, 0])
+        assert np.abs(det - ad_bc).max() <= 1e-13 * np.abs(ad_bc).max()
+
+
+@pytest.mark.parametrize("q", range(11))
+def test_reciprocal_equals_newton_reciprocal(q):
+    # the coefficients of 1/a grow like (|a_1| / |a_0|)^d, so both bounds
+    # are relative to the largest of them
+    rng = np.random.default_rng(q)
+    space = SeriesSpace(2, q)
+    a = _random_series(rng, space, (4,))
+    a[:, 0] += 3.0
+    r = space.reciprocal(a)
+    one = space.mul(a, r) - space.constant(np.ones(4))
+    assert np.abs(one).max() <= 1e-14 * np.abs(a).max() * np.abs(r).max()
+    assert np.abs(r - newton_reciprocal(space, a)).max() <= 1e-14 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (4, 1), (5, 6)])
+def test_degree_blocks_are_slices_of_the_product(n, q):
+    # each block sums the same table entries as ``mul`` does, bit for bit,
+    # on a batch that spans several chunks and with broadcast operands
+    rng = np.random.default_rng(n * 100 + q)
+    space = SeriesSpace(n, q)
+    a = _random_series(rng, space, (3 * max(1, MUL_CHUNK_ELEMENTS // len(space._left)) + 2, 1))
+    b = _random_series(rng, space, (1, 2))
+    full = space.mul(a, b)
+    assert space.degrees[0] == slice(0, 1) and space.degrees[-1].stop == space.size
+    for d in range(q + 1):
+        assert np.array_equal(space.mul_degree(a, b, d), full[..., space.degrees[d]])
 
 
 def test_table_size_limit():
