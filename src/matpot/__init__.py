@@ -14,7 +14,6 @@ from .arrangements import (
     CriticalPointFrame,
     continue_fiber,
     critical_points,
-    discriminant_probe,
     structure_from_arrangement,
     vector_matroid,
 )

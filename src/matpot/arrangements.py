@@ -23,17 +23,21 @@ sections is a genuine testable statement.  The raw diagonal data stays
 available on the backend for exactness checks.
 
 Only k = 1 is a fully supported path (critical points come from the roots of
-an explicit degree n-1 polynomial plus Newton refinement).  For k >= 2 the
-solver runs multivariate Newton from the vertex seed cloud (hyperplane
-intersection vertices, their midpoints and centroids, lightly jittered);
-that path is experimental and makes no completeness claim.  Either way all
-candidates of a fiber are refined in one batched Newton solve.
+an explicit degree n-1 polynomial plus Newton refinement; a root that does
+not converge raises DiscriminantError).  For k >= 2 the solver runs
+multivariate Newton from the vertex seed cloud (hyperplane intersection
+vertices, their midpoints and centroids, lightly jittered); that path is
+experimental and makes no completeness claim.  Either way all candidates of
+a fiber are refined in one batched Newton solve with one stacked LU per
+step, and a seed is retired as soon as it leaves the box that the final
+filter keeps (no seed measured ever came back from outside it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -122,22 +126,28 @@ def _hessians(data: ArrangementData, f):
     return np.matmul(-(data.B.T[None] * (data.a / f**2)[:, None, :]), data.B[None])
 
 
+#: a Newton iterate with max |t| > ESCAPE_RADIUS (1 + max |z|) has escaped
+ESCAPE_RADIUS = 1e6
+
+
 def _newton_refine(data: ArrangementData, z, seeds, max_iter: int = 50):
     """Newton on grad_t Phi = 0 from every row of ``seeds`` (S, k) at once.
 
     Returns (points (S, k), residuals max |grad| (S,), failures), where
     failures[s] is None or the DiscriminantError message that stopped seed
-    s: |f_i| < 1e-300 at an iterate, or a singular Hessian.  A seed leaves
-    the active set when it fails or its step satisfies
-    max |delta| <= 1e-15 (1 + max |t|); at most ``max_iter`` steps.
+    s: |f_i| < 1e-300 at an iterate, a singular Hessian, or an iterate with
+    max |t| > ESCAPE_RADIUS (1 + max |z|) or NaN.  A seed leaves the active
+    set when it fails or its step satisfies max |delta| <= 1e-15 (1 + max |t|);
+    at most ``max_iter`` steps.  Failed seeds get residual NaN.
 
     Each seed sees the arithmetic of a one-seed solve bit for bit: the
     stacked products keep the per-seed matrix shapes, and a stacked solve
-    runs the same LU per matrix.  A diverging seed may overflow; callers
-    reject non-finite results.
+    runs the same LU per matrix.  Only when one singular Hessian makes the
+    stacked solve raise are those (det exactly 0, the same LU) split off.
     """
     t = np.array(seeds, dtype=complex).reshape(len(seeds), data.k)
     failures: list = [None] * len(t)
+    box = ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(z))))
 
     def values(idx):
         f = _values(data, z, t[idx])
@@ -157,24 +167,29 @@ def _newton_refine(data: ArrangementData, z, seeds, max_iter: int = 50):
             active, f = values(active)
             g = gradients(f)
             H = _hessians(data, f)
-            # a stacked solve raises for the whole stack on one singular
-            # matrix; det runs the same LU and reads exactly 0 on those
-            singular = np.linalg.det(H) == 0
-            delta = np.empty_like(g)
-            regular = ~singular
-            if regular.any():
-                delta[regular] = np.linalg.solve(H[regular], g[regular])
             failed = np.zeros(len(active), dtype=bool)
-            for j in np.flatnonzero(singular):
-                try:
-                    delta[j] = np.linalg.solve(H[j], g[j])
-                except np.linalg.LinAlgError:
-                    failures[active[j]] = "degenerate Hessian during Newton refinement"
-                    failed[j] = True
+            try:
+                delta = np.linalg.solve(H, g)
+            except np.linalg.LinAlgError:
+                # a stacked solve raises for the whole stack on one singular
+                # matrix; det runs the same LU and reads exactly 0 on those
+                singular = np.linalg.det(H) == 0
+                delta = np.empty_like(g)
+                delta[~singular] = np.linalg.solve(H[~singular], g[~singular])
+                for j in np.flatnonzero(singular):
+                    try:
+                        delta[j] = np.linalg.solve(H[j], g[j])
+                    except np.linalg.LinAlgError:
+                        failures[active[j]] = "degenerate Hessian during Newton refinement"
+                        failed[j] = True
             active, delta = active[~failed], delta[~failed, :, 0]
             t[active] = t[active] - delta
-            done = np.abs(delta).max(axis=1) <= 1e-15 * (1.0 + np.abs(t[active]).max(axis=1))
-            active = active[~done]
+            size = np.abs(t[active]).max(axis=1)
+            escaped = ~(size <= box)
+            for s in active[escaped]:
+                failures[s] = "Newton iterate left for infinity"
+            done = np.abs(delta).max(axis=1) <= 1e-15 * (1.0 + size)
+            active = active[~(escaped | done)]
         residuals = np.full(len(t), np.nan)
         idx, f = values(np.array([s for s, why in enumerate(failures) if why is None], dtype=int))
         residuals[idx] = np.abs(gradients(f)[:, :, 0]).max(axis=1)
@@ -189,39 +204,33 @@ def _poly_from_factors(pairs):
     return coeffs
 
 
+def _combinations(count: int, size: int) -> np.ndarray:
+    """Index array (C(count, size), size) of combinations in lexicographic order."""
+    return np.array(list(combinations(range(count), size)), dtype=np.intp).reshape(-1, size)
+
+
 def _vertex_seed_cloud(data: ArrangementData, z, jitter: float = 1e-3):
-    """Seeds for k >= 2 Newton: hyperplane intersection vertices, their
-    pairwise midpoints and triple centroids, lightly jittered.
+    """Seeds (2 S, k) for k >= 2 Newton: the S hyperplane intersection
+    vertices (k-subsets of rows with |det| >= 1e-12), their pairwise
+    midpoints and triple centroids, each followed by a copy jittered by
+    ``jitter`` times a complex standard normal draw.
 
     Critical points of a master function with generic weights sit inside the
     cells cut out by the hyperplanes, so cell-anchored seeds reach them while
-    a plain random cloud mostly escapes to infinity.
+    a plain random cloud mostly escapes to infinity.  Vertices come from one
+    stacked det and solve, the jitter from one draw of the fixed-seed
+    generator (the same stream as a draw per seed).
     """
-    import itertools
-
     z = np.asarray(z, dtype=complex)
-    vertices = []
-    for rows in itertools.combinations(range(data.n), data.k):
-        A = data.B[list(rows), :]
-        if abs(np.linalg.det(A)) < 1e-12:
-            continue
-        v = np.linalg.solve(A, -z[list(rows)])
-        vertices.append(v)
-    seeds = list(vertices)
-    for u, v in itertools.combinations(vertices, 2):
-        seeds.append((u + v) / 2.0)
-    for u, v, w in itertools.combinations(vertices, 3):
-        seeds.append((u + v + w) / 3.0)
-    rng = np.random.default_rng(20240521)
-    out = []
-    for s in seeds:
-        out.append(s)
-        out.append(
-            s
-            + jitter
-            * (rng.standard_normal(data.k) + 1j * rng.standard_normal(data.k))
-        )
-    return out
+    rows = _combinations(data.n, data.k)
+    rows = rows[np.abs(np.linalg.det(data.B[rows])) >= 1e-12]
+    V = np.linalg.solve(data.B[rows], -z[rows][..., None])[..., 0]
+    i, j = _combinations(len(V), 2).T
+    u, v, w = _combinations(len(V), 3).T
+    seeds = np.concatenate([V, (V[i] + V[j]) / 2.0, (V[u] + V[v] + V[w]) / 3.0])
+    noise = np.random.default_rng(20240521).standard_normal((len(seeds), 2, data.k))
+    jittered = seeds + jitter * (noise[:, 0] + 1j * noise[:, 1])
+    return np.stack([seeds, jittered], axis=1).reshape(-1, data.k)
 
 
 def _k1_candidate_roots(data: ArrangementData, z):
@@ -254,11 +263,16 @@ def critical_points(
 ) -> CriticalPointFrame:
     """All fiberwise critical points over z, Newton-refined and validated.
 
-    Raises DiscriminantError when points coincide or land on a hyperplane
-    (within 1e-8 * (1 + max |z_i|)), or have (nearly) singular Hessians
-    (|det| < 1e-12).  For k >= 2 pass explicit ``seeds`` (S x k) or rely
-    on the vertex seed cloud (experimental).  All candidates are refined in one
-    batched Newton solve, then filtered in candidate order.
+    All candidates are refined in one batched Newton solve, then accepted in
+    order by one greedy pass, which drops a candidate when Newton failed on
+    it (a seed leaving the box max |t| <= ESCAPE_RADIUS (1 + max |z_i|)
+    fails at once), its residual exceeds 1e-9 * (1 + max |z_i|), it lies
+    within 1e-8 * (1 + max |z_i|) of a hyperplane or an accepted point, or
+    its Hessian is (nearly) singular (|det| < 1e-12).  For k = 1 a drop
+    raises DiscriminantError instead: a Newton failure first, then the first
+    candidate too near or flat, then the first residual above the bound.
+    For k >= 2 pass explicit ``seeds`` (S x k) or rely on the vertex seed
+    cloud (experimental).
     """
     z = np.asarray(z, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(z)))
@@ -274,72 +288,52 @@ def critical_points(
         candidates = seeds
     strict = data.k == 1
     t, res, failures = _newton_refine(data, z, candidates)
-    # NaN fails every comparison, so it must be caught before the filters
-    clean = np.isfinite(res) & np.isfinite(t).all(axis=1)
+    # NaN fails every comparison, so failed seeds (residual NaN) drop out
+    with np.errstate(over="ignore"):
+        clean = (res <= 1e-9 * scale) & (np.max(np.abs(t), axis=1) <= ESCAPE_RADIUS * scale)
     if strict:
-        for failure, finite in zip(failures, clean):
-            if failure is not None or not finite:
-                raise DiscriminantError(failure or "Newton refinement reached a non-finite point")
-    else:
-        # spurious fixed points at infinity have tiny gradients too
-        with np.errstate(over="ignore"):
-            clean &= (res <= 1e-9 * scale) & (np.max(np.abs(t), axis=1) <= 1e6 * scale)
-    kept = np.flatnonzero(clean)
+        for failure in filter(None, failures):
+            raise DiscriminantError(failure)
+    kept = np.arange(len(t)) if strict else np.flatnonzero(clean)
     fvals = _values(data, z, t[kept])
     near = np.min(np.abs(fvals), axis=1) < hyper_margin
     # a point too near a hyperplane may overflow here; it is dropped as near
     with np.errstate(all="ignore"):
         flat = np.abs(np.linalg.det(_hessians(data, fvals))) < hess_margin
-    points: list = []
-    residuals: list = []
-    accepted = np.empty((0, data.k), dtype=complex)
-    for s, near_s, flat_s in zip(kept, near, flat):
-        if np.any(np.max(np.abs(t[s] - accepted), axis=1) < dist_margin):
-            if strict:
-                raise DiscriminantError("critical points collide")
-            continue
-        if near_s:
-            if strict:
-                raise DiscriminantError("a critical point lies on (or too near) a hyperplane")
-            continue
-        if flat_s:
-            if strict:
-                raise DiscriminantError("degenerate critical point (vanishing Hessian)")
-            continue
-        points.append(t[s])
-        residuals.append(float(res[s]))
-        accepted = np.array(points)
-    if strict and len(points) != expected:
-        raise DiscriminantError(
-            f"found {len(points)} critical points, expected {expected}"
-        )
-    if not points:
+    if strict:
+        # nothing is skipped, so the first offender is the first candidate
+        # that is near, flat or within dist_margin of an earlier one; the
+        # residual rule comes last, so it refuses only fibers that pass the rest
+        gap = np.max(np.abs(t[kept][:, None] - t[kept][None]), axis=2)
+        collide = np.tril(gap < dist_margin, -1).any(axis=1)
+        for s in np.flatnonzero(collide | near | flat)[:1]:
+            raise DiscriminantError(
+                "critical points collide" if collide[s]
+                else "a critical point lies on (or too near) a hyperplane" if near[s]
+                else "degenerate critical point (vanishing Hessian)"
+            )
+        for s in np.flatnonzero(~clean)[:1]:
+            raise DiscriminantError(f"Newton refinement did not converge (residual {res[s]:.3e})")
+    # near and flat candidates are never accepted, so they cannot shadow a
+    # later one: accept the first remaining candidate, drop its near copies
+    rest, accepted = kept[~(near | flat)], []
+    while rest.size:
+        accepted.append(rest[0])
+        rest = rest[1:][np.max(np.abs(t[rest[1:]] - t[rest[0]]), axis=1) >= dist_margin]
+    if strict and len(accepted) != expected:
+        raise DiscriminantError(f"found {len(accepted)} critical points, expected {expected}")
+    if not accepted:
         raise DiscriminantError("no nondegenerate critical points found")
-    order = np.lexsort(
-        (np.asarray([p[-1].imag for p in points]), np.asarray([p[-1].real for p in points]))
-    )
-    points = [points[i] for i in order]
-    residuals = [residuals[i] for i in order]
-    pts = np.array(points)
-    fvals = data.hyperplane_values(z, pts)
-    hessians = _hessians(data, fvals)
-    dets = np.linalg.det(hessians)
+    accepted = np.array(accepted)
+    accepted = accepted[np.lexsort((t[accepted, -1].imag, t[accepted, -1].real))]
+    hessians = _hessians(data, data.hyperplane_values(z, t[accepted]))
     return CriticalPointFrame(
         z=z,
-        points=pts,
+        points=t[accepted],
         hessians=hessians,
-        det_hess=dets,
-        residuals=np.array(residuals),
+        det_hess=np.linalg.det(hessians),
+        residuals=res[accepted],
     )
-
-
-def discriminant_probe(data: ArrangementData, z) -> bool:
-    """True iff the fiber over z has the full count of clean critical points."""
-    try:
-        critical_points(data, z)
-    except (DiscriminantError, ContinuationError, PreconditionError):
-        return False
-    return True
 
 
 def _match_points(reference: np.ndarray, fresh: np.ndarray):

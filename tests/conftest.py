@@ -8,9 +8,9 @@ from matpot import (
     Context,
     LinearMatroid,
     UniformMatroid,
-    discriminant_probe,
     structure_from_arrangement,
 )
+from oracles import discriminant_probe
 
 
 @pytest.fixture

@@ -9,8 +9,13 @@ unrelated code path.
 numpy solves, the reference for the constant terms of its jets.
 ``pairwise_edges`` is one exception: it applies the library's pairwise
 ``locally_related`` to every pair, as the reference for the neighbour lookup
-of ``equivalence_report``.  ``scalar_newton_refine`` is the other: the
-one-seed Newton loop, as the bit-for-bit reference for the batched solve.
+of ``equivalence_report``.  ``scalar_newton_refine`` is another: the
+one-seed Newton loop, as the bit-for-bit reference for the batched solve;
+``loop_vertex_seed_cloud`` builds the rank >= 2 seed cloud one vertex and
+one draw at a time, the reference for the stacked cloud.
+``discriminant_probe`` calls the library's ``critical_points`` and only
+turns its structured errors into False; the tests use it to draw instances
+off the discriminant.
 The same holds for the loop references of the whole-array code:
 ``loop_second_kind_table`` (the per-T candidate loop of the second-kind
 table) and ``tuple_check_first_kind`` / ``tuple_check_second_kind`` (one
@@ -27,7 +32,15 @@ from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
-from matpot import DeficiencyWitness, DiscriminantError, SizeLimitError, locally_related
+from matpot import (
+    ContinuationError,
+    DeficiencyWitness,
+    DiscriminantError,
+    PreconditionError,
+    SizeLimitError,
+    critical_points,
+    locally_related,
+)
 
 
 def subsets(elems):
@@ -371,9 +384,11 @@ def scalar_newton_refine(data, z, t, max_iter: int = 50):
     """Newton on grad_t Phi = 0 from one seed, one solve per step.
 
     The reference for the batched ``arrangements._newton_refine``: the same
-    stopping rule and DiscriminantError causes, seed by seed.  Call it under
-    ``np.errstate(all="ignore")``; a diverging seed may overflow.
+    stopping rule, escape box and DiscriminantError causes, seed by seed.
+    Call it under ``np.errstate(all="ignore")``; a diverging seed may
+    overflow.
     """
+    from matpot.arrangements import ESCAPE_RADIUS
 
     def gradient(t):
         f = data.B @ t + z
@@ -385,6 +400,7 @@ def scalar_newton_refine(data, z, t, max_iter: int = 50):
         w = data.a / f**2
         return -(data.B.T * w[None, :]) @ data.B
 
+    box = ESCAPE_RADIUS * (1.0 + np.max(np.abs(z)))
     t = np.array(t, dtype=complex)
     for _ in range(max_iter):
         g, f = gradient(t)
@@ -394,10 +410,45 @@ def scalar_newton_refine(data, z, t, max_iter: int = 50):
         except np.linalg.LinAlgError as exc:
             raise DiscriminantError("degenerate Hessian during Newton refinement") from exc
         t = t - delta
+        if not np.max(np.abs(t)) <= box:
+            raise DiscriminantError("Newton iterate left for infinity")
         if np.max(np.abs(delta)) <= 1e-15 * (1.0 + np.max(np.abs(t))):
             break
     g, _ = gradient(t)
     return t, float(np.max(np.abs(g)))
+
+
+def loop_vertex_seed_cloud(data, z, jitter: float = 1e-3):
+    """``arrangements._vertex_seed_cloud`` one vertex, seed and draw at a
+    time: the bit-for-bit reference for the stacked cloud, as a list of
+    seeds."""
+    z = np.asarray(z, dtype=complex)
+    vertices = []
+    for rows in combinations(range(data.n), data.k):
+        A = data.B[list(rows), :]
+        if abs(np.linalg.det(A)) < 1e-12:
+            continue
+        vertices.append(np.linalg.solve(A, -z[list(rows)]))
+    seeds = list(vertices)
+    for u, v in combinations(vertices, 2):
+        seeds.append((u + v) / 2.0)
+    for u, v, w in combinations(vertices, 3):
+        seeds.append((u + v + w) / 3.0)
+    rng = np.random.default_rng(20240521)
+    out = []
+    for s in seeds:
+        out.append(s)
+        out.append(s + jitter * (rng.standard_normal(data.k) + 1j * rng.standard_normal(data.k)))
+    return out
+
+
+def discriminant_probe(data, z) -> bool:
+    """True iff the fiber over z has the full count of clean critical points."""
+    try:
+        critical_points(data, z)
+    except (DiscriminantError, ContinuationError, PreconditionError):
+        return False
+    return True
 
 
 def loop_second_kind_table(F, n_max, spread_tol=1e-6):

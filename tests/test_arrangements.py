@@ -1,5 +1,6 @@
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from matpot import (
     UniformMatroid,
     continue_fiber,
     critical_points,
-    discriminant_probe,
     structure_from_arrangement,
     vector_matroid,
 )
@@ -23,11 +23,13 @@ from matpot.arrangements import _k1_candidate_roots, _newton_refine, _vertex_see
 from matpot.frobenius import _frame_values
 from matpot.series import SeriesSpace
 from oracles import (
+    discriminant_probe,
     euler_count,
     fix2_hess,
     fix2_p,
     fix2_pair_unit,
     fix2_point,
+    loop_vertex_seed_cloud,
     plain_frame,
     richardson_frame_derivatives,
     scalar_newton_refine,
@@ -94,6 +96,15 @@ def test_strict_mode_rejects_non_finite_newton_result(fixture_data, monkeypatch)
         critical_points(fixture_data, (1, -1))
 
 
+def test_strict_mode_rejects_unconverged_newton_point():
+    # hyperplanes 3 and 4 coincide, so the basepoint lies on the
+    # discriminant; Newton from the root -2 (on both) drifts to about
+    # 113 - 237j and stops there with residual 3.8e-3
+    data = ArrangementData([(Fraction(1, 3),), (-1,), (1,), (1,)], (-1, 1, 3, -2), (0.5, -1, 2, 2))
+    with pytest.raises(DiscriminantError, match="did not converge"):
+        critical_points(data, data.basepoint)
+
+
 def _draw_k2_instance(rng, n):
     """Rank-2 family shaped like the benchmark's: integer B in [-3, 3] with
     no zero row, weights 1-4, complex basepoint."""
@@ -138,12 +149,13 @@ def test_batched_newton_matches_scalar_reference(random_k1_instances):
     # vanishes exactly at t = 0, and t = -1 lies on a hyperplane
     odd = ArrangementData([(1,), (1,)], (1, -1), (1, -1))
     odd_seeds = np.array([[0.0], [-1.0], [complex("nan")], [0.5], [2.0 + 1j]])
-    # on f_2 = t_2 + z_2 = 0 exactly; a far seed whose iterates overflow
+    # on f_2 = t_2 + z_2 = 0 exactly; a far seed that stays outside the box
     item4_seeds = np.array([[0.3, -item4.basepoint[1]], [1e42, 1j], [0.1, 0.2]])
     cases += [(odd, odd.basepoint, odd_seeds), (item4, item4.basepoint, item4_seeds)]
 
     singular = "degenerate Hessian during Newton refinement"
     collided = "critical point collided with a hyperplane"
+    escaped = "Newton iterate left for infinity"
     for data, z, seeds in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -154,10 +166,11 @@ def test_batched_newton_matches_scalar_reference(random_k1_instances):
             if why is None:
                 assert np.array_equal(t[s], t0, equal_nan=True)
                 assert res[s] == res0 or (np.isnan(res[s]) and np.isnan(res0))
+        # a NaN iterate fails the box test too
         if seeds is odd_seeds:
-            assert failures[:3] == [singular, collided, None] and np.isnan(t[2]).all()
+            assert failures[:3] == [singular, collided, escaped] and np.isnan(t[2]).all()
         if seeds is item4_seeds:
-            assert failures[:2] == [collided, None] and not np.isfinite(t[1]).all()
+            assert failures[:2] == [collided, escaped]
 
 
 def test_critical_point_count_matches_euler_characteristic():
@@ -180,6 +193,45 @@ def test_critical_point_count_matches_euler_characteristic():
             tracked = continue_fiber(data, critical_points(data, data.basepoint.real), data.basepoint)
             assert tracked.mu == count
     assert short == {35: (7, 8)}
+
+
+def test_vertex_seed_cloud_matches_loop_reference():
+    item4 = _rank2_data()
+    cases = [(item4, item4.basepoint), (item4, item4.basepoint + 0.01j)]
+    rng = random.Random(2718)  # the draws of the 42-instance count sweep
+    for idx in range(42):
+        data = _draw_k2_instance(rng, 4 + idx % 3)
+        cases.append((data, data.basepoint))
+    # a parallel pair (rows 1 and 2), whose vertex is skipped (|det| <
+    # 1e-12), leaving 5 vertices; 2 vertices (no centroid); 1 (no midpoint)
+    small = [
+        ArrangementData([(1, 0), (2, 0), (0, 1), (1, 1)], (1, 2, 3, 1), (0.3, -0.5j, 0.9, 1.4)),
+        ArrangementData([(1, 0), (2, 0), (0, 1)], (1, 2, 3), (0.3, -0.5, 0.9 + 0.1j)),
+        ArrangementData([(0,), (3,)], (1, 2), (0.3, -0.5)),
+    ]
+    cases += [(data, data.basepoint) for data in small]
+    for data, z in cases:
+        seeds = _vertex_seed_cloud(data, z)
+        reference = np.array(loop_vertex_seed_cloud(data, z)).reshape(-1, data.k)
+        assert seeds.shape == reference.shape and np.array_equal(seeds, reference)
+    assert [len(_vertex_seed_cloud(data, data.basepoint)) for data in small] == [2 * (5 + 10 + 10), 2 * (2 + 1), 2]
+
+
+def test_item4_fiber_row_count(monkeypatch):
+    # rows of t through _values on the item-4 basepoint fiber: seeds leaving
+    # the escape box are retired instead of running all 50 Newton steps
+    # (16,416 rows when every seed ran to the end)
+    real = matpot.arrangements._values
+    rows = []
+
+    def counting(data, z, t):
+        rows.append(len(t))
+        return real(data, z, t)
+
+    monkeypatch.setattr(matpot.arrangements, "_values", counting)
+    data = _rank2_data()
+    assert critical_points(data, data.basepoint).mu == 8
+    assert sum(rows) <= 11_000
 
 
 def test_generic_count_is_n_minus_one(random_k1_instances):

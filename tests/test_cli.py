@@ -490,6 +490,18 @@ def test_amin_beyond_twenty_labels(capsys, tmp_path):
     assert len(result["min_tight_set"]) == 18 and result["agree"]
 
 
+@pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
+def test_unconverged_k1_fiber_is_near_discriminant(capsys, tmp_path, command):
+    # hyperplanes 3 and 4 coincide; the fiber solve used to accept a Newton
+    # point with residual 3.8e-3, and potentials then blamed flatness
+    payload = {"B": [["1/3"], [-1], [1], [1]], "a": [-1, 1, 3, -2], "x": [0.5, -1, 2, 2], "m": 2, "N_max": 5}
+    code, out = run_cli(capsys, [command], payload, tmp_path)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "near-discriminant"
+    assert "residual" in error["message"]
+
+
 def test_verify_arrangement_k2_drops_diverged_seed(capsys, tmp_path):
     # one seed of the rank-2 cloud diverges; it used to enter the frame as a
     # NaN row and break the SVD with an internal error
