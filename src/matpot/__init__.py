@@ -72,8 +72,6 @@ from .systems import (
     find_strong_decomposition,
     is_base,
     l1_distance,
-    locally_related,
-    min_tight_subset,
     remainder_alternative,
     remainder_support,
     strong_deficiency_witness,

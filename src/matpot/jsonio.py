@@ -76,12 +76,6 @@ def parse_rational(value) -> Fraction:
     raise SchemaError(f"matrix entries must be exact, got {value!r}")
 
 
-def rational_to_json(value: Fraction):
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def matroid_from_json(obj) -> Matroid:
     if not isinstance(obj, dict) or "type" not in obj:
         raise SchemaError('matroid JSON needs a "type" field')
@@ -98,17 +92,6 @@ def matroid_from_json(obj) -> Matroid:
             raise SchemaError('uniform matroid needs integer "l" and "n"')
         return UniformMatroid(l, n)
     raise SchemaError(f"unknown matroid type {kind!r}")
-
-
-def matroid_to_json(M: Matroid) -> dict:
-    if isinstance(M, LinearMatroid):
-        return {
-            "type": "linear",
-            "matrix": [[rational_to_json(v) for v in row] for row in M.rows],
-        }
-    if isinstance(M, UniformMatroid):
-        return {"type": "uniform", "l": M.l, "n": M.ground.n}
-    raise SchemaError(f"cannot serialize matroid {M!r}")
 
 
 def subset_to_json(subset) -> list[int]:

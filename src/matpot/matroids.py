@@ -4,7 +4,11 @@ Linear matroids are read as exact rationals; each row is then scaled by the
 lcm of its denominators, and every independence decision is made by exact
 integer (Bareiss fraction-free) elimination of those rows.  Floating point
 never enters this module.  Rank queries are memoized per subset because the
-partition search re-queries the same sets heavily.  The caches rely on the
+partition search re-queries the same sets heavily.  For the same reason a
+linear matroid eliminates each independent class once for circuit queries
+and reduces each new element by replaying that elimination's pivot rows:
+those are the steps Bareiss would take on the class with the element's row
+appended last, so every division stays exact.  The caches rely on the
 atomicity of single dict operations, so concurrent use at worst recomputes a
 value.
 """
@@ -175,7 +179,9 @@ class LinearMatroid(Matroid):
 
     A subset is independent iff its rows are linearly independent; decided by
     exact integer elimination of the rows with their denominators cleared
-    (the same matroid), never floating point.
+    (the same matroid), never floating point.  Circuit queries eliminate each
+    independent class once, memoized by the class, and reduce each new
+    element by replaying that elimination's pivots.
     """
 
     def __init__(self, rows):
@@ -189,6 +195,7 @@ class LinearMatroid(Matroid):
         self.rows = rows
         self.width = width
         self._int_rows = tuple(_clear_denominators(row) for row in rows)
+        self._echelon_cache: dict = {}
 
     def _subrows(self, A: frozenset):
         return [self._int_rows[i - 1] for i in sorted(A)]
@@ -205,23 +212,52 @@ class LinearMatroid(Matroid):
             hit = self._rank_cache[A] = rational_rank(self._subrows(A))
         return hit
 
+    def _echelon(self, C: frozenset):
+        """Sorted labels of C and the (pivot column, row) pairs of one
+        elimination of C's rows, each tagged with a unit vector; memoized."""
+        hit = self._echelon_cache.get(C)
+        if hit is None:
+            labels = sorted(C)
+            n = len(labels)
+            tagged = [
+                self._int_rows[e - 1] + (0,) * i + (1,) + (0,) * (n - 1 - i)
+                for i, e in enumerate(labels)
+            ]
+            rank, m = _eliminate(tagged, self.width)
+            if rank < n:
+                raise PreconditionError("circuit(clazz, y) needs an independent clazz")
+            pivots = tuple((next(c for c, v in enumerate(row) if v), row) for row in m)
+            hit = self._echelon_cache[C] = (labels, pivots)
+        return hit
+
     def circuit(self, clazz, y) -> frozenset | None:
-        # One elimination of the rows of clazz + y, each tagged with a unit
-        # vector.  Row operations keep the tags independent, so a row that
-        # reduces to zero carries a nonzero tag: the coefficients of a linear
-        # dependence, whose support is the circuit.
-        D = sorted(self.ground.check_subset([*clazz, y]))
-        n = len(D)
-        tagged = [
-            self._int_rows[e - 1] + (0,) * i + (1,) + (0,) * (n - 1 - i)
-            for i, e in enumerate(D)
-        ]
-        rank, m = _eliminate(tagged, self.width)
-        if rank == n:
+        # Bareiss on the tagged rows of clazz + y with y's row last.  Row
+        # operations keep the tags independent, so a row that reduces to zero
+        # carries a nonzero tag: the coefficients of a linear dependence,
+        # whose support is the circuit.  While y's row is not chosen as a
+        # pivot, the rows of clazz evolve as in the memoized elimination of
+        # clazz alone, so y's row is reduced by replaying those pivot rows;
+        # each step is the step of the joint elimination, so every division
+        # by the previous pivot stays exact.  y's own tag is left implicit:
+        # it only ever gets multiplied by nonzero pivots.
+        C = frozenset(clazz)
+        self.ground.check_subset(C | {y})
+        labels, pivots = self._echelon(C)
+        if y in C:
             return None
-        if rank < n - 1:
-            raise PreconditionError("circuit(clazz, y) needs an independent clazz")
-        return frozenset(e for e, t in zip(D, m[rank][self.width :]) if t)
+        m = self._int_rows[y - 1] + (0,) * len(labels)
+        prev, start = 1, 0
+        for col, prow in pivots:
+            if any(m[start:col]):
+                # y's row is nonzero where no row of clazz can pivot: the
+                # joint elimination would pivot on y, so clazz + y has full rank
+                return None
+            lead, f = prow[col], m[col]
+            m = [(lead * a - f * b) // prev for a, b in zip(m, prow)]
+            prev, start = lead, col + 1
+        if any(m[start : self.width]):
+            return None
+        return frozenset(e for e, t in zip(labels, m[self.width :]) if t) | {y}
 
     def __eq__(self, other):
         return isinstance(other, LinearMatroid) and self.rows == other.rows
@@ -250,6 +286,14 @@ class UniformMatroid(Matroid):
     def rank(self, subset) -> int:
         A = self.ground.check_subset(subset)
         return min(len(A), self.l)
+
+    def circuit(self, clazz, y) -> frozenset | None:
+        # every (l + 1)-set is a circuit
+        C = frozenset(clazz)
+        D = self.ground.check_subset(C | {y})
+        if len(C) > self.l:
+            raise PreconditionError("circuit(clazz, y) needs an independent clazz")
+        return None if len(D) <= self.l else D
 
     def __eq__(self, other):
         return (

@@ -6,10 +6,10 @@ new element it runs a breadth-first search over single-element exchanges: an
 element y can enter class i directly if the class stays independent, and
 otherwise every member of the unique circuit of (class i) + y could be
 evicted to make room.  Both answers come from one ``Matroid.circuit`` call,
-which linear matroids answer with a single elimination.  Following a
-shortest chain of such exchanges either places the element or, when the
-search is exhausted, the set of reached elements is a certified violation of
-the counting bound
+which linear matroids answer with one row reduction against the class's
+memoized elimination.  Following a shortest chain of such exchanges either
+places the element or, when the search is exhausted, the set of reached
+elements is a certified violation of the counting bound
 
     |A| <= sum_i r_i(A),
 

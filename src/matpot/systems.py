@@ -41,7 +41,7 @@ from .errors import (
     SizeLimitError,
 )
 from .matroids import LiftedMatroid, Matroid, UniformMatroid
-from .partition import DeficiencyWitness, PartitionProblem, min_tight_set, solve_partition
+from .partition import DeficiencyWitness, PartitionProblem, solve_partition
 
 MAX_TOTAL = 24  # largest |T| whose good decompositions are enumerated
 
@@ -334,25 +334,6 @@ def all_good_decompositions(T: System, max_total: int = MAX_TOTAL) -> tuple[Good
     return tuple(out)
 
 
-def locally_related(d1: GoodDecomposition, d2: GoodDecomposition) -> bool:
-    """True iff some strong decompositions of d1.T2 and d2.T2 share all m bases.
-
-    Decided by the l1 rule: equal second members are related; distinct ones
-    are related iff l1(d1.T2, d2.T2) == 2 and their componentwise minimum is
-    strong with l = 0.  This is the pairwise definition; ``equivalence_report``
-    finds the same relations by neighbour lookup, and the tests keep this
-    function as its reference.
-    """
-    if d1.whole != d2.whole:
-        raise PreconditionError("good decompositions do not decompose the same system")
-    if d1.T2 == d2.T2:
-        return True
-    if l1_distance(d1.T2, d2.T2) != 2:
-        return False
-    shared = d1.T2.ctx.system(min(a, b) for a, b in zip(d1.T2.mult, d2.T2.mult))
-    return find_strong_decomposition(shared, 0) is not None
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """The graph of good decompositions with local relations as edges."""
@@ -371,7 +352,7 @@ def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceRepo
 
     Nodes are ordered lexicographically by T2.  Distinct nodes i, j are
     related iff T2_j = T2_i - [a] + [b] and T2_i - [a] is strong with l = 0
-    (the l1 rule of ``locally_related``).  So instead of testing all N^2
+    (the l1 rule of the module docstring).  So instead of testing all N^2
     pairs, each node looks up its at most |supp T2| * (n - 1) neighbours in an
     index of second members, and makes one memoized strong-decomposition
     call per label a that has a neighbour j > i: O(N * n^2) lookups in all.
@@ -437,20 +418,6 @@ def remainder_support(T: System, l: int) -> frozenset:
         if find_strong_decomposition(T - T.ctx.unit(j), l - 1) is not None:
             out.append(j)
     return frozenset(out)
-
-
-def min_tight_subset(T: System, l: int) -> frozenset:
-    """The least subset B of supp T whose T-mass equals l + m * r(B).
-
-    The minimal tight set of the lifted partition problem, mapped back to
-    labels.  Lift copies of a label are parallel, so adding a missing copy to
-    a tight lifted set would break the counting bound of the partitionable
-    lift: tight lifted sets are unions of whole fibres.  Raises
-    ``PreconditionError`` when T is not strong.
-    """
-    _check_arity(T, l)
-    problem, fmap = _lift_problem(T, l)
-    return frozenset(fmap[e - 1] for e in min_tight_set(problem))
 
 
 @dataclass(frozen=True)

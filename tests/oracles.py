@@ -7,9 +7,11 @@ two-hyperplane fixture, so library results can be checked against an
 unrelated code path.
 ``plain_frame`` evaluates an arrangement structure's flat frame with plain
 numpy solves, the reference for the constant terms of its jets.
-``pairwise_edges`` is one exception: it applies the library's pairwise
+``pairwise_edges`` is one exception: it applies the pairwise l1 rule
 ``locally_related`` to every pair, as the reference for the neighbour lookup
-of ``equivalence_report``.  ``scalar_newton_refine`` is another: the
+of ``equivalence_report``.  ``min_tight_subset`` maps the library's
+``min_tight_set`` of the lifted problem back to labels, and
+``matroid_to_json`` is the inverse of ``jsonio.matroid_from_json``.  ``scalar_newton_refine`` is another: the
 one-seed Newton loop, as the bit-for-bit reference for the batched solve;
 ``loop_vertex_seed_cloud`` builds the rank >= 2 seed cloud one vertex and
 one draw at a time, the reference for the stacked cloud.
@@ -36,11 +38,17 @@ from matpot import (
     ContinuationError,
     DeficiencyWitness,
     DiscriminantError,
+    LinearMatroid,
     PreconditionError,
+    SchemaError,
     SizeLimitError,
+    UniformMatroid,
     critical_points,
-    locally_related,
+    find_strong_decomposition,
+    l1_distance,
+    min_tight_set,
 )
+from matpot.systems import _check_arity, _lift_problem
 
 
 def subsets(elems):
@@ -222,6 +230,53 @@ def brute_strong_decompositions(T, l):
 
     assign(0)
     return found
+
+
+def locally_related(d1, d2) -> bool:
+    """True iff some strong decompositions of d1.T2 and d2.T2 share all m bases.
+
+    Decided by the l1 rule: equal second members are related; distinct ones
+    are related iff l1(d1.T2, d2.T2) == 2 and their componentwise minimum is
+    strong with l = 0.  This is the pairwise definition that
+    ``equivalence_report`` answers by neighbour lookup.
+    """
+    if d1.whole != d2.whole:
+        raise PreconditionError("good decompositions do not decompose the same system")
+    if d1.T2 == d2.T2:
+        return True
+    if l1_distance(d1.T2, d2.T2) != 2:
+        return False
+    shared = d1.T2.ctx.system(min(a, b) for a, b in zip(d1.T2.mult, d2.T2.mult))
+    return find_strong_decomposition(shared, 0) is not None
+
+
+def min_tight_subset(T, l) -> frozenset:
+    """The least subset B of supp T whose T-mass equals l + m * r(B).
+
+    The minimal tight set of the lifted partition problem, mapped back to
+    labels.  Lift copies of a label are parallel, so adding a missing copy to
+    a tight lifted set would break the counting bound of the partitionable
+    lift: tight lifted sets are unions of whole fibres.  Raises
+    ``PreconditionError`` when T is not strong.
+    """
+    _check_arity(T, l)
+    problem, fmap = _lift_problem(T, l)
+    return frozenset(fmap[e - 1] for e in min_tight_set(problem))
+
+
+def matroid_to_json(M) -> dict:
+    """The JSON object that ``jsonio.matroid_from_json`` reads back as M."""
+
+    def rational(value):
+        if value.denominator == 1:
+            return int(value)
+        return f"{value.numerator}/{value.denominator}"
+
+    if isinstance(M, LinearMatroid):
+        return {"type": "linear", "matrix": [[rational(v) for v in row] for row in M.rows]}
+    if isinstance(M, UniformMatroid):
+        return {"type": "uniform", "l": M.l, "n": M.ground.n}
+    raise SchemaError(f"cannot serialize matroid {M!r}")
 
 
 def brute_locally_related(d1, d2):

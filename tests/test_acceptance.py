@@ -28,7 +28,6 @@ from matpot import (
     find_strong_decomposition,
     first_kind_polynomial,
     min_tight_set,
-    min_tight_subset,
     remainder_support,
     second_kind_truncation,
     slack_elements,
@@ -37,7 +36,14 @@ from matpot import (
 )
 from matpot.systems import _bounded_compositions
 
-from oracles import circuits_within, fix2_pair_unit, rank_bound_holds, subsets, tight_subsets
+from oracles import (
+    circuits_within,
+    fix2_pair_unit,
+    min_tight_subset,
+    rank_bound_holds,
+    subsets,
+    tight_subsets,
+)
 
 
 def _report(name, elapsed, detail=""):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import matpot.arrangements
+import matpot.matroids
 import matpot.partition
 import matpot.systems
 from matpot import Context, LinearMatroid, __version__, equivalence_report
@@ -450,6 +451,24 @@ def test_partition_golden_large(capsys, tmp_path):
     assert code == 0
     assert "certificate" in json.loads(out)["result"]
     assert _result_digest(out) == "1c3014f99a6f693f1c34e72c7109b5a61bd156695fbbafbadff830c3b4013472"
+
+
+def test_partition_golden_large_eliminates_each_class_once(capsys, tmp_path, monkeypatch):
+    # circuit queries reuse one elimination per (matroid, class); one
+    # elimination per query makes 430 here
+    calls = []
+    original = matpot.matroids._eliminate
+
+    def counting(rows, width):
+        calls.append(len(rows))
+        return original(rows, width)
+
+    monkeypatch.setattr(matpot.matroids, "_eliminate", counting)
+    payload = _copies_with_tail(_planted_rows(random.Random(5), 64, 6, 2, 0.3), 10, 4)
+    code, out = run_cli(capsys, ["partition"], payload, tmp_path)
+    assert code == 0
+    assert _result_digest(out) == "1c3014f99a6f693f1c34e72c7109b5a61bd156695fbbafbadff830c3b4013472"
+    assert len(calls) <= 200
 
 
 def _plane_rows(rng, n, on_plane):

@@ -39,6 +39,7 @@ from oracles import (
     brute_second_kind_candidates,
     brute_strong_decompositions,
     exact_k1_pairing_jet,
+    locally_related,
     loop_second_kind_table,
     plain_frame,
     plain_pairing,
@@ -499,7 +500,7 @@ def test_verify_axioms_rejects_nonfinite_violation():
 
 
 def test_locally_related_candidates_agree_before_averaging(random_k1_structures):
-    from matpot import all_good_decompositions, locally_related
+    from matpot import all_good_decompositions
 
     F = random_k1_structures[1]
     ctx = F.context()

@@ -12,9 +12,10 @@ from matpot import (
     SizeLimitError,
     UniformMatroid,
 )
-from matpot.jsonio import matroid_from_json, matroid_to_json
+from matpot import matroids
+from matpot.jsonio import matroid_from_json
 
-from oracles import brute_rank, circuits_within, fraction_rank, subsets
+from oracles import brute_rank, circuits_within, fraction_rank, matroid_to_json, subsets
 
 
 def test_linear_independence_examples():
@@ -276,3 +277,100 @@ def test_circuit_oracle_matches_enumeration():
                     assert circuits_within(M, C | {y}) == {found}
     with pytest.raises(PreconditionError):
         LinearMatroid([(1, 0), (2, 0), (3, 0)]).circuit({1, 2}, 3)
+    with pytest.raises(PreconditionError):
+        UniformMatroid(2, 5).circuit({1, 2, 3}, 4)
+
+
+def _expected_circuit(M, C, y):
+    D = C | {y}
+    if M.is_independent(D):
+        return None
+    (found,) = circuits_within(M, D)
+    return found
+
+
+def _span_rows(rng, n, width, rank):
+    """n rows of width ``width``: most in a random rank-``rank`` subspace,
+    some generic (outside it), one zero row and one row parallel to another."""
+    basis = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(rank)]
+    rows = []
+    for _ in range(n - 2):
+        if rng.random() < 0.7:
+            cs = [Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in basis]
+            rows.append([sum(c * b[j] for c, b in zip(cs, basis)) for j in range(width)])
+        else:
+            rows.append([Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(width)])
+    rows.append([Fraction(0)] * width)
+    rows.append([Fraction(-3, 2) * v for v in rng.choice(rows[:-1])])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_memoized_circuit_matches_enumeration():
+    # many y against one class read the class's memoized elimination; each
+    # answer must be the unique circuit of C + y, including where y leaves
+    # the span of C through a column that no pivot of C covers (width 6 over
+    # rank 3), on loops, parallel rows and entries near 10**30
+    rng = random.Random(17)
+    cases = [LinearMatroid(_span_rows(rng, 8, 6, 3)) for _ in range(6)]
+    cases += [LinearMatroid(_sweep_rows(rng, 8, w)) for w in (1, 2, 3, 4, 5, 6) for _ in range(2)]
+    checked = 0
+    for M in cases:
+        elems = list(M.ground.labels)
+        classes = [C for C in subsets(elems) if len(C) <= 4 and M.is_independent(C)]
+        for C in rng.sample(classes, min(12, len(classes))):
+            for y in elems:
+                assert M.circuit(C, y) == _expected_circuit(M, C, y)
+                checked += 1
+            # the same class after a label is removed, and after one is added
+            changed = [C - {e} for e in sorted(C)[:1]] + [C | {e} for e in elems if e not in C][:2]
+            for C2 in changed:
+                if M.is_independent(C2):
+                    for y in elems:
+                        assert M.circuit(C2, y) == _expected_circuit(M, C2, y)
+                        checked += 1
+    assert checked > 2000
+
+
+def test_memoized_circuit_through_lifts():
+    # the second lift reads base classes that the first lift memoized
+    base = LinearMatroid([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, 0), (2, 2, 0)])
+    first = LiftedMatroid(base, 6, (1, 2, 3, 4, 5, 6))
+    second = LiftedMatroid(base, 8, (1, 1, 2, 3, 3, 4, 5, 6))
+    for M in (first, second):
+        elems = list(M.ground.labels)
+        for C in subsets(elems):
+            if M.is_independent(C):
+                for y in elems:
+                    if y not in C:
+                        assert M.circuit(C, y) == _expected_circuit(M, C, y)
+
+
+def test_memoized_circuit_refuses_dependent_class():
+    M = LinearMatroid([(1, 0), (2, 0), (0, 1), (1, 1)])
+    with pytest.raises(PreconditionError):
+        M.circuit({1, 2}, 3)
+    # {1, 3} is independent and memoized; its superset {1, 2, 3} is not
+    assert M.circuit({1, 3}, 4) == frozenset({1, 3, 4})
+    for _ in range(2):  # a refusal leaves nothing memoized to answer the next call
+        with pytest.raises(PreconditionError):
+            M.circuit({1, 2, 3}, 4)
+    assert M.circuit({1, 3}, 1) is None
+
+
+def test_circuit_queries_eliminate_a_class_once(monkeypatch):
+    calls = []
+    original = matroids._eliminate
+
+    def counting(rows, width):
+        calls.append(len(rows))
+        return original(rows, width)
+
+    monkeypatch.setattr(matroids, "_eliminate", counting)
+    M = LinearMatroid(_span_rows(random.Random(3), 12, 6, 3))
+    C = M.max_independent_subset(M.ground.labels)
+    calls.clear()
+    for y in M.ground.labels:
+        M.circuit(C, y)
+        M.circuit(set(C), y)
+    assert calls == [len(C)]

@@ -21,8 +21,6 @@ from matpot import (
     find_strong_decomposition,
     is_base,
     l1_distance,
-    locally_related,
-    min_tight_subset,
     remainder_alternative,
     remainder_support,
     strong_deficiency_witness,
@@ -34,6 +32,8 @@ from oracles import (
     brute_locally_related,
     brute_strong_decompositions,
     edge_components,
+    locally_related,
+    min_tight_subset,
     pairwise_edges,
     tight_subsets,
 )
