@@ -44,7 +44,6 @@ from .frobenius import (
     check_first_kind,
     check_second_kind,
     first_kind_polynomial,
-    remainder_swap_residual,
     second_kind_truncation,
     verify_axioms,
 )

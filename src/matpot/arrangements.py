@@ -128,9 +128,11 @@ def _hessians(data: ArrangementData, f):
 
 #: a Newton iterate with max |t| > ESCAPE_RADIUS (1 + max |z|) has escaped
 ESCAPE_RADIUS = 1e6
+NEWTON_MAX_ITER = 50  # Newton steps per seed in ``_newton_refine``
+SEED_JITTER = 1e-3  # scale of the vertex seed cloud's complex normal jitter
 
 
-def _newton_refine(data: ArrangementData, z, seeds, max_iter: int = 50):
+def _newton_refine(data: ArrangementData, z, seeds):
     """Newton on grad_t Phi = 0 from every row of ``seeds`` (S, k) at once.
 
     Returns (points (S, k), residuals max |grad| (S,), failures), where
@@ -138,7 +140,7 @@ def _newton_refine(data: ArrangementData, z, seeds, max_iter: int = 50):
     s: |f_i| < 1e-300 at an iterate, a singular Hessian, or an iterate with
     max |t| > ESCAPE_RADIUS (1 + max |z|) or NaN.  A seed leaves the active
     set when it fails or its step satisfies max |delta| <= 1e-15 (1 + max |t|);
-    at most ``max_iter`` steps.  Failed seeds get residual NaN.
+    at most NEWTON_MAX_ITER steps.  Failed seeds get residual NaN.
 
     Each seed sees the arithmetic of a one-seed solve bit for bit: the
     stacked products keep the per-seed matrix shapes, and a stacked solve
@@ -161,7 +163,7 @@ def _newton_refine(data: ArrangementData, z, seeds, max_iter: int = 50):
 
     with np.errstate(all="ignore"):
         active = np.arange(len(t))
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             if not active.size:
                 break
             active, f = values(active)
@@ -209,11 +211,11 @@ def _combinations(count: int, size: int) -> np.ndarray:
     return np.array(list(combinations(range(count), size)), dtype=np.intp).reshape(-1, size)
 
 
-def _vertex_seed_cloud(data: ArrangementData, z, jitter: float = 1e-3):
+def _vertex_seed_cloud(data: ArrangementData, z):
     """Seeds (2 S, k) for k >= 2 Newton: the S hyperplane intersection
     vertices (k-subsets of rows with |det| >= 1e-12), their pairwise
     midpoints and triple centroids, each followed by a copy jittered by
-    ``jitter`` times a complex standard normal draw.
+    SEED_JITTER times a complex standard normal draw.
 
     Critical points of a master function with generic weights sit inside the
     cells cut out by the hyperplanes, so cell-anchored seeds reach them while
@@ -229,7 +231,7 @@ def _vertex_seed_cloud(data: ArrangementData, z, jitter: float = 1e-3):
     u, v, w = _combinations(len(V), 3).T
     seeds = np.concatenate([V, (V[i] + V[j]) / 2.0, (V[u] + V[v] + V[w]) / 3.0])
     noise = np.random.default_rng(20240521).standard_normal((len(seeds), 2, data.k))
-    jittered = seeds + jitter * (noise[:, 0] + 1j * noise[:, 1])
+    jittered = seeds + SEED_JITTER * (noise[:, 0] + 1j * noise[:, 1])
     return np.stack([seeds, jittered], axis=1).reshape(-1, data.k)
 
 
@@ -394,9 +396,9 @@ def continue_fiber(
     return step(frame, z_target, 0)
 
 
-def _p_values(data: ArrangementData, z, frame: CriticalPointFrame) -> np.ndarray:
-    """Matrix P[i, s] = a_i / f_i(t^s, z) of Higgs eigenvalues."""
-    fvals = data.hyperplane_values(z, frame.points)  # (mu, n)
+def _p_values(data: ArrangementData, frame: CriticalPointFrame) -> np.ndarray:
+    """Matrix P[i, s] = a_i / f_i(t^s, z) of Higgs eigenvalues over z = frame.z."""
+    fvals = data.hyperplane_values(frame.z, frame.points)  # (mu, n)
     return (data.a[None, :] / fvals).T
 
 
@@ -410,25 +412,22 @@ def _sections(P: np.ndarray, sets) -> np.ndarray:
 
 
 class ArrangementBackend:
-    """Caches the fibers of one arrangement structure and evaluates its jets."""
+    """Holds the basepoint fiber of one arrangement structure and evaluates its jets."""
 
     def __init__(self, data: ArrangementData, flat_basis, base_frame: CriticalPointFrame):
         self.data = data
         self.flat_basis = tuple(tuple(sorted(I)) for I in flat_basis)
         self.base_frame = base_frame
-        self._fibers: dict = {tuple(data.basepoint.tolist()): self.base_frame}
 
     def fiber(self, z) -> CriticalPointFrame:
-        z = np.asarray(z, dtype=complex)
-        key = tuple(z.tolist())
-        hit = self._fibers.get(key)
-        if hit is None:
-            hit = self._fibers[key] = continue_fiber(self.data, self.base_frame, z)
-        return hit
+        """The base frame over the basepoint, else its continuation to z."""
+        if np.array_equal(z, self.base_frame.z):
+            return self.base_frame
+        return continue_fiber(self.data, self.base_frame, z)
 
     def p_values(self, z) -> np.ndarray:
         """Matrix P[i, s] = a_i / f_i(t^s, z) of Higgs eigenvalues."""
-        return _p_values(self.data, z, self.fiber(z))
+        return _p_values(self.data, self.fiber(z))
 
     def diagonal_form(self, z, vectors):
         """Residue pairing of value vectors in the critical-point frame."""
@@ -452,13 +451,8 @@ class ArrangementBackend:
         V = self.section_matrix(z)
         return int(np.linalg.matrix_rank(V, tol=1e-9 * max(1.0, float(np.max(np.abs(V))))))
 
-    def pairing_condition(self, z) -> float:
-        """Condition number of the flat-frame pairing matrix, the constant
-        term of the form's ``frame_jet``."""
-        return float(np.linalg.cond(self.frame_jet(z, SeriesSpace(self.data.n, 0))[2][..., 0]))
-
-    def _series_fiber(self, space: SeriesSpace, z, frame: CriticalPointFrame):
-        """Series at z, in delta up to degree space.q, of the Higgs
+    def _series_fiber(self, space: SeriesSpace, frame: CriticalPointFrame):
+        """Series at z = frame.z, in delta up to degree space.q, of the Higgs
         eigenvalues p_i = a_i / f_i, shape (mu, n, size), and of the residue
         weights w = 1 / det Hess, shape (mu, size).
 
@@ -469,7 +463,7 @@ class ArrangementBackend:
         at degree d when H_0 t_d = -B^T (a known), H_0 the fiber's Hessians.
         """
         B, a = self.data.B, self.data.a
-        f = space.constant(frame.points @ B.T + z) + space.variables()
+        f = space.constant(frame.points @ B.T + frame.z) + space.variables()
         r = space.constant(1.0 / f[..., 0])
         # B t_d = gain known, gain = -B H_0^-1 B^T diag(a) per point
         gain = -(B @ np.linalg.inv(frame.hessians) @ B.T) * a
@@ -492,7 +486,7 @@ class ArrangementBackend:
         members' label words in lexicographic order, so a shared prefix is
         multiplied once.  No fiber is continued and no flat frame is solved.
         """
-        p, w = self._series_fiber(space, self.data.basepoint, self.base_frame)
+        p, w = self._series_fiber(space, self.base_frame)
         words = [tuple(i for i, e in enumerate(T2) for _ in range(e)) for T2 in members]
         out = np.empty((len(words), space.size), dtype=complex)
         products, previous = [w], ()
@@ -517,11 +511,10 @@ class ArrangementBackend:
         flat basis, products of the eigenvalue series p; then H_i =
         U^-1 diag(p_i) U and the unit U^-1 (1, ..., 1) come from one series
         solve with all n mu + 1 right-hand columns, and the form is
-        sum_s (U_sa U_sb) w_s.  Takes the fiber over z (one continuation from
-        the base frame, cached) and no other fiber.
+        sum_s (U_sa U_sb) w_s.  Takes the fiber over z (the base frame at the
+        basepoint, else one continuation from it) and no other fiber.
         """
-        z = np.asarray(z, dtype=complex)
-        p, w = self._series_fiber(space, z, self.fiber(z))
+        p, w = self._series_fiber(space, self.fiber(z))
         mu, n = p.shape[:2]
         labels = np.array(self.flat_basis, dtype=np.intp) - 1  # (mu, k)
         U = p[:, labels[:, 0]]
@@ -541,7 +534,7 @@ class ArrangementBackend:
 def _choose_flat_basis(data: ArrangementData, frame: CriticalPointFrame):
     """Greedily pick mu maximal independent sets whose sections span the fiber."""
     sets = [tuple(sorted(B)) for B in data.matroid.bases()]
-    V = _sections(_p_values(data, data.basepoint, frame), sets)
+    V = _sections(_p_values(data, frame), sets)
     chosen = []
     for c in range(len(sets)):
         M = V[:, chosen + [c]]

@@ -79,14 +79,14 @@ def _problem_from_json(obj) -> PartitionProblem:
     raw = require(obj, "matroids", list, "partition problem")
     if not raw:
         raise SchemaError("partition problem: need at least one matroid")
-    matroids = []
+    matroids, instances = [], {}  # equal entries share one instance and its caches
     for item in raw:
         M = matroid_from_json(item)
         if M.ground.n != n:
             raise SchemaError(
                 f"matroid ground size {M.ground.n} does not match ground {n}"
             )
-        matroids.append(M)
+        matroids.append(instances.setdefault(M, M))
     return PartitionProblem(matroids=tuple(matroids))
 
 
@@ -220,7 +220,7 @@ def _cmd_verify_arrangement(args) -> dict:
         "x_field_residual": backend.x_field_residual(x),
         "generation_rank": backend.generation_rank(x),
         "pairing_unit": complex_to_json(backend.diagonal_form(x, [ones, ones])),
-        "pairing_condition": backend.pairing_condition(x),
+        "pairing_condition": float(np.linalg.cond(structure.basepoint_frame[2][..., 0])),
     }
 
 

@@ -27,11 +27,11 @@ n_max - mk - 1; so the candidates of all T form one grid, member times
 monomial of the ``jet`` of g(z) = (S(C_T2 unit, unit, ..., unit)(z)) at x,
 which gives every d^alpha g = alpha! [delta^alpha] g in one pass.
 
-Every value and derivative here is a Taylor coefficient: both potentials and
-``remainder_swap_residual`` read pairing jets, ``verify_axioms`` reads the
-degree-1 frame jet at each sample point, and ``check_first_kind`` and
-``check_second_kind`` read the constant terms of the frame jet at the
-basepoint.  No function takes differences.
+Every value and derivative here is a Taylor coefficient: both potentials read
+pairing jets, ``verify_axioms`` the degree-1 frame jet at each sample point,
+and both checks the constant terms of that jet at the basepoint.  The
+structure evaluates that jet once and builds each SeriesSpace once.  No
+function takes differences.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .errors import (
 )
 from .matroids import Matroid
 from .series import SeriesSpace, graded_lex_exponents, graded_lex_position
-from .systems import MAX_TOTAL, Context, System
+from .systems import MAX_TOTAL, Context
 
 
 @dataclass
@@ -61,17 +61,17 @@ class FlatFrameStructure:
     """Evaluator bundle for a structure of order (n, k, m) with mu-dim fibers.
 
     Two series evaluators over the monomials of a SeriesSpace give every
-    value and every derivative; a plain value is the constant term of a jet
-    (a degree-0 space gives just that):
+    value and every derivative; a plain value is the constant term of a jet:
 
     * jet(space, members) gives the Taylor coefficients at the basepoint, in
       z - basepoint, of the pairings S(C_T2 unit, unit, ..., unit) for the
       multiplicity tuples T2 in members, as an array (len(members),
-      space.size); both potentials and ``remainder_swap_residual`` need it;
+      space.size); both potentials need it;
     * frame_jet(z, space) gives the series at z, in the shift from z, of
       (H, unit, form) in the working frame, with shapes (n, mu, mu, size),
       (mu, size) and (mu,) * m + (size,), H[i - 1] holding C_i;
-      ``verify_axioms`` and both checks need it.
+      ``verify_axioms`` needs it, and its degree-1 value at the basepoint is
+      the structure's ``basepoint_frame``, which both checks read.
     """
 
     matroid: Matroid
@@ -81,6 +81,7 @@ class FlatFrameStructure:
     backend: Any = None
     jet: Callable[[SeriesSpace, list], np.ndarray] | None = None
     frame_jet: Callable[[np.ndarray, SeriesSpace], tuple] | None = None
+    _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basepoint = np.asarray(self.basepoint, dtype=complex)
@@ -108,23 +109,25 @@ class FlatFrameStructure:
     def _context(self) -> Context:
         return Context(self.matroid, self.m)
 
+    def space(self, q: int) -> SeriesSpace:
+        """The SeriesSpace of degree q in n variables, built on first use."""
+        if q not in self._spaces:
+            self._spaces[q] = SeriesSpace(self.n, q)
+        return self._spaces[q]
+
     @cached_property
     def basepoint_frame(self) -> tuple:
-        """(H, unit, form) at the basepoint, evaluated once for both checks."""
-        return _frame_values(self, self.basepoint)
+        """The degree-1 ``frame_jet`` (H, unit, form) at the basepoint,
+        evaluated once for ``verify_axioms`` and both checks."""
+        if self.frame_jet is None:
+            raise PreconditionError("the checks need a structure with a frame_jet")
+        return tuple(np.asarray(v, dtype=complex) for v in self.frame_jet(self.basepoint, self.space(1)))
 
     def maximal_independent_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(sorted(B)) for B in self.matroid.bases())
 
     def scale(self) -> float:
         return float(np.max(np.abs(self.basepoint))) if self.basepoint.size else 0.0
-
-
-def _frame_values(F: FlatFrameStructure, z):
-    """(H, unit, form) at z: the constant terms of a degree-0 ``frame_jet``."""
-    if F.frame_jet is None:
-        raise PreconditionError("the checks need a structure with a frame_jet")
-    return tuple(np.asarray(v, dtype=complex)[..., 0] for v in F.frame_jet(z, SeriesSpace(F.n, 0)))
 
 
 def _apply_slot(W, M, slot):
@@ -176,9 +179,10 @@ def verify_axioms(
     d_i C_j - d_j C_i, (c) the form's Higgs invariance across slots, (d)
     flatness of the sections C_I(unit) for all maximal independent I, and
     (e) flatness of the form itself.  Each sample takes one degree-1
-    ``frame_jet``: (a) and (c) read its constant terms, (b) its first-order
-    coefficients of H, and (d) and (e) the first-order coefficients of
-    C_I(unit), multiplied out in series, and of the form.  Raises
+    ``frame_jet`` (a sample equal to the basepoint reads the structure's
+    ``basepoint_frame``): (a) and (c) read its constant terms, (b) its
+    first-order coefficients of H, and (d) and (e) the first-order
+    coefficients of C_I(unit), multiplied out in series, and of the form.  Raises
     PreconditionError for a NaN or negative ``hard_threshold``, an empty
     sample list and a structure without a ``frame_jet``, each before any
     evaluation (None and inf disable the threshold); raises StructureError when
@@ -194,13 +198,14 @@ def verify_axioms(
     if F.frame_jet is None:
         raise PreconditionError("verify_axioms needs a structure with a frame_jet")
     n, m = F.n, F.m
-    space = SeriesSpace(n, 1)
+    space = F.space(1)
     # labels of every maximal independent set, one row each (all have size k)
     sets = np.array(F.maximal_independent_sets(), dtype=np.intp) - 1
 
     comm = integ = invari = sect = formflat = 0.0
     for z in samples:
-        H, u, W = (np.asarray(v, dtype=complex) for v in F.frame_jet(z, space))
+        frame = F.basepoint_frame if np.array_equal(z, F.basepoint) else F.frame_jet(z, space)
+        H, u, W = (np.asarray(v, dtype=complex) for v in frame)
         H0, W0 = H[..., 0], W[..., 0]
         for a in range(n):
             for b in range(a + 1, n):
@@ -315,7 +320,7 @@ def first_kind_polynomial(F: FlatFrameStructure) -> HomogeneousPolynomial:
     if F.jet is None:
         raise PreconditionError("the first-kind polynomial needs a structure with a jet")
     ctx = F.context()
-    space = SeriesSpace(F.n, 1)
+    space = F.space(1)
     jets = F.jet(space, ctx.base_sums)
     coeffs: dict[tuple[int, ...], complex] = {}
     for T, jet in zip(ctx.base_sums, jets):
@@ -332,9 +337,9 @@ def _section_defect(F: FlatFrameStructure, coefficients: dict, higgs: bool) -> f
     """Worst |alpha! c_alpha - S(C_{I_1} unit, ..., C_{I_m} unit)| over the
     tuples of bases with replacement, alpha their multi-index sum; with
     ``higgs``, alpha + e_i against S(C_i C_{I_1} unit, ...) for every label i.
-    The form at the basepoint (the structure's ``basepoint_frame``) is
+    The constant terms of the structure's ``basepoint_frame`` give the form,
     contracted once with V = [C_I unit] in every slot, H_i V in the first."""
-    H, u, W = F.basepoint_frame
+    H, u, W = (v[..., 0] for v in F.basepoint_frame)
     sets = np.array(F.maximal_independent_sets(), dtype=np.intp) - 1
     V = np.repeat(u[:, None], len(sets), axis=1)
     for col in sets.T:
@@ -436,7 +441,7 @@ def second_kind_truncation(
         raise PreconditionError(f"spread_tol must be finite and >= 0, got {spread_tol!r}")
     if F.jet is None:
         raise PreconditionError("the second-kind table needs a structure with a jet")
-    n, space = F.n, SeriesSpace(F.n, n_max - mk - 1)
+    n, space = F.n, F.space(n_max - mk - 1)
     # the strong second members T2, lexicographically
     members = sorted({S[:j] + (S[j] + 1,) + S[j + 1:] for S in ctx.base_sums for j in range(n)})
     # every T of degree <= n_max in graded lexicographic order, and T! as a
@@ -503,32 +508,3 @@ def check_second_kind(F: FlatFrameStructure, L: TruncatedPotential) -> float:
     alpha + e_i times (alpha + e_i)!, against S(C_i C_{I_1} unit, C_{I_2}
     unit, ...) in the flat frame at the basepoint (``_section_defect``)."""
     return _section_defect(F, L.coefficients, higgs=True)
-
-
-def remainder_swap_residual(
-    F: FlatFrameStructure,
-    T2: System,
-    a: int,
-    b: int,
-) -> float:
-    """|d_b S(C_{T2} unit, ...) - d_a S(C_{S2} unit, ...)| at the basepoint,
-    where S2 swaps one unit of a for one of b in T2.
-
-    Requires T2 to be strong with remainder [a]; then S2 = T2 + [b] - [a] is
-    strong with remainder [b] and both derivatives must agree: this is the
-    atomic exchange that makes the second-kind coefficients well defined.
-    """
-    ctx = F.context()
-    rest = T2.try_sub(ctx.unit(a))
-    if rest is None:
-        raise PreconditionError(f"label {a} does not occur in T2")
-    if T2.total != ctx.m * ctx.k + 1:
-        raise PreconditionError("T2 must be a strong (mk+1)-system")
-    if rest.mult not in ctx.base_sums:
-        raise PreconditionError(f"T2 minus [{a}] is not a strong mk-system")
-    S2 = rest + ctx.unit(b)
-    if F.jet is None:
-        raise PreconditionError("remainder_swap_residual needs a structure with a jet")
-    space = SeriesSpace(F.n, 1)
-    jets = F.jet(space, [T2.mult, S2.mult])
-    return float(abs(jets[0, space.degree_one[b - 1]] - jets[1, space.degree_one[a - 1]]))

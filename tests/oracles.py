@@ -6,7 +6,11 @@ rank-1 arrangements) or evaluates hand-derived closed forms for the
 two-hyperplane fixture, so library results can be checked against an
 unrelated code path.
 ``plain_frame`` evaluates an arrangement structure's flat frame with plain
-numpy solves, the reference for the constant terms of its jets.
+numpy solves, the reference for the constant terms of its jets;
+``frame_values`` reads the same frame off a degree-0 ``frame_jet``, the
+reference the jet tests compare against.  ``remainder_swap_residual``
+compares the first-order terms of two pairing jets, the atomic exchange
+behind the well-definedness of the second-kind coefficients.
 ``pairwise_edges`` is one exception: it applies the pairwise l1 rule
 ``locally_related`` to every pair, as the reference for the neighbour lookup
 of ``equivalence_report``.  ``min_tight_subset`` maps the library's
@@ -362,6 +366,39 @@ def plain_frame(F, z):
     return H, unit, form
 
 
+def frame_values(F, z):
+    """(H, unit, form) at z: the constant terms of a degree-0 ``frame_jet``."""
+    from matpot.series import SeriesSpace
+
+    return tuple(np.asarray(v, dtype=complex)[..., 0] for v in F.frame_jet(z, SeriesSpace(F.n, 0)))
+
+
+def remainder_swap_residual(F, T2, a: int, b: int) -> float:
+    """|d_b S(C_{T2} unit, ...) - d_a S(C_{S2} unit, ...)| at the basepoint,
+    where S2 swaps one unit of a for one of b in T2.
+
+    Requires T2 to be strong with remainder [a]; then S2 = T2 + [b] - [a] is
+    strong with remainder [b] and both derivatives must agree: this is the
+    atomic exchange that makes the second-kind coefficients well defined.
+    Raises PreconditionError, before any evaluation, for a T2 that does not
+    qualify and for a structure without a ``jet``.
+    """
+    ctx = F.context()
+    rest = T2.try_sub(ctx.unit(a))
+    if rest is None:
+        raise PreconditionError(f"label {a} does not occur in T2")
+    if T2.total != ctx.m * ctx.k + 1:
+        raise PreconditionError("T2 must be a strong (mk+1)-system")
+    if rest.mult not in ctx.base_sums:
+        raise PreconditionError(f"T2 minus [{a}] is not a strong mk-system")
+    S2 = rest + ctx.unit(b)
+    if F.jet is None:
+        raise PreconditionError("remainder_swap_residual needs a structure with a jet")
+    space = F.space(1)
+    jets = F.jet(space, [T2.mult, S2.mult])
+    return float(abs(jets[0, space.degree_one[b - 1]] - jets[1, space.degree_one[a - 1]]))
+
+
 def plain_pairing(frame, t2) -> complex:
     """S(C_T2 unit, unit, ..., unit) from frame = (H, unit, form): the powers
     of the Higgs matrices applied to the unit, then the form contracted with
@@ -594,9 +631,7 @@ def _tuple_check(F, derivative, higgs_labels):
     ...)| over the tuples of bases and the labels i (label None: alpha and
     S(C_{I_1} unit, ...)), one contraction of the constant-term frame per
     tuple, as the checks did before they contracted all tuples at once."""
-    from matpot.frobenius import _frame_values
-
-    H, u, W = _frame_values(F, F.basepoint)
+    H, u, W = frame_values(F, F.basepoint)
     worst = 0.0
     for i in higgs_labels:
         for tup in combinations_with_replacement(F.maximal_independent_sets(), F.m):

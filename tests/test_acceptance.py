@@ -41,6 +41,7 @@ from oracles import (
     fix2_pair_unit,
     min_tight_subset,
     rank_bound_holds,
+    remainder_swap_residual,
     subsets,
     tight_subsets,
 )
@@ -311,8 +312,6 @@ def test_criterion_7_potentials(all_structures):
 
 
 def test_criterion_8_exchange_moves(all_structures):
-    from matpot import remainder_swap_residual
-
     start = time.monotonic()
     rng = random.Random(808)
     moves = 0

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import matpot.arrangements
@@ -246,6 +247,24 @@ def test_potentials_fixture(capsys, tmp_path):
         assert len(key.split(",")) == 2
 
 
+def test_verify_arrangement_evaluates_the_basepoint_frame_once(capsys, tmp_path, monkeypatch):
+    # the basepoint sample of the axiom report and the pairing condition read
+    # the structure's one degree-1 frame jet at the basepoint
+    basepoint = []
+    real = matpot.arrangements.ArrangementBackend.frame_jet
+
+    def counting(self, z, space):
+        basepoint.append(np.array_equal(z, self.data.basepoint))
+        return real(self, z, space)
+
+    monkeypatch.setattr(matpot.arrangements.ArrangementBackend, "frame_jet", counting)
+    payload = {"B": [[1], [2], [1]], "a": [1, 2, 3], "x": [0.3, -1.1, 0.9], "m": 2}
+    code, out = run_cli(capsys, ["verify-arrangement"], payload, tmp_path)
+    assert code == 0
+    assert basepoint.count(True) == 1
+    assert json.loads(out)["result"]["pairing_condition"] >= 1.0
+
+
 def test_verify_arrangement(capsys, tmp_path):
     payload = {"B": [[1], [1]], "a": [1, 1], "x": [1, -1], "m": 2}
     code, out = run_cli(capsys, ["verify-arrangement"], payload, tmp_path)
@@ -469,6 +488,29 @@ def test_partition_golden_large_eliminates_each_class_once(capsys, tmp_path, mon
     assert code == 0
     assert _result_digest(out) == "1c3014f99a6f693f1c34e72c7109b5a61bd156695fbbafbadff830c3b4013472"
     assert len(calls) <= 200
+
+
+def test_equal_matroid_entries_share_one_instance(capsys, tmp_path, monkeypatch):
+    # the ten equal linear entries are one LinearMatroid, so their rank,
+    # independence and echelon caches fill once: one instance per entry
+    # makes 130 eliminations here
+    from matpot.cli import _problem_from_json
+
+    payload = _copies_with_tail(_planted_rows(random.Random(5), 64, 6, 2, 0.3), 10, 4)
+    matroids = _problem_from_json(payload).matroids
+    assert all(M is matroids[0] for M in matroids[:10]) and matroids[10] is not matroids[0]
+    calls = []
+    original = matpot.matroids._eliminate
+
+    def counting(rows, width):
+        calls.append(len(rows))
+        return original(rows, width)
+
+    monkeypatch.setattr(matpot.matroids, "_eliminate", counting)
+    code, out = run_cli(capsys, ["partition"], payload, tmp_path)
+    assert code == 0
+    assert _result_digest(out) == "1c3014f99a6f693f1c34e72c7109b5a61bd156695fbbafbadff830c3b4013472"
+    assert len(calls) <= 121
 
 
 def _plane_rows(rng, n, on_plane):

@@ -12,6 +12,7 @@ import pytest
 import matpot.arrangements
 import matpot.findiff
 import matpot.frobenius
+import matpot.series
 from matpot import (
     ArrangementData,
     FlatFrameStructure,
@@ -26,7 +27,6 @@ from matpot import (
     check_second_kind,
     find_strong_decomposition,
     first_kind_polynomial,
-    remainder_swap_residual,
     second_kind_truncation,
     structure_from_arrangement,
     verify_axioms,
@@ -43,6 +43,7 @@ from oracles import (
     loop_second_kind_table,
     plain_frame,
     plain_pairing,
+    remainder_swap_residual,
     tuple_check_first_kind,
     tuple_check_second_kind,
 )
@@ -845,8 +846,9 @@ def test_checks_see_a_perturbed_coefficient(random_k1_structures):
 
 
 def test_checks_share_one_basepoint_frame(fixture_structure, random_k1_structures):
-    # both checks read the structure's one degree-0 frame jet at the
-    # basepoint, and get the bytes of a frame evaluated for each check alone
+    # both checks read the constant terms of the structure's one degree-1
+    # frame jet at the basepoint, and get the bytes of a frame evaluated for
+    # each check alone
     calls = []
     F = _counting(fixture_structure, calls)
     Q, L = first_kind_polynomial(F), second_kind_truncation(F, 5)
@@ -859,6 +861,43 @@ def test_checks_share_one_basepoint_frame(fixture_structure, random_k1_structure
         shared = (check_first_kind(F, Q), check_second_kind(F, L))
         alone = (check_first_kind(_counting(F, []), Q), check_second_kind(_counting(F, []), L))
         assert repr(shared) == repr(alone)
+
+
+@pytest.mark.parametrize("extra", [1, 2, 3])
+def test_one_basepoint_frame_and_two_spaces_per_op(monkeypatch, extra):
+    # a benchmark-shaped op (the structure, verify_axioms with the basepoint
+    # as first sample, both potentials, both checks) evaluates the frame jet
+    # at the basepoint once, builds at most two series spaces (degree 1 and
+    # the second kind's n_max - mk - 1) and continues no fiber to the basepoint
+    frames, spaces, continued = [], [], []
+    real_frame_jet = matpot.arrangements.ArrangementBackend.frame_jet
+    real_init = matpot.series.SeriesSpace.__init__
+    real_continue = matpot.arrangements.continue_fiber
+
+    def frame_jet(self, z, space):
+        frames.append(np.array_equal(z, self.data.basepoint))
+        return real_frame_jet(self, z, space)
+
+    def init(self, n, q):
+        spaces.append(q)
+        real_init(self, n, q)
+
+    def continue_fiber(data, frame, z):
+        continued.append(np.array_equal(z, data.basepoint))
+        return real_continue(data, frame, z)
+
+    monkeypatch.setattr(matpot.arrangements.ArrangementBackend, "frame_jet", frame_jet)
+    monkeypatch.setattr(matpot.series.SeriesSpace, "__init__", init)
+    monkeypatch.setattr(matpot.arrangements, "continue_fiber", continue_fiber)
+    F = structure_from_arrangement(_REPRODUCER, 2)
+    samples = _samples(F, 2, 11)
+    verify_axioms(F, samples)
+    Q, L = first_kind_polynomial(F), second_kind_truncation(F, F.m * F.k + extra)
+    check_first_kind(F, Q)
+    check_second_kind(F, L)
+    assert frames.count(True) == 1 and len(frames) == len(samples)
+    assert sorted(set(spaces)) == sorted(spaces) and len(spaces) <= 2
+    assert continued == [False] * (len(samples) - 1)
 
 
 def test_check_first_kind_needs_degree_mk(fixture_structure):
