@@ -61,7 +61,6 @@ from .systems import (
     DescentMove,
     EquivalenceReport,
     GoodDecomposition,
-    RemainderAlternative,
     StrongDecomposition,
     System,
     SystemBoundViolation,
@@ -71,7 +70,6 @@ from .systems import (
     find_strong_decomposition,
     is_base,
     l1_distance,
-    remainder_alternative,
     remainder_support,
     strong_deficiency_witness,
 )

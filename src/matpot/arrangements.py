@@ -420,9 +420,13 @@ class ArrangementBackend:
         self.base_frame = base_frame
 
     def fiber(self, z) -> CriticalPointFrame:
-        """The base frame over the basepoint, else its continuation to z."""
+        """The base frame over the basepoint; else the fiber over z, solved
+        afresh for k = 1 (frame jets do not depend on the order of its points)
+        and for k >= 2 continued from the base frame, whose points seed it."""
         if np.array_equal(z, self.base_frame.z):
             return self.base_frame
+        if self.data.k == 1:
+            return critical_points(self.data, z)
         return continue_fiber(self.data, self.base_frame, z)
 
     def p_values(self, z) -> np.ndarray:
@@ -511,8 +515,9 @@ class ArrangementBackend:
         flat basis, products of the eigenvalue series p; then H_i =
         U^-1 diag(p_i) U and the unit U^-1 (1, ..., 1) come from one series
         solve with all n mu + 1 right-hand columns, and the form is
-        sum_s (U_sa U_sb) w_s.  Takes the fiber over z (the base frame at the
-        basepoint, else one continuation from it) and no other fiber.
+        sum_s (U_sa U_sb) w_s.  Takes the fiber over z from ``fiber`` and no
+        other fiber; permuting its points permutes the rows of U and of the
+        right-hand sides alike, so the jet does not depend on their order.
         """
         p, w = self._series_fiber(space, self.fiber(z))
         mu, n = p.shape[:2]
@@ -561,8 +566,8 @@ def structure_from_arrangement(
     structure's ``jet`` is the backend's ``pairing_jets`` and its
     ``frame_jet`` the backend's ``frame_jet``, which conjugates Higgs
     matrices, unit and form into that frame; the critical points entering a
-    frame jet away from the basepoint are tracked by continuation so frames
-    are consistent across z.
+    frame jet away from the basepoint are solved afresh for k = 1 and tracked
+    by continuation for k >= 2.
     """
     if data.k >= 2 and not allow_k_ge_2:
         raise PreconditionError(

@@ -243,13 +243,3 @@ def slack_elements(problem: PartitionProblem) -> frozenset:
     closure = _uniform_closure(problem, "no partition of the full ground set exists")
     return frozenset(problem.ground.labels) if closure is None else closure
 
-
-def tight_set_and_slack(problem: PartitionProblem) -> tuple[frozenset, frozenset]:
-    """``(min_tight_set(problem), slack_elements(problem))`` from one partition.
-
-    Where ``min_tight_set`` succeeds the ground set is tight and the closure
-    has no free slot, so the slack elements are that same closure.  Raises
-    what the two calls raise, in that order.
-    """
-    minimal = min_tight_set(problem)
-    return minimal, minimal

@@ -25,7 +25,10 @@ local relations as edges.  It looks up each node's l1 neighbours instead of
 testing every pair, and makes one partition call per shared system T2 - [a]
 that has a neighbour.  ``descent_move`` constructs, from two distinct good
 decompositions, the explicit exchange that brings their second members
-strictly closer in the l1 metric while staying inside one equivalence class.
+strictly closer in the l1 metric while staying inside one equivalence class;
+it stops at the first label that certifies the exchange.  ``remainder_support``
+reads the possible remainder labels off one lifted partition: the images of
+its slack elements (``partition.slack_elements``).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import (
     SizeLimitError,
 )
 from .matroids import LiftedMatroid, Matroid, UniformMatroid
-from .partition import DeficiencyWitness, PartitionProblem, solve_partition
+from .partition import DeficiencyWitness, PartitionProblem, slack_elements, solve_partition
 
 MAX_TOTAL = 24  # largest |T| whose good decompositions are enumerated
 
@@ -405,62 +408,17 @@ def _require_strong(T: System, l: int):
 def remainder_support(T: System, l: int) -> frozenset:
     """Labels that appear in the remainder of some strong decomposition of T.
 
-    Decided per element: j qualifies iff T - [j] is strong with remainder
-    size l - 1, which pushes the delete-one-element partition probe through
-    the lift.
+    A lift element lies in the uniform part of some partition of the lifted
+    problem exactly when it is a slack element, so the support is the image
+    of ``slack_elements`` under the lift map: one partition and one circuit
+    closure.
     """
     if l < 1:
         raise PreconditionError("remainder support needs l >= 1")
     _check_arity(T, l)
     _require_strong(T, l)
-    out = []
-    for j in sorted(T.support):
-        if find_strong_decomposition(T - T.ctx.unit(j), l - 1) is not None:
-            out.append(j)
-    return frozenset(out)
-
-
-@dataclass(frozen=True)
-class RemainderAlternative:
-    """Certified outcome of comparing remainders of two strong (mk+1)-systems.
-
-    kind == "surplus": ``surplus`` is a strong decomposition of T whose
-    remainder [i] satisfies T(i) > S(i).
-
-    kind == "matched": ``matched`` maps every possible remainder label a of S
-    to a strong decomposition of T with the same remainder [a].
-    """
-
-    kind: str
-    surplus: StrongDecomposition | None = None
-    matched: tuple[tuple[int, StrongDecomposition], ...] | None = None
-
-
-def remainder_alternative(S: System, T: System) -> RemainderAlternative:
-    """Decide which exchange alternative holds for strong (mk+1)-systems S, T."""
-    _check_arity(S, 1)
-    _check_arity(T, 1)
-    _require_strong(S, 1)
-    _require_strong(T, 1)
-    ctx = T.ctx
-    for i in sorted(remainder_support(T, 1)):
-        if T(i) > S(i):
-            rest = find_strong_decomposition(T - ctx.unit(i), 0)
-            return RemainderAlternative(
-                kind="surplus",
-                surplus=StrongDecomposition.make(rest.parts, ctx.unit(i)),
-            )
-    matched = []
-    for a in sorted(remainder_support(S, 1)):
-        reduced = T.try_sub(ctx.unit(a))
-        rest = None if reduced is None else find_strong_decomposition(reduced, 0)
-        if rest is None:
-            raise InternalError(
-                "neither exchange alternative is certifiable; this contradicts "
-                "the remainder exchange property and signals a bug"
-            )
-        matched.append((a, StrongDecomposition.make(rest.parts, ctx.unit(a))))
-    return RemainderAlternative(kind="matched", matched=tuple(matched))
+    problem, fmap = _lift_problem(T, l)
+    return frozenset(fmap[e - 1] for e in slack_elements(problem))
 
 
 @dataclass(frozen=True)
@@ -474,54 +432,63 @@ class DescentMove:
     distance_after: int
 
 
+def _exchange(d: GoodDecomposition, a: int, b: int, rest: StrongDecomposition) -> GoodDecomposition:
+    """d with one a moved from T2 to T1 and one b from T1 to T2, witnessed by
+    the bases of ``rest`` (a strong decomposition of T2 - [a]) plus [b]."""
+    ctx = d.T1.ctx
+    return GoodDecomposition(
+        T1=d.T1 - ctx.unit(b) + ctx.unit(a),
+        T2=d.T2 + ctx.unit(b) - ctx.unit(a),
+        witness=StrongDecomposition.make(rest.parts, ctx.unit(b)),
+    )
+
+
 def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
     """Construct the exchange that brings the second members strictly closer.
 
     Given two distinct good decompositions of the same system, returns new
     good decompositions (each locally related to its input) whose second
-    members are at l1 distance exactly 2 less than before.
+    members are at l1 distance exactly 2 less than before.  With T2, S2 the
+    second members, the remainder exchange property gives two cases:
+
+      * surplus: the least i with T2(i) > S2(i) and T2 - [i] strong with
+        l = 0 trades one i of T2 for the least b with T1(b) > S1(b);
+      * matched: otherwise the least a with S2 - [a] strong with l = 0 also
+        leaves T2 - [a] strong, and both second members trade one a, T2 for
+        that b and S2 for the least c with T1(c) < S1(c).
     """
     if dT.whole != dS.whole:
         raise PreconditionError("good decompositions do not decompose the same system")
     if dT == dS:
         raise PreconditionError("descent move needs two distinct good decompositions")
     ctx = dT.T1.ctx
-    alt = remainder_alternative(dS.T2, dT.T2)
-    before = l1_distance(dT.T2, dS.T2)
-    if alt.kind == "surplus":
-        i = min(alt.surplus.remainder.support)
-        j = min(
-            lbl
-            for lbl in ctx.matroid.ground.labels
-            if dT.T1(lbl) > dS.T1(lbl)
+    S2, T2 = dS.T2, dT.T2
+    _check_arity(S2, 1)
+    _check_arity(T2, 1)
+    _require_strong(S2, 1)
+    _require_strong(T2, 1)
+    labels = ctx.matroid.ground.labels
+    before = l1_distance(T2, S2)
+    b = min(l for l in labels if dT.T1(l) > dS.T1(l))
+    for i in labels:
+        if T2(i) > S2(i):
+            rest = find_strong_decomposition(T2 - ctx.unit(i), 0)
+            if rest is not None:
+                moved = _exchange(dT, i, b, rest)
+                return DescentMove("surplus", moved_t=moved, moved_s=dS,
+                                   distance_before=before, distance_after=l1_distance(moved.T2, S2))
+    for a in labels:
+        rest_s = find_strong_decomposition(S2 - ctx.unit(a), 0) if S2(a) else None
+        if rest_s is not None:
+            break
+    reduced = T2.try_sub(ctx.unit(a))
+    rest_t = None if reduced is None else find_strong_decomposition(reduced, 0)
+    if rest_t is None:
+        raise InternalError(
+            "neither exchange alternative is certifiable; this contradicts "
+            "the remainder exchange property and signals a bug"
         )
-        r1 = dT.T1 - ctx.unit(j) + ctx.unit(i)
-        r2 = dT.T2 + ctx.unit(j) - ctx.unit(i)
-        moved = GoodDecomposition(
-            T1=r1,
-            T2=r2,
-            witness=StrongDecomposition.make(alt.surplus.parts, ctx.unit(j)),
-        )
-        after = l1_distance(r2, dS.T2)
-        return DescentMove("surplus", moved_t=moved, moved_s=dS,
-                           distance_before=before, distance_after=after)
-    a, dec_t = alt.matched[0]
-    dec_s = StrongDecomposition.make(
-        find_strong_decomposition(dS.T2 - ctx.unit(a), 0).parts, ctx.unit(a)
-    )
-    b = min(l for l in ctx.matroid.ground.labels if dT.T1(l) > dS.T1(l))
-    c = min(l for l in ctx.matroid.ground.labels if dT.T1(l) < dS.T1(l))
-    r2 = dT.T2 + ctx.unit(b) - ctx.unit(a)
-    moved_t = GoodDecomposition(
-        T1=dT.T1 - ctx.unit(b) + ctx.unit(a),
-        T2=r2,
-        witness=StrongDecomposition.make(dec_t.parts, ctx.unit(b)),
-    )
-    q2 = dS.T2 + ctx.unit(c) - ctx.unit(a)
-    moved_s = GoodDecomposition(
-        T1=dS.T1 - ctx.unit(c) + ctx.unit(a),
-        T2=q2,
-        witness=StrongDecomposition.make(dec_s.parts, ctx.unit(c)),
-    )
+    c = min(l for l in labels if dT.T1(l) < dS.T1(l))
+    moved_t, moved_s = _exchange(dT, a, b, rest_t), _exchange(dS, a, c, rest_s)
     return DescentMove("matched", moved_t=moved_t, moved_s=moved_s,
-                       distance_before=before, distance_after=l1_distance(r2, q2))
+                       distance_before=before, distance_after=l1_distance(moved_t.T2, moved_s.T2))

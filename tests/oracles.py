@@ -19,6 +19,10 @@ of ``equivalence_report``.  ``min_tight_subset`` maps the library's
 one-seed Newton loop, as the bit-for-bit reference for the batched solve;
 ``loop_vertex_seed_cloud`` builds the rank >= 2 seed cloud one vertex and
 one draw at a time, the reference for the stacked cloud.
+``reference_descent_move`` is the earlier exchange search, kept as the
+reference for the library's ``descent_move``: it builds the full
+``RemainderAlternative`` (two remainder supports, each label decided by its
+own strong query in ``label_remainder_support``) and then uses one label.
 ``discriminant_probe`` calls the library's ``critical_points`` and only
 turns its structured errors into False; the tests use it to draw instances
 off the discriminant.
@@ -33,6 +37,7 @@ over series, with its own ``newton_reciprocal``) uses only
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -41,18 +46,23 @@ import numpy as np
 from matpot import (
     ContinuationError,
     DeficiencyWitness,
+    DescentMove,
     DiscriminantError,
+    GoodDecomposition,
+    InternalError,
     LinearMatroid,
     PreconditionError,
     SchemaError,
     SizeLimitError,
+    StrongDecomposition,
+    System,
     UniformMatroid,
     critical_points,
     find_strong_decomposition,
     l1_distance,
     min_tight_set,
 )
-from matpot.systems import _check_arity, _lift_problem
+from matpot.systems import _check_arity, _lift_problem, _require_strong
 
 
 def subsets(elems):
@@ -266,6 +276,120 @@ def min_tight_subset(T, l) -> frozenset:
     _check_arity(T, l)
     problem, fmap = _lift_problem(T, l)
     return frozenset(fmap[e - 1] for e in min_tight_set(problem))
+
+
+def label_remainder_support(T: System, l: int) -> frozenset:
+    """Labels that appear in the remainder of some strong decomposition of T.
+
+    Decided per element: j qualifies iff T - [j] is strong with remainder
+    size l - 1, which pushes the delete-one-element partition probe through
+    the lift.
+    """
+    if l < 1:
+        raise PreconditionError("remainder support needs l >= 1")
+    _check_arity(T, l)
+    _require_strong(T, l)
+    out = []
+    for j in sorted(T.support):
+        if find_strong_decomposition(T - T.ctx.unit(j), l - 1) is not None:
+            out.append(j)
+    return frozenset(out)
+
+
+@dataclass(frozen=True)
+class RemainderAlternative:
+    """Certified outcome of comparing remainders of two strong (mk+1)-systems.
+
+    kind == "surplus": ``surplus`` is a strong decomposition of T whose
+    remainder [i] satisfies T(i) > S(i).
+
+    kind == "matched": ``matched`` maps every possible remainder label a of S
+    to a strong decomposition of T with the same remainder [a].
+    """
+
+    kind: str
+    surplus: StrongDecomposition | None = None
+    matched: tuple[tuple[int, StrongDecomposition], ...] | None = None
+
+
+def remainder_alternative(S: System, T: System) -> RemainderAlternative:
+    """Decide which exchange alternative holds for strong (mk+1)-systems S, T."""
+    _check_arity(S, 1)
+    _check_arity(T, 1)
+    _require_strong(S, 1)
+    _require_strong(T, 1)
+    ctx = T.ctx
+    for i in sorted(label_remainder_support(T, 1)):
+        if T(i) > S(i):
+            rest = find_strong_decomposition(T - ctx.unit(i), 0)
+            return RemainderAlternative(
+                kind="surplus",
+                surplus=StrongDecomposition.make(rest.parts, ctx.unit(i)),
+            )
+    matched = []
+    for a in sorted(label_remainder_support(S, 1)):
+        reduced = T.try_sub(ctx.unit(a))
+        rest = None if reduced is None else find_strong_decomposition(reduced, 0)
+        if rest is None:
+            raise InternalError(
+                "neither exchange alternative is certifiable; this contradicts "
+                "the remainder exchange property and signals a bug"
+            )
+        matched.append((a, StrongDecomposition.make(rest.parts, ctx.unit(a))))
+    return RemainderAlternative(kind="matched", matched=tuple(matched))
+
+
+def reference_descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
+    """Construct the exchange that brings the second members strictly closer.
+
+    Given two distinct good decompositions of the same system, returns new
+    good decompositions (each locally related to its input) whose second
+    members are at l1 distance exactly 2 less than before.
+    """
+    if dT.whole != dS.whole:
+        raise PreconditionError("good decompositions do not decompose the same system")
+    if dT == dS:
+        raise PreconditionError("descent move needs two distinct good decompositions")
+    ctx = dT.T1.ctx
+    alt = remainder_alternative(dS.T2, dT.T2)
+    before = l1_distance(dT.T2, dS.T2)
+    if alt.kind == "surplus":
+        i = min(alt.surplus.remainder.support)
+        j = min(
+            lbl
+            for lbl in ctx.matroid.ground.labels
+            if dT.T1(lbl) > dS.T1(lbl)
+        )
+        r1 = dT.T1 - ctx.unit(j) + ctx.unit(i)
+        r2 = dT.T2 + ctx.unit(j) - ctx.unit(i)
+        moved = GoodDecomposition(
+            T1=r1,
+            T2=r2,
+            witness=StrongDecomposition.make(alt.surplus.parts, ctx.unit(j)),
+        )
+        after = l1_distance(r2, dS.T2)
+        return DescentMove("surplus", moved_t=moved, moved_s=dS,
+                           distance_before=before, distance_after=after)
+    a, dec_t = alt.matched[0]
+    dec_s = StrongDecomposition.make(
+        find_strong_decomposition(dS.T2 - ctx.unit(a), 0).parts, ctx.unit(a)
+    )
+    b = min(l for l in ctx.matroid.ground.labels if dT.T1(l) > dS.T1(l))
+    c = min(l for l in ctx.matroid.ground.labels if dT.T1(l) < dS.T1(l))
+    r2 = dT.T2 + ctx.unit(b) - ctx.unit(a)
+    moved_t = GoodDecomposition(
+        T1=dT.T1 - ctx.unit(b) + ctx.unit(a),
+        T2=r2,
+        witness=StrongDecomposition.make(dec_t.parts, ctx.unit(b)),
+    )
+    q2 = dS.T2 + ctx.unit(c) - ctx.unit(a)
+    moved_s = GoodDecomposition(
+        T1=dS.T1 - ctx.unit(c) + ctx.unit(a),
+        T2=q2,
+        witness=StrongDecomposition.make(dec_s.parts, ctx.unit(c)),
+    )
+    return DescentMove("matched", moved_t=moved_t, moved_s=moved_s,
+                       distance_before=before, distance_after=l1_distance(r2, q2))
 
 
 def matroid_to_json(M) -> dict:

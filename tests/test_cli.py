@@ -577,3 +577,24 @@ def test_verify_arrangement_k2_drops_diverged_seed(capsys, tmp_path):
     result = json.loads(out)["result"]
     assert result["mu"] == 8
     assert result["report"]["max_violation"] <= 1e-6
+
+
+def test_verify_arrangement_k1_samples_need_no_tracking(capsys, tmp_path, monkeypatch):
+    # nearest-point tracking from the basepoint lost this fiber's points
+    # (continuation error) although every sample fiber is off the
+    # discriminant; rank-1 sample fibers are solved afresh instead
+    def no_continuation(*args):
+        raise AssertionError("a rank-1 fiber was continued")
+
+    monkeypatch.setattr(matpot.arrangements, "continue_fiber", no_continuation)
+    payload = {
+        "B": [[3], [2], [-2], ["-1/2"], [1], ["1/3"]],
+        "a": [1, -1, 1, -2, 2, 1],
+        "x": [0.95, -0.27, 1.34, 2.51, -0.06, 2.75],
+        "m": 2,
+    }
+    code, out = run_cli(capsys, ["verify-arrangement"], payload, tmp_path)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["mu"] == 5
+    assert result["report"]["max_violation"] <= 1e-8

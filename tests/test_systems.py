@@ -6,6 +6,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import matpot.partition
+import matpot.systems
+
 from matpot import (
     ArityError,
     Context,
@@ -21,7 +24,6 @@ from matpot import (
     find_strong_decomposition,
     is_base,
     l1_distance,
-    remainder_alternative,
     remainder_support,
     strong_deficiency_witness,
 )
@@ -32,9 +34,12 @@ from oracles import (
     brute_locally_related,
     brute_strong_decompositions,
     edge_components,
+    label_remainder_support,
     locally_related,
     min_tight_subset,
     pairwise_edges,
+    reference_descent_move,
+    remainder_alternative,
     tight_subsets,
 )
 
@@ -503,6 +508,104 @@ def test_descent_move_rejects_equal(ctx_u13_m2):
     goods = all_good_decompositions(ctx_u13_m2.system((2, 1, 1)))
     with pytest.raises(PreconditionError):
         descent_move(goods[0], goods[0])
+
+
+def _descent_contexts():
+    for k, n in [(1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 5)]:
+        for m in (1, 2, 3):
+            yield Context(UniformMatroid(k, n), m)
+    for rows in ([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1)],
+                 [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 0)],
+                 [(2, -1), (0, 1), (1, 1), (-1, 2)],
+                 [(1, 0, 1), (0, 1, 1), (1, 1, 0), (1, 0, 0), (2, 1, 1)]):
+        for m in (2, 3):
+            yield Context(LinearMatroid(rows), m)
+    yield Context(LinearMatroid([(1, 0), (2, 0), (0, 1), (1, 1)]), 2)  # a parallel class
+
+
+def _move_fields(move):
+    return (
+        move.case,
+        move.moved_t.T1, move.moved_t.T2, move.moved_t.witness,
+        move.moved_s.T1, move.moved_s.T2, move.moved_s.witness,
+        move.distance_before, move.distance_after,
+    )
+
+
+def test_descent_move_matches_the_remainder_alternative_search():
+    # the first-witness move against the earlier search through both
+    # remainder supports, field by field, on systems with |T| <= mk + 3
+    rng = random.Random(2024)
+    pairs = 0
+    for ctx in _descent_contexts():
+        for _ in range(9):
+            mult = [0] * ctx.n
+            for _ in range(ctx.m * ctx.k + rng.randint(2, 3)):
+                mult[rng.randrange(ctx.n)] += 1
+            for dT, dS in _distinct_good_pairs(ctx.system(mult)):
+                expected = _move_fields(reference_descent_move(dT, dS))
+                assert _move_fields(descent_move(dT, dS)) == expected
+                pairs += 1
+    assert pairs >= 5000, pairs
+
+
+def test_descent_move_stops_at_the_first_witness(monkeypatch):
+    # on the 171-node system: strongness of both second members and one
+    # query per tried label, where the remainder supports took 8 queries
+    report = equivalence_report(Context(ROADMAP_MATROID, 3).system((3, 2, 2, 2, 2, 2)))
+    calls = []
+    real = matpot.systems.find_strong_decomposition
+
+    def counting(T, l):
+        calls.append((T.mult, l))
+        return real(T, l)
+
+    monkeypatch.setattr(matpot.systems, "find_strong_decomposition", counting)
+    move = descent_move(report.nodes[0], report.nodes[-1])
+    assert move.distance_after == move.distance_before - 2
+    assert len(calls) <= 4
+
+
+def test_remainder_support_solves_one_partition(monkeypatch):
+    # the strongness check and one partition for the slack closure, where the
+    # per-label search made |supp T| + 1 partition calls
+    mult = (2, 1, 1, 1, 1, 1)
+    expected = label_remainder_support(Context(ROADMAP_MATROID, 3).system(mult), 1)
+    calls = []
+
+    def counting(module):
+        real = module.solve_partition
+
+        def solve(problem, *args, **kwargs):
+            calls.append(problem)
+            return real(problem, *args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_partition", solve)
+
+    counting(matpot.systems)
+    counting(matpot.partition)
+    assert remainder_support(Context(ROADMAP_MATROID, 3).system(mult), 1) == expected
+    assert len(calls) <= 2
+
+
+def test_remainder_support_matches_the_brute_force_remainders():
+    rng = random.Random(31)
+    checked = 0
+    for ctx in _descent_contexts():
+        for _ in range(6):
+            l = rng.randint(1, 3)
+            mult = [0] * ctx.n
+            for _ in range(ctx.m * ctx.k + l):
+                mult[rng.randrange(ctx.n)] += 1
+            T = ctx.system(mult)
+            if find_strong_decomposition(T, l) is None:
+                continue
+            expected = frozenset(
+                j for _, rem in brute_strong_decompositions(T, l) for j, v in enumerate(rem, 1) if v
+            )
+            assert remainder_support(T, l) == expected == label_remainder_support(T, l)
+            checked += 1
+    assert checked >= 50
 
 
 def test_context_requires_positive_rank():
