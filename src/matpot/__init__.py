@@ -12,14 +12,12 @@ from .arrangements import (
     ArrangementData,
     ArrangementBackend,
     CriticalPointFrame,
-    continue_fiber,
     critical_points,
     structure_from_arrangement,
     vector_matroid,
 )
 from .errors import (
     ArityError,
-    ContinuationError,
     DiscriminantError,
     FlatnessError,
     GroundSetError,

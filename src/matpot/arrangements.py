@@ -22,27 +22,29 @@ is flat, the form becomes z-constant, and the flatness of the remaining
 sections is a genuine testable statement.  The raw diagonal data stays
 available on the backend for exactness checks.
 
-Only k = 1 is a fully supported path (critical points come from the roots of
-an explicit degree n-1 polynomial plus Newton refinement; a root that does
-not converge raises DiscriminantError).  For k >= 2 the solver runs
-multivariate Newton from the vertex seed cloud (hyperplane intersection
-vertices, their midpoints and centroids, lightly jittered); that path is
-experimental and makes no completeness claim.  Either way all candidates of
-a fiber are refined in one batched Newton solve with one stacked LU per
-step, and a seed is retired as soon as it leaves the box that the final
-filter keeps (no seed measured ever came back from outside it).
+For generic weights and z the fiber has exactly mu = |sum over independent S
+with |S| <= k of (-1)^|S|| points, the Euler characteristic of the
+complement (Orlik-Terao, Varchenko); ``ArrangementData.count`` computes it
+once from the matroid, and every fiber solve at every rank returns exactly
+that many points or raises DiscriminantError.  For k = 1 the candidates are
+the roots of an explicit degree n-1 polynomial; for k >= 2 they are the
+vertex seed cloud (hyperplane intersection vertices, their midpoints and
+centroids, lightly jittered).  Either way all candidates of a fiber are
+refined in one batched Newton solve with one stacked LU per step, and a seed
+is retired as soon as it leaves the box that the final filter keeps (no seed
+measured ever came back from outside it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .errors import (
-    ContinuationError,
     DiscriminantError,
     GroundSetError,
     PreconditionError,
@@ -92,6 +94,23 @@ class ArrangementData:
             raise GroundSetError(f"basepoint must have {self.n} coordinates")
         self.B = np.array([[complex(v) for v in row] for row in self.matrix])
         self.a = np.array([complex(w) for w in weights])
+
+    @cached_property
+    def count(self) -> int:
+        """Critical points of a generic fiber: |sum over independent S with
+        |S| <= k of (-1)^|S||, the Euler characteristic of the complement.
+        Independent sets grow one larger label at a time: every subset of an
+        independent set is independent, so each is reached exactly once."""
+        level, total = [frozenset()], 1
+        for size in range(1, self.k + 1):
+            level = [
+                S | {e}
+                for S in level
+                for e in range(max(S, default=0) + 1, self.n + 1)
+                if self.matroid.is_independent(S | {e})
+            ]
+            total += (-1) ** size * len(level)
+        return abs(total)
 
     def hyperplane_values(self, z, points):
         """f_i(z, t^s) for all i and critical points; shape (mu, n)."""
@@ -238,8 +257,6 @@ def _vertex_seed_cloud(data: ArrangementData, z):
 def _k1_candidate_roots(data: ArrangementData, z):
     z = np.asarray(z, dtype=complex)
     active = [i for i in range(data.n) if data.matrix[i][0] != 0]
-    if len(active) < 2:
-        raise PreconditionError("need at least two hyperplanes involving the fiber variable")
     active_weights = [data.weights_exact[i] for i in active]
     if all(w is not None for w in active_weights):
         # top coefficient is prod(b_j) * sum(a_i) over active rows, so only
@@ -251,44 +268,37 @@ def _k1_candidate_roots(data: ArrangementData, z):
         factors = [(data.B[j, 0], z[j]) for j in active if j != i]
         contrib = data.a[i] * data.B[i, 0] * _poly_from_factors(factors)
         poly += contrib
-    expected = len(active) - 1
     top = np.max(np.abs(poly))
     if top == 0 or abs(poly[0]) < 1e-12 * top:
         raise DiscriminantError("fiber polynomial degenerates (leading coefficient ~ 0)")
-    return np.roots(poly), expected
+    return np.roots(poly)
 
 
-def critical_points(
-    data: ArrangementData,
-    z,
-    seeds=None,
-) -> CriticalPointFrame:
+def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     """All fiberwise critical points over z, Newton-refined and validated.
 
-    All candidates are refined in one batched Newton solve, then accepted in
-    order by one greedy pass, which drops a candidate when Newton failed on
-    it (a seed leaving the box max |t| <= ESCAPE_RADIUS (1 + max |z_i|)
-    fails at once), its residual exceeds 1e-9 * (1 + max |z_i|), it lies
-    within 1e-8 * (1 + max |z_i|) of a hyperplane or an accepted point, or
-    its Hessian is (nearly) singular (|det| < 1e-12).  For k = 1 a drop
-    raises DiscriminantError instead: a Newton failure first, then the first
-    candidate too near or flat, then the first residual above the bound.
-    For k >= 2 pass explicit ``seeds`` (S x k) or rely on the vertex seed
-    cloud (experimental).
+    A family whose count ``data.count`` is 0 has no critical points at all
+    and raises PreconditionError.  All candidates are refined in one batched
+    Newton solve, then accepted in order by one greedy pass, which drops a
+    candidate when Newton failed on it (a seed leaving the box max |t| <=
+    ESCAPE_RADIUS (1 + max |z_i|) fails at once), its residual exceeds
+    1e-9 * (1 + max |z_i|), it lies within 1e-8 * (1 + max |z_i|) of a
+    hyperplane or an accepted point, or its Hessian is (nearly) singular
+    (|det| < 1e-12).  For k = 1 a drop raises DiscriminantError instead: a
+    Newton failure first, then the first candidate too near or flat, then the
+    first residual above the bound.  At every rank a fiber with other than
+    ``data.count`` points raises DiscriminantError.
     """
+    if data.count == 0:
+        raise PreconditionError(
+            "the family has no critical points: the Euler characteristic of the complement is 0"
+        )
     z = np.asarray(z, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(z)))
     hyper_margin = dist_margin = 1e-8 * scale
     hess_margin = 1e-12
-    if data.k == 1:
-        raw, expected = _k1_candidate_roots(data, z)
-        candidates = raw[:, None]
-    else:
-        expected = None
-        if seeds is None:
-            seeds = _vertex_seed_cloud(data, z)
-        candidates = seeds
     strict = data.k == 1
+    candidates = _k1_candidate_roots(data, z)[:, None] if strict else _vertex_seed_cloud(data, z)
     t, res, failures = _newton_refine(data, z, candidates)
     # NaN fails every comparison, so failed seeds (residual NaN) drop out
     with np.errstate(over="ignore"):
@@ -322,10 +332,8 @@ def critical_points(
     while rest.size:
         accepted.append(rest[0])
         rest = rest[1:][np.max(np.abs(t[rest[1:]] - t[rest[0]]), axis=1) >= dist_margin]
-    if strict and len(accepted) != expected:
-        raise DiscriminantError(f"found {len(accepted)} critical points, expected {expected}")
-    if not accepted:
-        raise DiscriminantError("no nondegenerate critical points found")
+    if len(accepted) != data.count:
+        raise DiscriminantError(f"found {len(accepted)} critical points, expected {data.count}")
     accepted = np.array(accepted)
     accepted = accepted[np.lexsort((t[accepted, -1].imag, t[accepted, -1].real))]
     hessians = _hessians(data, data.hyperplane_values(z, t[accepted]))
@@ -336,64 +344,6 @@ def critical_points(
         det_hess=np.linalg.det(hessians),
         residuals=res[accepted],
     )
-
-
-def _match_points(reference: np.ndarray, fresh: np.ndarray):
-    """Assign each reference point its nearest fresh point, injectively.
-
-    Returns the index of each reference point's match in ``fresh``, or None
-    when the assignment is ambiguous (collision or non-injective match).
-    """
-    mu = len(reference)
-    if len(fresh) != mu:
-        return None
-    dist = np.linalg.norm(reference[:, None, :] - fresh[None, :, :], axis=2)
-    choice = np.argmin(dist, axis=1)
-    if len(set(choice.tolist())) != mu:
-        return None
-    # ambiguous if some reference point is nearly equidistant to two targets
-    for s in range(mu):
-        row = np.sort(dist[s])
-        if len(row) > 1 and row[0] > 0.49 * row[1]:
-            return None
-    return choice
-
-
-def continue_fiber(
-    data: ArrangementData,
-    frame: CriticalPointFrame,
-    z_target,
-) -> CriticalPointFrame:
-    """Track the critical points of ``frame`` to the fiber over z_target.
-
-    Nearest-point matching against a freshly computed fiber, with recursive
-    path bisection (predictor-corrector with step halving) when the matching
-    is ambiguous; raises ContinuationError after 40 halvings.  Each fresh
-    fiber is seeded with the tracked points (used by k >= 2 Newton).
-    """
-    max_depth = 40
-    z_target = np.asarray(z_target, dtype=complex)
-    if np.array_equal(frame.z, z_target):
-        return frame
-
-    def step(current: CriticalPointFrame, target, depth: int) -> CriticalPointFrame:
-        fresh = critical_points(data, target, seeds=current.points)
-        perm = _match_points(current.points, fresh.points)
-        if perm is None:
-            if depth >= max_depth:
-                raise ContinuationError("point tracking lost between fibers")
-            mid = (current.z + target) / 2.0
-            halfway = step(current, mid, depth + 1)
-            return step(halfway, target, depth + 1)
-        return CriticalPointFrame(
-            z=np.asarray(target, dtype=complex),
-            points=fresh.points[perm],
-            hessians=fresh.hessians[perm],
-            det_hess=fresh.det_hess[perm],
-            residuals=fresh.residuals[perm],
-        )
-
-    return step(frame, z_target, 0)
 
 
 def _p_values(data: ArrangementData, frame: CriticalPointFrame) -> np.ndarray:
@@ -421,13 +371,10 @@ class ArrangementBackend:
 
     def fiber(self, z) -> CriticalPointFrame:
         """The base frame over the basepoint; else the fiber over z, solved
-        afresh for k = 1 (frame jets do not depend on the order of its points)
-        and for k >= 2 continued from the base frame, whose points seed it."""
+        afresh (frame jets do not depend on the order of its points)."""
         if np.array_equal(z, self.base_frame.z):
             return self.base_frame
-        if self.data.k == 1:
-            return critical_points(self.data, z)
-        return continue_fiber(self.data, self.base_frame, z)
+        return critical_points(self.data, z)
 
     def p_values(self, z) -> np.ndarray:
         """Matrix P[i, s] = a_i / f_i(t^s, z) of Higgs eigenvalues."""
@@ -488,7 +435,7 @@ class ArrangementBackend:
         In the critical-point frame g_T2 = sum_s w_s prod_i p_i^{T2_i}, with p
         and w the series of the base frame.  The products run over the
         members' label words in lexicographic order, so a shared prefix is
-        multiplied once.  No fiber is continued and no flat frame is solved.
+        multiplied once.  No other fiber and no flat frame is solved.
         """
         p, w = self._series_fiber(space, self.base_frame)
         words = [tuple(i for i, e in enumerate(T2) for _ in range(e)) for T2 in members]
@@ -555,9 +502,7 @@ def _choose_flat_basis(data: ArrangementData, frame: CriticalPointFrame):
     return [sets[c] for c in chosen]
 
 
-def structure_from_arrangement(
-    data: ArrangementData, m: int, allow_k_ge_2: bool = False
-) -> FlatFrameStructure:
+def structure_from_arrangement(data: ArrangementData, m: int) -> FlatFrameStructure:
     """FlatFrameStructure of order (n, k, 2) backed by the arrangement family.
 
     The residue pairing of an arrangement family is bilinear, so ``m`` must
@@ -566,13 +511,8 @@ def structure_from_arrangement(
     structure's ``jet`` is the backend's ``pairing_jets`` and its
     ``frame_jet`` the backend's ``frame_jet``, which conjugates Higgs
     matrices, unit and form into that frame; the critical points entering a
-    frame jet away from the basepoint are solved afresh for k = 1 and tracked
-    by continuation for k >= 2.
+    frame jet away from the basepoint are solved afresh, at every rank.
     """
-    if data.k >= 2 and not allow_k_ge_2:
-        raise PreconditionError(
-            "k >= 2 critical-point solving is experimental; pass allow_k_ge_2=True"
-        )
     if m != 2:
         raise PreconditionError(
             f"arrangement families give structures of order (n, k, 2) only, got m={m}"

@@ -174,7 +174,7 @@ def _arrangement_from_json(obj) -> tuple[ArrangementData, int]:
 def _cmd_potentials(args) -> dict:
     obj = _load_input(args)
     data, m = _arrangement_from_json(obj)
-    structure = structure_from_arrangement(data, m, allow_k_ge_2=args.allow_k_ge_2)
+    structure = structure_from_arrangement(data, m)
     ctx = structure.context()
     n_max = args.n_max
     if n_max is None:
@@ -204,7 +204,7 @@ def _sample_points(structure, count: int = 3):
 def _cmd_verify_arrangement(args) -> dict:
     obj = _load_input(args)
     data, m = _arrangement_from_json(obj)
-    structure = structure_from_arrangement(data, m, allow_k_ge_2=args.allow_k_ge_2)
+    structure = structure_from_arrangement(data, m)
     backend = structure.backend
     report = verify_axioms(structure, _sample_points(structure), hard_threshold=None)
     x = structure.basepoint
@@ -260,12 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--n-max", type=int, default=None, help="truncation order (default mk+3)")
     p.add_argument("--tol", type=float, default=None, help="spread tolerance (default MATPOT_TOL or 1e-6)")
-    p.add_argument("--allow-k-ge-2", action="store_true", help="enable the experimental k >= 2 solver")
     p.set_defaults(handler=_cmd_potentials)
 
     p = sub.add_parser("verify-arrangement", help="axiom report for an arrangement structure")
     common(p)
-    p.add_argument("--allow-k-ge-2", action="store_true", help="enable the experimental k >= 2 solver")
     p.set_defaults(handler=_cmd_verify_arrangement)
 
     return parser

@@ -55,12 +55,6 @@ class DiscriminantError(MatpotError):
     code = "near-discriminant"
 
 
-class ContinuationError(MatpotError):
-    """Critical points could not be tracked consistently between fibers."""
-
-    code = "continuation"
-
-
 class StructureError(MatpotError):
     """A supplied structure violates the flat-frame axioms beyond tolerance."""
 

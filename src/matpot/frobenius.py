@@ -96,10 +96,6 @@ class FlatFrameStructure:
     def k(self) -> int:
         return self.matroid.full_rank
 
-    @property
-    def order(self) -> tuple[int, int, int]:
-        return (self.n, self.k, self.m)
-
     def context(self) -> Context:
         """The structure's one Context, so its bases, base sums and
         strong-decomposition memo are built once."""

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import matpot.arrangements
 from matpot import (
     ArrangementData,
     Context,
@@ -11,6 +13,21 @@ from matpot import (
     structure_from_arrangement,
 )
 from oracles import discriminant_probe
+
+
+@pytest.fixture
+def fiber_solves(monkeypatch):
+    """Records each ``arrangements.critical_points`` call as True when it
+    solves the basepoint fiber and False otherwise."""
+    solves = []
+    real = matpot.arrangements.critical_points
+
+    def counting(data, z):
+        solves.append(np.array_equal(z, data.basepoint))
+        return real(data, z)
+
+    monkeypatch.setattr(matpot.arrangements, "critical_points", counting)
+    return solves
 
 
 @pytest.fixture

@@ -25,7 +25,10 @@ reference for the library's ``descent_move``: it builds the full
 own strong query in ``label_remainder_support``) and then uses one label.
 ``discriminant_probe`` calls the library's ``critical_points`` and only
 turns its structured errors into False; the tests use it to draw instances
-off the discriminant.
+off the discriminant.  ``track_fiber`` follows a fiber's points to another
+base point from the library's batched Newton, halving steps until every
+point lands on a distinct critical point; it finds points that the vertex
+seed cloud misses.
 The same holds for the loop references of the whole-array code:
 ``loop_second_kind_table`` (the per-T candidate loop of the second-kind
 table) and ``tuple_check_first_kind`` / ``tuple_check_second_kind`` (one
@@ -44,7 +47,6 @@ from itertools import combinations, combinations_with_replacement, product
 import numpy as np
 
 from matpot import (
-    ContinuationError,
     DeficiencyWitness,
     DescentMove,
     DiscriminantError,
@@ -658,11 +660,39 @@ def loop_vertex_seed_cloud(data, z, jitter: float = 1e-3):
     return out
 
 
+def track_fiber(data, frame, z_target, max_depth: int = 40) -> np.ndarray:
+    """Reference tracker: the points of ``frame`` followed to the fiber over
+    z_target, shape (mu, k).
+
+    Newton (``arrangements._newton_refine``) starts at the tracked points.
+    While a point fails, keeps a residual above 1e-9 (1 + max |z|) or comes
+    within 1e-8 (1 + max |z|) of another, the step is halved, at most
+    ``max_depth`` halvings deep; then DiscriminantError.  A result is mu
+    distinct critical points of the target fiber.
+    """
+    from matpot.arrangements import _newton_refine
+
+    def step(z0, points, z1, depth):
+        with np.errstate(all="ignore"):
+            t, res, failures = _newton_refine(data, z1, points)
+            gap = np.max(np.abs(t[:, None] - t[None]), axis=2)
+        np.fill_diagonal(gap, np.inf)
+        scale = 1.0 + float(np.max(np.abs(z1)))
+        if not any(failures) and np.all(res <= 1e-9 * scale) and np.all(gap >= 1e-8 * scale):
+            return t
+        if depth >= max_depth:
+            raise DiscriminantError("point tracking lost between fibers")
+        mid = (z0 + z1) / 2.0
+        return step(mid, step(z0, points, mid, depth + 1), z1, depth + 1)
+
+    return step(frame.z, frame.points, np.asarray(z_target, dtype=complex), 0)
+
+
 def discriminant_probe(data, z) -> bool:
     """True iff the fiber over z has the full count of clean critical points."""
     try:
         critical_points(data, z)
-    except (DiscriminantError, ContinuationError, PreconditionError):
+    except (DiscriminantError, PreconditionError):
         return False
     return True
 

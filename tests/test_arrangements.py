@@ -13,7 +13,6 @@ from matpot import (
     PreconditionError,
     RankError,
     UniformMatroid,
-    continue_fiber,
     critical_points,
     structure_from_arrangement,
     vector_matroid,
@@ -33,6 +32,7 @@ from oracles import (
     plain_frame,
     richardson_frame_derivatives,
     scalar_newton_refine,
+    track_fiber,
 )
 
 
@@ -143,7 +143,7 @@ def test_batched_newton_matches_scalar_reference(random_k1_instances):
         cases.append((data, data.basepoint))
     cases = [(data, z, _vertex_seed_cloud(data, z)) for data, z in cases]
     for data in random_k1_instances:
-        roots, _ = _k1_candidate_roots(data, data.basepoint)
+        roots = _k1_candidate_roots(data, data.basepoint)
         cases.append((data, data.basepoint, roots[:, None]))
     # f = (t + 1, t - 1) with weights (1, -1): the Hessian 4t / (t^2 - 1)^2
     # vanishes exactly at t = 0, and t = -1 lies on a hyperplane
@@ -173,26 +173,72 @@ def test_batched_newton_matches_scalar_reference(random_k1_instances):
             assert failures[:2] == [collided, escaped]
 
 
+def _gradient_residual(data, z, points):
+    f = points @ data.B.T + np.asarray(z)[None, :]
+    return np.max(np.abs((data.a[None, :] / f) @ data.B))
+
+
 def test_critical_point_count_matches_euler_characteristic():
     # for positive weights and a generic fiber the master function has
     # |chi(complement)| nondegenerate critical points; the vertex seed cloud
-    # makes no completeness claim and misses one of 8 on instance 35, where
-    # continuation from the real fiber over Re z finds all 8
+    # misses one of 8 on instance 35, which is refused, while the reference
+    # tracker from the fiber over Re z finds all 8
     rng = random.Random(2718)
     short = {}
     for idx in range(42):
         data = _draw_k2_instance(rng, 4 + idx % 3)
         count = euler_count(data.matroid, 2)
-        frame = critical_points(data, data.basepoint)
         scale = 1.0 + float(np.max(np.abs(data.basepoint)))
-        f = frame.points @ data.B.T + data.basepoint[None, :]
-        gradient = (data.a[None, :] / f) @ data.B
-        assert np.max(np.abs(gradient)) <= 1e-9 * scale
-        if frame.mu != count:
-            short[idx] = (frame.mu, count)
-            tracked = continue_fiber(data, critical_points(data, data.basepoint.real), data.basepoint)
-            assert tracked.mu == count
-    assert short == {35: (7, 8)}
+        try:
+            frame = critical_points(data, data.basepoint)
+        except DiscriminantError as exc:
+            short[idx] = str(exc)
+            real = critical_points(data, data.basepoint.real)
+            tracked = track_fiber(data, real, data.basepoint)
+            assert real.mu == len(tracked) == count
+            assert _gradient_residual(data, data.basepoint, tracked) <= 1e-9 * scale
+            continue
+        assert frame.mu == count
+        assert _gradient_residual(data, data.basepoint, frame.points) <= 1e-9 * scale
+    assert short == {35: "found 7 critical points, expected 8"}
+
+
+def test_count_matches_euler_oracle():
+    # the package's count against the subset enumeration, on the sweep's
+    # draws, zero rows (loops), parallel rows, k = 1 and k = 3
+    rng = random.Random(2718)
+    cases = [_draw_k2_instance(rng, 4 + idx % 3) for idx in range(42)]
+    cases += [
+        ArrangementData([(0, 0), (1, 0), (0, 1), (1, 1)], (1, 2, 3, 1), (0.3, -0.5, 0.9, 1.4)),
+        ArrangementData([(1, 0), (2, 0), (-1, 0), (0, 1), (0, 3)], (1, 2, 3, 1, 2), (0.3, -0.5, 0.9, 1.4, 0.2)),
+        ArrangementData([(1, 0), (1, 0), (2, 0), (0, 1)], (1, 1, 1, 1), (0.3, -0.5, 0.9, 1.4)),
+        ArrangementData([(1,), (0,), (3,), (Fraction(1, 2),)], (1, 2, 3, 1), (0.3, -0.5, 0.9, 1.4)),
+        ArrangementData([(1,), (0,)], (1, 2), (0.3, -0.5)),
+        ArrangementData(
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1), (2, 2, 0), (0, 0, 0)],
+            (1, 2, 3, 1, 2, 3, 1),
+            (0.3, -0.5, 0.9, 1.4, 0.2, -0.7, 1.1),
+        ),
+    ]
+    counts = [data.count for data in cases]
+    assert counts == [euler_count(data.matroid, data.k) for data in cases]
+    assert counts[42:] == [1, 2, 0, 2, 0, 3]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(1,), (0,)], [(1, 0), (1, 0), (2, 0), (0, 1)]],
+)
+def test_count_zero_family_is_a_precondition_error(rows):
+    # one hyperplane in the fiber variable (k = 1), or all lines but one
+    # parallel (k = 2): the generic fiber is empty, at every z
+    data = ArrangementData(rows, [1] * len(rows), [0.3 + 0.1j, -0.5, 0.9, 1.4][: len(rows)])
+    assert data.count == 0
+    for z in (data.basepoint, data.basepoint + 0.17j):
+        with pytest.raises(PreconditionError, match="Euler characteristic"):
+            critical_points(data, z)
+    with pytest.raises(PreconditionError):
+        structure_from_arrangement(data, 2)
 
 
 def test_vertex_seed_cloud_matches_loop_reference():
@@ -249,20 +295,21 @@ def test_discriminant_probe(fixture_data):
 
 
 def test_continuation_tracks_points(random_k1_instances):
+    # the reference tracker lands on the fresh fiber, point for point
     data = random_k1_instances[1]
     frame = critical_points(data, data.basepoint)
     target = data.basepoint + np.full(data.n, 0.35 + 0.1j)
-    moved = continue_fiber(data, frame, target)
+    moved = track_fiber(data, frame, target)
     fresh = critical_points(data, target)
     # same fiber as a set, labels consistent with nearest-point tracking
-    dist = np.abs(moved.points[:, 0][:, None] - fresh.points[:, 0][None, :])
+    dist = np.abs(moved[:, 0][:, None] - fresh.points[:, 0][None, :])
     assert dist.min(axis=1).max() < 1e-9
-    assert len(set(dist.argmin(axis=1).tolist())) == moved.mu
+    assert len(set(dist.argmin(axis=1).tolist())) == frame.mu
 
 
-def test_continuation_seeds_with_tracked_points(monkeypatch):
-    # the vertex cloud is built once, for the basepoint fiber; the structure
-    # reuses that fiber and continuation starts Newton at the tracked points
+def test_k2_sample_fiber_is_solved_afresh(monkeypatch):
+    # the item-4 structure builds with no flag; a fiber away from the
+    # basepoint is a fresh solve, so the vertex cloud is built once per fiber
     real = matpot.arrangements._vertex_seed_cloud
     calls = []
 
@@ -272,21 +319,21 @@ def test_continuation_seeds_with_tracked_points(monkeypatch):
 
     monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", counting)
     data = _rank2_data()
-    F = structure_from_arrangement(data, 2, allow_k_ge_2=True)
+    F = structure_from_arrangement(data, 2)
+    assert len(calls) == 1 and F.backend.fiber(data.basepoint) is F.backend.base_frame
     z = data.basepoint + np.array([0.011, -0.007j, 0.004, 0.009j, -0.013, 0.006])
     moved = F.backend.fiber(z)
-    assert len(calls) == 1
+    assert len(calls) == 2
     fresh = critical_points(data, z)
-    assert moved.mu == fresh.mu == 8
-    dist = np.linalg.norm(moved.points[:, None, :] - fresh.points[None, :, :], axis=2)
-    assert dist.min(axis=1).max() < 1e-8
-    assert len(set(dist.argmin(axis=1).tolist())) == moved.mu
+    assert moved.mu == fresh.mu == data.count == 8
+    for name in ("z", "points", "hessians", "det_hess", "residuals"):
+        assert np.array_equal(getattr(moved, name), getattr(fresh, name))
 
 
 def test_frame_jet_matches_richardson_reference(all_structures):
     # degree 1 against differences of the plain frame, degree 0 against its
-    # values, at the basepoint and at one continued fiber
-    item4 = structure_from_arrangement(_rank2_data(), 2, allow_k_ge_2=True)
+    # values, at the basepoint and at one nearby fiber
+    item4 = structure_from_arrangement(_rank2_data(), 2)
     item4_offset = np.array([0.011, -0.007j, 0.004, 0.009j, -0.013, 0.006])
     rng = np.random.default_rng(4242)
     for F in all_structures + [item4]:
@@ -358,9 +405,9 @@ def test_diagonal_frame_exactness(random_k1_structures, all_structures):
         right = backend.diagonal_form(z, [h1, P[i] * h2])
         assert abs(left - right) <= 1e-12 * max(1.0, abs(left))
     # the flat-frame form is symmetric bit for bit, in every coefficient of
-    # its jet, at the basepoint and at a continued fiber, on every
+    # its jet, at the basepoint and at a nearby fiber, on every
     # arrangement structure of the tests
-    item4 = structure_from_arrangement(_rank2_data(), 2, allow_k_ge_2=True)
+    item4 = structure_from_arrangement(_rank2_data(), 2)
     for F in all_structures + [item4]:
         for z in (F.basepoint, F.basepoint + 0.01):
             W = frame_values(F, z)[2]
@@ -394,12 +441,11 @@ def test_pairing_nondegenerate(all_structures):
         assert np.isfinite(cond) and cond < 1e6
 
 
-def test_k_ge_2_requires_flag():
+def test_k_ge_2_needs_no_flag():
     data = ArrangementData(
         [(1, 0), (0, 1), (1, 1), (1, -1)], (1, 1, 1, 1), (0.3, -0.5, 0.9, 1.4)
     )
-    with pytest.raises(PreconditionError):
-        structure_from_arrangement(data, 2)
+    assert structure_from_arrangement(data, 2).mu == data.count == 3
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -408,7 +454,7 @@ def test_structure_refuses_orders_other_than_two(fixture_data, m):
     with pytest.raises(PreconditionError):
         structure_from_arrangement(fixture_data, m)
     with pytest.raises(PreconditionError):
-        structure_from_arrangement(_rank2_data(), m, allow_k_ge_2=True)
+        structure_from_arrangement(_rank2_data(), m)
 
 
 def test_k_ge_2_experimental_solver_finds_critical_points():
@@ -416,7 +462,7 @@ def test_k_ge_2_experimental_solver_finds_critical_points():
         [(1, 0), (0, 1), (1, 1), (1, -1)], (1, 1, 1, 1), (0.3, -0.5, 0.9, 1.4)
     )
     frame = critical_points(data, data.basepoint)
-    assert frame.mu >= 1
+    assert frame.mu == data.count == 3
     assert frame.residuals.max() <= 1e-9 * 3
     fvals = data.hyperplane_values(data.basepoint, frame.points)
     assert np.min(np.abs(fvals)) > 1e-8

@@ -13,6 +13,7 @@ import matpot.systems
 from matpot import Context, LinearMatroid, __version__, equivalence_report
 from matpot.cli import main
 from matpot.jsonio import dumps_canonical
+from oracles import euler_count
 
 
 def run_cli(capsys, args, payload=None, tmp_path=None):
@@ -374,19 +375,12 @@ def test_tolerance_env_must_be_finite_and_nonnegative(capsys, tmp_path, monkeypa
     "payload",
     [{"B": [[1], [1]], "a": [1, 1], "x": [1, -1], "m": 2, "N_max": 5}, _SPREAD_REPRODUCER],
 )
-def test_potentials_continue_no_fiber(capsys, tmp_path, monkeypatch, payload):
-    # both tables read jets at the basepoint, whose fiber the structure owns
-    continuations = []
-    real = matpot.arrangements.continue_fiber
-
-    def counting(data, frame, z):
-        continuations.append(z)
-        return real(data, frame, z)
-
-    monkeypatch.setattr(matpot.arrangements, "continue_fiber", counting)
+def test_potentials_continue_no_fiber(capsys, tmp_path, fiber_solves, payload):
+    # both tables read jets at the basepoint, whose fiber the structure owns:
+    # no fiber is solved beyond the basepoint
     code, _ = run_cli(capsys, ["potentials"], payload, tmp_path)
     assert code == 0
-    assert continuations == []
+    assert fiber_solves == [True]
 
 
 def test_bool_n_max_is_a_schema_error(capsys, tmp_path):
@@ -572,21 +566,17 @@ def test_verify_arrangement_k2_drops_diverged_seed(capsys, tmp_path):
         "x": [[-0.1, 0.2], [1.8, 0.1], [0.3, -0.2], [-1.6, 0.2], [1.6, 0.2], 0.8],
         "m": 2,
     }
-    code, out = run_cli(capsys, ["verify-arrangement", "--allow-k-ge-2"], payload, tmp_path)
+    code, out = run_cli(capsys, ["verify-arrangement"], payload, tmp_path)
     assert code == 0
     result = json.loads(out)["result"]
     assert result["mu"] == 8
     assert result["report"]["max_violation"] <= 1e-6
 
 
-def test_verify_arrangement_k1_samples_need_no_tracking(capsys, tmp_path, monkeypatch):
+def test_verify_arrangement_k1_samples_need_no_tracking(capsys, tmp_path, fiber_solves):
     # nearest-point tracking from the basepoint lost this fiber's points
     # (continuation error) although every sample fiber is off the
-    # discriminant; rank-1 sample fibers are solved afresh instead
-    def no_continuation(*args):
-        raise AssertionError("a rank-1 fiber was continued")
-
-    monkeypatch.setattr(matpot.arrangements, "continue_fiber", no_continuation)
+    # discriminant; sample fibers are solved afresh instead, once each
     payload = {
         "B": [[3], [2], [-2], ["-1/2"], [1], ["1/3"]],
         "a": [1, -1, 1, -2, 2, 1],
@@ -598,3 +588,60 @@ def test_verify_arrangement_k1_samples_need_no_tracking(capsys, tmp_path, monkey
     result = json.loads(out)["result"]
     assert result["mu"] == 5
     assert result["report"]["max_violation"] <= 1e-8
+    assert fiber_solves == [True, False, False]
+
+
+_SHORT_K2 = {"B": [[-1, 1], [2, -1], [-1, -1], [-1, -3]], "a": [4, "1/2", "3/2", 2],
+             "x": [0.84, -1.874, -0.989, 1.064], "m": 2}
+
+
+@pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
+def test_short_k2_fiber_is_near_discriminant(capsys, tmp_path, command):
+    # the vertex cloud finds 2 of the 3 points the matroid predicts at the
+    # basepoint; both commands used to answer from the short fiber
+    code, out = run_cli(capsys, [command], _SHORT_K2, tmp_path)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "near-discriminant"
+    assert error["message"] == "found 2 critical points, expected 3"
+
+
+@pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
+def test_allow_k_ge_2_is_a_usage_error(capsys, tmp_path, command):
+    # rank 2 needs no flag, so the old one is an unrecognized argument
+    with pytest.raises(SystemExit) as info:
+        run_cli(capsys, [command, "--allow-k-ge-2"], _SHORT_K2, tmp_path)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --allow-k-ge-2" in capsys.readouterr().err
+
+
+def _draw_k2_payload(rng):
+    """A rank-2 arrangement input: n in 4-6, entries of B in -3..3 and 1/3,
+    weights in 1/2..4, real basepoint."""
+    n = rng.randint(4, 6)
+    while True:
+        B = [[rng.choice([-3, -2, -1, 0, 1, 2, 3, "1/3"]) for _ in range(2)] for _ in range(n)]
+        rows = [[Fraction(v) for v in r] for r in B]
+        if any(p[0] * q[1] != p[1] * q[0] for i, p in enumerate(rows) for q in rows[i + 1:]):
+            break
+    a = [rng.choice(["1/2", 1, "3/2", 2, 3, 4]) for _ in range(n)]
+    x = [round(rng.uniform(-2, 2), 3) for _ in range(n)]
+    return {"B": B, "a": a, "x": x, "m": 2}
+
+
+def test_k2_sweep_slice_gets_full_count_or_near_discriminant(capsys, tmp_path):
+    # no rank-2 input exits 0 with fewer points than the matroid's count
+    rng = random.Random(4242)
+    outcomes = []
+    for _ in range(30):
+        payload = _draw_k2_payload(rng)
+        code, out = run_cli(capsys, ["verify-arrangement"], payload, tmp_path)
+        envelope = json.loads(out)
+        if code == 0:
+            count = euler_count(LinearMatroid([[Fraction(v) for v in r] for r in payload["B"]]), 2)
+            assert envelope["result"]["mu"] == count
+            outcomes.append("ok")
+        else:
+            assert (code, envelope["error"]["code"]) == (2, "near-discriminant")
+            outcomes.append("near")
+    assert outcomes.count("ok") >= 25

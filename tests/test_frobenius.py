@@ -171,20 +171,14 @@ def test_first_kind_flags_a_drifting_coefficient(constant_structure, drift):
         assert first_kind_polynomial(drifting).coefficients == first_kind_polynomial(F).coefficients
 
 
-def test_first_kind_reads_one_pairing_jet(monkeypatch):
-    # one degree-1 jet at the basepoint: no frame jet, no fiber continuation
-    continuations, calls = [], []
-    real = matpot.arrangements.continue_fiber
-
-    def counting(data, frame, z):
-        continuations.append(z)
-        return real(data, frame, z)
-
-    monkeypatch.setattr(matpot.arrangements, "continue_fiber", counting)
+def test_first_kind_reads_one_pairing_jet(fiber_solves):
+    # one degree-1 jet at the basepoint: no frame jet, no fiber solved
+    # beyond the basepoint
+    calls = []
     F = structure_from_arrangement(_REPRODUCER, 2)
     Q = first_kind_polynomial(_counting(F, calls))
     assert calls == ["jet"]
-    assert continuations == []
+    assert fiber_solves == [True]
     assert set(Q.coefficients) == set(F.context().base_sums)
 
 
@@ -463,22 +457,15 @@ def test_no_package_module_imports_findiff():
             assert not any("findiff" in name for name in names), path.name
 
 
-def test_checks_take_no_differences_and_one_fiber_per_sample(monkeypatch):
-    partials, continuations = [], []
+def test_checks_take_no_differences_and_one_fiber_per_sample(monkeypatch, fiber_solves):
+    partials = []
     monkeypatch.setattr(matpot.findiff, "multi_partial", lambda *a, **k: partials.append(a))
-    real = matpot.arrangements.continue_fiber
-
-    def counting(data, frame, z):
-        continuations.append(z)
-        return real(data, frame, z)
-
-    monkeypatch.setattr(matpot.arrangements, "continue_fiber", counting)
     F = structure_from_arrangement(_REPRODUCER, 2)
     samples = _samples(F, 3, 7)
     verify_axioms(F, samples)
     # the basepoint fiber is the structure's own; every other sample is
-    # continued to once
-    assert len(continuations) <= len(samples) - 1
+    # solved once
+    assert fiber_solves.count(True) == 1 and len(fiber_solves) <= len(samples)
     T2 = F.context().system((2, 1, 0, 0, 0))
     assert remainder_swap_residual(F, T2, 1, 2) <= 1e-10
     assert partials == []
@@ -864,16 +851,15 @@ def test_checks_share_one_basepoint_frame(fixture_structure, random_k1_structure
 
 
 @pytest.mark.parametrize("extra", [1, 2, 3])
-def test_one_basepoint_frame_and_two_spaces_per_op(monkeypatch, extra):
+def test_one_basepoint_frame_and_two_spaces_per_op(monkeypatch, fiber_solves, extra):
     # a benchmark-shaped op (the structure, verify_axioms with the basepoint
     # as first sample, both potentials, both checks) evaluates the frame jet
     # at the basepoint once, builds at most two series spaces (degree 1 and
-    # the second kind's n_max - mk - 1) and continues no fiber (rank-1 sample
-    # fibers are solved afresh)
-    frames, spaces, continued = [], [], []
+    # the second kind's n_max - mk - 1) and solves each sample fiber once
+    # (the basepoint's when the structure is built)
+    frames, spaces = [], []
     real_frame_jet = matpot.arrangements.ArrangementBackend.frame_jet
     real_init = matpot.series.SeriesSpace.__init__
-    real_continue = matpot.arrangements.continue_fiber
 
     def frame_jet(self, z, space):
         frames.append(np.array_equal(z, self.data.basepoint))
@@ -883,13 +869,8 @@ def test_one_basepoint_frame_and_two_spaces_per_op(monkeypatch, extra):
         spaces.append(q)
         real_init(self, n, q)
 
-    def continue_fiber(data, frame, z):
-        continued.append(np.array_equal(z, data.basepoint))
-        return real_continue(data, frame, z)
-
     monkeypatch.setattr(matpot.arrangements.ArrangementBackend, "frame_jet", frame_jet)
     monkeypatch.setattr(matpot.series.SeriesSpace, "__init__", init)
-    monkeypatch.setattr(matpot.arrangements, "continue_fiber", continue_fiber)
     F = structure_from_arrangement(_REPRODUCER, 2)
     samples = _samples(F, 2, 11)
     verify_axioms(F, samples)
@@ -898,7 +879,7 @@ def test_one_basepoint_frame_and_two_spaces_per_op(monkeypatch, extra):
     check_second_kind(F, L)
     assert frames.count(True) == 1 and len(frames) == len(samples)
     assert sorted(set(spaces)) == sorted(spaces) and len(spaces) <= 2
-    assert continued == []
+    assert fiber_solves.count(True) == 1 and len(fiber_solves) == len(samples)
 
 
 def test_check_first_kind_needs_degree_mk(fixture_structure):
