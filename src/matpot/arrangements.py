@@ -19,8 +19,10 @@ To present this as a FlatFrameStructure the working frame is changed to mu
 of the sections C_I (unit) for maximal independent index sets I: those
 sections satisfy only constant-coefficient relations, so the frame they span
 is flat, the form becomes z-constant, and the flatness of the remaining
-sections is a genuine testable statement.  The raw diagonal data stays
-available on the backend for exactness checks.
+sections is a genuine testable statement.  The backend answers only through
+jets, the pairing jets at the basepoint and the frame jets in that flat
+frame; of the diagonal data it keeps the basepoint fiber, whose Newton
+residuals and Hessian determinants are the plain diagnostics.
 
 For generic weights and z the fiber has exactly mu = |sum over independent S
 with |S| <= k of (-1)^|S|| points, the Euler characteristic of the
@@ -285,9 +287,10 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     1e-9 * (1 + max |z_i|), it lies within 1e-8 * (1 + max |z_i|) of a
     hyperplane or an accepted point, or its Hessian is (nearly) singular
     (|det| < 1e-12).  For k = 1 a drop raises DiscriminantError instead: a
-    Newton failure first, then the first candidate too near or flat, then the
-    first residual above the bound.  At every rank a fiber with other than
-    ``data.count`` points raises DiscriminantError.
+    Newton failure first (named as a point on a hyperplane when its root
+    started within 1e-6 (1 + max |z_i|) of one), then the first candidate too
+    near or flat, then the first residual above the bound.  At every rank a
+    fiber with other than ``data.count`` points raises DiscriminantError.
     """
     if data.count == 0:
         raise PreconditionError(
@@ -303,9 +306,12 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     # NaN fails every comparison, so failed seeds (residual NaN) drop out
     with np.errstate(over="ignore"):
         clean = (res <= 1e-9 * scale) & (np.max(np.abs(t), axis=1) <= ESCAPE_RADIUS * scale)
+    on_hyperplane = "a critical point lies on (or too near) a hyperplane"
     if strict:
-        for failure in filter(None, failures):
-            raise DiscriminantError(failure)
+        for s in [s for s, why in enumerate(failures) if why][:1]:
+            # a failed root that started near a hyperplane is refused for it
+            started_near = np.min(np.abs(_values(data, z, candidates[s:s + 1]))) < 1e-6 * scale
+            raise DiscriminantError(on_hyperplane if started_near else failures[s])
     kept = np.arange(len(t)) if strict else np.flatnonzero(clean)
     fvals = _values(data, z, t[kept])
     near = np.min(np.abs(fvals), axis=1) < hyper_margin
@@ -321,7 +327,7 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
         for s in np.flatnonzero(collide | near | flat)[:1]:
             raise DiscriminantError(
                 "critical points collide" if collide[s]
-                else "a critical point lies on (or too near) a hyperplane" if near[s]
+                else on_hyperplane if near[s]
                 else "degenerate critical point (vanishing Hessian)"
             )
         for s in np.flatnonzero(~clean)[:1]:
@@ -346,21 +352,6 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     )
 
 
-def _p_values(data: ArrangementData, frame: CriticalPointFrame) -> np.ndarray:
-    """Matrix P[i, s] = a_i / f_i(t^s, z) of Higgs eigenvalues over z = frame.z."""
-    fvals = data.hyperplane_values(frame.z, frame.points)  # (mu, n)
-    return (data.a[None, :] / fvals).T
-
-
-def _sections(P: np.ndarray, sets) -> np.ndarray:
-    """Columns: diagonal-frame values of C_I (unit) for each index set I."""
-    U = np.ones((P.shape[1], len(sets)), dtype=complex)
-    for c, I in enumerate(sets):
-        for i in I:
-            U[:, c] *= P[i - 1]
-    return U
-
-
 class ArrangementBackend:
     """Holds the basepoint fiber of one arrangement structure and evaluates its jets."""
 
@@ -368,39 +359,6 @@ class ArrangementBackend:
         self.data = data
         self.flat_basis = tuple(tuple(sorted(I)) for I in flat_basis)
         self.base_frame = base_frame
-
-    def fiber(self, z) -> CriticalPointFrame:
-        """The base frame over the basepoint; else the fiber over z, solved
-        afresh (frame jets do not depend on the order of its points)."""
-        if np.array_equal(z, self.base_frame.z):
-            return self.base_frame
-        return critical_points(self.data, z)
-
-    def p_values(self, z) -> np.ndarray:
-        """Matrix P[i, s] = a_i / f_i(t^s, z) of Higgs eigenvalues."""
-        return _p_values(self.data, self.fiber(z))
-
-    def diagonal_form(self, z, vectors):
-        """Residue pairing of value vectors in the critical-point frame."""
-        out = 1.0 / self.fiber(z).det_hess
-        for v in vectors:
-            out = out * np.asarray(v, dtype=complex)
-        return complex(np.sum(out))
-
-    def x_field_residual(self, z) -> float:
-        """Worst |sum_i b_i^j p_i| over the fiber; zero in exact arithmetic."""
-        P = self.p_values(z)
-        comb = self.data.B.T @ P  # (k, mu)
-        return float(np.max(np.abs(comb)))
-
-    def section_matrix(self, z) -> np.ndarray:
-        """Columns: diagonal-frame values of C_I (unit) for every maximal
-        independent I, in lexicographic order of I."""
-        return _sections(self.p_values(z), [tuple(sorted(B)) for B in self.data.matroid.bases()])
-
-    def generation_rank(self, z) -> int:
-        V = self.section_matrix(z)
-        return int(np.linalg.matrix_rank(V, tol=1e-9 * max(1.0, float(np.max(np.abs(V))))))
 
     def _series_fiber(self, space: SeriesSpace, frame: CriticalPointFrame):
         """Series at z = frame.z, in delta up to degree space.q, of the Higgs
@@ -462,11 +420,13 @@ class ArrangementBackend:
         flat basis, products of the eigenvalue series p; then H_i =
         U^-1 diag(p_i) U and the unit U^-1 (1, ..., 1) come from one series
         solve with all n mu + 1 right-hand columns, and the form is
-        sum_s (U_sa U_sb) w_s.  Takes the fiber over z from ``fiber`` and no
-        other fiber; permuting its points permutes the rows of U and of the
-        right-hand sides alike, so the jet does not depend on their order.
+        sum_s (U_sa U_sb) w_s.  The fiber over z is the base frame at the
+        basepoint and is solved afresh elsewhere; permuting its points
+        permutes the rows of U and of the right-hand sides alike, so the jet
+        does not depend on their order.
         """
-        p, w = self._series_fiber(space, self.fiber(z))
+        frame = self.base_frame if np.array_equal(z, self.base_frame.z) else critical_points(self.data, z)
+        p, w = self._series_fiber(space, frame)
         mu, n = p.shape[:2]
         labels = np.array(self.flat_basis, dtype=np.intp) - 1  # (mu, k)
         U = p[:, labels[:, 0]]
@@ -486,7 +446,12 @@ class ArrangementBackend:
 def _choose_flat_basis(data: ArrangementData, frame: CriticalPointFrame):
     """Greedily pick mu maximal independent sets whose sections span the fiber."""
     sets = [tuple(sorted(B)) for B in data.matroid.bases()]
-    V = _sections(_p_values(data, frame), sets)
+    # column c: the diagonal-frame values prod_{i in I_c} a_i / f_i(t^s) of C_I (unit)
+    P = (data.a[None, :] / data.hyperplane_values(frame.z, frame.points)).T
+    V = np.ones((frame.mu, len(sets)), dtype=complex)
+    for c, I in enumerate(sets):
+        for i in I:
+            V[:, c] *= P[i - 1]
     chosen = []
     for c in range(len(sets)):
         M = V[:, chosen + [c]]

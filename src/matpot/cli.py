@@ -207,15 +207,15 @@ def _cmd_verify_arrangement(args) -> dict:
     structure = structure_from_arrangement(data, m)
     backend = structure.backend
     report = verify_axioms(structure, _sample_points(structure), hard_threshold=None)
-    x = structure.basepoint
-    ones = np.ones(structure.mu, dtype=complex)
+    # each diagnostic as the structure computed it: Newton residuals, the
+    # rank the flat basis certifies, and S(unit, unit) = sum_s 1 / det Hess
     return {
         "mu": structure.mu,
         "bases": [subset_to_json(B) for B in structure.matroid.bases()],
         "report": report.as_dict(),
-        "x_field_residual": backend.x_field_residual(x),
-        "generation_rank": backend.generation_rank(x),
-        "pairing_unit": complex_to_json(backend.diagonal_form(x, [ones, ones])),
+        "x_field_residual": float(np.max(backend.base_frame.residuals)),
+        "generation_rank": len(backend.flat_basis),
+        "pairing_unit": complex_to_json(np.sum(1.0 / backend.base_frame.det_hess)),
         "pairing_condition": float(np.linalg.cond(structure.basepoint_frame[2][..., 0])),
     }
 

@@ -37,7 +37,7 @@ function takes differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Any, Callable
@@ -122,13 +122,14 @@ class FlatFrameStructure:
     def maximal_independent_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(sorted(B)) for B in self.matroid.bases())
 
+    @cached_property
+    def _base_labels(self) -> np.ndarray:
+        """0-based labels of every maximal independent set, one sorted row
+        each (all have size k), built once for ``_flat_sections``."""
+        return np.array(self.maximal_independent_sets(), dtype=np.intp) - 1
+
     def scale(self) -> float:
         return float(np.max(np.abs(self.basepoint))) if self.basepoint.size else 0.0
-
-
-def _apply_slot(W, M, slot):
-    out = np.tensordot(W, M, axes=([slot], [0]))
-    return np.moveaxis(out, -1, slot)
 
 
 @dataclass
@@ -147,15 +148,17 @@ class AxiomReport:
                              self.section_flatness, self.form_flatness]))
 
     def as_dict(self) -> dict:
-        return {
-            "commutativity": self.commutativity,
-            "integrability": self.integrability,
-            "higgs_invariance": self.higgs_invariance,
-            "section_flatness": self.section_flatness,
-            "form_flatness": self.form_flatness,
-            "max_violation": self.max_violation,
-            "samples": self.samples,
-        }
+        return {**asdict(self), "max_violation": self.max_violation}
+
+
+def _flat_sections(F: FlatFrameStructure, H, u, space: SeriesSpace) -> np.ndarray:
+    """Series of the sections C_I (unit) in the frame of the series H (n, mu,
+    mu, size) and u (mu, size), for every maximal independent I in the order
+    of ``maximal_independent_sets``: shape (bases, mu, size)."""
+    sections = np.broadcast_to(u, (len(F._base_labels),) + u.shape)
+    for col in F._base_labels.T:
+        sections = space.mul(H[col], sections[:, None, :, :]).sum(axis=2)
+    return sections
 
 
 def _worst(current: float, arr) -> float:
@@ -193,29 +196,24 @@ def verify_axioms(
     F = structure
     if F.frame_jet is None:
         raise PreconditionError("verify_axioms needs a structure with a frame_jet")
-    n, m = F.n, F.m
     space = F.space(1)
-    # labels of every maximal independent set, one row each (all have size k)
-    sets = np.array(F.maximal_independent_sets(), dtype=np.intp) - 1
-
     comm = integ = invari = sect = formflat = 0.0
     for z in samples:
         frame = F.basepoint_frame if np.array_equal(z, F.basepoint) else F.frame_jet(z, space)
         H, u, W = (np.asarray(v, dtype=complex) for v in frame)
         H0, W0 = H[..., 0], W[..., 0]
-        for a in range(n):
-            for b in range(a + 1, n):
-                comm = _worst(comm, H0[a] @ H0[b] - H0[b] @ H0[a])
-        for a in range(n):
-            for q in range(1, m):
-                invari = _worst(invari, _apply_slot(W0, H0[a], 0) - _apply_slot(W0, H0[a], q))
+        products = H0[:, None] @ H0[None]  # H_a H_b at [a, b]
+        comm = _worst(comm, products - products.swapaxes(0, 1))
+        # slot[q][a] is the form with H_a applied in slot q; the matmul keeps
+        # each H_a product's own shape, so its rounding is that of one product
+        stack = H0.reshape((len(H0),) + (1,) * (F.m - 2) + H0.shape[1:])
+        slot = [np.moveaxis(np.moveaxis(W0, q, -1) @ stack, -1, q + 1) for q in range(F.m)]
+        for q in range(1, F.m):
+            invari = _worst(invari, slot[0] - slot[q])
         # dH[j, :, :, i] = d_i H_j
         dH = H[..., space.degree_one]
         integ = _worst(integ, dH - np.swapaxes(dH, 0, 3))
-        sections = np.broadcast_to(u, (len(sets),) + u.shape)
-        for col in sets.T:
-            sections = space.mul(H[col], sections[:, None, :, :]).sum(axis=2)
-        sect = _worst(sect, sections[..., 1:])
+        sect = _worst(sect, _flat_sections(F, H, u, space)[..., 1:])
         formflat = _worst(formflat, W[..., 1:])
     report = AxiomReport(
         commutativity=comm,
@@ -334,17 +332,16 @@ def _section_defect(F: FlatFrameStructure, coefficients: dict, higgs: bool) -> f
     tuples of bases with replacement, alpha their multi-index sum; with
     ``higgs``, alpha + e_i against S(C_i C_{I_1} unit, ...) for every label i.
     The constant terms of the structure's ``basepoint_frame`` give the form,
-    contracted once with V = [C_I unit] in every slot, H_i V in the first."""
-    H, u, W = (v[..., 0] for v in F.basepoint_frame)
-    sets = np.array(F.maximal_independent_sets(), dtype=np.intp) - 1
-    V = np.repeat(u[:, None], len(sets), axis=1)
-    for col in sets.T:
-        V = np.einsum("bij,jb->ib", H[col], V)
+    contracted once with V = [C_I unit] (``_flat_sections``) in every slot,
+    H_i V in the first."""
+    H, u, W = F.basepoint_frame
+    V = _flat_sections(F, H, u, F.space(1))[..., 0].T
+    H, W = H[..., 0], W[..., 0]
     rhs = np.tensordot(W, H @ V if higgs else V, axes=([0], [1 if higgs else 0]))
     for _ in range(F.m - 1):
         rhs = np.tensordot(rhs, V, axes=([0], [0]))
-    tuples = np.array(list(combinations_with_replacement(range(len(sets)), F.m))).T
-    alphas = np.eye(F.n, dtype=np.intp)[sets].sum(axis=1)[tuples].sum(axis=0)
+    tuples = np.array(list(combinations_with_replacement(range(V.shape[1]), F.m))).T
+    alphas = np.eye(F.n, dtype=np.intp)[F._base_labels].sum(axis=1)[tuples].sum(axis=0)
     if higgs:
         alphas = alphas + np.eye(F.n, dtype=np.intp)[:, None, :]
     lhs = [coefficients.get(T, 0.0) * _factorial_multi(T) for T in map(tuple, alphas.reshape(-1, F.n).tolist())]

@@ -6,7 +6,9 @@ rank-1 arrangements) or evaluates hand-derived closed forms for the
 two-hyperplane fixture, so library results can be checked against an
 unrelated code path.
 ``plain_frame`` evaluates an arrangement structure's flat frame with plain
-numpy solves, the reference for the constant terms of its jets;
+numpy solves, the reference for the constant terms of its jets, and
+``diagonal_diagnostics`` the ``verify-arrangement`` diagnostics from the
+diagonal frame;
 ``frame_values`` reads the same frame off a degree-0 ``frame_jet``, the
 reference the jet tests compare against.  ``remainder_swap_residual``
 compares the first-order terms of two pairing jets, the atomic exchange
@@ -473,14 +475,14 @@ def brute_good_decompositions(T):
 
 def plain_frame(F, z):
     """(H, unit, form) of an arrangement structure at z, computed plainly:
-    the Higgs eigenvalues P[i, s] = a_i / f_i(t^s) on the backend's fiber
-    over z, the flat-basis sections U[s, c] = prod_{i in I_c} P[i, s], then
+    the Higgs eigenvalues P[i, s] = a_i / f_i(t^s) on a fresh solve of the
+    fiber over z, the flat-basis sections U[s, c] = prod_{i in I_c} P[i, s], then
     H_i = U^-1 diag(P_i) U and the unit U^-1 (1, ..., 1) by
     ``np.linalg.solve`` and the form sum_s U_sa U_sb / det Hess(t^s).  No
     series and no jet: the reference for the constant terms of the jets."""
     backend = F.backend
     data = backend.data
-    frame = backend.fiber(z)
+    frame = critical_points(data, z)
     P = (data.a[None, :] / data.hyperplane_values(z, frame.points)).T
     U = np.ones((frame.mu, len(backend.flat_basis)), dtype=complex)
     for c, I in enumerate(backend.flat_basis):
@@ -490,6 +492,22 @@ def plain_frame(F, z):
     unit = np.linalg.solve(U, np.ones(frame.mu, dtype=complex))
     form = np.einsum("sa,sb,s->ab", U, U, 1.0 / frame.det_hess)
     return H, unit, form
+
+
+def diagonal_diagnostics(data, z):
+    """(x-field residual, generation rank, unit pairing) of the fiber over z
+    in the diagonal frame: max |B^T P| for P[i, s] = a_i / f_i(t^s), the
+    rank of the sections [prod_{i in I} P_i] over every maximal independent
+    I, and sum_s 1 / det Hess(t^s) with Hess = -B^T diag(P_s^2 / a) B."""
+    frame = critical_points(data, z)
+    P = (data.a[None, :] / data.hyperplane_values(z, frame.points)).T
+    V = np.array([np.prod(P[[i - 1 for i in I]], axis=0) for I in data.matroid.bases()]).T
+    hess = [-(data.B.T * (P[:, s] ** 2 / data.a)) @ data.B for s in range(frame.mu)]
+    return (
+        float(np.max(np.abs(data.B.T @ P))),
+        int(np.linalg.matrix_rank(V, tol=1e-9 * max(1.0, float(np.max(np.abs(V)))))),
+        complex(np.sum(1.0 / np.linalg.det(hess))),
+    )
 
 
 def frame_values(F, z):

@@ -318,11 +318,21 @@ def test_k2_sample_fiber_is_solved_afresh(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", counting)
+    frames = []
+    real_series = matpot.arrangements.ArrangementBackend._series_fiber
+
+    def recording(self, space, frame):
+        frames.append(frame)
+        return real_series(self, space, frame)
+
+    monkeypatch.setattr(matpot.arrangements.ArrangementBackend, "_series_fiber", recording)
     data = _rank2_data()
     F = structure_from_arrangement(data, 2)
-    assert len(calls) == 1 and F.backend.fiber(data.basepoint) is F.backend.base_frame
+    F.frame_jet(data.basepoint, F.space(1))
+    assert len(calls) == 1 and frames[-1] is F.backend.base_frame
     z = data.basepoint + np.array([0.011, -0.007j, 0.004, 0.009j, -0.013, 0.006])
-    moved = F.backend.fiber(z)
+    F.frame_jet(z, F.space(1))
+    moved = frames[-1]
     assert len(calls) == 2
     fresh = critical_points(data, z)
     assert moved.mu == fresh.mu == data.count == 8
@@ -350,27 +360,24 @@ def test_frame_jet_matches_richardson_reference(all_structures):
 
 
 def test_structure_golden_values(fixture_structure):
-    backend = fixture_structure.backend
     x = fixture_structure.basepoint
-    ones = np.ones(1, dtype=complex)
-    p = backend.p_values(x)
-    assert np.allclose(p[:, 0], fix2_p(x), atol=1e-12)
-    assert abs(backend.diagonal_form(x, [ones, ones]) - fix2_pair_unit(x)) < 1e-10
-    assert abs(backend.diagonal_form(x, [p[0] * p[0], ones]) - (-0.5)) < 1e-10
-    # the golden values are z-constant where they should be
-    for z in [x + np.array([0.2, 0.1]), x + np.array([-0.3, 0.05])]:
-        q = backend.p_values(z)
-        assert abs(backend.diagonal_form(z, [q[0] * q[0], np.ones(1)]) - (-0.5)) < 1e-10
-        assert abs(
-            backend.diagonal_form(z, [np.ones(1), np.ones(1)]) - fix2_pair_unit(z)
-        ) < 1e-10
+    # mu = 1: the 1 x 1 Higgs matrices are the eigenvalues p_i themselves
+    assert np.allclose(fixture_structure.basepoint_frame[0][:, 0, 0, 0], fix2_p(x), atol=1e-12)
+    # the golden pairings are the constant terms of pairing jets, on a
+    # structure at each basepoint; S(C_1 C_1 unit, unit) is z-constant
+    data = fixture_structure.backend.data
+    for z in [x, x + np.array([0.2, 0.1]), x + np.array([-0.3, 0.05])]:
+        F = structure_from_arrangement(ArrangementData(data.matrix, data.weights, z), 2)
+        unit, c11 = F.jet(F.space(0), [(0, 0), (2, 0)])[:, 0]
+        assert abs(unit - fix2_pair_unit(z)) < 1e-10
+        assert abs(c11 - (-0.5)) < 1e-10
 
 
 def test_higgs_vanishes_on_column_fields(all_structures):
     for F in all_structures:
         backend = F.backend
         for z in [F.basepoint, F.basepoint + 0.11]:
-            assert backend.x_field_residual(z) <= 1e-10
+            assert critical_points(backend.data, z).residuals.max() <= 1e-10
             # in the flat frame: sum_i b_i C_i = 0 as matrices
             H = frame_values(F, z)[0]
             combo = sum(complex(backend.data.B[i - 1, 0]) * H[i - 1] for i in F.matroid.ground.labels)
@@ -393,16 +400,15 @@ def test_flat_sections_have_constant_coordinates(all_structures):
 
 
 def test_diagonal_frame_exactness(random_k1_structures, all_structures):
+    # S(C_i h1, h2) = S(h1, C_i h2) in the flat frame at the basepoint
     F = random_k1_structures[0]
-    backend = F.backend
-    z = F.basepoint
+    H, _, W = (v[..., 0] for v in F.basepoint_frame)
     rng = np.random.default_rng(3)
     h1 = rng.standard_normal(F.mu) + 1j * rng.standard_normal(F.mu)
     h2 = rng.standard_normal(F.mu) + 1j * rng.standard_normal(F.mu)
-    P = backend.p_values(z)
     for i in range(F.n):
-        left = backend.diagonal_form(z, [P[i] * h1, h2])
-        right = backend.diagonal_form(z, [h1, P[i] * h2])
+        left = (H[i] @ h1) @ W @ h2
+        right = h1 @ W @ (H[i] @ h2)
         assert abs(left - right) <= 1e-12 * max(1.0, abs(left))
     # the flat-frame form is symmetric bit for bit, in every coefficient of
     # its jet, at the basepoint and at a nearby fiber, on every
@@ -419,9 +425,9 @@ def test_diagonal_frame_exactness(random_k1_structures, all_structures):
 def test_generation_condition_and_kernel(random_k1_structures):
     for F in random_k1_structures:
         backend = F.backend
-        x = F.basepoint
-        assert backend.generation_rank(x) == F.mu
-        V = backend.section_matrix(x)  # mu x n, columns C_{i}(unit)
+        assert len(backend.flat_basis) == F.mu
+        H, u, _ = (v[..., 0] for v in F.basepoint_frame)
+        V = (H @ u).T  # mu x n, columns C_{i}(unit) in the flat frame
         b = backend.data.B[:, 0]
         assert np.max(np.abs(V @ b)) <= 1e-10
         assert np.linalg.matrix_rank(V, tol=1e-8) == F.mu == F.n - 1

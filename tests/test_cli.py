@@ -10,10 +10,10 @@ import matpot.arrangements
 import matpot.matroids
 import matpot.partition
 import matpot.systems
-from matpot import Context, LinearMatroid, __version__, equivalence_report
+from matpot import ArrangementData, Context, LinearMatroid, __version__, critical_points, equivalence_report
 from matpot.cli import main
 from matpot.jsonio import dumps_canonical
-from oracles import euler_count
+from oracles import diagonal_diagnostics, euler_count
 
 
 def run_cli(capsys, args, payload=None, tmp_path=None):
@@ -557,16 +557,18 @@ def test_unconverged_k1_fiber_is_near_discriminant(capsys, tmp_path, command):
     assert "residual" in error["message"]
 
 
+_DIVERGED_K2 = {
+    "B": [[-1, -1], [0, 1], [0, 1], [2, 3], [1, 2], [-3, -3]],
+    "a": [2, 3, 3, 3, 3, 1],
+    "x": [[-0.1, 0.2], [1.8, 0.1], [0.3, -0.2], [-1.6, 0.2], [1.6, 0.2], 0.8],
+    "m": 2,
+}
+
+
 def test_verify_arrangement_k2_drops_diverged_seed(capsys, tmp_path):
     # one seed of the rank-2 cloud diverges; it used to enter the frame as a
     # NaN row and break the SVD with an internal error
-    payload = {
-        "B": [[-1, -1], [0, 1], [0, 1], [2, 3], [1, 2], [-3, -3]],
-        "a": [2, 3, 3, 3, 3, 1],
-        "x": [[-0.1, 0.2], [1.8, 0.1], [0.3, -0.2], [-1.6, 0.2], [1.6, 0.2], 0.8],
-        "m": 2,
-    }
-    code, out = run_cli(capsys, ["verify-arrangement"], payload, tmp_path)
+    code, out = run_cli(capsys, ["verify-arrangement"], _DIVERGED_K2, tmp_path)
     assert code == 0
     result = json.loads(out)["result"]
     assert result["mu"] == 8
@@ -589,6 +591,50 @@ def test_verify_arrangement_k1_samples_need_no_tracking(capsys, tmp_path, fiber_
     assert result["mu"] == 5
     assert result["report"]["max_violation"] <= 1e-8
     assert fiber_solves == [True, False, False]
+
+
+def test_verify_arrangement_diagnostics_match_the_diagonal_frame(capsys, tmp_path, all_structures):
+    # the three diagnostics read the basepoint fiber and the flat basis; a
+    # diagonal-frame evaluation from a fresh solve agrees on every tier-1
+    # arrangement structure and on the rank-2 instance
+    datas = [F.backend.data for F in all_structures]
+    x = [complex(*v) if isinstance(v, list) else v for v in _DIVERGED_K2["x"]]
+    datas.append(ArrangementData(_DIVERGED_K2["B"], _DIVERGED_K2["a"], x))
+    for data in datas:
+        payload = {
+            "B": [[str(v) for v in row] for row in data.matrix],
+            "a": [str(w) for w in data.weights],
+            "x": [[z.real, z.imag] for z in data.basepoint.tolist()],
+            "m": 2,
+        }
+        code, out = run_cli(capsys, ["verify-arrangement"], payload, tmp_path)
+        assert code == 0
+        result = json.loads(out)["result"]
+        residual, rank, unit = diagonal_diagnostics(data, data.basepoint)
+        assert abs(result["x_field_residual"] - residual) <= 1e-12
+        assert result["x_field_residual"] == critical_points(data, data.basepoint).residuals.max()
+        assert result["generation_rank"] == rank == result["mu"]
+        assert abs(complex(*result["pairing_unit"]) - unit) <= 1e-12 * abs(unit)
+
+
+@pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
+@pytest.mark.parametrize(
+    "B, a, x",
+    [
+        ([[-1], [2], [1]], [-2, 2, -2], [-1, 2, -1]),
+        ([[1], [-1], [-2], [1], [1]], [3, 1, -1, 1, 3], [3, -1, 2, -1, 2]),
+    ],
+)
+def test_k1_root_on_a_hyperplane_is_named(capsys, tmp_path, command, B, a, x):
+    # coincident rows put two roots of the fiber polynomial within 2e-8 of a
+    # hyperplane; Newton then leaves for infinity, and the refusal used to
+    # name that symptom instead of the hyperplane
+    code, out = run_cli(capsys, [command], {"B": B, "a": a, "x": x, "m": 2}, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "near-discriminant",
+        "message": "a critical point lies on (or too near) a hyperplane",
+    }
 
 
 _SHORT_K2 = {"B": [[-1, 1], [2, -1], [-1, -1], [-1, -3]], "a": [4, "1/2", "3/2", 2],
