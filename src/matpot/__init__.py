@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .arrangements import (
     ArrangementData,
-    ArrangementBackend,
     CriticalPointFrame,
     critical_points,
     structure_from_arrangement,

@@ -19,10 +19,10 @@ To present this as a FlatFrameStructure the working frame is changed to mu
 of the sections C_I (unit) for maximal independent index sets I: those
 sections satisfy only constant-coefficient relations, so the frame they span
 is flat, the form becomes z-constant, and the flatness of the remaining
-sections is a genuine testable statement.  The backend answers only through
-jets, the pairing jets at the basepoint and the frame jets in that flat
-frame; of the diagonal data it keeps the basepoint fiber, whose Newton
-residuals and Hessian determinants are the plain diagnostics.
+sections is a genuine testable statement.  ``ArrangementData`` evaluates the
+structure's jets, the pairing jets at the basepoint and the frame jets in
+that flat frame, from its basepoint fiber and flat basis, each computed once;
+the fiber's Newton residuals and Hessian determinants are the diagnostics.
 
 For generic weights and z the fiber has exactly mu = |sum over independent S
 with |S| <= k of (-1)^|S|| points, the Euler characteristic of the
@@ -31,10 +31,11 @@ once from the matroid, and every fiber solve at every rank returns exactly
 that many points or raises DiscriminantError.  For k = 1 the candidates are
 the roots of an explicit degree n-1 polynomial; for k >= 2 they are the
 vertex seed cloud (hyperplane intersection vertices, their midpoints and
-centroids, lightly jittered).  Either way all candidates of a fiber are
-refined in one batched Newton solve with one stacked LU per step, and a seed
-is retired as soon as it leaves the box that the final filter keeps (no seed
-measured ever came back from outside it).
+centroids, lightly jittered), plus for n = k + 1 (count 1) the closed-form
+point f_i = a_i (c . z) / (c_i sum a), c spanning the left kernel of B.
+Either way all candidates of a fiber are refined in one batched Newton solve
+with one stacked LU per step, and a seed fails as soon as it leaves the box
+max |t| <= ESCAPE_RADIUS (1 + max |z|) (no seed measured ever came back).
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _exact_weight(value):
 
 
 class ArrangementData:
-    """Coefficients, weights, and basepoint of a weighted arrangement family."""
+    """A weighted arrangement family at its basepoint, with its fiber and jets."""
 
     def __init__(self, matrix, weights, basepoint):
         self.matroid = vector_matroid(matrix)
@@ -114,9 +115,117 @@ class ArrangementData:
             total += (-1) ** size * len(level)
         return abs(total)
 
-    def hyperplane_values(self, z, points):
-        """f_i(z, t^s) for all i and critical points; shape (mu, n)."""
-        return points @ self.B.T + np.asarray(z, dtype=complex)[None, :]
+    @cached_property
+    def base_frame(self) -> CriticalPointFrame:
+        """The fiber over the basepoint, solved once."""
+        return critical_points(self, self.basepoint)
+
+    @cached_property
+    def flat_basis(self) -> tuple:
+        """mu bases, picked greedily, whose sections span the basepoint fiber."""
+        frame = self.base_frame
+        sets = [tuple(sorted(B)) for B in self.matroid.bases()]
+        # column c: the diagonal-frame values prod_{i in I_c} a_i / f_i(t^s) of C_I (unit)
+        P = (self.a[None, :] / frame.f).T
+        V = np.ones((frame.mu, len(sets)), dtype=complex)
+        for c, I in enumerate(sets):
+            for i in I:
+                V[:, c] *= P[i - 1]
+        chosen = []
+        for c in range(len(sets)):
+            M = V[:, chosen + [c]]
+            if np.linalg.matrix_rank(M, tol=1e-9 * max(1.0, float(np.max(np.abs(M))))) == M.shape[1]:
+                chosen.append(c)
+            if len(chosen) == frame.mu:
+                break
+        if len(chosen) < frame.mu:
+            raise StructureError(
+                "the flat sections do not span the fiber (generation condition fails); "
+                "no flat frame can be assembled"
+            )
+        return tuple(sets[c] for c in chosen)
+
+    def _series_fiber(self, space: SeriesSpace, frame: CriticalPointFrame):
+        """Series at z = frame.z, in delta up to degree space.q, of the Higgs
+        eigenvalues p_i = a_i / f_i, shape (mu, n, size), and of the residue
+        weights w = 1 / det Hess, shape (mu, size).
+
+        The critical points t^s(z + delta) of ``frame`` (the fiber over z),
+        f = B t + z + delta and r = 1 / f are built one degree at a time:
+        known = -r_0 [f r]_d, summed while f_d holds only delta's part and r_d
+        is 0, is r_d but for -r_0^2 B t_d, so grad_t Phi = B^T (a r) vanishes
+        at degree d when H_0 t_d = -B^T (a known), H_0 the fiber's Hessians.
+        """
+        B, a = self.B, self.a
+        f = space.constant(frame.f) + space.variables()
+        r = space.constant(1.0 / f[..., 0])
+        # B t_d = gain known, gain = -B H_0^-1 B^T diag(a) per point
+        gain = -(B @ np.linalg.inv(frame.hessians) @ B.T) * a
+        for d, block in enumerate(space.degrees[1:], 1):
+            known = -r[..., :1] * space.mul_degree(f, r, d)
+            step = gain @ known
+            f[..., block] += step
+            r[..., block] = known - r[..., :1] ** 2 * step
+        p = a[:, None] * r
+        hess = -np.einsum("ij,il,sim->sjlm", B, B, space.mul(p, r))
+        return p, space.reciprocal(space.det(hess))
+
+    def pairing_jets(self, space: SeriesSpace, members) -> np.ndarray:
+        """Taylor coefficients at the basepoint, in delta = z - x up to degree
+        space.q, of the pairings g_T2(z) = S(C_T2 unit, unit) for every
+        multiplicity tuple T2 in ``members``; shape (len(members), space.size).
+
+        In the critical-point frame g_T2 = sum_s w_s prod_i p_i^{T2_i}, with p
+        and w the series of the base frame.  The products run over the
+        members' label words in lexicographic order, so a shared prefix is
+        multiplied once.  No other fiber and no flat frame is solved.
+        """
+        p, w = self._series_fiber(space, self.base_frame)
+        words = [tuple(i for i, e in enumerate(T2) for _ in range(e)) for T2 in members]
+        out = np.empty((len(words), space.size), dtype=complex)
+        products, previous = [w], ()
+        for j in sorted(range(len(words)), key=words.__getitem__):
+            word = words[j]
+            shared = 0
+            while shared < min(len(word), len(previous)) and word[shared] == previous[shared]:
+                shared += 1
+            del products[shared + 1:]
+            for i in word[shared:]:
+                products.append(space.mul(products[-1], p[:, i]))
+            out[j] = products[-1].sum(axis=0)
+            previous = word
+        return out
+
+    def frame_jet(self, z, space: SeriesSpace):
+        """Taylor series at z, in delta up to degree space.q, of the
+        flat-frame data: (H, unit, form) with shapes (n, mu, mu, size),
+        (mu, size) and (mu, mu, size).
+
+        The flat frame U holds the diagonal-frame sections C_I (unit) of the
+        flat basis, products of the eigenvalue series p; then H_i =
+        U^-1 diag(p_i) U and the unit U^-1 (1, ..., 1) come from one series
+        solve with all n mu + 1 right-hand columns, and the form is
+        sum_s (U_sa U_sb) w_s.  The fiber over z is the base frame at the
+        basepoint and is solved afresh elsewhere; permuting its points
+        permutes the rows of U and of the right-hand sides alike, so the jet
+        does not depend on their order.
+        """
+        frame = self.base_frame if np.array_equal(z, self.base_frame.z) else critical_points(self, z)
+        p, w = self._series_fiber(space, frame)
+        mu, n = p.shape[:2]
+        labels = np.array(self.flat_basis, dtype=np.intp) - 1  # (mu, k)
+        U = p[:, labels[:, 0]]
+        for col in labels.T[1:]:
+            U = space.mul(U, p[:, col])
+        rhs = space.mul(p[:, :, None, :], U[:, None, :, :]).reshape(mu, n * mu, space.size)
+        ones = space.constant(np.ones((mu, 1)))
+        X = space.solve(U, np.concatenate([rhs, ones], axis=1))
+        H = X[:, : n * mu].reshape(mu, n, mu, space.size).transpose(1, 0, 2, 3)
+        # U_sa U_sb first, factors in one order (complex products need not commute
+        # bit for bit), so form = form^T exactly
+        lo, hi = np.minimum.outer(range(mu), range(mu)), np.maximum.outer(range(mu), range(mu))
+        form = space.mul(space.mul(U[:, lo], U[:, hi]), w[:, None, None, :]).sum(axis=0)
+        return H, X[:, n * mu], form
 
 
 @dataclass
@@ -125,6 +234,7 @@ class CriticalPointFrame:
 
     z: np.ndarray
     points: np.ndarray  # (mu, k)
+    f: np.ndarray  # (mu, n): the hyperplane values f_i(z, t^s)
     hessians: np.ndarray  # (mu, k, k)
     det_hess: np.ndarray  # (mu,)
     residuals: np.ndarray  # (mu,)
@@ -251,6 +361,11 @@ def _vertex_seed_cloud(data: ArrangementData, z):
     i, j = _combinations(len(V), 2).T
     u, v, w = _combinations(len(V), 3).T
     seeds = np.concatenate([V, (V[i] + V[j]) / 2.0, (V[u] + V[v] + V[w]) / 3.0])
+    if data.n == data.k + 1 and data.count == 1 and data.a.sum() != 0:
+        # count 1: B^T (a / f) = 0 puts a / f on c (cofactors), c . f = c . z
+        c = np.array([(-1) ** i * np.linalg.det(np.delete(data.B, i, axis=0)) for i in range(data.n)])
+        f = data.a * (c @ z) / (c * data.a.sum())
+        seeds = np.concatenate([seeds, np.linalg.lstsq(data.B, f - z, rcond=None)[0][None]])
     noise = np.random.default_rng(20240521).standard_normal((len(seeds), 2, data.k))
     jittered = seeds + SEED_JITTER * (noise[:, 0] + 1j * noise[:, 1])
     return np.stack([seeds, jittered], axis=1).reshape(-1, data.k)
@@ -303,9 +418,9 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     strict = data.k == 1
     candidates = _k1_candidate_roots(data, z)[:, None] if strict else _vertex_seed_cloud(data, z)
     t, res, failures = _newton_refine(data, z, candidates)
-    # NaN fails every comparison, so failed seeds (residual NaN) drop out
-    with np.errstate(over="ignore"):
-        clean = (res <= 1e-9 * scale) & (np.max(np.abs(t), axis=1) <= ESCAPE_RADIUS * scale)
+    # NaN fails every comparison, so failed seeds (residual NaN), among them
+    # every seed that left the box, drop out
+    clean = res <= 1e-9 * scale
     on_hyperplane = "a critical point lies on (or too near) a hyperplane"
     if strict:
         for s in [s for s, why in enumerate(failures) if why][:1]:
@@ -342,155 +457,38 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
         raise DiscriminantError(f"found {len(accepted)} critical points, expected {data.count}")
     accepted = np.array(accepted)
     accepted = accepted[np.lexsort((t[accepted, -1].imag, t[accepted, -1].real))]
-    hessians = _hessians(data, data.hyperplane_values(z, t[accepted]))
+    f = t[accepted] @ data.B.T + z
+    hessians = _hessians(data, f)
     return CriticalPointFrame(
         z=z,
         points=t[accepted],
+        f=f,
         hessians=hessians,
         det_hess=np.linalg.det(hessians),
         residuals=res[accepted],
     )
 
 
-class ArrangementBackend:
-    """Holds the basepoint fiber of one arrangement structure and evaluates its jets."""
-
-    def __init__(self, data: ArrangementData, flat_basis, base_frame: CriticalPointFrame):
-        self.data = data
-        self.flat_basis = tuple(tuple(sorted(I)) for I in flat_basis)
-        self.base_frame = base_frame
-
-    def _series_fiber(self, space: SeriesSpace, frame: CriticalPointFrame):
-        """Series at z = frame.z, in delta up to degree space.q, of the Higgs
-        eigenvalues p_i = a_i / f_i, shape (mu, n, size), and of the residue
-        weights w = 1 / det Hess, shape (mu, size).
-
-        The critical points t^s(z + delta) of ``frame`` (the fiber over z),
-        f = B t + z + delta and r = 1 / f are built one degree at a time:
-        known = -r_0 [f r]_d, summed while f_d holds only delta's part and r_d
-        is 0, is r_d but for -r_0^2 B t_d, so grad_t Phi = B^T (a r) vanishes
-        at degree d when H_0 t_d = -B^T (a known), H_0 the fiber's Hessians.
-        """
-        B, a = self.data.B, self.data.a
-        f = space.constant(frame.points @ B.T + frame.z) + space.variables()
-        r = space.constant(1.0 / f[..., 0])
-        # B t_d = gain known, gain = -B H_0^-1 B^T diag(a) per point
-        gain = -(B @ np.linalg.inv(frame.hessians) @ B.T) * a
-        for d, block in enumerate(space.degrees[1:], 1):
-            known = -r[..., :1] * space.mul_degree(f, r, d)
-            step = gain @ known
-            f[..., block] += step
-            r[..., block] = known - r[..., :1] ** 2 * step
-        p = a[:, None] * r
-        hess = -np.einsum("ij,il,sim->sjlm", B, B, space.mul(p, r))
-        return p, space.reciprocal(space.det(hess))
-
-    def pairing_jets(self, space: SeriesSpace, members) -> np.ndarray:
-        """Taylor coefficients at the basepoint, in delta = z - x up to degree
-        space.q, of the pairings g_T2(z) = S(C_T2 unit, unit) for every
-        multiplicity tuple T2 in ``members``; shape (len(members), space.size).
-
-        In the critical-point frame g_T2 = sum_s w_s prod_i p_i^{T2_i}, with p
-        and w the series of the base frame.  The products run over the
-        members' label words in lexicographic order, so a shared prefix is
-        multiplied once.  No other fiber and no flat frame is solved.
-        """
-        p, w = self._series_fiber(space, self.base_frame)
-        words = [tuple(i for i, e in enumerate(T2) for _ in range(e)) for T2 in members]
-        out = np.empty((len(words), space.size), dtype=complex)
-        products, previous = [w], ()
-        for j in sorted(range(len(words)), key=words.__getitem__):
-            word = words[j]
-            shared = 0
-            while shared < min(len(word), len(previous)) and word[shared] == previous[shared]:
-                shared += 1
-            del products[shared + 1:]
-            for i in word[shared:]:
-                products.append(space.mul(products[-1], p[:, i]))
-            out[j] = products[-1].sum(axis=0)
-            previous = word
-        return out
-
-    def frame_jet(self, z, space: SeriesSpace):
-        """Taylor series at z, in delta up to degree space.q, of the
-        flat-frame data: (H, unit, form) with shapes (n, mu, mu, size),
-        (mu, size) and (mu, mu, size).
-
-        The flat frame U holds the diagonal-frame sections C_I (unit) of the
-        flat basis, products of the eigenvalue series p; then H_i =
-        U^-1 diag(p_i) U and the unit U^-1 (1, ..., 1) come from one series
-        solve with all n mu + 1 right-hand columns, and the form is
-        sum_s (U_sa U_sb) w_s.  The fiber over z is the base frame at the
-        basepoint and is solved afresh elsewhere; permuting its points
-        permutes the rows of U and of the right-hand sides alike, so the jet
-        does not depend on their order.
-        """
-        frame = self.base_frame if np.array_equal(z, self.base_frame.z) else critical_points(self.data, z)
-        p, w = self._series_fiber(space, frame)
-        mu, n = p.shape[:2]
-        labels = np.array(self.flat_basis, dtype=np.intp) - 1  # (mu, k)
-        U = p[:, labels[:, 0]]
-        for col in labels.T[1:]:
-            U = space.mul(U, p[:, col])
-        rhs = space.mul(p[:, :, None, :], U[:, None, :, :]).reshape(mu, n * mu, space.size)
-        ones = space.constant(np.ones((mu, 1)))
-        X = space.solve(U, np.concatenate([rhs, ones], axis=1))
-        H = X[:, : n * mu].reshape(mu, n, mu, space.size).transpose(1, 0, 2, 3)
-        # U_sa U_sb first, factors in one order (complex products need not commute
-        # bit for bit), so form = form^T exactly
-        lo, hi = np.minimum.outer(range(mu), range(mu)), np.maximum.outer(range(mu), range(mu))
-        form = space.mul(space.mul(U[:, lo], U[:, hi]), w[:, None, None, :]).sum(axis=0)
-        return H, X[:, n * mu], form
-
-
-def _choose_flat_basis(data: ArrangementData, frame: CriticalPointFrame):
-    """Greedily pick mu maximal independent sets whose sections span the fiber."""
-    sets = [tuple(sorted(B)) for B in data.matroid.bases()]
-    # column c: the diagonal-frame values prod_{i in I_c} a_i / f_i(t^s) of C_I (unit)
-    P = (data.a[None, :] / data.hyperplane_values(frame.z, frame.points)).T
-    V = np.ones((frame.mu, len(sets)), dtype=complex)
-    for c, I in enumerate(sets):
-        for i in I:
-            V[:, c] *= P[i - 1]
-    chosen = []
-    for c in range(len(sets)):
-        M = V[:, chosen + [c]]
-        if np.linalg.matrix_rank(M, tol=1e-9 * max(1.0, float(np.max(np.abs(M))))) == M.shape[1]:
-            chosen.append(c)
-        if len(chosen) == frame.mu:
-            break
-    if len(chosen) < frame.mu:
-        raise StructureError(
-            "the flat sections do not span the fiber (generation condition fails); "
-            "no flat frame can be assembled"
-        )
-    return [sets[c] for c in chosen]
-
-
 def structure_from_arrangement(data: ArrangementData, m: int) -> FlatFrameStructure:
-    """FlatFrameStructure of order (n, k, 2) backed by the arrangement family.
+    """FlatFrameStructure of order (n, k, 2) whose jets the family evaluates.
 
-    The residue pairing of an arrangement family is bilinear, so ``m`` must
-    be 2; every other order raises PreconditionError.  The working frame
-    consists of mu flat sections C_I (unit) chosen at the basepoint.  The
-    structure's ``jet`` is the backend's ``pairing_jets`` and its
-    ``frame_jet`` the backend's ``frame_jet``, which conjugates Higgs
-    matrices, unit and form into that frame; the critical points entering a
-    frame jet away from the basepoint are solved afresh, at every rank.
+    The residue pairing is bilinear, so every ``m`` but 2 raises
+    PreconditionError before any solve.  The working frame is the family's
+    ``flat_basis``, chosen once on its basepoint fiber (DiscriminantError
+    first, then StructureError).  The structure's ``jet`` is the family's
+    ``pairing_jets`` and its ``frame_jet`` the family's ``frame_jet``, which
+    conjugates Higgs matrices, unit and form into that frame; the fiber under
+    a frame jet away from the basepoint is solved afresh, at every rank.
     """
     if m != 2:
         raise PreconditionError(
             f"arrangement families give structures of order (n, k, 2) only, got m={m}"
         )
-    base_frame = critical_points(data, data.basepoint)
-    flat_basis = _choose_flat_basis(data, base_frame)
-    backend = ArrangementBackend(data, flat_basis, base_frame)
     return FlatFrameStructure(
         matroid=data.matroid,
         m=m,
         basepoint=data.basepoint,
-        mu=base_frame.mu,
-        backend=backend,
-        jet=backend.pairing_jets,
-        frame_jet=backend.frame_jet,
+        mu=len(data.flat_basis),
+        jet=data.pairing_jets,
+        frame_jet=data.frame_jet,
     )

@@ -205,17 +205,16 @@ def _cmd_verify_arrangement(args) -> dict:
     obj = _load_input(args)
     data, m = _arrangement_from_json(obj)
     structure = structure_from_arrangement(data, m)
-    backend = structure.backend
     report = verify_axioms(structure, _sample_points(structure), hard_threshold=None)
-    # each diagnostic as the structure computed it: Newton residuals, the
-    # rank the flat basis certifies, and S(unit, unit) = sum_s 1 / det Hess
+    # each diagnostic as the family computed it: Newton residuals, the rank
+    # the flat basis certifies, and S(unit, unit) = sum_s 1 / det Hess
     return {
         "mu": structure.mu,
         "bases": [subset_to_json(B) for B in structure.matroid.bases()],
         "report": report.as_dict(),
-        "x_field_residual": float(np.max(backend.base_frame.residuals)),
-        "generation_rank": len(backend.flat_basis),
-        "pairing_unit": complex_to_json(np.sum(1.0 / backend.base_frame.det_hess)),
+        "x_field_residual": float(np.max(data.base_frame.residuals)),
+        "generation_rank": len(data.flat_basis),
+        "pairing_unit": complex_to_json(np.sum(1.0 / data.base_frame.det_hess)),
         "pairing_condition": float(np.linalg.cond(structure.basepoint_frame[2][..., 0])),
     }
 

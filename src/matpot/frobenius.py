@@ -40,7 +40,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -72,13 +72,15 @@ class FlatFrameStructure:
       (mu, size) and (mu,) * m + (size,), H[i - 1] holding C_i;
       ``verify_axioms`` needs it, and its degree-1 value at the basepoint is
       the structure's ``basepoint_frame``, which both checks read.
+
+    The structure holds the evaluators, not the data behind them: an
+    arrangement structure's jets are methods of its ``ArrangementData``.
     """
 
     matroid: Matroid
     m: int
     basepoint: np.ndarray
     mu: int
-    backend: Any = None
     jet: Callable[[SeriesSpace, list], np.ndarray] | None = None
     frame_jet: Callable[[np.ndarray, SeriesSpace], tuple] | None = None
     _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)

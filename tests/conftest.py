@@ -94,3 +94,9 @@ def random_k1_structures(random_k1_instances):
 @pytest.fixture(scope="session")
 def all_structures(fixture_structure, random_k1_structures):
     return [fixture_structure] + random_k1_structures
+
+
+@pytest.fixture(scope="session")
+def all_families(fixture_data, random_k1_instances):
+    """The arrangement families of ``all_structures``, in the same order."""
+    return [fixture_data] + random_k1_instances

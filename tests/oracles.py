@@ -5,7 +5,7 @@ subsets, pairs), computes exactly over Q (the Euler-Jacobi pairing jets of
 rank-1 arrangements) or evaluates hand-derived closed forms for the
 two-hyperplane fixture, so library results can be checked against an
 unrelated code path.
-``plain_frame`` evaluates an arrangement structure's flat frame with plain
+``plain_frame`` evaluates an arrangement family's flat frame with plain
 numpy solves, the reference for the constant terms of its jets, and
 ``diagonal_diagnostics`` the ``verify-arrangement`` diagnostics from the
 diagonal frame;
@@ -473,19 +473,17 @@ def brute_good_decompositions(T):
     return found
 
 
-def plain_frame(F, z):
-    """(H, unit, form) of an arrangement structure at z, computed plainly:
+def plain_frame(data, z):
+    """(H, unit, form) of an arrangement family's structure at z, computed plainly:
     the Higgs eigenvalues P[i, s] = a_i / f_i(t^s) on a fresh solve of the
     fiber over z, the flat-basis sections U[s, c] = prod_{i in I_c} P[i, s], then
     H_i = U^-1 diag(P_i) U and the unit U^-1 (1, ..., 1) by
     ``np.linalg.solve`` and the form sum_s U_sa U_sb / det Hess(t^s).  No
     series and no jet: the reference for the constant terms of the jets."""
-    backend = F.backend
-    data = backend.data
     frame = critical_points(data, z)
-    P = (data.a[None, :] / data.hyperplane_values(z, frame.points)).T
-    U = np.ones((frame.mu, len(backend.flat_basis)), dtype=complex)
-    for c, I in enumerate(backend.flat_basis):
+    P = (data.a[None, :] / (frame.points @ data.B.T + z)).T
+    U = np.ones((frame.mu, len(data.flat_basis)), dtype=complex)
+    for c, I in enumerate(data.flat_basis):
         for i in I:
             U[:, c] *= P[i - 1]
     H = np.array([np.linalg.solve(U, P[i][:, None] * U) for i in range(data.n)])
@@ -500,7 +498,7 @@ def diagonal_diagnostics(data, z):
     rank of the sections [prod_{i in I} P_i] over every maximal independent
     I, and sum_s 1 / det Hess(t^s) with Hess = -B^T diag(P_s^2 / a) B."""
     frame = critical_points(data, z)
-    P = (data.a[None, :] / data.hyperplane_values(z, frame.points)).T
+    P = (data.a[None, :] / (frame.points @ data.B.T + z)).T
     V = np.array([np.prod(P[[i - 1 for i in I]], axis=0) for I in data.matroid.bases()]).T
     hess = [-(data.B.T * (P[:, s] ** 2 / data.a)) @ data.B for s in range(frame.mu)]
     return (
@@ -558,11 +556,11 @@ def plain_pairing(frame, t2) -> complex:
     return complex(out)
 
 
-def brute_second_kind_candidates(F, n_max):
+def brute_second_kind_candidates(F, data, n_max):
     """Second-kind candidates {T: ((T1, T2, value), ...)} for mk < |T| <= n_max,
-    one scalar mixed difference of the plain-frame pairing per brute-force
-    good decomposition, T2 in lexicographic order (the per-decomposition
-    loop the table replaces)."""
+    one scalar mixed difference of the plain-frame pairing of ``data``, the
+    family of F, per brute-force good decomposition, T2 in lexicographic
+    order (the per-decomposition loop the table replaces)."""
     from matpot.findiff import default_step, multi_partial
     from matpot.frobenius import _factorial_multi
 
@@ -573,7 +571,7 @@ def brute_second_kind_candidates(F, n_max):
     def pairing(t2, z):
         key = tuple(z.tolist())
         if key not in frames:
-            frames[key] = plain_frame(F, z)
+            frames[key] = plain_frame(data, z)
         return plain_pairing(frames[key], t2)
 
     x = F.basepoint
@@ -600,7 +598,7 @@ def brute_second_kind_candidates(F, n_max):
     return out
 
 
-def richardson_frame_derivatives(F, z):
+def richardson_frame_derivatives(data, z):
     """First derivatives at z of ``plain_frame`` (H, unit, form):
     Richardson-extrapolated central differences (``matpot.findiff``) with
     the step default_step(scale, 1), independent of the jets.  Returns
@@ -608,10 +606,10 @@ def richardson_frame_derivatives(F, z):
     layout of the degree-1 coefficients of ``frame_jet``."""
     from matpot.findiff import default_step, multi_partial
 
-    h = default_step(F.scale(), 1)
-    directions = [tuple(int(j == i) for j in range(F.n)) for i in range(F.n)]
+    h = default_step(float(np.max(np.abs(data.basepoint))), 1)
+    directions = [tuple(int(j == i) for j in range(data.n)) for i in range(data.n)]
     return tuple(
-        np.stack([multi_partial(lambda w: plain_frame(F, w)[c], z, e, h) for e in directions], axis=-1)
+        np.stack([multi_partial(lambda w: plain_frame(data, w)[c], z, e, h) for e in directions], axis=-1)
         for c in range(3)
     )
 
@@ -657,7 +655,8 @@ def scalar_newton_refine(data, z, t, max_iter: int = 50):
 def loop_vertex_seed_cloud(data, z, jitter: float = 1e-3):
     """``arrangements._vertex_seed_cloud`` one vertex, seed and draw at a
     time: the bit-for-bit reference for the stacked cloud, as a list of
-    seeds."""
+    seeds.  The closed-form seed of a count-1 fiber (n = k + 1) is not in it;
+    the stacked cloud appends it and its jittered copy after these."""
     z = np.asarray(z, dtype=complex)
     vertices = []
     for rows in combinations(range(data.n), data.k):

@@ -262,10 +262,10 @@ def _axiom_samples(F):
     return [x] + [x + scale * (rng.random(F.n) - 0.5) for _ in range(2)]
 
 
-def test_criterion_6_arrangement_axioms(all_structures, fixture_structure):
+def test_criterion_6_arrangement_axioms(all_structures, all_families, fixture_structure, fixture_data):
     start = time.monotonic()
     worst = 0.0
-    for F in all_structures:
+    for F, data in zip(all_structures, all_families):
         report = verify_axioms(F, _axiom_samples(F), hard_threshold=None)
         assert report.commutativity <= 1e-7
         assert report.integrability <= 1e-7
@@ -274,9 +274,9 @@ def test_criterion_6_arrangement_axioms(all_structures, fixture_structure):
         assert report.form_flatness <= 1e-7
         worst = max(worst, report.max_violation)
         for z in _axiom_samples(F):
-            assert critical_points(F.backend.data, z).residuals.max() <= 1e-7
+            assert critical_points(data, z).residuals.max() <= 1e-7
     # golden values on the two-hyperplane fixture, from a structure at each sample
-    data = fixture_structure.backend.data
+    data = fixture_data
     for z in _axiom_samples(fixture_structure):
         G = structure_from_arrangement(ArrangementData(data.matrix, data.weights, z), 2)
         unit, c11 = G.jet(G.space(0), [(0, 0), (2, 0)])[:, 0]

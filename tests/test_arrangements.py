@@ -1,6 +1,8 @@
+import functools
 import random
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -263,6 +265,50 @@ def test_vertex_seed_cloud_matches_loop_reference():
     assert [len(_vertex_seed_cloud(data, data.basepoint)) for data in small] == [2 * (5 + 10 + 10), 2 * (2 + 1), 2]
 
 
+# n = k + 1, count 1: the vertex cloud reaches the point from none of its seeds
+_COUNT_ONE = [
+    ArrangementData(
+        [(2, Fraction(-1, 3)), (3, -2), (Fraction(1, 2), Fraction(1, 2))],
+        (4, Fraction(1, 2), -1),
+        (0.743, -1.779, -1.011 - 0.349j),
+    ),
+    ArrangementData(
+        [(3, Fraction(1, 2), 1), (2, Fraction(3, 2), 2), (-3, 0, 1), (Fraction(3, 2), -1, 1)],
+        (2, Fraction(1, 2), Fraction(1, 2), 2),
+        (-1.814 + 0.358j, -0.842 - 0.356j, -1.529 - 0.192j, 1.265 - 0.319j),
+    ),
+]
+
+
+@pytest.mark.parametrize("data", _COUNT_ONE)
+def test_count_one_fiber_seeds_its_closed_form_point(monkeypatch, data):
+    # the closed-form seed and its jittered copy follow the cloud, which keeps
+    # its seeds and jitter bit for bit; without them the fiber comes out empty
+    z = data.basepoint
+    seeds = _vertex_seed_cloud(data, z)
+    reference = np.array(loop_vertex_seed_cloud(data, z)).reshape(-1, data.k)
+    assert len(seeds) == len(reference) + 2
+    assert np.array_equal(seeds[:-2], reference)
+    f = seeds[-2] @ data.B.T + z
+    assert np.max(np.abs(data.B.T @ (data.a / f))) <= 1e-12
+    frame = critical_points(data, z)
+    assert frame.mu == data.count == 1
+    assert frame.residuals.max() <= 1e-12
+    assert np.max(np.abs(frame.points[0] - seeds[-2])) <= 1e-12
+    monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", lambda data, z: reference)
+    with pytest.raises(DiscriminantError, match="found 0 critical points, expected 1"):
+        critical_points(data, z)
+
+
+def test_count_one_fiber_with_balanced_weights_is_near_discriminant():
+    # sum a = 0: a / f on the left kernel of B meets c . f = c . z nowhere,
+    # so no seed is added and the fiber is refused
+    data = ArrangementData(_COUNT_ONE[0].matrix, (4, Fraction(1, 2), Fraction(-9, 2)), _COUNT_ONE[0].basepoint)
+    assert len(_vertex_seed_cloud(data, data.basepoint)) == len(loop_vertex_seed_cloud(data, data.basepoint))
+    with pytest.raises(DiscriminantError, match="found 0 critical points, expected 1"):
+        critical_points(data, data.basepoint)
+
+
 def test_item4_fiber_row_count(monkeypatch):
     # rows of t through _values on the item-4 basepoint fiber: seeds leaving
     # the escape box are retired instead of running all 50 Newton steps
@@ -319,53 +365,94 @@ def test_k2_sample_fiber_is_solved_afresh(monkeypatch):
 
     monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", counting)
     frames = []
-    real_series = matpot.arrangements.ArrangementBackend._series_fiber
+    real_series = matpot.arrangements.ArrangementData._series_fiber
 
     def recording(self, space, frame):
         frames.append(frame)
         return real_series(self, space, frame)
 
-    monkeypatch.setattr(matpot.arrangements.ArrangementBackend, "_series_fiber", recording)
+    monkeypatch.setattr(matpot.arrangements.ArrangementData, "_series_fiber", recording)
     data = _rank2_data()
     F = structure_from_arrangement(data, 2)
     F.frame_jet(data.basepoint, F.space(1))
-    assert len(calls) == 1 and frames[-1] is F.backend.base_frame
+    assert len(calls) == 1 and frames[-1] is data.base_frame
     z = data.basepoint + np.array([0.011, -0.007j, 0.004, 0.009j, -0.013, 0.006])
     F.frame_jet(z, F.space(1))
     moved = frames[-1]
     assert len(calls) == 2
     fresh = critical_points(data, z)
     assert moved.mu == fresh.mu == data.count == 8
-    for name in ("z", "points", "hessians", "det_hess", "residuals"):
+    for name in ("z", "points", "f", "hessians", "det_hess", "residuals"):
         assert np.array_equal(getattr(moved, name), getattr(fresh, name))
 
 
-def test_frame_jet_matches_richardson_reference(all_structures):
+def test_family_solves_its_basepoint_fiber_once(monkeypatch, fiber_solves):
+    # two structures on one family solve the basepoint fiber and choose the
+    # flat basis once, and share them in their frame jets; m = 3 is refused
+    # before any solve
+    chosen = []
+    real = ArrangementData.flat_basis.func
+
+    def choosing(self):
+        chosen.append(self)
+        return real(self)
+
+    flat_basis = functools.cached_property(choosing)
+    flat_basis.__set_name__(ArrangementData, "flat_basis")
+    monkeypatch.setattr(ArrangementData, "flat_basis", flat_basis)
+    data = _rank2_data()
+    with pytest.raises(PreconditionError):
+        structure_from_arrangement(data, 3)
+    assert fiber_solves == [] and chosen == []
+    F, G = structure_from_arrangement(data, 2), structure_from_arrangement(data, 2)
+    assert fiber_solves == [True] and chosen == [data]
+    assert np.array_equal(F.basepoint_frame[2], G.basepoint_frame[2])
+    assert fiber_solves == [True] and chosen == [data]
+    assert F.mu == G.mu == len(data.flat_basis) == data.base_frame.mu == 8
+
+
+def test_degree_one_jets_are_prefixes_of_higher_degrees(all_structures):
+    # graded-lex order lists the monomials of degree <= 1 first and no
+    # recurrence reads a higher degree: the degree-1 pairing jets and
+    # basepoint frame jet are bitwise prefixes of those of degree 2..4
+    item4 = structure_from_arrangement(_rank2_data(), 2)
+    for F in all_structures + [item4]:
+        members = [T for T in product(range(3), repeat=F.n) if sum(T) <= 2]
+        head = F.space(1).size
+        jet, frame = F.jet(F.space(1), members), F.basepoint_frame
+        for q in (2, 3, 4):
+            assert np.array_equal(F.jet(F.space(q), members)[:, :head], jet)
+            for low, high in zip(frame, F.frame_jet(F.basepoint, F.space(q))):
+                assert np.array_equal(high[..., :head], low)
+
+
+def test_frame_jet_matches_richardson_reference(all_structures, all_families):
     # degree 1 against differences of the plain frame, degree 0 against its
     # values, at the basepoint and at one nearby fiber
-    item4 = structure_from_arrangement(_rank2_data(), 2)
+    item4_data = _rank2_data()
+    item4 = structure_from_arrangement(item4_data, 2)
     item4_offset = np.array([0.011, -0.007j, 0.004, 0.009j, -0.013, 0.006])
     rng = np.random.default_rng(4242)
-    for F in all_structures + [item4]:
+    for F, data in zip(all_structures + [item4], all_families + [item4_data]):
         space = SeriesSpace(F.n, 1)
         x = F.basepoint
         offset = item4_offset if F is item4 else 0.05 * (rng.random(F.n) - 0.5)
         for z in (x, x + offset):
             jets = F.frame_jet(z, space)
-            values = plain_frame(F, z)
-            for jet, value, ref in zip(jets, values, richardson_frame_derivatives(F, z)):
+            values = plain_frame(data, z)
+            for jet, value, ref in zip(jets, values, richardson_frame_derivatives(data, z)):
                 assert jet.shape == value.shape + (space.size,)
                 assert np.max(np.abs(jet[..., 0] - value)) <= 1e-9 * max(1.0, np.max(np.abs(value)))
                 assert np.max(np.abs(jet[..., space.degree_one] - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_structure_golden_values(fixture_structure):
+def test_structure_golden_values(fixture_structure, fixture_data):
     x = fixture_structure.basepoint
     # mu = 1: the 1 x 1 Higgs matrices are the eigenvalues p_i themselves
     assert np.allclose(fixture_structure.basepoint_frame[0][:, 0, 0, 0], fix2_p(x), atol=1e-12)
     # the golden pairings are the constant terms of pairing jets, on a
     # structure at each basepoint; S(C_1 C_1 unit, unit) is z-constant
-    data = fixture_structure.backend.data
+    data = fixture_data
     for z in [x, x + np.array([0.2, 0.1]), x + np.array([-0.3, 0.05])]:
         F = structure_from_arrangement(ArrangementData(data.matrix, data.weights, z), 2)
         unit, c11 = F.jet(F.space(0), [(0, 0), (2, 0)])[:, 0]
@@ -373,20 +460,18 @@ def test_structure_golden_values(fixture_structure):
         assert abs(c11 - (-0.5)) < 1e-10
 
 
-def test_higgs_vanishes_on_column_fields(all_structures):
-    for F in all_structures:
-        backend = F.backend
+def test_higgs_vanishes_on_column_fields(all_structures, all_families):
+    for F, data in zip(all_structures, all_families):
         for z in [F.basepoint, F.basepoint + 0.11]:
-            assert critical_points(backend.data, z).residuals.max() <= 1e-10
+            assert critical_points(data, z).residuals.max() <= 1e-10
             # in the flat frame: sum_i b_i C_i = 0 as matrices
             H = frame_values(F, z)[0]
-            combo = sum(complex(backend.data.B[i - 1, 0]) * H[i - 1] for i in F.matroid.ground.labels)
+            combo = sum(complex(data.B[i - 1, 0]) * H[i - 1] for i in F.matroid.ground.labels)
             assert np.max(np.abs(combo)) <= 1e-9
 
 
 def test_flat_sections_have_constant_coordinates(all_structures):
     for F in all_structures:
-        backend = F.backend
         samples = [F.basepoint, F.basepoint + 0.13, F.basepoint - 0.07]
         for I in F.maximal_independent_sets():
             coords = []
@@ -422,13 +507,12 @@ def test_diagonal_frame_exactness(random_k1_structures, all_structures):
             assert np.max(np.abs(W - W.swapaxes(0, 1))) == 0.0
 
 
-def test_generation_condition_and_kernel(random_k1_structures):
-    for F in random_k1_structures:
-        backend = F.backend
-        assert len(backend.flat_basis) == F.mu
+def test_generation_condition_and_kernel(random_k1_structures, random_k1_instances):
+    for F, data in zip(random_k1_structures, random_k1_instances):
+        assert len(data.flat_basis) == F.mu
         H, u, _ = (v[..., 0] for v in F.basepoint_frame)
         V = (H @ u).T  # mu x n, columns C_{i}(unit) in the flat frame
-        b = backend.data.B[:, 0]
+        b = data.B[:, 0]
         assert np.max(np.abs(V @ b)) <= 1e-10
         assert np.linalg.matrix_rank(V, tol=1e-8) == F.mu == F.n - 1
         # the kernel is exactly the span of the column field
@@ -470,5 +554,4 @@ def test_k_ge_2_experimental_solver_finds_critical_points():
     frame = critical_points(data, data.basepoint)
     assert frame.mu == data.count == 3
     assert frame.residuals.max() <= 1e-9 * 3
-    fvals = data.hyperplane_values(data.basepoint, frame.points)
-    assert np.min(np.abs(fvals)) > 1e-8
+    assert np.min(np.abs(frame.f)) > 1e-8

@@ -252,13 +252,13 @@ def test_verify_arrangement_evaluates_the_basepoint_frame_once(capsys, tmp_path,
     # the basepoint sample of the axiom report and the pairing condition read
     # the structure's one degree-1 frame jet at the basepoint
     basepoint = []
-    real = matpot.arrangements.ArrangementBackend.frame_jet
+    real = matpot.arrangements.ArrangementData.frame_jet
 
     def counting(self, z, space):
-        basepoint.append(np.array_equal(z, self.data.basepoint))
+        basepoint.append(np.array_equal(z, self.basepoint))
         return real(self, z, space)
 
-    monkeypatch.setattr(matpot.arrangements.ArrangementBackend, "frame_jet", counting)
+    monkeypatch.setattr(matpot.arrangements.ArrangementData, "frame_jet", counting)
     payload = {"B": [[1], [2], [1]], "a": [1, 2, 3], "x": [0.3, -1.1, 0.9], "m": 2}
     code, out = run_cli(capsys, ["verify-arrangement"], payload, tmp_path)
     assert code == 0
@@ -593,11 +593,11 @@ def test_verify_arrangement_k1_samples_need_no_tracking(capsys, tmp_path, fiber_
     assert fiber_solves == [True, False, False]
 
 
-def test_verify_arrangement_diagnostics_match_the_diagonal_frame(capsys, tmp_path, all_structures):
+def test_verify_arrangement_diagnostics_match_the_diagonal_frame(capsys, tmp_path, all_families):
     # the three diagnostics read the basepoint fiber and the flat basis; a
     # diagonal-frame evaluation from a fresh solve agrees on every tier-1
     # arrangement structure and on the rank-2 instance
-    datas = [F.backend.data for F in all_structures]
+    datas = list(all_families)
     x = [complex(*v) if isinstance(v, list) else v for v in _DIVERGED_K2["x"]]
     datas.append(ArrangementData(_DIVERGED_K2["B"], _DIVERGED_K2["a"], x))
     for data in datas:
@@ -650,6 +650,26 @@ def test_short_k2_fiber_is_near_discriminant(capsys, tmp_path, command):
     error = json.loads(out)["error"]
     assert error["code"] == "near-discriminant"
     assert error["message"] == "found 2 critical points, expected 3"
+
+
+_COUNT_ONE_K2 = {"B": [[2, "-1/3"], [3, -2], ["1/2", "1/2"]], "a": [4, "1/2", -1],
+                 "x": [0.743, -1.779, [-1.011, -0.349]], "m": 2}
+
+
+@pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
+def test_count_one_k2_fiber_is_answered(capsys, tmp_path, command):
+    # n = k + 1: the one critical point comes from its closed form; no seed
+    # of the vertex cloud reaches it, and both commands used to refuse with
+    # "found 0 critical points, expected 1"
+    code, out = run_cli(capsys, [command], _COUNT_ONE_K2, tmp_path)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["mu"] == 1
+    if command == "potentials":
+        assert result["spread_max"] <= 1e-10
+    else:
+        assert result["report"]["max_violation"] <= 1e-6
+        assert result["generation_rank"] == 1
 
 
 @pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
