@@ -35,7 +35,9 @@ centroids, lightly jittered), plus for n = k + 1 (count 1) the closed-form
 point f_i = a_i (c . z) / (c_i sum a), c spanning the left kernel of B.
 Either way all candidates of a fiber are refined in one batched Newton solve
 with one stacked LU per step, and a seed fails as soon as it leaves the box
-max |t| <= ESCAPE_RADIUS (1 + max |z|) (no seed measured ever came back).
+max |t| <= ESCAPE_RADIUS (1 + max |V|), V the fiber's vertices (for k = 1
+the poles -z_i / b_i): the box is in the units of t, and no seed of an
+accepted point was measured beyond 9.87 (1 + max |V|).
 """
 
 from __future__ import annotations
@@ -257,20 +259,21 @@ def _hessians(data: ArrangementData, f):
     return np.matmul(-(data.B.T[None] * (data.a / f**2)[:, None, :]), data.B[None])
 
 
-#: a Newton iterate with max |t| > ESCAPE_RADIUS (1 + max |z|) has escaped
-ESCAPE_RADIUS = 1e6
+#: a Newton iterate with max |t| > ESCAPE_RADIUS (1 + max |V|), V the fiber's
+#: vertices, has escaped; seeds of accepted points measured stay within 9.87 (1 + max |V|)
+ESCAPE_RADIUS = 1e2
 NEWTON_MAX_ITER = 50  # Newton steps per seed in ``_newton_refine``
 SEED_JITTER = 1e-3  # scale of the vertex seed cloud's complex normal jitter
 
 
-def _newton_refine(data: ArrangementData, z, seeds):
+def _newton_refine(data: ArrangementData, z, seeds, box: float):
     """Newton on grad_t Phi = 0 from every row of ``seeds`` (S, k) at once.
 
     Returns (points (S, k), residuals max |grad| (S,), failures), where
     failures[s] is None or the DiscriminantError message that stopped seed
     s: |f_i| < 1e-300 at an iterate, a singular Hessian, or an iterate with
-    max |t| > ESCAPE_RADIUS (1 + max |z|) or NaN.  A seed leaves the active
-    set when it fails or its step satisfies max |delta| <= 1e-15 (1 + max |t|);
+    max |t| > box (in the units of t) or NaN.  A seed leaves the active set
+    when it fails or its step satisfies max |delta| <= 1e-15 (1 + max |t|);
     at most NEWTON_MAX_ITER steps.  Failed seeds get residual NaN.
 
     Each seed sees the arithmetic of a one-seed solve bit for bit: the
@@ -280,7 +283,6 @@ def _newton_refine(data: ArrangementData, z, seeds):
     """
     t = np.array(seeds, dtype=complex).reshape(len(seeds), data.k)
     failures: list = [None] * len(t)
-    box = ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(z))))
 
     def values(idx):
         f = _values(data, z, t[idx])
@@ -343,10 +345,12 @@ def _combinations(count: int, size: int) -> np.ndarray:
 
 
 def _vertex_seed_cloud(data: ArrangementData, z):
-    """Seeds (2 S, k) for k >= 2 Newton: the S hyperplane intersection
-    vertices (k-subsets of rows with |det| >= 1e-12), their pairwise
-    midpoints and triple centroids, each followed by a copy jittered by
-    SEED_JITTER times a complex standard normal draw.
+    """Seeds (2 S, k) for k >= 2 Newton and the radius max |V| of the S
+    hyperplane intersection vertices V (k-subsets of rows with |det| >=
+    1e-12): the vertices, their pairwise midpoints and triple centroids,
+    each followed by a copy jittered by SEED_JITTER times a complex standard
+    normal draw.  A count-1 family (n = k + 1) with exact weights summing to
+    0 has an empty fiber and raises DiscriminantError first.
 
     Critical points of a master function with generic weights sit inside the
     cells cut out by the hyperplanes, so cell-anchored seeds reach them while
@@ -355,6 +359,9 @@ def _vertex_seed_cloud(data: ArrangementData, z):
     generator (the same stream as a draw per seed).
     """
     z = np.asarray(z, dtype=complex)
+    exact = data.weights_exact
+    if data.n == data.k + 1 and data.count == 1 and None not in exact and sum(exact) == 0:
+        raise DiscriminantError("weights are balanced: the count-1 fiber needs sum a != 0")
     rows = _combinations(data.n, data.k)
     rows = rows[np.abs(np.linalg.det(data.B[rows])) >= 1e-12]
     V = np.linalg.solve(data.B[rows], -z[rows][..., None])[..., 0]
@@ -368,7 +375,7 @@ def _vertex_seed_cloud(data: ArrangementData, z):
         seeds = np.concatenate([seeds, np.linalg.lstsq(data.B, f - z, rcond=None)[0][None]])
     noise = np.random.default_rng(20240521).standard_normal((len(seeds), 2, data.k))
     jittered = seeds + SEED_JITTER * (noise[:, 0] + 1j * noise[:, 1])
-    return np.stack([seeds, jittered], axis=1).reshape(-1, data.k)
+    return np.stack([seeds, jittered], axis=1).reshape(-1, data.k), float(np.max(np.abs(V), initial=0.0))
 
 
 def _k1_candidate_roots(data: ArrangementData, z):
@@ -388,7 +395,8 @@ def _k1_candidate_roots(data: ArrangementData, z):
     top = np.max(np.abs(poly))
     if top == 0 or abs(poly[0]) < 1e-12 * top:
         raise DiscriminantError("fiber polynomial degenerates (leading coefficient ~ 0)")
-    return np.roots(poly)
+    # the box radius: the poles -z_i / b_i are the fiber's vertices
+    return np.roots(poly)[:, None], float(np.max(np.abs(z[active] / data.B[active, 0])))
 
 
 def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
@@ -398,7 +406,8 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     and raises PreconditionError.  All candidates are refined in one batched
     Newton solve, then accepted in order by one greedy pass, which drops a
     candidate when Newton failed on it (a seed leaving the box max |t| <=
-    ESCAPE_RADIUS (1 + max |z_i|) fails at once), its residual exceeds
+    ESCAPE_RADIUS (1 + max |V|) fails at once, V the fiber's vertices, so
+    the box scales with t and not with z), its residual exceeds
     1e-9 * (1 + max |z_i|), it lies within 1e-8 * (1 + max |z_i|) of a
     hyperplane or an accepted point, or its Hessian is (nearly) singular
     (|det| < 1e-12).  For k = 1 a drop raises DiscriminantError instead: a
@@ -416,8 +425,8 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     hyper_margin = dist_margin = 1e-8 * scale
     hess_margin = 1e-12
     strict = data.k == 1
-    candidates = _k1_candidate_roots(data, z)[:, None] if strict else _vertex_seed_cloud(data, z)
-    t, res, failures = _newton_refine(data, z, candidates)
+    candidates, radius = (_k1_candidate_roots if strict else _vertex_seed_cloud)(data, z)
+    t, res, failures = _newton_refine(data, z, candidates, ESCAPE_RADIUS * (1.0 + radius))
     # NaN fails every comparison, so failed seeds (residual NaN), among them
     # every seed that left the box, drop out
     clean = res <= 1e-9 * scale

@@ -20,7 +20,7 @@ from matpot import (
     vector_matroid,
 )
 
-from matpot.arrangements import _k1_candidate_roots, _newton_refine, _vertex_seed_cloud
+from matpot.arrangements import ESCAPE_RADIUS, _k1_candidate_roots, _newton_refine, _vertex_seed_cloud
 from matpot.series import SeriesSpace
 from oracles import (
     discriminant_probe,
@@ -30,6 +30,7 @@ from oracles import (
     fix2_pair_unit,
     fix2_point,
     frame_values,
+    loop_escape_box,
     loop_vertex_seed_cloud,
     plain_frame,
     richardson_frame_derivatives,
@@ -89,7 +90,7 @@ def test_k_ge_2_drops_non_finite_newton_results():
 
 
 def test_strict_mode_rejects_non_finite_newton_result(fixture_data, monkeypatch):
-    def diverged(data, z, seeds):
+    def diverged(data, z, seeds, box):
         S = len(seeds)
         return np.full((S, 1), complex("nan")), np.full(S, np.nan), [None] * S
 
@@ -119,13 +120,13 @@ def _draw_k2_instance(rng, n):
     return ArrangementData(B, a, x)
 
 
-def _scalar_outcomes(data, z, seeds):
+def _scalar_outcomes(data, z, seeds, box):
     """(t, residual, failure message) of the one-seed reference per seed."""
     out = []
     for seed in seeds:
         try:
             with np.errstate(all="ignore"):
-                t, res = scalar_newton_refine(data, z, seed)
+                t, res = scalar_newton_refine(data, z, seed, box)
         except DiscriminantError as exc:
             out.append((None, None, str(exc)))
         else:
@@ -143,10 +144,9 @@ def test_batched_newton_matches_scalar_reference(random_k1_instances):
     for n in (4, 4, 5, 5, 6, 6):
         data = _draw_k2_instance(rng, n)
         cases.append((data, data.basepoint))
-    cases = [(data, z, _vertex_seed_cloud(data, z)) for data, z in cases]
+    cases = [(data, z, _vertex_seed_cloud(data, z)[0]) for data, z in cases]
     for data in random_k1_instances:
-        roots = _k1_candidate_roots(data, data.basepoint)
-        cases.append((data, data.basepoint, roots[:, None]))
+        cases.append((data, data.basepoint, _k1_candidate_roots(data, data.basepoint)[0]))
     # f = (t + 1, t - 1) with weights (1, -1): the Hessian 4t / (t^2 - 1)^2
     # vanishes exactly at t = 0, and t = -1 lies on a hyperplane
     odd = ArrangementData([(1,), (1,)], (1, -1), (1, -1))
@@ -159,11 +159,12 @@ def test_batched_newton_matches_scalar_reference(random_k1_instances):
     collided = "critical point collided with a hyperplane"
     escaped = "Newton iterate left for infinity"
     for data, z, seeds in cases:
+        box = loop_escape_box(data, z)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            t, res, failures = _newton_refine(data, z, seeds)
+            t, res, failures = _newton_refine(data, z, seeds, box)
         assert t.shape == (len(seeds), data.k) and res.shape == (len(seeds),)
-        for s, (t0, res0, why) in enumerate(_scalar_outcomes(data, z, seeds)):
+        for s, (t0, res0, why) in enumerate(_scalar_outcomes(data, z, seeds, box)):
             assert failures[s] == why
             if why is None:
                 assert np.array_equal(t[s], t0, equal_nan=True)
@@ -259,10 +260,12 @@ def test_vertex_seed_cloud_matches_loop_reference():
     ]
     cases += [(data, data.basepoint) for data in small]
     for data, z in cases:
-        seeds = _vertex_seed_cloud(data, z)
+        seeds, radius = _vertex_seed_cloud(data, z)
         reference = np.array(loop_vertex_seed_cloud(data, z)).reshape(-1, data.k)
         assert seeds.shape == reference.shape and np.array_equal(seeds, reference)
-    assert [len(_vertex_seed_cloud(data, data.basepoint)) for data in small] == [2 * (5 + 10 + 10), 2 * (2 + 1), 2]
+        # the escape box is read off the same vertices
+        assert ESCAPE_RADIUS * (1.0 + radius) == loop_escape_box(data, z)
+    assert [len(_vertex_seed_cloud(data, data.basepoint)[0]) for data in small] == [2 * (5 + 10 + 10), 2 * (2 + 1), 2]
 
 
 # n = k + 1, count 1: the vertex cloud reaches the point from none of its seeds
@@ -285,7 +288,7 @@ def test_count_one_fiber_seeds_its_closed_form_point(monkeypatch, data):
     # the closed-form seed and its jittered copy follow the cloud, which keeps
     # its seeds and jitter bit for bit; without them the fiber comes out empty
     z = data.basepoint
-    seeds = _vertex_seed_cloud(data, z)
+    seeds, radius = _vertex_seed_cloud(data, z)
     reference = np.array(loop_vertex_seed_cloud(data, z)).reshape(-1, data.k)
     assert len(seeds) == len(reference) + 2
     assert np.array_equal(seeds[:-2], reference)
@@ -295,24 +298,28 @@ def test_count_one_fiber_seeds_its_closed_form_point(monkeypatch, data):
     assert frame.mu == data.count == 1
     assert frame.residuals.max() <= 1e-12
     assert np.max(np.abs(frame.points[0] - seeds[-2])) <= 1e-12
-    monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", lambda data, z: reference)
+    monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", lambda data, z: (reference, radius))
     with pytest.raises(DiscriminantError, match="found 0 critical points, expected 1"):
         critical_points(data, z)
 
 
-def test_count_one_fiber_with_balanced_weights_is_near_discriminant():
+def test_count_one_fiber_with_balanced_weights_is_near_discriminant(monkeypatch):
     # sum a = 0: a / f on the left kernel of B meets c . f = c . z nowhere,
-    # so no seed is added and the fiber is refused
+    # so the fiber is empty and is refused for its weights before any Newton
+    def unreachable(*args):
+        raise AssertionError("Newton ran on a balanced count-1 fiber")
+
+    monkeypatch.setattr(matpot.arrangements, "_newton_refine", unreachable)
     data = ArrangementData(_COUNT_ONE[0].matrix, (4, Fraction(1, 2), Fraction(-9, 2)), _COUNT_ONE[0].basepoint)
-    assert len(_vertex_seed_cloud(data, data.basepoint)) == len(loop_vertex_seed_cloud(data, data.basepoint))
-    with pytest.raises(DiscriminantError, match="found 0 critical points, expected 1"):
+    with pytest.raises(DiscriminantError, match="weights are balanced"):
         critical_points(data, data.basepoint)
 
 
 def test_item4_fiber_row_count(monkeypatch):
     # rows of t through _values on the item-4 basepoint fiber: seeds leaving
     # the escape box are retired instead of running all 50 Newton steps
-    # (16,416 rows when every seed ran to the end)
+    # (16,416 rows when every seed ran to the end, 10,331 in the box
+    # 1e6 (1 + max |z|), 7,495 in the box 100 (1 + max |vertex|))
     real = matpot.arrangements._values
     rows = []
 
@@ -323,7 +330,46 @@ def test_item4_fiber_row_count(monkeypatch):
     monkeypatch.setattr(matpot.arrangements, "_values", counting)
     data = _rank2_data()
     assert critical_points(data, data.basepoint).mu == 8
-    assert sum(rows) <= 11_000
+    assert sum(rows) <= 8_000
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 100), 100])
+def test_fiber_does_not_depend_on_the_units_of_t(factor):
+    # B -> B * factor moves every critical point by 1 / factor while z and
+    # the values f stay put; the escape box is in vertex units and moves
+    # along (a box of 100 (1 + max |z|) finds 7 of the 8 points at B / 100)
+    item4 = _rank2_data()
+    rows = [[v * factor for v in row] for row in item4.matrix]
+    scaled = ArrangementData(rows, item4.weights, item4.basepoint)
+    frame = critical_points(scaled, scaled.basepoint)
+    assert frame.mu == scaled.count == 8
+    np.testing.assert_allclose(frame.f, item4.base_frame.f, rtol=1e-9)
+
+
+def test_escape_box_margin_leaves_fibers_bit_identical(monkeypatch, random_k1_instances):
+    # every seed of an accepted point stays far inside the box, so a box
+    # 10^4 times wider returns the same fibers (or the same refusal) bit
+    # for bit on the 42-instance count sweep and the rank-1 instances
+    rng = random.Random(2718)
+    families = [_draw_k2_instance(rng, 4 + idx % 3) for idx in range(42)] + random_k1_instances
+
+    def solve_all():
+        out = []
+        for data in families:
+            try:
+                frame = critical_points(data, data.basepoint)
+            except DiscriminantError as exc:
+                out.append(str(exc))
+            else:
+                out.append([frame.points, frame.f, frame.hessians, frame.det_hess, frame.residuals])
+        return out
+
+    narrow = solve_all()
+    monkeypatch.setattr(matpot.arrangements, "ESCAPE_RADIUS", 1e6)
+    wide = solve_all()
+    assert sum(isinstance(x, str) for x in narrow) == 1
+    for x, y in zip(narrow, wide):
+        assert x == y if isinstance(x, str) else all(np.array_equal(u, v) for u, v in zip(x, y))
 
 
 def test_generic_count_is_n_minus_one(random_k1_instances):
