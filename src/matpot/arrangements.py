@@ -34,10 +34,9 @@ vertex seed cloud (hyperplane intersection vertices, their midpoints and
 centroids, lightly jittered), plus for n = k + 1 (count 1) the closed-form
 point f_i = a_i (c . z) / (c_i sum a), c spanning the left kernel of B.
 Either way all candidates of a fiber are refined in one batched Newton solve
-with one stacked LU per step, and a seed fails as soon as it leaves the box
-max |t| <= ESCAPE_RADIUS (1 + max |V|), V the fiber's vertices (for k = 1
-the poles -z_i / b_i): the box is in the units of t, and no seed of an
-accepted point was measured beyond 9.87 (1 + max |V|).
+with one stacked LU per step; a seed fails once it leaves the box max |t| <=
+ESCAPE_RADIUS (1 + max |candidate|), in the units of t, and a k >= 2 fiber
+found short (near-balanced weights) is solved again in FAR_RADIUS (1 + max |z|).
 """
 
 from __future__ import annotations
@@ -259,9 +258,10 @@ def _hessians(data: ArrangementData, f):
     return np.matmul(-(data.B.T[None] * (data.a / f**2)[:, None, :]), data.B[None])
 
 
-#: a Newton iterate with max |t| > ESCAPE_RADIUS (1 + max |V|), V the fiber's
-#: vertices, has escaped; seeds of accepted points measured stay within 9.87 (1 + max |V|)
+#: a Newton iterate with max |t| > ESCAPE_RADIUS (1 + max |candidate|) has escaped;
+#: seeds of accepted points measured stay within 9.87 (1 + max |candidate|)
 ESCAPE_RADIUS = 1e2
+FAR_RADIUS = 1e6  # a k >= 2 fiber found short is solved again in FAR_RADIUS (1 + max |z|)
 NEWTON_MAX_ITER = 50  # Newton steps per seed in ``_newton_refine``
 SEED_JITTER = 1e-3  # scale of the vertex seed cloud's complex normal jitter
 
@@ -345,12 +345,11 @@ def _combinations(count: int, size: int) -> np.ndarray:
 
 
 def _vertex_seed_cloud(data: ArrangementData, z):
-    """Seeds (2 S, k) for k >= 2 Newton and the radius max |V| of the S
-    hyperplane intersection vertices V (k-subsets of rows with |det| >=
-    1e-12): the vertices, their pairwise midpoints and triple centroids,
-    each followed by a copy jittered by SEED_JITTER times a complex standard
-    normal draw.  A count-1 family (n = k + 1) with exact weights summing to
-    0 has an empty fiber and raises DiscriminantError first.
+    """Seeds (2 S, k) for k >= 2 Newton: the S hyperplane intersection
+    vertices (k-subsets of rows with |det| >= 1e-12), their pairwise
+    midpoints and triple centroids, each followed by a copy jittered by
+    SEED_JITTER times a complex standard normal draw.  Balanced weights
+    (sum a = 0) leave a count-1 family's fiber empty: DiscriminantError.
 
     Critical points of a master function with generic weights sit inside the
     cells cut out by the hyperplanes, so cell-anchored seeds reach them while
@@ -359,23 +358,22 @@ def _vertex_seed_cloud(data: ArrangementData, z):
     generator (the same stream as a draw per seed).
     """
     z = np.asarray(z, dtype=complex)
-    exact = data.weights_exact
-    if data.n == data.k + 1 and data.count == 1 and None not in exact and sum(exact) == 0:
-        raise DiscriminantError("weights are balanced: the count-1 fiber needs sum a != 0")
     rows = _combinations(data.n, data.k)
     rows = rows[np.abs(np.linalg.det(data.B[rows])) >= 1e-12]
     V = np.linalg.solve(data.B[rows], -z[rows][..., None])[..., 0]
     i, j = _combinations(len(V), 2).T
     u, v, w = _combinations(len(V), 3).T
     seeds = np.concatenate([V, (V[i] + V[j]) / 2.0, (V[u] + V[v] + V[w]) / 3.0])
-    if data.n == data.k + 1 and data.count == 1 and data.a.sum() != 0:
+    if data.n == data.k + 1 and data.count == 1:
         # count 1: B^T (a / f) = 0 puts a / f on c (cofactors), c . f = c . z
+        if data.a.sum() == 0 or None not in data.weights_exact and sum(data.weights_exact) == 0:
+            raise DiscriminantError("weights are balanced: the count-1 fiber needs sum a != 0")
         c = np.array([(-1) ** i * np.linalg.det(np.delete(data.B, i, axis=0)) for i in range(data.n)])
         f = data.a * (c @ z) / (c * data.a.sum())
         seeds = np.concatenate([seeds, np.linalg.lstsq(data.B, f - z, rcond=None)[0][None]])
     noise = np.random.default_rng(20240521).standard_normal((len(seeds), 2, data.k))
     jittered = seeds + SEED_JITTER * (noise[:, 0] + 1j * noise[:, 1])
-    return np.stack([seeds, jittered], axis=1).reshape(-1, data.k), float(np.max(np.abs(V), initial=0.0))
+    return np.stack([seeds, jittered], axis=1).reshape(-1, data.k)
 
 
 def _k1_candidate_roots(data: ArrangementData, z):
@@ -395,8 +393,7 @@ def _k1_candidate_roots(data: ArrangementData, z):
     top = np.max(np.abs(poly))
     if top == 0 or abs(poly[0]) < 1e-12 * top:
         raise DiscriminantError("fiber polynomial degenerates (leading coefficient ~ 0)")
-    # the box radius: the poles -z_i / b_i are the fiber's vertices
-    return np.roots(poly)[:, None], float(np.max(np.abs(z[active] / data.B[active, 0])))
+    return np.roots(poly)
 
 
 def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
@@ -406,15 +403,16 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     and raises PreconditionError.  All candidates are refined in one batched
     Newton solve, then accepted in order by one greedy pass, which drops a
     candidate when Newton failed on it (a seed leaving the box max |t| <=
-    ESCAPE_RADIUS (1 + max |V|) fails at once, V the fiber's vertices, so
-    the box scales with t and not with z), its residual exceeds
-    1e-9 * (1 + max |z_i|), it lies within 1e-8 * (1 + max |z_i|) of a
-    hyperplane or an accepted point, or its Hessian is (nearly) singular
-    (|det| < 1e-12).  For k = 1 a drop raises DiscriminantError instead: a
-    Newton failure first (named as a point on a hyperplane when its root
-    started within 1e-6 (1 + max |z_i|) of one), then the first candidate too
-    near or flat, then the first residual above the bound.  At every rank a
-    fiber with other than ``data.count`` points raises DiscriminantError.
+    ESCAPE_RADIUS (1 + max |candidate|), in the units of t, fails at once),
+    its residual exceeds 1e-9 * (1 + max |z_i|), it lies within 1e-8 *
+    (1 + max |z_i|) of a hyperplane or an accepted point, or its Hessian is
+    (nearly) singular (|det| < 1e-12).  For k = 1 (candidates: the exact
+    roots) a drop raises DiscriminantError instead: a Newton failure first
+    (named as a point on a hyperplane when its root started within 1e-6
+    (1 + max |z_i|) of one), then the first candidate too near or flat, then
+    the first residual above the bound.  A k >= 2 fiber with other than
+    ``data.count`` points is solved once more in the box FAR_RADIUS
+    (1 + max |z_i|); a fiber still off raises DiscriminantError.
     """
     if data.count == 0:
         raise PreconditionError(
@@ -423,45 +421,47 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     z = np.asarray(z, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(z)))
     hyper_margin = dist_margin = 1e-8 * scale
-    hess_margin = 1e-12
     strict = data.k == 1
-    candidates, radius = (_k1_candidate_roots if strict else _vertex_seed_cloud)(data, z)
-    t, res, failures = _newton_refine(data, z, candidates, ESCAPE_RADIUS * (1.0 + radius))
-    # NaN fails every comparison, so failed seeds (residual NaN), among them
-    # every seed that left the box, drop out
-    clean = res <= 1e-9 * scale
+    candidates = _k1_candidate_roots(data, z)[:, None] if strict else _vertex_seed_cloud(data, z)
     on_hyperplane = "a critical point lies on (or too near) a hyperplane"
-    if strict:
-        for s in [s for s, why in enumerate(failures) if why][:1]:
-            # a failed root that started near a hyperplane is refused for it
-            started_near = np.min(np.abs(_values(data, z, candidates[s:s + 1]))) < 1e-6 * scale
-            raise DiscriminantError(on_hyperplane if started_near else failures[s])
-    kept = np.arange(len(t)) if strict else np.flatnonzero(clean)
-    fvals = _values(data, z, t[kept])
-    near = np.min(np.abs(fvals), axis=1) < hyper_margin
-    # a point too near a hyperplane may overflow here; it is dropped as near
-    with np.errstate(all="ignore"):
-        flat = np.abs(np.linalg.det(_hessians(data, fvals))) < hess_margin
-    if strict:
-        # nothing is skipped, so the first offender is the first candidate
-        # that is near, flat or within dist_margin of an earlier one; the
-        # residual rule comes last, so it refuses only fibers that pass the rest
-        gap = np.max(np.abs(t[kept][:, None] - t[kept][None]), axis=2)
-        collide = np.tril(gap < dist_margin, -1).any(axis=1)
-        for s in np.flatnonzero(collide | near | flat)[:1]:
-            raise DiscriminantError(
-                "critical points collide" if collide[s]
-                else on_hyperplane if near[s]
-                else "degenerate critical point (vanishing Hessian)"
-            )
-        for s in np.flatnonzero(~clean)[:1]:
-            raise DiscriminantError(f"Newton refinement did not converge (residual {res[s]:.3e})")
-    # near and flat candidates are never accepted, so they cannot shadow a
-    # later one: accept the first remaining candidate, drop its near copies
-    rest, accepted = kept[~(near | flat)], []
-    while rest.size:
-        accepted.append(rest[0])
-        rest = rest[1:][np.max(np.abs(t[rest[1:]] - t[rest[0]]), axis=1) >= dist_margin]
+    for box in (ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(candidates)))), FAR_RADIUS * scale):
+        t, res, failures = _newton_refine(data, z, candidates, box)
+        # NaN fails every comparison, so failed seeds (residual NaN), among them
+        # every seed that left the box, drop out
+        clean = res <= 1e-9 * scale
+        if strict:
+            for s in [s for s, why in enumerate(failures) if why][:1]:
+                # a failed root that started near a hyperplane is refused for it
+                started_near = np.min(np.abs(_values(data, z, candidates[s:s + 1]))) < 1e-6 * scale
+                raise DiscriminantError(on_hyperplane if started_near else failures[s])
+        kept = np.arange(len(t)) if strict else np.flatnonzero(clean)
+        fvals = _values(data, z, t[kept])
+        near = np.min(np.abs(fvals), axis=1) < hyper_margin
+        # a point too near a hyperplane may overflow here; it is dropped as near
+        with np.errstate(all="ignore"):
+            flat = np.abs(np.linalg.det(_hessians(data, fvals))) < 1e-12
+        if strict:
+            # nothing is skipped, so the first offender is the first candidate
+            # that is near, flat or within dist_margin of an earlier one; the
+            # residual rule comes last, so it refuses only fibers that pass the rest
+            gap = np.max(np.abs(t[kept][:, None] - t[kept][None]), axis=2)
+            collide = np.tril(gap < dist_margin, -1).any(axis=1)
+            for s in np.flatnonzero(collide | near | flat)[:1]:
+                raise DiscriminantError(
+                    "critical points collide" if collide[s]
+                    else on_hyperplane if near[s]
+                    else "degenerate critical point (vanishing Hessian)"
+                )
+            for s in np.flatnonzero(~clean)[:1]:
+                raise DiscriminantError(f"Newton refinement did not converge (residual {res[s]:.3e})")
+        # near and flat candidates are never accepted, so they cannot shadow a
+        # later one: accept the first remaining candidate, drop its near copies
+        rest, accepted = kept[~(near | flat)], []
+        while rest.size:
+            accepted.append(rest[0])
+            rest = rest[1:][np.max(np.abs(t[rest[1:]] - t[rest[0]]), axis=1) >= dist_margin]
+        if strict or len(accepted) == data.count:
+            break
     if len(accepted) != data.count:
         raise DiscriminantError(f"found {len(accepted)} critical points, expected {data.count}")
     accepted = np.array(accepted)

@@ -20,8 +20,7 @@ of ``equivalence_report``.  ``min_tight_subset`` maps the library's
 ``matroid_to_json`` is the inverse of ``jsonio.matroid_from_json``.  ``scalar_newton_refine`` is another: the
 one-seed Newton loop, as the bit-for-bit reference for the batched solve;
 ``loop_vertex_seed_cloud`` builds the rank >= 2 seed cloud one vertex and
-one draw at a time, the reference for the stacked cloud, from
-``loop_vertices``, which also give ``loop_escape_box``.
+one draw at a time, the reference for the stacked cloud.
 ``reference_descent_move`` is the earlier exchange search, kept as the
 reference for the library's ``descent_move``: it builds the full
 ``RemainderAlternative`` (two remainder supports, each label decided by its
@@ -651,9 +650,11 @@ def scalar_newton_refine(data, z, t, box: float, max_iter: int = 50):
     return t, float(np.max(np.abs(g)))
 
 
-def loop_vertices(data, z) -> list:
-    """The hyperplane intersection vertices of the fiber over z, one k-subset
-    of rows (|det| >= 1e-12) and one solve at a time."""
+def loop_vertex_seed_cloud(data, z, jitter: float = 1e-3):
+    """``arrangements._vertex_seed_cloud`` one vertex, seed and draw at a
+    time: the bit-for-bit reference for the stacked cloud, as a list of
+    seeds.  The closed-form seed of a count-1 fiber (n = k + 1) is not in it;
+    the stacked cloud appends it and its jittered copy after these."""
     z = np.asarray(z, dtype=complex)
     vertices = []
     for rows in combinations(range(data.n), data.k):
@@ -661,23 +662,6 @@ def loop_vertices(data, z) -> list:
         if abs(np.linalg.det(A)) < 1e-12:
             continue
         vertices.append(np.linalg.solve(A, -z[list(rows)]))
-    return vertices
-
-
-def loop_escape_box(data, z) -> float:
-    """The package's escape box ESCAPE_RADIUS (1 + max |V|) over the loop
-    vertices V of the fiber over z."""
-    from matpot.arrangements import ESCAPE_RADIUS
-
-    return ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(loop_vertices(data, z)), initial=0.0)))
-
-
-def loop_vertex_seed_cloud(data, z, jitter: float = 1e-3):
-    """``arrangements._vertex_seed_cloud`` one vertex, seed and draw at a
-    time: the bit-for-bit reference for the stacked cloud, as a list of
-    seeds.  The closed-form seed of a count-1 fiber (n = k + 1) is not in it;
-    the stacked cloud appends it and its jittered copy after these."""
-    vertices = loop_vertices(data, z)
     seeds = list(vertices)
     for u, v in combinations(vertices, 2):
         seeds.append((u + v) / 2.0)
@@ -695,18 +679,20 @@ def track_fiber(data, frame, z_target, max_depth: int = 40) -> np.ndarray:
     """Reference tracker: the points of ``frame`` followed to the fiber over
     z_target, shape (mu, k).
 
-    Newton (``arrangements._newton_refine``, in the box ``loop_escape_box``
-    of the fiber it solves) starts at the tracked points.  While a point
-    fails, keeps a residual above 1e-9 (1 + max |z|) or comes within 1e-8
-    (1 + max |z|) of another, the step is halved, at most ``max_depth``
-    halvings deep; then DiscriminantError.  A result is mu distinct critical
-    points of the target fiber.
+    Newton (``arrangements._newton_refine``) starts at the tracked points, in
+    the box ESCAPE_RADIUS (1 + max |point|) that ``critical_points`` puts
+    around its candidates.  While a point fails, keeps a residual above
+    1e-9 (1 + max |z|) or comes within 1e-8 (1 + max |z|) of another, the
+    step is halved, at most ``max_depth`` halvings deep; then
+    DiscriminantError.  A result is mu distinct critical points of the
+    target fiber.
     """
-    from matpot.arrangements import _newton_refine
+    from matpot.arrangements import ESCAPE_RADIUS, _newton_refine
 
     def step(z0, points, z1, depth):
         with np.errstate(all="ignore"):
-            t, res, failures = _newton_refine(data, z1, points, loop_escape_box(data, z1))
+            box = ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(points))))
+            t, res, failures = _newton_refine(data, z1, points, box)
             gap = np.max(np.abs(t[:, None] - t[None]), axis=2)
         np.fill_diagonal(gap, np.inf)
         scale = 1.0 + float(np.max(np.abs(z1)))

@@ -30,7 +30,6 @@ from oracles import (
     fix2_pair_unit,
     fix2_point,
     frame_values,
-    loop_escape_box,
     loop_vertex_seed_cloud,
     plain_frame,
     richardson_frame_derivatives,
@@ -144,22 +143,25 @@ def test_batched_newton_matches_scalar_reference(random_k1_instances):
     for n in (4, 4, 5, 5, 6, 6):
         data = _draw_k2_instance(rng, n)
         cases.append((data, data.basepoint))
-    cases = [(data, z, _vertex_seed_cloud(data, z)[0]) for data, z in cases]
+    cases = [(data, z, _vertex_seed_cloud(data, z)) for data, z in cases]
     for data in random_k1_instances:
-        cases.append((data, data.basepoint, _k1_candidate_roots(data, data.basepoint)[0]))
+        roots = _k1_candidate_roots(data, data.basepoint)
+        cases.append((data, data.basepoint, roots[:, None]))
+    # each fiber in the box critical_points puts around its own candidates
+    cases = [(data, z, seeds, ESCAPE_RADIUS * (1.0 + np.max(np.abs(seeds)))) for data, z, seeds in cases]
     # f = (t + 1, t - 1) with weights (1, -1): the Hessian 4t / (t^2 - 1)^2
     # vanishes exactly at t = 0, and t = -1 lies on a hyperplane
     odd = ArrangementData([(1,), (1,)], (1, -1), (1, -1))
     odd_seeds = np.array([[0.0], [-1.0], [complex("nan")], [0.5], [2.0 + 1j]])
     # on f_2 = t_2 + z_2 = 0 exactly; a far seed that stays outside the box
     item4_seeds = np.array([[0.3, -item4.basepoint[1]], [1e42, 1j], [0.1, 0.2]])
-    cases += [(odd, odd.basepoint, odd_seeds), (item4, item4.basepoint, item4_seeds)]
+    # (the box of the item-4 fiber's cloud, and 2 ESCAPE_RADIUS around the poles +-1)
+    cases += [(odd, odd.basepoint, odd_seeds, 2 * ESCAPE_RADIUS), (item4, item4.basepoint, item4_seeds, cases[0][3])]
 
     singular = "degenerate Hessian during Newton refinement"
     collided = "critical point collided with a hyperplane"
     escaped = "Newton iterate left for infinity"
-    for data, z, seeds in cases:
-        box = loop_escape_box(data, z)
+    for data, z, seeds, box in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             t, res, failures = _newton_refine(data, z, seeds, box)
@@ -260,12 +262,10 @@ def test_vertex_seed_cloud_matches_loop_reference():
     ]
     cases += [(data, data.basepoint) for data in small]
     for data, z in cases:
-        seeds, radius = _vertex_seed_cloud(data, z)
+        seeds = _vertex_seed_cloud(data, z)
         reference = np.array(loop_vertex_seed_cloud(data, z)).reshape(-1, data.k)
         assert seeds.shape == reference.shape and np.array_equal(seeds, reference)
-        # the escape box is read off the same vertices
-        assert ESCAPE_RADIUS * (1.0 + radius) == loop_escape_box(data, z)
-    assert [len(_vertex_seed_cloud(data, data.basepoint)[0]) for data in small] == [2 * (5 + 10 + 10), 2 * (2 + 1), 2]
+    assert [len(_vertex_seed_cloud(data, data.basepoint)) for data in small] == [2 * (5 + 10 + 10), 2 * (2 + 1), 2]
 
 
 # n = k + 1, count 1: the vertex cloud reaches the point from none of its seeds
@@ -288,7 +288,7 @@ def test_count_one_fiber_seeds_its_closed_form_point(monkeypatch, data):
     # the closed-form seed and its jittered copy follow the cloud, which keeps
     # its seeds and jitter bit for bit; without them the fiber comes out empty
     z = data.basepoint
-    seeds, radius = _vertex_seed_cloud(data, z)
+    seeds = _vertex_seed_cloud(data, z)
     reference = np.array(loop_vertex_seed_cloud(data, z)).reshape(-1, data.k)
     assert len(seeds) == len(reference) + 2
     assert np.array_equal(seeds[:-2], reference)
@@ -298,7 +298,7 @@ def test_count_one_fiber_seeds_its_closed_form_point(monkeypatch, data):
     assert frame.mu == data.count == 1
     assert frame.residuals.max() <= 1e-12
     assert np.max(np.abs(frame.points[0] - seeds[-2])) <= 1e-12
-    monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", lambda data, z: (reference, radius))
+    monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", lambda data, z: reference)
     with pytest.raises(DiscriminantError, match="found 0 critical points, expected 1"):
         critical_points(data, z)
 
@@ -319,7 +319,7 @@ def test_item4_fiber_row_count(monkeypatch):
     # rows of t through _values on the item-4 basepoint fiber: seeds leaving
     # the escape box are retired instead of running all 50 Newton steps
     # (16,416 rows when every seed ran to the end, 10,331 in the box
-    # 1e6 (1 + max |z|), 7,495 in the box 100 (1 + max |vertex|))
+    # 1e6 (1 + max |z|), 7,495 in the box 100 (1 + max |candidate|))
     real = matpot.arrangements._values
     rows = []
 
@@ -333,17 +333,55 @@ def test_item4_fiber_row_count(monkeypatch):
     assert sum(rows) <= 8_000
 
 
+def _newton_boxes(monkeypatch):
+    """The escape box of every ``_newton_refine`` call, in call order."""
+    real, boxes = matpot.arrangements._newton_refine, []
+
+    def recording(data, z, seeds, box):
+        boxes.append(box)
+        return real(data, z, seeds, box)
+
+    monkeypatch.setattr(matpot.arrangements, "_newton_refine", recording)
+    return boxes
+
+
 @pytest.mark.parametrize("factor", [Fraction(1, 100), 100])
-def test_fiber_does_not_depend_on_the_units_of_t(factor):
+def test_fiber_does_not_depend_on_the_units_of_t(monkeypatch, factor):
     # B -> B * factor moves every critical point by 1 / factor while z and
-    # the values f stay put; the escape box is in vertex units and moves
-    # along (a box of 100 (1 + max |z|) finds 7 of the 8 points at B / 100)
+    # the values f stay put; the escape box is in the units of t and moves
+    # along, so one Newton pass finds all 8 points (a first box of
+    # 100 (1 + max |z|) finds 7 of them at B / 100)
     item4 = _rank2_data()
     rows = [[v * factor for v in row] for row in item4.matrix]
     scaled = ArrangementData(rows, item4.weights, item4.basepoint)
+    boxes = _newton_boxes(monkeypatch)
     frame = critical_points(scaled, scaled.basepoint)
-    assert frame.mu == scaled.count == 8
+    assert frame.mu == scaled.count == 8 and len(boxes) == 1
     np.testing.assert_allclose(frame.f, item4.base_frame.f, rtol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "data, passes",
+    [
+        # rank 1, sum a = 1/200: the one root solves (t - 1) = (199/200)(t + 1),
+        # t = 399, twice the poles' box 100 (1 + 1); the roots set the box
+        (ArrangementData([(1,), (1,)], (1, Fraction(-199, 200)), (1, -1)), 1),
+        # rank 2, sum a = 1/100: one of the 2 points lies at |t| = 328, outside
+        # the first box 220, and the second pass in FAR_RADIUS (1 + max |z|) finds it
+        (ArrangementData([(-1, -3), (3, -3), (-1, -1), (2, -2)], (1, 1, 1, Fraction(-299, 100)), (0.3, -0.5, 0.9, 1.4)), 2),
+    ],
+)
+def test_near_balanced_fiber_keeps_its_far_points(monkeypatch, data, passes):
+    # as sum a -> 0 critical points move out like 1 / |sum a|, beyond any
+    # box drawn around the arrangement's own candidates
+    boxes = _newton_boxes(monkeypatch)
+    frame = critical_points(data, data.basepoint)
+    assert frame.mu == data.count and len(boxes) == passes
+    assert frame.residuals.max() <= 1e-12
+    if data.k == 1:
+        assert abs(frame.points[0, 0] - 399) <= 1e-9
+    else:
+        assert boxes[0] < np.abs(frame.points).max() < boxes[1]
 
 
 def test_escape_box_margin_leaves_fibers_bit_identical(monkeypatch, random_k1_instances):

@@ -673,6 +673,22 @@ def test_count_one_k2_fiber_is_answered(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
+def test_near_balanced_k1_fiber_is_answered(capsys, tmp_path, command):
+    # sum a = 1/200 puts the one critical point at t = 399, twice the box
+    # 100 (1 + max|pole|) around the poles +-1; the box is drawn around the
+    # roots themselves, so both commands answer
+    payload = {"B": [[1], [1]], "a": [1, "-199/200"], "x": [1, -1], "m": 2, "N_max": 5}
+    code, out = run_cli(capsys, [command], payload, tmp_path)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["mu"] == 1
+    if command == "potentials":
+        assert result["spread_max"] <= 1e-10
+    else:
+        assert result["report"]["max_violation"] <= 1e-6
+
+
+@pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
 def test_allow_k_ge_2_is_a_usage_error(capsys, tmp_path, command):
     # rank 2 needs no flag, so the old one is an unrecognized argument
     with pytest.raises(SystemExit) as info:
