@@ -33,10 +33,13 @@ the roots of an explicit degree n-1 polynomial; for k >= 2 they are the
 vertex seed cloud (hyperplane intersection vertices, their midpoints and
 centroids, lightly jittered), plus for n = k + 1 (count 1) the closed-form
 point f_i = a_i (c . z) / (c_i sum a), c spanning the left kernel of B.
-Either way all candidates of a fiber are refined in one batched Newton solve
-with one stacked LU per step; a seed fails once it leaves the box max |t| <=
-ESCAPE_RADIUS (1 + max |candidate|), in the units of t, and a k >= 2 fiber
-found short (near-balanced weights) is solved again in FAR_RADIUS (1 + max |z|).
+Candidates are refined by batched Newton with one stacked LU per step; a
+seed fails once it leaves the box max |t| <= ESCAPE_RADIUS (1 + max
+|candidate|), in the units of t, drawn around all candidates.  A k >= 2 fiber
+is solved in stages, each seed alone bit for bit: the vertices and midpoints
+first; the centroid tail (and a closed-form seed) only when those give other
+than count points; and only for a fiber still off count (near-balanced
+weights), the seeds that left the box once more in FAR_RADIUS (1 + max |z|).
 """
 
 from __future__ import annotations
@@ -345,11 +348,12 @@ def _combinations(count: int, size: int) -> np.ndarray:
 
 
 def _vertex_seed_cloud(data: ArrangementData, z):
-    """Seeds (2 S, k) for k >= 2 Newton: the S hyperplane intersection
-    vertices (k-subsets of rows with |det| >= 1e-12), their pairwise
-    midpoints and triple centroids, each followed by a copy jittered by
-    SEED_JITTER times a complex standard normal draw.  Balanced weights
-    (sum a = 0) leave a count-1 family's fiber empty: DiscriminantError.
+    """Seeds (2 S, k) for k >= 2 Newton and the row where their centroid tail
+    starts: the hyperplane intersection vertices (k-subsets of rows with
+    |det| >= 1e-12), their pairwise midpoints, then their triple centroids,
+    each followed by a copy jittered by SEED_JITTER times a complex standard
+    normal draw.  Balanced weights (sum a = 0) leave a count-1 family's fiber
+    empty: DiscriminantError; otherwise its closed-form point closes the tail.
 
     Critical points of a master function with generic weights sit inside the
     cells cut out by the hyperplanes, so cell-anchored seeds reach them while
@@ -373,7 +377,7 @@ def _vertex_seed_cloud(data: ArrangementData, z):
         seeds = np.concatenate([seeds, np.linalg.lstsq(data.B, f - z, rcond=None)[0][None]])
     noise = np.random.default_rng(20240521).standard_normal((len(seeds), 2, data.k))
     jittered = seeds + SEED_JITTER * (noise[:, 0] + 1j * noise[:, 1])
-    return np.stack([seeds, jittered], axis=1).reshape(-1, data.k)
+    return np.stack([seeds, jittered], axis=1).reshape(-1, data.k), 2 * (len(V) + len(i))
 
 
 def _k1_candidate_roots(data: ArrangementData, z):
@@ -400,8 +404,8 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     """All fiberwise critical points over z, Newton-refined and validated.
 
     A family whose count ``data.count`` is 0 has no critical points at all
-    and raises PreconditionError.  All candidates are refined in one batched
-    Newton solve, then accepted in order by one greedy pass, which drops a
+    and raises PreconditionError.  Candidates are refined by batched Newton,
+    then accepted in seed order by one greedy pass, which drops a
     candidate when Newton failed on it (a seed leaving the box max |t| <=
     ESCAPE_RADIUS (1 + max |candidate|), in the units of t, fails at once),
     its residual exceeds 1e-9 * (1 + max |z_i|), it lies within 1e-8 *
@@ -410,9 +414,15 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     roots) a drop raises DiscriminantError instead: a Newton failure first
     (named as a point on a hyperplane when its root started within 1e-6
     (1 + max |z_i|) of one), then the first candidate too near or flat, then
-    the first residual above the bound.  A k >= 2 fiber with other than
-    ``data.count`` points is solved once more in the box FAR_RADIUS
-    (1 + max |z_i|); a fiber still off raises DiscriminantError.
+    the first residual above the bound.  A k >= 2 fiber runs Newton on the
+    vertices and midpoints of its seed cloud first; only when they give other
+    than ``data.count`` points does the centroid tail run, and the pass
+    accepts over both.  A fiber still off count reruns the seeds that left
+    the box in FAR_RADIUS (1 + max |z_i|) (never narrower than the first
+    box); a fiber off count after that raises DiscriminantError.  Since each
+    seed runs alone bit for bit and acceptance goes in seed order, this
+    returns what one pass over the whole cloud in each box would, unless the
+    tail would add a point beyond a prefix that already has the count.
     """
     if data.count == 0:
         raise PreconditionError(
@@ -422,12 +432,27 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     scale = 1.0 + float(np.max(np.abs(z)))
     hyper_margin = dist_margin = 1e-8 * scale
     strict = data.k == 1
-    candidates = _k1_candidate_roots(data, z)[:, None] if strict else _vertex_seed_cloud(data, z)
+    if strict:
+        candidates = _k1_candidate_roots(data, z)[:, None]
+        tail = len(candidates)
+    else:
+        candidates, tail = _vertex_seed_cloud(data, z)
     on_hyperplane = "a critical point lies on (or too near) a hyperplane"
-    for box in (ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(candidates)))), FAR_RADIUS * scale):
-        t, res, failures = _newton_refine(data, z, candidates, box)
-        # NaN fails every comparison, so failed seeds (residual NaN), among them
-        # every seed that left the box, drop out
+    box = ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(candidates))))
+    t, res = candidates.astype(complex), np.full(len(candidates), np.nan)
+    failures = np.full(len(candidates), None)
+    for stage in (slice(tail), slice(tail, None), None):
+        if stage is None:
+            # a seed that stayed in the first box takes the same path in a wider one
+            box = max(box, FAR_RADIUS * scale)
+            stage = np.flatnonzero(failures == "Newton iterate left for infinity")
+        seeds = candidates[stage]
+        if not len(seeds):
+            continue
+        # each seed runs alone bit for bit, so a stage's results merge in seed order
+        t[stage], res[stage], failures[stage] = _newton_refine(data, z, seeds, box)
+        # NaN fails every comparison, so failed and unsolved seeds (residual NaN),
+        # among them every seed that left the box, drop out
         clean = res <= 1e-9 * scale
         if strict:
             for s in [s for s, why in enumerate(failures) if why][:1]:

@@ -31,6 +31,7 @@ from oracles import (
     fix2_point,
     frame_values,
     loop_vertex_seed_cloud,
+    one_pass_critical_points,
     plain_frame,
     richardson_frame_derivatives,
     scalar_newton_refine,
@@ -143,7 +144,7 @@ def test_batched_newton_matches_scalar_reference(random_k1_instances):
     for n in (4, 4, 5, 5, 6, 6):
         data = _draw_k2_instance(rng, n)
         cases.append((data, data.basepoint))
-    cases = [(data, z, _vertex_seed_cloud(data, z)) for data, z in cases]
+    cases = [(data, z, _vertex_seed_cloud(data, z)[0]) for data, z in cases]
     for data in random_k1_instances:
         roots = _k1_candidate_roots(data, data.basepoint)
         cases.append((data, data.basepoint, roots[:, None]))
@@ -262,10 +263,12 @@ def test_vertex_seed_cloud_matches_loop_reference():
     ]
     cases += [(data, data.basepoint) for data in small]
     for data, z in cases:
-        seeds = _vertex_seed_cloud(data, z)
+        seeds, _ = _vertex_seed_cloud(data, z)
         reference = np.array(loop_vertex_seed_cloud(data, z)).reshape(-1, data.k)
         assert seeds.shape == reference.shape and np.array_equal(seeds, reference)
-    assert [len(_vertex_seed_cloud(data, data.basepoint)) for data in small] == [2 * (5 + 10 + 10), 2 * (2 + 1), 2]
+    # the centroid tail starts after the vertices and midpoints, jitter included
+    clouds = [_vertex_seed_cloud(data, data.basepoint) for data in small]
+    assert [(len(seeds), tail) for seeds, tail in clouds] == [(2 * (5 + 10 + 10), 2 * (5 + 10)), (2 * (2 + 1), 6), (2, 2)]
 
 
 # n = k + 1, count 1: the vertex cloud reaches the point from none of its seeds
@@ -288,9 +291,9 @@ def test_count_one_fiber_seeds_its_closed_form_point(monkeypatch, data):
     # the closed-form seed and its jittered copy follow the cloud, which keeps
     # its seeds and jitter bit for bit; without them the fiber comes out empty
     z = data.basepoint
-    seeds = _vertex_seed_cloud(data, z)
+    seeds, tail = _vertex_seed_cloud(data, z)
     reference = np.array(loop_vertex_seed_cloud(data, z)).reshape(-1, data.k)
-    assert len(seeds) == len(reference) + 2
+    assert len(seeds) == len(reference) + 2 and tail <= len(reference)
     assert np.array_equal(seeds[:-2], reference)
     f = seeds[-2] @ data.B.T + z
     assert np.max(np.abs(data.B.T @ (data.a / f))) <= 1e-12
@@ -298,7 +301,7 @@ def test_count_one_fiber_seeds_its_closed_form_point(monkeypatch, data):
     assert frame.mu == data.count == 1
     assert frame.residuals.max() <= 1e-12
     assert np.max(np.abs(frame.points[0] - seeds[-2])) <= 1e-12
-    monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", lambda data, z: reference)
+    monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", lambda data, z: (reference, tail))
     with pytest.raises(DiscriminantError, match="found 0 critical points, expected 1"):
         critical_points(data, z)
 
@@ -317,9 +320,11 @@ def test_count_one_fiber_with_balanced_weights_is_near_discriminant(monkeypatch)
 
 def test_item4_fiber_row_count(monkeypatch):
     # rows of t through _values on the item-4 basepoint fiber: seeds leaving
-    # the escape box are retired instead of running all 50 Newton steps
+    # the escape box are retired instead of running all 50 Newton steps, and
+    # the vertices and midpoints find all 8 points, so no centroid seed runs
     # (16,416 rows when every seed ran to the end, 10,331 in the box
-    # 1e6 (1 + max |z|), 7,495 in the box 100 (1 + max |candidate|))
+    # 1e6 (1 + max |z|), 7,495 in the box 100 (1 + max |candidate|), 1,749
+    # from the cloud's vertices and midpoints alone)
     real = matpot.arrangements._values
     rows = []
 
@@ -330,58 +335,122 @@ def test_item4_fiber_row_count(monkeypatch):
     monkeypatch.setattr(matpot.arrangements, "_values", counting)
     data = _rank2_data()
     assert critical_points(data, data.basepoint).mu == 8
-    assert sum(rows) <= 8_000
+    assert sum(rows) <= 1_800
 
 
-def _newton_boxes(monkeypatch):
-    """The escape box of every ``_newton_refine`` call, in call order."""
-    real, boxes = matpot.arrangements._newton_refine, []
+def _newton_calls(monkeypatch):
+    """(box, seeds, failures) of every ``_newton_refine`` call, in call order."""
+    real, calls = matpot.arrangements._newton_refine, []
 
     def recording(data, z, seeds, box):
-        boxes.append(box)
-        return real(data, z, seeds, box)
+        out = real(data, z, seeds, box)
+        calls.append((box, seeds, out[2]))
+        return out
 
     monkeypatch.setattr(matpot.arrangements, "_newton_refine", recording)
-    return boxes
+    return calls
+
+
+def _distinct_boxes(calls):
+    """The escape boxes of ``calls`` without repeats, in call order: the
+    prefix and the centroid tail of a cloud share the first box."""
+    return list(dict.fromkeys(box for box, _, _ in calls))
 
 
 @pytest.mark.parametrize("factor", [Fraction(1, 100), 100])
 def test_fiber_does_not_depend_on_the_units_of_t(monkeypatch, factor):
     # B -> B * factor moves every critical point by 1 / factor while z and
     # the values f stay put; the escape box is in the units of t and moves
-    # along, so one Newton pass finds all 8 points (a first box of
-    # 100 (1 + max |z|) finds 7 of them at B / 100)
+    # along, so the first box finds all 8 points (a first box of
+    # 100 (1 + max |z|) finds 7 of them at B / 100), from the vertices and
+    # midpoints or, at B * 100, with the centroid tail in the same box
     item4 = _rank2_data()
     rows = [[v * factor for v in row] for row in item4.matrix]
     scaled = ArrangementData(rows, item4.weights, item4.basepoint)
-    boxes = _newton_boxes(monkeypatch)
+    calls = _newton_calls(monkeypatch)
     frame = critical_points(scaled, scaled.basepoint)
-    assert frame.mu == scaled.count == 8 and len(boxes) == 1
+    assert frame.mu == scaled.count == 8 and len(_distinct_boxes(calls)) == 1
     np.testing.assert_allclose(frame.f, item4.base_frame.f, rtol=1e-9)
 
 
-@pytest.mark.parametrize(
-    "data, passes",
-    [
-        # rank 1, sum a = 1/200: the one root solves (t - 1) = (199/200)(t + 1),
-        # t = 399, twice the poles' box 100 (1 + 1); the roots set the box
-        (ArrangementData([(1,), (1,)], (1, Fraction(-199, 200)), (1, -1)), 1),
-        # rank 2, sum a = 1/100: one of the 2 points lies at |t| = 328, outside
-        # the first box 220, and the second pass in FAR_RADIUS (1 + max |z|) finds it
-        (ArrangementData([(-1, -3), (3, -3), (-1, -1), (2, -2)], (1, 1, 1, Fraction(-299, 100)), (0.3, -0.5, 0.9, 1.4)), 2),
-    ],
-)
+_NEAR_BALANCED = [
+    # rank 1, sum a = 1/200: the one root solves (t - 1) = (199/200)(t + 1),
+    # t = 399, twice the poles' box 100 (1 + 1); the roots set the box
+    ArrangementData([(1,), (1,)], (1, Fraction(-199, 200)), (1, -1)),
+    # rank 2, sum a = 1/100: one of the 2 points lies at |t| = 328, outside
+    # the first box 220, and the far box FAR_RADIUS (1 + max |z|) finds it
+    ArrangementData([(-1, -3), (3, -3), (-1, -1), (2, -2)], (1, 1, 1, Fraction(-299, 100)), (0.3, -0.5, 0.9, 1.4)),
+]
+
+
+@pytest.mark.parametrize("data, passes", zip(_NEAR_BALANCED, (1, 2)))
 def test_near_balanced_fiber_keeps_its_far_points(monkeypatch, data, passes):
     # as sum a -> 0 critical points move out like 1 / |sum a|, beyond any
-    # box drawn around the arrangement's own candidates
-    boxes = _newton_boxes(monkeypatch)
+    # box drawn around the arrangement's own candidates; only the seeds that
+    # left the first box run again, in the far box, and the fiber is the
+    # one-pass reference's bit for bit
+    calls = _newton_calls(monkeypatch)
     frame = critical_points(data, data.basepoint)
+    boxes = _distinct_boxes(calls)
     assert frame.mu == data.count and len(boxes) == passes
     assert frame.residuals.max() <= 1e-12
     if data.k == 1:
         assert abs(frame.points[0, 0] - 399) <= 1e-9
     else:
+        scale = 1.0 + np.max(np.abs(data.basepoint))
+        assert boxes == [boxes[0], matpot.arrangements.FAR_RADIUS * scale]
         assert boxes[0] < np.abs(frame.points).max() < boxes[1]
+        first = [call for call in calls if call[0] == boxes[0]]
+        seeds = np.concatenate([chunk for _, chunk, _ in first])
+        failures = [why for _, _, whys in first for why in whys]
+        escaped = [s for s, why in enumerate(failures) if why == "Newton iterate left for infinity"]
+        assert np.array_equal(seeds, _vertex_seed_cloud(data, data.basepoint)[0])
+        assert [box for box, _, _ in calls[len(first):]] == [boxes[1]]
+        assert np.array_equal(calls[-1][1], seeds[escaped])
+    reference = one_pass_critical_points(data, data.basepoint)
+    for name in ("points", "f", "hessians", "det_hess", "residuals"):
+        assert getattr(frame, name).tobytes() == getattr(reference, name).tobytes()
+
+
+def test_prefix_that_completes_runs_no_centroid(monkeypatch):
+    # a fibers_k2-shaped n = 6 fiber whose vertices and midpoints give all
+    # its points: Newton sees only those 2 (V + C(V, 2)) seeds, never a centroid
+    data = _draw_k2_instance(random.Random(6), 6)
+    seeds, tail = _vertex_seed_cloud(data, data.basepoint)
+    calls = _newton_calls(monkeypatch)
+    assert critical_points(data, data.basepoint).mu == data.count
+    assert tail < len(seeds) and [len(chunk) for _, chunk, _ in calls] == [tail]
+
+
+def _outcomes(solve, cases):
+    """(points, f, hessians, det_hess, residuals) as bytes, or (error type, message)."""
+    out = []
+    for data, z in cases:
+        try:
+            frame = solve(data, z)
+        except (DiscriminantError, PreconditionError) as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append(tuple(getattr(frame, name).tobytes() for name in ("points", "f", "hessians", "det_hess", "residuals")))
+    return out
+
+
+def test_staged_solve_matches_one_pass_reference():
+    # the staged solve (vertices and midpoints, then the centroid tail, then
+    # the escaped seeds in the far box) against the whole cloud in every pass
+    rng = random.Random(2718)
+    families = [_draw_k2_instance(rng, 4 + idx % 3) for idx in range(42)]
+    item4 = _rank2_data()
+    families += [
+        ArrangementData([[v * factor for v in row] for row in item4.matrix], item4.weights, item4.basepoint)
+        for factor in (1, Fraction(1, 100), 100)
+    ]
+    balanced = ArrangementData(_COUNT_ONE[0].matrix, (4, Fraction(1, 2), Fraction(-9, 2)), _COUNT_ONE[0].basepoint)
+    families += _COUNT_ONE + [balanced] + _NEAR_BALANCED
+    cases = [(data, data.basepoint) for data in families]
+    staged = _outcomes(critical_points, cases)
+    assert staged == _outcomes(one_pass_critical_points, cases)
+    assert sum(len(x) == 2 for x in staged) == 2  # instance 35 and the balanced count-1 family
 
 
 def test_escape_box_margin_leaves_fibers_bit_identical(monkeypatch, random_k1_instances):
@@ -390,24 +459,11 @@ def test_escape_box_margin_leaves_fibers_bit_identical(monkeypatch, random_k1_in
     # for bit on the 42-instance count sweep and the rank-1 instances
     rng = random.Random(2718)
     families = [_draw_k2_instance(rng, 4 + idx % 3) for idx in range(42)] + random_k1_instances
-
-    def solve_all():
-        out = []
-        for data in families:
-            try:
-                frame = critical_points(data, data.basepoint)
-            except DiscriminantError as exc:
-                out.append(str(exc))
-            else:
-                out.append([frame.points, frame.f, frame.hessians, frame.det_hess, frame.residuals])
-        return out
-
-    narrow = solve_all()
+    cases = [(data, data.basepoint) for data in families]
+    narrow = _outcomes(critical_points, cases)
     monkeypatch.setattr(matpot.arrangements, "ESCAPE_RADIUS", 1e6)
-    wide = solve_all()
-    assert sum(isinstance(x, str) for x in narrow) == 1
-    for x, y in zip(narrow, wide):
-        assert x == y if isinstance(x, str) else all(np.array_equal(u, v) for u, v in zip(x, y))
+    assert sum(len(x) == 2 for x in narrow) == 1
+    assert narrow == _outcomes(critical_points, cases)
 
 
 def test_generic_count_is_n_minus_one(random_k1_instances):
