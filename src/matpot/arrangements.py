@@ -28,18 +28,11 @@ For generic weights and z the fiber has exactly mu = |sum over independent S
 with |S| <= k of (-1)^|S|| points, the Euler characteristic of the
 complement (Orlik-Terao, Varchenko); ``ArrangementData.count`` computes it
 once from the matroid, and every fiber solve at every rank returns exactly
-that many points or raises DiscriminantError.  For k = 1 the candidates are
-the roots of an explicit degree n-1 polynomial; for k >= 2 they are the
-vertex seed cloud (hyperplane intersection vertices, their midpoints and
-centroids, lightly jittered), plus for n = k + 1 (count 1) the closed-form
-point f_i = a_i (c . z) / (c_i sum a), c spanning the left kernel of B.
-Candidates are refined by batched Newton with one stacked LU per step; a
-seed fails once it leaves the box max |t| <= ESCAPE_RADIUS (1 + max
-|candidate|), in the units of t, drawn around all candidates.  A k >= 2 fiber
-is solved in stages, each seed alone bit for bit: the vertices and midpoints
-first; the centroid tail (and a closed-form seed) only when those give other
-than count points; and only for a fiber still off count (near-balanced
-weights), the seeds that left the box once more in FAR_RADIUS (1 + max |z|).
+that many points or raises DiscriminantError.  Both solves refine their
+candidates by batched Newton: ``_k1_fiber`` the roots of an explicit degree
+n-1 polynomial, ``_cloud_fiber`` a seed cloud around the hyperplane
+intersection vertices, in stages.  Their acceptance rules and refusals are
+stated once, in those two docstrings; docs/schemas.md lists the messages.
 """
 
 from __future__ import annotations
@@ -261,6 +254,8 @@ def _hessians(data: ArrangementData, f):
     return np.matmul(-(data.B.T[None] * (data.a / f**2)[:, None, :]), data.B[None])
 
 
+#: the failure of a seed whose Newton iterate left the escape box
+ESCAPED = "Newton iterate left for infinity"
 #: a Newton iterate with max |t| > ESCAPE_RADIUS (1 + max |candidate|) has escaped;
 #: seeds of accepted points measured stay within 9.87 (1 + max |candidate|)
 ESCAPE_RADIUS = 1e2
@@ -325,7 +320,7 @@ def _newton_refine(data: ArrangementData, z, seeds, box: float):
             size = np.abs(t[active]).max(axis=1)
             escaped = ~(size <= box)
             for s in active[escaped]:
-                failures[s] = "Newton iterate left for infinity"
+                failures[s] = ESCAPED
             done = np.abs(delta).max(axis=1) <= 1e-15 * (1.0 + size)
             active = active[~(escaped | done)]
         residuals = np.full(len(t), np.nan)
@@ -359,9 +354,8 @@ def _vertex_seed_cloud(data: ArrangementData, z):
     cells cut out by the hyperplanes, so cell-anchored seeds reach them while
     a plain random cloud mostly escapes to infinity.  Vertices come from one
     stacked det and solve, the jitter from one draw of the fixed-seed
-    generator (the same stream as a draw per seed).
+    generator (the same stream as a draw per seed).  z is a complex array.
     """
-    z = np.asarray(z, dtype=complex)
     rows = _combinations(data.n, data.k)
     rows = rows[np.abs(np.linalg.det(data.B[rows])) >= 1e-12]
     V = np.linalg.solve(data.B[rows], -z[rows][..., None])[..., 0]
@@ -381,7 +375,10 @@ def _vertex_seed_cloud(data: ArrangementData, z):
 
 
 def _k1_candidate_roots(data: ArrangementData, z):
-    z = np.asarray(z, dtype=complex)
+    """The n' - 1 roots of the rank-1 fiber polynomial over the complex array z,
+    sum_i a_i b_i prod_{j != i} (b_j t + z_j) over the n' rows with b != 0;
+    DiscriminantError for balanced exact weights or a vanishing leading
+    coefficient."""
     active = [i for i in range(data.n) if data.matrix[i][0] != 0]
     active_weights = [data.weights_exact[i] for i in active]
     if all(w is not None for w in active_weights):
@@ -400,44 +397,65 @@ def _k1_candidate_roots(data: ArrangementData, z):
     return np.roots(poly)
 
 
-def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
-    """All fiberwise critical points over z, Newton-refined and validated.
+def _near_or_flat(data: ArrangementData, z, t, margin: float):
+    """Masks over the rows of t (S, k): within ``margin`` of a hyperplane,
+    and (nearly) singular Hessian, |det| < 1e-12."""
+    fvals = _values(data, z, t)
+    # a point too near a hyperplane may overflow here; it is caught as near
+    with np.errstate(all="ignore"):
+        flat = np.abs(np.linalg.det(_hessians(data, fvals))) < 1e-12
+    return np.min(np.abs(fvals), axis=1) < margin, flat
 
-    A family whose count ``data.count`` is 0 has no critical points at all
-    and raises PreconditionError.  Candidates are refined by batched Newton,
-    then accepted in seed order by one greedy pass, which drops a
-    candidate when Newton failed on it (a seed leaving the box max |t| <=
-    ESCAPE_RADIUS (1 + max |candidate|), in the units of t, fails at once),
-    its residual exceeds 1e-9 * (1 + max |z_i|), it lies within 1e-8 *
-    (1 + max |z_i|) of a hyperplane or an accepted point, or its Hessian is
-    (nearly) singular (|det| < 1e-12).  For k = 1 (candidates: the exact
-    roots) a drop raises DiscriminantError instead: a Newton failure first
-    (named as a point on a hyperplane when its root started within 1e-6
-    (1 + max |z_i|) of one), then the first candidate too near or flat, then
-    the first residual above the bound.  A k >= 2 fiber runs Newton on the
-    vertices and midpoints of its seed cloud first; only when they give other
-    than ``data.count`` points does the centroid tail run, and the pass
-    accepts over both.  A fiber still off count reruns the seeds that left
-    the box in FAR_RADIUS (1 + max |z_i|) (never narrower than the first
-    box); a fiber off count after that raises DiscriminantError.  Since each
-    seed runs alone bit for bit and acceptance goes in seed order, this
+
+def _k1_fiber(data: ArrangementData, z, scale: float):
+    """The rank-1 fiber as (points (S, 1), residuals (S,)): every root of the
+    fiber polynomial, refined by one Newton pass in the box ESCAPE_RADIUS
+    (1 + max |root|), or DiscriminantError; scale is 1 + max |z_i|.
+
+    Nothing is dropped, so the refusals come in this order: a Newton failure
+    (the first failed root, named as a point on a hyperplane when it started
+    within 1e-6 scale of one); then the first root that lies within 1e-8 scale
+    of an earlier root ("critical points collide"), of a hyperplane, or is
+    flat; last, the first residual above 1e-9 scale, so that rule refuses
+    only fibers that pass the rest.
+    """
+    roots = _k1_candidate_roots(data, z)[:, None]
+    on_hyperplane = "a critical point lies on (or too near) a hyperplane"
+    box = ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(roots))))
+    t, res, failures = _newton_refine(data, z, roots, box)
+    for s in [s for s, why in enumerate(failures) if why][:1]:
+        started_near = np.min(np.abs(_values(data, z, roots[s:s + 1]))) < 1e-6 * scale
+        raise DiscriminantError(on_hyperplane if started_near else failures[s])
+    margin = 1e-8 * scale
+    near, flat = _near_or_flat(data, z, t, margin)
+    collide = np.tril(np.abs(t - t.T) < margin, -1).any(axis=1)
+    for s in np.flatnonzero(collide | near | flat)[:1]:
+        raise DiscriminantError(
+            "critical points collide" if collide[s]
+            else on_hyperplane if near[s]
+            else "degenerate critical point (vanishing Hessian)"
+        )
+    for s in np.flatnonzero(~(res <= 1e-9 * scale))[:1]:
+        raise DiscriminantError(f"Newton refinement did not converge (residual {res[s]:.3e})")
+    return t, res
+
+
+def _cloud_fiber(data: ArrangementData, z, scale: float):
+    """The rank >= 2 fiber as (points, residuals), solved from the vertex seed
+    cloud in stages, each seed alone bit for bit; scale is 1 + max |z_i|.
+
+    Newton runs on the vertices and midpoints first, in the box ESCAPE_RADIUS
+    (1 + max |seed|); only when they give other than ``data.count`` points
+    does the centroid tail run in the same box.  A fiber still off count
+    reruns the seeds that left the box in FAR_RADIUS scale (never narrower
+    than the first box).  After each stage one greedy pass accepts, in seed
+    order, every candidate with residual <= 1e-9 scale that is neither
+    within 1e-8 scale of a hyperplane or an accepted point nor flat.  So this
     returns what one pass over the whole cloud in each box would, unless the
     tail would add a point beyond a prefix that already has the count.
     """
-    if data.count == 0:
-        raise PreconditionError(
-            "the family has no critical points: the Euler characteristic of the complement is 0"
-        )
-    z = np.asarray(z, dtype=complex)
-    scale = 1.0 + float(np.max(np.abs(z)))
-    hyper_margin = dist_margin = 1e-8 * scale
-    strict = data.k == 1
-    if strict:
-        candidates = _k1_candidate_roots(data, z)[:, None]
-        tail = len(candidates)
-    else:
-        candidates, tail = _vertex_seed_cloud(data, z)
-    on_hyperplane = "a critical point lies on (or too near) a hyperplane"
+    candidates, tail = _vertex_seed_cloud(data, z)
+    margin = 1e-8 * scale
     box = ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(candidates))))
     t, res = candidates.astype(complex), np.full(len(candidates), np.nan)
     failures = np.full(len(candidates), None)
@@ -445,7 +463,7 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
         if stage is None:
             # a seed that stayed in the first box takes the same path in a wider one
             box = max(box, FAR_RADIUS * scale)
-            stage = np.flatnonzero(failures == "Newton iterate left for infinity")
+            stage = np.flatnonzero(failures == ESCAPED)
         seeds = candidates[stage]
         if not len(seeds):
             continue
@@ -453,53 +471,49 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
         t[stage], res[stage], failures[stage] = _newton_refine(data, z, seeds, box)
         # NaN fails every comparison, so failed and unsolved seeds (residual NaN),
         # among them every seed that left the box, drop out
-        clean = res <= 1e-9 * scale
-        if strict:
-            for s in [s for s, why in enumerate(failures) if why][:1]:
-                # a failed root that started near a hyperplane is refused for it
-                started_near = np.min(np.abs(_values(data, z, candidates[s:s + 1]))) < 1e-6 * scale
-                raise DiscriminantError(on_hyperplane if started_near else failures[s])
-        kept = np.arange(len(t)) if strict else np.flatnonzero(clean)
-        fvals = _values(data, z, t[kept])
-        near = np.min(np.abs(fvals), axis=1) < hyper_margin
-        # a point too near a hyperplane may overflow here; it is dropped as near
-        with np.errstate(all="ignore"):
-            flat = np.abs(np.linalg.det(_hessians(data, fvals))) < 1e-12
-        if strict:
-            # nothing is skipped, so the first offender is the first candidate
-            # that is near, flat or within dist_margin of an earlier one; the
-            # residual rule comes last, so it refuses only fibers that pass the rest
-            gap = np.max(np.abs(t[kept][:, None] - t[kept][None]), axis=2)
-            collide = np.tril(gap < dist_margin, -1).any(axis=1)
-            for s in np.flatnonzero(collide | near | flat)[:1]:
-                raise DiscriminantError(
-                    "critical points collide" if collide[s]
-                    else on_hyperplane if near[s]
-                    else "degenerate critical point (vanishing Hessian)"
-                )
-            for s in np.flatnonzero(~clean)[:1]:
-                raise DiscriminantError(f"Newton refinement did not converge (residual {res[s]:.3e})")
+        kept = np.flatnonzero(res <= 1e-9 * scale)
+        near, flat = _near_or_flat(data, z, t[kept], margin)
         # near and flat candidates are never accepted, so they cannot shadow a
         # later one: accept the first remaining candidate, drop its near copies
         rest, accepted = kept[~(near | flat)], []
         while rest.size:
             accepted.append(rest[0])
-            rest = rest[1:][np.max(np.abs(t[rest[1:]] - t[rest[0]]), axis=1) >= dist_margin]
-        if strict or len(accepted) == data.count:
+            rest = rest[1:][np.max(np.abs(t[rest[1:]] - t[rest[0]]), axis=1) >= margin]
+        if len(accepted) == data.count:
             break
-    if len(accepted) != data.count:
-        raise DiscriminantError(f"found {len(accepted)} critical points, expected {data.count}")
-    accepted = np.array(accepted)
-    accepted = accepted[np.lexsort((t[accepted, -1].imag, t[accepted, -1].real))]
-    f = t[accepted] @ data.B.T + z
+    return t[accepted], res[accepted]
+
+
+def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
+    """All fiberwise critical points over z, Newton-refined and validated.
+
+    A family whose count ``data.count`` is 0 has no critical points at all
+    and raises PreconditionError.  The fiber comes from ``_k1_fiber`` at
+    rank 1 and from ``_cloud_fiber`` at rank >= 2, with scale = 1 + max |z_i|;
+    a fiber with other than ``data.count`` points raises DiscriminantError.
+    The points are sorted by the real, then the imaginary part of their last
+    coordinate.
+    """
+    if data.count == 0:
+        raise PreconditionError(
+            "the family has no critical points: the Euler characteristic of the complement is 0"
+        )
+    z = np.asarray(z, dtype=complex)
+    scale = 1.0 + float(np.max(np.abs(z)))
+    points, res = (_k1_fiber if data.k == 1 else _cloud_fiber)(data, z, scale)
+    if len(points) != data.count:
+        raise DiscriminantError(f"found {len(points)} critical points, expected {data.count}")
+    order = np.lexsort((points[:, -1].imag, points[:, -1].real))
+    points, res = points[order], res[order]
+    f = points @ data.B.T + z
     hessians = _hessians(data, f)
     return CriticalPointFrame(
         z=z,
-        points=t[accepted],
+        points=points,
         f=f,
         hessians=hessians,
         det_hess=np.linalg.det(hessians),
-        residuals=res[accepted],
+        residuals=res,
     )
 
 

@@ -176,9 +176,7 @@ def _cmd_potentials(args) -> dict:
     data, m = _arrangement_from_json(obj)
     structure = structure_from_arrangement(data, m)
     ctx = structure.context()
-    n_max = args.n_max
-    if n_max is None:
-        n_max = obj.get("N_max", ctx.m * ctx.k + 3)
+    n_max = obj.get("N_max", ctx.m * ctx.k + 3)
     if not isinstance(n_max, int) or isinstance(n_max, bool):
         raise SchemaError("N_max must be an integer")
     Q = first_kind_polynomial(structure)
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("potentials", help="first- and second-kind potential tables")
     common(p)
-    p.add_argument("--n-max", type=int, default=None, help="truncation order (default mk+3)")
     p.add_argument("--tol", type=float, default=None, help="spread tolerance (default MATPOT_TOL or 1e-6)")
     p.set_defaults(handler=_cmd_potentials)
 

@@ -21,8 +21,9 @@ of ``equivalence_report``.  ``min_tight_subset`` maps the library's
 one-seed Newton loop, as the bit-for-bit reference for the batched solve;
 ``loop_vertex_seed_cloud`` builds the rank >= 2 seed cloud one vertex and
 one draw at a time, the reference for the stacked cloud, and
-``one_pass_critical_points`` solves a fiber from its whole cloud in every
-Newton pass, the reference for the staged solve of ``critical_points``.
+``one_pass_critical_points`` solves a rank >= 2 fiber from its whole cloud
+in every Newton pass, the reference for the staged solve of
+``critical_points``.
 ``reference_descent_move`` is the earlier exchange search, kept as the
 reference for the library's ``descent_move``: it builds the full
 ``RemainderAlternative`` (two remainder supports, each label decided by its
@@ -679,19 +680,20 @@ def loop_vertex_seed_cloud(data, z, jitter: float = 1e-3):
 
 def one_pass_critical_points(data, z):
     """``critical_points`` with the whole candidate set in every Newton pass:
-    the full vertex seed cloud (or the k = 1 roots) in the box ESCAPE_RADIUS
-    (1 + max |candidate|), then, for a k >= 2 fiber off ``data.count``, the
-    full cloud again in FAR_RADIUS (1 + max |z|), with the same greedy
-    acceptance and refusals.  The reference the staged solve (prefix, tail,
-    escaped seeds only in the far box) must match bit for bit."""
+    the full vertex seed cloud in the box ESCAPE_RADIUS (1 + max |seed|),
+    then, for a fiber off ``data.count``, the full cloud again in FAR_RADIUS
+    (1 + max |z|), with the same greedy acceptance.  The reference the staged
+    rank >= 2 solve (prefix, tail, escaped seeds only in the far box) must
+    match bit for bit; rank 1 has no stages, so its fiber is the library's
+    ``_k1_fiber``."""
     from matpot.arrangements import (
         ESCAPE_RADIUS,
         FAR_RADIUS,
         CriticalPointFrame,
         _hessians,
-        _k1_candidate_roots,
+        _k1_fiber,
+        _near_or_flat,
         _newton_refine,
-        _values,
         _vertex_seed_cloud,
     )
 
@@ -701,47 +703,30 @@ def one_pass_critical_points(data, z):
         )
     z = np.asarray(z, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(z)))
-    margin = 1e-8 * scale
-    strict = data.k == 1
-    candidates = _k1_candidate_roots(data, z)[:, None] if strict else _vertex_seed_cloud(data, z)[0]
-    on_hyperplane = "a critical point lies on (or too near) a hyperplane"
-    for box in (ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(candidates)))), FAR_RADIUS * scale):
-        t, res, failures = _newton_refine(data, z, candidates, box)
-        clean = res <= 1e-9 * scale
-        if strict:
-            for s in [s for s, why in enumerate(failures) if why][:1]:
-                started_near = np.min(np.abs(_values(data, z, candidates[s:s + 1]))) < 1e-6 * scale
-                raise DiscriminantError(on_hyperplane if started_near else failures[s])
-        kept = np.arange(len(t)) if strict else np.flatnonzero(clean)
-        fvals = _values(data, z, t[kept])
-        near = np.min(np.abs(fvals), axis=1) < margin
-        with np.errstate(all="ignore"):
-            flat = np.abs(np.linalg.det(_hessians(data, fvals))) < 1e-12
-        if strict:
-            gap = np.max(np.abs(t[kept][:, None] - t[kept][None]), axis=2)
-            collide = np.tril(gap < margin, -1).any(axis=1)
-            for s in np.flatnonzero(collide | near | flat)[:1]:
-                raise DiscriminantError(
-                    "critical points collide" if collide[s]
-                    else on_hyperplane if near[s]
-                    else "degenerate critical point (vanishing Hessian)"
-                )
-            for s in np.flatnonzero(~clean)[:1]:
-                raise DiscriminantError(f"Newton refinement did not converge (residual {res[s]:.3e})")
-        rest, accepted = kept[~(near | flat)], []
-        while rest.size:
-            accepted.append(rest[0])
-            rest = rest[1:][np.max(np.abs(t[rest[1:]] - t[rest[0]]), axis=1) >= margin]
-        if strict or len(accepted) == data.count:
-            break
-    if len(accepted) != data.count:
-        raise DiscriminantError(f"found {len(accepted)} critical points, expected {data.count}")
-    accepted = np.array(accepted)
-    accepted = accepted[np.lexsort((t[accepted, -1].imag, t[accepted, -1].real))]
-    f = t[accepted] @ data.B.T + z
+    if data.k == 1:
+        points, res = _k1_fiber(data, z, scale)
+    else:
+        margin = 1e-8 * scale
+        candidates = _vertex_seed_cloud(data, z)[0]
+        for box in (ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(candidates)))), FAR_RADIUS * scale):
+            t, res, _ = _newton_refine(data, z, candidates, box)
+            kept = np.flatnonzero(res <= 1e-9 * scale)
+            near, flat = _near_or_flat(data, z, t[kept], margin)
+            rest, accepted = kept[~(near | flat)], []
+            while rest.size:
+                accepted.append(rest[0])
+                rest = rest[1:][np.max(np.abs(t[rest[1:]] - t[rest[0]]), axis=1) >= margin]
+            if len(accepted) == data.count:
+                break
+        points, res = t[accepted], res[accepted]
+    if len(points) != data.count:
+        raise DiscriminantError(f"found {len(points)} critical points, expected {data.count}")
+    order = np.lexsort((points[:, -1].imag, points[:, -1].real))
+    points, res = points[order], res[order]
+    f = points @ data.B.T + z
     hessians = _hessians(data, f)
     return CriticalPointFrame(
-        z=z, points=t[accepted], f=f, hessians=hessians, det_hess=np.linalg.det(hessians), residuals=res[accepted]
+        z=z, points=points, f=f, hessians=hessians, det_hess=np.linalg.det(hessians), residuals=res
     )
 
 

@@ -108,6 +108,58 @@ def test_strict_mode_rejects_unconverged_newton_point():
         critical_points(data, data.basepoint)
 
 
+# B = (1, 1, 1), a = (1, 1, 1): at x_3 = e^{i pi / 3} the fiber polynomial
+# 3 t^2 + 2 (1 + x_3) t + x_3 is a square, a double critical point at
+# t = -(1 + x_3) / 3, 0.58 from every hyperplane (t = 0, -1, -x_3)
+_DOUBLE_POINT = ArrangementData([(1,), (1,), (1,)], (1, 1, 1), (0, 1, 0.5 + 0.8660254037844386j))
+_DOUBLE = -(1 + _DOUBLE_POINT.basepoint[2]) / 3
+_ON_HYPERPLANE = "a critical point lies on (or too near) a hyperplane"
+_ESCAPED = "Newton iterate left for infinity"
+_SINGULAR = "degenerate Hessian during Newton refinement"
+
+
+def test_k1_double_critical_point_is_refused_as_a_collision():
+    # both roots of the square converge to the one double point
+    with pytest.raises(DiscriminantError, match="^critical points collide$"):
+        critical_points(_DOUBLE_POINT, _DOUBLE_POINT.basepoint)
+
+
+@pytest.mark.parametrize(
+    "roots, residuals, failures, message",
+    [
+        # a root at the double point is flat (|det Hess| 4.4e-16)
+        ([_DOUBLE, 5], None, None, "degenerate critical point (vanishing Hessian)"),
+        ([1e-9, 5], None, None, _ON_HYPERPLANE),
+        # a Newton failure beats a collision; the first failed root is named
+        ([5, 5], None, [None, _ESCAPED], _ESCAPED),
+        ([5, 7], None, [_SINGULAR, _ESCAPED], _SINGULAR),
+        # ... as a hyperplane when its root started within 1e-6 (1 + max |z|) of one
+        ([5, 1e-7], None, [None, _ESCAPED], _ON_HYPERPLANE),
+        # the first root that collides, is near or is flat is refused for it
+        ([5, _DOUBLE, 5], None, None, "degenerate critical point (vanishing Hessian)"),
+        ([5, 5, 1e-9], None, None, "critical points collide"),
+        # a root that collides and is near is refused as a collision
+        ([2.5e-8, 1.5e-8], None, None, "critical points collide"),
+        # the residual rule comes last
+        ([_DOUBLE, 5], [1.0, 0.0], None, "degenerate critical point (vanishing Hessian)"),
+        ([5, 7], [0.0, 1.0], None, "Newton refinement did not converge (residual 1.000e+00)"),
+    ],
+)
+def test_k1_refusals_and_their_precedence(monkeypatch, roots, residuals, failures, message):
+    # Newton hands back its roots unchanged, with the given residuals (0
+    # by default) and failures (none by default)
+    def refine(data, z, seeds, box):
+        S = len(seeds)
+        res = np.array(residuals if residuals is not None else [0.0] * S)
+        return np.array(seeds, dtype=complex), res, list(failures or [None] * S)
+
+    monkeypatch.setattr(matpot.arrangements, "_k1_candidate_roots", lambda data, z: np.array(roots, dtype=complex))
+    monkeypatch.setattr(matpot.arrangements, "_newton_refine", refine)
+    with pytest.raises(DiscriminantError) as info:
+        critical_points(_DOUBLE_POINT, _DOUBLE_POINT.basepoint)
+    assert str(info.value) == message
+
+
 def _draw_k2_instance(rng, n):
     """Rank-2 family shaped like the benchmark's: integer B in [-3, 3] with
     no zero row, weights 1-4, complex basepoint."""

@@ -390,6 +390,16 @@ def test_bool_n_max_is_a_schema_error(capsys, tmp_path):
     assert json.loads(out)["error"]["code"] == "schema"
 
 
+def test_n_max_flag_is_a_usage_error(capsys, tmp_path):
+    # the truncation order is the input's N_max alone; the flag that
+    # duplicated it is an unrecognized argument
+    payload = {"B": [[1], [1]], "a": [1, 1], "x": [1, -1], "m": 2}
+    with pytest.raises(SystemExit) as info:
+        run_cli(capsys, ["potentials", "--n-max", "5"], payload, tmp_path)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --n-max 5" in capsys.readouterr().err
+
+
 def test_n_max_above_the_size_limit_fails_at_once(capsys, tmp_path):
     payload = {"B": [[1], [1]], "a": [1, 1], "x": [1, -1], "m": 2, "N_max": 25}
     code, out = run_cli(capsys, ["potentials"], payload, tmp_path)
@@ -635,6 +645,16 @@ def test_k1_root_on_a_hyperplane_is_named(capsys, tmp_path, command, B, a, x):
         "code": "near-discriminant",
         "message": "a critical point lies on (or too near) a hyperplane",
     }
+
+
+@pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
+def test_k1_double_critical_point_is_near_discriminant(capsys, tmp_path, command):
+    # x_3 = e^{i pi / 3} makes the fiber polynomial a square: both roots
+    # converge to one double point, and the basepoint fiber is refused
+    payload = {"B": [[1], [1], [1]], "a": [1, 1, 1], "x": [0, 1, [0.5, 0.8660254037844386]], "m": 2}
+    code, out = run_cli(capsys, [command], payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "near-discriminant", "message": "critical points collide"}
 
 
 _SHORT_K2 = {"B": [[-1, 1], [2, -1], [-1, -1], [-1, -3]], "a": [4, "1/2", "3/2", 2],
