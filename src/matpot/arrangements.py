@@ -19,24 +19,27 @@ To present this as a FlatFrameStructure the working frame is changed to mu
 of the sections C_I (unit) for maximal independent index sets I: those
 sections satisfy only constant-coefficient relations, so the frame they span
 is flat, the form becomes z-constant, and the flatness of the remaining
-sections is a genuine testable statement.  ``ArrangementData`` evaluates the
-structure's jets, the pairing jets at the basepoint and the frame jets in
-that flat frame, from its basepoint fiber and flat basis, each computed once;
-the fiber's Newton residuals and Hessian determinants are the diagnostics.
+sections is a genuine testable statement.  ``ArrangementData.algebra``
+builds that algebra exactly from (B, a) alone (Orlik-Terao): the relations,
+the lex-first quotient basis (the flat basis) and the Higgs matrices
+H_j(z) = sum_S N_{j,S} / f_S(z) in it.  The family evaluates the pairing
+jets and the frame jets from its basepoint fiber and flat basis, each
+computed once; the fiber's residuals and Hessians are the diagnostics.
 
 For generic weights and z the fiber has exactly mu = |sum over independent S
 with |S| <= k of (-1)^|S|| points, the Euler characteristic of the
 complement (Orlik-Terao, Varchenko); ``ArrangementData.count`` computes it
 once from the matroid, and every fiber solve at every rank returns exactly
-that many points or raises DiscriminantError.  Both solves refine their
-candidates by batched Newton: ``_k1_fiber`` the roots of an explicit degree
-n-1 polynomial, ``_cloud_fiber`` a seed cloud around the hyperplane
-intersection vertices, in stages.  Their acceptance rules and refusals are
-stated once, in those two docstrings; docs/schemas.md lists the messages.
+that many points or raises DiscriminantError.  The candidates come from one
+eigenproblem, the roots of the fiber polynomial at rank 1 (``np.roots``)
+and the joint eigenvalues of the H_j at rank >= 2; ``_accept`` polishes
+them and states the refusals once, for every rank (docs/schemas.md).
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -52,7 +55,7 @@ from .errors import (
     StructureError,
 )
 from .frobenius import FlatFrameStructure
-from .matroids import LinearMatroid
+from .matroids import LinearMatroid, _eliminate
 from .series import SeriesSpace
 
 
@@ -92,6 +95,8 @@ class ArrangementData:
         self.basepoint = np.asarray(basepoint, dtype=complex)
         if self.basepoint.shape != (self.n,):
             raise GroundSetError(f"basepoint must have {self.n} coordinates")
+        if not np.isfinite(self.basepoint).all():
+            raise GroundSetError("basepoint coordinates must be finite")
         self.B = np.array([[complex(v) for v in row] for row in self.matrix])
         self.a = np.array([complex(w) for w in weights])
 
@@ -118,29 +123,87 @@ class ArrangementData:
         return critical_points(self, self.basepoint)
 
     @cached_property
+    def algebra(self) -> FamilyAlgebra:
+        """The family's algebra, built once and exactly from (B, a) alone.
+
+        At a critical point p_i = a_i / f_i and sum_i b_i p_i = 0; C_I is the
+        product of the p_i over a basis I.  For an independent (k-1)-set R
+        and y_R orthogonal to its rows, sum_{i not in R} (b_i . y_R) C_{R+i}
+        = 0: the constant relations.  The quotient of the bases by them gets
+        its lex-first basis from one elimination that pivots from the last
+        column backwards; a second, with the unit rows of the pivot columns
+        below the echelon rows, writes each pivot column over the free ones.
+        Its dimension is ``count``, or StructureError.  A (k+1)-set S = I + i
+        holds one circuit, sum_{l in S} c_l b_l = 0, so f_S = c_S . z does not
+        depend on t and f_S C_S = sum_{l in S} c_l a_l C_{S-l}; dotting the
+        circuit with y_{I-j} gives p_j C_I = sum_{i not in I} (c_j / c_i) C_{I+i}
+        for j in I (and p_i C_I = C_{I+i}).  y_R and c_S are the tags of the
+        row that exact elimination of tagged integer rows reduces to zero.
+        """
+        n, k = self.n, self.k
+        lcms = [math.lcm(*(v.denominator for v in row)) for row in self.matrix]
+        ints = [[int(v * d) for v in row] for row, d in zip(self.matrix, lcms)]
+        bases = [tuple(sorted(I)) for I in self.matroid.bases()]
+        index, nb, common = {I: c for c, I in enumerate(bases)}, len(bases), math.lcm(*lcms)
+        relations = []
+        for R in filter(self.matroid.is_independent, combinations(range(1, n + 1), k - 1)):
+            y = _dependency([[ints[r - 1][j] for r in R] for j in range(k)], k - 1)
+            relations.append([0] * nb)  # common (b_i . y_R) at R + i
+            for i in set(range(1, n + 1)) - set(R):
+                if (I := tuple(sorted(R + (i,)))) in index:
+                    relations[-1][index[I]] = sum(v * w for v, w in zip(ints[i - 1], y)) * (common // lcms[i - 1])
+        rank, m = _eliminate([row[::-1] for row in relations], nb)
+        pivots = [nb - 1 - next(c for c, v in enumerate(row) if v) for row in m[:rank]]
+        free = sorted(set(range(nb)) - set(pivots))
+        if len(free) != self.count:
+            raise StructureError(f"the flat sections do not span the fiber (generation condition fails): the "
+                                 f"quotient has dimension {len(free)}, expected {self.count}; no flat frame")
+        # the echelon rows are upper triangular on the pivot columns, so nothing
+        # is swapped, and each unit row reduces to lead times its normal form
+        order = pivots + free
+        echelon = [[row[nb - 1 - c] for c in order] for row in m[:rank]]
+        _, m = _eliminate(echelon + [[int(c == p) for c in order] for p in pivots], rank)
+        normal = np.zeros((len(free), nb))
+        normal[range(len(free)), free] = 1.0
+        for p, row in zip(pivots, m[rank:]):
+            normal[:, p] = [v / m[rank - 1][rank - 1] for v in row[rank:]]
+        sets = sorted({tuple(sorted(I + (i,))) for I in bases for i in range(1, n + 1) if i not in I})
+        circuits = np.zeros((len(sets), n))
+        for s, S in enumerate(sets):
+            c = _dependency([ints[i - 1] for i in S], k)
+            circuits[s, [i - 1 for i in S]] = [c_i * lcms[i - 1] for i, c_i in zip(S, c)]
+        S_, I_ = np.nonzero(circuits)  # C_{S - i} for every label i of the circuit of S
+        terms = np.zeros((len(sets), nb), dtype=complex)
+        rest = [index[tuple(x for x in sets[s] if x != i + 1)] for s, i in zip(S_, I_)]
+        terms[S_, rest] = circuits[S_, I_] * self.a[I_]
+        basis, where = tuple(bases[c] for c in free), {S: s for s, S in enumerate(sets)}
+        entries = [(j - 1, q, where[tuple(sorted(I + (i,)))], i - 1)
+                   for q, I in enumerate(basis) for i in set(range(1, n + 1)) - set(I) for j in I + (i,)]
+        J, Q, S_, I_ = np.array(entries, dtype=np.intp).reshape(-1, 4).T
+        placement = np.zeros((n, len(basis), len(sets)))
+        placement[J, Q, S_] = circuits[S_, J] / circuits[S_, I_]
+        terms = terms @ normal.T
+        return FamilyAlgebra(tuple(bases), tuple(relations), basis, tuple(sets), circuits, terms, placement)
+
+    @property
     def flat_basis(self) -> tuple:
-        """mu bases, picked greedily, whose sections span the basepoint fiber."""
-        frame = self.base_frame
-        sets = [tuple(sorted(B)) for B in self.matroid.bases()]
-        # column c: the diagonal-frame values prod_{i in I_c} a_i / f_i(t^s) of C_I (unit)
-        P = (self.a[None, :] / frame.f).T
-        V = np.ones((frame.mu, len(sets)), dtype=complex)
-        for c, I in enumerate(sets):
-            for i in I:
-                V[:, c] *= P[i - 1]
-        chosen = []
-        for c in range(len(sets)):
-            M = V[:, chosen + [c]]
-            if np.linalg.matrix_rank(M, tol=1e-9 * max(1.0, float(np.max(np.abs(M))))) == M.shape[1]:
-                chosen.append(c)
-            if len(chosen) == frame.mu:
-                break
-        if len(chosen) < frame.mu:
-            raise StructureError(
-                "the flat sections do not span the fiber (generation condition fails); "
-                "no flat frame can be assembled"
-            )
-        return tuple(sets[c] for c in chosen)
+        """The quotient basis of ``algebra``: mu bases whose sections C_I
+        (unit) span every fiber; no fiber is read."""
+        return self.algebra.basis
+
+    def higgs(self, z) -> np.ndarray:
+        """H_j(z) = sum_S N_{j,S} / f_S(z) for j = 1..n, shape (n, mu, mu):
+        column q of H_j holds p_j C_I in quotient coordinates, I the q-th
+        element of the flat basis.  DiscriminantError when some f_S(z) = 0
+        (H is not finite): the hyperplanes of S's circuit meet in one point."""
+        _, _, basis, _, circuits, terms, placement = self.algebra
+        with np.errstate(all="ignore"):
+            sections = terms / (circuits @ z)[:, None]  # C_S in quotient coordinates
+        for s in np.flatnonzero(~np.isfinite(sections).all(axis=1))[:1]:
+            labels = ", ".join(str(i) for i in np.flatnonzero(circuits[s]) + 1)
+            raise DiscriminantError(f"hyperplanes {labels} pass through one point (f_S = 0)")
+        H = (placement.reshape(self.n * len(basis), -1) @ sections).reshape(self.n, len(basis), -1)
+        return np.swapaxes(H, 1, 2)
 
     def _series_fiber(self, space: SeriesSpace, frame: CriticalPointFrame):
         """Series at z = frame.z, in delta up to degree space.q, of the Higgs
@@ -241,6 +304,24 @@ class CriticalPointFrame:
         return len(self.points)
 
 
+#: ``ArrangementData.algebra``: the bases of M(B) in lexicographic order, the
+#: relations (an integer row over them per independent (k-1)-set), the
+#: quotient basis, the (k+1)-sets S reached from a basis, their circuit
+#: vectors c_S (f_S(z) = circuits @ z), sum_{i in S} c_i a_i [C_{S-i}] in
+#: quotient coordinates, and the coefficient placement[j - 1, q, s] of C_S in
+#: column q of H_j
+FamilyAlgebra = namedtuple("FamilyAlgebra", "bases relations basis sets circuits terms placement")
+
+
+def _dependency(rows, width: int) -> tuple:
+    """Integer coefficients of the linear dependence among integer rows of
+    rank one less than their number: the tag of the row that exact
+    elimination of the rows, each tagged with a unit vector, reduces to zero."""
+    n = len(rows)
+    tagged = [tuple(row) + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, row in enumerate(rows)]
+    return tuple(_eliminate(tagged, width)[1][-1][width:])
+
+
 def _values(data: ArrangementData, z, t):
     """f_i(z, t^s) for the rows t^s of t (S, k); shape (S, n).
 
@@ -254,14 +335,9 @@ def _hessians(data: ArrangementData, f):
     return np.matmul(-(data.B.T[None] * (data.a / f**2)[:, None, :]), data.B[None])
 
 
-#: the failure of a seed whose Newton iterate left the escape box
-ESCAPED = "Newton iterate left for infinity"
-#: a Newton iterate with max |t| > ESCAPE_RADIUS (1 + max |candidate|) has escaped;
-#: seeds of accepted points measured stay within 9.87 (1 + max |candidate|)
+#: a Newton iterate with max |t| > ESCAPE_RADIUS (1 + max |candidate|) has escaped
 ESCAPE_RADIUS = 1e2
-FAR_RADIUS = 1e6  # a k >= 2 fiber found short is solved again in FAR_RADIUS (1 + max |z|)
-NEWTON_MAX_ITER = 50  # Newton steps per seed in ``_newton_refine``
-SEED_JITTER = 1e-3  # scale of the vertex seed cloud's complex normal jitter
+NEWTON_MAX_ITER = 50  # Newton steps per candidate in ``_newton_refine``
 
 
 def _newton_refine(data: ArrangementData, z, seeds, box: float):
@@ -320,58 +396,13 @@ def _newton_refine(data: ArrangementData, z, seeds, box: float):
             size = np.abs(t[active]).max(axis=1)
             escaped = ~(size <= box)
             for s in active[escaped]:
-                failures[s] = ESCAPED
+                failures[s] = "Newton iterate left for infinity"
             done = np.abs(delta).max(axis=1) <= 1e-15 * (1.0 + size)
             active = active[~(escaped | done)]
         residuals = np.full(len(t), np.nan)
         idx, f = values(np.array([s for s, why in enumerate(failures) if why is None], dtype=int))
         residuals[idx] = np.abs(gradients(f)[:, :, 0]).max(axis=1)
     return t, residuals, failures
-
-
-def _poly_from_factors(pairs):
-    """Coefficients (descending) of the product of linear factors b*t + c."""
-    coeffs = np.array([1.0 + 0.0j])
-    for b, c in pairs:
-        coeffs = np.convolve(coeffs, np.array([b, c], dtype=complex))
-    return coeffs
-
-
-def _combinations(count: int, size: int) -> np.ndarray:
-    """Index array (C(count, size), size) of combinations in lexicographic order."""
-    return np.array(list(combinations(range(count), size)), dtype=np.intp).reshape(-1, size)
-
-
-def _vertex_seed_cloud(data: ArrangementData, z):
-    """Seeds (2 S, k) for k >= 2 Newton and the row where their centroid tail
-    starts: the hyperplane intersection vertices (k-subsets of rows with
-    |det| >= 1e-12), their pairwise midpoints, then their triple centroids,
-    each followed by a copy jittered by SEED_JITTER times a complex standard
-    normal draw.  Balanced weights (sum a = 0) leave a count-1 family's fiber
-    empty: DiscriminantError; otherwise its closed-form point closes the tail.
-
-    Critical points of a master function with generic weights sit inside the
-    cells cut out by the hyperplanes, so cell-anchored seeds reach them while
-    a plain random cloud mostly escapes to infinity.  Vertices come from one
-    stacked det and solve, the jitter from one draw of the fixed-seed
-    generator (the same stream as a draw per seed).  z is a complex array.
-    """
-    rows = _combinations(data.n, data.k)
-    rows = rows[np.abs(np.linalg.det(data.B[rows])) >= 1e-12]
-    V = np.linalg.solve(data.B[rows], -z[rows][..., None])[..., 0]
-    i, j = _combinations(len(V), 2).T
-    u, v, w = _combinations(len(V), 3).T
-    seeds = np.concatenate([V, (V[i] + V[j]) / 2.0, (V[u] + V[v] + V[w]) / 3.0])
-    if data.n == data.k + 1 and data.count == 1:
-        # count 1: B^T (a / f) = 0 puts a / f on c (cofactors), c . f = c . z
-        if data.a.sum() == 0 or None not in data.weights_exact and sum(data.weights_exact) == 0:
-            raise DiscriminantError("weights are balanced: the count-1 fiber needs sum a != 0")
-        c = np.array([(-1) ** i * np.linalg.det(np.delete(data.B, i, axis=0)) for i in range(data.n)])
-        f = data.a * (c @ z) / (c * data.a.sum())
-        seeds = np.concatenate([seeds, np.linalg.lstsq(data.B, f - z, rcond=None)[0][None]])
-    noise = np.random.default_rng(20240521).standard_normal((len(seeds), 2, data.k))
-    jittered = seeds + SEED_JITTER * (noise[:, 0] + 1j * noise[:, 1])
-    return np.stack([seeds, jittered], axis=1).reshape(-1, data.k), 2 * (len(V) + len(i))
 
 
 def _k1_candidate_roots(data: ArrangementData, z):
@@ -388,47 +419,65 @@ def _k1_candidate_roots(data: ArrangementData, z):
             raise DiscriminantError("weights are balanced: top coefficient vanishes")
     poly = np.zeros(len(active), dtype=complex)
     for i in active:
-        factors = [(data.B[j, 0], z[j]) for j in active if j != i]
-        contrib = data.a[i] * data.B[i, 0] * _poly_from_factors(factors)
-        poly += contrib
+        product = np.array([1.0 + 0.0j])  # of the factors b_j t + z_j, descending
+        for j in [j for j in active if j != i]:
+            product = np.convolve(product, np.array([data.B[j, 0], z[j]], dtype=complex))
+        poly += data.a[i] * data.B[i, 0] * product
     top = np.max(np.abs(poly))
     if top == 0 or abs(poly[0]) < 1e-12 * top:
         raise DiscriminantError("fiber polynomial degenerates (leading coefficient ~ 0)")
     return np.roots(poly)
 
 
-def _near_or_flat(data: ArrangementData, z, t, margin: float):
-    """Masks over the rows of t (S, k): within ``margin`` of a hyperplane,
-    and (nearly) singular Hessian, |det| < 1e-12."""
-    fvals = _values(data, z, t)
+def _eigen_candidates(data: ArrangementData, z):
+    """One candidate per critical point of the rank >= 2 fiber over the
+    complex array z, shape (mu, k), from one eigenproblem.
+
+    The joint eigenvalues of the H_j(z) are the p_j = a_j / f_j at the mu
+    critical points (Cox, Little and O'Shea).  The eigenvectors V of a
+    fixed-seed random complex combination of the H_j diagonalize every H_j,
+    so p_{s,j} = (V^-1 H_j V)_{ss}, f = a / p and t solves B t = f - z in
+    least squares (non-finite where some p_j = 0).  A count-1 family (n =
+    k + 1) with balanced weights has an empty fiber: DiscriminantError first.
+    """
+    if data.n == data.k + 1 and data.count == 1:
+        if data.a.sum() == 0 or None not in data.weights_exact and sum(data.weights_exact) == 0:
+            raise DiscriminantError("weights are balanced: the count-1 fiber needs sum a != 0")
+    H = data.higgs(z)
+    r = np.random.default_rng(20240521).standard_normal((2, data.n))
+    _, V = np.linalg.eig(np.tensordot(r[0] + 1j * r[1], H, axes=1))
+    p = np.einsum("sm,jms->sj", np.linalg.inv(V), H @ V)
+    with np.errstate(all="ignore"):
+        return (data.a / p - z) @ np.linalg.pinv(data.B).T
+
+
+def _accept(data: ArrangementData, z, candidates, scale: float):
+    """The fiber as (points (S, k), residuals (S,)) from one candidate per
+    critical point, each refined by one Newton pass in the box ESCAPE_RADIUS
+    (1 + max |finite candidate|), or DiscriminantError; scale is 1 + max |z_i|.
+
+    Nothing is dropped, so the refusals come in this order: a Newton failure
+    (the first failed candidate, named as a point on a hyperplane when it
+    started within 1e-6 scale of one); then the first point that lies within
+    1e-8 scale of an earlier point in every coordinate ("critical points
+    collide"), of a hyperplane, or is flat (|det Hess| < 1e-12); last, the
+    first residual above 1e-9 scale, so that rule refuses only fibers that
+    pass the rest.
+    """
+    on_hyperplane = "a critical point lies on (or too near) a hyperplane"
+    finite = np.abs(candidates[np.isfinite(candidates).all(axis=1)])
+    box = ESCAPE_RADIUS * (1.0 + float(np.max(finite, initial=0.0)))
+    t, res, failures = _newton_refine(data, z, candidates, box)
+    for s in [s for s, why in enumerate(failures) if why][:1]:
+        with np.errstate(all="ignore"):
+            started_near = np.min(np.abs(_values(data, z, candidates[s:s + 1]))) < 1e-6 * scale
+        raise DiscriminantError(on_hyperplane if started_near else failures[s])
+    margin, fvals = 1e-8 * scale, _values(data, z, t)
     # a point too near a hyperplane may overflow here; it is caught as near
     with np.errstate(all="ignore"):
         flat = np.abs(np.linalg.det(_hessians(data, fvals))) < 1e-12
-    return np.min(np.abs(fvals), axis=1) < margin, flat
-
-
-def _k1_fiber(data: ArrangementData, z, scale: float):
-    """The rank-1 fiber as (points (S, 1), residuals (S,)): every root of the
-    fiber polynomial, refined by one Newton pass in the box ESCAPE_RADIUS
-    (1 + max |root|), or DiscriminantError; scale is 1 + max |z_i|.
-
-    Nothing is dropped, so the refusals come in this order: a Newton failure
-    (the first failed root, named as a point on a hyperplane when it started
-    within 1e-6 scale of one); then the first root that lies within 1e-8 scale
-    of an earlier root ("critical points collide"), of a hyperplane, or is
-    flat; last, the first residual above 1e-9 scale, so that rule refuses
-    only fibers that pass the rest.
-    """
-    roots = _k1_candidate_roots(data, z)[:, None]
-    on_hyperplane = "a critical point lies on (or too near) a hyperplane"
-    box = ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(roots))))
-    t, res, failures = _newton_refine(data, z, roots, box)
-    for s in [s for s, why in enumerate(failures) if why][:1]:
-        started_near = np.min(np.abs(_values(data, z, roots[s:s + 1]))) < 1e-6 * scale
-        raise DiscriminantError(on_hyperplane if started_near else failures[s])
-    margin = 1e-8 * scale
-    near, flat = _near_or_flat(data, z, t, margin)
-    collide = np.tril(np.abs(t - t.T) < margin, -1).any(axis=1)
+    near = np.min(np.abs(fvals), axis=1) < margin
+    collide = np.tril(np.max(np.abs(t[:, None] - t[None]), axis=2) < margin, -1).any(axis=1)
     for s in np.flatnonzero(collide | near | flat)[:1]:
         raise DiscriminantError(
             "critical points collide" if collide[s]
@@ -440,59 +489,16 @@ def _k1_fiber(data: ArrangementData, z, scale: float):
     return t, res
 
 
-def _cloud_fiber(data: ArrangementData, z, scale: float):
-    """The rank >= 2 fiber as (points, residuals), solved from the vertex seed
-    cloud in stages, each seed alone bit for bit; scale is 1 + max |z_i|.
-
-    Newton runs on the vertices and midpoints first, in the box ESCAPE_RADIUS
-    (1 + max |seed|); only when they give other than ``data.count`` points
-    does the centroid tail run in the same box.  A fiber still off count
-    reruns the seeds that left the box in FAR_RADIUS scale (never narrower
-    than the first box).  After each stage one greedy pass accepts, in seed
-    order, every candidate with residual <= 1e-9 scale that is neither
-    within 1e-8 scale of a hyperplane or an accepted point nor flat.  So this
-    returns what one pass over the whole cloud in each box would, unless the
-    tail would add a point beyond a prefix that already has the count.
-    """
-    candidates, tail = _vertex_seed_cloud(data, z)
-    margin = 1e-8 * scale
-    box = ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(candidates))))
-    t, res = candidates.astype(complex), np.full(len(candidates), np.nan)
-    failures = np.full(len(candidates), None)
-    for stage in (slice(tail), slice(tail, None), None):
-        if stage is None:
-            # a seed that stayed in the first box takes the same path in a wider one
-            box = max(box, FAR_RADIUS * scale)
-            stage = np.flatnonzero(failures == ESCAPED)
-        seeds = candidates[stage]
-        if not len(seeds):
-            continue
-        # each seed runs alone bit for bit, so a stage's results merge in seed order
-        t[stage], res[stage], failures[stage] = _newton_refine(data, z, seeds, box)
-        # NaN fails every comparison, so failed and unsolved seeds (residual NaN),
-        # among them every seed that left the box, drop out
-        kept = np.flatnonzero(res <= 1e-9 * scale)
-        near, flat = _near_or_flat(data, z, t[kept], margin)
-        # near and flat candidates are never accepted, so they cannot shadow a
-        # later one: accept the first remaining candidate, drop its near copies
-        rest, accepted = kept[~(near | flat)], []
-        while rest.size:
-            accepted.append(rest[0])
-            rest = rest[1:][np.max(np.abs(t[rest[1:]] - t[rest[0]]), axis=1) >= margin]
-        if len(accepted) == data.count:
-            break
-    return t[accepted], res[accepted]
-
-
 def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     """All fiberwise critical points over z, Newton-refined and validated.
 
     A family whose count ``data.count`` is 0 has no critical points at all
-    and raises PreconditionError.  The fiber comes from ``_k1_fiber`` at
-    rank 1 and from ``_cloud_fiber`` at rank >= 2, with scale = 1 + max |z_i|;
-    a fiber with other than ``data.count`` points raises DiscriminantError.
-    The points are sorted by the real, then the imaginary part of their last
-    coordinate.
+    and raises PreconditionError.  The candidates are the roots of the
+    fiber polynomial (``_k1_candidate_roots``) at rank 1 and the joint
+    eigenvalues of the Higgs matrices (``_eigen_candidates``) at rank >= 2,
+    exactly ``data.count`` of them at every rank; ``_accept`` refines and
+    screens them, with scale = 1 + max |z_i|.  The points are sorted by the
+    real, then the imaginary part of their last coordinate.
     """
     if data.count == 0:
         raise PreconditionError(
@@ -500,30 +506,23 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
         )
     z = np.asarray(z, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(z)))
-    points, res = (_k1_fiber if data.k == 1 else _cloud_fiber)(data, z, scale)
-    if len(points) != data.count:
-        raise DiscriminantError(f"found {len(points)} critical points, expected {data.count}")
+    candidates = _k1_candidate_roots(data, z)[:, None] if data.k == 1 else _eigen_candidates(data, z)
+    points, res = _accept(data, z, candidates, scale)
     order = np.lexsort((points[:, -1].imag, points[:, -1].real))
     points, res = points[order], res[order]
     f = points @ data.B.T + z
     hessians = _hessians(data, f)
-    return CriticalPointFrame(
-        z=z,
-        points=points,
-        f=f,
-        hessians=hessians,
-        det_hess=np.linalg.det(hessians),
-        residuals=res,
-    )
+    return CriticalPointFrame(z, points, f, hessians, np.linalg.det(hessians), res)
 
 
 def structure_from_arrangement(data: ArrangementData, m: int) -> FlatFrameStructure:
     """FlatFrameStructure of order (n, k, 2) whose jets the family evaluates.
 
     The residue pairing is bilinear, so every ``m`` but 2 raises
-    PreconditionError before any solve.  The working frame is the family's
-    ``flat_basis``, chosen once on its basepoint fiber (DiscriminantError
-    first, then StructureError).  The structure's ``jet`` is the family's
+    PreconditionError before any solve.  The basepoint fiber is solved
+    next (PreconditionError for count 0, DiscriminantError), and gives mu.
+    The working frame is the family's ``flat_basis``, read from its algebra
+    and not from a fiber.  The structure's ``jet`` is the family's
     ``pairing_jets`` and its ``frame_jet`` the family's ``frame_jet``, which
     conjugates Higgs matrices, unit and form into that frame; the fiber under
     a frame jet away from the basepoint is solved afresh, at every rank.
@@ -533,10 +532,5 @@ def structure_from_arrangement(data: ArrangementData, m: int) -> FlatFrameStruct
             f"arrangement families give structures of order (n, k, 2) only, got m={m}"
         )
     return FlatFrameStructure(
-        matroid=data.matroid,
-        m=m,
-        basepoint=data.basepoint,
-        mu=len(data.flat_basis),
-        jet=data.pairing_jets,
-        frame_jet=data.frame_jet,
+        data.matroid, m, data.basepoint, data.base_frame.mu, jet=data.pairing_jets, frame_jet=data.frame_jet
     )

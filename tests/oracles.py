@@ -19,11 +19,9 @@ of ``equivalence_report``.  ``min_tight_subset`` maps the library's
 ``min_tight_set`` of the lifted problem back to labels, and
 ``matroid_to_json`` is the inverse of ``jsonio.matroid_from_json``.  ``scalar_newton_refine`` is another: the
 one-seed Newton loop, as the bit-for-bit reference for the batched solve;
-``loop_vertex_seed_cloud`` builds the rank >= 2 seed cloud one vertex and
-one draw at a time, the reference for the stacked cloud, and
-``one_pass_critical_points`` solves a rank >= 2 fiber from its whole cloud
-in every Newton pass, the reference for the staged solve of
-``critical_points``.
+``greedy_flat_basis`` picks the flat basis greedily by numeric rank on the
+solved basepoint fiber, the reference for the exact quotient basis of
+``ArrangementData.flat_basis``.
 ``reference_descent_move`` is the earlier exchange search, kept as the
 reference for the library's ``descent_move``: it builds the full
 ``RemainderAlternative`` (two remainder supports, each label decided by its
@@ -32,8 +30,7 @@ own strong query in ``label_remainder_support``) and then uses one label.
 turns its structured errors into False; the tests use it to draw instances
 off the discriminant.  ``track_fiber`` follows a fiber's points to another
 base point from the library's batched Newton, halving steps until every
-point lands on a distinct critical point; it finds points that the vertex
-seed cloud misses.
+point lands on a distinct critical point, independently of the eigen solve.
 The same holds for the loop references of the whole-array code:
 ``loop_second_kind_table`` (the per-T candidate loop of the second-kind
 table) and ``tuple_check_first_kind`` / ``tuple_check_second_kind`` (one
@@ -653,81 +650,26 @@ def scalar_newton_refine(data, z, t, box: float, max_iter: int = 50):
     return t, float(np.max(np.abs(g)))
 
 
-def loop_vertex_seed_cloud(data, z, jitter: float = 1e-3):
-    """``arrangements._vertex_seed_cloud`` one vertex, seed and draw at a
-    time: the bit-for-bit reference for the stacked cloud, as a list of
-    seeds.  The closed-form seed of a count-1 fiber (n = k + 1) is not in it;
-    the stacked cloud appends it and its jittered copy after these."""
-    z = np.asarray(z, dtype=complex)
-    vertices = []
-    for rows in combinations(range(data.n), data.k):
-        A = data.B[list(rows), :]
-        if abs(np.linalg.det(A)) < 1e-12:
-            continue
-        vertices.append(np.linalg.solve(A, -z[list(rows)]))
-    seeds = list(vertices)
-    for u, v in combinations(vertices, 2):
-        seeds.append((u + v) / 2.0)
-    for u, v, w in combinations(vertices, 3):
-        seeds.append((u + v + w) / 3.0)
-    rng = np.random.default_rng(20240521)
-    out = []
-    for s in seeds:
-        out.append(s)
-        out.append(s + jitter * (rng.standard_normal(data.k) + 1j * rng.standard_normal(data.k)))
-    return out
-
-
-def one_pass_critical_points(data, z):
-    """``critical_points`` with the whole candidate set in every Newton pass:
-    the full vertex seed cloud in the box ESCAPE_RADIUS (1 + max |seed|),
-    then, for a fiber off ``data.count``, the full cloud again in FAR_RADIUS
-    (1 + max |z|), with the same greedy acceptance.  The reference the staged
-    rank >= 2 solve (prefix, tail, escaped seeds only in the far box) must
-    match bit for bit; rank 1 has no stages, so its fiber is the library's
-    ``_k1_fiber``."""
-    from matpot.arrangements import (
-        ESCAPE_RADIUS,
-        FAR_RADIUS,
-        CriticalPointFrame,
-        _hessians,
-        _k1_fiber,
-        _near_or_flat,
-        _newton_refine,
-        _vertex_seed_cloud,
-    )
-
-    if data.count == 0:
-        raise PreconditionError(
-            "the family has no critical points: the Euler characteristic of the complement is 0"
-        )
-    z = np.asarray(z, dtype=complex)
-    scale = 1.0 + float(np.max(np.abs(z)))
-    if data.k == 1:
-        points, res = _k1_fiber(data, z, scale)
-    else:
-        margin = 1e-8 * scale
-        candidates = _vertex_seed_cloud(data, z)[0]
-        for box in (ESCAPE_RADIUS * (1.0 + float(np.max(np.abs(candidates)))), FAR_RADIUS * scale):
-            t, res, _ = _newton_refine(data, z, candidates, box)
-            kept = np.flatnonzero(res <= 1e-9 * scale)
-            near, flat = _near_or_flat(data, z, t[kept], margin)
-            rest, accepted = kept[~(near | flat)], []
-            while rest.size:
-                accepted.append(rest[0])
-                rest = rest[1:][np.max(np.abs(t[rest[1:]] - t[rest[0]]), axis=1) >= margin]
-            if len(accepted) == data.count:
-                break
-        points, res = t[accepted], res[accepted]
-    if len(points) != data.count:
-        raise DiscriminantError(f"found {len(points)} critical points, expected {data.count}")
-    order = np.lexsort((points[:, -1].imag, points[:, -1].real))
-    points, res = points[order], res[order]
-    f = points @ data.B.T + z
-    hessians = _hessians(data, f)
-    return CriticalPointFrame(
-        z=z, points=points, f=f, hessians=hessians, det_hess=np.linalg.det(hessians), residuals=res
-    )
+def greedy_flat_basis(data) -> tuple:
+    """mu bases picked greedily, in lexicographic order, whose sections C_I
+    (unit), prod_{i in I} a_i / f_i(t^s), have full numeric rank (tolerance
+    1e-9 of the largest entry) on the solved basepoint fiber: the reference
+    for the library's exact ``flat_basis``, which reads no fiber."""
+    frame = critical_points(data, data.basepoint)
+    sets = [tuple(sorted(B)) for B in data.matroid.bases()]
+    P = (data.a[None, :] / frame.f).T
+    V = np.ones((frame.mu, len(sets)), dtype=complex)
+    for c, I in enumerate(sets):
+        for i in I:
+            V[:, c] *= P[i - 1]
+    chosen = []
+    for c in range(len(sets)):
+        M = V[:, chosen + [c]]
+        if np.linalg.matrix_rank(M, tol=1e-9 * max(1.0, float(np.max(np.abs(M))))) == M.shape[1]:
+            chosen.append(c)
+        if len(chosen) == frame.mu:
+            break
+    return tuple(sets[c] for c in chosen)
 
 
 def track_fiber(data, frame, z_target, max_depth: int = 40) -> np.ndarray:

@@ -12,6 +12,7 @@ from matpot import (
     ArrangementData,
     DiscriminantError,
     GroundSetError,
+    LinearMatroid,
     PreconditionError,
     RankError,
     UniformMatroid,
@@ -20,7 +21,7 @@ from matpot import (
     vector_matroid,
 )
 
-from matpot.arrangements import ESCAPE_RADIUS, _k1_candidate_roots, _newton_refine, _vertex_seed_cloud
+from matpot.arrangements import ESCAPE_RADIUS, _eigen_candidates, _k1_candidate_roots, _newton_refine
 from matpot.series import SeriesSpace
 from oracles import (
     discriminant_probe,
@@ -30,8 +31,7 @@ from oracles import (
     fix2_pair_unit,
     fix2_point,
     frame_values,
-    loop_vertex_seed_cloud,
-    one_pass_critical_points,
+    greedy_flat_basis,
     plain_frame,
     richardson_frame_derivatives,
     scalar_newton_refine,
@@ -60,6 +60,9 @@ def test_arrangement_validation():
         ArrangementData([(1,), (1,)], (1, 0), (0, 1))  # zero weight
     with pytest.raises(GroundSetError):
         ArrangementData([(1,), (1,)], (1,), (0, 1))  # wrong weight count
+    for x in ((float("nan"), -1), (1, complex(0, float("inf")))):
+        with pytest.raises(GroundSetError, match="finite"):
+            ArrangementData([(1,), (1,)], (1, 1), x)  # non-finite basepoint
 
 
 def test_critical_point_closed_form(fixture_data):
@@ -72,7 +75,7 @@ def test_critical_point_closed_form(fixture_data):
 
 
 def _rank2_data():
-    """Rank-2 instance with mu = 8 on which one seed of the vertex cloud diverges."""
+    """Rank-2 instance with mu = 8: two parallel rows, one pair of equal rows."""
     return ArrangementData(
         [(-1, -1), (0, 1), (0, 1), (2, 3), (1, 2), (-3, -3)],
         [2, 3, 3, 3, 3, 1],
@@ -83,7 +86,7 @@ def _rank2_data():
 def test_k_ge_2_drops_non_finite_newton_results():
     data = _rank2_data()
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a diverging seed must not warn either
+        warnings.simplefilter("error")  # neither the eigen solve nor Newton may warn
         frame = critical_points(data, data.basepoint)
     assert frame.mu == 8
     assert np.isfinite(frame.points).all() and np.isfinite(frame.residuals).all()
@@ -196,7 +199,7 @@ def test_batched_newton_matches_scalar_reference(random_k1_instances):
     for n in (4, 4, 5, 5, 6, 6):
         data = _draw_k2_instance(rng, n)
         cases.append((data, data.basepoint))
-    cases = [(data, z, _vertex_seed_cloud(data, z)[0]) for data, z in cases]
+    cases = [(data, z, _eigen_candidates(data, z)) for data, z in cases]
     for data in random_k1_instances:
         roots = _k1_candidate_roots(data, data.basepoint)
         cases.append((data, data.basepoint, roots[:, None]))
@@ -208,7 +211,7 @@ def test_batched_newton_matches_scalar_reference(random_k1_instances):
     odd_seeds = np.array([[0.0], [-1.0], [complex("nan")], [0.5], [2.0 + 1j]])
     # on f_2 = t_2 + z_2 = 0 exactly; a far seed that stays outside the box
     item4_seeds = np.array([[0.3, -item4.basepoint[1]], [1e42, 1j], [0.1, 0.2]])
-    # (the box of the item-4 fiber's cloud, and 2 ESCAPE_RADIUS around the poles +-1)
+    # (the box of the item-4 fiber's candidates, and 2 ESCAPE_RADIUS around the poles +-1)
     cases += [(odd, odd.basepoint, odd_seeds, 2 * ESCAPE_RADIUS), (item4, item4.basepoint, item4_seeds, cases[0][3])]
 
     singular = "degenerate Hessian during Newton refinement"
@@ -238,9 +241,10 @@ def _gradient_residual(data, z, points):
 
 def test_critical_point_count_matches_euler_characteristic():
     # for positive weights and a generic fiber the master function has
-    # |chi(complement)| nondegenerate critical points; the vertex seed cloud
-    # misses one of 8 on instance 35, which is refused, while the reference
-    # tracker from the fiber over Re z finds all 8
+    # |chi(complement)| nondegenerate critical points, and the eigen solve
+    # finds all of them on every instance; on instance 35, where a seed
+    # cloud found 7 of 8, they are the reference tracker's points from the
+    # fiber over Re z
     rng = random.Random(2718)
     short = {}
     for idx in range(42):
@@ -251,14 +255,14 @@ def test_critical_point_count_matches_euler_characteristic():
             frame = critical_points(data, data.basepoint)
         except DiscriminantError as exc:
             short[idx] = str(exc)
-            real = critical_points(data, data.basepoint.real)
-            tracked = track_fiber(data, real, data.basepoint)
-            assert real.mu == len(tracked) == count
-            assert _gradient_residual(data, data.basepoint, tracked) <= 1e-9 * scale
             continue
         assert frame.mu == count
         assert _gradient_residual(data, data.basepoint, frame.points) <= 1e-9 * scale
-    assert short == {35: "found 7 critical points, expected 8"}
+        if idx == 35:
+            tracked = track_fiber(data, critical_points(data, data.basepoint.real), data.basepoint)
+            gaps = np.max(np.abs(tracked[:, None] - frame.points[None]), axis=2)
+            assert gaps.min(axis=1).max() <= 1e-9 and len(set(gaps.argmin(axis=1).tolist())) == count
+    assert short == {}
 
 
 def test_count_matches_euler_oracle():
@@ -281,6 +285,9 @@ def test_count_matches_euler_oracle():
     counts = [data.count for data in cases]
     assert counts == [euler_count(data.matroid, data.k) for data in cases]
     assert counts[42:] == [1, 2, 0, 2, 0, 3]
+    # the exact quotient of the bases by the constant relations has the
+    # count as its dimension, zero-count families included
+    assert [len(data.algebra.basis) for data in cases] == counts
 
 
 @pytest.mark.parametrize(
@@ -299,31 +306,7 @@ def test_count_zero_family_is_a_precondition_error(rows):
         structure_from_arrangement(data, 2)
 
 
-def test_vertex_seed_cloud_matches_loop_reference():
-    item4 = _rank2_data()
-    cases = [(item4, item4.basepoint), (item4, item4.basepoint + 0.01j)]
-    rng = random.Random(2718)  # the draws of the 42-instance count sweep
-    for idx in range(42):
-        data = _draw_k2_instance(rng, 4 + idx % 3)
-        cases.append((data, data.basepoint))
-    # a parallel pair (rows 1 and 2), whose vertex is skipped (|det| <
-    # 1e-12), leaving 5 vertices; 2 vertices (no centroid); 1 (no midpoint)
-    small = [
-        ArrangementData([(1, 0), (2, 0), (0, 1), (1, 1)], (1, 2, 3, 1), (0.3, -0.5j, 0.9, 1.4)),
-        ArrangementData([(1, 0), (2, 0), (0, 1)], (1, 2, 3), (0.3, -0.5, 0.9 + 0.1j)),
-        ArrangementData([(0,), (3,)], (1, 2), (0.3, -0.5)),
-    ]
-    cases += [(data, data.basepoint) for data in small]
-    for data, z in cases:
-        seeds, _ = _vertex_seed_cloud(data, z)
-        reference = np.array(loop_vertex_seed_cloud(data, z)).reshape(-1, data.k)
-        assert seeds.shape == reference.shape and np.array_equal(seeds, reference)
-    # the centroid tail starts after the vertices and midpoints, jitter included
-    clouds = [_vertex_seed_cloud(data, data.basepoint) for data in small]
-    assert [(len(seeds), tail) for seeds, tail in clouds] == [(2 * (5 + 10 + 10), 2 * (5 + 10)), (2 * (2 + 1), 6), (2, 2)]
-
-
-# n = k + 1, count 1: the vertex cloud reaches the point from none of its seeds
+# n = k + 1, count 1: the one critical point has a closed form
 _COUNT_ONE = [
     ArrangementData(
         [(2, Fraction(-1, 3)), (3, -2), (Fraction(1, 2), Fraction(1, 2))],
@@ -339,23 +322,19 @@ _COUNT_ONE = [
 
 
 @pytest.mark.parametrize("data", _COUNT_ONE)
-def test_count_one_fiber_seeds_its_closed_form_point(monkeypatch, data):
-    # the closed-form seed and its jittered copy follow the cloud, which keeps
-    # its seeds and jitter bit for bit; without them the fiber comes out empty
+def test_count_one_fiber_seeds_its_closed_form_point(data):
+    # B^T (a / f) = 0 puts a / f on the cofactor vector c, and c . f = c . z,
+    # so f_i = a_i (c . z) / (c_i sum a); the eigen solve finds that point
+    # with no seed
     z = data.basepoint
-    seeds, tail = _vertex_seed_cloud(data, z)
-    reference = np.array(loop_vertex_seed_cloud(data, z)).reshape(-1, data.k)
-    assert len(seeds) == len(reference) + 2 and tail <= len(reference)
-    assert np.array_equal(seeds[:-2], reference)
-    f = seeds[-2] @ data.B.T + z
+    c = np.array([(-1) ** i * np.linalg.det(np.delete(data.B, i, axis=0)) for i in range(data.n)])
+    f = data.a * (c @ z) / (c * data.a.sum())
+    point = np.linalg.lstsq(data.B, f - z, rcond=None)[0]
     assert np.max(np.abs(data.B.T @ (data.a / f))) <= 1e-12
     frame = critical_points(data, z)
     assert frame.mu == data.count == 1
     assert frame.residuals.max() <= 1e-12
-    assert np.max(np.abs(frame.points[0] - seeds[-2])) <= 1e-12
-    monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", lambda data, z: (reference, tail))
-    with pytest.raises(DiscriminantError, match="found 0 critical points, expected 1"):
-        critical_points(data, z)
+    assert np.max(np.abs(frame.points[0] - point)) <= 1e-12
 
 
 def test_count_one_fiber_with_balanced_weights_is_near_discriminant(monkeypatch):
@@ -368,26 +347,6 @@ def test_count_one_fiber_with_balanced_weights_is_near_discriminant(monkeypatch)
     data = ArrangementData(_COUNT_ONE[0].matrix, (4, Fraction(1, 2), Fraction(-9, 2)), _COUNT_ONE[0].basepoint)
     with pytest.raises(DiscriminantError, match="weights are balanced"):
         critical_points(data, data.basepoint)
-
-
-def test_item4_fiber_row_count(monkeypatch):
-    # rows of t through _values on the item-4 basepoint fiber: seeds leaving
-    # the escape box are retired instead of running all 50 Newton steps, and
-    # the vertices and midpoints find all 8 points, so no centroid seed runs
-    # (16,416 rows when every seed ran to the end, 10,331 in the box
-    # 1e6 (1 + max |z|), 7,495 in the box 100 (1 + max |candidate|), 1,749
-    # from the cloud's vertices and midpoints alone)
-    real = matpot.arrangements._values
-    rows = []
-
-    def counting(data, z, t):
-        rows.append(len(t))
-        return real(data, z, t)
-
-    monkeypatch.setattr(matpot.arrangements, "_values", counting)
-    data = _rank2_data()
-    assert critical_points(data, data.basepoint).mu == 8
-    assert sum(rows) <= 1_800
 
 
 def _newton_calls(monkeypatch):
@@ -403,25 +362,18 @@ def _newton_calls(monkeypatch):
     return calls
 
 
-def _distinct_boxes(calls):
-    """The escape boxes of ``calls`` without repeats, in call order: the
-    prefix and the centroid tail of a cloud share the first box."""
-    return list(dict.fromkeys(box for box, _, _ in calls))
-
-
 @pytest.mark.parametrize("factor", [Fraction(1, 100), 100])
 def test_fiber_does_not_depend_on_the_units_of_t(monkeypatch, factor):
     # B -> B * factor moves every critical point by 1 / factor while z and
     # the values f stay put; the escape box is in the units of t and moves
-    # along, so the first box finds all 8 points (a first box of
-    # 100 (1 + max |z|) finds 7 of them at B / 100), from the vertices and
-    # midpoints or, at B * 100, with the centroid tail in the same box
+    # along, so one Newton pass in one box polishes all 8 points
     item4 = _rank2_data()
     rows = [[v * factor for v in row] for row in item4.matrix]
     scaled = ArrangementData(rows, item4.weights, item4.basepoint)
     calls = _newton_calls(monkeypatch)
     frame = critical_points(scaled, scaled.basepoint)
-    assert frame.mu == scaled.count == 8 and len(_distinct_boxes(calls)) == 1
+    assert frame.mu == scaled.count == 8 and len(calls) == 1
+    assert calls[0][0] == ESCAPE_RADIUS * (1.0 + np.max(np.abs(calls[0][1])))
     np.testing.assert_allclose(frame.f, item4.base_frame.f, rtol=1e-9)
 
 
@@ -430,48 +382,25 @@ _NEAR_BALANCED = [
     # t = 399, twice the poles' box 100 (1 + 1); the roots set the box
     ArrangementData([(1,), (1,)], (1, Fraction(-199, 200)), (1, -1)),
     # rank 2, sum a = 1/100: one of the 2 points lies at |t| = 328, outside
-    # the first box 220, and the far box FAR_RADIUS (1 + max |z|) finds it
+    # a box of 220 drawn around the vertices of the arrangement
     ArrangementData([(-1, -3), (3, -3), (-1, -1), (2, -2)], (1, 1, 1, Fraction(-299, 100)), (0.3, -0.5, 0.9, 1.4)),
 ]
 
 
-@pytest.mark.parametrize("data, passes", zip(_NEAR_BALANCED, (1, 2)))
-def test_near_balanced_fiber_keeps_its_far_points(monkeypatch, data, passes):
-    # as sum a -> 0 critical points move out like 1 / |sum a|, beyond any
-    # box drawn around the arrangement's own candidates; only the seeds that
-    # left the first box run again, in the far box, and the fiber is the
-    # one-pass reference's bit for bit
+@pytest.mark.parametrize("data, count", zip(_NEAR_BALANCED, (1, 2)))
+def test_near_balanced_fiber_keeps_its_far_points(monkeypatch, data, count):
+    # as sum a -> 0 critical points move out like 1 / |sum a|; the candidates
+    # (roots, or joint eigenvalues) already lie out there, and the box is
+    # drawn around them, so one Newton pass keeps every point
     calls = _newton_calls(monkeypatch)
     frame = critical_points(data, data.basepoint)
-    boxes = _distinct_boxes(calls)
-    assert frame.mu == data.count and len(boxes) == passes
+    assert frame.mu == data.count == count and len(calls) == 1
     assert frame.residuals.max() <= 1e-12
+    assert np.abs(frame.points).max() < calls[0][0]
     if data.k == 1:
         assert abs(frame.points[0, 0] - 399) <= 1e-9
     else:
-        scale = 1.0 + np.max(np.abs(data.basepoint))
-        assert boxes == [boxes[0], matpot.arrangements.FAR_RADIUS * scale]
-        assert boxes[0] < np.abs(frame.points).max() < boxes[1]
-        first = [call for call in calls if call[0] == boxes[0]]
-        seeds = np.concatenate([chunk for _, chunk, _ in first])
-        failures = [why for _, _, whys in first for why in whys]
-        escaped = [s for s, why in enumerate(failures) if why == "Newton iterate left for infinity"]
-        assert np.array_equal(seeds, _vertex_seed_cloud(data, data.basepoint)[0])
-        assert [box for box, _, _ in calls[len(first):]] == [boxes[1]]
-        assert np.array_equal(calls[-1][1], seeds[escaped])
-    reference = one_pass_critical_points(data, data.basepoint)
-    for name in ("points", "f", "hessians", "det_hess", "residuals"):
-        assert getattr(frame, name).tobytes() == getattr(reference, name).tobytes()
-
-
-def test_prefix_that_completes_runs_no_centroid(monkeypatch):
-    # a fibers_k2-shaped n = 6 fiber whose vertices and midpoints give all
-    # its points: Newton sees only those 2 (V + C(V, 2)) seeds, never a centroid
-    data = _draw_k2_instance(random.Random(6), 6)
-    seeds, tail = _vertex_seed_cloud(data, data.basepoint)
-    calls = _newton_calls(monkeypatch)
-    assert critical_points(data, data.basepoint).mu == data.count
-    assert tail < len(seeds) and [len(chunk) for _, chunk, _ in calls] == [tail]
+        assert 320 < np.abs(frame.points).max() < 340
 
 
 def _outcomes(solve, cases):
@@ -487,34 +416,16 @@ def _outcomes(solve, cases):
     return out
 
 
-def test_staged_solve_matches_one_pass_reference():
-    # the staged solve (vertices and midpoints, then the centroid tail, then
-    # the escaped seeds in the far box) against the whole cloud in every pass
-    rng = random.Random(2718)
-    families = [_draw_k2_instance(rng, 4 + idx % 3) for idx in range(42)]
-    item4 = _rank2_data()
-    families += [
-        ArrangementData([[v * factor for v in row] for row in item4.matrix], item4.weights, item4.basepoint)
-        for factor in (1, Fraction(1, 100), 100)
-    ]
-    balanced = ArrangementData(_COUNT_ONE[0].matrix, (4, Fraction(1, 2), Fraction(-9, 2)), _COUNT_ONE[0].basepoint)
-    families += _COUNT_ONE + [balanced] + _NEAR_BALANCED
-    cases = [(data, data.basepoint) for data in families]
-    staged = _outcomes(critical_points, cases)
-    assert staged == _outcomes(one_pass_critical_points, cases)
-    assert sum(len(x) == 2 for x in staged) == 2  # instance 35 and the balanced count-1 family
-
-
 def test_escape_box_margin_leaves_fibers_bit_identical(monkeypatch, random_k1_instances):
-    # every seed of an accepted point stays far inside the box, so a box
-    # 10^4 times wider returns the same fibers (or the same refusal) bit
-    # for bit on the 42-instance count sweep and the rank-1 instances
+    # every candidate of an accepted point stays far inside the box, so a box
+    # 10^4 times wider returns the same fibers bit for bit on the
+    # 42-instance count sweep and the rank-1 instances
     rng = random.Random(2718)
     families = [_draw_k2_instance(rng, 4 + idx % 3) for idx in range(42)] + random_k1_instances
     cases = [(data, data.basepoint) for data in families]
     narrow = _outcomes(critical_points, cases)
     monkeypatch.setattr(matpot.arrangements, "ESCAPE_RADIUS", 1e6)
-    assert sum(len(x) == 2 for x in narrow) == 1
+    assert sum(len(x) == 2 for x in narrow) == 0
     assert narrow == _outcomes(critical_points, cases)
 
 
@@ -547,15 +458,15 @@ def test_continuation_tracks_points(random_k1_instances):
 
 def test_k2_sample_fiber_is_solved_afresh(monkeypatch):
     # the item-4 structure builds with no flag; a fiber away from the
-    # basepoint is a fresh solve, so the vertex cloud is built once per fiber
-    real = matpot.arrangements._vertex_seed_cloud
+    # basepoint is a fresh solve, one eigenproblem per fiber
+    real = matpot.arrangements._eigen_candidates
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(matpot.arrangements, "_vertex_seed_cloud", counting)
+    monkeypatch.setattr(matpot.arrangements, "_eigen_candidates", counting)
     frames = []
     real_series = matpot.arrangements.ArrangementData._series_fiber
 
@@ -579,19 +490,19 @@ def test_k2_sample_fiber_is_solved_afresh(monkeypatch):
 
 
 def test_family_solves_its_basepoint_fiber_once(monkeypatch, fiber_solves):
-    # two structures on one family solve the basepoint fiber and choose the
-    # flat basis once, and share them in their frame jets; m = 3 is refused
-    # before any solve
+    # two structures on one family solve the basepoint fiber and build the
+    # family's algebra (with its flat basis) once, and share them in their
+    # frame jets; m = 3 is refused before either
     chosen = []
-    real = ArrangementData.flat_basis.func
+    real = ArrangementData.algebra.func
 
-    def choosing(self):
+    def building(self):
         chosen.append(self)
         return real(self)
 
-    flat_basis = functools.cached_property(choosing)
-    flat_basis.__set_name__(ArrangementData, "flat_basis")
-    monkeypatch.setattr(ArrangementData, "flat_basis", flat_basis)
+    algebra = functools.cached_property(building)
+    algebra.__set_name__(ArrangementData, "algebra")
+    monkeypatch.setattr(ArrangementData, "algebra", algebra)
     data = _rank2_data()
     with pytest.raises(PreconditionError):
         structure_from_arrangement(data, 3)
@@ -747,3 +658,61 @@ def test_k_ge_2_experimental_solver_finds_critical_points():
     assert frame.mu == data.count == 3
     assert frame.residuals.max() <= 1e-9 * 3
     assert np.min(np.abs(frame.f)) > 1e-8
+
+
+def _draw_shape(rng, k, n):
+    """A family of a larger shape: integer B in [-3, 3] (k = 2) or [-2, 2]
+    (k = 3) with no zero row and full rank, weights 1-4, complex x uniform
+    in [-2, 2]^2."""
+    top = 3 if k == 2 else 2
+    while True:
+        B = [tuple(rng.randint(-top, top) for _ in range(k)) for _ in range(n)]
+        if all(any(r) for r in B) and LinearMatroid(B).full_rank == k:
+            break
+    a = [rng.randint(1, 4) for _ in range(n)]
+    x = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+    return ArrangementData(B, a, x)
+
+
+@pytest.mark.parametrize("k, n", [(2, 8), (2, 10), (2, 12), (3, 7), (3, 9)])
+def test_larger_shapes_get_the_full_count(k, n):
+    # the count grows like C(n, k); one eigenproblem per fiber finds every
+    # point, where a seed cloud of C(C(n, k), 3) seeds came up short
+    rng = random.Random(1000 * k + n)
+    for _ in range(3):
+        data = _draw_shape(rng, k, n)
+        frame = critical_points(data, data.basepoint)
+        scale = 1.0 + float(np.max(np.abs(data.basepoint)))
+        assert frame.mu == data.count == euler_count(data.matroid, k)
+        assert _gradient_residual(data, data.basepoint, frame.points) <= 1e-9 * scale
+
+
+def _sweep_families():
+    rng = random.Random(2718)
+    return [_draw_k2_instance(rng, 4 + idx % 3) for idx in range(42)] + [_rank2_data()] + _COUNT_ONE
+
+
+def test_higgs_eigenvalues_are_the_fiber_values(all_structures, all_families):
+    # the eigenvalues of each H_j(x), built from (B, a) alone, are the
+    # a_j / f_j of the solved fiber over x
+    for data in _sweep_families() + all_families:
+        H = data.higgs(data.basepoint)
+        p = data.a / data.base_frame.f  # (mu, n)
+        for j in range(data.n):
+            eig = np.linalg.eigvals(H[j])
+            gap = np.abs(eig[:, None] - p[None, :, j])
+            size = np.max(np.abs(p[:, j]))
+            assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-12 * size
+    # in the flat basis, H(x) is the constant term of the structure's frame
+    # jet, which conjugates diag(p_j) by the sections on the fiber
+    item4 = _rank2_data()
+    for F, data in zip(all_structures + [structure_from_arrangement(item4, 2)], all_families + [item4]):
+        H, frame = data.higgs(F.basepoint), frame_values(F, F.basepoint)[0]
+        assert np.max(np.abs(H - frame)) <= 1e-12 * np.max(np.abs(frame))
+
+
+def test_flat_basis_is_the_greedy_basis_on_the_fiber(all_families):
+    # the lex-first quotient basis, read from (B, a), is the basis that a
+    # greedy numeric-rank choice on the basepoint fiber picks
+    for data in _sweep_families() + all_families:
+        assert data.flat_basis == greedy_flat_basis(data)

@@ -576,8 +576,8 @@ _DIVERGED_K2 = {
 
 
 def test_verify_arrangement_k2_drops_diverged_seed(capsys, tmp_path):
-    # one seed of the rank-2 cloud diverges; it used to enter the frame as a
-    # NaN row and break the SVD with an internal error
+    # a diverging Newton seed used to enter this fiber as a NaN row and
+    # break the SVD with an internal error; every point is finite now
     code, out = run_cli(capsys, ["verify-arrangement"], _DIVERGED_K2, tmp_path)
     assert code == 0
     result = json.loads(out)["result"]
@@ -662,14 +662,17 @@ _SHORT_K2 = {"B": [[-1, 1], [2, -1], [-1, -1], [-1, -3]], "a": [4, "1/2", "3/2",
 
 
 @pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
-def test_short_k2_fiber_is_near_discriminant(capsys, tmp_path, command):
-    # the vertex cloud finds 2 of the 3 points the matroid predicts at the
-    # basepoint; both commands used to answer from the short fiber
+def test_short_k2_fiber_is_answered(capsys, tmp_path, command):
+    # a seed cloud found 2 of the 3 points the matroid predicts at the
+    # basepoint, and both commands refused; the eigen solve finds all 3
     code, out = run_cli(capsys, [command], _SHORT_K2, tmp_path)
-    assert code == 2
-    error = json.loads(out)["error"]
-    assert error["code"] == "near-discriminant"
-    assert error["message"] == "found 2 critical points, expected 3"
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["mu"] == 3
+    if command == "potentials":
+        assert result["spread_max"] <= 1e-10
+    else:
+        assert result["report"]["max_violation"] <= 1e-6
 
 
 _COUNT_ONE_K2 = {"B": [[2, "-1/3"], [3, -2], ["1/2", "1/2"]], "a": [4, "1/2", -1],
@@ -678,9 +681,9 @@ _COUNT_ONE_K2 = {"B": [[2, "-1/3"], [3, -2], ["1/2", "1/2"]], "a": [4, "1/2", -1
 
 @pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
 def test_count_one_k2_fiber_is_answered(capsys, tmp_path, command):
-    # n = k + 1: the one critical point comes from its closed form; no seed
-    # of the vertex cloud reaches it, and both commands used to refuse with
-    # "found 0 critical points, expected 1"
+    # n = k + 1: the one critical point has a closed form, which a seed
+    # cloud never reached, and both commands used to refuse with "found 0
+    # critical points, expected 1"; the eigen solve finds it
     code, out = run_cli(capsys, [command], _COUNT_ONE_K2, tmp_path)
     assert code == 0
     result = json.loads(out)["result"]
@@ -690,6 +693,36 @@ def test_count_one_k2_fiber_is_answered(capsys, tmp_path, command):
     else:
         assert result["report"]["max_violation"] <= 1e-6
         assert result["generation_rank"] == 1
+
+
+@pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
+@pytest.mark.parametrize(
+    "B, x",
+    [
+        ([[1], [1]], [float("nan"), -1]),
+        ([[1], [1]], [1, float("inf")]),
+        ([[1, 0], [0, 1], [1, 1], [1, -1]], [0.3, [-0.5, -float("inf")], 0.9, float("nan")]),
+    ],
+)
+def test_non_finite_basepoint_is_a_ground_set_error(capsys, tmp_path, command, B, x):
+    # JSON NaN and Infinity used to reach the fiber solve: an internal
+    # LinAlgError at rank 1, a short fiber at rank 2
+    payload = {"B": B, "a": [1] * len(B), "x": x, "m": 2}
+    code, out = run_cli(capsys, [command], payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "ground-set", "message": "basepoint coordinates must be finite"}
+
+
+@pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
+def test_hyperplanes_through_one_point_are_near_discriminant(capsys, tmp_path, command):
+    # lines 1, 2, 3 meet at the origin over x; the fiber used to come out short
+    payload = {"B": [[1, 0], [0, 1], [1, 1], [1, -1]], "a": [1, 2, 1, 1], "x": [0, 0, 0, 0.3], "m": 2}
+    code, out = run_cli(capsys, [command], payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "near-discriminant",
+        "message": "hyperplanes 1, 2, 3 pass through one point (f_S = 0)",
+    }
 
 
 @pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
