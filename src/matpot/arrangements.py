@@ -31,9 +31,9 @@ with |S| <= k of (-1)^|S|| points, the Euler characteristic of the
 complement (Orlik-Terao, Varchenko); ``ArrangementData.count`` computes it
 once from the matroid, and every fiber solve at every rank returns exactly
 that many points or raises DiscriminantError.  The candidates come from one
-eigenproblem, the roots of the fiber polynomial at rank 1 (``np.roots``)
-and the joint eigenvalues of the H_j at rank >= 2; ``_accept`` polishes
-them and states the refusals once, for every rank (docs/schemas.md).
+eigenproblem at every rank, the joint eigenvalues of the H_j; ``_accept``
+polishes them and states the refusals once, for every rank
+(docs/schemas.md).
 """
 
 from __future__ import annotations
@@ -405,47 +405,29 @@ def _newton_refine(data: ArrangementData, z, seeds, box: float):
     return t, residuals, failures
 
 
-def _k1_candidate_roots(data: ArrangementData, z):
-    """The n' - 1 roots of the rank-1 fiber polynomial over the complex array z,
-    sum_i a_i b_i prod_{j != i} (b_j t + z_j) over the n' rows with b != 0;
-    DiscriminantError for balanced exact weights or a vanishing leading
-    coefficient."""
-    active = [i for i in range(data.n) if data.matrix[i][0] != 0]
-    active_weights = [data.weights_exact[i] for i in active]
-    if all(w is not None for w in active_weights):
-        # top coefficient is prod(b_j) * sum(a_i) over active rows, so only
-        # a vanishing weight sum can degenerate the fiber count
-        if sum(active_weights) == 0:
-            raise DiscriminantError("weights are balanced: top coefficient vanishes")
-    poly = np.zeros(len(active), dtype=complex)
-    for i in active:
-        product = np.array([1.0 + 0.0j])  # of the factors b_j t + z_j, descending
-        for j in [j for j in active if j != i]:
-            product = np.convolve(product, np.array([data.B[j, 0], z[j]], dtype=complex))
-        poly += data.a[i] * data.B[i, 0] * product
-    top = np.max(np.abs(poly))
-    if top == 0 or abs(poly[0]) < 1e-12 * top:
-        raise DiscriminantError("fiber polynomial degenerates (leading coefficient ~ 0)")
-    return np.roots(poly)
-
-
 def _eigen_candidates(data: ArrangementData, z):
-    """One candidate per critical point of the rank >= 2 fiber over the
-    complex array z, shape (mu, k), from one eigenproblem.
+    """One candidate per critical point of the fiber over the complex array
+    z, shape (mu, k), from one eigenproblem, at every rank.
 
     The joint eigenvalues of the H_j(z) are the p_j = a_j / f_j at the mu
-    critical points (Cox, Little and O'Shea).  The eigenvectors V of a
-    fixed-seed random complex combination of the H_j diagonalize every H_j,
-    so p_{s,j} = (V^-1 H_j V)_{ss}, f = a / p and t solves B t = f - z in
-    least squares (non-finite where some p_j = 0).  A count-1 family (n =
-    k + 1) with balanced weights has an empty fiber: DiscriminantError first.
+    critical points (Cox, Little and O'Shea).  The eigenvectors V of a fixed
+    real combination of the H_j diagonalize every H_j, so p_{s,j} =
+    (V^-1 H_j V)_{ss}, f = a / p and t solves B t = f - z in least squares
+    (non-finite where some p_j = 0).  The combination is taken real when its
+    imaginary part is 0 (real B, a and z), so real points come out exactly
+    real.  At rank 1, and at n = k + 1 (count 1), weights that sum to 0 over
+    the rows with b != 0 send a critical point to infinity: DiscriminantError
+    first.
     """
-    if data.n == data.k + 1 and data.count == 1:
-        if data.a.sum() == 0 or None not in data.weights_exact and sum(data.weights_exact) == 0:
-            raise DiscriminantError("weights are balanced: the count-1 fiber needs sum a != 0")
+    if data.k == 1 or data.n == data.k + 1:
+        rows = [i for i, row in enumerate(data.matrix) if any(row)]
+        exact = [data.weights_exact[i] for i in rows]
+        if data.a[rows].sum() == 0 or None not in exact and sum(exact) == 0:
+            raise DiscriminantError("weights are balanced: sum a = 0 sends a critical point to infinity")
     H = data.higgs(z)
-    r = np.random.default_rng(20240521).standard_normal((2, data.n))
-    _, V = np.linalg.eig(np.tensordot(r[0] + 1j * r[1], H, axes=1))
+    j = np.arange(data.n)
+    combination = np.einsum("j,jab->ab", np.cos(2.39996 * j) * np.sqrt(j + 1.0), H)
+    _, V = np.linalg.eig(combination if combination.imag.any() else combination.real)
     p = np.einsum("sm,jms->sj", np.linalg.inv(V), H @ V)
     with np.errstate(all="ignore"):
         return (data.a / p - z) @ np.linalg.pinv(data.B).T
@@ -493,12 +475,11 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     """All fiberwise critical points over z, Newton-refined and validated.
 
     A family whose count ``data.count`` is 0 has no critical points at all
-    and raises PreconditionError.  The candidates are the roots of the
-    fiber polynomial (``_k1_candidate_roots``) at rank 1 and the joint
-    eigenvalues of the Higgs matrices (``_eigen_candidates``) at rank >= 2,
-    exactly ``data.count`` of them at every rank; ``_accept`` refines and
-    screens them, with scale = 1 + max |z_i|.  The points are sorted by the
-    real, then the imaginary part of their last coordinate.
+    and raises PreconditionError.  The candidates are the joint eigenvalues
+    of the Higgs matrices (``_eigen_candidates``), exactly ``data.count`` of
+    them at every rank; ``_accept`` refines and screens them, with scale =
+    1 + max |z_i|.  The points are sorted by the real, then the imaginary
+    part of their last coordinate.
     """
     if data.count == 0:
         raise PreconditionError(
@@ -506,8 +487,7 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
         )
     z = np.asarray(z, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(z)))
-    candidates = _k1_candidate_roots(data, z)[:, None] if data.k == 1 else _eigen_candidates(data, z)
-    points, res = _accept(data, z, candidates, scale)
+    points, res = _accept(data, z, _eigen_candidates(data, z), scale)
     order = np.lexsort((points[:, -1].imag, points[:, -1].real))
     points, res = points[order], res[order]
     f = points @ data.B.T + z

@@ -4,8 +4,7 @@ Subcommands: matroid rank|bases, partition, amin, equivalence,
 strong-decompose, potentials, verify-arrangement.  Results are wrapped in an
 envelope {"version", "command", "result"}; domain errors produce
 {"version", "command", "error": {"code", "message"}} with exit code 2, and
-internal errors exit 1.  The environment variable MATPOT_TOL overrides the
-default numeric tolerance.
+internal errors exit 1.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -47,15 +45,10 @@ from .systems import (
 )
 
 
-def _spread_tol(flag: float | None) -> float:
-    """``--tol``, else MATPOT_TOL, else 1e-6; finite and >= 0 or a schema error."""
-    raw = os.environ.get("MATPOT_TOL", 1e-6) if flag is None else flag
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise SchemaError(f"MATPOT_TOL is not a number: {raw!r}") from exc
+def _spread_tol(tol: float) -> float:
+    """``--tol``: finite and >= 0, or a schema error."""
     if not (math.isfinite(tol) and tol >= 0):
-        raise SchemaError(f"the spread tolerance must be a finite number >= 0, got {raw!r}")
+        raise SchemaError(f"the spread tolerance must be a finite number >= 0, got {tol!r}")
     return tol
 
 
@@ -255,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("potentials", help="first- and second-kind potential tables")
     common(p)
-    p.add_argument("--tol", type=float, default=None, help="spread tolerance (default MATPOT_TOL or 1e-6)")
+    p.add_argument("--tol", type=float, default=1e-6, help="spread tolerance (default 1e-6)")
     p.set_defaults(handler=_cmd_potentials)
 
     p = sub.add_parser("verify-arrangement", help="axiom report for an arrangement structure")

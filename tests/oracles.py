@@ -21,7 +21,9 @@ of ``equivalence_report``.  ``min_tight_subset`` maps the library's
 one-seed Newton loop, as the bit-for-bit reference for the batched solve;
 ``greedy_flat_basis`` picks the flat basis greedily by numeric rank on the
 solved basepoint fiber, the reference for the exact quotient basis of
-``ArrangementData.flat_basis``.
+``ArrangementData.flat_basis``; ``k1_polynomial_roots`` takes the rank-1
+candidates as the roots of the expanded fiber polynomial (``np.roots``),
+the reference for the eigen solve at rank 1.
 ``reference_descent_move`` is the earlier exchange search, kept as the
 reference for the library's ``descent_move``: it builds the full
 ``RemainderAlternative`` (two remainder supports, each label decided by its
@@ -670,6 +672,30 @@ def greedy_flat_basis(data) -> tuple:
         if len(chosen) == frame.mu:
             break
     return tuple(sets[c] for c in chosen)
+
+
+def k1_polynomial_roots(data, z):
+    """The n' - 1 roots of the rank-1 fiber polynomial over the complex array z,
+    sum_i a_i b_i prod_{j != i} (b_j t + z_j) over the n' rows with b != 0;
+    DiscriminantError for balanced exact weights or a vanishing leading
+    coefficient."""
+    active = [i for i in range(data.n) if data.matrix[i][0] != 0]
+    active_weights = [data.weights_exact[i] for i in active]
+    if all(w is not None for w in active_weights):
+        # top coefficient is prod(b_j) * sum(a_i) over active rows, so only
+        # a vanishing weight sum can degenerate the fiber count
+        if sum(active_weights) == 0:
+            raise DiscriminantError("weights are balanced: top coefficient vanishes")
+    poly = np.zeros(len(active), dtype=complex)
+    for i in active:
+        product = np.array([1.0 + 0.0j])  # of the factors b_j t + z_j, descending
+        for j in [j for j in active if j != i]:
+            product = np.convolve(product, np.array([data.B[j, 0], z[j]], dtype=complex))
+        poly += data.a[i] * data.B[i, 0] * product
+    top = np.max(np.abs(poly))
+    if top == 0 or abs(poly[0]) < 1e-12 * top:
+        raise DiscriminantError("fiber polynomial degenerates (leading coefficient ~ 0)")
+    return np.roots(poly)
 
 
 def track_fiber(data, frame, z_target, max_depth: int = 40) -> np.ndarray:

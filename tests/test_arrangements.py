@@ -1,8 +1,12 @@
 import functools
+import os
 import random
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from matpot import (
     vector_matroid,
 )
 
-from matpot.arrangements import ESCAPE_RADIUS, _eigen_candidates, _k1_candidate_roots, _newton_refine
+from matpot.arrangements import ESCAPE_RADIUS, _accept, _eigen_candidates, _newton_refine
 from matpot.series import SeriesSpace
 from oracles import (
     discriminant_probe,
@@ -32,6 +36,7 @@ from oracles import (
     fix2_point,
     frame_values,
     greedy_flat_basis,
+    k1_polynomial_roots,
     plain_frame,
     richardson_frame_derivatives,
     scalar_newton_refine,
@@ -102,13 +107,17 @@ def test_strict_mode_rejects_non_finite_newton_result(fixture_data, monkeypatch)
         critical_points(fixture_data, (1, -1))
 
 
-def test_strict_mode_rejects_unconverged_newton_point():
+def test_coincident_hyperplanes_are_refused_before_newton(monkeypatch):
     # hyperplanes 3 and 4 coincide, so the basepoint lies on the
-    # discriminant; Newton from the root -2 (on both) drifts to about
-    # 113 - 237j and stops there with residual 3.8e-3
+    # discriminant: f_S = 0 for S = {3, 4}, and H is not finite
+    def unreachable(*args):
+        raise AssertionError("Newton ran on a fiber with f_S = 0")
+
+    monkeypatch.setattr(matpot.arrangements, "_newton_refine", unreachable)
     data = ArrangementData([(Fraction(1, 3),), (-1,), (1,), (1,)], (-1, 1, 3, -2), (0.5, -1, 2, 2))
-    with pytest.raises(DiscriminantError, match="did not converge"):
+    with pytest.raises(DiscriminantError) as info:
         critical_points(data, data.basepoint)
+    assert str(info.value) == "hyperplanes 3, 4 pass through one point (f_S = 0)"
 
 
 # B = (1, 1, 1), a = (1, 1, 1): at x_3 = e^{i pi / 3} the fiber polynomial
@@ -156,7 +165,7 @@ def test_k1_refusals_and_their_precedence(monkeypatch, roots, residuals, failure
         res = np.array(residuals if residuals is not None else [0.0] * S)
         return np.array(seeds, dtype=complex), res, list(failures or [None] * S)
 
-    monkeypatch.setattr(matpot.arrangements, "_k1_candidate_roots", lambda data, z: np.array(roots, dtype=complex))
+    monkeypatch.setattr(matpot.arrangements, "_eigen_candidates", lambda data, z: np.array(roots, dtype=complex)[:, None])
     monkeypatch.setattr(matpot.arrangements, "_newton_refine", refine)
     with pytest.raises(DiscriminantError) as info:
         critical_points(_DOUBLE_POINT, _DOUBLE_POINT.basepoint)
@@ -199,10 +208,8 @@ def test_batched_newton_matches_scalar_reference(random_k1_instances):
     for n in (4, 4, 5, 5, 6, 6):
         data = _draw_k2_instance(rng, n)
         cases.append((data, data.basepoint))
+    cases += [(data, data.basepoint) for data in random_k1_instances]
     cases = [(data, z, _eigen_candidates(data, z)) for data, z in cases]
-    for data in random_k1_instances:
-        roots = _k1_candidate_roots(data, data.basepoint)
-        cases.append((data, data.basepoint, roots[:, None]))
     # each fiber in the box critical_points puts around its own candidates
     cases = [(data, z, seeds, ESCAPE_RADIUS * (1.0 + np.max(np.abs(seeds)))) for data, z, seeds in cases]
     # f = (t + 1, t - 1) with weights (1, -1): the Hessian 4t / (t^2 - 1)^2
@@ -349,6 +356,90 @@ def test_count_one_fiber_with_balanced_weights_is_near_discriminant(monkeypatch)
         critical_points(data, data.basepoint)
 
 
+@pytest.mark.parametrize(
+    "rows, weights",
+    [
+        # the exact weights of the rows with b != 0 sum to 0 (the zero row's 5 is not counted)
+        ([(1,), (0,), (2,), (1,)], (1, 5, 2, -3)),
+        # float weights whose sum is exactly 0
+        ([(1,), (2,), (1,)], (1.0, 2.0, -3.0)),
+    ],
+)
+def test_k1_balanced_weights_are_refused_before_newton(monkeypatch, rows, weights):
+    # sum a = 0 sends one of the n' - 1 critical points to infinity
+    def unreachable(*args):
+        raise AssertionError("Newton ran on a balanced rank-1 fiber")
+
+    monkeypatch.setattr(matpot.arrangements, "_newton_refine", unreachable)
+    data = ArrangementData(rows, weights, (0.3, -1.1, 0.9, -0.2)[: len(rows)])
+    with pytest.raises(DiscriminantError, match="^weights are balanced"):
+        critical_points(data, data.basepoint)
+
+
+def test_k1_weights_balanced_up_to_roundoff_are_near_discriminant():
+    # 0.1 + 0.2 - 0.3 is 5.6e-17 in floats, not 0: no pre-check fires, and
+    # the fiber is refused by the screens
+    data = ArrangementData([(1,), (2,), (1,)], (0.1, 0.2, -0.3), (0.3, -1.1, 0.9))
+    with pytest.raises(DiscriminantError):
+        critical_points(data, data.basepoint)
+
+
+def _draw_k1_family(rng):
+    """A rank-1 family with count >= 1: n in 3-7, b in +-1..3 over 1..3 (a
+    zero row one time in twenty), weights +-1..4 over 1..2, x uniform in
+    [-2, 2], with an imaginary part in [-0.5, 0.5] half of the time."""
+    while True:
+        n = rng.randint(3, 7)
+        b = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)) if rng.random() >= 0.05 else 0 for _ in range(n)]
+        a = [Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 2)) for _ in range(n)]
+        imag = 0.5 if rng.random() < 0.5 else 0.0
+        x = [complex(rng.uniform(-2, 2), rng.uniform(-imag, imag)) for _ in range(n)]
+        if sum(v != 0 for v in b) >= 2:
+            return ArrangementData([(v,) for v in b], a, x)
+
+
+def test_k1_fiber_matches_the_polynomial_roots(random_k1_instances):
+    # the fiber that _accept makes from the roots of the expanded fiber
+    # polynomial (the reference) and the eigen solve's fiber agree point for
+    # point, or both are refused for one cause
+    rng = random.Random(2026)
+    outcomes = []
+    for data in random_k1_instances + [_draw_k1_family(rng) for _ in range(200)]:
+        z = data.basepoint
+        scale = 1.0 + float(np.max(np.abs(z)))
+        try:
+            with np.errstate(all="ignore"):
+                expected = _accept(data, z, k1_polynomial_roots(data, z)[:, None], scale)[0]
+        except DiscriminantError as exc:
+            with pytest.raises(DiscriminantError) as info:
+                critical_points(data, z)
+            cause = str(exc).partition(":")[0]
+            assert str(info.value).partition(":")[0] == cause
+            outcomes.append(cause)
+            continue
+        points = critical_points(data, z).points
+        gaps = np.abs(expected[:, None, 0] - points[None, :, 0])
+        assert gaps.min(axis=1).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+        assert len(set(gaps.argmin(axis=1).tolist())) == len(points) == data.count
+        outcomes.append("ok")
+    assert outcomes.count("ok") >= 150
+
+
+def test_fiber_solves_leave_numpy_random_unimported():
+    # importing numpy.random costs about 6 MB of resident memory; the eigen
+    # solve combines the H_j with a fixed real vector, at rank 1 and 2 alike
+    script = (
+        "import sys\n"
+        "from matpot import ArrangementData, critical_points\n"
+        "for B in ([[1], [2], [1]], [[1, 0], [0, 1], [1, 1], [1, -1]]):\n"
+        "    data = ArrangementData(B, [1] * len(B), [0.3, -0.5, 0.9, 1.4][: len(B)])\n"
+        "    assert critical_points(data, data.basepoint).mu == data.count\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = Path(matpot.arrangements.__file__).parents[1]
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+
+
 def _newton_calls(monkeypatch):
     """(box, seeds, failures) of every ``_newton_refine`` call, in call order."""
     real, calls = matpot.arrangements._newton_refine, []
@@ -390,8 +481,8 @@ _NEAR_BALANCED = [
 @pytest.mark.parametrize("data, count", zip(_NEAR_BALANCED, (1, 2)))
 def test_near_balanced_fiber_keeps_its_far_points(monkeypatch, data, count):
     # as sum a -> 0 critical points move out like 1 / |sum a|; the candidates
-    # (roots, or joint eigenvalues) already lie out there, and the box is
-    # drawn around them, so one Newton pass keeps every point
+    # (joint eigenvalues) already lie out there, and the box is drawn around
+    # them, so one Newton pass keeps every point
     calls = _newton_calls(monkeypatch)
     frame = critical_points(data, data.basepoint)
     assert frame.mu == data.count == count and len(calls) == 1

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -327,17 +328,6 @@ def test_bad_json_input(capsys, tmp_path):
     assert json.loads(out)["error"]["code"] == "schema"
 
 
-def test_tolerance_env_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("MATPOT_TOL", "not-a-number")
-    payload = {"B": [[1], [1]], "a": [1, 1], "x": [1, -1], "m": 2, "N_max": 3}
-    code, out = run_cli(capsys, ["potentials"], payload, tmp_path)
-    assert code == 2
-    assert json.loads(out)["error"]["code"] == "schema"
-    monkeypatch.setenv("MATPOT_TOL", "1e-5")
-    code, _ = run_cli(capsys, ["potentials"], payload, tmp_path)
-    assert code == 0
-
-
 # the ROADMAP item-5 reproducer: its candidates agree to about 1e-13, so it
 # passes at the default tolerance and fails with well-definedness at 0
 _SPREAD_REPRODUCER = {
@@ -354,21 +344,23 @@ def test_tolerance_flag_must_be_finite_and_nonnegative(capsys, tmp_path, tol):
     code, out = run_cli(capsys, ["potentials", "--tol", tol], _SPREAD_REPRODUCER, tmp_path)
     assert code == 2
     assert json.loads(out)["error"]["code"] == "schema"
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
-def test_tolerance_env_must_be_finite_and_nonnegative(capsys, tmp_path, monkeypatch, tol):
-    monkeypatch.setenv("MATPOT_TOL", tol)
-    code, out = run_cli(capsys, ["potentials"], _SPREAD_REPRODUCER, tmp_path)
-    assert code == 2
-    assert json.loads(out)["error"]["code"] == "schema"
-    monkeypatch.delenv("MATPOT_TOL")
     code, out = run_cli(capsys, ["potentials"], _SPREAD_REPRODUCER, tmp_path)
     assert code == 0
     assert 0 < json.loads(out)["result"]["spread_max"] <= 1e-10
     code, out = run_cli(capsys, ["potentials", "--tol", "0"], _SPREAD_REPRODUCER, tmp_path)
     assert code == 2
     assert json.loads(out)["error"]["code"] == "well-definedness"
+
+
+def test_real_input_prints_real_coefficients(capsys, tmp_path):
+    # real B, a and x: the eigen solve takes a real eig, so no imaginary
+    # roundoff reaches the tables
+    payload = {"B": [[1], [2], [1], [3]], "a": [1, 2, 3, 1], "x": [0.3, -1.1, 0.9, -0.2], "m": 2, "N_max": 5}
+    code, out = run_cli(capsys, ["potentials"], payload, tmp_path)
+    assert code == 0
+    result = json.loads(out)["result"]
+    values = list(result["Q"].values()) + list(result["L"].values())
+    assert values and all(v[1] == 0 for v in values)
 
 
 @pytest.mark.parametrize(
@@ -556,15 +548,16 @@ def test_amin_beyond_twenty_labels(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
-def test_unconverged_k1_fiber_is_near_discriminant(capsys, tmp_path, command):
-    # hyperplanes 3 and 4 coincide; the fiber solve used to accept a Newton
-    # point with residual 3.8e-3, and potentials then blamed flatness
+def test_coincident_k1_hyperplanes_are_near_discriminant(capsys, tmp_path, command):
+    # hyperplanes 3 and 4 coincide over x, so H(x) is not finite: refused
+    # before any Newton point can be accepted and blamed on flatness
     payload = {"B": [["1/3"], [-1], [1], [1]], "a": [-1, 1, 3, -2], "x": [0.5, -1, 2, 2], "m": 2, "N_max": 5}
     code, out = run_cli(capsys, [command], payload, tmp_path)
     assert code == 2
-    error = json.loads(out)["error"]
-    assert error["code"] == "near-discriminant"
-    assert "residual" in error["message"]
+    assert json.loads(out)["error"] == {
+        "code": "near-discriminant",
+        "message": "hyperplanes 3, 4 pass through one point (f_S = 0)",
+    }
 
 
 _DIVERGED_K2 = {
@@ -636,14 +629,14 @@ def test_verify_arrangement_diagnostics_match_the_diagonal_frame(capsys, tmp_pat
     ],
 )
 def test_k1_root_on_a_hyperplane_is_named(capsys, tmp_path, command, B, a, x):
-    # coincident rows put two roots of the fiber polynomial within 2e-8 of a
-    # hyperplane; Newton then leaves for infinity, and the refusal used to
-    # name that symptom instead of the hyperplane
+    # the hyperplanes of rows i and j coincide over x (b_i x_j = b_j x_i):
+    # the refusal names both, before any candidate is taken
+    i, j = next((i, j) for i, j in combinations(range(len(B)), 2) if B[i][0] * x[j] == B[j][0] * x[i])
     code, out = run_cli(capsys, [command], {"B": B, "a": a, "x": x, "m": 2}, tmp_path)
     assert code == 2
     assert json.loads(out)["error"] == {
         "code": "near-discriminant",
-        "message": "a critical point lies on (or too near) a hyperplane",
+        "message": f"hyperplanes {i + 1}, {j + 1} pass through one point (f_S = 0)",
     }
 
 
