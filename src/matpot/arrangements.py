@@ -185,6 +185,12 @@ class ArrangementData:
         terms = terms @ normal.T
         return FamilyAlgebra(tuple(bases), tuple(relations), basis, tuple(sets), circuits, terms, placement)
 
+    @cached_property
+    def B_pinv(self) -> np.ndarray:
+        """The pseudo-inverse of B, shape (k, n), for the least-squares t of
+        every fiber's candidates; B is fixed per family, so it is taken once."""
+        return np.linalg.pinv(self.B)
+
     @property
     def flat_basis(self) -> tuple:
         """The quotient basis of ``algebra``: mu bases whose sections C_I
@@ -194,12 +200,26 @@ class ArrangementData:
     def higgs(self, z) -> np.ndarray:
         """H_j(z) = sum_S N_{j,S} / f_S(z) for j = 1..n, shape (n, mu, mu):
         column q of H_j holds p_j C_I in quotient coordinates, I the q-th
-        element of the flat basis.  DiscriminantError when some f_S(z) = 0
-        (H is not finite): the hyperplanes of S's circuit meet in one point."""
+        element of the flat basis.
+
+        DiscriminantError when some f_S(z) = c_S . z is 0 up to the roundoff
+        of its own evaluation, |c_S . z| <= n eps (|c_S| . |z|): the
+        hyperplanes of S's circuit meet in one point.  The bound covers an
+        f_S that vanishes exactly over the input: the integer c_S are exact,
+        rounding the input to z moves c_S . z by at most u |c_S| . |z|, and
+        the float dot product of its at most k + 1 <= n nonzero terms adds
+        at most gamma_n |c_S| . |z| (Higham, Accuracy and Stability of
+        Numerical Algorithms, section 3.1; complex z obeys it part by part,
+        since c_S is real).  With u = eps / 2 that is (n + 1) u (1 + O(u)),
+        below n eps for n >= 2; the margin is a factor of about 2.  A
+        smaller |f_S| cannot be told from 0, and H would carry 1 / f_S."""
         _, _, basis, _, circuits, terms, placement = self.algebra
+        values = circuits @ z
+        roundoff = self.n * np.finfo(float).eps * (np.abs(circuits) @ np.abs(z))
         with np.errstate(all="ignore"):
-            sections = terms / (circuits @ z)[:, None]  # C_S in quotient coordinates
-        for s in np.flatnonzero(~np.isfinite(sections).all(axis=1))[:1]:
+            sections = terms / values[:, None]  # C_S in quotient coordinates
+        vanishing = (np.abs(values) <= roundoff) | ~np.isfinite(sections).all(axis=1)
+        for s in np.flatnonzero(vanishing)[:1]:
             labels = ", ".join(str(i) for i in np.flatnonzero(circuits[s]) + 1)
             raise DiscriminantError(f"hyperplanes {labels} pass through one point (f_S = 0)")
         H = (placement.reshape(self.n * len(basis), -1) @ sections).reshape(self.n, len(basis), -1)
@@ -430,7 +450,7 @@ def _eigen_candidates(data: ArrangementData, z):
     _, V = np.linalg.eig(combination if combination.imag.any() else combination.real)
     p = np.einsum("sm,jms->sj", np.linalg.inv(V), H @ V)
     with np.errstate(all="ignore"):
-        return (data.a / p - z) @ np.linalg.pinv(data.B).T
+        return (data.a / p - z) @ data.B_pinv.T
 
 
 def _accept(data: ArrangementData, z, candidates, scale: float):

@@ -8,9 +8,13 @@ partition search re-queries the same sets heavily.  For the same reason a
 linear matroid eliminates each independent class once for circuit queries
 and reduces each new element by replaying that elimination's pivot rows:
 those are the steps Bareiss would take on the class with the element's row
-appended last, so every division stays exact.  The caches rely on the
-atomicity of single dict operations, so concurrent use at worst recomputes a
-value.
+appended last, so every division stays exact.  The class's cache entry keeps
+each element's answer (its circuit, or None), so a repeated (class, element)
+question replays nothing; only the inputs are validated again.  Uniform and
+lifted matroids keep no circuit memo: a uniform answer costs less than a
+lookup, and a lifted query reaches its base matroid's memo.  The caches rely
+on the atomicity of single dict operations, so concurrent use at worst
+recomputes a value.
 """
 
 from __future__ import annotations
@@ -181,7 +185,8 @@ class LinearMatroid(Matroid):
     exact integer elimination of the rows with their denominators cleared
     (the same matroid), never floating point.  Circuit queries eliminate each
     independent class once, memoized by the class, and reduce each new
-    element by replaying that elimination's pivots.
+    element by replaying that elimination's pivots (``_reduce``); the class's
+    entry keeps the answer for every element reduced against it.
     """
 
     def __init__(self, rows):
@@ -213,8 +218,9 @@ class LinearMatroid(Matroid):
         return hit
 
     def _echelon(self, C: frozenset):
-        """Sorted labels of C and the (pivot column, row) pairs of one
-        elimination of C's rows, each tagged with a unit vector; memoized."""
+        """Sorted labels of C, the (pivot column, row) pairs of one
+        elimination of C's rows, each tagged with a unit vector, and the
+        answers of the elements reduced against them so far; memoized."""
         hit = self._echelon_cache.get(C)
         if hit is None:
             labels = sorted(C)
@@ -227,10 +233,24 @@ class LinearMatroid(Matroid):
             if rank < n:
                 raise PreconditionError("circuit(clazz, y) needs an independent clazz")
             pivots = tuple((next(c for c, v in enumerate(row) if v), row) for row in m)
-            hit = self._echelon_cache[C] = (labels, pivots)
+            hit = self._echelon_cache[C] = (labels, pivots, {})
         return hit
 
     def circuit(self, clazz, y) -> frozenset | None:
+        C = self.ground.check_subset(clazz)
+        if type(y) is not int or not 1 <= y <= self.ground.n:
+            # checked on its own: a set would merge True into a label 1
+            self.ground.check_subset((y,))
+        labels, pivots, answers = self._echelon(C)
+        if y in C:
+            return None
+        try:
+            return answers[y]
+        except KeyError:
+            found = answers[y] = self._reduce(labels, pivots, y)
+            return found
+
+    def _reduce(self, labels, pivots, y) -> frozenset | None:
         # Bareiss on the tagged rows of clazz + y with y's row last.  Row
         # operations keep the tags independent, so a row that reduces to zero
         # carries a nonzero tag: the coefficients of a linear dependence,
@@ -240,11 +260,6 @@ class LinearMatroid(Matroid):
         # each step is the step of the joint elimination, so every division
         # by the previous pivot stays exact.  y's own tag is left implicit:
         # it only ever gets multiplied by nonzero pivots.
-        C = frozenset(clazz)
-        self.ground.check_subset(C | {y})
-        labels, pivots = self._echelon(C)
-        if y in C:
-            return None
         m = self._int_rows[y - 1] + (0,) * len(labels)
         prev, start = 1, 0
         for col, prow in pivots:

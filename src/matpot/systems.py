@@ -18,7 +18,11 @@ Sharing all m bases means the second members are T2 = U + [r] and
 T2' = U + [r'] for one sum U of m bases.  So distinct T2, T2' are locally
 related exactly when T2' = T2 - [a] + [b] for labels a != b and
 T2 - [a] = min(T2, T2') (componentwise) is strong with l = 0: no search over
-bases.  Strong-decomposition outcomes are memoized per ``Context``.
+bases.  Strong-decomposition outcomes are memoized per ``Context``, keyed by
+the raw multiplicity tuple and l: the enumeration and the equivalence graph
+look their candidates up by the tuples they already hold, and build a
+``System`` only for a memo miss (to validate it) and for the nodes they
+return.
 
 ``equivalence_report`` materializes the graph of good decompositions with
 local relations as edges.  It looks up each node's l1 neighbours instead of
@@ -236,18 +240,21 @@ def _check_arity(T: System, l: int):
         raise ArityError(f"|T| = {T.total} but m*k + l = {expected}")
 
 
-def _strong_outcome(T: System, l: int):
-    """The strong decomposition of T, or the SystemBoundViolation showing none exists.
+def _strong_outcome(ctx: Context, mult: tuple, l: int):
+    """The strong decomposition of the system ``mult`` of ctx, or the
+    SystemBoundViolation showing none exists.
 
-    One lifted partition decides both; the outcome is memoized in T.ctx.
+    The only reader of ``ctx._strong_memo``, keyed by the raw (mult, l): a
+    hit builds nothing.  On a miss the System is built and validated, and one
+    lifted partition decides both outcomes.
     """
-    memo = T.ctx._strong_memo
-    key = (T.mult, l)
+    memo = ctx._strong_memo
+    key = (mult, l)
     outcome = memo.get(key)
     if outcome is not None:
         return outcome
+    T = System(ctx, mult)
     _check_arity(T, l)
-    ctx = T.ctx
     problem, fmap = _lift_problem(T, l)
     result = solve_partition(problem)
     if isinstance(result, DeficiencyWitness):
@@ -260,10 +267,10 @@ def _strong_outcome(T: System, l: int):
     else:
         groups = []
         for part in result.parts:
-            mult = [0] * ctx.n
+            counts = [0] * ctx.n
             for e in part:
-                mult[fmap[e - 1] - 1] += 1
-            groups.append(ctx.system(mult))
+                counts[fmap[e - 1] - 1] += 1
+            groups.append(ctx.system(counts))
         outcome = StrongDecomposition.make(groups[: ctx.m], groups[ctx.m])
         if not outcome.validate(T):
             raise InternalError("lifted partition produced an invalid strong decomposition")
@@ -273,13 +280,13 @@ def _strong_outcome(T: System, l: int):
 
 def find_strong_decomposition(T: System, l: int):
     """A strong decomposition of the (mk+l)-system T, or None if none exists."""
-    outcome = _strong_outcome(T, l)
+    outcome = _strong_outcome(T.ctx, T.mult, l)
     return outcome if isinstance(outcome, StrongDecomposition) else None
 
 
 def strong_deficiency_witness(T: System, l: int):
     """A SystemBoundViolation showing T is not strong, or None if it is."""
-    outcome = _strong_outcome(T, l)
+    outcome = _strong_outcome(T.ctx, T.mult, l)
     return outcome if isinstance(outcome, SystemBoundViolation) else None
 
 
@@ -330,9 +337,9 @@ def all_good_decompositions(T: System, max_total: int = MAX_TOTAL) -> tuple[Good
         raise SizeLimitError(f"good-decomposition enumeration limited to |T| <= {max_total}")
     out = []
     for mult in _bounded_compositions(need, T.mult):
-        T2 = ctx.system(mult)
-        witness = find_strong_decomposition(T2, 1)
-        if witness is not None:
+        witness = _strong_outcome(ctx, mult, 1)
+        if isinstance(witness, StrongDecomposition):
+            T2 = System(ctx, mult)
             out.append(GoodDecomposition(T1=T - T2, T2=T2, witness=witness))
     return tuple(out)
 
@@ -359,7 +366,10 @@ def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceRepo
     pairs, each node looks up its at most |supp T2| * (n - 1) neighbours in an
     index of second members, and makes one memoized strong-decomposition
     call per label a that has a neighbour j > i: O(N * n^2) lookups in all.
-    Edges (i, j) have i < j and are listed by i, then j, ascending.
+    Those calls, like the enumeration's, read the memo by the raw tuple of
+    T2_i - [a], so a warm ``Context`` answers them without building a System
+    or solving a partition.  Edges (i, j) have i < j and are listed by i,
+    then j, ascending.
     """
     nodes = all_good_decompositions(T, max_total)
     ctx = T.ctx
@@ -388,7 +398,7 @@ def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceRepo
                     shared[b] -= 1
                     if j is not None and j > i:
                         hits.append(j)
-            if hits and find_strong_decomposition(ctx.system(shared), 0) is not None:
+            if hits and isinstance(_strong_outcome(ctx, tuple(shared), 0), StrongDecomposition):
                 related.extend(hits)
         for j in sorted(related):
             edges.append((i, j))

@@ -120,6 +120,27 @@ def test_coincident_hyperplanes_are_refused_before_newton(monkeypatch):
     assert str(info.value) == "hyperplanes 3, 4 pass through one point (f_S = 0)"
 
 
+def test_pinv_of_b_is_taken_once_per_family(monkeypatch):
+    # B is fixed per family: the basepoint fiber and two sample fibers share
+    # one pseudo-inverse, and their points are those of a fresh pinv each
+    calls = []
+    real = np.linalg.pinv
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    B, a, x = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)], (1, 2, 3, 1, 2), (0.3, -1.1, 0.9, -0.2, 0.7)
+    zs = [np.array(x) + 0.05 * np.array([1, -2, 3, -1, 2]) * s for s in (1, 2)]
+    expected = [critical_points(ArrangementData(B, a, x), z).points for z in zs]
+    monkeypatch.setattr(np.linalg, "pinv", counting)
+    data = ArrangementData(B, a, x)
+    frames = [data.base_frame] + [critical_points(data, z) for z in zs]
+    assert calls == [(5, 2)]
+    for frame, points in zip(frames[1:], expected):
+        assert np.array_equal(frame.points, points)
+
+
 # B = (1, 1, 1), a = (1, 1, 1): at x_3 = e^{i pi / 3} the fiber polynomial
 # 3 t^2 + 2 (1 + x_3) t + x_3 is a square, a double critical point at
 # t = -(1 + x_3) / 3, 0.58 from every hyperplane (t = 0, -1, -x_3)

@@ -560,6 +560,21 @@ def test_coincident_k1_hyperplanes_are_near_discriminant(capsys, tmp_path, comma
     }
 
 
+@pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
+def test_k1_hyperplanes_coincident_up_to_roundoff_are_near_discriminant(capsys, tmp_path, command):
+    # rows 1 and 3 give one hyperplane over x (4/3 * 0.047 = 2/3 * 0.094),
+    # but c_S . x = -5.6e-17 in floats: within roundoff of 0, so f_S = 0 is
+    # named, where a finite but huge H once sent Newton to infinity
+    payload = {"B": [["4/3"], [-2], ["2/3"], [2]], "a": ["3/2", -3, "1/2", -1],
+               "x": [0.094, -1.886, 0.047, 1.79], "m": 2, "N_max": 5}
+    code, out = run_cli(capsys, [command], payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "near-discriminant",
+        "message": "hyperplanes 1, 3 pass through one point (f_S = 0)",
+    }
+
+
 _DIVERGED_K2 = {
     "B": [[-1, -1], [0, 1], [0, 1], [2, 3], [1, 2], [-3, -3]],
     "a": [2, 3, 3, 3, 3, 1],

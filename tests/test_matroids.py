@@ -332,6 +332,43 @@ def test_memoized_circuit_matches_enumeration():
     assert checked > 2000
 
 
+def test_repeated_circuit_queries_replay_no_pivot_rows(monkeypatch):
+    # the class's echelon entry keeps every answer: the first pass replays
+    # the pivot rows once per (class, element) pair, the second pass never
+    rng = random.Random(23)
+    M = LinearMatroid(_span_rows(rng, 8, 6, 3))
+    replays = []
+    real = LinearMatroid._reduce
+
+    def counting(self, labels, pivots, y):
+        replays.append(y)
+        return real(self, labels, pivots, y)
+
+    monkeypatch.setattr(LinearMatroid, "_reduce", counting)
+    elems = list(M.ground.labels)
+    classes = [C for C in subsets(elems) if M.is_independent(C)]
+    first = {(C, y): M.circuit(C, y) for C in classes for y in elems}
+    assert len(replays) == sum(y not in C for C in classes for y in elems)
+    replays.clear()
+    second = {(C, y): M.circuit(C, y) for C in classes for y in elems}
+    assert replays == []
+    assert second == first == {(C, y): _expected_circuit(M, C, y) for C in classes for y in elems}
+
+
+def test_memoized_circuit_still_validates_its_inputs():
+    M = LinearMatroid([(1, 0), (0, 1), (1, 1), (2, 3)])
+    assert M.circuit({1, 3}, 4) == frozenset({1, 3, 4})
+    # True equals the label 1 of the class, and 4's answer is stored
+    for y in (True, 99):
+        with pytest.raises(GroundSetError):
+            M.circuit({1, 3}, y)
+    with pytest.raises(GroundSetError):
+        M.circuit({1, 0}, 4)
+    with pytest.raises(PreconditionError):
+        M.circuit({1, 3, 4}, 2)
+    assert M.circuit({1, 3}, 4) == frozenset({1, 3, 4})
+
+
 def test_memoized_circuit_through_lifts():
     # the second lift reads base classes that the first lift memoized
     base = LinearMatroid([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, 0), (2, 2, 0)])

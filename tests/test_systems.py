@@ -549,6 +549,33 @@ def test_descent_move_matches_the_remainder_alternative_search():
     assert pairs >= 5000, pairs
 
 
+def test_warm_equivalence_report_solves_no_partition(monkeypatch):
+    # the second report reads every strong outcome from the context's memo
+    # by its raw tuple: no partition, and a System only for each node
+    # (T2 and T1 = T - T2)
+    ctx = Context(ROADMAP_MATROID, 3)
+    T = ctx.system((3, 2, 2, 2, 2, 2))
+    first = equivalence_report(T)
+    solves, built = [], []
+    real_solve, real_post_init = matpot.systems.solve_partition, System.__post_init__
+
+    def solve(problem, *args, **kwargs):
+        solves.append(problem)
+        return real_solve(problem, *args, **kwargs)
+
+    def post_init(self):
+        built.append(self.mult)
+        real_post_init(self)
+
+    monkeypatch.setattr(matpot.systems, "solve_partition", solve)
+    monkeypatch.setattr(System, "__post_init__", post_init)
+    second = equivalence_report(T)
+    assert solves == []
+    assert second == first
+    assert [d.witness for d in second.nodes] == [d.witness for d in first.nodes]
+    assert len(built) == 2 * len(second.nodes) == 342
+
+
 def test_descent_move_stops_at_the_first_witness(monkeypatch):
     # on the 171-node system: strongness of both second members and one
     # query per tried label, where the remainder supports took 8 queries
