@@ -183,7 +183,22 @@ class ArrangementData:
         placement = np.zeros((n, len(basis), len(sets)))
         placement[J, Q, S_] = circuits[S_, J] / circuits[S_, I_]
         terms = terms @ normal.T
-        return FamilyAlgebra(tuple(bases), tuple(relations), basis, tuple(sets), circuits, terms, placement)
+        return FamilyAlgebra(tuple(bases), basis, circuits, terms, placement)
+
+    @cached_property
+    def squared_minors(self) -> np.ndarray:
+        """det(B_I)^2 for the bases I of ``algebra``, for the Cauchy-Binet
+        Hessian determinant of the residue weights; only the jets read it,
+        so a fiber solve does not pay for it.  The last pivot of the
+        elimination of I's integer rows is their determinant up to the sign
+        of the row swaps, and row i was scaled by the lcm of its
+        denominators, so each value is exact until one int / int rounding."""
+        lcms = [math.lcm(*(v.denominator for v in row)) for row in self.matrix]
+        rows = self.matroid._int_rows
+        return np.array([
+            _eliminate([rows[i - 1] for i in I], self.k)[1][-1][-1] ** 2 / math.prod(lcms[i - 1] for i in I) ** 2
+            for I in self.algebra.bases
+        ])
 
     @cached_property
     def B_pinv(self) -> np.ndarray:
@@ -213,7 +228,7 @@ class ArrangementData:
         since c_S is real).  With u = eps / 2 that is (n + 1) u (1 + O(u)),
         below n eps for n >= 2; the margin is a factor of about 2.  A
         smaller |f_S| cannot be told from 0, and H would carry 1 / f_S."""
-        _, _, basis, _, circuits, terms, placement = self.algebra
+        _, basis, circuits, terms, placement = self.algebra
         values = circuits @ z
         roundoff = self.n * np.finfo(float).eps * (np.abs(circuits) @ np.abs(z))
         with np.errstate(all="ignore"):
@@ -235,6 +250,9 @@ class ArrangementData:
         known = -r_0 [f r]_d, summed while f_d holds only delta's part and r_d
         is 0, is r_d but for -r_0^2 B t_d, so grad_t Phi = B^T (a r) vanishes
         at degree d when H_0 t_d = -B^T (a known), H_0 the fiber's Hessians.
+        Hess_t Phi = -B^T diag(a / f^2) B, and a / f^2 = p r, so by
+        Cauchy-Binet det Hess = (-1)^k sum over the bases I of det(B_I)^2
+        prod_{i in I} p_i r_i: k - 1 products over all bases at once.
         """
         B, a = self.B, self.a
         f = space.constant(frame.f) + space.variables()
@@ -247,8 +265,13 @@ class ArrangementData:
             f[..., block] += step
             r[..., block] = known - r[..., :1] ** 2 * step
         p = a[:, None] * r
-        hess = -np.einsum("ij,il,sim->sjlm", B, B, space.mul(p, r))
-        return p, space.reciprocal(space.det(hess))
+        pr = space.mul(p, r)
+        labels = np.array(self.algebra.bases, dtype=np.intp) - 1  # (bases, k)
+        prod = pr[:, labels[:, 0]]
+        for col in labels.T[1:]:
+            prod = space.mul(prod, pr[:, col])
+        det = (-1) ** self.k * np.einsum("b,sbm->sm", self.squared_minors, prod)
+        return p, space.reciprocal(det)
 
     def pairing_jets(self, space: SeriesSpace, members) -> np.ndarray:
         """Taylor coefficients at the basepoint, in delta = z - x up to degree
@@ -324,13 +347,12 @@ class CriticalPointFrame:
         return len(self.points)
 
 
-#: ``ArrangementData.algebra``: the bases of M(B) in lexicographic order, the
-#: relations (an integer row over them per independent (k-1)-set), the
-#: quotient basis, the (k+1)-sets S reached from a basis, their circuit
-#: vectors c_S (f_S(z) = circuits @ z), sum_{i in S} c_i a_i [C_{S-i}] in
+#: ``ArrangementData.algebra``: the bases of M(B) in lexicographic order,
+#: the quotient basis, the circuit vectors c_S (f_S(z) = circuits @ z) of the
+#: (k+1)-sets S reached from a basis, sum_{i in S} c_i a_i [C_{S-i}] in
 #: quotient coordinates, and the coefficient placement[j - 1, q, s] of C_S in
 #: column q of H_j
-FamilyAlgebra = namedtuple("FamilyAlgebra", "bases relations basis sets circuits terms placement")
+FamilyAlgebra = namedtuple("FamilyAlgebra", "bases basis circuits terms placement")
 
 
 def _dependency(rows, width: int) -> tuple:

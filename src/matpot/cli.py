@@ -183,13 +183,12 @@ def _cmd_potentials(args) -> dict:
 
 
 def _sample_points(structure, count: int = 3):
+    """The basepoint and count - 1 points offset by a golden-angle sequence
+    inside the box of half-width 0.05 (1 + scale) around it."""
     x = structure.basepoint
-    scale = 0.1 * (1.0 + structure.scale())
-    rng = np.random.default_rng(77)
-    points = [x]
-    while len(points) < count:
-        points.append(x + scale * (rng.random(structure.n) - 0.5))
-    return points
+    scale = 0.05 * (1.0 + structure.scale())
+    steps = np.arange(1, (count - 1) * structure.n + 1).reshape(count - 1, structure.n)
+    return [x, *(x + scale * np.cos(2.39996 * steps))]
 
 
 def _cmd_verify_arrangement(args) -> dict:

@@ -1,17 +1,24 @@
 """Ground sets, independence oracles, and the concrete matroid classes.
 
+The oracle contract lives in ``Matroid``.  Its public ``is_independent``,
+``rank``, ``max_independent_subset`` and ``circuit`` validate their labels
+once, with ``GroundSet.check_subset``, and answer independence and rank
+from per-instance memos, because the partition search re-queries the same
+sets heavily.  Subclasses implement only exact cores on validated
+frozensets: ``_independent``, ``_rank`` and ``_circuit``.  Package code
+that already holds validated labels (a lift reaching its base, the
+partition search) calls the memos and cores directly.
+
 Linear matroids are read as exact rationals; each row is then scaled by the
 lcm of its denominators, and every independence decision is made by exact
 integer (Bareiss fraction-free) elimination of those rows.  Floating point
-never enters this module.  Rank queries are memoized per subset because the
-partition search re-queries the same sets heavily.  For the same reason a
-linear matroid eliminates each independent class once for circuit queries
-and reduces each new element by replaying that elimination's pivot rows:
-those are the steps Bareiss would take on the class with the element's row
-appended last, so every division stays exact.  The class's cache entry keeps
-each element's answer (its circuit, or None), so a repeated (class, element)
-question replays nothing; only the inputs are validated again.  Uniform and
-lifted matroids keep no circuit memo: a uniform answer costs less than a
+never enters this module.  A linear matroid eliminates each independent
+class once for circuit queries and reduces each new element by replaying
+that elimination's pivot rows: those are the steps Bareiss would take on
+the class with the element's row appended last, so every division stays
+exact.  The class's cache entry keeps each element's answer (its circuit,
+or None), so a repeated (class, element) question replays nothing.  Uniform
+and lifted matroids keep no circuit memo: a uniform answer costs less than a
 lookup, and a lifted query reaches its base matroid's memo.  The caches rely
 on the atomicity of single dict operations, so concurrent use at worst
 recomputes a value.
@@ -42,27 +49,33 @@ class GroundSet:
         return range(1, self.n + 1)
 
     def check_subset(self, subset) -> frozenset:
-        """Normalize an iterable of labels to a frozenset, validating membership."""
-        A = frozenset(subset)
-        for e in A:
-            if not isinstance(e, int) or isinstance(e, bool) or not 1 <= e <= self.n:
-                raise GroundSetError(f"label {e!r} outside ground set 1..{self.n}")
-        return A
+        """Validate each label as given, then freeze the labels into a set:
+        a bool is refused before it can merge into an equal int label."""
+        labels = tuple(subset)
+        n = self.n
+        for e in labels:
+            if not isinstance(e, int) or isinstance(e, bool) or not 1 <= e <= n:
+                raise GroundSetError(f"label {e!r} outside ground set 1..{n}")
+        return frozenset(labels)
 
 
 class Matroid:
     """Abstract independence oracle over a GroundSet.
 
-    Subclasses implement ``_independent`` on validated frozensets.  Rank and
-    maximal-independent-subset queries are derived greedily; the equal-size
-    axiom for maximal independent subsets is exactly what makes the greedy
-    answers correct.  Greedy ties are broken by smallest label, so results
-    are deterministic.
+    The public methods are the oracle contract: each validates its labels
+    once, with ``GroundSet.check_subset``, and answers through the
+    instance's independence and rank memos (``_memo_independent``,
+    ``_memo_rank``) or from a core.  The cores take validated frozensets
+    and neither validate nor memoize; subclasses implement ``_independent``
+    and may override ``_rank`` and ``_circuit`` with faster exact
+    computations of the same answers.  The default ``_rank`` is greedy; the
+    equal-size axiom for maximal independent subsets is exactly what makes
+    the greedy answers correct.  Greedy ties are broken by smallest label,
+    so results are deterministic.
 
     ``circuit(clazz, y)`` returns None when ``clazz | {y}`` is independent and
     otherwise the unique circuit inside ``clazz | {y}``; it requires
-    ``clazz`` to be independent.  Subclasses may override it with a faster
-    exact computation of the same set.
+    ``clazz`` to be independent.
     """
 
     def __init__(self, ground: GroundSet):
@@ -70,38 +83,57 @@ class Matroid:
         self._indep_cache: dict = {}
         self._rank_cache: dict = {}
 
-    def _independent(self, A: frozenset) -> bool:
-        raise NotImplementedError
-
     def is_independent(self, subset) -> bool:
-        A = self.ground.check_subset(subset)
+        return self._memo_independent(self.ground.check_subset(subset))
+
+    def rank(self, subset) -> int:
+        return self._memo_rank(self.ground.check_subset(subset))
+
+    def max_independent_subset(self, subset) -> frozenset:
+        """Greedy maximal independent subset of ``subset``, smallest labels first."""
+        return self._max_independent(self.ground.check_subset(subset))
+
+    def circuit(self, clazz, y) -> frozenset | None:
+        """Unique circuit inside clazz + y, or None if that set is independent."""
+        labels = (*clazz, y)
+        self.ground.check_subset(labels)
+        return self._circuit(frozenset(labels[:-1]), y)
+
+    # the memos, for the public methods and for package code that holds
+    # validated labels (a lift's base, the partition search)
+
+    def _memo_independent(self, A: frozenset) -> bool:
         hit = self._indep_cache.get(A)
         if hit is None:
             hit = self._indep_cache[A] = self._independent(A)
         return hit
 
-    def max_independent_subset(self, subset) -> frozenset:
-        """Greedy maximal independent subset of ``subset``, smallest labels first."""
-        A = self.ground.check_subset(subset)
-        chosen: set = set()
-        for e in sorted(A):
-            if self.is_independent(chosen | {e}):
-                chosen.add(e)
-        return frozenset(chosen)
-
-    def rank(self, subset) -> int:
-        A = self.ground.check_subset(subset)
+    def _memo_rank(self, A: frozenset) -> int:
         hit = self._rank_cache.get(A)
         if hit is None:
-            hit = self._rank_cache[A] = len(self.max_independent_subset(A))
+            hit = self._rank_cache[A] = self._rank(A)
         return hit
 
-    def circuit(self, clazz, y) -> frozenset | None:
-        """Unique circuit inside clazz + y, or None if that set is independent."""
-        D = self.ground.check_subset([*clazz, y])
-        if self.is_independent(D):
+    # the exact cores: validated frozensets in, no memo
+
+    def _independent(self, A: frozenset) -> bool:
+        raise NotImplementedError
+
+    def _max_independent(self, A: frozenset) -> frozenset:
+        chosen = frozenset()
+        for e in sorted(A):
+            if self._independent(chosen | {e}):
+                chosen |= {e}
+        return chosen
+
+    def _rank(self, A: frozenset) -> int:
+        return len(self._max_independent(A))
+
+    def _circuit(self, C: frozenset, y: int) -> frozenset | None:
+        D = C | {y}
+        if self._independent(D):
             return None
-        found = frozenset(z for z in D if self.is_independent(D - {z}))
+        found = frozenset(z for z in D if self._independent(D - {z}))
         if not found:
             raise InvalidMatroidError(
                 "independence oracle is inconsistent: a dependent set became "
@@ -208,14 +240,10 @@ class LinearMatroid(Matroid):
     def _independent(self, A: frozenset) -> bool:
         return rational_rank(self._subrows(A)) == len(A)
 
-    def rank(self, subset) -> int:
-        # Direct exact elimination; the greedy default would give the same
-        # answer through many more oracle calls.
-        A = self.ground.check_subset(subset)
-        hit = self._rank_cache.get(A)
-        if hit is None:
-            hit = self._rank_cache[A] = rational_rank(self._subrows(A))
-        return hit
+    def _rank(self, A: frozenset) -> int:
+        # direct exact elimination; the greedy default would give the same
+        # answer through many more eliminations
+        return rational_rank(self._subrows(A))
 
     def _echelon(self, C: frozenset):
         """Sorted labels of C, the (pivot column, row) pairs of one
@@ -236,11 +264,7 @@ class LinearMatroid(Matroid):
             hit = self._echelon_cache[C] = (labels, pivots, {})
         return hit
 
-    def circuit(self, clazz, y) -> frozenset | None:
-        C = self.ground.check_subset(clazz)
-        if type(y) is not int or not 1 <= y <= self.ground.n:
-            # checked on its own: a set would merge True into a label 1
-            self.ground.check_subset((y,))
+    def _circuit(self, C: frozenset, y: int) -> frozenset | None:
         labels, pivots, answers = self._echelon(C)
         if y in C:
             return None
@@ -298,16 +322,14 @@ class UniformMatroid(Matroid):
     def _independent(self, A: frozenset) -> bool:
         return len(A) <= self.l
 
-    def rank(self, subset) -> int:
-        A = self.ground.check_subset(subset)
+    def _rank(self, A: frozenset) -> int:
         return min(len(A), self.l)
 
-    def circuit(self, clazz, y) -> frozenset | None:
+    def _circuit(self, C: frozenset, y: int) -> frozenset | None:
         # every (l + 1)-set is a circuit
-        C = frozenset(clazz)
-        D = self.ground.check_subset(C | {y})
         if len(C) > self.l:
             raise PreconditionError("circuit(clazz, y) needs an independent clazz")
+        D = C | {y}
         return None if len(D) <= self.l else D
 
     def __eq__(self, other):
@@ -329,7 +351,9 @@ class LiftedMatroid(Matroid):
 
     A subset A of the lift set is independent iff f restricted to A is
     injective and f(A) is independent in the base.  The rank of A equals the
-    base rank of f(A).
+    base rank of f(A).  The map is validated once, here; the cores map their
+    labels onto the base matroid's memos and circuit core, which lifts of
+    one base share.
     """
 
     def __init__(self, base: Matroid, size: int, labels_map):
@@ -346,25 +370,18 @@ class LiftedMatroid(Matroid):
         return frozenset(self.fmap[e - 1] for e in A)
 
     def _independent(self, A: frozenset) -> bool:
-        imgs = [self.fmap[e - 1] for e in A]
-        if len(set(imgs)) != len(imgs):
-            return False
-        return self.base.is_independent(imgs)
+        imgs = frozenset(self.fmap[e - 1] for e in A)
+        return len(imgs) == len(A) and self.base._memo_independent(imgs)
 
-    def rank(self, subset) -> int:
-        A = self.ground.check_subset(subset)
-        hit = self._rank_cache.get(A)
-        if hit is None:
-            hit = self._rank_cache[A] = self.base.rank(self.image(A))
-        return hit
+    def _rank(self, A: frozenset) -> int:
+        return self.base._memo_rank(frozenset(self.fmap[e - 1] for e in A))
 
-    def circuit(self, clazz, y) -> frozenset | None:
-        D = self.ground.check_subset([*clazz, y])
+    def _circuit(self, C: frozenset, y: int) -> frozenset | None:
         label = self.fmap[y - 1]
-        back = {self.fmap[z - 1]: z for z in D if z != y}
+        back = {self.fmap[z - 1]: z for z in C if z != y}
         if label in back:
             return frozenset({y, back[label]})
-        found = self.base.circuit(back.keys(), label)
+        found = self.base._circuit(frozenset(back), label)
         back[label] = y
         return None if found is None else frozenset(back[b] for b in found)
 

@@ -5,11 +5,15 @@ set per matroid.  It grows a partial partition element by element; to place a
 new element it runs a breadth-first search over single-element exchanges: an
 element y can enter class i directly if the class stays independent, and
 otherwise every member of the unique circuit of (class i) + y could be
-evicted to make room.  Both answers come from one ``Matroid.circuit`` call,
-which linear matroids answer with one row reduction against the class's
-memoized elimination.  Following a shortest chain of such exchanges either
-places the element or, when the search is exhausted, the set of reached
-elements is a certified violation of the counting bound
+evicted to make room.  Both answers come from one call of the circuit core
+``Matroid._circuit``, which linear matroids answer with one row reduction
+against the class's memoized elimination.  The search holds only labels of
+the problem's ground set, so it calls the cores and memos directly and
+checks no label per step; the certificate and the witness are validated
+through the public oracle before they are returned.  Following a shortest
+chain of such exchanges either places the element or, when the search is
+exhausted, the set of reached elements is a certified violation of the
+counting bound
 
     |A| <= sum_i r_i(A),
 
@@ -102,7 +106,7 @@ def _augment(matroids, classes, color, e):
         for i, M in enumerate(matroids):
             if i == ycls:
                 continue
-            circuit = M.circuit(classes[i], y)
+            circuit = M._circuit(classes[i], y)
             if circuit is None:
                 _apply_chain(matroids, classes, color, parent, y, i)
                 return None
@@ -129,13 +133,13 @@ def _apply_chain(matroids, classes, color, parent, terminal, dest):
     touched = set()
     for element, src, dst in moves:
         if src is not None:
-            classes[src].discard(element)
+            classes[src] -= {element}
             touched.add(src)
-        classes[dst].add(element)
+        classes[dst] |= {element}
         color[element] = dst
         touched.add(dst)
     for i in touched:
-        if not matroids[i].is_independent(classes[i]):
+        if not matroids[i]._memo_independent(classes[i]):
             raise InvalidMatroidError(
                 "augmentation left a dependent class; the independence "
                 "oracle is inconsistent with the matroid axioms"
@@ -151,7 +155,7 @@ def solve_partition(problem: PartitionProblem, max_size: int = 64):
     S = frozenset(problem.ground.labels)
     if len(S) > max_size:
         raise SizeLimitError(f"partition limited to {max_size} elements, got {len(S)}")
-    classes = [set() for _ in problem.matroids]
+    classes = [frozenset() for _ in problem.matroids]
     color: dict[int, int] = {}
     for e in sorted(S):
         reached = _augment(problem.matroids, classes, color, e)
@@ -164,7 +168,7 @@ def solve_partition(problem: PartitionProblem, max_size: int = 64):
                     "counting bound; independence oracle inconsistent"
                 )
             return witness
-    cert = PartitionCertificate(parts=tuple(frozenset(c) for c in classes))
+    cert = PartitionCertificate(parts=tuple(classes))
     if not cert.validate(problem):
         raise InvalidMatroidError("constructed partition failed self-validation")
     return cert
@@ -179,7 +183,7 @@ def _last_uniform(problem: PartitionProblem) -> UniformMatroid:
 
 def _uniform_closure(problem: PartitionProblem, no_partition: str) -> frozenset | None:
     """Solve the partition once and close its uniform part U under the
-    fundamental circuits ``M_i.circuit(I_i, y)`` of the other classes.
+    fundamental circuits ``M_i._circuit(I_i, y)`` of the other classes.
 
     Returns None when U has a free slot: |U| < l, or some reached y fits a
     class as it stands.  Raises PreconditionError(no_partition) when no
@@ -199,7 +203,7 @@ def _uniform_closure(problem: PartitionProblem, no_partition: str) -> frozenset 
         for M, clazz in zip(problem.matroids[:-1], classes):
             if y in clazz:
                 continue
-            circuit = M.circuit(clazz, y)
+            circuit = M._circuit(clazz, y)
             if circuit is None:
                 return None
             for z in circuit - reached:

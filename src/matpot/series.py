@@ -9,9 +9,10 @@ truncation, sorted by the product's position, so that a multiply is one
 gather and one segmented sum per chunk of batch rows, and the degree-d block
 of a product is the contiguous slice of the table whose products have
 degree d.  On top of it sit the reciprocal and, for batches of small k x k
-matrices of series, a linear solve and a determinant, each built one total
-degree at a time: degree d reads the lower degrees and the inverse of a
-constant term, so no step iterates.
+matrices of series, a linear solve, each built one total degree at a time:
+degree d reads the lower degrees and the inverse of a constant term, so no
+step iterates.  No determinant of series matrices is taken: the residue
+weights get theirs by Cauchy-Binet, from products of series.
 
 The table has C(2n + q, q) pairs, one exponent vector each; a space whose
 table would exceed MAX_TABLE_ENTRIES raises SizeLimitError before anything
@@ -163,17 +164,3 @@ class SeriesSpace:
             AX = self.mul_degree(A[..., :, :, None, :], X[..., None, :, :, :], d).sum(axis=-3)
             X[..., self.degrees[d]] = np.einsum("...ij,...jcm->...icm", lead, rhs[..., self.degrees[d]] - AX)
         return X
-
-    def det(self, A) -> np.ndarray:
-        """det A for series matrices A (..., k, k, size); shape (..., size).
-
-        By Jacobi's formula with the Euler operator E, which multiplies
-        degree d by d, E det A = det A G with G = tr(A^-1 E A), and G_0 = 0,
-        so det_d = [det G]_d / d.  A singular A_0 raises numpy's LinAlgError.
-        """
-        EA = np.concatenate([d * A[..., block] for d, block in enumerate(self.degrees)], axis=-1)
-        G = np.trace(self.solve(A, EA), axis1=-3, axis2=-2)
-        D = self.constant(np.linalg.det(A[..., 0]))
-        for d in range(1, self.q + 1):
-            D[..., self.degrees[d]] = self.mul_degree(D, G, d) / d
-        return D

@@ -39,7 +39,9 @@ table) and ``tuple_check_first_kind`` / ``tuple_check_second_kind`` (one
 contraction per tuple of bases).  ``row_by_row_eliminate`` (Gauss-Jordan
 over series, with its own ``newton_reciprocal``) uses only
 ``SeriesSpace.mul`` and is the reference for the degree recurrences of
-``solve``, ``det`` and ``reciprocal``.
+``solve``, ``jacobi_det`` and ``reciprocal``; ``jacobi_det`` (Jacobi's
+formula through one series solve) is in turn the reference for the
+Cauchy-Binet residue weights of ``ArrangementData._series_fiber``.
 """
 
 from __future__ import annotations
@@ -796,12 +798,27 @@ def newton_reciprocal(space, a):
     return r
 
 
+def jacobi_det(space, A):
+    """det A for series matrices A (..., k, k, size); shape (..., size).
+
+    By Jacobi's formula with the Euler operator E, which multiplies
+    degree d by d, E det A = det A G with G = tr(A^-1 E A), and G_0 = 0,
+    so det_d = [det G]_d / d.  A singular A_0 raises numpy's LinAlgError.
+    """
+    EA = np.concatenate([d * A[..., block] for d, block in enumerate(space.degrees)], axis=-1)
+    G = np.trace(space.solve(A, EA), axis1=-3, axis2=-2)
+    D = space.constant(np.linalg.det(A[..., 0]))
+    for d in range(1, space.q + 1):
+        D[..., space.degrees[d]] = space.mul_degree(D, G, d) / d
+    return D
+
+
 def row_by_row_eliminate(space, A, rhs):
     """(A^-1 rhs, det A) by Gauss-Jordan elimination over series, one
     multiply per matrix row and side and a Newton reciprocal per pivot: the
     reference for the degree recurrences of ``SeriesSpace.solve`` and
-    ``det``.  Both sides are first multiplied by the inverse of A's constant
-    term, so every pivot has constant term 1 up to rounding."""
+    ``jacobi_det``.  Both sides are first multiplied by the inverse of A's
+    constant term, so every pivot has constant term 1 up to rounding."""
     lead = np.linalg.inv(A[..., 0])
     det = space.constant(np.linalg.det(A[..., 0]))
     A = np.einsum("...ij,...jlm->...ilm", lead, A)

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from oracles import (
     fix2_point,
     frame_values,
     greedy_flat_basis,
+    jacobi_det,
     k1_polynomial_roots,
     plain_frame,
     richardson_frame_derivatives,
@@ -784,6 +785,44 @@ def _draw_shape(rng, k, n):
     a = [rng.randint(1, 4) for _ in range(n)]
     x = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
     return ArrangementData(B, a, x)
+
+
+def _fraction_det(rows):
+    k = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(k)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = Fraction(sign)
+        for row, col in enumerate(perm):
+            term *= Fraction(rows[row][col])
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("case", ["rank2", "rational", "rank3"])
+def test_cauchy_binet_weights_match_the_jacobi_determinant(case):
+    # w = 1 / det Hess from the squared minors of the bases against the
+    # determinant of the Hessian series -B^T diag(a / f^2) B by Jacobi's formula
+    if case == "rank2":
+        data = _rank2_data()
+    elif case == "rational":
+        data = ArrangementData(
+            [(Fraction(1, 2), 0), (0, Fraction(2, 3)), (1, Fraction(-1, 3)), (2, 3), (Fraction(-5, 4), 1)],
+            [1, 2, Fraction(3, 2), 1, 2],
+            [0.3 + 0.1j, -1.1, 0.9 - 0.4j, 1.7, -0.6 + 0.2j],
+        )
+    else:
+        data = _draw_shape(random.Random(3007), 3, 7)
+    bases = data.algebra.bases
+    assert data.squared_minors.tolist() == [
+        float(_fraction_det([data.matrix[i - 1] for i in I]) ** 2) for I in bases
+    ]
+    space = SeriesSpace(data.n, 3)
+    p, w = data._series_fiber(space, data.base_frame)
+    hess = -np.einsum("ij,il,sim->sjlm", data.B, data.B, space.mul(p, p) / data.a[:, None])
+    reference = space.reciprocal(jacobi_det(space, hess))
+    assert np.abs(w - reference).max() <= 1e-10 * np.abs(reference).max()
+    assert np.allclose(w[:, 0], 1.0 / data.base_frame.det_hess, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("k, n", [(2, 8), (2, 10), (2, 12), (3, 7), (3, 9)])

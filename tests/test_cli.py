@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +239,14 @@ def test_matroid_queries(capsys, tmp_path):
     assert json.loads(out)["result"] == {"bases": [[1, 2], [1, 3], [2, 3]]}
 
 
+def test_matroid_rank_refuses_a_bool_label(capsys, tmp_path):
+    # JSON true sits next to the label 1 it equals; it used to merge into it
+    payload = {"matroid": {"type": "linear", "matrix": [[1, 0], [0, 1], [1, 1]]}, "A": [1, True]}
+    code, out = run_cli(capsys, ["matroid", "rank"], payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "ground-set"
+
+
 def test_potentials_fixture(capsys, tmp_path):
     payload = {"B": [[1], [1]], "a": [1, 1], "x": [1, -1], "m": 2, "N_max": 5}
     code, out = run_cli(capsys, ["potentials"], payload, tmp_path)
@@ -278,6 +290,41 @@ def test_verify_arrangement(capsys, tmp_path):
     assert result["pairing_unit"][0] == pytest.approx(-0.5, abs=1e-10)
     assert result["generation_rank"] == 1
     assert result["bases"] == [[1], [2]]
+
+
+def test_verify_arrangement_leaves_numpy_random_unimported():
+    # importing numpy.random costs about 6 MB of resident memory; the sample
+    # points are a fixed golden-angle sequence around the basepoint
+    script = (
+        "import io, sys\n"
+        "from matpot.cli import main\n"
+        "sys.stdin = io.StringIO(sys.argv[1])\n"
+        "assert main(['verify-arrangement']) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = Path(matpot.arrangements.__file__).parents[1]
+    for payload in (
+        {"B": [[1], [2], [1]], "a": [1, 2, 3], "x": [0.3, -1.1, 0.9], "m": 2},
+        {"B": [[1, 0], [0, 1], [1, 1], [1, -1]], "a": [1, 2, 1, 1], "x": [0.3, -0.5, 0.9, 1.4], "m": 2},
+    ):
+        subprocess.run(
+            [sys.executable, "-c", script, json.dumps(payload)],
+            check=True, timeout=60, capture_output=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+
+
+def test_sample_points_stay_in_the_box_around_the_basepoint():
+    from matpot.cli import _sample_points
+
+    data = ArrangementData([[1, 0], [0, 1], [1, 1], [1, -1]], [1, 2, 1, 1], [0.3, -0.5j, 0.9, 1.4])
+    structure = matpot.structure_from_arrangement(data, 2)
+    points = _sample_points(structure)
+    half = 0.05 * (1.0 + structure.scale())
+    assert len(points) == 3 and np.array_equal(points[0], structure.basepoint)
+    offsets = np.array(points[1:]) - structure.basepoint
+    assert np.abs(offsets).max() <= half and np.abs(offsets).min() > 0
+    assert np.array_equal(offsets.imag, np.zeros_like(offsets.imag))
+    assert len({tuple(o) for o in offsets}) == 2
 
 
 @pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])

@@ -8,6 +8,7 @@ from matpot import (
     GroundSetError,
     LiftedMatroid,
     LinearMatroid,
+    Matroid,
     PreconditionError,
     SizeLimitError,
     UniformMatroid,
@@ -411,3 +412,89 @@ def test_circuit_queries_eliminate_a_class_once(monkeypatch):
         M.circuit(C, y)
         M.circuit(set(C), y)
     assert calls == [len(C)]
+
+
+class _GreedyUniform(Matroid):
+    """U(2, 5) through the generic greedy rank and brute-force circuit."""
+
+    def __init__(self):
+        super().__init__(GroundSet(5))
+
+    def _independent(self, A):
+        return len(A) <= 2
+
+    def __repr__(self):
+        return "GreedyUniform(l=2, n=5)"
+
+
+_BOOL_CASES = [
+    LinearMatroid([(1, 0), (0, 1), (1, 1), (2, 3), (0, 0)]),
+    UniformMatroid(2, 5),
+    LiftedMatroid(LinearMatroid([(1, 0), (0, 1), (1, 1)]), 5, (1, 2, 3, 1, 2)),
+    LiftedMatroid(UniformMatroid(2, 3), 5, (1, 2, 3, 3, 1)),
+    _GreedyUniform(),
+]
+
+
+@pytest.mark.parametrize("M", _BOOL_CASES, ids=repr)
+def test_bool_next_to_its_equal_label_is_refused(M):
+    # every label is checked as given, before a set could merge True into 1
+    queries = [
+        lambda: M.is_independent([1, True]),
+        lambda: M.rank([1, True]),
+        lambda: M.max_independent_subset([1, True]),
+        lambda: M.circuit([1, True], 3),
+        lambda: M.circuit({1, 3}, True),
+        lambda: M.circuit([3, False], 1),
+    ]
+    for query in queries:
+        with pytest.raises(GroundSetError):
+            query()
+    # the same queries without the bool are answered
+    assert M.is_independent([1]) and M.rank([1]) == 1 and M.circuit({1}, 3) is None
+
+
+def test_generic_cores_agree_with_uniform():
+    M, U = _GreedyUniform(), UniformMatroid(2, 5)
+    elems = list(U.ground.labels)
+    for A in subsets(elems):
+        assert M.rank(A) == U.rank(A) and M.max_independent_subset(A) == U.max_independent_subset(A)
+        if len(A) <= 2:
+            for y in elems:
+                assert M.circuit(A, y) == U.circuit(A, y)
+
+
+def test_lifted_queries_never_check_base_labels(monkeypatch):
+    # the lift map is validated when the lifted matroid is built; a query
+    # checks its own labels once and maps them onto the base's cores
+    base = LinearMatroid([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (2, 2, 0)])
+    L = LiftedMatroid(base, 8, (1, 1, 2, 3, 3, 4, 5, 5))
+    checked = []
+    real = GroundSet.check_subset
+
+    def counting(self, subset):
+        checked.append(self.n)
+        return real(self, subset)
+
+    monkeypatch.setattr(GroundSet, "check_subset", counting)
+    elems = list(L.ground.labels)
+    queries = 0
+    for A in subsets(elems):
+        L.rank(A)
+        L.max_independent_subset(A)
+        queries += 2
+        if L.is_independent(A):
+            for y in elems:
+                L.circuit(A, y)
+                queries += 1
+        queries += 1
+    assert checked == [8] * queries
+
+
+def test_memo_lookups_live_in_the_base_class():
+    # the subclasses implement exact cores only; the public oracle, its label
+    # check and its memos belong to Matroid
+    public = ("is_independent", "rank", "max_independent_subset", "circuit")
+    for cls in (LinearMatroid, UniformMatroid, LiftedMatroid):
+        assert not set(public) & set(vars(cls))
+        assert "_independent" in vars(cls) and "_rank" in vars(cls) and "_circuit" in vars(cls)

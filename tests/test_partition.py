@@ -121,6 +121,42 @@ def test_inconsistent_oracle_detected():
     P = PartitionProblem((_AlwaysDependent(UniformMatroid(1, 2).ground),))
     with pytest.raises(InvalidMatroidError):
         solve_partition(P)
+    # the generic circuit core finds no element whose removal helps
+    with pytest.raises(InvalidMatroidError):
+        _AlwaysDependent(UniformMatroid(1, 2).ground).circuit(set(), 1)
+
+
+def test_partition_checks_labels_only_to_validate_its_answer(monkeypatch):
+    # the exchange search holds ground-set labels and calls the exact cores;
+    # the labels are checked by the self-validation alone: m checks for a
+    # certificate, 2m (the bound and its validation) for a witness, however
+    # many exchange steps the search took
+    checks, steps = [], []
+    real_check = matpot.matroids.GroundSet.check_subset
+    real_circuit = LinearMatroid._circuit
+
+    def counting_check(self, subset):
+        checks.append(1)
+        return real_check(self, subset)
+
+    def counting_circuit(self, C, y):
+        steps.append(1)
+        return real_circuit(self, C, y)
+
+    monkeypatch.setattr(matpot.matroids.GroundSet, "check_subset", counting_check)
+    monkeypatch.setattr(LinearMatroid, "_circuit", counting_circuit)
+    rng = random.Random(29)
+    seen = {DeficiencyWitness: set(), PartitionCertificate: set()}
+    for _ in range(40):
+        n = rng.randint(4, 9)
+        rows = [[Fraction(rng.randint(-2, 2)) for _ in range(3)] for _ in range(n)]
+        P = PartitionProblem((LinearMatroid(rows), LinearMatroid(rows[::-1]), UniformMatroid(rng.randint(0, 2), n)))
+        checks.clear()
+        steps.clear()
+        result = solve_partition(P)
+        assert len(checks) == (P.m if isinstance(result, PartitionCertificate) else 2 * P.m)
+        seen[type(result)].add(len(steps))
+    assert all(len(counts) > 3 for counts in seen.values())
 
 
 def test_tight_sets_three_uniform():
