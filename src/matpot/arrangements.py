@@ -22,15 +22,17 @@ is flat, the form becomes z-constant, and the flatness of the remaining
 sections is a genuine testable statement.  ``ArrangementData.algebra``
 builds that algebra exactly from (B, a) alone (Orlik-Terao): the relations,
 the lex-first quotient basis (the flat basis) and the Higgs matrices
-H_j(z) = sum_S N_{j,S} / f_S(z) in it.  The family evaluates the pairing
-jets and the frame jets from its basepoint fiber and flat basis, each
-computed once; the fiber's residuals and Hessians are the diagnostics.
+H_j(z) = sum_S N_{j,S} / f_S(z) in it, every coefficient a signed maximal
+minor of B from one table of the C(n, k) minors (Cramer for the relations,
+Laplace for the circuits).  The family evaluates the pairing jets and the
+frame jets from its basepoint fiber and flat basis, each computed once; the
+fiber's residuals and Hessians are the diagnostics.
 
 For generic weights and z the fiber has exactly mu = |sum over independent S
 with |S| <= k of (-1)^|S|| points, the Euler characteristic of the
-complement (Orlik-Terao, Varchenko); ``ArrangementData.count`` computes it
-once from the matroid, and every fiber solve at every rank returns exactly
-that many points or raises DiscriminantError.  The candidates come from one
+complement (Orlik-Terao, Varchenko); ``ArrangementData.count`` reads it off
+the bases of the minors table, and every fiber solve at every rank returns
+exactly that many points or raises DiscriminantError.  The candidates come from one
 eigenproblem at every rank, the joint eigenvalues of the H_j; ``_accept``
 polishes them and states the refusals once, for every rank
 (docs/schemas.md).
@@ -52,6 +54,7 @@ from .errors import (
     GroundSetError,
     PreconditionError,
     RankError,
+    SizeLimitError,
     StructureError,
 )
 from .frobenius import FlatFrameStructure
@@ -101,21 +104,27 @@ class ArrangementData:
         self.a = np.array([complex(w) for w in weights])
 
     @cached_property
+    def minors(self) -> dict:
+        """D_I = det of the integer rows of I (row i of B times the lcm of its
+        denominators) for every k-set I, keyed in lexicographic order: exact
+        ints by Laplace expansion along column j of the minors on the first j
+        columns, sum_j C(n, j) j products and no division.  n > 16 raises
+        SizeLimitError before the table is built."""
+        if self.n > 16:
+            raise SizeLimitError("base enumeration limited to n <= 16")
+        rows, table = self.matroid._int_rows, {(): 1}
+        for j in range(self.k):
+            table = {J: sum((-1) ** (t + j) * rows[e - 1][j] * table[J[:t] + J[t + 1:]] for t, e in enumerate(J))
+                     for J in combinations(range(1, self.n + 1), j + 1)}
+        return table
+
+    @cached_property
     def count(self) -> int:
         """Critical points of a generic fiber: |sum over independent S with
-        |S| <= k of (-1)^|S||, the Euler characteristic of the complement.
-        Independent sets grow one larger label at a time: every subset of an
-        independent set is independent, so each is reached exactly once."""
-        level, total = [frozenset()], 1
-        for size in range(1, self.k + 1):
-            level = [
-                S | {e}
-                for S in level
-                for e in range(max(S, default=0) + 1, self.n + 1)
-                if self.matroid.is_independent(S | {e})
-            ]
-            total += (-1) ** size * len(level)
-        return abs(total)
+        |S| <= k of (-1)^|S||, the Euler characteristic of the complement.  The
+        independent j-sets are the j-subsets of the bases (D_I != 0 in ``minors``)."""
+        bases = [I for I, D in self.minors.items() if D]
+        return abs(sum((-1) ** j * len({J for I in bases for J in combinations(I, j)}) for j in range(self.k + 1)))
 
     @cached_property
     def base_frame(self) -> CriticalPointFrame:
@@ -127,31 +136,33 @@ class ArrangementData:
         """The family's algebra, built once and exactly from (B, a) alone.
 
         At a critical point p_i = a_i / f_i and sum_i b_i p_i = 0; C_I is the
-        product of the p_i over a basis I.  For an independent (k-1)-set R
-        and y_R orthogonal to its rows, sum_{i not in R} (b_i . y_R) C_{R+i}
-        = 0: the constant relations.  The quotient of the bases by them gets
-        its lex-first basis from one elimination that pivots from the last
-        column backwards; a second, with the unit rows of the pivot columns
-        below the echelon rows, writes each pivot column over the free ones.
-        Its dimension is ``count``, or StructureError.  A (k+1)-set S = I + i
-        holds one circuit, sum_{l in S} c_l b_l = 0, so f_S = c_S . z does not
+        product of the p_i over a basis I, a k-set with D_I != 0 in ``minors``.
+        For a (k-1)-set R, y_R with b . y_R = det(b_R; b) (Cramer) is orthogonal
+        to R's rows, so sum_{i not in R} (b_i . y_R) C_{R+i} = 0 with b_i . y_R
+        = (-1)^{#{r in R : r > i}} D_{R+i} up to lcms: the constant relations,
+        0 for a dependent R.  The quotient of the bases by them gets its
+        lex-first basis from one elimination that pivots from the last column
+        backwards; a second, with the unit rows of the pivot columns below the
+        echelon rows, writes each pivot column over the free ones.  Its
+        dimension is ``count``, or StructureError.  A (k+1)-set S = (s_0 < ...
+        < s_k) holding a basis holds one circuit, c_{s_t} = (-1)^t D_{S-s_t}
+        lcm_{s_t} (Laplace along a repeated column), so f_S = c_S . z does not
         depend on t and f_S C_S = sum_{l in S} c_l a_l C_{S-l}; dotting the
         circuit with y_{I-j} gives p_j C_I = sum_{i not in I} (c_j / c_i) C_{I+i}
-        for j in I (and p_i C_I = C_{I+i}).  y_R and c_S are the tags of the
-        row that exact elimination of tagged integer rows reduces to zero.
+        for j in I (and p_i C_I = C_{I+i}).
         """
-        n, k = self.n, self.k
+        n, k, minors = self.n, self.k, self.minors
         lcms = [math.lcm(*(v.denominator for v in row)) for row in self.matrix]
-        ints = [[int(v * d) for v in row] for row, d in zip(self.matrix, lcms)]
-        bases = [tuple(sorted(I)) for I in self.matroid.bases()]
+        bases = [I for I, D in minors.items() if D]
         index, nb, common = {I: c for c, I in enumerate(bases)}, len(bases), math.lcm(*lcms)
         relations = []
-        for R in filter(self.matroid.is_independent, combinations(range(1, n + 1), k - 1)):
-            y = _dependency([[ints[r - 1][j] for r in R] for j in range(k)], k - 1)
-            relations.append([0] * nb)  # common (b_i . y_R) at R + i
-            for i in set(range(1, n + 1)) - set(R):
+        for R in combinations(range(1, n + 1), k - 1):
+            row = [0] * nb  # common (b_i . y_R) at R + i, times R's lcms
+            for i in range(1, n + 1):
                 if (I := tuple(sorted(R + (i,)))) in index:
-                    relations[-1][index[I]] = sum(v * w for v, w in zip(ints[i - 1], y)) * (common // lcms[i - 1])
+                    row[index[I]] = (-1) ** sum(r > i for r in R) * minors[I] * (common // lcms[i - 1])
+            if any(row):
+                relations.append(row)
         rank, m = _eliminate([row[::-1] for row in relations], nb)
         pivots = [nb - 1 - next(c for c, v in enumerate(row) if v) for row in m[:rank]]
         free = sorted(set(range(nb)) - set(pivots))
@@ -167,14 +178,19 @@ class ArrangementData:
         normal[range(len(free)), free] = 1.0
         for p, row in zip(pivots, m[rank:]):
             normal[:, p] = [v / m[rank - 1][rank - 1] for v in row[rank:]]
-        sets = sorted({tuple(sorted(I + (i,))) for I in bases for i in range(1, n + 1) if i not in I})
-        circuits = np.zeros((len(sets), n))
-        for s, S in enumerate(sets):
-            c = _dependency([ints[i - 1] for i in S], k)
-            circuits[s, [i - 1 for i in S]] = [c_i * lcms[i - 1] for i, c_i in zip(S, c)]
-        S_, I_ = np.nonzero(circuits)  # C_{S - i} for every label i of the circuit of S
+        sets, vectors, found = [], [], []  # found: (s, i - 1, C_{S - i}) for every label i of S's circuit
+        for S in combinations(range(1, n + 1), k + 1):
+            c = [0] * n
+            for t, i in enumerate(S):
+                if D := minors[R := S[:t] + S[t + 1:]]:
+                    c[i - 1] = (-1) ** t * D * lcms[i - 1]
+                    found.append((len(sets), i - 1, index[R]))
+            if any(c):
+                sets.append(S)
+                vectors.append(c)
+        circuits = np.array(vectors, dtype=float).reshape(-1, n)
+        S_, I_, rest = np.array(found, dtype=np.intp).reshape(-1, 3).T
         terms = np.zeros((len(sets), nb), dtype=complex)
-        rest = [index[tuple(x for x in sets[s] if x != i + 1)] for s, i in zip(S_, I_)]
         terms[S_, rest] = circuits[S_, I_] * self.a[I_]
         basis, where = tuple(bases[c] for c in free), {S: s for s, S in enumerate(sets)}
         entries = [(j - 1, q, where[tuple(sorted(I + (i,)))], i - 1)
@@ -187,18 +203,11 @@ class ArrangementData:
 
     @cached_property
     def squared_minors(self) -> np.ndarray:
-        """det(B_I)^2 for the bases I of ``algebra``, for the Cauchy-Binet
-        Hessian determinant of the residue weights; only the jets read it,
-        so a fiber solve does not pay for it.  The last pivot of the
-        elimination of I's integer rows is their determinant up to the sign
-        of the row swaps, and row i was scaled by the lcm of its
-        denominators, so each value is exact until one int / int rounding."""
+        """det(B_I)^2 = D_I^2 / prod_{i in I} lcm_i^2 for the bases I of
+        ``algebra``, exact until one int / int rounding, for the Cauchy-Binet
+        Hessian determinant of the residue weights; only the jets read it."""
         lcms = [math.lcm(*(v.denominator for v in row)) for row in self.matrix]
-        rows = self.matroid._int_rows
-        return np.array([
-            _eliminate([rows[i - 1] for i in I], self.k)[1][-1][-1] ** 2 / math.prod(lcms[i - 1] for i in I) ** 2
-            for I in self.algebra.bases
-        ])
+        return np.array([self.minors[I] ** 2 / math.prod(lcms[i - 1] for i in I) ** 2 for I in self.algebra.bases])
 
     @cached_property
     def B_pinv(self) -> np.ndarray:
@@ -353,15 +362,6 @@ class CriticalPointFrame:
 #: quotient coordinates, and the coefficient placement[j - 1, q, s] of C_S in
 #: column q of H_j
 FamilyAlgebra = namedtuple("FamilyAlgebra", "bases basis circuits terms placement")
-
-
-def _dependency(rows, width: int) -> tuple:
-    """Integer coefficients of the linear dependence among integer rows of
-    rank one less than their number: the tag of the row that exact
-    elimination of the rows, each tagged with a unit vector, reduces to zero."""
-    n = len(rows)
-    tagged = [tuple(row) + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, row in enumerate(rows)]
-    return tuple(_eliminate(tagged, width)[1][-1][width:])
 
 
 def _values(data: ArrangementData, z, t):

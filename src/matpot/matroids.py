@@ -75,7 +75,8 @@ class Matroid:
 
     ``circuit(clazz, y)`` returns None when ``clazz | {y}`` is independent and
     otherwise the unique circuit inside ``clazz | {y}``; it requires
-    ``clazz`` to be independent.
+    ``clazz`` to be independent, and every class raises PreconditionError
+    for a dependent one.
     """
 
     def __init__(self, ground: GroundSet):
@@ -130,10 +131,16 @@ class Matroid:
         return len(self._max_independent(A))
 
     def _circuit(self, C: frozenset, y: int) -> frozenset | None:
+        # a dependent D is C itself when y is in C; otherwise D - y is C, so
+        # y joins ``found`` exactly when C is independent and the precondition
+        # costs no extra query; only an empty class read as dependent is left,
+        # and that is an inconsistent oracle
         D = C | {y}
         if self._independent(D):
             return None
         found = frozenset(z for z in D if self._independent(D - {z}))
+        if C and (y in C or y not in found):
+            raise PreconditionError("circuit(clazz, y) needs an independent clazz")
         if not found:
             raise InvalidMatroidError(
                 "independence oracle is inconsistent: a dependent set became "
@@ -378,8 +385,10 @@ class LiftedMatroid(Matroid):
 
     def _circuit(self, C: frozenset, y: int) -> frozenset | None:
         label = self.fmap[y - 1]
-        back = {self.fmap[z - 1]: z for z in C if z != y}
-        if label in back:
+        back = {self.fmap[z - 1]: z for z in C}
+        if len(back) < len(C):  # two labels of the class share a base label
+            raise PreconditionError("circuit(clazz, y) needs an independent clazz")
+        if back.get(label, y) != y:
             return frozenset({y, back[label]})
         found = self.base._circuit(frozenset(back), label)
         back[label] = y

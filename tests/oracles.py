@@ -21,7 +21,10 @@ of ``equivalence_report``.  ``min_tight_subset`` maps the library's
 one-seed Newton loop, as the bit-for-bit reference for the batched solve;
 ``greedy_flat_basis`` picks the flat basis greedily by numeric rank on the
 solved basepoint fiber, the reference for the exact quotient basis of
-``ArrangementData.flat_basis``; ``k1_polynomial_roots`` takes the rank-1
+``ArrangementData.flat_basis``; ``elimination_algebra`` builds the family's
+algebra with one exact elimination per set (the relation vectors y_R, the
+circuit vectors c_S, each basis's determinant), the reference for the
+minors table of ``ArrangementData.algebra``; ``k1_polynomial_roots`` takes the rank-1
 candidates as the roots of the expanded fiber polynomial (``np.roots``),
 the reference for the eigen solve at rank 1.
 ``reference_descent_move`` is the earlier exchange search, kept as the
@@ -46,6 +49,7 @@ Cauchy-Binet residue weights of ``ArrangementData._series_fiber``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -70,6 +74,8 @@ from matpot import (
     l1_distance,
     min_tight_set,
 )
+from matpot.arrangements import FamilyAlgebra
+from matpot.matroids import _eliminate
 from matpot.systems import _check_arity, _lift_problem, _require_strong
 
 
@@ -674,6 +680,66 @@ def greedy_flat_basis(data) -> tuple:
         if len(chosen) == frame.mu:
             break
     return tuple(sets[c] for c in chosen)
+
+
+def _dependency(rows, width: int) -> tuple:
+    """Integer coefficients of the linear dependence among integer rows of
+    rank one less than their number: the tag of the row that exact
+    elimination of the rows, each tagged with a unit vector, reduces to zero."""
+    n = len(rows)
+    tagged = [tuple(row) + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, row in enumerate(rows)]
+    return tuple(_eliminate(tagged, width)[1][-1][width:])
+
+
+def elimination_algebra(data):
+    """(FamilyAlgebra, squared minors) of the family by one exact elimination
+    per set: the bases from the independence oracle, y_R as the dependency of
+    the columns of each independent (k-1)-set R, c_S as the dependency of the
+    rows of each (k+1)-set S reached from a basis, and det(B_I)^2 from the
+    last pivot of the elimination of each basis; the reference for the
+    minors table of ``ArrangementData.algebra`` and ``squared_minors``."""
+    n, k = data.n, data.k
+    lcms = [math.lcm(*(v.denominator for v in row)) for row in data.matrix]
+    ints = [[int(v * d) for v in row] for row, d in zip(data.matrix, lcms)]
+    bases = [tuple(sorted(I)) for I in data.matroid.bases()]
+    index, nb, common = {I: c for c, I in enumerate(bases)}, len(bases), math.lcm(*lcms)
+    relations = []
+    for R in filter(data.matroid.is_independent, combinations(range(1, n + 1), k - 1)):
+        y = _dependency([[ints[r - 1][j] for r in R] for j in range(k)], k - 1)
+        relations.append([0] * nb)  # common (b_i . y_R) at R + i
+        for i in set(range(1, n + 1)) - set(R):
+            if (I := tuple(sorted(R + (i,)))) in index:
+                relations[-1][index[I]] = sum(v * w for v, w in zip(ints[i - 1], y)) * (common // lcms[i - 1])
+    rank, m = _eliminate([row[::-1] for row in relations], nb)
+    pivots = [nb - 1 - next(c for c, v in enumerate(row) if v) for row in m[:rank]]
+    free = sorted(set(range(nb)) - set(pivots))
+    order = pivots + free
+    echelon = [[row[nb - 1 - c] for c in order] for row in m[:rank]]
+    _, m = _eliminate(echelon + [[int(c == p) for c in order] for p in pivots], rank)
+    normal = np.zeros((len(free), nb))
+    normal[range(len(free)), free] = 1.0
+    for p, row in zip(pivots, m[rank:]):
+        normal[:, p] = [v / m[rank - 1][rank - 1] for v in row[rank:]]
+    sets = sorted({tuple(sorted(I + (i,))) for I in bases for i in range(1, n + 1) if i not in I})
+    circuits = np.zeros((len(sets), n))
+    for s, S in enumerate(sets):
+        c = _dependency([ints[i - 1] for i in S], k)
+        circuits[s, [i - 1 for i in S]] = [c_i * lcms[i - 1] for i, c_i in zip(S, c)]
+    S_, I_ = np.nonzero(circuits)  # C_{S - i} for every label i of the circuit of S
+    terms = np.zeros((len(sets), nb), dtype=complex)
+    rest = [index[tuple(x for x in sets[s] if x != i + 1)] for s, i in zip(S_, I_)]
+    terms[S_, rest] = circuits[S_, I_] * data.a[I_]
+    basis, where = tuple(bases[c] for c in free), {S: s for s, S in enumerate(sets)}
+    entries = [(j - 1, q, where[tuple(sorted(I + (i,)))], i - 1)
+               for q, I in enumerate(basis) for i in set(range(1, n + 1)) - set(I) for j in I + (i,)]
+    J, Q, S_, I_ = np.array(entries, dtype=np.intp).reshape(-1, 4).T
+    placement = np.zeros((n, len(basis), len(sets)))
+    placement[J, Q, S_] = circuits[S_, J] / circuits[S_, I_]
+    squared = np.array([
+        _eliminate([ints[i - 1] for i in I], k)[1][-1][-1] ** 2 / math.prod(lcms[i - 1] for i in I) ** 2
+        for I in bases
+    ])
+    return FamilyAlgebra(tuple(bases), basis, circuits, terms @ normal.T, placement), squared
 
 
 def k1_polynomial_roots(data, z):

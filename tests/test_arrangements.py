@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import random
 import subprocess
@@ -19,6 +20,7 @@ from matpot import (
     LinearMatroid,
     PreconditionError,
     RankError,
+    SizeLimitError,
     UniformMatroid,
     critical_points,
     structure_from_arrangement,
@@ -29,6 +31,7 @@ from matpot.arrangements import ESCAPE_RADIUS, _accept, _eigen_candidates, _newt
 from matpot.series import SeriesSpace
 from oracles import (
     discriminant_probe,
+    elimination_algebra,
     euler_count,
     fix2_hess,
     fix2_p,
@@ -294,12 +297,9 @@ def test_critical_point_count_matches_euler_characteristic():
     assert short == {}
 
 
-def test_count_matches_euler_oracle():
-    # the package's count against the subset enumeration, on the sweep's
-    # draws, zero rows (loops), parallel rows, k = 1 and k = 3
-    rng = random.Random(2718)
-    cases = [_draw_k2_instance(rng, 4 + idx % 3) for idx in range(42)]
-    cases += [
+def _special_families():
+    """Zero rows (loops), parallel rows, k = 1 and k = 3; counts 1, 2, 0, 2, 0, 3."""
+    return [
         ArrangementData([(0, 0), (1, 0), (0, 1), (1, 1)], (1, 2, 3, 1), (0.3, -0.5, 0.9, 1.4)),
         ArrangementData([(1, 0), (2, 0), (-1, 0), (0, 1), (0, 3)], (1, 2, 3, 1, 2), (0.3, -0.5, 0.9, 1.4, 0.2)),
         ArrangementData([(1, 0), (1, 0), (2, 0), (0, 1)], (1, 1, 1, 1), (0.3, -0.5, 0.9, 1.4)),
@@ -311,6 +311,14 @@ def test_count_matches_euler_oracle():
             (0.3, -0.5, 0.9, 1.4, 0.2, -0.7, 1.1),
         ),
     ]
+
+
+def test_count_matches_euler_oracle():
+    # the package's count against the subset enumeration, on the sweep's
+    # draws, zero rows (loops), parallel rows, k = 1 and k = 3
+    rng = random.Random(2718)
+    cases = [_draw_k2_instance(rng, 4 + idx % 3) for idx in range(42)]
+    cases += _special_families()
     counts = [data.count for data in cases]
     assert counts == [euler_count(data.matroid, data.k) for data in cases]
     assert counts[42:] == [1, 2, 0, 2, 0, 3]
@@ -867,3 +875,89 @@ def test_flat_basis_is_the_greedy_basis_on_the_fiber(all_families):
     # greedy numeric-rank choice on the basepoint fiber picks
     for data in _sweep_families() + all_families:
         assert data.flat_basis == greedy_flat_basis(data)
+
+
+def _draw_rational_family(rng):
+    """k 1-4, n up to 9, rational B of full rank with some rows parallel to
+    earlier ones, rational weights, complex basepoint."""
+    k = rng.randint(1, 4)
+    n = rng.randint(k + 1, 9)
+    while True:
+        rows = []
+        for _ in range(n):
+            if rows and rng.random() < 0.2:
+                q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                rows.append(tuple(v * q for v in rng.choice(rows)))
+            else:
+                rows.append(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)))
+        if LinearMatroid(rows).full_rank == k:
+            break
+    a = [Fraction(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(n)]
+    x = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+    return ArrangementData(rows, a, x)
+
+
+def _higgs_or_refusal(data):
+    try:
+        return data.higgs(data.basepoint)
+    except DiscriminantError as exc:
+        return str(exc)
+
+
+def test_minors_table_matches_the_elimination_algebra():
+    # the algebra read from the table of maximal minors against one exact
+    # elimination per set: equal bases, basis, placement, squared minors,
+    # count and H(x) bit for bit; circuits and terms up to one sign per row
+    rng = random.Random(3030)
+    families = _sweep_families() + _special_families() + [_draw_rational_family(rng) for _ in range(40)]
+    assert {data.k for data in families} == {1, 2, 3, 4}
+    for data in families:
+        reference, squared = elimination_algebra(data)
+        algebra = data.algebra
+        assert algebra.bases == reference.bases and algebra.basis == reference.basis
+        assert np.array_equal(algebra.placement, reference.placement)
+        assert np.array_equal(data.squared_minors, squared)
+        assert data.count == euler_count(data.matroid, data.k)
+        sign = np.sign((algebra.circuits * reference.circuits).sum(axis=1))[:, None]
+        assert np.array_equal(algebra.circuits, sign * reference.circuits)
+        assert np.array_equal(algebra.terms, sign * reference.terms)
+        if data.count:
+            twin = ArrangementData(data.matrix, data.weights, data.basepoint)
+            twin.__dict__["algebra"] = reference
+            mine, theirs = _higgs_or_refusal(data), _higgs_or_refusal(twin)
+            assert type(mine) is type(theirs) and np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize("k, n, seed", [(2, 6, 2006), (3, 9, 3009)])
+def test_algebra_is_read_from_the_minors_table(monkeypatch, k, n, seed):
+    # past the matroid's own full-rank check, the count, the algebra and the
+    # squared minors eliminate twice (the two quotient eliminations) and ask
+    # the independence oracle nothing
+    data = _draw_shape(random.Random(seed), k, n)
+    eliminations, queries = [], []
+    real_eliminate, real_independent = matpot.matroids._eliminate, LinearMatroid._independent
+
+    def eliminating(rows, width):
+        eliminations.append(len(rows))
+        return real_eliminate(rows, width)
+
+    def querying(self, A):
+        queries.append(A)
+        return real_independent(self, A)
+
+    for module in (matpot.matroids, matpot.arrangements):
+        monkeypatch.setattr(module, "_eliminate", eliminating)
+    monkeypatch.setattr(LinearMatroid, "_independent", querying)
+    assert data.count > 0 and queries == [] and eliminations == []
+    data.algebra, data.squared_minors
+    assert len(eliminations) == 2 and queries == []
+    assert len(data.minors) == math.comb(n, k)
+
+
+def test_family_beyond_sixteen_hyperplanes_is_a_size_limit():
+    # the minors table is refused before it is built, as base enumeration is
+    data = ArrangementData([(i,) for i in range(1, 18)], [1] * 17, [0.1 * i for i in range(17)])
+    with pytest.raises(SizeLimitError, match="base enumeration limited to n <= 16"):
+        critical_points(data, data.basepoint)
+    with pytest.raises(SizeLimitError, match="base enumeration limited to n <= 16"):
+        structure_from_arrangement(data, 2)

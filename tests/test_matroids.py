@@ -464,6 +464,38 @@ def test_generic_cores_agree_with_uniform():
                 assert M.circuit(A, y) == U.circuit(A, y)
 
 
+def test_generic_circuit_refuses_a_dependent_class(monkeypatch):
+    # D - y is the class, so the query that decides y's membership in the
+    # circuit also decides the precondition: no extra oracle query
+    M = _GreedyUniform()
+    queries = []
+    monkeypatch.setattr(_GreedyUniform, "_independent", lambda self, A: queries.append(A) or len(A) <= 2)
+    for C, y in (({1, 2, 3}, 4), ({1, 2, 3}, 1), ({1, 2, 3, 4}, 5)):
+        queries.clear()
+        with pytest.raises(PreconditionError, match="independent clazz"):
+            M.circuit(C, y)
+        assert len(queries) == len(set(C) | {y}) + 1
+    queries.clear()
+    assert M.circuit({1, 2}, 3) == frozenset({1, 2, 3}) and len(queries) == 4
+    assert M.circuit(set(), 1) is None and M.circuit({1, 2}, 1) is None
+
+
+@pytest.mark.parametrize("base", [UniformMatroid(2, 2), LinearMatroid([(1, 0), (0, 1)])], ids=repr)
+def test_lifted_circuit_refuses_a_class_that_shares_a_base_label(monkeypatch, base):
+    # lift labels 1 and 2 both map to base label 1, so {1, 2} is dependent;
+    # the query's own back map sees it, and the base is never asked
+    M = LiftedMatroid(base, 3, (1, 1, 2))
+    assert not M.is_independent({1, 2})
+    asked = []
+    real = type(base)._circuit
+    monkeypatch.setattr(type(base), "_circuit", lambda self, C, y: asked.append(C) or real(self, C, y))
+    for C, y in (({1, 2}, 3), ({1, 2}, 1), ({1, 2, 3}, 3)):
+        with pytest.raises(PreconditionError, match="independent clazz"):
+            M.circuit(C, y)
+    assert asked == []
+    assert M.circuit({1, 3}, 2) == frozenset({1, 2}) and M.circuit({1}, 3) is None
+
+
 def test_lifted_queries_never_check_base_labels(monkeypatch):
     # the lift map is validated when the lifted matroid is built; a query
     # checks its own labels once and maps them onto the base's cores
