@@ -21,18 +21,21 @@ sections satisfy only constant-coefficient relations, so the frame they span
 is flat, the form becomes z-constant, and the flatness of the remaining
 sections is a genuine testable statement.  ``ArrangementData.algebra``
 builds that algebra exactly from (B, a) alone (Orlik-Terao): the relations,
-the lex-first quotient basis (the flat basis) and the Higgs matrices
+their quotient with the flat basis as its basis, and the Higgs matrices
 H_j(z) = sum_S N_{j,S} / f_S(z) in it, every coefficient a signed maximal
 minor of B from one table of the C(n, k) minors (Cramer for the relations,
-Laplace for the circuits).  The family evaluates the pairing jets and the
-frame jets from its basepoint fiber and flat basis, each computed once; the
+Laplace for the circuits).  The flat basis is read off the same table by a
+matroid rule, no search: the bases of internal activity 0 for the reversed
+order of the labels.  The family evaluates the pairing jets and the frame
+jets from its basepoint fiber and flat basis, each computed once; the
 fiber's residuals and Hessians are the diagnostics.
 
 For generic weights and z the fiber has exactly mu = |sum over independent S
 with |S| <= k of (-1)^|S|| points, the Euler characteristic of the
-complement (Orlik-Terao, Varchenko); ``ArrangementData.count`` reads it off
-the bases of the minors table, and every fiber solve at every rank returns
-exactly that many points or raises DiscriminantError.  The candidates come from one
+complement (Orlik-Terao, Varchenko); that is T_M(0, 1), the number of those
+bases (Crapo, 1969), so ``ArrangementData.count`` is the size of the flat
+basis, and every fiber solve at every rank returns exactly that many points
+or raises DiscriminantError.  The candidates come from one
 eigenproblem at every rank, the joint eigenvalues of the H_j; ``_accept``
 polishes them and states the refusals once, for every rank
 (docs/schemas.md).
@@ -70,6 +73,10 @@ def vector_matroid(matrix) -> LinearMatroid:
             f"matrix has rank {M.full_rank}, expected full column rank {M.width}"
         )
     return M
+
+
+#: the refusal of a family whose count is 0, by ``higgs`` and ``critical_points``
+NO_CRITICAL_POINTS = "the family has no critical points: the Euler characteristic of the complement is 0"
 
 
 def _exact_weight(value):
@@ -119,12 +126,44 @@ class ArrangementData:
         return table
 
     @cached_property
+    def lcms(self) -> tuple:
+        """lcm_i of the denominators of row i of B: the integer row i of
+        ``minors`` is lcm_i b_i."""
+        return tuple(math.lcm(*(v.denominator for v in row)) for row in self.matrix)
+
+    @cached_property
+    def flat_basis(self) -> tuple:
+        """The bases I (D_I != 0 in ``minors``), in lexicographic order, in
+        which every e has some f > e outside I with D_{I-e+f} != 0: the bases
+        of internal activity 0 (internally passive) for the reversed order of
+        the labels, e being internally active when it is the largest element
+        of its fundamental cocircuit.  There are T_M(0, 1) = ``count`` of them
+        (Crapo, Aequationes Math. 3, 1969; Bjorner, in Matroid Applications,
+        1992), and their sections C_I (unit) span every fiber: they are the
+        basis of the quotient in ``algebra``, which checks that
+        (StructureError).  No fiber is read."""
+        n, minors = self.n, self.minors
+
+        def passive(I):
+            for t, e in enumerate(I):
+                # f runs over the gap u of tail above e, so I - e + f is sorted
+                head, tail = I[:t], I[t + 1:]
+                ends = (e,) + tail + (n + 1,)
+                if not any(minors[head + tail[:u] + (f,) + tail[u:]]
+                           for u in range(len(tail) + 1) for f in range(ends[u] + 1, ends[u + 1])):
+                    return False
+            return True
+
+        return tuple(I for I, D in minors.items() if D and passive(I))
+
+    @cached_property
     def count(self) -> int:
-        """Critical points of a generic fiber: |sum over independent S with
-        |S| <= k of (-1)^|S||, the Euler characteristic of the complement.  The
-        independent j-sets are the j-subsets of the bases (D_I != 0 in ``minors``)."""
-        bases = [I for I, D in self.minors.items() if D]
-        return abs(sum((-1) ** j * len({J for I in bases for J in combinations(I, j)}) for j in range(self.k + 1)))
+        """Critical points of a generic fiber, mu = |sum over independent S
+        with |S| <= k of (-1)^|S||, the Euler characteristic of the
+        complement.  That sum is T_M(0, 1), the number of internally passive
+        bases (Crapo, Aequationes Math. 3, 1969), so mu is the size of
+        ``flat_basis``."""
+        return len(self.flat_basis)
 
     @cached_property
     def base_frame(self) -> CriticalPointFrame:
@@ -140,44 +179,47 @@ class ArrangementData:
         For a (k-1)-set R, y_R with b . y_R = det(b_R; b) (Cramer) is orthogonal
         to R's rows, so sum_{i not in R} (b_i . y_R) C_{R+i} = 0 with b_i . y_R
         = (-1)^{#{r in R : r > i}} D_{R+i} up to lcms: the constant relations,
-        0 for a dependent R.  The quotient of the bases by them gets its
-        lex-first basis from one elimination that pivots from the last column
-        backwards; a second, with the unit rows of the pivot columns below the
-        echelon rows, writes each pivot column over the free ones.  Its
-        dimension is ``count``, or StructureError.  A (k+1)-set S = (s_0 < ...
-        < s_k) holding a basis holds one circuit, c_{s_t} = (-1)^t D_{S-s_t}
-        lcm_{s_t} (Laplace along a repeated column), so f_S = c_S . z does not
-        depend on t and f_S C_S = sum_{l in S} c_l a_l C_{S-l}; dotting the
-        circuit with y_{I-j} gives p_j C_I = sum_{i not in I} (c_j / c_i) C_{I+i}
-        for j in I (and p_i C_I = C_{I+i}).
+        0 for a dependent R.  The quotient of the bases by them has the mu
+        sections of ``flat_basis`` as its basis (mu = T_M(0, 1), the number of
+        internally passive bases; Crapo, 1969): one elimination of the
+        relations, the P other bases' columns first, pivots on exactly those P
+        columns and leaves the rows past them zero, or StructureError; back
+        substitution in integers (y = D x for the last pivot D, each division
+        exact by Cramer) writes each of the P over the flat basis.  A (k+1)-set
+        S = (s_0 < ... < s_k) holding a basis holds one circuit, c_{s_t} =
+        (-1)^t D_{S-s_t} lcm_{s_t} (Laplace along a repeated column), so f_S =
+        c_S . z does not depend on t and f_S C_S = sum_{l in S} c_l a_l
+        C_{S-l}; dotting the circuit with y_{I-j} gives p_j C_I = sum_{i not in
+        I} (c_j / c_i) C_{I+i} for j in I (and p_i C_I = C_{I+i}).
         """
-        n, k, minors = self.n, self.k, self.minors
-        lcms = [math.lcm(*(v.denominator for v in row)) for row in self.matrix]
+        n, k, minors, lcms, basis = self.n, self.k, self.minors, self.lcms, self.flat_basis
         bases = [I for I, D in minors.items() if D]
-        index, nb, common = {I: c for c, I in enumerate(bases)}, len(bases), math.lcm(*lcms)
+        index, nb, mu, common = {I: c for c, I in enumerate(bases)}, len(bases), len(basis), math.lcm(*lcms)
+        free = [index[I] for I in basis]
+        pivots = sorted(set(range(nb)) - set(free))
+        P, column = len(pivots), {bases[c]: t for t, c in enumerate(pivots + free)}
         relations = []
         for R in combinations(range(1, n + 1), k - 1):
-            row = [0] * nb  # common (b_i . y_R) at R + i, times R's lcms
+            row = [0] * nb  # common (b_i . y_R) at R + i, times R's lcms, pivot columns first
             for i in range(1, n + 1):
-                if (I := tuple(sorted(R + (i,)))) in index:
-                    row[index[I]] = (-1) ** sum(r > i for r in R) * minors[I] * (common // lcms[i - 1])
+                if (I := tuple(sorted(R + (i,)))) in column:
+                    row[column[I]] = (-1) ** sum(r > i for r in R) * minors[I] * (common // lcms[i - 1])
             if any(row):
                 relations.append(row)
-        rank, m = _eliminate([row[::-1] for row in relations], nb)
-        pivots = [nb - 1 - next(c for c, v in enumerate(row) if v) for row in m[:rank]]
-        free = sorted(set(range(nb)) - set(pivots))
-        if len(free) != self.count:
+        rank, m = _eliminate(relations, P)
+        if rank != P or any(any(row[P:]) for row in m[P:]):
             raise StructureError(f"the flat sections do not span the fiber (generation condition fails): the "
-                                 f"quotient has dimension {len(free)}, expected {self.count}; no flat frame")
-        # the echelon rows are upper triangular on the pivot columns, so nothing
-        # is swapped, and each unit row reduces to lead times its normal form
-        order = pivots + free
-        echelon = [[row[nb - 1 - c] for c in order] for row in m[:rank]]
-        _, m = _eliminate(echelon + [[int(c == p) for c in order] for p in pivots], rank)
-        normal = np.zeros((len(free), nb))
-        normal[range(len(free)), free] = 1.0
-        for p, row in zip(pivots, m[rank:]):
-            normal[:, p] = [v / m[rank - 1][rank - 1] for v in row[rank:]]
+                                 f"{mu} flat sections are not a basis of the quotient; no flat frame")
+        # m[:P] is upper triangular on the pivot columns, so the normal forms x
+        # solve m[r][r] x_r = -m[r][P:] - sum_{c > r} m[r][c] x_c; y = last x
+        last, y = m[P - 1][P - 1] if P else 1, [None] * P
+        for r in reversed(range(P)):
+            y[r] = [(-last * m[r][P + q] - sum(m[r][c] * y[c][q] for c in range(r + 1, P))) // m[r][r]
+                    for q in range(mu)]
+        normal = np.zeros((mu, nb))
+        normal[range(mu), free] = 1.0
+        for p, row in zip(pivots, y):
+            normal[:, p] = [v / last for v in row]
         sets, vectors, found = [], [], []  # found: (s, i - 1, C_{S - i}) for every label i of S's circuit
         for S in combinations(range(1, n + 1), k + 1):
             c = [0] * n
@@ -192,7 +234,7 @@ class ArrangementData:
         S_, I_, rest = np.array(found, dtype=np.intp).reshape(-1, 3).T
         terms = np.zeros((len(sets), nb), dtype=complex)
         terms[S_, rest] = circuits[S_, I_] * self.a[I_]
-        basis, where = tuple(bases[c] for c in free), {S: s for s, S in enumerate(sets)}
+        where = {S: s for s, S in enumerate(sets)}
         entries = [(j - 1, q, where[tuple(sorted(I + (i,)))], i - 1)
                    for q, I in enumerate(basis) for i in set(range(1, n + 1)) - set(I) for j in I + (i,)]
         J, Q, S_, I_ = np.array(entries, dtype=np.intp).reshape(-1, 4).T
@@ -206,20 +248,13 @@ class ArrangementData:
         """det(B_I)^2 = D_I^2 / prod_{i in I} lcm_i^2 for the bases I of
         ``algebra``, exact until one int / int rounding, for the Cauchy-Binet
         Hessian determinant of the residue weights; only the jets read it."""
-        lcms = [math.lcm(*(v.denominator for v in row)) for row in self.matrix]
-        return np.array([self.minors[I] ** 2 / math.prod(lcms[i - 1] for i in I) ** 2 for I in self.algebra.bases])
+        return np.array([self.minors[I] ** 2 / math.prod(self.lcms[i - 1] for i in I) ** 2 for I in self.algebra.bases])
 
     @cached_property
     def B_pinv(self) -> np.ndarray:
         """The pseudo-inverse of B, shape (k, n), for the least-squares t of
         every fiber's candidates; B is fixed per family, so it is taken once."""
         return np.linalg.pinv(self.B)
-
-    @property
-    def flat_basis(self) -> tuple:
-        """The quotient basis of ``algebra``: mu bases whose sections C_I
-        (unit) span every fiber; no fiber is read."""
-        return self.algebra.basis
 
     def higgs(self, z) -> np.ndarray:
         """H_j(z) = sum_S N_{j,S} / f_S(z) for j = 1..n, shape (n, mu, mu):
@@ -236,7 +271,10 @@ class ArrangementData:
         Numerical Algorithms, section 3.1; complex z obeys it part by part,
         since c_S is real).  With u = eps / 2 that is (n + 1) u (1 + O(u)),
         below n eps for n >= 2; the margin is a factor of about 2.  A
-        smaller |f_S| cannot be told from 0, and H would carry 1 / f_S."""
+        smaller |f_S| cannot be told from 0, and H would carry 1 / f_S.  A
+        family whose count is 0 has no H (PreconditionError)."""
+        if self.count == 0:
+            raise PreconditionError(NO_CRITICAL_POINTS)
         _, basis, circuits, terms, placement = self.algebra
         values = circuits @ z
         roundoff = self.n * np.finfo(float).eps * (np.abs(circuits) @ np.abs(z))
@@ -524,9 +562,7 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     part of their last coordinate.
     """
     if data.count == 0:
-        raise PreconditionError(
-            "the family has no critical points: the Euler characteristic of the complement is 0"
-        )
+        raise PreconditionError(NO_CRITICAL_POINTS)
     z = np.asarray(z, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(z)))
     points, res = _accept(data, z, _eigen_candidates(data, z), scale)

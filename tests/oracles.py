@@ -21,7 +21,10 @@ of ``equivalence_report``.  ``min_tight_subset`` maps the library's
 one-seed Newton loop, as the bit-for-bit reference for the batched solve;
 ``greedy_flat_basis`` picks the flat basis greedily by numeric rank on the
 solved basepoint fiber, the reference for the exact quotient basis of
-``ArrangementData.flat_basis``; ``elimination_algebra`` builds the family's
+``ArrangementData.flat_basis``; ``internally_passive_bases`` picks the
+bases of internal activity 0 from the fundamental cocircuits, the reference
+for the rule that ``flat_basis`` reads off the minors table;
+``elimination_algebra`` builds the family's
 algebra with one exact elimination per set (the relation vectors y_R, the
 circuit vectors c_S, each basis's determinant), the reference for the
 minors table of ``ArrangementData.algebra``; ``k1_polynomial_roots`` takes the rank-1
@@ -680,6 +683,22 @@ def greedy_flat_basis(data) -> tuple:
         if len(chosen) == frame.mu:
             break
     return tuple(sets[c] for c in chosen)
+
+
+def internally_passive_bases(matroid) -> tuple:
+    """The bases of the matroid, in lexicographic order, with internal
+    activity 0 for the reversed order of the labels: every e of B is below
+    some other element of its fundamental cocircuit {e} + {f not in B : B - e
+    + f a basis}, each cocircuit built from ``is_independent`` alone.  Their
+    number is T_M(0, 1) (Crapo, Aequationes Math. 3, 1969); the reference for
+    ``ArrangementData.flat_basis``, which reads them off the minors table."""
+    labels = sorted(matroid.ground.labels)
+    bases = [B for B in combinations(labels, matroid.full_rank) if matroid.is_independent(frozenset(B))]
+    return tuple(
+        B for B in bases
+        if all(max({e} | {f for f in labels if f not in B and matroid.is_independent(frozenset(B) - {e} | {f})}) != e
+               for e in B)
+    )
 
 
 def _dependency(rows, width: int) -> tuple:

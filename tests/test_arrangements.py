@@ -21,13 +21,14 @@ from matpot import (
     PreconditionError,
     RankError,
     SizeLimitError,
+    StructureError,
     UniformMatroid,
     critical_points,
     structure_from_arrangement,
     vector_matroid,
 )
 
-from matpot.arrangements import ESCAPE_RADIUS, _accept, _eigen_candidates, _newton_refine
+from matpot.arrangements import ESCAPE_RADIUS, NO_CRITICAL_POINTS, _accept, _eigen_candidates, _newton_refine
 from matpot.series import SeriesSpace
 from oracles import (
     discriminant_probe,
@@ -39,6 +40,7 @@ from oracles import (
     fix2_point,
     frame_values,
     greedy_flat_basis,
+    internally_passive_bases,
     jacobi_det,
     k1_polynomial_roots,
     plain_frame,
@@ -333,12 +335,15 @@ def test_count_matches_euler_oracle():
 )
 def test_count_zero_family_is_a_precondition_error(rows):
     # one hyperplane in the fiber variable (k = 1), or all lines but one
-    # parallel (k = 2): the generic fiber is empty, at every z
+    # parallel (k = 2): the generic fiber is empty, at every z, and H(z) is
+    # refused with the same message
     data = ArrangementData(rows, [1] * len(rows), [0.3 + 0.1j, -0.5, 0.9, 1.4][: len(rows)])
     assert data.count == 0
     for z in (data.basepoint, data.basepoint + 0.17j):
-        with pytest.raises(PreconditionError, match="Euler characteristic"):
-            critical_points(data, z)
+        for solve in (critical_points, ArrangementData.higgs):
+            with pytest.raises(PreconditionError, match="Euler characteristic") as refusal:
+                solve(data, z)
+            assert str(refusal.value) == NO_CRITICAL_POINTS
     with pytest.raises(PreconditionError):
         structure_from_arrangement(data, 2)
 
@@ -871,8 +876,8 @@ def test_higgs_eigenvalues_are_the_fiber_values(all_structures, all_families):
 
 
 def test_flat_basis_is_the_greedy_basis_on_the_fiber(all_families):
-    # the lex-first quotient basis, read from (B, a), is the basis that a
-    # greedy numeric-rank choice on the basepoint fiber picks
+    # the flat basis, read from (B, a) by its matroid rule, is the basis
+    # that a greedy numeric-rank choice on the basepoint fiber picks
     for data in _sweep_families() + all_families:
         assert data.flat_basis == greedy_flat_basis(data)
 
@@ -897,6 +902,32 @@ def _draw_rational_family(rng):
     return ArrangementData(rows, a, x)
 
 
+def test_flat_basis_is_the_internally_passive_set():
+    # the rule that flat_basis reads off the minors table against the
+    # fundamental cocircuits of the independence oracle, and its size against
+    # the Euler characteristic (mu = T_M(0, 1), Crapo 1969).  That this set is
+    # the lex-first quotient basis of the reference elimination is checked by
+    # the parity test below, on these families and its k = 4 draws, not proved
+    rng = random.Random(3030)
+    families = _sweep_families() + _special_families() + [_draw_rational_family(rng) for _ in range(40)]
+    for data in families:
+        assert data.flat_basis == internally_passive_bases(data.matroid)
+        assert data.count == euler_count(data.matroid, data.k)
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_flat_sections_that_are_no_quotient_basis_are_refused(change):
+    # the generation check of the one elimination: mu - 1 sections leave a
+    # pivot column without a pivot, and mu + 1 leave a relation among the
+    # free columns; either way the sections are no basis of the quotient
+    data = _rank2_data()
+    basis = data.flat_basis
+    extra = next(I for I, D in data.minors.items() if D and I not in basis)
+    data.__dict__["flat_basis"] = basis[1:] if change == "drop" else tuple(sorted(basis + (extra,)))
+    with pytest.raises(StructureError, match="the flat sections do not span the fiber"):
+        data.algebra
+
+
 def _higgs_or_refusal(data):
     try:
         return data.higgs(data.basepoint)
@@ -907,9 +938,14 @@ def _higgs_or_refusal(data):
 def test_minors_table_matches_the_elimination_algebra():
     # the algebra read from the table of maximal minors against one exact
     # elimination per set: equal bases, basis, placement, squared minors,
-    # count and H(x) bit for bit; circuits and terms up to one sign per row
+    # count and H(x) bit for bit; circuits and terms up to one sign per row;
+    # the k = 4, n <= 8 draws of random.Random(4004) add 21 families
     rng = random.Random(3030)
     families = _sweep_families() + _special_families() + [_draw_rational_family(rng) for _ in range(40)]
+    rng = random.Random(4004)
+    k4 = [data for data in (_draw_rational_family(rng) for _ in range(120)) if data.k == 4 and data.n <= 8]
+    assert len(k4) == 21
+    families += k4
     assert {data.k for data in families} == {1, 2, 3, 4}
     for data in families:
         reference, squared = elimination_algebra(data)
@@ -931,8 +967,8 @@ def test_minors_table_matches_the_elimination_algebra():
 @pytest.mark.parametrize("k, n, seed", [(2, 6, 2006), (3, 9, 3009)])
 def test_algebra_is_read_from_the_minors_table(monkeypatch, k, n, seed):
     # past the matroid's own full-rank check, the count, the algebra and the
-    # squared minors eliminate twice (the two quotient eliminations) and ask
-    # the independence oracle nothing
+    # squared minors eliminate once (the relations, pivot columns first) and
+    # ask the independence oracle nothing
     data = _draw_shape(random.Random(seed), k, n)
     eliminations, queries = [], []
     real_eliminate, real_independent = matpot.matroids._eliminate, LinearMatroid._independent
@@ -950,7 +986,7 @@ def test_algebra_is_read_from_the_minors_table(monkeypatch, k, n, seed):
     monkeypatch.setattr(LinearMatroid, "_independent", querying)
     assert data.count > 0 and queries == [] and eliminations == []
     data.algebra, data.squared_minors
-    assert len(eliminations) == 2 and queries == []
+    assert len(eliminations) == 1 and queries == []
     assert len(data.minors) == math.comb(n, k)
 
 
