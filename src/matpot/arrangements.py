@@ -181,11 +181,12 @@ class ArrangementData:
         = (-1)^{#{r in R : r > i}} D_{R+i} up to lcms: the constant relations,
         0 for a dependent R.  The quotient of the bases by them has the mu
         sections of ``flat_basis`` as its basis (mu = T_M(0, 1), the number of
-        internally passive bases; Crapo, 1969): one elimination of the
-        relations, the P other bases' columns first, pivots on exactly those P
-        columns and leaves the rows past them zero, or StructureError; back
-        substitution in integers (y = D x for the last pivot D, each division
-        exact by Cramer) writes each of the P over the flat basis.  A (k+1)-set
+        internally passive bases; Crapo, 1969): one fraction-free Gauss-Jordan
+        elimination of the relations, the P other bases' columns first, pivots
+        on exactly those P columns and leaves the rows past them zero, or
+        StructureError; its rows are D times the reduced form for the last
+        pivot D, so each of the P is -m[r][P:] / D over the flat basis, an
+        exact integer over D (Cramer).  A (k+1)-set
         S = (s_0 < ... < s_k) holding a basis holds one circuit, c_{s_t} =
         (-1)^t D_{S-s_t} lcm_{s_t} (Laplace along a repeated column), so f_S =
         c_S . z does not depend on t and f_S C_S = sum_{l in S} c_l a_l
@@ -206,20 +207,17 @@ class ArrangementData:
                     row[column[I]] = (-1) ** sum(r > i for r in R) * minors[I] * (common // lcms[i - 1])
             if any(row):
                 relations.append(row)
-        rank, m = _eliminate(relations, P)
+        rank, m = _eliminate(relations, P, reduced=True)
         if rank != P or any(any(row[P:]) for row in m[P:]):
             raise StructureError(f"the flat sections do not span the fiber (generation condition fails): the "
                                  f"{mu} flat sections are not a basis of the quotient; no flat frame")
-        # m[:P] is upper triangular on the pivot columns, so the normal forms x
-        # solve m[r][r] x_r = -m[r][P:] - sum_{c > r} m[r][c] x_c; y = last x
-        last, y = m[P - 1][P - 1] if P else 1, [None] * P
-        for r in reversed(range(P)):
-            y[r] = [(-last * m[r][P + q] - sum(m[r][c] * y[c][q] for c in range(r + 1, P))) // m[r][r]
-                    for q in range(mu)]
+        # m[:P] is D times the identity on the pivot columns, so the normal
+        # forms are x_r = -m[r][P:] / D
+        last = m[P - 1][P - 1] if P else 1
         normal = np.zeros((mu, nb))
         normal[range(mu), free] = 1.0
-        for p, row in zip(pivots, y):
-            normal[:, p] = [v / last for v in row]
+        for p, row in zip(pivots, m):
+            normal[:, p] = [-v / last for v in row[P:]]
         sets, vectors, found = [], [], []  # found: (s, i - 1, C_{S - i}) for every label i of S's circuit
         for S in combinations(range(1, n + 1), k + 1):
             c = [0] * n

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 from .errors import SchemaError
@@ -63,16 +64,24 @@ def _render(obj, out: list[str]):
         raise SchemaError(f"cannot serialize {type(obj).__name__}")
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value) -> Fraction:
+    """An exact rational from a JSON integer or an "n" / "p/q" string of
+    decimal digits; any other string (a decimal point, an exponent,
+    whitespace) is refused before ``Fraction`` can spend time on it."""
     if isinstance(value, bool):
         raise SchemaError("matrix entries must be integers or 'p/q' strings")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational literal {value!r}") from exc
+        if _RATIONAL.fullmatch(value):
+            try:
+                return Fraction(value)
+            except (ValueError, ZeroDivisionError):  # q = 0, or past int's digit limit
+                pass
+        raise SchemaError(f"bad rational literal {value!r}")
     raise SchemaError(f"matrix entries must be exact, got {value!r}")
 
 
@@ -87,10 +96,7 @@ def matroid_from_json(obj) -> Matroid:
         rows = [[parse_rational(v) for v in row] for row in matrix]
         return LinearMatroid(rows)
     if kind == "uniform":
-        l, n = obj.get("l"), obj.get("n")
-        if not isinstance(l, int) or not isinstance(n, int):
-            raise SchemaError('uniform matroid needs integer "l" and "n"')
-        return UniformMatroid(l, n)
+        return UniformMatroid(require(obj, "l", int, "uniform matroid"), require(obj, "n", int, "uniform matroid"))
     raise SchemaError(f"unknown matroid type {kind!r}")
 
 

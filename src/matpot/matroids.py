@@ -12,12 +12,14 @@ partition search) calls the memos and cores directly.
 Linear matroids are read as exact rationals; each row is then scaled by the
 lcm of its denominators, and every independence decision is made by exact
 integer (Bareiss fraction-free) elimination of those rows.  Floating point
-never enters this module.  A linear matroid eliminates each independent
-class once for circuit queries and reduces each new element by replaying
-that elimination's pivot rows: those are the steps Bareiss would take on
-the class with the element's row appended last, so every division stays
-exact.  The class's cache entry keeps each element's answer (its circuit,
-or None), so a repeated (class, element) question replays nothing.  Uniform
+never enters this module.  A linear matroid brings each independent class
+to a reduced form once for circuit queries: one fraction-free Gauss-Jordan
+elimination of the class's rows, tagged with unit vectors, gives D times
+their reduced row echelon form.  A new element is then decided by integer
+dot products of its row with the form's columns, and the same products
+with the tag columns give its circuit; no elimination runs per query.  The
+class's cache entry keeps each element's answer (its circuit, or None), so
+a repeated (class, element) question computes nothing.  Uniform
 and lifted matroids keep no circuit memo: a uniform answer costs less than a
 lookup, and a lifted query reaches its base matroid's memo.  The caches rely
 on the atomicity of single dict operations, so concurrent use at worst
@@ -30,6 +32,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import GroundSetError, InvalidMatroidError, PreconditionError, SizeLimitError
 
@@ -165,14 +168,20 @@ class Matroid:
         return tuple(sorted(found, key=sorted))
 
 
-def _eliminate(rows, width: int):
-    """Fraction-free (Bareiss) row echelon form of integer rows.
+def _eliminate(rows, width: int, reduced: bool = False):
+    """Fraction-free (Bareiss) elimination of integer rows.
 
     Pivots only on the first ``width`` columns; any further columns are
     carried along.  Returns ``(rank, rows)``; the rows from index ``rank`` on
-    are zero in the first ``width`` columns.  After each pivot step every
-    entry is a minor of the input, so each division by the previous pivot is
-    exact and entries grow only polynomially (Bareiss, Math. Comp. 22, 1968).
+    are zero in the first ``width`` columns.  By default the result is a row
+    echelon form: each pivot updates only the rows below it.  With
+    ``reduced`` each pivot updates every other row, above it too, by the
+    same step (fraction-free Gauss-Jordan), so the first ``rank`` rows are
+    D times the reduced row echelon form for the last pivot D: every pivot
+    equals D and the other pivot columns are 0.  In both modes every entry
+    after each pivot step is a minor of the input, so each division by the
+    previous pivot is exact and entries grow only polynomially (Bareiss,
+    Math. Comp. 22, 1968).
     """
     m = list(rows)
     n = len(m)
@@ -188,7 +197,8 @@ def _eliminate(rows, width: int):
         m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
         lead = prow[col]
-        for r in range(rank + 1, n):
+        below = range(rank + 1, n)
+        for r in itertools.chain(range(rank), below) if reduced else below:
             f = m[r][col]
             # rows with f == 0 are updated too: each entry must become the
             # next larger minor, or later divisions stop being exact
@@ -222,10 +232,11 @@ class LinearMatroid(Matroid):
 
     A subset is independent iff its rows are linearly independent; decided by
     exact integer elimination of the rows with their denominators cleared
-    (the same matroid), never floating point.  Circuit queries eliminate each
-    independent class once, memoized by the class, and reduce each new
-    element by replaying that elimination's pivots (``_reduce``); the class's
-    entry keeps the answer for every element reduced against it.
+    (the same matroid), never floating point.  Circuit queries bring each
+    independent class to its reduced form once (``_echelon``, memoized by
+    the class) and decide each new element by dot products with that form
+    (``_reduce``); the class's entry keeps the answer for every element
+    reduced against it.
     """
 
     def __init__(self, rows):
@@ -253,57 +264,57 @@ class LinearMatroid(Matroid):
         return rational_rank(self._subrows(A))
 
     def _echelon(self, C: frozenset):
-        """Sorted labels of C, the (pivot column, row) pairs of one
-        elimination of C's rows, each tagged with a unit vector, and the
-        answers of the elements reduced against them so far; memoized."""
+        """Sorted labels of C, the reduced form of C's rows, and the answers
+        of the elements reduced against it so far; memoized.
+
+        One fraction-free Gauss-Jordan elimination of C's rows, each tagged
+        with a unit vector, gives D (M_P^-1 M | M_P^-1) for the last pivot D
+        and the columns P where it pivots, M_P being C's rows at those
+        columns.  The form keeps
+        the pivot columns, D, each other data column and each tag column,
+        both as tuples over the pivot rows.
+        """
         hit = self._echelon_cache.get(C)
         if hit is None:
             labels = sorted(C)
-            n = len(labels)
+            n, width = len(labels), self.width
             tagged = [
                 self._int_rows[e - 1] + (0,) * i + (1,) + (0,) * (n - 1 - i)
                 for i, e in enumerate(labels)
             ]
-            rank, m = _eliminate(tagged, self.width)
+            rank, m = _eliminate(tagged, width, reduced=True)
             if rank < n:
                 raise PreconditionError("circuit(clazz, y) needs an independent clazz")
-            pivots = tuple((next(c for c, v in enumerate(row) if v), row) for row in m)
-            hit = self._echelon_cache[C] = (labels, pivots, {})
+            pivots = tuple(next(c for c, v in enumerate(row) if v) for row in m)
+            D = m[-1][pivots[-1]] if m else 1
+            free = tuple((c, tuple([row[c] for row in m])) for c in range(width) if c not in pivots)
+            tags = tuple(tuple([row[c] for row in m]) for c in range(width, width + n))
+            hit = self._echelon_cache[C] = (labels, (pivots, D, free, tags), {})
         return hit
 
     def _circuit(self, C: frozenset, y: int) -> frozenset | None:
-        labels, pivots, answers = self._echelon(C)
+        labels, form, answers = self._echelon(C)
         if y in C:
             return None
         try:
             return answers[y]
         except KeyError:
-            found = answers[y] = self._reduce(labels, pivots, y)
+            found = answers[y] = self._reduce(labels, form, y)
             return found
 
-    def _reduce(self, labels, pivots, y) -> frozenset | None:
-        # Bareiss on the tagged rows of clazz + y with y's row last.  Row
-        # operations keep the tags independent, so a row that reduces to zero
-        # carries a nonzero tag: the coefficients of a linear dependence,
-        # whose support is the circuit.  While y's row is not chosen as a
-        # pivot, the rows of clazz evolve as in the memoized elimination of
-        # clazz alone, so y's row is reduced by replaying those pivot rows;
-        # each step is the step of the joint elimination, so every division
-        # by the previous pivot stays exact.  y's own tag is left implicit:
-        # it only ever gets multiplied by nonzero pivots.
-        m = self._int_rows[y - 1] + (0,) * len(labels)
-        prev, start = 1, 0
-        for col, prow in pivots:
-            if any(m[start:col]):
-                # y's row is nonzero where no row of clazz can pivot: the
-                # joint elimination would pivot on y, so clazz + y has full rank
+    def _reduce(self, labels, form, y) -> frozenset | None:
+        # y's row v lies in the span of C's rows M iff v = (v_P M_P^-1) M,
+        # that is iff D v_c = v_P . (D M_P^-1 M)_c at every column c off the
+        # pivots (at a pivot column both sides are D v_c); then the
+        # coefficients v_P M_P^-1 = (v_P . tags) / D write v over C, and
+        # their support, with y, is the circuit
+        pivots, D, free, tags = form
+        v = self._int_rows[y - 1]
+        vp = [v[c] for c in pivots]
+        for c, col in free:
+            if D * v[c] != sum(map(mul, vp, col)):
                 return None
-            lead, f = prow[col], m[col]
-            m = [(lead * a - f * b) // prev for a, b in zip(m, prow)]
-            prev, start = lead, col + 1
-        if any(m[start : self.width]):
-            return None
-        return frozenset(e for e, t in zip(labels, m[self.width :]) if t) | {y}
+        return frozenset(e for e, t in zip(labels, tags) if sum(map(mul, vp, t))) | {y}
 
     def __eq__(self, other):
         return isinstance(other, LinearMatroid) and self.rows == other.rows

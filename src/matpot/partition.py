@@ -6,14 +6,14 @@ new element it runs a breadth-first search over single-element exchanges: an
 element y can enter class i directly if the class stays independent, and
 otherwise every member of the unique circuit of (class i) + y could be
 evicted to make room.  Both answers come from one call of the circuit core
-``Matroid._circuit``, which linear matroids answer with one row reduction
-against the class's memoized elimination.  The search holds only labels of
-the problem's ground set, so it calls the cores and memos directly and
-checks no label per step; the certificate and the witness are validated
-through the public oracle before they are returned.  Following a shortest
-chain of such exchanges either places the element or, when the search is
-exhausted, the set of reached elements is a certified violation of the
-counting bound
+``Matroid._circuit``, which linear matroids answer with integer dot
+products against the class's memoized reduced form.  The search holds only
+labels of the problem's ground set, so it calls the cores and memos
+directly and checks no label per step; the certificate and the witness are
+validated through the public oracle before they are returned.  Following a
+shortest chain of such exchanges either places the element or, when the
+search is exhausted, the set of reached elements is a certified violation
+of the counting bound
 
     |A| <= sum_i r_i(A),
 

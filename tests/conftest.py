@@ -31,6 +31,21 @@ def fiber_solves(monkeypatch):
 
 
 @pytest.fixture
+def circuit_queries(monkeypatch):
+    """Records each distinct ``LinearMatroid._circuit`` question and its
+    answer, keyed by (matroid, class, element)."""
+    asked = {}
+    real = LinearMatroid._circuit
+
+    def recording(self, C, y):
+        found = asked[self, C, y] = real(self, C, y)
+        return found
+
+    monkeypatch.setattr(LinearMatroid, "_circuit", recording)
+    return asked
+
+
+@pytest.fixture
 def u13():
     return UniformMatroid(1, 3)
 

@@ -17,8 +17,12 @@ behind the well-definedness of the second-kind coefficients.
 ``locally_related`` to every pair, as the reference for the neighbour lookup
 of ``equivalence_report``.  ``min_tight_subset`` maps the library's
 ``min_tight_set`` of the lifted problem back to labels, and
-``matroid_to_json`` is the inverse of ``jsonio.matroid_from_json``.  ``scalar_newton_refine`` is another: the
-one-seed Newton loop, as the bit-for-bit reference for the batched solve;
+``matroid_to_json`` is the inverse of ``jsonio.matroid_from_json``.
+``fraction_rref`` (Gauss-Jordan over Fraction) is the reference for the
+reduced mode of ``matroids._eliminate``, and ``fraction_circuit`` (one
+linear solve over Fraction) for the circuits of ``LinearMatroid``.
+``scalar_newton_refine`` is another exception: the one-seed Newton loop,
+as the bit-for-bit reference for the batched solve;
 ``greedy_flat_basis`` picks the flat basis greedily by numeric rank on the
 solved basepoint fiber, the reference for the exact quotient basis of
 ``ArrangementData.flat_basis``; ``internally_passive_bases`` picks the
@@ -116,6 +120,46 @@ def fraction_rank(rows):
         if rank == len(m):
             break
     return rank
+
+
+def fraction_rref(rows, width: int):
+    """Gauss-Jordan over Fraction: ``(rank, rows, det)`` with the rows in
+    reduced row echelon form on the first ``width`` columns (each pivot 1,
+    zero above and below it), the further columns carried along, and det
+    the product of the pivots met.  Each column pivots on its first nonzero
+    entry at or below the rows already pivoted, which that row swaps with."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    rank, det = 0, Fraction(1)
+    for col in range(width):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        lead = m[rank][col]
+        det *= lead
+        m[rank] = [v / lead for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank, m, det
+
+
+def fraction_circuit(rows, C, y):
+    """The unique circuit in C + y of the row matroid of ``rows`` (label i
+    is row i), or None when C + y is independent, for an independent class
+    C: solve lambda R_C = r_y over Fraction; the support of lambda, with y,
+    is the circuit, and no solution means r_y is outside C's span."""
+    if y in C:
+        return None
+    labels = sorted(C)
+    system = [[rows[e - 1][j] for e in labels] + [rows[y - 1][j]] for j in range(len(rows[y - 1]))]
+    rank, m, _ = fraction_rref(system, len(labels))
+    assert rank == len(labels), "the class must be independent"
+    if any(row[-1] for row in m[rank:]):
+        return None
+    return frozenset(e for e, row in zip(labels, m) if row[-1]) | {y}
 
 
 def brute_rank(M, A):

@@ -973,9 +973,9 @@ def test_algebra_is_read_from_the_minors_table(monkeypatch, k, n, seed):
     eliminations, queries = [], []
     real_eliminate, real_independent = matpot.matroids._eliminate, LinearMatroid._independent
 
-    def eliminating(rows, width):
+    def eliminating(rows, width, reduced=False):
         eliminations.append(len(rows))
-        return real_eliminate(rows, width)
+        return real_eliminate(rows, width, reduced)
 
     def querying(self, A):
         queries.append(A)

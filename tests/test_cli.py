@@ -18,7 +18,7 @@ import matpot.systems
 from matpot import ArrangementData, Context, LinearMatroid, __version__, critical_points, equivalence_report
 from matpot.cli import main
 from matpot.jsonio import dumps_canonical
-from oracles import diagonal_diagnostics, euler_count
+from oracles import diagonal_diagnostics, euler_count, fraction_circuit
 
 
 def run_cli(capsys, args, payload=None, tmp_path=None):
@@ -245,6 +245,46 @@ def test_matroid_rank_refuses_a_bool_label(capsys, tmp_path):
     code, out = run_cli(capsys, ["matroid", "rank"], payload, tmp_path)
     assert code == 2
     assert json.loads(out)["error"]["code"] == "ground-set"
+
+
+@pytest.mark.parametrize("uniform", [{"l": True, "n": 3}, {"l": 1, "n": True}, {"l": False, "n": 3}])
+def test_uniform_matroid_refuses_a_bool_rank_or_size(capsys, tmp_path, uniform):
+    # a JSON true used to pass as the integer 1: "rank" printed true
+    matroid = {"type": "uniform", **uniform}
+    code, out = run_cli(capsys, ["matroid", "rank"], {"matroid": matroid, "A": [1, 2]}, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "schema"
+    code, out = run_cli(capsys, ["partition"], {"ground": 3, "matroids": [matroid, matroid]}, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "schema"
+
+
+@pytest.mark.parametrize("literal", ["1e3", "0.5", " 1/2 ", "1/-2", "1/0", "1e1000000", "½"])
+def test_rational_literal_beyond_the_documented_forms_is_refused(capsys, tmp_path, literal):
+    # integers and "p/q" strings only; "1e3" was read as 1000, and
+    # "1e1000000" cost a fifth of a second before any matroid was built
+    refusal = f"bad rational literal {literal!r}"
+    payload = {"matroid": {"type": "linear", "matrix": [[1, 0], [literal, 1]]}, "A": [1, 2]}
+    code, out = run_cli(capsys, ["matroid", "rank"], payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "schema", "message": refusal}
+    for B, a in (([[1], [literal]], [1, 1]), ([[1], [1]], [1, literal])):
+        payload = {"B": B, "a": a, "x": [1, -1], "m": 2, "N_max": 5}
+        code, out = run_cli(capsys, ["potentials"], payload, tmp_path)
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "schema", "message": refusal}
+
+
+def test_documented_rational_literals_are_read_exactly(capsys, tmp_path):
+    # rows 1 and 2 are equal, row 3 is zero
+    matrix = [["+7/3", "-2"], ["14/6", -2], ["0", "-0/5"]]
+    code, out = run_cli(capsys, ["matroid", "bases"], {"matroid": {"type": "linear", "matrix": matrix}}, tmp_path)
+    assert code == 0
+    assert json.loads(out)["result"] == {"bases": [[1], [2]]}
+    payload = {"matroid": {"type": "linear", "matrix": matrix}, "A": [1, 2, 3]}
+    code, out = run_cli(capsys, ["matroid", "rank"], payload, tmp_path)
+    assert code == 0
+    assert json.loads(out)["result"] == {"rank": 1}
 
 
 def test_potentials_fixture(capsys, tmp_path):
@@ -521,9 +561,9 @@ def test_partition_golden_large_eliminates_each_class_once(capsys, tmp_path, mon
     calls = []
     original = matpot.matroids._eliminate
 
-    def counting(rows, width):
+    def counting(rows, width, reduced=False):
         calls.append(len(rows))
-        return original(rows, width)
+        return original(rows, width, reduced)
 
     monkeypatch.setattr(matpot.matroids, "_eliminate", counting)
     payload = _copies_with_tail(_planted_rows(random.Random(5), 64, 6, 2, 0.3), 10, 4)
@@ -531,6 +571,19 @@ def test_partition_golden_large_eliminates_each_class_once(capsys, tmp_path, mon
     assert code == 0
     assert _result_digest(out) == "1c3014f99a6f693f1c34e72c7109b5a61bd156695fbbafbadff830c3b4013472"
     assert len(calls) <= 200
+
+
+@pytest.mark.parametrize("seed, copies, tail", [(5, 10, 4), (6, 9, 8)])
+def test_planted_partition_circuits_match_fraction_solves(capsys, tmp_path, circuit_queries, seed, copies, tail):
+    # 64 planted rows of rank 6: every circuit the search asks, and every
+    # None, against one Fraction solve of lambda R_C = r_y
+    payload = _copies_with_tail(_planted_rows(random.Random(seed), 64, 6, 2, 0.3), copies, tail)
+    code, out = run_cli(capsys, ["partition"], payload, tmp_path)
+    assert code == 0
+    answers = list(circuit_queries.values())
+    assert sum(a is None for a in answers) > 50 and sum(a is not None for a in answers) > 50
+    for (M, C, y), found in circuit_queries.items():
+        assert found == fraction_circuit(M.rows, C, y)
 
 
 def test_equal_matroid_entries_share_one_instance(capsys, tmp_path, monkeypatch):
@@ -545,9 +598,9 @@ def test_equal_matroid_entries_share_one_instance(capsys, tmp_path, monkeypatch)
     calls = []
     original = matpot.matroids._eliminate
 
-    def counting(rows, width):
+    def counting(rows, width, reduced=False):
         calls.append(len(rows))
-        return original(rows, width)
+        return original(rows, width, reduced)
 
     monkeypatch.setattr(matpot.matroids, "_eliminate", counting)
     code, out = run_cli(capsys, ["partition"], payload, tmp_path)

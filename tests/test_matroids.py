@@ -16,7 +16,7 @@ from matpot import (
 from matpot import matroids
 from matpot.jsonio import matroid_from_json
 
-from oracles import brute_rank, circuits_within, fraction_rank, matroid_to_json, subsets
+from oracles import brute_rank, circuits_within, fraction_rank, fraction_rref, matroid_to_json, subsets
 
 
 def test_linear_independence_examples():
@@ -334,8 +334,9 @@ def test_memoized_circuit_matches_enumeration():
 
 
 def test_repeated_circuit_queries_replay_no_pivot_rows(monkeypatch):
-    # the class's echelon entry keeps every answer: the first pass replays
-    # the pivot rows once per (class, element) pair, the second pass never
+    # the class's echelon entry keeps every answer: the first pass reduces
+    # each (class, element) pair once against the class's form, the second
+    # pass never
     rng = random.Random(23)
     M = LinearMatroid(_span_rows(rng, 8, 6, 3))
     replays = []
@@ -400,9 +401,9 @@ def test_circuit_queries_eliminate_a_class_once(monkeypatch):
     calls = []
     original = matroids._eliminate
 
-    def counting(rows, width):
+    def counting(rows, width, reduced=False):
         calls.append(len(rows))
-        return original(rows, width)
+        return original(rows, width, reduced)
 
     monkeypatch.setattr(matroids, "_eliminate", counting)
     M = LinearMatroid(_span_rows(random.Random(3), 12, 6, 3))
@@ -412,6 +413,45 @@ def test_circuit_queries_eliminate_a_class_once(monkeypatch):
         M.circuit(C, y)
         M.circuit(set(C), y)
     assert calls == [len(C)]
+
+
+def _deficient_rows(rng):
+    """Integer rows of a random rank-deficient product, with zero and
+    repeated rows, zero columns, and up to three carried columns."""
+    n, width = rng.randint(1, 8), rng.randint(1, 6)
+    rank = rng.randint(0, min(n, width))
+    left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(n)]
+    right = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(rank)]
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if rank else [0] * width
+            for row in left]
+    for _ in range(rng.randint(0, 2)):
+        rows.insert(rng.randint(0, len(rows)), [0] * width)
+    for _ in range(rng.randint(0, 2)):
+        rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+    for _ in range(rng.randint(0, 2)):
+        c = rng.randint(0, width)
+        rows = [row[:c] + [0] + row[c:] for row in rows]
+    width = len(rows[0])
+    carried = rng.randint(0, 3)
+    return [tuple(row) + tuple(rng.randint(-5, 5) for _ in range(carried)) for row in rows], width
+
+
+def test_reduced_elimination_is_d_times_the_fraction_rref():
+    rng = random.Random(33)
+    deficient = 0
+    for _ in range(200):
+        rows, width = _deficient_rows(rng)
+        rank, m = matroids._eliminate(rows, width, reduced=True)
+        ref_rank, ref, det = fraction_rref(rows, width)
+        assert rank == ref_rank == fraction_rank([row[:width] for row in rows])
+        # D is the last pivot, the product of the Fraction pivots, and every
+        # pivot of the reduced rows equals it
+        D = next(v for v in m[rank - 1] if v) if rank else 1
+        assert D == det
+        assert [list(row) for row in m] == [[D * v for v in row] for row in ref]
+        assert all(type(v) is int for row in m for v in row)
+        deficient += rank < min(len(rows), width)
+    assert deficient > 50
 
 
 class _GreedyUniform(Matroid):

@@ -21,7 +21,7 @@ from matpot import (
     solve_partition,
 )
 
-from oracles import brute_partition, brute_slack_elements, rank_bound_holds, tight_sets
+from oracles import brute_partition, brute_slack_elements, fraction_circuit, rank_bound_holds, tight_sets
 
 
 def test_certificate_example():
@@ -285,9 +285,10 @@ def test_slack_elements_solve_one_partition(monkeypatch):
         assert calls == [P]
 
 
-def _linear_with_repeats(rng, n):
-    """Random rational rows with loops (zero rows) and parallel classes."""
-    width = rng.randint(1, 4)
+def _linear_with_repeats(rng, n, width=None):
+    """Random rational rows with loops (zero rows) and parallel classes,
+    of a random width 1-4 unless ``width`` is given."""
+    width = width or rng.randint(1, 4)
     rows = []
     for _ in range(n):
         u = rng.random()
@@ -299,6 +300,22 @@ def _linear_with_repeats(rng, n):
         else:
             rows.append(tuple(Fraction(rng.randint(-3, 3)) for _ in range(width)))
     return LinearMatroid(rows)
+
+
+def test_circuit_answers_of_large_searches_match_fraction_solves(circuit_queries):
+    # every circuit the search asks of 40-56-row matroids, against one
+    # Fraction solve of lambda R_C = r_y; both a certificate and a witness
+    rng = random.Random(4056)
+    outcomes = set()
+    for n, width, copies, tail in [(40, 4, 10, 6), (44, 5, 8, 3), (48, 6, 8, 0), (56, 7, 9, 8)]:
+        M = _linear_with_repeats(rng, n, width)
+        tails = (UniformMatroid(tail, n),) if tail else ()
+        outcomes.add(type(solve_partition(PartitionProblem((M,) * copies + tails))))
+    assert outcomes == {PartitionCertificate, DeficiencyWitness}
+    for (M, C, y), found in circuit_queries.items():
+        assert found == fraction_circuit(M.rows, C, y)
+    answers = list(circuit_queries.values())
+    assert sum(a is None for a in answers) > 100 and sum(a is not None for a in answers) > 100
 
 
 def test_min_tight_set_is_intersection_of_tight_sets():
