@@ -26,9 +26,13 @@ H_j(z) = sum_S N_{j,S} / f_S(z) in it, every coefficient a signed maximal
 minor of B from one table of the C(n, k) minors (Cramer for the relations,
 Laplace for the circuits).  The flat basis is read off the same table by a
 matroid rule, no search: the bases of internal activity 0 for the reversed
-order of the labels.  The family evaluates the pairing jets and the frame
-jets from its basepoint fiber and flat basis, each computed once; the
-fiber's residuals and Hessians are the diagnostics.
+order of the labels.  The Higgs matrices come from that algebra alone:
+``higgs`` is their value at z, and ``frame_jet`` reads their Taylor series
+from the same placement product.  The family evaluates the pairing
+jets, and the frame jets' unit and form, from its basepoint fiber (or the
+fiber over a sample) and flat basis, each computed once, so the axioms
+compare the algebra against the fiber; the fiber's residuals and Hessians
+are the diagnostics.
 
 For generic weights and z the fiber has exactly mu = |sum over independent S
 with |S| <= k of (-1)^|S|| points, the Euler characteristic of the
@@ -79,10 +83,16 @@ def vector_matroid(matrix) -> LinearMatroid:
 NO_CRITICAL_POINTS = "the family has no critical points: the Euler characteristic of the complement is 0"
 
 
-def _exact_weight(value):
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return None
+def _base_point(z, n: int) -> np.ndarray:
+    """z as a complex vector of n finite coordinates, the base point of a
+    fiber, else GroundSetError: the check of the family's basepoint and of
+    every z that ``critical_points`` solves over."""
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (n,):
+        raise GroundSetError(f"basepoint must have {n} coordinates")
+    if not np.isfinite(z).all():
+        raise GroundSetError("basepoint coordinates must be finite")
+    return z
 
 
 class ArrangementData:
@@ -101,12 +111,8 @@ class ArrangementData:
         if any(complex(w) == 0 for w in weights):
             raise GroundSetError("weights must be nonzero")
         self.weights = weights
-        self.weights_exact = tuple(_exact_weight(w) for w in weights)
-        self.basepoint = np.asarray(basepoint, dtype=complex)
-        if self.basepoint.shape != (self.n,):
-            raise GroundSetError(f"basepoint must have {self.n} coordinates")
-        if not np.isfinite(self.basepoint).all():
-            raise GroundSetError("basepoint coordinates must be finite")
+        self.weights_exact = tuple(Fraction(w) if isinstance(w, (int, Fraction)) else None for w in weights)
+        self.basepoint = _base_point(basepoint, self.n)
         self.B = np.array([[complex(v) for v in row] for row in self.matrix])
         self.a = np.array([complex(w) for w in weights])
 
@@ -271,19 +277,30 @@ class ArrangementData:
         below n eps for n >= 2; the margin is a factor of about 2.  A
         smaller |f_S| cannot be told from 0, and H would carry 1 / f_S.  A
         family whose count is 0 has no H (PreconditionError)."""
+        return self._higgs(z)
+
+    def _higgs(self, z, space: SeriesSpace | None = None) -> np.ndarray:
+        """``higgs`` at z, or with a space its Taylor series at z in delta
+        up to degree space.q, shape (n, mu, mu, size): f_S(z + delta) =
+        f_S(z) + c_S . delta, so C_S = sum_{i in S} c_i a_i C_{S-i} / f_S
+        takes the series of the reciprocal, and every degree goes through the
+        same placement product.  The screen reads the constant terms: the
+        discriminant is where some f_S(z) vanishes."""
         if self.count == 0:
             raise PreconditionError(NO_CRITICAL_POINTS)
         _, basis, circuits, terms, placement = self.algebra
         values = circuits @ z
         roundoff = self.n * np.finfo(float).eps * (np.abs(circuits) @ np.abs(z))
         with np.errstate(all="ignore"):
-            sections = terms / values[:, None]  # C_S in quotient coordinates
-        vanishing = (np.abs(values) <= roundoff) | ~np.isfinite(sections).all(axis=1)
+            # C_S in quotient coordinates
+            sections = terms / values[:, None] if space is None else (
+                terms[:, :, None] * space.reciprocal(space.constant(values) + circuits @ space.variables())[:, None])
+        vanishing = (np.abs(values) <= roundoff) | ~np.isfinite(sections.reshape(len(values), -1)).all(axis=1)
         for s in np.flatnonzero(vanishing)[:1]:
             labels = ", ".join(str(i) for i in np.flatnonzero(circuits[s]) + 1)
             raise DiscriminantError(f"hyperplanes {labels} pass through one point (f_S = 0)")
-        H = (placement.reshape(self.n * len(basis), -1) @ sections).reshape(self.n, len(basis), -1)
-        return np.swapaxes(H, 1, 2)
+        H = placement.reshape(self.n * len(basis), -1) @ sections.reshape(len(values), -1)
+        return np.swapaxes(H.reshape((self.n, len(basis)) + sections.shape[1:]), 1, 2)
 
     def _series_fiber(self, space: SeriesSpace, frame: CriticalPointFrame):
         """Series at z = frame.z, in delta up to degree space.q, of the Higgs
@@ -349,31 +366,30 @@ class ArrangementData:
         flat-frame data: (H, unit, form) with shapes (n, mu, mu, size),
         (mu, size) and (mu, mu, size).
 
-        The flat frame U holds the diagonal-frame sections C_I (unit) of the
-        flat basis, products of the eigenvalue series p; then H_i =
-        U^-1 diag(p_i) U and the unit U^-1 (1, ..., 1) come from one series
-        solve with all n mu + 1 right-hand columns, and the form is
-        sum_s (U_sa U_sb) w_s.  The fiber over z is the base frame at the
-        basepoint and is solved afresh elsewhere; permuting its points
-        permutes the rows of U and of the right-hand sides alike, so the jet
-        does not depend on their order.
+        H comes from the family's algebra (the series case of ``higgs``), no
+        fiber read.  The unit and the form come from the fiber over z (the
+        base frame at the basepoint, solved afresh elsewhere): the flat frame
+        U holds the diagonal-frame sections C_I (unit) of the flat basis,
+        products of the eigenvalue series p, the unit is U^-1 (1, ..., 1),
+        one series solve with one right-hand column, and the form is sum_s
+        (U_sa U_sb) w_s.  Permuting the fiber's points permutes the rows of U
+        and of the ones alike, so the jet does not depend on their order;
+        ``verify_axioms`` compares the algebra's H with the fiber's unit and
+        form.
         """
         frame = self.base_frame if np.array_equal(z, self.base_frame.z) else critical_points(self, z)
         p, w = self._series_fiber(space, frame)
-        mu, n = p.shape[:2]
+        mu = len(p)
         labels = np.array(self.flat_basis, dtype=np.intp) - 1  # (mu, k)
         U = p[:, labels[:, 0]]
         for col in labels.T[1:]:
             U = space.mul(U, p[:, col])
-        rhs = space.mul(p[:, :, None, :], U[:, None, :, :]).reshape(mu, n * mu, space.size)
-        ones = space.constant(np.ones((mu, 1)))
-        X = space.solve(U, np.concatenate([rhs, ones], axis=1))
-        H = X[:, : n * mu].reshape(mu, n, mu, space.size).transpose(1, 0, 2, 3)
+        unit = space.solve(U, space.constant(np.ones((mu, 1))))[:, 0]
         # U_sa U_sb first, factors in one order (complex products need not commute
         # bit for bit), so form = form^T exactly
         lo, hi = np.minimum.outer(range(mu), range(mu)), np.maximum.outer(range(mu), range(mu))
         form = space.mul(space.mul(U[:, lo], U[:, hi]), w[:, None, None, :]).sum(axis=0)
-        return H, X[:, n * mu], form
+        return self._higgs(frame.z, space), unit, form
 
 
 @dataclass
@@ -552,16 +568,18 @@ def _accept(data: ArrangementData, z, candidates, scale: float):
 def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     """All fiberwise critical points over z, Newton-refined and validated.
 
-    A family whose count ``data.count`` is 0 has no critical points at all
-    and raises PreconditionError.  The candidates are the joint eigenvalues
+    A z that is not a vector of n finite coordinates raises GroundSetError,
+    with the messages of the family's basepoint check; a family whose count
+    ``data.count`` is 0 has no critical points at all and raises
+    PreconditionError.  The candidates are the joint eigenvalues
     of the Higgs matrices (``_eigen_candidates``), exactly ``data.count`` of
     them at every rank; ``_accept`` refines and screens them, with scale =
     1 + max |z_i|.  The points are sorted by the real, then the imaginary
     part of their last coordinate.
     """
+    z = _base_point(z, data.n)
     if data.count == 0:
         raise PreconditionError(NO_CRITICAL_POINTS)
-    z = np.asarray(z, dtype=complex)
     scale = 1.0 + float(np.max(np.abs(z)))
     points, res = _accept(data, z, _eigen_candidates(data, z), scale)
     order = np.lexsort((points[:, -1].imag, points[:, -1].real))
@@ -580,8 +598,9 @@ def structure_from_arrangement(data: ArrangementData, m: int) -> FlatFrameStruct
     The working frame is the family's ``flat_basis``, read from its algebra
     and not from a fiber.  The structure's ``jet`` is the family's
     ``pairing_jets`` and its ``frame_jet`` the family's ``frame_jet``, which
-    conjugates Higgs matrices, unit and form into that frame; the fiber under
-    a frame jet away from the basepoint is solved afresh, at every rank.
+    reads the Higgs matrices in that frame from the algebra and takes the
+    unit and form into it from the fiber; the fiber under a frame jet away
+    from the basepoint is solved afresh, at every rank.
     """
     if m != 2:
         raise PreconditionError(

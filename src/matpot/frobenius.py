@@ -71,7 +71,10 @@ class FlatFrameStructure:
       (H, unit, form) in the working frame, with shapes (n, mu, mu, size),
       (mu, size) and (mu,) * m + (size,), H[i - 1] holding C_i;
       ``verify_axioms`` needs it, and its degree-1 value at the basepoint is
-      the structure's ``basepoint_frame``, which both checks read.
+      the structure's ``basepoint_frame``, which both checks read.  The
+      three parts may come from different sources (an arrangement family
+      reads H from its algebra, the unit and form from a fiber), and the
+      axioms then compare those sources.
 
     The structure holds the evaluators, not the data behind them: an
     arrangement structure's jets are methods of its ``ArrangementData``.
@@ -184,18 +187,19 @@ def verify_axioms(
     ``basepoint_frame``): (a) and (c) read its constant terms, (b) its
     first-order coefficients of H, and (d) and (e) the first-order
     coefficients of C_I(unit), multiplied out in series, and of the form.  Raises
-    PreconditionError for a NaN or negative ``hard_threshold``, an empty
-    sample list and a structure without a ``frame_jet``, each before any
+    PreconditionError for a NaN or negative ``hard_threshold``, a sample
+    that is not a point of n finite coordinates, an empty sample list and a
+    structure without a ``frame_jet``, each before any
     evaluation (None and inf disable the threshold); raises StructureError when
     the worst violation exceeds ``hard_threshold`` and, whatever the
     threshold, when a violation is not finite.
     """
     if hard_threshold is not None and not hard_threshold >= 0:
         raise PreconditionError(f"hard_threshold must be None or >= 0, got {hard_threshold!r}")
-    samples = [np.asarray(z, dtype=complex) for z in samples]
+    F = structure
+    samples = [_point(z, F.n) for z in samples]
     if not samples:
         raise PreconditionError("verify_axioms needs at least one sample point")
-    F = structure
     if F.frame_jet is None:
         raise PreconditionError("verify_axioms needs a structure with a frame_jet")
     space = F.space(1)
@@ -255,10 +259,10 @@ def _multi_index(alpha, n: int) -> tuple[int, ...]:
 
 
 def _point(z, n: int) -> np.ndarray:
-    """z as a complex vector of length n, else PreconditionError."""
+    """z as a complex vector of n finite coordinates, else PreconditionError."""
     z = np.asarray(z, dtype=complex)
-    if z.shape != (n,):
-        raise PreconditionError(f"need a point with {n} coordinates, got shape {z.shape}")
+    if z.shape != (n,) or not np.isfinite(z).all():
+        raise PreconditionError(f"need a point of {n} finite coordinates, got {z.tolist()}")
     return z
 
 

@@ -10,7 +10,9 @@ numpy solves, the reference for the constant terms of its jets, and
 ``diagonal_diagnostics`` the ``verify-arrangement`` diagnostics from the
 diagonal frame;
 ``frame_values`` reads the same frame off a degree-0 ``frame_jet``, the
-reference the jet tests compare against.  ``remainder_swap_residual``
+reference the jet tests compare against; ``fiber_frame_jet`` is the frame
+jet by the fiber route, H = U^-1 diag(p) U in one series solve, the
+reference for the H that ``frame_jet`` reads from the family's algebra.  ``remainder_swap_residual``
 compares the first-order terms of two pairing jets, the atomic exchange
 behind the well-definedness of the second-kind coefficients.
 ``pairwise_edges`` is one exception: it applies the pairwise l1 rule
@@ -570,6 +572,28 @@ def frame_values(F, z):
     from matpot.series import SeriesSpace
 
     return tuple(np.asarray(v, dtype=complex)[..., 0] for v in F.frame_jet(z, SeriesSpace(F.n, 0)))
+
+
+def fiber_frame_jet(data, z, space):
+    """(H, unit, form) of ``ArrangementData.frame_jet`` at z, every part from
+    the fiber over z: the flat frame U holds the diagonal-frame sections
+    C_I (unit) of the flat basis, products of the eigenvalue series p of
+    ``_series_fiber``; H_i = U^-1 diag(p_i) U and the unit U^-1 (1, ..., 1)
+    come from one series solve with all n mu + 1 right-hand columns, and the
+    form is sum_s (U_sa U_sb) w_s.  The reference for the algebra's H."""
+    frame = data.base_frame if np.array_equal(z, data.base_frame.z) else critical_points(data, z)
+    p, w = data._series_fiber(space, frame)
+    mu, n = p.shape[:2]
+    labels = np.array(data.flat_basis, dtype=np.intp) - 1
+    U = p[:, labels[:, 0]]
+    for col in labels.T[1:]:
+        U = space.mul(U, p[:, col])
+    rhs = space.mul(p[:, :, None, :], U[:, None, :, :]).reshape(mu, n * mu, space.size)
+    X = space.solve(U, np.concatenate([rhs, space.constant(np.ones((mu, 1)))], axis=1))
+    H = X[:, : n * mu].reshape(mu, n, mu, space.size).transpose(1, 0, 2, 3)
+    lo, hi = np.minimum.outer(range(mu), range(mu)), np.maximum.outer(range(mu), range(mu))
+    form = space.mul(space.mul(U[:, lo], U[:, hi]), w[:, None, None, :]).sum(axis=0)
+    return H, X[:, n * mu], form
 
 
 def remainder_swap_residual(F, T2, a: int, b: int) -> float:

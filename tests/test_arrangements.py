@@ -34,6 +34,7 @@ from oracles import (
     discriminant_probe,
     elimination_algebra,
     euler_count,
+    fiber_frame_jet,
     fix2_hess,
     fix2_p,
     fix2_pair_unit,
@@ -673,6 +674,66 @@ def test_frame_jet_matches_richardson_reference(all_structures, all_families):
                 assert jet.shape == value.shape + (space.size,)
                 assert np.max(np.abs(jet[..., 0] - value)) <= 1e-9 * max(1.0, np.max(np.abs(value)))
                 assert np.max(np.abs(jet[..., space.degree_one] - ref)) <= 1e-6 * max(1.0, np.max(np.abs(ref)))
+
+
+def _ci_family(B, a, x):
+    """A family written as in the CI budget runs: "p/q" strings for
+    rationals, [re, im] pairs for complex coordinates."""
+    return ArrangementData([[Fraction(v) for v in row] for row in B], [Fraction(w) for w in a],
+                           [complex(*v) if isinstance(v, list) else v for v in x])
+
+
+#: the rank 2, 3 and 4 verify-arrangement budget runs of tier1.yml (mu 33, 43, 31)
+_CI_FAMILIES = {
+    "k2": ([[2, 2], [3, 3], [-2, -1], [2, 2], [3, -3], [3, -1], [1, -2], [-3, 0], [0, -3], [-3, -2]],
+           [3, 4, 4, 4, 2, 2, 3, 3, 3, 4],
+           [[-1.629, 0.011], [1.367, -0.057], [-1.175, -0.154], [-1.193, -0.25], [-0.986, 0.159],
+            [-0.78, -0.146], [0.496, 0.243], [-0.93, -0.16], [1.365, 0.044], [-1.776, 0.179]]),
+    "k3": ([[1, 2, 0], [-2, 1, 0], [1, -2, 0], [-1, 0, -2], [-2, 1, -1], [-1, 1, -2], [-1, 2, 1], [-1, 1, -2],
+            [1, 0, 2]],
+           [4, 1, 2, 2, 3, 4, 4, 1, 3],
+           [[-1.94, 0.86], [-1.998, 0.899], [0.312, -1.868], [1.62, -0.768], [0.684, 0.007], [-1.994, 1.496],
+            [0.374, -0.346], [0.796, 0.471], [0.404, -1.254]]),
+    "k4": ([[2, -2, 0, 0], [-2, -2, 1, 1], [1, 1, -1, -2], [2, -1, 1, 1], [0, 1, -1, 1], [-1, -2, 1, 1],
+            [-2, 0, -1, -2], [-1, 2, -1, -2]],
+           [1, 3, 1, 3, 3, 4, 3, 4],
+           [[-0.462, -0.049], [-0.488, -0.214], [-1.985, -0.271], [1.867, -0.057], [-1.024, -0.154],
+            [0.825, -0.184], [0.257, -0.181], [0.079, 0.033]]),
+}
+
+
+@pytest.mark.parametrize("family", ["fixture", "rank2", "k2", "k3", "k4"])
+def test_algebra_higgs_jet_matches_the_fiber_route(fixture_data, family):
+    # the H jet read from the algebra against U^-1 diag(p) U from the fiber,
+    # degrees 0 and 1, at the basepoint and at the first CLI sample point;
+    # the unit (a one-column solve) and the form share the fiber route
+    data = fixture_data if family == "fixture" else _rank2_data() if family == "rank2" else (
+        _ci_family(*_CI_FAMILIES[family]))
+    space = SeriesSpace(data.n, 1)
+    x = data.basepoint
+    for z in (x, x + 0.05 * (1.0 + np.max(np.abs(x))) * np.cos(2.39996 * np.arange(1, data.n + 1))):
+        (H, unit, form), (H_ref, unit_ref, form_ref) = data.frame_jet(z, space), fiber_frame_jet(data, z, space)
+        assert H.shape == H_ref.shape == (data.n, data.count, data.count, space.size)
+        for d in space.degrees:
+            assert np.max(np.abs(H[..., d] - H_ref[..., d])) <= 1e-12 * np.max(np.abs(H_ref))
+        assert np.max(np.abs(unit - unit_ref)) <= 1e-12 * np.max(np.abs(unit_ref))
+        assert np.array_equal(form, form_ref)
+
+
+def test_frame_jet_solves_for_the_unit_alone(monkeypatch):
+    # H comes from the algebra, so the one series solve of a frame jet has
+    # one right-hand column, the unit's, not n mu + 1
+    columns = []
+    real = SeriesSpace.solve
+
+    def counting(self, A, rhs):
+        columns.append(rhs.shape[-2])
+        return real(self, A, rhs)
+
+    monkeypatch.setattr(SeriesSpace, "solve", counting)
+    data = _rank2_data()
+    data.frame_jet(data.basepoint, SeriesSpace(data.n, 1))
+    assert columns == [1]
 
 
 def test_structure_golden_values(fixture_structure, fixture_data):

@@ -4,6 +4,7 @@ import math
 import pathlib
 import random
 import tracemalloc
+import warnings
 from itertools import product
 
 import numpy as np
@@ -17,6 +18,7 @@ from matpot import (
     ArrangementData,
     FlatFrameStructure,
     FlatnessError,
+    GroundSetError,
     LinearMatroid,
     PreconditionError,
     SizeLimitError,
@@ -25,6 +27,7 @@ from matpot import (
     WellDefinednessError,
     check_first_kind,
     check_second_kind,
+    critical_points,
     find_strong_decomposition,
     first_kind_polynomial,
     second_kind_truncation,
@@ -401,6 +404,27 @@ def test_verify_axioms_rejects_bad_hard_threshold(fixture_structure, threshold):
     assert calls == []
     for valid in (None, math.inf):
         assert verify_axioms(F, [F.basepoint], hard_threshold=valid).max_violation <= 1e-10
+
+
+@pytest.mark.parametrize("point, shape_error", [
+    (lambda x: x[:-1], True),
+    (lambda x: x[None], True),
+    (lambda x: np.where(np.arange(len(x)) == 1, np.nan, x), False),
+    (lambda x: np.where(np.arange(len(x)) == 0, np.inf, x), False),
+], ids=["wrong-length", "2-D", "NaN", "inf"])
+def test_malformed_points_get_structured_errors(fixture_structure, fixture_data, point, shape_error):
+    # a point of the wrong shape or with a non-finite coordinate is refused
+    # before any evaluation: no numpy ValueError, no RuntimeWarning, no
+    # discriminant answer
+    z = point(fixture_structure.basepoint)
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="need a point of 2 finite coordinates"):
+            verify_axioms(_counting(fixture_structure, calls), [fixture_structure.basepoint + 0.01, z])
+        with pytest.raises(GroundSetError, match="must have 2 coordinates" if shape_error else "must be finite"):
+            critical_points(fixture_data, z)
+    assert calls == []
 
 
 def test_verify_axioms_needs_a_frame_jet(fixture_structure):
