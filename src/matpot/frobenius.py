@@ -52,7 +52,7 @@ from .errors import (
     WellDefinednessError,
 )
 from .matroids import Matroid
-from .series import SeriesSpace, graded_lex_exponents, graded_lex_position
+from .series import MUL_CHUNK_ELEMENTS, SeriesSpace, graded_lex_exponents, graded_lex_position
 from .systems import MAX_TOTAL, Context
 
 
@@ -159,11 +159,32 @@ class AxiomReport:
 def _flat_sections(F: FlatFrameStructure, H, u, space: SeriesSpace) -> np.ndarray:
     """Series of the sections C_I (unit) in the frame of the series H (n, mu,
     mu, size) and u (mu, size), for every maximal independent I in the order
-    of ``maximal_independent_sets``: shape (bases, mu, size)."""
-    sections = np.broadcast_to(u, (len(F._base_labels),) + u.shape)
-    for col in F._base_labels.T:
-        sections = space.mul(H[col], sections[:, None, :, :]).sum(axis=2)
-    return sections
+    of ``maximal_independent_sets``: shape (bases, mu, size).
+
+    C_I (unit) applies H_{i_1}, then H_{i_2}, ... to the unit, so bases
+    that share a prefix of their sorted labels share its section: depth d
+    applies H_{i_d} once per distinct prefix (i_1, ..., i_d), to the section
+    of (i_1, ..., i_{d-1}).  The prefixes go in chunks whose products, of
+    shape (chunk, mu, mu, size), hold about MUL_CHUNK_ELEMENTS entries (at
+    least one prefix), and each row is that of one whole-batch product bit
+    for bit."""
+    labels = F._base_labels
+    mu = u.shape[0]
+    step = max(1, MUL_CHUNK_ELEMENTS // (mu * mu * space.size))
+    # sections holds one row per distinct prefix of the current depth, and
+    # parent[b] the row of base b's prefix; the bases are sorted, so a new
+    # prefix starts wherever the first d + 1 labels change
+    sections, parent = u[None], np.zeros(len(labels), dtype=np.intp)
+    for d in range(labels.shape[1]):
+        new = np.ones(len(labels), dtype=bool)
+        new[1:] = (labels[1:, : d + 1] != labels[:-1, : d + 1]).any(axis=1)
+        heads = np.flatnonzero(new)
+        out = np.empty((len(heads),) + u.shape, dtype=complex)
+        for r in range(0, len(heads), step):
+            rows = heads[r : r + step]
+            out[r : r + step] = space.mul(H[labels[rows, d]], sections[parent[rows], None]).sum(axis=2)
+        sections, parent = out, np.cumsum(new) - 1
+    return sections  # at depth k every basis is its own prefix
 
 
 def _worst(current: float, arr) -> float:
@@ -375,17 +396,54 @@ class CoefficientProvenance:
     value: complex
 
 
+@dataclass(frozen=True)
+class _CandidateGrid:
+    """The second-kind candidates grouped by T: cell c is the decomposition
+    T = alphas[alpha[c]] + members[member[c]] with value values[c], and
+    group g, the cells from starts[g] to the next group's start, holds the
+    candidates of the T at ``positions[g]`` in the table, with its spread
+    and mean; the first ``gauge`` T of the table are gauge zeros."""
+
+    alphas: tuple
+    members: list
+    alpha: np.ndarray
+    member: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
+    positions: list
+    spreads: np.ndarray
+    means: list
+    gauge: int
+
+
 @dataclass
 class TruncatedPotential:
+    """The Taylor table of a second-kind potential.  ``spread_max`` is
+    stored with the table; ``provenance`` is built from the candidate grid
+    on first read."""
+
     basepoint: np.ndarray
     n_max: int
     coefficients: dict[tuple[int, ...], complex]
-    provenance: dict[tuple[int, ...], CoefficientProvenance] = field(repr=False)
+    spread_max: float
+    _grid: _CandidateGrid = field(repr=False, compare=False)
 
-    @property
-    def spread_max(self) -> float:
-        spreads = [p.spread for p in self.provenance.values()]
-        return max(spreads) if spreads else 0.0
+    @cached_property
+    def provenance(self) -> dict[tuple[int, ...], CoefficientProvenance]:
+        """How each coefficient was obtained, in the table's order: gauge
+        zeros, free zeros and averages with their candidates (alpha, T2,
+        value) in lexicographic order of T2."""
+        g = self._grid
+        alpha_of = np.fromiter(g.alphas, dtype=object, count=len(g.alphas))[g.alpha]
+        member_of = np.fromiter(g.members, dtype=object, count=len(g.members))[g.member]
+        candidates = tuple(zip(alpha_of, member_of, g.values.tolist()))
+        bounds = np.append(g.starts, len(g.values)).tolist()
+        table = list(self.coefficients)
+        provenance = [CoefficientProvenance("gauge-zero", (), 0.0, 0.0 + 0.0j)] * g.gauge
+        provenance += [CoefficientProvenance("free-zero", (), 0.0, 0.0 + 0.0j)] * (len(table) - g.gauge)
+        for p, s, e, width, value in zip(g.positions, bounds, bounds[1:], g.spreads.tolist(), g.means):
+            provenance[p] = CoefficientProvenance("averaged", candidates[s:e], width, value)
+        return dict(zip(table, provenance))
 
     def coefficient(self, mult) -> complex:
         return self.coefficients.get(_multi_index(mult, len(self.basepoint)), 0.0 + 0.0j)
@@ -422,7 +480,10 @@ def second_kind_truncation(
     is the exact diameter and the coefficient the mean summed left to right,
     bit for bit as a per-T loop; a spread above ``spread_tol`` (relative to
     the coefficient size), or NaN, raises WellDefinednessError for the first
-    such T in graded lexicographic order.  Before
+    such T in graded lexicographic order.  The values, spreads, means and
+    that check are computed here, and ``spread_max`` is stored with the
+    table; the per-candidate provenance is built from the grid when
+    ``provenance`` is first read.  Before
     any evaluation, PreconditionError is raised for an n_max that is not an
     integer or below mk + 1, for a ``spread_tol`` that is negative or not
     finite and for a structure without a ``jet``; an n_max above MAX_TOTAL,
@@ -478,27 +539,25 @@ def second_kind_truncation(
             np.maximum.at(spread, group[same], np.hypot(diff.real, diff.imag))
         top = np.maximum.reduceat(np.hypot(values.real, values.imag), starts)
         bad = np.flatnonzero(~(spread <= spread_tol * np.maximum(1.0, top)))
-    del order, group  # before the candidate tuples are built, to keep the peak low
     if bad.size:
         T, width = table[key[starts[bad[0]]]], spread[bad[0]]
         raise WellDefinednessError(f"coefficient candidates for {T} disagree by {width:.3e}")
     mean = _python_quotient(total, sizes).tolist()
-    bounds = np.append(starts, len(key)).tolist()
-    alpha_of = np.fromiter(space.monomials, dtype=object, count=space.size)[a]
-    member_of = np.fromiter(members, dtype=object, count=len(members))[j]
-    candidates = tuple(zip(alpha_of, member_of, values.tolist()))
-    # the T with |T| <= mk come first; a later T without candidates is a free zero
-    gauge, coefficients = math.comb(n + mk, n), [0.0 + 0.0j] * len(table)
-    provenance = [CoefficientProvenance("gauge-zero", (), 0.0, 0.0 + 0.0j)] * gauge
-    provenance += [CoefficientProvenance("free-zero", (), 0.0, 0.0 + 0.0j)] * (len(table) - gauge)
-    for p, s, e, width, value in zip(key[starts].tolist(), bounds, bounds[1:], spread.tolist(), mean):
+    positions = key[starts].tolist()
+    coefficients = [0.0 + 0.0j] * len(table)
+    for p, value in zip(positions, mean):
         coefficients[p] = value
-        provenance[p] = CoefficientProvenance("averaged", candidates[s:e], width, value)
+    # the T with |T| <= mk come first; a later T without candidates is a free zero
+    grid = _CandidateGrid(
+        alphas=space.monomials, members=members, alpha=a, member=j, values=values, starts=starts,
+        positions=positions, spreads=spread, means=mean, gauge=math.comb(n + mk, n),
+    )
     return TruncatedPotential(
         basepoint=np.asarray(F.basepoint, dtype=complex),
         n_max=n_max,
         coefficients=dict(zip(table, coefficients)),
-        provenance=dict(zip(table, provenance)),
+        spread_max=float(np.max(spread, initial=0.0)),
+        _grid=grid,
     )
 
 

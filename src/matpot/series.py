@@ -5,14 +5,17 @@ axis holds the coefficients of the monomials delta^alpha with |alpha| <= q,
 in graded lexicographic order (by total degree, then by the exponent tuples
 in lexicographic order); the leading axes are a batch.  A ``SeriesSpace``
 owns the product table: every pair of monomials whose product survives the
-truncation, sorted by the product's position, so that a multiply is one
-gather and one segmented sum per chunk of batch rows, and the degree-d block
-of a product is the contiguous slice of the table whose products have
-degree d.  On top of it sit the reciprocal and, for batches of small k x k
-matrices of series, a linear solve, each built one total degree at a time:
-degree d reads the lower degrees and the inverse of a constant term, so no
-step iterates.  No determinant of series matrices is taken: the residue
-weights get theirs by Cauchy-Binet, from products of series.
+truncation, sorted by the product's position, so that a multiply is a
+``take`` of each operand along the table and one segmented sum, and the
+degree-d block of a product is the contiguous slice of the table whose
+products have degree d; the space slices the table for the full product and
+for each degree block once.  A small product is one broadcast multiply; a
+large one goes in chunks of batch rows that bound its temporaries.  On top
+of it sit the reciprocal and, for batches of small k x k matrices of series,
+a linear solve, each built one total degree at a time: degree d reads the
+lower degrees and the inverse of a constant term, so no step iterates.  No
+determinant of series matrices is taken: the residue weights get theirs by
+Cauchy-Binet, from products of series.
 
 The table has C(2n + q, q) pairs, one exponent vector each; a space whose
 table would exceed MAX_TABLE_ENTRIES raises SizeLimitError before anything
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import SizeLimitError
 
 MAX_TABLE_ENTRIES = 1 << 22  # pairs x variables of the largest product table
-MUL_CHUNK_ELEMENTS = 1 << 12  # product-table entries per chunk of batch rows in ``mul``
+MUL_CHUNK_ELEMENTS = 1 << 12  # product-table entries of a one-shot ``mul``, and per chunk of a larger one
 
 
 def graded_lex_exponents(n: int, q: int) -> np.ndarray:
@@ -98,6 +101,14 @@ class SeriesSpace:
         # degrees[d] holds the positions of the monomials of degree d
         bounds = np.searchsorted(degree, np.arange(q + 2)).tolist()
         self.degrees = tuple(map(slice, bounds, bounds[1:]))
+        # the table of each product, sliced once: the operand width read, the
+        # pairs, and the start of each output coefficient's segment among
+        # them; for the full product, then for each degree block
+        self._full = (self.size, self._left, self._right, self._starts[:-1])
+        self._blocks = tuple(
+            (block.stop, self._left[first:last], self._right[first:last], self._starts[block] - first)
+            for block, first, last in zip(self.degrees, self._starts[bounds[:-1]], self._starts[bounds[1:]])
+        )
 
     def constant(self, values) -> np.ndarray:
         """Series with constant terms ``values`` (any shape) and nothing else."""
@@ -114,35 +125,36 @@ class SeriesSpace:
         return out
 
     def mul(self, a, b) -> np.ndarray:
-        """Truncated product of broadcastable batches of series, in chunks of
-        batch rows whose temporaries hold about MUL_CHUNK_ELEMENTS entries
-        (at least one row); each row's segmented sums are those of a
-        one-row product bit for bit."""
-        return self._product(a, b, slice(0, self.size))
+        """Truncated product of broadcastable batches of series.  A product
+        whose pairs over all batch rows number at most MUL_CHUNK_ELEMENTS is
+        one gather, one broadcast multiply and one segmented sum; a larger one
+        goes in chunks of batch rows whose temporaries hold about that many
+        entries (at least one row).  Either way each row's segmented sums are
+        those of a one-row product bit for bit."""
+        return self._product(a, b, *self._full)
 
     def mul_degree(self, a, b, d: int) -> np.ndarray:
         """The degree-d block of ``mul(a, b)``, from that block's table entries only."""
-        return self._product(a, b, self.degrees[d])
+        return self._product(a, b, *self._blocks[d])
 
-    def _product(self, a, b, block: slice) -> np.ndarray:
-        a, b = np.asarray(a)[..., : block.stop], np.asarray(b)[..., : block.stop]
-        if a.shape != b.shape:
-            shape = np.broadcast_shapes(a.shape, b.shape)
-            a = a if a.shape == shape else np.broadcast_to(a, shape)
-            b = b if b.shape == shape else np.broadcast_to(b, shape)
-        out = np.empty(a.shape[:-1] + (block.stop - block.start,), dtype=complex)
-        rows_a, rows_b = a.reshape(-1, block.stop), b.reshape(-1, block.stop)
-        rows_out = out.reshape(-1, out.shape[-1])
-        first, last = self._starts[block.start], self._starts[block.stop]
-        left, right = self._left[first:last], self._right[first:last]
-        starts = self._starts[block] - first
+    def _product(self, a, b, width: int, left, right, starts) -> np.ndarray:
+        a, b = np.asarray(a), np.asarray(b)
+        shape = a.shape[:-1]
+        if shape != b.shape[:-1]:
+            shape = np.broadcast_shapes(shape, b.shape[:-1])
+        if math.prod(shape) * len(left) <= MUL_CHUNK_ELEMENTS:
+            products = a.take(left, axis=-1) * b.take(right, axis=-1)
+            return np.add.reduceat(products, starts, axis=-1)
+        rows_a = np.broadcast_to(a[..., :width], shape + (width,)).reshape(-1, width)
+        rows_b = np.broadcast_to(b[..., :width], shape + (width,)).reshape(-1, width)
+        out = np.empty((len(rows_a), len(starts)), dtype=complex)
         step = max(1, MUL_CHUNK_ELEMENTS // len(left))
-        for r in range(0, len(rows_out), step):
+        for r in range(0, len(out), step):
             chunk = slice(r, r + step)
-            rows_out[chunk] = np.add.reduceat(
-                rows_a[chunk, left] * rows_b[chunk, right], starts, axis=1
+            out[chunk] = np.add.reduceat(
+                rows_a[chunk].take(left, axis=1) * rows_b[chunk].take(right, axis=1), starts, axis=1
             )
-        return out
+        return out.reshape(shape + (len(starts),))
 
     def reciprocal(self, a) -> np.ndarray:
         """1 / a, one degree at a time: r_0 = 1 / a_0 and r_d = -r_0 [a r]_d,

@@ -12,7 +12,10 @@ diagonal frame;
 ``frame_values`` reads the same frame off a degree-0 ``frame_jet``, the
 reference the jet tests compare against; ``fiber_frame_jet`` is the frame
 jet by the fiber route, H = U^-1 diag(p) U in one series solve, the
-reference for the H that ``frame_jet`` reads from the family's algebra.  ``remainder_swap_residual``
+reference for the H that ``frame_jet`` reads from the family's algebra;
+``whole_batch_flat_sections`` multiplies every basis's sections out in one
+product per label column, the reference for the prefix tree of
+``_flat_sections``.  ``remainder_swap_residual``
 compares the first-order terms of two pairing jets, the atomic exchange
 behind the well-definedness of the second-kind coefficients.
 ``pairwise_edges`` is one exception: it applies the pairwise l1 rule
@@ -594,6 +597,18 @@ def fiber_frame_jet(data, z, space):
     lo, hi = np.minimum.outer(range(mu), range(mu)), np.maximum.outer(range(mu), range(mu))
     form = space.mul(space.mul(U[:, lo], U[:, hi]), w[:, None, None, :]).sum(axis=0)
     return H, X[:, n * mu], form
+
+
+def whole_batch_flat_sections(F, H, u, space):
+    """The sections C_I (unit) of ``frobenius._flat_sections`` with no
+    prefix shared: every basis applies its k Higgs fields to a broadcast
+    copy of the unit, all bases in one product per label column.  The
+    bit-for-bit reference for the prefix tree."""
+    labels = np.array(F.maximal_independent_sets(), dtype=np.intp) - 1
+    sections = np.broadcast_to(u, (len(labels),) + u.shape)
+    for col in labels.T:
+        sections = space.mul(H[col], sections[:, None, :, :]).sum(axis=2)
+    return sections
 
 
 def remainder_swap_residual(F, T2, a: int, b: int) -> float:

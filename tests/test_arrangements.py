@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import permutations, product
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import matpot.arrangements
+import matpot.frobenius
 from matpot import (
     ArrangementData,
     DiscriminantError,
@@ -48,6 +50,7 @@ from oracles import (
     richardson_frame_derivatives,
     scalar_newton_refine,
     track_fiber,
+    whole_batch_flat_sections,
 )
 
 
@@ -758,6 +761,27 @@ def test_higgs_vanishes_on_column_fields(all_structures, all_families):
             H = frame_values(F, z)[0]
             combo = sum(complex(data.B[i - 1, 0]) * H[i - 1] for i in F.matroid.ground.labels)
             assert np.max(np.abs(combo)) <= 1e-9
+
+
+@pytest.mark.parametrize("family", ["rank2", "k2", "k3", "k4"])
+def test_flat_sections_share_prefixes_bit_for_bit(family):
+    # the prefix tree against one whole-batch product per label column, on
+    # the basepoint frame's degree-1 jets; its temporaries stay well below
+    # one (bases, mu, mu, size) product, which the reference materializes
+    data = _rank2_data() if family == "rank2" else _ci_family(*_CI_FAMILIES[family])
+    F = structure_from_arrangement(data, 2)
+    H, u, _ = F.basepoint_frame
+    space = F.space(1)
+    want = whole_batch_flat_sections(F, H, u, space)
+    tracemalloc.start()
+    try:
+        got = matpot.frobenius._flat_sections(F, H, u, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    full = len(F.maximal_independent_sets()) * data.count**2 * space.size * 16
+    assert family == "rank2" or peak < full / 4
 
 
 def test_flat_sections_have_constant_coordinates(all_structures):

@@ -34,6 +34,7 @@ from matpot import (
     structure_from_arrangement,
     verify_axioms,
 )
+from matpot.cli import main
 from matpot.frobenius import HomogeneousPolynomial, _factorial_multi
 from matpot.series import SeriesSpace
 
@@ -796,9 +797,39 @@ def test_second_kind_table_equals_the_per_T_loop(all_structures):
         L = second_kind_truncation(F, n_max, tol)
         coefficients, provenance = loop_second_kind_table(F, n_max, tol)
         assert repr(list(L.coefficients.items())) == repr(list(coefficients.items()))
+        # spread_max is stored with the table, and it is that of the
+        # provenance, which only the first read of it builds
+        spread_max = L.spread_max
+        assert "provenance" not in vars(L)
         assert repr(list(L.provenance.items())) == repr(list(provenance.items()))
+        assert repr(spread_max) == repr(max(p.spread for p in L.provenance.values()))
         kinds |= {p.kind for p in provenance.values()}
     assert kinds == {"gauge-zero", "free-zero", "averaged"}
+
+
+def test_provenance_is_built_on_first_read(capsys, monkeypatch, tmp_path):
+    # the table, its check and the CLI construct no provenance; the first
+    # read builds it once, and later reads return the same mapping
+    made = []
+    real = matpot.frobenius.CoefficientProvenance
+
+    def counting(*args, **kwargs):
+        made.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matpot.frobenius, "CoefficientProvenance", counting)
+    F = structure_from_arrangement(_REPRODUCER, 2)
+    L = second_kind_truncation(F, 7)
+    check_second_kind(F, L)
+    path = tmp_path / "input.json"
+    path.write_text('{"B":[[1],[1],[2],[2],[1]],"a":[2,4,1,3,1],"x":[0.688,-1.435,-1.47,0.752,-0.422],'
+                    '"m":2,"N_max":7}')
+    assert main(["potentials", "-i", str(path)]) == 0
+    assert '"spread_max":' in capsys.readouterr().out
+    assert made == []
+    provenance, built = L.provenance, len(made)
+    assert built and L.provenance is provenance and len(made) == built
+    assert [p.kind for p in provenance.values()].count("averaged") == made.count("averaged")
 
 
 def test_second_kind_error_equals_the_per_T_loop(random_k1_structures):

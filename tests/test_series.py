@@ -75,6 +75,49 @@ def test_chunked_mul_is_bit_identical_to_row_by_row(n, q):
     assert np.array_equal(space.mul(c, d), _row_by_row_mul(space, c, d))
 
 
+def _straddle(pairs, per_row):
+    """The largest batch count whose product of ``pairs`` table entries
+    with ``per_row`` batch rows per count is one shot, and the next one,
+    which goes in chunks."""
+    fit = MUL_CHUNK_ELEMENTS // (pairs * per_row)
+    assert fit >= 1
+    return fit, fit + 1
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (4, 1), (2, 5)])
+@pytest.mark.parametrize("layout", ["sections", "members"])
+def test_broadcast_mul_is_bit_identical_to_row_by_row(n, q, layout):
+    # the layouts of the library's products, (bases, 1, mu) x (bases, mu, mu)
+    # and (mu,) x (members, mu), at batch counts on both sides of the
+    # one-shot bound; the reference multiplies broadcast copies row by row
+    rng = np.random.default_rng(n * 100 + q)
+    space = SeriesSpace(n, q)
+    mu, pairs = 3, len(space._left)
+    per_row = mu * mu if layout == "sections" else mu
+    for count in _straddle(pairs, per_row):
+        if layout == "sections":
+            a, b = _random_series(rng, space, (count, 1, mu)), _random_series(rng, space, (count, mu, mu))
+        else:
+            a, b = _random_series(rng, space, (mu,)), _random_series(rng, space, (count, mu))
+        assert np.array_equal(space.mul(a, b), _row_by_row_mul(space, a, b))
+        assert np.array_equal(space.mul(b, a), _row_by_row_mul(space, b, a))
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (2, 5)])
+def test_mul_degree_is_bit_identical_on_every_block(n, q):
+    # every degree block at batch counts on both sides of that block's own
+    # one-shot bound, against the same block of the row-by-row product
+    rng = np.random.default_rng(n * 10 + q)
+    space = SeriesSpace(n, q)
+    for d in range(q + 1):
+        block = space.degrees[d]
+        pairs = int(space._starts[block.stop] - space._starts[block.start])
+        for count in _straddle(pairs, 2):
+            a, b = _random_series(rng, space, (count, 1)), _random_series(rng, space, (1, 2))
+            want = _row_by_row_mul(space, a, b)[..., block]
+            assert np.array_equal(space.mul_degree(a, b, d), want)
+
+
 def test_variables_and_constants():
     space = SeriesSpace(3, 2)
     z = space.constant([1.0, 2.0, 3.0]) + space.variables()
