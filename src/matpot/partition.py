@@ -18,7 +18,17 @@ of the counting bound
     |A| <= sum_i r_i(A),
 
 because every reached element lies in the span of (class i) intersected with
-the reached set, for every i.
+the reached set, for every i.  No class is re-checked after an exchange:
+every circuit core refuses a dependent class, which the search reports as
+an inconsistent oracle, and the final answer is validated anyway.
+
+The partial partition may be given: ``start`` seeds the first classes with
+disjoint independent sets (checked once, up front), and the loop augments
+only the elements they leave unplaced.  The cold call is the empty start.
+The argument above needs only independent classes, so a search that fails
+from a start still returns a certified violation.  A caller holding a
+partition of a nearby problem pays one augmentation per unplaced element
+instead of one per element.
 
 When the last matroid is uniform of rank l, call A *tight* if
 |A| = l + sum_i r_i(A) over the other matroids.  ``min_tight_set`` finds the
@@ -106,9 +116,17 @@ def _augment(matroids, classes, color, e):
         for i, M in enumerate(matroids):
             if i == ycls:
                 continue
-            circuit = M._circuit(classes[i], y)
+            try:
+                circuit = M._circuit(classes[i], y)
+            except PreconditionError as exc:
+                # the start is checked, and under the matroid axioms every
+                # exchange keeps the classes independent
+                raise InvalidMatroidError(
+                    "an exchange left a dependent class; the independence "
+                    "oracle is inconsistent with the matroid axioms"
+                ) from exc
             if circuit is None:
-                _apply_chain(matroids, classes, color, parent, y, i)
+                _apply_chain(classes, color, parent, y, i)
                 return None
             for z in sorted(circuit - {y}):
                 if z not in visited:
@@ -118,7 +136,7 @@ def _augment(matroids, classes, color, e):
     return frozenset(visited)
 
 
-def _apply_chain(matroids, classes, color, parent, terminal, dest):
+def _apply_chain(classes, color, parent, terminal, dest):
     moves = []
     cur, target = terminal, dest
     while True:
@@ -130,34 +148,38 @@ def _apply_chain(matroids, classes, color, parent, terminal, dest):
         if cls != src:
             raise InternalError("exchange chain lost track of class membership")
         cur, target = pred, src
-    touched = set()
     for element, src, dst in moves:
         if src is not None:
             classes[src] -= {element}
-            touched.add(src)
         classes[dst] |= {element}
         color[element] = dst
-        touched.add(dst)
-    for i in touched:
-        if not matroids[i]._memo_independent(classes[i]):
-            raise InvalidMatroidError(
-                "augmentation left a dependent class; the independence "
-                "oracle is inconsistent with the matroid axioms"
-            )
 
 
-def solve_partition(problem: PartitionProblem, max_size: int = 64):
+def solve_partition(problem: PartitionProblem, max_size: int = 64, start: tuple = ()):
     """Partition the ground set across the matroids.
 
-    Returns a PartitionCertificate, or a DeficiencyWitness violating the
-    counting bound.  Both are re-validated before they are returned.
+    ``start`` holds disjoint classes for the first matroids, each
+    independent in its matroid (PreconditionError otherwise); the classes it
+    does not give start empty, and only the elements it leaves unplaced are
+    augmented.  Returns a PartitionCertificate, or a DeficiencyWitness
+    violating the counting bound.  Both are re-validated before they are
+    returned.
     """
     S = frozenset(problem.ground.labels)
     if len(S) > max_size:
         raise SizeLimitError(f"partition limited to {max_size} elements, got {len(S)}")
-    classes = [frozenset() for _ in problem.matroids]
+    if len(start) > problem.m:
+        raise PreconditionError(f"a start of {len(start)} classes for {problem.m} matroids")
+    classes = [frozenset(part) for part in start] + [frozenset()] * (problem.m - len(start))
     color: dict[int, int] = {}
-    for e in sorted(S):
+    for i, M in enumerate(problem.matroids[: len(start)]):
+        part = classes[i]
+        if not part <= S or not M._memo_independent(part):
+            raise PreconditionError(f"start class {i} is not an independent set of its matroid")
+        for e in part:
+            if color.setdefault(e, i) != i:
+                raise PreconditionError(f"element {e!r} starts in two classes")
+    for e in sorted(S - color.keys()):
         reached = _augment(problem.matroids, classes, color, e)
         if reached is not None:
             bound = sum(M.rank(reached) for M in problem.matroids)

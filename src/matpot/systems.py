@@ -22,17 +22,26 @@ bases.  Strong-decomposition outcomes are memoized per ``Context``, keyed by
 the raw multiplicity tuple and l: the enumeration and the equivalence graph
 look their candidates up by the tuples they already hold, and build a
 ``System`` only for a memo miss (to validate it) and for the nodes they
-return.
+return.  A miss starts its lifted partition from a nearby strong
+decomposition the caller holds, not from empty: the paper's elementary
+transformations T2 -> T2 - [a] + [b] are one-unit exchanges, and an
+augmenting path absorbs one, so a miss costs about one augmentation
+instead of one per unit.
 
 ``equivalence_report`` materializes the graph of good decompositions with
-local relations as edges.  It looks up each node's l1 neighbours instead of
-testing every pair, and makes one partition call per shared system T2 - [a]
-that has a neighbour.  ``descent_move`` constructs, from two distinct good
-decompositions, the explicit exchange that brings their second members
-strictly closer in the l1 metric while staying inside one equivalence class;
-it stops at the first label that certifies the exchange.  ``remainder_support``
-reads the possible remainder labels off one lifted partition: the images of
-its slack elements (``partition.slack_elements``).
+local relations as edges.  Each node files itself under every shared system
+U = T2 - [a]; a group of two or more nodes makes one strong query for its U,
+seeded from its first node's witness, and a strong U makes the group a
+clique.  The enumeration seeds each miss from the last strong second member
+before it in lexicographic order.  So on a shared ``Context`` which valid
+decomposition a query returns may depend on what was decided before.
+
+``descent_move`` constructs, from two distinct good decompositions, the
+explicit exchange that brings their second members strictly closer in the
+l1 metric while staying inside one equivalence class; it stops at the first
+label that certifies the exchange.  ``remainder_support`` reads the possible
+remainder labels off one lifted partition: the images of its slack elements
+(``partition.slack_elements``).
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, compress
 
 from .errors import (
     ArityError,
@@ -195,10 +205,10 @@ class StrongDecomposition:
 
     @property
     def total(self) -> System:
-        out = self.remainder
         for p in self.parts:
-            out = out + p
-        return out
+            self.remainder._check_ctx(p)
+        rows = (p.mult for p in self.parts)
+        return System(self.remainder.ctx, tuple(map(sum, zip(self.remainder.mult, *rows))))
 
     def validate(self, T: System | None = None) -> bool:
         ctx = self.remainder.ctx
@@ -240,13 +250,42 @@ def _check_arity(T: System, l: int):
         raise ArityError(f"|T| = {T.total} but m*k + l = {expected}")
 
 
-def _strong_outcome(ctx: Context, mult: tuple, l: int):
+def _near_start(near: StrongDecomposition, mult: tuple, l: int) -> tuple:
+    """Start classes of the lifted problem of (mult, l) taken from near.
+
+    The lift elements of each label go, in order, to the parts of near that
+    hold the label, then to near's remainder (seeded only when it fits the
+    l slots), capped at the label's multiplicity in mult.  Each class is a
+    subset of a base or of the remainder, so it is independent.
+    """
+    rows = [p.mult for p in near.parts]
+    if near.remainder.total <= l:
+        rows.append(near.remainder.mult)
+    free = list(accumulate(mult, initial=1))  # the next unseeded lift element of each label
+    stop = free[1:]
+    classes = []
+    for row in rows:
+        clazz = []
+        for j in compress(range(len(row)), row):
+            e = free[j]
+            free[j] = min(e + row[j], stop[j])
+            clazz.extend(range(e, free[j]))
+        classes.append(frozenset(clazz))
+    return tuple(classes)
+
+
+def _strong_outcome(ctx: Context, mult: tuple, l: int, near: StrongDecomposition | None = None):
     """The strong decomposition of the system ``mult`` of ctx, or the
     SystemBoundViolation showing none exists.
 
     The only reader of ``ctx._strong_memo``, keyed by the raw (mult, l): a
     hit builds nothing.  On a miss the System is built and validated, and one
-    lifted partition decides both outcomes.
+    lifted partition decides both outcomes.  ``near``, a strong
+    decomposition the caller already holds, seeds that partition
+    (``_near_start``), so a neighbour costs about one augmentation instead of
+    one per unit.  Which decomposition is returned, and which violation, may
+    therefore depend on what the context decided before; it is always a
+    valid one.
     """
     memo = ctx._strong_memo
     key = (mult, l)
@@ -256,7 +295,8 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int):
     T = System(ctx, mult)
     _check_arity(T, l)
     problem, fmap = _lift_problem(T, l)
-    result = solve_partition(problem)
+    start = () if near is None else _near_start(near, mult, l)
+    result = solve_partition(problem, start=start)
     if isinstance(result, DeficiencyWitness):
         B = frozenset(fmap[e - 1] for e in result.A)
         mass = sum(T(j) for j in B)
@@ -270,7 +310,7 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int):
             counts = [0] * ctx.n
             for e in part:
                 counts[fmap[e - 1] - 1] += 1
-            groups.append(ctx.system(counts))
+            groups.append(System(ctx, tuple(counts)))
         outcome = StrongDecomposition.make(groups[: ctx.m], groups[ctx.m])
         if not outcome.validate(T):
             raise InternalError("lifted partition produced an invalid strong decomposition")
@@ -279,7 +319,12 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int):
 
 
 def find_strong_decomposition(T: System, l: int):
-    """A strong decomposition of the (mk+l)-system T, or None if none exists."""
+    """A strong decomposition of the (mk+l)-system T, or None if none exists.
+
+    On a shared ``Context`` the decomposition returned may depend on what
+    the context decided before (see ``_strong_outcome``); it is always a
+    valid one.
+    """
     outcome = _strong_outcome(T.ctx, T.mult, l)
     return outcome if isinstance(outcome, StrongDecomposition) else None
 
@@ -336,11 +381,13 @@ def all_good_decompositions(T: System, max_total: int = MAX_TOTAL) -> tuple[Good
     if T.total > max_total:
         raise SizeLimitError(f"good-decomposition enumeration limited to |T| <= {max_total}")
     out = []
+    near = None
     for mult in _bounded_compositions(need, T.mult):
-        witness = _strong_outcome(ctx, mult, 1)
+        witness = _strong_outcome(ctx, mult, 1, near)
         if isinstance(witness, StrongDecomposition):
-            T2 = System(ctx, mult)
-            out.append(GoodDecomposition(T1=T - T2, T2=T2, witness=witness))
+            near = witness
+            T1 = System(ctx, tuple(map(operator.sub, T.mult, mult)))
+            out.append(GoodDecomposition(T1=T1, T2=System(ctx, mult), witness=witness))
     return tuple(out)
 
 
@@ -361,19 +408,27 @@ def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceRepo
     """The good decompositions of T, their local relations and equivalence classes.
 
     Nodes are ordered lexicographically by T2.  Distinct nodes i, j are
-    related iff T2_j = T2_i - [a] + [b] and T2_i - [a] is strong with l = 0
-    (the l1 rule of the module docstring).  So instead of testing all N^2
-    pairs, each node looks up its at most |supp T2| * (n - 1) neighbours in an
-    index of second members, and makes one memoized strong-decomposition
-    call per label a that has a neighbour j > i: O(N * n^2) lookups in all.
-    Those calls, like the enumeration's, read the memo by the raw tuple of
-    T2_i - [a], so a warm ``Context`` answers them without building a System
-    or solving a partition.  Edges (i, j) have i < j and are listed by i,
-    then j, ascending.
+    related iff T2_i - [a] = T2_j - [b] for some labels a, b and that shared
+    system U is strong with l = 0 (the l1 rule of the module docstring).  So
+    instead of testing all N^2 pairs, each node files itself under
+    U = T2 - [a] for every a in its support, and every group of two or more
+    nodes makes one memoized strong-decomposition call for its U; a strong
+    U makes the group a clique.  The pair (a, b) is fixed by T2_i and T2_j,
+    so each related pair lies in exactly one group.  A miss starts from the
+    witness of the group's first node, whose bases nearly fit U.  The calls,
+    like the enumeration's, read the memo by the raw tuple of U, so a warm
+    ``Context`` answers them without building a System or solving a
+    partition.  Edges (i, j) have i < j and are listed by i, then j,
+    ascending.
     """
     nodes = all_good_decompositions(T, max_total)
     ctx = T.ctx
-    index = {d.T2.mult: i for i, d in enumerate(nodes)}
+    groups: dict[tuple, list[int]] = {}
+    for i, d in enumerate(nodes):
+        mult = d.T2.mult
+        for a, va in enumerate(mult):
+            if va:
+                groups.setdefault(mult[:a] + (va - 1,) + mult[a + 1:], []).append(i)
     edges = []
     parent = list(range(len(nodes)))
 
@@ -383,30 +438,20 @@ def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceRepo
             i = parent[i]
         return i
 
-    for i, d in enumerate(nodes):
-        related = []
-        for a, va in enumerate(d.T2.mult):
-            if not va:
-                continue
-            shared = list(d.T2.mult)
-            shared[a] -= 1
-            hits = []
-            for b in range(ctx.n):
-                if b != a:
-                    shared[b] += 1
-                    j = index.get(tuple(shared))
-                    shared[b] -= 1
-                    if j is not None and j > i:
-                        hits.append(j)
-            if hits and isinstance(_strong_outcome(ctx, tuple(shared), 0), StrongDecomposition):
-                related.extend(hits)
-        for j in sorted(related):
-            edges.append((i, j))
-            parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(nodes)):
-        groups.setdefault(find(i), []).append(i)
-    components = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+    for shared, members in groups.items():
+        if len(members) < 2:
+            continue
+        first = members[0]
+        if isinstance(_strong_outcome(ctx, shared, 0, nodes[first].witness), StrongDecomposition):
+            edges.extend((i, j) for k, i in enumerate(members) for j in members[k + 1:])
+            root = find(first)
+            for j in members[1:]:
+                parent[find(j)] = root
+    edges.sort()
+    classes: dict[int, list[int]] = {}
+    for i in range(len(nodes)):  # ascending, so classes come in order of their least node
+        classes.setdefault(find(i), []).append(i)
+    components = tuple(map(tuple, classes.values()))
     return EquivalenceReport(nodes=nodes, edges=tuple(edges), components=components)
 
 

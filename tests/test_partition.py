@@ -10,6 +10,7 @@ from matpot import (
     InvalidMatroidError,
     LiftedMatroid,
     LinearMatroid,
+    MatpotError,
     Matroid,
     PartitionCertificate,
     PartitionProblem,
@@ -124,6 +125,77 @@ def test_inconsistent_oracle_detected():
     # the generic circuit core finds no element whose removal helps
     with pytest.raises(InvalidMatroidError):
         _AlwaysDependent(UniformMatroid(1, 2).ground).circuit(set(), 1)
+
+
+class _LyingUniform(UniformMatroid):
+    """Rank 1, but says a second element fits a one-element class."""
+
+    def _circuit(self, C, y):
+        return None if len(C) == 1 else super()._circuit(C, y)
+
+
+def test_exchange_that_leaves_a_dependent_class_convicts_the_oracle():
+    # no class is re-checked after an exchange; the next circuit core that
+    # meets the dependent class refuses it, and the search names the oracle
+    P = PartitionProblem((_LyingUniform(1, 3),))
+    with pytest.raises(InvalidMatroidError, match="inconsistent"):
+        solve_partition(P)
+
+
+def test_start_completes_to_a_validated_answer(monkeypatch):
+    # a partial partition (a solved partition with elements dropped) is
+    # completed by augmenting only the elements it leaves unplaced; a
+    # complete start needs no augmentation, and an infeasible problem still
+    # gets a certified witness
+    augmented = []
+    real = matpot.partition._augment
+
+    def counting(matroids, classes, color, e):
+        augmented.append(e)
+        return real(matroids, classes, color, e)
+
+    monkeypatch.setattr(matpot.partition, "_augment", counting)
+    rng = random.Random(1729)
+    kinds = Counter()
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        P = PartitionProblem(tuple(_random_matroid(rng, n) for _ in range(rng.randint(1, 3))))
+        cold = solve_partition(P)
+        if isinstance(cold, PartitionCertificate):
+            kept = [frozenset(e for e in part if rng.random() < 0.6) for part in cold.parts]
+            start = tuple(kept[: rng.randint(0, P.m)])
+            augmented.clear()
+            warm = solve_partition(P, start=start)
+            assert isinstance(warm, PartitionCertificate) and warm.validate(P)
+            placed = frozenset().union(*start)
+            assert sorted(augmented) == sorted(frozenset(P.ground.labels) - placed)
+            augmented.clear()
+            assert solve_partition(P, start=cold.parts) == cold
+            assert augmented == []
+            kinds["certificate"] += 1
+        else:
+            start = tuple(M.max_independent_subset(range(1, min(n, 3) + 1)) for M in P.matroids[:1])
+            warm = solve_partition(P, start=start)
+            assert isinstance(warm, DeficiencyWitness) and warm.validate(P)
+            kinds["witness"] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_start_with_a_dependent_class_is_refused():
+    rows = [(1, 0), (2, 0), (0, 1)]  # labels 1 and 2 are parallel
+    P = PartitionProblem((LinearMatroid(rows), UniformMatroid(2, 3)))
+    for start in [
+        (frozenset({1, 2}),),  # dependent: a parallel pair
+        (frozenset({3}), frozenset({1, 2, 3})),  # dependent: three in a rank-2 uniform class
+        (frozenset({1, 3}), frozenset({3})),  # 3 starts in two classes
+        (frozenset({4}),),  # 4 is not in the ground set
+        (frozenset(), frozenset(), frozenset()),  # more classes than matroids
+    ]:
+        with pytest.raises(MatpotError):
+            solve_partition(P, start=start)
+    # a dependent class that leaves nothing to augment is refused too
+    with pytest.raises(PreconditionError):
+        solve_partition(P, start=(frozenset({1, 2}), frozenset({3})))
 
 
 def test_partition_checks_labels_only_to_validate_its_answer(monkeypatch):

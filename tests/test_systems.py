@@ -576,6 +576,63 @@ def test_warm_equivalence_report_solves_no_partition(monkeypatch):
     assert len(built) == 2 * len(second.nodes) == 342
 
 
+def _warm_contexts(linear_pairs):
+    """Contexts after the equivalence reports of the roadmap system and of
+    the small sweep: their memos hold warm-started outcomes."""
+    roadmap = Context(ROADMAP_MATROID, 3)
+    equivalence_report(roadmap.system((3, 2, 2, 2, 2, 2)))
+    contexts = [roadmap]
+    for m in (1, 2):
+        ctx = Context(linear_pairs, m)
+        mk = m * ctx.k
+        for total in range(mk + 1, mk + 3):
+            for mult in _bounded_compositions(total, (total,) * ctx.n):
+                equivalence_report(ctx.system(mult))
+        contexts.append(ctx)
+    return contexts
+
+
+def test_warm_and_cold_strong_outcomes_agree(linear_pairs):
+    # every outcome a warm start decided, against a fresh Context; the warm
+    # answer may be another decomposition or violation, never another verdict
+    kinds = set()
+    for ctx in _warm_contexts(linear_pairs):
+        for (mult, l), warm in ctx._strong_memo.items():
+            cold = matpot.systems._strong_outcome(Context(ctx.matroid, ctx.m), mult, l)
+            assert type(warm) is type(cold)
+            T = ctx.system(mult)
+            if isinstance(warm, StrongDecomposition):
+                assert warm.validate(T) and warm.remainder.total == l
+            else:
+                assert warm.bound == l + ctx.m * ctx.matroid.rank(warm.B) < warm.mass
+                assert warm.mass == sum(T(j) for j in warm.B)
+            kinds.add((type(warm), l))
+    assert len(kinds) == 4, kinds
+
+
+def test_equivalence_report_augments_about_once_per_solve(monkeypatch):
+    # each memo miss starts from a neighbour's partition: the enumeration's
+    # from the last strong second member, the edge pass's from the witness
+    # of the group's first node; a cold start placed every unit, m * k + 1
+    augmented, solves = [], []
+    real_augment, real_solve = matpot.partition._augment, matpot.systems.solve_partition
+
+    def augment(*args):
+        augmented.append(1)
+        return real_augment(*args)
+
+    def solve(problem, *args, **kwargs):
+        solves.append(kwargs.get("start", ()))
+        return real_solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(matpot.partition, "_augment", augment)
+    monkeypatch.setattr(matpot.systems, "solve_partition", solve)
+    report = equivalence_report(Context(ROADMAP_MATROID, 3).system((3, 2, 2, 2, 2, 2)))
+    assert len(report.nodes) == 171
+    assert len(augmented) < 2 * len(solves)
+    assert sum(not start for start in solves) == 1  # only the first solve is cold
+
+
 def test_descent_move_stops_at_the_first_witness(monkeypatch):
     # on the 171-node system: strongness of both second members and one
     # query per tried label, where the remainder supports took 8 queries
