@@ -13,13 +13,16 @@ Linear matroids are read as exact rationals; each row is then scaled by the
 lcm of its denominators, and every independence decision is made by exact
 integer (Bareiss fraction-free) elimination of those rows.  Floating point
 never enters this module.  A linear matroid brings each independent class
-to a reduced form once for circuit queries: one fraction-free Gauss-Jordan
-elimination of the class's rows, tagged with unit vectors, gives D times
-their reduced row echelon form.  A new element is then decided by integer
-dot products of its row with the form's columns, and the same products
-with the tag columns give its circuit; no elimination runs per query.  The
-class's cache entry keeps each element's answer (its circuit, or None), so
-a repeated (class, element) question computes nothing.  Uniform
+to a reduced form once for circuit queries: D times the reduced row echelon
+form of the class's rows, each tagged with a unit vector.  The form is grown
+one row at a time by a fraction-free pivot step, from the cached form of the
+class less one element when there is one (the partition search asks about
+C + y right after asking y against C), otherwise from the empty form over
+the class's labels.  A new element is then decided by integer dot products
+of its row with the form's columns, and the same products with the tag
+columns give its circuit; no elimination runs per query.  The class's cache
+entry keeps each element's answer (its circuit, or None), so a repeated
+(class, element) question computes nothing.  Uniform
 and lifted matroids keep no circuit memo: a uniform answer costs less than a
 lookup, and a lifted query reaches its base matroid's memo.  The caches rely
 on the atomicity of single dict operations, so concurrent use at worst
@@ -215,6 +218,8 @@ def rational_rank(rows) -> int:
 
 
 def _to_fraction(value) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise GroundSetError(
             f"linear matroid entries must be exact rationals, got float {value!r}"
@@ -234,9 +239,9 @@ class LinearMatroid(Matroid):
     exact integer elimination of the rows with their denominators cleared
     (the same matroid), never floating point.  Circuit queries bring each
     independent class to its reduced form once (``_echelon``, memoized by
-    the class) and decide each new element by dot products with that form
-    (``_reduce``); the class's entry keeps the answer for every element
-    reduced against it.
+    the class, each form one pivot step ``_grow`` from a smaller one) and
+    decide each new element by dot products with that form (``_reduce``);
+    the class's entry keeps the answer for every element reduced against it.
     """
 
     def __init__(self, rows):
@@ -264,33 +269,63 @@ class LinearMatroid(Matroid):
         return rational_rank(self._subrows(A))
 
     def _echelon(self, C: frozenset):
-        """Sorted labels of C, the reduced form of C's rows, and the answers
-        of the elements reduced against it so far; memoized.
+        """The labels of C, the reduced form of C's rows, and the answers of
+        the elements reduced against it so far; memoized.
 
-        One fraction-free Gauss-Jordan elimination of C's rows, each tagged
-        with a unit vector, gives D (M_P^-1 M | M_P^-1) for the last pivot D
-        and the columns P where it pivots, M_P being C's rows at those
-        columns.  The form keeps
-        the pivot columns, D, each other data column and each tag column,
-        both as tuples over the pivot rows.
+        The form is D (M_P^-1 M | M_P^-1), M being C's rows, each tagged with
+        a unit vector, P the pivot columns of their reduced row echelon form
+        and D = +-det M_P.  It keeps the pivot columns, D, each other data
+        column and each tag column, both as tuples over the pivot rows; the
+        labels, the tags and the rows are in the order the form grew.  A miss
+        grows the form of C less one element by that element when such a
+        form is cached, and otherwise grows the empty form by C's labels in
+        order.  Only C is cached.
         """
-        hit = self._echelon_cache.get(C)
+        cache = self._echelon_cache
+        hit = cache.get(C)
         if hit is None:
-            labels = sorted(C)
-            n, width = len(labels), self.width
-            tagged = [
-                self._int_rows[e - 1] + (0,) * i + (1,) + (0,) * (n - 1 - i)
-                for i, e in enumerate(labels)
-            ]
-            rank, m = _eliminate(tagged, width, reduced=True)
-            if rank < n:
-                raise PreconditionError("circuit(clazz, y) needs an independent clazz")
-            pivots = tuple(next(c for c, v in enumerate(row) if v) for row in m)
-            D = m[-1][pivots[-1]] if m else 1
-            free = tuple((c, tuple([row[c] for row in m])) for c in range(width) if c not in pivots)
-            tags = tuple(tuple([row[c] for row in m]) for c in range(width, width + n))
-            hit = self._echelon_cache[C] = (labels, (pivots, D, free, tags), {})
+            for e in C:
+                near = cache.get(C - {e})
+                if near is not None:
+                    labels, form = self._grow(near[0], near[1], e)
+                    break
+            else:
+                labels, form = (), ((), 1, tuple((c, ()) for c in range(self.width)), ())
+                for e in sorted(C):
+                    labels, form = self._grow(labels, form, e)
+            hit = cache[C] = (labels, form, {})
         return hit
+
+    def _grow(self, labels, form, y):
+        """The labels and reduced form of the class grown by y, by one
+        fraction-free pivot step; PreconditionError when y's row lies in the
+        span of the form's rows.
+
+        y's row v reduces to r = D v - v_P (D M_P^-1 M), which is zero at the
+        pivot columns, with -v_P . t at each tag column t and D at y's own
+        tag.  Its first nonzero column c* (a data column off the pivots) is
+        the new pivot and D' = r_c* = +-det of the grown M_P by the Schur
+        complement.  Each old row a becomes (D' a - a_c* r) / D and r joins
+        as the last row; every entry is again a minor, so the division is
+        exact (Bareiss, Math. Comp. 22, 1968).
+        """
+        pivots, D, free, tags = form
+        v = self._int_rows[y - 1]
+        vp = [v[c] for c in pivots]
+        r = [D * v[c] - sum(map(mul, vp, col)) for c, col in free]
+        at = next((i for i, rc in enumerate(r) if rc), None)
+        if at is None:
+            raise PreconditionError("circuit(clazz, y) needs an independent clazz")
+        grown, f = free[at]
+        D2 = r[at]
+
+        def step(col, rc):
+            return tuple([(D2 * a - fa * rc) // D for a, fa in zip(col, f)]) + (rc,)
+
+        free = tuple((c, step(col, rc)) for (c, col), rc in zip(free, r) if c != grown)
+        # y's tag column is zero over the old rows and D in r
+        tags = tuple(step(t, -sum(map(mul, vp, t))) for t in tags) + (step((0,) * len(f), D),)
+        return labels + (y,), (pivots + (grown,), D2, free, tags)
 
     def _circuit(self, C: frozenset, y: int) -> frozenset | None:
         labels, form, answers = self._echelon(C)

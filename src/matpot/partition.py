@@ -7,9 +7,11 @@ element y can enter class i directly if the class stays independent, and
 otherwise every member of the unique circuit of (class i) + y could be
 evicted to make room.  Both answers come from one call of the circuit core
 ``Matroid._circuit``, which linear matroids answer with integer dot
-products against the class's memoized reduced form.  The search holds only
-labels of the problem's ground set, so it calls the cores and memos
-directly and checks no label per step; the certificate and the witness are
+products against the class's memoized reduced form.  A class the search
+grows by a y it just asked about gets its form by one fraction-free pivot
+step from the form it asked against, not by a new elimination.  The search
+holds only labels of the problem's ground set, so it calls the cores and
+memos directly and checks no label per step; the certificate and the witness are
 validated through the public oracle before they are returned.  Following a
 shortest chain of such exchanges either places the element or, when the
 search is exhausted, the set of reached elements is a certified violation

@@ -391,6 +391,11 @@ def all_good_decompositions(T: System, max_total: int = MAX_TOTAL) -> tuple[Good
     return tuple(out)
 
 
+def _minus(mult: tuple, a: int) -> tuple:
+    """mult with one copy of label a removed (mult(a) >= 1)."""
+    return mult[: a - 1] + (mult[a - 1] - 1,) + mult[a:]
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     """The graph of good decompositions with local relations as edges."""
@@ -426,9 +431,9 @@ def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceRepo
     groups: dict[tuple, list[int]] = {}
     for i, d in enumerate(nodes):
         mult = d.T2.mult
-        for a, va in enumerate(mult):
+        for a, va in enumerate(mult, 1):
             if va:
-                groups.setdefault(mult[:a] + (va - 1,) + mult[a + 1:], []).append(i)
+                groups.setdefault(_minus(mult, a), []).append(i)
     edges = []
     parent = list(range(len(nodes)))
 
@@ -491,9 +496,14 @@ def _exchange(d: GoodDecomposition, a: int, b: int, rest: StrongDecomposition) -
     """d with one a moved from T2 to T1 and one b from T1 to T2, witnessed by
     the bases of ``rest`` (a strong decomposition of T2 - [a]) plus [b]."""
     ctx = d.T1.ctx
+    T1, T2 = list(d.T1.mult), list(d.T2.mult)
+    T1[a - 1] += 1
+    T1[b - 1] -= 1
+    T2[a - 1] -= 1
+    T2[b - 1] += 1
     return GoodDecomposition(
-        T1=d.T1 - ctx.unit(b) + ctx.unit(a),
-        T2=d.T2 + ctx.unit(b) - ctx.unit(a),
+        T1=System(ctx, tuple(T1)),
+        T2=System(ctx, tuple(T2)),
         witness=StrongDecomposition.make(rest.parts, ctx.unit(b)),
     )
 
@@ -511,6 +521,9 @@ def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
       * matched: otherwise the least a with S2 - [a] strong with l = 0 also
         leaves T2 - [a] strong, and both second members trade one a, T2 for
         that b and S2 for the least c with T1(c) < S1(c).
+
+    The strong questions go to the context's memo by the raw tuples, so a
+    probe builds no ``System``.
     """
     if dT.whole != dS.whole:
         raise PreconditionError("good decompositions do not decompose the same system")
@@ -527,18 +540,17 @@ def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
     b = min(l for l in labels if dT.T1(l) > dS.T1(l))
     for i in labels:
         if T2(i) > S2(i):
-            rest = find_strong_decomposition(T2 - ctx.unit(i), 0)
-            if rest is not None:
+            rest = _strong_outcome(ctx, _minus(T2.mult, i), 0)
+            if isinstance(rest, StrongDecomposition):
                 moved = _exchange(dT, i, b, rest)
                 return DescentMove("surplus", moved_t=moved, moved_s=dS,
                                    distance_before=before, distance_after=l1_distance(moved.T2, S2))
     for a in labels:
-        rest_s = find_strong_decomposition(S2 - ctx.unit(a), 0) if S2(a) else None
-        if rest_s is not None:
+        rest_s = _strong_outcome(ctx, _minus(S2.mult, a), 0) if S2(a) else None
+        if isinstance(rest_s, StrongDecomposition):
             break
-    reduced = T2.try_sub(ctx.unit(a))
-    rest_t = None if reduced is None else find_strong_decomposition(reduced, 0)
-    if rest_t is None:
+    rest_t = _strong_outcome(ctx, _minus(T2.mult, a), 0) if T2(a) else None
+    if not (isinstance(rest_s, StrongDecomposition) and isinstance(rest_t, StrongDecomposition)):
         raise InternalError(
             "neither exchange alternative is certifiable; this contradicts "
             "the remainder exchange property and signals a bug"

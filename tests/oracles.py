@@ -25,7 +25,10 @@ groups of ``equivalence_report``.  ``min_tight_subset`` maps the library's
 ``matroid_to_json`` is the inverse of ``jsonio.matroid_from_json``.
 ``fraction_rref`` (Gauss-Jordan over Fraction) is the reference for the
 reduced mode of ``matroids._eliminate``, and ``fraction_circuit`` (one
-linear solve over Fraction) for the circuits of ``LinearMatroid``.
+linear solve over Fraction) for the circuits of ``LinearMatroid``;
+``tagged_reduced_form`` brings a class's rows to their reduced form by one
+fraction-free Gauss-Jordan elimination, the reference for the one-pivot
+growth of ``LinearMatroid._grow``.
 ``scalar_newton_refine`` is another exception: the one-seed Newton loop,
 as the bit-for-bit reference for the batched solve;
 ``greedy_flat_basis`` picks the flat basis greedily by numeric rank on the
@@ -165,6 +168,24 @@ def fraction_circuit(rows, C, y):
     if any(row[-1] for row in m[rank:]):
         return None
     return frozenset(e for e, row in zip(labels, m) if row[-1]) | {y}
+
+
+def tagged_reduced_form(int_rows, C, width: int):
+    """The labels of C (sorted) and the form (pivots, D, free, tags) of
+    ``LinearMatroid._echelon`` by one fraction-free Gauss-Jordan elimination
+    of C's integer rows, each tagged with a unit vector, or None when the
+    rows are dependent: D is the last pivot, the rows come in pivot order."""
+    labels = sorted(C)
+    n = len(labels)
+    tagged = [tuple(int_rows[e - 1]) + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, e in enumerate(labels)]
+    rank, m = _eliminate(tagged, width, reduced=True)
+    if rank < n:
+        return None
+    pivots = tuple(next(c for c, v in enumerate(row) if v) for row in m)
+    D = m[-1][pivots[-1]] if m else 1
+    free = tuple((c, tuple(row[c] for row in m)) for c in range(width) if c not in pivots)
+    tags = tuple(tuple(row[c] for row in m) for c in range(width, width + n))
+    return tuple(labels), (pivots, D, free, tags)
 
 
 def brute_rank(M, A):

@@ -556,21 +556,24 @@ def test_partition_golden_large(capsys, tmp_path):
 
 
 def test_partition_golden_large_eliminates_each_class_once(capsys, tmp_path, monkeypatch):
-    # circuit queries reuse one elimination per (matroid, class); one
-    # elimination per query makes 430 here
-    calls = []
-    original = matpot.matroids._eliminate
+    # circuit queries build one reduced form per (matroid, class), each one
+    # pivot step from the form of the class less one element when that is
+    # cached: 60 steps for 60 classes here, 10 of them from the empty form;
+    # one elimination per query made 430
+    grown = []
+    real = LinearMatroid._grow
 
-    def counting(rows, width, reduced=False):
-        calls.append(len(rows))
-        return original(rows, width, reduced)
+    def counting(self, labels, form, y):
+        grown.append((id(self), frozenset(labels) | {y}))
+        return real(self, labels, form, y)
 
-    monkeypatch.setattr(matpot.matroids, "_eliminate", counting)
+    monkeypatch.setattr(LinearMatroid, "_grow", counting)
     payload = _copies_with_tail(_planted_rows(random.Random(5), 64, 6, 2, 0.3), 10, 4)
     code, out = run_cli(capsys, ["partition"], payload, tmp_path)
     assert code == 0
     assert _result_digest(out) == "1c3014f99a6f693f1c34e72c7109b5a61bd156695fbbafbadff830c3b4013472"
-    assert len(calls) <= 200
+    assert len(grown) == len(set(grown)) == 60
+    assert sum(len(C) == 1 for _, C in grown) == 10
 
 
 @pytest.mark.parametrize("seed, copies, tail", [(5, 10, 4), (6, 9, 8)])
@@ -588,25 +591,32 @@ def test_planted_partition_circuits_match_fraction_solves(capsys, tmp_path, circ
 
 def test_equal_matroid_entries_share_one_instance(capsys, tmp_path, monkeypatch):
     # the ten equal linear entries are one LinearMatroid, so their rank,
-    # independence and echelon caches fill once: one instance per entry
-    # makes 130 eliminations here
+    # independence and echelon caches fill once: the eliminations are the
+    # independence checks of the certificate's ten classes, and each class
+    # of the search gets its reduced form by one pivot step
     from matpot.cli import _problem_from_json
 
     payload = _copies_with_tail(_planted_rows(random.Random(5), 64, 6, 2, 0.3), 10, 4)
     matroids = _problem_from_json(payload).matroids
     assert all(M is matroids[0] for M in matroids[:10]) and matroids[10] is not matroids[0]
-    calls = []
-    original = matpot.matroids._eliminate
+    calls, grown = [], []
+    original, real_grow = matpot.matroids._eliminate, LinearMatroid._grow
 
     def counting(rows, width, reduced=False):
         calls.append(len(rows))
         return original(rows, width, reduced)
 
+    def growing(self, labels, form, y):
+        grown.append((id(self), frozenset(labels) | {y}))
+        return real_grow(self, labels, form, y)
+
     monkeypatch.setattr(matpot.matroids, "_eliminate", counting)
+    monkeypatch.setattr(LinearMatroid, "_grow", growing)
     code, out = run_cli(capsys, ["partition"], payload, tmp_path)
     assert code == 0
     assert _result_digest(out) == "1c3014f99a6f693f1c34e72c7109b5a61bd156695fbbafbadff830c3b4013472"
-    assert len(calls) <= 121
+    assert len(calls) <= 10
+    assert len(grown) == len(set(grown)) <= 60
 
 
 def _plane_rows(rng, n, on_plane):

@@ -16,7 +16,15 @@ from matpot import (
 from matpot import matroids
 from matpot.jsonio import matroid_from_json
 
-from oracles import brute_rank, circuits_within, fraction_rank, fraction_rref, matroid_to_json, subsets
+from oracles import (
+    brute_rank,
+    circuits_within,
+    fraction_rank,
+    fraction_rref,
+    matroid_to_json,
+    subsets,
+    tagged_reduced_form,
+)
 
 
 def test_linear_independence_examples():
@@ -398,21 +406,35 @@ def test_memoized_circuit_refuses_dependent_class():
 
 
 def test_circuit_queries_eliminate_a_class_once(monkeypatch):
-    calls = []
-    original = matroids._eliminate
+    # a class's form is built once, by pivot steps and no elimination: the
+    # class less one element takes one step per label from the empty form,
+    # the class one step from that cached neighbour, a repeat none
+    calls, grown = [], []
+    original, real_grow = matroids._eliminate, LinearMatroid._grow
 
     def counting(rows, width, reduced=False):
         calls.append(len(rows))
         return original(rows, width, reduced)
 
+    def growing(self, labels, form, y):
+        grown.append(frozenset(labels) | {y})
+        return real_grow(self, labels, form, y)
+
     monkeypatch.setattr(matroids, "_eliminate", counting)
+    monkeypatch.setattr(LinearMatroid, "_grow", growing)
     M = LinearMatroid(_span_rows(random.Random(3), 12, 6, 3))
     C = M.max_independent_subset(M.ground.labels)
+    smaller = C - {max(C)}
     calls.clear()
+    for y in M.ground.labels:
+        M.circuit(smaller, y)
+    assert len(grown) == len(smaller) and grown[-1] == smaller
+    grown.clear()
     for y in M.ground.labels:
         M.circuit(C, y)
         M.circuit(set(C), y)
-    assert calls == [len(C)]
+    assert grown == [C]
+    assert calls == []
 
 
 def _deficient_rows(rng):
@@ -452,6 +474,57 @@ def test_reduced_elimination_is_d_times_the_fraction_rref():
         assert all(type(v) is int for row in m for v in row)
         deficient += rank < min(len(rows), width)
     assert deficient > 50
+
+
+def _by_pivot(labels, form):
+    """|D| and, for each pivot column, its row of the form times the sign of
+    D: the free entries in column order and the tag entries in label order."""
+    pivots, D, free, tags = form
+    sign = 1 if D > 0 else -1
+    by_label = sorted(zip(labels, tags))
+    return abs(D), tuple(c for c, _ in free), {
+        p: (tuple(sign * col[i] for _, col in free), tuple(sign * t[i] for _, t in by_label))
+        for i, p in enumerate(pivots)
+    }
+
+
+def test_grown_forms_match_one_tagged_elimination():
+    # classes grown along random orders, one pivot step per element, against
+    # one tagged elimination of the class's rows: the same form up to D's
+    # sign and the order of the rows; a dependent element is refused and
+    # leaves the cache as it was
+    rng = random.Random(37)
+    grown = refused = 0
+    for draw in range(120):
+        if draw % 2:
+            rows, width = _deficient_rows(rng)
+            rows = [row[:width] for row in rows]
+        else:
+            width = rng.randint(1, 6)
+            rows = _span_rows(rng, rng.randint(3, 9), width, rng.randint(1, width))
+        M = LinearMatroid(rows)
+        elems = list(M.ground.labels)
+        # a fresh class folds from the empty form
+        C = M.max_independent_subset([e for e in elems if rng.random() < 0.6])
+        labels, form, _ = M._echelon(C)
+        assert _by_pivot(labels, form) == _by_pivot(*tagged_reduced_form(M._int_rows, C, width))
+        C = frozenset()
+        for y in rng.sample(elems, len(elems)):
+            for z in elems:
+                assert M._circuit(C, z) == _expected_circuit(M, C, z)
+            before = dict(M._echelon_cache)
+            if M._circuit(C, y) is None:
+                labels, form, _ = M._echelon(C | {y})
+                assert _by_pivot(labels, form) == _by_pivot(*tagged_reduced_form(M._int_rows, C | {y}, width))
+                C |= {y}
+                grown += 1
+            else:
+                assert tagged_reduced_form(M._int_rows, C | {y}, width) is None
+                with pytest.raises(PreconditionError):
+                    M._echelon(C | {y})
+                assert M._echelon_cache == before
+                refused += 1
+    assert grown > 150 and refused > 300
 
 
 class _GreedyUniform(Matroid):

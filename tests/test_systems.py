@@ -638,13 +638,13 @@ def test_descent_move_stops_at_the_first_witness(monkeypatch):
     # query per tried label, where the remainder supports took 8 queries
     report = equivalence_report(Context(ROADMAP_MATROID, 3).system((3, 2, 2, 2, 2, 2)))
     calls = []
-    real = matpot.systems.find_strong_decomposition
+    real = matpot.systems._strong_outcome
 
-    def counting(T, l):
-        calls.append((T.mult, l))
-        return real(T, l)
+    def counting(ctx, mult, l, near=None):
+        calls.append((mult, l))
+        return real(ctx, mult, l, near)
 
-    monkeypatch.setattr(matpot.systems, "find_strong_decomposition", counting)
+    monkeypatch.setattr(matpot.systems, "_strong_outcome", counting)
     move = descent_move(report.nodes[0], report.nodes[-1])
     assert move.distance_after == move.distance_before - 2
     assert len(calls) <= 4
