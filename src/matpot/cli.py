@@ -72,14 +72,21 @@ def _problem_from_json(obj) -> PartitionProblem:
     raw = require(obj, "matroids", list, "partition problem")
     if not raw:
         raise SchemaError("partition problem: need at least one matroid")
-    matroids, instances = [], {}  # equal entries share one instance and its caches
+    # each distinct entry is parsed once, keyed by its JSON text (which keeps
+    # 1, 1.0 and true apart, so a refused entry is refused as before), and
+    # equal matroids share one instance and its caches
+    matroids, parsed, instances = [], {}, {}
     for item in raw:
-        M = matroid_from_json(item)
-        if M.ground.n != n:
-            raise SchemaError(
-                f"matroid ground size {M.ground.n} does not match ground {n}"
-            )
-        matroids.append(instances.setdefault(M, M))
+        key = json.dumps(item, sort_keys=True)
+        M = parsed.get(key)
+        if M is None:
+            M = matroid_from_json(item)
+            if M.ground.n != n:
+                raise SchemaError(
+                    f"matroid ground size {M.ground.n} does not match ground {n}"
+                )
+            M = parsed[key] = instances.setdefault(M, M)
+        matroids.append(M)
     return PartitionProblem(matroids=tuple(matroids))
 
 

@@ -48,6 +48,12 @@ The same closure R gives ``slack_elements`` (the elements some partition puts
 in U) on any ground set: its exchange chains move each member into U.  If U
 has a free slot, or a reached y fits a class as it stands, any element can
 enter U; otherwise R is tight, and the inequality puts every U inside R.
+For the lift of a strong decomposition (``systems``) the closure has a label
+form: the classes lift m bases B_i, copies of one label are parallel, so R
+read in labels is the remainder's labels closed under y -> C(B_i, y) for
+every B_i without y, and no free slot arises.  ``systems`` decides remainder
+supports and equivalence edges with that form
+(``StrongDecomposition._remainder_closure``), without a second partition.
 """
 
 from __future__ import annotations

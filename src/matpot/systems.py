@@ -19,7 +19,7 @@ T2' = U + [r'] for one sum U of m bases.  So distinct T2, T2' are locally
 related exactly when T2' = T2 - [a] + [b] for labels a != b and
 T2 - [a] = min(T2, T2') (componentwise) is strong with l = 0: no search over
 bases.  Strong-decomposition outcomes are memoized per ``Context``, keyed by
-the raw multiplicity tuple and l: the enumeration and the equivalence graph
+the raw multiplicity tuple and l: the enumeration and ``descent_move``
 look their candidates up by the tuples they already hold, and build a
 ``System`` only for a memo miss (to validate it) and for the nodes they
 return.  A miss starts its lifted partition from a nearby strong
@@ -28,20 +28,29 @@ transformations T2 -> T2 - [a] + [b] are one-unit exchanges, and an
 augmenting path absorbs one, so a miss costs about one augmentation
 instead of one per unit.
 
+Which labels can sit in the remainder is a circuit closure, not a search:
+for a strong decomposition with bases B_1..B_m, they are the remainder's
+labels closed under y -> C(B_i, y) for every B_i without y
+(``StrongDecomposition._remainder_closure``, the label form of
+``partition._uniform_closure``; any one decomposition gives the same set).
+Each memoized decomposition computes its closure once and keeps it.
+
 ``equivalence_report`` materializes the graph of good decompositions with
-local relations as edges.  Each node files itself under every shared system
-U = T2 - [a]; a group of two or more nodes makes one strong query for its U,
-seeded from its first node's witness, and a strong U makes the group a
-clique.  The enumeration seeds each miss from the last strong second member
-before it in lexicographic order.  So on a shared ``Context`` which valid
+local relations as edges.  T2 - [a] is strong with l = 0 exactly when a is
+in the remainder closure of T2's witness, so each node files itself under
+U = T2 - [a] for those a only, and every group of two or more nodes is a
+clique: the edge pass solves no partition and asks no strong question.  The
+enumeration seeds each miss from the last strong second member before it
+in lexicographic order.  So on a shared ``Context`` which valid
 decomposition a query returns may depend on what was decided before.
 
 ``descent_move`` constructs, from two distinct good decompositions, the
 explicit exchange that brings their second members strictly closer in the
-l1 metric while staying inside one equivalence class; it stops at the first
-label that certifies the exchange.  ``remainder_support`` reads the possible
-remainder labels off one lifted partition: the images of its slack elements
-(``partition.slack_elements``).
+l1 metric while staying inside one equivalence class; it picks its labels
+from the remainder closures of the two second members and makes one l = 0
+query, seeded from that member's decomposition, per member it moves.
+``remainder_support`` is the remainder closure of one strong
+decomposition: the strongness check's partition and no other.
 """
 
 from __future__ import annotations
@@ -58,7 +67,7 @@ from .errors import (
     SizeLimitError,
 )
 from .matroids import LiftedMatroid, Matroid, UniformMatroid
-from .partition import DeficiencyWitness, PartitionProblem, slack_elements, solve_partition
+from .partition import DeficiencyWitness, PartitionProblem, solve_partition
 
 MAX_TOTAL = 24  # largest |T| whose good decompositions are enumerated
 
@@ -219,6 +228,30 @@ class StrongDecomposition:
         if T is not None and self.total != T:
             return False
         return True
+
+    @cached_property
+    def _remainder_closure(self) -> frozenset:
+        """The labels some strong decomposition of this total puts in the
+        remainder: the remainder's labels closed under y -> C(B_i, y) for
+        every base B_i without y.
+
+        This is ``partition._uniform_closure`` of the lifted problem read in
+        labels: the copies of one label are parallel in the lift, so a base
+        already holding y adds only y, and the B_i are bases, so every y
+        has its circuit and no free slot arises.  The circuits come from the
+        matroid's ``_circuit`` memo; the decomposition keeps the result.
+        """
+        matroid = self.remainder.ctx.matroid
+        bases = [frozenset(compress(matroid.ground.labels, p.mult)) for p in self.parts]
+        reached = set(compress(matroid.ground.labels, self.remainder.mult))
+        queue = list(reached)
+        for y in queue:  # the queue grows as the loop reads it
+            for B in bases:
+                if y not in B:
+                    new = matroid._circuit(B, y) - reached
+                    reached |= new
+                    queue.extend(new)
+        return frozenset(reached)
 
 
 @dataclass(frozen=True)
@@ -414,26 +447,24 @@ def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceRepo
 
     Nodes are ordered lexicographically by T2.  Distinct nodes i, j are
     related iff T2_i - [a] = T2_j - [b] for some labels a, b and that shared
-    system U is strong with l = 0 (the l1 rule of the module docstring).  So
-    instead of testing all N^2 pairs, each node files itself under
-    U = T2 - [a] for every a in its support, and every group of two or more
-    nodes makes one memoized strong-decomposition call for its U; a strong
-    U makes the group a clique.  The pair (a, b) is fixed by T2_i and T2_j,
-    so each related pair lies in exactly one group.  A miss starts from the
-    witness of the group's first node, whose bases nearly fit U.  The calls,
-    like the enumeration's, read the memo by the raw tuple of U, so a warm
-    ``Context`` answers them without building a System or solving a
-    partition.  Edges (i, j) have i < j and are listed by i, then j,
+    system U is strong with l = 0 (the l1 rule of the module docstring).
+    U = T2_i - [a] is strong with l = 0 exactly when a lies in the remainder
+    support of T2_i, the circuit closure of its witness
+    (``StrongDecomposition._remainder_closure``).  So each node files itself
+    under U = T2 - [a] for every a in that closure, and every group of two
+    or more nodes is a clique: the edge pass asks no strong question and
+    solves no partition.  The pair (a, b) is fixed by T2_i and T2_j, so each
+    related pair lies in exactly one group.  The witnesses are the memoized
+    outcomes of the enumeration, so a warm ``Context`` reuses their
+    closures too.  Edges (i, j) have i < j and are listed by i, then j,
     ascending.
     """
     nodes = all_good_decompositions(T, max_total)
-    ctx = T.ctx
     groups: dict[tuple, list[int]] = {}
     for i, d in enumerate(nodes):
         mult = d.T2.mult
-        for a, va in enumerate(mult, 1):
-            if va:
-                groups.setdefault(_minus(mult, a), []).append(i)
+        for a in sorted(d.witness._remainder_closure):
+            groups.setdefault(_minus(mult, a), []).append(i)
     edges = []
     parent = list(range(len(nodes)))
 
@@ -443,15 +474,13 @@ def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceRepo
             i = parent[i]
         return i
 
-    for shared, members in groups.items():
+    for members in groups.values():
         if len(members) < 2:
             continue
-        first = members[0]
-        if isinstance(_strong_outcome(ctx, shared, 0, nodes[first].witness), StrongDecomposition):
-            edges.extend((i, j) for k, i in enumerate(members) for j in members[k + 1:])
-            root = find(first)
-            for j in members[1:]:
-                parent[find(j)] = root
+        edges.extend((i, j) for k, i in enumerate(members) for j in members[k + 1:])
+        root = find(members[0])
+        for j in members[1:]:
+            parent[find(j)] = root
     edges.sort()
     classes: dict[int, list[int]] = {}
     for i in range(len(nodes)):  # ascending, so classes come in order of their least node
@@ -460,25 +489,25 @@ def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceRepo
     return EquivalenceReport(nodes=nodes, edges=tuple(edges), components=components)
 
 
-def _require_strong(T: System, l: int):
-    if find_strong_decomposition(T, l) is None:
+def _require_strong(T: System, l: int) -> StrongDecomposition:
+    """The memoized strong decomposition of T; PreconditionError if none."""
+    found = find_strong_decomposition(T, l)
+    if found is None:
         raise PreconditionError("the system is not strong for this remainder size")
+    return found
 
 
 def remainder_support(T: System, l: int) -> frozenset:
     """Labels that appear in the remainder of some strong decomposition of T.
 
-    A lift element lies in the uniform part of some partition of the lifted
-    problem exactly when it is a slack element, so the support is the image
-    of ``slack_elements`` under the lift map: one partition and one circuit
-    closure.
+    The remainder support is the circuit closure of the remainder of any
+    one strong decomposition (``StrongDecomposition._remainder_closure``),
+    so it costs the strongness check's one partition and no second lift.
     """
     if l < 1:
         raise PreconditionError("remainder support needs l >= 1")
     _check_arity(T, l)
-    _require_strong(T, l)
-    problem, fmap = _lift_problem(T, l)
-    return frozenset(fmap[e - 1] for e in slack_elements(problem))
+    return _require_strong(T, l)._remainder_closure
 
 
 @dataclass(frozen=True)
@@ -508,6 +537,16 @@ def _exchange(d: GoodDecomposition, a: int, b: int, rest: StrongDecomposition) -
     )
 
 
+def _shared_bases(X2: System, a: int, near: StrongDecomposition) -> StrongDecomposition:
+    """The strong decomposition with l = 0 of X2 - [a], for a in the
+    remainder closure of near (a strong decomposition of X2); the query
+    starts from near."""
+    rest = _strong_outcome(X2.ctx, _minus(X2.mult, a), 0, near)
+    if not isinstance(rest, StrongDecomposition):
+        raise InternalError("a label of the remainder closure left a system that is not strong")
+    return rest
+
+
 def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
     """Construct the exchange that brings the second members strictly closer.
 
@@ -522,8 +561,10 @@ def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
         leaves T2 - [a] strong, and both second members trade one a, T2 for
         that b and S2 for the least c with T1(c) < S1(c).
 
-    The strong questions go to the context's memo by the raw tuples, so a
-    probe builds no ``System``.
+    The labels with X2 - [a] strong are the remainder closure of X2's
+    memoized strong decomposition (``StrongDecomposition._remainder_closure``),
+    so the labels are picked from the two closures, and each member that
+    moves makes one l = 0 query, seeded with that decomposition.
     """
     if dT.whole != dS.whole:
         raise PreconditionError("good decompositions do not decompose the same system")
@@ -533,29 +574,26 @@ def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
     S2, T2 = dS.T2, dT.T2
     _check_arity(S2, 1)
     _check_arity(T2, 1)
-    _require_strong(S2, 1)
-    _require_strong(T2, 1)
+    near_s = _require_strong(S2, 1)
+    near_t = _require_strong(T2, 1)
     labels = ctx.matroid.ground.labels
     before = l1_distance(T2, S2)
     b = min(l for l in labels if dT.T1(l) > dS.T1(l))
-    for i in labels:
-        if T2(i) > S2(i):
-            rest = _strong_outcome(ctx, _minus(T2.mult, i), 0)
-            if isinstance(rest, StrongDecomposition):
-                moved = _exchange(dT, i, b, rest)
-                return DescentMove("surplus", moved_t=moved, moved_s=dS,
-                                   distance_before=before, distance_after=l1_distance(moved.T2, S2))
-    for a in labels:
-        rest_s = _strong_outcome(ctx, _minus(S2.mult, a), 0) if S2(a) else None
-        if isinstance(rest_s, StrongDecomposition):
-            break
-    rest_t = _strong_outcome(ctx, _minus(T2.mult, a), 0) if T2(a) else None
-    if not (isinstance(rest_s, StrongDecomposition) and isinstance(rest_t, StrongDecomposition)):
+    support_t = near_t._remainder_closure
+    surplus = [i for i in support_t if T2(i) > S2(i)]
+    if surplus:
+        i = min(surplus)
+        moved = _exchange(dT, i, b, _shared_bases(T2, i, near_t))
+        return DescentMove("surplus", moved_t=moved, moved_s=dS,
+                           distance_before=before, distance_after=l1_distance(moved.T2, S2))
+    a = min(near_s._remainder_closure)
+    if a not in support_t:
         raise InternalError(
             "neither exchange alternative is certifiable; this contradicts "
             "the remainder exchange property and signals a bug"
         )
     c = min(l for l in labels if dT.T1(l) < dS.T1(l))
-    moved_t, moved_s = _exchange(dT, a, b, rest_t), _exchange(dS, a, c, rest_s)
+    moved_t = _exchange(dT, a, b, _shared_bases(T2, a, near_t))
+    moved_s = _exchange(dS, a, c, _shared_bases(S2, a, near_s))
     return DescentMove("matched", moved_t=moved_t, moved_s=moved_s,
                        distance_before=before, distance_after=l1_distance(moved_t.T2, moved_s.T2))

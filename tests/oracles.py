@@ -19,8 +19,8 @@ product per label column, the reference for the prefix tree of
 compares the first-order terms of two pairing jets, the atomic exchange
 behind the well-definedness of the second-kind coefficients.
 ``pairwise_edges`` is one exception: it applies the pairwise l1 rule
-``locally_related`` to every pair, as the reference for the shared-member
-groups of ``equivalence_report``.  ``min_tight_subset`` maps the library's
+``locally_related`` to every pair, as the reference for the
+remainder-closure groups of ``equivalence_report``.  ``min_tight_subset`` maps the library's
 ``min_tight_set`` of the lifted problem back to labels, and
 ``matroid_to_json`` is the inverse of ``jsonio.matroid_from_json``.
 ``fraction_rref`` (Gauss-Jordan over Fraction) is the reference for the

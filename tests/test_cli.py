@@ -619,6 +619,40 @@ def test_equal_matroid_entries_share_one_instance(capsys, tmp_path, monkeypatch)
     assert len(grown) == len(set(grown)) <= 60
 
 
+def test_each_distinct_partition_entry_is_parsed_once(capsys, tmp_path, monkeypatch):
+    # ten equal entries build one LinearMatroid; the same matrix in other
+    # "p/q" words is a second entry text, built once and merged into the
+    # first instance by equality; a copy carrying a float or a JSON true
+    # beside its exact twin is still refused
+    from matpot.cli import _problem_from_json
+
+    rows = _planted_rows(random.Random(5), 64, 6, 2, 0.3)
+    doubled = [[f"{2 * Fraction(x).numerator}/{2 * Fraction(x).denominator}" for x in row] for row in rows]
+    payload = _copies_with_tail(rows, 10, 4)
+    payload["matroids"][3:3] = [{"type": "linear", "matrix": doubled}] * 2
+    built = []
+    real_init = LinearMatroid.__init__
+
+    def counting(self, matrix):
+        built.append(len(matrix))
+        real_init(self, matrix)
+
+    monkeypatch.setattr(LinearMatroid, "__init__", counting)
+    matroids = _problem_from_json(payload).matroids
+    assert built == [64, 64]
+    assert len(matroids) == 13 and all(M is matroids[0] for M in matroids[:12])
+    code, out = run_cli(capsys, ["partition"], payload, tmp_path)
+    assert code == 0 and "certificate" in json.loads(out)["result"]
+    exact = [[1, 0], [0, 1], [1, 1]]
+    for odd, message in [(1.0, "matrix entries must be exact, got 1.0"),
+                         (True, "matrix entries must be integers or 'p/q' strings")]:
+        twin = [[odd, 0], [0, 1], [1, 1]]
+        payload = {"ground": 3, "matroids": [{"type": "linear", "matrix": m} for m in (exact, exact, twin)]}
+        code, out = run_cli(capsys, ["partition"], payload, tmp_path)
+        assert code == 2
+        assert json.loads(out)["error"] == {"code": "schema", "message": message}
+
+
 def _plane_rows(rng, n, on_plane):
     """n rational rows of width 3, the first ``on_plane`` of them (before the
     shuffle) on a random plane."""

@@ -347,11 +347,18 @@ def test_equivalence_roadmap_491_nodes_match_pairwise_definition():
     ],
 )
 def test_equivalence_lookup_makes_the_pairwise_strong_queries(matroid, m, mult):
+    # the lookup makes the pairwise rule's l = 1 queries (the enumeration)
+    # and none of its l = 0 ones: the edge pass files each node under
+    # T2 - [a] for a in its witness's remainder closure, where the pairwise
+    # rule asks one l = 0 question per pair at l1 distance 2; both find the
+    # same edges
     lookup, pairwise = Context(matroid, m), Context(matroid, m)
-    equivalence_report(lookup.system(mult))
-    pairwise_edges(all_good_decompositions(pairwise.system(mult)))
-    assert set(lookup._strong_memo) == set(pairwise._strong_memo)
-    assert any(l == 0 for _, l in lookup._strong_memo)
+    report = equivalence_report(lookup.system(mult))
+    edges = pairwise_edges(all_good_decompositions(pairwise.system(mult)))
+    assert not any(l == 0 for _, l in lookup._strong_memo)
+    assert any(l == 0 for _, l in pairwise._strong_memo)
+    assert set(lookup._strong_memo) == {key for key in pairwise._strong_memo if key[1] == 1}
+    assert report.edges == edges
 
 
 def test_tight_subsets_examples(ctx_u13_m2):
@@ -576,18 +583,33 @@ def test_warm_equivalence_report_solves_no_partition(monkeypatch):
     assert len(built) == 2 * len(second.nodes) == 342
 
 
+def _seeded_shared_queries(T):
+    """The enumeration of T, then one l = 0 query per shared system
+    U = T2 - [a] that two or more nodes file under (a in the support of
+    T2), seeded from the first such node's witness."""
+    ctx = T.ctx
+    groups = {}
+    for d in all_good_decompositions(T):
+        for a in sorted(d.T2.support):
+            groups.setdefault(matpot.systems._minus(d.T2.mult, a), []).append(d)
+    for shared, members in groups.items():
+        if len(members) > 1:
+            matpot.systems._strong_outcome(ctx, shared, 0, members[0].witness)
+
+
 def _warm_contexts(linear_pairs):
-    """Contexts after the equivalence reports of the roadmap system and of
-    the small sweep: their memos hold warm-started outcomes."""
+    """Contexts after the seeded enumerations and shared l = 0 queries of
+    the roadmap system and of the small sweep: their memos hold
+    warm-started outcomes."""
     roadmap = Context(ROADMAP_MATROID, 3)
-    equivalence_report(roadmap.system((3, 2, 2, 2, 2, 2)))
+    _seeded_shared_queries(roadmap.system((3, 2, 2, 2, 2, 2)))
     contexts = [roadmap]
     for m in (1, 2):
         ctx = Context(linear_pairs, m)
         mk = m * ctx.k
         for total in range(mk + 1, mk + 3):
             for mult in _bounded_compositions(total, (total,) * ctx.n):
-                equivalence_report(ctx.system(mult))
+                _seeded_shared_queries(ctx.system(mult))
         contexts.append(ctx)
     return contexts
 
@@ -611,9 +633,9 @@ def test_warm_and_cold_strong_outcomes_agree(linear_pairs):
 
 
 def test_equivalence_report_augments_about_once_per_solve(monkeypatch):
-    # each memo miss starts from a neighbour's partition: the enumeration's
-    # from the last strong second member, the edge pass's from the witness
-    # of the group's first node; a cold start placed every unit, m * k + 1
+    # each memo miss of the enumeration starts from the last strong second
+    # member's partition, and the edge pass solves none; a cold start placed
+    # every unit, m * k + 1
     augmented, solves = [], []
     real_augment, real_solve = matpot.partition._augment, matpot.systems.solve_partition
 
@@ -651,8 +673,9 @@ def test_descent_move_stops_at_the_first_witness(monkeypatch):
 
 
 def test_remainder_support_solves_one_partition(monkeypatch):
-    # the strongness check and one partition for the slack closure, where the
-    # per-label search made |supp T| + 1 partition calls
+    # the strongness check's one partition, then the circuit closure of its
+    # decomposition's remainder, where the per-label search made
+    # |supp T| + 1 partition calls
     mult = (2, 1, 1, 1, 1, 1)
     expected = label_remainder_support(Context(ROADMAP_MATROID, 3).system(mult), 1)
     calls = []
@@ -669,7 +692,7 @@ def test_remainder_support_solves_one_partition(monkeypatch):
     counting(matpot.systems)
     counting(matpot.partition)
     assert remainder_support(Context(ROADMAP_MATROID, 3).system(mult), 1) == expected
-    assert len(calls) <= 2
+    assert len(calls) == 1
 
 
 def test_remainder_support_matches_the_brute_force_remainders():
@@ -690,6 +713,40 @@ def test_remainder_support_matches_the_brute_force_remainders():
             assert remainder_support(T, l) == expected == label_remainder_support(T, l)
             checked += 1
     assert checked >= 50
+
+
+# a U(2, 4) block, a parallel pair and a loop, as one linear matroid of rank 3
+UNIFORM_PARALLEL_LOOP = LinearMatroid(
+    [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (0, 0, 1), (0, 0, 2), (0, 0, 0)]
+)
+
+
+def test_remainder_closure_of_every_decomposition_is_the_remainder_support():
+    # the closure of each strong decomposition's remainder, for every
+    # decomposition the token assignment finds, against the union of all
+    # their remainders and the per-label strong queries
+    rng = random.Random(43)
+    ls, grown = set(), 0
+    for M in (PARALLEL_LOOP, UniformMatroid(2, 4), UNIFORM_PARALLEL_LOOP):
+        for m in (1, 2):
+            ctx = Context(M, m)
+            for _ in range(20):
+                l = rng.randint(1, 3)
+                T = ctx.zero()
+                for _ in range(m):
+                    T = T + rng.choice(ctx.base_systems)
+                for _ in range(l):
+                    T = T + ctx.unit(rng.randint(1, ctx.n))
+                found = brute_strong_decompositions(T, l)
+                expected = frozenset(j for _, rem in found for j, v in enumerate(rem, 1) if v)
+                assert expected == label_remainder_support(T, l) == remainder_support(T, l)
+                for parts, rem in found:
+                    d = StrongDecomposition.make([ctx.system(p) for p in parts], ctx.system(rem))
+                    assert d._remainder_closure == expected
+                    grown += d.remainder.support < expected
+                ls.add(l)
+    assert ls == {1, 2, 3}
+    assert grown > 50, grown
 
 
 def test_context_requires_positive_rank():
