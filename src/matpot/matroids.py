@@ -83,6 +83,12 @@ class Matroid:
     otherwise the unique circuit inside ``clazz | {y}``; it requires
     ``clazz`` to be independent, and every class raises PreconditionError
     for a dependent one.
+
+    ``rank_bound`` is an upper bound on the rank of the ground set that costs
+    no oracle call: the width of a linear matroid, l of a uniform one, the
+    base's bound for a lift and n otherwise.  An independent set of that
+    size is a basis, so the partition search asks it for exchange circuits
+    only; a subclass may lower the bound, but never below that rank.
     """
 
     def __init__(self, ground: GroundSet):
@@ -153,6 +159,11 @@ class Matroid:
                 "independent by removing nothing (hereditary axiom violated)"
             )
         return found
+
+    @property
+    def rank_bound(self) -> int:
+        """A free upper bound on the ground set's rank (see above); n here."""
+        return self.ground.n
 
     @property
     def full_rank(self) -> int:
@@ -256,6 +267,10 @@ class LinearMatroid(Matroid):
         self.width = width
         self._int_rows = tuple(_clear_denominators(row) for row in rows)
         self._echelon_cache: dict = {}
+
+    @property
+    def rank_bound(self) -> int:
+        return self.width
 
     def _subrows(self, A: frozenset):
         return [self._int_rows[i - 1] for i in sorted(A)]
@@ -375,6 +390,10 @@ class UniformMatroid(Matroid):
     def _independent(self, A: frozenset) -> bool:
         return len(A) <= self.l
 
+    @property
+    def rank_bound(self) -> int:
+        return self.l
+
     def _rank(self, A: frozenset) -> int:
         return min(len(A), self.l)
 
@@ -417,6 +436,10 @@ class LiftedMatroid(Matroid):
         base.ground.check_subset(fmap)
         self.base = base
         self.fmap = fmap
+
+    @property
+    def rank_bound(self) -> int:
+        return self.base.rank_bound
 
     def image(self, A) -> frozenset:
         A = self.ground.check_subset(A)

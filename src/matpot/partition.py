@@ -7,22 +7,28 @@ element y can enter class i directly if the class stays independent, and
 otherwise every member of the unique circuit of (class i) + y could be
 evicted to make room.  Both answers come from one call of the circuit core
 ``Matroid._circuit``, which linear matroids answer with integer dot
-products against the class's memoized reduced form.  A class the search
-grows by a y it just asked about gets its form by one fraction-free pivot
-step from the form it asked against, not by a new elimination.  The search
-holds only labels of the problem's ground set, so it calls the cores and
-memos directly and checks no label per step; the certificate and the witness are
-validated through the public oracle before they are returned.  Following a
-shortest chain of such exchanges either places the element or, when the
-search is exhausted, the set of reached elements is a certified violation
-of the counting bound
+products against the class's memoized reduced form.  A class as large as
+its matroid's ``rank_bound`` (a free upper bound on the rank) is a basis
+and cannot take y, so the search first asks only the classes below their
+bound, in class order, and asks the full ones for their exchange circuits
+only when none of those takes y; the class that takes y, and the order in
+which the circuits are enqueued, are those of a walk over every class in
+turn.  A class the search grows by a y it just asked about gets its form
+by one fraction-free pivot step from the form it asked against, not by a
+new elimination.  The search holds only labels of the problem's ground
+set, so it calls the cores and memos directly and checks no label per
+step; the certificate and the witness are validated through the public
+oracle before they are returned.  Following a shortest chain of such
+exchanges either places the element or, when the search is exhausted, the
+set of reached elements is a certified violation of the counting bound
 
     |A| <= sum_i r_i(A),
 
 because every reached element lies in the span of (class i) intersected with
 the reached set, for every i.  No class is re-checked after an exchange:
 every circuit core refuses a dependent class, which the search reports as
-an inconsistent oracle, and the final answer is validated anyway.
+an inconsistent oracle, as it does a class at its bound that takes y, and
+the final answer is validated anyway.
 
 The partial partition may be given: ``start`` seeds the first classes with
 disjoint independent sets (checked once, up front), and the loop augments
@@ -114,34 +120,60 @@ class DeficiencyWitness:
 
 
 def _augment(matroids, classes, color, e):
-    """Try to place e; returns None on success, else the reached element set."""
+    """Try to place e; returns None on success, else the reached element set.
+
+    Each dequeued y takes two passes over the other classes, in class order.
+    The first asks only the classes below their matroid's ``rank_bound``;
+    the first of them that takes y gets it.  A class at its bound is a
+    basis and cannot take y, so this is the class a walk over every class
+    would pick, and it is asked only for exchange circuits: only when no
+    class takes y does the second pass ask the full classes, reuse the
+    first pass's answers and enqueue every circuit in class order.  A full
+    class that takes y convicts the oracle.
+    """
+    bounds = [M.rank_bound for M in matroids]
     parent: dict[int, tuple[int, int]] = {}
     visited = {e}
     queue = deque([e])
     while queue:
         y = queue.popleft()
         ycls = color.get(y)
+        asked = {}
+        for i, M in enumerate(matroids):
+            if i != ycls and len(classes[i]) < bounds[i]:
+                circuit = asked[i] = _circuit(M, classes[i], y)
+                if circuit is None:
+                    _apply_chain(classes, color, parent, y, i)
+                    return None
         for i, M in enumerate(matroids):
             if i == ycls:
                 continue
-            try:
-                circuit = M._circuit(classes[i], y)
-            except PreconditionError as exc:
-                # the start is checked, and under the matroid axioms every
-                # exchange keeps the classes independent
-                raise InvalidMatroidError(
-                    "an exchange left a dependent class; the independence "
-                    "oracle is inconsistent with the matroid axioms"
-                ) from exc
+            circuit = asked.get(i)
             if circuit is None:
-                _apply_chain(classes, color, parent, y, i)
-                return None
+                circuit = _circuit(M, classes[i], y)
+                if circuit is None:
+                    raise InvalidMatroidError(
+                        "a class at its rank bound took another element; the "
+                        "independence oracle is inconsistent with the matroid axioms"
+                    )
             for z in sorted(circuit - {y}):
                 if z not in visited:
                     visited.add(z)
                     parent[z] = (y, i)
                     queue.append(z)
     return frozenset(visited)
+
+
+def _circuit(M, clazz, y):
+    try:
+        return M._circuit(clazz, y)
+    except PreconditionError as exc:
+        # the start is checked, and under the matroid axioms every exchange
+        # keeps the classes independent
+        raise InvalidMatroidError(
+            "an exchange left a dependent class; the independence "
+            "oracle is inconsistent with the matroid axioms"
+        ) from exc
 
 
 def _apply_chain(classes, color, parent, terminal, dest):

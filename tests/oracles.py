@@ -42,6 +42,10 @@ circuit vectors c_S, each basis's determinant), the reference for the
 minors table of ``ArrangementData.algebra``; ``k1_polynomial_roots`` takes the rank-1
 candidates as the roots of the expanded fiber polynomial (``np.roots``),
 the reference for the eigen solve at rank 1.
+``reference_partition`` is the earlier augmenting search, which asks every
+other class in class order for the circuit of class + y through the public
+oracle, kept as the reference for ``solve_partition``, which asks a class at
+its rank bound only when no class takes y directly.
 ``reference_descent_move`` is the earlier exchange search, kept as the
 reference for the library's ``descent_move``: it builds the full
 ``RemainderAlternative`` (two remainder supports, each label decided by its
@@ -65,6 +69,7 @@ Cauchy-Binet residue weights of ``ArrangementData._series_fiber``.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -78,6 +83,7 @@ from matpot import (
     GoodDecomposition,
     InternalError,
     LinearMatroid,
+    PartitionCertificate,
     PreconditionError,
     SchemaError,
     SizeLimitError,
@@ -281,6 +287,51 @@ def brute_partition(matroids, elements):
     """First class assignment (in lexicographic order) that partitions
     ``elements`` into independent sets, or None."""
     return next(_valid_partitions(matroids, elements), None)
+
+
+def reference_partition(problem, start=()):
+    """The partition by breadth-first augmenting exchanges that asks, for
+    each dequeued y, every class but y's own in class order for
+    ``circuit(class, y)``, and gives y to the first that answers None.
+
+    ``start`` seeds the first classes, unchecked.  Returns the
+    PartitionCertificate, or the DeficiencyWitness of the set reached when
+    an element cannot be placed, neither of them validated.
+    """
+    classes = [frozenset(part) for part in start] + [frozenset()] * (problem.m - len(start))
+    color = {e: i for i, part in enumerate(classes) for e in part}
+    for e in sorted(frozenset(problem.ground.labels) - color.keys()):
+        parent, visited, queue = {}, {e}, deque([e])
+        while queue:
+            y = queue.popleft()
+            taker = None
+            for i, M in enumerate(problem.matroids):
+                if i == color.get(y):
+                    continue
+                circuit = M.circuit(classes[i], y)
+                if circuit is None:
+                    taker = i
+                    break
+                for z in sorted(circuit - {y}):
+                    if z not in visited:
+                        visited.add(z)
+                        parent[z] = y
+                        queue.append(z)
+            if taker is not None:
+                # y enters the taker, and each element up the chain enters
+                # the class its successor left
+                while y is not None:
+                    src = color.get(y)
+                    if src is not None:
+                        classes[src] -= {y}
+                    classes[taker] |= {y}
+                    color[y] = taker
+                    y, taker = parent.get(y), src
+                break
+        else:
+            A = frozenset(visited)
+            return DeficiencyWitness(A=A, size=len(A), bound=sum(M.rank(A) for M in problem.matroids))
+    return PartitionCertificate(parts=tuple(classes))
 
 
 def brute_slack_elements(problem):

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +15,19 @@ import matpot.arrangements
 import matpot.matroids
 import matpot.partition
 import matpot.systems
-from matpot import ArrangementData, Context, LinearMatroid, __version__, critical_points, equivalence_report
+from matpot import (
+    ArrangementData,
+    Context,
+    LinearMatroid,
+    UniformMatroid,
+    __version__,
+    critical_points,
+    equivalence_report,
+    solve_partition,
+)
 from matpot.cli import main
 from matpot.jsonio import dumps_canonical
-from oracles import diagonal_diagnostics, euler_count, fraction_circuit
+from oracles import diagonal_diagnostics, euler_count, fraction_circuit, reference_partition
 
 
 def run_cli(capsys, args, payload=None, tmp_path=None):
@@ -558,8 +567,9 @@ def test_partition_golden_large(capsys, tmp_path):
 def test_partition_golden_large_eliminates_each_class_once(capsys, tmp_path, monkeypatch):
     # circuit queries build one reduced form per (matroid, class), each one
     # pivot step from the form of the class less one element when that is
-    # cached: 60 steps for 60 classes here, 10 of them from the empty form;
-    # one elimination per query made 430
+    # cached: 50 steps for 50 classes here, 10 of them from the empty form;
+    # one elimination per query made 430, and asking the classes at their
+    # rank bound before a class took the element directly grew 60
     grown = []
     real = LinearMatroid._grow
 
@@ -572,17 +582,62 @@ def test_partition_golden_large_eliminates_each_class_once(capsys, tmp_path, mon
     code, out = run_cli(capsys, ["partition"], payload, tmp_path)
     assert code == 0
     assert _result_digest(out) == "1c3014f99a6f693f1c34e72c7109b5a61bd156695fbbafbadff830c3b4013472"
-    assert len(grown) == len(set(grown)) == 60
+    assert len(grown) == len(set(grown)) == 50
     assert sum(len(C) == 1 for _, C in grown) == 10
+
+
+def test_planted_partition_asks_a_full_class_only_for_exchange_circuits(monkeypatch):
+    # a class as large as its matroid's rank is a basis and cannot take the
+    # element: the search asks it for its circuit only when no class takes
+    # the element directly.  66 linear circuit questions and 50 grown forms
+    # here; asking every class in turn took 370 and 60, with the same
+    # certificate
+    from matpot.cli import _problem_from_json
+
+    payload = _copies_with_tail(_planted_rows(random.Random(5), 64, 6, 2, 0.3), 10, 4)
+    problem = _problem_from_json(payload)
+    expected = reference_partition(_problem_from_json(payload))
+    ranks = {M: M.full_rank for M in problem.matroids}
+    asked, grown = [], []
+    real_grow = LinearMatroid._grow
+
+    def recording(real):
+        def circuit(self, C, y):
+            found = real(self, C, y)
+            asked.append((type(self), len(C) == ranks[self], y, found))
+            return found
+
+        return circuit
+
+    def growing(self, labels, form, y):
+        grown.append((id(self), frozenset(labels) | {y}))
+        return real_grow(self, labels, form, y)
+
+    for cls in (LinearMatroid, UniformMatroid):
+        monkeypatch.setattr(cls, "_circuit", recording(cls._circuit))
+    monkeypatch.setattr(LinearMatroid, "_grow", growing)
+    assert solve_partition(problem) == expected
+    assert sum(kind is LinearMatroid for kind, *_ in asked) == 66
+    assert len(grown) == len(set(grown)) == 50
+    # the questions about one dequeued element are consecutive; where a
+    # class took it directly, none went to a basis
+    runs = [list(run) for _, run in groupby(asked, key=lambda a: a[2])]
+    taken = [run for run in runs if any(found is None for *_, found in run)]
+    assert len(taken) >= 64 and not any(full for run in taken for _, full, _, _ in run)
 
 
 @pytest.mark.parametrize("seed, copies, tail", [(5, 10, 4), (6, 9, 8)])
 def test_planted_partition_circuits_match_fraction_solves(capsys, tmp_path, circuit_queries, seed, copies, tail):
     # 64 planted rows of rank 6: every circuit the search asks, and every
-    # None, against one Fraction solve of lambda R_C = r_y
+    # None, against one Fraction solve of lambda R_C = r_y; a certificate's
+    # search places most elements directly, so amin's closure, which asks
+    # the full classes of its partition, supplies the circuits there
     payload = _copies_with_tail(_planted_rows(random.Random(seed), 64, 6, 2, 0.3), copies, tail)
     code, out = run_cli(capsys, ["partition"], payload, tmp_path)
     assert code == 0
+    if "certificate" in json.loads(out)["result"]:
+        code, out = run_cli(capsys, ["amin"], payload, tmp_path)
+        assert code == 0
     answers = list(circuit_queries.values())
     assert sum(a is None for a in answers) > 50 and sum(a is not None for a in answers) > 50
     for (M, C, y), found in circuit_queries.items():

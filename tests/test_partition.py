@@ -6,6 +6,7 @@ import pytest
 
 import matpot.partition
 from matpot import (
+    Context,
     DeficiencyWitness,
     InvalidMatroidError,
     LiftedMatroid,
@@ -17,12 +18,21 @@ from matpot import (
     PreconditionError,
     SizeLimitError,
     UniformMatroid,
+    find_strong_decomposition,
     min_tight_set,
     slack_elements,
     solve_partition,
 )
+from matpot.systems import _lift_problem, _near_start
 
-from oracles import brute_partition, brute_slack_elements, fraction_circuit, rank_bound_holds, tight_sets
+from oracles import (
+    brute_partition,
+    brute_slack_elements,
+    fraction_circuit,
+    rank_bound_holds,
+    reference_partition,
+    tight_sets,
+)
 
 
 def test_certificate_example():
@@ -140,6 +150,91 @@ def test_exchange_that_leaves_a_dependent_class_convicts_the_oracle():
     P = PartitionProblem((_LyingUniform(1, 3),))
     with pytest.raises(InvalidMatroidError, match="inconsistent"):
         solve_partition(P)
+
+
+class _LyingLinear(LinearMatroid):
+    """Says a class as large as the rows' width takes one more element."""
+
+    def _circuit(self, C, y):
+        return None if len(C) == self.width else super()._circuit(C, y)
+
+
+def test_a_class_at_its_rank_bound_that_takes_an_element_convicts_the_oracle():
+    # {1, 2} spans the plane, yet the lying core lets it take 3; a class at
+    # its rank bound is asked only once no class takes the element directly,
+    # and then a None is an inconsistency, not a place for the element
+    rows = [(1, 0), (0, 1), (1, 1)]
+    for P in [
+        PartitionProblem((_LyingLinear(rows),)),
+        PartitionProblem((_LyingLinear(rows), UniformMatroid(0, 3))),
+    ]:
+        with pytest.raises(InvalidMatroidError, match="inconsistent"):
+            solve_partition(P)
+
+
+class _GenericLinear(Matroid):
+    """The matroid of ``rows`` behind the generic cores: greedy rank, the
+    circuit by single-element removals and the default rank bound n."""
+
+    def __init__(self, rows):
+        self._linear = LinearMatroid(rows)
+        super().__init__(self._linear.ground)
+
+    def _independent(self, A):
+        return self._linear._independent(A)
+
+
+def _with_tail(rng, linear):
+    """The linear matroids plus a uniform tail near the counting bound of
+    the ground set: either outcome occurs."""
+    n = linear[0].ground.n
+    room = n - sum(M.full_rank for M in linear)
+    return linear + (UniformMatroid(min(n, max(0, room + rng.randint(-2, 2))), n),)
+
+
+def _lifted_with_start(rng):
+    """The lifted problem of m bases plus l labels with one unit moved, and
+    its start from a strong decomposition of the unmoved system."""
+    n = rng.randint(4, 7)
+    M = _linear_with_repeats(rng, n, rng.randint(2, 3))
+    while M.full_rank == 0:
+        M = _linear_with_repeats(rng, n, rng.randint(2, 3))
+    ctx, l = Context(M, rng.randint(1, 3)), rng.randint(0, 2)
+    mult = [0] * n
+    for _ in range(ctx.m):
+        for j in rng.choice(M.bases()):
+            mult[j - 1] += 1
+    for _ in range(l):
+        mult[rng.randrange(n)] += 1
+    near = find_strong_decomposition(ctx.system(mult), l)
+    mult[rng.choice([j for j in range(n) if mult[j]])] -= 1
+    mult[rng.randrange(n)] += 1
+    problem, _ = _lift_problem(ctx.system(mult), l)
+    return problem, _near_start(near, tuple(mult), l)
+
+
+def test_partition_matches_the_search_that_asks_every_class():
+    # asking the classes at their rank bound only when no class takes y
+    # changes no answer: the certificate's parts, or the witness's A, size
+    # and bound, equal those of the search that asks every class in order
+    rng = random.Random(4041)
+    kinds = Counter()
+    for _ in range(40):
+        n = rng.randint(10, 30)
+        copies = (_linear_with_repeats(rng, n, rng.randint(2, 5)),) * rng.randint(1, 4)
+        first, second = (_linear_with_repeats(rng, n, rng.randint(2, 4)) for _ in range(2))
+        rows = _linear_with_repeats(rng, rng.randint(5, 10), rng.randint(2, 3)).rows
+        for family, problem, start in [
+            ("copies", PartitionProblem(_with_tail(rng, copies)), ()),
+            ("two linear", PartitionProblem(_with_tail(rng, (first,) * 2 + (second,))), ()),
+            ("lifted", *_lifted_with_start(rng)),
+            ("generic", PartitionProblem(_with_tail(rng, (_GenericLinear(rows),) * 2)), ()),
+        ]:
+            got = solve_partition(problem, start=start)
+            assert got == reference_partition(problem, start), family
+            kinds[family, type(got)] += 1
+    for family in ("copies", "two linear", "lifted", "generic"):
+        assert min(kinds[family, PartitionCertificate], kinds[family, DeficiencyWitness]) >= 3, kinds
 
 
 def test_start_completes_to_a_validated_answer(monkeypatch):
