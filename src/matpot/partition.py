@@ -17,10 +17,12 @@ turn.  A class the search grows by a y it just asked about gets its form
 by one fraction-free pivot step from the form it asked against, not by a
 new elimination.  The search holds only labels of the problem's ground
 set, so it calls the cores and memos directly and checks no label per
-step; the certificate and the witness are validated through the public
-oracle before they are returned.  Following a shortest chain of such
-exchanges either places the element or, when the search is exhausted, the
-set of reached elements is a certified violation of the counting bound
+step.  The answer is validated before it is returned: the certificate by
+comparing its parts' labels with the ground set and reading each part's
+independence memo, the witness through the public rank oracle.
+Following a shortest chain of such exchanges either places the element
+or, when the search is exhausted, the set of reached elements is a
+certified violation of the counting bound
 
     |A| <= sum_i r_i(A),
 
@@ -82,6 +84,15 @@ class PartitionProblem:
         if any(M.ground != ground for M in self.matroids):
             raise PreconditionError("all matroids must share the same ground set")
 
+    @classmethod
+    def _trusted(cls, matroids: tuple[Matroid, ...]) -> "PartitionProblem":
+        """The problem without the ground-set comparison: only for matroids
+        built over one ground set by construction (a lift's copies and a
+        uniform tail of the lift's size)."""
+        problem = object.__new__(cls)
+        problem.__dict__["matroids"] = matroids
+        return problem
+
     @property
     def ground(self):
         return self.matroids[0].ground
@@ -96,16 +107,20 @@ class PartitionCertificate:
     parts: tuple[frozenset, ...]
 
     def validate(self, problem: PartitionProblem) -> bool:
+        """The parts are disjoint, cover exactly the ground labels (ints
+        1..n) and are independent, each by its matroid's independence memo:
+        once the labels are known to be the ground set's, no part needs a
+        label check of its own."""
         if len(self.parts) != problem.m:
             return False
         seen: set = set()
-        for part, M in zip(self.parts, problem.matroids):
+        for part in self.parts:
             if part & seen:
                 return False
             seen |= part
-            if not M.is_independent(part):
-                return False
-        return seen == frozenset(problem.ground.labels)
+        if seen != frozenset(problem.ground.labels) or not all(type(e) is int for e in seen):
+            return False
+        return all(M._memo_independent(frozenset(part)) for part, M in zip(self.parts, problem.matroids))
 
 
 @dataclass(frozen=True)
@@ -203,7 +218,9 @@ def solve_partition(problem: PartitionProblem, max_size: int = 64, start: tuple 
     does not give start empty, and only the elements it leaves unplaced are
     augmented.  Returns a PartitionCertificate, or a DeficiencyWitness
     violating the counting bound.  Both are re-validated before they are
-    returned.
+    returned: the certificate on the independence memos once its labels are
+    known to be exactly the ground set's (``PartitionCertificate.validate``),
+    the witness through the public rank oracle.
     """
     S = frozenset(problem.ground.labels)
     if len(S) > max_size:

@@ -19,21 +19,25 @@ T2' = U + [r'] for one sum U of m bases.  So distinct T2, T2' are locally
 related exactly when T2' = T2 - [a] + [b] for labels a != b and
 T2 - [a] = min(T2, T2') (componentwise) is strong with l = 0: no search over
 bases.  Strong-decomposition outcomes are memoized per ``Context``, keyed by
-the raw multiplicity tuple and l: the enumeration and ``descent_move``
-look their candidates up by the tuples they already hold, and build a
-``System`` only for a memo miss (to validate it) and for the nodes they
-return.  A miss starts its lifted partition from a nearby strong
-decomposition the caller holds, not from empty: the paper's elementary
-transformations T2 -> T2 - [a] + [b] are one-unit exchanges, and an
-augmenting path absorbs one, so a miss costs about one augmentation
-instead of one per unit.
+the raw multiplicity tuple and l: the enumeration, the edge pass and
+``descent_move`` work on tuples that a validated ``System`` bounds, look
+their candidates up by those tuples and build a ``System`` only for what
+they return, through the unchecked ``_trusted``.  A miss lifts the tuple
+directly (one lift element per unit, so the label map needs no check) and
+checks its answer through the matroid's memo cores.  It starts its lifted
+partition from a nearby strong decomposition the caller holds, not from
+empty: the paper's elementary transformations T2 -> T2 - [a] + [b] are
+one-unit exchanges, and an augmenting path absorbs one, so a miss costs
+about one augmentation instead of one per unit.
 
 Which labels can sit in the remainder is a circuit closure, not a search:
 for a strong decomposition with bases B_1..B_m, they are the remainder's
 labels closed under y -> C(B_i, y) for every B_i without y
 (``StrongDecomposition._remainder_closure``, the label form of
 ``partition._uniform_closure``; any one decomposition gives the same set).
-Each memoized decomposition computes its closure once and keeps it.
+Each memoized decomposition computes its closure once and keeps it, with
+the systems T2 - [a], a in the closure, that the edge pass files it under
+(``StrongDecomposition._filing_keys``).
 
 ``equivalence_report`` materializes the graph of good decompositions with
 local relations as edges.  T2 - [a] is strong with l = 0 exactly when a is
@@ -56,9 +60,10 @@ decomposition: the strongness check's partition and no other.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, combinations, compress
 
 from .errors import (
     ArityError,
@@ -188,6 +193,18 @@ class System:
         return f"System{self.mult}"
 
 
+def _trusted(ctx: Context, mult: tuple) -> System:
+    """The System ``mult`` of ctx without the checks of ``System``: only for
+    tuples computed from an already-validated System of ctx (a composition
+    below it, a difference T - T2 >= 0, the class counts of a partition of
+    its lift)."""
+    system = object.__new__(System)
+    fields = system.__dict__
+    fields["ctx"] = ctx
+    fields["mult"] = mult
+    return system
+
+
 def l1_distance(S: System, T: System) -> int:
     """Sum of absolute multiplicity differences; a metric on systems."""
     S._check_ctx(T)
@@ -214,20 +231,42 @@ class StrongDecomposition:
 
     @property
     def total(self) -> System:
+        self._check_ctx()
+        return System(self.remainder.ctx, self._total_mult)
+
+    def _check_ctx(self):
         for p in self.parts:
             self.remainder._check_ctx(p)
+
+    @cached_property
+    def _total_mult(self) -> tuple:
         rows = (p.mult for p in self.parts)
-        return System(self.remainder.ctx, tuple(map(sum, zip(self.remainder.mult, *rows))))
+        return tuple(map(sum, zip(self.remainder.mult, *rows)))
 
     def validate(self, T: System | None = None) -> bool:
+        """m base parts, summing with the remainder to T when T is given;
+        PreconditionError when parts and remainder mix contexts."""
+        self._check_ctx()
+        if T is not None and T.ctx != self.remainder.ctx:
+            return False
+        return self._decomposes(None if T is None else T.mult)
+
+    def _decomposes(self, mult: tuple | None) -> bool:
+        """``validate`` on the labels the parts already hold, in one context:
+        each part is a base by its size, its 0/1 entries and the matroid's
+        independence memo, and the parts and remainder sum to mult unless
+        mult is None."""
         ctx = self.remainder.ctx
         if len(self.parts) != ctx.m:
             return False
-        if not all(is_base(p) for p in self.parts):
-            return False
-        if T is not None and self.total != T:
-            return False
-        return True
+        matroid, k = ctx.matroid, ctx.k
+        labels = matroid.ground.labels
+        for p in self.parts:
+            if sum(p.mult) != k or max(p.mult) > 1:
+                return False
+            if not matroid._memo_independent(frozenset(compress(labels, p.mult))):
+                return False
+        return mult is None or self._total_mult == mult
 
     @cached_property
     def _remainder_closure(self) -> frozenset:
@@ -253,6 +292,14 @@ class StrongDecomposition:
                     queue.extend(new)
         return frozenset(reached)
 
+    @cached_property
+    def _filing_keys(self) -> tuple[tuple[int, ...], ...]:
+        """total - [a] for each a of the remainder closure, ascending: the
+        shared systems U = T2 - [a] that ``equivalence_report`` files this
+        decomposition's node under.  Kept next to the closure."""
+        total = self._total_mult
+        return tuple(_minus(total, a) for a in sorted(self._remainder_closure))
+
 
 @dataclass(frozen=True)
 class SystemBoundViolation:
@@ -263,24 +310,22 @@ class SystemBoundViolation:
     bound: int
 
 
-def _lift_problem(T: System, l: int):
-    """One lift element per multiplicity unit; m lifted copies plus a uniform tail."""
-    ctx = T.ctx
-    fmap = []
-    for j, v in enumerate(T.mult, start=1):
-        fmap.extend([j] * v)
-    size = len(fmap)
-    lifted = LiftedMatroid(ctx.matroid, size, tuple(fmap))
-    matroids = (lifted,) * ctx.m + (UniformMatroid(l, size),)
-    return PartitionProblem(matroids=matroids), tuple(fmap)
+def _lift_problem(ctx: Context, mult: tuple, l: int):
+    """One lift element per multiplicity unit; m lifted copies plus a uniform
+    tail.  mult is the multiplicity tuple of a System of ctx, so the lift's
+    map and the shared ground set hold by construction and are not checked."""
+    lifted = LiftedMatroid._of_multiplicities(ctx.matroid, mult)
+    matroids = (lifted,) * ctx.m + (UniformMatroid(l, lifted.ground.n),)
+    return PartitionProblem._trusted(matroids), lifted.fmap
 
 
-def _check_arity(T: System, l: int):
+def _check_arity(ctx: Context, mult: tuple, l: int):
     if l < 0:
         raise ArityError(f"remainder size must be >= 0, got {l}")
-    expected = T.ctx.m * T.ctx.k + l
-    if T.total != expected:
-        raise ArityError(f"|T| = {T.total} but m*k + l = {expected}")
+    expected = ctx.m * ctx.k + l
+    total = sum(mult)
+    if total != expected:
+        raise ArityError(f"|T| = {total} but m*k + l = {expected}")
 
 
 def _near_start(near: StrongDecomposition, mult: tuple, l: int) -> tuple:
@@ -311,29 +356,33 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int, near: StrongDecomposition
     """The strong decomposition of the system ``mult`` of ctx, or the
     SystemBoundViolation showing none exists.
 
-    The only reader of ``ctx._strong_memo``, keyed by the raw (mult, l): a
-    hit builds nothing.  On a miss the System is built and validated, and one
-    lifted partition decides both outcomes.  ``near``, a strong
-    decomposition the caller already holds, seeds that partition
-    (``_near_start``), so a neighbour costs about one augmentation instead of
-    one per unit.  Which decomposition is returned, and which violation, may
-    therefore depend on what the context decided before; it is always a
-    valid one.
+    ``mult`` is the multiplicity tuple of a System of ctx, or a tuple
+    computed from one (a composition below it, one unit less); it is not
+    checked again.  The only reader of ``ctx._strong_memo``, keyed by the
+    raw (mult, l): a hit builds nothing.  A miss checks the arity, lifts
+    mult directly (``_lift_problem``) and decides both outcomes by one
+    lifted partition; the decomposition's parts are built by ``_trusted``
+    from the partition's class counts and checked on the memo cores
+    (``StrongDecomposition._decomposes``), the violation on the rank memo.
+    ``near``, a strong decomposition the caller already holds, seeds that
+    partition (``_near_start``), so a neighbour costs about one augmentation
+    instead of one per unit.  Which decomposition is returned, and which
+    violation, may therefore depend on what the context decided before; it
+    is always a valid one.
     """
     memo = ctx._strong_memo
     key = (mult, l)
     outcome = memo.get(key)
     if outcome is not None:
         return outcome
-    T = System(ctx, mult)
-    _check_arity(T, l)
-    problem, fmap = _lift_problem(T, l)
+    _check_arity(ctx, mult, l)
+    problem, fmap = _lift_problem(ctx, mult, l)
     start = () if near is None else _near_start(near, mult, l)
     result = solve_partition(problem, start=start)
     if isinstance(result, DeficiencyWitness):
         B = frozenset(fmap[e - 1] for e in result.A)
-        mass = sum(T(j) for j in B)
-        bound = l + ctx.m * ctx.matroid.rank(B)
+        mass = sum(mult[j - 1] for j in B)
+        bound = l + ctx.m * ctx.matroid._memo_rank(B)
         if mass <= bound:
             raise InternalError("partition witness did not project to a bound violation")
         outcome = SystemBoundViolation(B=B, mass=mass, bound=bound)
@@ -343,9 +392,9 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int, near: StrongDecomposition
             counts = [0] * ctx.n
             for e in part:
                 counts[fmap[e - 1] - 1] += 1
-            groups.append(System(ctx, tuple(counts)))
+            groups.append(_trusted(ctx, tuple(counts)))
         outcome = StrongDecomposition.make(groups[: ctx.m], groups[ctx.m])
-        if not outcome.validate(T):
+        if not outcome._decomposes(mult):
             raise InternalError("lifted partition produced an invalid strong decomposition")
     memo[key] = outcome
     return outcome
@@ -390,23 +439,45 @@ class GoodDecomposition:
 
 
 def _bounded_compositions(total: int, caps):
-    """All tuples 0 <= t_i <= caps[i] with the given sum, in lexicographic order."""
+    """All tuples 0 <= t_i <= caps[i] with the given sum, in lexicographic order.
+
+    An iterative walk: from the least such tuple, each step raises the last
+    entry that can take one unit from the entries after it, and refills
+    those with what they held less that unit, each as far right as the caps
+    let it go: the least tuple with the new prefix.
+    """
     n = len(caps)
-
-    def rec(i: int, remaining: int, prefix: tuple):
-        if i == n - 1:
-            if remaining <= caps[i]:
-                yield prefix + (remaining,)
+    if total > sum(caps):
+        return
+    t = [0] * n
+    rest = total
+    for j in range(n - 1, -1, -1):
+        t[j] = v = min(caps[j], rest)
+        rest -= v
+    while True:
+        yield tuple(t)
+        rest = 0  # the sum of the entries after i
+        for i in range(n - 1, -1, -1):
+            if rest and t[i] < caps[i]:
+                break
+            rest += t[i]
+        else:
             return
-        for v in range(min(remaining, caps[i]) + 1):
-            yield from rec(i + 1, remaining - v, prefix + (v,))
-
-    if n:
-        yield from rec(0, total, ())
+        t[i] += 1
+        rest -= 1
+        for j in range(n - 1, i, -1):
+            t[j] = v = min(caps[j], rest)
+            rest -= v
 
 
 def all_good_decompositions(T: System, max_total: int = MAX_TOTAL) -> tuple[GoodDecomposition, ...]:
-    """Every good decomposition of T, ordered lexicographically by T2."""
+    """Every good decomposition of T, ordered lexicographically by T2.
+
+    The candidates T2 are the compositions of mk + 1 below T, walked as
+    tuples and looked up by ``_strong_outcome``, each miss seeded from the
+    last strong candidate before it.  Only a strong candidate becomes a
+    node: its T2 and T1 = T - T2 are the Systems built, by ``_trusted``.
+    """
     ctx = T.ctx
     need = ctx.m * ctx.k + 1
     if T.total < need:
@@ -415,12 +486,13 @@ def all_good_decompositions(T: System, max_total: int = MAX_TOTAL) -> tuple[Good
         raise SizeLimitError(f"good-decomposition enumeration limited to |T| <= {max_total}")
     out = []
     near = None
-    for mult in _bounded_compositions(need, T.mult):
+    whole = T.mult
+    for mult in _bounded_compositions(need, whole):
         witness = _strong_outcome(ctx, mult, 1, near)
         if isinstance(witness, StrongDecomposition):
             near = witness
-            T1 = System(ctx, tuple(map(operator.sub, T.mult, mult)))
-            out.append(GoodDecomposition(T1=T1, T2=System(ctx, mult), witness=witness))
+            T1 = _trusted(ctx, tuple(map(operator.sub, whole, mult)))
+            out.append(GoodDecomposition(T1=T1, T2=_trusted(ctx, mult), witness=witness))
     return tuple(out)
 
 
@@ -455,16 +527,16 @@ def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceRepo
     or more nodes is a clique: the edge pass asks no strong question and
     solves no partition.  The pair (a, b) is fixed by T2_i and T2_j, so each
     related pair lies in exactly one group.  The witnesses are the memoized
-    outcomes of the enumeration, so a warm ``Context`` reuses their
-    closures too.  Edges (i, j) have i < j and are listed by i, then j,
-    ascending.
+    outcomes of the enumeration, and each keeps its filing keys next to its
+    closure (``StrongDecomposition._filing_keys``), so a warm ``Context``
+    files every node without building a key.  Edges (i, j) have i < j and
+    are listed by i, then j, ascending.
     """
     nodes = all_good_decompositions(T, max_total)
-    groups: dict[tuple, list[int]] = {}
+    groups: defaultdict[tuple, list[int]] = defaultdict(list)
     for i, d in enumerate(nodes):
-        mult = d.T2.mult
-        for a in sorted(d.witness._remainder_closure):
-            groups.setdefault(_minus(mult, a), []).append(i)
+        for key in d.witness._filing_keys:
+            groups[key].append(i)
     edges = []
     parent = list(range(len(nodes)))
 
@@ -477,7 +549,7 @@ def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceRepo
     for members in groups.values():
         if len(members) < 2:
             continue
-        edges.extend((i, j) for k, i in enumerate(members) for j in members[k + 1:])
+        edges.extend(combinations(members, 2))  # members ascend, so i < j
         root = find(members[0])
         for j in members[1:]:
             parent[find(j)] = root
@@ -506,7 +578,7 @@ def remainder_support(T: System, l: int) -> frozenset:
     """
     if l < 1:
         raise PreconditionError("remainder support needs l >= 1")
-    _check_arity(T, l)
+    _check_arity(T.ctx, T.mult, l)
     return _require_strong(T, l)._remainder_closure
 
 
@@ -523,17 +595,20 @@ class DescentMove:
 
 def _exchange(d: GoodDecomposition, a: int, b: int, rest: StrongDecomposition) -> GoodDecomposition:
     """d with one a moved from T2 to T1 and one b from T1 to T2, witnessed by
-    the bases of ``rest`` (a strong decomposition of T2 - [a]) plus [b]."""
+    the bases of ``rest`` (a strong decomposition of T2 - [a]) plus [b].
+    T2(a) >= 1 and T1(b) >= 1, so every new tuple is a System of d's context."""
     ctx = d.T1.ctx
     T1, T2 = list(d.T1.mult), list(d.T2.mult)
     T1[a - 1] += 1
     T1[b - 1] -= 1
     T2[a - 1] -= 1
     T2[b - 1] += 1
+    unit = [0] * ctx.n
+    unit[b - 1] = 1
     return GoodDecomposition(
-        T1=System(ctx, tuple(T1)),
-        T2=System(ctx, tuple(T2)),
-        witness=StrongDecomposition.make(rest.parts, ctx.unit(b)),
+        T1=_trusted(ctx, tuple(T1)),
+        T2=_trusted(ctx, tuple(T2)),
+        witness=StrongDecomposition.make(rest.parts, _trusted(ctx, tuple(unit))),
     )
 
 
@@ -545,6 +620,13 @@ def _shared_bases(X2: System, a: int, near: StrongDecomposition) -> StrongDecomp
     if not isinstance(rest, StrongDecomposition):
         raise InternalError("a label of the remainder closure left a system that is not strong")
     return rest
+
+
+def _whole(d: GoodDecomposition) -> tuple:
+    """The multiplicities of d.T1 + d.T2 (PreconditionError if their
+    contexts differ), without a System."""
+    d.T1._check_ctx(d.T2)
+    return tuple(map(operator.add, d.T1.mult, d.T2.mult))
 
 
 def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
@@ -566,14 +648,15 @@ def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
     so the labels are picked from the two closures, and each member that
     moves makes one l = 0 query, seeded with that decomposition.
     """
-    if dT.whole != dS.whole:
+    whole_t, whole_s = _whole(dT), _whole(dS)
+    if dT.T1.ctx != dS.T1.ctx or whole_t != whole_s:
         raise PreconditionError("good decompositions do not decompose the same system")
     if dT == dS:
         raise PreconditionError("descent move needs two distinct good decompositions")
     ctx = dT.T1.ctx
     S2, T2 = dS.T2, dT.T2
-    _check_arity(S2, 1)
-    _check_arity(T2, 1)
+    _check_arity(ctx, S2.mult, 1)
+    _check_arity(ctx, T2.mult, 1)
     near_s = _require_strong(S2, 1)
     near_t = _require_strong(T2, 1)
     labels = ctx.matroid.ground.labels

@@ -411,8 +411,8 @@ def min_tight_subset(T, l) -> frozenset:
     lift: tight lifted sets are unions of whole fibres.  Raises
     ``PreconditionError`` when T is not strong.
     """
-    _check_arity(T, l)
-    problem, fmap = _lift_problem(T, l)
+    _check_arity(T.ctx, T.mult, l)
+    problem, fmap = _lift_problem(T.ctx, T.mult, l)
     return frozenset(fmap[e - 1] for e in min_tight_set(problem))
 
 
@@ -425,7 +425,7 @@ def label_remainder_support(T: System, l: int) -> frozenset:
     """
     if l < 1:
         raise PreconditionError("remainder support needs l >= 1")
-    _check_arity(T, l)
+    _check_arity(T.ctx, T.mult, l)
     _require_strong(T, l)
     out = []
     for j in sorted(T.support):
@@ -452,8 +452,8 @@ class RemainderAlternative:
 
 def remainder_alternative(S: System, T: System) -> RemainderAlternative:
     """Decide which exchange alternative holds for strong (mk+1)-systems S, T."""
-    _check_arity(S, 1)
-    _check_arity(T, 1)
+    _check_arity(S.ctx, S.mult, 1)
+    _check_arity(T.ctx, T.mult, 1)
     _require_strong(S, 1)
     _require_strong(T, 1)
     ctx = T.ctx
@@ -584,6 +584,12 @@ def edge_components(count, edges):
                 stack.append(w)
         out.append(tuple(sorted(comp)))
     return tuple(out)
+
+
+def brute_compositions(total, caps):
+    """All tuples 0 <= t_i <= caps[i] summing to total, in lexicographic
+    order: the whole box of tuples, filtered by the sum."""
+    return [t for t in product(*(range(cap + 1) for cap in caps)) if sum(t) == total]
 
 
 def brute_good_decompositions(T):

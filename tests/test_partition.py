@@ -8,6 +8,7 @@ import matpot.partition
 from matpot import (
     Context,
     DeficiencyWitness,
+    GroundSetError,
     InvalidMatroidError,
     LiftedMatroid,
     LinearMatroid,
@@ -209,7 +210,7 @@ def _lifted_with_start(rng):
     near = find_strong_decomposition(ctx.system(mult), l)
     mult[rng.choice([j for j in range(n) if mult[j]])] -= 1
     mult[rng.randrange(n)] += 1
-    problem, _ = _lift_problem(ctx.system(mult), l)
+    problem, _ = _lift_problem(ctx, tuple(mult), l)
     return problem, _near_start(near, tuple(mult), l)
 
 
@@ -295,9 +296,10 @@ def test_start_with_a_dependent_class_is_refused():
 
 def test_partition_checks_labels_only_to_validate_its_answer(monkeypatch):
     # the exchange search holds ground-set labels and calls the exact cores;
-    # the labels are checked by the self-validation alone: m checks for a
-    # certificate, 2m (the bound and its validation) for a witness, however
-    # many exchange steps the search took
+    # the labels are checked by the witness's bound and its validation
+    # alone (2m checks), however many exchange steps the search took; a
+    # certificate's validation compares its labels with the ground set and
+    # reads the independence memos, with no label check
     checks, steps = [], []
     real_check = matpot.matroids.GroundSet.check_subset
     real_circuit = LinearMatroid._circuit
@@ -321,9 +323,40 @@ def test_partition_checks_labels_only_to_validate_its_answer(monkeypatch):
         checks.clear()
         steps.clear()
         result = solve_partition(P)
-        assert len(checks) == (P.m if isinstance(result, PartitionCertificate) else 2 * P.m)
+        assert len(checks) == (0 if isinstance(result, PartitionCertificate) else 2 * P.m)
         seen[type(result)].add(len(steps))
     assert all(len(counts) > 3 for counts in seen.values())
+
+
+def test_certificate_with_foreign_labels_gets_a_structured_answer():
+    # the check compares the parts with the ground set before it reads the
+    # independence memos, so a label outside 1..n, or a non-int equal to one,
+    # gets False (or a GroundSetError), never a core's IndexError or KeyError
+    rows = [(1, 0), (0, 1), (1, 1)]
+    problems = [
+        PartitionProblem((LinearMatroid(rows), UniformMatroid(1, 3))),
+        PartitionProblem((LiftedMatroid(LinearMatroid(rows), 3, (1, 2, 3)), UniformMatroid(1, 3))),
+        PartitionProblem((LiftedMatroid(LinearMatroid(rows[:2]), 3, (1, 2, 2)), UniformMatroid(1, 3))),
+    ]
+    parts = [
+        (frozenset({1, 2, 4}), frozenset({3})),
+        (frozenset({1, 2}), frozenset({4})),
+        (frozenset({0, 1}), frozenset({2, 3})),
+        (frozenset({1, 2}), frozenset({3, -1})),
+        (frozenset({1.0, 2}), frozenset({3})),
+        (frozenset({True, 2}), frozenset({3})),
+        (frozenset({"1", 2}), frozenset({3})),
+        (frozenset({1, 2}), frozenset()),
+    ]
+    for P in problems:
+        for cert in map(PartitionCertificate, parts):
+            try:
+                assert cert.validate(P) is False
+            except GroundSetError:
+                pass
+        assert PartitionCertificate((frozenset({1, 2}), frozenset({3}))).validate(P) is True
+    # two lift elements over one base label are dependent
+    assert PartitionCertificate((frozenset({2, 3}), frozenset({1}))).validate(problems[2]) is False
 
 
 def test_tight_sets_three_uniform():

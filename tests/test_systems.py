@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import matpot.matroids
 import matpot.partition
 import matpot.systems
 
@@ -13,6 +14,7 @@ from matpot import (
     ArityError,
     Context,
     GoodDecomposition,
+    LiftedMatroid,
     LinearMatroid,
     PreconditionError,
     StrongDecomposition,
@@ -30,6 +32,7 @@ from matpot import (
 from matpot.systems import _bounded_compositions
 
 from oracles import (
+    brute_compositions,
     brute_good_decompositions,
     brute_locally_related,
     brute_strong_decompositions,
@@ -90,6 +93,74 @@ def test_find_strong_decomposition_example(ctx_u13_m2):
     assert dec.remainder.mult == (0, 1, 0)
     key = (tuple(sorted(p.mult for p in dec.parts)), dec.remainder.mult)
     assert key in brute_strong_decompositions(T, 1)
+
+
+def test_strong_decomposition_refuses_mixed_contexts():
+    # a base of U(2, 3) next to a remainder of a matroid in which {1, 2} is
+    # dependent: with or without T, validate refuses the mix as total does
+    uniform = Context(UniformMatroid(2, 3), 1)
+    linear = Context(LinearMatroid([[1, 0], [1, 0], [0, 1]]), 1)
+    dec = StrongDecomposition.make([uniform.system((1, 1, 0))], linear.system((0, 0, 1)))
+    with pytest.raises(PreconditionError, match="different contexts"):
+        dec.validate()
+    with pytest.raises(PreconditionError, match="different contexts"):
+        dec.validate(linear.system((1, 1, 1)))
+    with pytest.raises(PreconditionError, match="different contexts"):
+        dec.total
+    same = StrongDecomposition.make([linear.system((1, 1, 0))], linear.system((0, 0, 1)))
+    assert not same.validate() and not same.validate(linear.system((1, 1, 1)))
+    good = StrongDecomposition.make([linear.system((1, 0, 1))], linear.system((0, 1, 0)))
+    assert good.validate() and good.validate(linear.system((1, 1, 1)))
+    assert not good.validate(linear.system((1, 2, 1)))
+    assert not good.validate(Context(linear.matroid, 2).system((1, 1, 1)))
+
+
+def test_composition_walk_matches_brute_force():
+    # the same tuples in the same order, on random caps with zero caps, one
+    # label, total 0 and totals above the caps' sum
+    rng = random.Random(41)
+    cases = [(0, ()), (1, ()), (0, (0, 0)), (0, (2, 1)), (3, (3,)), (4, (3,)), (2, (0, 2, 0)),
+             (5, (1, 2, 1)), (4, (1, 2, 1))]
+    for _ in range(200):
+        caps = tuple(rng.choice([0, 0, 1, 2, 3, 4]) for _ in range(rng.randint(1, 6)))
+        cases.append((rng.randint(0, sum(caps) + 2), caps))
+    assert any(total > sum(caps) for total, caps in cases)
+    assert any(not total and caps for total, caps in cases)
+    for total, caps in cases:
+        assert list(_bounded_compositions(total, caps)) == brute_compositions(total, caps), (total, caps)
+
+
+def test_cold_equivalence_report_checks_no_lift_map(monkeypatch):
+    # every miss lifts its multiplicity tuple directly: the lift's map is
+    # made of the labels 1..n, so no miss checks labels against the base
+    # ground set and the checked LiftedMatroid constructor never runs
+    ctx = Context(LinearMatroid([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (3, 1)]), 3)
+    T = ctx.system((3, 2, 2, 2, 2, 2))
+    assert ctx.k == 2
+    checks, lifts, solves = [], [], []
+    real_check, real_init = matpot.matroids.GroundSet.check_subset, LiftedMatroid.__init__
+    real_solve = matpot.systems.solve_partition
+
+    def counting_check(self, subset):
+        if self is ctx.matroid.ground:
+            checks.append(tuple(subset))
+        return real_check(self, subset)
+
+    def counting_init(self, *args):
+        lifts.append(args)
+        real_init(self, *args)
+
+    def solve(problem, *args, **kwargs):
+        solves.append(problem)
+        return real_solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(matpot.matroids.GroundSet, "check_subset", counting_check)
+    monkeypatch.setattr(LiftedMatroid, "__init__", counting_init)
+    monkeypatch.setattr(matpot.systems, "solve_partition", solve)
+    report = equivalence_report(T)
+    assert len(report.nodes) == 171 and len(report.edges) == 1310
+    assert len(solves) > 100
+    assert checks == [] and lifts == []
 
 
 def test_strong_decomposition_zero_remainder(ctx_u13_m2):
@@ -558,13 +629,14 @@ def test_descent_move_matches_the_remainder_alternative_search():
 
 def test_warm_equivalence_report_solves_no_partition(monkeypatch):
     # the second report reads every strong outcome from the context's memo
-    # by its raw tuple: no partition, and a System only for each node
-    # (T2 and T1 = T - T2)
+    # by its raw tuple: no partition, no validated System, and two Systems
+    # built unchecked per node (T2 and T1 = T - T2, tuples that T bounds)
     ctx = Context(ROADMAP_MATROID, 3)
     T = ctx.system((3, 2, 2, 2, 2, 2))
     first = equivalence_report(T)
-    solves, built = [], []
+    solves, built, trusted = [], [], []
     real_solve, real_post_init = matpot.systems.solve_partition, System.__post_init__
+    real_trusted = matpot.systems._trusted
 
     def solve(problem, *args, **kwargs):
         solves.append(problem)
@@ -574,13 +646,19 @@ def test_warm_equivalence_report_solves_no_partition(monkeypatch):
         built.append(self.mult)
         real_post_init(self)
 
+    def trusted_system(ctx, mult):
+        trusted.append(mult)
+        return real_trusted(ctx, mult)
+
     monkeypatch.setattr(matpot.systems, "solve_partition", solve)
     monkeypatch.setattr(System, "__post_init__", post_init)
+    monkeypatch.setattr(matpot.systems, "_trusted", trusted_system)
     second = equivalence_report(T)
     assert solves == []
     assert second == first
     assert [d.witness for d in second.nodes] == [d.witness for d in first.nodes]
-    assert len(built) == 2 * len(second.nodes) == 342
+    assert built == []
+    assert len(trusted) == 2 * len(second.nodes) == 342
 
 
 def _seeded_shared_queries(T):
