@@ -289,12 +289,16 @@ class ArrangementData:
         if self.count == 0:
             raise PreconditionError(NO_CRITICAL_POINTS)
         _, basis, circuits, terms, placement = self.algebra
-        values = circuits @ z
-        roundoff = self.n * np.finfo(float).eps * (np.abs(circuits) @ np.abs(z))
         with np.errstate(all="ignore"):
+            values = circuits @ z
+            # scaled before the sum, so the bound is finite wherever f_S is
+            roundoff = np.abs(circuits) @ (self.n * np.finfo(float).eps * np.abs(z))
             # C_S in quotient coordinates
             sections = terms / values[:, None] if space is None else (
                 terms[:, :, None] * space.reciprocal(space.constant(values) + circuits @ space.variables())[:, None])
+        for s in np.flatnonzero(~np.isfinite(values))[:1]:
+            labels = ", ".join(str(i) for i in np.flatnonzero(circuits[s]) + 1)
+            raise PreconditionError(f"f_S of hyperplanes {labels} overflows: the point is too large to evaluate")
         vanishing = (np.abs(values) <= roundoff) | ~np.isfinite(sections.reshape(len(values), -1)).all(axis=1)
         for s in np.flatnonzero(vanishing)[:1]:
             labels = ", ".join(str(i) for i in np.flatnonzero(circuits[s]) + 1)

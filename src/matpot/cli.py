@@ -183,8 +183,8 @@ def _cmd_potentials(args) -> dict:
     L = second_kind_truncation(structure, n_max, spread_tol=args.tol)
     return {
         "mu": structure.mu,
-        "Q": {mult_key(T): complex_to_json(c) for T, c in sorted(Q.coefficients.items())},
-        "L": {mult_key(T): complex_to_json(c) for T, c in sorted(L.coefficients.items())},
+        "Q": {mult_key(T): c for T, c in Q.coefficients.items()},
+        "L": {mult_key(T): c for T, c in L.coefficients.items()},
         "spread_max": L.spread_max,
     }
 

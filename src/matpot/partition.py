@@ -2,10 +2,11 @@
 
 ``solve_partition`` decides whether a set can be split into one independent
 set per matroid.  It grows a partial partition element by element; to place a
-new element it runs a breadth-first search over single-element exchanges: an
-element y can enter class i directly if the class stays independent, and
-otherwise every member of the unique circuit of (class i) + y could be
-evicted to make room.  Both answers come from one call of the circuit core
+new element it runs a breadth-first search over single-element exchanges
+(``_reach``, the package's one exchange-graph search): an element y can
+enter class i directly if the class stays independent, and otherwise every
+member of the unique circuit of (class i) + y could be evicted to make
+room.  Both answers come from one call of the circuit core
 ``Matroid._circuit``, which linear matroids answer with integer dot
 products against the class's memoized reduced form.  A class as large as
 its matroid's ``rank_bound`` (a free upper bound on the rank) is a basis
@@ -50,7 +51,9 @@ such a partition has |U| = l and every I_i a basis, and since
 A is tight exactly when U is inside A and every A & I_i spans A in M_i, that
 is, A contains the fundamental circuit of I_i + y for every y in A outside
 I_i.  So the closure of U under these circuits lies in every tight set; it
-is checked to be tight, hence it is the minimum.
+is checked to be tight, hence it is the minimum.  The closure is the
+exchange search seeded with U rather than with one new element, a class
+that takes a reached y being a free slot of U.
 
 The same closure R gives ``slack_elements`` (the elements some partition puts
 in U) on any ground set: its exchange chains move each member into U.  If U
@@ -61,7 +64,9 @@ form: the classes lift m bases B_i, copies of one label are parallel, so R
 read in labels is the remainder's labels closed under y -> C(B_i, y) for
 every B_i without y, and no free slot arises.  ``systems`` decides remainder
 supports and equivalence edges with that form
-(``StrongDecomposition._remainder_closure``), without a second partition.
+(``StrongDecomposition._remainder_closure``: the same search over the m
+bases, which share labels, so a class is skipped when it holds y), without
+a second partition.
 """
 
 from __future__ import annotations
@@ -134,64 +139,79 @@ class DeficiencyWitness:
         return self.size == len(self.A) and self.bound == bound and self.size > bound
 
 
-def _augment(matroids, classes, color, e):
-    """Try to place e; returns None on success, else the reached element set.
+def _reach(matroids, classes, seeds):
+    """Breadth-first search of the exchange graph from ``seeds``.
 
-    Each dequeued y takes two passes over the other classes, in class order.
-    The first asks only the classes below their matroid's ``rank_bound``;
-    the first of them that takes y gets it.  A class at its bound is a
-    basis and cannot take y, so this is the class a walk over every class
-    would pick, and it is asked only for exchange circuits: only when no
-    class takes y does the second pass ask the full classes, reuse the
-    first pass's answers and enqueue every circuit in class order.  A full
-    class that takes y convicts the oracle.
+    Each dequeued y takes two passes over the classes that do not hold it,
+    in class order.  The first asks only the classes below their matroid's
+    ``rank_bound``; the first of them that takes y ends the search.  A
+    class at its bound is a basis and cannot take y, so this is the class a
+    walk over every class would pick, and it is asked only for exchange
+    circuits: only when no class takes y does the second pass ask the full
+    classes, reuse the first pass's answers and enqueue every circuit in
+    class order.  A full class that takes y convicts the oracle.
+
+    Returns (y, i, parent) for the y that class i takes, parent mapping
+    each reached element to the (element, class) whose circuit reached it;
+    otherwise the frozenset of reached elements.  Skipping the classes that
+    hold y, not y's class, serves disjoint partition classes and bases that
+    share labels alike.
     """
-    bounds = [M.rank_bound for M in matroids]
+    # the classes do not change during a search
+    below = [i for i, M in enumerate(matroids) if len(classes[i]) < M.rank_bound]
+    asks = [(M._circuit, clazz) for M, clazz in zip(matroids, classes)]
     parent: dict[int, tuple[int, int]] = {}
-    visited = {e}
-    queue = deque([e])
-    while queue:
-        y = queue.popleft()
-        ycls = color.get(y)
-        asked = {}
-        for i, M in enumerate(matroids):
-            if i != ycls and len(classes[i]) < bounds[i]:
-                circuit = asked[i] = _circuit(M, classes[i], y)
+    visited = set(seeds)
+    queue = deque(visited)
+    try:
+        while queue:
+            y = queue.popleft()
+            asked = {}
+            for i in below:
+                ask, clazz = asks[i]
+                if y not in clazz:
+                    circuit = asked[i] = ask(clazz, y)
+                    if circuit is None:
+                        return y, i, parent
+            for i, (ask, clazz) in enumerate(asks):
+                if y in clazz:
+                    continue
+                circuit = asked.get(i)
                 if circuit is None:
-                    _apply_chain(classes, color, parent, y, i)
-                    return None
-        for i, M in enumerate(matroids):
-            if i == ycls:
-                continue
-            circuit = asked.get(i)
-            if circuit is None:
-                circuit = _circuit(M, classes[i], y)
-                if circuit is None:
-                    raise InvalidMatroidError(
-                        "a class at its rank bound took another element; the "
-                        "independence oracle is inconsistent with the matroid axioms"
-                    )
-            for z in sorted(circuit - {y}):
-                if z not in visited:
-                    visited.add(z)
-                    parent[z] = (y, i)
-                    queue.append(z)
+                    circuit = ask(clazz, y)
+                    if circuit is None:
+                        raise InvalidMatroidError(
+                            "a class at its rank bound took another element; the "
+                            "independence oracle is inconsistent with the matroid axioms"
+                        )
+                new = circuit - visited
+                if new:
+                    visited |= new
+                    parent.update(dict.fromkeys(new, (y, i)))
+                    queue.extend(sorted(new))
+    except PreconditionError as exc:
+        # every circuit core refuses a dependent class; the classes are
+        # independent under the matroid axioms
+        raise InvalidMatroidError(
+            "a class of the exchange search is dependent; the independence "
+            "oracle is inconsistent with the matroid axioms"
+        ) from exc
     return frozenset(visited)
 
 
-def _circuit(M, clazz, y):
-    try:
-        return M._circuit(clazz, y)
-    except PreconditionError as exc:
-        # the start is checked, and under the matroid axioms every exchange
-        # keeps the classes independent
-        raise InvalidMatroidError(
-            "an exchange left a dependent class; the independence "
-            "oracle is inconsistent with the matroid axioms"
-        ) from exc
+def _augment(matroids, classes, color, e):
+    """Try to place e; returns None on success, else the reached element set.
+
+    One search from e (``_reach``); when a class takes an element, the
+    chain of exchanges that led to it is applied."""
+    found = _reach(matroids, classes, (e,))
+    if isinstance(found, frozenset):
+        return found
+    _apply_chain(classes, color, *found)
+    return None
 
 
-def _apply_chain(classes, color, parent, terminal, dest):
+def _apply_chain(classes, color, terminal, dest, parent):
     moves = []
     cur, target = terminal, dest
     while True:
@@ -262,7 +282,8 @@ def _last_uniform(problem: PartitionProblem) -> UniformMatroid:
 
 def _uniform_closure(problem: PartitionProblem, no_partition: str) -> frozenset | None:
     """Solve the partition once and close its uniform part U under the
-    fundamental circuits ``M_i._circuit(I_i, y)`` of the other classes.
+    fundamental circuits ``M_i._circuit(I_i, y)`` of the other classes: one
+    exchange search from U (``_reach``).
 
     Returns None when U has a free slot: |U| < l, or some reached y fits a
     class as it stands.  Raises PreconditionError(no_partition) when no
@@ -275,20 +296,8 @@ def _uniform_closure(problem: PartitionProblem, no_partition: str) -> frozenset 
     *classes, uniform = cert.parts
     if len(uniform) < last.l:
         return None
-    reached = set(uniform)
-    queue = deque(reached)
-    while queue:
-        y = queue.popleft()
-        for M, clazz in zip(problem.matroids[:-1], classes):
-            if y in clazz:
-                continue
-            circuit = M._circuit(clazz, y)
-            if circuit is None:
-                return None
-            for z in circuit - reached:
-                reached.add(z)
-                queue.append(z)
-    return frozenset(reached)
+    reached = _reach(problem.matroids[:-1], classes, uniform)
+    return reached if isinstance(reached, frozenset) else None
 
 
 def min_tight_set(problem: PartitionProblem) -> frozenset:

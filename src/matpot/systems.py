@@ -30,11 +30,13 @@ empty: the paper's elementary transformations T2 -> T2 - [a] + [b] are
 one-unit exchanges, and an augmenting path absorbs one, so a miss costs
 about one augmentation instead of one per unit.
 
-Which labels can sit in the remainder is a circuit closure, not a search:
-for a strong decomposition with bases B_1..B_m, they are the remainder's
-labels closed under y -> C(B_i, y) for every B_i without y
-(``StrongDecomposition._remainder_closure``, the label form of
-``partition._uniform_closure``; any one decomposition gives the same set).
+Which labels can sit in the remainder is a circuit closure, not a search
+over decompositions: for a strong decomposition with bases B_1..B_m, they
+are the remainder's labels closed under y -> C(B_i, y) for every B_i
+without y (``StrongDecomposition._remainder_closure``, the label form of
+``partition._uniform_closure``: the partition's one exchange search,
+``partition._reach``, seeded with the remainder's labels over the m bases;
+any one decomposition gives the same set).
 Each memoized decomposition computes its closure once and keeps it, with
 the systems T2 - [a], a in the closure, that the edge pass files it under
 (``StrongDecomposition._filing_keys``).
@@ -68,11 +70,12 @@ from itertools import accumulate, combinations, compress
 from .errors import (
     ArityError,
     InternalError,
+    InvalidMatroidError,
     PreconditionError,
     SizeLimitError,
 )
 from .matroids import LiftedMatroid, Matroid, UniformMatroid
-from .partition import DeficiencyWitness, PartitionProblem, solve_partition
+from .partition import DeficiencyWitness, PartitionProblem, _reach, solve_partition
 
 MAX_TOTAL = 24  # largest |T| whose good decompositions are enumerated
 
@@ -277,20 +280,21 @@ class StrongDecomposition:
         This is ``partition._uniform_closure`` of the lifted problem read in
         labels: the copies of one label are parallel in the lift, so a base
         already holding y adds only y, and the B_i are bases, so every y
-        has its circuit and no free slot arises.  The circuits come from the
-        matroid's ``_circuit`` memo; the decomposition keeps the result.
+        has its circuit and no free slot arises.  It is the partition's
+        exchange search (``partition._reach``) over m copies of the matroid,
+        the bases as classes and the remainder's labels as seeds; the
+        decomposition keeps the result.
         """
         matroid = self.remainder.ctx.matroid
-        bases = [frozenset(compress(matroid.ground.labels, p.mult)) for p in self.parts]
-        reached = set(compress(matroid.ground.labels, self.remainder.mult))
-        queue = list(reached)
-        for y in queue:  # the queue grows as the loop reads it
-            for B in bases:
-                if y not in B:
-                    new = matroid._circuit(B, y) - reached
-                    reached |= new
-                    queue.extend(new)
-        return frozenset(reached)
+        labels = matroid.ground.labels
+        bases = [frozenset(compress(labels, p.mult)) for p in self.parts]
+        reached = _reach((matroid,) * len(bases), bases, compress(labels, self.remainder.mult))
+        if not isinstance(reached, frozenset):
+            raise InvalidMatroidError(
+                "a base took another element; the independence oracle is "
+                "inconsistent with the matroid axioms"
+            )
+        return reached
 
     @cached_property
     def _filing_keys(self) -> tuple[tuple[int, ...], ...]:
@@ -578,7 +582,6 @@ def remainder_support(T: System, l: int) -> frozenset:
     """
     if l < 1:
         raise PreconditionError("remainder support needs l >= 1")
-    _check_arity(T.ctx, T.mult, l)
     return _require_strong(T, l)._remainder_closure
 
 
@@ -655,8 +658,6 @@ def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
         raise PreconditionError("descent move needs two distinct good decompositions")
     ctx = dT.T1.ctx
     S2, T2 = dS.T2, dT.T2
-    _check_arity(ctx, S2.mult, 1)
-    _check_arity(ctx, T2.mult, 1)
     near_s = _require_strong(S2, 1)
     near_t = _require_strong(T2, 1)
     labels = ctx.matroid.ground.labels

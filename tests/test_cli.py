@@ -774,6 +774,23 @@ def test_k1_hyperplanes_coincident_up_to_roundoff_are_near_discriminant(capsys, 
     }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
+@pytest.mark.parametrize("x, error", [
+    # c_S . x overflows: refused as such, not read as f_S = 0
+    ([1e308, -1e308], {"code": "precondition",
+                       "message": "f_S of hyperplanes 1, 2 overflows: the point is too large to evaluate"}),
+    # f_S = 1e307 is finite and its roundoff bound is too; the Hessian
+    # -sum a / f^2 underflows at the critical point
+    ([1e308, 9e307], {"code": "near-discriminant", "message": "degenerate Hessian during Newton refinement"}),
+])
+def test_huge_basepoints_get_a_structured_refusal_without_warnings(capsys, tmp_path, command, x, error):
+    payload = {"B": [[1], [1]], "a": [1, 1], "x": x, "m": 2}
+    code, out = run_cli(capsys, [command], payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"] == error
+
+
 _DIVERGED_K2 = {
     "B": [[-1, -1], [0, 1], [0, 1], [2, 3], [1, 2], [-3, -3]],
     "a": [2, 3, 3, 3, 3, 1],

@@ -173,6 +173,27 @@ def test_a_class_at_its_rank_bound_that_takes_an_element_convicts_the_oracle():
             solve_partition(P)
 
 
+class _DependentAtWidth(LinearMatroid):
+    """Refuses a class as large as the rows' width as dependent."""
+
+    def _circuit(self, C, y):
+        if len(C) == self.width:
+            raise PreconditionError("circuit(clazz, y) needs an independent clazz")
+        return super()._circuit(C, y)
+
+
+@pytest.mark.parametrize("liar", [_LyingLinear, _DependentAtWidth])
+def test_a_class_at_its_rank_bound_that_contradicts_the_closure_convicts_the_oracle(liar):
+    # the search that finds the partition {1, 2}, {3} never asks the full
+    # class {1, 2}; the closure of {3} must ask it, and a None there, or a
+    # refusal of the independent {1, 2}, is an inconsistent oracle
+    P = PartitionProblem((liar([(1, 0), (0, 1), (1, 1)]), UniformMatroid(1, 3)))
+    assert solve_partition(P).parts == (frozenset({1, 2}), frozenset({3}))
+    for query in (min_tight_set, slack_elements):
+        with pytest.raises(InvalidMatroidError, match="inconsistent"):
+            query(P)
+
+
 class _GenericLinear(Matroid):
     """The matroid of ``rows`` behind the generic cores: greedy rank, the
     circuit by single-element removals and the default rank bound n."""
