@@ -424,10 +424,9 @@ class LiftedMatroid(Matroid):
 
     A subset A of the lift set is independent iff f restricted to A is
     injective and f(A) is independent in the base.  The rank of A equals the
-    base rank of f(A).  The map is validated once, here, unless it is built
-    from label positions (``_of_multiplicities``); the cores map their
-    labels onto the base matroid's memos and circuit core, which lifts of
-    one base share.
+    base rank of f(A).  The map is validated once, here; the cores map
+    their labels onto the base matroid's memos and circuit core, which
+    lifts of one base share.
     """
 
     def __init__(self, base: Matroid, size: int, labels_map):
@@ -438,18 +437,6 @@ class LiftedMatroid(Matroid):
         base.ground.check_subset(fmap)
         self.base = base
         self.fmap = fmap
-
-    @classmethod
-    def _of_multiplicities(cls, base: Matroid, mult) -> "LiftedMatroid":
-        """The lift with mult[j - 1] elements over each base label j, in label
-        order.  mult holds one nonnegative int per base label, not all 0;
-        the map is made of the labels 1..n themselves, so it is not checked."""
-        fmap = tuple(itertools.chain.from_iterable(map(itertools.repeat, base.ground.labels, mult)))
-        lift = cls.__new__(cls)
-        Matroid.__init__(lift, GroundSet(len(fmap)))
-        lift.base = base
-        lift.fmap = fmap
-        return lift
 
     @property
     def rank_bound(self) -> int:

@@ -33,14 +33,6 @@ every circuit core refuses a dependent class, which the search reports as
 an inconsistent oracle, as it does a class at its bound that takes y, and
 the final answer is validated anyway.
 
-The partial partition may be given: ``start`` seeds the first classes with
-disjoint independent sets (checked once, up front), and the loop augments
-only the elements they leave unplaced.  The cold call is the empty start.
-The argument above needs only independent classes, so a search that fails
-from a start still returns a certified violation.  A caller holding a
-partition of a nearby problem pays one augmentation per unplaced element
-instead of one per element.
-
 When the last matroid is uniform of rank l, call A *tight* if
 |A| = l + sum_i r_i(A) over the other matroids.  ``min_tight_set`` finds the
 least tight set from one partition (I_1, ..., I_k, U) of a tight ground set:
@@ -59,14 +51,23 @@ The same closure R gives ``slack_elements`` (the elements some partition puts
 in U) on any ground set: its exchange chains move each member into U.  If U
 has a free slot, or a reached y fits a class as it stands, any element can
 enter U; otherwise R is tight, and the inequality puts every U inside R.
-For the lift of a strong decomposition (``systems``) the closure has a label
-form: the classes lift m bases B_i, copies of one label are parallel, so R
-read in labels is the remainder's labels closed under y -> C(B_i, y) for
-every B_i without y, and no free slot arises.  ``systems`` decides remainder
-supports and equivalence edges with that form
-(``StrongDecomposition._remainder_closure``: the same search over the m
-bases, which share labels, so a class is skipped when it holds y), without
-a second partition.
+
+A strong decomposition (``systems``) is a partition of a multiset of labels
+into m bases and an l-slot remainder.  Lifting each unit to an element of its
+own makes it a matroid partition, but the copies of one label are parallel
+in the lift, so the lift's search is a search over labels paid for at the
+size of the lift.  ``systems`` runs that label search directly: the m bases
+are classes of labels, each skipped when it holds y (its lifted circuit with
+a copy of y is that pair, which reaches no new label), and the remainder is
+a class of its own kind, ``_Units`` under the matroid ``_Slots``, asked
+after the bases: a free slot takes y, a full remainder's circuit is its set
+of labels, and it never counts as holding y, since a unit of y may join a
+remainder that holds y.  A chain's moves take their source class from the
+parent pointers (``_apply_chain``), which serves classes that share labels.
+The same closure in labels, seeded with the remainder's labels over the m
+bases alone, is ``StrongDecomposition._remainder_closure``: the remainder
+supports and equivalence edges of ``systems``, with no free slot since the
+B_i are bases.
 """
 
 from __future__ import annotations
@@ -88,15 +89,6 @@ class PartitionProblem:
         ground = self.matroids[0].ground
         if any(M.ground != ground for M in self.matroids):
             raise PreconditionError("all matroids must share the same ground set")
-
-    @classmethod
-    def _trusted(cls, matroids: tuple[Matroid, ...]) -> "PartitionProblem":
-        """The problem without the ground-set comparison: only for matroids
-        built over one ground set by construction (a lift's copies and a
-        uniform tail of the lift's size)."""
-        problem = object.__new__(cls)
-        problem.__dict__["matroids"] = matroids
-        return problem
 
     @property
     def ground(self):
@@ -139,6 +131,63 @@ class DeficiencyWitness:
         return self.size == len(self.A) and self.bound == bound and self.size > bound
 
 
+MAX_SIZE = 64  # largest number of elements (units, for a strong system) a partition takes
+
+
+class _Units:
+    """A multiset of labels, a count per label: the remainder class of the
+    label search for a strong decomposition, under ``_Slots``.
+
+    ``len`` is its number of units.  It holds no label as far as the
+    search's skip is concerned (``in`` is always False): a unit of y may
+    join a remainder that holds y.  ``-`` and ``|`` with a set of labels
+    take one unit of each out and put one in, the moves of
+    ``_apply_chain``.
+    """
+
+    __slots__ = ("counts", "size", "labels")
+
+    def __init__(self, counts: dict):
+        self.counts = counts
+        self.size = sum(counts.values())
+        self.labels = frozenset(counts)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __contains__(self, y) -> bool:
+        return False
+
+    def __sub__(self, out) -> "_Units":
+        counts = dict(self.counts)
+        for y in out:
+            counts[y] -= 1
+            if not counts[y]:
+                del counts[y]
+        return _Units(counts)
+
+    def __or__(self, into) -> "_Units":
+        counts = dict(self.counts)
+        for y in into:
+            counts[y] = counts.get(y, 0) + 1
+        return _Units(counts)
+
+
+class _Slots:
+    """The matroid of a ``_Units`` class: l slots, each taking one unit of
+    any label (the uniform matroid of rank l on the units, read in labels).
+
+    A remainder below l units takes y; a full one's circuit with y is every
+    unit it holds, so the search reaches each of its labels.
+    """
+
+    def __init__(self, l: int):
+        self.rank_bound = l
+
+    def _circuit(self, units: _Units, y: int) -> frozenset | None:
+        return None if len(units) < self.rank_bound else units.labels
+
+
 def _reach(matroids, classes, seeds):
     """Breadth-first search of the exchange graph from ``seeds``.
 
@@ -155,7 +204,10 @@ def _reach(matroids, classes, seeds):
     each reached element to the (element, class) whose circuit reached it;
     otherwise the frozenset of reached elements.  Skipping the classes that
     hold y, not y's class, serves disjoint partition classes and bases that
-    share labels alike.
+    share labels alike.  The classes are frozensets of labels, or, for the
+    remainder of a strong decomposition, a ``_Units`` under ``_Slots``,
+    which holds no y and is the last class: a free slot ends the search,
+    and a full remainder's circuit is its set of labels.
     """
     # the classes do not change during a search
     below = [i for i, M in enumerate(matroids) if len(classes[i]) < M.rank_bound]
@@ -199,65 +251,51 @@ def _reach(matroids, classes, seeds):
     return frozenset(visited)
 
 
-def _augment(matroids, classes, color, e):
-    """Try to place e; returns None on success, else the reached element set.
+def _augment(matroids, classes, e):
+    """Try to place one unplaced e; returns None on success, else the
+    reached element set.
 
     One search from e (``_reach``); when a class takes an element, the
     chain of exchanges that led to it is applied."""
     found = _reach(matroids, classes, (e,))
     if isinstance(found, frozenset):
         return found
-    _apply_chain(classes, color, *found)
+    _apply_chain(classes, *found)
     return None
 
 
-def _apply_chain(classes, color, terminal, dest, parent):
-    moves = []
+def _apply_chain(classes, terminal, dest, parent):
+    """Move terminal into class dest and each element up the chain into the
+    class its successor left.  An element leaves the class whose circuit
+    reached it (its parent pointer); the seed, with no pointer, leaves
+    none."""
     cur, target = terminal, dest
     while True:
-        src = color.get(cur)
-        moves.append((cur, src, target))
-        if src is None:
-            break
-        pred, cls = parent[cur]
-        if cls != src:
-            raise InternalError("exchange chain lost track of class membership")
-        cur, target = pred, src
-    for element, src, dst in moves:
+        reached = parent.get(cur)
+        src = None if reached is None else reached[1]
         if src is not None:
-            classes[src] -= {element}
-        classes[dst] |= {element}
-        color[element] = dst
+            classes[src] -= {cur}
+        classes[target] |= {cur}
+        if reached is None:
+            return
+        cur, target = reached[0], src
 
 
-def solve_partition(problem: PartitionProblem, max_size: int = 64, start: tuple = ()):
+def solve_partition(problem: PartitionProblem, max_size: int = MAX_SIZE):
     """Partition the ground set across the matroids.
 
-    ``start`` holds disjoint classes for the first matroids, each
-    independent in its matroid (PreconditionError otherwise); the classes it
-    does not give start empty, and only the elements it leaves unplaced are
-    augmented.  Returns a PartitionCertificate, or a DeficiencyWitness
-    violating the counting bound.  Both are re-validated before they are
-    returned: the certificate on the independence memos once its labels are
-    known to be exactly the ground set's (``PartitionCertificate.validate``),
-    the witness through the public rank oracle.
+    Returns a PartitionCertificate, or a DeficiencyWitness violating the
+    counting bound.  Both are re-validated before they are returned: the
+    certificate on the independence memos once its labels are known to be
+    exactly the ground set's (``PartitionCertificate.validate``), the
+    witness through the public rank oracle.
     """
     S = frozenset(problem.ground.labels)
     if len(S) > max_size:
         raise SizeLimitError(f"partition limited to {max_size} elements, got {len(S)}")
-    if len(start) > problem.m:
-        raise PreconditionError(f"a start of {len(start)} classes for {problem.m} matroids")
-    classes = [frozenset(part) for part in start] + [frozenset()] * (problem.m - len(start))
-    color: dict[int, int] = {}
-    for i, M in enumerate(problem.matroids[: len(start)]):
-        part = classes[i]
-        if not part <= S or not M._memo_independent(part):
-            raise PreconditionError(f"start class {i} is not an independent set of its matroid")
-        for e in part:
-            if color.setdefault(e, i) != i:
-                raise PreconditionError(f"element {e!r} starts in two classes")
-    for e in sorted(S - color.keys()):
-        reached = _augment(problem.matroids, classes, color, e)
+    classes = [frozenset()] * problem.m
+    for e in sorted(S):
+        reached = _augment(problem.matroids, classes, e)
         if reached is not None:
             bound = sum(M.rank(reached) for M in problem.matroids)
             witness = DeficiencyWitness(A=reached, size=len(reached), bound=bound)

@@ -6,8 +6,9 @@ integer vector.  Relative to a matroid of rank k and a number of blocks m:
   * a *base* is a k-system whose support is a maximal independent set
     (all multiplicities 0/1);
   * a *strong decomposition* of an (mk+l)-system is a split into m bases
-    plus an l-system remainder; existence is decided by lifting the matroid
-    to one lift element per multiplicity unit and running matroid partition;
+    plus an l-system remainder; existence is decided by the matroid
+    partition's exchange search run on labels, m classes of labels and a
+    remainder class that counts units;
   * a *good decomposition* of T splits it as T1 + T2 with T2 a strong
     (mk+1)-system;
   * two good decompositions are *locally related* when their second members
@@ -22,13 +23,16 @@ bases.  Strong-decomposition outcomes are memoized per ``Context``, keyed by
 the raw multiplicity tuple and l: the enumeration, the edge pass and
 ``descent_move`` work on tuples that a validated ``System`` bounds, look
 their candidates up by those tuples and build a ``System`` only for what
-they return, through the unchecked ``_trusted``.  A miss lifts the tuple
-directly (one lift element per unit, so the label map needs no check) and
-checks its answer through the matroid's memo cores.  It starts its lifted
-partition from a nearby strong decomposition the caller holds, not from
-empty: the paper's elementary transformations T2 -> T2 - [a] + [b] are
-one-unit exchanges, and an augmenting path absorbs one, so a miss costs
-about one augmentation instead of one per unit.
+they return, through the unchecked ``_trusted``.  A miss places the
+tuple's units in m base classes (frozensets of labels) and a remainder
+that counts units per label, one exchange search (``partition._reach``)
+per unit, and checks its answer through the matroid's memo cores.  This is
+the partition of the lift (one element per unit) without the lift: the
+copies of a label are parallel there, so its search is this label search
+at the size of the lift.  A miss starts from a nearby strong decomposition
+the caller holds, not from empty: the paper's elementary transformations
+T2 -> T2 - [a] + [b] are one-unit exchanges, and an augmenting path absorbs
+one, so a miss costs about one augmentation instead of one per unit.
 
 Which labels can sit in the remainder is a circuit closure, not a search
 over decompositions: for a strong decomposition with bases B_1..B_m, they
@@ -56,7 +60,7 @@ l1 metric while staying inside one equivalence class; it picks its labels
 from the remainder closures of the two second members and makes one l = 0
 query, seeded from that member's decomposition, per member it moves.
 ``remainder_support`` is the remainder closure of one strong
-decomposition: the strongness check's partition and no other.
+decomposition: the strongness check's search and no other.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, combinations, compress
+from itertools import combinations, compress
 
 from .errors import (
     ArityError,
@@ -74,8 +78,8 @@ from .errors import (
     PreconditionError,
     SizeLimitError,
 )
-from .matroids import LiftedMatroid, Matroid, UniformMatroid
-from .partition import DeficiencyWitness, PartitionProblem, _reach, solve_partition
+from .matroids import Matroid
+from .partition import MAX_SIZE, _augment, _reach, _Slots, _Units
 
 MAX_TOTAL = 24  # largest |T| whose good decompositions are enumerated
 
@@ -199,8 +203,7 @@ class System:
 def _trusted(ctx: Context, mult: tuple) -> System:
     """The System ``mult`` of ctx without the checks of ``System``: only for
     tuples computed from an already-validated System of ctx (a composition
-    below it, a difference T - T2 >= 0, the class counts of a partition of
-    its lift)."""
+    below it, a difference T - T2 >= 0, the classes of its strong search)."""
     system = object.__new__(System)
     fields = system.__dict__
     fields["ctx"] = ctx
@@ -277,12 +280,12 @@ class StrongDecomposition:
         remainder: the remainder's labels closed under y -> C(B_i, y) for
         every base B_i without y.
 
-        This is ``partition._uniform_closure`` of the lifted problem read in
-        labels: the copies of one label are parallel in the lift, so a base
-        already holding y adds only y, and the B_i are bases, so every y
-        has its circuit and no free slot arises.  It is the partition's
-        exchange search (``partition._reach``) over m copies of the matroid,
-        the bases as classes and the remainder's labels as seeds; the
+        This is ``partition._uniform_closure`` read in labels, as the strong
+        search is the lifted partition read in labels: a base already
+        holding y is skipped, and the B_i are bases, so every y has its
+        circuit and no free slot arises.  It is the partition's exchange
+        search (``partition._reach``) over m copies of the matroid, the
+        bases as classes and the remainder's labels as seeds; the
         decomposition keeps the result.
         """
         matroid = self.remainder.ctx.matroid
@@ -314,15 +317,6 @@ class SystemBoundViolation:
     bound: int
 
 
-def _lift_problem(ctx: Context, mult: tuple, l: int):
-    """One lift element per multiplicity unit; m lifted copies plus a uniform
-    tail.  mult is the multiplicity tuple of a System of ctx, so the lift's
-    map and the shared ground set hold by construction and are not checked."""
-    lifted = LiftedMatroid._of_multiplicities(ctx.matroid, mult)
-    matroids = (lifted,) * ctx.m + (UniformMatroid(l, lifted.ground.n),)
-    return PartitionProblem._trusted(matroids), lifted.fmap
-
-
 def _check_arity(ctx: Context, mult: tuple, l: int):
     if l < 0:
         raise ArityError(f"remainder size must be >= 0, got {l}")
@@ -332,28 +326,50 @@ def _check_arity(ctx: Context, mult: tuple, l: int):
         raise ArityError(f"|T| = {total} but m*k + l = {expected}")
 
 
-def _near_start(near: StrongDecomposition, mult: tuple, l: int) -> tuple:
-    """Start classes of the lifted problem of (mult, l) taken from near.
+def _strong_search(ctx: Context, mult: tuple, l: int, near: StrongDecomposition | None):
+    """The classes of a strong decomposition of the system ``mult``: m
+    frozensets of labels, each a base, and the remainder as a ``_Units``;
+    or the frozenset of labels reached by the search for a unit that
+    cannot be placed.
 
-    The lift elements of each label go, in order, to the parts of near that
-    hold the label, then to near's remainder (seeded only when it fits the
-    l slots), capped at the label's multiplicity in mult.  Each class is a
-    subset of a base or of the remainder, so it is independent.
+    The classes start from near when it is given: the units of each label
+    go, in order, to the parts of near that hold the label, then to near's
+    remainder (seeded only when it fits the l slots), capped at the label's
+    multiplicity in mult.  Each base class is a subset of a base of near,
+    and is checked to be independent.  Every unit left unplaced, label by
+    label, gets one exchange search (``partition._augment``) over the m
+    bases and the l slots.
     """
-    rows = [p.mult for p in near.parts]
-    if near.remainder.total <= l:
-        rows.append(near.remainder.mult)
-    free = list(accumulate(mult, initial=1))  # the next unseeded lift element of each label
-    stop = free[1:]
-    classes = []
-    for row in rows:
-        clazz = []
-        for j in compress(range(len(row)), row):
-            e = free[j]
-            free[j] = min(e + row[j], stop[j])
-            clazz.extend(range(e, free[j]))
-        classes.append(frozenset(clazz))
-    return tuple(classes)
+    matroid, m = ctx.matroid, ctx.m
+    labels = matroid.ground.labels
+    left = list(mult)  # the units of each label not placed yet
+    units = {}
+    if near is None:
+        classes = [frozenset()] * m
+    else:
+        classes = []
+        for i, part in enumerate(near.parts):
+            clazz = frozenset(j for j in compress(labels, part.mult) if left[j - 1])
+            if not matroid._memo_independent(clazz):
+                raise PreconditionError(f"start class {i} is not an independent set of its matroid")
+            for j in clazz:
+                left[j - 1] -= 1
+            classes.append(clazz)
+        rest = near.remainder.mult
+        if sum(rest) <= l:
+            for j in compress(labels, rest):
+                v = min(rest[j - 1], left[j - 1])
+                if v:
+                    units[j] = v
+                    left[j - 1] -= v
+    classes.append(_Units(units))
+    matroids = (matroid,) * m + (_Slots(l),)
+    for j in compress(labels, left):
+        for _ in range(left[j - 1]):
+            reached = _augment(matroids, classes, j)
+            if reached is not None:
+                return reached
+    return classes
 
 
 def _strong_outcome(ctx: Context, mult: tuple, l: int, near: StrongDecomposition | None = None):
@@ -363,16 +379,16 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int, near: StrongDecomposition
     ``mult`` is the multiplicity tuple of a System of ctx, or a tuple
     computed from one (a composition below it, one unit less); it is not
     checked again.  The only reader of ``ctx._strong_memo``, keyed by the
-    raw (mult, l): a hit builds nothing.  A miss checks the arity, lifts
-    mult directly (``_lift_problem``) and decides both outcomes by one
-    lifted partition; the decomposition's parts are built by ``_trusted``
-    from the partition's class counts and checked on the memo cores
-    (``StrongDecomposition._decomposes``), the violation on the rank memo.
-    ``near``, a strong decomposition the caller already holds, seeds that
-    partition (``_near_start``), so a neighbour costs about one augmentation
-    instead of one per unit.  Which decomposition is returned, and which
-    violation, may therefore depend on what the context decided before; it
-    is always a valid one.
+    raw (mult, l): a hit builds nothing.  A miss checks the arity and the
+    size limit of a partition (m k + l units) and decides both outcomes by
+    one label search (``_strong_search``); the decomposition's parts are
+    built by ``_trusted`` from its classes and checked on the memo cores
+    (``StrongDecomposition._decomposes``), the violation, the labels the
+    failed search reached, on the rank memo.  ``near``, a strong
+    decomposition the caller already holds, seeds the classes, so a
+    neighbour costs about one augmentation instead of one per unit.  Which
+    decomposition is returned, and which violation, may therefore depend on
+    what the context decided before; it is always a valid one.
     """
     memo = ctx._strong_memo
     key = (mult, l)
@@ -380,26 +396,28 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int, near: StrongDecomposition
     if outcome is not None:
         return outcome
     _check_arity(ctx, mult, l)
-    problem, fmap = _lift_problem(ctx, mult, l)
-    start = () if near is None else _near_start(near, mult, l)
-    result = solve_partition(problem, start=start)
-    if isinstance(result, DeficiencyWitness):
-        B = frozenset(fmap[e - 1] for e in result.A)
-        mass = sum(mult[j - 1] for j in B)
-        bound = l + ctx.m * ctx.matroid._memo_rank(B)
+    size = ctx.m * ctx.k + l
+    if size > MAX_SIZE:
+        raise SizeLimitError(f"partition limited to {MAX_SIZE} elements, got {size}")
+    found = _strong_search(ctx, mult, l, near)
+    if isinstance(found, frozenset):
+        mass = sum(mult[j - 1] for j in found)
+        bound = l + ctx.m * ctx.matroid._memo_rank(found)
         if mass <= bound:
-            raise InternalError("partition witness did not project to a bound violation")
-        outcome = SystemBoundViolation(B=B, mass=mass, bound=bound)
+            raise InternalError("the labels the strong search reached violate no bound")
+        outcome = SystemBoundViolation(B=found, mass=mass, bound=bound)
     else:
-        groups = []
-        for part in result.parts:
-            counts = [0] * ctx.n
-            for e in part:
-                counts[fmap[e - 1] - 1] += 1
-            groups.append(_trusted(ctx, tuple(counts)))
-        outcome = StrongDecomposition.make(groups[: ctx.m], groups[ctx.m])
+        *bases, units = found
+        parts = []
+        for B in bases:
+            row = [0] * ctx.n
+            for j in B:
+                row[j - 1] = 1
+            parts.append(_trusted(ctx, tuple(row)))
+        rest = tuple(units.counts.get(j, 0) for j in ctx.matroid.ground.labels)
+        outcome = StrongDecomposition.make(parts, _trusted(ctx, rest))
         if not outcome._decomposes(mult):
-            raise InternalError("lifted partition produced an invalid strong decomposition")
+            raise InternalError("the strong search produced an invalid strong decomposition")
     memo[key] = outcome
     return outcome
 
@@ -578,7 +596,7 @@ def remainder_support(T: System, l: int) -> frozenset:
 
     The remainder support is the circuit closure of the remainder of any
     one strong decomposition (``StrongDecomposition._remainder_closure``),
-    so it costs the strongness check's one partition and no second lift.
+    so it costs the strongness check's one search and no second one.
     """
     if l < 1:
         raise PreconditionError("remainder support needs l >= 1")

@@ -46,6 +46,11 @@ the reference for the eigen solve at rank 1.
 other class in class order for the circuit of class + y through the public
 oracle, kept as the reference for ``solve_partition``, which asks a class at
 its rank bound only when no class takes y directly.
+``reference_strong_outcome`` decides a strong question the earlier way, by
+one partition of the lift (``lift_problem``: one element per multiplicity
+unit, m lifted copies of the matroid and a uniform tail of rank l), the
+reference for the label search of ``systems._strong_outcome``;
+``near_start`` is that lift's start from a nearby strong decomposition.
 ``reference_descent_move`` is the earlier exchange search, kept as the
 reference for the library's ``descent_move``: it builds the full
 ``RemainderAlternative`` (two remainder supports, each label decided by its
@@ -82,8 +87,10 @@ from matpot import (
     DiscriminantError,
     GoodDecomposition,
     InternalError,
+    LiftedMatroid,
     LinearMatroid,
     PartitionCertificate,
+    PartitionProblem,
     PreconditionError,
     SchemaError,
     SizeLimitError,
@@ -97,7 +104,7 @@ from matpot import (
 )
 from matpot.arrangements import FamilyAlgebra
 from matpot.matroids import _eliminate
-from matpot.systems import _check_arity, _lift_problem, _require_strong
+from matpot.systems import SystemBoundViolation, _check_arity, _require_strong
 
 
 def subsets(elems):
@@ -402,6 +409,60 @@ def locally_related(d1, d2) -> bool:
     return find_strong_decomposition(shared, 0) is not None
 
 
+def lift_problem(ctx, mult, l):
+    """The lifted partition problem of the system ``mult``, l: one lift
+    element per multiplicity unit, in label order, m lifted copies of the
+    matroid and a uniform tail of rank l; with the lift's label map."""
+    fmap = tuple(j for j, v in enumerate(mult, 1) for _ in range(v))
+    lifted = LiftedMatroid(ctx.matroid, len(fmap), fmap)
+    return PartitionProblem((lifted,) * ctx.m + (UniformMatroid(l, len(fmap)),)), fmap
+
+
+def near_start(near, mult, l) -> tuple:
+    """Start classes of the lifted problem of (mult, l) taken from near: the
+    lift elements of each label go, in order, to the parts of near that hold
+    the label, then to near's remainder (only when it fits the l slots),
+    capped at the label's multiplicity in mult."""
+    rows = [p.mult for p in near.parts]
+    if near.remainder.total <= l:
+        rows.append(near.remainder.mult)
+    first = [1]
+    for v in mult:
+        first.append(first[-1] + v)
+    free = first[:-1]  # the next unseeded lift element of each label
+    classes = []
+    for row in rows:
+        clazz = []
+        for j, v in enumerate(row):
+            take = min(v, first[j + 1] - free[j])
+            clazz.extend(range(free[j], free[j] + take))
+            free[j] += take
+        classes.append(frozenset(clazz))
+    return tuple(classes)
+
+
+def reference_strong_outcome(ctx, mult, l, near=None):
+    """The strong question of ``mult``, l decided by one partition of the
+    lift (``reference_partition``, started from ``near_start`` when near is
+    given): the StrongDecomposition of the lifted classes' label counts, or
+    the SystemBoundViolation of the labels the failed search reached."""
+    _check_arity(ctx, mult, l)
+    problem, fmap = lift_problem(ctx, mult, l)
+    start = () if near is None else near_start(near, mult, l)
+    result = reference_partition(problem, start)
+    if isinstance(result, DeficiencyWitness):
+        B = frozenset(fmap[e - 1] for e in result.A)
+        mass = sum(mult[j - 1] for j in B)
+        return SystemBoundViolation(B=B, mass=mass, bound=l + ctx.m * ctx.matroid.rank(B))
+    groups = []
+    for part in result.parts:
+        counts = [0] * ctx.n
+        for e in part:
+            counts[fmap[e - 1] - 1] += 1
+        groups.append(ctx.system(counts))
+    return StrongDecomposition.make(groups[: ctx.m], groups[ctx.m])
+
+
 def min_tight_subset(T, l) -> frozenset:
     """The least subset B of supp T whose T-mass equals l + m * r(B).
 
@@ -412,7 +473,7 @@ def min_tight_subset(T, l) -> frozenset:
     ``PreconditionError`` when T is not strong.
     """
     _check_arity(T.ctx, T.mult, l)
-    problem, fmap = _lift_problem(T.ctx, T.mult, l)
+    problem, fmap = lift_problem(T.ctx, T.mult, l)
     return frozenset(fmap[e - 1] for e in min_tight_set(problem))
 
 

@@ -216,14 +216,15 @@ def test_strong_decompose_both_outcomes(capsys, tmp_path):
 
 
 def test_strong_decompose_solves_one_partition(capsys, tmp_path, monkeypatch):
+    # one label search decides the question; the violation is its memo hit
     calls = []
-    solve = matpot.systems.solve_partition
+    search = matpot.systems._strong_search
 
-    def counting(problem, *args, **kwargs):
-        calls.append(problem)
-        return solve(problem, *args, **kwargs)
+    def counting(ctx, mult, l, near):
+        calls.append(mult)
+        return search(ctx, mult, l, near)
 
-    monkeypatch.setattr(matpot.systems, "solve_partition", counting)
+    monkeypatch.setattr(matpot.systems, "_strong_search", counting)
     payload = {
         "matroid": {"type": "linear", "matrix": [[1, 0], [2, 0], [0, 1]]},
         "m": 2,
@@ -234,6 +235,32 @@ def test_strong_decompose_solves_one_partition(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert json.loads(out)["result"]["decomposition"] is None
     assert len(calls) == 1
+
+
+def test_strong_decompose_refuses_more_units_than_a_partition_takes(capsys, tmp_path, monkeypatch):
+    # 65 units pass the arity check (m k + l = 30 * 2 + 5) and are refused
+    # with the partition's size limit before any search; 64 are decided
+    augmented = []
+    augment = matpot.systems._augment
+
+    def counting(*args):
+        augmented.append(1)
+        return augment(*args)
+
+    monkeypatch.setattr(matpot.systems, "_augment", counting)
+    payload = {"matroid": {"type": "uniform", "l": 2, "n": 4}, "m": 30, "l": 5, "T": [17, 16, 16, 16]}
+    code, out = run_cli(capsys, ["strong-decompose"], payload, tmp_path)
+    assert code == 2
+    assert out == (
+        '{"command":"strong-decompose","error":{"code":"size-limit",'
+        '"message":"partition limited to 64 elements, got 65"},"version":"%s"}\n' % __version__
+    )
+    assert augmented == []
+    payload.update(l=4, T=[16, 16, 16, 16])
+    code, out = run_cli(capsys, ["strong-decompose"], payload, tmp_path)
+    assert code == 0
+    assert sum(json.loads(out)["result"]["decomposition"]["remainder"]) == 4
+    assert len(augmented) == 64
 
 
 def test_matroid_queries(capsys, tmp_path):

@@ -280,15 +280,15 @@ def test_second_kind_jet_candidates_follow_the_good_decompositions(all_structure
 
 def test_potentials_make_no_partition_solves(monkeypatch):
     # both tables read the sums of m bases off the structure's one Context
-    # instead of asking the partition solver which systems are strong
+    # instead of asking the strong search which systems are strong
     solves = []
-    real = matpot.systems.solve_partition
+    real = matpot.systems._strong_search
 
     def counting(*args, **kwargs):
         solves.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(matpot.systems, "solve_partition", counting)
+    monkeypatch.setattr(matpot.systems, "_strong_search", counting)
     F = structure_from_arrangement(_REPRODUCER, 2)
     assert F.context() is F.context()
     first_kind_polynomial(F)

@@ -12,24 +12,21 @@ from matpot import (
     InvalidMatroidError,
     LiftedMatroid,
     LinearMatroid,
-    MatpotError,
     Matroid,
     PartitionCertificate,
     PartitionProblem,
     PreconditionError,
     SizeLimitError,
     UniformMatroid,
-    find_strong_decomposition,
     min_tight_set,
     slack_elements,
     solve_partition,
 )
-from matpot.systems import _lift_problem, _near_start
-
 from oracles import (
     brute_partition,
     brute_slack_elements,
     fraction_circuit,
+    lift_problem,
     rank_bound_holds,
     reference_partition,
     tight_sets,
@@ -214,9 +211,8 @@ def _with_tail(rng, linear):
     return linear + (UniformMatroid(min(n, max(0, room + rng.randint(-2, 2))), n),)
 
 
-def _lifted_with_start(rng):
-    """The lifted problem of m bases plus l labels with one unit moved, and
-    its start from a strong decomposition of the unmoved system."""
+def _lifted(rng):
+    """The lifted problem of m bases plus l labels with one unit moved."""
     n = rng.randint(4, 7)
     M = _linear_with_repeats(rng, n, rng.randint(2, 3))
     while M.full_rank == 0:
@@ -228,11 +224,9 @@ def _lifted_with_start(rng):
             mult[j - 1] += 1
     for _ in range(l):
         mult[rng.randrange(n)] += 1
-    near = find_strong_decomposition(ctx.system(mult), l)
     mult[rng.choice([j for j in range(n) if mult[j]])] -= 1
     mult[rng.randrange(n)] += 1
-    problem, _ = _lift_problem(ctx, tuple(mult), l)
-    return problem, _near_start(near, tuple(mult), l)
+    return lift_problem(ctx, tuple(mult), l)[0]
 
 
 def test_partition_matches_the_search_that_asks_every_class():
@@ -246,73 +240,17 @@ def test_partition_matches_the_search_that_asks_every_class():
         copies = (_linear_with_repeats(rng, n, rng.randint(2, 5)),) * rng.randint(1, 4)
         first, second = (_linear_with_repeats(rng, n, rng.randint(2, 4)) for _ in range(2))
         rows = _linear_with_repeats(rng, rng.randint(5, 10), rng.randint(2, 3)).rows
-        for family, problem, start in [
-            ("copies", PartitionProblem(_with_tail(rng, copies)), ()),
-            ("two linear", PartitionProblem(_with_tail(rng, (first,) * 2 + (second,))), ()),
-            ("lifted", *_lifted_with_start(rng)),
-            ("generic", PartitionProblem(_with_tail(rng, (_GenericLinear(rows),) * 2)), ()),
+        for family, problem in [
+            ("copies", PartitionProblem(_with_tail(rng, copies))),
+            ("two linear", PartitionProblem(_with_tail(rng, (first,) * 2 + (second,)))),
+            ("lifted", _lifted(rng)),
+            ("generic", PartitionProblem(_with_tail(rng, (_GenericLinear(rows),) * 2))),
         ]:
-            got = solve_partition(problem, start=start)
-            assert got == reference_partition(problem, start), family
+            got = solve_partition(problem)
+            assert got == reference_partition(problem), family
             kinds[family, type(got)] += 1
     for family in ("copies", "two linear", "lifted", "generic"):
         assert min(kinds[family, PartitionCertificate], kinds[family, DeficiencyWitness]) >= 3, kinds
-
-
-def test_start_completes_to_a_validated_answer(monkeypatch):
-    # a partial partition (a solved partition with elements dropped) is
-    # completed by augmenting only the elements it leaves unplaced; a
-    # complete start needs no augmentation, and an infeasible problem still
-    # gets a certified witness
-    augmented = []
-    real = matpot.partition._augment
-
-    def counting(matroids, classes, color, e):
-        augmented.append(e)
-        return real(matroids, classes, color, e)
-
-    monkeypatch.setattr(matpot.partition, "_augment", counting)
-    rng = random.Random(1729)
-    kinds = Counter()
-    for _ in range(80):
-        n = rng.randint(2, 9)
-        P = PartitionProblem(tuple(_random_matroid(rng, n) for _ in range(rng.randint(1, 3))))
-        cold = solve_partition(P)
-        if isinstance(cold, PartitionCertificate):
-            kept = [frozenset(e for e in part if rng.random() < 0.6) for part in cold.parts]
-            start = tuple(kept[: rng.randint(0, P.m)])
-            augmented.clear()
-            warm = solve_partition(P, start=start)
-            assert isinstance(warm, PartitionCertificate) and warm.validate(P)
-            placed = frozenset().union(*start)
-            assert sorted(augmented) == sorted(frozenset(P.ground.labels) - placed)
-            augmented.clear()
-            assert solve_partition(P, start=cold.parts) == cold
-            assert augmented == []
-            kinds["certificate"] += 1
-        else:
-            start = tuple(M.max_independent_subset(range(1, min(n, 3) + 1)) for M in P.matroids[:1])
-            warm = solve_partition(P, start=start)
-            assert isinstance(warm, DeficiencyWitness) and warm.validate(P)
-            kinds["witness"] += 1
-    assert min(kinds.values()) >= 10, kinds
-
-
-def test_start_with_a_dependent_class_is_refused():
-    rows = [(1, 0), (2, 0), (0, 1)]  # labels 1 and 2 are parallel
-    P = PartitionProblem((LinearMatroid(rows), UniformMatroid(2, 3)))
-    for start in [
-        (frozenset({1, 2}),),  # dependent: a parallel pair
-        (frozenset({3}), frozenset({1, 2, 3})),  # dependent: three in a rank-2 uniform class
-        (frozenset({1, 3}), frozenset({3})),  # 3 starts in two classes
-        (frozenset({4}),),  # 4 is not in the ground set
-        (frozenset(), frozenset(), frozenset()),  # more classes than matroids
-    ]:
-        with pytest.raises(MatpotError):
-            solve_partition(P, start=start)
-    # a dependent class that leaves nothing to augment is refused too
-    with pytest.raises(PreconditionError):
-        solve_partition(P, start=(frozenset({1, 2}), frozenset({3})))
 
 
 def test_partition_checks_labels_only_to_validate_its_answer(monkeypatch):

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -29,7 +30,7 @@ from matpot import (
     remainder_support,
     strong_deficiency_witness,
 )
-from matpot.systems import _bounded_compositions
+from matpot.systems import SystemBoundViolation, _bounded_compositions, _strong_outcome
 
 from oracles import (
     brute_compositions,
@@ -42,6 +43,7 @@ from oracles import (
     min_tight_subset,
     pairwise_edges,
     reference_descent_move,
+    reference_strong_outcome,
     remainder_alternative,
     tight_subsets,
 )
@@ -131,15 +133,14 @@ def test_composition_walk_matches_brute_force():
 
 
 def test_cold_equivalence_report_checks_no_lift_map(monkeypatch):
-    # every miss lifts its multiplicity tuple directly: the lift's map is
-    # made of the labels 1..n, so no miss checks labels against the base
-    # ground set and the checked LiftedMatroid constructor never runs
+    # every miss searches its multiplicity tuple in labels: no lift is
+    # built, and no miss checks labels against the ground set
     ctx = Context(LinearMatroid([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (3, 1)]), 3)
     T = ctx.system((3, 2, 2, 2, 2, 2))
     assert ctx.k == 2
-    checks, lifts, solves = [], [], []
+    checks, lifts, searches = [], [], []
     real_check, real_init = matpot.matroids.GroundSet.check_subset, LiftedMatroid.__init__
-    real_solve = matpot.systems.solve_partition
+    real_search = matpot.systems._strong_search
 
     def counting_check(self, subset):
         if self is ctx.matroid.ground:
@@ -150,16 +151,16 @@ def test_cold_equivalence_report_checks_no_lift_map(monkeypatch):
         lifts.append(args)
         real_init(self, *args)
 
-    def solve(problem, *args, **kwargs):
-        solves.append(problem)
-        return real_solve(problem, *args, **kwargs)
+    def search(ctx, mult, l, near):
+        searches.append(mult)
+        return real_search(ctx, mult, l, near)
 
     monkeypatch.setattr(matpot.matroids.GroundSet, "check_subset", counting_check)
     monkeypatch.setattr(LiftedMatroid, "__init__", counting_init)
-    monkeypatch.setattr(matpot.systems, "solve_partition", solve)
+    monkeypatch.setattr(matpot.systems, "_strong_search", search)
     report = equivalence_report(T)
     assert len(report.nodes) == 171 and len(report.edges) == 1310
-    assert len(solves) > 100
+    assert len(searches) > 100
     assert checks == [] and lifts == []
 
 
@@ -629,18 +630,19 @@ def test_descent_move_matches_the_remainder_alternative_search():
 
 def test_warm_equivalence_report_solves_no_partition(monkeypatch):
     # the second report reads every strong outcome from the context's memo
-    # by its raw tuple: no partition, no validated System, and two Systems
-    # built unchecked per node (T2 and T1 = T - T2, tuples that T bounds)
+    # by its raw tuple: no strong search, no validated System, and two
+    # Systems built unchecked per node (T2 and T1 = T - T2, tuples that T
+    # bounds)
     ctx = Context(ROADMAP_MATROID, 3)
     T = ctx.system((3, 2, 2, 2, 2, 2))
     first = equivalence_report(T)
-    solves, built, trusted = [], [], []
-    real_solve, real_post_init = matpot.systems.solve_partition, System.__post_init__
+    searches, built, trusted = [], [], []
+    real_search, real_post_init = matpot.systems._strong_search, System.__post_init__
     real_trusted = matpot.systems._trusted
 
-    def solve(problem, *args, **kwargs):
-        solves.append(problem)
-        return real_solve(problem, *args, **kwargs)
+    def search(ctx, mult, l, near):
+        searches.append(mult)
+        return real_search(ctx, mult, l, near)
 
     def post_init(self):
         built.append(self.mult)
@@ -650,11 +652,11 @@ def test_warm_equivalence_report_solves_no_partition(monkeypatch):
         trusted.append(mult)
         return real_trusted(ctx, mult)
 
-    monkeypatch.setattr(matpot.systems, "solve_partition", solve)
+    monkeypatch.setattr(matpot.systems, "_strong_search", search)
     monkeypatch.setattr(System, "__post_init__", post_init)
     monkeypatch.setattr(matpot.systems, "_trusted", trusted_system)
     second = equivalence_report(T)
-    assert solves == []
+    assert searches == []
     assert second == first
     assert [d.witness for d in second.nodes] == [d.witness for d in first.nodes]
     assert built == []
@@ -692,6 +694,116 @@ def _warm_contexts(linear_pairs):
     return contexts
 
 
+def _random_strong_question(rng):
+    """A context of rank 1-3 (uniform, or linear with small integer rows),
+    m 1-3, l 0-3, and a system of m k + l units drawn label by label."""
+    k, n = rng.randint(1, 3), rng.randint(2, 6)
+    if rng.random() < 0.3:
+        matroid = UniformMatroid(min(k, n), n)
+    else:
+        matroid = LinearMatroid([[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)])
+        while matroid.full_rank == 0:
+            matroid = LinearMatroid([[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)])
+    ctx, l = Context(matroid, rng.randint(1, 3)), rng.randint(0, 3)
+    mult = [0] * n
+    for _ in range(ctx.m * ctx.k + l):
+        mult[rng.randrange(n)] += 1
+    return ctx, tuple(mult), l
+
+
+def _moved(rng, mult):
+    """mult with one unit moved to a random label."""
+    out = list(mult)
+    out[rng.choice([j for j, v in enumerate(out) if v])] -= 1
+    out[rng.randrange(len(out))] += 1
+    return tuple(out)
+
+
+def test_strong_search_matches_the_lifted_partition():
+    # the label search decides every question as the partition of the lift
+    # did, cold and seeded from a neighbour's decomposition: the same
+    # decomposition or violation as the lifted search from the same start
+    rng = random.Random(4300)
+    kinds = Counter()
+    for _ in range(2000):
+        ctx, mult, l = _random_strong_question(rng)
+        cold = _strong_outcome(Context(ctx.matroid, ctx.m), mult, l)
+        assert cold == reference_strong_outcome(ctx, mult, l), (ctx.matroid, ctx.m, mult, l)
+        kinds["cold", type(cold)] += 1
+        near = _strong_outcome(Context(ctx.matroid, ctx.m), _moved(rng, mult), l)
+        if isinstance(near, StrongDecomposition):
+            warm = _strong_outcome(Context(ctx.matroid, ctx.m), mult, l, near)
+            assert warm == reference_strong_outcome(ctx, mult, l, near), (ctx.matroid, ctx.m, mult, l, near)
+            assert type(warm) is type(cold)
+            kinds["seeded", type(warm)] += 1
+    for start in ("cold", "seeded"):
+        assert min(kinds[start, StrongDecomposition], kinds[start, SystemBoundViolation]) >= 80, kinds
+
+
+@pytest.mark.parametrize("rows, m, l, mult", [
+    ([[-2], [-1], [2], [2]], 1, 3, (0, 0, 3, 1)),
+    ([[2, -1], [2, 2], [-1, 1]], 1, 3, (1, 1, 3)),
+])
+def test_the_remainder_takes_a_label_it_holds(rows, m, l, mult):
+    # a second unit of a label a base holds has only the remainder to go
+    # to, and the remainder is asked although it holds that label
+    ctx = Context(LinearMatroid(rows), m)
+    dec = _strong_outcome(ctx, mult, l)
+    assert isinstance(dec, StrongDecomposition) and dec.validate(ctx.system(mult))
+    assert dec == reference_strong_outcome(ctx, mult, l)
+    brute = brute_strong_decompositions(ctx.system(mult), l)
+    assert (tuple(p.mult for p in dec.parts), dec.remainder.mult) in brute
+    if mult == (0, 0, 3, 1):
+        assert [p.mult for p in dec.parts] == [(0, 0, 1, 0)] and dec.remainder.mult == (0, 0, 2, 1)
+
+
+def test_near_start_augments_only_the_units_it_leaves_unplaced(monkeypatch):
+    # near's parts and fitting remainder seed the classes, capped by mult;
+    # only the units they leave unplaced are augmented, a decomposition of
+    # mult itself leaves none, and a failed search still gets a certified
+    # violation
+    augmented = []
+    real = matpot.systems._augment
+
+    def counting(matroids, classes, e):
+        augmented.append(e)
+        return real(matroids, classes, e)
+
+    monkeypatch.setattr(matpot.systems, "_augment", counting)
+    rng = random.Random(1729)
+    kinds = Counter()
+    while min(kinds["decomposition"], kinds["violation"]) < 20:
+        ctx, mult, l = _random_strong_question(rng)
+        near = _strong_outcome(Context(ctx.matroid, ctx.m), _moved(rng, mult), l)
+        if not isinstance(near, StrongDecomposition):
+            continue
+        seeded = [sum(p.mult[j] for p in near.parts) + near.remainder.mult[j] for j in range(ctx.n)]
+        augmented.clear()
+        warm = _strong_outcome(Context(ctx.matroid, ctx.m), mult, l, near)
+        T = ctx.system(mult)
+        if isinstance(warm, StrongDecomposition):
+            assert warm.validate(T) and warm.remainder.total == l
+            unplaced = sorted(j for j in ctx.matroid.ground.labels for _ in range(mult[j - 1] - seeded[j - 1]))
+            assert sorted(augmented) == unplaced
+            augmented.clear()
+            assert _strong_outcome(Context(ctx.matroid, ctx.m), mult, l, warm) == warm
+            assert augmented == []
+            kinds["decomposition"] += 1
+        else:
+            assert warm.bound == l + ctx.m * ctx.matroid.rank(warm.B) < warm.mass
+            assert warm.mass == sum(T(j) for j in warm.B)
+            kinds["violation"] += 1
+
+
+def test_near_start_with_a_dependent_part_is_refused():
+    ctx = Context(LinearMatroid([(1, 0), (2, 0), (0, 1)]), 1)  # labels 1 and 2 are parallel
+    near = StrongDecomposition(parts=(System(ctx, (1, 1, 0)),), remainder=System(ctx, (0, 0, 1)))
+    # the seeded classes place every unit of (1, 1, 1), and all but one of (1, 1, 2)
+    for mult, l in [((1, 1, 1), 1), ((1, 1, 2), 2)]:
+        with pytest.raises(PreconditionError, match="start class 0 is not an independent set"):
+            _strong_outcome(ctx, mult, l, near)
+
+
 def test_warm_and_cold_strong_outcomes_agree(linear_pairs):
     # every outcome a warm start decided, against a fresh Context; the warm
     # answer may be another decomposition or violation, never another verdict
@@ -712,25 +824,25 @@ def test_warm_and_cold_strong_outcomes_agree(linear_pairs):
 
 def test_equivalence_report_augments_about_once_per_solve(monkeypatch):
     # each memo miss of the enumeration starts from the last strong second
-    # member's partition, and the edge pass solves none; a cold start placed
-    # every unit, m * k + 1
-    augmented, solves = [], []
-    real_augment, real_solve = matpot.partition._augment, matpot.systems.solve_partition
+    # member's decomposition, and the edge pass searches none; a cold start
+    # placed every unit, m * k + 1
+    augmented, searches = [], []
+    real_augment, real_search = matpot.systems._augment, matpot.systems._strong_search
 
     def augment(*args):
         augmented.append(1)
         return real_augment(*args)
 
-    def solve(problem, *args, **kwargs):
-        solves.append(kwargs.get("start", ()))
-        return real_solve(problem, *args, **kwargs)
+    def search(ctx, mult, l, near):
+        searches.append(near)
+        return real_search(ctx, mult, l, near)
 
-    monkeypatch.setattr(matpot.partition, "_augment", augment)
-    monkeypatch.setattr(matpot.systems, "solve_partition", solve)
+    monkeypatch.setattr(matpot.systems, "_augment", augment)
+    monkeypatch.setattr(matpot.systems, "_strong_search", search)
     report = equivalence_report(Context(ROADMAP_MATROID, 3).system((3, 2, 2, 2, 2, 2)))
     assert len(report.nodes) == 171
-    assert len(augmented) < 2 * len(solves)
-    assert sum(not start for start in solves) == 1  # only the first solve is cold
+    assert len(augmented) < 2 * len(searches)
+    assert sum(near is None for near in searches) == 1  # only the first miss is cold
 
 
 def test_descent_move_stops_at_the_first_witness(monkeypatch):
@@ -751,26 +863,26 @@ def test_descent_move_stops_at_the_first_witness(monkeypatch):
 
 
 def test_remainder_support_solves_one_partition(monkeypatch):
-    # the strongness check's one partition, then the circuit closure of its
+    # the strongness check's one search, then the circuit closure of its
     # decomposition's remainder, where the per-label search made
-    # |supp T| + 1 partition calls
+    # |supp T| + 1 strong queries; no partition of a lift is solved
     mult = (2, 1, 1, 1, 1, 1)
     expected = label_remainder_support(Context(ROADMAP_MATROID, 3).system(mult), 1)
     calls = []
 
-    def counting(module):
-        real = module.solve_partition
+    def counting(module, name):
+        real = getattr(module, name)
 
-        def solve(problem, *args, **kwargs):
-            calls.append(problem)
-            return real(problem, *args, **kwargs)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, "solve_partition", solve)
+        monkeypatch.setattr(module, name, call)
 
-    counting(matpot.systems)
-    counting(matpot.partition)
+    counting(matpot.systems, "_strong_search")
+    counting(matpot.partition, "solve_partition")
     assert remainder_support(Context(ROADMAP_MATROID, 3).system(mult), 1) == expected
-    assert len(calls) == 1
+    assert calls == ["_strong_search"]
 
 
 def test_remainder_support_matches_the_brute_force_remainders():
