@@ -44,7 +44,7 @@ from .frobenius import (
     second_kind_truncation,
     verify_axioms,
 )
-from .matroids import GroundSet, LiftedMatroid, LinearMatroid, Matroid, UniformMatroid
+from .matroids import GroundSet, LinearMatroid, Matroid, UniformMatroid
 from .partition import (
     DeficiencyWitness,
     PartitionCertificate,

@@ -95,8 +95,28 @@ def _base_point(z, n: int) -> np.ndarray:
     return z
 
 
+def _double(num: int, den: int, what: str, *args) -> float:
+    """num / den as a float, or SizeLimitError when it does not round to a
+    finite double or, nonzero, rounds to 0.0; the message names the entry
+    by ``what.format(*args)``, formatted only for a refusal."""
+    try:
+        value = num / den
+    except OverflowError:
+        value = 0.0
+    if num and not value:
+        raise SizeLimitError(f"{what.format(*args)} is outside the range of a double")
+    return value
+
+
 class ArrangementData:
-    """A weighted arrangement family at its basepoint, with its fiber and jets."""
+    """A weighted arrangement family at its basepoint, with its fiber and jets.
+
+    The exact entries of B and a, and the exact quantities the family reads
+    from them as floats (circuit coefficients, normal forms, squared
+    minors), must round to finite doubles, nonzero ones to nonzero doubles:
+    SizeLimitError otherwise, raised where the float is formed (B and a
+    here, the others when the algebra or the pairing jets are built).
+    """
 
     def __init__(self, matrix, weights, basepoint):
         self.matroid = vector_matroid(matrix)
@@ -108,13 +128,15 @@ class ArrangementData:
         weights = tuple(weights)
         if len(weights) != self.n:
             raise GroundSetError(f"need {self.n} weights, got {len(weights)}")
-        if any(complex(w) == 0 for w in weights):
-            raise GroundSetError("weights must be nonzero")
         self.weights = weights
         self.weights_exact = tuple(Fraction(w) if isinstance(w, (int, Fraction)) else None for w in weights)
+        self.a = np.array([complex(w) if e is None else _double(e.numerator, e.denominator, "a[{}]", i)
+                           for i, (w, e) in enumerate(zip(weights, self.weights_exact), 1)], dtype=complex)
+        if not self.a.all():
+            raise GroundSetError("weights must be nonzero")
         self.basepoint = _base_point(basepoint, self.n)
-        self.B = np.array([[complex(v) for v in row] for row in self.matrix])
-        self.a = np.array([complex(w) for w in weights])
+        self.B = np.array([[_double(v.numerator, v.denominator, "B[{}][{}]", i, j) for j, v in enumerate(row, 1)]
+                           for i, row in enumerate(self.matrix, 1)], dtype=complex)
 
     @cached_property
     def minors(self) -> dict:
@@ -223,7 +245,7 @@ class ArrangementData:
         normal = np.zeros((mu, nb))
         normal[range(mu), free] = 1.0
         for p, row in zip(pivots, m):
-            normal[:, p] = [-v / last for v in row[P:]]
+            normal[:, p] = [_double(-v, last, "the normal form of C_I for I = {}", bases[p]) for v in row[P:]]
         sets, vectors, found = [], [], []  # found: (s, i - 1, C_{S - i}) for every label i of S's circuit
         for S in combinations(range(1, n + 1), k + 1):
             c = [0] * n
@@ -234,7 +256,13 @@ class ArrangementData:
             if any(c):
                 sets.append(S)
                 vectors.append(c)
-        circuits = np.array(vectors, dtype=float).reshape(-1, n)
+        try:
+            circuits = np.array(vectors, dtype=float).reshape(-1, n)
+        except OverflowError:
+            for S, c in zip(sets, vectors):
+                for i, v in enumerate(c, 1):
+                    _double(v, 1, "the circuit coefficient of hyperplane {} in S = {}", i, S)
+            raise
         S_, I_, rest = np.array(found, dtype=np.intp).reshape(-1, 3).T
         terms = np.zeros((len(sets), nb), dtype=complex)
         terms[S_, rest] = circuits[S_, I_] * self.a[I_]
@@ -252,7 +280,8 @@ class ArrangementData:
         """det(B_I)^2 = D_I^2 / prod_{i in I} lcm_i^2 for the bases I of
         ``algebra``, exact until one int / int rounding, for the Cauchy-Binet
         Hessian determinant of the residue weights; only the jets read it."""
-        return np.array([self.minors[I] ** 2 / math.prod(self.lcms[i - 1] for i in I) ** 2 for I in self.algebra.bases])
+        return np.array([_double(self.minors[I] ** 2, math.prod(self.lcms[i - 1] for i in I) ** 2, "det(B_I)^2 for I = {}", I)
+                         for I in self.algebra.bases])
 
     @cached_property
     def B_pinv(self) -> np.ndarray:

@@ -26,11 +26,13 @@ from .jsonio import (
     matroid_from_json,
     mult_key,
     parse_complex,
+    parse_matrix,
     parse_rational,
     require,
     subset_to_json,
 )
 from .partition import (
+    MAX_SIZE,
     DeficiencyWitness,
     PartitionProblem,
     min_tight_set,
@@ -164,7 +166,7 @@ def _cmd_strong_decompose(args) -> dict:
 
 
 def _arrangement_from_json(obj) -> tuple[ArrangementData, int]:
-    matrix = [[parse_rational(v) for v in row] for row in require(obj, "B", list, "arrangement")]
+    matrix = parse_matrix(obj, "B", "arrangement")
     weights = [parse_rational(v) for v in require(obj, "a", list, "arrangement")]
     x = [parse_complex(v) for v in require(obj, "x", list, "arrangement")]
     m = require(obj, "m", int, "arrangement")
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="partition the ground set across matroids")
     common(p)
-    p.add_argument("--bound", type=int, default=64, help="max ground-set size")
+    p.add_argument("--bound", type=int, default=MAX_SIZE, help="max ground-set size")
     p.set_defaults(handler=_cmd_partition)
 
     p = sub.add_parser("amin", help="minimal tight set and slack elements")

@@ -85,16 +85,25 @@ def parse_rational(value) -> Fraction:
     raise SchemaError(f"matrix entries must be exact, got {value!r}")
 
 
+def parse_matrix(obj: dict, key: str, what: str) -> list[list[Fraction]]:
+    """The exact rows of ``obj[key]``: a nonempty array of arrays of exact
+    literals (``parse_rational``).  Anything else, a row that is a number,
+    null or a string of digits among them, is a SchemaError."""
+    matrix = obj.get(key)
+    if not isinstance(matrix, list) or not matrix:
+        raise SchemaError(f'{what} needs a nonempty "{key}"')
+    for i, row in enumerate(matrix, 1):
+        if not isinstance(row, list):
+            raise SchemaError(f'{what}: row {i} of "{key}" is not an array')
+    return [[parse_rational(v) for v in row] for row in matrix]
+
+
 def matroid_from_json(obj) -> Matroid:
     if not isinstance(obj, dict) or "type" not in obj:
         raise SchemaError('matroid JSON needs a "type" field')
     kind = obj["type"]
     if kind == "linear":
-        matrix = obj.get("matrix")
-        if not isinstance(matrix, list) or not matrix:
-            raise SchemaError('linear matroid needs a nonempty "matrix"')
-        rows = [[parse_rational(v) for v in row] for row in matrix]
-        return LinearMatroid(rows)
+        return LinearMatroid(parse_matrix(obj, "matrix", "linear matroid"))
     if kind == "uniform":
         return UniformMatroid(require(obj, "l", int, "uniform matroid"), require(obj, "n", int, "uniform matroid"))
     raise SchemaError(f"unknown matroid type {kind!r}")

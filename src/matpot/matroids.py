@@ -6,8 +6,8 @@ once, with ``GroundSet.check_subset``, and answer independence and rank
 from per-instance memos, because the partition search re-queries the same
 sets heavily.  Subclasses implement only exact cores on validated
 frozensets: ``_independent``, ``_rank`` and ``_circuit``.  Package code
-that already holds validated labels (a lift reaching its base, the
-partition search and its certificate check, a strong decomposition's
+that already holds validated labels (the partition search and its
+certificate check, the strong search, a strong decomposition's
 self-check) calls the memos and cores directly.
 
 Linear matroids are read as exact rationals; each row is then scaled by the
@@ -23,10 +23,9 @@ the class's labels.  A new element is then decided by integer dot products
 of its row with the form's columns, and the same products with the tag
 columns give its circuit; no elimination runs per query.  The class's cache
 entry keeps each element's answer (its circuit, or None), so a repeated
-(class, element) question computes nothing.  Uniform
-and lifted matroids keep no circuit memo: a uniform answer costs less than a
-lookup, and a lifted query reaches its base matroid's memo.  The caches rely
-on the atomicity of single dict operations, so concurrent use at worst
+(class, element) question computes nothing.  Uniform matroids keep no
+circuit memo: their answer costs less than a lookup.  The caches rely on
+the atomicity of single dict operations, so concurrent use at worst
 recomputes a value.
 """
 
@@ -86,10 +85,10 @@ class Matroid:
     for a dependent one.
 
     ``rank_bound`` is an upper bound on the rank of the ground set that costs
-    no oracle call: the width of a linear matroid, l of a uniform one, the
-    base's bound for a lift and n otherwise.  An independent set of that
-    size is a basis, so the partition search asks it for exchange circuits
-    only; a subclass may lower the bound, but never below that rank.
+    no oracle call: the width of a linear matroid, l of a uniform one and n
+    otherwise.  An independent set of that size is a basis, so the
+    partition search asks it for exchange circuits only; a subclass may
+    lower the bound, but never below that rank.
     """
 
     def __init__(self, ground: GroundSet):
@@ -114,7 +113,7 @@ class Matroid:
         return self._circuit(frozenset(labels[:-1]), y)
 
     # the memos, for the public methods and for package code that holds
-    # validated labels (a lift's base, the partition search)
+    # validated labels (the partition and strong searches)
 
     def _memo_independent(self, A: frozenset) -> bool:
         hit = self._indep_cache.get(A)
@@ -418,61 +417,3 @@ class UniformMatroid(Matroid):
     def __repr__(self):
         return f"UniformMatroid(l={self.l}, n={self.ground.n})"
 
-
-class LiftedMatroid(Matroid):
-    """Pullback of a matroid along a map f from a lift set onto base labels.
-
-    A subset A of the lift set is independent iff f restricted to A is
-    injective and f(A) is independent in the base.  The rank of A equals the
-    base rank of f(A).  The map is validated once, here; the cores map
-    their labels onto the base matroid's memos and circuit core, which
-    lifts of one base share.
-    """
-
-    def __init__(self, base: Matroid, size: int, labels_map):
-        super().__init__(GroundSet(size))
-        fmap = tuple(labels_map)
-        if len(fmap) != size:
-            raise GroundSetError(f"label map must have length {size}")
-        base.ground.check_subset(fmap)
-        self.base = base
-        self.fmap = fmap
-
-    @property
-    def rank_bound(self) -> int:
-        return self.base.rank_bound
-
-    def image(self, A) -> frozenset:
-        A = self.ground.check_subset(A)
-        return frozenset(self.fmap[e - 1] for e in A)
-
-    def _independent(self, A: frozenset) -> bool:
-        imgs = frozenset(self.fmap[e - 1] for e in A)
-        return len(imgs) == len(A) and self.base._memo_independent(imgs)
-
-    def _rank(self, A: frozenset) -> int:
-        return self.base._memo_rank(frozenset(self.fmap[e - 1] for e in A))
-
-    def _circuit(self, C: frozenset, y: int) -> frozenset | None:
-        label = self.fmap[y - 1]
-        back = {self.fmap[z - 1]: z for z in C}
-        if len(back) < len(C):  # two labels of the class share a base label
-            raise PreconditionError("circuit(clazz, y) needs an independent clazz")
-        if back.get(label, y) != y:
-            return frozenset({y, back[label]})
-        found = self.base._circuit(frozenset(back), label)
-        back[label] = y
-        return None if found is None else frozenset(back[b] for b in found)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LiftedMatroid)
-            and self.base == other.base
-            and self.fmap == other.fmap
-        )
-
-    def __hash__(self):
-        return hash(("lifted", self.base, self.fmap))
-
-    def __repr__(self):
-        return f"LiftedMatroid({self.base!r}, size={self.ground.n})"

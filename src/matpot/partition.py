@@ -51,23 +51,6 @@ The same closure R gives ``slack_elements`` (the elements some partition puts
 in U) on any ground set: its exchange chains move each member into U.  If U
 has a free slot, or a reached y fits a class as it stands, any element can
 enter U; otherwise R is tight, and the inequality puts every U inside R.
-
-A strong decomposition (``systems``) is a partition of a multiset of labels
-into m bases and an l-slot remainder.  Lifting each unit to an element of its
-own makes it a matroid partition, but the copies of one label are parallel
-in the lift, so the lift's search is a search over labels paid for at the
-size of the lift.  ``systems`` runs that label search directly: the m bases
-are classes of labels, each skipped when it holds y (its lifted circuit with
-a copy of y is that pair, which reaches no new label), and the remainder is
-a class of its own kind, ``_Units`` under the matroid ``_Slots``, asked
-after the bases: a free slot takes y, a full remainder's circuit is its set
-of labels, and it never counts as holding y, since a unit of y may join a
-remainder that holds y.  A chain's moves take their source class from the
-parent pointers (``_apply_chain``), which serves classes that share labels.
-The same closure in labels, seeded with the remainder's labels over the m
-bases alone, is ``StrongDecomposition._remainder_closure``: the remainder
-supports and equivalence edges of ``systems``, with no free slot since the
-B_i are bases.
 """
 
 from __future__ import annotations
@@ -131,61 +114,7 @@ class DeficiencyWitness:
         return self.size == len(self.A) and self.bound == bound and self.size > bound
 
 
-MAX_SIZE = 64  # largest number of elements (units, for a strong system) a partition takes
-
-
-class _Units:
-    """A multiset of labels, a count per label: the remainder class of the
-    label search for a strong decomposition, under ``_Slots``.
-
-    ``len`` is its number of units.  It holds no label as far as the
-    search's skip is concerned (``in`` is always False): a unit of y may
-    join a remainder that holds y.  ``-`` and ``|`` with a set of labels
-    take one unit of each out and put one in, the moves of
-    ``_apply_chain``.
-    """
-
-    __slots__ = ("counts", "size", "labels")
-
-    def __init__(self, counts: dict):
-        self.counts = counts
-        self.size = sum(counts.values())
-        self.labels = frozenset(counts)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __contains__(self, y) -> bool:
-        return False
-
-    def __sub__(self, out) -> "_Units":
-        counts = dict(self.counts)
-        for y in out:
-            counts[y] -= 1
-            if not counts[y]:
-                del counts[y]
-        return _Units(counts)
-
-    def __or__(self, into) -> "_Units":
-        counts = dict(self.counts)
-        for y in into:
-            counts[y] = counts.get(y, 0) + 1
-        return _Units(counts)
-
-
-class _Slots:
-    """The matroid of a ``_Units`` class: l slots, each taking one unit of
-    any label (the uniform matroid of rank l on the units, read in labels).
-
-    A remainder below l units takes y; a full one's circuit with y is every
-    unit it holds, so the search reaches each of its labels.
-    """
-
-    def __init__(self, l: int):
-        self.rank_bound = l
-
-    def _circuit(self, units: _Units, y: int) -> frozenset | None:
-        return None if len(units) < self.rank_bound else units.labels
+MAX_SIZE = 64  # largest number of elements a partition takes by default
 
 
 def _reach(matroids, classes, seeds):
@@ -204,10 +133,9 @@ def _reach(matroids, classes, seeds):
     each reached element to the (element, class) whose circuit reached it;
     otherwise the frozenset of reached elements.  Skipping the classes that
     hold y, not y's class, serves disjoint partition classes and bases that
-    share labels alike.  The classes are frozensets of labels, or, for the
-    remainder of a strong decomposition, a ``_Units`` under ``_Slots``,
-    which holds no y and is the last class: a free slot ends the search,
-    and a full remainder's circuit is its set of labels.
+    share labels alike.  A class is asked only for ``len`` and ``in``, and
+    its matroid only for ``rank_bound`` and ``_circuit(clazz, y)`` (None,
+    or a set of elements), so a class need not be a frozenset of labels.
     """
     # the classes do not change during a search
     below = [i for i, M in enumerate(matroids) if len(classes[i]) < M.rank_bound]
@@ -268,7 +196,7 @@ def _apply_chain(classes, terminal, dest, parent):
     """Move terminal into class dest and each element up the chain into the
     class its successor left.  An element leaves the class whose circuit
     reached it (its parent pointer); the seed, with no pointer, leaves
-    none."""
+    none.  Each move is a class ``-`` or ``|`` a one-element set."""
     cur, target = terminal, dest
     while True:
         reached = parent.get(cur)

@@ -25,14 +25,17 @@ the raw multiplicity tuple and l: the enumeration, the edge pass and
 their candidates up by those tuples and build a ``System`` only for what
 they return, through the unchecked ``_trusted``.  A miss places the
 tuple's units in m base classes (frozensets of labels) and a remainder
-that counts units per label, one exchange search (``partition._reach``)
-per unit, and checks its answer through the matroid's memo cores.  This is
-the partition of the lift (one element per unit) without the lift: the
-copies of a label are parallel there, so its search is this label search
-at the size of the lift.  A miss starts from a nearby strong decomposition
-the caller holds, not from empty: the paper's elementary transformations
-T2 -> T2 - [a] + [b] are one-unit exchanges, and an augmenting path absorbs
-one, so a miss costs about one augmentation instead of one per unit.
+``_Units`` that counts units per label under its matroid ``_Slots``, one
+exchange search (``partition._reach``) per unit, and checks its answer
+through the matroid's memo cores.  It decides what a matroid partition of
+the lift (one element per unit, m copies of the matroid and l slots)
+decides: the copies of a label are parallel in the lift, so the lift's
+search is this label search at the size of the lift
+(``tests/oracles.py::reference_strong_outcome`` decides by the lift).  A
+miss starts from a nearby strong decomposition the caller holds, not from
+empty: the paper's elementary transformations T2 -> T2 - [a] + [b] are
+one-unit exchanges, and an augmenting path absorbs one, so a miss costs
+about one augmentation instead of one per unit.
 
 Which labels can sit in the remainder is a circuit closure, not a search
 over decompositions: for a strong decomposition with bases B_1..B_m, they
@@ -79,7 +82,7 @@ from .errors import (
     SizeLimitError,
 )
 from .matroids import Matroid
-from .partition import MAX_SIZE, _augment, _reach, _Slots, _Units
+from .partition import MAX_SIZE, _augment, _reach
 
 MAX_TOTAL = 24  # largest |T| whose good decompositions are enumerated
 
@@ -281,9 +284,8 @@ class StrongDecomposition:
         every base B_i without y.
 
         This is ``partition._uniform_closure`` read in labels, as the strong
-        search is the lifted partition read in labels: a base already
-        holding y is skipped, and the B_i are bases, so every y has its
-        circuit and no free slot arises.  It is the partition's exchange
+        search is: a base already holding y is skipped, and the B_i are
+        bases, so every y has its circuit and no free slot arises.  It is the partition's exchange
         search (``partition._reach``) over m copies of the matroid, the
         bases as classes and the remainder's labels as seeds; the
         decomposition keeps the result.
@@ -324,6 +326,60 @@ def _check_arity(ctx: Context, mult: tuple, l: int):
     total = sum(mult)
     if total != expected:
         raise ArityError(f"|T| = {total} but m*k + l = {expected}")
+
+
+class _Units:
+    """A multiset of labels, a count per label: the remainder class of the
+    label search for a strong decomposition, under ``_Slots``.
+
+    ``len`` is its number of units.  It holds no label as far as the
+    search's skip is concerned (``in`` is always False): a unit of y may
+    join a remainder that holds y.  ``-`` and ``|`` with a set of labels
+    take one unit of each out and put one in, the moves of
+    ``partition._apply_chain``.
+    """
+
+    __slots__ = ("counts", "size", "labels")
+
+    def __init__(self, counts: dict):
+        self.counts = counts
+        self.size = sum(counts.values())
+        self.labels = frozenset(counts)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __contains__(self, y) -> bool:
+        return False
+
+    def __sub__(self, out) -> "_Units":
+        counts = dict(self.counts)
+        for y in out:
+            counts[y] -= 1
+            if not counts[y]:
+                del counts[y]
+        return _Units(counts)
+
+    def __or__(self, into) -> "_Units":
+        counts = dict(self.counts)
+        for y in into:
+            counts[y] = counts.get(y, 0) + 1
+        return _Units(counts)
+
+
+class _Slots:
+    """The matroid of a ``_Units`` class: l slots, each taking one unit of
+    any label (the uniform matroid of rank l on the units, read in labels).
+
+    A remainder below l units takes y; a full one's circuit with y is every
+    unit it holds, so the search reaches each of its labels.
+    """
+
+    def __init__(self, l: int):
+        self.rank_bound = l
+
+    def _circuit(self, units: _Units, y: int) -> frozenset | None:
+        return None if len(units) < self.rank_bound else units.labels
 
 
 def _strong_search(ctx: Context, mult: tuple, l: int, near: StrongDecomposition | None):

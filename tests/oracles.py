@@ -48,8 +48,9 @@ oracle, kept as the reference for ``solve_partition``, which asks a class at
 its rank bound only when no class takes y directly.
 ``reference_strong_outcome`` decides a strong question the earlier way, by
 one partition of the lift (``lift_problem``: one element per multiplicity
-unit, m lifted copies of the matroid and a uniform tail of rank l), the
-reference for the label search of ``systems._strong_outcome``;
+unit, m copies of the matroid pulled back to the units by
+``LiftedMatroid`` and a uniform tail of rank l), the reference for the
+label search of ``systems._strong_outcome``;
 ``near_start`` is that lift's start from a nearby strong decomposition.
 ``reference_descent_move`` is the earlier exchange search, kept as the
 reference for the library's ``descent_move``: it builds the full
@@ -86,9 +87,11 @@ from matpot import (
     DescentMove,
     DiscriminantError,
     GoodDecomposition,
+    GroundSet,
+    GroundSetError,
     InternalError,
-    LiftedMatroid,
     LinearMatroid,
+    Matroid,
     PartitionCertificate,
     PartitionProblem,
     PreconditionError,
@@ -407,6 +410,65 @@ def locally_related(d1, d2) -> bool:
         return False
     shared = d1.T2.ctx.system(min(a, b) for a, b in zip(d1.T2.mult, d2.T2.mult))
     return find_strong_decomposition(shared, 0) is not None
+
+
+class LiftedMatroid(Matroid):
+    """Pullback of a matroid along a map f from a lift set onto base labels.
+
+    A subset A of the lift set is independent iff f restricted to A is
+    injective and f(A) is independent in the base.  The rank of A equals the
+    base rank of f(A).  The map is validated once, here; the cores map
+    their labels onto the base matroid's memos and circuit core, which
+    lifts of one base share.
+    """
+
+    def __init__(self, base: Matroid, size: int, labels_map):
+        super().__init__(GroundSet(size))
+        fmap = tuple(labels_map)
+        if len(fmap) != size:
+            raise GroundSetError(f"label map must have length {size}")
+        base.ground.check_subset(fmap)
+        self.base = base
+        self.fmap = fmap
+
+    @property
+    def rank_bound(self) -> int:
+        return self.base.rank_bound
+
+    def image(self, A) -> frozenset:
+        A = self.ground.check_subset(A)
+        return frozenset(self.fmap[e - 1] for e in A)
+
+    def _independent(self, A: frozenset) -> bool:
+        imgs = frozenset(self.fmap[e - 1] for e in A)
+        return len(imgs) == len(A) and self.base._memo_independent(imgs)
+
+    def _rank(self, A: frozenset) -> int:
+        return self.base._memo_rank(frozenset(self.fmap[e - 1] for e in A))
+
+    def _circuit(self, C: frozenset, y: int) -> frozenset | None:
+        label = self.fmap[y - 1]
+        back = {self.fmap[z - 1]: z for z in C}
+        if len(back) < len(C):  # two labels of the class share a base label
+            raise PreconditionError("circuit(clazz, y) needs an independent clazz")
+        if back.get(label, y) != y:
+            return frozenset({y, back[label]})
+        found = self.base._circuit(frozenset(back), label)
+        back[label] = y
+        return None if found is None else frozenset(back[b] for b in found)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, LiftedMatroid)
+            and self.base == other.base
+            and self.fmap == other.fmap
+        )
+
+    def __hash__(self):
+        return hash(("lifted", self.base, self.fmap))
+
+    def __repr__(self):
+        return f"LiftedMatroid({self.base!r}, size={self.ground.n})"
 
 
 def lift_problem(ctx, mult, l):

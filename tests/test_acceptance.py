@@ -16,7 +16,6 @@ from matpot import (
     ArrangementData,
     Context,
     DeficiencyWitness,
-    LiftedMatroid,
     LinearMatroid,
     PartitionCertificate,
     PartitionProblem,
@@ -40,6 +39,7 @@ from matpot import (
 from matpot.systems import _bounded_compositions
 
 from oracles import (
+    LiftedMatroid,
     circuits_within,
     fix2_pair_unit,
     min_tight_subset,

@@ -1082,3 +1082,22 @@ def test_family_beyond_sixteen_hyperplanes_is_a_size_limit():
         critical_points(data, data.basepoint)
     with pytest.raises(SizeLimitError, match="base enumeration limited to n <= 16"):
         structure_from_arrangement(data, 2)
+
+
+@pytest.mark.parametrize(
+    "B,read,entry",
+    [
+        # b_1 / b_3 = 10^600 writes C_(3,) over the flat basis
+        ([[10**300], [1], [Fraction(1, 10**300)]], "algebra", r"the normal form of C_I for I = \(3,\)"),
+        # D_(1,2) lcm_3 is about 10^310
+        ([[10**300, 1], [1, 10**10], [1, 1]], "algebra", r"the circuit coefficient of hyperplane 3 in S = \(1, 2, 3\)"),
+        ([[10**200], [1], [1]], "squared_minors", r"det\(B_I\)\^2 for I = \(1,\)"),
+        ([[Fraction(1, 10**200)], [1], [1]], "squared_minors", r"det\(B_I\)\^2 for I = \(1,\)"),
+    ],
+)
+def test_exact_quantities_beyond_double_range_are_a_size_limit(B, read, entry):
+    # every entry of B is a finite, nonzero double; a quantity derived from
+    # them exactly is refused, named, where it becomes a float
+    data = ArrangementData(B, [1] * len(B), [0.1, 1, 2])
+    with pytest.raises(SizeLimitError, match=f"^{entry} is outside the range of a double$"):
+        getattr(data, read)

@@ -311,6 +311,54 @@ def test_rational_literal_beyond_the_documented_forms_is_refused(capsys, tmp_pat
         assert json.loads(out)["error"] == {"code": "schema", "message": refusal}
 
 
+_HUGE, _TINY = 10**400, "1/" + "9" * 400  # beyond the largest double, below the least
+
+
+def _linear(matrix):
+    return {"type": "linear", "matrix": matrix}
+
+
+def _family(B, a):
+    return {"B": B, "a": a, "x": [0.1, 1, 2], "m": 2}
+
+
+@pytest.mark.parametrize(
+    "args,payload,code,message",
+    [
+        *[
+            (args, payload(matrix), "schema", 'row 1 of "matrix" is not an array')
+            for matrix in ([3, 4], [None])
+            for args, payload in (
+                (["matroid", "rank"], lambda M: {"matroid": _linear(M), "A": [1]}),
+                (["partition"], lambda M: {"ground": 2, "matroids": [_linear(M)]}),
+                (["equivalence"], lambda M: {"matroid": _linear(M), "m": 1, "T": [1, 1]}),
+                (["strong-decompose"], lambda M: {"matroid": _linear(M), "m": 1, "l": 1, "T": [1, 1]}),
+            )
+        ],
+        (["potentials"], {"B": [1, 2, 3], "a": [1, 1, 1], "x": [0, 1, 2], "m": 2}, "schema", 'row 1 of "B"'),
+        # a string row used to be read digit by digit
+        (["matroid", "rank"], {"matroid": _linear(["12"]), "A": [1]}, "schema", 'row 1 of "matrix"'),
+        (["matroid", "bases"], {"matroid": _linear(["10", "01"])}, "schema", 'row 1 of "matrix"'),
+        (["potentials"], {"B": ["1", "1", "1"], "a": [1, 1, 1], "x": [0, 1, 2], "m": 2}, "schema", 'row 1 of "B"'),
+        (["verify-arrangement"], _family([[_HUGE], [1], [1]], [1, 1, 1]), "size-limit", "B[1][1]"),
+        (["verify-arrangement"], _family([[_TINY], [1], [1]], [1, 1, 1]), "size-limit", "B[1][1]"),
+        (["potentials"], _family([[1], [1], [1]], [_HUGE, 1, 1]), "size-limit", "a[1]"),
+        # a nonzero weight that rounds to 0.0 is not a zero weight
+        (["potentials"], _family([[1], [1], [1]], [_TINY, 1, 1]), "size-limit", "a[1]"),
+    ],
+)
+def test_rows_that_are_not_arrays_and_entries_beyond_double_range_are_refused(capsys, tmp_path, args, payload, code, message):
+    # each used to exit 1 with an uncaught TypeError or OverflowError, or
+    # to answer exit 0 (a string row), or to call a nonzero weight zero
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    exit_code = main([*args, "-i", str(path)])
+    out, err = capsys.readouterr()
+    assert exit_code == 2 and err == ""
+    error = json.loads(out)["error"]
+    assert error["code"] == code and message in error["message"]
+
+
 def test_documented_rational_literals_are_read_exactly(capsys, tmp_path):
     # rows 1 and 2 are equal, row 3 is zero
     matrix = [["+7/3", "-2"], ["14/6", -2], ["0", "-0/5"]]

@@ -6,7 +6,6 @@ import pytest
 from matpot import (
     GroundSet,
     GroundSetError,
-    LiftedMatroid,
     LinearMatroid,
     Matroid,
     PreconditionError,
@@ -17,6 +16,7 @@ from matpot import matroids
 from matpot.jsonio import matroid_from_json
 
 from oracles import (
+    LiftedMatroid,
     brute_rank,
     circuits_within,
     fraction_rank,

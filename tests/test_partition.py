@@ -10,7 +10,6 @@ from matpot import (
     DeficiencyWitness,
     GroundSetError,
     InvalidMatroidError,
-    LiftedMatroid,
     LinearMatroid,
     Matroid,
     PartitionCertificate,
@@ -23,6 +22,7 @@ from matpot import (
     solve_partition,
 )
 from oracles import (
+    LiftedMatroid,
     brute_partition,
     brute_slack_elements,
     fraction_circuit,

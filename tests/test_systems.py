@@ -15,7 +15,6 @@ from matpot import (
     ArityError,
     Context,
     GoodDecomposition,
-    LiftedMatroid,
     LinearMatroid,
     PreconditionError,
     StrongDecomposition,
@@ -33,6 +32,7 @@ from matpot import (
 from matpot.systems import SystemBoundViolation, _bounded_compositions, _strong_outcome
 
 from oracles import (
+    LiftedMatroid,
     brute_compositions,
     brute_good_decompositions,
     brute_locally_related,
