@@ -15,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import GroundSetError, SchemaError
 from .matroids import LinearMatroid, Matroid, UniformMatroid
 
 
@@ -119,15 +119,23 @@ def complex_to_json(value) -> list[float]:
 
 
 def parse_complex(value) -> complex:
+    """A basepoint coordinate: a JSON number or an [re, im] pair of numbers.
+    An integer beyond double range gets the refusal that JSON ``Infinity``
+    gets, a GroundSetError."""
     if isinstance(value, bool):
         raise SchemaError("expected a number or [re, im] pair")
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        re, im = value
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
-            return complex(re, im)
-    raise SchemaError(f"expected a number or [re, im] pair, got {value!r}")
+        parts = (value,)
+    elif isinstance(value, list) and len(value) == 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        parts = value
+    else:
+        raise SchemaError(f"expected a number or [re, im] pair, got {value!r}")
+    try:
+        return complex(*parts)
+    except OverflowError:
+        raise GroundSetError("basepoint coordinates must be finite") from None
 
 
 def mult_key(mult) -> str:

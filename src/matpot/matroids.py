@@ -169,6 +169,12 @@ class Matroid:
     def full_rank(self) -> int:
         return self.rank(self.ground.labels)
 
+    def _flat_size_bound(self, r: int, size: int, rank: int) -> int:
+        """An upper bound on the labels of a flat of rank r in the
+        restriction to ``size`` labels of rank ``rank``: the complement of a
+        flat of corank c holds at least c labels of every basis."""
+        return size - (rank - r)
+
     def bases(self) -> tuple[frozenset, ...]:
         """All maximal independent subsets of the full ground set (n <= 16), sorted."""
         if self.ground.n > 16:
@@ -393,6 +399,15 @@ class UniformMatroid(Matroid):
     @property
     def rank_bound(self) -> int:
         return self.l
+
+    @property
+    def full_rank(self) -> int:
+        # by arithmetic: ranking range(1, n + 1) would allocate n labels
+        return self.l
+
+    def _flat_size_bound(self, r: int, size: int, rank: int) -> int:
+        # a flat of rank r below the restriction's rank is r labels
+        return r if r < rank else size
 
     def _rank(self, A: frozenset) -> int:
         return min(len(A), self.l)

@@ -218,11 +218,11 @@ def solve_partition(problem: PartitionProblem, max_size: int = MAX_SIZE):
     exactly the ground set's (``PartitionCertificate.validate``), the
     witness through the public rank oracle.
     """
-    S = frozenset(problem.ground.labels)
-    if len(S) > max_size:
-        raise SizeLimitError(f"partition limited to {max_size} elements, got {len(S)}")
+    n = problem.ground.n
+    if n > max_size:  # by arithmetic, before any label is built
+        raise SizeLimitError(f"partition limited to {max_size} elements, got {n}")
     classes = [frozenset()] * problem.m
-    for e in sorted(S):
+    for e in problem.ground.labels:
         reached = _augment(problem.matroids, classes, e)
         if reached is not None:
             bound = sum(M.rank(reached) for M in problem.matroids)

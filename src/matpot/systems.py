@@ -6,9 +6,10 @@ integer vector.  Relative to a matroid of rank k and a number of blocks m:
   * a *base* is a k-system whose support is a maximal independent set
     (all multiplicities 0/1);
   * a *strong decomposition* of an (mk+l)-system is a split into m bases
-    plus an l-system remainder; existence is decided by the matroid
-    partition's exchange search run on labels, m classes of labels and a
-    remainder class that counts units;
+    plus an l-system remainder; for one system, existence is decided by the
+    matroid partition's exchange search run on labels, m classes of labels
+    and a remainder class that counts units, and for the candidates of an
+    enumeration by the counting bound on flats;
   * a *good decomposition* of T splits it as T1 + T2 with T2 a strong
     (mk+1)-system;
   * two good decompositions are *locally related* when their second members
@@ -19,60 +20,78 @@ Sharing all m bases means the second members are T2 = U + [r] and
 T2' = U + [r'] for one sum U of m bases.  So distinct T2, T2' are locally
 related exactly when T2' = T2 - [a] + [b] for labels a != b and
 T2 - [a] = min(T2, T2') (componentwise) is strong with l = 0: no search over
-bases.  Strong-decomposition outcomes are memoized per ``Context``, keyed by
-the raw multiplicity tuple and l: the enumeration, the edge pass and
-``descent_move`` work on tuples that a validated ``System`` bounds, look
-their candidates up by those tuples and build a ``System`` only for what
-they return, through the unchecked ``_trusted``.  A miss places the
-tuple's units in m base classes (frozensets of labels) and a remainder
-``_Units`` that counts units per label under its matroid ``_Slots``, one
-exchange search (``partition._reach``) per unit, and checks its answer
-through the matroid's memo cores.  It decides what a matroid partition of
-the lift (one element per unit, m copies of the matroid and l slots)
-decides: the copies of a label are parallel in the lift, so the lift's
-search is this label search at the size of the lift
-(``tests/oracles.py::reference_strong_outcome`` decides by the lift).  A
-miss starts from a nearby strong decomposition the caller holds, not from
-empty: the paper's elementary transformations T2 -> T2 - [a] + [b] are
-one-unit exchanges, and an augmenting path absorbs one, so a miss costs
-about one augmentation instead of one per unit.
+bases.
 
-Which labels can sit in the remainder is a circuit closure, not a search
-over decompositions: for a strong decomposition with bases B_1..B_m, they
-are the remainder's labels closed under y -> C(B_i, y) for every B_i
-without y (``StrongDecomposition._remainder_closure``, the label form of
+Whether an (mk+1)-system T2 is strong is a counting statement (Edmonds'
+matroid partition for m copies of the matroid and one free slot): T2 splits
+into m bases and one label exactly when T2(F) <= 1 + m r(F) for every flat
+F.  For a strong T2, T2 - [a] is then a sum of m bases exactly when a lies
+in every tight flat, T2(F) = 1 + m r(F): the remainder closure of T2 is its
+support intersected with its tight flats.  Only flats with T(F) >= 1 + m r(F)
+can bind for a T2 below T, so ``all_good_decompositions`` enumerates those
+flats of the matroid restricted to supp(T), with a pruning rule that is
+sound for flats that bind above flats that do not (``_binding_flats``), and
+decides all its undecided compositions in one batch: two matrix products
+with their 0/1 incidence (``_decide``).  Each decision is memoized per
+``Context`` by the raw multiplicity tuple (``Context._decisions``): None, or
+the filing keys T2 - [a] that the edge pass files T2 under.  When the
+enumeration would grow more than FLATS_PER_SEARCH flats per undecided
+composition (a linear matroid in general position, whose flats the size
+bound cannot prune), the compositions are decided by the strong search
+instead, seeded along them, and the circuit closure below.
+
+The strong search decides a single system: ``strong-decompose``, the
+witnesses, ``descent_move``'s shared bases and ``remainder_support``.
+Strong-decomposition outcomes are memoized per ``Context``, keyed by the
+raw multiplicity tuple and l, and callers build a ``System`` only for what
+they return, through the unchecked ``_trusted``.  A miss places the tuple's
+units in m base classes (frozensets of labels) and a remainder ``_Units``
+that counts units per label under its matroid ``_Slots``, one exchange
+search (``partition._reach``) per unit, and checks its answer through the
+matroid's memo cores.  It decides what a matroid partition of the lift (one
+element per unit, m copies of the matroid and l slots) decides: the copies
+of a label are parallel in the lift, so the lift's search is this label
+search at the size of the lift (``tests/oracles.py::reference_strong_outcome``
+decides by the lift).  A miss may start from a nearby strong decomposition
+the caller holds, not from empty: the paper's elementary transformations
+T2 -> T2 - [a] + [b] are one-unit exchanges, and an augmenting path absorbs
+one, so a miss costs about one augmentation instead of one per unit.
+
+Which labels can sit in the remainder of one strong decomposition's system
+is also a circuit closure: for bases B_1..B_m, the remainder's labels closed
+under y -> C(B_i, y) for every B_i without y
+(``StrongDecomposition._remainder_closure``, the label form of
 ``partition._uniform_closure``: the partition's one exchange search,
 ``partition._reach``, seeded with the remainder's labels over the m bases;
 any one decomposition gives the same set).
-Each memoized decomposition computes its closure once and keeps it, with
-the systems T2 - [a], a in the closure, that the edge pass files it under
-(``StrongDecomposition._filing_keys``).
 
 ``equivalence_report`` materializes the graph of good decompositions with
-local relations as edges.  T2 - [a] is strong with l = 0 exactly when a is
-in the remainder closure of T2's witness, so each node files itself under
-U = T2 - [a] for those a only, and every group of two or more nodes is a
-clique: the edge pass solves no partition and asks no strong question.  The
-enumeration seeds each miss from the last strong second member before it
-in lexicographic order.  So on a shared ``Context`` which valid
-decomposition a query returns may depend on what was decided before.
+local relations as edges.  Each node files itself under its decision's
+keys U = T2 - [a], and every group of two or more nodes is a clique: the
+report runs no strong search and builds no witness.  A node's witness is
+built on first read from shared bases, as the paper's transformations
+work: the memoized l = 0 decomposition of one of its keys U plus the unit
+[a] (``GoodDecomposition.witness``), so every node filed under U reuses
+them.  On a shared ``Context`` which valid decomposition a read returns may
+depend on what was decided before.
 
 ``descent_move`` constructs, from two distinct good decompositions, the
 explicit exchange that brings their second members strictly closer in the
 l1 metric while staying inside one equivalence class; it picks its labels
-from the remainder closures of the two second members and makes one l = 0
-query, seeded from that member's decomposition, per member it moves.
-``remainder_support`` is the remainder closure of one strong
-decomposition: the strongness check's search and no other.
+from the decisions of the two second members and makes one memoized l = 0
+query per member it moves.  ``remainder_support`` is the remainder closure
+of one strong decomposition: the strongness check's search and no other.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import accumulate, combinations, compress
+
+import numpy as np
 
 from .errors import (
     ArityError,
@@ -85,6 +104,7 @@ from .matroids import Matroid
 from .partition import MAX_SIZE, _augment, _reach
 
 MAX_TOTAL = 24  # largest |T| whose good decompositions are enumerated
+FLATS_PER_SEARCH = 4  # flats the counting-bound decision may grow per undecided composition
 
 
 @dataclass(frozen=True)
@@ -139,6 +159,21 @@ class Context:
     def _strong_memo(self) -> dict:
         """Strong-decomposition outcomes in this context, keyed by (mult, l)."""
         return {}
+
+    @cached_property
+    def _decisions(self) -> dict:
+        """The counting-bound decision of each (mk+1)-system decided in this
+        context, keyed by its multiplicity tuple: None when it is not strong,
+        else its filing keys, the systems T2 - [a] for the labels a of its
+        remainder closure, ascending in a (``_decide``; ``_key_label`` reads
+        a back)."""
+        return {}
+
+    @cached_property
+    def _shared_seed(self) -> list:
+        """One slot: the last shared bases decided (``_shared_bases``), from
+        which the next miss's search starts."""
+        return [None]
 
 
 def _multiplicity(v):
@@ -300,14 +335,6 @@ class StrongDecomposition:
                 "inconsistent with the matroid axioms"
             )
         return reached
-
-    @cached_property
-    def _filing_keys(self) -> tuple[tuple[int, ...], ...]:
-        """total - [a] for each a of the remainder closure, ascending: the
-        shared systems U = T2 - [a] that ``equivalence_report`` files this
-        decomposition's node under.  Kept next to the closure."""
-        total = self._total_mult
-        return tuple(_minus(total, a) for a in sorted(self._remainder_closure))
 
 
 @dataclass(frozen=True)
@@ -495,13 +522,30 @@ def strong_deficiency_witness(T: System, l: int):
     return outcome if isinstance(outcome, SystemBoundViolation) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GoodDecomposition:
-    """T = T1 + T2 with T2 a strong (mk+1)-system; identity is the pair only."""
+    """T = T1 + T2 with T2 a strong (mk+1)-system; identity is the pair only.
+
+    ``witness``, a strong decomposition of T2 with a one-label remainder, is
+    the one given to the constructor, or else built on first read from
+    shared bases: the bases of the memoized l = 0 decomposition of one of
+    T2's filing keys U = T2 - [a], plus the unit [a] (``_shared_witness``).
+    Every node filed under U reuses them.
+    """
 
     T1: System
     T2: System
-    witness: StrongDecomposition = field(compare=False)
+
+    def __init__(self, T1: System, T2: System, witness: StrongDecomposition | None = None):
+        fields = self.__dict__
+        fields["T1"] = T1
+        fields["T2"] = T2
+        if witness is not None:
+            fields["witness"] = witness
+
+    @cached_property
+    def witness(self) -> StrongDecomposition:
+        return _shared_witness(self.T2)
 
     @property
     def whole(self) -> System:
@@ -509,11 +553,11 @@ class GoodDecomposition:
 
     def validate(self) -> bool:
         ctx = self.T1.ctx
-        return (
-            self.T2.total == ctx.m * ctx.k + 1
-            and self.witness.validate(self.T2)
-            and self.witness.remainder.total == 1
-        )
+        if self.T2.total != ctx.m * ctx.k + 1:
+            return False
+        if "witness" not in self.__dict__ and _decision(self.T2.ctx, self.T2.mult) is None:
+            return False  # no witness to build: T2 is not strong
+        return self.witness.validate(self.T2) and self.witness.remainder.total == 1
 
 
 def _bounded_compositions(total: int, caps):
@@ -548,13 +592,179 @@ def _bounded_compositions(total: int, caps):
             rest -= v
 
 
+def _binding_flats(ctx: Context, whole: tuple, limit: int):
+    """The flats of the matroid restricted to supp(whole), a spanning set,
+    that can bind: rank r < k and whole(F) >= 1 + m r.  Returns (labels,
+    incidence, bound): the support's labels, a 0/1 integer array with one row
+    per flat over those labels, and 1 + m r per flat; or None when the
+    enumeration keeps more than ``limit`` flats.
+
+    Flats are grown rank by rank from the loops; the children of a flat F
+    with basis J are the closures of J + e, which are the parallel classes
+    of the contraction by F (x joins e's child iff J + e + x has a circuit).
+    A binding flat can sit above flats that do not bind, so F is grown when
+    some flat G above it could bind: G of rank r(F) + t holds at most
+    ``Matroid._flat_size_bound`` labels, so whole(G) is at most whole(F)
+    plus the heaviest labels outside F that fit, and each flat below a
+    binding G passes this test with that G.
+    """
+    matroid, m, k = ctx.matroid, ctx.m, ctx.k
+    labels = [j for j, v in enumerate(whole, 1) if v]
+    mass = [whole[j - 1] for j in labels]
+    size = len(labels)
+    top = min(k - 1, (sum(mass) - 1) // m)  # the highest rank that can bind
+    loops = 0
+    for i, j in enumerate(labels):
+        if not matroid._memo_independent(frozenset((j,))):
+            loops |= 1 << i
+    level = {loops: ()}  # the flats of one rank, as support bitmasks, with a basis each
+    kept = 1
+    found = []
+    for r in range(top + 1):
+        grown = {}
+        for flat, basis in level.items():
+            inside = [i for i in range(size) if flat >> i & 1]
+            weight = sum(mass[i] for i in inside)
+            if weight >= 1 + m * r:
+                found.append((flat, r))
+            if r == top:
+                continue
+            outside = [i for i in range(size) if not flat >> i & 1]
+            reach = [0, *accumulate(sorted((mass[i] for i in outside), reverse=True))]
+            if not any(
+                weight + reach[min(len(outside), max(0, matroid._flat_size_bound(r + t, size, k) - len(inside)))]
+                >= 1 + m * (r + t)
+                for t in range(1, top - r + 1)
+            ):
+                continue
+            covered = flat
+            for at, i in enumerate(outside):
+                if covered >> i & 1:
+                    continue
+                clazz = frozenset(basis + (labels[i],))
+                child = flat | 1 << i
+                for x in outside[at + 1:]:
+                    if not covered >> x & 1 and matroid._circuit(clazz, labels[x]) is not None:
+                        child |= 1 << x
+                covered |= child
+                if child not in grown:
+                    grown[child] = basis + (labels[i],)
+                    kept += 1
+                    if kept > limit:
+                        return None
+        level = grown
+    incidence = np.array([[flat >> i & 1 for i in range(size)] for flat, _ in found], dtype=np.int64)
+    bound = np.array([1 + m * r for _, r in found], dtype=np.int64)
+    return labels, incidence.reshape(len(found), size), bound
+
+
+def _decide(ctx: Context, whole: tuple, misses: list) -> None:
+    """Decide each (mk+1)-system of ``misses`` (compositions below whole)
+    into ``ctx._decisions`` by the counting bound on flats.
+
+    T2 splits into m bases and one label exactly when T2(F) <= 1 + m r(F)
+    for every flat F (Edmonds' matroid partition), and T2 - [a] is then a
+    sum of m bases exactly when a lies in every tight flat, T2(F) = 1 +
+    m r(F).  Only flats that bind for whole can be tight or violated for a
+    T2 below it, and the top flat, of rank k, is tight for every T2 and
+    holds its whole support.  So the misses are multiplied by the
+    incidence of the binding flats of rank < k (``_binding_flats``) and
+    compared with 1 + m r, and the tight rows are multiplied by the
+    complement of the incidence: a label with no tight flat missing it is
+    in the remainder closure.  Rows go through in chunks that keep each
+    product near 2^20 entries.
+
+    On the inputs measured, growing a flat costs from a twentieth to a half
+    of what deciding one miss by the label search costs (``_strong_outcome``,
+    seeded from the last strong miss, and the circuit closure of its
+    remainder), so the enumeration may grow FLATS_PER_SEARCH flats per miss;
+    past that, each miss is decided by the label search instead, and what
+    the enumeration spent before it stopped is at most about twice that
+    search's cost.
+    """
+    decisions = ctx._decisions
+    if ctx.matroid._memo_rank(frozenset(j for j, v in enumerate(whole, 1) if v)) < ctx.k:
+        decisions.update(dict.fromkeys(misses))  # no base lies below whole
+        return
+    flats = _binding_flats(ctx, whole, FLATS_PER_SEARCH * len(misses))
+    if flats is None:
+        near = None
+        for mult in misses:
+            outcome = _strong_outcome(ctx, mult, 1, near)
+            if isinstance(outcome, StrongDecomposition):
+                near = outcome
+                decisions[mult] = tuple(_minus(mult, a) for a in sorted(outcome._remainder_closure))
+            else:
+                decisions[mult] = None
+        return
+    labels, incidence, bound = flats
+    columns = np.array(labels) - 1
+    outside = 1 - incidence
+    step = max(1, (1 << 20) // max(1, len(bound), len(labels)))
+    for start in range(0, len(misses), step):
+        chunk = misses[start:start + step]
+        whole_rows = np.array(chunk)
+        rows = whole_rows[:, columns]
+        masses = rows @ incidence.T
+        strong = ~(masses > bound).any(axis=1)
+        closed = ((masses == bound).astype(np.int64) @ outside == 0) & (rows > 0) & strong[:, None]
+        at, column = np.nonzero(closed)  # by row, then by label, ascending
+        keys = whole_rows[at]
+        keys[np.arange(len(at)), columns[column]] -= 1
+        keys = list(map(tuple, keys.tolist()))
+        ends = np.cumsum(closed.sum(axis=1)).tolist()
+        begin = 0
+        for mult, ok, end in zip(chunk, strong.tolist(), ends):
+            decisions[mult] = tuple(keys[begin:end]) if ok else None
+            begin = end
+
+
+def _decision(ctx: Context, mult: tuple):
+    """The memoized decision of the (mk+1)-system ``mult`` (see
+    ``Context._decisions``), deciding it against its own flats on a miss."""
+    decisions = ctx._decisions
+    if mult not in decisions:
+        _check_arity(ctx, mult, 1)
+        _decide(ctx, mult, [mult])
+    return decisions[mult]
+
+
+def _key_label(mult: tuple, key: tuple) -> int:
+    """The label a with key = mult - [a]."""
+    return list(map(operator.ne, key, mult)).index(True) + 1
+
+
+def _shared_witness(T2: System) -> StrongDecomposition:
+    """A strong decomposition of T2 with a one-label remainder, from shared
+    bases: the l = 0 decomposition of one of T2's filing keys U = T2 - [a]
+    plus the unit [a], checked on the memo cores.  The key is the first
+    whose decomposition the context holds, else the first one, searched
+    once (``_shared_bases``); the outcome is memoized, so every node filed
+    under U reuses it."""
+    ctx, mult = T2.ctx, T2.mult
+    keys = _decision(ctx, mult)
+    if keys is None:
+        raise PreconditionError("the second member is not a strong (mk+1)-system")
+    memo = ctx._strong_memo
+    a = _key_label(mult, next((key for key in keys if (key, 0) in memo), keys[0]))
+    unit = [0] * ctx.n
+    unit[a - 1] = 1
+    rest = _shared_bases(T2, a)
+    witness = StrongDecomposition(parts=rest.parts, remainder=_trusted(ctx, tuple(unit)))
+    if not witness._decomposes(mult):
+        raise InternalError("shared bases plus one label do not decompose the second member")
+    return witness
+
+
 def all_good_decompositions(T: System, max_total: int = MAX_TOTAL) -> tuple[GoodDecomposition, ...]:
     """Every good decomposition of T, ordered lexicographically by T2.
 
     The candidates T2 are the compositions of mk + 1 below T, walked as
-    tuples and looked up by ``_strong_outcome``, each miss seeded from the
-    last strong candidate before it.  Only a strong candidate becomes a
-    node: its T2 and T1 = T - T2 are the Systems built, by ``_trusted``.
+    tuples and looked up in the context's decisions; the misses of one call
+    are decided together by the counting bound on flats (``_decide``), with
+    no strong search.  Only a strong candidate becomes a node: its T2 and
+    T1 = T - T2 are the Systems built, by ``_trusted``, and its witness is
+    built on first read (``GoodDecomposition``).
     """
     ctx = T.ctx
     need = ctx.m * ctx.k + 1
@@ -562,15 +772,19 @@ def all_good_decompositions(T: System, max_total: int = MAX_TOTAL) -> tuple[Good
         raise ArityError(f"|T| = {T.total} < m*k + 1 = {need}")
     if T.total > max_total:
         raise SizeLimitError(f"good-decomposition enumeration limited to |T| <= {max_total}")
-    out = []
-    near = None
+    if need > MAX_SIZE:  # the search decider's size limit, whichever decider runs
+        raise SizeLimitError(f"partition limited to {MAX_SIZE} elements, got {need}")
+    decisions = ctx._decisions
     whole = T.mult
-    for mult in _bounded_compositions(need, whole):
-        witness = _strong_outcome(ctx, mult, 1, near)
-        if isinstance(witness, StrongDecomposition):
-            near = witness
+    compositions = list(_bounded_compositions(need, whole))
+    misses = [mult for mult in compositions if mult not in decisions]
+    if misses:
+        _decide(ctx, whole, misses)
+    out = []
+    for mult in compositions:
+        if decisions[mult] is not None:
             T1 = _trusted(ctx, tuple(map(operator.sub, whole, mult)))
-            out.append(GoodDecomposition(T1=T1, T2=_trusted(ctx, mult), witness=witness))
+            out.append(GoodDecomposition(T1, _trusted(ctx, mult)))
     return tuple(out)
 
 
@@ -598,22 +812,20 @@ def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceRepo
     Nodes are ordered lexicographically by T2.  Distinct nodes i, j are
     related iff T2_i - [a] = T2_j - [b] for some labels a, b and that shared
     system U is strong with l = 0 (the l1 rule of the module docstring).
-    U = T2_i - [a] is strong with l = 0 exactly when a lies in the remainder
-    support of T2_i, the circuit closure of its witness
-    (``StrongDecomposition._remainder_closure``).  So each node files itself
-    under U = T2 - [a] for every a in that closure, and every group of two
-    or more nodes is a clique: the edge pass asks no strong question and
-    solves no partition.  The pair (a, b) is fixed by T2_i and T2_j, so each
-    related pair lies in exactly one group.  The witnesses are the memoized
-    outcomes of the enumeration, and each keeps its filing keys next to its
-    closure (``StrongDecomposition._filing_keys``), so a warm ``Context``
-    files every node without building a key.  Edges (i, j) have i < j and
-    are listed by i, then j, ascending.
+    U = T2_i - [a] is strong with l = 0 exactly when a lies in every tight
+    flat of T2_i, its remainder closure, which the counting-bound decision
+    keeps as the filing keys U (``Context._decisions``).  So each node files
+    itself under those keys, and every group of two or more nodes is a
+    clique: the report runs no strong search and builds no witness.  The
+    pair (a, b) is fixed by T2_i and T2_j, so each related pair lies in
+    exactly one group.  Edges (i, j) have i < j and are listed by i, then
+    j, ascending.
     """
     nodes = all_good_decompositions(T, max_total)
+    decisions = T.ctx._decisions
     groups: defaultdict[tuple, list[int]] = defaultdict(list)
     for i, d in enumerate(nodes):
-        for key in d.witness._filing_keys:
+        for key in decisions[d.T2.mult]:
             groups[key].append(i)
     edges = []
     parent = list(range(len(nodes)))
@@ -689,13 +901,16 @@ def _exchange(d: GoodDecomposition, a: int, b: int, rest: StrongDecomposition) -
     )
 
 
-def _shared_bases(X2: System, a: int, near: StrongDecomposition) -> StrongDecomposition:
-    """The strong decomposition with l = 0 of X2 - [a], for a in the
-    remainder closure of near (a strong decomposition of X2); the query
-    starts from near."""
-    rest = _strong_outcome(X2.ctx, _minus(X2.mult, a), 0, near)
+def _shared_bases(X2: System, a: int) -> StrongDecomposition:
+    """The memoized strong decomposition with l = 0 of X2 - [a], for a in the
+    remainder closure of X2.  A miss starts from the last shared bases the
+    context decided (``Context._shared_seed``): a neighbour's, when
+    witnesses are read in node order."""
+    seed = X2.ctx._shared_seed
+    rest = _strong_outcome(X2.ctx, _minus(X2.mult, a), 0, seed[0])
     if not isinstance(rest, StrongDecomposition):
         raise InternalError("a label of the remainder closure left a system that is not strong")
+    seed[0] = rest
     return rest
 
 
@@ -704,6 +919,15 @@ def _whole(d: GoodDecomposition) -> tuple:
     contexts differ), without a System."""
     d.T1._check_ctx(d.T2)
     return tuple(map(operator.add, d.T1.mult, d.T2.mult))
+
+
+def _strong_keys(X2: System) -> tuple[tuple, ...]:
+    """The filing keys X2 - [a] of the second member X2, ascending in a,
+    from its decision; PreconditionError when X2 is not strong."""
+    keys = _decision(X2.ctx, X2.mult)
+    if keys is None:
+        raise PreconditionError("the system is not strong for this remainder size")
+    return keys
 
 
 def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
@@ -720,10 +944,10 @@ def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
         leaves T2 - [a] strong, and both second members trade one a, T2 for
         that b and S2 for the least c with T1(c) < S1(c).
 
-    The labels with X2 - [a] strong are the remainder closure of X2's
-    memoized strong decomposition (``StrongDecomposition._remainder_closure``),
-    so the labels are picked from the two closures, and each member that
-    moves makes one l = 0 query, seeded with that decomposition.
+    X2 - [a] is strong with l = 0 exactly when it is one of X2's filing
+    keys (``Context._decisions``), so the labels are tested against the two
+    decisions' keys, and each member that moves makes one memoized l = 0
+    query for its shared bases.
     """
     whole_t, whole_s = _whole(dT), _whole(dS)
     if dT.T1.ctx != dS.T1.ctx or whole_t != whole_s:
@@ -732,26 +956,25 @@ def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
         raise PreconditionError("descent move needs two distinct good decompositions")
     ctx = dT.T1.ctx
     S2, T2 = dS.T2, dT.T2
-    near_s = _require_strong(S2, 1)
-    near_t = _require_strong(T2, 1)
+    keys_s = _strong_keys(S2)
+    keys_t = _strong_keys(T2)
     labels = ctx.matroid.ground.labels
     before = l1_distance(T2, S2)
     b = min(l for l in labels if dT.T1(l) > dS.T1(l))
-    support_t = near_t._remainder_closure
-    surplus = [i for i in support_t if T2(i) > S2(i)]
-    if surplus:
-        i = min(surplus)
-        moved = _exchange(dT, i, b, _shared_bases(T2, i, near_t))
+    t2, s2 = T2.mult, S2.mult
+    i = next((i for i, (u, v) in enumerate(zip(t2, s2), 1) if u > v and _minus(t2, i) in keys_t), None)
+    if i is not None:
+        moved = _exchange(dT, i, b, _shared_bases(T2, i))
         return DescentMove("surplus", moved_t=moved, moved_s=dS,
                            distance_before=before, distance_after=l1_distance(moved.T2, S2))
-    a = min(near_s._remainder_closure)
-    if a not in support_t:
+    a = _key_label(s2, keys_s[0])
+    if _minus(t2, a) not in keys_t:
         raise InternalError(
             "neither exchange alternative is certifiable; this contradicts "
             "the remainder exchange property and signals a bug"
         )
     c = min(l for l in labels if dT.T1(l) < dS.T1(l))
-    moved_t = _exchange(dT, a, b, _shared_bases(T2, a, near_t))
-    moved_s = _exchange(dS, a, c, _shared_bases(S2, a, near_s))
+    moved_t = _exchange(dT, a, b, _shared_bases(T2, a))
+    moved_s = _exchange(dS, a, c, _shared_bases(S2, a))
     return DescentMove("matched", moved_t=moved_t, moved_s=moved_s,
                        distance_before=before, distance_after=l1_distance(moved_t.T2, moved_s.T2))

@@ -1012,6 +1012,41 @@ def test_non_finite_basepoint_is_a_ground_set_error(capsys, tmp_path, command, B
     assert json.loads(out)["error"] == {"code": "ground-set", "message": "basepoint coordinates must be finite"}
 
 
+@pytest.mark.parametrize("command, x", [
+    ("potentials", [10**400, 1, 2]),
+    ("verify-arrangement", [[0.1, 10**400], 1, 2]),
+])
+def test_basepoint_integer_beyond_double_range_is_a_ground_set_error(capsys, tmp_path, command, x):
+    # complex() of the integer raised OverflowError, an internal exit 1
+    payload = {"B": [[1], [2], [3]], "a": [1, 1, 1], "x": x, "m": 2}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code = main([command, "-i", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out)["error"] == {"code": "ground-set", "message": "basepoint coordinates must be finite"}
+
+
+@pytest.mark.parametrize("command, payload, error", [
+    ("equivalence", {"m": 2, "T": [2, 1]}, "arity"),
+    ("strong-decompose", {"m": 2, "l": 1, "T": [2, 1]}, "arity"),
+])
+def test_uniform_matroid_on_two_to_the_64_labels_is_refused_at_once(capsys, tmp_path, command, payload, error):
+    # the full rank was the rank of range(1, n + 1): "Python int too large
+    # to convert to C ssize_t", an internal exit 1
+    payload = {"matroid": {"type": "uniform", "l": 1, "n": 2**64}, **payload}
+    code, out = run_cli(capsys, [command], payload, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == error
+
+
+def test_partition_on_two_to_the_64_labels_is_refused_before_any_label(capsys, tmp_path):
+    uniform = {"type": "uniform", "l": 1, "n": 2**64}
+    code, out = run_cli(capsys, ["partition"], {"ground": 2**64, "matroids": [uniform]}, tmp_path)
+    assert code == 2
+    assert json.loads(out)["error"] == {"code": "size-limit", "message": f"partition limited to 64 elements, got {2**64}"}
+
+
 @pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])
 def test_hyperplanes_through_one_point_are_near_discriminant(capsys, tmp_path, command):
     # lines 1, 2, 3 meet at the origin over x; the fiber used to come out short

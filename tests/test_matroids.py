@@ -643,3 +643,9 @@ def test_memo_lookups_live_in_the_base_class():
     for cls in (LinearMatroid, UniformMatroid, LiftedMatroid):
         assert not set(public) & set(vars(cls))
         assert "_independent" in vars(cls) and "_rank" in vars(cls) and "_circuit" in vars(cls)
+
+
+def test_uniform_full_rank_is_arithmetic():
+    # no label of the ground set is built
+    assert UniformMatroid(3, 2**64).full_rank == 3
+    assert UniformMatroid(0, 5).full_rank == 0

@@ -3,6 +3,7 @@ import random
 import weakref
 from collections import Counter
 from itertools import permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -133,8 +134,10 @@ def test_composition_walk_matches_brute_force():
 
 
 def test_cold_equivalence_report_checks_no_lift_map(monkeypatch):
-    # every miss searches its multiplicity tuple in labels: no lift is
-    # built, and no miss checks labels against the ground set
+    # the cold report decides every composition by the counting bound and
+    # runs no strong search; reading the witnesses searches the shared
+    # systems in labels: no lift is built, and neither the report nor the
+    # reads check labels against the ground set
     ctx = Context(LinearMatroid([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (3, 1)]), 3)
     T = ctx.system((3, 2, 2, 2, 2, 2))
     assert ctx.k == 2
@@ -160,7 +163,9 @@ def test_cold_equivalence_report_checks_no_lift_map(monkeypatch):
     monkeypatch.setattr(matpot.systems, "_strong_search", search)
     report = equivalence_report(T)
     assert len(report.nodes) == 171 and len(report.edges) == 1310
-    assert len(searches) > 100
+    assert searches == []
+    assert all(d.validate() for d in report.nodes)
+    assert len(searches) > 50
     assert checks == [] and lifts == []
 
 
@@ -258,6 +263,17 @@ def test_good_decompositions_empty_when_no_strong_subsystem():
     # k = 2, so a strong 5-subsystem needs two disjoint bases; (5,0,0) has
     # support of rank 1 only
     assert all_good_decompositions(ctx.system((5, 0, 0))) == ()
+
+
+def test_hand_built_pair_with_a_weak_second_member_does_not_validate():
+    # T2 = (5, 0, 0) has the right size but is not strong: no witness can
+    # be built, so validate answers False instead of raising
+    ctx = Context(LinearMatroid([(1, 0), (2, 0), (0, 1)]), 2)
+    d = GoodDecomposition(T1=ctx.system((0, 1, 1)), T2=ctx.system((5, 0, 0)))
+    assert d.validate() is False
+    assert GoodDecomposition(T1=ctx.system((0, 1, 1)), T2=ctx.system((4, 0, 0))).validate() is False
+    with pytest.raises(PreconditionError):
+        d.witness
 
 
 def test_good_decomposition_count_invariant_under_automorphism(linear_pairs):
@@ -419,17 +435,16 @@ def test_equivalence_roadmap_491_nodes_match_pairwise_definition():
     ],
 )
 def test_equivalence_lookup_makes_the_pairwise_strong_queries(matroid, m, mult):
-    # the lookup makes the pairwise rule's l = 1 queries (the enumeration)
-    # and none of its l = 0 ones: the edge pass files each node under
-    # T2 - [a] for a in its witness's remainder closure, where the pairwise
-    # rule asks one l = 0 question per pair at l1 distance 2; both find the
-    # same edges
+    # the lookup makes none of the pairwise rule's strong queries: the
+    # enumeration decides the nodes by the counting bound, and the edge pass
+    # files each node under T2 - [a] for a in its remainder closure, where
+    # the pairwise rule asks one l = 0 question per pair at l1 distance 2;
+    # both find the same edges
     lookup, pairwise = Context(matroid, m), Context(matroid, m)
     report = equivalence_report(lookup.system(mult))
     edges = pairwise_edges(all_good_decompositions(pairwise.system(mult)))
-    assert not any(l == 0 for _, l in lookup._strong_memo)
-    assert any(l == 0 for _, l in pairwise._strong_memo)
-    assert set(lookup._strong_memo) == {key for key in pairwise._strong_memo if key[1] == 1}
+    assert lookup._strong_memo == {}
+    assert pairwise._strong_memo and all(l == 0 for _, l in pairwise._strong_memo)
     assert report.edges == edges
 
 
@@ -629,13 +644,14 @@ def test_descent_move_matches_the_remainder_alternative_search():
 
 
 def test_warm_equivalence_report_solves_no_partition(monkeypatch):
-    # the second report reads every strong outcome from the context's memo
-    # by its raw tuple: no strong search, no validated System, and two
-    # Systems built unchecked per node (T2 and T1 = T - T2, tuples that T
-    # bounds)
+    # the second report reads every decision from the context's memo by its
+    # raw tuple: no strong search, no validated System, and two Systems built
+    # unchecked per node (T2 and T1 = T - T2, tuples that T bounds); its
+    # witnesses are the first report's, read from the memo without a search
     ctx = Context(ROADMAP_MATROID, 3)
     T = ctx.system((3, 2, 2, 2, 2, 2))
     first = equivalence_report(T)
+    witnesses = [d.witness for d in first.nodes]
     searches, built, trusted = [], [], []
     real_search, real_post_init = matpot.systems._strong_search, System.__post_init__
     real_trusted = matpot.systems._trusted
@@ -656,31 +672,37 @@ def test_warm_equivalence_report_solves_no_partition(monkeypatch):
     monkeypatch.setattr(System, "__post_init__", post_init)
     monkeypatch.setattr(matpot.systems, "_trusted", trusted_system)
     second = equivalence_report(T)
-    assert searches == []
     assert second == first
-    assert [d.witness for d in second.nodes] == [d.witness for d in first.nodes]
     assert built == []
     assert len(trusted) == 2 * len(second.nodes) == 342
+    assert [d.witness for d in second.nodes] == witnesses
+    assert searches == [] and built == []
 
 
 def _seeded_shared_queries(T):
-    """The enumeration of T, then one l = 0 query per shared system
+    """The seeded l = 1 queries of T's compositions, each miss started from
+    the last strong one before it, then one l = 0 query per shared system
     U = T2 - [a] that two or more nodes file under (a in the support of
     T2), seeded from the first such node's witness."""
     ctx = T.ctx
+    near = None
+    for mult in _bounded_compositions(ctx.m * ctx.k + 1, T.mult):
+        outcome = _strong_outcome(ctx, mult, 1, near)
+        if isinstance(outcome, StrongDecomposition):
+            near = outcome
     groups = {}
     for d in all_good_decompositions(T):
         for a in sorted(d.T2.support):
             groups.setdefault(matpot.systems._minus(d.T2.mult, a), []).append(d)
     for shared, members in groups.items():
         if len(members) > 1:
-            matpot.systems._strong_outcome(ctx, shared, 0, members[0].witness)
+            _strong_outcome(ctx, shared, 0, members[0].witness)
 
 
 def _warm_contexts(linear_pairs):
-    """Contexts after the seeded enumerations and shared l = 0 queries of
-    the roadmap system and of the small sweep: their memos hold
-    warm-started outcomes."""
+    """Contexts after the seeded queries of the roadmap system and of the
+    small sweep: their memos hold warm-started outcomes of both verdicts at
+    l = 0 and l = 1."""
     roadmap = Context(ROADMAP_MATROID, 3)
     _seeded_shared_queries(roadmap.system((3, 2, 2, 2, 2, 2)))
     contexts = [roadmap]
@@ -823,9 +845,10 @@ def test_warm_and_cold_strong_outcomes_agree(linear_pairs):
 
 
 def test_equivalence_report_augments_about_once_per_solve(monkeypatch):
-    # each memo miss of the enumeration starts from the last strong second
-    # member's decomposition, and the edge pass searches none; a cold start
-    # placed every unit, m * k + 1
+    # the report searches nothing; reading every witness searches each
+    # shared system once, each miss started from the shared bases the last
+    # read used, so only the first read is cold (it places every unit,
+    # m * k) and a seeded miss costs about one augmentation
     augmented, searches = [], []
     real_augment, real_search = matpot.systems._augment, matpot.systems._strong_search
 
@@ -834,32 +857,44 @@ def test_equivalence_report_augments_about_once_per_solve(monkeypatch):
         return real_augment(*args)
 
     def search(ctx, mult, l, near):
-        searches.append(near)
+        searches.append((mult, l, near))
         return real_search(ctx, mult, l, near)
 
     monkeypatch.setattr(matpot.systems, "_augment", augment)
     monkeypatch.setattr(matpot.systems, "_strong_search", search)
-    report = equivalence_report(Context(ROADMAP_MATROID, 3).system((3, 2, 2, 2, 2, 2)))
+    ctx = Context(ROADMAP_MATROID, 3)
+    report = equivalence_report(ctx.system((3, 2, 2, 2, 2, 2)))
     assert len(report.nodes) == 171
+    assert searches == [] and augmented == []
+    shared = {d.witness.total - d.witness.remainder for d in report.nodes}
+    assert len(searches) == len(shared) < len(report.nodes)
+    assert {l for _, l, _ in searches} == {0}
+    assert sum(near is None for _, _, near in searches) == 1  # only the first miss is cold
     assert len(augmented) < 2 * len(searches)
-    assert sum(near is None for near in searches) == 1  # only the first miss is cold
 
 
 def test_descent_move_stops_at_the_first_witness(monkeypatch):
-    # on the 171-node system: strongness of both second members and one
-    # query per tried label, where the remainder supports took 8 queries
+    # on the 171-node system: both closures come from the report's
+    # decisions, and each member that moves makes one l = 0 query for its
+    # shared bases, where the remainder supports took 8 queries
     report = equivalence_report(Context(ROADMAP_MATROID, 3).system((3, 2, 2, 2, 2, 2)))
-    calls = []
-    real = matpot.systems._strong_outcome
+    calls, decided = [], []
+    real, real_decide = matpot.systems._strong_outcome, matpot.systems._decide
 
     def counting(ctx, mult, l, near=None):
         calls.append((mult, l))
         return real(ctx, mult, l, near)
 
+    def deciding(ctx, whole, misses):
+        decided.append(misses)
+        return real_decide(ctx, whole, misses)
+
     monkeypatch.setattr(matpot.systems, "_strong_outcome", counting)
+    monkeypatch.setattr(matpot.systems, "_decide", deciding)
     move = descent_move(report.nodes[0], report.nodes[-1])
     assert move.distance_after == move.distance_before - 2
-    assert len(calls) <= 4
+    assert decided == []
+    assert 1 <= len(calls) <= 2 and {l for _, l in calls} == {0}
 
 
 def test_remainder_support_solves_one_partition(monkeypatch):
@@ -944,3 +979,122 @@ def test_context_requires_positive_rank():
         Context(UniformMatroid(0, 3), 1)
     with pytest.raises(PreconditionError):
         Context(UniformMatroid(1, 3), 0)
+
+
+@pytest.mark.parametrize("k, m", [(11, 2), (7, 3), (5, 4)])
+def test_uniform_all_ones_needs_no_flat_above_the_loops(k, m):
+    # |T| = 24, all ones: no flat of rank < k can bind (a flat of rank r
+    # holds r units), so the enumeration keeps the empty loop flat alone
+    # and every composition is strong with its whole support as closure
+    ctx = Context(UniformMatroid(k, 24), m)
+    T = ctx.system((1,) * 24)
+    labels, incidence, bound = matpot.systems._binding_flats(ctx, T.mult, 1)
+    assert labels == list(range(1, 25)) and incidence.shape == (0, 24) and bound.shape == (0,)
+    report = equivalence_report(T)
+    mk = m * k
+    assert len(report.nodes) == comb(24, mk + 1)
+    assert len(report.edges) == comb(24, mk) * comb(24 - mk, 2)
+    assert report.component_count == 1
+    assert ctx._strong_memo == {}
+
+
+def _random_flats_question(rng):
+    """A context of rank 1-4 (uniform, or linear with small integer rows),
+    m 1-3, and a system of m k + 1 + extra units, extra 0-2, drawn label
+    by label."""
+    k, n = rng.randint(1, 4), rng.randint(2, 7)
+    if rng.random() < 0.3:
+        matroid = UniformMatroid(min(k, n), n)
+    else:
+        rows = lambda: [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        matroid = LinearMatroid(rows())
+        while matroid.full_rank == 0:
+            matroid = LinearMatroid(rows())
+    ctx = Context(matroid, rng.randint(1, 3))
+    mult = [0] * n
+    for _ in range(ctx.m * ctx.k + 1 + rng.randint(0, 2)):
+        mult[rng.randrange(n)] += 1
+    return ctx, tuple(mult)
+
+
+def test_flats_decision_matches_the_strong_search():
+    # every composition the batch decides, against the label search on a
+    # fresh context: the l = 1 verdict, the closure against
+    # remainder_support, and the l = 0 verdict of T2 - [a] for each label a
+    # of the support of one composition per system
+    rng = random.Random(4600)
+    kinds = Counter()
+    for _ in range(2000):
+        ctx, mult = _random_flats_question(rng)
+        all_good_decompositions(ctx.system(mult))
+        search = Context(ctx.matroid, ctx.m)
+        compositions = list(_bounded_compositions(ctx.m * ctx.k + 1, mult))
+        for t2 in compositions:
+            decision = ctx._decisions[t2]
+            outcome = _strong_outcome(search, t2, 1)
+            assert (decision is None) == isinstance(outcome, SystemBoundViolation), (ctx.matroid, ctx.m, t2)
+            if decision is not None:
+                closure = sorted(remainder_support(search.system(t2), 1))
+                assert decision == tuple(matpot.systems._minus(t2, a) for a in closure)
+            kinds[1, decision is not None] += 1
+        t2 = rng.choice(compositions)
+        closure = [matpot.systems._key_label(t2, key) for key in ctx._decisions[t2] or ()]
+        for a in sorted(frozenset(j for j, v in enumerate(t2, 1) if v)):
+            outcome = _strong_outcome(search, matpot.systems._minus(t2, a), 0)
+            assert isinstance(outcome, StrongDecomposition) == (a in closure), (ctx.matroid, ctx.m, t2, a)
+            kinds[0, a in closure] += 1
+    assert min(kinds.values()) >= 200, kinds
+
+
+def test_flats_decision_matches_the_brute_force_on_the_small_sweep(linear_pairs, u13, u24):
+    for matroid in (linear_pairs, u13, u24, PARALLEL_LOOP):
+        for m in (1, 2):
+            ctx = Context(matroid, m)
+            mk = m * ctx.k
+            for total in range(mk + 1, mk + 3):
+                for mult in _bounded_compositions(total, (total,) * ctx.n):
+                    T = ctx.system(mult)
+                    report = equivalence_report(T)
+                    assert {(d.T1.mult, d.T2.mult) for d in report.nodes} == brute_good_decompositions(T)
+                    edges = pairwise_edges(report.nodes)
+                    assert report.edges == edges
+                    assert report.components == edge_components(len(report.nodes), edges)
+
+
+def test_general_position_rows_are_decided_by_the_search():
+    # 24 rows of rank 11 in general position: the matroid is U(11, 24), but
+    # the size bound of a linear matroid cannot prune its millions of flats
+    # of rank < 11, so the enumeration stops at its budget and every
+    # composition is decided by the label search and its circuit closure
+    rng = random.Random(3)
+    matroid = LinearMatroid([[rng.randint(-50, 50) for _ in range(11)] for _ in range(24)])
+    ctx = Context(matroid, 2)
+    T = ctx.system((1,) * 24)
+    budget = matpot.systems.FLATS_PER_SEARCH * 24
+    assert matpot.systems._binding_flats(ctx, T.mult, budget) is None
+    report = equivalence_report(T)
+    assert sum(1 for _, l in ctx._strong_memo if l == 1) == 24
+    assert len(report.nodes) == comb(24, 23) and len(report.edges) == comb(24, 22) * comb(2, 2)
+    assert report.component_count == 1
+    uniform = equivalence_report(Context(UniformMatroid(11, 24), 2).system(T.mult))
+    assert [d.T2.mult for d in report.nodes] == [d.T2.mult for d in uniform.nodes]
+    assert report.edges == uniform.edges
+    assert all(d.validate() for d in report.nodes[:3])
+
+
+def test_search_decider_past_the_flat_limit_gives_the_same_report(monkeypatch):
+    # with no room for flats every miss is decided by the label search and
+    # its circuit closure; the report is the one the flats give
+    cases = [
+        (ROADMAP_MATROID, 3, (3, 2, 2, 2, 2, 2)),
+        (PARALLEL_LOOP, 2, (2, 1, 2, 1, 2)),
+        (UniformMatroid(2, 5), 2, (3, 1, 1, 1, 1)),  # label 1 alone binds
+    ]
+    flats = [equivalence_report(Context(M, m).system(mult)) for M, m, mult in cases]
+    monkeypatch.setattr(matpot.systems, "FLATS_PER_SEARCH", 0)
+    for (M, m, mult), expected in zip(cases, flats):
+        ctx = Context(M, m)
+        report = equivalence_report(ctx.system(mult))
+        assert report == expected
+        assert any(l == 1 for _, l in ctx._strong_memo)
+        assert all(d.validate() for d in report.nodes)
