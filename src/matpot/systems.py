@@ -40,8 +40,9 @@ composition (a linear matroid in general position, whose flats the size
 bound cannot prune), the compositions are decided by the strong search
 instead, seeded along them, and the circuit closure below.
 
-The strong search decides a single system: ``strong-decompose``, the
-witnesses, ``descent_move``'s shared bases and ``remainder_support``.
+The strong search decides a single system: ``strong-decompose``, a
+witness read, ``remainder_support`` and the enumeration past its flat
+budget; nothing else runs it.
 Strong-decomposition outcomes are memoized per ``Context``, keyed by the
 raw multiplicity tuple and l, and callers build a ``System`` only for what
 they return, through the unchecked ``_trusted``.  A miss places the tuple's
@@ -77,10 +78,11 @@ depend on what was decided before.
 
 ``descent_move`` constructs, from two distinct good decompositions, the
 explicit exchange that brings their second members strictly closer in the
-l1 metric while staying inside one equivalence class; it picks its labels
-from the decisions of the two second members and makes one memoized l = 0
-query per member it moves.  ``remainder_support`` is the remainder closure
-of one strong decomposition: the strongness check's search and no other.
+l1 metric while staying inside one equivalence class.  It is label
+arithmetic on the decisions of the two second members and runs no search:
+a moved decomposition's witness is built on first read, as a report
+node's is.  ``remainder_support`` is the remainder closure of one strong
+decomposition: the strongness check's search and no other.
 """
 
 from __future__ import annotations
@@ -171,8 +173,8 @@ class Context:
 
     @cached_property
     def _shared_seed(self) -> list:
-        """One slot: the last shared bases decided (``_shared_bases``), from
-        which the next miss's search starts."""
+        """One slot: the last shared bases a witness read decided
+        (``_shared_witness``), from which the next read's search starts."""
         return [None]
 
 
@@ -527,21 +529,20 @@ class GoodDecomposition:
     """T = T1 + T2 with T2 a strong (mk+1)-system; identity is the pair only.
 
     ``witness``, a strong decomposition of T2 with a one-label remainder, is
-    the one given to the constructor, or else built on first read from
-    shared bases: the bases of the memoized l = 0 decomposition of one of
-    T2's filing keys U = T2 - [a], plus the unit [a] (``_shared_witness``).
-    Every node filed under U reuses them.
+    built on first read from shared bases: the bases of the memoized l = 0
+    decomposition of one of T2's filing keys U = T2 - [a], plus the unit
+    [a] (``_shared_witness``).  Every decomposition filed under U, a report
+    node or a descent move's result, reuses them.  ``validate`` answers
+    False, without a witness, when T2 is not strong.
     """
 
     T1: System
     T2: System
 
-    def __init__(self, T1: System, T2: System, witness: StrongDecomposition | None = None):
+    def __init__(self, T1: System, T2: System):
         fields = self.__dict__
         fields["T1"] = T1
         fields["T2"] = T2
-        if witness is not None:
-            fields["witness"] = witness
 
     @cached_property
     def witness(self) -> StrongDecomposition:
@@ -555,7 +556,7 @@ class GoodDecomposition:
         ctx = self.T1.ctx
         if self.T2.total != ctx.m * ctx.k + 1:
             return False
-        if "witness" not in self.__dict__ and _decision(self.T2.ctx, self.T2.mult) is None:
+        if _decision(self.T2.ctx, self.T2.mult) is None:
             return False  # no witness to build: T2 is not strong
         return self.witness.validate(self.T2) and self.witness.remainder.total == 1
 
@@ -738,18 +739,21 @@ def _shared_witness(T2: System) -> StrongDecomposition:
     """A strong decomposition of T2 with a one-label remainder, from shared
     bases: the l = 0 decomposition of one of T2's filing keys U = T2 - [a]
     plus the unit [a], checked on the memo cores.  The key is the first
-    whose decomposition the context holds, else the first one, searched
-    once (``_shared_bases``); the outcome is memoized, so every node filed
-    under U reuses it."""
+    whose decomposition the context holds, else the first one, searched once
+    from the last shared bases read (``Context._shared_seed``: a
+    neighbour's, when witnesses are read in node order); the outcome is
+    memoized, so every node filed under U reuses it.  PreconditionError
+    when T2 is not strong (``_strong_keys``)."""
     ctx, mult = T2.ctx, T2.mult
-    keys = _decision(ctx, mult)
-    if keys is None:
-        raise PreconditionError("the second member is not a strong (mk+1)-system")
-    memo = ctx._strong_memo
-    a = _key_label(mult, next((key for key in keys if (key, 0) in memo), keys[0]))
+    keys = _strong_keys(T2)
+    memo, seed = ctx._strong_memo, ctx._shared_seed
+    key = next((key for key in keys if (key, 0) in memo), keys[0])
+    rest = _strong_outcome(ctx, key, 0, seed[0])
+    if not isinstance(rest, StrongDecomposition):
+        raise InternalError("a label of the remainder closure left a system that is not strong")
+    seed[0] = rest
     unit = [0] * ctx.n
-    unit[a - 1] = 1
-    rest = _shared_bases(T2, a)
+    unit[_key_label(mult, key) - 1] = 1
     witness = StrongDecomposition(parts=rest.parts, remainder=_trusted(ctx, tuple(unit)))
     if not witness._decomposes(mult):
         raise InternalError("shared bases plus one label do not decompose the second member")
@@ -882,36 +886,17 @@ class DescentMove:
     distance_after: int
 
 
-def _exchange(d: GoodDecomposition, a: int, b: int, rest: StrongDecomposition) -> GoodDecomposition:
-    """d with one a moved from T2 to T1 and one b from T1 to T2, witnessed by
-    the bases of ``rest`` (a strong decomposition of T2 - [a]) plus [b].
-    T2(a) >= 1 and T1(b) >= 1, so every new tuple is a System of d's context."""
+def _exchange(d: GoodDecomposition, a: int, b: int) -> GoodDecomposition:
+    """d with one a moved from T2 to T1 and one b from T1 to T2.  T2(a) >= 1
+    and T1(b) >= 1, so both new tuples are Systems of d's context; the
+    witness is built on first read, as a report node's is."""
     ctx = d.T1.ctx
     T1, T2 = list(d.T1.mult), list(d.T2.mult)
     T1[a - 1] += 1
     T1[b - 1] -= 1
     T2[a - 1] -= 1
     T2[b - 1] += 1
-    unit = [0] * ctx.n
-    unit[b - 1] = 1
-    return GoodDecomposition(
-        T1=_trusted(ctx, tuple(T1)),
-        T2=_trusted(ctx, tuple(T2)),
-        witness=StrongDecomposition.make(rest.parts, _trusted(ctx, tuple(unit))),
-    )
-
-
-def _shared_bases(X2: System, a: int) -> StrongDecomposition:
-    """The memoized strong decomposition with l = 0 of X2 - [a], for a in the
-    remainder closure of X2.  A miss starts from the last shared bases the
-    context decided (``Context._shared_seed``): a neighbour's, when
-    witnesses are read in node order."""
-    seed = X2.ctx._shared_seed
-    rest = _strong_outcome(X2.ctx, _minus(X2.mult, a), 0, seed[0])
-    if not isinstance(rest, StrongDecomposition):
-        raise InternalError("a label of the remainder closure left a system that is not strong")
-    seed[0] = rest
-    return rest
+    return GoodDecomposition(_trusted(ctx, tuple(T1)), _trusted(ctx, tuple(T2)))
 
 
 def _whole(d: GoodDecomposition) -> tuple:
@@ -946,8 +931,8 @@ def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
 
     X2 - [a] is strong with l = 0 exactly when it is one of X2's filing
     keys (``Context._decisions``), so the labels are tested against the two
-    decisions' keys, and each member that moves makes one memoized l = 0
-    query for its shared bases.
+    decisions' keys and no search runs; a moved member's witness is built
+    on first read (``GoodDecomposition``).
     """
     whole_t, whole_s = _whole(dT), _whole(dS)
     if dT.T1.ctx != dS.T1.ctx or whole_t != whole_s:
@@ -964,7 +949,7 @@ def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
     t2, s2 = T2.mult, S2.mult
     i = next((i for i, (u, v) in enumerate(zip(t2, s2), 1) if u > v and _minus(t2, i) in keys_t), None)
     if i is not None:
-        moved = _exchange(dT, i, b, _shared_bases(T2, i))
+        moved = _exchange(dT, i, b)
         return DescentMove("surplus", moved_t=moved, moved_s=dS,
                            distance_before=before, distance_after=l1_distance(moved.T2, S2))
     a = _key_label(s2, keys_s[0])
@@ -974,7 +959,7 @@ def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
             "the remainder exchange property and signals a bug"
         )
     c = min(l for l in labels if dT.T1(l) < dS.T1(l))
-    moved_t = _exchange(dT, a, b, _shared_bases(T2, a))
-    moved_s = _exchange(dS, a, c, _shared_bases(S2, a))
+    moved_t = _exchange(dT, a, b)
+    moved_s = _exchange(dS, a, c)
     return DescentMove("matched", moved_t=moved_t, moved_s=moved_s,
                        distance_before=before, distance_after=l1_distance(moved_t.T2, moved_s.T2))

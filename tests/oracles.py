@@ -55,7 +55,9 @@ label search of ``systems._strong_outcome``;
 ``reference_descent_move`` is the earlier exchange search, kept as the
 reference for the library's ``descent_move``: it builds the full
 ``RemainderAlternative`` (two remainder supports, each label decided by its
-own strong query in ``label_remainder_support``) and then uses one label.
+own strong query in ``label_remainder_support``), uses one label, and
+returns the explicit shared-bases witness of each member it moves beside
+the move, the paper's constructive certificate.
 ``discriminant_probe`` calls the library's ``critical_points`` and only
 turns its structured errors into False; the tests use it to draw instances
 off the discriminant.  ``track_fiber`` follows a fiber's points to another
@@ -600,12 +602,16 @@ def remainder_alternative(S: System, T: System) -> RemainderAlternative:
     return RemainderAlternative(kind="matched", matched=tuple(matched))
 
 
-def reference_descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
+def reference_descent_move(dT: GoodDecomposition, dS: GoodDecomposition):
     """Construct the exchange that brings the second members strictly closer.
 
     Given two distinct good decompositions of the same system, returns new
     good decompositions (each locally related to its input) whose second
-    members are at l1 distance exactly 2 less than before.
+    members are at l1 distance exactly 2 less than before, as a
+    ``DescentMove``, together with the explicit witness of each member that
+    moves (moved_t, then moved_s in the matched case): the bases of the
+    remainder alternative's decomposition that shares them, plus the label
+    moved in.
     """
     if dT.whole != dS.whole:
         raise PreconditionError("good decompositions do not decompose the same system")
@@ -623,14 +629,11 @@ def reference_descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> Desc
         )
         r1 = dT.T1 - ctx.unit(j) + ctx.unit(i)
         r2 = dT.T2 + ctx.unit(j) - ctx.unit(i)
-        moved = GoodDecomposition(
-            T1=r1,
-            T2=r2,
-            witness=StrongDecomposition.make(alt.surplus.parts, ctx.unit(j)),
-        )
+        moved = GoodDecomposition(T1=r1, T2=r2)
         after = l1_distance(r2, dS.T2)
+        witness = StrongDecomposition.make(alt.surplus.parts, ctx.unit(j))
         return DescentMove("surplus", moved_t=moved, moved_s=dS,
-                           distance_before=before, distance_after=after)
+                           distance_before=before, distance_after=after), (witness,)
     a, dec_t = alt.matched[0]
     dec_s = StrongDecomposition.make(
         find_strong_decomposition(dS.T2 - ctx.unit(a), 0).parts, ctx.unit(a)
@@ -638,19 +641,15 @@ def reference_descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> Desc
     b = min(l for l in ctx.matroid.ground.labels if dT.T1(l) > dS.T1(l))
     c = min(l for l in ctx.matroid.ground.labels if dT.T1(l) < dS.T1(l))
     r2 = dT.T2 + ctx.unit(b) - ctx.unit(a)
-    moved_t = GoodDecomposition(
-        T1=dT.T1 - ctx.unit(b) + ctx.unit(a),
-        T2=r2,
-        witness=StrongDecomposition.make(dec_t.parts, ctx.unit(b)),
-    )
+    moved_t = GoodDecomposition(T1=dT.T1 - ctx.unit(b) + ctx.unit(a), T2=r2)
     q2 = dS.T2 + ctx.unit(c) - ctx.unit(a)
-    moved_s = GoodDecomposition(
-        T1=dS.T1 - ctx.unit(c) + ctx.unit(a),
-        T2=q2,
-        witness=StrongDecomposition.make(dec_s.parts, ctx.unit(c)),
+    moved_s = GoodDecomposition(T1=dS.T1 - ctx.unit(c) + ctx.unit(a), T2=q2)
+    witnesses = (
+        StrongDecomposition.make(dec_t.parts, ctx.unit(b)),
+        StrongDecomposition.make(dec_s.parts, ctx.unit(c)),
     )
     return DescentMove("matched", moved_t=moved_t, moved_s=moved_s,
-                       distance_before=before, distance_after=l1_distance(r2, q2))
+                       distance_before=before, distance_after=l1_distance(r2, q2)), witnesses
 
 
 def matroid_to_json(M) -> dict:

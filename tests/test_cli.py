@@ -1,7 +1,9 @@
 import hashlib
+import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import matpot.arrangements
+import matpot.errors
 import matpot.matroids
 import matpot.partition
 import matpot.systems
@@ -1114,3 +1117,96 @@ def test_k2_sweep_slice_gets_full_count_or_near_discriminant(capsys, tmp_path):
             assert (code, envelope["error"]["code"]) == (2, "near-discriminant")
             outcomes.append("near")
     assert outcomes.count("ok") >= 25
+
+
+# one payload per subcommand: the README examples for partition, equivalence,
+# potentials and verify-arrangement, and small inputs for the other three
+MUTATION_BASES = {
+    ("matroid", "rank"): {"matroid": {"type": "linear", "matrix": [[1, 0], [0, 1], [1, 1]]}, "A": [1, 2, 3]},
+    ("partition",): {"ground": 2, "matroids": [{"type": "uniform", "l": 1, "n": 2}]},
+    ("amin",): {"ground": 3, "matroids": [{"type": "uniform", "l": 1, "n": 3}] * 3},
+    ("equivalence",): {"matroid": {"type": "uniform", "l": 1, "n": 3}, "m": 2, "T": [2, 1, 1]},
+    ("strong-decompose",): {"matroid": {"type": "linear", "matrix": [[1, 0], [2, 0], [0, 1]]},
+                            "m": 2, "l": 1, "T": [3, 1, 1]},
+    ("potentials",): {"B": [[1], [1]], "a": [1, 1], "x": [1, -1], "m": 2, "N_max": 5},
+    ("verify-arrangement",): {"B": [[1], [1]], "a": [1, 1], "x": [1, -1], "m": 2},
+}
+# JSON values that sit at the edges of what a field accepts: integers beyond
+# double and index range, booleans and null, strings that parse or almost
+# parse as numbers, floats at the ends of double range, and containers
+MUTATION_POOL = [
+    10**400, -10**400, 2**64, -1, 0, 1,
+    True, False, None,
+    "x", "1/0", "1e400", "0", "-3/2",
+    1e308, -0.0, 1.5, 1e-320,
+    [], [[]], {}, [1], [1e308, 1e308],
+]
+MATPOT_CODES = {
+    cls.code
+    for cls in vars(matpot.errors).values()
+    if isinstance(cls, type) and issubclass(cls, matpot.errors.MatpotError)
+    and cls not in (matpot.errors.MatpotError, matpot.errors.InternalError)
+}
+
+
+def _leaf_paths(obj, path=()):
+    """The paths (tuples of keys and indices) of the scalar leaves of obj."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaf_paths(value, path + (key,))]
+
+
+def _mutated(payload, rng):
+    """A copy of payload with one or two random leaves replaced from the pool."""
+    obj = json.loads(json.dumps(payload))
+    for _ in range(rng.randint(1, 2)):
+        *parent, last = rng.choice(_leaf_paths(obj))
+        node = obj
+        for key in parent:
+            node = node[key]
+        node[last] = json.loads(json.dumps(rng.choice(MUTATION_POOL)))
+    return obj
+
+
+class _CaseTimeout(BaseException):
+    """Raised by the alarm; a BaseException, so ``cli.main`` cannot turn it
+    into an exit code."""
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutated_inputs_exit_0_or_2_with_a_documented_code(capsys, monkeypatch, seed):
+    # about 100 mutations of each subcommand's payload per seed, each run in
+    # process under a 3 s alarm: exit 0 with a result, or exit 2 with a
+    # MatpotError code other than "internal", and nothing on stderr
+    rng = random.Random(seed)
+
+    def timeout(signum, frame):
+        raise _CaseTimeout
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        for argv, payload in MUTATION_BASES.items():
+            for _ in range(100):
+                case = _mutated(payload, rng)
+                text = json.dumps(case)
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                signal.alarm(3)
+                try:
+                    code = main(list(argv))
+                except _CaseTimeout:
+                    pytest.fail(f"{' '.join(argv)} ran past 3 s on {text}")
+                finally:
+                    signal.alarm(0)
+                captured = capsys.readouterr()
+                envelope = json.loads(captured.out)
+                assert captured.err == "", (argv, text, captured.err)
+                if code == 0:
+                    assert "result" in envelope, (argv, text)
+                else:
+                    assert code == 2 and envelope["error"]["code"] in MATPOT_CODES, (argv, text, code, envelope)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

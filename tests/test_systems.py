@@ -301,14 +301,12 @@ def test_locally_related_explicit_move(ctx_u13_m2):
     witness = find_strong_decomposition(T2, 1)
     assert witness.remainder.mult == (0, 1, 0)
     T1 = ctx.system((1, 0, 1))
-    d = GoodDecomposition(T1=T1, T2=T2, witness=witness)
-    # swap the remainder label 2 into the first member against label 3
+    d = GoodDecomposition(T1=T1, T2=T2)
+    # swap the remainder label 2 into the first member against label 3: the
+    # bases of T2's decomposition plus [3] decompose the moved second member
     r2 = T2 + ctx.unit(3) - ctx.unit(2)
-    moved = GoodDecomposition(
-        T1=T1 - ctx.unit(3) + ctx.unit(2),
-        T2=r2,
-        witness=StrongDecomposition.make(witness.parts, ctx.unit(3)),
-    )
+    assert StrongDecomposition.make(witness.parts, ctx.unit(3)).validate(r2)
+    moved = GoodDecomposition(T1=T1 - ctx.unit(3) + ctx.unit(2), T2=r2)
     assert moved.validate()
     assert locally_related(d, moved) and locally_related(moved, d)
 
@@ -620,15 +618,18 @@ def _descent_contexts():
 def _move_fields(move):
     return (
         move.case,
-        move.moved_t.T1, move.moved_t.T2, move.moved_t.witness,
-        move.moved_s.T1, move.moved_s.T2, move.moved_s.witness,
+        move.moved_t.T1, move.moved_t.T2,
+        move.moved_s.T1, move.moved_s.T2,
         move.distance_before, move.distance_after,
     )
 
 
 def test_descent_move_matches_the_remainder_alternative_search():
-    # the first-witness move against the earlier search through both
-    # remainder supports, field by field, on systems with |T| <= mk + 3
+    # the move read off the decisions against the earlier search through
+    # both remainder supports, field by field, on systems with |T| <= mk + 3;
+    # each moved decomposition validates with the witness it builds on read,
+    # and the reference's explicit witnesses (its remainder decomposition's
+    # bases plus the label moved in) decompose the reference's moved members
     rng = random.Random(2024)
     pairs = 0
     for ctx in _descent_contexts():
@@ -637,8 +638,14 @@ def test_descent_move_matches_the_remainder_alternative_search():
             for _ in range(ctx.m * ctx.k + rng.randint(2, 3)):
                 mult[rng.randrange(ctx.n)] += 1
             for dT, dS in _distinct_good_pairs(ctx.system(mult)):
-                expected = _move_fields(reference_descent_move(dT, dS))
-                assert _move_fields(descent_move(dT, dS)) == expected
+                reference, witnesses = reference_descent_move(dT, dS)
+                move = descent_move(dT, dS)
+                assert _move_fields(move) == _move_fields(reference)
+                assert move.moved_t.validate() and move.moved_s.validate()
+                moved = (reference.moved_t,) if reference.case == "surplus" else (reference.moved_t, reference.moved_s)
+                assert len(witnesses) == len(moved)
+                for d, witness in zip(moved, witnesses):
+                    assert witness.validate(d.T2) and witness.remainder.total == 1
                 pairs += 1
     assert pairs >= 5000, pairs
 
@@ -873,11 +880,13 @@ def test_equivalence_report_augments_about_once_per_solve(monkeypatch):
     assert len(augmented) < 2 * len(searches)
 
 
-def test_descent_move_stops_at_the_first_witness(monkeypatch):
+def test_descent_move_after_a_report_runs_no_search(monkeypatch):
     # on the 171-node system: both closures come from the report's
-    # decisions, and each member that moves makes one l = 0 query for its
-    # shared bases, where the remainder supports took 8 queries
-    report = equivalence_report(Context(ROADMAP_MATROID, 3).system((3, 2, 2, 2, 2, 2)))
+    # decisions and the moved members' witnesses wait for a read, so the
+    # move asks no strong question and decides nothing
+    ctx = Context(ROADMAP_MATROID, 3)
+    report = equivalence_report(ctx.system((3, 2, 2, 2, 2, 2)))
+    memo = dict(ctx._strong_memo)
     calls, decided = [], []
     real, real_decide = matpot.systems._strong_outcome, matpot.systems._decide
 
@@ -893,8 +902,8 @@ def test_descent_move_stops_at_the_first_witness(monkeypatch):
     monkeypatch.setattr(matpot.systems, "_decide", deciding)
     move = descent_move(report.nodes[0], report.nodes[-1])
     assert move.distance_after == move.distance_before - 2
-    assert decided == []
-    assert 1 <= len(calls) <= 2 and {l for _, l in calls} == {0}
+    assert calls == [] and decided == []
+    assert ctx._strong_memo == memo
 
 
 def test_remainder_support_solves_one_partition(monkeypatch):
@@ -998,11 +1007,11 @@ def test_uniform_all_ones_needs_no_flat_above_the_loops(k, m):
     assert ctx._strong_memo == {}
 
 
-def _random_flats_question(rng):
-    """A context of rank 1-4 (uniform, or linear with small integer rows),
-    m 1-3, and a system of m k + 1 + extra units, extra 0-2, drawn label
-    by label."""
-    k, n = rng.randint(1, 4), rng.randint(2, 7)
+def _random_flats_question(rng, max_rank=4):
+    """A context of rank 1-max_rank (uniform, or linear with small integer
+    rows), m 1-3, and a system of m k + 1 + extra units, extra 0-2, drawn
+    label by label."""
+    k, n = rng.randint(1, max_rank), rng.randint(2, 7)
     if rng.random() < 0.3:
         matroid = UniformMatroid(min(k, n), n)
     else:
@@ -1061,14 +1070,18 @@ def test_flats_decision_matches_the_brute_force_on_the_small_sweep(linear_pairs,
                     assert report.components == edge_components(len(report.nodes), edges)
 
 
+def _general_position_context():
+    """24 rows of rank 11 in general position, m = 2."""
+    rng = random.Random(3)
+    return Context(LinearMatroid([[rng.randint(-50, 50) for _ in range(11)] for _ in range(24)]), 2)
+
+
 def test_general_position_rows_are_decided_by_the_search():
     # 24 rows of rank 11 in general position: the matroid is U(11, 24), but
     # the size bound of a linear matroid cannot prune its millions of flats
     # of rank < 11, so the enumeration stops at its budget and every
     # composition is decided by the label search and its circuit closure
-    rng = random.Random(3)
-    matroid = LinearMatroid([[rng.randint(-50, 50) for _ in range(11)] for _ in range(24)])
-    ctx = Context(matroid, 2)
+    ctx = _general_position_context()
     T = ctx.system((1,) * 24)
     budget = matpot.systems.FLATS_PER_SEARCH * 24
     assert matpot.systems._binding_flats(ctx, T.mult, budget) is None
@@ -1080,6 +1093,40 @@ def test_general_position_rows_are_decided_by_the_search():
     assert [d.T2.mult for d in report.nodes] == [d.T2.mult for d in uniform.nodes]
     assert report.edges == uniform.edges
     assert all(d.validate() for d in report.nodes[:3])
+
+
+def test_descent_moves_chain_every_node_to_the_first_with_no_search(monkeypatch):
+    # the paper's connectivity argument: from any two good decompositions,
+    # descent moves (T2 -> T2 - [a] + [b] on one or both sides) meet after
+    # l1 / 2 steps, each move lowering the distance of the second members
+    # by exactly 2 and landing on nodes; after the reports, the moves read
+    # the decisions only and no strong question is asked
+    rng = random.Random(4700)
+    reports = [equivalence_report(ctx.system(mult))
+               for ctx, mult in (_random_flats_question(rng, max_rank=3) for _ in range(300))]
+    reports.append(equivalence_report(_general_position_context().system((1,) * 24)))
+    searched = []
+    real = matpot.systems._strong_outcome
+
+    def counting(ctx, mult, l, near=None):
+        searched.append((mult, l))
+        return real(ctx, mult, l, near)
+
+    monkeypatch.setattr(matpot.systems, "_strong_outcome", counting)
+    steps = 0
+    for report in reports:
+        nodes = {d.T2.mult for d in report.nodes}
+        for node in report.nodes[1:]:
+            cur, tgt = node, report.nodes[0]
+            while cur.T2 != tgt.T2:
+                move = descent_move(cur, tgt)
+                assert move.distance_before == l1_distance(cur.T2, tgt.T2)
+                cur, tgt = move.moved_t, move.moved_s
+                assert move.distance_after == move.distance_before - 2 == l1_distance(cur.T2, tgt.T2)
+                assert cur.T2.mult in nodes and tgt.T2.mult in nodes
+                steps += 1
+    assert searched == []
+    assert steps >= 500, steps
 
 
 def test_search_decider_past_the_flat_limit_gives_the_same_report(monkeypatch):
