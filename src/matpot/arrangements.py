@@ -30,9 +30,9 @@ order of the labels.  The Higgs matrices come from that algebra alone:
 ``higgs`` is their value at z, and ``frame_jet`` reads their Taylor series
 from the same placement product.  The family evaluates the pairing
 jets, and the frame jets' unit and form, from its basepoint fiber (or the
-fiber over a sample) and flat basis, each computed once, so the axioms
-compare the algebra against the fiber; the fiber's residuals and Hessians
-are the diagnostics.
+fibers over a stack of sample points, solved in one pass) and flat basis,
+each computed once, so the axioms compare the algebra against the fiber;
+the fiber's residuals and Hessians are the diagnostics.
 
 For generic weights and z the fiber has exactly mu = |sum over independent S
 with |S| <= k of (-1)^|S|| points, the Euler characteristic of the
@@ -40,9 +40,11 @@ complement (Orlik-Terao, Varchenko); that is T_M(0, 1), the number of those
 bases (Crapo, 1969), so ``ArrangementData.count`` is the size of the flat
 basis, and every fiber solve at every rank returns exactly that many points
 or raises DiscriminantError.  The candidates come from one
-eigenproblem at every rank, the joint eigenvalues of the H_j; ``_accept``
-polishes them and states the refusals once, for every rank
-(docs/schemas.md).
+eigenproblem per fiber at every rank, the joint eigenvalues of the H_j;
+``_accept`` polishes them and states the refusals once, for every rank
+(docs/schemas.md).  One solver, ``_fibers``, takes a stack of base points
+and gives each the fiber of a stack of one bit for bit; ``critical_points``
+is that stack of one.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ import numpy as np
 from .errors import (
     DiscriminantError,
     GroundSetError,
+    MatpotError,
     PreconditionError,
     RankError,
     SizeLimitError,
@@ -83,16 +86,22 @@ def vector_matroid(matrix) -> LinearMatroid:
 NO_CRITICAL_POINTS = "the family has no critical points: the Euler characteristic of the complement is 0"
 
 
-def _base_point(z, n: int) -> np.ndarray:
-    """z as a complex vector of n finite coordinates, the base point of a
-    fiber, else GroundSetError: the check of the family's basepoint and of
-    every z that ``critical_points`` solves over."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (n,):
+def _base_points(points, n: int) -> np.ndarray:
+    """points as an (S, n) complex array, one base point of a fiber of n
+    finite coordinates per row, else GroundSetError: the check of the
+    family's basepoint, of every z that ``critical_points`` solves over and
+    of every row of a ``frame_jet`` stack."""
+    points = np.asarray(points, dtype=complex)
+    if points.ndim != 2 or points.shape[1] != n:
         raise GroundSetError(f"basepoint must have {n} coordinates")
-    if not np.isfinite(z).all():
+    if not np.isfinite(points).all():
         raise GroundSetError("basepoint coordinates must be finite")
-    return z
+    return points
+
+
+def _base_point(z, n: int) -> np.ndarray:
+    """z as a complex vector of n finite coordinates (``_base_points``)."""
+    return _base_points(np.asarray(z, dtype=complex)[None], n)[0]
 
 
 def _double(num: int, den: int, what: str, *args) -> float:
@@ -137,6 +146,7 @@ class ArrangementData:
         self.basepoint = _base_point(basepoint, self.n)
         self.B = np.array([[_double(v.numerator, v.denominator, "B[{}][{}]", i, j) for j, v in enumerate(row, 1)]
                            for i, row in enumerate(self.matrix, 1)], dtype=complex)
+        self._base_series_of = {}  # ``_base_series`` by degree
 
     @cached_property
     def minors(self) -> dict:
@@ -197,6 +207,18 @@ class ArrangementData:
     def base_frame(self) -> CriticalPointFrame:
         """The fiber over the basepoint, solved once."""
         return critical_points(self, self.basepoint)
+
+    @cached_property
+    def _balanced(self) -> bool:
+        """Whether, at rank 1 or at n = k + 1 (count 1), the weights of the
+        rows with b != 0 sum to 0, exactly or as floats: a critical point
+        then lies at infinity, so every fiber is refused
+        (``_eigen_candidates``).  Decided once per family."""
+        if not (self.k == 1 or self.n == self.k + 1):
+            return False
+        rows = [i for i, row in enumerate(self.matrix) if any(row)]
+        exact = [self.weights_exact[i] for i in rows]
+        return bool(self.a[rows].sum() == 0 or None not in exact and sum(exact) == 0)
 
     @cached_property
     def algebra(self) -> FamilyAlgebra:
@@ -306,41 +328,50 @@ class ArrangementData:
         below n eps for n >= 2; the margin is a factor of about 2.  A
         smaller |f_S| cannot be told from 0, and H would carry 1 / f_S.  A
         family whose count is 0 has no H (PreconditionError)."""
-        return self._higgs(z)
+        return self._higgs(np.asarray(z)[None])[0]
 
-    def _higgs(self, z, space: SeriesSpace | None = None) -> np.ndarray:
-        """``higgs`` at z, or with a space its Taylor series at z in delta
-        up to degree space.q, shape (n, mu, mu, size): f_S(z + delta) =
-        f_S(z) + c_S . delta, so C_S = sum_{i in S} c_i a_i C_{S-i} / f_S
-        takes the series of the reciprocal, and every degree goes through the
-        same placement product.  The screen reads the constant terms: the
-        discriminant is where some f_S(z) vanishes."""
+    def _higgs(self, zs, space: SeriesSpace | None = None) -> np.ndarray:
+        """``higgs`` at every row of zs (S, n), shape (S, n, mu, mu), or with
+        a space their Taylor series there in delta up to degree space.q,
+        shape (S, n, mu, mu, size): f_S(z + delta) = f_S(z) + c_S . delta,
+        so C_S = sum_{i in S} c_i a_i C_{S-i} / f_S takes the series of the
+        reciprocal, and every degree goes through the same placement
+        product.  The screen reads the constant terms: the discriminant is
+        where some f_S(z) vanishes; the first row that fails it is refused.
+        Each row is the one-point evaluation bit for bit: f_S(z) is one
+        matrix-vector product per row (a stacked matrix product sums in
+        another order), and the placement product one matrix product per
+        row."""
         if self.count == 0:
             raise PreconditionError(NO_CRITICAL_POINTS)
         _, basis, circuits, terms, placement = self.algebra
+        S = len(zs)
         with np.errstate(all="ignore"):
-            values = circuits @ z
+            values = np.matmul(circuits, zs[..., None])[..., 0]
             # scaled before the sum, so the bound is finite wherever f_S is
-            roundoff = np.abs(circuits) @ (self.n * np.finfo(float).eps * np.abs(z))
+            roundoff = np.matmul(np.abs(circuits), (self.n * np.finfo(float).eps * np.abs(zs))[..., None])[..., 0]
             # C_S in quotient coordinates
-            sections = terms / values[:, None] if space is None else (
-                terms[:, :, None] * space.reciprocal(space.constant(values) + circuits @ space.variables())[:, None])
-        for s in np.flatnonzero(~np.isfinite(values))[:1]:
+            sections = terms / values[..., None] if space is None else (terms[:, :, None] * space.reciprocal(
+                space.constant(values) + circuits @ space.variables())[:, :, None])
+        overflow = ~np.isfinite(values)
+        vanishing = (np.abs(values) <= roundoff) | ~np.isfinite(sections.reshape(S, len(circuits), -1)).all(axis=2)
+        for row in np.flatnonzero((overflow | vanishing).any(axis=1))[:1]:
+            s = np.flatnonzero(overflow[row] if overflow[row].any() else vanishing[row])[0]
             labels = ", ".join(str(i) for i in np.flatnonzero(circuits[s]) + 1)
-            raise PreconditionError(f"f_S of hyperplanes {labels} overflows: the point is too large to evaluate")
-        vanishing = (np.abs(values) <= roundoff) | ~np.isfinite(sections.reshape(len(values), -1)).all(axis=1)
-        for s in np.flatnonzero(vanishing)[:1]:
-            labels = ", ".join(str(i) for i in np.flatnonzero(circuits[s]) + 1)
+            if overflow[row].any():
+                raise PreconditionError(f"f_S of hyperplanes {labels} overflows: the point is too large to evaluate")
             raise DiscriminantError(f"hyperplanes {labels} pass through one point (f_S = 0)")
-        H = placement.reshape(self.n * len(basis), -1) @ sections.reshape(len(values), -1)
-        return np.swapaxes(H.reshape((self.n, len(basis)) + sections.shape[1:]), 1, 2)
+        H = np.matmul(placement.reshape(self.n * len(basis), -1), sections.reshape(S, len(circuits), -1))
+        return np.swapaxes(H.reshape((S, self.n, len(basis)) + sections.shape[2:]), 2, 3)
 
-    def _series_fiber(self, space: SeriesSpace, frame: CriticalPointFrame):
+    def _series_fiber(self, space: SeriesSpace, frames: list):
         """Series at z = frame.z, in delta up to degree space.q, of the Higgs
-        eigenvalues p_i = a_i / f_i, shape (mu, n, size), and of the residue
-        weights w = 1 / det Hess, shape (mu, size).
+        eigenvalues p_i = a_i / f_i, shape (S, mu, n, size), and of the
+        residue weights w = 1 / det Hess, shape (S, mu, size), for the S
+        fibers ``frames`` in one pass, each row the one-fiber series bit for
+        bit.
 
-        The critical points t^s(z + delta) of ``frame`` (the fiber over z),
+        The critical points t^s(z + delta) of a frame (the fiber over z),
         f = B t + z + delta and r = 1 / f are built one degree at a time:
         known = -r_0 [f r]_d, summed while f_d holds only delta's part and r_d
         is 0, is r_d but for -r_0^2 B t_d, so grad_t Phi = B^T (a r) vanishes
@@ -350,10 +381,10 @@ class ArrangementData:
         prod_{i in I} p_i r_i: k - 1 products over all bases at once.
         """
         B, a = self.B, self.a
-        f = space.constant(frame.f) + space.variables()
+        f = space.constant(np.stack([frame.f for frame in frames])) + space.variables()
         r = space.constant(1.0 / f[..., 0])
         # B t_d = gain known, gain = -B H_0^-1 B^T diag(a) per point
-        gain = -(B @ np.linalg.inv(frame.hessians) @ B.T) * a
+        gain = -(B @ np.linalg.inv(np.stack([frame.hessians for frame in frames])) @ B.T) * a
         for d, block in enumerate(space.degrees[1:], 1):
             known = -r[..., :1] * space.mul_degree(f, r, d)
             step = gain @ known
@@ -362,11 +393,19 @@ class ArrangementData:
         p = a[:, None] * r
         pr = space.mul(p, r)
         labels = np.array(self.algebra.bases, dtype=np.intp) - 1  # (bases, k)
-        prod = pr[:, labels[:, 0]]
+        prod = pr[:, :, labels[:, 0]]
         for col in labels.T[1:]:
-            prod = space.mul(prod, pr[:, col])
-        det = (-1) ** self.k * np.einsum("b,sbm->sm", self.squared_minors, prod)
+            prod = space.mul(prod, pr[:, :, col])
+        det = (-1) ** self.k * np.einsum("b,tsbm->tsm", self.squared_minors, prod)
         return p, space.reciprocal(det)
+
+    def _base_series(self, space: SeriesSpace):
+        """``_series_fiber`` of the base frame alone (a point axis of length
+        1), computed once per degree: the pairing jets and the basepoint
+        frame jet of one degree share it."""
+        if space.q not in self._base_series_of:
+            self._base_series_of[space.q] = self._series_fiber(space, [self.base_frame])
+        return self._base_series_of[space.q]
 
     def pairing_jets(self, space: SeriesSpace, members) -> np.ndarray:
         """Taylor coefficients at the basepoint, in delta = z - x up to degree
@@ -378,7 +417,7 @@ class ArrangementData:
         members' label words in lexicographic order, so a shared prefix is
         multiplied once.  No other fiber and no flat frame is solved.
         """
-        p, w = self._series_fiber(space, self.base_frame)
+        p, w = (v[0] for v in self._base_series(space))
         words = [tuple(i for i, e in enumerate(T2) for _ in range(e)) for T2 in members]
         out = np.empty((len(words), space.size), dtype=complex)
         products, previous = [w], ()
@@ -394,35 +433,58 @@ class ArrangementData:
             previous = word
         return out
 
-    def frame_jet(self, z, space: SeriesSpace):
-        """Taylor series at z, in delta up to degree space.q, of the
-        flat-frame data: (H, unit, form) with shapes (n, mu, mu, size),
-        (mu, size) and (mu, mu, size).
+    def frame_jet(self, points, space: SeriesSpace):
+        """Taylor series at every row z of points (S, n), in delta up to
+        degree space.q, of the flat-frame data: (H, unit, form) with shapes
+        (S, n, mu, mu, size), (S, mu, size) and (S, mu, mu, size).
 
         H comes from the family's algebra (the series case of ``higgs``), no
         fiber read.  The unit and the form come from the fiber over z (the
-        base frame at the basepoint, solved afresh elsewhere): the flat frame
-        U holds the diagonal-frame sections C_I (unit) of the flat basis,
-        products of the eigenvalue series p, the unit is U^-1 (1, ..., 1),
-        one series solve with one right-hand column, and the form is sum_s
-        (U_sa U_sb) w_s.  Permuting the fiber's points permutes the rows of U
-        and of the ones alike, so the jet does not depend on their order;
-        ``verify_axioms`` compares the algebra's H with the fiber's unit and
-        form.
+        base frame at the basepoint; the other rows' fibers are solved in
+        one pass, ``_fibers``): the flat frame U holds the diagonal-frame
+        sections C_I (unit) of the flat basis, products of the eigenvalue
+        series p, the unit is U^-1 (1, ..., 1), one series solve with one
+        right-hand column, and the form is sum_s (U_sa U_sb) w_s.  Permuting
+        the fiber's points permutes the rows of U and of the ones alike, so
+        the jet does not depend on their order; ``verify_axioms`` compares
+        the algebra's H with the fiber's unit and form.
+
+        Every row is the jet of a stack of that row alone, bit for bit.  A
+        row that is not a point of n finite coordinates raises
+        GroundSetError, and an empty stack PreconditionError; when a row is
+        refused, the refusal is the one that the first refused row gets
+        alone, so the stack is then evaluated row by row until that row
+        raises.
         """
-        frame = self.base_frame if np.array_equal(z, self.base_frame.z) else critical_points(self, z)
-        p, w = self._series_fiber(space, frame)
-        mu = len(p)
+        points = _base_points(points, self.n)
+        if not len(points):
+            raise PreconditionError("a frame jet needs at least one point")
+        try:
+            return self._frame_jet(points, space)
+        except (MatpotError, np.linalg.LinAlgError):
+            for row in range(len(points) - 1):
+                self._frame_jet(points[row:row + 1], space)
+            raise
+
+    def _frame_jet(self, points, space: SeriesSpace):
+        """``frame_jet`` of the checked rows ``points`` in one pass."""
+        base = np.array([np.array_equal(z, self.basepoint) for z in points])
+        if len(points) == 1 and base[0]:
+            p, w = self._base_series(space)
+        else:
+            fresh = iter(_fibers(self, points[~base]) if not base.all() else [])
+            p, w = self._series_fiber(space, [self.base_frame if b else next(fresh) for b in base])
+        mu = p.shape[1]
         labels = np.array(self.flat_basis, dtype=np.intp) - 1  # (mu, k)
-        U = p[:, labels[:, 0]]
+        U = p[:, :, labels[:, 0]]
         for col in labels.T[1:]:
-            U = space.mul(U, p[:, col])
-        unit = space.solve(U, space.constant(np.ones((mu, 1))))[:, 0]
+            U = space.mul(U, p[:, :, col])
+        unit = space.solve(U, space.constant(np.ones((mu, 1))))[:, :, 0]
         # U_sa U_sb first, factors in one order (complex products need not commute
         # bit for bit), so form = form^T exactly
         lo, hi = np.minimum.outer(range(mu), range(mu)), np.maximum.outer(range(mu), range(mu))
-        form = space.mul(space.mul(U[:, lo], U[:, hi]), w[:, None, None, :]).sum(axis=0)
-        return self._higgs(frame.z, space), unit, form
+        form = space.mul(space.mul(U[:, :, lo], U[:, :, hi]), w[:, :, None, None, :]).sum(axis=1)
+        return self._higgs(points, space), unit, form
 
 
 @dataclass
@@ -467,15 +529,17 @@ ESCAPE_RADIUS = 1e2
 NEWTON_MAX_ITER = 50  # Newton steps per candidate in ``_newton_refine``
 
 
-def _newton_refine(data: ArrangementData, z, seeds, box: float):
-    """Newton on grad_t Phi = 0 from every row of ``seeds`` (S, k) at once.
+def _newton_refine(data: ArrangementData, z, seeds, box):
+    """Newton on grad_t Phi = 0 from every row of ``seeds`` (S, k) at once,
+    in the fiber over z, a point (n,) or one point per seed (S, n).
 
     Returns (points (S, k), residuals max |grad| (S,), failures), where
     failures[s] is None or the DiscriminantError message that stopped seed
     s: |f_i| < 1e-300 at an iterate, a singular Hessian, or an iterate with
-    max |t| > box (in the units of t) or NaN.  A seed leaves the active set
-    when it fails or its step satisfies max |delta| <= 1e-15 (1 + max |t|);
-    at most NEWTON_MAX_ITER steps.  Failed seeds get residual NaN.
+    max |t| > box (in the units of t; a float, or one per seed) or NaN.  A
+    seed leaves the active set when it fails or its step satisfies max
+    |delta| <= 1e-15 (1 + max |t|); at most NEWTON_MAX_ITER steps.  Failed
+    seeds get residual NaN.
 
     Each seed sees the arithmetic of a one-seed solve bit for bit: the
     stacked products keep the per-seed matrix shapes, and a stacked solve
@@ -483,11 +547,15 @@ def _newton_refine(data: ArrangementData, z, seeds, box: float):
     stacked solve raise are those (det exactly 0, the same LU) split off.
     """
     t = np.array(seeds, dtype=complex).reshape(len(seeds), data.k)
+    at, box = np.empty((len(t), data.n), dtype=complex), np.full(len(t), box, dtype=float)
+    at[:] = z
     failures: list = [None] * len(t)
 
     def values(idx):
-        f = _values(data, z, t[idx])
+        f = _values(data, at[idx], t[idx])
         hit = np.abs(f).min(axis=1) < 1e-300
+        if not hit.any():
+            return idx, f
         for s in idx[hit]:
             failures[s] = "critical point collided with a hyperplane"
         return idx[~hit], f[~hit]
@@ -503,13 +571,13 @@ def _newton_refine(data: ArrangementData, z, seeds, box: float):
             active, f = values(active)
             g = gradients(f)
             H = _hessians(data, f)
-            failed = np.zeros(len(active), dtype=bool)
             try:
                 delta = np.linalg.solve(H, g)
             except np.linalg.LinAlgError:
                 # a stacked solve raises for the whole stack on one singular
                 # matrix; det runs the same LU and reads exactly 0 on those
                 singular = np.linalg.det(H) == 0
+                failed = np.zeros(len(active), dtype=bool)
                 delta = np.empty_like(g)
                 delta[~singular] = np.linalg.solve(H[~singular], g[~singular])
                 for j in np.flatnonzero(singular):
@@ -518,12 +586,14 @@ def _newton_refine(data: ArrangementData, z, seeds, box: float):
                     except np.linalg.LinAlgError:
                         failures[active[j]] = "degenerate Hessian during Newton refinement"
                         failed[j] = True
-            active, delta = active[~failed], delta[~failed, :, 0]
+                active, delta = active[~failed], delta[~failed]
+            delta = delta[:, :, 0]
             t[active] = t[active] - delta
             size = np.abs(t[active]).max(axis=1)
-            escaped = ~(size <= box)
-            for s in active[escaped]:
-                failures[s] = "Newton iterate left for infinity"
+            escaped = ~(size <= box[active])
+            if escaped.any():
+                for s in active[escaped]:
+                    failures[s] = "Newton iterate left for infinity"
             done = np.abs(delta).max(axis=1) <= 1e-15 * (1.0 + size)
             active = active[~(escaped | done)]
         residuals = np.full(len(t), np.nan)
@@ -532,9 +602,10 @@ def _newton_refine(data: ArrangementData, z, seeds, box: float):
     return t, residuals, failures
 
 
-def _eigen_candidates(data: ArrangementData, z):
-    """One candidate per critical point of the fiber over the complex array
-    z, shape (mu, k), from one eigenproblem, at every rank.
+def _eigen_candidates(data: ArrangementData, zs):
+    """One candidate per critical point of each fiber over the rows of the
+    complex array zs (S, n), fiber after fiber, shape (S mu, k), from one
+    eigenproblem per fiber, at every rank.
 
     The joint eigenvalues of the H_j(z) are the p_j = a_j / f_j at the mu
     critical points (Cox, Little and O'Shea).  The eigenvectors V of a fixed
@@ -542,64 +613,110 @@ def _eigen_candidates(data: ArrangementData, z):
     (V^-1 H_j V)_{ss}, f = a / p and t solves B t = f - z in least squares
     (non-finite where some p_j = 0).  The combination is taken real when its
     imaginary part is 0 (real B, a and z), so real points come out exactly
-    real.  At rank 1, and at n = k + 1 (count 1), weights that sum to 0 over
-    the rows with b != 0 send a critical point to infinity: DiscriminantError
-    first.
+    real.  The eigenproblems go fiber by fiber, each on the arrays of a
+    one-fiber solve: numpy's eig of a stack takes one LAPACK routine for
+    the whole stack, real or complex, and returns real vectors only when
+    every eigenvalue of the stack is real, which changes the routine of the
+    inverse after it; a stack split by routine cost more than it saved
+    (two fibers, mu 6).  At rank 1, and at n = k + 1 (count 1), weights
+    that sum to 0 over the rows with b != 0 send a critical point to
+    infinity: DiscriminantError first (``ArrangementData._balanced``).
     """
-    if data.k == 1 or data.n == data.k + 1:
-        rows = [i for i, row in enumerate(data.matrix) if any(row)]
-        exact = [data.weights_exact[i] for i in rows]
-        if data.a[rows].sum() == 0 or None not in exact and sum(exact) == 0:
-            raise DiscriminantError("weights are balanced: sum a = 0 sends a critical point to infinity")
-    H = data.higgs(z)
+    if data._balanced:
+        raise DiscriminantError("weights are balanced: sum a = 0 sends a critical point to infinity")
+    H = data._higgs(zs)
     j = np.arange(data.n)
-    combination = np.einsum("j,jab->ab", np.cos(2.39996 * j) * np.sqrt(j + 1.0), H)
-    _, V = np.linalg.eig(combination if combination.imag.any() else combination.real)
-    p = np.einsum("sm,jms->sj", np.linalg.inv(V), H @ V)
-    with np.errstate(all="ignore"):
-        return (data.a / p - z) @ data.B_pinv.T
+    weights = np.cos(2.39996 * j) * np.sqrt(j + 1.0)
+    candidates = []
+    for z, Hz in zip(zs, H):
+        combination = np.einsum("j,jab->ab", weights, Hz)
+        _, V = np.linalg.eig(combination if combination.imag.any() else combination.real)
+        p = np.einsum("sm,jms->sj", np.linalg.inv(V), Hz @ V)
+        with np.errstate(all="ignore"):
+            candidates.append((data.a / p - z) @ data.B_pinv.T)
+    return np.concatenate(candidates)
 
 
-def _accept(data: ArrangementData, z, candidates, scale: float):
-    """The fiber as (points (S, k), residuals (S,)) from one candidate per
-    critical point, each refined by one Newton pass in the box ESCAPE_RADIUS
-    (1 + max |finite candidate|), or DiscriminantError; scale is 1 + max |z_i|.
+def _accept(data: ArrangementData, zs, candidates):
+    """The fibers over the rows of zs (S, n) as (points (S mu, k),
+    residuals (S mu,)), fiber after fiber, from mu = len(candidates) / S
+    candidates per fiber, all refined by one Newton pass, each in the box
+    ESCAPE_RADIUS (1 + max |finite candidate of its fiber|); or
+    DiscriminantError for the first fiber refused.  scale is 1 + max |z_i|
+    of the fiber.
 
-    Nothing is dropped, so the refusals come in this order: a Newton failure
-    (the first failed candidate, named as a point on a hyperplane when it
-    started within 1e-6 scale of one); then the first point that lies within
-    1e-8 scale of an earlier point in every coordinate ("critical points
-    collide"), of a hyperplane, or is flat (|det Hess| < 1e-12); last, the
-    first residual above 1e-9 scale, so that rule refuses only fibers that
-    pass the rest.
+    Nothing is dropped, so in a fiber the refusals come in this order: a
+    Newton failure (the first failed candidate, named as a point on a
+    hyperplane when it started within 1e-6 scale of one); then the first
+    point that lies within 1e-8 scale of an earlier point in every
+    coordinate ("critical points collide"), of a hyperplane, or is flat
+    (|det Hess| < 1e-12); last, the first residual above 1e-9 scale, so
+    that rule refuses only fibers that pass the rest.
     """
     on_hyperplane = "a critical point lies on (or too near) a hyperplane"
-    finite = np.abs(candidates[np.isfinite(candidates).all(axis=1)])
-    box = ESCAPE_RADIUS * (1.0 + float(np.max(finite, initial=0.0)))
-    t, res, failures = _newton_refine(data, z, candidates, box)
-    for s in [s for s, why in enumerate(failures) if why][:1]:
-        with np.errstate(all="ignore"):
-            started_near = np.min(np.abs(_values(data, z, candidates[s:s + 1]))) < 1e-6 * scale
-        raise DiscriminantError(on_hyperplane if started_near else failures[s])
-    margin, fvals = 1e-8 * scale, _values(data, z, t)
-    # a point too near a hyperplane may overflow here; it is caught as near
+    S = len(zs)
+    mu = len(candidates) // S
+    scales = 1.0 + np.abs(zs).max(axis=1, keepdims=True)  # (S, 1)
+    finite = np.isfinite(candidates).all(axis=1, keepdims=True)
+    reach = np.where(finite, np.abs(candidates), 0.0).reshape(S, -1).max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # a box beyond double range is infinite
+        box = ESCAPE_RADIUS * (1.0 + reach)
+    at = zs.repeat(mu, axis=0)
+    t, res, failures = _newton_refine(data, at, candidates, box.repeat(mu))
+    # a point too near a hyperplane may overflow here (it is caught as near),
+    # and the points of a fiber Newton failed may not be finite
     with np.errstate(all="ignore"):
-        flat = np.abs(np.linalg.det(_hessians(data, fvals))) < 1e-12
-    near = np.min(np.abs(fvals), axis=1) < margin
-    collide = np.tril(np.max(np.abs(t[:, None] - t[None]), axis=2) < margin, -1).any(axis=1)
-    for s in np.flatnonzero(collide | near | flat)[:1]:
-        raise DiscriminantError(
-            "critical points collide" if collide[s]
-            else on_hyperplane if near[s]
-            else "degenerate critical point (vanishing Hessian)"
-        )
-    for s in np.flatnonzero(~(res <= 1e-9 * scale))[:1]:
-        raise DiscriminantError(f"Newton refinement did not converge (residual {res[s]:.3e})")
-    return t, res
+        fvals = _values(data, at, t)
+        flat = (np.abs(np.linalg.det(_hessians(data, fvals))) < 1e-12).reshape(S, mu)
+        near = np.abs(fvals).min(axis=1).reshape(S, mu) < 1e-8 * scales
+        points = t.reshape(S, mu, -1)
+        gaps = np.abs(points[:, :, None] - points[:, None]).max(axis=3)
+    # point i collides when it is within the margin of some earlier point j < i
+    earlier = np.arange(mu)[:, None] > np.arange(mu)
+    collide = ((gaps < 1e-8 * scales[:, :, None]) & earlier).any(axis=2)
+    unconverged = ~(res.reshape(S, mu) <= 1e-9 * scales)
+    screened = collide | near | flat
+    if not (any(failures) or screened.any() or unconverged.any()):
+        return t, res
+    for fiber in range(S):
+        for s in [s for s in range(fiber * mu, (fiber + 1) * mu) if failures[s]][:1]:
+            with np.errstate(all="ignore"):
+                started_near = np.min(np.abs(_values(data, zs[fiber], candidates[s:s + 1]))) < 1e-6 * scales[fiber, 0]
+            raise DiscriminantError(on_hyperplane if started_near else failures[s])
+        for s in np.flatnonzero(screened[fiber])[:1]:
+            raise DiscriminantError(
+                "critical points collide" if collide[fiber, s]
+                else on_hyperplane if near[fiber, s]
+                else "degenerate critical point (vanishing Hessian)"
+            )
+        for s in np.flatnonzero(unconverged[fiber])[:1]:
+            raise DiscriminantError(f"Newton refinement did not converge (residual {res[fiber * mu + s]:.3e})")
+
+
+def _fibers(data: ArrangementData, zs) -> list:
+    """The CriticalPointFrame of the fiber over every row of the checked
+    complex array zs (S, n), solved in one pass: one Higgs evaluation and
+    one eigenproblem per fiber (``_eigen_candidates``), one Newton pass
+    over every candidate and the screens fiber by fiber (``_accept``), so a
+    refusal is that of the first fiber refused.  Each frame is that of a
+    one-fiber stack bit for bit: the stacked products keep each fiber's
+    matrix shapes.  A family whose count is 0 raises PreconditionError."""
+    if data.count == 0:
+        raise PreconditionError(NO_CRITICAL_POINTS)
+    S = len(zs)
+    t, res = _accept(data, zs, _eigen_candidates(data, zs))
+    mu = len(t) // S
+    # sorted in each fiber by the real, then the imaginary part of the last coordinate
+    order = np.lexsort((t[:, -1].imag, t[:, -1].real, np.arange(len(t)) // mu))
+    points, res = t[order].reshape(S, mu, -1), res[order].reshape(S, mu)
+    f = np.matmul(points, data.B.T) + zs[:, None]
+    hessians = _hessians(data, f.reshape(S * mu, -1)).reshape(S, mu, data.k, data.k)
+    return [CriticalPointFrame(*row) for row in zip(zs, points, f, hessians, np.linalg.det(hessians), res)]
 
 
 def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
-    """All fiberwise critical points over z, Newton-refined and validated.
+    """All fiberwise critical points over z, Newton-refined and validated:
+    ``_fibers`` of a stack of one.
 
     A z that is not a vector of n finite coordinates raises GroundSetError,
     with the messages of the family's basepoint check; a family whose count
@@ -610,16 +727,7 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     1 + max |z_i|.  The points are sorted by the real, then the imaginary
     part of their last coordinate.
     """
-    z = _base_point(z, data.n)
-    if data.count == 0:
-        raise PreconditionError(NO_CRITICAL_POINTS)
-    scale = 1.0 + float(np.max(np.abs(z)))
-    points, res = _accept(data, z, _eigen_candidates(data, z), scale)
-    order = np.lexsort((points[:, -1].imag, points[:, -1].real))
-    points, res = points[order], res[order]
-    f = points @ data.B.T + z
-    hessians = _hessians(data, f)
-    return CriticalPointFrame(z, points, f, hessians, np.linalg.det(hessians), res)
+    return _fibers(data, _base_point(z, data.n)[None])[0]
 
 
 def structure_from_arrangement(data: ArrangementData, m: int) -> FlatFrameStructure:
@@ -632,8 +740,9 @@ def structure_from_arrangement(data: ArrangementData, m: int) -> FlatFrameStruct
     and not from a fiber.  The structure's ``jet`` is the family's
     ``pairing_jets`` and its ``frame_jet`` the family's ``frame_jet``, which
     reads the Higgs matrices in that frame from the algebra and takes the
-    unit and form into it from the fiber; the fiber under a frame jet away
-    from the basepoint is solved afresh, at every rank.
+    unit and form into it from the fiber; the fibers under a stack of
+    points away from the basepoint are solved afresh, in one pass, at every
+    rank.
     """
     if m != 2:
         raise PreconditionError(

@@ -28,10 +28,11 @@ monomial of the ``jet`` of g(z) = (S(C_T2 unit, unit, ..., unit)(z)) at x,
 which gives every d^alpha g = alpha! [delta^alpha] g in one pass.
 
 Every value and derivative here is a Taylor coefficient: both potentials read
-pairing jets, ``verify_axioms`` the degree-1 frame jet at each sample point,
-and both checks the constant terms of that jet at the basepoint.  The
-structure evaluates that jet once and builds each SeriesSpace once.  No
-function takes differences.
+pairing jets, ``verify_axioms`` the degree-1 frame jet at each sample point
+(one stacked ``frame_jet`` call for all samples but the basepoint), and both
+checks the constant terms of that jet at the basepoint.  The structure
+evaluates that jet, and the flat sections in it, once and builds each
+SeriesSpace once.  No function takes differences.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import numpy as np
 
 from .errors import (
     FlatnessError,
+    MatpotError,
     PreconditionError,
     SizeLimitError,
     StructureError,
@@ -67,14 +69,17 @@ class FlatFrameStructure:
       z - basepoint, of the pairings S(C_T2 unit, unit, ..., unit) for the
       multiplicity tuples T2 in members, as an array (len(members),
       space.size); both potentials need it;
-    * frame_jet(z, space) gives the series at z, in the shift from z, of
-      (H, unit, form) in the working frame, with shapes (n, mu, mu, size),
-      (mu, size) and (mu,) * m + (size,), H[i - 1] holding C_i;
-      ``verify_axioms`` needs it, and its degree-1 value at the basepoint is
-      the structure's ``basepoint_frame``, which both checks read.  The
-      three parts may come from different sources (an arrangement family
-      reads H from its algebra, the unit and form from a fiber), and the
-      axioms then compare those sources.
+    * frame_jet(points, space) gives, for a stack of points (S, n), the
+      series at each point z, in the shift from z, of (H, unit, form) in
+      the working frame, with a leading point axis: shapes (S, n, mu, mu,
+      size), (S, mu, size) and (S,) + (mu,) * m + (size,), H[s, i - 1]
+      holding C_i at the s-th point; each row is what a stack of that
+      point alone gives.  ``verify_axioms`` needs it, once for all its
+      samples but the basepoint, and its degree-1 value at the basepoint
+      alone is the structure's ``basepoint_frame``, which both checks read.
+      The three parts may come from different sources (an arrangement
+      family reads H from its algebra, the unit and form from a fiber), and
+      the axioms then compare those sources.
 
     The structure holds the evaluators, not the data behind them: an
     arrangement structure's jets are methods of its ``ArrangementData``.
@@ -118,11 +123,20 @@ class FlatFrameStructure:
 
     @cached_property
     def basepoint_frame(self) -> tuple:
-        """The degree-1 ``frame_jet`` (H, unit, form) at the basepoint,
-        evaluated once for ``verify_axioms`` and both checks."""
+        """The degree-1 ``frame_jet`` (H, unit, form) at the basepoint, a
+        stack of one read without its point axis, evaluated once for
+        ``verify_axioms`` and both checks."""
         if self.frame_jet is None:
             raise PreconditionError("the checks need a structure with a frame_jet")
-        return tuple(np.asarray(v, dtype=complex) for v in self.frame_jet(self.basepoint, self.space(1)))
+        return tuple(np.asarray(v, dtype=complex)[0] for v in self.frame_jet(self.basepoint[None], self.space(1)))
+
+    @cached_property
+    def basepoint_sections(self) -> np.ndarray:
+        """The series of the sections C_I (unit) in ``basepoint_frame``
+        (``_flat_sections``), shape (bases, mu, size), evaluated once for
+        ``verify_axioms`` and both checks."""
+        H, u, _ = self.basepoint_frame
+        return _flat_sections(self, H[None], u[None], self.space(1))[0]
 
     def maximal_independent_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(sorted(B)) for B in self.matroid.bases())
@@ -157,32 +171,33 @@ class AxiomReport:
 
 
 def _flat_sections(F: FlatFrameStructure, H, u, space: SeriesSpace) -> np.ndarray:
-    """Series of the sections C_I (unit) in the frame of the series H (n, mu,
-    mu, size) and u (mu, size), for every maximal independent I in the order
-    of ``maximal_independent_sets``: shape (bases, mu, size).
+    """Series of the sections C_I (unit) in the frames of the series H (S,
+    n, mu, mu, size) and u (S, mu, size) of S points, for every maximal
+    independent I in the order of ``maximal_independent_sets``: shape (S,
+    bases, mu, size).
 
     C_I (unit) applies H_{i_1}, then H_{i_2}, ... to the unit, so bases
     that share a prefix of their sorted labels share its section: depth d
     applies H_{i_d} once per distinct prefix (i_1, ..., i_d), to the section
-    of (i_1, ..., i_{d-1}).  The prefixes go in chunks whose products, of
-    shape (chunk, mu, mu, size), hold about MUL_CHUNK_ELEMENTS entries (at
-    least one prefix), and each row is that of one whole-batch product bit
-    for bit."""
+    of (i_1, ..., i_{d-1}), at every point at once.  The prefixes go in
+    chunks whose products, of shape (S, chunk, mu, mu, size), hold about
+    MUL_CHUNK_ELEMENTS entries (at least one prefix), and each row is that
+    of one whole-batch product at one point bit for bit."""
     labels = F._base_labels
-    mu = u.shape[0]
-    step = max(1, MUL_CHUNK_ELEMENTS // (mu * mu * space.size))
+    mu = u.shape[1]
+    step = max(1, MUL_CHUNK_ELEMENTS // (len(u) * mu * mu * space.size))
     # sections holds one row per distinct prefix of the current depth, and
     # parent[b] the row of base b's prefix; the bases are sorted, so a new
     # prefix starts wherever the first d + 1 labels change
-    sections, parent = u[None], np.zeros(len(labels), dtype=np.intp)
+    sections, parent = u[:, None], np.zeros(len(labels), dtype=np.intp)
     for d in range(labels.shape[1]):
         new = np.ones(len(labels), dtype=bool)
         new[1:] = (labels[1:, : d + 1] != labels[:-1, : d + 1]).any(axis=1)
         heads = np.flatnonzero(new)
-        out = np.empty((len(heads),) + u.shape, dtype=complex)
+        out = np.empty((len(u), len(heads)) + u.shape[1:], dtype=complex)
         for r in range(0, len(heads), step):
             rows = heads[r : r + step]
-            out[r : r + step] = space.mul(H[labels[rows, d]], sections[parent[rows], None]).sum(axis=2)
+            out[:, r : r + step] = space.mul(H[:, labels[rows, d]], sections[:, parent[rows], None]).sum(axis=3)
         sections, parent = out, np.cumsum(new) - 1
     return sections  # at depth k every basis is its own prefix
 
@@ -203,11 +218,15 @@ def verify_axioms(
     Reports maxima of (a) Higgs commutators, (b) the integrability defect
     d_i C_j - d_j C_i, (c) the form's Higgs invariance across slots, (d)
     flatness of the sections C_I(unit) for all maximal independent I, and
-    (e) flatness of the form itself.  Each sample takes one degree-1
-    ``frame_jet`` (a sample equal to the basepoint reads the structure's
-    ``basepoint_frame``): (a) and (c) read its constant terms, (b) its
-    first-order coefficients of H, and (d) and (e) the first-order
-    coefficients of C_I(unit), multiplied out in series, and of the form.  Raises
+    (e) flatness of the form itself.  The samples that are not the
+    basepoint take one degree-1 ``frame_jet`` together, a stack in the
+    order given; a sample equal to the basepoint reads the structure's
+    ``basepoint_frame`` and ``basepoint_sections``.  Over all those rows at
+    once, (a) and (c) read the constant terms, (b) the first-order
+    coefficients of H, and (d) and (e) the first-order coefficients of
+    C_I(unit), multiplied out in series, and of the form; each maximum is
+    that of the samples taken one by one.  A refusal is that of the first
+    sample in the order given whose frame is refused.  Raises
     PreconditionError for a NaN or negative ``hard_threshold``, a sample
     that is not a point of n finite coordinates, an empty sample list and a
     structure without a ``frame_jet``, each before any
@@ -224,30 +243,40 @@ def verify_axioms(
     if F.frame_jet is None:
         raise PreconditionError("verify_axioms needs a structure with a frame_jet")
     space = F.space(1)
-    comm = integ = invari = sect = formflat = 0.0
-    for z in samples:
-        frame = F.basepoint_frame if np.array_equal(z, F.basepoint) else F.frame_jet(z, space)
-        H, u, W = (np.asarray(v, dtype=complex) for v in frame)
-        H0, W0 = H[..., 0], W[..., 0]
-        products = H0[:, None] @ H0[None]  # H_a H_b at [a, b]
-        comm = _worst(comm, products - products.swapaxes(0, 1))
-        # slot[q][a] is the form with H_a applied in slot q; the matmul keeps
-        # each H_a product's own shape, so its rounding is that of one product
-        stack = H0.reshape((len(H0),) + (1,) * (F.m - 2) + H0.shape[1:])
-        slot = [np.moveaxis(np.moveaxis(W0, q, -1) @ stack, -1, q + 1) for q in range(F.m)]
-        for q in range(1, F.m):
-            invari = _worst(invari, slot[0] - slot[q])
-        # dH[j, :, :, i] = d_i H_j
-        dH = H[..., space.degree_one]
-        integ = _worst(integ, dH - np.swapaxes(dH, 0, 3))
-        sect = _worst(sect, _flat_sections(F, H, u, space)[..., 1:])
-        formflat = _worst(formflat, W[..., 1:])
+    at_base = [np.array_equal(z, F.basepoint) for z in samples]
+    rest = np.array([z for z, base in zip(samples, at_base) if not base]).reshape(-1, F.n)
+    rows = []
+    if True in at_base:
+        try:
+            H, _, W = F.basepoint_frame
+            rows.append((H[None], W[None], F.basepoint_sections[None]))
+        except (MatpotError, np.linalg.LinAlgError):
+            # a sample before the basepoint is refused first
+            if first := at_base.index(True):
+                F.frame_jet(rest[:first], space)
+            raise
+    if len(rest):
+        H, u, W = (np.asarray(v, dtype=complex) for v in F.frame_jet(rest, space))
+        rows.append((H, W, _flat_sections(F, H, u, space)))
+    H, W, V = map(np.concatenate, zip(*rows))
+    H0, W0 = H[..., 0], W[..., 0]
+    products = H0[:, :, None] @ H0[:, None]  # H_a H_b at [s, a, b]
+    comm = _worst(0.0, products - products.swapaxes(1, 2))
+    # slot[q][s, a] is the form with H_a applied in slot q; the matmul keeps
+    # each H_a product's own shape, so its rounding is that of one product
+    stack = H0.reshape(H0.shape[:2] + (1,) * (F.m - 2) + H0.shape[2:])
+    slot = [np.moveaxis(np.moveaxis(W0, q + 1, -1)[:, None] @ stack, -1, q + 2) for q in range(F.m)]
+    invari = 0.0
+    for q in range(1, F.m):
+        invari = _worst(invari, slot[0] - slot[q])
+    # dH[s, j, :, :, i] = d_i H_j
+    dH = H[..., space.degree_one]
     report = AxiomReport(
         commutativity=comm,
-        integrability=integ,
+        integrability=_worst(0.0, dH - np.swapaxes(dH, 1, 4)),
         higgs_invariance=invari,
-        section_flatness=sect,
-        form_flatness=formflat,
+        section_flatness=_worst(0.0, V[..., 1:]),
+        form_flatness=_worst(0.0, W[..., 1:]),
         samples=len(samples),
     )
     if not math.isfinite(report.max_violation):
@@ -361,8 +390,8 @@ def _section_defect(F: FlatFrameStructure, coefficients: dict, higgs: bool) -> f
     The constant terms of the structure's ``basepoint_frame`` give the form,
     contracted once with V = [C_I unit] (``_flat_sections``) in every slot,
     H_i V in the first."""
-    H, u, W = F.basepoint_frame
-    V = _flat_sections(F, H, u, F.space(1))[..., 0].T
+    H, _, W = F.basepoint_frame
+    V = F.basepoint_sections[..., 0].T
     H, W = H[..., 0], W[..., 0]
     rhs = np.tensordot(W, H @ V if higgs else V, axes=([0], [1 if higgs else 0]))
     for _ in range(F.m - 1):

@@ -738,7 +738,9 @@ def _key_label(mult: tuple, key: tuple) -> int:
 def _shared_witness(T2: System) -> StrongDecomposition:
     """A strong decomposition of T2 with a one-label remainder, from shared
     bases: the l = 0 decomposition of one of T2's filing keys U = T2 - [a]
-    plus the unit [a], checked on the memo cores.  The key is the first
+    plus the unit [a].  ``_strong_outcome``, the one writer of the memo,
+    checked those bases on the memo cores, so only the sum is checked here:
+    bases plus [a] must give T2 (InternalError otherwise).  The key is the first
     whose decomposition the context holds, else the first one, searched once
     from the last shared bases read (``Context._shared_seed``: a
     neighbour's, when witnesses are read in node order); the outcome is
@@ -755,7 +757,7 @@ def _shared_witness(T2: System) -> StrongDecomposition:
     unit = [0] * ctx.n
     unit[_key_label(mult, key) - 1] = 1
     witness = StrongDecomposition(parts=rest.parts, remainder=_trusted(ctx, tuple(unit)))
-    if not witness._decomposes(mult):
+    if witness._total_mult != mult:
         raise InternalError("shared bases plus one label do not decompose the second member")
     return witness
 

@@ -17,16 +17,18 @@ from oracles import discriminant_probe
 
 @pytest.fixture
 def fiber_solves(monkeypatch):
-    """Records each ``arrangements.critical_points`` call as True when it
-    solves the basepoint fiber and False otherwise."""
+    """Records each fiber that ``arrangements._fibers`` solves, the stacked
+    solver under ``critical_points`` and every frame jet, as True when it
+    is the basepoint fiber and False otherwise: one entry per point, not
+    per call."""
     solves = []
-    real = matpot.arrangements.critical_points
+    real = matpot.arrangements._fibers
 
-    def counting(data, z):
-        solves.append(np.array_equal(z, data.basepoint))
-        return real(data, z)
+    def counting(data, zs):
+        solves.extend(np.array_equal(z, data.basepoint) for z in zs)
+        return real(data, zs)
 
-    monkeypatch.setattr(matpot.arrangements, "critical_points", counting)
+    monkeypatch.setattr(matpot.arrangements, "_fibers", counting)
     return solves
 
 

@@ -10,7 +10,12 @@ numpy solves, the reference for the constant terms of its jets, and
 ``diagonal_diagnostics`` the ``verify-arrangement`` diagnostics from the
 diagonal frame;
 ``frame_values`` reads the same frame off a degree-0 ``frame_jet``, the
-reference the jet tests compare against; ``fiber_frame_jet`` is the frame
+reference the jet tests compare against.  ``point_frame_jet`` is the frame
+jet point by point, one ``critical_points`` call and one fiber's series
+(``point_series_fiber``) per point, ``point_eigen_candidates`` one fiber's
+candidates, and ``point_axiom_report`` the axiom
+report sample by sample on it: the references for the stacked sample pass
+of ``verify_axioms``.  ``fiber_frame_jet`` is the frame
 jet by the fiber route, H = U^-1 diag(p) U in one series solve, the
 reference for the H that ``frame_jet`` reads from the family's algebra;
 ``whole_batch_flat_sections`` multiplies every basis's sections out in one
@@ -771,10 +776,106 @@ def diagonal_diagnostics(data, z):
 
 
 def frame_values(F, z):
-    """(H, unit, form) at z: the constant terms of a degree-0 ``frame_jet``."""
+    """(H, unit, form) at z: the constant terms of a degree-0 ``frame_jet``
+    of the stack of z alone."""
     from matpot.series import SeriesSpace
 
-    return tuple(np.asarray(v, dtype=complex)[..., 0] for v in F.frame_jet(z, SeriesSpace(F.n, 0)))
+    jets = F.frame_jet(np.asarray(z, dtype=complex)[None], SeriesSpace(F.n, 0))
+    return tuple(np.asarray(v, dtype=complex)[0, ..., 0] for v in jets)
+
+
+def point_eigen_candidates(data, z):
+    """The candidates of ``arrangements._eigen_candidates`` for the one
+    point z, shape (mu, k), on that fiber's arrays alone: one eigenproblem
+    of the real combination of the H_j(z) (complex when its imaginary part
+    is not 0), p = diag(V^-1 H_j V) and the least-squares t.  The per-point
+    reference for the stacked candidates."""
+    H = data.higgs(z)
+    j = np.arange(data.n)
+    combination = np.einsum("j,jab->ab", np.cos(2.39996 * j) * np.sqrt(j + 1.0), H)
+    _, V = np.linalg.eig(combination if combination.imag.any() else combination.real)
+    p = np.einsum("sm,jms->sj", np.linalg.inv(V), H @ V)
+    with np.errstate(all="ignore"):
+        return (data.a / p - z) @ data.B_pinv.T
+
+
+def point_series_fiber(data, space, frame):
+    """(p, w) of ``ArrangementData._series_fiber`` for the one fiber
+    ``frame``, shapes (mu, n, size) and (mu, size), every product on that
+    fiber's arrays alone: the per-point reference for the stacked series."""
+    B, a = data.B, data.a
+    f = space.constant(frame.f) + space.variables()
+    r = space.constant(1.0 / f[..., 0])
+    gain = -(B @ np.linalg.inv(frame.hessians) @ B.T) * a
+    for d, block in enumerate(space.degrees[1:], 1):
+        known = -r[..., :1] * space.mul_degree(f, r, d)
+        step = gain @ known
+        f[..., block] += step
+        r[..., block] = known - r[..., :1] ** 2 * step
+    p = a[:, None] * r
+    pr = space.mul(p, r)
+    labels = np.array(data.algebra.bases, dtype=np.intp) - 1
+    prod = pr[:, labels[:, 0]]
+    for col in labels.T[1:]:
+        prod = space.mul(prod, pr[:, col])
+    det = (-1) ** data.k * np.einsum("b,sbm->sm", data.squared_minors, prod)
+    return p, space.reciprocal(det)
+
+
+def point_frame_jet(data, z, space):
+    """(H, unit, form) of ``ArrangementData.frame_jet`` at the one point z,
+    shapes (n, mu, mu, size), (mu, size) and (mu, mu, size), point by
+    point: the fiber from one ``critical_points`` call (the base frame at
+    the basepoint), its series from ``point_series_fiber``, the unit from
+    one series solve and H from one matrix-vector product for the f_S(z)
+    and one placement product.  The per-point reference for the stacked
+    frame jets."""
+    frame = data.base_frame if np.array_equal(z, data.basepoint) else critical_points(data, z)
+    p, w = point_series_fiber(data, space, frame)
+    mu = len(p)
+    labels = np.array(data.flat_basis, dtype=np.intp) - 1
+    U = p[:, labels[:, 0]]
+    for col in labels.T[1:]:
+        U = space.mul(U, p[:, col])
+    unit = space.solve(U, space.constant(np.ones((mu, 1))))[:, 0]
+    lo, hi = np.minimum.outer(range(mu), range(mu)), np.maximum.outer(range(mu), range(mu))
+    form = space.mul(space.mul(U[:, lo], U[:, hi]), w[:, None, None, :]).sum(axis=0)
+    _, basis, circuits, terms, placement = data.algebra
+    values = circuits @ frame.z
+    sections = terms[:, :, None] * space.reciprocal(space.constant(values) + circuits @ space.variables())[:, None]
+    H = placement.reshape(data.n * mu, -1) @ sections.reshape(len(values), -1)
+    return np.swapaxes(H.reshape((data.n, mu) + sections.shape[1:]), 1, 2), unit, form
+
+
+def _running_worst(current: float, arr) -> float:
+    arr = np.asarray(arr)
+    return float(np.maximum(current, np.max(np.abs(arr)))) if arr.size else current
+
+
+def point_axiom_report(F, data, samples):
+    """The AxiomReport of ``verify_axioms`` sample by sample: one
+    ``point_frame_jet`` of degree 1 per sample, its five measures on that
+    sample's arrays alone (the sections by ``whole_batch_flat_sections``)
+    and running maxima.  The per-point reference for the stacked report."""
+    from matpot import AxiomReport
+
+    space = F.space(1)
+    comm = integ = invari = sect = formflat = 0.0
+    for z in samples:
+        H, u, W = point_frame_jet(data, np.asarray(z, dtype=complex), space)
+        H0, W0 = H[..., 0], W[..., 0]
+        products = H0[:, None] @ H0[None]
+        comm = _running_worst(comm, products - products.swapaxes(0, 1))
+        stack = H0.reshape((len(H0),) + (1,) * (F.m - 2) + H0.shape[1:])
+        slot = [np.moveaxis(np.moveaxis(W0, q, -1) @ stack, -1, q + 1) for q in range(F.m)]
+        for q in range(1, F.m):
+            invari = _running_worst(invari, slot[0] - slot[q])
+        dH = H[..., space.degree_one]
+        integ = _running_worst(integ, dH - np.swapaxes(dH, 0, 3))
+        sect = _running_worst(sect, whole_batch_flat_sections(F, H, u, space)[..., 1:])
+        formflat = _running_worst(formflat, W[..., 1:])
+    return AxiomReport(commutativity=comm, integrability=integ, higgs_invariance=invari,
+                       section_flatness=sect, form_flatness=formflat, samples=len(samples))
 
 
 def fiber_frame_jet(data, z, space):
@@ -785,7 +886,7 @@ def fiber_frame_jet(data, z, space):
     come from one series solve with all n mu + 1 right-hand columns, and the
     form is sum_s (U_sa U_sb) w_s.  The reference for the algebra's H."""
     frame = data.base_frame if np.array_equal(z, data.base_frame.z) else critical_points(data, z)
-    p, w = data._series_fiber(space, frame)
+    p, w = point_series_fiber(data, space, frame)
     mu, n = p.shape[:2]
     labels = np.array(data.flat_basis, dtype=np.intp) - 1
     U = p[:, labels[:, 0]]

@@ -28,9 +28,17 @@ from matpot import (
     critical_points,
     structure_from_arrangement,
     vector_matroid,
+    verify_axioms,
 )
 
-from matpot.arrangements import ESCAPE_RADIUS, NO_CRITICAL_POINTS, _accept, _eigen_candidates, _newton_refine
+from matpot.arrangements import (
+    ESCAPE_RADIUS,
+    NO_CRITICAL_POINTS,
+    _accept,
+    _eigen_candidates,
+    _fibers,
+    _newton_refine,
+)
 from matpot.series import SeriesSpace
 from oracles import (
     discriminant_probe,
@@ -47,6 +55,9 @@ from oracles import (
     jacobi_det,
     k1_polynomial_roots,
     plain_frame,
+    point_axiom_report,
+    point_eigen_candidates,
+    point_frame_jet,
     richardson_frame_derivatives,
     scalar_newton_refine,
     track_fiber,
@@ -240,7 +251,7 @@ def test_batched_newton_matches_scalar_reference(random_k1_instances):
         data = _draw_k2_instance(rng, n)
         cases.append((data, data.basepoint))
     cases += [(data, data.basepoint) for data in random_k1_instances]
-    cases = [(data, z, _eigen_candidates(data, z)) for data, z in cases]
+    cases = [(data, z, _eigen_candidates(data, np.asarray(z)[None])) for data, z in cases]
     # each fiber in the box critical_points puts around its own candidates
     cases = [(data, z, seeds, ESCAPE_RADIUS * (1.0 + np.max(np.abs(seeds)))) for data, z, seeds in cases]
     # f = (t + 1, t - 1) with weights (1, -1): the Hessian 4t / (t^2 - 1)^2
@@ -415,6 +426,26 @@ def test_k1_balanced_weights_are_refused_before_newton(monkeypatch, rows, weight
         critical_points(data, data.basepoint)
 
 
+def test_balanced_weights_are_decided_once_per_family(monkeypatch):
+    # every fiber solve refuses balanced weights first, but the sum of the
+    # exact weights is taken once per family, not once per solve
+    decided = []
+    real = ArrangementData._balanced.func
+
+    def deciding(self):
+        decided.append(self)
+        return real(self)
+
+    balanced = functools.cached_property(deciding)
+    balanced.__set_name__(ArrangementData, "_balanced")
+    monkeypatch.setattr(ArrangementData, "_balanced", balanced)
+    data = ArrangementData([(1,), (2,), (1,)], (1, 2, 3), (0.3, -1.1, 0.9))
+    F = structure_from_arrangement(data, 2)
+    verify_axioms(F, [F.basepoint, F.basepoint + 0.01, F.basepoint - 0.02])
+    critical_points(data, data.basepoint + 0.03)
+    assert decided == [data]
+
+
 def test_k1_weights_balanced_up_to_roundoff_are_near_discriminant():
     # 0.1 + 0.2 - 0.3 is 5.6e-17 in floats, not 0: no pre-check fires, and
     # the fiber is refused by the screens
@@ -445,10 +476,9 @@ def test_k1_fiber_matches_the_polynomial_roots(random_k1_instances):
     outcomes = []
     for data in random_k1_instances + [_draw_k1_family(rng) for _ in range(200)]:
         z = data.basepoint
-        scale = 1.0 + float(np.max(np.abs(z)))
         try:
             with np.errstate(all="ignore"):
-                expected = _accept(data, z, k1_polynomial_roots(data, z)[:, None], scale)[0]
+                expected = _accept(data, z[None], k1_polynomial_roots(data, z)[:, None])[0]
         except DiscriminantError as exc:
             with pytest.raises(DiscriminantError) as info:
                 critical_points(data, z)
@@ -480,12 +510,14 @@ def test_fiber_solves_leave_numpy_random_unimported():
 
 
 def _newton_calls(monkeypatch):
-    """(box, seeds, failures) of every ``_newton_refine`` call, in call order."""
+    """(box, seeds, failures) of every ``_newton_refine`` call of one
+    fiber, in call order: the seeds of one fiber share one box."""
     real, calls = matpot.arrangements._newton_refine, []
 
     def recording(data, z, seeds, box):
         out = real(data, z, seeds, box)
-        calls.append((box, seeds, out[2]))
+        (shared,) = np.unique(box)
+        calls.append((shared, seeds, out[2]))
         return out
 
     monkeypatch.setattr(matpot.arrangements, "_newton_refine", recording)
@@ -588,31 +620,32 @@ def test_continuation_tracks_points(random_k1_instances):
 
 def test_k2_sample_fiber_is_solved_afresh(monkeypatch):
     # the item-4 structure builds with no flag; a fiber away from the
-    # basepoint is a fresh solve, one eigenproblem per fiber
+    # basepoint is a fresh solve, one eigenproblem per fiber: the
+    # eigenproblems are counted per point, not per call
     real = matpot.arrangements._eigen_candidates
-    calls = []
+    points = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(data, zs):
+        points.extend(zs)
+        return real(data, zs)
 
     monkeypatch.setattr(matpot.arrangements, "_eigen_candidates", counting)
     frames = []
     real_series = matpot.arrangements.ArrangementData._series_fiber
 
-    def recording(self, space, frame):
-        frames.append(frame)
-        return real_series(self, space, frame)
+    def recording(self, space, stack):
+        frames.extend(stack)
+        return real_series(self, space, stack)
 
     monkeypatch.setattr(matpot.arrangements.ArrangementData, "_series_fiber", recording)
     data = _rank2_data()
     F = structure_from_arrangement(data, 2)
-    F.frame_jet(data.basepoint, F.space(1))
-    assert len(calls) == 1 and frames[-1] is data.base_frame
+    F.frame_jet(data.basepoint[None], F.space(1))
+    assert len(points) == 1 and frames == [data.base_frame]
     z = data.basepoint + np.array([0.011, -0.007j, 0.004, 0.009j, -0.013, 0.006])
-    F.frame_jet(z, F.space(1))
+    F.frame_jet(z[None], F.space(1))
     moved = frames[-1]
-    assert len(calls) == 2
+    assert len(points) == 2 and len(frames) == 2 and np.array_equal(points[-1], z)
     fresh = critical_points(data, z)
     assert moved.mu == fresh.mu == data.count == 8
     for name in ("z", "points", "f", "hessians", "det_hess", "residuals"):
@@ -655,8 +688,8 @@ def test_degree_one_jets_are_prefixes_of_higher_degrees(all_structures):
         jet, frame = F.jet(F.space(1), members), F.basepoint_frame
         for q in (2, 3, 4):
             assert np.array_equal(F.jet(F.space(q), members)[:, :head], jet)
-            for low, high in zip(frame, F.frame_jet(F.basepoint, F.space(q))):
-                assert np.array_equal(high[..., :head], low)
+            for low, high in zip(frame, F.frame_jet(F.basepoint[None], F.space(q))):
+                assert np.array_equal(high[0, ..., :head], low)
 
 
 def test_frame_jet_matches_richardson_reference(all_structures, all_families):
@@ -671,7 +704,7 @@ def test_frame_jet_matches_richardson_reference(all_structures, all_families):
         x = F.basepoint
         offset = item4_offset if F is item4 else 0.05 * (rng.random(F.n) - 0.5)
         for z in (x, x + offset):
-            jets = F.frame_jet(z, space)
+            jets = [v[0] for v in F.frame_jet(z[None], space)]
             values = plain_frame(data, z)
             for jet, value, ref in zip(jets, values, richardson_frame_derivatives(data, z)):
                 assert jet.shape == value.shape + (space.size,)
@@ -715,7 +748,8 @@ def test_algebra_higgs_jet_matches_the_fiber_route(fixture_data, family):
     space = SeriesSpace(data.n, 1)
     x = data.basepoint
     for z in (x, x + 0.05 * (1.0 + np.max(np.abs(x))) * np.cos(2.39996 * np.arange(1, data.n + 1))):
-        (H, unit, form), (H_ref, unit_ref, form_ref) = data.frame_jet(z, space), fiber_frame_jet(data, z, space)
+        (H, unit, form) = (v[0] for v in data.frame_jet(z[None], space))
+        (H_ref, unit_ref, form_ref) = fiber_frame_jet(data, z, space)
         assert H.shape == H_ref.shape == (data.n, data.count, data.count, space.size)
         for d in space.degrees:
             assert np.max(np.abs(H[..., d] - H_ref[..., d])) <= 1e-12 * np.max(np.abs(H_ref))
@@ -735,8 +769,89 @@ def test_frame_jet_solves_for_the_unit_alone(monkeypatch):
 
     monkeypatch.setattr(SeriesSpace, "solve", counting)
     data = _rank2_data()
-    data.frame_jet(data.basepoint, SeriesSpace(data.n, 1))
+    data.frame_jet(data.basepoint[None], SeriesSpace(data.n, 1))
     assert columns == [1]
+
+
+# real z whose fibers are real at the first two CLI sample points and not at
+# the third (nor at the basepoint): one real eigenproblem stack whose
+# eigenvalues are real for some fibers only
+_MIXED_EIGEN = ArrangementData([(3,), (3,), (1,), (-1,), (2,)], (1, 2, 1, -1, -2), (1.11, -0.36, -1.19, -0.75, 0.69))
+
+
+def _moved_samples(F, turn: bool):
+    """Three points off the basepoint: the CLI's golden-angle offsets in the
+    box of half-width 0.05 (1 + scale), the second turned complex when
+    ``turn``."""
+    x, scale = F.basepoint, 0.05 * (1.0 + F.scale())
+    steps = np.arange(1, 3 * F.n + 1).reshape(3, F.n)
+    return list(x + scale * np.cos(2.39996 * steps) * np.array([[1.0], [1j if turn else 1.0], [1.0]]))
+
+
+def test_stacked_samples_match_the_per_point_reference(all_structures, all_families):
+    # one stacked pass gives, bit for bit, the candidates of one eigenproblem
+    # on one fiber's arrays, the fibers of one critical_points call per
+    # point, the frame jets of one one-point jet per point (degrees 0-2) and
+    # the axiom report of the samples taken one by one, with the basepoint
+    # first, in the middle and absent
+    item4 = _rank2_data()
+    families = all_families + [item4, _MIXED_EIGEN]
+    structures = all_structures + [structure_from_arrangement(data, 2) for data in families[-2:]]
+    for F, data in zip(structures, families):
+        moved, x = _moved_samples(F, turn=data is not _MIXED_EIGEN), F.basepoint
+        if data is _MIXED_EIGEN:
+            kinds = [bool(frame.points.imag.any()) for frame in _fibers(data, np.array(moved))]
+            assert kinds == [False, False, True]
+        candidates = _eigen_candidates(data, np.array(moved)).reshape(len(moved), data.count, data.k)
+        for fiber, z in zip(candidates, moved):
+            assert np.array_equal(fiber, point_eigen_candidates(data, z), equal_nan=True)
+        for fresh, z in zip(_fibers(data, np.array(moved)), moved):
+            alone = critical_points(data, z)
+            for name in ("z", "points", "f", "hessians", "det_hess", "residuals"):
+                assert np.array_equal(getattr(fresh, name), getattr(alone, name))
+        for samples in ([x] + moved, moved[:1] + [x] + moved[1:], moved):
+            for q in (0, 1, 2):
+                space = SeriesSpace(F.n, q)
+                jets = data.frame_jet(np.array(samples), space)
+                for row, z in enumerate(samples):
+                    for got, want in zip(jets, point_frame_jet(data, z, space)):
+                        assert np.array_equal(got[row], want)
+            report = verify_axioms(F, samples, hard_threshold=None)
+            assert repr(report) == repr(point_axiom_report(F, data, samples))
+
+
+# a real rank-1 family off the discriminant at its basepoint: the fiber over
+# z has a double point where x_3 = e^{i pi / 3} (see _DOUBLE_POINT), and
+# hyperplanes 1 and 2 meet where z_1 = z_2
+_REFUSALS = ArrangementData([(1,), (1,), (1,)], (1, 1, 1), (0, 1, 0.4 + 0.6j))
+_GOOD = [np.array([0.01, 1, 0.4 + 0.6j]), np.array([0, 1.02, 0.45 + 0.6j])]
+_DOUBLE_Z = np.array([0, 1, 0.5 + 0.8660254037844386j])
+_MEET_Z = np.array([0.3, 0.3, 0.4 + 0.6j])
+
+
+@pytest.mark.parametrize("samples, culprit", [
+    ([_GOOD[0], _DOUBLE_Z, _GOOD[1]], _DOUBLE_Z),
+    ([_GOOD[0], _MEET_Z, _GOOD[1]], _MEET_Z),
+    # the meeting hyperplanes are refused at the Higgs screen, before the
+    # collision's Newton pass, yet the earlier sample's refusal wins
+    ([_GOOD[0], _DOUBLE_Z, _MEET_Z], _DOUBLE_Z),
+    ([_MEET_Z, _GOOD[0], _DOUBLE_Z], _MEET_Z),
+], ids=["second-collides", "second-meets", "collision-first", "meeting-first"])
+def test_stacked_refusal_is_the_first_refused_sample_alone(samples, culprit):
+    with pytest.raises(DiscriminantError) as alone:
+        critical_points(_REFUSALS, culprit)
+    F = structure_from_arrangement(_REFUSALS, 2)
+    for evaluate in (lambda: _REFUSALS.frame_jet(np.array(samples), F.space(1)),
+                     lambda: verify_axioms(F, [F.basepoint] + samples)):
+        with pytest.raises(DiscriminantError) as stacked:
+            evaluate()
+        assert str(stacked.value) == str(alone.value)
+    assert str(alone.value) in ("critical points collide", "hyperplanes 1, 2 pass through one point (f_S = 0)")
+
+
+def test_frame_jet_refuses_an_empty_stack(fixture_data):
+    with pytest.raises(PreconditionError, match="at least one point"):
+        fixture_data.frame_jet(np.zeros((0, 2)), SeriesSpace(2, 1))
 
 
 def test_structure_golden_values(fixture_structure, fixture_data):
@@ -775,7 +890,7 @@ def test_flat_sections_share_prefixes_bit_for_bit(family):
     want = whole_batch_flat_sections(F, H, u, space)
     tracemalloc.start()
     try:
-        got = matpot.frobenius._flat_sections(F, H, u, space)
+        got = matpot.frobenius._flat_sections(F, H[None], u[None], space)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -817,7 +932,7 @@ def test_diagonal_frame_exactness(random_k1_structures, all_structures):
         for z in (F.basepoint, F.basepoint + 0.01):
             W = frame_values(F, z)[2]
             assert np.max(np.abs(W - W.T)) == 0.0
-            W = F.frame_jet(z, SeriesSpace(F.n, 2))[2]
+            W = F.frame_jet(z[None], SeriesSpace(F.n, 2))[2][0]
             assert np.max(np.abs(W - W.swapaxes(0, 1))) == 0.0
 
 
@@ -916,7 +1031,7 @@ def test_cauchy_binet_weights_match_the_jacobi_determinant(case):
         float(_fraction_det([data.matrix[i - 1] for i in I]) ** 2) for I in bases
     ]
     space = SeriesSpace(data.n, 3)
-    p, w = data._series_fiber(space, data.base_frame)
+    p, w = (v[0] for v in data._series_fiber(space, [data.base_frame]))
     hess = -np.einsum("ij,il,sim->sjlm", data.B, data.B, space.mul(p, p) / data.a[:, None])
     reference = space.reciprocal(jacobi_det(space, hess))
     assert np.abs(w - reference).max() <= 1e-10 * np.abs(reference).max()

@@ -394,15 +394,15 @@ def test_verify_arrangement_evaluates_the_basepoint_frame_once(capsys, tmp_path,
     basepoint = []
     real = matpot.arrangements.ArrangementData.frame_jet
 
-    def counting(self, z, space):
-        basepoint.append(np.array_equal(z, self.basepoint))
-        return real(self, z, space)
+    def counting(self, points, space):
+        basepoint.extend(np.array_equal(z, self.basepoint) for z in points)
+        return real(self, points, space)
 
     monkeypatch.setattr(matpot.arrangements.ArrangementData, "frame_jet", counting)
     payload = {"B": [[1], [2], [1]], "a": [1, 2, 3], "x": [0.3, -1.1, 0.9], "m": 2}
     code, out = run_cli(capsys, ["verify-arrangement"], payload, tmp_path)
     assert code == 0
-    assert basepoint.count(True) == 1
+    assert basepoint.count(True) == 1 and len(basepoint) == 3
     assert json.loads(out)["result"]["pairing_condition"] >= 1.0
 
 

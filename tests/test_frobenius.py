@@ -56,8 +56,8 @@ from oracles import (
 def _frame_structure(matroid, m, mu, frame):
     """Structure at basepoint 0 whose jets are those of z-independent data:
     frame(z) gives (H, unit, form) at z; the pairing jet holds each
-    pairing's value at the basepoint and the frame jet the frame at each
-    sample point, with no higher terms."""
+    pairing's value at the basepoint and the frame jet, for a stack of
+    points, the frame at each of them, with no higher terms."""
     basepoint = np.zeros(matroid.ground.n, dtype=complex)
 
     def jet(space, members):
@@ -65,8 +65,8 @@ def _frame_structure(matroid, m, mu, frame):
         out[:, 0] = [plain_pairing(frame(basepoint), t2) for t2 in members]
         return out
 
-    def frame_jet(z, space):
-        return tuple(space.constant(v) for v in frame(z))
+    def frame_jet(points, space):
+        return tuple(space.constant(np.array(parts)) for parts in zip(*map(frame, points)))
 
     return FlatFrameStructure(
         matroid=matroid, m=m, basepoint=basepoint, mu=mu, jet=jet, frame_jet=frame_jet
@@ -100,9 +100,9 @@ def _corrupted(F):
     def jet(space, members):
         return F.jet(space, [tuple(t2[j] for j in order) for t2 in members])
 
-    def frame_jet(z, space):
-        H, u, W = F.frame_jet(z, space)
-        return H[order], u, W
+    def frame_jet(points, space):
+        H, u, W = F.frame_jet(points, space)
+        return H[:, order], u, W
 
     return FlatFrameStructure(
         matroid=F.matroid,
@@ -490,7 +490,7 @@ def test_checks_take_no_differences_and_one_fiber_per_sample(monkeypatch, fiber_
     verify_axioms(F, samples)
     # the basepoint fiber is the structure's own; every other sample is
     # solved once
-    assert fiber_solves.count(True) == 1 and len(fiber_solves) <= len(samples)
+    assert fiber_solves.count(True) == 1 and len(fiber_solves) == len(samples)
     T2 = F.context().system((2, 1, 0, 0, 0))
     assert remainder_swap_residual(F, T2, 1, 2) <= 1e-10
     assert partials == []
@@ -632,11 +632,12 @@ def test_verify_axioms_flags_nonflat_frame():
         # C_1 depends on z2 while C_2 is constant: integrability fails
         return np.array([[z[1] if i == 1 else 0.0]])
 
-    def frame_jet(z, space):
-        # the linear jet of that data: d C_1 / d z_2 = 1, all else constant
-        H = space.constant(np.array([higgs(1, z), higgs(2, z)]))
-        H[0, 0, 0, space.index[(0, 1)]] = 1.0
-        return H, space.constant(np.ones(1)), space.constant(np.ones((1, 1)))
+    def frame_jet(points, space):
+        # the linear jet of that data at each point: d C_1 / d z_2 = 1, all
+        # else constant
+        H = space.constant(np.array([[higgs(1, z), higgs(2, z)] for z in points]))
+        H[:, 0, 0, 0, space.index[(0, 1)]] = 1.0
+        return H, space.constant(np.ones((len(points), 1))), space.constant(np.ones((len(points), 1, 1)))
 
     F = FlatFrameStructure(
         matroid=matroid,
@@ -916,14 +917,16 @@ def test_one_basepoint_frame_and_two_spaces_per_op(monkeypatch, fiber_solves, ex
     # as first sample, both potentials, both checks) evaluates the frame jet
     # at the basepoint once, builds at most two series spaces (degree 1 and
     # the second kind's n_max - mk - 1) and solves each sample fiber once
-    # (the basepoint's when the structure is built)
-    frames, spaces = [], []
+    # (the basepoint's when the structure is built); frame jets and fibers
+    # are counted per point, in two frame-jet calls
+    frames, calls, spaces = [], [], []
     real_frame_jet = matpot.arrangements.ArrangementData.frame_jet
     real_init = matpot.series.SeriesSpace.__init__
 
-    def frame_jet(self, z, space):
-        frames.append(np.array_equal(z, self.basepoint))
-        return real_frame_jet(self, z, space)
+    def frame_jet(self, points, space):
+        frames.extend(np.array_equal(z, self.basepoint) for z in points)
+        calls.append(len(points))
+        return real_frame_jet(self, points, space)
 
     def init(self, n, q):
         spaces.append(q)
@@ -938,8 +941,37 @@ def test_one_basepoint_frame_and_two_spaces_per_op(monkeypatch, fiber_solves, ex
     check_first_kind(F, Q)
     check_second_kind(F, L)
     assert frames.count(True) == 1 and len(frames) == len(samples)
+    assert calls == [1, len(samples) - 1]
     assert sorted(set(spaces)) == sorted(spaces) and len(spaces) <= 2
     assert fiber_solves.count(True) == 1 and len(fiber_solves) == len(samples)
+
+
+def test_each_basepoint_series_and_sections_once_per_op(monkeypatch):
+    # a benchmark-shaped op takes the base frame's series once per degree
+    # (the degree-1 pairing jets and the basepoint frame jet share it) and
+    # multiplies out the sections C_I (unit) once per point (verify_axioms
+    # and both checks share the basepoint's)
+    series, sections = [], []
+    real_series = matpot.arrangements.ArrangementData._series_fiber
+    real_sections = matpot.frobenius._flat_sections
+
+    def recording_series(self, space, frames):
+        series.append((space.q, [frame is self.base_frame for frame in frames]))
+        return real_series(self, space, frames)
+
+    def recording_sections(F, H, u, space):
+        sections.append(len(u))
+        return real_sections(F, H, u, space)
+
+    monkeypatch.setattr(matpot.arrangements.ArrangementData, "_series_fiber", recording_series)
+    monkeypatch.setattr(matpot.frobenius, "_flat_sections", recording_sections)
+    F = structure_from_arrangement(_unsolved(_REPRODUCER), 2)
+    verify_axioms(F, _samples(F, 2, 11))
+    Q, L = first_kind_polynomial(F), second_kind_truncation(F, F.m * F.k + 3)
+    check_first_kind(F, Q)
+    check_second_kind(F, L)
+    assert series == [(1, [True]), (1, [False, False]), (2, [True])]
+    assert sections == [1, 2]
 
 
 def test_check_first_kind_needs_degree_mk(fixture_structure):

@@ -16,6 +16,7 @@ from matpot import (
     ArityError,
     Context,
     GoodDecomposition,
+    InternalError,
     LinearMatroid,
     PreconditionError,
     StrongDecomposition,
@@ -274,6 +275,33 @@ def test_hand_built_pair_with_a_weak_second_member_does_not_validate():
     assert GoodDecomposition(T1=ctx.system((0, 1, 1)), T2=ctx.system((4, 0, 0))).validate() is False
     with pytest.raises(PreconditionError):
         d.witness
+
+
+def test_witness_read_checks_only_the_sum(monkeypatch):
+    # the shared bases were checked when the strong search filed them, so a
+    # witness read checks no base again, only that bases plus [a] give T2:
+    # a wrong label a is an internal error
+    ctx = Context(UniformMatroid(1, 3), 2)
+    nodes = all_good_decompositions(ctx.system((2, 1, 1)))
+    checked = []
+    real = StrongDecomposition._decomposes
+
+    def counting(self, mult):
+        checked.append(mult)
+        return real(self, mult)
+
+    monkeypatch.setattr(StrongDecomposition, "_decomposes", counting)
+    for d in nodes:
+        searched = len(ctx._strong_memo)
+        assert d.witness.validate(d.T2)
+        # one check per strong search that filed shared bases, and validate's
+        assert len(checked) == len(ctx._strong_memo) - searched + 1
+        del checked[:]
+    real_label = matpot.systems._key_label
+    monkeypatch.setattr(matpot.systems, "_key_label", lambda mult, key: real_label(mult, key) % 3 + 1)
+    fresh = all_good_decompositions(Context(UniformMatroid(1, 3), 2).system((2, 1, 1)))
+    with pytest.raises(InternalError, match="do not decompose the second member"):
+        fresh[0].witness
 
 
 def test_good_decomposition_count_invariant_under_automorphism(linear_pairs):
