@@ -327,8 +327,10 @@ class ArrangementData:
         since c_S is real).  With u = eps / 2 that is (n + 1) u (1 + O(u)),
         below n eps for n >= 2; the margin is a factor of about 2.  A
         smaller |f_S| cannot be told from 0, and H would carry 1 / f_S.  A
-        family whose count is 0 has no H (PreconditionError)."""
-        return self._higgs(np.asarray(z)[None])[0]
+        z that is not a vector of n finite coordinates raises GroundSetError
+        (``_base_point``); a family whose count is 0 has no H
+        (PreconditionError)."""
+        return self._higgs(_base_point(z, self.n)[None])[0]
 
     def _higgs(self, zs, space: SeriesSpace | None = None) -> np.ndarray:
         """``higgs`` at every row of zs (S, n), shape (S, n, mu, mu), or with

@@ -38,7 +38,7 @@ the filing keys T2 - [a] that the edge pass files T2 under.  When the
 enumeration would grow more than FLATS_PER_SEARCH flats per undecided
 composition (a linear matroid in general position, whose flats the size
 bound cannot prune), the compositions are decided by the strong search
-instead, seeded along them, and the circuit closure below.
+instead, one by one, and the circuit closure below.
 
 The strong search decides a single system: ``strong-decompose``, a
 witness read, ``remainder_support`` and the enumeration past its flat
@@ -46,17 +46,15 @@ budget; nothing else runs it.
 Strong-decomposition outcomes are memoized per ``Context``, keyed by the
 raw multiplicity tuple and l, and callers build a ``System`` only for what
 they return, through the unchecked ``_trusted``.  A miss places the tuple's
-units in m base classes (frozensets of labels) and a remainder ``_Units``
-that counts units per label under its matroid ``_Slots``, one exchange
-search (``partition._reach``) per unit, and checks its answer through the
-matroid's memo cores.  It decides what a matroid partition of the lift (one
-element per unit, m copies of the matroid and l slots) decides: the copies
-of a label are parallel in the lift, so the lift's search is this label
-search at the size of the lift (``tests/oracles.py::reference_strong_outcome``
-decides by the lift).  A miss may start from a nearby strong decomposition
-the caller holds, not from empty: the paper's elementary transformations
-T2 -> T2 - [a] + [b] are one-unit exchanges, and an augmenting path absorbs
-one, so a miss costs about one augmentation instead of one per unit.
+units, from empty classes, in m base classes (frozensets of labels) and a
+remainder ``_Units`` that counts units per label under its matroid
+``_Slots``, one exchange search (``partition._reach``) per unit, and checks
+its answer through the matroid's memo cores.  So every outcome depends on
+(matroid, m, mult, l) only.  It decides what a matroid partition of the
+lift (one element per unit, m copies of the matroid and l slots) decides:
+the copies of a label are parallel in the lift, so the lift's search is
+this label search at the size of the lift
+(``tests/oracles.py::reference_strong_outcome`` decides by the lift).
 
 Which labels can sit in the remainder of one strong decomposition's system
 is also a circuit closure: for bases B_1..B_m, the remainder's labels closed
@@ -71,10 +69,10 @@ local relations as edges.  Each node files itself under its decision's
 keys U = T2 - [a], and every group of two or more nodes is a clique: the
 report runs no strong search and builds no witness.  A node's witness is
 built on first read from shared bases, as the paper's transformations
-work: the memoized l = 0 decomposition of one of its keys U plus the unit
-[a] (``GoodDecomposition.witness``), so every node filed under U reuses
-them.  On a shared ``Context`` which valid decomposition a read returns may
-depend on what was decided before.
+work: the memoized l = 0 decomposition of its first key U plus the unit
+[a] (``GoodDecomposition.witness``), so every node whose first key is U
+reuses them, and the witness depends on T2 only, not on the order of the
+reads.
 
 ``descent_move`` constructs, from two distinct good decompositions, the
 explicit exchange that brings their second members strictly closer in the
@@ -170,12 +168,6 @@ class Context:
         remainder closure, ascending in a (``_decide``; ``_key_label`` reads
         a back)."""
         return {}
-
-    @cached_property
-    def _shared_seed(self) -> list:
-        """One slot: the last shared bases a witness read decided
-        (``_shared_witness``), from which the next read's search starts."""
-        return [None]
 
 
 def _multiplicity(v):
@@ -411,53 +403,29 @@ class _Slots:
         return None if len(units) < self.rank_bound else units.labels
 
 
-def _strong_search(ctx: Context, mult: tuple, l: int, near: StrongDecomposition | None):
+def _strong_search(ctx: Context, mult: tuple, l: int):
     """The classes of a strong decomposition of the system ``mult``: m
     frozensets of labels, each a base, and the remainder as a ``_Units``;
     or the frozenset of labels reached by the search for a unit that
     cannot be placed.
 
-    The classes start from near when it is given: the units of each label
-    go, in order, to the parts of near that hold the label, then to near's
-    remainder (seeded only when it fits the l slots), capped at the label's
-    multiplicity in mult.  Each base class is a subset of a base of near,
-    and is checked to be independent.  Every unit left unplaced, label by
-    label, gets one exchange search (``partition._augment``) over the m
-    bases and the l slots.
+    The classes start empty, and every unit, label by label, gets one
+    exchange search (``partition._augment``) over the m bases and the l
+    slots.
     """
     matroid, m = ctx.matroid, ctx.m
     labels = matroid.ground.labels
-    left = list(mult)  # the units of each label not placed yet
-    units = {}
-    if near is None:
-        classes = [frozenset()] * m
-    else:
-        classes = []
-        for i, part in enumerate(near.parts):
-            clazz = frozenset(j for j in compress(labels, part.mult) if left[j - 1])
-            if not matroid._memo_independent(clazz):
-                raise PreconditionError(f"start class {i} is not an independent set of its matroid")
-            for j in clazz:
-                left[j - 1] -= 1
-            classes.append(clazz)
-        rest = near.remainder.mult
-        if sum(rest) <= l:
-            for j in compress(labels, rest):
-                v = min(rest[j - 1], left[j - 1])
-                if v:
-                    units[j] = v
-                    left[j - 1] -= v
-    classes.append(_Units(units))
+    classes = [frozenset()] * m + [_Units({})]
     matroids = (matroid,) * m + (_Slots(l),)
-    for j in compress(labels, left):
-        for _ in range(left[j - 1]):
+    for j in compress(labels, mult):
+        for _ in range(mult[j - 1]):
             reached = _augment(matroids, classes, j)
             if reached is not None:
                 return reached
     return classes
 
 
-def _strong_outcome(ctx: Context, mult: tuple, l: int, near: StrongDecomposition | None = None):
+def _strong_outcome(ctx: Context, mult: tuple, l: int):
     """The strong decomposition of the system ``mult`` of ctx, or the
     SystemBoundViolation showing none exists.
 
@@ -469,11 +437,8 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int, near: StrongDecomposition
     one label search (``_strong_search``); the decomposition's parts are
     built by ``_trusted`` from its classes and checked on the memo cores
     (``StrongDecomposition._decomposes``), the violation, the labels the
-    failed search reached, on the rank memo.  ``near``, a strong
-    decomposition the caller already holds, seeds the classes, so a
-    neighbour costs about one augmentation instead of one per unit.  Which
-    decomposition is returned, and which violation, may therefore depend on
-    what the context decided before; it is always a valid one.
+    failed search reached, on the rank memo.  The search starts from empty
+    classes, so the outcome depends on (matroid, m, mult, l) only.
     """
     memo = ctx._strong_memo
     key = (mult, l)
@@ -484,7 +449,7 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int, near: StrongDecomposition
     size = ctx.m * ctx.k + l
     if size > MAX_SIZE:
         raise SizeLimitError(f"partition limited to {MAX_SIZE} elements, got {size}")
-    found = _strong_search(ctx, mult, l, near)
+    found = _strong_search(ctx, mult, l)
     if isinstance(found, frozenset):
         mass = sum(mult[j - 1] for j in found)
         bound = l + ctx.m * ctx.matroid._memo_rank(found)
@@ -510,9 +475,8 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int, near: StrongDecomposition
 def find_strong_decomposition(T: System, l: int):
     """A strong decomposition of the (mk+l)-system T, or None if none exists.
 
-    On a shared ``Context`` the decomposition returned may depend on what
-    the context decided before (see ``_strong_outcome``); it is always a
-    valid one.
+    The decomposition is the one the label search finds from empty classes
+    (``_strong_outcome``): it depends on T and l only.
     """
     outcome = _strong_outcome(T.ctx, T.mult, l)
     return outcome if isinstance(outcome, StrongDecomposition) else None
@@ -530,10 +494,10 @@ class GoodDecomposition:
 
     ``witness``, a strong decomposition of T2 with a one-label remainder, is
     built on first read from shared bases: the bases of the memoized l = 0
-    decomposition of one of T2's filing keys U = T2 - [a], plus the unit
-    [a] (``_shared_witness``).  Every decomposition filed under U, a report
-    node or a descent move's result, reuses them.  ``validate`` answers
-    False, without a witness, when T2 is not strong.
+    decomposition of T2's first filing key U = T2 - [a], plus the unit [a]
+    (``_shared_witness``); it depends on T2 only.  Every decomposition whose
+    first key is U, a report node or a descent move's result, reuses them.
+    ``validate`` answers False, without a witness, when T2 is not strong.
     """
 
     T1: System
@@ -676,12 +640,11 @@ def _decide(ctx: Context, whole: tuple, misses: list) -> None:
     product near 2^20 entries.
 
     On the inputs measured, growing a flat costs from a twentieth to a half
-    of what deciding one miss by the label search costs (``_strong_outcome``,
-    seeded from the last strong miss, and the circuit closure of its
-    remainder), so the enumeration may grow FLATS_PER_SEARCH flats per miss;
-    past that, each miss is decided by the label search instead, and what
-    the enumeration spent before it stopped is at most about twice that
-    search's cost.
+    of what deciding one miss by the label search costs (``_strong_outcome``
+    and the circuit closure of its remainder), so the enumeration may grow
+    FLATS_PER_SEARCH flats per miss; past that, each miss is decided by the
+    label search instead, and what the enumeration spent before it stopped
+    is at most about twice that search's cost.
     """
     decisions = ctx._decisions
     if ctx.matroid._memo_rank(frozenset(j for j, v in enumerate(whole, 1) if v)) < ctx.k:
@@ -689,11 +652,9 @@ def _decide(ctx: Context, whole: tuple, misses: list) -> None:
         return
     flats = _binding_flats(ctx, whole, FLATS_PER_SEARCH * len(misses))
     if flats is None:
-        near = None
         for mult in misses:
-            outcome = _strong_outcome(ctx, mult, 1, near)
+            outcome = _strong_outcome(ctx, mult, 1)
             if isinstance(outcome, StrongDecomposition):
-                near = outcome
                 decisions[mult] = tuple(_minus(mult, a) for a in sorted(outcome._remainder_closure))
             else:
                 decisions[mult] = None
@@ -737,23 +698,18 @@ def _key_label(mult: tuple, key: tuple) -> int:
 
 def _shared_witness(T2: System) -> StrongDecomposition:
     """A strong decomposition of T2 with a one-label remainder, from shared
-    bases: the l = 0 decomposition of one of T2's filing keys U = T2 - [a]
-    plus the unit [a].  ``_strong_outcome``, the one writer of the memo,
-    checked those bases on the memo cores, so only the sum is checked here:
-    bases plus [a] must give T2 (InternalError otherwise).  The key is the first
-    whose decomposition the context holds, else the first one, searched once
-    from the last shared bases read (``Context._shared_seed``: a
-    neighbour's, when witnesses are read in node order); the outcome is
-    memoized, so every node filed under U reuses it.  PreconditionError
-    when T2 is not strong (``_strong_keys``)."""
+    bases: the l = 0 decomposition of T2's first filing key U = T2 - [a]
+    plus the unit [a], so the witness depends on T2 only.
+    ``_strong_outcome``, the one writer of the memo, checked those bases on
+    the memo cores, so only the sum is checked here: bases plus [a] must
+    give T2 (InternalError otherwise).  The outcome is memoized, so every
+    node whose first key is U reuses it.  PreconditionError when T2 is not
+    strong (``_strong_keys``)."""
     ctx, mult = T2.ctx, T2.mult
-    keys = _strong_keys(T2)
-    memo, seed = ctx._strong_memo, ctx._shared_seed
-    key = next((key for key in keys if (key, 0) in memo), keys[0])
-    rest = _strong_outcome(ctx, key, 0, seed[0])
+    key = _strong_keys(T2)[0]
+    rest = _strong_outcome(ctx, key, 0)
     if not isinstance(rest, StrongDecomposition):
         raise InternalError("a label of the remainder closure left a system that is not strong")
-    seed[0] = rest
     unit = [0] * ctx.n
     unit[_key_label(mult, key) - 1] = 1
     witness = StrongDecomposition(parts=rest.parts, remainder=_trusted(ctx, tuple(unit)))

@@ -55,8 +55,7 @@ its rank bound only when no class takes y directly.
 one partition of the lift (``lift_problem``: one element per multiplicity
 unit, m copies of the matroid pulled back to the units by
 ``LiftedMatroid`` and a uniform tail of rank l), the reference for the
-label search of ``systems._strong_outcome``;
-``near_start`` is that lift's start from a nearby strong decomposition.
+label search of ``systems._strong_outcome``.
 ``reference_descent_move`` is the earlier exchange search, kept as the
 reference for the library's ``descent_move``: it builds the full
 ``RemainderAlternative`` (two remainder supports, each label decided by its
@@ -306,18 +305,17 @@ def brute_partition(matroids, elements):
     return next(_valid_partitions(matroids, elements), None)
 
 
-def reference_partition(problem, start=()):
+def reference_partition(problem):
     """The partition by breadth-first augmenting exchanges that asks, for
     each dequeued y, every class but y's own in class order for
     ``circuit(class, y)``, and gives y to the first that answers None.
 
-    ``start`` seeds the first classes, unchecked.  Returns the
-    PartitionCertificate, or the DeficiencyWitness of the set reached when
-    an element cannot be placed, neither of them validated.
+    Returns the PartitionCertificate, or the DeficiencyWitness of the set
+    reached when an element cannot be placed, neither of them validated.
     """
-    classes = [frozenset(part) for part in start] + [frozenset()] * (problem.m - len(start))
-    color = {e: i for i, part in enumerate(classes) for e in part}
-    for e in sorted(frozenset(problem.ground.labels) - color.keys()):
+    classes = [frozenset()] * problem.m
+    color = {}
+    for e in sorted(problem.ground.labels):
         parent, visited, queue = {}, {e}, deque([e])
         while queue:
             y = queue.popleft()
@@ -487,38 +485,14 @@ def lift_problem(ctx, mult, l):
     return PartitionProblem((lifted,) * ctx.m + (UniformMatroid(l, len(fmap)),)), fmap
 
 
-def near_start(near, mult, l) -> tuple:
-    """Start classes of the lifted problem of (mult, l) taken from near: the
-    lift elements of each label go, in order, to the parts of near that hold
-    the label, then to near's remainder (only when it fits the l slots),
-    capped at the label's multiplicity in mult."""
-    rows = [p.mult for p in near.parts]
-    if near.remainder.total <= l:
-        rows.append(near.remainder.mult)
-    first = [1]
-    for v in mult:
-        first.append(first[-1] + v)
-    free = first[:-1]  # the next unseeded lift element of each label
-    classes = []
-    for row in rows:
-        clazz = []
-        for j, v in enumerate(row):
-            take = min(v, first[j + 1] - free[j])
-            clazz.extend(range(free[j], free[j] + take))
-            free[j] += take
-        classes.append(frozenset(clazz))
-    return tuple(classes)
-
-
-def reference_strong_outcome(ctx, mult, l, near=None):
+def reference_strong_outcome(ctx, mult, l):
     """The strong question of ``mult``, l decided by one partition of the
-    lift (``reference_partition``, started from ``near_start`` when near is
-    given): the StrongDecomposition of the lifted classes' label counts, or
-    the SystemBoundViolation of the labels the failed search reached."""
+    lift (``reference_partition``): the StrongDecomposition of the lifted
+    classes' label counts, or the SystemBoundViolation of the labels the
+    failed search reached."""
     _check_arity(ctx, mult, l)
     problem, fmap = lift_problem(ctx, mult, l)
-    start = () if near is None else near_start(near, mult, l)
-    result = reference_partition(problem, start)
+    result = reference_partition(problem)
     if isinstance(result, DeficiencyWitness):
         B = frozenset(fmap[e - 1] for e in result.A)
         mass = sum(mult[j - 1] for j in B)

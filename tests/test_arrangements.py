@@ -91,6 +91,21 @@ def test_arrangement_validation():
             ArrangementData([(1,), (1,)], (1, 1), x)  # non-finite basepoint
 
 
+@pytest.mark.parametrize("z, message", [
+    ([1, 2], "basepoint must have 3 coordinates"),
+    ([float("nan"), 1, 2], "basepoint coordinates must be finite"),
+])
+def test_higgs_refuses_a_point_as_critical_points_does(z, message):
+    # a point of the wrong length or with a non-finite coordinate gets the
+    # ground-set refusal of the fiber solve, not numpy's ValueError or the
+    # overflow screen of f_S
+    data = ArrangementData([(1,), (2,), (1,)], (1, 1, 1), (0.5, -1.0, 2.0))
+    for call in (data.higgs, functools.partial(critical_points, data)):
+        with pytest.raises(GroundSetError) as info:
+            call(z)
+        assert str(info.value) == message
+
+
 def test_critical_point_closed_form(fixture_data):
     for z in [(1, -1), (2.5, 0.5), (0.3 + 0.2j, -1.1)]:
         frame = critical_points(fixture_data, z)

@@ -223,9 +223,9 @@ def test_strong_decompose_solves_one_partition(capsys, tmp_path, monkeypatch):
     calls = []
     search = matpot.systems._strong_search
 
-    def counting(ctx, mult, l, near):
+    def counting(ctx, mult, l):
         calls.append(mult)
-        return search(ctx, mult, l, near)
+        return search(ctx, mult, l)
 
     monkeypatch.setattr(matpot.systems, "_strong_search", counting)
     payload = {

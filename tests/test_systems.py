@@ -155,9 +155,9 @@ def test_cold_equivalence_report_checks_no_lift_map(monkeypatch):
         lifts.append(args)
         real_init(self, *args)
 
-    def search(ctx, mult, l, near):
+    def search(ctx, mult, l):
         searches.append(mult)
-        return real_search(ctx, mult, l, near)
+        return real_search(ctx, mult, l)
 
     monkeypatch.setattr(matpot.matroids.GroundSet, "check_subset", counting_check)
     monkeypatch.setattr(LiftedMatroid, "__init__", counting_init)
@@ -691,9 +691,9 @@ def test_warm_equivalence_report_solves_no_partition(monkeypatch):
     real_search, real_post_init = matpot.systems._strong_search, System.__post_init__
     real_trusted = matpot.systems._trusted
 
-    def search(ctx, mult, l, near):
+    def search(ctx, mult, l):
         searches.append(mult)
-        return real_search(ctx, mult, l, near)
+        return real_search(ctx, mult, l)
 
     def post_init(self):
         built.append(self.mult)
@@ -714,43 +714,6 @@ def test_warm_equivalence_report_solves_no_partition(monkeypatch):
     assert searches == [] and built == []
 
 
-def _seeded_shared_queries(T):
-    """The seeded l = 1 queries of T's compositions, each miss started from
-    the last strong one before it, then one l = 0 query per shared system
-    U = T2 - [a] that two or more nodes file under (a in the support of
-    T2), seeded from the first such node's witness."""
-    ctx = T.ctx
-    near = None
-    for mult in _bounded_compositions(ctx.m * ctx.k + 1, T.mult):
-        outcome = _strong_outcome(ctx, mult, 1, near)
-        if isinstance(outcome, StrongDecomposition):
-            near = outcome
-    groups = {}
-    for d in all_good_decompositions(T):
-        for a in sorted(d.T2.support):
-            groups.setdefault(matpot.systems._minus(d.T2.mult, a), []).append(d)
-    for shared, members in groups.items():
-        if len(members) > 1:
-            _strong_outcome(ctx, shared, 0, members[0].witness)
-
-
-def _warm_contexts(linear_pairs):
-    """Contexts after the seeded queries of the roadmap system and of the
-    small sweep: their memos hold warm-started outcomes of both verdicts at
-    l = 0 and l = 1."""
-    roadmap = Context(ROADMAP_MATROID, 3)
-    _seeded_shared_queries(roadmap.system((3, 2, 2, 2, 2, 2)))
-    contexts = [roadmap]
-    for m in (1, 2):
-        ctx = Context(linear_pairs, m)
-        mk = m * ctx.k
-        for total in range(mk + 1, mk + 3):
-            for mult in _bounded_compositions(total, (total,) * ctx.n):
-                _seeded_shared_queries(ctx.system(mult))
-        contexts.append(ctx)
-    return contexts
-
-
 def _random_strong_question(rng):
     """A context of rank 1-3 (uniform, or linear with small integer rows),
     m 1-3, l 0-3, and a system of m k + l units drawn label by label."""
@@ -768,33 +731,17 @@ def _random_strong_question(rng):
     return ctx, tuple(mult), l
 
 
-def _moved(rng, mult):
-    """mult with one unit moved to a random label."""
-    out = list(mult)
-    out[rng.choice([j for j, v in enumerate(out) if v])] -= 1
-    out[rng.randrange(len(out))] += 1
-    return tuple(out)
-
-
 def test_strong_search_matches_the_lifted_partition():
     # the label search decides every question as the partition of the lift
-    # did, cold and seeded from a neighbour's decomposition: the same
-    # decomposition or violation as the lifted search from the same start
+    # did: the same decomposition or violation as the lifted search
     rng = random.Random(4300)
     kinds = Counter()
     for _ in range(2000):
         ctx, mult, l = _random_strong_question(rng)
-        cold = _strong_outcome(Context(ctx.matroid, ctx.m), mult, l)
-        assert cold == reference_strong_outcome(ctx, mult, l), (ctx.matroid, ctx.m, mult, l)
-        kinds["cold", type(cold)] += 1
-        near = _strong_outcome(Context(ctx.matroid, ctx.m), _moved(rng, mult), l)
-        if isinstance(near, StrongDecomposition):
-            warm = _strong_outcome(Context(ctx.matroid, ctx.m), mult, l, near)
-            assert warm == reference_strong_outcome(ctx, mult, l, near), (ctx.matroid, ctx.m, mult, l, near)
-            assert type(warm) is type(cold)
-            kinds["seeded", type(warm)] += 1
-    for start in ("cold", "seeded"):
-        assert min(kinds[start, StrongDecomposition], kinds[start, SystemBoundViolation]) >= 80, kinds
+        outcome = _strong_outcome(Context(ctx.matroid, ctx.m), mult, l)
+        assert outcome == reference_strong_outcome(ctx, mult, l), (ctx.matroid, ctx.m, mult, l)
+        kinds[type(outcome)] += 1
+    assert min(kinds[StrongDecomposition], kinds[SystemBoundViolation]) >= 80, kinds
 
 
 @pytest.mark.parametrize("rows, m, l, mult", [
@@ -814,76 +761,10 @@ def test_the_remainder_takes_a_label_it_holds(rows, m, l, mult):
         assert [p.mult for p in dec.parts] == [(0, 0, 1, 0)] and dec.remainder.mult == (0, 0, 2, 1)
 
 
-def test_near_start_augments_only_the_units_it_leaves_unplaced(monkeypatch):
-    # near's parts and fitting remainder seed the classes, capped by mult;
-    # only the units they leave unplaced are augmented, a decomposition of
-    # mult itself leaves none, and a failed search still gets a certified
-    # violation
-    augmented = []
-    real = matpot.systems._augment
-
-    def counting(matroids, classes, e):
-        augmented.append(e)
-        return real(matroids, classes, e)
-
-    monkeypatch.setattr(matpot.systems, "_augment", counting)
-    rng = random.Random(1729)
-    kinds = Counter()
-    while min(kinds["decomposition"], kinds["violation"]) < 20:
-        ctx, mult, l = _random_strong_question(rng)
-        near = _strong_outcome(Context(ctx.matroid, ctx.m), _moved(rng, mult), l)
-        if not isinstance(near, StrongDecomposition):
-            continue
-        seeded = [sum(p.mult[j] for p in near.parts) + near.remainder.mult[j] for j in range(ctx.n)]
-        augmented.clear()
-        warm = _strong_outcome(Context(ctx.matroid, ctx.m), mult, l, near)
-        T = ctx.system(mult)
-        if isinstance(warm, StrongDecomposition):
-            assert warm.validate(T) and warm.remainder.total == l
-            unplaced = sorted(j for j in ctx.matroid.ground.labels for _ in range(mult[j - 1] - seeded[j - 1]))
-            assert sorted(augmented) == unplaced
-            augmented.clear()
-            assert _strong_outcome(Context(ctx.matroid, ctx.m), mult, l, warm) == warm
-            assert augmented == []
-            kinds["decomposition"] += 1
-        else:
-            assert warm.bound == l + ctx.m * ctx.matroid.rank(warm.B) < warm.mass
-            assert warm.mass == sum(T(j) for j in warm.B)
-            kinds["violation"] += 1
-
-
-def test_near_start_with_a_dependent_part_is_refused():
-    ctx = Context(LinearMatroid([(1, 0), (2, 0), (0, 1)]), 1)  # labels 1 and 2 are parallel
-    near = StrongDecomposition(parts=(System(ctx, (1, 1, 0)),), remainder=System(ctx, (0, 0, 1)))
-    # the seeded classes place every unit of (1, 1, 1), and all but one of (1, 1, 2)
-    for mult, l in [((1, 1, 1), 1), ((1, 1, 2), 2)]:
-        with pytest.raises(PreconditionError, match="start class 0 is not an independent set"):
-            _strong_outcome(ctx, mult, l, near)
-
-
-def test_warm_and_cold_strong_outcomes_agree(linear_pairs):
-    # every outcome a warm start decided, against a fresh Context; the warm
-    # answer may be another decomposition or violation, never another verdict
-    kinds = set()
-    for ctx in _warm_contexts(linear_pairs):
-        for (mult, l), warm in ctx._strong_memo.items():
-            cold = matpot.systems._strong_outcome(Context(ctx.matroid, ctx.m), mult, l)
-            assert type(warm) is type(cold)
-            T = ctx.system(mult)
-            if isinstance(warm, StrongDecomposition):
-                assert warm.validate(T) and warm.remainder.total == l
-            else:
-                assert warm.bound == l + ctx.m * ctx.matroid.rank(warm.B) < warm.mass
-                assert warm.mass == sum(T(j) for j in warm.B)
-            kinds.add((type(warm), l))
-    assert len(kinds) == 4, kinds
-
-
-def test_equivalence_report_augments_about_once_per_solve(monkeypatch):
+def test_witness_reads_search_each_first_key_once_from_empty_classes(monkeypatch):
     # the report searches nothing; reading every witness searches each
-    # shared system once, each miss started from the shared bases the last
-    # read used, so only the first read is cold (it places every unit,
-    # m * k) and a seeded miss costs about one augmentation
+    # node's first filing key once, at l = 0, from empty classes: every
+    # search places all m * k units, one augmentation each
     augmented, searches = [], []
     real_augment, real_search = matpot.systems._augment, matpot.systems._strong_search
 
@@ -891,9 +772,9 @@ def test_equivalence_report_augments_about_once_per_solve(monkeypatch):
         augmented.append(1)
         return real_augment(*args)
 
-    def search(ctx, mult, l, near):
-        searches.append((mult, l, near))
-        return real_search(ctx, mult, l, near)
+    def search(ctx, mult, l):
+        searches.append((mult, l))
+        return real_search(ctx, mult, l)
 
     monkeypatch.setattr(matpot.systems, "_augment", augment)
     monkeypatch.setattr(matpot.systems, "_strong_search", search)
@@ -901,11 +782,50 @@ def test_equivalence_report_augments_about_once_per_solve(monkeypatch):
     report = equivalence_report(ctx.system((3, 2, 2, 2, 2, 2)))
     assert len(report.nodes) == 171
     assert searches == [] and augmented == []
-    shared = {d.witness.total - d.witness.remainder for d in report.nodes}
-    assert len(searches) == len(shared) < len(report.nodes)
-    assert {l for _, l, _ in searches} == {0}
-    assert sum(near is None for _, _, near in searches) == 1  # only the first miss is cold
-    assert len(augmented) < 2 * len(searches)
+    shared = {(d.witness.total - d.witness.remainder).mult for d in report.nodes}
+    assert shared == {ctx._decisions[d.T2.mult][0] for d in report.nodes}
+    assert sorted(searches) == sorted((key, 0) for key in shared)
+    assert len(searches) == 141
+    assert len(augmented) == ctx.m * ctx.k * 141 == 846
+
+
+def _memo_is_cold(ctx, cold):
+    """Assert that every outcome in ctx's strong memo is the one a fresh
+    Context decides for the same (mult, l); cold caches those, by key."""
+    for key, outcome in ctx._strong_memo.items():
+        if key not in cold:
+            cold[key] = _strong_outcome(Context(ctx.matroid, ctx.m), *key)
+        assert outcome == cold[key], key
+
+
+def test_witnesses_and_strong_outcomes_depend_on_their_inputs_only(monkeypatch):
+    # every strong search starts from empty classes, so on a fresh context
+    # the 171-node report's witnesses read in reverse order are the ones
+    # read in order; and with the compositions decided by the search (no
+    # room for flats) and the systems T2 - [a] asked for between the reads,
+    # every memoized outcome, decomposition or violation, at l = 0 or
+    # l = 1, is after every read the one a fresh context decides
+    T = (3, 2, 2, 2, 2, 2)
+    ctx = Context(ROADMAP_MATROID, 3)
+    in_order = [d.witness for d in equivalence_report(ctx.system(T)).nodes]
+    ctx = Context(ROADMAP_MATROID, 3)
+    in_reverse = [d.witness for d in reversed(equivalence_report(ctx.system(T)).nodes)]
+    assert in_reverse[::-1] == in_order
+    monkeypatch.setattr(matpot.systems, "FLATS_PER_SEARCH", 0)
+    kinds = set()
+    for M, m, mult in [(ROADMAP_MATROID, 3, T), (PARALLEL_LOOP, 2, (2, 1, 2, 1, 2))]:
+        ctx, cold = Context(M, m), {}
+        report = equivalence_report(ctx.system(mult))
+        _memo_is_cold(ctx, cold)
+        for d in reversed(report.nodes):
+            assert d.witness.validate(d.T2)
+            _memo_is_cold(ctx, cold)
+            for a in sorted(d.T2.support):
+                strong_deficiency_witness(ctx.system(matpot.systems._minus(d.T2.mult, a)), 0)
+            _memo_is_cold(ctx, cold)
+        kinds |= {(type(outcome), l) for (_, l), outcome in ctx._strong_memo.items()}
+    assert kinds == {(StrongDecomposition, 0), (SystemBoundViolation, 0),
+                     (StrongDecomposition, 1), (SystemBoundViolation, 1)}
 
 
 def test_descent_move_after_a_report_runs_no_search(monkeypatch):
@@ -918,9 +838,9 @@ def test_descent_move_after_a_report_runs_no_search(monkeypatch):
     calls, decided = [], []
     real, real_decide = matpot.systems._strong_outcome, matpot.systems._decide
 
-    def counting(ctx, mult, l, near=None):
+    def counting(ctx, mult, l):
         calls.append((mult, l))
-        return real(ctx, mult, l, near)
+        return real(ctx, mult, l)
 
     def deciding(ctx, whole, misses):
         decided.append(misses)
@@ -1136,9 +1056,9 @@ def test_descent_moves_chain_every_node_to_the_first_with_no_search(monkeypatch)
     searched = []
     real = matpot.systems._strong_outcome
 
-    def counting(ctx, mult, l, near=None):
+    def counting(ctx, mult, l):
         searched.append((mult, l))
-        return real(ctx, mult, l, near)
+        return real(ctx, mult, l)
 
     monkeypatch.setattr(matpot.systems, "_strong_outcome", counting)
     steps = 0
