@@ -3,12 +3,13 @@
 ``solve_partition`` decides whether a set can be split into one independent
 set per matroid.  It grows a partial partition element by element; to place a
 new element it runs a breadth-first search over single-element exchanges
-(``_reach``, the package's one exchange-graph search): an element y can
-enter class i directly if the class stays independent, and otherwise every
-member of the unique circuit of (class i) + y could be evicted to make
-room.  Both answers come from one call of the circuit core
-``Matroid._circuit``, which linear matroids answer with integer dot
-products against the class's memoized reduced form.  A class as large as
+(``_reach``, the package's one exchange-graph search, run once per element
+by the placement loop ``_place``): an element y can enter class i directly
+if the class stays independent, and otherwise every member of the unique
+circuit of (class i) + y could be evicted to make room.  Both answers
+come from one call of the circuit core ``Matroid._circuit``, which linear
+matroids answer with integer dot products against the class's memoized
+reduced form.  A class as large as
 its matroid's ``rank_bound`` (a free upper bound on the rank) is a basis
 and cannot take y, so the search first asks only the classes below their
 bound, in class order, and asks the full ones for their exchange circuits
@@ -132,10 +133,8 @@ def _reach(matroids, classes, seeds):
     Returns (y, i, parent) for the y that class i takes, parent mapping
     each reached element to the (element, class) whose circuit reached it;
     otherwise the frozenset of reached elements.  Skipping the classes that
-    hold y, not y's class, serves disjoint partition classes and bases that
-    share labels alike.  A class is asked only for ``len`` and ``in``, and
-    its matroid only for ``rank_bound`` and ``_circuit(clazz, y)`` (None,
-    or a set of elements), so a class need not be a frozenset of labels.
+    hold y, not y's class, serves disjoint partition classes and bases and
+    slots that share labels alike.
     """
     # the classes do not change during a search
     below = [i for i, M in enumerate(matroids) if len(classes[i]) < M.rank_bound]
@@ -179,17 +178,21 @@ def _reach(matroids, classes, seeds):
     return frozenset(visited)
 
 
-def _augment(matroids, classes, e):
-    """Try to place one unplaced e; returns None on success, else the
-    reached element set.
+def _place(matroids, elements):
+    """Place the elements, in order, into classes that start empty, one
+    per matroid.
 
-    One search from e (``_reach``); when a class takes an element, the
-    chain of exchanges that led to it is applied."""
-    found = _reach(matroids, classes, (e,))
-    if isinstance(found, frozenset):
-        return found
-    _apply_chain(classes, *found)
-    return None
+    Each element gets one search (``_reach``); when a class takes an
+    element, the chain of exchanges that led to it is applied.  Returns the
+    classes, a list of frozensets, or the frozenset of elements reached by
+    the search for the first element that cannot be placed."""
+    classes = [frozenset()] * len(matroids)
+    for e in elements:
+        found = _reach(matroids, classes, (e,))
+        if isinstance(found, frozenset):
+            return found
+        _apply_chain(classes, *found)
+    return classes
 
 
 def _apply_chain(classes, terminal, dest, parent):
@@ -212,28 +215,29 @@ def _apply_chain(classes, terminal, dest, parent):
 def solve_partition(problem: PartitionProblem, max_size: int = MAX_SIZE):
     """Partition the ground set across the matroids.
 
-    Returns a PartitionCertificate, or a DeficiencyWitness violating the
-    counting bound.  Both are re-validated before they are returned: the
-    certificate on the independence memos once its labels are known to be
-    exactly the ground set's (``PartitionCertificate.validate``), the
-    witness through the public rank oracle.
+    The ground labels are placed in order from empty classes (``_place``,
+    the placement loop the strong search of ``systems`` shares).  Returns a
+    PartitionCertificate, or a DeficiencyWitness violating the counting
+    bound: the labels the search for the first unplaceable label reached.
+    Both are re-validated before they are returned: the certificate on the
+    independence memos once its labels are known to be exactly the ground
+    set's (``PartitionCertificate.validate``), the witness through the
+    public rank oracle.
     """
     n = problem.ground.n
     if n > max_size:  # by arithmetic, before any label is built
         raise SizeLimitError(f"partition limited to {max_size} elements, got {n}")
-    classes = [frozenset()] * problem.m
-    for e in problem.ground.labels:
-        reached = _augment(problem.matroids, classes, e)
-        if reached is not None:
-            bound = sum(M.rank(reached) for M in problem.matroids)
-            witness = DeficiencyWitness(A=reached, size=len(reached), bound=bound)
-            if not witness.validate(problem):
-                raise InvalidMatroidError(
-                    "search exhausted but the reached set does not violate the "
-                    "counting bound; independence oracle inconsistent"
-                )
-            return witness
-    cert = PartitionCertificate(parts=tuple(classes))
+    placed = _place(problem.matroids, problem.ground.labels)
+    if isinstance(placed, frozenset):
+        bound = sum(M.rank(placed) for M in problem.matroids)
+        witness = DeficiencyWitness(A=placed, size=len(placed), bound=bound)
+        if not witness.validate(problem):
+            raise InvalidMatroidError(
+                "search exhausted but the reached set does not violate the "
+                "counting bound; independence oracle inconsistent"
+            )
+        return witness
+    cert = PartitionCertificate(parts=tuple(placed))
     if not cert.validate(problem):
         raise InvalidMatroidError("constructed partition failed self-validation")
     return cert

@@ -8,8 +8,8 @@ integer vector.  Relative to a matroid of rank k and a number of blocks m:
   * a *strong decomposition* of an (mk+l)-system is a split into m bases
     plus an l-system remainder; for one system, existence is decided by the
     matroid partition's exchange search run on labels, m classes of labels
-    and a remainder class that counts units, and for the candidates of an
-    enumeration by the counting bound on flats;
+    and l slots of one label each, and for the candidates of an enumeration
+    by the counting bound on flats;
   * a *good decomposition* of T splits it as T1 + T2 with T2 a strong
     (mk+1)-system;
   * two good decompositions are *locally related* when their second members
@@ -46,10 +46,13 @@ budget; nothing else runs it.
 Strong-decomposition outcomes are memoized per ``Context``, keyed by the
 raw multiplicity tuple and l, and callers build a ``System`` only for what
 they return, through the unchecked ``_trusted``.  A miss places the tuple's
-units, from empty classes, in m base classes (frozensets of labels) and a
-remainder ``_Units`` that counts units per label under its matroid
-``_Slots``, one exchange search (``partition._reach``) per unit, and checks
-its answer through the matroid's memo cores.  So every outcome depends on
+units, label by label and from empty classes, in m base classes under the
+matroid and l slot classes under ``UniformMatroid(1, n)``, every class a
+frozenset of labels: the placement loop of ``solve_partition``
+(``partition._place``, one exchange search ``partition._reach`` per unit).
+A slot holds one unit, so a label the remainder holds twice sits in two
+slots, and the remainder counts the labels of the slots.  The answer is
+checked through the matroid's memo cores, and every outcome depends on
 (matroid, m, mult, l) only.  It decides what a matroid partition of the
 lift (one element per unit, m copies of the matroid and l slots) decides:
 the copies of a label are parallel in the lift, so the lift's search is
@@ -100,8 +103,8 @@ from .errors import (
     PreconditionError,
     SizeLimitError,
 )
-from .matroids import Matroid
-from .partition import MAX_SIZE, _augment, _reach
+from .matroids import Matroid, UniformMatroid
+from .partition import MAX_SIZE, _place, _reach
 
 MAX_TOTAL = 24  # largest |T| whose good decompositions are enumerated
 FLATS_PER_SEARCH = 4  # flats the counting-bound decision may grow per undecided composition
@@ -115,7 +118,7 @@ class Context:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
+        if type(self.m) is not int or self.m < 1:
             raise PreconditionError(f"need m >= 1, got {self.m!r}")
         if self.matroid.full_rank < 1:
             raise PreconditionError("the matroid must have rank >= 1")
@@ -341,6 +344,10 @@ class SystemBoundViolation:
 
 
 def _check_arity(ctx: Context, mult: tuple, l: int):
+    """ArityError unless l is an integer (numpy integers included, bools
+    not) of at least 0 and |mult| = m k + l; l's type is checked first."""
+    if not isinstance(_multiplicity(l), int) or isinstance(l, bool):
+        raise ArityError(f"remainder size must be an integer, got {l!r}")
     if l < 0:
         raise ArityError(f"remainder size must be >= 0, got {l}")
     expected = ctx.m * ctx.k + l
@@ -349,80 +356,20 @@ def _check_arity(ctx: Context, mult: tuple, l: int):
         raise ArityError(f"|T| = {total} but m*k + l = {expected}")
 
 
-class _Units:
-    """A multiset of labels, a count per label: the remainder class of the
-    label search for a strong decomposition, under ``_Slots``.
-
-    ``len`` is its number of units.  It holds no label as far as the
-    search's skip is concerned (``in`` is always False): a unit of y may
-    join a remainder that holds y.  ``-`` and ``|`` with a set of labels
-    take one unit of each out and put one in, the moves of
-    ``partition._apply_chain``.
-    """
-
-    __slots__ = ("counts", "size", "labels")
-
-    def __init__(self, counts: dict):
-        self.counts = counts
-        self.size = sum(counts.values())
-        self.labels = frozenset(counts)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __contains__(self, y) -> bool:
-        return False
-
-    def __sub__(self, out) -> "_Units":
-        counts = dict(self.counts)
-        for y in out:
-            counts[y] -= 1
-            if not counts[y]:
-                del counts[y]
-        return _Units(counts)
-
-    def __or__(self, into) -> "_Units":
-        counts = dict(self.counts)
-        for y in into:
-            counts[y] = counts.get(y, 0) + 1
-        return _Units(counts)
-
-
-class _Slots:
-    """The matroid of a ``_Units`` class: l slots, each taking one unit of
-    any label (the uniform matroid of rank l on the units, read in labels).
-
-    A remainder below l units takes y; a full one's circuit with y is every
-    unit it holds, so the search reaches each of its labels.
-    """
-
-    def __init__(self, l: int):
-        self.rank_bound = l
-
-    def _circuit(self, units: _Units, y: int) -> frozenset | None:
-        return None if len(units) < self.rank_bound else units.labels
-
-
 def _strong_search(ctx: Context, mult: tuple, l: int):
     """The classes of a strong decomposition of the system ``mult``: m
-    frozensets of labels, each a base, and the remainder as a ``_Units``;
-    or the frozenset of labels reached by the search for a unit that
+    frozensets of labels, each a base, then l slots of at most one label
+    each; or the frozenset of labels reached by the search for a unit that
     cannot be placed.
 
-    The classes start empty, and every unit, label by label, gets one
-    exchange search (``partition._augment``) over the m bases and the l
-    slots.
+    The units, label by label, are placed from empty classes
+    (``partition._place``) under m copies of the matroid and l copies of
+    ``UniformMatroid(1, n)``: a slot holds one unit, so a label the
+    remainder holds twice sits in two slots.
     """
-    matroid, m = ctx.matroid, ctx.m
-    labels = matroid.ground.labels
-    classes = [frozenset()] * m + [_Units({})]
-    matroids = (matroid,) * m + (_Slots(l),)
-    for j in compress(labels, mult):
-        for _ in range(mult[j - 1]):
-            reached = _augment(matroids, classes, j)
-            if reached is not None:
-                return reached
-    return classes
+    units = [j for j, v in enumerate(mult, 1) for _ in range(v)]
+    slot = UniformMatroid(1, ctx.n)
+    return _place((ctx.matroid,) * ctx.m + (slot,) * l, units)
 
 
 def _strong_outcome(ctx: Context, mult: tuple, l: int):
@@ -430,22 +377,24 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int):
     SystemBoundViolation showing none exists.
 
     ``mult`` is the multiplicity tuple of a System of ctx, or a tuple
-    computed from one (a composition below it, one unit less); it is not
-    checked again.  The only reader of ``ctx._strong_memo``, keyed by the
-    raw (mult, l): a hit builds nothing.  A miss checks the arity and the
-    size limit of a partition (m k + l units) and decides both outcomes by
-    one label search (``_strong_search``); the decomposition's parts are
-    built by ``_trusted`` from its classes and checked on the memo cores
-    (``StrongDecomposition._decomposes``), the violation, the labels the
-    failed search reached, on the rank memo.  The search starts from empty
-    classes, so the outcome depends on (matroid, m, mult, l) only.
+    computed from one (a composition below it, one unit less), and l an
+    integer with sum(mult) = m k + l (``_check_arity``, which the public
+    entries run); neither is checked again.  The only reader of
+    ``ctx._strong_memo``, keyed by the raw (mult, l): a hit builds nothing.
+    A miss checks the size limit of a partition (m k + l units) and decides
+    both outcomes by one label search (``_strong_search``); the
+    decomposition's parts are built by ``_trusted`` from its classes, the
+    remainder by counting the labels of the l slots, and checked on the
+    memo cores (``StrongDecomposition._decomposes``), the violation, the
+    labels the failed search reached, on the rank memo.  The search starts
+    from empty classes, so the outcome depends on (matroid, m, mult, l)
+    only.
     """
     memo = ctx._strong_memo
     key = (mult, l)
     outcome = memo.get(key)
     if outcome is not None:
         return outcome
-    _check_arity(ctx, mult, l)
     size = ctx.m * ctx.k + l
     if size > MAX_SIZE:
         raise SizeLimitError(f"partition limited to {MAX_SIZE} elements, got {size}")
@@ -457,15 +406,16 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int):
             raise InternalError("the labels the strong search reached violate no bound")
         outcome = SystemBoundViolation(B=found, mass=mass, bound=bound)
     else:
-        *bases, units = found
-        parts = []
-        for B in bases:
+
+        def counts(classes):
             row = [0] * ctx.n
-            for j in B:
-                row[j - 1] = 1
-            parts.append(_trusted(ctx, tuple(row)))
-        rest = tuple(units.counts.get(j, 0) for j in ctx.matroid.ground.labels)
-        outcome = StrongDecomposition.make(parts, _trusted(ctx, rest))
+            for clazz in classes:
+                for j in clazz:
+                    row[j - 1] += 1
+            return _trusted(ctx, tuple(row))
+
+        parts = [counts((B,)) for B in found[:ctx.m]]
+        outcome = StrongDecomposition.make(parts, counts(found[ctx.m:]))
         if not outcome._decomposes(mult):
             raise InternalError("the strong search produced an invalid strong decomposition")
     memo[key] = outcome
@@ -476,14 +426,18 @@ def find_strong_decomposition(T: System, l: int):
     """A strong decomposition of the (mk+l)-system T, or None if none exists.
 
     The decomposition is the one the label search finds from empty classes
-    (``_strong_outcome``): it depends on T and l only.
+    (``_strong_outcome``): it depends on T and l only.  ArityError unless l
+    is an integer with |T| = m k + l.
     """
+    _check_arity(T.ctx, T.mult, l)
     outcome = _strong_outcome(T.ctx, T.mult, l)
     return outcome if isinstance(outcome, StrongDecomposition) else None
 
 
 def strong_deficiency_witness(T: System, l: int):
-    """A SystemBoundViolation showing T is not strong, or None if it is."""
+    """A SystemBoundViolation showing T is not strong, or None if it is;
+    ArityError as ``find_strong_decomposition``."""
+    _check_arity(T.ctx, T.mult, l)
     outcome = _strong_outcome(T.ctx, T.mult, l)
     return outcome if isinstance(outcome, SystemBoundViolation) else None
 
@@ -828,6 +782,7 @@ def remainder_support(T: System, l: int) -> frozenset:
     one strong decomposition (``StrongDecomposition._remainder_closure``),
     so it costs the strongness check's one search and no second one.
     """
+    _check_arity(T.ctx, T.mult, l)
     if l < 1:
         raise PreconditionError("remainder support needs l >= 1")
     return _require_strong(T, l)._remainder_closure

@@ -242,15 +242,16 @@ def test_strong_decompose_solves_one_partition(capsys, tmp_path, monkeypatch):
 
 def test_strong_decompose_refuses_more_units_than_a_partition_takes(capsys, tmp_path, monkeypatch):
     # 65 units pass the arity check (m k + l = 30 * 2 + 5) and are refused
-    # with the partition's size limit before any search; 64 are decided
+    # with the partition's size limit before any search; 64 are decided,
+    # one search of the placement loop per unit
     augmented = []
-    augment = matpot.systems._augment
+    reach = matpot.partition._reach
 
     def counting(*args):
         augmented.append(1)
-        return augment(*args)
+        return reach(*args)
 
-    monkeypatch.setattr(matpot.systems, "_augment", counting)
+    monkeypatch.setattr(matpot.partition, "_reach", counting)
     payload = {"matroid": {"type": "uniform", "l": 2, "n": 4}, "m": 30, "l": 5, "T": [17, 16, 16, 16]}
     code, out = run_cli(capsys, ["strong-decompose"], payload, tmp_path)
     assert code == 2
@@ -1048,6 +1049,39 @@ def test_partition_on_two_to_the_64_labels_is_refused_before_any_label(capsys, t
     code, out = run_cli(capsys, ["partition"], {"ground": 2**64, "matroids": [uniform]}, tmp_path)
     assert code == 2
     assert json.loads(out)["error"] == {"code": "size-limit", "message": f"partition limited to 64 elements, got {2**64}"}
+
+
+_HUGE = {"type": "uniform", "l": 1, "n": 10**8}
+
+
+@pytest.mark.parametrize("command, payload, code, answer", [
+    (["equivalence"], {"matroid": _HUGE, "m": 2, "T": [2, 1]}, 2, {"code": "arity"}),
+    (["strong-decompose"], {"matroid": _HUGE, "m": 2, "l": 1, "T": [2, 1]}, 2, {"code": "arity"}),
+    (["partition"], {"ground": 10**8, "matroids": [_HUGE]}, 2, {"code": "size-limit"}),
+    (["amin"], {"ground": 10**8, "matroids": [_HUGE]}, 2, {"code": "size-limit"}),
+    (["matroid", "rank"], {"matroid": _HUGE, "A": [1, 2]}, 0, {"rank": 1}),
+])
+def test_uniform_matroid_on_10_to_the_8_labels_allocates_no_label_list(tmp_path, command, payload, code, answer):
+    # a list of 10^8 labels alone takes about 3.6 GB, so each answer must
+    # come within a 2 GB address space: a refusal by arithmetic, or the rank
+    # of the two labels asked for
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    src = Path(matpot.partition.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "matpot.cli", *command, "-i", str(path)],
+        capture_output=True, text=True, timeout=10, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (done.returncode, done.stderr) == (code, "")
+    out = json.loads(done.stdout)
+    got = out["error"] if code else out["result"]
+    assert {key: got[key] for key in answer} == answer
 
 
 @pytest.mark.parametrize("command", ["potentials", "verify-arrangement"])

@@ -194,6 +194,20 @@ def test_arity_errors(ctx_u13_m2):
         all_good_decompositions(ctx_u13_m2.system((1, 1, 0)))
 
 
+@pytest.mark.parametrize("query", [find_strong_decomposition, strong_deficiency_witness, remainder_support])
+@pytest.mark.parametrize("l", [True, 1.0, 1.5, "1"])
+def test_strong_queries_refuse_a_remainder_size_that_is_not_an_integer(u13, query, l):
+    # the type is refused before any comparison, and a memoized l = 1
+    # outcome does not answer for True or 1.0; a numpy integer is an integer
+    with pytest.raises(PreconditionError, match="need m >= 1"):
+        Context(u13, True)
+    T = Context(u13, 2).system((1, 1, 1))
+    assert find_strong_decomposition(T, 1) is not None
+    with pytest.raises(ArityError, match="remainder size must be an integer"):
+        query(T, l)
+    assert query(T, np.int64(1)) == query(T, 1)
+
+
 @pytest.mark.parametrize("bad", [2.7, "2", True, np.True_])
 def test_system_rejects_non_integer_multiplicities(ctx_u13_m2, bad):
     with pytest.raises(ArityError, match="nonnegative integers"):
@@ -714,17 +728,29 @@ def test_warm_equivalence_report_solves_no_partition(monkeypatch):
     assert searches == [] and built == []
 
 
-def _random_strong_question(rng):
+def _random_strong_question(rng, ls=(0, 3), parallel=False):
     """A context of rank 1-3 (uniform, or linear with small integer rows),
-    m 1-3, l 0-3, and a system of m k + l units drawn label by label."""
+    m 1-3, l in ``ls``, and a system of m k + l units drawn label by label.
+    ``parallel`` gives linear rows that are multiples of 1-3 drawn rows."""
     k, n = rng.randint(1, 3), rng.randint(2, 6)
-    if rng.random() < 0.3:
+
+    def rows():
+        if not parallel:
+            return [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        drawn = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rng.randint(1, 3))]
+        scaled = []
+        for _ in range(n):
+            c, row = rng.choice((-2, -1, 1, 2)), rng.choice(drawn)
+            scaled.append([c * v for v in row])
+        return scaled
+
+    if rng.random() < 0.3 and not parallel:
         matroid = UniformMatroid(min(k, n), n)
     else:
-        matroid = LinearMatroid([[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)])
+        matroid = LinearMatroid(rows())
         while matroid.full_rank == 0:
-            matroid = LinearMatroid([[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)])
-    ctx, l = Context(matroid, rng.randint(1, 3)), rng.randint(0, 3)
+            matroid = LinearMatroid(rows())
+    ctx, l = Context(matroid, rng.randint(1, 3)), rng.randint(*ls)
     mult = [0] * n
     for _ in range(ctx.m * ctx.k + l):
         mult[rng.randrange(n)] += 1
@@ -742,6 +768,14 @@ def test_strong_search_matches_the_lifted_partition():
         assert outcome == reference_strong_outcome(ctx, mult, l), (ctx.matroid, ctx.m, mult, l)
         kinds[type(outcome)] += 1
     assert min(kinds[StrongDecomposition], kinds[SystemBoundViolation]) >= 80, kinds
+    # parallel rows and l 4-8: several slots of the remainder hold one label
+    twice = 0
+    for _ in range(500):
+        ctx, mult, l = _random_strong_question(rng, ls=(4, 8), parallel=True)
+        outcome = _strong_outcome(Context(ctx.matroid, ctx.m), mult, l)
+        assert outcome == reference_strong_outcome(ctx, mult, l), (ctx.matroid, ctx.m, mult, l)
+        twice += isinstance(outcome, StrongDecomposition) and max(outcome.remainder.mult) > 1
+    assert twice >= 100, twice
 
 
 @pytest.mark.parametrize("rows, m, l, mult", [
@@ -764,19 +798,20 @@ def test_the_remainder_takes_a_label_it_holds(rows, m, l, mult):
 def test_witness_reads_search_each_first_key_once_from_empty_classes(monkeypatch):
     # the report searches nothing; reading every witness searches each
     # node's first filing key once, at l = 0, from empty classes: every
-    # search places all m * k units, one augmentation each
+    # search places all m * k units, one augmentation (one exchange search
+    # of the placement loop) each
     augmented, searches = [], []
-    real_augment, real_search = matpot.systems._augment, matpot.systems._strong_search
+    real_reach, real_search = matpot.partition._reach, matpot.systems._strong_search
 
     def augment(*args):
         augmented.append(1)
-        return real_augment(*args)
+        return real_reach(*args)
 
     def search(ctx, mult, l):
         searches.append((mult, l))
         return real_search(ctx, mult, l)
 
-    monkeypatch.setattr(matpot.systems, "_augment", augment)
+    monkeypatch.setattr(matpot.partition, "_reach", augment)
     monkeypatch.setattr(matpot.systems, "_strong_search", search)
     ctx = Context(ROADMAP_MATROID, 3)
     report = equivalence_report(ctx.system((3, 2, 2, 2, 2, 2)))
