@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -66,10 +65,12 @@ from .errors import (
     RankError,
     SizeLimitError,
     StructureError,
+    points,
+    rational,
 )
 from .frobenius import FlatFrameStructure
 from .matroids import LinearMatroid, _eliminate
-from .series import SeriesSpace
+from .series import MUL_CHUNK_ELEMENTS, SeriesSpace
 
 
 def vector_matroid(matrix) -> LinearMatroid:
@@ -84,24 +85,6 @@ def vector_matroid(matrix) -> LinearMatroid:
 
 #: the refusal of a family whose count is 0, by ``higgs`` and ``critical_points``
 NO_CRITICAL_POINTS = "the family has no critical points: the Euler characteristic of the complement is 0"
-
-
-def _base_points(points, n: int) -> np.ndarray:
-    """points as an (S, n) complex array, one base point of a fiber of n
-    finite coordinates per row, else GroundSetError: the check of the
-    family's basepoint, of every z that ``critical_points`` solves over and
-    of every row of a ``frame_jet`` stack."""
-    points = np.asarray(points, dtype=complex)
-    if points.ndim != 2 or points.shape[1] != n:
-        raise GroundSetError(f"basepoint must have {n} coordinates")
-    if not np.isfinite(points).all():
-        raise GroundSetError("basepoint coordinates must be finite")
-    return points
-
-
-def _base_point(z, n: int) -> np.ndarray:
-    """z as a complex vector of n finite coordinates (``_base_points``)."""
-    return _base_points(np.asarray(z, dtype=complex)[None], n)[0]
 
 
 def _double(num: int, den: int, what: str, *args) -> float:
@@ -124,7 +107,10 @@ class ArrangementData:
     from them as floats (circuit coefficients, normal forms, squared
     minors), must round to finite doubles, nonzero ones to nonzero doubles:
     SizeLimitError otherwise, raised where the float is formed (B and a
-    here, the others when the algebra or the pairing jets are built).
+    here, the others when the algebra or the pairing jets are built).  A
+    weight is an exact entry or a finite float or complex number
+    (``errors.rational``), the basepoint a point of n finite coordinates
+    (``errors.points``); GroundSetError otherwise.
     """
 
     def __init__(self, matrix, weights, basepoint):
@@ -138,12 +124,12 @@ class ArrangementData:
         if len(weights) != self.n:
             raise GroundSetError(f"need {self.n} weights, got {len(weights)}")
         self.weights = weights
-        self.weights_exact = tuple(Fraction(w) if isinstance(w, (int, Fraction)) else None for w in weights)
+        self.weights_exact = tuple(rational(w, GroundSetError, inexact=True) for w in weights)
         self.a = np.array([complex(w) if e is None else _double(e.numerator, e.denominator, "a[{}]", i)
                            for i, (w, e) in enumerate(zip(weights, self.weights_exact), 1)], dtype=complex)
         if not self.a.all():
             raise GroundSetError("weights must be nonzero")
-        self.basepoint = _base_point(basepoint, self.n)
+        self.basepoint = points([basepoint], self.n)[0]
         self.B = np.array([[_double(v.numerator, v.denominator, "B[{}][{}]", i, j) for j, v in enumerate(row, 1)]
                            for i, row in enumerate(self.matrix, 1)], dtype=complex)
         self._base_series_of = {}  # ``_base_series`` by degree
@@ -328,9 +314,9 @@ class ArrangementData:
         below n eps for n >= 2; the margin is a factor of about 2.  A
         smaller |f_S| cannot be told from 0, and H would carry 1 / f_S.  A
         z that is not a vector of n finite coordinates raises GroundSetError
-        (``_base_point``); a family whose count is 0 has no H
+        (``errors.points``); a family whose count is 0 has no H
         (PreconditionError)."""
-        return self._higgs(_base_point(z, self.n)[None])[0]
+        return self._higgs(points([z], self.n))[0]
 
     def _higgs(self, zs, space: SeriesSpace | None = None) -> np.ndarray:
         """``higgs`` at every row of zs (S, n), shape (S, n, mu, mu), or with
@@ -435,8 +421,8 @@ class ArrangementData:
             previous = word
         return out
 
-    def frame_jet(self, points, space: SeriesSpace):
-        """Taylor series at every row z of points (S, n), in delta up to
+    def frame_jet(self, zs, space: SeriesSpace):
+        """Taylor series at every row z of zs (S, n), in delta up to
         degree space.q, of the flat-frame data: (H, unit, form) with shapes
         (S, n, mu, mu, size), (S, mu, size) and (S, mu, mu, size).
 
@@ -451,30 +437,30 @@ class ArrangementData:
         the jet does not depend on their order; ``verify_axioms`` compares
         the algebra's H with the fiber's unit and form.
 
-        Every row is the jet of a stack of that row alone, bit for bit.  A
-        row that is not a point of n finite coordinates raises
-        GroundSetError, and an empty stack PreconditionError; when a row is
-        refused, the refusal is the one that the first refused row gets
-        alone, so the stack is then evaluated row by row until that row
-        raises.
+        Every row is the jet of a stack of that row alone, bit for bit.
+        Rows that are not points of n finite coordinates raise
+        GroundSetError (``errors.points``), and an empty stack
+        PreconditionError; when a row is refused, the refusal is the one
+        that the first refused row gets alone, so the stack is then
+        evaluated row by row until that row raises.
         """
-        points = _base_points(points, self.n)
-        if not len(points):
+        zs = points(zs, self.n)
+        if not len(zs):
             raise PreconditionError("a frame jet needs at least one point")
         try:
-            return self._frame_jet(points, space)
+            return self._frame_jet(zs, space)
         except (MatpotError, np.linalg.LinAlgError):
-            for row in range(len(points) - 1):
-                self._frame_jet(points[row:row + 1], space)
+            for row in range(len(zs) - 1):
+                self._frame_jet(zs[row:row + 1], space)
             raise
 
-    def _frame_jet(self, points, space: SeriesSpace):
-        """``frame_jet`` of the checked rows ``points`` in one pass."""
-        base = np.array([np.array_equal(z, self.basepoint) for z in points])
-        if len(points) == 1 and base[0]:
+    def _frame_jet(self, zs, space: SeriesSpace):
+        """``frame_jet`` of the checked rows ``zs`` in one pass."""
+        base = np.array([np.array_equal(z, self.basepoint) for z in zs])
+        if len(zs) == 1 and base[0]:
             p, w = self._base_series(space)
         else:
-            fresh = iter(_fibers(self, points[~base]) if not base.all() else [])
+            fresh = iter(_fibers(self, zs[~base]) if not base.all() else [])
             p, w = self._series_fiber(space, [self.base_frame if b else next(fresh) for b in base])
         mu = p.shape[1]
         labels = np.array(self.flat_basis, dtype=np.intp) - 1  # (mu, k)
@@ -483,10 +469,17 @@ class ArrangementData:
             U = space.mul(U, p[:, :, col])
         unit = space.solve(U, space.constant(np.ones((mu, 1))))[:, :, 0]
         # U_sa U_sb first, factors in one order (complex products need not commute
-        # bit for bit), so form = form^T exactly
+        # bit for bit), so form = form^T exactly; the rows a go in chunks whose
+        # (S, mu, chunk, mu, size) products hold about MUL_CHUNK_ELEMENTS
+        # entries (at least one row), and each entry's sum over s runs in the
+        # order of one whole-form product
         lo, hi = np.minimum.outer(range(mu), range(mu)), np.maximum.outer(range(mu), range(mu))
-        form = space.mul(space.mul(U[:, :, lo], U[:, :, hi]), w[:, :, None, None, :]).sum(axis=1)
-        return self._higgs(points, space), unit, form
+        form = np.empty((len(zs), mu, mu, space.size), dtype=complex)
+        step = max(1, MUL_CHUNK_ELEMENTS // (len(zs) * mu * mu * space.size))
+        for r in range(0, mu, step):
+            rows = slice(r, r + step)
+            form[:, rows] = space.mul(space.mul(U[:, :, lo[rows]], U[:, :, hi[rows]]), w[:, :, None, None, :]).sum(axis=1)
+        return self._higgs(zs, space), unit, form
 
 
 @dataclass
@@ -721,7 +714,8 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     ``_fibers`` of a stack of one.
 
     A z that is not a vector of n finite coordinates raises GroundSetError,
-    with the messages of the family's basepoint check; a family whose count
+    with the messages of the family's basepoint check (``errors.points``);
+    a family whose count
     ``data.count`` is 0 has no critical points at all and raises
     PreconditionError.  The candidates are the joint eigenvalues
     of the Higgs matrices (``_eigen_candidates``), exactly ``data.count`` of
@@ -729,7 +723,7 @@ def critical_points(data: ArrangementData, z) -> CriticalPointFrame:
     1 + max |z_i|.  The points are sorted by the real, then the imaginary
     part of their last coordinate.
     """
-    return _fibers(data, _base_point(z, data.n)[None])[0]
+    return _fibers(data, points([z], data.n))[0]
 
 
 def structure_from_arrangement(data: ArrangementData, m: int) -> FlatFrameStructure:

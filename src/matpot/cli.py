@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .arrangements import ArrangementData, structure_from_arrangement
-from .errors import InternalError, MatpotError, SchemaError
+from .errors import InternalError, MatpotError, SchemaError, integer, rational, tolerance
 from .frobenius import first_kind_polynomial, second_kind_truncation, verify_axioms
 from .jsonio import (
     complex_to_json,
@@ -27,7 +26,6 @@ from .jsonio import (
     mult_key,
     parse_complex,
     parse_matrix,
-    parse_rational,
     require,
     subset_to_json,
 )
@@ -45,13 +43,6 @@ from .systems import (
     find_strong_decomposition,
     strong_deficiency_witness,
 )
-
-
-def _spread_tol(tol: float) -> float:
-    """``--tol``: finite and >= 0, or a schema error."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise SchemaError(f"the spread tolerance must be a finite number >= 0, got {tol!r}")
-    return tol
 
 
 def _load_input(args) -> dict:
@@ -167,7 +158,7 @@ def _cmd_strong_decompose(args) -> dict:
 
 def _arrangement_from_json(obj) -> tuple[ArrangementData, int]:
     matrix = parse_matrix(obj, "B", "arrangement")
-    weights = [parse_rational(v) for v in require(obj, "a", list, "arrangement")]
+    weights = [rational(v, SchemaError) for v in require(obj, "a", list, "arrangement")]
     x = [parse_complex(v) for v in require(obj, "x", list, "arrangement")]
     m = require(obj, "m", int, "arrangement")
     return ArrangementData(matrix, weights, x), m
@@ -178,9 +169,7 @@ def _cmd_potentials(args) -> dict:
     data, m = _arrangement_from_json(obj)
     structure = structure_from_arrangement(data, m)
     ctx = structure.context()
-    n_max = obj.get("N_max", ctx.m * ctx.k + 3)
-    if not isinstance(n_max, int) or isinstance(n_max, bool):
-        raise SchemaError("N_max must be an integer")
+    n_max = integer(obj.get("N_max", ctx.m * ctx.k + 3), None, SchemaError, "N_max must be an integer")
     Q = first_kind_polynomial(structure)
     L = second_kind_truncation(structure, n_max, spread_tol=args.tol)
     return {
@@ -281,7 +270,7 @@ def main(argv=None) -> int:
     envelope = {"version": __version__, "command": args.command}
     try:
         if hasattr(args, "tol"):
-            args.tol = _spread_tol(args.tol)
+            args.tol = tolerance(args.tol, SchemaError, "the spread tolerance must be a finite number >= 0, got {!r}")
         envelope["result"] = args.handler(args)
     except InternalError as exc:
         envelope["error"] = {"code": exc.code, "message": str(exc)}

@@ -52,6 +52,9 @@ from .errors import (
     SizeLimitError,
     StructureError,
     WellDefinednessError,
+    integer,
+    points,
+    tolerance,
 )
 from .matroids import Matroid
 from .series import MUL_CHUNK_ELEMENTS, SeriesSpace, graded_lex_exponents, graded_lex_position
@@ -94,9 +97,9 @@ class FlatFrameStructure:
     _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.basepoint = np.asarray(self.basepoint, dtype=complex)
-        if self.m < 1:
-            raise PreconditionError("need m >= 1")
+        self.m = integer(self.m, 1, PreconditionError, "need m >= 1, got {!r}")
+        self.mu = integer(self.mu, 1, PreconditionError, "need mu >= 1, got {!r}")
+        self.basepoint = points([self.basepoint], self.n)[0]
 
     @property
     def n(self) -> int:
@@ -226,19 +229,22 @@ def verify_axioms(
     coefficients of H, and (d) and (e) the first-order coefficients of
     C_I(unit), multiplied out in series, and of the form; each maximum is
     that of the samples taken one by one.  A refusal is that of the first
-    sample in the order given whose frame is refused.  Raises
-    PreconditionError for a NaN or negative ``hard_threshold``, a sample
-    that is not a point of n finite coordinates, an empty sample list and a
-    structure without a ``frame_jet``, each before any
-    evaluation (None and inf disable the threshold); raises StructureError when
+    sample in the order given whose frame is refused.  Before any
+    evaluation, raises PreconditionError for a ``hard_threshold`` that is
+    not a number >= 0 (``errors.tolerance``; None and inf disable the
+    threshold), GroundSetError for samples that are not points of n finite
+    coordinates (``errors.points``), and PreconditionError for an empty
+    sample list and a structure without a ``frame_jet``; raises StructureError when
     the worst violation exceeds ``hard_threshold`` and, whatever the
     threshold, when a violation is not finite.
     """
-    if hard_threshold is not None and not hard_threshold >= 0:
-        raise PreconditionError(f"hard_threshold must be None or >= 0, got {hard_threshold!r}")
+    if hard_threshold is not None:
+        hard_threshold = tolerance(
+            hard_threshold, PreconditionError, "hard_threshold must be None or >= 0, got {!r}", infinite=True
+        )
     F = structure
-    samples = [_point(z, F.n) for z in samples]
-    if not samples:
+    samples = points(samples, F.n)
+    if not len(samples):
         raise PreconditionError("verify_axioms needs at least one sample point")
     if F.frame_jet is None:
         raise PreconditionError("verify_axioms needs a structure with a frame_jet")
@@ -299,21 +305,13 @@ def _factorial_multi(mult) -> int:
 
 
 def _multi_index(alpha, n: int) -> tuple[int, ...]:
-    """alpha as a tuple of n nonnegative ints, else PreconditionError."""
+    """alpha as a tuple of n nonnegative ints (``errors.integer``), else
+    PreconditionError."""
     alpha = tuple(alpha)
-    if len(alpha) != n or any(
-        isinstance(a, bool) or not isinstance(a, (int, np.integer)) or a < 0 for a in alpha
-    ):
-        raise PreconditionError(f"need a multi-index of {n} nonnegative integers, got {alpha!r}")
-    return tuple(int(a) for a in alpha)
-
-
-def _point(z, n: int) -> np.ndarray:
-    """z as a complex vector of n finite coordinates, else PreconditionError."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (n,) or not np.isfinite(z).all():
-        raise PreconditionError(f"need a point of {n} finite coordinates, got {z.tolist()}")
-    return z
+    message = f"need a multi-index of {n} nonnegative integers, got {{!r}}"
+    if len(alpha) != n:
+        raise PreconditionError(message.format(alpha))
+    return tuple(integer(a, 0, PreconditionError, message) for a in alpha)
 
 
 def _python_quotient(values: np.ndarray, divisors) -> np.ndarray:
@@ -340,7 +338,7 @@ class HomogeneousPolynomial:
     def partial_derivative_value(self, alpha, z) -> complex:
         """Exact evaluation of the alpha-th mixed derivative at z."""
         alpha = _multi_index(alpha, self.n)
-        z = _point(z, self.n)
+        z = points([z], self.n)[0]
         total = 0.0 + 0.0j
         for T, c in self.coefficients.items():
             if any(t < a for t, a in zip(T, alpha)):
@@ -484,7 +482,7 @@ class TruncatedPotential:
         return self.coefficient(alpha) * _factorial_multi(alpha)
 
     def evaluate(self, z) -> complex:
-        shifted = _point(z, len(self.basepoint)) - np.asarray(self.basepoint, dtype=complex)
+        shifted = points([z], len(self.basepoint))[0] - np.asarray(self.basepoint, dtype=complex)
         total = 0.0 + 0.0j
         for T, c in self.coefficients.items():
             term = c
@@ -514,20 +512,19 @@ def second_kind_truncation(
     table; the per-candidate provenance is built from the grid when
     ``provenance`` is first read.  Before
     any evaluation, PreconditionError is raised for an n_max that is not an
-    integer or below mk + 1, for a ``spread_tol`` that is negative or not
-    finite and for a structure without a ``jet``; an n_max above MAX_TOTAL,
+    integer (``errors.integer``) or is below mk + 1, for a ``spread_tol``
+    that is not a finite number >= 0 (``errors.tolerance``) and for a
+    structure without a ``jet``; an n_max above MAX_TOTAL,
     or a jet whose product table is too large, raises SizeLimitError.
     """
     ctx = F.context()
     mk = ctx.m * ctx.k
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
-        raise PreconditionError(f"n_max must be an integer, got {n_max!r}")
+    n_max = integer(n_max, None, PreconditionError, "n_max must be an integer, got {!r}")
     if n_max < mk + 1:
         raise PreconditionError(f"n_max must be at least m*k + 1 = {mk + 1}")
     if n_max > MAX_TOTAL:
         raise SizeLimitError(f"good-decomposition enumeration limited to |T| <= {MAX_TOTAL}")
-    if not (math.isfinite(spread_tol) and spread_tol >= 0):
-        raise PreconditionError(f"spread_tol must be finite and >= 0, got {spread_tol!r}")
+    spread_tol = tolerance(spread_tol, PreconditionError, "spread_tol must be finite and >= 0, got {!r}")
     if F.jet is None:
         raise PreconditionError("the second-kind table needs a structure with a jet")
     n, space = F.n, F.space(n_max - mk - 1)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from fractions import Fraction
 
-from .errors import GroundSetError, SchemaError
+from .errors import GroundSetError, SchemaError, rational
 from .matroids import LinearMatroid, Matroid, UniformMatroid
 
 
@@ -64,30 +63,9 @@ def _render(obj, out: list[str]):
         raise SchemaError(f"cannot serialize {type(obj).__name__}")
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def parse_rational(value) -> Fraction:
-    """An exact rational from a JSON integer or an "n" / "p/q" string of
-    decimal digits; any other string (a decimal point, an exponent,
-    whitespace) is refused before ``Fraction`` can spend time on it."""
-    if isinstance(value, bool):
-        raise SchemaError("matrix entries must be integers or 'p/q' strings")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if _RATIONAL.fullmatch(value):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError):  # q = 0, or past int's digit limit
-                pass
-        raise SchemaError(f"bad rational literal {value!r}")
-    raise SchemaError(f"matrix entries must be exact, got {value!r}")
-
-
 def parse_matrix(obj: dict, key: str, what: str) -> list[list[Fraction]]:
     """The exact rows of ``obj[key]``: a nonempty array of arrays of exact
-    literals (``parse_rational``).  Anything else, a row that is a number,
+    literals (``errors.rational``).  Anything else, a row that is a number,
     null or a string of digits among them, is a SchemaError."""
     matrix = obj.get(key)
     if not isinstance(matrix, list) or not matrix:
@@ -95,7 +73,7 @@ def parse_matrix(obj: dict, key: str, what: str) -> list[list[Fraction]]:
     for i, row in enumerate(matrix, 1):
         if not isinstance(row, list):
             raise SchemaError(f'{what}: row {i} of "{key}" is not an array')
-    return [[parse_rational(v) for v in row] for row in matrix]
+    return [[rational(v, SchemaError) for v in row] for row in matrix]
 
 
 def matroid_from_json(obj) -> Matroid:

@@ -34,10 +34,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
-from .errors import GroundSetError, InvalidMatroidError, PreconditionError, SizeLimitError
+from .errors import GroundSetError, InvalidMatroidError, PreconditionError, SizeLimitError, integer, rational
 
 
 @dataclass(frozen=True)
@@ -47,21 +46,23 @@ class GroundSet:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise GroundSetError(f"ground set needs an integer n >= 1, got {self.n!r}")
+        self.__dict__["n"] = integer(self.n, 1, GroundSetError, "ground set needs an integer n >= 1, got {!r}")
 
     @property
     def labels(self) -> range:
         return range(1, self.n + 1)
 
     def check_subset(self, subset) -> frozenset:
-        """Validate each label as given, then freeze the labels into a set:
-        a bool is refused before it can merge into an equal int label."""
-        labels = tuple(subset)
+        """Validate each label as given (``errors.integer``), then freeze
+        the labels into a set: a bool is refused before it can merge into
+        an equal int label."""
         n = self.n
-        for e in labels:
-            if not isinstance(e, int) or isinstance(e, bool) or not 1 <= e <= n:
-                raise GroundSetError(f"label {e!r} outside ground set 1..{n}")
+        message = f"label {{!r}} outside ground set 1..{n}"
+        labels = []
+        for e in subset:
+            labels.append(integer(e, 1, GroundSetError, message))
+            if labels[-1] > n:
+                raise GroundSetError(message.format(e))
         return frozenset(labels)
 
 
@@ -234,16 +235,6 @@ def rational_rank(rows) -> int:
     return _eliminate(rows, len(rows[0]))[0] if rows else 0
 
 
-def _to_fraction(value) -> Fraction:
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, float):
-        raise GroundSetError(
-            f"linear matroid entries must be exact rationals, got float {value!r}"
-        )
-    return Fraction(value)
-
-
 def _clear_denominators(row) -> tuple[int, ...]:
     scale = math.lcm(*(v.denominator for v in row))
     return tuple(v.numerator * (scale // v.denominator) for v in row)
@@ -262,7 +253,7 @@ class LinearMatroid(Matroid):
     """
 
     def __init__(self, rows):
-        rows = tuple(tuple(_to_fraction(v) for v in row) for row in rows)
+        rows = tuple(tuple(rational(v, GroundSetError) for v in row) for row in rows)
         if not rows:
             raise GroundSetError("linear matroid needs at least one row")
         width = len(rows[0])
@@ -386,8 +377,7 @@ class UniformMatroid(Matroid):
     """Subsets of size at most l are independent."""
 
     def __init__(self, l: int, n: int):
-        if not isinstance(l, int) or l < 0:
-            raise GroundSetError(f"uniform matroid rank must be >= 0, got {l!r}")
+        l = integer(l, 0, GroundSetError, "uniform matroid rank must be >= 0, got {!r}")
         super().__init__(GroundSet(n))
         if l > n:
             raise GroundSetError(f"uniform matroid rank {l} exceeds ground size {n}")

@@ -59,15 +59,20 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InternalError, InvalidMatroidError, PreconditionError, SizeLimitError
+from .errors import InternalError, InvalidMatroidError, PreconditionError, SizeLimitError, integer
 from .matroids import Matroid, UniformMatroid
 
 
 @dataclass(frozen=True)
 class PartitionProblem:
+    """Matroids on one ground set; TypeError for an entry that is not a
+    Matroid."""
+
     matroids: tuple[Matroid, ...]
 
     def __post_init__(self):
+        if not all(isinstance(M, Matroid) for M in self.matroids):
+            raise TypeError("a partition problem takes Matroid instances")
         if not self.matroids:
             raise PreconditionError("a partition problem needs at least one matroid")
         ground = self.matroids[0].ground
@@ -222,8 +227,10 @@ def solve_partition(problem: PartitionProblem, max_size: int = MAX_SIZE):
     Both are re-validated before they are returned: the certificate on the
     independence memos once its labels are known to be exactly the ground
     set's (``PartitionCertificate.validate``), the witness through the
-    public rank oracle.
+    public rank oracle.  PreconditionError for a ``max_size`` that is not
+    an integer (``errors.integer``).
     """
+    max_size = integer(max_size, None, PreconditionError, "max_size must be an integer, got {!r}")
     n = problem.ground.n
     if n > max_size:  # by arithmetic, before any label is built
         raise SizeLimitError(f"partition limited to {max_size} elements, got {n}")

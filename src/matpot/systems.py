@@ -102,6 +102,7 @@ from .errors import (
     InvalidMatroidError,
     PreconditionError,
     SizeLimitError,
+    integer,
 )
 from .matroids import Matroid, UniformMatroid
 from .partition import MAX_SIZE, _place, _reach
@@ -118,8 +119,7 @@ class Context:
     m: int
 
     def __post_init__(self):
-        if type(self.m) is not int or self.m < 1:
-            raise PreconditionError(f"need m >= 1, got {self.m!r}")
+        self.__dict__["m"] = integer(self.m, 1, PreconditionError, "need m >= 1, got {!r}")
         if self.matroid.full_rank < 1:
             raise PreconditionError("the matroid must have rank >= 1")
 
@@ -132,7 +132,7 @@ class Context:
         return self.matroid.full_rank
 
     def system(self, mult) -> "System":
-        return System(self, tuple(_multiplicity(v) for v in mult))
+        return System(self, tuple(mult))
 
     def unit(self, j: int) -> "System":
         self.matroid.ground.check_subset([j])
@@ -173,20 +173,10 @@ class Context:
         return {}
 
 
-def _multiplicity(v):
-    """v as an int when it is an integer (numpy integers included) other than a
-    bool; anything else unchanged, for ``System`` to refuse."""
-    if type(v) is int or isinstance(v, bool):
-        return v
-    try:
-        return operator.index(v)
-    except TypeError:
-        return v
-
-
 @dataclass(frozen=True)
 class System:
-    """A multiset of labels as a dense multiplicity vector."""
+    """A multiset of labels as a dense multiplicity vector: nonnegative
+    integers (``errors.integer``), stored as a tuple of ints."""
 
     ctx: Context
     mult: tuple[int, ...]
@@ -196,8 +186,8 @@ class System:
             raise ArityError(
                 f"multiplicity vector has length {len(self.mult)}, ground set has {self.ctx.n}"
             )
-        if any(type(v) is not int or v < 0 for v in self.mult):
-            raise ArityError("multiplicities must be nonnegative integers")
+        message = "multiplicities must be nonnegative integers"
+        self.__dict__["mult"] = tuple(integer(v, 0, ArityError, message) for v in self.mult)
 
     @property
     def total(self) -> int:
@@ -343,17 +333,17 @@ class SystemBoundViolation:
     bound: int
 
 
-def _check_arity(ctx: Context, mult: tuple, l: int):
-    """ArityError unless l is an integer (numpy integers included, bools
-    not) of at least 0 and |mult| = m k + l; l's type is checked first."""
-    if not isinstance(_multiplicity(l), int) or isinstance(l, bool):
-        raise ArityError(f"remainder size must be an integer, got {l!r}")
+def _check_arity(ctx: Context, mult: tuple, l: int) -> int:
+    """l as an int; ArityError unless l is an integer (``errors.integer``)
+    of at least 0 and |mult| = m k + l.  l's type is checked first."""
+    l = integer(l, None, ArityError, "remainder size must be an integer, got {!r}")
     if l < 0:
         raise ArityError(f"remainder size must be >= 0, got {l}")
     expected = ctx.m * ctx.k + l
     total = sum(mult)
     if total != expected:
         raise ArityError(f"|T| = {total} but m*k + l = {expected}")
+    return l
 
 
 def _strong_search(ctx: Context, mult: tuple, l: int):
@@ -429,7 +419,7 @@ def find_strong_decomposition(T: System, l: int):
     (``_strong_outcome``): it depends on T and l only.  ArityError unless l
     is an integer with |T| = m k + l.
     """
-    _check_arity(T.ctx, T.mult, l)
+    l = _check_arity(T.ctx, T.mult, l)
     outcome = _strong_outcome(T.ctx, T.mult, l)
     return outcome if isinstance(outcome, StrongDecomposition) else None
 
@@ -437,7 +427,7 @@ def find_strong_decomposition(T: System, l: int):
 def strong_deficiency_witness(T: System, l: int):
     """A SystemBoundViolation showing T is not strong, or None if it is;
     ArityError as ``find_strong_decomposition``."""
-    _check_arity(T.ctx, T.mult, l)
+    l = _check_arity(T.ctx, T.mult, l)
     outcome = _strong_outcome(T.ctx, T.mult, l)
     return outcome if isinstance(outcome, SystemBoundViolation) else None
 
@@ -680,8 +670,10 @@ def all_good_decompositions(T: System, max_total: int = MAX_TOTAL) -> tuple[Good
     are decided together by the counting bound on flats (``_decide``), with
     no strong search.  Only a strong candidate becomes a node: its T2 and
     T1 = T - T2 are the Systems built, by ``_trusted``, and its witness is
-    built on first read (``GoodDecomposition``).
+    built on first read (``GoodDecomposition``).  PreconditionError for a
+    ``max_total`` that is not an integer (``errors.integer``).
     """
+    max_total = integer(max_total, None, PreconditionError, "max_total must be an integer, got {!r}")
     ctx = T.ctx
     need = ctx.m * ctx.k + 1
     if T.total < need:
@@ -782,7 +774,7 @@ def remainder_support(T: System, l: int) -> frozenset:
     one strong decomposition (``StrongDecomposition._remainder_closure``),
     so it costs the strongness check's one search and no second one.
     """
-    _check_arity(T.ctx, T.mult, l)
+    l = _check_arity(T.ctx, T.mult, l)
     if l < 1:
         raise PreconditionError("remainder support needs l >= 1")
     return _require_strong(T, l)._remainder_closure

@@ -750,6 +750,13 @@ _CI_FAMILIES = {
            [1, 3, 1, 3, 3, 4, 3, 4],
            [[-0.462, -0.049], [-0.488, -0.214], [-1.985, -0.271], [1.867, -0.057], [-1.024, -0.154],
             [0.825, -0.184], [0.257, -0.181], [0.079, 0.033]]),
+    # the rational k = 4, n = 9 run, mu 55
+    "r55": ([["1/3", "3/2", "1", "-1"], ["-3", "-3", "-1/2", "0"], ["-1/3", "1", "3", "0"], ["-1", "3/2", "-1", "0"],
+             ["1/3", "1", "2/3", "1"], ["-3/2", "0", "-2/3", "-1"], ["-1/6", "-1/2", "-1/3", "-1/2"],
+             ["2/3", "-1", "1", "1"], ["3", "-3/2", "1/2", "-1"]],
+            ["2", "3", "1", "3", "1", "3/2", "1", "1", "3/2"],
+            [[0.585, -0.256], [0.876, -1.075], [0.296, -1.714], [-0.9, 1.424], [-0.767, -0.472], [-1.922, -0.792],
+             [-0.857, -0.324], [0.892, 0.577], [-0.158, 1.455]]),
 }
 
 
@@ -867,6 +874,28 @@ def test_stacked_refusal_is_the_first_refused_sample_alone(samples, culprit):
 def test_frame_jet_refuses_an_empty_stack(fixture_data):
     with pytest.raises(PreconditionError, match="at least one point"):
         fixture_data.frame_jet(np.zeros((0, 2)), SeriesSpace(2, 1))
+
+
+def test_stacked_frame_jet_form_goes_in_row_chunks():
+    # the two CLI sample points of the mu 55 run in one stacked call: the
+    # form's (S, mu, mu, mu, size) products go in chunks of its rows, so the
+    # peak stays far below the 273 MB of one whole-form product, and each
+    # row is still the jet of a stack of that row alone, bit for bit
+    data = _ci_family(*_CI_FAMILIES["r55"])
+    F = structure_from_arrangement(data, 2)
+    x, space = data.basepoint, F.space(1)
+    steps = np.arange(1, 2 * data.n + 1).reshape(2, data.n)
+    samples = x + 0.05 * (1.0 + F.scale()) * np.cos(2.39996 * steps)
+    tracemalloc.start()
+    try:
+        stacked = data.frame_jet(samples, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.count == 55 and peak < 40e6
+    for row in range(2):
+        for part, alone in zip(stacked, data.frame_jet(samples[row:row + 1], space)):
+            assert np.array_equal(part[row], alone[0])
 
 
 def test_structure_golden_values(fixture_structure, fixture_data):

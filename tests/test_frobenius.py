@@ -415,15 +415,17 @@ def test_verify_axioms_rejects_bad_hard_threshold(fixture_structure, threshold):
 ], ids=["wrong-length", "2-D", "NaN", "inf"])
 def test_malformed_points_get_structured_errors(fixture_structure, fixture_data, point, shape_error):
     # a point of the wrong shape or with a non-finite coordinate is refused
-    # before any evaluation: no numpy ValueError, no RuntimeWarning, no
-    # discriminant answer
+    # before any evaluation, with the ground-set refusal of the family's
+    # basepoint: no numpy ValueError, no RuntimeWarning, no discriminant
+    # answer
     z = point(fixture_structure.basepoint)
     calls = []
+    message = "must have 2 coordinates" if shape_error else "must be finite"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PreconditionError, match="need a point of 2 finite coordinates"):
+        with pytest.raises(GroundSetError, match=message):
             verify_axioms(_counting(fixture_structure, calls), [fixture_structure.basepoint + 0.01, z])
-        with pytest.raises(GroundSetError, match="must have 2 coordinates" if shape_error else "must be finite"):
+        with pytest.raises(GroundSetError, match=message):
             critical_points(fixture_data, z)
     assert calls == []
 
@@ -589,27 +591,34 @@ def test_truncated_potential_interface(fixture_structure):
         L.derivative_at_basepoint((5, 0))
 
 
+_BAD_MULTI_INDEX = (PreconditionError, "need a multi-index of 2")
+_BAD_POINT = (GroundSetError, "basepoint must have 2 coordinates")
+_MALFORMED = [
+    ("Q", "partial_derivative_value", ((1,), (1, -1)), _BAD_MULTI_INDEX),
+    ("Q", "partial_derivative_value", ((1, -1), (1, -1)), _BAD_MULTI_INDEX),
+    ("Q", "partial_derivative_value", ((1.0, 0), (1, -1)), _BAD_MULTI_INDEX),
+    ("Q", "partial_derivative_value", ((1, 0), (1, -1, 0)), _BAD_POINT),
+    ("Q", "evaluate", ([2.0],), _BAD_POINT),
+    ("Q", "coefficient", ((2,),), _BAD_MULTI_INDEX),
+    ("L", "coefficient", ((3,),), _BAD_MULTI_INDEX),
+    ("L", "coefficient", ((3, 0, 0),), _BAD_MULTI_INDEX),
+    ("L", "derivative_at_basepoint", ((4, -1),), _BAD_MULTI_INDEX),
+    ("L", "derivative_at_basepoint", ((2.5, 0),), _BAD_MULTI_INDEX),
+    ("L", "evaluate", ([2.0],), _BAD_POINT),
+    ("L", "evaluate", ([[1.0, -1.0]],), _BAD_POINT),
+]
+
+
 @pytest.mark.parametrize(
-    "owner,method,args",
-    [
-        ("Q", "partial_derivative_value", ((1,), (1, -1))),
-        ("Q", "partial_derivative_value", ((1, -1), (1, -1))),
-        ("Q", "partial_derivative_value", ((1.0, 0), (1, -1))),
-        ("Q", "partial_derivative_value", ((1, 0), (1, -1, 0))),
-        ("Q", "evaluate", ([2.0],)),
-        ("Q", "coefficient", ((2,),)),
-        ("L", "coefficient", ((3,),)),
-        ("L", "coefficient", ((3, 0, 0),)),
-        ("L", "derivative_at_basepoint", ((4, -1),)),
-        ("L", "derivative_at_basepoint", ((2.5, 0),)),
-        ("L", "evaluate", ([2.0],)),
-        ("L", "evaluate", ([[1.0, -1.0]],)),
-    ],
+    "owner,method,args,refusal", _MALFORMED,
+    ids=[f"{owner}-{method}-args{i}" for i, (owner, method, _, _) in enumerate(_MALFORMED)],
 )
-def test_malformed_multi_index_or_point(fixture_structure, owner, method, args):
-    # n = 2: a short multi-index or point used to be zipped away silently
+def test_malformed_multi_index_or_point(fixture_structure, owner, method, args, refusal):
+    # n = 2: a short multi-index or point used to be zipped away silently; a
+    # bad point gets the ground-set refusal of a family's basepoint
     potential = {"Q": first_kind_polynomial, "L": lambda F: second_kind_truncation(F, 4)}[owner]
-    with pytest.raises(PreconditionError, match="need a"):
+    error, message = refusal
+    with pytest.raises(error, match=message):
         getattr(potential(fixture_structure), method)(*args)
 
 
