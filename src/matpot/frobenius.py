@@ -86,6 +86,8 @@ class FlatFrameStructure:
 
     The structure holds the evaluators, not the data behind them: an
     arrangement structure's jets are methods of its ``ArrangementData``.
+    TypeError for a matroid that is not a Matroid, or a jet that is
+    neither callable nor None.
     """
 
     matroid: Matroid
@@ -97,6 +99,9 @@ class FlatFrameStructure:
     _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        jets = (self.jet, self.frame_jet)
+        if not isinstance(self.matroid, Matroid) or not all(f is None or callable(f) for f in jets):
+            raise TypeError("a flat frame structure takes a Matroid instance and jets that are callables or None")
         self.m = integer(self.m, 1, PreconditionError, "need m >= 1, got {!r}")
         self.mu = integer(self.mu, 1, PreconditionError, "need mu >= 1, got {!r}")
         self.basepoint = points([self.basepoint], self.n)[0]
@@ -314,6 +319,19 @@ def _multi_index(alpha, n: int) -> tuple[int, ...]:
     return tuple(integer(a, 0, PreconditionError, message) for a in alpha)
 
 
+def _finite_sum(terms, what: str) -> complex:
+    """The sum of ``terms``, products of complex numbers, left to right;
+    PreconditionError, and no warning, when a term or the sum leaves double
+    range (a NaN there is an overflow met by a zero or by its negative)."""
+    with np.errstate(all="ignore"):
+        total = 0.0 + 0.0j
+        for term in terms:
+            total += term
+    if not np.isfinite(total):
+        raise PreconditionError(f"{what} overflows: the point is too large to evaluate")
+    return total
+
+
 def _python_quotient(values: np.ndarray, divisors) -> np.ndarray:
     """values / divisors elementwise, bit for bit as Python's ``complex /
     int`` (Smith's division by the complex (d, 0)), signed zeros included."""
@@ -336,19 +354,22 @@ class HomogeneousPolynomial:
         return self.coefficients.get(_multi_index(mult, self.n), 0.0 + 0.0j)
 
     def partial_derivative_value(self, alpha, z) -> complex:
-        """Exact evaluation of the alpha-th mixed derivative at z."""
+        """Exact evaluation of the alpha-th mixed derivative at z;
+        PreconditionError when it overflows double range."""
         alpha = _multi_index(alpha, self.n)
         z = points([z], self.n)[0]
-        total = 0.0 + 0.0j
-        for T, c in self.coefficients.items():
-            if any(t < a for t, a in zip(T, alpha)):
-                continue
-            term = c
-            for t, a, zi in zip(T, alpha, z):
-                term *= math.factorial(t) // math.factorial(t - a)
-                term *= zi ** (t - a)
-            total += term
-        return total
+
+        def terms():
+            for T, c in self.coefficients.items():
+                if any(t < a for t, a in zip(T, alpha)):
+                    continue
+                term = c
+                for t, a, zi in zip(T, alpha, z):
+                    term *= math.factorial(t) // math.factorial(t - a)
+                    term *= zi ** (t - a)
+                yield term
+
+        return _finite_sum(terms(), "the polynomial")
 
     def evaluate(self, z) -> complex:
         return self.partial_derivative_value((0,) * self.n, z)
@@ -482,14 +503,18 @@ class TruncatedPotential:
         return self.coefficient(alpha) * _factorial_multi(alpha)
 
     def evaluate(self, z) -> complex:
+        """The truncated series at z; PreconditionError when it overflows
+        double range."""
         shifted = points([z], len(self.basepoint))[0] - np.asarray(self.basepoint, dtype=complex)
-        total = 0.0 + 0.0j
-        for T, c in self.coefficients.items():
-            term = c
-            for t, w in zip(T, shifted):
-                term *= w**t
-            total += term
-        return total
+
+        def terms():
+            for T, c in self.coefficients.items():
+                term = c
+                for t, w in zip(T, shifted):
+                    term *= w**t
+                yield term
+
+        return _finite_sum(terms(), "the truncated potential")
 
 
 def second_kind_truncation(

@@ -23,10 +23,14 @@ the class's labels.  A new element is then decided by integer dot products
 of its row with the form's columns, and the same products with the tag
 columns give its circuit; no elimination runs per query.  The class's cache
 entry keeps each element's answer (its circuit, or None), so a repeated
-(class, element) question computes nothing.  Uniform matroids keep no
-circuit memo: their answer costs less than a lookup.  The caches rely on
-the atomicity of single dict operations, so concurrent use at worst
-recomputes a value.
+(class, element) question computes nothing.  ``_circuits`` asks the same
+question for many elements at once, as one bool incidence of their
+circuits over the class; a linear matroid answers it with one integer
+matrix product of their rows with the class's form, in int64 when a
+Hadamard bound shows that nothing can overflow and in exact Python ints
+otherwise.  Uniform matroids keep no circuit memo: their answer costs
+less than a lookup.  The caches rely on the atomicity of single dict
+operations, so concurrent use at worst recomputes a value.
 """
 
 from __future__ import annotations
@@ -34,7 +38,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
+
+import numpy as np
 
 from .errors import GroundSetError, InvalidMatroidError, PreconditionError, SizeLimitError, integer, rational
 
@@ -161,6 +168,24 @@ class Matroid:
             )
         return found
 
+    def _circuits(self, C: frozenset, ys) -> tuple:
+        """The circuits of C + y for many labels y at once: C's labels, a
+        bool vector whose entry r says C + ys[r] is dependent, and a bool
+        incidence of shape (len(ys), |C|) whose row r marks the labels of C
+        on the circuit of C + ys[r].  The ys lie outside the independent
+        class C; a dependent C gets PreconditionError, as from
+        ``_circuit``.  This default asks ``_circuit`` once per y."""
+        labels = tuple(C)
+        at = {e: j for j, e in enumerate(labels)}
+        dependent = np.zeros(len(ys), dtype=bool)
+        incidence = np.zeros((len(ys), len(labels)), dtype=bool)
+        for r, y in enumerate(ys):
+            found = self._circuit(C, y)
+            if found is not None:
+                dependent[r] = True
+                incidence[r, [at[e] for e in found if e != y]] = True
+        return labels, dependent, incidence
+
     @property
     def rank_bound(self) -> int:
         """A free upper bound on the ground set's rank (see above); n here."""
@@ -250,6 +275,10 @@ class LinearMatroid(Matroid):
     the class, each form one pivot step ``_grow`` from a smaller one) and
     decide each new element by dot products with that form (``_reduce``);
     the class's entry keeps the answer for every element reduced against it.
+    A batched question (``_circuits``) multiplies the elements' rows, as one
+    array (``_row_array``), by the form laid out as one matrix (``_batch``,
+    memoized by the class): each product row holds the element's residuals
+    and its coefficients over the class.
     """
 
     def __init__(self, rows):
@@ -264,6 +293,7 @@ class LinearMatroid(Matroid):
         self.width = width
         self._int_rows = tuple(_clear_denominators(row) for row in rows)
         self._echelon_cache: dict = {}
+        self._batch_cache: dict = {}
 
     @property
     def rank_bound(self) -> int:
@@ -362,6 +392,49 @@ class LinearMatroid(Matroid):
             if D * v[c] != sum(map(mul, vp, col)):
                 return None
         return frozenset(e for e, t in zip(labels, tags) if sum(map(mul, vp, t))) | {y}
+
+    @cached_property
+    def _row_array(self) -> np.ndarray:
+        """The integer rows as one (n + 1) x width array for ``_circuits``,
+        row 0 zero so that each label indexes its own row: int64 when no
+        product it forms can overflow, exact Python ints otherwise.
+
+        Every entry of a reduced form is a minor of the rows of order at
+        most the width, so Hadamard's inequality bounds it by H, the product
+        of the width largest row norms (each taken as at least 1); each
+        product in ``_circuits`` is a sum of at most width + 1 terms, an
+        entry of a row times an entry of the form.
+        """
+        rows = self._int_rows
+        norms = sorted((math.isqrt(sum(v * v for v in row)) + 1 for row in rows), reverse=True)
+        top = max((abs(v) for row in rows for v in row), default=0)
+        exact = (self.width + 1) * top * math.prod(norms[: self.width]) >= 2**63
+        rows = ((0,) * self.width,) + rows
+        return np.array(rows, dtype=object if exact else np.int64).reshape(len(rows), self.width)
+
+    def _circuits(self, C: frozenset, ys) -> tuple:
+        # ``_reduce`` for all the ys at once: one product of their rows with
+        # the class's batch matrix gives each residual and each coefficient
+        labels, G = self._batch(C)
+        nonzero = np.take(self._row_array, ys, axis=0) @ G != 0
+        free = G.shape[1] - len(labels)
+        dependent = ~nonzero[:, :free].any(axis=1)
+        return labels, dependent, nonzero[:, free:] & dependent[:, None]
+
+    def _batch(self, C: frozenset):
+        """The labels of C and its batch matrix G, memoized: for a row v,
+        v G is D v_c - v_P . (D M_P^-1 M)_c at each column c off the
+        pivots, then v_P . t at each label's tag column t (the residuals
+        and the coefficients of ``_reduce``)."""
+        hit = self._batch_cache.get(C)
+        if hit is None:
+            labels, (pivots, D, free, tags), _ = self._echelon(C)
+            dtype, columns = self._row_array.dtype, [[-a for a in col] for _, col in free] + list(tags)
+            G = np.zeros((self.width, len(columns)), dtype=dtype)
+            G[list(pivots)] = np.array(columns, dtype=dtype).reshape(len(columns), len(pivots)).T
+            G[[c for c, _ in free], range(len(free))] = D
+            hit = self._batch_cache[C] = (labels, G)
+        return hit
 
     def __eq__(self, other):
         return isinstance(other, LinearMatroid) and self.rows == other.rows

@@ -9,15 +9,20 @@ if the class stays independent, and otherwise every member of the unique
 circuit of (class i) + y could be evicted to make room.  Both answers
 come from one call of the circuit core ``Matroid._circuit``, which linear
 matroids answer with integer dot products against the class's memoized
-reduced form.  A class as large as
-its matroid's ``rank_bound`` (a free upper bound on the rank) is a basis
-and cannot take y, so the search first asks only the classes below their
-bound, in class order, and asks the full ones for their exchange circuits
-only when none of those takes y; the class that takes y, and the order in
-which the circuits are enqueued, are those of a walk over every class in
-turn.  A class the search grows by a y it just asked about gets its form
-by one fraction-free pivot step from the form it asked against, not by a
-new elimination.  The search holds only labels of the problem's ground
+reduced form.  A class as large as its matroid's ``rank_bound`` (a free
+upper bound on the rank) is a basis and cannot take y, so the search
+first asks only the classes below their bound, in class order, and asks
+the full ones for their exchange circuits only when none of those takes
+y; the class that takes y, and the order in which the circuits are
+enqueued, are those of a walk over every class in turn.  When every class
+is at its bound, as in the last search of a deficiency witness and in
+the closures below, nothing can be placed and the search only closes its
+seeds under fundamental circuits: ``_closure`` computes that set one
+frontier at a time, with one batched question ``Matroid._circuits`` per
+class (one integer matrix product for a linear matroid).  A class the
+search grows by a y it just asked about gets its form by one
+fraction-free pivot step from the form it asked against, not by a new
+elimination.  The search holds only labels of the problem's ground
 set, so it calls the cores and memos directly and checks no label per
 step.  The answer is validated before it is returned: the certificate by
 comparing its parts' labels with the ground set and reading each part's
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import InternalError, InvalidMatroidError, PreconditionError, SizeLimitError, integer
 from .matroids import Matroid, UniformMatroid
@@ -123,6 +129,16 @@ class DeficiencyWitness:
 MAX_SIZE = 64  # largest number of elements a partition takes by default
 
 
+_TOOK = (
+    "a class at its rank bound took another element; the independence "
+    "oracle is inconsistent with the matroid axioms"
+)
+_DEPENDENT = (
+    "a class of the exchange search is dependent; the independence "
+    "oracle is inconsistent with the matroid axioms"
+)
+
+
 def _reach(matroids, classes, seeds):
     """Breadth-first search of the exchange graph from ``seeds``.
 
@@ -133,7 +149,10 @@ def _reach(matroids, classes, seeds):
     walk over every class would pick, and it is asked only for exchange
     circuits: only when no class takes y does the second pass ask the full
     classes, reuse the first pass's answers and enqueue every circuit in
-    class order.  A full class that takes y convicts the oracle.
+    class order.  A full class that takes y convicts the oracle.  When
+    every class is at its bound no class can take any y, and the answer is
+    the closure of the seeds, whatever the order of the visits: ``_closure``
+    computes it in bulk.
 
     Returns (y, i, parent) for the y that class i takes, parent mapping
     each reached element to the (element, class) whose circuit reached it;
@@ -143,6 +162,8 @@ def _reach(matroids, classes, seeds):
     """
     # the classes do not change during a search
     below = [i for i, M in enumerate(matroids) if len(classes[i]) < M.rank_bound]
+    if not below:
+        return _closure(matroids, classes, seeds)
     asks = [(M._circuit, clazz) for M, clazz in zip(matroids, classes)]
     parent: dict[int, tuple[int, int]] = {}
     visited = set(seeds)
@@ -164,10 +185,7 @@ def _reach(matroids, classes, seeds):
                 if circuit is None:
                     circuit = ask(clazz, y)
                     if circuit is None:
-                        raise InvalidMatroidError(
-                            "a class at its rank bound took another element; the "
-                            "independence oracle is inconsistent with the matroid axioms"
-                        )
+                        raise InvalidMatroidError(_TOOK)
                 new = circuit - visited
                 if new:
                     visited |= new
@@ -176,11 +194,39 @@ def _reach(matroids, classes, seeds):
     except PreconditionError as exc:
         # every circuit core refuses a dependent class; the classes are
         # independent under the matroid axioms
-        raise InvalidMatroidError(
-            "a class of the exchange search is dependent; the independence "
-            "oracle is inconsistent with the matroid axioms"
-        ) from exc
+        raise InvalidMatroidError(_DEPENDENT) from exc
     return frozenset(visited)
+
+
+def _closure(matroids, classes, seeds) -> frozenset:
+    """The closure of ``seeds`` under y -> C(class i, y) for every class i
+    without y, every class being at its matroid's rank bound: the labels
+    the exchange search reaches, one frontier at a time.
+
+    Each frontier asks each class one batched question (``_circuits``)
+    about the frontier labels it does not hold, and the labels of the class
+    on any of their circuits form the next frontier.  The arrays are
+    frontier by class size; nothing is allocated over the ground set.  A y
+    with no circuit, or a class a circuit core refuses, convicts the oracle
+    as in ``_reach``.
+    """
+    reached = set(seeds)
+    frontier = list(reached)
+    try:
+        while frontier:
+            new = set()
+            for M, clazz in zip(matroids, classes):
+                ys = [y for y in frontier if y not in clazz]
+                if ys:
+                    labels, dependent, incidence = M._circuits(clazz, ys)
+                    if not dependent.all():
+                        raise InvalidMatroidError(_TOOK)
+                    new.update(compress(labels, incidence.any(axis=0)))
+            frontier = list(new - reached)
+            reached.update(frontier)
+    except PreconditionError as exc:
+        raise InvalidMatroidError(_DEPENDENT) from exc
+    return frozenset(reached)
 
 
 def _place(matroids, elements):

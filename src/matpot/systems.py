@@ -113,12 +113,15 @@ FLATS_PER_SEARCH = 4  # flats the counting-bound decision may grow per undecided
 
 @dataclass(frozen=True)
 class Context:
-    """A matroid together with the number of base blocks m."""
+    """A matroid together with the number of base blocks m; TypeError for
+    a matroid that is not a Matroid."""
 
     matroid: Matroid
     m: int
 
     def __post_init__(self):
+        if not isinstance(self.matroid, Matroid):
+            raise TypeError("a context takes a Matroid instance")
         self.__dict__["m"] = integer(self.m, 1, PreconditionError, "need m >= 1, got {!r}")
         if self.matroid.full_rank < 1:
             raise PreconditionError("the matroid must have rank >= 1")
@@ -176,12 +179,15 @@ class Context:
 @dataclass(frozen=True)
 class System:
     """A multiset of labels as a dense multiplicity vector: nonnegative
-    integers (``errors.integer``), stored as a tuple of ints."""
+    integers (``errors.integer``), stored as a tuple of ints.  TypeError
+    for a ctx that is not a Context."""
 
     ctx: Context
     mult: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.ctx, Context):
+            raise TypeError("a system takes a Context instance")
         if len(self.mult) != self.ctx.n:
             raise ArityError(
                 f"multiplicity vector has length {len(self.mult)}, ground set has {self.ctx.n}"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -35,15 +36,24 @@ def fiber_solves(monkeypatch):
 @pytest.fixture
 def circuit_queries(monkeypatch):
     """Records each distinct ``LinearMatroid._circuit`` question and its
-    answer, keyed by (matroid, class, element)."""
+    answer, keyed by (matroid, class, element), and each row of a batched
+    ``LinearMatroid._circuits`` question the same way: the circuit its row
+    marks, or None."""
     asked = {}
-    real = LinearMatroid._circuit
+    real, real_batch = LinearMatroid._circuit, LinearMatroid._circuits
 
     def recording(self, C, y):
         found = asked[self, C, y] = real(self, C, y)
         return found
 
+    def recording_batch(self, C, ys):
+        labels, dependent, incidence = found = real_batch(self, C, ys)
+        for y, dep, row in zip(ys, dependent, incidence):
+            asked[self, C, y] = frozenset(compress(labels, row)) | {y} if dep else None
+        return found
+
     monkeypatch.setattr(LinearMatroid, "_circuit", recording)
+    monkeypatch.setattr(LinearMatroid, "_circuits", recording_batch)
     return asked
 
 

@@ -349,6 +349,26 @@ def reference_partition(problem):
     return PartitionCertificate(parts=tuple(classes))
 
 
+def reference_closure(matroids, classes, seeds):
+    """The labels the exchange search from ``seeds`` reaches, breadth-first,
+    one public ``circuit(class, y)`` question per reached y and class that
+    does not hold it, each circuit enqueued in label order; None as soon as
+    a class takes a y.  Asks no batched question (``_circuits``)."""
+    reached, queue = set(seeds), deque(seeds)
+    while queue:
+        y = queue.popleft()
+        for M, clazz in zip(matroids, classes):
+            if y in clazz:
+                continue
+            circuit = M.circuit(clazz, y)
+            if circuit is None:
+                return None
+            for z in sorted(circuit - reached):
+                reached.add(z)
+                queue.append(z)
+    return frozenset(reached)
+
+
 def brute_slack_elements(problem):
     """Union of the last parts over every valid partition of the ground set."""
     found = frozenset()

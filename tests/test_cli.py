@@ -723,6 +723,41 @@ def test_planted_partition_circuits_match_fraction_solves(capsys, tmp_path, circ
         assert found == fraction_circuit(M.rows, C, y)
 
 
+def test_the_last_search_of_a_planted_witness_asks_batched_circuits_only(monkeypatch):
+    # ten rank-6 copies of the 64 planted rows and a rank-3 tail hold at
+    # most 63 labels: a witness, and every class of the search for the
+    # label that cannot be placed is at its rank bound.  That search asks
+    # its linear classes only batched questions, one per class and
+    # frontier (580 circuits in 20 questions here), and no per-element
+    # circuit
+    from matpot.cli import _problem_from_json
+
+    problem = _problem_from_json(_copies_with_tail(_planted_rows(random.Random(5), 64, 6, 2, 0.3), 10, 3))
+    single, batched, starts = [], [], []
+    real_circuit, real_circuits, real_reach = LinearMatroid._circuit, LinearMatroid._circuits, matpot.partition._reach
+
+    def circuit(self, C, y):
+        single.append(y)
+        return real_circuit(self, C, y)
+
+    def circuits(self, C, ys):
+        batched.append(len(ys))
+        return real_circuits(self, C, ys)
+
+    def reach(matroids, classes, seeds):
+        starts.append((len(single), len(batched)))
+        return real_reach(matroids, classes, seeds)
+
+    monkeypatch.setattr(LinearMatroid, "_circuit", circuit)
+    monkeypatch.setattr(LinearMatroid, "_circuits", circuits)
+    monkeypatch.setattr(matpot.partition, "_reach", reach)
+    witness = solve_partition(problem)
+    assert witness.size == 64 > witness.bound
+    last_single, last_batched = starts[-1]
+    assert len(single) == last_single and last_batched == 0
+    assert (len(batched), sum(batched)) == (20, 580)
+
+
 def test_equal_matroid_entries_share_one_instance(capsys, tmp_path, monkeypatch):
     # the ten equal linear entries are one LinearMatroid, so their rank,
     # independence and echelon caches fill once: the eliminations are the

@@ -149,7 +149,6 @@ def _call(case, values):
     return "result"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a polynomial at z = 2**64 overflows to inf
 @pytest.mark.parametrize("seed", range(4))
 def test_bad_values_get_a_result_or_a_structured_error(cases, seed):
     # 30 mutations of each case per seed, each under a 3 s alarm: a result,
@@ -198,6 +197,22 @@ def test_size_bounds_must_be_integers(bad):
     for enumeration in (all_good_decompositions, equivalence_report):
         with pytest.raises(PreconditionError, match="max_total must be an integer"):
             enumeration(T, max_total=bad)
+
+
+#: the object arguments that a constructor stores, by case
+OBJECT_ARGUMENTS = {"Context": ("matroid",), "System": ("ctx",), "FlatFrameStructure": ("matroid", "jet", "frame_jet")}
+
+
+@pytest.mark.parametrize("name", sorted(OBJECT_ARGUMENTS))
+def test_objects_of_the_wrong_kind_get_a_type_error_at_construction(cases, name):
+    # each pool value in place of each object argument: a TypeError from
+    # the constructor, where an AttributeError came at the first use before
+    # ("'float' object has no attribute 'full_rank'"); a jet may be None
+    function, fixed, values = cases[name]
+    for argument in OBJECT_ARGUMENTS[name]:
+        for bad in POOL:
+            outcome = _call((function, {**fixed, argument: bad}, {}), copy.deepcopy(values))
+            assert outcome == ("result" if bad is None and "jet" in argument else "wrong kind"), (name, argument, bad)
 
 
 @pytest.mark.parametrize("bad", [1.5, "M", None, UniformMatroid])

@@ -622,6 +622,27 @@ def test_malformed_multi_index_or_point(fixture_structure, owner, method, args, 
         getattr(potential(fixture_structure), method)(*args)
 
 
+@pytest.mark.parametrize("owner,method,args", [
+    ("L", "evaluate", ([1e200, 1.0],)),
+    ("Q", "evaluate", ([1e200, 1.0],)),
+    ("Q", "evaluate", ([1e155, 1e155],)),
+    ("Q", "partial_derivative_value", ((0, 0), [1e200, 1e-200])),
+])
+def test_evaluation_that_overflows_is_refused_without_warning(fixture_structure, owner, method, args):
+    # w**t overflows at a large finite point and inf * 0 or inf - inf made a
+    # silent (nan+nanj) with RuntimeWarnings; the refusal names the overflow
+    potential = {"Q": first_kind_polynomial, "L": lambda F: second_kind_truncation(F, 4)}[owner](fixture_structure)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="overflows: the point is too large to evaluate"):
+            getattr(potential, method)(*args)
+    # below the overflow the values stay finite: Q = -(z1 - z2)^2 / 4 here
+    Q = first_kind_polynomial(fixture_structure)
+    assert Q.evaluate([1e154, 1e154]) == 0
+    assert Q.partial_derivative_value((1, 0), [1e200, 1e-200]) == pytest.approx(-5e199)
+    assert np.isfinite(second_kind_truncation(fixture_structure, 4).evaluate([1e77, 1.0]))
+
+
 def test_homogeneous_polynomial_exact_derivatives():
     # Q = z1^2 z2 + 2 z2^3: checked against hand-computed mixed derivatives
     Q = HomogeneousPolynomial(n=2, degree=3, coefficients={(2, 1): 1.0, (0, 3): 2.0})

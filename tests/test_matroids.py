@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
@@ -19,6 +20,7 @@ from oracles import (
     LiftedMatroid,
     brute_rank,
     circuits_within,
+    fraction_circuit,
     fraction_rank,
     fraction_rref,
     matroid_to_json,
@@ -403,6 +405,34 @@ def test_memoized_circuit_refuses_dependent_class():
         with pytest.raises(PreconditionError):
             M.circuit({1, 2, 3}, 4)
     assert M.circuit({1, 3}, 1) is None
+
+
+def test_batched_circuits_match_fraction_solves():
+    # one batched question about every label outside a random independent
+    # class, below the width and at it: each row is the circuit of a
+    # Fraction solve, or all False for a label the class takes, with int64
+    # and exact row arrays, and the default built from ``_circuit`` agrees
+    rng = random.Random(909)
+    kinds = set()
+    for scale in (1, 10**7):
+        for _ in range(40):
+            width, n = rng.randint(1, 4), rng.randint(3, 9)
+            rows = [[rng.randint(-3, 3) * scale for _ in range(width)] for _ in range(n)]
+            M = LinearMatroid(rows)
+            C = M._max_independent(frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))))
+            ys = [y for y in range(1, n + 1) if y not in C]
+            labels, dependent, incidence = M._circuits(C, ys)
+            assert set(labels) == C and incidence.shape == (len(ys), len(C))
+            for y, dep, row in zip(ys, dependent, incidence):
+                assert (frozenset(compress(labels, row)) | {y} if dep else None) == fraction_circuit(M.rows, C, y)
+                assert dep or not row.any()
+            default = Matroid._circuits(M, C, ys)
+            assert (default[1] == dependent).all()
+            assert (default[2][:, [default[0].index(e) for e in labels]] == incidence).all()
+            kinds.add(M._row_array.dtype.kind)
+    assert kinds == {"i", "O"}
+    with pytest.raises(PreconditionError):
+        LinearMatroid([(1, 0), (2, 0), (0, 1)])._circuits(frozenset({1, 2}), [3])
 
 
 def test_circuit_queries_eliminate_a_class_once(monkeypatch):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 
@@ -18,6 +19,7 @@ from matpot import (
     SizeLimitError,
     UniformMatroid,
     min_tight_set,
+    remainder_support,
     slack_elements,
     solve_partition,
 )
@@ -28,6 +30,7 @@ from oracles import (
     fraction_circuit,
     lift_problem,
     rank_bound_holds,
+    reference_closure,
     reference_partition,
     tight_sets,
 )
@@ -156,6 +159,9 @@ class _LyingLinear(LinearMatroid):
     def _circuit(self, C, y):
         return None if len(C) == self.width else super()._circuit(C, y)
 
+    # the batched questions of a closure tell the same lie
+    _circuits = Matroid._circuits
+
 
 def test_a_class_at_its_rank_bound_that_takes_an_element_convicts_the_oracle():
     # {1, 2} spans the plane, yet the lying core lets it take 3; a class at
@@ -177,6 +183,8 @@ class _DependentAtWidth(LinearMatroid):
         if len(C) == self.width:
             raise PreconditionError("circuit(clazz, y) needs an independent clazz")
         return super()._circuit(C, y)
+
+    _circuits = Matroid._circuits
 
 
 @pytest.mark.parametrize("liar", [_LyingLinear, _DependentAtWidth])
@@ -542,3 +550,104 @@ def test_min_tight_set_forty_elements():
     assert len(minimal) == 8 + 8 * M.rank(minimal)
     assert len(minimal) == 24 and M.rank(minimal) == 2
     assert minimal == slack_elements(P)
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """Records each exhausted search (``partition._closure``) as (matroids,
+    classes, seeds, reached), and checks every row of each batched linear
+    question against ``fraction_circuit``, recording the kind of each
+    checked row's array."""
+    calls, rows = [], []
+    real_closure, real_circuits = matpot.partition._closure, LinearMatroid._circuits
+
+    def recording(matroids, classes, seeds):
+        seeds = tuple(seeds)
+        reached = real_closure(matroids, classes, seeds)
+        calls.append((matroids, tuple(classes), seeds, reached))
+        return reached
+
+    def checking(self, C, ys):
+        labels, dependent, incidence = found = real_circuits(self, C, ys)
+        assert incidence.shape == (len(ys), len(C)) and set(labels) == C
+        for y, dep, row in zip(ys, dependent, incidence):
+            assert (frozenset(compress(labels, row)) | {y} if dep else None) == fraction_circuit(self.rows, C, y)
+            rows.append(self._row_array.dtype.kind)
+        return found
+
+    monkeypatch.setattr(matpot.partition, "_closure", recording)
+    monkeypatch.setattr(LinearMatroid, "_circuits", checking)
+    return calls, rows
+
+
+def _bases_plus(rng, M, m, l):
+    """The multiplicities of m random bases of M plus l random labels."""
+    mult = [0] * M.ground.n
+    for _ in range(m):
+        for j in rng.choice(M.bases()):
+            mult[j - 1] += 1
+    for _ in range(l):
+        mult[rng.randrange(M.ground.n)] += 1
+    return mult
+
+
+def test_exhausted_searches_equal_the_per_element_closure(closures):
+    # every search in which each class is at its rank bound is answered as
+    # one closure from batched circuits; each equals the breadth-first
+    # closure that asks one circuit per reached label and class, on partition
+    # witnesses, the amin and slack closures and the strong remainder
+    # closure, with int64 and exact rows alike (the strong search places
+    # m k + l units into classes of that total size, so a unit it cannot
+    # place always leaves a class below its bound)
+    calls, rows = closures
+    rng = random.Random(5252)
+    counts = Counter()
+
+    def run(family, query, *args):
+        before = len(calls)
+        try:
+            query(*args)
+        except PreconditionError:
+            pass
+        counts[family] += len(calls) - before
+
+    for _ in range(25):
+        n, width = rng.randint(8, 24), rng.randint(2, 5)
+        M = _linear_with_repeats(rng, n, width)
+        P = PartitionProblem(_with_tail(rng, (M,) * rng.randint(1, 4)))
+        run("witness", solve_partition, P)
+        # exact rows: the Hadamard bound of 10^6-sized entries passes 2^63
+        big = LinearMatroid([tuple(v * rng.randint(10**5, 10**6) for v in row) for row in M.rows])
+        run("exact", solve_partition, PartitionProblem(_with_tail(rng, (big,) * rng.randint(1, 4))))
+        copies = rng.randint(1, 3)
+        tight = PartitionProblem((M,) * copies + (UniformMatroid(max(0, n - copies * M.full_rank), n),))
+        run("amin", min_tight_set, tight)
+        run("slack", slack_elements, tight)
+    for _ in range(25):
+        M = _linear_with_repeats(rng, rng.randint(4, 9), rng.randint(2, 3))
+        if M.full_rank < M.width:
+            continue
+        ctx, l = Context(M, rng.randint(1, 3)), rng.randint(1, 2)
+        T = ctx.system(_bases_plus(rng, M, ctx.m, l))
+        run("remainder", remainder_support, T, l)
+    assert min(counts.values()) >= 5 and len(counts) == 5, counts
+    for matroids, classes, seeds, reached in calls:
+        assert reached == reference_closure(matroids, classes, seeds)
+    # both kinds of row array: int64 ('i') and exact Python ints ('O')
+    assert set(rows) == {"i", "O"}
+
+
+def test_rank_deficient_linear_classes_keep_the_breadth_first_search(closures):
+    # rows of width 3 and rank 2 never fill a class to the width, so no
+    # search is exhausted at the rank bound: each runs breadth-first and
+    # still gives the reference answer
+    calls, _ = closures
+    rng = random.Random(77)
+    for _ in range(20):
+        n = rng.randint(6, 16)
+        plane = [(a, b, a + b) for a, b in ((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n))]
+        M = LinearMatroid(plane)
+        assert M.full_rank < M.width
+        P = PartitionProblem(_with_tail(rng, (M,) * rng.randint(1, 4)))
+        assert solve_partition(P) == reference_partition(P)
+    assert calls == []
