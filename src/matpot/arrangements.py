@@ -70,7 +70,7 @@ from .errors import (
 )
 from .frobenius import FlatFrameStructure
 from .matroids import LinearMatroid, _eliminate
-from .series import MUL_CHUNK_ELEMENTS, SeriesSpace
+from .series import SeriesSpace
 
 
 def vector_matroid(matrix) -> LinearMatroid:
@@ -469,13 +469,12 @@ class ArrangementData:
             U = space.mul(U, p[:, :, col])
         unit = space.solve(U, space.constant(np.ones((mu, 1))))[:, :, 0]
         # U_sa U_sb first, factors in one order (complex products need not commute
-        # bit for bit), so form = form^T exactly; the rows a go in chunks whose
-        # (S, mu, chunk, mu, size) products hold about MUL_CHUNK_ELEMENTS
-        # entries (at least one row), and each entry's sum over s runs in the
-        # order of one whole-form product
+        # bit for bit), so form = form^T exactly; the rows a go in chunks
+        # (``SeriesSpace.rows_per_chunk`` of the (S, mu, 1, mu, size) products),
+        # and each entry's sum over s runs in the order of one whole-form product
         lo, hi = np.minimum.outer(range(mu), range(mu)), np.maximum.outer(range(mu), range(mu))
         form = np.empty((len(zs), mu, mu, space.size), dtype=complex)
-        step = max(1, MUL_CHUNK_ELEMENTS // (len(zs) * mu * mu * space.size))
+        step = space.rows_per_chunk(len(zs) * mu * mu * space.size)
         for r in range(0, mu, step):
             rows = slice(r, r + step)
             form[:, rows] = space.mul(space.mul(U[:, :, lo[rows]], U[:, :, hi[rows]]), w[:, :, None, None, :]).sum(axis=1)

@@ -195,7 +195,9 @@ def _cmd_verify_arrangement(args) -> dict:
     structure = structure_from_arrangement(data, m)
     report = verify_axioms(structure, _sample_points(structure), hard_threshold=None)
     # each diagnostic as the family computed it: Newton residuals, the rank
-    # the flat basis certifies, and S(unit, unit) = sum_s 1 / det Hess
+    # the flat basis certifies, S(unit, unit) = sum_s 1 / det Hess, and the
+    # condition of the form, the degree-0 frame jet at the basepoint
+    form = structure.frame_jet(structure.basepoint[None], structure.space(0))[2]
     return {
         "mu": structure.mu,
         "bases": [subset_to_json(B) for B in structure.matroid.bases()],
@@ -203,7 +205,7 @@ def _cmd_verify_arrangement(args) -> dict:
         "x_field_residual": float(np.max(data.base_frame.residuals)),
         "generation_rank": len(data.flat_basis),
         "pairing_unit": complex_to_json(np.sum(1.0 / data.base_frame.det_hess)),
-        "pairing_condition": float(np.linalg.cond(structure.basepoint_frame[2][..., 0])),
+        "pairing_condition": float(np.linalg.cond(form[0, ..., 0])),
     }
 
 

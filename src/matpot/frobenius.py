@@ -29,10 +29,10 @@ which gives every d^alpha g = alpha! [delta^alpha] g in one pass.
 
 Every value and derivative here is a Taylor coefficient: both potentials read
 pairing jets, ``verify_axioms`` the degree-1 frame jet at each sample point
-(one stacked ``frame_jet`` call for all samples but the basepoint), and both
-checks the constant terms of that jet at the basepoint.  The structure
-evaluates that jet, and the flat sections in it, once and builds each
-SeriesSpace once.  No function takes differences.
+(one stacked ``frame_jet`` call for all samples, in the order given), and
+both checks the constant terms of that jet at the basepoint.  The structure
+evaluates that basepoint jet, and the flat sections in it, once for the two
+checks and builds each SeriesSpace once.  No function takes differences.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import numpy as np
 
 from .errors import (
     FlatnessError,
-    MatpotError,
     PreconditionError,
     SizeLimitError,
     StructureError,
@@ -57,7 +56,7 @@ from .errors import (
     tolerance,
 )
 from .matroids import Matroid
-from .series import MUL_CHUNK_ELEMENTS, SeriesSpace, graded_lex_exponents, graded_lex_position
+from .series import SeriesSpace, graded_lex_exponents, graded_lex_position
 from .systems import MAX_TOTAL, Context
 
 
@@ -78,8 +77,8 @@ class FlatFrameStructure:
       size), (S, mu, size) and (S,) + (mu,) * m + (size,), H[s, i - 1]
       holding C_i at the s-th point; each row is what a stack of that
       point alone gives.  ``verify_axioms`` needs it, once for all its
-      samples but the basepoint, and its degree-1 value at the basepoint
-      alone is the structure's ``basepoint_frame``, which both checks read.
+      samples, and its degree-1 value at the basepoint alone is the
+      structure's ``basepoint_frame``, which both checks read.
       The three parts may come from different sources (an arrangement
       family reads H from its algebra, the unit and form from a fiber), and
       the axioms then compare those sources.
@@ -132,8 +131,8 @@ class FlatFrameStructure:
     @cached_property
     def basepoint_frame(self) -> tuple:
         """The degree-1 ``frame_jet`` (H, unit, form) at the basepoint, a
-        stack of one read without its point axis, evaluated once for
-        ``verify_axioms`` and both checks."""
+        stack of one read without its point axis, evaluated once for both
+        checks."""
         if self.frame_jet is None:
             raise PreconditionError("the checks need a structure with a frame_jet")
         return tuple(np.asarray(v, dtype=complex)[0] for v in self.frame_jet(self.basepoint[None], self.space(1)))
@@ -142,7 +141,7 @@ class FlatFrameStructure:
     def basepoint_sections(self) -> np.ndarray:
         """The series of the sections C_I (unit) in ``basepoint_frame``
         (``_flat_sections``), shape (bases, mu, size), evaluated once for
-        ``verify_axioms`` and both checks."""
+        both checks."""
         H, u, _ = self.basepoint_frame
         return _flat_sections(self, H[None], u[None], self.space(1))[0]
 
@@ -188,12 +187,11 @@ def _flat_sections(F: FlatFrameStructure, H, u, space: SeriesSpace) -> np.ndarra
     that share a prefix of their sorted labels share its section: depth d
     applies H_{i_d} once per distinct prefix (i_1, ..., i_d), to the section
     of (i_1, ..., i_{d-1}), at every point at once.  The prefixes go in
-    chunks whose products, of shape (S, chunk, mu, mu, size), hold about
-    MUL_CHUNK_ELEMENTS entries (at least one prefix), and each row is that
-    of one whole-batch product at one point bit for bit."""
+    chunks (``SeriesSpace.rows_per_chunk``, each prefix adding S mu mu size
+    entries to the product), and each row is that of one whole-batch
+    product at one point bit for bit."""
     labels = F._base_labels
-    mu = u.shape[1]
-    step = max(1, MUL_CHUNK_ELEMENTS // (len(u) * mu * mu * space.size))
+    step = space.rows_per_chunk(u.size * u.shape[1])
     # sections holds one row per distinct prefix of the current depth, and
     # parent[b] the row of base b's prefix; the bases are sorted, so a new
     # prefix starts wherever the first d + 1 labels change
@@ -226,22 +224,22 @@ def verify_axioms(
     Reports maxima of (a) Higgs commutators, (b) the integrability defect
     d_i C_j - d_j C_i, (c) the form's Higgs invariance across slots, (d)
     flatness of the sections C_I(unit) for all maximal independent I, and
-    (e) flatness of the form itself.  The samples that are not the
-    basepoint take one degree-1 ``frame_jet`` together, a stack in the
-    order given; a sample equal to the basepoint reads the structure's
-    ``basepoint_frame`` and ``basepoint_sections``.  Over all those rows at
-    once, (a) and (c) read the constant terms, (b) the first-order
-    coefficients of H, and (d) and (e) the first-order coefficients of
-    C_I(unit), multiplied out in series, and of the form; each maximum is
-    that of the samples taken one by one.  A refusal is that of the first
-    sample in the order given whose frame is refused.  Before any
-    evaluation, raises PreconditionError for a ``hard_threshold`` that is
-    not a number >= 0 (``errors.tolerance``; None and inf disable the
-    threshold), GroundSetError for samples that are not points of n finite
-    coordinates (``errors.points``), and PreconditionError for an empty
-    sample list and a structure without a ``frame_jet``; raises StructureError when
-    the worst violation exceeds ``hard_threshold`` and, whatever the
-    threshold, when a violation is not finite.
+    (e) flatness of the form itself.  All samples take one degree-1
+    ``frame_jet`` together, a stack in the order given, and one
+    ``_flat_sections`` over its rows.  Over all rows at once, (a) and (c)
+    read the constant terms, (b) the first-order coefficients of H, and (d)
+    and (e) the first-order coefficients of C_I(unit), multiplied out in
+    series, and of the form; each maximum is that of the samples taken one
+    by one.  A refusal is the ``frame_jet``'s: for an arrangement
+    structure, that of the first sample in the order given whose frame is
+    refused.  Before any evaluation, raises PreconditionError for a
+    ``hard_threshold`` that is not a number >= 0 (``errors.tolerance``;
+    None and inf disable the threshold), GroundSetError for samples that
+    are not points of n finite coordinates (``errors.points``), and
+    PreconditionError for an empty sample list and a structure without a
+    ``frame_jet``; raises StructureError when the worst violation exceeds
+    ``hard_threshold`` and, whatever the threshold, when a violation is
+    not finite.
     """
     if hard_threshold is not None:
         hard_threshold = tolerance(
@@ -254,22 +252,8 @@ def verify_axioms(
     if F.frame_jet is None:
         raise PreconditionError("verify_axioms needs a structure with a frame_jet")
     space = F.space(1)
-    at_base = [np.array_equal(z, F.basepoint) for z in samples]
-    rest = np.array([z for z, base in zip(samples, at_base) if not base]).reshape(-1, F.n)
-    rows = []
-    if True in at_base:
-        try:
-            H, _, W = F.basepoint_frame
-            rows.append((H[None], W[None], F.basepoint_sections[None]))
-        except (MatpotError, np.linalg.LinAlgError):
-            # a sample before the basepoint is refused first
-            if first := at_base.index(True):
-                F.frame_jet(rest[:first], space)
-            raise
-    if len(rest):
-        H, u, W = (np.asarray(v, dtype=complex) for v in F.frame_jet(rest, space))
-        rows.append((H, W, _flat_sections(F, H, u, space)))
-    H, W, V = map(np.concatenate, zip(*rows))
+    H, u, W = (np.asarray(v, dtype=complex) for v in F.frame_jet(samples, space))
+    V = _flat_sections(F, H, u, space)
     H0, W0 = H[..., 0], W[..., 0]
     products = H0[:, :, None] @ H0[:, None]  # H_a H_b at [s, a, b]
     comm = _worst(0.0, products - products.swapaxes(1, 2))
@@ -344,11 +328,17 @@ def _python_quotient(values: np.ndarray, divisors) -> np.ndarray:
 
 @dataclass
 class HomogeneousPolynomial:
-    """Polynomial sum of c_T z^T with all |T| equal to the degree."""
+    """Polynomial sum of c_T z^T with all |T| equal to the degree.
+    PreconditionError for an n that is not an integer >= 1 or a degree that
+    is not an integer >= 0 (``errors.integer``)."""
 
     n: int
     degree: int
     coefficients: dict[tuple[int, ...], complex]
+
+    def __post_init__(self):
+        self.n = integer(self.n, 1, PreconditionError, "need n >= 1, got {!r}")
+        self.degree = integer(self.degree, 0, PreconditionError, "need degree >= 0, got {!r}")
 
     def coefficient(self, mult) -> complex:
         return self.coefficients.get(_multi_index(mult, self.n), 0.0 + 0.0j)
@@ -468,13 +458,17 @@ class _CandidateGrid:
 class TruncatedPotential:
     """The Taylor table of a second-kind potential.  ``spread_max`` is
     stored with the table; ``provenance`` is built from the candidate grid
-    on first read."""
+    on first read.  PreconditionError for an n_max that is not an integer
+    >= 0 (``errors.integer``)."""
 
     basepoint: np.ndarray
     n_max: int
     coefficients: dict[tuple[int, ...], complex]
     spread_max: float
     _grid: _CandidateGrid = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        self.n_max = integer(self.n_max, 0, PreconditionError, "need n_max >= 0, got {!r}")
 
     @cached_property
     def provenance(self) -> dict[tuple[int, ...], CoefficientProvenance]:

@@ -133,6 +133,12 @@ class SeriesSpace:
         those of a one-row product bit for bit."""
         return self._product(a, b, *self._full)
 
+    @staticmethod
+    def rows_per_chunk(per_row: int) -> int:
+        """Rows of a chunked product whose temporaries, ``per_row`` entries a
+        row, hold about MUL_CHUNK_ELEMENTS entries; at least one row."""
+        return max(1, MUL_CHUNK_ELEMENTS // per_row)
+
     def mul_degree(self, a, b, d: int) -> np.ndarray:
         """The degree-d block of ``mul(a, b)``, from that block's table entries only."""
         return self._product(a, b, *self._blocks[d])
@@ -148,7 +154,7 @@ class SeriesSpace:
         rows_a = np.broadcast_to(a[..., :width], shape + (width,)).reshape(-1, width)
         rows_b = np.broadcast_to(b[..., :width], shape + (width,)).reshape(-1, width)
         out = np.empty((len(rows_a), len(starts)), dtype=complex)
-        step = max(1, MUL_CHUNK_ELEMENTS // len(left))
+        step = self.rows_per_chunk(len(left))
         for r in range(0, len(out), step):
             chunk = slice(r, r + step)
             out[chunk] = np.add.reduceat(

@@ -815,7 +815,7 @@ def test_stacked_samples_match_the_per_point_reference(all_structures, all_famil
     # on one fiber's arrays, the fibers of one critical_points call per
     # point, the frame jets of one one-point jet per point (degrees 0-2) and
     # the axiom report of the samples taken one by one, with the basepoint
-    # first, in the middle and absent
+    # first, in the middle, last, twice and absent
     item4 = _rank2_data()
     families = all_families + [item4, _MIXED_EIGEN]
     structures = all_structures + [structure_from_arrangement(data, 2) for data in families[-2:]]
@@ -831,7 +831,8 @@ def test_stacked_samples_match_the_per_point_reference(all_structures, all_famil
             alone = critical_points(data, z)
             for name in ("z", "points", "f", "hessians", "det_hess", "residuals"):
                 assert np.array_equal(getattr(fresh, name), getattr(alone, name))
-        for samples in ([x] + moved, moved[:1] + [x] + moved[1:], moved):
+        placements = ([x] + moved, moved[:1] + [x] + moved[1:], moved + [x], [x] + moved[:2] + [x] + moved[2:], moved)
+        for samples in placements:
             for q in (0, 1, 2):
                 space = SeriesSpace(F.n, q)
                 jets = data.frame_jet(np.array(samples), space)
@@ -863,8 +864,12 @@ def test_stacked_refusal_is_the_first_refused_sample_alone(samples, culprit):
     with pytest.raises(DiscriminantError) as alone:
         critical_points(_REFUSALS, culprit)
     F = structure_from_arrangement(_REFUSALS, 2)
-    for evaluate in (lambda: _REFUSALS.frame_jet(np.array(samples), F.space(1)),
-                     lambda: verify_axioms(F, [F.basepoint] + samples)):
+    x = F.basepoint
+    # verify_axioms with the basepoint first, in the middle, last and twice
+    placed = ([x] + samples, samples[:1] + [x] + samples[1:], samples + [x], [x] + samples[:2] + [x] + samples[2:])
+    evaluations = [lambda: _REFUSALS.frame_jet(np.array(samples), F.space(1))]
+    evaluations += [lambda stack=stack: verify_axioms(F, stack) for stack in placed]
+    for evaluate in evaluations:
         with pytest.raises(DiscriminantError) as stacked:
             evaluate()
         assert str(stacked.value) == str(alone.value)

@@ -390,20 +390,21 @@ def test_potentials_fixture(capsys, tmp_path):
 
 
 def test_verify_arrangement_evaluates_the_basepoint_frame_once(capsys, tmp_path, monkeypatch):
-    # the basepoint sample of the axiom report and the pairing condition read
-    # the structure's one degree-1 frame jet at the basepoint
-    basepoint = []
+    # the axiom report takes one degree-1 stack of its three samples, the
+    # basepoint first, and the pairing condition the degree-0 frame jet at
+    # the basepoint alone: no degree-1 frame is evaluated twice
+    calls = []
     real = matpot.arrangements.ArrangementData.frame_jet
 
     def counting(self, points, space):
-        basepoint.extend(np.array_equal(z, self.basepoint) for z in points)
+        calls.append((space.q, [np.array_equal(z, self.basepoint) for z in points]))
         return real(self, points, space)
 
     monkeypatch.setattr(matpot.arrangements.ArrangementData, "frame_jet", counting)
     payload = {"B": [[1], [2], [1]], "a": [1, 2, 3], "x": [0.3, -1.1, 0.9], "m": 2}
     code, out = run_cli(capsys, ["verify-arrangement"], payload, tmp_path)
     assert code == 0
-    assert basepoint.count(True) == 1 and len(basepoint) == 3
+    assert calls == [(1, [True, False, False]), (0, [True])]
     assert json.loads(out)["result"]["pairing_condition"] >= 1.0
 
 

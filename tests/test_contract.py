@@ -21,6 +21,7 @@ from matpot import (
     Context,
     FlatFrameStructure,
     GroundSet,
+    HomogeneousPolynomial,
     InternalError,
     LinearMatroid,
     MatpotError,
@@ -28,6 +29,7 @@ from matpot import (
     PartitionProblem,
     PreconditionError,
     System,
+    TruncatedPotential,
     UniformMatroid,
     all_good_decompositions,
     check_first_kind,
@@ -57,8 +59,7 @@ POOL = MUTATION_POOL + [True, math.nan, Fraction(1, 2)]
 #: records the library returns: they hold what it computed and check nothing
 RECORDS = {
     "AxiomReport", "CriticalPointFrame", "DeficiencyWitness", "DescentMove", "EquivalenceReport",
-    "GoodDecomposition", "HomogeneousPolynomial", "PartitionCertificate", "StrongDecomposition",
-    "SystemBoundViolation", "TruncatedPotential",
+    "GoodDecomposition", "PartitionCertificate", "StrongDecomposition", "SystemBoundViolation",
 }
 
 
@@ -110,10 +111,15 @@ def _cases():
         "second_kind_truncation": (second_kind_truncation, {"F": F}, {"n_max": 4, "spread_tol": 1e-6}),
         "check_first_kind": (check_first_kind, {"F": F, "Q": Q}, {}),
         "check_second_kind": (check_second_kind, {"F": F, "L": L}, {}),
+        "HomogeneousPolynomial": (HomogeneousPolynomial, {"coefficients": Q.coefficients}, {"n": 2, "degree": 2}),
         "HomogeneousPolynomial.coefficient": (Q.coefficient, {}, {"mult": [2, 0]}),
         "HomogeneousPolynomial.partial_derivative_value": (
             Q.partial_derivative_value, {}, {"alpha": [1, 0], "z": [0.5, -1.0]}),
         "HomogeneousPolynomial.evaluate": (Q.evaluate, {}, {"z": [0.5, -1.0]}),
+        "TruncatedPotential": (
+            TruncatedPotential,
+            {"basepoint": L.basepoint, "coefficients": L.coefficients, "spread_max": L.spread_max, "_grid": L._grid},
+            {"n_max": 4}),
         "TruncatedPotential.coefficient": (L.coefficient, {}, {"mult": [3, 0]}),
         "TruncatedPotential.derivative_at_basepoint": (L.derivative_at_basepoint, {}, {"alpha": [2, 1]}),
         "TruncatedPotential.evaluate": (L.evaluate, {}, {"z": [1.1, -1.0]}),
@@ -220,3 +226,16 @@ def test_partition_problem_takes_matroids_only(bad):
     # an AttributeError at the first search before, not at construction
     with pytest.raises(TypeError, match="Matroid instances"):
         PartitionProblem((UniformMatroid(1, 2), bad))
+
+
+@pytest.mark.parametrize("n, degree", [(True, 2), (1.5, 2), (0, 2), (2, True), (2, 1.5), (2, -1)])
+def test_a_polynomial_record_checks_its_fields(n, degree):
+    # n = True was a ground set of one variable before
+    with pytest.raises(PreconditionError, match="need (n >= 1|degree >= 0)"):
+        HomogeneousPolynomial(n, degree, {})
+
+
+@pytest.mark.parametrize("n_max", [True, 1.5, -1, "4"])
+def test_a_truncated_potential_checks_its_order(n_max):
+    with pytest.raises(PreconditionError, match="need n_max >= 0"):
+        TruncatedPotential(basepoint=[0.0], n_max=n_max, coefficients={}, spread_max=0.0, _grid=None)

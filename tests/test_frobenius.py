@@ -944,11 +944,12 @@ def test_checks_share_one_basepoint_frame(fixture_structure, random_k1_structure
 @pytest.mark.parametrize("extra", [1, 2, 3])
 def test_one_basepoint_frame_and_two_spaces_per_op(monkeypatch, fiber_solves, extra):
     # a benchmark-shaped op (the structure, verify_axioms with the basepoint
-    # as first sample, both potentials, both checks) evaluates the frame jet
-    # at the basepoint once, builds at most two series spaces (degree 1 and
-    # the second kind's n_max - mk - 1) and solves each sample fiber once
-    # (the basepoint's when the structure is built); frame jets and fibers
-    # are counted per point, in two frame-jet calls
+    # as first sample, both potentials, both checks) makes two frame-jet
+    # calls: one stack of every sample in the order given for verify_axioms,
+    # then the basepoint alone for both checks; it builds at most two series
+    # spaces (degree 1 and the second kind's n_max - mk - 1) and solves each
+    # sample fiber once (the basepoint's when the structure is built);
+    # frame jets and fibers are counted per point
     frames, calls, spaces = [], [], []
     real_frame_jet = matpot.arrangements.ArrangementData.frame_jet
     real_init = matpot.series.SeriesSpace.__init__
@@ -970,17 +971,19 @@ def test_one_basepoint_frame_and_two_spaces_per_op(monkeypatch, fiber_solves, ex
     Q, L = first_kind_polynomial(F), second_kind_truncation(F, F.m * F.k + extra)
     check_first_kind(F, Q)
     check_second_kind(F, L)
-    assert frames.count(True) == 1 and len(frames) == len(samples)
-    assert calls == [1, len(samples) - 1]
+    assert frames == [np.array_equal(z, F.basepoint) for z in samples] + [True]
+    assert calls == [len(samples), 1]
     assert sorted(set(spaces)) == sorted(spaces) and len(spaces) <= 2
     assert fiber_solves.count(True) == 1 and len(fiber_solves) == len(samples)
 
 
 def test_each_basepoint_series_and_sections_once_per_op(monkeypatch):
-    # a benchmark-shaped op takes the base frame's series once per degree
-    # (the degree-1 pairing jets and the basepoint frame jet share it) and
-    # multiplies out the sections C_I (unit) once per point (verify_axioms
-    # and both checks share the basepoint's)
+    # a benchmark-shaped op takes the series of every verify_axioms sample
+    # in one stack, the basepoint's from its base frame, then the base
+    # frame's series once per degree (the degree-1 pairing jets and the
+    # checks' basepoint frame jet share it); it multiplies out the sections
+    # C_I (unit) once for the stack of samples and once for the basepoint
+    # frame that both checks share
     series, sections = [], []
     real_series = matpot.arrangements.ArrangementData._series_fiber
     real_sections = matpot.frobenius._flat_sections
@@ -1000,8 +1003,8 @@ def test_each_basepoint_series_and_sections_once_per_op(monkeypatch):
     Q, L = first_kind_polynomial(F), second_kind_truncation(F, F.m * F.k + 3)
     check_first_kind(F, Q)
     check_second_kind(F, L)
-    assert series == [(1, [True]), (1, [False, False]), (2, [True])]
-    assert sections == [1, 2]
+    assert series == [(1, [True, False, False]), (1, [True]), (2, [True])]
+    assert sections == [3, 1]
 
 
 def test_check_first_kind_needs_degree_mk(fixture_structure):
