@@ -432,10 +432,12 @@ class ArrangementData:
         one pass, ``_fibers``): the flat frame U holds the diagonal-frame
         sections C_I (unit) of the flat basis, products of the eigenvalue
         series p, the unit is U^-1 (1, ..., 1), one series solve with one
-        right-hand column, and the form is sum_s (U_sa U_sb) w_s.  Permuting
-        the fiber's points permutes the rows of U and of the ones alike, so
-        the jet does not depend on their order; ``verify_axioms`` compares
-        the algebra's H with the fiber's unit and form.
+        right-hand column, and the form sum_s U_sa U_sb w_s is U^T diag(w) U,
+        one ``SeriesSpace.matmul`` with its strict upper triangle mirrored,
+        so the form equals its transpose bit for bit.  Permuting the
+        fiber's points permutes the rows of U and of the ones alike, so the
+        jet does not depend on their order; ``verify_axioms`` compares the
+        algebra's H with the fiber's unit and form.
 
         Every row is the jet of a stack of that row alone, bit for bit.
         Rows that are not points of n finite coordinates raise
@@ -468,16 +470,11 @@ class ArrangementData:
         for col in labels.T[1:]:
             U = space.mul(U, p[:, :, col])
         unit = space.solve(U, space.constant(np.ones((mu, 1))))[:, :, 0]
-        # U_sa U_sb first, factors in one order (complex products need not commute
-        # bit for bit), so form = form^T exactly; the rows a go in chunks
-        # (``SeriesSpace.rows_per_chunk`` of the (S, mu, 1, mu, size) products),
-        # and each entry's sum over s runs in the order of one whole-form product
-        lo, hi = np.minimum.outer(range(mu), range(mu)), np.maximum.outer(range(mu), range(mu))
-        form = np.empty((len(zs), mu, mu, space.size), dtype=complex)
-        step = space.rows_per_chunk(len(zs) * mu * mu * space.size)
-        for r in range(0, mu, step):
-            rows = slice(r, r + step)
-            form[:, rows] = space.mul(space.mul(U[:, :, lo[rows]], U[:, :, hi[rows]]), w[:, :, None, None, :]).sum(axis=1)
+        # the form U^T diag(w) U; its strict upper triangle is mirrored, since
+        # U_sa (U_sb w_s) and U_sb (U_sa w_s) need not agree bit for bit
+        form = space.matmul(U.swapaxes(1, 2), space.mul(U, w[:, :, None]))
+        i, j = np.triu_indices(mu, 1)
+        form[:, j, i] = form[:, i, j]
         return self._higgs(zs, space), unit, form
 
 

@@ -185,27 +185,26 @@ def _flat_sections(F: FlatFrameStructure, H, u, space: SeriesSpace) -> np.ndarra
 
     C_I (unit) applies H_{i_1}, then H_{i_2}, ... to the unit, so bases
     that share a prefix of their sorted labels share its section: depth d
-    applies H_{i_d} once per distinct prefix (i_1, ..., i_d), to the section
-    of (i_1, ..., i_{d-1}), at every point at once.  The prefixes go in
-    chunks (``SeriesSpace.rows_per_chunk``, each prefix adding S mu mu size
-    entries to the product), and each row is that of one whole-batch
-    product at one point bit for bit."""
+    makes each distinct prefix (i_1, ..., i_d) from the section of (i_1,
+    ..., i_{d-1}), and applies each H_j once, as one ``SeriesSpace.matmul``
+    of H_j with the sections of the prefixes that j extends as columns, at
+    every point at once.  Each row is that of a one-point call bit for
+    bit."""
     labels = F._base_labels
-    step = space.rows_per_chunk(u.size * u.shape[1])
-    # sections holds one row per distinct prefix of the current depth, and
-    # parent[b] the row of base b's prefix; the bases are sorted, so a new
+    # sections holds one column per distinct prefix of the current depth, and
+    # parent[b] the column of base b's prefix; the bases are sorted, so a new
     # prefix starts wherever the first d + 1 labels change
-    sections, parent = u[:, None], np.zeros(len(labels), dtype=np.intp)
+    sections, parent = u[:, :, None], np.zeros(len(labels), dtype=np.intp)
     for d in range(labels.shape[1]):
         new = np.ones(len(labels), dtype=bool)
         new[1:] = (labels[1:, : d + 1] != labels[:-1, : d + 1]).any(axis=1)
         heads = np.flatnonzero(new)
-        out = np.empty((len(u), len(heads)) + u.shape[1:], dtype=complex)
-        for r in range(0, len(heads), step):
-            rows = heads[r : r + step]
-            out[:, r : r + step] = space.mul(H[:, labels[rows, d]], sections[:, parent[rows], None]).sum(axis=3)
+        nexts = labels[heads, d]  # one product per H_j, over the new prefixes that j extends
+        out = np.empty(sections.shape[:2] + (len(heads), space.size), dtype=complex)
+        for j in dict.fromkeys(nexts.tolist()):
+            out[:, :, nexts == j] = space.matmul(H[:, j], sections[:, :, parent[heads[nexts == j]]])
         sections, parent = out, np.cumsum(new) - 1
-    return sections  # at depth k every basis is its own prefix
+    return sections.swapaxes(1, 2)  # at depth k every basis is its own prefix
 
 
 def _worst(current: float, arr) -> float:
@@ -229,17 +228,18 @@ def verify_axioms(
     ``_flat_sections`` over its rows.  Over all rows at once, (a) and (c)
     read the constant terms, (b) the first-order coefficients of H, and (d)
     and (e) the first-order coefficients of C_I(unit), multiplied out in
-    series, and of the form; each maximum is that of the samples taken one
-    by one.  A refusal is the ``frame_jet``'s: for an arrangement
-    structure, that of the first sample in the order given whose frame is
-    refused.  Before any evaluation, raises PreconditionError for a
-    ``hard_threshold`` that is not a number >= 0 (``errors.tolerance``;
-    None and inf disable the threshold), GroundSetError for samples that
-    are not points of n finite coordinates (``errors.points``), and
-    PreconditionError for an empty sample list and a structure without a
-    ``frame_jet``; raises StructureError when the worst violation exceeds
-    ``hard_threshold`` and, whatever the threshold, when a violation is
-    not finite.
+    series, and of the form; (a) and (b) are antisymmetric in their two
+    labels, so they read the pairs a < b alone.  Each maximum is that of
+    the samples taken one by one.  A refusal is the ``frame_jet``'s: for
+    an arrangement structure, that of the first sample in the order given
+    whose frame is refused.  Before any evaluation, raises
+    PreconditionError for a ``hard_threshold`` that is not a number >= 0
+    (``errors.tolerance``; None and inf disable the threshold),
+    GroundSetError for samples that are not points of n finite coordinates
+    (``errors.points``), and PreconditionError for an empty sample list and
+    a structure without a ``frame_jet``; raises StructureError when the
+    worst violation exceeds ``hard_threshold`` and, whatever the threshold,
+    when a violation is not finite.
     """
     if hard_threshold is not None:
         hard_threshold = tolerance(
@@ -255,8 +255,8 @@ def verify_axioms(
     H, u, W = (np.asarray(v, dtype=complex) for v in F.frame_jet(samples, space))
     V = _flat_sections(F, H, u, space)
     H0, W0 = H[..., 0], W[..., 0]
-    products = H0[:, :, None] @ H0[:, None]  # H_a H_b at [s, a, b]
-    comm = _worst(0.0, products - products.swapaxes(1, 2))
+    a, b = np.triu_indices(F.n, 1)
+    comm = _worst(0.0, H0[:, a] @ H0[:, b] - H0[:, b] @ H0[:, a])
     # slot[q][s, a] is the form with H_a applied in slot q; the matmul keeps
     # each H_a product's own shape, so its rounding is that of one product
     stack = H0.reshape(H0.shape[:2] + (1,) * (F.m - 2) + H0.shape[2:])
@@ -264,11 +264,10 @@ def verify_axioms(
     invari = 0.0
     for q in range(1, F.m):
         invari = _worst(invari, slot[0] - slot[q])
-    # dH[s, j, :, :, i] = d_i H_j
-    dH = H[..., space.degree_one]
+    d = np.array(space.degree_one, dtype=np.intp)
     report = AxiomReport(
         commutativity=comm,
-        integrability=_worst(0.0, dH - np.swapaxes(dH, 1, 4)),
+        integrability=_worst(0.0, H[:, b, :, :, d[a]] - H[:, a, :, :, d[b]]),  # d_a H_b - d_b H_a
         higgs_invariance=invari,
         section_flatness=_worst(0.0, V[..., 1:]),
         form_flatness=_worst(0.0, W[..., 1:]),

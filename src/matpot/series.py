@@ -10,12 +10,15 @@ truncation, sorted by the product's position, so that a multiply is a
 degree-d block of a product is the contiguous slice of the table whose
 products have degree d; the space slices the table for the full product and
 for each degree block once.  A small product is one broadcast multiply; a
-large one goes in chunks of batch rows that bound its temporaries.  On top
-of it sit the reciprocal and, for batches of small k x k matrices of series,
-a linear solve, each built one total degree at a time: degree d reads the
-lower degrees and the inverse of a constant term, so no step iterates.  No
-determinant of series matrices is taken: the residue weights get theirs by
-Cauchy-Binet, from products of series.
+large one goes in chunks of batch rows that bound its temporaries.  A
+product of matrices of series takes the same table: both operands gathered
+along it, one ``einsum`` over the inner index and one segmented sum, never
+chunked, since its gathered operands are the size of its inputs.  On top
+of these sit the reciprocal and, for batches of small k x k matrices of
+series, a linear solve, each built one total degree at a time: degree d
+reads the lower degrees and the inverse of a constant term, so no step
+iterates.  No determinant of series matrices is taken: the residue weights
+get theirs by Cauchy-Binet, from products of series.
 
 The table has C(2n + q, q) pairs, one exponent vector each; a space whose
 table would exceed MAX_TABLE_ENTRIES raises SizeLimitError before anything
@@ -63,6 +66,13 @@ def graded_lex_position(n: int, degree, columns) -> np.ndarray:
         position = position + binom[rem + r, r] - binom[rem - e + r, r]
         rem = rem - e
     return position
+
+
+def _matrix_product(a, b, left, right, starts) -> np.ndarray:
+    """``SeriesSpace.matmul`` on the product table entries (left, right) whose
+    output coefficients start at ``starts``."""
+    pairs = np.einsum("...iqt,...qjt->...ijt", np.asarray(a).take(left, axis=-1), np.asarray(b).take(right, axis=-1))
+    return np.add.reduceat(pairs, starts, axis=-1)
 
 
 class SeriesSpace:
@@ -130,18 +140,27 @@ class SeriesSpace:
         one gather, one broadcast multiply and one segmented sum; a larger one
         goes in chunks of batch rows whose temporaries hold about that many
         entries (at least one row).  Either way each row's segmented sums are
-        those of a one-row product bit for bit."""
+        those of a one-row product bit for bit.  A product of matrices of
+        series is ``matmul``, not a broadcast ``mul`` summed over an axis."""
         return self._product(a, b, *self._full)
-
-    @staticmethod
-    def rows_per_chunk(per_row: int) -> int:
-        """Rows of a chunked product whose temporaries, ``per_row`` entries a
-        row, hold about MUL_CHUNK_ELEMENTS entries; at least one row."""
-        return max(1, MUL_CHUNK_ELEMENTS // per_row)
 
     def mul_degree(self, a, b, d: int) -> np.ndarray:
         """The degree-d block of ``mul(a, b)``, from that block's table entries only."""
         return self._product(a, b, *self._blocks[d])
+
+    def matmul(self, a, b) -> np.ndarray:
+        """Truncated matrix product of broadcastable batches of series
+        matrices, (..., p, q, size) @ (..., q, r, size) -> (..., p, r,
+        size): both operands gathered along the product table, one
+        ``einsum`` summing over the inner index q in order, and one
+        segmented sum over each coefficient's pairs.  Every entry's sums run
+        the same way whatever the batch and the other columns, so each row
+        and column is that of a one-row, one-column product bit for bit."""
+        return _matrix_product(a, b, *self._full[1:])
+
+    def matmul_degree(self, a, b, d: int) -> np.ndarray:
+        """The degree-d block of ``matmul(a, b)``, from that block's table entries only."""
+        return _matrix_product(a, b, *self._blocks[d][1:])
 
     def _product(self, a, b, width: int, left, right, starts) -> np.ndarray:
         a, b = np.asarray(a), np.asarray(b)
@@ -154,7 +173,7 @@ class SeriesSpace:
         rows_a = np.broadcast_to(a[..., :width], shape + (width,)).reshape(-1, width)
         rows_b = np.broadcast_to(b[..., :width], shape + (width,)).reshape(-1, width)
         out = np.empty((len(rows_a), len(starts)), dtype=complex)
-        step = self.rows_per_chunk(len(left))
+        step = max(1, MUL_CHUNK_ELEMENTS // len(left))
         for r in range(0, len(out), step):
             chunk = slice(r, r + step)
             out[chunk] = np.add.reduceat(
@@ -179,6 +198,6 @@ class SeriesSpace:
         X = np.zeros(np.broadcast_shapes(A.shape[:-3], rhs.shape[:-3]) + rhs.shape[-3:], dtype=complex)
         X[..., 0] = lead @ rhs[..., 0]
         for d in range(1, self.q + 1):
-            AX = self.mul_degree(A[..., :, :, None, :], X[..., None, :, :, :], d).sum(axis=-3)
+            AX = self.matmul_degree(A, X, d)
             X[..., self.degrees[d]] = np.einsum("...ij,...jcm->...icm", lead, rhs[..., self.degrees[d]] - AX)
         return X

@@ -20,9 +20,11 @@ jet by the fiber route, H = U^-1 diag(p) U in one series solve, the
 reference for the H that ``frame_jet`` reads from the family's algebra;
 ``whole_batch_flat_sections`` multiplies every basis's sections out in one
 product per label column, the reference for the prefix tree of
-``_flat_sections``.  ``remainder_swap_residual``
-compares the first-order terms of two pairing jets, the atomic exchange
-behind the well-definedness of the second-kind coefficients.
+``_flat_sections``: by broadcast multiplies summed over an axis, or by
+``SeriesSpace.matmul`` in the sum order of the library.
+``remainder_swap_residual`` compares the first-order terms of two pairing
+jets, the atomic exchange behind the well-definedness of the second-kind
+coefficients.
 ``pairwise_edges`` is one exception: it applies the pairwise l1 rule
 ``locally_related`` to every pair, as the reference for the
 remainder-closure groups of ``equivalence_report``.  ``min_tight_subset`` maps the library's
@@ -832,8 +834,9 @@ def point_frame_jet(data, z, space):
     for col in labels.T[1:]:
         U = space.mul(U, p[:, col])
     unit = space.solve(U, space.constant(np.ones((mu, 1))))[:, 0]
-    lo, hi = np.minimum.outer(range(mu), range(mu)), np.maximum.outer(range(mu), range(mu))
-    form = space.mul(space.mul(U[:, lo], U[:, hi]), w[:, None, None, :]).sum(axis=0)
+    form = space.matmul(U.swapaxes(0, 1), space.mul(U, w[:, None]))
+    i, j = np.triu_indices(mu, 1)
+    form[j, i] = form[i, j]
     _, basis, circuits, terms, placement = data.algebra
     values = circuits @ frame.z
     sections = terms[:, :, None] * space.reciprocal(space.constant(values) + circuits @ space.variables())[:, None]
@@ -849,8 +852,9 @@ def _running_worst(current: float, arr) -> float:
 def point_axiom_report(F, data, samples):
     """The AxiomReport of ``verify_axioms`` sample by sample: one
     ``point_frame_jet`` of degree 1 per sample, its five measures on that
-    sample's arrays alone (the sections by ``whole_batch_flat_sections``)
-    and running maxima.  The per-point reference for the stacked report."""
+    sample's arrays alone (the sections by ``whole_batch_flat_sections``
+    through ``SeriesSpace.matmul``) and running maxima.  The per-point
+    reference for the stacked report."""
     from matpot import AxiomReport
 
     space = F.space(1)
@@ -866,7 +870,7 @@ def point_axiom_report(F, data, samples):
             invari = _running_worst(invari, slot[0] - slot[q])
         dH = H[..., space.degree_one]
         integ = _running_worst(integ, dH - np.swapaxes(dH, 0, 3))
-        sect = _running_worst(sect, whole_batch_flat_sections(F, H, u, space)[..., 1:])
+        sect = _running_worst(sect, whole_batch_flat_sections(F, H, u, space, matmul=True)[..., 1:])
         formflat = _running_worst(formflat, W[..., 1:])
     return AxiomReport(commutativity=comm, integrability=integ, higgs_invariance=invari,
                        section_flatness=sect, form_flatness=formflat, samples=len(samples))
@@ -894,15 +898,20 @@ def fiber_frame_jet(data, z, space):
     return H, X[:, n * mu], form
 
 
-def whole_batch_flat_sections(F, H, u, space):
+def whole_batch_flat_sections(F, H, u, space, matmul=False):
     """The sections C_I (unit) of ``frobenius._flat_sections`` with no
     prefix shared: every basis applies its k Higgs fields to a broadcast
-    copy of the unit, all bases in one product per label column.  The
-    bit-for-bit reference for the prefix tree."""
+    copy of the unit, all bases in one product per label column, a
+    broadcast ``mul`` summed over the inner index or, when ``matmul``, one
+    ``SeriesSpace.matmul``.  The reference for the prefix tree: within
+    roundoff, and with ``matmul`` bit for bit."""
     labels = np.array(F.maximal_independent_sets(), dtype=np.intp) - 1
     sections = np.broadcast_to(u, (len(labels),) + u.shape)
     for col in labels.T:
-        sections = space.mul(H[col], sections[:, None, :, :]).sum(axis=2)
+        if matmul:
+            sections = space.matmul(H[col], sections[:, :, None])[:, :, 0]
+        else:
+            sections = space.mul(H[col], sections[:, None, :, :]).sum(axis=2)
     return sections
 
 

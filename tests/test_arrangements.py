@@ -764,7 +764,11 @@ _CI_FAMILIES = {
 def test_algebra_higgs_jet_matches_the_fiber_route(fixture_data, family):
     # the H jet read from the algebra against U^-1 diag(p) U from the fiber,
     # degrees 0 and 1, at the basepoint and at the first CLI sample point;
-    # the unit (a one-column solve) and the form share the fiber route
+    # the unit (a one-column solve) and the form share the fiber route.  The
+    # form is one series matrix product and the reference's a broadcast
+    # multiply summed over the points: the same terms summed in another
+    # order, so they agree to roundoff of the largest entry (at most 4.2e-15
+    # on these families), and the form equals its transpose bit for bit
     data = fixture_data if family == "fixture" else _rank2_data() if family == "rank2" else (
         _ci_family(*_CI_FAMILIES[family]))
     space = SeriesSpace(data.n, 1)
@@ -776,7 +780,8 @@ def test_algebra_higgs_jet_matches_the_fiber_route(fixture_data, family):
         for d in space.degrees:
             assert np.max(np.abs(H[..., d] - H_ref[..., d])) <= 1e-12 * np.max(np.abs(H_ref))
         assert np.max(np.abs(unit - unit_ref)) <= 1e-12 * np.max(np.abs(unit_ref))
-        assert np.array_equal(form, form_ref)
+        assert np.max(np.abs(form - form_ref)) <= 1e-12 * np.max(np.abs(form_ref))
+        assert np.array_equal(form, form.swapaxes(0, 1))
 
 
 def test_frame_jet_solves_for_the_unit_alone(monkeypatch):
@@ -881,11 +886,13 @@ def test_frame_jet_refuses_an_empty_stack(fixture_data):
         fixture_data.frame_jet(np.zeros((0, 2)), SeriesSpace(2, 1))
 
 
-def test_stacked_frame_jet_form_goes_in_row_chunks():
+def test_stacked_mu55_frame_jet_and_flat_sections_peaks_are_bounded():
     # the two CLI sample points of the mu 55 run in one stacked call: the
-    # form's (S, mu, mu, mu, size) products go in chunks of its rows, so the
-    # peak stays far below the 273 MB of one whole-form product, and each
-    # row is still the jet of a stack of that row alone, bit for bit
+    # form and the flat sections are series matrix products whose
+    # temporaries are the size of their operands, so each traced peak stays
+    # far below the 273 MB of one broadcast whole-form product (14 and 19 MB
+    # on a 2-core x86 container), and each row is still that of a stack of
+    # that row alone, bit for bit
     data = _ci_family(*_CI_FAMILIES["r55"])
     F = structure_from_arrangement(data, 2)
     x, space = data.basepoint, F.space(1)
@@ -895,12 +902,17 @@ def test_stacked_frame_jet_form_goes_in_row_chunks():
     try:
         stacked = data.frame_jet(samples, space)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sections = matpot.frobenius._flat_sections(F, stacked[0], stacked[1], space)
+        sections_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert data.count == 55 and peak < 40e6
+    assert data.count == 55 and peak < 40e6 and sections_peak < 40e6
     for row in range(2):
-        for part, alone in zip(stacked, data.frame_jet(samples[row:row + 1], space)):
-            assert np.array_equal(part[row], alone[0])
+        alone = data.frame_jet(samples[row:row + 1], space)
+        for part, one in zip(stacked, alone):
+            assert np.array_equal(part[row], one[0])
+        assert np.array_equal(sections[row], matpot.frobenius._flat_sections(F, alone[0], alone[1], space)[0])
 
 
 def test_structure_golden_values(fixture_structure, fixture_data):
@@ -930,8 +942,12 @@ def test_higgs_vanishes_on_column_fields(all_structures, all_families):
 @pytest.mark.parametrize("family", ["rank2", "k2", "k3", "k4"])
 def test_flat_sections_share_prefixes_bit_for_bit(family):
     # the prefix tree against one whole-batch product per label column, on
-    # the basepoint frame's degree-1 jets; its temporaries stay well below
-    # one (bases, mu, mu, size) product, which the reference materializes
+    # the basepoint frame's degree-1 jets: bit for bit when that product is
+    # the same series matrix product, and to roundoff of the largest entry
+    # (6.4e-14 at k4) against broadcast multiplies summed over the inner
+    # index, which sum the same terms in another order; its temporaries stay
+    # well below one (bases, mu, mu, size) product, which the reference
+    # materializes
     data = _rank2_data() if family == "rank2" else _ci_family(*_CI_FAMILIES[family])
     F = structure_from_arrangement(data, 2)
     H, u, _ = F.basepoint_frame
@@ -943,7 +959,8 @@ def test_flat_sections_share_prefixes_bit_for_bit(family):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, whole_batch_flat_sections(F, H, u, space, matmul=True))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     full = len(F.maximal_independent_sets()) * data.count**2 * space.size * 16
     assert family == "rank2" or peak < full / 4
 

@@ -118,6 +118,55 @@ def test_mul_degree_is_bit_identical_on_every_block(n, q):
             assert np.array_equal(space.mul_degree(a, b, d), want)
 
 
+def _broadcast_matmul(space, a, b):
+    """The series matrix product as a broadcast multiply summed over the
+    inner index."""
+    return space.mul(a[..., :, :, None, :], b[..., None, :, :, :]).sum(axis=-3)
+
+
+@pytest.mark.parametrize("n,q", [(1, 6), (2, 3), (4, 1), (9, 1), (3, 0)])
+def test_matmul_matches_the_broadcast_product(n, q):
+    # the same terms as the broadcast formula, summed in another order, so
+    # equal to roundoff of the largest entry; the batch axes broadcast
+    rng = np.random.default_rng(n * 10 + q)
+    space = SeriesSpace(n, q)
+    for a_shape, b_shape in [((3, 4), (4, 2)), ((2, 3, 4), (4, 5)), ((2, 1, 3, 4), (5, 4, 1))]:
+        a, b = _random_series(rng, space, a_shape), _random_series(rng, space, b_shape)
+        got, want = space.matmul(a, b), _broadcast_matmul(space, a, b)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (9, 1), (2, 5)])
+def test_matmul_degree_is_a_slice_of_the_product(n, q):
+    # each block sums the same table entries as ``matmul`` does, bit for bit
+    rng = np.random.default_rng(n * 100 + q)
+    space = SeriesSpace(n, q)
+    a, b = _random_series(rng, space, (2, 1, 3, 4)), _random_series(rng, space, (3, 4, 2))
+    full = space.matmul(a, b)
+    for d in range(q + 1):
+        assert np.array_equal(space.matmul_degree(a, b, d), full[..., space.degrees[d]])
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (9, 1)])
+def test_matmul_rows_and_columns_are_those_of_one_row(n, q):
+    # each batch row of a stack, and each column of a wide right operand, is
+    # the product of that row or column alone, bit for bit, also where a
+    # batch axis broadcasts and where an operand is a transposed view
+    rng = np.random.default_rng(n + q)
+    space = SeriesSpace(n, q)
+    a, b = _random_series(rng, space, (5, 6, 6)), _random_series(rng, space, (5, 6, 7))
+    stacked = space.matmul(a, b)
+    wide = space.matmul(a[:, None], b[None])
+    flipped = space.matmul(a.swapaxes(1, 2), b)
+    for row in range(5):
+        assert np.array_equal(stacked[row], space.matmul(a[row:row + 1], b[row:row + 1])[0])
+        assert np.array_equal(wide[row, row], stacked[row])
+        assert np.array_equal(flipped[row], space.matmul(np.ascontiguousarray(a[row].swapaxes(0, 1)), b[row]))
+        for col in range(7):
+            assert np.array_equal(stacked[row, :, col:col + 1], space.matmul(a[row], b[row, :, col:col + 1]))
+
+
 def test_variables_and_constants():
     space = SeriesSpace(3, 2)
     z = space.constant([1.0, 2.0, 3.0]) + space.variables()
