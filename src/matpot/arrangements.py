@@ -366,7 +366,8 @@ class ArrangementData:
         at degree d when H_0 t_d = -B^T (a known), H_0 the fiber's Hessians.
         Hess_t Phi = -B^T diag(a / f^2) B, and a / f^2 = p r, so by
         Cauchy-Binet det Hess = (-1)^k sum over the bases I of det(B_I)^2
-        prod_{i in I} p_i r_i: k - 1 products over all bases at once.
+        prod_{i in I} p_i r_i: k - 1 products over all bases at once
+        (``_basis_products``).
         """
         B, a = self.B, self.a
         f = space.constant(np.stack([frame.f for frame in frames])) + space.variables()
@@ -379,11 +380,7 @@ class ArrangementData:
             f[..., block] += step
             r[..., block] = known - r[..., :1] ** 2 * step
         p = a[:, None] * r
-        pr = space.mul(p, r)
-        labels = np.array(self.algebra.bases, dtype=np.intp) - 1  # (bases, k)
-        prod = pr[:, :, labels[:, 0]]
-        for col in labels.T[1:]:
-            prod = space.mul(prod, pr[:, :, col])
+        prod = _basis_products(space, space.mul(p, r), self.algebra.bases)
         det = (-1) ** self.k * np.einsum("b,tsbm->tsm", self.squared_minors, prod)
         return p, space.reciprocal(det)
 
@@ -431,10 +428,14 @@ class ArrangementData:
         base frame at the basepoint; the other rows' fibers are solved in
         one pass, ``_fibers``): the flat frame U holds the diagonal-frame
         sections C_I (unit) of the flat basis, products of the eigenvalue
-        series p, the unit is U^-1 (1, ..., 1), one series solve with one
-        right-hand column, and the form sum_s U_sa U_sb w_s is U^T diag(w) U,
-        one ``SeriesSpace.matmul`` with its strict upper triangle mirrored,
-        so the form equals its transpose bit for bit.  Permuting the
+        series p (``_basis_products``), the unit is U^-1 (1, ..., 1), one
+        series solve with one right-hand column, and the form sum_s U_sa
+        U_sb w_s is U^T diag(w) U, one ``SeriesSpace.matmul`` with its
+        strict upper triangle mirrored, so the form equals its transpose bit
+        for bit.  That product's gathered operands grow with the pairs of
+        the product table, not with the coefficients, past q = 1 (one mu 55
+        frame jet traced 7.2, 35 and 207 MB at q = 1, 2 and 3); every
+        package caller asks for q <= 1.  Permuting the
         fiber's points permutes the rows of U and of the ones alike, so the
         jet does not depend on their order; ``verify_axioms`` compares the
         algebra's H with the fiber's unit and form.
@@ -465,10 +466,7 @@ class ArrangementData:
             fresh = iter(_fibers(self, zs[~base]) if not base.all() else [])
             p, w = self._series_fiber(space, [self.base_frame if b else next(fresh) for b in base])
         mu = p.shape[1]
-        labels = np.array(self.flat_basis, dtype=np.intp) - 1  # (mu, k)
-        U = p[:, :, labels[:, 0]]
-        for col in labels.T[1:]:
-            U = space.mul(U, p[:, :, col])
+        U = _basis_products(space, p, self.flat_basis)
         unit = space.solve(U, space.constant(np.ones((mu, 1))))[:, :, 0]
         # the form U^T diag(w) U; its strict upper triangle is mirrored, since
         # U_sa (U_sb w_s) and U_sb (U_sa w_s) need not agree bit for bit
@@ -476,6 +474,19 @@ class ArrangementData:
         i, j = np.triu_indices(mu, 1)
         form[:, j, i] = form[:, i, j]
         return self._higgs(zs, space), unit, form
+
+
+def _basis_products(space: SeriesSpace, x, bases) -> np.ndarray:
+    """prod_{i in I} x_i for every basis I of ``bases`` (1-based sorted
+    labels, all of one size), from the series x (..., n, size): shape
+    (..., len(bases), size), one gather along the label axis and one
+    ``mul`` per position in the bases.  The gather indexes x as it lies:
+    ``np.take`` would first copy a non-contiguous x whole."""
+    labels = np.array(bases, dtype=np.intp) - 1
+    out = x[..., labels[:, 0], :]
+    for col in labels.T[1:]:
+        out = space.mul(out, x[..., col, :])
+    return out
 
 
 @dataclass

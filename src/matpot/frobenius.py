@@ -25,7 +25,9 @@ is stored.  The good decompositions are the splits T = alpha + T2 over the
 strong (mk+1)-systems T2, the sums of m bases plus one label, and |alpha| <=
 n_max - mk - 1; so the candidates of all T form one grid, member times
 monomial of the ``jet`` of g(z) = (S(C_T2 unit, unit, ..., unit)(z)) at x,
-which gives every d^alpha g = alpha! [delta^alpha] g in one pass.
+which gives every d^alpha g = alpha! [delta^alpha] g in one pass.  Both
+potentials, and the checks, take T! from one rule, ``_factorials``: the
+exact product over a factorial table, rounded to a float once.
 
 Every value and derivative here is a Taylor coefficient: both potentials read
 pairing jets, ``verify_axioms`` the degree-1 frame jet at each sample point
@@ -85,22 +87,21 @@ class FlatFrameStructure:
 
     The structure holds the evaluators, not the data behind them: an
     arrangement structure's jets are methods of its ``ArrangementData``.
-    TypeError for a matroid that is not a Matroid, or a jet that is
-    neither callable nor None.
+    TypeError for a matroid that is not a Matroid, or a jet or frame_jet
+    that is not callable.
     """
 
     matroid: Matroid
     m: int
     basepoint: np.ndarray
     mu: int
-    jet: Callable[[SeriesSpace, list], np.ndarray] | None = None
-    frame_jet: Callable[[np.ndarray, SeriesSpace], tuple] | None = None
+    jet: Callable[[SeriesSpace, list], np.ndarray]
+    frame_jet: Callable[[np.ndarray, SeriesSpace], tuple]
     _spaces: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        jets = (self.jet, self.frame_jet)
-        if not isinstance(self.matroid, Matroid) or not all(f is None or callable(f) for f in jets):
-            raise TypeError("a flat frame structure takes a Matroid instance and jets that are callables or None")
+        if not isinstance(self.matroid, Matroid) or not (callable(self.jet) and callable(self.frame_jet)):
+            raise TypeError("a flat frame structure takes a Matroid instance and callable jets")
         self.m = integer(self.m, 1, PreconditionError, "need m >= 1, got {!r}")
         self.mu = integer(self.mu, 1, PreconditionError, "need mu >= 1, got {!r}")
         self.basepoint = points([self.basepoint], self.n)[0]
@@ -133,8 +134,6 @@ class FlatFrameStructure:
         """The degree-1 ``frame_jet`` (H, unit, form) at the basepoint, a
         stack of one read without its point axis, evaluated once for both
         checks."""
-        if self.frame_jet is None:
-            raise PreconditionError("the checks need a structure with a frame_jet")
         return tuple(np.asarray(v, dtype=complex)[0] for v in self.frame_jet(self.basepoint[None], self.space(1)))
 
     @cached_property
@@ -236,10 +235,10 @@ def verify_axioms(
     PreconditionError for a ``hard_threshold`` that is not a number >= 0
     (``errors.tolerance``; None and inf disable the threshold),
     GroundSetError for samples that are not points of n finite coordinates
-    (``errors.points``), and PreconditionError for an empty sample list and
-    a structure without a ``frame_jet``; raises StructureError when the
-    worst violation exceeds ``hard_threshold`` and, whatever the threshold,
-    when a violation is not finite.
+    (``errors.points``), and PreconditionError for an empty sample list;
+    raises StructureError when the worst violation exceeds
+    ``hard_threshold`` and, whatever the threshold, when a violation is not
+    finite.
     """
     if hard_threshold is not None:
         hard_threshold = tolerance(
@@ -249,8 +248,6 @@ def verify_axioms(
     samples = points(samples, F.n)
     if not len(samples):
         raise PreconditionError("verify_axioms needs at least one sample point")
-    if F.frame_jet is None:
-        raise PreconditionError("verify_axioms needs a structure with a frame_jet")
     space = F.space(1)
     H, u, W = (np.asarray(v, dtype=complex) for v in F.frame_jet(samples, space))
     V = _flat_sections(F, H, u, space)
@@ -285,11 +282,13 @@ def verify_axioms(
     raise err
 
 
-def _factorial_multi(mult) -> int:
-    out = 1
-    for v in mult:
-        out *= math.factorial(v)
-    return out
+def _factorials(exps) -> np.ndarray:
+    """T! for every row T of the exponent array ``exps`` (..., n): the exact
+    product over a factorial table, rounded to a float once, as Python's
+    ``complex / int`` rounds the int."""
+    exps = np.asarray(exps, dtype=np.intp)
+    table = np.array([math.factorial(t) for t in range(int(exps.max(initial=0)) + 1)], dtype=object)
+    return np.array(np.prod(table[exps], axis=-1), dtype=float)
 
 
 def _multi_index(alpha, n: int) -> tuple[int, ...]:
@@ -372,23 +371,20 @@ def first_kind_polynomial(F: FlatFrameStructure) -> HomogeneousPolynomial:
     invented.  One degree-1 ``jet`` over those systems gives each coefficient
     as its constant term divided by T!; the sections C_T unit are flat, so
     the degree-1 terms vanish, and one that is not within 1e-7 (1 +
-    |coefficient|) after the same division raises FlatnessError.  A structure without a ``jet``
-    raises PreconditionError before any evaluation.
+    |coefficient|) after the same division raises FlatnessError for the
+    first such T in the order of the base sums.
     """
-    if F.jet is None:
-        raise PreconditionError("the first-kind polynomial needs a structure with a jet")
     ctx = F.context()
     space = F.space(1)
     jets = F.jet(space, ctx.base_sums)
-    coeffs: dict[tuple[int, ...], complex] = {}
-    for T, jet in zip(ctx.base_sums, jets):
-        fact = _factorial_multi(T)
-        value = complex(jet[0]) / fact
-        drift = float(np.max(np.abs(jet[..., space.degree_one]))) / fact
-        if not drift <= 1e-7 * (1.0 + abs(value)):
-            raise FlatnessError(f"coefficient of {T} varies with z: first-order term {drift:.3e}")
-        coeffs[T] = value
-    return HomogeneousPolynomial(n=F.n, degree=ctx.m * ctx.k, coefficients=coeffs)
+    fact = _factorials(ctx.base_sums)
+    values = _python_quotient(jets[:, 0], fact)
+    drift = np.abs(jets[:, list(space.degree_one)]).max(axis=1) / fact
+    bad = np.flatnonzero(~(drift <= 1e-7 * (1.0 + np.abs(values))))
+    if bad.size:
+        T, first = ctx.base_sums[bad[0]], drift[bad[0]]
+        raise FlatnessError(f"coefficient of {T} varies with z: first-order term {first:.3e}")
+    return HomogeneousPolynomial(n=F.n, degree=ctx.m * ctx.k, coefficients=dict(zip(ctx.base_sums, values.tolist())))
 
 
 def _section_defect(F: FlatFrameStructure, coefficients: dict, higgs: bool) -> float:
@@ -408,7 +404,8 @@ def _section_defect(F: FlatFrameStructure, coefficients: dict, higgs: bool) -> f
     alphas = np.eye(F.n, dtype=np.intp)[F._base_labels].sum(axis=1)[tuples].sum(axis=0)
     if higgs:
         alphas = alphas + np.eye(F.n, dtype=np.intp)[:, None, :]
-    lhs = [coefficients.get(T, 0.0) * _factorial_multi(T) for T in map(tuple, alphas.reshape(-1, F.n).tolist())]
+    alphas = alphas.reshape(-1, F.n)
+    lhs = [coefficients.get(T, 0.0) * f for T, f in zip(map(tuple, alphas.tolist()), _factorials(alphas).tolist())]
     rhs = rhs[(Ellipsis,) + tuple(tuples)]
     return float(np.max(np.abs(np.array(lhs, dtype=complex).reshape(rhs.shape) - rhs), initial=0.0))
 
@@ -436,12 +433,13 @@ class CoefficientProvenance:
 @dataclass(frozen=True)
 class _CandidateGrid:
     """The second-kind candidates grouped by T: cell c is the decomposition
-    T = alphas[alpha[c]] + members[member[c]] with value values[c], and
+    T = alphas[alpha[c]] + members[member[c]] with value values[c], alphas
+    the exponent array of the jet's monomials, and
     group g, the cells from starts[g] to the next group's start, holds the
     candidates of the T at ``positions[g]`` in the table, with its spread
     and mean; the first ``gauge`` T of the table are gauge zeros."""
 
-    alphas: tuple
+    alphas: np.ndarray
     members: list
     alpha: np.ndarray
     member: np.ndarray
@@ -475,7 +473,7 @@ class TruncatedPotential:
         zeros, free zeros and averages with their candidates (alpha, T2,
         value) in lexicographic order of T2."""
         g = self._grid
-        alpha_of = np.fromiter(g.alphas, dtype=object, count=len(g.alphas))[g.alpha]
+        alpha_of = np.fromiter(map(tuple, g.alphas.tolist()), dtype=object, count=len(g.alphas))[g.alpha]
         member_of = np.fromiter(g.members, dtype=object, count=len(g.members))[g.member]
         candidates = tuple(zip(alpha_of, member_of, g.values.tolist()))
         bounds = np.append(g.starts, len(g.values)).tolist()
@@ -493,7 +491,7 @@ class TruncatedPotential:
         alpha = _multi_index(alpha, len(self.basepoint))
         if sum(alpha) > self.n_max:
             raise PreconditionError("derivative order exceeds the truncation order")
-        return self.coefficient(alpha) * _factorial_multi(alpha)
+        return self.coefficient(alpha) * float(_factorials(alpha))
 
     def evaluate(self, z) -> complex:
         """The truncated series at z; PreconditionError when it overflows
@@ -528,12 +526,11 @@ def second_kind_truncation(
     such T in graded lexicographic order.  The values, spreads, means and
     that check are computed here, and ``spread_max`` is stored with the
     table; the per-candidate provenance is built from the grid when
-    ``provenance`` is first read.  Before
-    any evaluation, PreconditionError is raised for an n_max that is not an
-    integer (``errors.integer``) or is below mk + 1, for a ``spread_tol``
-    that is not a finite number >= 0 (``errors.tolerance``) and for a
-    structure without a ``jet``; an n_max above MAX_TOTAL,
-    or a jet whose product table is too large, raises SizeLimitError.
+    ``provenance`` is first read.  Before any evaluation, PreconditionError
+    is raised for an n_max that is not an integer (``errors.integer``) or is
+    below mk + 1 and for a ``spread_tol`` that is not a finite number >= 0
+    (``errors.tolerance``); an n_max above MAX_TOTAL, or a jet whose product
+    table is too large, raises SizeLimitError.
     """
     ctx = F.context()
     mk = ctx.m * ctx.k
@@ -543,22 +540,18 @@ def second_kind_truncation(
     if n_max > MAX_TOTAL:
         raise SizeLimitError(f"good-decomposition enumeration limited to |T| <= {MAX_TOTAL}")
     spread_tol = tolerance(spread_tol, PreconditionError, "spread_tol must be finite and >= 0, got {!r}")
-    if F.jet is None:
-        raise PreconditionError("the second-kind table needs a structure with a jet")
     n, space = F.n, F.space(n_max - mk - 1)
     # the strong second members T2, lexicographically
     members = sorted({S[:j] + (S[j] + 1,) + S[j + 1:] for S in ctx.base_sums for j in range(n)})
-    # every T of degree <= n_max in graded lexicographic order, and T! as a
-    # float rounded once, as Python's complex / int rounds it; the monomials
-    # of the jet are the first space.size of them
+    # every T of degree <= n_max in graded lexicographic order, and T!; the
+    # monomials of the jet are the first space.size of them
     exps = graded_lex_exponents(n, n_max)
     table = list(map(tuple, exps.tolist()))
-    factorials = np.array([math.factorial(t) for t in range(n_max + 1)], dtype=object)
-    fact = np.prod(factorials[exps], axis=1).astype(float)
+    fact = _factorials(exps)
     # the candidate grid: cell (j, a) is the decomposition T = alpha_a + T2_j,
     # grouped by the position of T in ``table``; a stable sort keeps the
     # members of each T in lexicographic order
-    alphas, lattice = exps[: space.size], np.array(members, dtype=np.intp)
+    alphas, lattice = space.exponents, np.array(members, dtype=np.intp)
     key = graded_lex_position(
         n, mk + 1 + alphas.sum(axis=1), (lattice[:, v, None] + alphas[:, v] for v in range(n - 1))
     ).ravel()
@@ -593,7 +586,7 @@ def second_kind_truncation(
         coefficients[p] = value
     # the T with |T| <= mk come first; a later T without candidates is a free zero
     grid = _CandidateGrid(
-        alphas=space.monomials, members=members, alpha=a, member=j, values=values, starts=starts,
+        alphas=alphas, members=members, alpha=a, member=j, values=values, starts=starts,
         positions=positions, spreads=spread, means=mean, gauge=math.comb(n + mk, n),
     )
     return TruncatedPotential(

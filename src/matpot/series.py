@@ -4,21 +4,26 @@ A series in the variables delta_1, ..., delta_n is a complex array whose last
 axis holds the coefficients of the monomials delta^alpha with |alpha| <= q,
 in graded lexicographic order (by total degree, then by the exponent tuples
 in lexicographic order); the leading axes are a batch.  A ``SeriesSpace``
-owns the product table: every pair of monomials whose product survives the
-truncation, sorted by the product's position, so that a multiply is a
-``take`` of each operand along the table and one segmented sum, and the
-degree-d block of a product is the contiguous slice of the table whose
-products have degree d; the space slices the table for the full product and
-for each degree block once.  A small product is one broadcast multiply; a
-large one goes in chunks of batch rows that bound its temporaries.  A
-product of matrices of series takes the same table: both operands gathered
-along it, one ``einsum`` over the inner index and one segmented sum, never
-chunked, since its gathered operands are the size of its inputs.  On top
-of these sit the reciprocal and, for batches of small k x k matrices of
-series, a linear solve, each built one total degree at a time: degree d
-reads the lower degrees and the inverse of a constant term, so no step
-iterates.  No determinant of series matrices is taken: the residue weights
-get theirs by Cauchy-Binet, from products of series.
+keeps those monomials as one exponent array, ``exponents``, and places a
+monomial by ``graded_lex_position``.  It owns the product table: every pair
+of monomials whose product survives the truncation, sorted by the product's
+position, so that a multiply is a ``take`` of each operand along the table
+and one segmented sum, and the degree-d block of a product is the
+contiguous slice of the table whose products have degree d; the space
+slices the table for the full product and for each degree block once.  A
+small product is one broadcast multiply; a large one goes in chunks of
+batch rows that bound its temporaries.  A product of matrices of series
+takes the same table: both operands gathered along it, one ``einsum`` over
+the inner index and one segmented sum, never chunked.  Its gathered
+operands hold the C(2n + q, q) pairs of the table against the C(n + q, q)
+coefficients of its inputs, so they are the size of its inputs only at q
+<= 1 (one mu 55 frame jet traced 7.2, 35 and 207 MB at q = 1, 2 and 3);
+every package caller is at q <= 1.  On top of these sit the reciprocal
+and, for batches of small k x k matrices of series, a linear solve, each
+built one total degree at a time: degree d reads the lower degrees and the
+inverse of a constant term, so no step iterates.  No determinant of series
+matrices is taken: the residue weights get theirs by Cauchy-Binet, from
+products of series.
 
 The table has C(2n + q, q) pairs, one exponent vector each; a space whose
 table would exceed MAX_TABLE_ENTRIES raises SizeLimitError before anything
@@ -76,7 +81,10 @@ def _matrix_product(a, b, left, right, starts) -> np.ndarray:
 
 
 class SeriesSpace:
-    """Series in ``n`` variables truncated after total degree ``q``."""
+    """Series in ``n`` variables truncated after total degree ``q``:
+    ``exponents`` holds the exponent rows of its monomials in graded
+    lexicographic order, and ``degree_one`` the positions of delta_1, ...,
+    delta_n among them."""
 
     def __init__(self, n: int, q: int):
         pairs = math.comb(2 * n + q, q)
@@ -86,14 +94,11 @@ class SeriesSpace:
                 f"of {n} exponents, more than {MAX_TABLE_ENTRIES} entries"
             )
         self.n, self.q = n, q
-        exps = graded_lex_exponents(n, q)
-        self.monomials = tuple(map(tuple, exps.tolist()))
-        self.size = len(self.monomials)
-        self.index = {alpha: c for c, alpha in enumerate(self.monomials)}
-        # positions of the monomials delta_1, ..., delta_n (none when q = 0)
-        self.degree_one = tuple(
-            self.index[tuple(int(j == i) for j in range(n))] for i in range(n)
-        ) if q else ()
+        self.exponents = exps = graded_lex_exponents(n, q)
+        self.size = len(exps)
+        # positions of the monomials delta_1, ..., delta_n (none when q = 0):
+        # graded lex lists delta_n, ..., delta_1 first among degree 1
+        self.degree_one = tuple(range(n, 0, -1)) if q else ()
         degree = exps.sum(axis=1)
         # monomial c pairs with the first C(q - |c| + n, n) monomials, those of
         # degree <= q - |c|

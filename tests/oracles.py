@@ -118,6 +118,24 @@ from matpot.matroids import _eliminate
 from matpot.systems import SystemBoundViolation, _check_arity, _require_strong
 
 
+def multi_factorial(T) -> int:
+    """T! = T_1! ... T_n!, exactly."""
+    return math.prod(math.factorial(t) for t in T)
+
+
+def graded_lex_monomials(n: int, q: int) -> list:
+    """The exponent tuples of the monomials of degree <= q in n variables,
+    by total degree, then lexicographically: every tuple of the box sorted,
+    independently of ``series.graded_lex_exponents``."""
+    return sorted((e for e in product(range(q + 1), repeat=n) if sum(e) <= q), key=lambda e: (sum(e), e))
+
+
+def monomial_index(space) -> dict:
+    """{alpha: position of delta^alpha} over the monomials of ``space``, by
+    ``graded_lex_monomials``."""
+    return {alpha: c for c, alpha in enumerate(graded_lex_monomials(space.n, space.q))}
+
+
 def subsets(elems):
     elems = sorted(elems)
     for r in range(len(elems) + 1):
@@ -923,7 +941,7 @@ def remainder_swap_residual(F, T2, a: int, b: int) -> float:
     strong with remainder [b] and both derivatives must agree: this is the
     atomic exchange that makes the second-kind coefficients well defined.
     Raises PreconditionError, before any evaluation, for a T2 that does not
-    qualify and for a structure without a ``jet``.
+    qualify.
     """
     ctx = F.context()
     rest = T2.try_sub(ctx.unit(a))
@@ -934,8 +952,6 @@ def remainder_swap_residual(F, T2, a: int, b: int) -> float:
     if rest.mult not in ctx.base_sums:
         raise PreconditionError(f"T2 minus [{a}] is not a strong mk-system")
     S2 = rest + ctx.unit(b)
-    if F.jet is None:
-        raise PreconditionError("remainder_swap_residual needs a structure with a jet")
     space = F.space(1)
     jets = F.jet(space, [T2.mult, S2.mult])
     return float(abs(jets[0, space.degree_one[b - 1]] - jets[1, space.degree_one[a - 1]]))
@@ -962,7 +978,6 @@ def brute_second_kind_candidates(F, data, n_max):
     family of F, per brute-force good decomposition, T2 in lexicographic
     order (the per-decomposition loop the table replaces)."""
     from matpot.findiff import default_step, multi_partial
-    from matpot.frobenius import _factorial_multi
 
     ctx = F.context()
     mk = ctx.m * ctx.k
@@ -980,7 +995,7 @@ def brute_second_kind_candidates(F, data, n_max):
         for T in product(range(total + 1), repeat=ctx.n):
             if sum(T) != total:
                 continue
-            fact = _factorial_multi(T)
+            fact = multi_factorial(T)
             candidates = []
             for t1, t2 in sorted(brute_good_decompositions(ctx.system(T)), key=lambda d: d[1]):
                 order = sum(t1)
@@ -1219,7 +1234,7 @@ def loop_second_kind_table(F, n_max, spread_tol=1e-6):
     ``sum``.  The bit-for-bit reference for the candidate grid; raises the
     same WellDefinednessError on the first failing T."""
     from matpot import WellDefinednessError
-    from matpot.frobenius import CoefficientProvenance, _factorial_multi
+    from matpot.frobenius import CoefficientProvenance
     from matpot.series import SeriesSpace
     from matpot.systems import _bounded_compositions
 
@@ -1229,6 +1244,7 @@ def loop_second_kind_table(F, n_max, spread_tol=1e-6):
     members = sorted({S[:j] + (S[j] + 1,) + S[j + 1:] for S in ctx.base_sums for j in range(F.n)})
     lattice = np.array(members, dtype=np.int64)
     jets = F.jet(space, members)
+    index = monomial_index(space)
     coefficients, provenance = {}, {}
     for t in range(mk + 1):
         for T in _bounded_compositions(t, (t,) * F.n):
@@ -1237,14 +1253,14 @@ def loop_second_kind_table(F, n_max, spread_tol=1e-6):
     derivatives = {}
     for t in range(mk + 1, n_max + 1):
         for T in _bounded_compositions(t, (t,) * F.n):
-            fact = _factorial_multi(T)
+            fact = multi_factorial(T)
             candidates = []
             for j in np.flatnonzero((lattice <= T).all(axis=1)).tolist():
                 t2 = members[j]
                 alpha = tuple(b - a for a, b in zip(t2, T))
                 hit = derivatives.get(alpha)
                 if hit is None:
-                    d_alpha = jets[:, space.index[alpha]] * float(_factorial_multi(alpha))
+                    d_alpha = jets[:, index[alpha]] * float(multi_factorial(alpha))
                     hit = derivatives[alpha] = (alpha, d_alpha.tolist())
                 candidates.append((hit[0], t2, hit[1][j] / fact))
             if not candidates:
@@ -1259,6 +1275,22 @@ def loop_second_kind_table(F, n_max, spread_tol=1e-6):
             coefficients[T] = sum(values) / len(values)
             provenance[T] = CoefficientProvenance("averaged", tuple(candidates), spread, coefficients[T])
     return coefficients, provenance
+
+
+def taylor_shift(coefficients: dict, n_max: int, h) -> dict:
+    """The table {T: c_T} of sum c_T (z - x)^T, |T| <= n_max, re-expanded
+    at x + h: c'_B = sum_{A >= B} C(A, B) c_A h^(A - B), one coordinate at a
+    time, as one binomial matrix per axis of the dense coefficient array.
+    Entries of degree above n_max stay 0, so the table keeps its keys."""
+    dense = np.zeros((n_max + 1,) * len(h), dtype=complex)
+    for T, c in coefficients.items():
+        dense[T] = c
+    a = np.arange(n_max + 1)
+    binom = np.array([[math.comb(i, j) for i in a] for j in a], dtype=float)  # [B_i, A_i]
+    for axis, step in enumerate(h):
+        shift = binom * np.power(complex(step), np.maximum(a[None, :] - a[:, None], 0))
+        dense = np.moveaxis(np.tensordot(shift, dense, axes=([1], [axis])), 0, axis)
+    return {T: complex(dense[T]) for T in coefficients}
 
 
 def newton_reciprocal(space, a):

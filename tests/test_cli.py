@@ -349,11 +349,19 @@ def _family(B, a):
         (["potentials"], _family([[1], [1], [1]], [_HUGE, 1, 1]), "size-limit", "a[1]"),
         # a nonzero weight that rounds to 0.0 is not a zero weight
         (["potentials"], _family([[1], [1], [1]], [_TINY, 1, 1]), "size-limit", "a[1]"),
+        # the documented refusals of an input's shape
+        (["partition"], [{"ground": 2}], "schema", "input must be a JSON object"),
+        (["partition"], {"ground": 2, "matroids": []}, "schema", "need at least one matroid"),
+        (["matroid", "rank"], {"matroid": {"l": 1, "n": 2}, "A": [1]}, "schema", 'needs a "type" field'),
+        (["potentials"], _family([], []), "schema", 'needs a nonempty "B"'),
+        (["matroid", "bases"], {"matroid": _linear([[1]] * 17)}, "size-limit", "n <= 16"),
+        (["matroid", "rank"], {"matroid": _linear([[1, 0], [1]]), "A": [1]}, "ground-set", "equal length"),
     ],
 )
 def test_rows_that_are_not_arrays_and_entries_beyond_double_range_are_refused(capsys, tmp_path, args, payload, code, message):
     # each used to exit 1 with an uncaught TypeError or OverflowError, or
-    # to answer exit 0 (a string row), or to call a nonzero weight zero
+    # to answer exit 0 (a string row), or to call a nonzero weight zero; the
+    # shape refusals after them had no case
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     exit_code = main([*args, "-i", str(path)])

@@ -213,12 +213,22 @@ OBJECT_ARGUMENTS = {"Context": ("matroid",), "System": ("ctx",), "FlatFrameStruc
 def test_objects_of_the_wrong_kind_get_a_type_error_at_construction(cases, name):
     # each pool value in place of each object argument: a TypeError from
     # the constructor, where an AttributeError came at the first use before
-    # ("'float' object has no attribute 'full_rank'"); a jet may be None
+    # ("'float' object has no attribute 'full_rank'"); a jet of None too,
+    # since every evaluation reads one of the two jets
     function, fixed, values = cases[name]
     for argument in OBJECT_ARGUMENTS[name]:
         for bad in POOL:
             outcome = _call((function, {**fixed, argument: bad}, {}), copy.deepcopy(values))
-            assert outcome == ("result" if bad is None and "jet" in argument else "wrong kind"), (name, argument, bad)
+            assert outcome == "wrong kind", (name, argument, bad)
+
+
+@pytest.mark.parametrize("missing", ["jet", "frame_jet"])
+def test_a_structure_takes_both_jets(cases, missing):
+    # a structure without either jet used to be built and refused with a
+    # PreconditionError by the first evaluation that read it
+    function, fixed, values = cases["FlatFrameStructure"]
+    fixed = {key: value for key, value in fixed.items() if key != missing}
+    assert _call((function, fixed, {}), copy.deepcopy(values)) == "wrong kind"
 
 
 @pytest.mark.parametrize("bad", [1.5, "M", None, UniformMatroid])

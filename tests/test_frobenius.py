@@ -35,7 +35,7 @@ from matpot import (
     verify_axioms,
 )
 from matpot.cli import main
-from matpot.frobenius import HomogeneousPolynomial, _factorial_multi
+from matpot.frobenius import HomogeneousPolynomial
 from matpot.series import SeriesSpace
 
 from oracles import (
@@ -45,9 +45,12 @@ from oracles import (
     exact_k1_pairing_jet,
     locally_related,
     loop_second_kind_table,
+    monomial_index,
+    multi_factorial,
     plain_frame,
     plain_pairing,
     remainder_swap_residual,
+    taylor_shift,
     tuple_check_first_kind,
     tuple_check_second_kind,
 )
@@ -192,7 +195,7 @@ def test_first_kind_matches_exact_oracle(all_structures, all_families):
     for F, data in zip(all_structures, all_families):
         Q = first_kind_polynomial(F)
         for T, value in Q.coefficients.items():
-            exact = float(_exact_jet(data, T, 0)[(0,) * F.n]) / _factorial_multi(T)
+            exact = float(_exact_jet(data, T, 0)[(0,) * F.n]) / multi_factorial(T)
             assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
@@ -345,9 +348,14 @@ def _counting(F, calls):
         m=F.m,
         basepoint=F.basepoint,
         mu=F.mu,
-        jet=None if F.jet is None else wrap("jet", F.jet),
-        frame_jet=None if F.frame_jet is None else wrap("frame_jet", F.frame_jet),
+        jet=wrap("jet", F.jet),
+        frame_jet=wrap("frame_jet", F.frame_jet),
     )
+
+
+def _unread(*args):
+    """A jet for a structure whose test never reads it."""
+    raise AssertionError("this jet is not read")
 
 
 def test_second_kind_size_limit_before_any_evaluation(fixture_structure):
@@ -373,17 +381,6 @@ def test_second_kind_rejects_non_integer_n_max(fixture_structure, n_max):
     calls = []
     with pytest.raises(PreconditionError, match="n_max must be an integer"):
         second_kind_truncation(_counting(fixture_structure, calls), n_max)
-    assert calls == []
-
-
-def test_second_kind_needs_a_jet(fixture_structure):
-    calls = []
-    F = dataclasses.replace(_counting(fixture_structure, calls), jet=None)
-    with pytest.raises(PreconditionError, match="jet"):
-        second_kind_truncation(F, 4)
-    # the first-kind coefficients read the same pairing jet
-    with pytest.raises(PreconditionError, match="jet"):
-        first_kind_polynomial(F)
     assert calls == []
 
 
@@ -427,29 +424,6 @@ def test_malformed_points_get_structured_errors(fixture_structure, fixture_data,
             verify_axioms(_counting(fixture_structure, calls), [fixture_structure.basepoint + 0.01, z])
         with pytest.raises(GroundSetError, match=message):
             critical_points(fixture_data, z)
-    assert calls == []
-
-
-def test_verify_axioms_needs_a_frame_jet(fixture_structure):
-    calls = []
-    F = dataclasses.replace(_counting(fixture_structure, calls), frame_jet=None)
-    with pytest.raises(PreconditionError, match="frame_jet"):
-        verify_axioms(F, [F.basepoint], hard_threshold=None)
-    assert calls == []
-    # both checks read the flat frame from the constant terms of a frame jet
-    Q, L = first_kind_polynomial(fixture_structure), second_kind_truncation(fixture_structure, 4)
-    with pytest.raises(PreconditionError, match="frame_jet"):
-        check_first_kind(F, Q)
-    with pytest.raises(PreconditionError, match="frame_jet"):
-        check_second_kind(F, L)
-    assert calls == []
-
-
-def test_remainder_swap_needs_a_jet(fixture_structure):
-    calls = []
-    F = dataclasses.replace(_counting(fixture_structure, calls), jet=None)
-    with pytest.raises(PreconditionError, match="jet"):
-        remainder_swap_residual(F, F.context().system((2, 1)), 1, 2)
     assert calls == []
 
 
@@ -666,7 +640,7 @@ def test_verify_axioms_flags_nonflat_frame():
         # the linear jet of that data at each point: d C_1 / d z_2 = 1, all
         # else constant
         H = space.constant(np.array([[higgs(1, z), higgs(2, z)] for z in points]))
-        H[:, 0, 0, 0, space.index[(0, 1)]] = 1.0
+        H[:, 0, 0, 0, monomial_index(space)[(0, 1)]] = 1.0
         return H, space.constant(np.ones((len(points), 1))), space.constant(np.ones((len(points), 1, 1)))
 
     F = FlatFrameStructure(
@@ -674,6 +648,7 @@ def test_verify_axioms_flags_nonflat_frame():
         m=2,
         basepoint=np.array([1.0, -1.0]),
         mu=1,
+        jet=_unread,
         frame_jet=frame_jet,
     )
     report = verify_axioms(F, [F.basepoint], hard_threshold=None)
@@ -714,11 +689,12 @@ def test_pairing_jets_match_exact_oracle(all_structures, all_families):
         members = _strong_members(F)
         space = SeriesSpace(F.n, 3)
         jets = F.jet(space, members)
+        index = monomial_index(space)
         scale = max(1.0, float(np.max(np.abs(jets))))
         picks = range(len(members)) if F.n == 2 else (0, len(members) // 2, len(members) - 1)
         for j in picks:
             for alpha, value in _exact_jet(data, members[j], 3).items():
-                assert abs(jets[j, space.index[alpha]] - float(value)) <= 1e-12 * scale
+                assert abs(jets[j, index[alpha]] - float(value)) <= 1e-12 * scale
         # every member's constant term is the plain flat-frame pairing at x
         frame = plain_frame(data, F.basepoint)
         for j, t2 in enumerate(members):
@@ -734,6 +710,7 @@ def test_reproducer_coefficient_is_exactly_zero():
     members = _strong_members(F)
     space = SeriesSpace(F.n, 3)
     jets = F.jet(space, members)
+    index = monomial_index(space)
     scale = max(1.0, float(np.max(np.abs(jets))))
     for t2 in [(0, 1, 0, 1, 1), (1, 2, 0, 0, 0)]:
         exact = _exact_jet(_REPRODUCER, t2, 3)
@@ -741,7 +718,7 @@ def test_reproducer_coefficient_is_exactly_zero():
         assert exact[alpha] == 0
         j = members.index(t2)
         for beta, value in exact.items():
-            assert abs(jets[j, space.index[beta]] - float(value)) <= 1e-12 * scale
+            assert abs(jets[j, index[beta]] - float(value)) <= 1e-12 * scale
 
 
 def test_second_kind_spread_at_order_mk_plus_5(random_k1_structures):
@@ -767,7 +744,8 @@ def test_jet_top_degree_matches_exact_oracle_at_order_6():
     jet = F.jet(space, [T2])[0]
     exact = {alpha: float(v) for alpha, v in _exact_jet(_N4, T2, 6).items() if sum(alpha) == 6}
     want = np.array(list(exact.values()))
-    got = jet[[space.index[alpha] for alpha in exact]]
+    index = monomial_index(space)
+    got = jet[[index[alpha] for alpha in exact]]
     assert np.abs(got - want).max() <= 1.5e-12 * np.abs(want).max()
 
 
@@ -777,6 +755,61 @@ def test_second_kind_holds_at_high_orders(data, n_max):
     # here (spreads 2.4e-6 and 1.1e-6), from roundoff, not from the structure
     L = second_kind_truncation(structure_from_arrangement(data, 2), n_max)
     assert L.spread_max <= 1e-6
+
+
+# the rank-2 instance with mu = 8: two parallel rows, one pair of equal rows
+_MU8 = ArrangementData(
+    [(-1, -1), (0, 1), (0, 1), (2, 3), (1, 2), (-3, -3)],
+    [2, 3, 3, 3, 3, 1],
+    [-0.1 + 0.2j, 1.8 + 0.1j, 0.3 - 0.2j, -1.6 + 0.2j, 1.6 + 0.2j, 0.8],
+)
+
+
+def _divided_twice(F):
+    """F whose second-kind candidates are divided by T! twice: the pairing
+    jet of member T2 at delta^alpha divided by (alpha + T2)!."""
+
+    def jet(space, members):
+        T = space.exponents[None] + np.array(members)[:, None]
+        fact = np.array([[multi_factorial(t) for t in row] for row in T.tolist()], dtype=float)
+        return F.jet(space, members) / fact
+
+    return dataclasses.replace(F, jet=jet)
+
+
+def _cross_basepoint_defects(F, moved, n_max, h):
+    """{d: defect} for d from mk + 1 to n_max - 2: the worst |c'_T - s_T|
+    over the T of degree d determined at the moved basepoint x + h
+    (provenance "averaged"), relative to the largest such |c'_T|, where c'
+    is the second-kind table of ``moved`` and s that of F at x re-expanded
+    at x + h (``taylor_shift``)."""
+    L, M = second_kind_truncation(F, n_max), second_kind_truncation(moved, n_max)
+    shifted = taylor_shift(L.coefficients, n_max, h)
+    defects = {}
+    for d in range(F.m * F.k + 1, n_max - 1):
+        table = [T for T, how in M.provenance.items() if how.kind == "averaged" and sum(T) == d]
+        top = max(abs(M.coefficients[T]) for T in table)
+        defects[d] = max(abs(M.coefficients[T] - shifted[T]) for T in table) / top
+    return defects
+
+
+@pytest.mark.parametrize("data, n_max", [(_N4, 9), (_REPRODUCER, 9), (_MU8, 8)], ids=["n4", "reproducer", "mu8"])
+def test_potentials_agree_across_basepoints(data, n_max):
+    # the table at x re-expanded at x' = x + 1e-4 u matches the table built
+    # at x' within 1e-7 at every degree <= n_max - 2 (worst 1.2e-10, the
+    # reproducer at degree 7, where the shift misses the terms of degree
+    # above n_max, of relative order |h|^3); the first-kind polynomial is
+    # the same at both (worst 3.3e-15, mu8); a table whose candidates are
+    # divided by T! twice fails at every degree (at least 2.7e-5, the
+    # reproducer at degree 3)
+    h = 1e-4 * np.random.default_rng(0).standard_normal(data.n)
+    F = structure_from_arrangement(data, 2)
+    moved = structure_from_arrangement(ArrangementData(data.matrix, data.weights, data.basepoint + h), 2)
+    assert max(_cross_basepoint_defects(F, moved, n_max, h).values()) <= 1e-7
+    Q, Q_moved = first_kind_polynomial(F), first_kind_polynomial(moved)
+    top = max(abs(c) for c in Q.coefficients.values())
+    assert max(abs(c - Q_moved.coefficients[T]) for T, c in Q.coefficients.items()) <= 1e-12 * top
+    assert min(_cross_basepoint_defects(_divided_twice(F), _divided_twice(moved), n_max, h).values()) > 1e-7
 
 
 def test_jet_size_limit_before_any_evaluation(random_k1_structures):
@@ -810,7 +843,7 @@ def _noise_structure(matroid, m, seed):
         return out
 
     return FlatFrameStructure(
-        matroid=matroid, m=m, basepoint=np.zeros(matroid.ground.n), mu=1, jet=jet
+        matroid=matroid, m=m, basepoint=np.zeros(matroid.ground.n), mu=1, jet=jet, frame_jet=_unread
     )
 
 
@@ -900,8 +933,8 @@ def test_checks_match_the_per_tuple_reference(all_structures):
         L = second_kind_truncation(F, F.m * F.k + 3)
         scale = max(
             1.0,
-            max(abs(c) * _factorial_multi(T) for T, c in Q.coefficients.items()),
-            max(abs(c) * _factorial_multi(T) for T, c in L.coefficients.items() if sum(T) == F.m * F.k + 1),
+            max(abs(c) * multi_factorial(T) for T, c in Q.coefficients.items()),
+            max(abs(c) * multi_factorial(T) for T, c in L.coefficients.items() if sum(T) == F.m * F.k + 1),
         )
         assert abs(check_first_kind(F, Q) - tuple_check_first_kind(F, Q)) <= 1e-13 * scale
         assert abs(check_second_kind(F, L) - tuple_check_second_kind(F, L)) <= 1e-13 * scale
@@ -915,10 +948,10 @@ def test_checks_see_a_perturbed_coefficient(random_k1_structures):
     Q = first_kind_polynomial(F)
     L = second_kind_truncation(F, mk + 1)
     assert check_first_kind(F, Q) < 1e-10 and check_second_kind(F, L) < 1e-10
-    T = max(Q.coefficients, key=_factorial_multi)
+    T = max(Q.coefficients, key=multi_factorial)
     Q.coefficients[T] += 1e-6
     assert check_first_kind(F, Q) >= 1e-6
-    T = max((T for T in L.coefficients if sum(T) == mk + 1), key=_factorial_multi)
+    T = max((T for T in L.coefficients if sum(T) == mk + 1), key=multi_factorial)
     L.coefficients[T] += 1e-6
     assert check_second_kind(F, L) >= 1e-6
 

@@ -73,6 +73,13 @@ def test_ground_set_errors():
         M.rank({4})
 
 
+def test_linear_rows_must_exist_and_be_of_equal_length():
+    with pytest.raises(GroundSetError, match="at least one row"):
+        LinearMatroid([])
+    with pytest.raises(GroundSetError, match="equal length"):
+        LinearMatroid([(1, 0), (1,)])
+
+
 def test_float_entries_rejected():
     with pytest.raises(GroundSetError):
         LinearMatroid([(0.5, 1)])

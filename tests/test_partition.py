@@ -52,6 +52,11 @@ def test_witness_example():
     assert result.validate(P)
 
 
+def test_partition_problem_refuses_ground_sets_of_different_sizes():
+    with pytest.raises(PreconditionError, match="same ground set"):
+        PartitionProblem((UniformMatroid(1, 2), UniformMatroid(1, 3)))
+
+
 def test_linear_plus_uniform_example():
     base = LinearMatroid([(1, 0), (2, 0), (0, 1)])
     lifted = LiftedMatroid(base, 3, (1, 2, 3))  # identity lift

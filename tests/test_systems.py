@@ -644,6 +644,13 @@ def test_descent_move_rejects_equal(ctx_u13_m2):
         descent_move(goods[0], goods[0])
 
 
+def test_descent_move_rejects_decompositions_of_different_systems(ctx_u13_m2):
+    dT = all_good_decompositions(ctx_u13_m2.system((2, 1, 1)))[0]
+    dS = all_good_decompositions(ctx_u13_m2.system((2, 2, 1)))[0]
+    with pytest.raises(PreconditionError, match="same system"):
+        descent_move(dT, dS)
+
+
 def _descent_contexts():
     for k, n in [(1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (3, 5)]:
         for m in (1, 2, 3):
