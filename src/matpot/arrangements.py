@@ -140,9 +140,9 @@ class ArrangementData:
         denominators) for every k-set I, keyed in lexicographic order: exact
         ints by Laplace expansion along column j of the minors on the first j
         columns, sum_j C(n, j) j products and no division.  n > 16 raises
-        SizeLimitError before the table is built."""
-        if self.n > 16:
-            raise SizeLimitError("base enumeration limited to n <= 16")
+        SizeLimitError before the table is built
+        (``GroundSet.check_enumerable``)."""
+        self.matroid.ground.check_enumerable()
         rows, table = self.matroid._int_rows, {(): 1}
         for j in range(self.k):
             table = {J: sum((-1) ** (t + j) * rows[e - 1][j] * table[J[:t] + J[t + 1:]] for t, e in enumerate(J))
@@ -641,11 +641,12 @@ def _eigen_candidates(data: ArrangementData, zs):
 
 def _accept(data: ArrangementData, zs, candidates):
     """The fibers over the rows of zs (S, n) as (points (S mu, k),
-    residuals (S mu,)), fiber after fiber, from mu = len(candidates) / S
+    residuals (S mu,), f (S mu, n), Hessians (S mu, k, k), their
+    determinants (S mu,)), fiber after fiber, from mu = len(candidates) / S
     candidates per fiber, all refined by one Newton pass, each in the box
     ESCAPE_RADIUS (1 + max |finite candidate of its fiber|); or
     DiscriminantError for the first fiber refused.  scale is 1 + max |z_i|
-    of the fiber.
+    of the fiber.  f, the Hessians and det are the values the screens read.
 
     Nothing is dropped, so in a fiber the refusals come in this order: a
     Newton failure (the first failed candidate, named as a point on a
@@ -669,7 +670,9 @@ def _accept(data: ArrangementData, zs, candidates):
     # and the points of a fiber Newton failed may not be finite
     with np.errstate(all="ignore"):
         fvals = _values(data, at, t)
-        flat = (np.abs(np.linalg.det(_hessians(data, fvals))) < 1e-12).reshape(S, mu)
+        hessians = _hessians(data, fvals)
+        dets = np.linalg.det(hessians)
+        flat = (np.abs(dets) < 1e-12).reshape(S, mu)
         near = np.abs(fvals).min(axis=1).reshape(S, mu) < 1e-8 * scales
         points = t.reshape(S, mu, -1)
         gaps = np.abs(points[:, :, None] - points[:, None]).max(axis=3)
@@ -679,7 +682,7 @@ def _accept(data: ArrangementData, zs, candidates):
     unconverged = ~(res.reshape(S, mu) <= 1e-9 * scales)
     screened = collide | near | flat
     if not (any(failures) or screened.any() or unconverged.any()):
-        return t, res
+        return t, res, fvals, hessians, dets
     for fiber in range(S):
         for s in [s for s in range(fiber * mu, (fiber + 1) * mu) if failures[s]][:1]:
             with np.errstate(all="ignore"):
@@ -700,20 +703,19 @@ def _fibers(data: ArrangementData, zs) -> list:
     complex array zs (S, n), solved in one pass: one Higgs evaluation and
     one eigenproblem per fiber (``_eigen_candidates``), one Newton pass
     over every candidate and the screens fiber by fiber (``_accept``), so a
-    refusal is that of the first fiber refused.  Each frame is that of a
-    one-fiber stack bit for bit: the stacked products keep each fiber's
-    matrix shapes.  A family whose count is 0 raises PreconditionError."""
+    refusal is that of the first fiber refused; each frame carries the f,
+    Hessians and det the screens read.  Each frame is that of a one-fiber
+    stack bit for bit: the stacked products keep each fiber's matrix
+    shapes.  A family whose count is 0 raises PreconditionError."""
     if data.count == 0:
         raise PreconditionError(NO_CRITICAL_POINTS)
     S = len(zs)
-    t, res = _accept(data, zs, _eigen_candidates(data, zs))
+    t, res, f, hessians, dets = _accept(data, zs, _eigen_candidates(data, zs))
     mu = len(t) // S
     # sorted in each fiber by the real, then the imaginary part of the last coordinate
     order = np.lexsort((t[:, -1].imag, t[:, -1].real, np.arange(len(t)) // mu))
-    points, res = t[order].reshape(S, mu, -1), res[order].reshape(S, mu)
-    f = np.matmul(points, data.B.T) + zs[:, None]
-    hessians = _hessians(data, f.reshape(S * mu, -1)).reshape(S, mu, data.k, data.k)
-    return [CriticalPointFrame(*row) for row in zip(zs, points, f, hessians, np.linalg.det(hessians), res)]
+    fields = [v[order].reshape(S, mu, *v.shape[1:]) for v in (t, f, hessians, dets, res)]
+    return [CriticalPointFrame(*row) for row in zip(zs, *fields)]
 
 
 def critical_points(data: ArrangementData, z) -> CriticalPointFrame:

@@ -20,14 +20,12 @@ from .arrangements import ArrangementData, structure_from_arrangement
 from .errors import InternalError, MatpotError, SchemaError, integer, rational, tolerance
 from .frobenius import first_kind_polynomial, second_kind_truncation, verify_axioms
 from .jsonio import (
-    complex_to_json,
     dumps_canonical,
     matroid_from_json,
     mult_key,
     parse_complex,
     parse_matrix,
     require,
-    subset_to_json,
 )
 from .partition import (
     MAX_SIZE,
@@ -89,7 +87,7 @@ def _cmd_matroid(args) -> dict:
     if args.query == "rank":
         A = require(obj, "A", list, "matroid query")
         return {"rank": M.rank(A)}
-    return {"bases": [subset_to_json(B) for B in M.bases()]}
+    return {"bases": [sorted(B) for B in M.bases()]}
 
 
 def _cmd_partition(args) -> dict:
@@ -98,17 +96,17 @@ def _cmd_partition(args) -> dict:
     if isinstance(result, DeficiencyWitness):
         return {
             "witness": {
-                "A": subset_to_json(result.A),
+                "A": sorted(result.A),
                 "size": result.size,
                 "bound": result.bound,
             }
         }
-    return {"certificate": [subset_to_json(part) for part in result.parts]}
+    return {"certificate": [sorted(part) for part in result.parts]}
 
 
 def _cmd_amin(args) -> dict:
     problem = _problem_from_json(_load_input(args))
-    minimal = subset_to_json(min_tight_set(problem))
+    minimal = sorted(min_tight_set(problem))
     return {"min_tight_set": minimal, "slack_elements": minimal, "agree": True}
 
 
@@ -143,7 +141,7 @@ def _cmd_strong_decompose(args) -> dict:
         return {
             "decomposition": None,
             "violation": {
-                "B": subset_to_json(violation.B),
+                "B": sorted(violation.B),
                 "mass": violation.mass,
                 "bound": violation.bound,
             },
@@ -200,11 +198,11 @@ def _cmd_verify_arrangement(args) -> dict:
     form = structure.frame_jet(structure.basepoint[None], structure.space(0))[2]
     return {
         "mu": structure.mu,
-        "bases": [subset_to_json(B) for B in structure.matroid.bases()],
+        "bases": [sorted(B) for B in structure.matroid.bases()],
         "report": report.as_dict(),
         "x_field_residual": float(np.max(data.base_frame.residuals)),
         "generation_rank": len(data.flat_basis),
-        "pairing_unit": complex_to_json(np.sum(1.0 / data.base_frame.det_hess)),
+        "pairing_unit": np.sum(1.0 / data.base_frame.det_hess),
         "pairing_condition": float(np.linalg.cond(form[0, ..., 0])),
     }
 
@@ -282,7 +280,7 @@ def main(argv=None) -> int:
         envelope["error"] = {"code": exc.code, "message": str(exc)}
         _emit(args, envelope)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # defensive: any other failure is an internal error
         envelope["error"] = {"code": "internal", "message": f"{type(exc).__name__}: {exc}"}
         _emit(args, envelope)
         return 1

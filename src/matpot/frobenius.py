@@ -50,7 +50,6 @@ import numpy as np
 from .errors import (
     FlatnessError,
     PreconditionError,
-    SizeLimitError,
     StructureError,
     WellDefinednessError,
     integer,
@@ -59,7 +58,7 @@ from .errors import (
 )
 from .matroids import Matroid
 from .series import SeriesSpace, graded_lex_exponents, graded_lex_position
-from .systems import MAX_TOTAL, Context
+from .systems import Context, _check_total
 
 
 @dataclass
@@ -529,16 +528,16 @@ def second_kind_truncation(
     ``provenance`` is first read.  Before any evaluation, PreconditionError
     is raised for an n_max that is not an integer (``errors.integer``) or is
     below mk + 1 and for a ``spread_tol`` that is not a finite number >= 0
-    (``errors.tolerance``); an n_max above MAX_TOTAL, or a jet whose product
-    table is too large, raises SizeLimitError.
+    (``errors.tolerance``); an n_max above MAX_TOTAL
+    (``systems._check_total``), or a jet whose product table is too large,
+    raises SizeLimitError.
     """
     ctx = F.context()
     mk = ctx.m * ctx.k
     n_max = integer(n_max, None, PreconditionError, "n_max must be an integer, got {!r}")
     if n_max < mk + 1:
         raise PreconditionError(f"n_max must be at least m*k + 1 = {mk + 1}")
-    if n_max > MAX_TOTAL:
-        raise SizeLimitError(f"good-decomposition enumeration limited to |T| <= {MAX_TOTAL}")
+    _check_total(n_max)
     spread_tol = tolerance(spread_tol, PreconditionError, "spread_tol must be finite and >= 0, got {!r}")
     n, space = F.n, F.space(n_max - mk - 1)
     # the strong second members T2, lexicographically

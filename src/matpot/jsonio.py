@@ -87,15 +87,6 @@ def matroid_from_json(obj) -> Matroid:
     raise SchemaError(f"unknown matroid type {kind!r}")
 
 
-def subset_to_json(subset) -> list[int]:
-    return sorted(subset)
-
-
-def complex_to_json(value) -> list[float]:
-    c = complex(value)
-    return [c.real, c.imag]
-
-
 def parse_complex(value) -> complex:
     """A basepoint coordinate: a JSON number or an [re, im] pair of numbers.
     An integer beyond double range gets the refusal that JSON ``Infinity``

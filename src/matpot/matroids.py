@@ -72,6 +72,13 @@ class GroundSet:
                 raise GroundSetError(message.format(e))
         return frozenset(labels)
 
+    def check_enumerable(self) -> None:
+        """SizeLimitError unless n <= 16, the largest ground set whose
+        k-subsets are enumerated (``Matroid.bases``, the arrangement's
+        table of minors)."""
+        if self.n > 16:
+            raise SizeLimitError("base enumeration limited to n <= 16")
+
 
 class Matroid:
     """Abstract independence oracle over a GroundSet.
@@ -202,9 +209,9 @@ class Matroid:
         return size - (rank - r)
 
     def bases(self) -> tuple[frozenset, ...]:
-        """All maximal independent subsets of the full ground set (n <= 16), sorted."""
-        if self.ground.n > 16:
-            raise SizeLimitError("base enumeration limited to n <= 16")
+        """All maximal independent subsets of the full ground set (n <= 16,
+        ``GroundSet.check_enumerable``), sorted."""
+        self.ground.check_enumerable()
         k = self.full_rank
         found = [
             frozenset(c)
@@ -303,7 +310,7 @@ class LinearMatroid(Matroid):
         return [self._int_rows[i - 1] for i in sorted(A)]
 
     def _independent(self, A: frozenset) -> bool:
-        return rational_rank(self._subrows(A)) == len(A)
+        return self._rank(A) == len(A)
 
     def _rank(self, A: frozenset) -> int:
         # direct exact elimination; the greedy default would give the same

@@ -129,6 +129,14 @@ class DeficiencyWitness:
 MAX_SIZE = 64  # largest number of elements a partition takes by default
 
 
+def _check_size(size: int, limit: int = MAX_SIZE) -> None:
+    """SizeLimitError when a partition of ``size`` elements exceeds
+    ``limit``: ``solve_partition``'s ground set and the units of a strong
+    search in ``systems``."""
+    if size > limit:
+        raise SizeLimitError(f"partition limited to {limit} elements, got {size}")
+
+
 _TOOK = (
     "a class at its rank bound took another element; the independence "
     "oracle is inconsistent with the matroid axioms"
@@ -277,9 +285,7 @@ def solve_partition(problem: PartitionProblem, max_size: int = MAX_SIZE):
     an integer (``errors.integer``).
     """
     max_size = integer(max_size, None, PreconditionError, "max_size must be an integer, got {!r}")
-    n = problem.ground.n
-    if n > max_size:  # by arithmetic, before any label is built
-        raise SizeLimitError(f"partition limited to {max_size} elements, got {n}")
+    _check_size(problem.ground.n, max_size)  # by arithmetic, before any label is built
     placed = _place(problem.matroids, problem.ground.labels)
     if isinstance(placed, frozenset):
         bound = sum(M.rank(placed) for M in problem.matroids)

@@ -84,6 +84,14 @@ arithmetic on the decisions of the two second members and runs no search:
 a moved decomposition's witness is built on first read, as a report
 node's is.  ``remainder_support`` is the remainder closure of one strong
 decomposition: the strongness check's search and no other.
+
+Each fact about rows has one rule: ``_row`` counts a multiset of labels
+into a multiplicity tuple (a unit, a base, the classes of a strong
+search), ``_support`` lists the labels a tuple holds, ``is_base`` tests a
+0/1 row, ``_minus`` builds each filing key T2 - [a], and ``_required``
+refuses a system that is not strong.  The size limits are checked once
+each: the units of a strong search by ``partition._check_size``, |T| by
+``_check_total``.
 """
 
 from __future__ import annotations
@@ -92,7 +100,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations, compress
+from itertools import accumulate, chain, combinations, compress
 
 import numpy as np
 
@@ -105,10 +113,31 @@ from .errors import (
     integer,
 )
 from .matroids import Matroid, UniformMatroid
-from .partition import MAX_SIZE, _place, _reach
+from .partition import _check_size, _place, _reach
 
 MAX_TOTAL = 24  # largest |T| whose good decompositions are enumerated
 FLATS_PER_SEARCH = 4  # flats the counting-bound decision may grow per undecided composition
+
+
+def _check_total(total: int, max_total: int = MAX_TOTAL) -> None:
+    """SizeLimitError when good decompositions of a system of ``total``
+    units are not enumerated: ``all_good_decompositions`` and the
+    second-kind truncation's N_max."""
+    if total > max_total:
+        raise SizeLimitError(f"good-decomposition enumeration limited to |T| <= {max_total}")
+
+
+def _row(n: int, labels) -> tuple:
+    """The multiplicity tuple over the labels 1..n of a multiset of labels."""
+    row = [0] * n
+    for j in labels:
+        row[j - 1] += 1
+    return tuple(row)
+
+
+def _support(mult) -> tuple:
+    """The labels j with mult(j) > 0 of a multiplicity tuple, ascending."""
+    return tuple(compress(range(1, len(mult) + 1), mult))
 
 
 @dataclass(frozen=True)
@@ -138,27 +167,20 @@ class Context:
         return System(self, tuple(mult))
 
     def unit(self, j: int) -> "System":
-        self.matroid.ground.check_subset([j])
-        return System(self, tuple(1 if i == j else 0 for i in self.matroid.ground.labels))
+        (j,) = self.matroid.ground.check_subset([j])
+        return System(self, _row(self.n, (j,)))
 
     def zero(self) -> "System":
         return System(self, (0,) * self.n)
 
     @cached_property
-    def base_systems(self) -> tuple["System", ...]:
-        """All bases of the matroid as 0/1 systems, in lexicographic order."""
-        out = []
-        for B in self.matroid.bases():
-            out.append(System(self, tuple(1 if j in B else 0 for j in self.matroid.ground.labels)))
-        return tuple(sorted(out, key=lambda s: s.mult))
-
-    @cached_property
     def base_sums(self) -> tuple[tuple[int, ...], ...]:
         """The sums of m bases, i.e. the strong mk-systems, as sorted
         multiplicity tuples."""
-        sums = {self.zero().mult}
+        bases = [_row(self.n, B) for B in self.matroid.bases()]
+        sums = {(0,) * self.n}
         for _ in range(self.m):
-            sums = {tuple(map(operator.add, S, B.mult)) for S in sums for B in self.base_systems}
+            sums = {tuple(map(operator.add, S, B)) for S in sums for B in bases}
         return tuple(sorted(sums))
 
     @cached_property
@@ -201,14 +223,14 @@ class System:
 
     @property
     def support(self) -> frozenset:
-        return frozenset(j for j, v in enumerate(self.mult, start=1) if v)
+        return frozenset(_support(self.mult))
 
     def __call__(self, j: int) -> int:
         return self.mult[j - 1]
 
     def __add__(self, other: "System") -> "System":
         self._check_ctx(other)
-        return System(self.ctx, tuple(a + b for a, b in zip(self.mult, other.mult)))
+        return _trusted(self.ctx, tuple(map(operator.add, self.mult, other.mult)))
 
     def try_sub(self, other: "System"):
         self._check_ctx(other)
@@ -233,8 +255,9 @@ class System:
 
 def _trusted(ctx: Context, mult: tuple) -> System:
     """The System ``mult`` of ctx without the checks of ``System``: only for
-    tuples computed from an already-validated System of ctx (a composition
-    below it, a difference T - T2 >= 0, the classes of its strong search)."""
+    tuples computed from already-validated Systems of ctx (a composition
+    below one, a difference T - T2 >= 0, a sum, the classes of its strong
+    search)."""
     system = object.__new__(System)
     fields = system.__dict__
     fields["ctx"] = ctx
@@ -249,10 +272,10 @@ def l1_distance(S: System, T: System) -> int:
 
 
 def is_base(T: System) -> bool:
-    """True iff T is a 0/1 system on a maximal independent set of size k."""
-    if T.total != T.ctx.k or any(v > 1 for v in T.mult):
-        return False
-    return T.ctx.matroid.is_independent(T.support)
+    """True iff T is a 0/1 system on a maximal independent set of size k:
+    by its size, its 0/1 entries and the matroid's independence memo."""
+    ctx = T.ctx
+    return T.total == ctx.k and max(T.mult) <= 1 and ctx.matroid._memo_independent(T.support)
 
 
 @dataclass(frozen=True)
@@ -290,19 +313,10 @@ class StrongDecomposition:
 
     def _decomposes(self, mult: tuple | None) -> bool:
         """``validate`` on the labels the parts already hold, in one context:
-        each part is a base by its size, its 0/1 entries and the matroid's
-        independence memo, and the parts and remainder sum to mult unless
-        mult is None."""
-        ctx = self.remainder.ctx
-        if len(self.parts) != ctx.m:
+        m parts, each a base (``is_base``), and the parts and remainder sum
+        to mult unless mult is None."""
+        if len(self.parts) != self.remainder.ctx.m or not all(map(is_base, self.parts)):
             return False
-        matroid, k = ctx.matroid, ctx.k
-        labels = matroid.ground.labels
-        for p in self.parts:
-            if sum(p.mult) != k or max(p.mult) > 1:
-                return False
-            if not matroid._memo_independent(frozenset(compress(labels, p.mult))):
-                return False
         return mult is None or self._total_mult == mult
 
     @cached_property
@@ -318,10 +332,8 @@ class StrongDecomposition:
         bases as classes and the remainder's labels as seeds; the
         decomposition keeps the result.
         """
-        matroid = self.remainder.ctx.matroid
-        labels = matroid.ground.labels
-        bases = [frozenset(compress(labels, p.mult)) for p in self.parts]
-        reached = _reach((matroid,) * len(bases), bases, compress(labels, self.remainder.mult))
+        bases = [p.support for p in self.parts]
+        reached = _reach((self.remainder.ctx.matroid,) * len(bases), bases, _support(self.remainder.mult))
         if not isinstance(reached, frozenset):
             raise InvalidMatroidError(
                 "a base took another element; the independence oracle is "
@@ -391,9 +403,7 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int):
     outcome = memo.get(key)
     if outcome is not None:
         return outcome
-    size = ctx.m * ctx.k + l
-    if size > MAX_SIZE:
-        raise SizeLimitError(f"partition limited to {MAX_SIZE} elements, got {size}")
+    _check_size(ctx.m * ctx.k + l)
     found = _strong_search(ctx, mult, l)
     if isinstance(found, frozenset):
         mass = sum(mult[j - 1] for j in found)
@@ -402,16 +412,8 @@ def _strong_outcome(ctx: Context, mult: tuple, l: int):
             raise InternalError("the labels the strong search reached violate no bound")
         outcome = SystemBoundViolation(B=found, mass=mass, bound=bound)
     else:
-
-        def counts(classes):
-            row = [0] * ctx.n
-            for clazz in classes:
-                for j in clazz:
-                    row[j - 1] += 1
-            return _trusted(ctx, tuple(row))
-
-        parts = [counts((B,)) for B in found[:ctx.m]]
-        outcome = StrongDecomposition.make(parts, counts(found[ctx.m:]))
+        parts = [_trusted(ctx, _row(ctx.n, B)) for B in found[:ctx.m]]
+        outcome = StrongDecomposition.make(parts, _trusted(ctx, _row(ctx.n, chain(*found[ctx.m:]))))
         if not outcome._decomposes(mult):
             raise InternalError("the strong search produced an invalid strong decomposition")
     memo[key] = outcome
@@ -524,7 +526,7 @@ def _binding_flats(ctx: Context, whole: tuple, limit: int):
     binding G passes this test with that G.
     """
     matroid, m, k = ctx.matroid, ctx.m, ctx.k
-    labels = [j for j, v in enumerate(whole, 1) if v]
+    labels = _support(whole)
     mass = [whole[j - 1] for j in labels]
     size = len(labels)
     top = min(k - 1, (sum(mass) - 1) // m)  # the highest rank that can bind
@@ -586,8 +588,9 @@ def _decide(ctx: Context, whole: tuple, misses: list) -> None:
     incidence of the binding flats of rank < k (``_binding_flats``) and
     compared with 1 + m r, and the tight rows are multiplied by the
     complement of the incidence: a label with no tight flat missing it is
-    in the remainder closure.  Rows go through in chunks that keep each
-    product near 2^20 entries.
+    in the remainder closure, and each such a gives a filing key T2 - [a]
+    (``_minus``, as in the search branch).  Rows go through in chunks that
+    keep each product near 2^20 entries.
 
     On the inputs measured, growing a flat costs from a twentieth to a half
     of what deciding one miss by the label search costs (``_strong_outcome``
@@ -597,7 +600,7 @@ def _decide(ctx: Context, whole: tuple, misses: list) -> None:
     is at most about twice that search's cost.
     """
     decisions = ctx._decisions
-    if ctx.matroid._memo_rank(frozenset(j for j, v in enumerate(whole, 1) if v)) < ctx.k:
+    if ctx.matroid._memo_rank(frozenset(_support(whole))) < ctx.k:
         decisions.update(dict.fromkeys(misses))  # no base lies below whole
         return
     flats = _binding_flats(ctx, whole, FLATS_PER_SEARCH * len(misses))
@@ -615,20 +618,12 @@ def _decide(ctx: Context, whole: tuple, misses: list) -> None:
     step = max(1, (1 << 20) // max(1, len(bound), len(labels)))
     for start in range(0, len(misses), step):
         chunk = misses[start:start + step]
-        whole_rows = np.array(chunk)
-        rows = whole_rows[:, columns]
+        rows = np.array(chunk)[:, columns]
         masses = rows @ incidence.T
         strong = ~(masses > bound).any(axis=1)
-        closed = ((masses == bound).astype(np.int64) @ outside == 0) & (rows > 0) & strong[:, None]
-        at, column = np.nonzero(closed)  # by row, then by label, ascending
-        keys = whole_rows[at]
-        keys[np.arange(len(at)), columns[column]] -= 1
-        keys = list(map(tuple, keys.tolist()))
-        ends = np.cumsum(closed.sum(axis=1)).tolist()
-        begin = 0
-        for mult, ok, end in zip(chunk, strong.tolist(), ends):
-            decisions[mult] = tuple(keys[begin:end]) if ok else None
-            begin = end
+        closed = ((masses == bound).astype(np.int64) @ outside == 0) & (rows > 0)
+        for mult, ok, row in zip(chunk, strong.tolist(), closed.tolist()):
+            decisions[mult] = tuple(_minus(mult, a) for a in compress(labels, row)) if ok else None
 
 
 def _decision(ctx: Context, mult: tuple):
@@ -654,15 +649,14 @@ def _shared_witness(T2: System) -> StrongDecomposition:
     the memo cores, so only the sum is checked here: bases plus [a] must
     give T2 (InternalError otherwise).  The outcome is memoized, so every
     node whose first key is U reuses it.  PreconditionError when T2 is not
-    strong (``_strong_keys``)."""
+    strong (``_required``)."""
     ctx, mult = T2.ctx, T2.mult
-    key = _strong_keys(T2)[0]
+    key = _required(_decision(ctx, mult))[0]
     rest = _strong_outcome(ctx, key, 0)
     if not isinstance(rest, StrongDecomposition):
         raise InternalError("a label of the remainder closure left a system that is not strong")
-    unit = [0] * ctx.n
-    unit[_key_label(mult, key) - 1] = 1
-    witness = StrongDecomposition(parts=rest.parts, remainder=_trusted(ctx, tuple(unit)))
+    unit = _trusted(ctx, _row(ctx.n, (_key_label(mult, key),)))
+    witness = StrongDecomposition(parts=rest.parts, remainder=unit)
     if witness._total_mult != mult:
         raise InternalError("shared bases plus one label do not decompose the second member")
     return witness
@@ -684,10 +678,8 @@ def all_good_decompositions(T: System, max_total: int = MAX_TOTAL) -> tuple[Good
     need = ctx.m * ctx.k + 1
     if T.total < need:
         raise ArityError(f"|T| = {T.total} < m*k + 1 = {need}")
-    if T.total > max_total:
-        raise SizeLimitError(f"good-decomposition enumeration limited to |T| <= {max_total}")
-    if need > MAX_SIZE:  # the search decider's size limit, whichever decider runs
-        raise SizeLimitError(f"partition limited to {MAX_SIZE} elements, got {need}")
+    _check_total(T.total, max_total)
+    _check_size(need)  # the search decider's size limit, whichever decider runs
     decisions = ctx._decisions
     whole = T.mult
     compositions = list(_bounded_compositions(need, whole))
@@ -765,9 +757,9 @@ def equivalence_report(T: System, max_total: int = MAX_TOTAL) -> EquivalenceRepo
     return EquivalenceReport(nodes=nodes, edges=tuple(edges), components=components)
 
 
-def _require_strong(T: System, l: int) -> StrongDecomposition:
-    """The memoized strong decomposition of T; PreconditionError if none."""
-    found = find_strong_decomposition(T, l)
+def _required(found):
+    """``found``, a strong decomposition or a decision's filing keys, or
+    PreconditionError when it is None: the system is not strong."""
     if found is None:
         raise PreconditionError("the system is not strong for this remainder size")
     return found
@@ -783,7 +775,7 @@ def remainder_support(T: System, l: int) -> frozenset:
     l = _check_arity(T.ctx, T.mult, l)
     if l < 1:
         raise PreconditionError("remainder support needs l >= 1")
-    return _require_strong(T, l)._remainder_closure
+    return _required(find_strong_decomposition(T, l))._remainder_closure
 
 
 @dataclass(frozen=True)
@@ -810,22 +802,6 @@ def _exchange(d: GoodDecomposition, a: int, b: int) -> GoodDecomposition:
     return GoodDecomposition(_trusted(ctx, tuple(T1)), _trusted(ctx, tuple(T2)))
 
 
-def _whole(d: GoodDecomposition) -> tuple:
-    """The multiplicities of d.T1 + d.T2 (PreconditionError if their
-    contexts differ), without a System."""
-    d.T1._check_ctx(d.T2)
-    return tuple(map(operator.add, d.T1.mult, d.T2.mult))
-
-
-def _strong_keys(X2: System) -> tuple[tuple, ...]:
-    """The filing keys X2 - [a] of the second member X2, ascending in a,
-    from its decision; PreconditionError when X2 is not strong."""
-    keys = _decision(X2.ctx, X2.mult)
-    if keys is None:
-        raise PreconditionError("the system is not strong for this remainder size")
-    return keys
-
-
 def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
     """Construct the exchange that brings the second members strictly closer.
 
@@ -845,15 +821,14 @@ def descent_move(dT: GoodDecomposition, dS: GoodDecomposition) -> DescentMove:
     decisions' keys and no search runs; a moved member's witness is built
     on first read (``GoodDecomposition``).
     """
-    whole_t, whole_s = _whole(dT), _whole(dS)
-    if dT.T1.ctx != dS.T1.ctx or whole_t != whole_s:
+    if dT.whole != dS.whole:  # one context and one sum
         raise PreconditionError("good decompositions do not decompose the same system")
     if dT == dS:
         raise PreconditionError("descent move needs two distinct good decompositions")
     ctx = dT.T1.ctx
     S2, T2 = dS.T2, dT.T2
-    keys_s = _strong_keys(S2)
-    keys_t = _strong_keys(T2)
+    keys_s = _required(_decision(ctx, S2.mult))  # the filing keys, ascending in the label
+    keys_t = _required(_decision(ctx, T2.mult))
     labels = ctx.matroid.ground.labels
     before = l1_distance(T2, S2)
     b = min(l for l in labels if dT.T1(l) > dS.T1(l))

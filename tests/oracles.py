@@ -115,7 +115,14 @@ from matpot import (
 )
 from matpot.arrangements import FamilyAlgebra
 from matpot.matroids import _eliminate
-from matpot.systems import SystemBoundViolation, _check_arity, _require_strong
+from matpot.systems import SystemBoundViolation, _check_arity, _required
+
+
+def base_systems(ctx) -> list:
+    """The bases of ctx's matroid as 0/1 systems, in lexicographic order
+    of their multiplicity vectors."""
+    labels = ctx.matroid.ground.labels
+    return sorted((ctx.system([int(j in B) for j in labels]) for B in ctx.matroid.bases()), key=lambda s: s.mult)
 
 
 def multi_factorial(T) -> int:
@@ -570,7 +577,7 @@ def label_remainder_support(T: System, l: int) -> frozenset:
     if l < 1:
         raise PreconditionError("remainder support needs l >= 1")
     _check_arity(T.ctx, T.mult, l)
-    _require_strong(T, l)
+    _required(find_strong_decomposition(T, l))
     out = []
     for j in sorted(T.support):
         if find_strong_decomposition(T - T.ctx.unit(j), l - 1) is not None:
@@ -598,8 +605,8 @@ def remainder_alternative(S: System, T: System) -> RemainderAlternative:
     """Decide which exchange alternative holds for strong (mk+1)-systems S, T."""
     _check_arity(S.ctx, S.mult, 1)
     _check_arity(T.ctx, T.mult, 1)
-    _require_strong(S, 1)
-    _require_strong(T, 1)
+    _required(find_strong_decomposition(S, 1))
+    _required(find_strong_decomposition(T, 1))
     ctx = T.ctx
     for i in sorted(label_remainder_support(T, 1)):
         if T(i) > S(i):

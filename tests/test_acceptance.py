@@ -40,6 +40,7 @@ from matpot.systems import _bounded_compositions
 
 from oracles import (
     LiftedMatroid,
+    base_systems,
     circuits_within,
     fix2_pair_unit,
     min_tight_subset,
@@ -322,9 +323,10 @@ def test_criterion_8_exchange_moves(all_structures):
     while moves < 100:
         F = rng.choice(all_structures)
         ctx = F.context()
+        bases = base_systems(ctx)
         mk = ctx.m * ctx.k
         # random strong mk-part plus remainder [a]
-        parts = [rng.choice(ctx.base_systems) for _ in range(ctx.m)]
+        parts = [rng.choice(bases) for _ in range(ctx.m)]
         total = ctx.zero()
         for p in parts:
             total = total + p

@@ -94,6 +94,7 @@ def test_arrangement_validation():
 @pytest.mark.parametrize("z, message", [
     ([1, 2], "basepoint must have 3 coordinates"),
     ([float("nan"), 1, 2], "basepoint coordinates must be finite"),
+    ([np.zeros(3), np.zeros((3, 3))], "basepoint must have 3 coordinates"),  # nested unevenly
 ])
 def test_higgs_refuses_a_point_as_critical_points_does(z, message):
     # a point of the wrong length or with a non-finite coordinate gets the

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import matpot.arrangements
+import matpot.cli
 import matpot.errors
 import matpot.matroids
 import matpot.partition
@@ -21,7 +22,9 @@ import matpot.systems
 from matpot import (
     ArrangementData,
     Context,
+    InternalError,
     LinearMatroid,
+    SchemaError,
     UniformMatroid,
     __version__,
     critical_points,
@@ -501,6 +504,43 @@ def test_domain_error_exit_code(capsys, tmp_path):
     code, out = run_cli(capsys, ["partition", "--bound", "2"], payload, tmp_path)
     assert code == 2
     assert json.loads(out)["error"]["code"] == "size-limit"
+
+
+@pytest.mark.parametrize("failure, message", [
+    (InternalError("the search lost a unit"), "the search lost a unit"),
+    (KeyError(3), "KeyError: 3"),
+])
+def test_internal_failures_exit_1_with_an_envelope(capsys, tmp_path, monkeypatch, failure, message):
+    # an InternalError, and any exception that is not a MatpotError, is a
+    # bug signal: exit 1 with the "internal" code, never a traceback
+    def fail(problem, max_size):
+        raise failure
+
+    monkeypatch.setattr(matpot.cli, "solve_partition", fail)
+    payload = {"ground": 2, "matroids": [{"type": "uniform", "l": 1, "n": 2}]}
+    code, out = run_cli(capsys, ["partition"], payload, tmp_path)
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "internal", "message": message}
+
+
+@pytest.mark.parametrize("value, message", [
+    (float("nan"), "non-finite float"),
+    (float("inf"), "non-finite float"),
+    ([1.0, -float("inf")], "non-finite float"),
+    ({1: "a"}, "keys must be strings"),
+    ({"a": {(1, 2): 0}}, "keys must be strings"),
+    ({1, 2}, "cannot serialize set"),
+    (Fraction(1, 2), "cannot serialize Fraction"),
+])
+def test_canonical_json_refuses_what_json_cannot_hold(value, message):
+    with pytest.raises(SchemaError, match=message):
+        dumps_canonical(value)
+
+
+def test_canonical_json_renders_literals_and_complex_numbers():
+    # a numpy complex renders as the [re, im] pair of the Python complex
+    assert dumps_canonical([True, False, None, 0, -0.5]) == "[true,false,null,0,-0.5]"
+    assert dumps_canonical(np.complex128(1 / 3 - 2j)) == dumps_canonical(1 / 3 - 2j) == "[0.33333333333333331,-2]"
 
 
 def test_bad_json_input(capsys, tmp_path):

@@ -57,6 +57,22 @@ def test_partition_problem_refuses_ground_sets_of_different_sizes():
         PartitionProblem((UniformMatroid(1, 2), UniformMatroid(1, 3)))
 
 
+def test_partition_problem_needs_a_matroid():
+    with pytest.raises(PreconditionError, match="at least one matroid"):
+        PartitionProblem(())
+
+
+@pytest.mark.parametrize("parts", [
+    (frozenset({1, 2, 3}),),  # one part for two matroids
+    (frozenset({1}), frozenset({2}), frozenset({3})),  # three parts for two
+    (frozenset({1, 2}), frozenset({2, 3})),  # label 2 in both parts
+])
+def test_certificate_needs_one_disjoint_part_per_matroid(parts):
+    P = PartitionProblem((UniformMatroid(2, 3), UniformMatroid(2, 3)))
+    assert PartitionCertificate(parts).validate(P) is False
+    assert PartitionCertificate((frozenset({1, 2}), frozenset({3}))).validate(P) is True
+
+
 def test_linear_plus_uniform_example():
     base = LinearMatroid([(1, 0), (2, 0), (0, 1)])
     lifted = LiftedMatroid(base, 3, (1, 2, 3))  # identity lift

@@ -19,6 +19,7 @@ from matpot import (
     InternalError,
     LinearMatroid,
     PreconditionError,
+    SizeLimitError,
     StrongDecomposition,
     System,
     UniformMatroid,
@@ -35,6 +36,7 @@ from matpot.systems import SystemBoundViolation, _bounded_compositions, _strong_
 
 from oracles import (
     LiftedMatroid,
+    base_systems,
     brute_compositions,
     brute_good_decompositions,
     brute_locally_related,
@@ -117,6 +119,30 @@ def test_strong_decomposition_refuses_mixed_contexts():
     assert good.validate() and good.validate(linear.system((1, 1, 1)))
     assert not good.validate(linear.system((1, 2, 1)))
     assert not good.validate(Context(linear.matroid, 2).system((1, 1, 1)))
+
+
+@pytest.mark.parametrize("parts, remainder", [
+    ([], (1, 1, 1)),  # no part for m = 1
+    ([(1, 0, 1), (1, 0, 1)], (0, 1, 0)),  # two parts for m = 1
+    ([(2, 0, 0)], (0, 1, 0)),  # a part that is not 0/1
+    ([(1, 0, 0)], (0, 1, 1)),  # a part of one label for k = 2
+    ([(1, 1, 1)], (0, 0, 0)),  # a part of three labels for k = 2
+])
+def test_strong_decomposition_needs_m_parts_that_are_bases(parts, remainder):
+    ctx = Context(LinearMatroid([[1, 0], [1, 0], [0, 1]]), 1)
+    dec = StrongDecomposition.make([ctx.system(p) for p in parts], ctx.system(remainder))
+    assert dec.validate() is False
+    assert dec.validate(ctx.system((1, 1, 1))) is False
+
+
+def test_enumeration_past_the_partition_size_is_refused():
+    # |T| = 65 passes a raised max_total, but each composition has m k + 1 =
+    # 65 units, one more than a strong search takes
+    T = Context(UniformMatroid(1, 2), 64).system((33, 32))
+    with pytest.raises(SizeLimitError, match="^partition limited to 64 elements, got 65$"):
+        all_good_decompositions(T, max_total=65)
+    with pytest.raises(SizeLimitError, match=r"^good-decomposition enumeration limited to \|T\| <= 24$"):
+        all_good_decompositions(T)
 
 
 def test_composition_walk_matches_brute_force():
@@ -437,10 +463,11 @@ def test_equivalence_edges_match_pairwise_definition(u13, u24):
     for M in (u13, u24, UniformMatroid(2, 5), PARALLEL_LOOP):
         for m in (1, 2, 3):
             ctx = Context(M, m)
+            bases = base_systems(ctx)
             for _ in range(4):
                 T = ctx.zero()
                 for _ in range(m):
-                    T = T + rng.choice(ctx.base_systems)
+                    T = T + rng.choice(bases)
                 for _ in range(rng.randint(1, 4)):
                     T = T + ctx.unit(rng.randint(1, ctx.n))
                 report = _check_against_pairwise(T)
@@ -954,11 +981,12 @@ def test_remainder_closure_of_every_decomposition_is_the_remainder_support():
     for M in (PARALLEL_LOOP, UniformMatroid(2, 4), UNIFORM_PARALLEL_LOOP):
         for m in (1, 2):
             ctx = Context(M, m)
+            bases = base_systems(ctx)
             for _ in range(20):
                 l = rng.randint(1, 3)
                 T = ctx.zero()
                 for _ in range(m):
-                    T = T + rng.choice(ctx.base_systems)
+                    T = T + rng.choice(bases)
                 for _ in range(l):
                     T = T + ctx.unit(rng.randint(1, ctx.n))
                 found = brute_strong_decompositions(T, l)
@@ -988,7 +1016,7 @@ def test_uniform_all_ones_needs_no_flat_above_the_loops(k, m):
     ctx = Context(UniformMatroid(k, 24), m)
     T = ctx.system((1,) * 24)
     labels, incidence, bound = matpot.systems._binding_flats(ctx, T.mult, 1)
-    assert labels == list(range(1, 25)) and incidence.shape == (0, 24) and bound.shape == (0,)
+    assert labels == tuple(range(1, 25)) and incidence.shape == (0, 24) and bound.shape == (0,)
     report = equivalence_report(T)
     mk = m * k
     assert len(report.nodes) == comb(24, mk + 1)
