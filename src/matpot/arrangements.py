@@ -23,8 +23,9 @@ sections is a genuine testable statement.  ``ArrangementData.algebra``
 builds that algebra exactly from (B, a) alone (Orlik-Terao): the relations,
 their quotient with the flat basis as its basis, and the Higgs matrices
 H_j(z) = sum_S N_{j,S} / f_S(z) in it, every coefficient a signed maximal
-minor of B from one table of the C(n, k) minors (Cramer for the relations,
-Laplace for the circuits).  The flat basis is read off the same table by a
+minor of B from the matroid's one table of the C(n, k) minors
+(``LinearMatroid.minors``; Cramer for the relations, Laplace for the
+circuits).  The flat basis is read off the same table by a
 matroid rule, no search: the bases of internal activity 0 for the reversed
 order of the labels.  The Higgs matrices come from that algebra alone:
 ``higgs`` is their value at z, and ``frame_jet`` reads their Taylor series
@@ -32,7 +33,10 @@ from the same placement product.  The family evaluates the pairing
 jets, and the frame jets' unit and form, from its basepoint fiber (or the
 fibers over a stack of sample points, solved in one pass) and flat basis,
 each computed once, so the axioms compare the algebra against the fiber;
-the fiber's residuals and Hessians are the diagnostics.
+the fiber's residuals and Hessians are the diagnostics.  The basepoint's
+series and frame jet are computed once per degree, by whichever call first
+needs them (the pairing jets, or a frame jet whose stack holds the
+basepoint), and kept by the family as read-only records.
 
 For generic weights and z the fiber has exactly mu = |sum over independent S
 with |S| <= k of (-1)^|S|| points, the Euler characteristic of the
@@ -111,6 +115,11 @@ class ArrangementData:
     weight is an exact entry or a finite float or complex number
     (``errors.rational``), the basepoint a point of n finite coordinates
     (``errors.points``); GroundSetError otherwise.
+
+    The family owns the evaluations at its basepoint: the fiber
+    (``base_frame``), and per degree the fiber's series (``_base_series``)
+    and the frame jet (``frame_jet``), each computed once by whichever call
+    first needs it and kept read-only.
     """
 
     def __init__(self, matrix, weights, basepoint):
@@ -132,22 +141,19 @@ class ArrangementData:
         self.basepoint = points([basepoint], self.n)[0]
         self.B = np.array([[_double(v.numerator, v.denominator, "B[{}][{}]", i, j) for j, v in enumerate(row, 1)]
                            for i, row in enumerate(self.matrix, 1)], dtype=complex)
-        self._base_series_of = {}  # ``_base_series`` by degree
+        # the basepoint's evaluations by degree, recorded by whichever call
+        # first needs them: ``_base_series`` and ``frame_jet``
+        self._base_series_of = {}
+        self._base_jet_of = {}
 
-    @cached_property
+    @property
     def minors(self) -> dict:
         """D_I = det of the integer rows of I (row i of B times the lcm of its
-        denominators) for every k-set I, keyed in lexicographic order: exact
-        ints by Laplace expansion along column j of the minors on the first j
-        columns, sum_j C(n, j) j products and no division.  n > 16 raises
-        SizeLimitError before the table is built
-        (``GroundSet.check_enumerable``)."""
-        self.matroid.ground.check_enumerable()
-        rows, table = self.matroid._int_rows, {(): 1}
-        for j in range(self.k):
-            table = {J: sum((-1) ** (t + j) * rows[e - 1][j] * table[J[:t] + J[t + 1:]] for t, e in enumerate(J))
-                     for J in combinations(range(1, self.n + 1), j + 1)}
-        return table
+        denominators) for every k-set I, keyed in lexicographic order: the
+        matroid's one table of maximal minors (``LinearMatroid.minors``),
+        whose column basis is every column of B.  n > 16 raises
+        SizeLimitError before the table is built."""
+        return self.matroid.minors
 
     @cached_property
     def lcms(self) -> tuple:
@@ -386,10 +392,11 @@ class ArrangementData:
 
     def _base_series(self, space: SeriesSpace):
         """``_series_fiber`` of the base frame alone (a point axis of length
-        1), computed once per degree: the pairing jets and the basepoint
-        frame jet of one degree share it."""
+        1), read-only and computed once per degree by whichever call first
+        needs it: the pairing jets, or a ``frame_jet`` whose stack holds the
+        basepoint, which records its basepoint row."""
         if space.q not in self._base_series_of:
-            self._base_series_of[space.q] = self._series_fiber(space, [self.base_frame])
+            self._base_series_of[space.q] = _read_only_row(self._series_fiber(space, [self.base_frame]), 0)
         return self._base_series_of[space.q]
 
     def pairing_jets(self, space: SeriesSpace, members) -> np.ndarray:
@@ -440,28 +447,50 @@ class ArrangementData:
         jet does not depend on their order; ``verify_axioms`` compares the
         algebra's H with the fiber's unit and form.
 
+        The basepoint's jet is computed once per degree, by the first stack
+        that holds the basepoint and is evaluated whole: its first row at
+        the basepoint is recorded, with that row's series
+        (``_base_series``), as read-only copies of a stack of one.  A stack
+        whose rows are all the basepoint, at a recorded degree or below one,
+        evaluates nothing and gets read-only views of the record, a lower
+        degree its prefix (graded lexicographic order lists the monomials of
+        lower degree first, and no recurrence reads a higher one).
+
         Every row is the jet of a stack of that row alone, bit for bit.
         Rows that are not points of n finite coordinates raise
         GroundSetError (``errors.points``), and an empty stack
         PreconditionError; when a row is refused, the refusal is the one
         that the first refused row gets alone, so the stack is then
-        evaluated row by row until that row raises.
+        evaluated row by row until that row raises, and nothing is recorded.
         """
         zs = points(zs, self.n)
         if not len(zs):
             raise PreconditionError("a frame jet needs at least one point")
+        base = np.array([np.array_equal(z, self.basepoint) for z in zs])
+        recorded = [q for q in self._base_jet_of if q >= space.q]
+        if base.all() and recorded:
+            return tuple(np.broadcast_to(v[..., :space.size], (len(zs),) + v.shape[1:-1] + (space.size,))
+                         for v in self._base_jet_of[min(recorded)])
         try:
-            return self._frame_jet(zs, space)
+            series, jet = self._frame_jet(zs, base, space)
         except (MatpotError, np.linalg.LinAlgError):
             for row in range(len(zs) - 1):
-                self._frame_jet(zs[row:row + 1], space)
+                self._frame_jet(zs[row:row + 1], base[row:row + 1], space)
             raise
+        if base.any():
+            row = int(base.argmax())
+            for memo, values in ((self._base_series_of, series), (self._base_jet_of, jet)):
+                if space.q not in memo:
+                    memo[space.q] = _read_only_row(values, row)
+        return jet
 
-    def _frame_jet(self, zs, space: SeriesSpace):
-        """``frame_jet`` of the checked rows ``zs`` in one pass."""
-        base = np.array([np.array_equal(z, self.basepoint) for z in zs])
-        if len(zs) == 1 and base[0]:
-            p, w = self._base_series(space)
+    def _frame_jet(self, zs, base, space: SeriesSpace):
+        """The series (p, w) of the fibers over the checked rows ``zs``, and
+        their ``frame_jet``, in one pass; ``base`` marks the rows at the
+        basepoint.  Records nothing: a basepoint alone reads the recorded
+        series of its degree when there is one."""
+        if len(zs) == 1 and base[0] and space.q in self._base_series_of:
+            p, w = self._base_series_of[space.q]
         else:
             fresh = iter(_fibers(self, zs[~base]) if not base.all() else [])
             p, w = self._series_fiber(space, [self.base_frame if b else next(fresh) for b in base])
@@ -473,7 +502,16 @@ class ArrangementData:
         form = space.matmul(U.swapaxes(1, 2), space.mul(U, w[:, :, None]))
         i, j = np.triu_indices(mu, 1)
         form[:, j, i] = form[:, i, j]
-        return self._higgs(zs, space), unit, form
+        return (p, w), (self._higgs(zs, space), unit, form)
+
+
+def _read_only_row(stack, row: int) -> tuple:
+    """Row ``row`` of each array of ``stack`` as a read-only copy of a stack
+    of one, so that no record is a view of its caller's arrays."""
+    copies = tuple(v[row:row + 1].copy() for v in stack)
+    for v in copies:
+        v.flags.writeable = False
+    return copies
 
 
 def _basis_products(space: SeriesSpace, x, bases) -> np.ndarray:

@@ -33,8 +33,12 @@ Every value and derivative here is a Taylor coefficient: both potentials read
 pairing jets, ``verify_axioms`` the degree-1 frame jet at each sample point
 (one stacked ``frame_jet`` call for all samples, in the order given), and
 both checks the constant terms of that jet at the basepoint.  The structure
-evaluates that basepoint jet, and the flat sections in it, once for the two
-checks and builds each SeriesSpace once.  No function takes differences.
+reads that basepoint jet, and multiplies out the flat sections in it, once
+for the two checks, and builds each SeriesSpace once; an arrangement
+family computes the basepoint's series and frame jet once per degree, by
+whichever call first needs them (for a benchmark-shaped op, the
+``verify_axioms`` stack that holds the basepoint), so the checks' jet is a
+lookup.  No function takes differences.
 """
 
 from __future__ import annotations
@@ -131,8 +135,10 @@ class FlatFrameStructure:
     @cached_property
     def basepoint_frame(self) -> tuple:
         """The degree-1 ``frame_jet`` (H, unit, form) at the basepoint, a
-        stack of one read without its point axis, evaluated once for both
-        checks."""
+        stack of one read without its point axis, read once for both
+        checks.  An arrangement family records that jet when a stack holding
+        the basepoint is first evaluated (``ArrangementData.frame_jet``), so
+        after ``verify_axioms`` at the basepoint this is a lookup."""
         return tuple(np.asarray(v, dtype=complex)[0] for v in self.frame_jet(self.basepoint[None], self.space(1)))
 
     @cached_property
@@ -600,5 +606,11 @@ def second_kind_truncation(
 def check_second_kind(F: FlatFrameStructure, L: TruncatedPotential) -> float:
     """Worst defect of d_i d_{I_1} ... d_{I_m} L, the coefficient of
     alpha + e_i times (alpha + e_i)!, against S(C_i C_{I_1} unit, C_{I_2}
-    unit, ...) in the flat frame at the basepoint (``_section_defect``)."""
+    unit, ...) in the flat frame at the basepoint (``_section_defect``).
+    A table of order n_max below mk + 1 (it then holds none of the
+    coefficients checked), or whose basepoint is not the structure's (in
+    another number of variables too), raises PreconditionError."""
+    mk = F.m * F.k
+    if L.n_max < mk + 1 or not np.array_equal(L.basepoint, F.basepoint):
+        raise PreconditionError(f"need a table in {F.n} variables of order at least {mk + 1} at the structure's basepoint")
     return _section_defect(F, L.coefficients, higgs=True)

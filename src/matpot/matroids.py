@@ -28,7 +28,10 @@ question for many elements at once, as one bool incidence of their
 circuits over the class; a linear matroid answers it with one integer
 matrix product of their rows with the class's form, in int64 when a
 Hadamard bound shows that nothing can overflow and in exact Python ints
-otherwise.  Uniform matroids keep no circuit memo: their answer costs
+otherwise.  A linear matroid's bases are read off its one table of
+maximal minors (``LinearMatroid.minors``), built once by Laplace expansion
+over a column basis, with no elimination per subset; an arrangement family
+reads the same table.  Uniform matroids keep no circuit memo: their answer costs
 less than a lookup.  The caches rely on the atomicity of single dict
 operations, so concurrent use at worst recomputes a value.
 """
@@ -74,8 +77,7 @@ class GroundSet:
 
     def check_enumerable(self) -> None:
         """SizeLimitError unless n <= 16, the largest ground set whose
-        k-subsets are enumerated (``Matroid.bases``, the arrangement's
-        table of minors)."""
+        k-subsets are enumerated (``Matroid.bases``, ``LinearMatroid.minors``)."""
         if self.n > 16:
             raise SizeLimitError("base enumeration limited to n <= 16")
 
@@ -305,6 +307,35 @@ class LinearMatroid(Matroid):
     @property
     def rank_bound(self) -> int:
         return self.width
+
+    @cached_property
+    def minors(self) -> dict:
+        """The table of maximal minors: for every r-set I of labels, r the
+        rank, keyed in lexicographic order, D_I = det of the integer rows of
+        I (``_int_rows``) on a column basis chosen greedily, the pivot
+        columns of one elimination, which is every column at full column
+        rank.  Every column is a combination of the basis columns, so I is a
+        basis exactly when D_I != 0.  Exact ints by Laplace expansion along
+        basis column j of the minors on the first j of them, sum_j C(n, j) j
+        products and no division.  n > 16 raises SizeLimitError before the
+        table is built (``GroundSet.check_enumerable``)."""
+        self.ground.check_enumerable()
+        rows = self._int_rows
+        if self.full_rank == self.width:
+            columns = range(self.width)
+        else:
+            rank, echelon = _eliminate(rows, self.width)
+            columns = [next(c for c, v in enumerate(row) if v) for row in echelon[:rank]]
+        table = {(): 1}
+        for j, c in enumerate(columns):
+            table = {J: sum((-1) ** (t + j) * rows[e - 1][c] * table[J[:t] + J[t + 1:]] for t, e in enumerate(J))
+                     for J in itertools.combinations(self.ground.labels, j + 1)}
+        return table
+
+    def bases(self) -> tuple[frozenset, ...]:
+        """All bases (n <= 16), sorted: the r-sets with D_I != 0 in
+        ``minors``, no elimination per r-set."""
+        return tuple(frozenset(I) for I, D in self.minors.items() if D)
 
     def _subrows(self, A: frozenset):
         return [self._int_rows[i - 1] for i in sorted(A)]

@@ -25,7 +25,11 @@ from matpot import (
     SizeLimitError,
     StructureError,
     UniformMatroid,
+    check_first_kind,
+    check_second_kind,
     critical_points,
+    first_kind_polynomial,
+    second_kind_truncation,
     structure_from_arrangement,
     vector_matroid,
     verify_axioms,
@@ -885,6 +889,147 @@ def test_stacked_refusal_is_the_first_refused_sample_alone(samples, culprit):
 def test_frame_jet_refuses_an_empty_stack(fixture_data):
     with pytest.raises(PreconditionError, match="at least one point"):
         fixture_data.frame_jet(np.zeros((0, 2)), SeriesSpace(2, 1))
+
+
+def _anew(data):
+    """The same family with nothing solved or recorded yet."""
+    return ArrangementData(data.matrix, data.weights, data.basepoint)
+
+
+def _record(data):
+    """The basepoint records of ``data``: series and frame jets by degree."""
+    return data._base_series_of, data._base_jet_of
+
+
+def test_recorded_basepoint_row_is_the_one_row_jet(all_families):
+    # a stack with the basepoint in the middle records its row at degree 3;
+    # that record, and its prefixes at degrees 0-2, are a fresh family's
+    # one-row frame jet and basepoint series bit for bit, and reading them
+    # evaluates nothing
+    for data in all_families + [_rank2_data(), _MIXED_EIGEN]:
+        data = _anew(data)
+        x = data.basepoint
+        moved = _moved_samples(structure_from_arrangement(data, 2), turn=True)
+        data.frame_jet(np.array([moved[0], x, moved[1]]), SeriesSpace(data.n, 3))
+        series, jets = _record(data)
+        assert list(series) == list(jets) == [3]
+        fresh = _anew(data)
+        assert all(np.array_equal(a, b) for a, b in zip(series[3], fresh._base_series(SeriesSpace(data.n, 3))))
+        for q in (3, 2, 1, 0):
+            space = SeriesSpace(data.n, q)
+            alone = _anew(data).frame_jet(x[None], space)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ArrangementData, "_frame_jet", None)
+                read = data.frame_jet(x[None], space)
+            for got, want in zip(read, alone):
+                assert got.shape == want.shape and np.array_equal(got, want)
+        assert list(series) == list(jets) == [3]
+
+
+@pytest.mark.parametrize("family", ["k2", "k3", "k4", "r55"])
+def test_degree_zero_read_of_the_degree_one_record(family):
+    # the verify-arrangement runs of mu 33, 43, 31 and 55: the CLI's degree-0
+    # form read is the prefix of the record of verify_axioms' stack, bit for
+    # bit a fresh family's degree-0 jet
+    data = _ci_family(*_CI_FAMILIES[family])
+    x = data.basepoint
+    data.frame_jet(np.array([x, x + 0.01]), SeriesSpace(data.n, 1))
+    alone = _anew(data).frame_jet(x[None], SeriesSpace(data.n, 0))
+    for got, want in zip(data.frame_jet(x[None], SeriesSpace(data.n, 0)), alone):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert list(data._base_jet_of) == [1]
+
+
+def test_refused_stacks_and_stacks_without_the_basepoint_record_nothing():
+    data = _anew(_REFUSALS)
+    x = data.basepoint
+    for stack in ([x, _DOUBLE_Z], [x, _GOOD[0], _MEET_Z], [_MEET_Z, x]):
+        with pytest.raises(DiscriminantError):
+            data.frame_jet(np.array(stack), SeriesSpace(data.n, 1))
+        assert _record(data) == ({}, {})
+    data.frame_jet(np.array(_GOOD), SeriesSpace(data.n, 1))
+    assert _record(data) == ({}, {})
+    data.frame_jet(np.array([_GOOD[0], x]), SeriesSpace(data.n, 1))
+    assert list(_record(data)[1]) == [1]
+
+
+def test_basepoint_twice_gives_two_equal_rows():
+    # evaluated whole, and again from the record
+    data, space = _anew(_rank2_data()), SeriesSpace(6, 1)
+    x = data.basepoint
+    whole = data.frame_jet(np.array([x, x]), space)
+    recorded = data.frame_jet(np.array([x, x]), space)
+    for a, b in zip(whole, recorded):
+        assert len(a) == len(b) == 2
+        assert np.array_equal(a[0], a[1]) and np.array_equal(a, b)
+
+
+def test_record_is_read_only_and_no_view_of_the_callers_stack():
+    data, space = _anew(_rank2_data()), SeriesSpace(6, 1)
+    x = data.basepoint
+    stack = data.frame_jet(np.array([x + 0.01, x]), space)
+    recorded = data._base_jet_of[1] + data._base_series_of[1]
+    assert all(not v.flags.writeable and len(v) == 1 for v in recorded)
+    assert not any(np.shares_memory(v, w) for v in recorded for w in stack)
+    kept = [v.copy() for v in recorded]
+    for part in stack:
+        part[...] = np.nan
+    assert all(np.array_equal(v, w) for v, w in zip(recorded, kept))
+    for part in data.frame_jet(x[None], space):
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[...] = 0
+
+
+def test_basepoint_series_and_frame_jet_once_per_degree(monkeypatch):
+    # a benchmark-shaped op (verify_axioms with the basepoint first, both
+    # potentials, both checks) and the CLI's degree-0 form read evaluate the
+    # basepoint's series once per degree and its frame jet once, at degree 1
+    series, jets = [], []
+    real_series, real_jet = ArrangementData._series_fiber, ArrangementData._frame_jet
+
+    def recording_series(self, space, frames):
+        if any(frame is self.base_frame for frame in frames):
+            series.append(space.q)
+        return real_series(self, space, frames)
+
+    def recording_jet(self, zs, base, space):
+        if base.any():
+            jets.append(space.q)
+        return real_jet(self, zs, base, space)
+
+    monkeypatch.setattr(ArrangementData, "_series_fiber", recording_series)
+    monkeypatch.setattr(ArrangementData, "_frame_jet", recording_jet)
+    for family in ([(1,), (1,), (2,), (2,), (1,)], (2, 4, 1, 3, 1), (0.688, -1.435, -1.47, 0.752, -0.422)), _rank2_data():
+        data = _anew(family) if isinstance(family, ArrangementData) else ArrangementData(*family)
+        F = structure_from_arrangement(data, 2)
+        verify_axioms(F, [F.basepoint] + _moved_samples(F, turn=False)[:2])
+        Q, L = first_kind_polynomial(F), second_kind_truncation(F, F.m * F.k + 3)
+        check_first_kind(F, Q)
+        check_second_kind(F, L)
+        F.frame_jet(F.basepoint[None], F.space(0))
+        assert series == [1, 2] and jets == [1]
+        del series[:], jets[:]
+
+
+def test_family_reads_the_matroids_table_of_minors(monkeypatch):
+    # the family's minors are its matroid's one table, and the bases that
+    # the structure, its context and the CLI read ask the independence
+    # oracle nothing
+    data = _rank2_data()
+    queries = []
+    real = LinearMatroid._independent
+
+    def querying(self, A):
+        queries.append(A)
+        return real(self, A)
+
+    monkeypatch.setattr(LinearMatroid, "_independent", querying)
+    F = structure_from_arrangement(data, 2)
+    assert data.minors is data.matroid.minors
+    bases = F.maximal_independent_sets()
+    assert bases == tuple(I for I, D in data.minors.items() if D) and F.context().base_sums
+    assert queries == []
 
 
 def test_stacked_mu55_frame_jet_and_flat_sections_peaks_are_bounded():

@@ -35,7 +35,7 @@ from matpot import (
     verify_axioms,
 )
 from matpot.cli import main
-from matpot.frobenius import HomogeneousPolynomial
+from matpot.frobenius import HomogeneousPolynomial, TruncatedPotential
 from matpot.series import SeriesSpace
 
 from oracles import (
@@ -1012,11 +1012,12 @@ def test_one_basepoint_frame_and_two_spaces_per_op(monkeypatch, fiber_solves, ex
 
 def test_each_basepoint_series_and_sections_once_per_op(monkeypatch):
     # a benchmark-shaped op takes the series of every verify_axioms sample
-    # in one stack, the basepoint's from its base frame, then the base
-    # frame's series once per degree (the degree-1 pairing jets and the
-    # checks' basepoint frame jet share it); it multiplies out the sections
-    # C_I (unit) once for the stack of samples and once for the basepoint
-    # frame that both checks share
+    # in one stack, the basepoint's from its base frame; that stack records
+    # the basepoint's degree-1 series and frame jet, which the degree-1
+    # pairing jets and the checks' basepoint frame read, so only the second
+    # kind's degree evaluates the base frame's series again; it multiplies
+    # out the sections C_I (unit) once for the stack of samples and once for
+    # the basepoint frame that both checks share
     series, sections = [], []
     real_series = matpot.arrangements.ArrangementData._series_fiber
     real_sections = matpot.frobenius._flat_sections
@@ -1036,8 +1037,37 @@ def test_each_basepoint_series_and_sections_once_per_op(monkeypatch):
     Q, L = first_kind_polynomial(F), second_kind_truncation(F, F.m * F.k + 3)
     check_first_kind(F, Q)
     check_second_kind(F, L)
-    assert series == [(1, [True, False, False]), (1, [True]), (2, [True])]
+    assert series == [(1, [True, False, False]), (2, [True])]
     assert sections == [3, 1]
+
+
+def _rank1_table(B, x, n_max):
+    """The second-kind table of the rank-1 family with rows B, weights
+    (1, 2, 3, 1) cut to len(B) and basepoint x, at order n_max."""
+    F = structure_from_arrangement(ArrangementData(B, [1, 2, 3, 1][:len(B)], x), 2)
+    return second_kind_truncation(F, n_max)
+
+
+_N4_X = (0.3, -1.1, 0.9, -0.2)
+
+
+@pytest.mark.parametrize("table", [
+    lambda: _rank1_table([[1], [2], [1]], _N4_X[:3], 4),
+    lambda: TruncatedPotential(basepoint=np.array(_N4_X, dtype=complex), n_max=1, coefficients={},
+                               spread_max=0.0, _grid=None),
+    lambda: _rank1_table([[1], [2], [1], [3]], tuple(v + 0.01 for v in _N4_X), 4),
+], ids=["three-variables", "empty-order-1", "moved-basepoint"])
+def test_check_second_kind_refuses_a_table_it_cannot_check(table):
+    # each of these read as a defect (12.24, 12.24 and 0.062) before they
+    # were refused
+    F = structure_from_arrangement(ArrangementData([[1], [2], [1], [3]], [1, 2, 3, 1], _N4_X), 2)
+    with pytest.raises(PreconditionError, match="at the structure's basepoint"):
+        check_second_kind(F, table())
+
+
+def test_check_second_kind_accepts_its_own_table():
+    F = structure_from_arrangement(ArrangementData([[1], [2], [1], [3]], [1, 2, 3, 1], _N4_X), 2)
+    assert check_second_kind(F, second_kind_truncation(F, F.m * F.k + 1)) < 1e-10
 
 
 def test_check_first_kind_needs_degree_mk(fixture_structure):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 
 import pytest
 
@@ -103,6 +103,52 @@ def test_bases_enumeration():
     M = LinearMatroid([(1, 0), (0, 1), (1, 1)])
     assert [sorted(B) for B in M.bases()] == [[1, 2], [1, 3], [2, 3]]
     assert UniformMatroid(1, 3).bases() == (frozenset({1}), frozenset({2}), frozenset({3}))
+
+
+def _shaped_rows(rng, n, width):
+    """Random rational rows of one width, with some rows zero, some
+    parallel to an earlier row, and some columns copies of others, so the
+    rank often falls below the width."""
+    rows = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(width)] for _ in range(n)]
+    for i in range(n):
+        if rng.random() < 0.15:
+            rows[i] = [Fraction(0)] * width
+        elif i and rng.random() < 0.2:
+            factor = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+            rows[i] = [factor * v for v in rows[rng.randrange(i)]]
+    if width > 1 and rng.random() < 0.4:
+        c, d = rng.sample(range(width), 2)
+        for row in rows:
+            row[d] = 2 * row[c]
+    return rows
+
+
+def test_bases_table_matches_the_elimination_path(monkeypatch):
+    # the bases read off the table of maximal minors over a greedy column
+    # basis are those of one elimination per r-subset (``Matroid.bases``),
+    # in the same order, for ranks below the width, parallel and zero rows;
+    # the table takes at most one elimination, none at full column rank
+    rng = random.Random(5757)
+    eliminations = []
+    real = matroids._eliminate
+
+    def eliminating(rows, width, reduced=False):
+        eliminations.append(len(rows))
+        return real(rows, width, reduced)
+
+    monkeypatch.setattr(matroids, "_eliminate", eliminating)
+    ranks = set()
+    for _ in range(150):
+        n, width = rng.randint(1, 9), rng.randint(1, 5)
+        M = LinearMatroid(_shaped_rows(rng, n, width))
+        rank = M.full_rank
+        ranks.add((rank < width, rank < min(n, width)))
+        del eliminations[:]
+        table = M.bases()
+        assert len(eliminations) == (rank != width)
+        assert table == Matroid.bases(LinearMatroid(M.rows))
+        assert list(M.minors) == list(combinations(M.ground.labels, rank))
+    assert ranks == {(False, False), (True, False), (True, True)}
 
 
 def _random_linear(rng, n, k):
