@@ -29,14 +29,27 @@ circuits).  The flat basis is read off the same table by a
 matroid rule, no search: the bases of internal activity 0 for the reversed
 order of the labels.  The Higgs matrices come from that algebra alone:
 ``higgs`` is their value at z, and ``frame_jet`` reads their Taylor series
-from the same placement product.  The family evaluates the pairing
-jets, and the frame jets' unit and form, from its basepoint fiber (or the
-fibers over a stack of sample points, solved in one pass) and flat basis,
-each computed once, so the axioms compare the algebra against the fiber;
-the fiber's residuals and Hessians are the diagnostics.  The basepoint's
-series and frame jet are computed once per degree, by whichever call first
-needs them (the pairing jets, or a frame jet whose stack holds the
-basepoint), and kept by the family as read-only records.
+from the same placement product.  The family evaluates the frame jets'
+unit and form from its basepoint fiber (or the fibers over a stack of
+sample points, solved in one pass) and flat basis, each computed once, so
+the axioms compare the algebra against the fiber; the fiber's residuals and
+Hessians are the diagnostics.  The basepoint's frame jet is computed once
+per degree, by whichever call first needs it, and kept by the family as a
+read-only record.
+
+The pairing jets come from the algebra and that record's form G.  Every
+member the potentials read is T2 = A + B + R, A and B bases and |R| <= 1;
+C_A (unit) and C_B (unit) are flat, with constant coordinates v_A and v_B
+(the normal forms of the algebra), the form is z-constant and the Higgs
+fields are self-adjoint for it, so g_T2(z) = v_B^T G H_R(z) v_A with
+H_empty = 1.  H_j(x + delta) = sum_S N_{j,S} / (f_S(x) + c_S . delta), and
+the reciprocal has closed-form Taylor coefficients, [delta^alpha] 1 / (f +
+c . delta) = (-1)^|alpha| (|alpha|! / alpha!) (c / f)^alpha / f, so a
+pairing jet is one row of the product of Lambda[T2, S] = (N_{j,S} v_A)
+(terms_S . G v_B) with that table, and no series of the fiber is multiplied
+out; a factor of Lambda at roundoff of its absolute bound is 0, since that
+table multiplies it by up to |c_S / f_S|^|alpha|.  G is read from the record
+at degree 1 and must be z-constant there: FlatnessError otherwise.
 
 For generic weights and z the fiber has exactly mu = |sum over independent S
 with |S| <= k of (-1)^|S|| points, the Euler characteristic of the
@@ -54,6 +67,7 @@ is that stack of one.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,6 +77,7 @@ import numpy as np
 
 from .errors import (
     DiscriminantError,
+    FlatnessError,
     GroundSetError,
     MatpotError,
     PreconditionError,
@@ -90,6 +105,9 @@ def vector_matroid(matrix) -> LinearMatroid:
 #: the refusal of a family whose count is 0, by ``higgs`` and ``critical_points``
 NO_CRITICAL_POINTS = "the family has no critical points: the Euler characteristic of the complement is 0"
 
+PAIRING_BLOCK = 1 << 16  # members x sets x monomials of one block of ``pairing_jets``
+ZERO_RATIO = 1e-10  # a factor of Lambda this small against its absolute bound is 0 (``_cleared_product``)
+
 
 def _double(num: int, den: int, what: str, *args) -> float:
     """num / den as a float, or SizeLimitError when it does not round to a
@@ -111,15 +129,14 @@ class ArrangementData:
     from them as floats (circuit coefficients, normal forms, squared
     minors), must round to finite doubles, nonzero ones to nonzero doubles:
     SizeLimitError otherwise, raised where the float is formed (B and a
-    here, the others when the algebra or the pairing jets are built).  A
+    here, the others when the algebra or the first frame jet is built).  A
     weight is an exact entry or a finite float or complex number
     (``errors.rational``), the basepoint a point of n finite coordinates
     (``errors.points``); GroundSetError otherwise.
 
     The family owns the evaluations at its basepoint: the fiber
-    (``base_frame``), and per degree the fiber's series (``_base_series``)
-    and the frame jet (``frame_jet``), each computed once by whichever call
-    first needs it and kept read-only.
+    (``base_frame``), and per degree the frame jet (``frame_jet``), each
+    computed once by whichever call first needs it and kept read-only.
     """
 
     def __init__(self, matrix, weights, basepoint):
@@ -141,9 +158,8 @@ class ArrangementData:
         self.basepoint = points([basepoint], self.n)[0]
         self.B = np.array([[_double(v.numerator, v.denominator, "B[{}][{}]", i, j) for j, v in enumerate(row, 1)]
                            for i, row in enumerate(self.matrix, 1)], dtype=complex)
-        # the basepoint's evaluations by degree, recorded by whichever call
-        # first needs them: ``_base_series`` and ``frame_jet``
-        self._base_series_of = {}
+        # the basepoint's frame jets by degree, recorded by whichever call
+        # first needs them (``frame_jet``)
         self._base_jet_of = {}
 
     @property
@@ -233,7 +249,9 @@ class ArrangementData:
         (-1)^t D_{S-s_t} lcm_{s_t} (Laplace along a repeated column), so f_S =
         c_S . z does not depend on t and f_S C_S = sum_{l in S} c_l a_l
         C_{S-l}; dotting the circuit with y_{I-j} gives p_j C_I = sum_{i not in
-        I} (c_j / c_i) C_{I+i} for j in I (and p_i C_I = C_{I+i}).
+        I} (c_j / c_i) C_{I+i} for j in I (and p_i C_I = C_{I+i}).  The
+        normal forms are kept: column c holds C_I (unit) of the c-th basis in
+        quotient coordinates, constant since the section is flat.
         """
         n, k, minors, lcms, basis = self.n, self.k, self.minors, self.lcms, self.flat_basis
         bases = [I for I, D in minors.items() if D]
@@ -287,13 +305,14 @@ class ArrangementData:
         placement = np.zeros((n, len(basis), len(sets)))
         placement[J, Q, S_] = circuits[S_, J] / circuits[S_, I_]
         terms = terms @ normal.T
-        return FamilyAlgebra(tuple(bases), basis, circuits, terms, placement)
+        return FamilyAlgebra(tuple(bases), basis, circuits, terms, placement, normal)
 
     @cached_property
     def squared_minors(self) -> np.ndarray:
         """det(B_I)^2 = D_I^2 / prod_{i in I} lcm_i^2 for the bases I of
         ``algebra``, exact until one int / int rounding, for the Cauchy-Binet
-        Hessian determinant of the residue weights; only the jets read it."""
+        Hessian determinant of the residue weights; only the fiber's series
+        (``_series_fiber``) reads it."""
         return np.array([_double(self.minors[I] ** 2, math.prod(self.lcms[i - 1] for i in I) ** 2, "det(B_I)^2 for I = {}", I)
                          for I in self.algebra.bases])
 
@@ -338,7 +357,7 @@ class ArrangementData:
         row."""
         if self.count == 0:
             raise PreconditionError(NO_CRITICAL_POINTS)
-        _, basis, circuits, terms, placement = self.algebra
+        basis, circuits, terms, placement = self.algebra[1:5]
         S = len(zs)
         with np.errstate(all="ignore"):
             values = np.matmul(circuits, zs[..., None])[..., 0]
@@ -363,7 +382,7 @@ class ArrangementData:
         eigenvalues p_i = a_i / f_i, shape (S, mu, n, size), and of the
         residue weights w = 1 / det Hess, shape (S, mu, size), for the S
         fibers ``frames`` in one pass, each row the one-fiber series bit for
-        bit.
+        bit; the frame jets' unit and form read it.
 
         The critical points t^s(z + delta) of a frame (the fiber over z),
         f = B t + z + delta and r = 1 / f are built one degree at a time:
@@ -390,40 +409,126 @@ class ArrangementData:
         det = (-1) ** self.k * np.einsum("b,tsbm->tsm", self.squared_minors, prod)
         return p, space.reciprocal(det)
 
-    def _base_series(self, space: SeriesSpace):
-        """``_series_fiber`` of the base frame alone (a point axis of length
-        1), read-only and computed once per degree by whichever call first
-        needs it: the pairing jets, or a ``frame_jet`` whose stack holds the
-        basepoint, which records its basepoint row."""
-        if space.q not in self._base_series_of:
-            self._base_series_of[space.q] = _read_only_row(self._series_fiber(space, [self.base_frame]), 0)
-        return self._base_series_of[space.q]
-
     def pairing_jets(self, space: SeriesSpace, members) -> np.ndarray:
         """Taylor coefficients at the basepoint, in delta = z - x up to degree
         space.q, of the pairings g_T2(z) = S(C_T2 unit, unit) for every
         multiplicity tuple T2 in ``members``; shape (len(members), space.size).
 
-        In the critical-point frame g_T2 = sum_s w_s prod_i p_i^{T2_i}, with p
-        and w the series of the base frame.  The products run over the
-        members' label words in lexicographic order, so a shared prefix is
-        multiplied once.  No other fiber and no flat frame is solved.
+        Each member is split as T2 = A + B + R (``_split``), and g_T2 =
+        v_B^T G H_R(z) v_A: a constant v_A . G v_B when R is empty, else the
+        row Lambda[T2] = (placement[j, :, S] . v_A)(terms[S] . G v_B) times
+        the closed-form table of the 1 / f_S series (``_reciprocal_series``):
+        the nonzero terms of the row summed in the order of the sets, the
+        same way at every degree, so the jet of a lower degree is a bitwise
+        prefix of a higher one's.  The placement of every label is
+        contracted with the normal forms once, and Lambda is formed per
+        block of members whose Lambda times the table holds at most
+        PAIRING_BLOCK entries.  Both factors of Lambda are constants of the
+        family, many of those of terms . G v_B exactly 0, and the series
+        multiplies an entry by up to |c_S / f_S|^|alpha|, so an entry at
+        roundoff is taken as 0 (``_cleared_product``): on a seeded rank-1
+        sweep the factors read either at most 1e-13 or at least 1e-3 of
+        their absolute bounds.  G is the basepoint form
+        (``_basepoint_form``; FlatnessError).  A member that is no sum of two
+        bases and at most one label raises PreconditionError before any
+        evaluation, and a jet entry beyond double range PreconditionError.
         """
-        p, w = (v[0] for v in self._base_series(space))
-        words = [tuple(i for i, e in enumerate(T2) for _ in range(e)) for T2 in members]
-        out = np.empty((len(words), space.size), dtype=complex)
-        products, previous = [w], ()
-        for j in sorted(range(len(words)), key=words.__getitem__):
-            word = words[j]
-            shared = 0
-            while shared < min(len(word), len(previous)) and word[shared] == previous[shared]:
-                shared += 1
-            del products[shared + 1:]
-            for i in word[shared:]:
-                products.append(space.mul(products[-1], p[:, i]))
-            out[j] = products[-1].sum(axis=0)
-            previous = word
+        A, B, labels = self._split(members)
+        G = self._basepoint_form(space)
+        terms, placement, normal = self.algebra[3:]
+        GB = G @ normal  # G v_B for every basis B
+        out = np.zeros((len(labels), space.size), dtype=complex)
+        plain = labels < 0
+        out[plain, 0] = np.einsum("qm,qm->m", normal[:, A[plain]], GB[:, B[plain]])
+        if not plain.all():
+            series = self._reciprocal_series(space)
+            left, right = _cleared_product(placement.swapaxes(1, 2), normal), _cleared_product(terms, GB)
+            rows, width = np.flatnonzero(~plain), space.size
+            step = max(1, PAIRING_BLOCK // series.size)
+            for block in (rows[r:r + step] for r in range(0, len(rows), step)):
+                lam = left[labels[block], :, A[block]] * right[:, B[block]].T
+                # each member's nonzero terms, added in the order of the sets
+                member, S = np.nonzero(lam)
+                products = lam[member, S, None] * series[S]
+                cells = (member[:, None] * width + np.arange(width)).ravel()
+                for part, values in ((out.real, products.real), (out.imag, products.imag)):
+                    part[block] = np.bincount(cells, values.ravel(), len(block) * width).reshape(-1, width)
+        if not np.isfinite(out).all():
+            raise PreconditionError("the pairing jets overflow: the point is too large to evaluate")
         return out
+
+    def _basepoint_form(self, space: SeriesSpace) -> np.ndarray:
+        """The form G (mu, mu) at the basepoint, the constant term of the
+        form of its frame jet recorded at the lowest degree >= 1, evaluated
+        and recorded at degree 1 (in ``space`` when that is its degree) when
+        no such record exists.  The form is z-constant in the flat frame, so
+        its degree-1 terms must vanish: FlatnessError when their largest
+        modulus is not within 1e-7 (1 + max |G|), the rule of
+        ``first_kind_polynomial``."""
+        recorded = [q for q in self._base_jet_of if q >= 1]
+        if recorded:
+            form = self._base_jet_of[min(recorded)][2][0]
+        else:
+            form = self.frame_jet(self.basepoint[None], space if space.q == 1 else SeriesSpace(self.n, 1))[2][0]
+        G, drift = form[..., 0], float(np.abs(form[..., 1:self.n + 1]).max())
+        if not drift <= 1e-7 * (1.0 + float(np.abs(G).max())):
+            raise FlatnessError(f"the form at the basepoint varies with z: first-order term {drift:.3e}")
+        return G
+
+    @cached_property
+    def _pair_sums(self) -> dict:
+        """Every sum A + B of two bases of ``algebra``, a multiplicity tuple,
+        with its first pair (A, B) in lexicographic order, as positions in
+        ``algebra.bases`` with A <= B."""
+        rows = [tuple(int(i in I) for i in range(1, self.n + 1)) for I in self.algebra.bases]
+        sums = {}
+        for a, A in enumerate(rows):
+            for b in range(a, len(rows)):
+                sums.setdefault(tuple(map(operator.add, A, rows[b])), (a, b))
+        return sums
+
+    def _split(self, members) -> tuple:
+        """(A, B, j) for every member T2 = A + B + R: its bases A and B, as
+        positions in ``algebra.bases`` from ``_pair_sums``, and R's label
+        j - 1, or -1 when R is empty; a member of size 2k + 1 takes the first
+        label that leaves a sum of two bases.  PreconditionError for the
+        first member that is no such sum."""
+        sums, split = self._pair_sums, []
+        for T2 in members:
+            T2, hit = tuple(T2), None
+            if sum(T2) == 2 * self.k:
+                hit, j = sums.get(T2), -1
+            elif sum(T2) == 2 * self.k + 1:
+                for j, e in enumerate(T2):
+                    if e > 0 and (hit := sums.get(T2[:j] + (e - 1,) + T2[j + 1:])):
+                        break
+            if hit is None:
+                raise PreconditionError(f"no pairing jet for {T2}: it is not a sum of two bases and at most one label")
+            split.append(hit + (j,))
+        return np.array(split, dtype=np.intp).reshape(-1, 3).T
+
+    def _reciprocal_series(self, space: SeriesSpace) -> np.ndarray:
+        """[delta^alpha] 1 / (f_S(x) + c_S . delta) = (-1)^|alpha| (|alpha|! /
+        alpha!) (c_S / f_S)^alpha / f_S for every set S of ``algebra`` and
+        every monomial alpha of ``space``, shape (sets, size), each entry by
+        its closed form, so every entry is that of any higher degree; the
+        multinomial is exact until one int-to-float rounding.
+        PreconditionError, naming the first such S, when an entry leaves
+        double range."""
+        circuits, exps = self.algebra.circuits, space.exponents
+        f = circuits @ self.basepoint
+        factorial = np.array([math.factorial(t) for t in range(space.q + 1)], dtype=object)
+        degree = exps.sum(axis=1)
+        weights = np.array(factorial[degree] // np.prod(factorial[exps], axis=1), dtype=float) * (-1.0) ** degree
+        with np.errstate(all="ignore"):
+            powers = (circuits / f[:, None])[:, :, None] ** np.arange(space.q + 1)
+            series = np.prod(powers[:, np.arange(self.n), exps], axis=2) / f[:, None] * weights
+        bad = np.flatnonzero(~np.isfinite(series).all(axis=1))
+        if bad.size:
+            labels = ", ".join(str(i) for i in np.flatnonzero(circuits[bad[0]]) + 1)
+            raise PreconditionError(f"the series of 1 / f_S of hyperplanes {labels} overflows: "
+                                    f"the point is too large to evaluate")
+        return series
 
     def frame_jet(self, zs, space: SeriesSpace):
         """Taylor series at every row z of zs (S, n), in delta up to
@@ -449,8 +554,8 @@ class ArrangementData:
 
         The basepoint's jet is computed once per degree, by the first stack
         that holds the basepoint and is evaluated whole: its first row at
-        the basepoint is recorded, with that row's series
-        (``_base_series``), as read-only copies of a stack of one.  A stack
+        the basepoint is recorded as read-only copies of a stack of one
+        (the pairing jets read its form, ``_basepoint_form``).  A stack
         whose rows are all the basepoint, at a recorded degree or below one,
         evaluates nothing and gets read-only views of the record, a lower
         degree its prefix (graded lexicographic order lists the monomials of
@@ -472,28 +577,21 @@ class ArrangementData:
             return tuple(np.broadcast_to(v[..., :space.size], (len(zs),) + v.shape[1:-1] + (space.size,))
                          for v in self._base_jet_of[min(recorded)])
         try:
-            series, jet = self._frame_jet(zs, base, space)
+            jet = self._frame_jet(zs, base, space)
         except (MatpotError, np.linalg.LinAlgError):
             for row in range(len(zs) - 1):
                 self._frame_jet(zs[row:row + 1], base[row:row + 1], space)
             raise
-        if base.any():
-            row = int(base.argmax())
-            for memo, values in ((self._base_series_of, series), (self._base_jet_of, jet)):
-                if space.q not in memo:
-                    memo[space.q] = _read_only_row(values, row)
+        if base.any() and space.q not in self._base_jet_of:
+            self._base_jet_of[space.q] = _read_only_row(jet, int(base.argmax()))
         return jet
 
     def _frame_jet(self, zs, base, space: SeriesSpace):
-        """The series (p, w) of the fibers over the checked rows ``zs``, and
-        their ``frame_jet``, in one pass; ``base`` marks the rows at the
-        basepoint.  Records nothing: a basepoint alone reads the recorded
-        series of its degree when there is one."""
-        if len(zs) == 1 and base[0] and space.q in self._base_series_of:
-            p, w = self._base_series_of[space.q]
-        else:
-            fresh = iter(_fibers(self, zs[~base]) if not base.all() else [])
-            p, w = self._series_fiber(space, [self.base_frame if b else next(fresh) for b in base])
+        """The ``frame_jet`` of the checked rows ``zs`` in one pass, from the
+        series (p, w) of their fibers; ``base`` marks the rows at the
+        basepoint, whose fiber is the base frame.  Records nothing."""
+        fresh = iter(_fibers(self, zs[~base]) if not base.all() else [])
+        p, w = self._series_fiber(space, [self.base_frame if b else next(fresh) for b in base])
         mu = p.shape[1]
         U = _basis_products(space, p, self.flat_basis)
         unit = space.solve(U, space.constant(np.ones((mu, 1))))[:, :, 0]
@@ -502,7 +600,16 @@ class ArrangementData:
         form = space.matmul(U.swapaxes(1, 2), space.mul(U, w[:, :, None]))
         i, j = np.triu_indices(mu, 1)
         form[:, j, i] = form[:, i, j]
-        return (p, w), (self._higgs(zs, space), unit, form)
+        return self._higgs(zs, space), unit, form
+
+
+def _cleared_product(x, y) -> np.ndarray:
+    """x @ y with every entry of modulus at most ZERO_RATIO (|x| @ |y|) set to
+    0: an entry of a factor of ``pairing_jets``' Lambda is a constant of the
+    family, and one that vanishes exactly reads at roundoff here."""
+    out = x @ y
+    out[np.abs(out) <= ZERO_RATIO * (np.abs(x) @ np.abs(y))] = 0
+    return out
 
 
 def _read_only_row(stack, row: int) -> tuple:
@@ -546,9 +653,10 @@ class CriticalPointFrame:
 #: ``ArrangementData.algebra``: the bases of M(B) in lexicographic order,
 #: the quotient basis, the circuit vectors c_S (f_S(z) = circuits @ z) of the
 #: (k+1)-sets S reached from a basis, sum_{i in S} c_i a_i [C_{S-i}] in
-#: quotient coordinates, and the coefficient placement[j - 1, q, s] of C_S in
-#: column q of H_j
-FamilyAlgebra = namedtuple("FamilyAlgebra", "bases basis circuits terms placement")
+#: quotient coordinates, the coefficient placement[j - 1, q, s] of C_S in
+#: column q of H_j, and the normal forms normal[:, c] of C_I (unit) for the
+#: c-th basis I, shape (mu, bases)
+FamilyAlgebra = namedtuple("FamilyAlgebra", "bases basis circuits terms placement normal")
 
 
 def _values(data: ArrangementData, z, t):
@@ -781,7 +889,10 @@ def structure_from_arrangement(data: ArrangementData, m: int) -> FlatFrameStruct
     next (PreconditionError for count 0, DiscriminantError), and gives mu.
     The working frame is the family's ``flat_basis``, read from its algebra
     and not from a fiber.  The structure's ``jet`` is the family's
-    ``pairing_jets`` and its ``frame_jet`` the family's ``frame_jet``, which
+    ``pairing_jets``, which takes members that are a sum of two bases plus
+    at most one label (PreconditionError for any other) and reads them from
+    the algebra and the basepoint form (FlatnessError when that form is not
+    z-constant), and its ``frame_jet`` the family's ``frame_jet``, which
     reads the Higgs matrices in that frame from the algebra and takes the
     unit and form into it from the fiber; the fibers under a stack of
     points away from the basepoint are solved afresh, in one pass, at every

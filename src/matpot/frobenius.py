@@ -34,11 +34,16 @@ pairing jets, ``verify_axioms`` the degree-1 frame jet at each sample point
 (one stacked ``frame_jet`` call for all samples, in the order given), and
 both checks the constant terms of that jet at the basepoint.  The structure
 reads that basepoint jet, and multiplies out the flat sections in it, once
-for the two checks, and builds each SeriesSpace once; an arrangement
-family computes the basepoint's series and frame jet once per degree, by
-whichever call first needs them (for a benchmark-shaped op, the
-``verify_axioms`` stack that holds the basepoint), so the checks' jet is a
-lookup.  No function takes differences.
+for the two checks, builds the tuples of bases the checks compare once, and
+builds each SeriesSpace once; an arrangement family computes the
+basepoint's frame jet once per degree, by whichever call first needs it
+(for a benchmark-shaped op, the ``verify_axioms`` stack that holds the
+basepoint), so the checks' jet is a lookup, and its pairing jets read the
+form of that record with the family's algebra: v_B^T G H_R(z) v_A for T2 =
+A + B + R, so on an arrangement the first kind's degree-1 terms are 0 by
+construction, the family's screen of the form is the flatness refusal, and
+the second kind's spread compares the algebra's Higgs fields under that
+form.  No function takes differences.
 """
 
 from __future__ import annotations
@@ -75,7 +80,9 @@ class FlatFrameStructure:
     * jet(space, members) gives the Taylor coefficients at the basepoint, in
       z - basepoint, of the pairings S(C_T2 unit, unit, ..., unit) for the
       multiplicity tuples T2 in members, as an array (len(members),
-      space.size); both potentials need it;
+      space.size); both potentials need it, and send only the sums of m
+      bases and those plus one label (an arrangement family refuses any
+      other member with PreconditionError);
     * frame_jet(points, space) gives, for a stack of points (S, n), the
       series at each point z, in the shift from z, of (H, unit, form) in
       the working frame, with a leading point axis: shapes (S, n, mu, mu,
@@ -148,6 +155,23 @@ class FlatFrameStructure:
         both checks."""
         H, u, _ = self.basepoint_frame
         return _flat_sections(self, H[None], u[None], self.space(1))[0]
+
+    @cached_property
+    def _section_tuples(self) -> tuple:
+        """What both checks read besides the frame (``_section_defect``),
+        built once: the tuples of bases with replacement as m rows of
+        positions in ``maximal_independent_sets``, and per check (``higgs``
+        False, then True) the multi-index sums alpha of those tuples
+        (alpha + e_i for every label i with ``higgs``, labels first) as
+        tuples, with their alpha!."""
+        tuples = np.array(list(combinations_with_replacement(range(len(self._base_labels)), self.m))).T
+        eye = np.eye(self.n, dtype=np.intp)
+        alphas = eye[self._base_labels].sum(axis=1)[tuples].sum(axis=0)
+        checks = []
+        for shifted in (alphas, alphas + eye[:, None, :]):
+            shifted = shifted.reshape(-1, self.n)
+            checks.append((list(map(tuple, shifted.tolist())), _factorials(shifted).tolist()))
+        return tuple(tuples), *checks
 
     def maximal_independent_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(sorted(B)) for B in self.matroid.bases())
@@ -398,20 +422,17 @@ def _section_defect(F: FlatFrameStructure, coefficients: dict, higgs: bool) -> f
     ``higgs``, alpha + e_i against S(C_i C_{I_1} unit, ...) for every label i.
     The constant terms of the structure's ``basepoint_frame`` give the form,
     contracted once with V = [C_I unit] (``_flat_sections``) in every slot,
-    H_i V in the first."""
+    H_i V in the first; the tuples, alphas and alpha! are the structure's
+    (``_section_tuples``)."""
     H, _, W = F.basepoint_frame
     V = F.basepoint_sections[..., 0].T
     H, W = H[..., 0], W[..., 0]
     rhs = np.tensordot(W, H @ V if higgs else V, axes=([0], [1 if higgs else 0]))
     for _ in range(F.m - 1):
         rhs = np.tensordot(rhs, V, axes=([0], [0]))
-    tuples = np.array(list(combinations_with_replacement(range(V.shape[1]), F.m))).T
-    alphas = np.eye(F.n, dtype=np.intp)[F._base_labels].sum(axis=1)[tuples].sum(axis=0)
-    if higgs:
-        alphas = alphas + np.eye(F.n, dtype=np.intp)[:, None, :]
-    alphas = alphas.reshape(-1, F.n)
-    lhs = [coefficients.get(T, 0.0) * f for T, f in zip(map(tuple, alphas.tolist()), _factorials(alphas).tolist())]
-    rhs = rhs[(Ellipsis,) + tuple(tuples)]
+    tuples, *checks = F._section_tuples
+    lhs = [coefficients.get(T, 0.0) * f for T, f in zip(*checks[higgs])]
+    rhs = rhs[(Ellipsis,) + tuples]
     return float(np.max(np.abs(np.array(lhs, dtype=complex).reshape(rhs.shape) - rhs), initial=0.0))
 
 

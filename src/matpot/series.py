@@ -10,7 +10,9 @@ of monomials whose product survives the truncation, sorted by the product's
 position, so that a multiply is a ``take`` of each operand along the table
 and one segmented sum, and the degree-d block of a product is the
 contiguous slice of the table whose products have degree d; the space
-slices the table for the full product and for each degree block once.  A
+builds the table on its first product, and slices it for the full product
+and for each degree block once, so a space read only for its monomials
+(``exponents``, ``size``) never builds it.  A
 small product is one broadcast multiply; a large one goes in chunks of
 batch rows that bound its temporaries.  A product of matrices of series
 takes the same table: both operands gathered along it, one ``einsum`` over
@@ -26,13 +28,14 @@ matrices is taken: the residue weights get theirs by Cauchy-Binet, from
 products of series.
 
 The table has C(2n + q, q) pairs, one exponent vector each; a space whose
-table would exceed MAX_TABLE_ENTRIES raises SizeLimitError before anything
-is allocated.
+table would exceed MAX_TABLE_ENTRIES raises SizeLimitError when it is
+constructed, before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -99,30 +102,45 @@ class SeriesSpace:
         # positions of the monomials delta_1, ..., delta_n (none when q = 0):
         # graded lex lists delta_n, ..., delta_1 first among degree 1
         self.degree_one = tuple(range(n, 0, -1)) if q else ()
+        # degrees[d] holds the positions of the monomials of degree d
+        bounds = np.searchsorted(exps.sum(axis=1), np.arange(q + 2)).tolist()
+        self.degrees = tuple(map(slice, bounds, bounds[1:]))
+
+    @cached_property
+    def _table(self) -> tuple:
+        """The product table, built on the first product: the pairs (left,
+        right) sorted by their product's position, and the start of each
+        product's pairs among them."""
+        n, q, exps = self.n, self.q, self.exponents
         degree = exps.sum(axis=1)
         # monomial c pairs with the first C(q - |c| + n, n) monomials, those of
         # degree <= q - |c|
         counts = np.array([math.comb(q - d + n, n) for d in range(q + 1)])[degree]
         left = np.repeat(np.arange(self.size), counts)
-        right = np.arange(pairs) - np.repeat(np.cumsum(counts) - counts, counts)
+        right = np.arange(math.comb(2 * n + q, q)) - np.repeat(np.cumsum(counts) - counts, counts)
         target = graded_lex_position(
             n, degree[left] + degree[right], (exps[left, v] + exps[right, v] for v in range(n - 1))
         )
         order = np.argsort(target, kind="stable")
-        self._left, self._right = left[order], right[order]
-        # the products of monomial c are the pairs _starts[c]:_starts[c + 1], never
+        # the products of monomial c are the pairs starts[c]:starts[c + 1], never
         # none since c is the product of the pair (c, 1)
-        self._starts = np.searchsorted(target[order], np.arange(self.size + 1))
-        # degrees[d] holds the positions of the monomials of degree d
-        bounds = np.searchsorted(degree, np.arange(q + 2)).tolist()
-        self.degrees = tuple(map(slice, bounds, bounds[1:]))
-        # the table of each product, sliced once: the operand width read, the
-        # pairs, and the start of each output coefficient's segment among
-        # them; for the full product, then for each degree block
-        self._full = (self.size, self._left, self._right, self._starts[:-1])
-        self._blocks = tuple(
-            (block.stop, self._left[first:last], self._right[first:last], self._starts[block] - first)
-            for block, first, last in zip(self.degrees, self._starts[bounds[:-1]], self._starts[bounds[1:]])
+        return left[order], right[order], np.searchsorted(target[order], np.arange(self.size + 1))
+
+    @cached_property
+    def _full(self) -> tuple:
+        """The table of the full product: the operand width read, the pairs,
+        and the start of each output coefficient's segment among them."""
+        left, right, starts = self._table
+        return (self.size, left, right, starts[:-1])
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        """The table of each degree block's product, sliced once, as ``_full``."""
+        left, right, starts = self._table
+        bounds = starts[[block.start for block in self.degrees] + [self.size]]
+        return tuple(
+            (block.stop, left[first:last], right[first:last], starts[block] - first)
+            for block, first, last in zip(self.degrees, bounds[:-1], bounds[1:])
         )
 
     def constant(self, values) -> np.ndarray:

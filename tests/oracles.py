@@ -17,7 +17,10 @@ candidates, and ``point_axiom_report`` the axiom
 report sample by sample on it: the references for the stacked sample pass
 of ``verify_axioms``.  ``fiber_frame_jet`` is the frame
 jet by the fiber route, H = U^-1 diag(p) U in one series solve, the
-reference for the H that ``frame_jet`` reads from the family's algebra;
+reference for the H that ``frame_jet`` reads from the family's algebra,
+and ``fiber_pairing_jets`` the pairing jets by the same route, products of
+the basepoint fiber's series along a trie of label words, the reference
+for the pairing jets that ``pairing_jets`` reads from the algebra;
 ``whole_batch_flat_sections`` multiplies every basis's sections out in one
 product per label column, the reference for the prefix tree of
 ``_flat_sections``: by broadcast multiplies summed over an axis, or by
@@ -862,7 +865,7 @@ def point_frame_jet(data, z, space):
     form = space.matmul(U.swapaxes(0, 1), space.mul(U, w[:, None]))
     i, j = np.triu_indices(mu, 1)
     form[j, i] = form[i, j]
-    _, basis, circuits, terms, placement = data.algebra
+    circuits, terms, placement = data.algebra[2:5]
     values = circuits @ frame.z
     sections = terms[:, :, None] * space.reciprocal(space.constant(values) + circuits @ space.variables())[:, None]
     H = placement.reshape(data.n * mu, -1) @ sections.reshape(len(values), -1)
@@ -899,6 +902,30 @@ def point_axiom_report(F, data, samples):
         formflat = _running_worst(formflat, W[..., 1:])
     return AxiomReport(commutativity=comm, integrability=integ, higgs_invariance=invari,
                        section_flatness=sect, form_flatness=formflat, samples=len(samples))
+
+
+def fiber_pairing_jets(data, space, members):
+    """The pairing jets of ``ArrangementData.pairing_jets`` by the fiber
+    route: g_T2 = sum_s w_s prod_i p_i^{T2_i} over the basepoint fiber, with
+    p and w its series (``point_series_fiber``), the products along the
+    members' label words in lexicographic order so that a shared prefix is
+    multiplied once.  Any multiplicity tuple is a member here.  The
+    reference for the jets the package reads from the algebra."""
+    p, w = point_series_fiber(data, space, data.base_frame)
+    words = [tuple(i for i, e in enumerate(T2) for _ in range(e)) for T2 in members]
+    out = np.empty((len(words), space.size), dtype=complex)
+    products, previous = [w], ()
+    for j in sorted(range(len(words)), key=words.__getitem__):
+        word = words[j]
+        shared = 0
+        while shared < min(len(word), len(previous)) and word[shared] == previous[shared]:
+            shared += 1
+        del products[shared + 1:]
+        for i in word[shared:]:
+            products.append(space.mul(products[-1], p[:, i]))
+        out[j] = products[-1].sum(axis=0)
+        previous = word
+    return out
 
 
 def fiber_frame_jet(data, z, space):
@@ -1167,7 +1194,7 @@ def elimination_algebra(data):
         _eliminate([ints[i - 1] for i in I], k)[1][-1][-1] ** 2 / math.prod(lcms[i - 1] for i in I) ** 2
         for I in bases
     ])
-    return FamilyAlgebra(tuple(bases), basis, circuits, terms @ normal.T, placement), squared
+    return FamilyAlgebra(tuple(bases), basis, circuits, terms @ normal.T, placement, normal), squared
 
 
 def k1_polynomial_roots(data, z):

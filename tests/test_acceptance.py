@@ -280,7 +280,9 @@ def test_criterion_6_arrangement_axioms(all_structures, all_families, fixture_st
     data = fixture_data
     for z in _axiom_samples(fixture_structure):
         G = structure_from_arrangement(ArrangementData(data.matrix, data.weights, z), 2)
-        unit, c11 = G.jet(G.space(0), [(0, 0), (2, 0)])[:, 0]
+        # S(unit, unit) from the degree-0 frame jet: (0, 0) is no pairing-jet member
+        _, u, W = (v[0, ..., 0] for v in G.frame_jet(z[None], G.space(0)))
+        unit, (c11,) = u @ W @ u, G.jet(G.space(0), [(2, 0)])[:, 0]
         assert abs(unit - fix2_pair_unit(z)) < 1e-10
         assert abs(c11 - (-0.5)) < 1e-10
     elapsed = time.monotonic() - start

@@ -2,12 +2,13 @@ import functools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,7 @@ from oracles import (
     elimination_algebra,
     euler_count,
     fiber_frame_jet,
+    fiber_pairing_jets,
     fix2_hess,
     fix2_p,
     fix2_pair_unit,
@@ -118,6 +120,13 @@ def test_critical_point_closed_form(fixture_data):
         assert abs(frame.points[0, 0] - fix2_point(z)) < 1e-12
         assert abs(frame.det_hess[0] - fix2_hess(np.asarray(z, dtype=complex))) < 1e-10
         assert frame.residuals.max() <= 1e-12
+
+
+def _potential_members(F):
+    """The members both potentials read: the sums of two bases, then those
+    plus one label."""
+    sums = F.context().base_sums
+    return list(sums) + sorted({S[:j] + (S[j] + 1,) + S[j + 1:] for S in sums for j in range(F.n)})
 
 
 def _rank2_data():
@@ -699,11 +708,13 @@ def test_family_solves_its_basepoint_fiber_once(monkeypatch, fiber_solves):
 
 def test_degree_one_jets_are_prefixes_of_higher_degrees(all_structures):
     # graded-lex order lists the monomials of degree <= 1 first and no
-    # recurrence reads a higher degree: the degree-1 pairing jets and
-    # basepoint frame jet are bitwise prefixes of those of degree 2..4
+    # recurrence reads a higher degree: the degree-1 pairing jets of every
+    # member the potentials read (the sums of two bases, and those plus one
+    # label) and the basepoint frame jet are bitwise prefixes of those of
+    # degree 2..4
     item4 = structure_from_arrangement(_rank2_data(), 2)
     for F in all_structures + [item4]:
-        members = [T for T in product(range(3), repeat=F.n) if sum(T) <= 2]
+        members = _potential_members(F)
         head = F.space(1).size
         jet, frame = F.jet(F.space(1), members), F.basepoint_frame
         for q in (2, 3, 4):
@@ -787,6 +798,45 @@ def test_algebra_higgs_jet_matches_the_fiber_route(fixture_data, family):
         assert np.max(np.abs(unit - unit_ref)) <= 1e-12 * np.max(np.abs(unit_ref))
         assert np.max(np.abs(form - form_ref)) <= 1e-12 * np.max(np.abs(form_ref))
         assert np.array_equal(form, form.swapaxes(0, 1))
+
+
+@pytest.mark.parametrize("family", ["rank1", "rank2", "k2", "k3", "k4", "r55"])
+def test_pairing_jets_match_the_fiber_route(all_families, family):
+    # the jets read from the algebra (the basepoint form, one Higgs factor
+    # per member, a closed-form series per circuit) against the basepoint
+    # fiber's Newton series multiplied out along a trie of label words, on
+    # every member the potentials read: rank 1 at degree 3, ranks 2-4 at
+    # degree 2, within 1e-12 of the largest coefficient (at most 6.6e-13,
+    # on the mu 55 family)
+    families = all_families if family == "rank1" else [_rank2_data()] if family == "rank2" else [
+        _ci_family(*_CI_FAMILIES[family])]
+    for data in families:
+        F = structure_from_arrangement(data, 2)
+        members, space = _potential_members(F), SeriesSpace(data.n, 3 if data.k == 1 else 2)
+        got, want = data.pairing_jets(space, members), fiber_pairing_jets(data, space, members)
+        assert got.shape == want.shape == (len(members), space.size)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_a_member_that_is_no_sum_of_two_bases_is_refused(fixture_data):
+    # (0, 0) holds no basis, and (1, 0) is of neither size 2k nor 2k + 1:
+    # refused before anything is evaluated
+    data = _anew(fixture_data)
+    for member in [(0, 0), (1, 0)]:
+        with pytest.raises(PreconditionError, match=re.escape(f"no pairing jet for {member}")):
+            data.pairing_jets(SeriesSpace(2, 1), [(2, 0), member])
+    assert data._base_jet_of == {}
+
+
+def test_a_series_entry_beyond_double_range_is_refused(fixture_data):
+    # the closed-form coefficients (c / f)^alpha / f of 1 / f_S at a point
+    # 1e-100 from the discriminant f_S = z_1 - z_2 leave double range at
+    # degree 4: a refusal, never an inf or a NaN
+    data = _anew(fixture_data)
+    data.pairing_jets(SeriesSpace(2, 1), [(2, 1)])
+    data.basepoint = np.array([1.0, 1.0 - 1e-100])
+    with pytest.raises(PreconditionError, match="hyperplanes 1, 2 overflows"):
+        data.pairing_jets(SeriesSpace(2, 4), [(2, 1)])
 
 
 def test_frame_jet_solves_for_the_unit_alone(monkeypatch):
@@ -896,25 +946,17 @@ def _anew(data):
     return ArrangementData(data.matrix, data.weights, data.basepoint)
 
 
-def _record(data):
-    """The basepoint records of ``data``: series and frame jets by degree."""
-    return data._base_series_of, data._base_jet_of
-
-
 def test_recorded_basepoint_row_is_the_one_row_jet(all_families):
     # a stack with the basepoint in the middle records its row at degree 3;
     # that record, and its prefixes at degrees 0-2, are a fresh family's
-    # one-row frame jet and basepoint series bit for bit, and reading them
-    # evaluates nothing
+    # one-row frame jet bit for bit, and reading them evaluates nothing
     for data in all_families + [_rank2_data(), _MIXED_EIGEN]:
         data = _anew(data)
         x = data.basepoint
         moved = _moved_samples(structure_from_arrangement(data, 2), turn=True)
         data.frame_jet(np.array([moved[0], x, moved[1]]), SeriesSpace(data.n, 3))
-        series, jets = _record(data)
-        assert list(series) == list(jets) == [3]
-        fresh = _anew(data)
-        assert all(np.array_equal(a, b) for a, b in zip(series[3], fresh._base_series(SeriesSpace(data.n, 3))))
+        jets = data._base_jet_of
+        assert list(jets) == [3]
         for q in (3, 2, 1, 0):
             space = SeriesSpace(data.n, q)
             alone = _anew(data).frame_jet(x[None], space)
@@ -923,7 +965,7 @@ def test_recorded_basepoint_row_is_the_one_row_jet(all_families):
                 read = data.frame_jet(x[None], space)
             for got, want in zip(read, alone):
                 assert got.shape == want.shape and np.array_equal(got, want)
-        assert list(series) == list(jets) == [3]
+        assert list(jets) == [3]
 
 
 @pytest.mark.parametrize("family", ["k2", "k3", "k4", "r55"])
@@ -946,11 +988,11 @@ def test_refused_stacks_and_stacks_without_the_basepoint_record_nothing():
     for stack in ([x, _DOUBLE_Z], [x, _GOOD[0], _MEET_Z], [_MEET_Z, x]):
         with pytest.raises(DiscriminantError):
             data.frame_jet(np.array(stack), SeriesSpace(data.n, 1))
-        assert _record(data) == ({}, {})
+        assert data._base_jet_of == {}
     data.frame_jet(np.array(_GOOD), SeriesSpace(data.n, 1))
-    assert _record(data) == ({}, {})
+    assert data._base_jet_of == {}
     data.frame_jet(np.array([_GOOD[0], x]), SeriesSpace(data.n, 1))
-    assert list(_record(data)[1]) == [1]
+    assert list(data._base_jet_of) == [1]
 
 
 def test_basepoint_twice_gives_two_equal_rows():
@@ -968,7 +1010,7 @@ def test_record_is_read_only_and_no_view_of_the_callers_stack():
     data, space = _anew(_rank2_data()), SeriesSpace(6, 1)
     x = data.basepoint
     stack = data.frame_jet(np.array([x + 0.01, x]), space)
-    recorded = data._base_jet_of[1] + data._base_series_of[1]
+    recorded = data._base_jet_of[1]
     assert all(not v.flags.writeable and len(v) == 1 for v in recorded)
     assert not any(np.shares_memory(v, w) for v in recorded for w in stack)
     kept = [v.copy() for v in recorded]
@@ -984,7 +1026,8 @@ def test_record_is_read_only_and_no_view_of_the_callers_stack():
 def test_basepoint_series_and_frame_jet_once_per_degree(monkeypatch):
     # a benchmark-shaped op (verify_axioms with the basepoint first, both
     # potentials, both checks) and the CLI's degree-0 form read evaluate the
-    # basepoint's series once per degree and its frame jet once, at degree 1
+    # basepoint's series and its frame jet once, at degree 1: the pairing
+    # jets read the recorded form and evaluate no series of their degree
     series, jets = [], []
     real_series, real_jet = ArrangementData._series_fiber, ArrangementData._frame_jet
 
@@ -1008,7 +1051,7 @@ def test_basepoint_series_and_frame_jet_once_per_degree(monkeypatch):
         check_first_kind(F, Q)
         check_second_kind(F, L)
         F.frame_jet(F.basepoint[None], F.space(0))
-        assert series == [1, 2] and jets == [1]
+        assert series == [1] and jets == [1]
         del series[:], jets[:]
 
 
@@ -1065,12 +1108,15 @@ def test_structure_golden_values(fixture_structure, fixture_data):
     x = fixture_structure.basepoint
     # mu = 1: the 1 x 1 Higgs matrices are the eigenvalues p_i themselves
     assert np.allclose(fixture_structure.basepoint_frame[0][:, 0, 0, 0], fix2_p(x), atol=1e-12)
-    # the golden pairings are the constant terms of pairing jets, on a
-    # structure at each basepoint; S(C_1 C_1 unit, unit) is z-constant
+    # the golden pairings on a structure at each basepoint: S(unit, unit)
+    # from the degree-0 frame jet ((0, 0) is no pairing-jet member), and
+    # the constant term of the pairing jet of (2, 0); S(C_1 C_1 unit, unit)
+    # is z-constant
     data = fixture_data
     for z in [x, x + np.array([0.2, 0.1]), x + np.array([-0.3, 0.05])]:
         F = structure_from_arrangement(ArrangementData(data.matrix, data.weights, z), 2)
-        unit, c11 = F.jet(F.space(0), [(0, 0), (2, 0)])[:, 0]
+        _, u, W = (v[0, ..., 0] for v in F.frame_jet(z[None], F.space(0)))
+        unit, (c11,) = u @ W @ u, F.jet(F.space(0), [(2, 0)])[:, 0]
         assert abs(unit - fix2_pair_unit(z)) < 1e-10
         assert abs(c11 - (-0.5)) < 1e-10
 

@@ -5,6 +5,7 @@ import pathlib
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -179,7 +180,8 @@ def test_first_kind_flags_a_drifting_coefficient(constant_structure, drift):
 
 
 def test_first_kind_reads_one_pairing_jet(fiber_solves):
-    # one degree-1 jet at the basepoint: no frame jet, no fiber solved
+    # one degree-1 jet at the basepoint: no frame jet of the structure (the
+    # family evaluates its basepoint's own for the form), no fiber solved
     # beyond the basepoint
     calls = []
     F = structure_from_arrangement(_unsolved(_REPRODUCER), 2)
@@ -757,6 +759,64 @@ def test_second_kind_holds_at_high_orders(data, n_max):
     assert L.spread_max <= 1e-6
 
 
+# the ROADMAP item-12 reproducer: the fiber-series trie read a candidate
+# spread of 1.178e-06 for (1, 2, 4) at N_max 8 (WellDefinednessError)
+_ITEM12 = ArrangementData([[1], [-1], [-1]], [4, -1, 3], [-0.67, 1.65, 1.64])
+
+
+def test_item12_reproducer_matches_the_exact_jets_at_order_8():
+    # every averaged coefficient, read off its first candidate (alpha, T2),
+    # is alpha! [delta^alpha] g_T2 / T! of the exact Euler-Jacobi jet, within
+    # 1e-12 max(1, |exact|) (at most 3.4e-15 relative)
+    F = structure_from_arrangement(_ITEM12, 2)
+    L = second_kind_truncation(F, 8, spread_tol=1e-10)
+    q, exact = 8 - F.m * F.k - 1, {}
+    averaged = [(T, how) for T, how in L.provenance.items() if how.kind == "averaged"]
+    assert averaged
+    for T, how in averaged:
+        alpha, t2, _ = how.candidates[0]
+        if t2 not in exact:
+            exact[t2] = _exact_jet(_ITEM12, t2, q)
+        want = float(exact[t2][alpha] * multi_factorial(alpha) / multi_factorial(T))
+        assert abs(L.coefficients[T] - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("B, a, x, n_max", [
+    ([[-3], [1], [1]], [-2, 2, -2], [-1.139, 0.174, 0.387], 7),
+    ([[-3], [-3], ["1/2"]], [4, -2, 1], [1.582, 1.148, -0.198], 8),
+], ids=["126", "261"])
+def test_near_pole_candidates_match_the_exact_jets(B, a, x, n_max):
+    # two draws of a seeded rank-1 sweep (random.Random(2026)) with a
+    # circuit at |f_S(x)| = 0.0073 and 0.0067 max |c_S|: its 1 / f_S series
+    # grows like 140^|alpha|, so the Lambda factors that vanish in Q must
+    # read 0, not roundoff times that growth (a candidate of an exact 0 read
+    # 2.3e-6 then).  Every candidate of every averaged coefficient is
+    # within 1e-12 max(1, |exact|) (at most 3.9e-14)
+    data = ArrangementData([[Fraction(v) for v in row] for row in B], [Fraction(w) for w in a], x)
+    L = second_kind_truncation(structure_from_arrangement(data, 2), n_max)
+    exact = {}
+    for T, how in L.provenance.items():
+        for alpha, t2, value in how.candidates:
+            if t2 not in exact:
+                exact[t2] = _exact_jet(data, t2, n_max - 3)
+            want = float(exact[t2][alpha] * multi_factorial(alpha) / multi_factorial(T))
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# the double-point input of the first-kind FOUND: 3.8e-9 from the double
+# critical point x_3 = e^{i pi / 3}; the basepoint form's degree-1 terms read
+# about 2e4 there
+_DOUBLE_POINT = ArrangementData([[1], [1], [1]], [1, 1, 1], [0, 1, 0.5 + 0.8660254j])
+
+
+@pytest.mark.parametrize("potential", [first_kind_polynomial, lambda F: second_kind_truncation(F, 5)],
+                         ids=["first-kind", "second-kind"])
+def test_double_point_form_is_a_flatness_refusal(potential):
+    F = structure_from_arrangement(_unsolved(_DOUBLE_POINT), 2)
+    with pytest.raises(FlatnessError, match="the form at the basepoint varies with z: first-order term"):
+        potential(F)
+
+
 # the rank-2 instance with mu = 8: two parallel rows, one pair of equal rows
 _MU8 = ArrangementData(
     [(-1, -1), (0, 1), (0, 1), (2, 3), (1, 2), (-3, -3)],
@@ -1013,11 +1073,10 @@ def test_one_basepoint_frame_and_two_spaces_per_op(monkeypatch, fiber_solves, ex
 def test_each_basepoint_series_and_sections_once_per_op(monkeypatch):
     # a benchmark-shaped op takes the series of every verify_axioms sample
     # in one stack, the basepoint's from its base frame; that stack records
-    # the basepoint's degree-1 series and frame jet, which the degree-1
-    # pairing jets and the checks' basepoint frame read, so only the second
-    # kind's degree evaluates the base frame's series again; it multiplies
-    # out the sections C_I (unit) once for the stack of samples and once for
-    # the basepoint frame that both checks share
+    # the basepoint's degree-1 frame jet, whose form both kinds of pairing
+    # jets and whose frame the checks read, so no other series is evaluated;
+    # it multiplies out the sections C_I (unit) once for the stack of
+    # samples and once for the basepoint frame that both checks share
     series, sections = [], []
     real_series = matpot.arrangements.ArrangementData._series_fiber
     real_sections = matpot.frobenius._flat_sections
@@ -1037,7 +1096,7 @@ def test_each_basepoint_series_and_sections_once_per_op(monkeypatch):
     Q, L = first_kind_polynomial(F), second_kind_truncation(F, F.m * F.k + 3)
     check_first_kind(F, Q)
     check_second_kind(F, L)
-    assert series == [(1, [True, False, False]), (2, [True])]
+    assert series == [(1, [True, False, False])]
     assert sections == [3, 1]
 
 

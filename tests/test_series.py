@@ -48,8 +48,9 @@ def _row_by_row_mul(space, a, b):
     """One segmented sum per batch row."""
     a, b = np.broadcast_arrays(a, b)
     rows_a, rows_b = a.reshape(-1, space.size), b.reshape(-1, space.size)
+    left, right, starts = space._table
     out = [
-        np.add.reduceat(ra[space._left] * rb[space._right], space._starts[:-1])
+        np.add.reduceat(ra[left] * rb[right], starts[:-1])
         for ra, rb in zip(rows_a, rows_b)
     ]
     return np.array(out).reshape(a.shape)
@@ -62,7 +63,7 @@ def test_chunked_mul_is_bit_identical_to_row_by_row(n, q):
     # chunk is one row
     rng = np.random.default_rng(n * 100 + q)
     space = SeriesSpace(n, q)
-    pairs = len(space._left)
+    pairs = len(space._table[0])
     rows = 3 * max(1, MUL_CHUNK_ELEMENTS // pairs) + 2
     assert (pairs > MUL_CHUNK_ELEMENTS) == (n == 5)
     a = _random_series(rng, space, (rows,))
@@ -91,7 +92,7 @@ def test_broadcast_mul_is_bit_identical_to_row_by_row(n, q, layout):
     # one-shot bound; the reference multiplies broadcast copies row by row
     rng = np.random.default_rng(n * 100 + q)
     space = SeriesSpace(n, q)
-    mu, pairs = 3, len(space._left)
+    mu, pairs = 3, len(space._table[0])
     per_row = mu * mu if layout == "sections" else mu
     for count in _straddle(pairs, per_row):
         if layout == "sections":
@@ -110,7 +111,7 @@ def test_mul_degree_is_bit_identical_on_every_block(n, q):
     space = SeriesSpace(n, q)
     for d in range(q + 1):
         block = space.degrees[d]
-        pairs = int(space._starts[block.stop] - space._starts[block.start])
+        pairs = int(space._table[2][block.stop] - space._table[2][block.start])
         for count in _straddle(pairs, 2):
             a, b = _random_series(rng, space, (count, 1)), _random_series(rng, space, (1, 2))
             want = _row_by_row_mul(space, a, b)[..., block]
@@ -248,7 +249,7 @@ def test_degree_blocks_are_slices_of_the_product(n, q):
     # on a batch that spans several chunks and with broadcast operands
     rng = np.random.default_rng(n * 100 + q)
     space = SeriesSpace(n, q)
-    a = _random_series(rng, space, (3 * max(1, MUL_CHUNK_ELEMENTS // len(space._left)) + 2, 1))
+    a = _random_series(rng, space, (3 * max(1, MUL_CHUNK_ELEMENTS // len(space._table[0])) + 2, 1))
     b = _random_series(rng, space, (1, 2))
     full = space.mul(a, b)
     assert space.degrees[0] == slice(0, 1) and space.degrees[-1].stop == space.size
