@@ -25,11 +25,15 @@ their quotient with the flat basis as its basis, and the Higgs matrices
 H_j(z) = sum_S N_{j,S} / f_S(z) in it, every coefficient a signed maximal
 minor of B from the matroid's one table of the C(n, k) minors
 (``LinearMatroid.minors``; Cramer for the relations, Laplace for the
-circuits).  The flat basis is read off the same table by a
-matroid rule, no search: the bases of internal activity 0 for the reversed
-order of the labels.  The Higgs matrices come from that algebra alone:
-``higgs`` is their value at z, and ``frame_jet`` reads their Taylor series
-from the same placement product.  The family evaluates the frame jets'
+circuits).  Each relation ends in the lexicographically largest basis it
+holds, and the flat basis is read off the relations by a matroid rule, no
+search: the bases that end none, which are those of internal activity 0
+for the reversed order of the labels.  One pass over the relations, in the
+order of the bases they end in, writes every other basis over the flat
+basis in exact integers and checks the rest, no elimination (cf. the
+beta-nbc bases of Falk and Terao, Trans. AMS 349, 1997).  The Higgs
+matrices come from that algebra alone: ``higgs`` is their value at z, and
+``frame_jet`` reads their Taylor series from the same placement product.  The family evaluates the frame jets'
 unit and form from its basepoint fiber (or the fibers over a stack of
 sample points, solved in one pass) and flat basis, each computed once, so
 the axioms compare the algebra against the fiber; the fiber's residuals and
@@ -37,7 +41,7 @@ Hessians are the diagnostics.  The basepoint's frame jet is computed once
 per degree, by whichever call first needs it, and kept by the family as a
 read-only record.
 
-The pairing jets come from the algebra and that record's form G.  Every
+The pairing jets come from the algebra and the basepoint form G.  Every
 member the potentials read is T2 = A + B + R, A and B bases and |R| <= 1;
 C_A (unit) and C_B (unit) are flat, with constant coordinates v_A and v_B
 (the normal forms of the algebra), the form is z-constant and the Higgs
@@ -48,8 +52,10 @@ c . delta) = (-1)^|alpha| (|alpha|! / alpha!) (c / f)^alpha / f, so a
 pairing jet is one row of the product of Lambda[T2, S] = (N_{j,S} v_A)
 (terms_S . G v_B) with that table, and no series of the fiber is multiplied
 out; a factor of Lambda at roundoff of its absolute bound is 0, since that
-table multiplies it by up to |c_S / f_S|^|alpha|.  G is read from the record
-at degree 1 and must be z-constant there: FlatnessError otherwise.
+table multiplies it by up to |c_S / f_S|^|alpha|.  G is evaluated once per
+family, read from the basepoint's recorded frame jet or, when none is
+recorded, as the degree-1 form alone, and must be z-constant there:
+FlatnessError otherwise.
 
 For generic weights and z the fiber has exactly mu = |sum over independent S
 with |S| <= k of (-1)^|S|| points, the Euler characteristic of the
@@ -88,7 +94,7 @@ from .errors import (
     rational,
 )
 from .frobenius import FlatFrameStructure
-from .matroids import LinearMatroid, _eliminate
+from .matroids import LinearMatroid
 from .series import SeriesSpace
 
 
@@ -135,8 +141,9 @@ class ArrangementData:
     (``errors.points``); GroundSetError otherwise.
 
     The family owns the evaluations at its basepoint: the fiber
-    (``base_frame``), and per degree the frame jet (``frame_jet``), each
-    computed once by whichever call first needs it and kept read-only.
+    (``base_frame``), per degree the frame jet (``frame_jet``), and the form
+    that the pairing jets read (``_basepoint_form``), each computed once by
+    whichever call first needs it and kept read-only.
     """
 
     def __init__(self, matrix, weights, basepoint):
@@ -159,8 +166,8 @@ class ArrangementData:
         self.B = np.array([[_double(v.numerator, v.denominator, "B[{}][{}]", i, j) for j, v in enumerate(row, 1)]
                            for i, row in enumerate(self.matrix, 1)], dtype=complex)
         # the basepoint's frame jets by degree, recorded by whichever call
-        # first needs them (``frame_jet``)
-        self._base_jet_of = {}
+        # first needs them (``frame_jet``), and its form G (``_basepoint_form``)
+        self._base_jet_of, self._base_form = {}, None
 
     @property
     def minors(self) -> dict:
@@ -178,29 +185,35 @@ class ArrangementData:
         return tuple(math.lcm(*(v.denominator for v in row)) for row in self.matrix)
 
     @cached_property
+    def _relations(self) -> tuple:
+        """The constant relations of ``algebra``, one per (k-1)-set R that
+        extends to a basis, sorted by the basis each ends in: the terms (R +
+        i, c_{R,i}) for every label i with R + i a basis, ascending in i, and
+        c_{R,i} = (-1)^{#{r in R : r > i}} D_{R+i} common / lcm_i, common the
+        lcm of ``lcms``.  A relation ends in R + e, e its largest label: e is
+        then internally active in R + e for the reversed order (no f > e
+        outside R + e gives a basis), and every active e of a basis I makes I
+        the end of the relation of I - e.  Every earlier term R + i, i < e,
+        is lexicographically smaller than the end."""
+        n, minors, lcms, common = self.n, self.minors, self.lcms, math.lcm(*self.lcms)
+        relations = (tuple((I, (-1) ** sum(r > i for r in R) * minors[I] * (common // lcms[i - 1]))
+                           for i in range(1, n + 1) if minors.get(I := tuple(sorted(R + (i,))), 0))
+                     for R in combinations(range(1, n + 1), self.k - 1))
+        return tuple(sorted(filter(None, relations), key=lambda relation: relation[-1][0]))
+
+    @cached_property
     def flat_basis(self) -> tuple:
-        """The bases I (D_I != 0 in ``minors``), in lexicographic order, in
-        which every e has some f > e outside I with D_{I-e+f} != 0: the bases
-        of internal activity 0 (internally passive) for the reversed order of
-        the labels, e being internally active when it is the largest element
-        of its fundamental cocircuit.  There are T_M(0, 1) = ``count`` of them
-        (Crapo, Aequationes Math. 3, 1969; Bjorner, in Matroid Applications,
-        1992), and their sections C_I (unit) span every fiber: they are the
-        basis of the quotient in ``algebra``, which checks that
-        (StructureError).  No fiber is read."""
-        n, minors = self.n, self.minors
-
-        def passive(I):
-            for t, e in enumerate(I):
-                # f runs over the gap u of tail above e, so I - e + f is sorted
-                head, tail = I[:t], I[t + 1:]
-                ends = (e,) + tail + (n + 1,)
-                if not any(minors[head + tail[:u] + (f,) + tail[u:]]
-                           for u in range(len(tail) + 1) for f in range(ends[u] + 1, ends[u + 1])):
-                    return False
-            return True
-
-        return tuple(I for I, D in minors.items() if D and passive(I))
+        """The bases I (D_I != 0 in ``minors``), in lexicographic order, that
+        end no relation of ``_relations``: the bases of internal activity 0
+        (internally passive) for the reversed order of the labels, e being
+        internally active when it is the largest element of its fundamental
+        cocircuit.  There are T_M(0, 1) = ``count`` of them (Crapo,
+        Aequationes Math. 3, 1969; Bjorner, in Matroid Applications, 1992),
+        and their sections C_I (unit) span every fiber: they are the basis
+        of the quotient in ``algebra``, which checks that (StructureError).
+        No fiber is read."""
+        ends = {relation[-1][0] for relation in self._relations}
+        return tuple(I for I, D in self.minors.items() if D and I not in ends)
 
     @cached_property
     def count(self) -> int:
@@ -208,7 +221,8 @@ class ArrangementData:
         with |S| <= k of (-1)^|S||, the Euler characteristic of the
         complement.  That sum is T_M(0, 1), the number of internally passive
         bases (Crapo, Aequationes Math. 3, 1969), so mu is the size of
-        ``flat_basis``."""
+        ``flat_basis``: the bases that end no relation, counted without an
+        elimination or a fiber."""
         return len(self.flat_basis)
 
     @cached_property
@@ -236,15 +250,21 @@ class ArrangementData:
         product of the p_i over a basis I, a k-set with D_I != 0 in ``minors``.
         For a (k-1)-set R, y_R with b . y_R = det(b_R; b) (Cramer) is orthogonal
         to R's rows, so sum_{i not in R} (b_i . y_R) C_{R+i} = 0 with b_i . y_R
-        = (-1)^{#{r in R : r > i}} D_{R+i} up to lcms: the constant relations,
-        0 for a dependent R.  The quotient of the bases by them has the mu
-        sections of ``flat_basis`` as its basis (mu = T_M(0, 1), the number of
-        internally passive bases; Crapo, 1969): one fraction-free Gauss-Jordan
-        elimination of the relations, the P other bases' columns first, pivots
-        on exactly those P columns and leaves the rows past them zero, or
-        StructureError; its rows are D times the reduced form for the last
-        pivot D, so each of the P is -m[r][P:] / D over the flat basis, an
-        exact integer over D (Cramer).  A (k+1)-set
+        = (-1)^{#{r in R : r > i}} D_{R+i} up to lcms: the constant relations
+        of ``_relations``, 0 for a dependent R.  The quotient of the bases by
+        them has the mu sections of ``flat_basis`` as its basis (mu = T_M(0,
+        1); Crapo, 1969), and one pass over the relations, in the order of
+        the bases they end in, writes every other basis over it: a relation
+        whose end R + e is not yet written writes C_{R+e} = -sum_{i < e}
+        c_{R,i} C_{R+i} / c_{R,e}, its earlier terms being lexicographically
+        smaller and so written before, and a relation whose end is written
+        checks that its terms sum to 0.  The writing shows that the flat
+        sections span the quotient, and the checks that every relation
+        vanishes on the written forms, so that the flat sections are
+        independent in it; a term with no form yet, or a check that fails,
+        raises StructureError.  Each form is exact, integer numerators by
+        flat position over one positive denominator in lowest terms, and each
+        entry is rounded once.  A (k+1)-set
         S = (s_0 < ... < s_k) holding a basis holds one circuit, c_{s_t} =
         (-1)^t D_{S-s_t} lcm_{s_t} (Laplace along a repeated column), so f_S =
         c_S . z does not depend on t and f_S C_S = sum_{l in S} c_l a_l
@@ -255,29 +275,29 @@ class ArrangementData:
         """
         n, k, minors, lcms, basis = self.n, self.k, self.minors, self.lcms, self.flat_basis
         bases = [I for I, D in minors.items() if D]
-        index, nb, mu, common = {I: c for c, I in enumerate(bases)}, len(bases), len(basis), math.lcm(*lcms)
-        free = [index[I] for I in basis]
-        pivots = sorted(set(range(nb)) - set(free))
-        P, column = len(pivots), {bases[c]: t for t, c in enumerate(pivots + free)}
-        relations = []
-        for R in combinations(range(1, n + 1), k - 1):
-            row = [0] * nb  # common (b_i . y_R) at R + i, times R's lcms, pivot columns first
-            for i in range(1, n + 1):
-                if (I := tuple(sorted(R + (i,)))) in column:
-                    row[column[I]] = (-1) ** sum(r > i for r in R) * minors[I] * (common // lcms[i - 1])
-            if any(row):
-                relations.append(row)
-        rank, m = _eliminate(relations, P, reduced=True)
-        if rank != P or any(any(row[P:]) for row in m[P:]):
+        index, nb, mu = {I: c for c, I in enumerate(bases)}, len(bases), len(basis)
+        forms = {I: ({q: 1}, 1) for q, I in enumerate(basis)}  # C_I: numerators by flat position, denominator
+        for relation in self._relations:
+            end, last = relation[-1]
+            summed = relation if end in forms else relation[:-1]
+            if all(I in forms for I, _ in summed):
+                den, nums = math.lcm(*(forms[I][1] for I, _ in summed)), {}
+                for I, c in summed:
+                    form, d = forms[I]
+                    for q, v in form.items():
+                        nums[q] = nums.get(q, 0) + c * (den // d) * v
+                if summed is not relation:  # write the end, over a positive denominator in lowest terms
+                    g = math.gcd(last * den, *nums.values()) * (1 if last < 0 else -1)
+                    forms[end] = ({q: v // g for q, v in nums.items() if v}, -last * den // g)
+                    continue
+                if not any(nums.values()):
+                    continue
             raise StructureError(f"the flat sections do not span the fiber (generation condition fails): the "
                                  f"{mu} flat sections are not a basis of the quotient; no flat frame")
-        # m[:P] is D times the identity on the pivot columns, so the normal
-        # forms are x_r = -m[r][P:] / D
-        last = m[P - 1][P - 1] if P else 1
         normal = np.zeros((mu, nb))
-        normal[range(mu), free] = 1.0
-        for p, row in zip(pivots, m):
-            normal[:, p] = [_double(-v, last, "the normal form of C_I for I = {}", bases[p]) for v in row[P:]]
+        for c, I in enumerate(bases):
+            for q, v in sorted(forms[I][0].items()):
+                normal[q, c] = _double(v, forms[I][1], "the normal form of C_I for I = {}", I)
         sets, vectors, found = [], [], []  # found: (s, i - 1, C_{S - i}) for every label i of S's circuit
         for S in combinations(range(1, n + 1), k + 1):
             c = [0] * n
@@ -288,13 +308,8 @@ class ArrangementData:
             if any(c):
                 sets.append(S)
                 vectors.append(c)
-        try:
-            circuits = np.array(vectors, dtype=float).reshape(-1, n)
-        except OverflowError:
-            for S, c in zip(sets, vectors):
-                for i, v in enumerate(c, 1):
-                    _double(v, 1, "the circuit coefficient of hyperplane {} in S = {}", i, S)
-            raise
+        circuits = np.array([[_double(v, 1, "the circuit coefficient of hyperplane {} in S = {}", i, S)
+                              for i, v in enumerate(c, 1)] for S, c in zip(sets, vectors)]).reshape(-1, n)
         S_, I_, rest = np.array(found, dtype=np.intp).reshape(-1, 3).T
         terms = np.zeros((len(sets), nb), dtype=complex)
         terms[S_, rest] = circuits[S_, I_] * self.a[I_]
@@ -458,22 +473,23 @@ class ArrangementData:
         return out
 
     def _basepoint_form(self, space: SeriesSpace) -> np.ndarray:
-        """The form G (mu, mu) at the basepoint, the constant term of the
-        form of its frame jet recorded at the lowest degree >= 1, evaluated
-        and recorded at degree 1 (in ``space`` when that is its degree) when
-        no such record exists.  The form is z-constant in the flat frame, so
-        its degree-1 terms must vanish: FlatnessError when their largest
-        modulus is not within 1e-7 (1 + max |G|), the rule of
-        ``first_kind_polynomial``."""
-        recorded = [q for q in self._base_jet_of if q >= 1]
-        if recorded:
-            form = self._base_jet_of[min(recorded)][2][0]
-        else:
-            form = self.frame_jet(self.basepoint[None], space if space.q == 1 else SeriesSpace(self.n, 1))[2][0]
-        G, drift = form[..., 0], float(np.abs(form[..., 1:self.n + 1]).max())
-        if not drift <= 1e-7 * (1.0 + float(np.abs(G).max())):
-            raise FlatnessError(f"the form at the basepoint varies with z: first-order term {drift:.3e}")
-        return G
+        """The form G (mu, mu) at the basepoint, evaluated once per family:
+        the constant term of the form of its frame jet recorded at the
+        lowest degree >= 1, or, when no such record exists, of the degree-1
+        form alone (``_flat_frame`` of the base frame, in ``space`` when that
+        is its degree), which records no frame jet.  The form is z-constant
+        in the flat frame, so its degree-1 terms must vanish: FlatnessError
+        when their largest modulus is not within 1e-7 (1 + max |G|), the rule
+        of ``first_kind_polynomial``."""
+        if self._base_form is None:
+            recorded = [q for q in self._base_jet_of if q >= 1]
+            form = (self._base_jet_of[min(recorded)][2] if recorded else
+                    self._flat_frame(space if space.q == 1 else SeriesSpace(self.n, 1), [self.base_frame])[1])[0]
+            G, drift = form[..., 0], float(np.abs(form[..., 1:self.n + 1]).max())
+            if not drift <= 1e-7 * (1.0 + float(np.abs(G).max())):
+                raise FlatnessError(f"the form at the basepoint varies with z: first-order term {drift:.3e}")
+            self._base_form = G
+        return self._base_form
 
     @cached_property
     def _pair_sums(self) -> dict:
@@ -544,22 +560,24 @@ class ArrangementData:
         series solve with one right-hand column, and the form sum_s U_sa
         U_sb w_s is U^T diag(w) U, one ``SeriesSpace.matmul`` with its
         strict upper triangle mirrored, so the form equals its transpose bit
-        for bit.  That product's gathered operands grow with the pairs of
-        the product table, not with the coefficients, past q = 1 (one mu 55
-        frame jet traced 7.2, 35 and 207 MB at q = 1, 2 and 3); every
-        package caller asks for q <= 1.  Permuting the
-        fiber's points permutes the rows of U and of the ones alike, so the
-        jet does not depend on their order; ``verify_axioms`` compares the
-        algebra's H with the fiber's unit and form.
+        for bit (``_flat_frame``, the one rule of the form, which the
+        basepoint form also reads).  That product's gathered operands grow
+        with the pairs of the product table, not with the coefficients, past
+        q = 1 (one mu 55 frame jet traced 7.2, 35 and 207 MB at q = 1, 2 and
+        3); every package caller asks for q <= 1.  Permuting the fiber's
+        points permutes the rows of U and of the ones alike, so the jet does
+        not depend on their order; ``verify_axioms`` compares the algebra's
+        H with the fiber's unit and form.
 
         The basepoint's jet is computed once per degree, by the first stack
         that holds the basepoint and is evaluated whole: its first row at
-        the basepoint is recorded as read-only copies of a stack of one
-        (the pairing jets read its form, ``_basepoint_form``).  A stack
-        whose rows are all the basepoint, at a recorded degree or below one,
-        evaluates nothing and gets read-only views of the record, a lower
-        degree its prefix (graded lexicographic order lists the monomials of
-        lower degree first, and no recurrence reads a higher one).
+        the basepoint is recorded as read-only copies of a stack of one (the
+        pairing jets read its form when it is recorded before they first
+        need one, ``_basepoint_form``).  A stack whose rows are all the
+        basepoint, at a recorded degree or below one, evaluates nothing and
+        gets read-only views of the record, a lower degree its prefix
+        (graded lexicographic order lists the monomials of lower degree
+        first, and no recurrence reads a higher one).
 
         Every row is the jet of a stack of that row alone, bit for bit.
         Rows that are not points of n finite coordinates raise
@@ -588,19 +606,25 @@ class ArrangementData:
 
     def _frame_jet(self, zs, base, space: SeriesSpace):
         """The ``frame_jet`` of the checked rows ``zs`` in one pass, from the
-        series (p, w) of their fibers; ``base`` marks the rows at the
-        basepoint, whose fiber is the base frame.  Records nothing."""
+        flat frame of their fibers (``_flat_frame``); ``base`` marks the rows
+        at the basepoint, whose fiber is the base frame.  Records nothing."""
         fresh = iter(_fibers(self, zs[~base]) if not base.all() else [])
-        p, w = self._series_fiber(space, [self.base_frame if b else next(fresh) for b in base])
-        mu = p.shape[1]
-        U = _basis_products(space, p, self.flat_basis)
-        unit = space.solve(U, space.constant(np.ones((mu, 1))))[:, :, 0]
-        # the form U^T diag(w) U; its strict upper triangle is mirrored, since
-        # U_sa (U_sb w_s) and U_sb (U_sa w_s) need not agree bit for bit
-        form = space.matmul(U.swapaxes(1, 2), space.mul(U, w[:, :, None]))
-        i, j = np.triu_indices(mu, 1)
-        form[:, j, i] = form[:, i, j]
+        U, form = self._flat_frame(space, [self.base_frame if b else next(fresh) for b in base])
+        unit = space.solve(U, space.constant(np.ones((U.shape[1], 1))))[:, :, 0]
         return self._higgs(zs, space), unit, form
+
+    def _flat_frame(self, space: SeriesSpace, frames: list) -> tuple:
+        """The flat frame U and the form U^T diag(w) U, in delta up to degree
+        space.q, over the fibers ``frames``, from the series (p, w) of those
+        fibers (``_series_fiber``): shapes (S, mu, mu, size) each.  The
+        form's strict upper triangle is mirrored, since U_sa (U_sb w_s) and
+        U_sb (U_sa w_s) need not agree bit for bit."""
+        p, w = self._series_fiber(space, frames)
+        U = _basis_products(space, p, self.flat_basis)
+        form = space.matmul(U.swapaxes(1, 2), space.mul(U, w[:, :, None]))
+        i, j = np.triu_indices(U.shape[1], 1)
+        form[:, j, i] = form[:, i, j]
+        return U, form
 
 
 def _cleared_product(x, y) -> np.ndarray:

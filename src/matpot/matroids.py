@@ -12,8 +12,9 @@ self-check) calls the memos and cores directly.
 
 Linear matroids are read as exact rationals; each row is then scaled by the
 lcm of its denominators, and every independence decision is made by exact
-integer (Bareiss fraction-free) elimination of those rows.  Floating point
-never enters this module.  A linear matroid brings each independent class
+integer (Bareiss fraction-free) elimination of those rows to a row echelon
+form (``_eliminate``, the module's one elimination, which reduces nothing
+above its pivots).  Floating point never enters this module.  A linear matroid brings each independent class
 to a reduced form once for circuit queries: D times the reduced row echelon
 form of the class's rows, each tagged with a unit vector.  The form is grown
 one row at a time by a fraction-free pivot step, from the cached form of the
@@ -223,20 +224,16 @@ class Matroid:
         return tuple(sorted(found, key=sorted))
 
 
-def _eliminate(rows, width: int, reduced: bool = False):
-    """Fraction-free (Bareiss) elimination of integer rows.
+def _eliminate(rows, width: int):
+    """Fraction-free (Bareiss) elimination of integer rows to a row echelon
+    form.
 
     Pivots only on the first ``width`` columns; any further columns are
     carried along.  Returns ``(rank, rows)``; the rows from index ``rank`` on
-    are zero in the first ``width`` columns.  By default the result is a row
-    echelon form: each pivot updates only the rows below it.  With
-    ``reduced`` each pivot updates every other row, above it too, by the
-    same step (fraction-free Gauss-Jordan), so the first ``rank`` rows are
-    D times the reduced row echelon form for the last pivot D: every pivot
-    equals D and the other pivot columns are 0.  In both modes every entry
-    after each pivot step is a minor of the input, so each division by the
-    previous pivot is exact and entries grow only polynomially (Bareiss,
-    Math. Comp. 22, 1968).
+    are zero in the first ``width`` columns.  Each pivot updates only the
+    rows below it, and every entry after each pivot step is a minor of the
+    input, so each division by the previous pivot is exact and entries grow
+    only polynomially (Bareiss, Math. Comp. 22, 1968).
     """
     m = list(rows)
     n = len(m)
@@ -252,8 +249,7 @@ def _eliminate(rows, width: int, reduced: bool = False):
         m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
         lead = prow[col]
-        below = range(rank + 1, n)
-        for r in itertools.chain(range(rank), below) if reduced else below:
+        for r in range(rank + 1, n):
             f = m[r][col]
             # rows with f == 0 are updated too: each entry must become the
             # next larger minor, or later divisions stop being exact

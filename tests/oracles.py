@@ -33,11 +33,10 @@ coefficients.
 remainder-closure groups of ``equivalence_report``.  ``min_tight_subset`` maps the library's
 ``min_tight_set`` of the lifted problem back to labels, and
 ``matroid_to_json`` is the inverse of ``jsonio.matroid_from_json``.
-``fraction_rref`` (Gauss-Jordan over Fraction) is the reference for the
-reduced mode of ``matroids._eliminate``, and ``fraction_circuit`` (one
-linear solve over Fraction) for the circuits of ``LinearMatroid``;
+``fraction_circuit`` (one linear solve over Fraction, ``fraction_rref``)
+is the reference for the circuits of ``LinearMatroid``, and
 ``tagged_reduced_form`` brings a class's rows to their reduced form by one
-fraction-free Gauss-Jordan elimination, the reference for the one-pivot
+Gauss-Jordan elimination over Fraction, the reference for the one-pivot
 growth of ``LinearMatroid._grow``.
 ``scalar_newton_refine`` is another exception: the one-seed Newton loop,
 as the bit-for-bit reference for the batched solve;
@@ -45,7 +44,7 @@ as the bit-for-bit reference for the batched solve;
 solved basepoint fiber, the reference for the exact quotient basis of
 ``ArrangementData.flat_basis``; ``internally_passive_bases`` picks the
 bases of internal activity 0 from the fundamental cocircuits, the reference
-for the rule that ``flat_basis`` reads off the minors table;
+for the rule that ``flat_basis`` reads off the ends of the relations;
 ``elimination_algebra`` builds the family's
 algebra with one exact elimination per set (the relation vectors y_R, the
 circuit vectors c_S, each basis's determinant), the reference for the
@@ -224,17 +223,20 @@ def fraction_circuit(rows, C, y):
 
 def tagged_reduced_form(int_rows, C, width: int):
     """The labels of C (sorted) and the form (pivots, D, free, tags) of
-    ``LinearMatroid._echelon`` by one fraction-free Gauss-Jordan elimination
-    of C's integer rows, each tagged with a unit vector, or None when the
-    rows are dependent: D is the last pivot, the rows come in pivot order."""
+    ``LinearMatroid._echelon`` from one Gauss-Jordan elimination over
+    Fraction (``fraction_rref``) of C's integer rows, each tagged with a unit
+    vector, or None when the rows are dependent: D is the product of the
+    pivots met, which is the last pivot of a fraction-free elimination with
+    the same pivots (Bareiss), the rows D times the reduced rows, in pivot
+    order."""
     labels = sorted(C)
     n = len(labels)
     tagged = [tuple(int_rows[e - 1]) + (0,) * i + (1,) + (0,) * (n - 1 - i) for i, e in enumerate(labels)]
-    rank, m = _eliminate(tagged, width, reduced=True)
+    rank, m, D = fraction_rref(tagged, width)
     if rank < n:
         return None
+    m = [[D * v for v in row] for row in m]
     pivots = tuple(next(c for c, v in enumerate(row) if v) for row in m)
-    D = m[-1][pivots[-1]] if m else 1
     free = tuple((c, tuple(row[c] for row in m)) for c in range(width) if c not in pivots)
     tags = tuple(tuple(row[c] for row in m) for c in range(width, width + n))
     return tuple(labels), (pivots, D, free, tags)
@@ -1127,7 +1129,7 @@ def internally_passive_bases(matroid) -> tuple:
     some other element of its fundamental cocircuit {e} + {f not in B : B - e
     + f a basis}, each cocircuit built from ``is_independent`` alone.  Their
     number is T_M(0, 1) (Crapo, Aequationes Math. 3, 1969); the reference for
-    ``ArrangementData.flat_basis``, which reads them off the minors table."""
+    ``ArrangementData.flat_basis``, the bases that end no relation."""
     labels = sorted(matroid.ground.labels)
     bases = [B for B in combinations(labels, matroid.full_rank) if matroid.is_independent(frozenset(B))]
     return tuple(

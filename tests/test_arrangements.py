@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import os
 import random
@@ -1055,6 +1056,28 @@ def test_basepoint_series_and_frame_jet_once_per_degree(monkeypatch):
         del series[:], jets[:]
 
 
+def test_pairing_jets_take_the_basepoint_form_alone_once(monkeypatch):
+    # with no frame jet recorded, both potentials read G from one degree-1
+    # series of the basepoint fiber, the form of the degree-1 frame jet bit
+    # for bit, and record no frame jet: H and the unit are not evaluated
+    series = []
+    real_series = ArrangementData._series_fiber
+
+    def recording_series(self, space, frames):
+        series.append(space.q)
+        return real_series(self, space, frames)
+
+    monkeypatch.setattr(ArrangementData, "_series_fiber", recording_series)
+    monkeypatch.setattr(ArrangementData, "_frame_jet", None)
+    data = _rank2_data()
+    F = structure_from_arrangement(data, 2)
+    first_kind_polynomial(F), second_kind_truncation(F, F.m * F.k + 2)
+    assert series == [1] and data._base_jet_of == {}
+    monkeypatch.undo()
+    form = _anew(data).frame_jet(data.basepoint[None], SeriesSpace(data.n, 1))[2]
+    assert np.array_equal(data._basepoint_form(SeriesSpace(data.n, 1)), form[0, ..., 0])
+
+
 def test_family_reads_the_matroids_table_of_minors(monkeypatch):
     # the family's minors are its matroid's one table, and the bases that
     # the structure, its context and the CLI read ask the independence
@@ -1361,11 +1384,11 @@ def _draw_rational_family(rng):
 
 
 def test_flat_basis_is_the_internally_passive_set():
-    # the rule that flat_basis reads off the minors table against the
-    # fundamental cocircuits of the independence oracle, and its size against
-    # the Euler characteristic (mu = T_M(0, 1), Crapo 1969).  That this set is
-    # the lex-first quotient basis of the reference elimination is checked by
-    # the parity test below, on these families and its k = 4 draws, not proved
+    # the rule that flat_basis reads off the ends of the relations against
+    # the fundamental cocircuits of the independence oracle, and its size
+    # against the Euler characteristic (mu = T_M(0, 1), Crapo 1969).  That
+    # this set is the lex-first quotient basis of the reference elimination is
+    # checked by the parity test below, on these families and its k = 4 draws
     rng = random.Random(3030)
     families = _sweep_families() + _special_families() + [_draw_rational_family(rng) for _ in range(40)]
     for data in families:
@@ -1373,11 +1396,117 @@ def test_flat_basis_is_the_internally_passive_set():
         assert data.count == euler_count(data.matroid, data.k)
 
 
+def _draw_degenerate_family(rng, coloop: bool):
+    """k 1-4, n up to 9: rational rows of full rank k, about one in five a
+    zero row (a loop) and one in five parallel to an earlier row; with
+    ``coloop``, the last coordinate is 0 on every row but one, which is then
+    a coloop (every basis holds it), so the count is 0."""
+    k = rng.randint(1, 4)
+    n = rng.randint(k + 1, 9)
+    while True:
+        rows = []
+        for _ in range(n - coloop):
+            u = rng.random()
+            if u < 0.2:
+                rows.append((Fraction(0),) * k)
+            elif rows and u < 0.4:
+                q = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                rows.append(tuple(v * q for v in rng.choice(rows)))
+            else:
+                free = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k - coloop))
+                rows.append(free + (Fraction(0),) * coloop)
+        if coloop:
+            last = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k - 1))
+            rows.insert(rng.randint(0, len(rows)), last + (Fraction(rng.choice([-2, -1, 1, 2])),))
+        if LinearMatroid(rows).full_rank == k:
+            break
+    a = [Fraction(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(n)]
+    x = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+    return ArrangementData(rows, a, x)
+
+
+def test_flat_basis_is_the_internally_passive_set_with_loops_and_a_coloop():
+    # the bases that end no relation against the fundamental cocircuits of
+    # the independence oracle, on draws with loops and parallel rows, half of
+    # them with a coloop: there no basis is internally passive, the count is
+    # 0, and the algebra writes every basis over the empty flat basis
+    rng = random.Random(6060)
+    draws = [(_draw_degenerate_family(rng, coloop=bool(t % 2)), bool(t % 2)) for t in range(60)]
+    assert {data.k for data, _ in draws} == {1, 2, 3, 4}
+    assert any(not any(row) for data, _ in draws for row in data.matrix)
+    for data, coloop in draws:
+        assert data.flat_basis == internally_passive_bases(data.matroid)
+        assert data.count == euler_count(data.matroid, data.k)
+        if coloop:
+            assert data.count == 0 and data.algebra.normal.shape == (0, len(data.algebra.bases))
+
+
+@pytest.mark.parametrize("relation", ["writing", "checking"])
+def test_an_altered_relation_is_refused(relation):
+    # a basis that ends two relations is written by the first and checked by
+    # the second: altering the end's coefficient in either breaks the check,
+    # so the check path runs and is not vacuous
+    data = _rank2_data()
+    relations = list(data._relations)
+    ends = [r[-1][0] for r in relations]
+    end = next(E for E in ends if ends.count(E) > 1 and np.abs(data.algebra.normal[:, data.algebra.bases.index(E)]).max())
+    t = ends.index(end) if relation == "writing" else ends.index(end) + 1
+    assert ends[t] == end
+    altered = _anew(data)
+    relations[t] = relations[t][:-1] + ((end, relations[t][-1][1] + 1),)
+    altered.__dict__["_relations"] = tuple(relations)
+    assert altered.flat_basis == data.flat_basis
+    with pytest.raises(StructureError, match="the flat sections do not span the fiber"):
+        altered.algebra
+
+
+def _draw_wide_shape(k, n):
+    """A larger shape: random.Random(10 n + k) draws integer B in [-4, 4]
+    with no zero row and full rank, weights 1-5, and x with real part in
+    [-2, 2] and imaginary part in [-0.3, 0.3], each to 3 decimals."""
+    rng = random.Random(10 * n + k)
+    while True:
+        B = [tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(n)]
+        if all(any(r) for r in B) and LinearMatroid(B).full_rank == k:
+            break
+    a = [rng.randint(1, 5) for _ in range(n)]
+    x = [complex(round(rng.uniform(-2, 2), 3), round(rng.uniform(-0.3, 0.3), 3)) for _ in range(n)]
+    return ArrangementData(B, a, x)
+
+
+# sha256 of circuits, terms, placement and normal + 0.0 (every zero signed
+# +), measured when the normal forms came from one fraction-free
+# Gauss-Jordan elimination of the relation matrix
+_ALGEBRA_DIGESTS = {
+    (3, 12): ("4d909172f675b369f912d42c8d877a8c7c5e3f91d20cd69173df2c4dfb0450e5",
+              "ea08123635f7ee0227ba7f78ad26dc9ff3c632e9db09e871ce4e3848c9e920fb",
+              "042826634ed3a460679f83e73d9976997ab5f4f2d7342d0456a38ea7900b59dd",
+              "a860b0df3c75a2bdc5bd7d5b509c0822a75327bb347969e6b8989caf100071e4"),
+    (4, 10): ("aaf6e1b70afde8c8573e6b0c0ac8999e81f6af16efe6d2637f5d8b5a252b0236",
+              "5aa477540dc1b905b7de285a29a60a6988b3e9d0f3beb4e937eb3348a11241ad",
+              "95e88297bf4839e64fdbf3e19365ee91da3d7aed47d86e3ce5e8f9f00bd11da9",
+              "dee7cba2fd3009883030f33661431e29047a193efc38f83d4e5f50e9ba6d6266"),
+}
+
+
+@pytest.mark.parametrize("k, n, mu", [(3, 12, 163), (4, 10, 126)])
+def test_algebra_of_larger_shapes_is_pinned(k, n, mu):
+    # the pass over the relations gives the algebra of the elimination it
+    # replaced, byte for byte but for the sign of zero normal-form entries;
+    # circuits, placement and normal forms are exact rationals rounded once,
+    # and terms is one matrix product with the normal forms
+    algebra = _draw_wide_shape(k, n).algebra
+    assert len(algebra.basis) == mu
+    parts = (algebra.circuits, algebra.terms, algebra.placement, algebra.normal + 0.0)
+    assert tuple(hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest() for v in parts) == _ALGEBRA_DIGESTS[k, n]
+
+
 @pytest.mark.parametrize("change", ["drop", "add"])
 def test_flat_sections_that_are_no_quotient_basis_are_refused(change):
-    # the generation check of the one elimination: mu - 1 sections leave a
-    # pivot column without a pivot, and mu + 1 leave a relation among the
-    # free columns; either way the sections are no basis of the quotient
+    # the generation check of the pass over the relations: with mu - 1
+    # sections some relation holds a basis that nothing writes, and with
+    # mu + 1 the relation that wrote the extra one fails as a check; either
+    # way the sections are no basis of the quotient
     data = _rank2_data()
     basis = data.flat_basis
     extra = next(I for I, D in data.minors.items() if D and I not in basis)
@@ -1425,26 +1554,25 @@ def test_minors_table_matches_the_elimination_algebra():
 @pytest.mark.parametrize("k, n, seed", [(2, 6, 2006), (3, 9, 3009)])
 def test_algebra_is_read_from_the_minors_table(monkeypatch, k, n, seed):
     # past the matroid's own full-rank check, the count, the algebra and the
-    # squared minors eliminate once (the relations, pivot columns first) and
-    # ask the independence oracle nothing
+    # squared minors eliminate nothing (one pass over the relations writes
+    # the normal forms) and ask the independence oracle nothing
     data = _draw_shape(random.Random(seed), k, n)
     eliminations, queries = [], []
     real_eliminate, real_independent = matpot.matroids._eliminate, LinearMatroid._independent
 
-    def eliminating(rows, width, reduced=False):
+    def eliminating(rows, width):
         eliminations.append(len(rows))
-        return real_eliminate(rows, width, reduced)
+        return real_eliminate(rows, width)
 
     def querying(self, A):
         queries.append(A)
         return real_independent(self, A)
 
-    for module in (matpot.matroids, matpot.arrangements):
-        monkeypatch.setattr(module, "_eliminate", eliminating)
+    monkeypatch.setattr(matpot.matroids, "_eliminate", eliminating)
     monkeypatch.setattr(LinearMatroid, "_independent", querying)
     assert data.count > 0 and queries == [] and eliminations == []
     data.algebra, data.squared_minors
-    assert len(eliminations) == 1 and queries == []
+    assert eliminations == [] and queries == []
     assert len(data.minors) == math.comb(n, k)
 
 

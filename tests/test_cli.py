@@ -820,9 +820,9 @@ def test_equal_matroid_entries_share_one_instance(capsys, tmp_path, monkeypatch)
     calls, grown = [], []
     original, real_grow = matpot.matroids._eliminate, LinearMatroid._grow
 
-    def counting(rows, width, reduced=False):
+    def counting(rows, width):
         calls.append(len(rows))
-        return original(rows, width, reduced)
+        return original(rows, width)
 
     def growing(self, labels, form, y):
         grown.append((id(self), frozenset(labels) | {y}))

@@ -22,7 +22,6 @@ from oracles import (
     circuits_within,
     fraction_circuit,
     fraction_rank,
-    fraction_rref,
     matroid_to_json,
     subsets,
     tagged_reduced_form,
@@ -132,9 +131,9 @@ def test_bases_table_matches_the_elimination_path(monkeypatch):
     eliminations = []
     real = matroids._eliminate
 
-    def eliminating(rows, width, reduced=False):
+    def eliminating(rows, width):
         eliminations.append(len(rows))
-        return real(rows, width, reduced)
+        return real(rows, width)
 
     monkeypatch.setattr(matroids, "_eliminate", eliminating)
     ranks = set()
@@ -495,9 +494,9 @@ def test_circuit_queries_eliminate_a_class_once(monkeypatch):
     calls, grown = [], []
     original, real_grow = matroids._eliminate, LinearMatroid._grow
 
-    def counting(rows, width, reduced=False):
+    def counting(rows, width):
         calls.append(len(rows))
-        return original(rows, width, reduced)
+        return original(rows, width)
 
     def growing(self, labels, form, y):
         grown.append(frozenset(labels) | {y})
@@ -539,24 +538,6 @@ def _deficient_rows(rng):
     width = len(rows[0])
     carried = rng.randint(0, 3)
     return [tuple(row) + tuple(rng.randint(-5, 5) for _ in range(carried)) for row in rows], width
-
-
-def test_reduced_elimination_is_d_times_the_fraction_rref():
-    rng = random.Random(33)
-    deficient = 0
-    for _ in range(200):
-        rows, width = _deficient_rows(rng)
-        rank, m = matroids._eliminate(rows, width, reduced=True)
-        ref_rank, ref, det = fraction_rref(rows, width)
-        assert rank == ref_rank == fraction_rank([row[:width] for row in rows])
-        # D is the last pivot, the product of the Fraction pivots, and every
-        # pivot of the reduced rows equals it
-        D = next(v for v in m[rank - 1] if v) if rank else 1
-        assert D == det
-        assert [list(row) for row in m] == [[D * v for v in row] for row in ref]
-        assert all(type(v) is int for row in m for v in row)
-        deficient += rank < min(len(rows), width)
-    assert deficient > 50
 
 
 def _by_pivot(labels, form):
