@@ -33,13 +33,16 @@ order of the bases they end in, writes every other basis over the flat
 basis in exact integers and checks the rest, no elimination (cf. the
 beta-nbc bases of Falk and Terao, Trans. AMS 349, 1997).  The Higgs
 matrices come from that algebra alone: ``higgs`` is their value at z, and
-``frame_jet`` reads their Taylor series from the same placement product.  The family evaluates the frame jets'
-unit and form from its basepoint fiber (or the fibers over a stack of
-sample points, solved in one pass) and flat basis, each computed once, so
-the axioms compare the algebra against the fiber; the fiber's residuals and
-Hessians are the diagnostics.  The basepoint's frame jet is computed once
-per degree, by whichever call first needs it, and kept by the family as a
-read-only record.
+``frame_jet`` reads their Taylor series from the same placement product.
+The family evaluates the frame jets' unit and form from the fibers over a
+stack of points, solved in one pass, and its flat basis, so the axioms
+compare the algebra against the fiber; the fiber's residuals and Hessians
+are the diagnostics.  The structure takes mu from the count and solves no
+fiber.  The basepoint's fiber is solved once, by the first call that needs
+it: in the same stacked pass as the samples when that call is a frame jet
+whose stack holds the basepoint.  Its frame jet is computed once per
+degree, by whichever call first needs it.  The family keeps both, the
+frame jet as a read-only record.
 
 The pairing jets come from the algebra and the basepoint form G.  Every
 member the potentials read is T2 = A + B + R, A and B bases and |R| <= 1;
@@ -108,7 +111,8 @@ def vector_matroid(matrix) -> LinearMatroid:
     return M
 
 
-#: the refusal of a family whose count is 0, by ``higgs`` and ``critical_points``
+#: the refusal of a family whose count is 0, by ``higgs``, ``critical_points``
+#: and ``structure_from_arrangement``
 NO_CRITICAL_POINTS = "the family has no critical points: the Euler characteristic of the complement is 0"
 
 PAIRING_BLOCK = 1 << 16  # members x sets x monomials of one block of ``pairing_jets``
@@ -141,9 +145,11 @@ class ArrangementData:
     (``errors.points``); GroundSetError otherwise.
 
     The family owns the evaluations at its basepoint: the fiber
-    (``base_frame``), per degree the frame jet (``frame_jet``), and the form
-    that the pairing jets read (``_basepoint_form``), each computed once by
-    whichever call first needs it and kept read-only.
+    (``base_frame``, solved in the stacked pass of the first frame jet that
+    holds the basepoint, or alone when another call needs it first), per
+    degree the frame jet (``frame_jet``), and the form that the pairing
+    jets read (``_basepoint_form``), each computed once by whichever call
+    first needs it and kept read-only.
     """
 
     def __init__(self, matrix, weights, basepoint):
@@ -227,7 +233,10 @@ class ArrangementData:
 
     @cached_property
     def base_frame(self) -> CriticalPointFrame:
-        """The fiber over the basepoint, solved once."""
+        """The fiber over the basepoint, solved once, by the first call that
+        needs it: in the stacked pass of a frame jet whose stack holds the
+        basepoint (``_frame_jet``), else alone, ``critical_points`` at the
+        basepoint; either way the same frame bit for bit."""
         return critical_points(self, self.basepoint)
 
     @cached_property
@@ -552,9 +561,11 @@ class ArrangementData:
         (S, n, mu, mu, size), (S, mu, size) and (S, mu, mu, size).
 
         H comes from the family's algebra (the series case of ``higgs``), no
-        fiber read.  The unit and the form come from the fiber over z (the
-        base frame at the basepoint; the other rows' fibers are solved in
-        one pass, ``_fibers``): the flat frame U holds the diagonal-frame
+        fiber read.  The unit and the form come from the fiber over z, every
+        row's solved in one pass (``_fibers``), the basepoint's included
+        while the family has not solved it, which that row then becomes
+        (``base_frame``); a solved base frame is read, not solved again: the
+        flat frame U holds the diagonal-frame
         sections C_I (unit) of the flat basis, products of the eigenvalue
         series p (``_basis_products``), the unit is U^-1 (1, ..., 1), one
         series solve with one right-hand column, and the form sum_s U_sa
@@ -607,9 +618,19 @@ class ArrangementData:
     def _frame_jet(self, zs, base, space: SeriesSpace):
         """The ``frame_jet`` of the checked rows ``zs`` in one pass, from the
         flat frame of their fibers (``_flat_frame``); ``base`` marks the rows
-        at the basepoint, whose fiber is the base frame.  Records nothing."""
-        fresh = iter(_fibers(self, zs[~base]) if not base.all() else [])
-        U, form = self._flat_frame(space, [self.base_frame if b else next(fresh) for b in base])
+        at the basepoint, whose fiber is the base frame.  The fibers of the
+        other rows, and while ``base_frame`` is unsolved that of the first
+        basepoint row, are solved in one ``_fibers`` pass in the order of
+        the stack; that basepoint row becomes ``base_frame``, which a
+        stacked row is bit for bit.  Records no frame jet."""
+        fresh, first = ~base, int(base.argmax())
+        if base[first] and "base_frame" not in vars(self):
+            fresh[first] = True
+        solved = iter(_fibers(self, zs[fresh]) if fresh.any() else [])
+        frames = [next(solved) if f else None for f in fresh]
+        if base[first] and fresh[first]:
+            self.base_frame = frames[first]
+        U, form = self._flat_frame(space, [self.base_frame if b else frame for b, frame in zip(base, frames)])
         unit = space.solve(U, space.constant(np.ones((U.shape[1], 1))))[:, :, 0]
         return self._higgs(zs, space), unit, form
 
@@ -909,10 +930,13 @@ def structure_from_arrangement(data: ArrangementData, m: int) -> FlatFrameStruct
     """FlatFrameStructure of order (n, k, 2) whose jets the family evaluates.
 
     The residue pairing is bilinear, so every ``m`` but 2 raises
-    PreconditionError before any solve.  The basepoint fiber is solved
-    next (PreconditionError for count 0, DiscriminantError), and gives mu.
-    The working frame is the family's ``flat_basis``, read from its algebra
-    and not from a fiber.  The structure's ``jet`` is the family's
+    PreconditionError.  mu is the family's ``count``, the size of its
+    ``flat_basis``, which no fiber is solved for; a family whose count is 0
+    raises PreconditionError (NO_CRITICAL_POINTS).  The working frame is
+    that flat basis.  The basepoint fiber is solved by the first jet that
+    needs it (DiscriminantError there, the refusal of ``critical_points``
+    at the basepoint), in the stacked pass of the samples when that jet is
+    a frame jet.  The structure's ``jet`` is the family's
     ``pairing_jets``, which takes members that are a sum of two bases plus
     at most one label (PreconditionError for any other) and reads them from
     the algebra and the basepoint form (FlatnessError when that form is not
@@ -926,6 +950,8 @@ def structure_from_arrangement(data: ArrangementData, m: int) -> FlatFrameStruct
         raise PreconditionError(
             f"arrangement families give structures of order (n, k, 2) only, got m={m}"
         )
+    if data.count == 0:
+        raise PreconditionError(NO_CRITICAL_POINTS)
     return FlatFrameStructure(
-        data.matroid, m, data.basepoint, data.base_frame.mu, jet=data.pairing_jets, frame_jet=data.frame_jet
+        data.matroid, m, data.basepoint, data.count, jet=data.pairing_jets, frame_jet=data.frame_jet
     )

@@ -33,17 +33,22 @@ Every value and derivative here is a Taylor coefficient: both potentials read
 pairing jets, ``verify_axioms`` the degree-1 frame jet at each sample point
 (one stacked ``frame_jet`` call for all samples, in the order given), and
 both checks the constant terms of that jet at the basepoint.  The structure
-reads that basepoint jet, and multiplies out the flat sections in it, once
-for the two checks, builds the tuples of bases the checks compare once, and
-builds each SeriesSpace once; an arrangement family computes the
+reads that basepoint jet once for the two checks, and keeps the flat
+sections that ``verify_axioms`` multiplied out at the basepoint for them
+(or multiplies them out once, when it has not run there); it builds the
+tuples of bases the checks compare once, and each SeriesSpace once, and
+the second kind builds its monomial table once, whose prefix its space
+reads.  An arrangement structure takes mu from the family's count, and the
+family solves the basepoint fiber by the first call that needs it (for a
+benchmark-shaped op, the ``verify_axioms`` stack that holds the basepoint,
+in the same stacked pass as the samples' fibers); it computes the
 basepoint's frame jet once per degree, by whichever call first needs it
-(for a benchmark-shaped op, the ``verify_axioms`` stack that holds the
-basepoint), so the checks' jet is a lookup, and its pairing jets read the
-form of that record with the family's algebra: v_B^T G H_R(z) v_A for T2 =
-A + B + R, so on an arrangement the first kind's degree-1 terms are 0 by
-construction, the family's screen of the form is the flatness refusal, and
-the second kind's spread compares the algebra's Higgs fields under that
-form.  No function takes differences.
+(there, that same stack), so the checks' jet is a lookup, and its pairing
+jets read the form of that record with the family's algebra: v_B^T G
+H_R(z) v_A for T2 = A + B + R, so on an arrangement the first kind's
+degree-1 terms are 0 by construction, the family's screen of the form is
+the flatness refusal, and the second kind's spread compares the algebra's
+Higgs fields under that form.  No function takes differences.
 """
 
 from __future__ import annotations
@@ -151,8 +156,11 @@ class FlatFrameStructure:
     @cached_property
     def basepoint_sections(self) -> np.ndarray:
         """The series of the sections C_I (unit) in ``basepoint_frame``
-        (``_flat_sections``), shape (bases, mu, size), evaluated once for
-        both checks."""
+        (``_flat_sections``), shape (bases, mu, size), for both checks: the
+        row that ``verify_axioms`` multiplied out at the basepoint, kept by
+        the structure when it has run on samples holding the basepoint (a
+        row of ``_flat_sections`` is a one-point call bit for bit), else
+        evaluated here once."""
         H, u, _ = self.basepoint_frame
         return _flat_sections(self, H[None], u[None], self.space(1))[0]
 
@@ -258,10 +266,12 @@ def verify_axioms(
     and (e) the first-order coefficients of C_I(unit), multiplied out in
     series, and of the form; (a) and (b) are antisymmetric in their two
     labels, so they read the pairs a < b alone.  Each maximum is that of
-    the samples taken one by one.  A refusal is the ``frame_jet``'s: for
-    an arrangement structure, that of the first sample in the order given
-    whose frame is refused.  Before any evaluation, raises
-    PreconditionError for a ``hard_threshold`` that is not a number >= 0
+    the samples taken one by one.  The sections of the first sample at the
+    basepoint are kept as the structure's ``basepoint_sections``.  A
+    refusal is the ``frame_jet``'s: for an arrangement structure, that of
+    the first sample in the order given whose frame is refused.  Before
+    any evaluation, raises PreconditionError for a ``hard_threshold`` that
+    is not a number >= 0
     (``errors.tolerance``; None and inf disable the threshold),
     GroundSetError for samples that are not points of n finite coordinates
     (``errors.points``), and PreconditionError for an empty sample list;
@@ -280,6 +290,9 @@ def verify_axioms(
     space = F.space(1)
     H, u, W = (np.asarray(v, dtype=complex) for v in F.frame_jet(samples, space))
     V = _flat_sections(F, H, u, space)
+    at_base = (samples == F.basepoint).all(axis=1)
+    if at_base.any():  # the first row at the basepoint is the checks' ``basepoint_sections``
+        vars(F).setdefault("basepoint_sections", V[at_base.argmax()].copy())
     H0, W0 = H[..., 0], W[..., 0]
     a, b = np.triu_indices(F.n, 1)
     comm = _worst(0.0, H0[:, a] @ H0[:, b] - H0[:, b] @ H0[:, a])
@@ -569,9 +582,11 @@ def second_kind_truncation(
     n, space = F.n, F.space(n_max - mk - 1)
     # the strong second members T2, lexicographically
     members = sorted({S[:j] + (S[j] + 1,) + S[j + 1:] for S in ctx.base_sums for j in range(n)})
-    # every T of degree <= n_max in graded lexicographic order, and T!; the
-    # monomials of the jet are the first space.size of them
+    # every T of degree <= n_max in graded lexicographic order, and T!, built
+    # once; the monomials of the jet are the first space.size of them, and
+    # its space reads them there
     exps = graded_lex_exponents(n, n_max)
+    space._read_prefix(exps)
     table = list(map(tuple, exps.tolist()))
     fact = _factorials(exps)
     # the candidate grid: cell (j, a) is the decomposition T = alpha_a + T2_j,

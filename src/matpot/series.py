@@ -4,7 +4,8 @@ A series in the variables delta_1, ..., delta_n is a complex array whose last
 axis holds the coefficients of the monomials delta^alpha with |alpha| <= q,
 in graded lexicographic order (by total degree, then by the exponent tuples
 in lexicographic order); the leading axes are a batch.  A ``SeriesSpace``
-keeps those monomials as one exponent array, ``exponents``, and places a
+keeps those monomials as one exponent array, ``exponents``, built on first
+read or read as the prefix of a table of higher degree, and places a
 monomial by ``graded_lex_position``.  It owns the product table: every pair
 of monomials whose product survives the truncation, sorted by the product's
 position, so that a multiply is a ``take`` of each operand along the table
@@ -97,14 +98,28 @@ class SeriesSpace:
                 f"of {n} exponents, more than {MAX_TABLE_ENTRIES} entries"
             )
         self.n, self.q = n, q
-        self.exponents = exps = graded_lex_exponents(n, q)
-        self.size = len(exps)
+        self.size = math.comb(n + q, q)
         # positions of the monomials delta_1, ..., delta_n (none when q = 0):
         # graded lex lists delta_n, ..., delta_1 first among degree 1
         self.degree_one = tuple(range(n, 0, -1)) if q else ()
-        # degrees[d] holds the positions of the monomials of degree d
-        bounds = np.searchsorted(exps.sum(axis=1), np.arange(q + 2)).tolist()
+        # degrees[d] holds the positions of the monomials of degree d, after
+        # the C(n + d - 1, d - 1) of lower degree
+        bounds = [0] + [math.comb(n + d, d) for d in range(q + 1)]
         self.degrees = tuple(map(slice, bounds, bounds[1:]))
+
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """The exponent rows of the monomials, shape (size, n): built on
+        first read, unless ``_read_prefix`` gave them first."""
+        return graded_lex_exponents(self.n, self.q)
+
+    def _read_prefix(self, table) -> None:
+        """Take ``exponents`` as the first ``size`` rows of ``table``, the
+        monomials of a degree >= q in n variables in graded lexicographic
+        order (which lists those of degree <= q first), unless they are
+        built already; so a caller that needs that larger table builds the
+        monomials once."""
+        self.__dict__.setdefault("exponents", table[: self.size])
 
     @cached_property
     def _table(self) -> tuple:

@@ -22,6 +22,7 @@ from matpot import (
     DiscriminantError,
     GroundSetError,
     LinearMatroid,
+    MatpotError,
     PreconditionError,
     RankError,
     SizeLimitError,
@@ -45,6 +46,7 @@ from matpot.arrangements import (
     _fibers,
     _newton_refine,
 )
+from matpot.cli import _sample_points
 from matpot.series import SeriesSpace
 from oracles import (
     discriminant_probe,
@@ -389,8 +391,43 @@ def test_count_zero_family_is_a_precondition_error(rows):
             with pytest.raises(PreconditionError, match="Euler characteristic") as refusal:
                 solve(data, z)
             assert str(refusal.value) == NO_CRITICAL_POINTS
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as refusal:
         structure_from_arrangement(data, 2)
+    assert str(refusal.value) == NO_CRITICAL_POINTS
+
+
+# the discriminant inputs of the CI refusal loop: f_S = 0 at rank 1 and 2,
+# balanced weights, near the discriminant, colliding points, an overflowing
+# f_S and a degenerate Hessian
+_REFUSED = {
+    "f_S": ([(-1,), (2,), (1,)], [-2, 2, -2], [-1, 2, -1]),
+    "f_S-k2": ([(1, 0), (0, 1), (1, 1), (1, -1)], [1, 2, 1, 1], [0, 0, 0, 0.3]),
+    "balanced": ([(1,), (2,), (-1,)], [1, 1, -2], [0.3, -1.1, 0.9]),
+    "near": ([(Fraction(1, 3),), (-1,), (1,), (1,)], [-1, 1, 3, -2], [0.5, -1, 2, 2]),
+    "collide": ([(1,), (1,), (1,)], [1, 1, 1], [0, 1, 0.5 + 0.8660254037844386j]),
+    "overflow": ([(1,), (1,)], [1, 1], [1e308, -1e308]),
+    "hessian": ([(1,), (1,)], [1, 1], [1e308, 9e307]),
+}
+
+
+@pytest.mark.parametrize("family", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_refused_basepoint_gets_the_fiber_refusal_from_every_call(family):
+    # the structure is built without a fiber, so the first call that needs
+    # the basepoint's (each potential, and verify_axioms with the basepoint
+    # first, the CLI's samples) raises what solving it alone raises
+    data = ArrangementData(*family)
+    with pytest.raises(MatpotError) as want:
+        critical_points(data, data.basepoint)
+    calls = (
+        first_kind_polynomial,
+        lambda F: second_kind_truncation(F, F.m * F.k + 3),
+        lambda F: verify_axioms(F, _sample_points(F)),
+    )
+    for call in calls:
+        F = structure_from_arrangement(ArrangementData(*family), 2)
+        with pytest.raises(MatpotError) as got:
+            call(F)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 # n = k + 1, count 1: the one critical point has a closed form
@@ -683,9 +720,10 @@ def test_k2_sample_fiber_is_solved_afresh(monkeypatch):
 
 
 def test_family_solves_its_basepoint_fiber_once(monkeypatch, fiber_solves):
-    # two structures on one family solve the basepoint fiber and build the
-    # family's algebra (with its flat basis) once, and share them in their
-    # frame jets; m = 3 is refused before either
+    # two structures on one family take mu from its count, so building them
+    # solves no fiber and builds no algebra; the first frame jet that needs
+    # the basepoint solves its fiber and builds the family's algebra, once,
+    # and both structures share them; m = 3 is refused before either
     chosen = []
     real = ArrangementData.algebra.func
 
@@ -701,10 +739,11 @@ def test_family_solves_its_basepoint_fiber_once(monkeypatch, fiber_solves):
         structure_from_arrangement(data, 3)
     assert fiber_solves == [] and chosen == []
     F, G = structure_from_arrangement(data, 2), structure_from_arrangement(data, 2)
-    assert fiber_solves == [True] and chosen == [data]
+    assert fiber_solves == [] and chosen == []
     assert np.array_equal(F.basepoint_frame[2], G.basepoint_frame[2])
     assert fiber_solves == [True] and chosen == [data]
     assert F.mu == G.mu == len(data.flat_basis) == data.base_frame.mu == 8
+    assert fiber_solves == [True]
 
 
 def test_degree_one_jets_are_prefixes_of_higher_degrees(all_structures):

@@ -1041,7 +1041,7 @@ def test_one_basepoint_frame_and_two_spaces_per_op(monkeypatch, fiber_solves, ex
     # calls: one stack of every sample in the order given for verify_axioms,
     # then the basepoint alone for both checks; it builds at most two series
     # spaces (degree 1 and the second kind's n_max - mk - 1) and solves each
-    # sample fiber once (the basepoint's when the structure is built);
+    # sample fiber once (the basepoint's in the verify_axioms stack);
     # frame jets and fibers are counted per point
     frames, calls, spaces = [], [], []
     real_frame_jet = matpot.arrangements.ArrangementData.frame_jet
@@ -1071,15 +1071,24 @@ def test_one_basepoint_frame_and_two_spaces_per_op(monkeypatch, fiber_solves, ex
 
 
 def test_each_basepoint_series_and_sections_once_per_op(monkeypatch):
-    # a benchmark-shaped op takes the series of every verify_axioms sample
-    # in one stack, the basepoint's from its base frame; that stack records
-    # the basepoint's degree-1 frame jet, whose form both kinds of pairing
-    # jets and whose frame the checks read, so no other series is evaluated;
-    # it multiplies out the sections C_I (unit) once for the stack of
-    # samples and once for the basepoint frame that both checks share
-    series, sections = [], []
+    # a benchmark-shaped op solves the fibers of every verify_axioms sample,
+    # the basepoint's included, in one stacked pass, and takes their series
+    # in one stack, the basepoint's from the base frame that pass solved;
+    # that stack records the basepoint's degree-1 frame jet, whose form both
+    # kinds of pairing jets and whose frame the checks read, so no other
+    # series is evaluated; it multiplies out the sections C_I (unit) once,
+    # for the stack of samples, whose basepoint row both checks read; and
+    # it builds two monomial tables, the degree-1 space's and the second
+    # kind's to n_max, whose prefix is the degree-q space's
+    fibers, series, sections, tables = [], [], [], []
+    real_fibers = matpot.arrangements._fibers
     real_series = matpot.arrangements.ArrangementData._series_fiber
     real_sections = matpot.frobenius._flat_sections
+    real_table = matpot.series.graded_lex_exponents
+
+    def recording_fibers(data, zs):
+        fibers.append([np.array_equal(z, data.basepoint) for z in zs])
+        return real_fibers(data, zs)
 
     def recording_series(self, space, frames):
         series.append((space.q, [frame is self.base_frame for frame in frames]))
@@ -1089,15 +1098,33 @@ def test_each_basepoint_series_and_sections_once_per_op(monkeypatch):
         sections.append(len(u))
         return real_sections(F, H, u, space)
 
+    def recording_table(n, q):
+        tables.append(q)
+        return real_table(n, q)
+
+    monkeypatch.setattr(matpot.arrangements, "_fibers", recording_fibers)
     monkeypatch.setattr(matpot.arrangements.ArrangementData, "_series_fiber", recording_series)
     monkeypatch.setattr(matpot.frobenius, "_flat_sections", recording_sections)
-    F = structure_from_arrangement(_unsolved(_REPRODUCER), 2)
+    monkeypatch.setattr(matpot.series, "graded_lex_exponents", recording_table)
+    monkeypatch.setattr(matpot.frobenius, "graded_lex_exponents", recording_table)
+    data = _unsolved(_REPRODUCER)
+    F = structure_from_arrangement(data, 2)
+    assert fibers == []
     verify_axioms(F, _samples(F, 2, 11))
     Q, L = first_kind_polynomial(F), second_kind_truncation(F, F.m * F.k + 3)
     check_first_kind(F, Q)
     check_second_kind(F, L)
+    assert fibers == [[True, False, False]]
     assert series == [(1, [True, False, False])]
-    assert sections == [3, 1]
+    assert sections == [3]
+    assert tables == [1, F.m * F.k + 3]
+    assert np.array_equal(F.space(2).exponents, real_table(F.n, 2))
+    H, u, _ = F.basepoint_frame
+    assert np.array_equal(F.basepoint_sections, real_sections(F, H[None], u[None], F.space(1))[0])
+    # the stacked basepoint row is the fiber of a solve of its own
+    alone = critical_points(data, data.basepoint)
+    for name in ("z", "points", "f", "hessians", "det_hess", "residuals"):
+        assert np.array_equal(getattr(data.base_frame, name), getattr(alone, name))
 
 
 def _rank1_table(B, x, n_max):
